@@ -332,7 +332,7 @@ func BenchmarkConcurrentUpdates(b *testing.B) {
 			const keys = 2048
 			row := make([]byte, 100)
 			for k := int64(0); k < keys; k++ {
-				if err := table.Insert(k, row); err != nil {
+				if err := insertRow(db, table, k, row); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -400,7 +400,7 @@ func benchmarkEngineUpdate(b *testing.B, mode ipa.WriteMode, scheme ipa.Scheme, 
 	const keys = 2000
 	row := make([]byte, 100)
 	for k := int64(0); k < keys; k++ {
-		if err := table.Insert(k, row); err != nil {
+		if err := insertRow(db, table, k, row); err != nil {
 			b.Fatal(err)
 		}
 	}

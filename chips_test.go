@@ -34,12 +34,12 @@ func TestMultiChipGeometryAndStats(t *testing.T) {
 	}
 	const keys = 1500
 	for k := int64(0); k < keys; k++ {
-		if err := tbl.Insert(k, fillTuple(100, k)); err != nil {
+		if err := insertRow(db, tbl, k, fillTuple(100, k)); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
 	for i := 0; i < 3000; i++ {
-		if err := tbl.UpdateAt(int64(i*13)%keys, 8, []byte{byte(i)}); err != nil {
+		if err := updateRow(db, tbl, int64(i*13)%keys, 8, []byte{byte(i)}); err != nil {
 			t.Fatalf("UpdateAt: %v", err)
 		}
 	}
@@ -82,14 +82,14 @@ func TestMultiChipGCAndDurability(t *testing.T) {
 	}
 	const keys = 600
 	for k := int64(0); k < keys; k++ {
-		if err := tbl.Insert(k, fillTuple(100, k)); err != nil {
+		if err := insertRow(db, tbl, k, fillTuple(100, k)); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
 	last := make(map[int64]byte, keys)
 	for i := 0; i < 12000; i++ {
 		key := int64(i*13) % keys
-		if err := tbl.UpdateAt(key, 8, []byte{byte(i)}); err != nil {
+		if err := updateRow(db, tbl, key, 8, []byte{byte(i)}); err != nil {
 			t.Fatalf("UpdateAt %d: %v", i, err)
 		}
 		last[key] = byte(i)
@@ -121,7 +121,7 @@ func TestMultiChipGCAndDurability(t *testing.T) {
 	}
 }
 
-// TestMultiChipRecovery replays the WAL against a 4-chip device: committed
+// TestMultiChipRecovery crashes and reopens a 4-chip device: committed
 // updates survive, aborted ones do not, exactly as on a single chip.
 func TestMultiChipRecovery(t *testing.T) {
 	db, err := ipa.Open(multiChipConfig(ipa.IPANativeFlash, ipa.Scheme{N: 2, M: 4}, ipa.PSLC))
@@ -134,7 +134,7 @@ func TestMultiChipRecovery(t *testing.T) {
 		t.Fatalf("CreateTable: %v", err)
 	}
 	for k := int64(0); k < 200; k++ {
-		if err := tbl.Insert(k, fillTuple(64, k)); err != nil {
+		if err := insertRow(db, tbl, k, fillTuple(64, k)); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
@@ -152,9 +152,7 @@ func TestMultiChipRecovery(t *testing.T) {
 	if err := tx2.Abort(); err != nil {
 		t.Fatalf("Abort: %v", err)
 	}
-	if err := db.Recover(); err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
+	db, tbl = crashReopen(t, db, "t")
 	row5, err := tbl.Get(5)
 	if err != nil {
 		t.Fatalf("Get: %v", err)
@@ -200,7 +198,7 @@ func TestMultiChipConcurrentHammer(t *testing.T) {
 	}
 	const keys = 1600
 	for k := int64(0); k < keys; k++ {
-		if err := tbl.Insert(k, fillTuple(100, k)); err != nil {
+		if err := insertRow(db, tbl, k, fillTuple(100, k)); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}

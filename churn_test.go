@@ -44,7 +44,7 @@ func TestLargerThanMemoryChurn(t *testing.T) {
 		for i := range row {
 			row[i] = byte(k + int64(i))
 		}
-		if err := tbl.Insert(k, row); err != nil {
+		if err := insertRow(db, tbl, k, row); err != nil {
 			t.Fatalf("Insert %d: %v", k, err)
 		}
 	}

@@ -19,12 +19,12 @@ func TestOperationsAfterCloseFail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateTable: %v", err)
 	}
-	if err := tbl.Insert(1, fillTuple(64, 1)); err != nil {
+	if err := insertRow(db, tbl, 1, fillTuple(64, 1)); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
 	// Two transactions begun before Close, already holding record locks:
 	// one will be committed after Close, one aborted.
-	if err := tbl.Insert(2, fillTuple(64, 2)); err != nil {
+	if err := insertRow(db, tbl, 2, fillTuple(64, 2)); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
 	before := db.Begin()
@@ -53,16 +53,16 @@ func TestOperationsAfterCloseFail(t *testing.T) {
 	}
 
 	// Table handles held across Close fail too.
-	if err := tbl.Insert(2, fillTuple(64, 2)); !errors.Is(err, ipa.ErrClosed) {
+	if err := insertRow(db, tbl, 2, fillTuple(64, 2)); !errors.Is(err, ipa.ErrClosed) {
 		t.Errorf("Insert after Close = %v, want ErrClosed", err)
 	}
 	if _, err := tbl.Get(1); !errors.Is(err, ipa.ErrClosed) {
 		t.Errorf("Get after Close = %v, want ErrClosed", err)
 	}
-	if err := tbl.UpdateAt(1, 0, []byte{1}); !errors.Is(err, ipa.ErrClosed) {
+	if err := updateRow(db, tbl, 1, 0, []byte{1}); !errors.Is(err, ipa.ErrClosed) {
 		t.Errorf("UpdateAt after Close = %v, want ErrClosed", err)
 	}
-	if err := tbl.Delete(1); !errors.Is(err, ipa.ErrClosed) {
+	if err := deleteRow(db, tbl, 1); !errors.Is(err, ipa.ErrClosed) {
 		t.Errorf("Delete after Close = %v, want ErrClosed", err)
 	}
 	if err := tbl.Scan(func(int64, []byte) bool { return true }); !errors.Is(err, ipa.ErrClosed) {

@@ -434,7 +434,7 @@ func (sh *shell) tableCommand(cmd string, args []string) (any, error) {
 		}
 		row := make([]byte, table.TupleSize())
 		copy(row, strings.Join(args[2:], " "))
-		if err := table.Insert(key, row); err != nil {
+		if err := autocommit(db, func(tx *ipa.Tx) error { return tx.Insert(table, key, row) }); err != nil {
 			return nil, err
 		}
 		return rowKeyResult{Table: args[0], Key: key}, nil
@@ -452,22 +452,13 @@ func (sh *shell) tableCommand(cmd string, args []string) (any, error) {
 		if err != nil {
 			return nil, clif(server.CodeArgs, "bad offset: %v", err)
 		}
-		tx := db.Begin()
-		if err := tx.UpdateAt(table, key, off, []byte(strings.Join(args[3:], " "))); err != nil {
-			_ = tx.Abort()
-			return nil, err
-		}
-		if err := tx.Commit(); err != nil {
+		patch := []byte(strings.Join(args[3:], " "))
+		if err := autocommit(db, func(tx *ipa.Tx) error { return tx.UpdateAt(table, key, off, patch) }); err != nil {
 			return nil, err
 		}
 		return updateResult{Table: args[0], Key: key, Offset: off}, nil
 	case "delete":
-		tx := db.Begin()
-		if err := tx.Delete(table, key); err != nil {
-			_ = tx.Abort()
-			return nil, err
-		}
-		if err := tx.Commit(); err != nil {
+		if err := autocommit(db, func(tx *ipa.Tx) error { return tx.Delete(table, key) }); err != nil {
 			return nil, err
 		}
 		return rowKeyResult{Table: args[0], Key: key}, nil
@@ -490,6 +481,17 @@ func (sh *shell) tableCommand(cmd string, args []string) (any, error) {
 		return res, nil
 	}
 	return nil, clif(server.CodeUnknown, "unknown command %q", cmd)
+}
+
+// autocommit runs one write in its own transaction: committed on success,
+// rolled back (and the write's error returned) on failure.
+func autocommit(db *ipa.DB, write func(tx *ipa.Tx) error) error {
+	tx := db.Begin()
+	if err := write(tx); err != nil {
+		_ = tx.Abort() // the write's error is the one worth reporting
+		return err
+	}
+	return tx.Commit()
 }
 
 // render prints one successful result as prose (the no -json view).

@@ -335,3 +335,30 @@ func TestPlainModeStillWorks(t *testing.T) {
 		t.Errorf("plain mode leaked JSON envelopes:\n%s", out)
 	}
 }
+
+// TestInsertSurvivesCrash: the insert verb is a transaction like update and
+// delete, so a row it reported "ok" for is still there after a power cut
+// that saves nothing volatile.
+func TestInsertSurvivesCrash(t *testing.T) {
+	sh := newTestShell(t)
+	sh.out = &bytes.Buffer{}
+	for _, line := range []string{"create t 64", "insert t 7 hello"} {
+		sh.run(line)
+	}
+	db, err := ipa.Reopen(sh.db.Crash())
+	if err != nil {
+		t.Fatalf("Reopen: %v", err)
+	}
+	defer db.Close()
+	tbl, ok := db.Table("t")
+	if !ok {
+		t.Fatalf("table lost across the crash")
+	}
+	row, err := tbl.Get(7)
+	if err != nil {
+		t.Fatalf("inserted row lost across the crash: %v", err)
+	}
+	if got := strings.TrimRight(string(row), "\x00"); got != "hello" {
+		t.Fatalf("row = %q, want %q", got, "hello")
+	}
+}

@@ -38,12 +38,17 @@ func main() {
 		log.Fatalf("create table: %v", err)
 	}
 
-	// Load 5000 counter rows (64 bytes each).
+	// Load 5000 counter rows (64 bytes each) in one transaction: every write
+	// goes through a Tx, so it is logged and survives a crash once committed.
 	row := make([]byte, 64)
+	load := db.Begin()
 	for key := int64(0); key < 5000; key++ {
-		if err := counters.Insert(key, row); err != nil {
+		if err := load.Insert(counters, key, row); err != nil {
 			log.Fatalf("insert: %v", err)
 		}
+	}
+	if err := load.Commit(); err != nil {
+		log.Fatalf("commit load: %v", err)
 	}
 	db.ResetStats() // measure only the update phase below
 

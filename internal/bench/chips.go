@@ -176,11 +176,8 @@ func runChips(o ChipsOptions, chips int) (ChipsRow, error) {
 	if err != nil {
 		return ChipsRow{}, err
 	}
-	row := make([]byte, o.TupleSize)
-	for k := int64(0); k < int64(o.Tuples); k++ {
-		if err := tbl.Insert(k, row); err != nil {
-			return ChipsRow{}, fmt.Errorf("bench: chips load: %w", err)
-		}
+	if err := loadRows(db, tbl, o.Tuples, make([]byte, o.TupleSize)); err != nil {
+		return ChipsRow{}, fmt.Errorf("bench: chips load: %w", err)
 	}
 	if err := db.FlushAll(); err != nil {
 		return ChipsRow{}, err

@@ -169,11 +169,8 @@ func runConcurrent(o ConcurrentOptions, goroutines int) (ConcurrentRow, error) {
 	if err != nil {
 		return ConcurrentRow{}, err
 	}
-	row := make([]byte, o.TupleSize)
-	for k := int64(0); k < int64(o.Tuples); k++ {
-		if err := tbl.Insert(k, row); err != nil {
-			return ConcurrentRow{}, fmt.Errorf("bench: concurrent load: %w", err)
-		}
+	if err := loadRows(db, tbl, o.Tuples, make([]byte, o.TupleSize)); err != nil {
+		return ConcurrentRow{}, fmt.Errorf("bench: concurrent load: %w", err)
 	}
 	db.ResetStats()
 

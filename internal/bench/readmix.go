@@ -200,11 +200,8 @@ func runReadMix(o ReadMixOptions, readPct int, locked bool) (ReadMixRow, error) 
 	if err != nil {
 		return ReadMixRow{}, err
 	}
-	row := make([]byte, o.TupleSize)
-	for k := int64(0); k < int64(o.Tuples); k++ {
-		if err := tbl.Insert(k, row); err != nil {
-			return ReadMixRow{}, fmt.Errorf("bench: readmix load: %w", err)
-		}
+	if err := loadRows(db, tbl, o.Tuples, make([]byte, o.TupleSize)); err != nil {
+		return ReadMixRow{}, fmt.Errorf("bench: readmix load: %w", err)
 	}
 	db.ResetStats()
 

@@ -193,44 +193,18 @@ func (e Experiment) ApplyProfile(p DeviceProfile) Experiment {
 
 // Run executes one experiment: open a fresh database, load the workload,
 // reset the counters and run the measurement phase.
-func Run(e Experiment) (Result, error) {
-	if e.Ops <= 0 && e.Duration <= 0 {
-		return Result{}, fmt.Errorf("bench: experiment %q needs Ops or Duration", e.Name)
-	}
-	db, err := ipa.Open(e.config())
-	if err != nil {
-		return Result{}, fmt.Errorf("bench: %s: %w", e.Name, err)
-	}
-	defer db.Close()
+func Run(e Experiment) (Result, error) { return RunWithDB(e, nil) }
 
-	w, err := NewWorkload(e.Workload, e.Scale, e.Seed)
-	if err != nil {
-		return Result{}, err
+// loadRows fills tbl with n copies of row under the keys 0..n-1, through
+// the transactional loader.
+func loadRows(db *ipa.DB, tbl *ipa.Table, n int, row []byte) error {
+	ld := workload.NewLoader(db)
+	for k := int64(0); k < int64(n); k++ {
+		if err := ld.Insert(tbl, k, row); err != nil {
+			return err
+		}
 	}
-	loadStart := db.Now()
-	if err := w.Load(db); err != nil {
-		return Result{}, fmt.Errorf("bench: %s load: %w", e.Name, err)
-	}
-	loadTime := db.Now() - loadStart
-	db.ResetStats()
-
-	run, err := workload.Run(db, w, workload.RunOptions{
-		MaxOps:   e.Ops,
-		Duration: e.Duration,
-		Seed:     e.Seed + 1,
-	})
-	if err != nil {
-		return Result{}, fmt.Errorf("bench: %s run: %w", e.Name, err)
-	}
-	if err := db.FlushAll(); err != nil {
-		return Result{}, fmt.Errorf("bench: %s flush: %w", e.Name, err)
-	}
-	return Result{
-		Experiment: e,
-		Stats:      db.Stats(),
-		Run:        run,
-		LoadTime:   loadTime,
-	}, nil
+	return ld.Commit()
 }
 
 // RunWithDB is like Run but gives the caller access to the database after

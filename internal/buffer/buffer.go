@@ -479,22 +479,7 @@ func (p *Pool) FlushPage(pid uint64) error {
 func (s *shard) flushFrame(idx int) error {
 	f := &s.frames[idx]
 	f.latch.Lock()
-	s.mu.Lock()
-	dirty := f.valid && f.dirty
-	s.mu.Unlock()
-	var err error
-	if dirty {
-		// The latch keeps the page image stable; the shard mutex is not
-		// held across the store so unrelated pages stay accessible.
-		err = s.io.StorePage(f.pid, f.data, f.tracker)
-	}
-	s.mu.Lock()
-	if err == nil && dirty {
-		f.dirty = false
-		f.recLSN = 0
-		s.stats.Flushes++
-	}
-	s.mu.Unlock()
+	err := s.storeLatched(f)
 	// Mirror Handle.Release: drop the latch before the pin so that, under
 	// the shard mutex, pin == 0 implies the latch is free.
 	f.latch.Unlock()
@@ -504,6 +489,34 @@ func (s *shard) flushFrame(idx int) error {
 	}
 	s.mu.Unlock()
 	return err
+}
+
+// storeLatched writes a pinned frame back if it is dirty. The caller holds
+// the frame latch exclusively, which keeps the page image stable; the shard
+// mutex is not held across the store so unrelated pages stay accessible.
+func (s *shard) storeLatched(f *frame) error {
+	s.mu.Lock()
+	dirty := f.valid && f.dirty
+	s.mu.Unlock()
+	if !dirty {
+		return nil
+	}
+	if err := s.io.StorePage(f.pid, f.data, f.tracker); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	f.dirty = false
+	f.recLSN = 0
+	s.stats.Flushes++
+	s.mu.Unlock()
+	return nil
+}
+
+// Flush writes the page back to storage if it is dirty, while the handle
+// keeps it pinned and latched — no eviction can slip between a modification
+// and its write-back. It requires an exclusive handle.
+func (h *Handle) Flush() error {
+	return h.shard.storeLatched(&h.shard.frames[h.idx])
 }
 
 // FlushAll writes every dirty cached page back to storage.
@@ -563,13 +576,4 @@ func (p *Pool) DirtySnapshot() []uint64 {
 		out[i] = e.pid
 	}
 	return out
-}
-
-// Cached reports whether pid currently resides in the pool.
-func (p *Pool) Cached(pid uint64) bool {
-	s := p.shardFor(pid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.table[pid]
-	return ok
 }

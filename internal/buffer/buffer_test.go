@@ -61,6 +61,15 @@ func (m *memIO) seed(pid uint64, val byte) {
 	m.pages[pid] = img
 }
 
+// cached reports whether pid currently resides in the pool.
+func cached(p *Pool, pid uint64) bool {
+	s := p.shardFor(pid)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.table[pid]
+	return ok
+}
+
 func TestFetchHitAndMiss(t *testing.T) {
 	io := newMemIO(256)
 	io.seed(1, 0xAA)
@@ -88,8 +97,8 @@ func TestFetchHitAndMiss(t *testing.T) {
 	if io.loads != 1 {
 		t.Fatalf("page loaded %d times", io.loads)
 	}
-	if !pool.Cached(1) || pool.Cached(2) {
-		t.Fatalf("Cached() wrong")
+	if !cached(pool, 1) || cached(pool, 2) {
+		t.Fatalf("cached() wrong")
 	}
 }
 
@@ -118,7 +127,7 @@ func TestEvictionWritesDirtyPages(t *testing.T) {
 		}
 		hh.Release()
 	}
-	if pool.Cached(0) {
+	if cached(pool, 0) {
 		t.Fatalf("page 0 should have been evicted")
 	}
 	if io.pages[0][5] != 0x99 {
@@ -128,6 +137,36 @@ func TestEvictionWritesDirtyPages(t *testing.T) {
 	if s.DirtyEvictions == 0 || s.Evictions == 0 {
 		t.Fatalf("stats %+v", s)
 	}
+}
+
+func TestHandleFlushWritesWhilePinned(t *testing.T) {
+	io := newMemIO(64)
+	io.seed(0, 0x11)
+	pool, err := New(io, 2)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	h, err := pool.Fetch(0)
+	if err != nil {
+		t.Fatalf("Fetch: %v", err)
+	}
+	h.Data()[3] = 0x77
+	h.Tracker().RecordChange(3, 0x11, 0x77)
+	h.MarkDirty()
+	if err := h.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if io.pages[0][3] != 0x77 {
+		t.Fatalf("Flush did not persist the change")
+	}
+	if got := pool.DirtySnapshot(); len(got) != 0 {
+		t.Fatalf("page still dirty after Flush: %v", got)
+	}
+	stores := io.stores
+	if err := h.Flush(); err != nil || io.stores != stores {
+		t.Fatalf("clean Flush stored again (err %v, stores %d -> %d)", err, stores, io.stores)
+	}
+	h.Release()
 }
 
 func TestPinnedPagesAreNotEvicted(t *testing.T) {

@@ -32,6 +32,7 @@ import (
 
 	"ipa"
 	"ipa/internal/server"
+	"ipa/internal/workload"
 	"ipa/ipaclient"
 )
 
@@ -343,23 +344,24 @@ func (s *session) boot() error {
 		return fmt.Errorf("chaos: create: %w", err)
 	}
 	row := make([]byte, s.o.TupleSize)
-	for k := 0; k < s.o.Accounts; k++ {
+	ld := workload.NewLoader(db)
+	for k := 0; k < s.o.Accounts && err == nil; k++ {
 		for i := range row {
 			row[i] = byte(k + i)
 		}
 		putInt64(row, 0, int64(k))
 		putInt64(row, balanceOffset, s.o.InitialBalance)
-		if err := t.Insert(int64(k), row); err != nil {
-			db.Close()
-			return fmt.Errorf("chaos: preload: %w", err)
-		}
+		err = ld.Insert(t, int64(k), row)
 	}
-	// Make the preload durable (Reopen never scans heaps for rows the WAL
-	// does not cover) and establish the first durable watermark floor.
-	if err := db.FlushAll(); err != nil {
+	if err == nil {
+		err = ld.Commit()
+	}
+	if err != nil {
 		db.Close()
-		return fmt.Errorf("chaos: flush: %w", err)
+		return fmt.Errorf("chaos: preload: %w", err)
 	}
+	// The checkpoint flushes the preload out and establishes the first
+	// durable watermark floor.
 	if _, err := db.Checkpoint(); err != nil {
 		db.Close()
 		return fmt.Errorf("chaos: checkpoint: %w", err)

@@ -725,14 +725,3 @@ func (d *Device) EraseBlock(block int) error {
 	d.advance(chipIdx, d.cfg.Latency.BlockErase)
 	return nil
 }
-
-// EraseAll erases every block of the device (low-level format).
-func (d *Device) EraseAll() error {
-	geo := d.Geometry()
-	for blk := 0; blk < geo.Blocks; blk++ {
-		if err := d.EraseBlock(blk); err != nil {
-			return err
-		}
-	}
-	return nil
-}

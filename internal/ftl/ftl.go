@@ -580,22 +580,6 @@ func (f *FTL) WriteDelta(lba, offset int, delta []byte) error {
 	return nil
 }
 
-// Trim invalidates the mapping of a logical page (e.g. when a database
-// object is dropped).
-func (f *FTL) Trim(lba int) error {
-	if lba < 0 || lba >= len(f.l2p) {
-		return fmt.Errorf("%w: %d", ErrBadLBA, lba)
-	}
-	p := f.part(lba)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if ppa := f.l2p[lba]; ppa >= 0 {
-		f.invalidateLocked(ppa)
-		f.l2p[lba] = -1
-	}
-	return nil
-}
-
 // writeOutOfPlaceLocked performs a traditional out-of-place update within
 // the partition.
 func (p *partition) writeOutOfPlaceLocked(lba int, data []byte) error {
@@ -794,22 +778,6 @@ func (p *partition) allocateForGCLocked(victim int) (int32, error) {
 	}
 }
 
-// Utilization returns the fraction of exported logical pages currently
-// mapped.
-func (f *FTL) Utilization() float64 {
-	mapped := 0
-	for _, p := range f.parts {
-		p.mu.Lock()
-		for lba := p.chip; lba < len(f.l2p); lba += f.chips {
-			if f.l2p[lba] >= 0 {
-				mapped++
-			}
-		}
-		p.mu.Unlock()
-	}
-	return float64(mapped) / float64(len(f.l2p))
-}
-
 // FreeBlocks returns the current number of free blocks across all chips.
 func (f *FTL) FreeBlocks() int {
 	n := 0
@@ -819,50 +787,4 @@ func (f *FTL) FreeBlocks() int {
 		p.mu.Unlock()
 	}
 	return n
-}
-
-// DebugSummary reports the internal occupancy state of the FTL; it exists
-// for tests and troubleshooting.
-func (f *FTL) DebugSummary() string {
-	for _, p := range f.parts {
-		p.mu.Lock()
-	}
-	defer func() {
-		for _, p := range f.parts {
-			p.mu.Unlock()
-		}
-	}()
-	mapped := 0
-	for _, ppa := range f.l2p {
-		if ppa >= 0 {
-			mapped++
-		}
-	}
-	validP2L := 0
-	for _, lba := range f.p2l {
-		if lba >= 0 {
-			validP2L++
-		}
-	}
-	sumValid, freeBlocks, usedBlocks, activeBlocks, fullyValid := 0, 0, 0, 0, 0
-	for b := range f.blocks {
-		sumValid += f.blocks[b].validCount
-		switch f.blocks[b].state {
-		case blockFree:
-			freeBlocks++
-		case blockActive:
-			activeBlocks++
-		case blockUsed:
-			usedBlocks++
-			if f.blocks[b].validCount >= f.usablePerBlock {
-				fullyValid++
-			}
-		}
-	}
-	freeList := 0
-	for _, p := range f.parts {
-		freeList += len(p.free)
-	}
-	return fmt.Sprintf("chips=%d mapped=%d validP2L=%d sumValidCount=%d blocks[free=%d active=%d used=%d fullyValid=%d] freeList=%d usablePerBlock=%d exported=%d",
-		f.chips, mapped, validP2L, sumValid, freeBlocks, activeBlocks, usedBlocks, fullyValid, freeList, f.usablePerBlock, f.exportedPages)
 }

@@ -322,40 +322,12 @@ func TestPSLCHalvesCapacity(t *testing.T) {
 	}
 }
 
-func TestTrim(t *testing.T) {
+func TestResetStats(t *testing.T) {
 	f := testFTL(t, DefaultConfig())
-	if _, err := f.WritePage(1, pageImage(f.PageSize(), 9)); err != nil {
-		t.Fatalf("WritePage: %v", err)
-	}
-	if err := f.Trim(1); err != nil {
-		t.Fatalf("Trim: %v", err)
-	}
-	if f.Mapped(1) {
-		t.Fatalf("Trim must unmap the page")
-	}
-	if err := f.ReadPage(1, make([]byte, f.PageSize())); !errors.Is(err, ErrUnmapped) {
-		t.Fatalf("expected ErrUnmapped after Trim, got %v", err)
-	}
-	if err := f.Trim(1); err != nil {
-		t.Fatalf("Trim of unmapped page must be a no-op: %v", err)
-	}
-}
-
-func TestUtilizationAndDebugSummary(t *testing.T) {
-	f := testFTL(t, DefaultConfig())
-	if f.Utilization() != 0 {
-		t.Fatalf("fresh FTL utilization should be 0")
-	}
 	for lba := 0; lba < 10; lba++ {
 		if _, err := f.WritePage(lba, pageImage(f.PageSize(), byte(lba))); err != nil {
 			t.Fatalf("WritePage: %v", err)
 		}
-	}
-	if f.Utilization() <= 0 {
-		t.Fatalf("utilization should grow")
-	}
-	if f.DebugSummary() == "" {
-		t.Fatalf("DebugSummary empty")
 	}
 	f.ResetStats()
 	if f.Stats().HostWrites != 0 {

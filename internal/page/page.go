@@ -158,13 +158,6 @@ func (p *Page) ObjectID() uint32 { return binary.LittleEndian.Uint32(p.buf[offOb
 // LSN returns the page LSN from the header.
 func (p *Page) LSN() uint64 { return binary.LittleEndian.Uint64(p.buf[offLSN:]) }
 
-// SetLSN updates the page LSN in header and footer (a metadata change).
-func (p *Page) SetLSN(lsn uint64) {
-	binary.LittleEndian.PutUint64(p.buf[offLSN:], lsn)
-	binary.LittleEndian.PutUint64(p.buf[p.footerStart()+offFooterLSN:], lsn)
-	p.metaChanged()
-}
-
 // Flags returns the header flags.
 func (p *Page) Flags() uint16 { return binary.LittleEndian.Uint16(p.buf[offFlags:]) }
 
@@ -306,23 +299,6 @@ func (p *Page) UpdateTupleAt(i, off int, data []byte) error {
 	return nil
 }
 
-// UpdateTuple replaces the whole tuple in slot i. Only same-size updates
-// are supported (NSM fixed-size tuples), which is all the OLTP workloads in
-// the paper require.
-func (p *Page) UpdateTuple(i int, data []byte) error {
-	_, tlen, err := p.slot(i)
-	if err != nil {
-		return err
-	}
-	if uint16(tlen) == deletedLen {
-		return fmt.Errorf("%w: slot %d", ErrDeleted, i)
-	}
-	if len(data) != tlen {
-		return fmt.Errorf("%w: new size %d != %d", ErrBadUpdate, len(data), tlen)
-	}
-	return p.UpdateTupleAt(i, 0, data)
-}
-
 // RestoreTuple rewrites slot i during recovery: the slot's live length and
 // the tuple bytes are installed regardless of the slot's previous (possibly
 // deleted) state. The slot must already exist with a valid offset — redo
@@ -411,14 +387,5 @@ func (p *Page) ResetDeltaArea() {
 	area := p.DeltaArea()
 	for i := range area {
 		area[i] = 0xFF
-	}
-}
-
-// ZeroDeltaArea fills the delta-record area with zeroes (used by the
-// traditional baseline where the area is absent/ignored).
-func (p *Page) ZeroDeltaArea() {
-	area := p.DeltaArea()
-	for i := range area {
-		area[i] = 0
 	}
 }

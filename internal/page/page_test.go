@@ -2,6 +2,7 @@ package page
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -149,12 +150,6 @@ func TestUpdateTupleAt(t *testing.T) {
 	if err := p.UpdateTupleAt(99, 0, []byte{1}); !errors.Is(err, ErrBadSlot) {
 		t.Fatalf("bad slot not rejected: %v", err)
 	}
-	if err := p.UpdateTuple(slot, make([]byte, 64)); err != nil {
-		t.Fatalf("whole-tuple update: %v", err)
-	}
-	if err := p.UpdateTuple(slot, make([]byte, 63)); !errors.Is(err, ErrBadUpdate) {
-		t.Fatalf("size-changing update not rejected: %v", err)
-	}
 }
 
 func TestDeleteTuple(t *testing.T) {
@@ -199,18 +194,18 @@ func TestChangeRecording(t *testing.T) {
 		t.Fatalf("recorded write wrong: %+v", w)
 	}
 	metaBefore := rec.metaChanges
-	p.SetLSN(77)
+	p.SetFlags(FlagOutOfPlace)
 	if rec.metaChanges != metaBefore+1 {
-		t.Fatalf("SetLSN must report a metadata change")
+		t.Fatalf("SetFlags must report a metadata change")
 	}
-	if p.LSN() != 77 {
-		t.Fatalf("LSN = %d", p.LSN())
+	if p.Flags() != FlagOutOfPlace {
+		t.Fatalf("Flags = %d", p.Flags())
 	}
 }
 
 func TestMetaRoundTrip(t *testing.T) {
 	p := newTestPage(t, 2048, 64)
-	p.SetLSN(123)
+	binary.LittleEndian.PutUint64(p.buf[offLSN:], 123)
 	p.SetFlags(FlagOutOfPlace)
 	meta := p.Meta()
 	if len(meta) != MetaSize {
@@ -245,12 +240,6 @@ func TestDeltaAreaHelpers(t *testing.T) {
 	for _, b := range p.DeltaArea() {
 		if b != 0xFF {
 			t.Fatalf("ResetDeltaArea must fill with 0xFF")
-		}
-	}
-	p.ZeroDeltaArea()
-	for _, b := range p.DeltaArea() {
-		if b != 0 {
-			t.Fatalf("ZeroDeltaArea must fill with zeroes")
 		}
 	}
 }

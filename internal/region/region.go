@@ -10,7 +10,6 @@ package region
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"ipa/internal/core"
@@ -88,25 +87,10 @@ func (m *Manager) Default() Region {
 	return m.def
 }
 
-// SetDefault replaces the default region.
-func (m *Manager) SetDefault(r Region) {
-	m.mu.Lock()
-	m.def = r
-	m.mu.Unlock()
-}
-
 // Assign places a database object into a region.
 func (m *Manager) Assign(objectID uint32, r Region) {
 	m.mu.Lock()
 	m.byObject[objectID] = r
-	m.mu.Unlock()
-}
-
-// Unassign removes an object's explicit region assignment; it falls back to
-// the default region.
-func (m *Manager) Unassign(objectID uint32) {
-	m.mu.Lock()
-	delete(m.byObject, objectID)
 	m.mu.Unlock()
 }
 
@@ -118,26 +102,4 @@ func (m *Manager) For(objectID uint32) Region {
 		return r
 	}
 	return m.def
-}
-
-// Assignments returns the explicit object-to-region assignments sorted by
-// object ID (for reporting).
-func (m *Manager) Assignments() []struct {
-	ObjectID uint32
-	Region   Region
-} {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]struct {
-		ObjectID uint32
-		Region   Region
-	}, 0, len(m.byObject))
-	for id, r := range m.byObject {
-		out = append(out, struct {
-			ObjectID uint32
-			Region   Region
-		}{id, r})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ObjectID < out[j].ObjectID })
-	return out
 }

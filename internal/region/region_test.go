@@ -18,7 +18,7 @@ func TestDefaultRegion(t *testing.T) {
 	}
 }
 
-func TestAssignAndUnassign(t *testing.T) {
+func TestAssign(t *testing.T) {
 	m := NewManager(Region{Name: "base", Scheme: core.Scheme{}})
 	hot := Region{Name: "hot", Scheme: core.Scheme{N: 2, M: 4}, FlashMode: nand.ModePSLC}
 	m.Assign(7, hot)
@@ -27,34 +27,6 @@ func TestAssignAndUnassign(t *testing.T) {
 	}
 	if got := m.For(8); got.Name != "base" {
 		t.Fatalf("other objects must keep the default region")
-	}
-	m.Unassign(7)
-	if got := m.For(7); got.Name != "base" {
-		t.Fatalf("unassign not effective: %+v", got)
-	}
-}
-
-func TestSetDefault(t *testing.T) {
-	m := NewManager(Region{Name: "a"})
-	m.SetDefault(Region{Name: "b", Scheme: core.Scheme{N: 1, M: 8}})
-	if got := m.For(1); got.Name != "b" || got.Scheme.N != 1 {
-		t.Fatalf("SetDefault not effective: %+v", got)
-	}
-}
-
-func TestAssignments(t *testing.T) {
-	m := NewManager(Region{Name: "base"})
-	m.Assign(3, Region{Name: "c"})
-	m.Assign(1, Region{Name: "a"})
-	m.Assign(2, Region{Name: "b"})
-	got := m.Assignments()
-	if len(got) != 3 {
-		t.Fatalf("expected 3 assignments, got %d", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1].ObjectID > got[i].ObjectID {
-			t.Fatalf("assignments not sorted: %+v", got)
-		}
 	}
 }
 

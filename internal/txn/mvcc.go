@@ -335,23 +335,6 @@ func (c *VersionCache) ResolveFenced(rid, snap, self uint64, fetch func(Resoluti
 	return fetch(c.resolveLocked(s, rid, snap, self))
 }
 
-// CommittedLive reports whether the latest COMMITTED state of rid is a
-// live tuple — the visibility rule of Table.Exists: pending writes by
-// other transactions do not count, committed deletes (zombies) do.
-func (c *VersionCache) CommittedLive(rid uint64) bool {
-	s := c.stripe(rid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ch := s.chains[rid]
-	if ch == nil {
-		return true
-	}
-	if ch.writer != 0 {
-		return len(ch.olds) > 0 && !ch.olds[0].deleted
-	}
-	return !ch.headDeleted
-}
-
 // CommittedDeleted reports whether rid's latest committed state is a
 // delete — i.e. the record is a zombie whose index entries survive only
 // for older snapshots. Insert-over-delete uses this to allow overwriting

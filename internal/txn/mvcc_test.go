@@ -132,7 +132,7 @@ func TestVersionCacheResolveMatrix(t *testing.T) {
 	if res, _ := c.Resolve(rid, 11, reader); res.Kind != ResData || string(res.Data) != "v2" {
 		t.Fatalf("snapshot 11 after delete at 12 = %v %q, want v2", res.Kind, res.Data)
 	}
-	if !c.CommittedDeleted(rid) || c.CommittedLive(rid) {
+	if !c.CommittedDeleted(rid) {
 		t.Fatalf("committed delete must read as zombie")
 	}
 }
@@ -206,8 +206,8 @@ func TestCommitCarriesTimestamp(t *testing.T) {
 	if got := wal.MaxCommitTS(log.Records()); got != 1 {
 		t.Fatalf("MaxCommitTS over the log = %d, want 1", got)
 	}
-	if !m.Versions().CommittedLive(77) {
-		t.Fatalf("chain still pending after commit")
+	if res, _ := m.Versions().Resolve(77, 1, 0); res.Kind != ResHeap {
+		t.Fatalf("chain still pending after commit: %v", res.Kind)
 	}
 	if got := m.Oracle().Watermark(); got != 1 {
 		t.Fatalf("watermark = %d after commit, want 1", got)

@@ -24,7 +24,7 @@ type Oracle struct {
 }
 
 // NewOracle creates an oracle starting at timestamp zero (the timestamp of
-// all pre-existing, non-transactional data — visible to every snapshot).
+// everything recovery found committed — visible to every snapshot).
 func NewOracle() *Oracle {
 	return &Oracle{
 		pending: make(map[uint64]bool),

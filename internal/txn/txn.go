@@ -459,15 +459,3 @@ func (t *Txn) releaseLocks() {
 	}
 	t.locks = nil
 }
-
-// HeldLocks returns the number of locks currently held (for tests).
-func (m *Manager) HeldLocks() int {
-	n := 0
-	for i := range m.stripes {
-		s := &m.stripes[i]
-		s.mu.Lock()
-		n += len(s.locks)
-		s.mu.Unlock()
-	}
-	return n
-}

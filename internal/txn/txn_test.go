@@ -7,6 +7,18 @@ import (
 	"ipa/internal/wal"
 )
 
+// heldLocks returns the number of record locks currently held.
+func heldLocks(m *Manager) int {
+	n := 0
+	for i := range m.stripes {
+		s := &m.stripes[i]
+		s.mu.Lock()
+		n += len(s.locks)
+		s.mu.Unlock()
+	}
+	return n
+}
+
 // memUndoer applies before images to an in-memory page map.
 type memUndoer struct {
 	pages map[uint64][]byte
@@ -70,7 +82,7 @@ func TestLockConflictAndRelease(t *testing.T) {
 	if err := t1.Commit(); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
-	if m.HeldLocks() != 0 {
+	if heldLocks(m) != 0 {
 		t.Fatalf("locks must be released on commit")
 	}
 	if err := t2.Lock(key); err != nil {
@@ -138,7 +150,7 @@ func TestAbortRollsBackInReverseOrder(t *testing.T) {
 	if tx.Status() != Aborted {
 		t.Fatalf("status = %v", tx.Status())
 	}
-	if m.HeldLocks() != 0 {
+	if heldLocks(m) != 0 {
 		t.Fatalf("locks must be released on abort")
 	}
 	a := log.Analyze()
@@ -157,7 +169,7 @@ func TestLogInsert(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
-	recs := log.RecordsFor(tx.ID())
+	recs := log.Records()
 	if len(recs) != 2 || recs[0].Type != wal.RecInsert {
 		t.Fatalf("unexpected log records: %+v", recs)
 	}

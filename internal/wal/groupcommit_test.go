@@ -11,6 +11,14 @@ func appendCommit(l *Log, txn uint64) uint64 {
 	return l.Append(Record{TxnID: txn, Type: RecCommit})
 }
 
+// pendingCommits returns the number of waiters queued behind the current
+// flush leader.
+func pendingCommits(l *Log) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.waiters)
+}
+
 // TestCommitFlushMakesDurable checks the single-caller fast path.
 func TestCommitFlushMakesDurable(t *testing.T) {
 	l := New()
@@ -70,9 +78,9 @@ func TestGroupCommitBatchesFollowers(t *testing.T) {
 	}
 	// Wait until every follower has queued behind the in-flight flush.
 	deadline := time.Now().Add(5 * time.Second)
-	for l.PendingCommits() < followers {
+	for pendingCommits(l) < followers {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d followers queued", l.PendingCommits(), followers)
+			t.Fatalf("only %d of %d followers queued", pendingCommits(l), followers)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -417,6 +417,12 @@ func (l *Log) flush(lsn uint64, commit bool) error {
 	l.mu.Lock()
 	lsn = l.clampLocked(lsn)
 	if lsn <= l.flushedLSN {
+		// An earlier flush (a write-ahead barrier, or a leader whose range
+		// reached past this record) already made it durable: the commit was
+		// served by that flush and counts towards the batch statistics.
+		if commit {
+			l.gcStats.FlushedCommits++
+		}
 		l.mu.Unlock()
 		return nil
 	}
@@ -517,14 +523,6 @@ func (l *Log) GroupCommitStats() GroupCommitStats {
 	return l.gcStats
 }
 
-// PendingCommits returns the number of commit waiters queued behind the
-// current flush leader (for tests and monitoring).
-func (l *Log) PendingCommits() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.waiters)
-}
-
 // FlushedLSN returns the highest durable LSN.
 func (l *Log) FlushedLSN() uint64 {
 	l.mu.Lock()
@@ -600,21 +598,6 @@ func (l *Log) Records() []Record {
 	out := make([]Record, 0, n)
 	for _, s := range l.segs {
 		out = append(out, s.records...)
-	}
-	return out
-}
-
-// RecordsFor returns all retained records of one transaction in LSN order.
-func (l *Log) RecordsFor(txnID uint64) []Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Record
-	for _, s := range l.segs {
-		for _, r := range s.records {
-			if r.TxnID == txnID {
-				out = append(out, r)
-			}
-		}
 	}
 	return out
 }

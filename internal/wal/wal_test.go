@@ -333,14 +333,11 @@ func TestSegmentsSealTruncateAndRecycle(t *testing.T) {
 	}
 }
 
-func TestRecordsForAndTruncate(t *testing.T) {
+func TestTruncateEverything(t *testing.T) {
 	l := New()
 	l.Append(Record{TxnID: 1, Type: RecUpdate})
 	l.Append(Record{TxnID: 2, Type: RecUpdate})
 	lsn := l.Append(Record{TxnID: 1, Type: RecCommit})
-	if got := l.RecordsFor(1); len(got) != 2 {
-		t.Fatalf("RecordsFor(1) = %d records", len(got))
-	}
 	l.Truncate(lsn)
 	if len(l.Records()) != 0 {
 		t.Fatalf("Truncate left %d records", len(l.Records()))

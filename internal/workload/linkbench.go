@@ -96,12 +96,13 @@ func (w *LinkBench) Load(db *ipa.DB) error {
 		}
 	}
 	r := rand.New(rand.NewSource(w.cfg.Seed))
+	ld := NewLoader(db)
 	for n := int64(0); n < int64(w.cfg.Nodes); n++ {
 		row := make([]byte, lbNodeSize)
 		fill(row, n+70000)
 		putInt64(row, 0, n)
 		putInt64(row, lbNodeVersionOffset, 1)
-		if err := w.nodes.Insert(n, row); err != nil {
+		if err := ld.Insert(w.nodes, n, row); err != nil {
 			return err
 		}
 	}
@@ -113,12 +114,12 @@ func (w *LinkBench) Load(db *ipa.DB) error {
 			putInt64(row, 0, n)
 			putInt64(row, 8, randInt64(r, int64(w.cfg.Nodes)))
 			row[lbLinkVisOffset] = 1
-			if err := w.links.Insert(w.nextLinkID, row); err != nil {
+			if err := ld.Insert(w.links, w.nextLinkID, row); err != nil {
 				return err
 			}
 		}
 	}
-	return db.FlushAll()
+	return finishLoad(db, ld)
 }
 
 // RunOne implements Workload: roughly 70% reads, 25% small updates, 5%

@@ -77,16 +77,17 @@ func (w *SecondaryChurn) Load(db *ipa.DB) error {
 	if _, err = w.items.CreateSecondaryIndex("group", ipa.Int64Field(scGroupOffset)); err != nil {
 		return err
 	}
+	ld := NewLoader(db)
 	for k := int64(0); k < int64(w.cfg.Rows); k++ {
 		row := make([]byte, scTupleSize)
 		fill(row, k+90000)
 		putInt64(row, 0, k)
 		putInt64(row, scGroupOffset, k%int64(w.cfg.Groups))
-		if err := w.items.Insert(k, row); err != nil {
+		if err := ld.Insert(w.items, k, row); err != nil {
 			return fmt.Errorf("secchurn load: %w", err)
 		}
 	}
-	return db.FlushAll()
+	return finishLoad(db, ld)
 }
 
 // RunOne implements Workload.

@@ -120,12 +120,13 @@ func (w *TATP) Load(db *ipa.DB) error {
 		}
 	}
 	r := rand.New(rand.NewSource(w.cfg.Seed))
+	ld := NewLoader(db)
 	for s := int64(0); s < int64(w.cfg.Subscribers); s++ {
 		row := make([]byte, tatpSubscriberSize)
 		fill(row, s+5000)
 		putInt64(row, 0, s)
 		putInt64(row, tatpSubNbrOffset, subNbr(s))
-		if err := w.subscribers.Insert(s, row); err != nil {
+		if err := ld.Insert(w.subscribers, s, row); err != nil {
 			return fmt.Errorf("tatp load subscriber: %w", err)
 		}
 		// 1-4 access_info rows per subscriber.
@@ -134,7 +135,7 @@ func (w *TATP) Load(db *ipa.DB) error {
 			ai := make([]byte, tatpAccessInfoSize)
 			fill(ai, s*10+int64(a))
 			putInt64(ai, 0, s)
-			if err := w.accessInfo.Insert(accessKey(s, a), ai); err != nil {
+			if err := ld.Insert(w.accessInfo, accessKey(s, a), ai); err != nil {
 				return fmt.Errorf("tatp load access_info: %w", err)
 			}
 		}
@@ -144,12 +145,12 @@ func (w *TATP) Load(db *ipa.DB) error {
 			sf := make([]byte, tatpFacilitySize)
 			fill(sf, s*100+int64(f))
 			putInt64(sf, 0, s)
-			if err := w.facilities.Insert(facilityKey(s, f), sf); err != nil {
+			if err := ld.Insert(w.facilities, facilityKey(s, f), sf); err != nil {
 				return fmt.Errorf("tatp load special_facility: %w", err)
 			}
 		}
 	}
-	return db.FlushAll()
+	return finishLoad(db, ld)
 }
 
 // RunOne implements Workload with the standard TATP transaction mix.
@@ -272,31 +273,14 @@ func (w *TATP) deleteCallForwarding(db *ipa.DB) (bool, error) {
 		return true, nil
 	}
 	key := w.nextForwardID
-	if w.cfg.SecondaryLookups {
-		// The variant deletes transactionally so the by_sub secondary
-		// maintenance is WAL-covered like the rest of its churn.
-		tx := db.Begin()
-		if err := tx.Delete(w.forwarding, key); err != nil {
-			if abortErr := tx.Abort(); abortErr != nil {
-				return false, abortErr
-			}
-			if errors.Is(err, ipa.ErrKeyNotFound) || errors.Is(err, ipa.ErrConflict) {
-				return true, nil
-			}
-			return false, err
-		}
-		if err := tx.Commit(); err != nil {
-			return false, err
-		}
-		w.nextForwardID--
-		return true, nil
-	}
-	if err := w.forwarding.Delete(key); err != nil {
-		if errors.Is(err, ipa.ErrKeyNotFound) {
-			return true, nil
-		}
+	deleted, err := w.readCommit(db, func(tx *ipa.Tx) error {
+		return tx.Delete(w.forwarding, key)
+	})
+	if err != nil {
 		return false, err
 	}
-	w.nextForwardID--
+	if deleted {
+		w.nextForwardID--
+	}
 	return true, nil
 }

@@ -104,12 +104,13 @@ func (w *TPCB) Load(db *ipa.DB) error {
 	}
 
 	c := w.cfg
+	ld := NewLoader(db)
 	for b := 0; b < c.Branches; b++ {
 		row := make([]byte, tpcbBranchSize)
 		fill(row, int64(b)+1000)
 		putInt64(row, 0, int64(b))
 		putInt64(row, tpcbBalanceOffset, tpcbInitialBalance)
-		if err := w.branches.Insert(int64(b), row); err != nil {
+		if err := ld.Insert(w.branches, int64(b), row); err != nil {
 			return fmt.Errorf("tpcb load branches: %w", err)
 		}
 	}
@@ -118,7 +119,7 @@ func (w *TPCB) Load(db *ipa.DB) error {
 		fill(row, int64(t)+2000)
 		putInt64(row, 0, int64(t))
 		putInt64(row, tpcbBalanceOffset, tpcbInitialBalance)
-		if err := w.tellers.Insert(int64(t), row); err != nil {
+		if err := ld.Insert(w.tellers, int64(t), row); err != nil {
 			return fmt.Errorf("tpcb load tellers: %w", err)
 		}
 	}
@@ -127,11 +128,11 @@ func (w *TPCB) Load(db *ipa.DB) error {
 		fill(row, int64(a)+3000)
 		putInt64(row, 0, int64(a))
 		putInt64(row, tpcbBalanceOffset, tpcbInitialBalance)
-		if err := w.accounts.Insert(int64(a), row); err != nil {
+		if err := ld.Insert(w.accounts, int64(a), row); err != nil {
 			return fmt.Errorf("tpcb load accounts: %w", err)
 		}
 	}
-	return db.FlushAll()
+	return finishLoad(db, ld)
 }
 
 // RunOne implements Workload: one TPC-B transaction.

@@ -137,11 +137,12 @@ func (w *TPCC) Load(db *ipa.DB) error {
 	}
 
 	c := w.cfg
+	ld := NewLoader(db)
 	for i := int64(0); i < int64(c.Items); i++ {
 		row := make([]byte, tpccItemSize)
 		fill(row, i+9000)
 		putInt64(row, 0, i)
-		if err := w.items.Insert(i, row); err != nil {
+		if err := ld.Insert(w.items, i, row); err != nil {
 			return fmt.Errorf("tpcc load items: %w", err)
 		}
 	}
@@ -150,7 +151,7 @@ func (w *TPCC) Load(db *ipa.DB) error {
 		fill(row, wh+9100)
 		putInt64(row, 0, wh)
 		putInt64(row, tpccYTDOffset, tpccInitialAmount)
-		if err := w.warehouses.Insert(wh, row); err != nil {
+		if err := ld.Insert(w.warehouses, wh, row); err != nil {
 			return fmt.Errorf("tpcc load warehouse: %w", err)
 		}
 		for d := int64(0); d < int64(c.DistrictsPerWarehouse); d++ {
@@ -159,7 +160,7 @@ func (w *TPCC) Load(db *ipa.DB) error {
 			putInt64(drow, 0, w.districtKey(wh, d))
 			putInt64(drow, tpccYTDOffset, tpccInitialAmount)
 			putInt64(drow, tpccNextOIDOffset, 1)
-			if err := w.districts.Insert(w.districtKey(wh, d), drow); err != nil {
+			if err := ld.Insert(w.districts, w.districtKey(wh, d), drow); err != nil {
 				return fmt.Errorf("tpcc load district: %w", err)
 			}
 			for cu := int64(0); cu < int64(c.CustomersPerDistrict); cu++ {
@@ -167,7 +168,7 @@ func (w *TPCC) Load(db *ipa.DB) error {
 				fill(crow, wh*1000000+d*10000+cu)
 				putInt64(crow, 0, w.customerKey(wh, d, cu))
 				putInt64(crow, tpccBalanceOffset, tpccInitialAmount)
-				if err := w.customers.Insert(w.customerKey(wh, d, cu), crow); err != nil {
+				if err := ld.Insert(w.customers, w.customerKey(wh, d, cu), crow); err != nil {
 					return fmt.Errorf("tpcc load customer: %w", err)
 				}
 			}
@@ -178,12 +179,12 @@ func (w *TPCC) Load(db *ipa.DB) error {
 			putInt64(srow, 0, w.stockKey(wh, i))
 			putInt64(srow, tpccQuantityOffset, 50)
 			putInt64(srow, tpccStockYTDOffset, tpccInitialAmount)
-			if err := w.stock.Insert(w.stockKey(wh, i), srow); err != nil {
+			if err := ld.Insert(w.stock, w.stockKey(wh, i), srow); err != nil {
 				return fmt.Errorf("tpcc load stock: %w", err)
 			}
 		}
 	}
-	return db.FlushAll()
+	return finishLoad(db, ld)
 }
 
 // RunOne implements Workload with the (reduced) standard mix: 45% New-Order,

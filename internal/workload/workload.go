@@ -126,3 +126,58 @@ func fill(b []byte, seed int64) {
 		b[i] = byte(x * 0x2545F4914F6CDD1D >> 56)
 	}
 }
+
+// loadBatch is the number of rows a Loader commits per transaction: large
+// enough that the per-commit log flush disappears from load time, small
+// enough that a batch's record locks and undo stay trivial.
+const loadBatch = 256
+
+// Loader bulk-loads rows through the engine's one write path: every row is
+// a Tx.Insert, committed loadBatch rows at a time. A batch is opened
+// lazily, so a Loader that never inserts never begins a transaction.
+type Loader struct {
+	db *ipa.DB
+	tx *ipa.Tx
+	n  int
+}
+
+// NewLoader returns a loader for db.
+func NewLoader(db *ipa.DB) *Loader { return &Loader{db: db} }
+
+// Insert adds one row to the open batch and commits the batch when it is
+// full. On an insert error the open batch is aborted — its rows are rolled
+// back — and the error is returned; earlier batches stay committed.
+func (l *Loader) Insert(t *ipa.Table, key int64, row []byte) error {
+	if l.tx == nil {
+		l.tx = l.db.Begin()
+	}
+	if err := l.tx.Insert(t, key, row); err != nil {
+		_ = l.tx.Abort() // the insert error is the one worth reporting
+		l.tx, l.n = nil, 0
+		return err
+	}
+	if l.n++; l.n == loadBatch {
+		return l.Commit()
+	}
+	return nil
+}
+
+// Commit commits the open batch, if any. Call it once after the last Insert.
+func (l *Loader) Commit() error {
+	if l.tx == nil {
+		return nil
+	}
+	tx := l.tx
+	l.tx, l.n = nil, 0
+	return tx.Commit()
+}
+
+// finishLoad ends a workload's load phase: the loader's last batch is
+// committed and every dirty page written out, so the measured run starts
+// from a clean buffer pool.
+func finishLoad(db *ipa.DB, ld *Loader) error {
+	if err := ld.Commit(); err != nil {
+		return err
+	}
+	return db.FlushAll()
+}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -303,5 +304,68 @@ func TestHelperEncoding(t *testing.T) {
 	}
 	if allZero {
 		t.Fatalf("fill produced all zeroes")
+	}
+}
+
+// TestLoaderBatchesAndAborts: rows loaded across a batch boundary are all
+// committed and crash-safe; a duplicate key aborts the open batch (and only
+// it) and surfaces ErrDuplicateKey.
+func TestLoaderBatchesAndAborts(t *testing.T) {
+	db := testDB(t, ipa.IPANativeFlash)
+	defer db.Close()
+	tbl, err := db.CreateTable("t", 32)
+	if err != nil {
+		t.Fatalf("CreateTable: %v", err)
+	}
+	const rows = loadBatch + 44 // one full batch plus a partial one
+	ld := NewLoader(db)
+	row := make([]byte, 32)
+	for k := int64(0); k < rows; k++ {
+		putInt64(row, 0, k)
+		if err := ld.Insert(tbl, k, row); err != nil {
+			t.Fatalf("Insert %d: %v", k, err)
+		}
+	}
+	if got := db.Stats().CommittedTxns; got != 1 {
+		t.Fatalf("%d commits after %d rows, want 1 (the full batch)", got, rows)
+	}
+	if err := ld.Commit(); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	if got := db.Stats().CommittedTxns; got != 2 {
+		t.Fatalf("%d commits after the final Commit, want 2", got)
+	}
+
+	// A second load collides on its third row: the two rows before it in
+	// the open batch are rolled back with it.
+	for k := int64(rows); k < rows+2; k++ {
+		if err := ld.Insert(tbl, k, row); err != nil {
+			t.Fatalf("Insert %d: %v", k, err)
+		}
+	}
+	if err := ld.Insert(tbl, 0, row); !errors.Is(err, ipa.ErrDuplicateKey) {
+		t.Fatalf("duplicate insert = %v, want ErrDuplicateKey", err)
+	}
+	if err := ld.Commit(); err != nil {
+		t.Fatalf("Commit after an aborted batch: %v", err)
+	}
+
+	db2, err := ipa.Reopen(db.Crash())
+	if err != nil {
+		t.Fatalf("Reopen: %v", err)
+	}
+	defer db2.Close()
+	tbl2, _ := db2.Table("t")
+	if got := tbl2.Count(); got != rows {
+		t.Fatalf("%d rows after crash, want %d", got, rows)
+	}
+	for _, k := range []int64{0, loadBatch - 1, loadBatch, rows - 1} {
+		got, err := tbl2.Get(k)
+		if err != nil || getInt64(got, 0) != k {
+			t.Fatalf("row %d after crash: %v (err %v)", k, got, err)
+		}
+	}
+	if _, err := tbl2.Get(rows); !errors.Is(err, ipa.ErrKeyNotFound) {
+		t.Fatalf("row of the aborted batch survived: %v", err)
 	}
 }

@@ -330,15 +330,16 @@ func (w *YCSB) Load(db *ipa.DB) error {
 		return err
 	}
 	row := make([]byte, w.cfg.ValueSize)
+	ld := NewLoader(db)
 	for k := 0; k < w.cfg.Records; k++ {
 		fill(row, int64(k)+w.cfg.Seed)
 		putInt64(row, 0, int64(k))
-		if err := w.table.Insert(int64(k), row); err != nil {
+		if err := ld.Insert(w.table, int64(k), row); err != nil {
 			return fmt.Errorf("ycsb load: %w", err)
 		}
 	}
 	w.maxKey = int64(w.cfg.Records) - 1
-	return db.FlushAll()
+	return finishLoad(db, ld)
 }
 
 // nextKey draws a key from the configured request distribution.

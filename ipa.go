@@ -16,8 +16,8 @@
 //	db, _ := ipa.Open(ipa.Config{WriteMode: ipa.IPANativeFlash, Scheme: ipa.Scheme{N: 2, M: 4}})
 //	defer db.Close()
 //	accounts, _ := db.CreateTable("accounts", 64)
-//	_ = accounts.Insert(1, make([]byte, 64))
-//	tx := db.Begin()
+//	tx := db.Begin() // every write is a transaction
+//	_ = tx.Insert(accounts, 1, make([]byte, 64))
 //	_ = tx.UpdateAt(accounts, 1, 0, []byte{42})
 //	_ = tx.Commit()
 //	fmt.Println(db.Stats().InPlaceAppends)
@@ -324,14 +324,13 @@ type DB struct {
 	// allocated); checkpointLSN is the LSN of the last checkpoint record;
 	// walBytesAtCkpt is the log's BytesWritten at that moment, so the
 	// bytes-since-checkpoint gauge and the flush-behind trigger need no
-	// extra counter. recoveryRedo is the number of redo/compensation/undo
-	// operations the last Reopen issued — the restart-cost metric.
+	// extra counter. recoveryStats describes the Reopen that produced this
+	// handle (written once, before the handle is shared).
 	ckptMu         sync.Mutex
 	catalogPID     atomic.Uint64
 	checkpointLSN  atomic.Uint64
 	ckptCut        atomic.Uint64
 	walBytesAtCkpt atomic.Uint64
-	recoveryRedo   atomic.Uint64
 	recoveryStats  RecoveryStats
 	ckptStop       chan struct{}
 	ckptDone       chan struct{}
@@ -764,10 +763,6 @@ func (db *DB) Geometry() DeviceGeometry {
 	}
 }
 
-// FTLDebug reports the internal occupancy state of the Flash translation
-// layer (for tests and troubleshooting).
-func (db *DB) FTLDebug() string { return db.ftl.DebugSummary() }
-
 // catalogObjectID owns the single-page durable catalog region holding the
 // checkpoint state. It sits at the top of the object-identifier space so it
 // can never collide with table or index objects.
@@ -965,49 +960,45 @@ func (db *DB) CheckpointState() (CheckpointState, bool, error) {
 // program simply leaves the previous checkpoint in force.
 func (db *DB) writeCatalog(ckptLSN, cut uint64) error {
 	tuple := encodeCatalogTuple(ckptLSN, cut, db.txns.Oracle().Watermark())
-	if enc := db.catalogPID.Load(); enc != 0 {
-		pid := enc - 1
-		h, err := db.pool.Fetch(pid)
-		if err != nil {
+	enc := db.catalogPID.Load()
+	var (
+		pid uint64
+		h   *buffer.Handle
+		err error
+	)
+	if enc != 0 {
+		pid = enc - 1
+		h, err = db.pool.Fetch(pid)
+	} else {
+		if pid, err = db.store.AllocatePage(catalogObjectID); err != nil {
 			return err
 		}
-		pg, err := page.Wrap(h.Data())
-		if err != nil {
-			h.Release()
-			return err
-		}
-		pg.SetRecorder(h.Tracker())
-		if err := pg.UpdateTupleAt(0, 0, tuple); err != nil {
-			h.Release()
-			return err
-		}
-		h.MarkDirty()
-		h.Release()
-		return db.pool.FlushPage(pid)
+		h, err = db.pool.Create(pid, func(buf []byte) (*core.Tracker, error) {
+			return db.store.InitPage(buf, pid, catalogObjectID)
+		})
 	}
-	pid, err := db.store.AllocatePage(catalogObjectID)
 	if err != nil {
 		return err
 	}
-	h, err := db.pool.Create(pid, func(buf []byte) (*core.Tracker, error) {
-		return db.store.InitPage(buf, pid, catalogObjectID)
-	})
-	if err != nil {
-		return err
-	}
+	// The page is flushed through the handle, still pinned and latched: a
+	// concurrent reader's miss cannot evict the frame between the update and
+	// its write-back.
+	defer h.Release()
 	pg, err := page.Wrap(h.Data())
 	if err != nil {
-		h.Release()
 		return err
 	}
 	pg.SetRecorder(h.Tracker())
-	if _, err := pg.InsertTuple(tuple); err != nil {
-		h.Release()
+	if enc != 0 {
+		err = pg.UpdateTupleAt(0, 0, tuple)
+	} else {
+		_, err = pg.InsertTuple(tuple)
+	}
+	if err != nil {
 		return err
 	}
 	h.MarkDirty()
-	h.Release()
-	if err := db.pool.FlushPage(pid); err != nil {
+	if err := h.Flush(); err != nil {
 		return err
 	}
 	db.catalogPID.Store(pid + 1)

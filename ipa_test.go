@@ -32,6 +32,46 @@ func fillTuple(size int, seed int64) []byte {
 	return b
 }
 
+// autoTx runs write in its own transaction: committed on success, rolled
+// back (returning the write's error) on failure.
+func autoTx(db *ipa.DB, write func(tx *ipa.Tx) error) error {
+	tx := db.Begin()
+	if err := write(tx); err != nil {
+		_ = tx.Abort()
+		return err
+	}
+	return tx.Commit()
+}
+
+// insertRow, updateRow and deleteRow are single-statement transactions.
+func insertRow(db *ipa.DB, tbl *ipa.Table, key int64, row []byte) error {
+	return autoTx(db, func(tx *ipa.Tx) error { return tx.Insert(tbl, key, row) })
+}
+
+func updateRow(db *ipa.DB, tbl *ipa.Table, key int64, offset int, data []byte) error {
+	return autoTx(db, func(tx *ipa.Tx) error { return tx.UpdateAt(tbl, key, offset, data) })
+}
+
+func deleteRow(db *ipa.DB, tbl *ipa.Table, key int64) error {
+	return autoTx(db, func(tx *ipa.Tx) error { return tx.Delete(tbl, key) })
+}
+
+// crashReopen power-cuts db (nothing volatile survives) and recovers it,
+// returning the new handle and its table called name.
+func crashReopen(t *testing.T, db *ipa.DB, name string) (*ipa.DB, *ipa.Table) {
+	t.Helper()
+	db2, err := ipa.Reopen(db.Crash())
+	if err != nil {
+		t.Fatalf("Reopen: %v", err)
+	}
+	t.Cleanup(func() { db2.Close() })
+	tbl, ok := db2.Table(name)
+	if !ok {
+		t.Fatalf("table %q lost across the crash", name)
+	}
+	return db2, tbl
+}
+
 func allModes() []struct {
 	name   string
 	mode   ipa.WriteMode
@@ -72,7 +112,7 @@ func TestEngineInsertUpdateReadBack(t *testing.T) {
 			}
 			const keys = 600
 			for k := int64(0); k < keys; k++ {
-				if err := table.Insert(k, fillTuple(100, k)); err != nil {
+				if err := insertRow(db, table, k, fillTuple(100, k)); err != nil {
 					t.Fatalf("Insert %d: %v", k, err)
 				}
 			}
@@ -132,14 +172,14 @@ func TestEngineGCReduction(t *testing.T) {
 		}
 		const keys = 2000
 		for k := int64(0); k < keys; k++ {
-			if err := table.Insert(k, fillTuple(100, k)); err != nil {
+			if err := insertRow(db, table, k, fillTuple(100, k)); err != nil {
 				t.Fatalf("Insert: %v", err)
 			}
 		}
 		db.ResetStats()
 		for i := 0; i < 30000; i++ {
 			k := int64(i*7919) % keys
-			if err := table.UpdateAt(k, 8, []byte{byte(i), byte(i >> 8)}); err != nil {
+			if err := updateRow(db, table, k, 8, []byte{byte(i), byte(i >> 8)}); err != nil {
 				t.Fatalf("UpdateAt: %v", err)
 			}
 		}
@@ -184,7 +224,7 @@ func TestEngineRecovery(t *testing.T) {
 				t.Fatalf("CreateTable: %v", err)
 			}
 			for k := int64(0); k < 100; k++ {
-				if err := table.Insert(k, fillTuple(64, k)); err != nil {
+				if err := insertRow(db, table, k, fillTuple(64, k)); err != nil {
 					t.Fatalf("Insert: %v", err)
 				}
 			}
@@ -204,9 +244,7 @@ func TestEngineRecovery(t *testing.T) {
 			if err := tx2.Abort(); err != nil {
 				t.Fatalf("Abort: %v", err)
 			}
-			if err := db.Recover(); err != nil {
-				t.Fatalf("Recover: %v", err)
-			}
+			db, table = crashReopen(t, db, "t")
 			row5, err := table.Get(5)
 			if err != nil {
 				t.Fatalf("Get: %v", err)
@@ -251,7 +289,7 @@ func ExampleOpen() {
 	}
 	defer db.Close()
 	accounts, _ := db.CreateTable("accounts", 64)
-	_ = accounts.Insert(1, make([]byte, 64))
+	_ = insertRow(db, accounts, 1, make([]byte, 64))
 	tx := db.Begin()
 	_ = tx.UpdateAt(accounts, 1, 0, []byte{42})
 	_ = tx.Commit()

@@ -48,9 +48,11 @@ func (t *Table) readVersion(rid heap.RID, snap, selfTxn uint64) (tuple []byte, o
 		if err != nil {
 			if errors.Is(err, heap.ErrNotFound) {
 				if vc.Validate(packed, seq) {
-					// The chain did not move: the slot is genuinely gone
-					// with no version metadata — a non-transactional
-					// delete, which MVCC does not cover. Absent.
+					// The chain did not move: the slot is gone and nothing
+					// in the cache says otherwise — a committed delete
+					// whose chain GC already trimmed (this snapshot
+					// postdates it), reached through an index entry the
+					// caller captured before its zombie was dropped.
 					return nil, false, nil
 				}
 				continue

@@ -126,9 +126,6 @@ func TestReadersAcquireNoRecordLocks(t *testing.T) {
 	if _, err := tbl.Get(3); err != nil {
 		t.Fatalf("Get: %v", err)
 	}
-	if !tbl.Exists(3) {
-		t.Fatalf("Exists(3) = false")
-	}
 	rtx := db.Begin()
 	if _, err := rtx.Get(tbl, 5); err != nil {
 		t.Fatalf("Tx.Get: %v", err)
@@ -249,9 +246,6 @@ func TestSnapshotSurvivesCommittedDelete(t *testing.T) {
 
 	if _, err := tbl.Get(0); !errors.Is(err, ipa.ErrKeyNotFound) {
 		t.Fatalf("fresh Get after committed delete = %v, want ErrKeyNotFound", err)
-	}
-	if tbl.Exists(0) {
-		t.Fatalf("Exists(0) after committed delete")
 	}
 	again, err := reader.Get(tbl, 0)
 	if err != nil {

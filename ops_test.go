@@ -62,7 +62,7 @@ func TestBurnGaugeClosedForm(t *testing.T) {
 	}
 	row := make([]byte, 128)
 	for k := int64(0); k < rows; k++ {
-		if err := table.Insert(k, row); err != nil {
+		if err := insertRow(db, table, k, row); err != nil {
 			t.Fatalf("insert: %v", err)
 		}
 	}
@@ -132,7 +132,7 @@ func TestBurnGaugeFallbackWindow(t *testing.T) {
 	}
 	row := make([]byte, 128)
 	for k := int64(0); k < 400; k++ {
-		if err := table.Insert(k, row); err != nil {
+		if err := insertRow(db, table, k, row); err != nil {
 			t.Fatalf("insert: %v", err)
 		}
 	}

@@ -62,11 +62,10 @@ type secondarySpec struct {
 //
 // Reopen recovers the primary-key and secondary indexes from their
 // surviving entry pages plus the durable write-ahead log; it never scans
-// the heaps. All data must therefore be written through transactions so
-// the write-ahead log covers it — entries of non-transactional inserts
-// (including secondary-index backfills over pre-existing rows) survive
-// only if their entry page happened to be flushed (e.g. by Close or
-// FlushAll).
+// the heaps. Every tuple write is a transaction, so the log covers it; the
+// one unlogged index write left is the backfill CreateSecondaryIndex runs
+// over pre-existing rows, whose entries survive only if their entry pages
+// were flushed (FlushAll) before the cut.
 func (db *DB) Crash() *CrashImage {
 	db.closeOnce.Do(func() {
 		db.stopCheckpointer()
@@ -138,10 +137,13 @@ func (db *DB) RecoveryStats() RecoveryStats { return db.recoveryStats }
 // the retained write-ahead log — which a fuzzy checkpoint has truncated to
 // the records since the last checkpoint — across
 // Config.RecoveryParallelism redo workers (analysis, forward repeat
-// history with compensation, reverse undo of losers). Every index comes
-// from its own entry pages plus the log — the heaps are never scanned. On
-// success all committed transactions are visible, all losers are rolled
-// back and the database is fully usable.
+// history with compensation, reverse undo of losers). The undone losers
+// are then retired with one durable RecAbort each, so a later recovery
+// treats them like any pre-crash abort (conditional compensation) instead
+// of stamping their before-images over work committed since. Every index
+// comes from its own entry pages plus the log — the heaps are never
+// scanned. On success all committed transactions are visible, all losers
+// are rolled back and the database is fully usable.
 //
 // Reopen may itself be interrupted by an armed fault plan (a crash during
 // recovery); recovery is idempotent, so calling Reopen on the same image
@@ -247,7 +249,15 @@ func Reopen(img *CrashImage) (*DB, error) {
 	if err := db.loadIndexes(); err != nil {
 		return nil, fmt.Errorf("ipa: reopen: %w", err)
 	}
-	if _, err := db.recoverReplay(); err != nil {
+	// The checkpoint cut (from the durable catalog) bounds the replay:
+	// records at or below it were force-flushed before the checkpoint
+	// became durable, so redo starts there instead of LSN 1.
+	analysis := db.log.Analyze()
+	redone, err := db.log.Replay(analysis, pageUndoer{db: db, undo: true}, cfg.RecoveryParallelism, db.ckptCut.Load())
+	if err != nil {
+		return nil, fmt.Errorf("ipa: reopen: %w", err)
+	}
+	if err := db.retireLosers(analysis.Losers); err != nil {
 		return nil, fmt.Errorf("ipa: reopen: %w", err)
 	}
 	// The live-tuple counts follow from the recovered indexes: every live
@@ -265,13 +275,34 @@ func Reopen(img *CrashImage) (*DB, error) {
 		Wall:          time.Since(wallStart),
 		Virtual:       db.dev.Now() - virtStart,
 		PagesScanned:  report.PagesScanned,
-		RecordsRedone: db.recoveryRedo.Load(),
+		RecordsRedone: uint64(redone),
 		Parallelism:   cfg.RecoveryParallelism,
 		CheckpointLSN: db.checkpointLSN.Load(),
 	}
 	db.startCheckpointer()
 	db.startOpsSampler()
 	return db, nil
+}
+
+// retireLosers logs and flushes a RecAbort for every loser the replay just
+// rolled back. Without it the losers' records stay losers in the log: after
+// the restart a new transaction may commit an update to a row a loser
+// touched, and a second crash before a checkpoint cut passes those records
+// would make recovery redo the commit and then undo the loser again —
+// unconditionally, clobbering the committed value with a stale before-image.
+func (db *DB) retireLosers(losers map[uint64]bool) error {
+	if len(losers) == 0 {
+		return nil
+	}
+	ids := make([]uint64, 0, len(losers))
+	for id := range losers {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		db.log.Append(wal.Record{TxnID: id, Type: wal.RecAbort})
+	}
+	return db.log.Flush(0)
 }
 
 // snapshotTables returns the current tables without holding the catalog

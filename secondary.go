@@ -210,9 +210,9 @@ func (s *SecondaryIndex) pairsLocked(from, to int64, out []scanPair) []scanPair 
 // the Config.IndexScheme (falling back to the table's scheme), so its
 // entry pages are delta-append candidates independent of the heap.
 //
-// Existing rows are backfilled by one heap scan. Like Table.Insert, the
-// backfilled entries are not covered by the write-ahead log — create
-// indexes before loading data (all transactional maintenance is then
+// Existing rows are backfilled by one heap scan. The backfilled entries
+// are the one index write not covered by the write-ahead log — create
+// indexes before loading data (all maintenance is then transactional and
 // logged), or call FlushAll afterwards to persist the backfill.
 //
 // CreateSecondaryIndex is a DDL operation: it must not run concurrently

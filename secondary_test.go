@@ -303,7 +303,7 @@ func TestSecondaryIndexBackfill(t *testing.T) {
 		t.Fatalf("CreateTable: %v", err)
 	}
 	for k := int64(0); k < 40; k++ {
-		if err := tbl.Insert(k, secRow(k%4, 1)); err != nil {
+		if err := insertRow(db, tbl, k, secRow(k%4, 1)); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
@@ -323,10 +323,10 @@ func TestSecondaryIndexBackfill(t *testing.T) {
 	}
 }
 
-// TestSecondaryConcurrentUpdateAt hammers non-transactional UpdateAt on
-// the same keys from several goroutines: the read-compare-write of the
-// secondary-entry move runs under the table mutex, so no stale entry may
-// survive.
+// TestSecondaryConcurrentUpdateAt hammers single-statement Tx.UpdateAt
+// transactions on the same keys from several goroutines (retrying lock
+// conflicts): every committed move must relocate its secondary entry, so
+// no stale entry may survive.
 func TestSecondaryConcurrentUpdateAt(t *testing.T) {
 	db, err := ipa.Open(secCfg())
 	if err != nil {
@@ -341,7 +341,7 @@ func TestSecondaryConcurrentUpdateAt(t *testing.T) {
 		t.Fatalf("CreateSecondaryIndex: %v", err)
 	}
 	for k := int64(0); k < 8; k++ {
-		if err := tbl.Insert(k, secRow(0, 1)); err != nil {
+		if err := insertRow(db, tbl, k, secRow(0, 1)); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
@@ -352,7 +352,11 @@ func TestSecondaryConcurrentUpdateAt(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := int64(i % 8)
-				if err := tbl.UpdateAt(k, 8, int64le(int64(g*1000+i))); err != nil {
+				err := ipa.ErrConflict
+				for errors.Is(err, ipa.ErrConflict) {
+					err = updateRow(db, tbl, k, 8, int64le(int64(g*1000+i)))
+				}
+				if err != nil {
 					t.Errorf("UpdateAt: %v", err)
 					return
 				}
@@ -362,6 +366,10 @@ func TestSecondaryConcurrentUpdateAt(t *testing.T) {
 	wg.Wait()
 	if err := db.VerifyIntegrity(); err != nil {
 		t.Fatalf("VerifyIntegrity after concurrent updates: %v", err)
+	}
+	// A snapshot release drains the pairs the moves retained for readers.
+	if _, err := tbl.Get(0); err != nil {
+		t.Fatalf("Get: %v", err)
 	}
 	s, _ := tbl.SecondaryIndex("group")
 	if s.Len() != 8 {

@@ -276,7 +276,7 @@ func (db *DB) Stats() Stats {
 		CheckpointLSN:           db.checkpointLSN.Load(),
 		WALSegments:             db.log.Segments(),
 		WALBytesSinceCheckpoint: db.log.BytesWritten() - db.walBytesAtCkpt.Load(),
-		RecoveryRedoRecords:     db.recoveryRedo.Load(),
+		RecoveryRedoRecords:     db.recoveryStats.RecordsRedone,
 		RecoveryParallelism:     db.cfg.RecoveryParallelism,
 
 		BufferShards: db.pool.Shards(),
@@ -360,27 +360,6 @@ func (s Stats) DBMSWriteAmplification() float64 {
 // than 100 net modified bytes (Figure 1).
 func (s Stats) SmallEvictionShare() float64 {
 	return ratio(s.SmallEvictions, s.DirtyEvictions)
-}
-
-// DeviceWriteAmplification returns physical page programs per host page
-// write (on-device write amplification caused by garbage collection).
-func (s Stats) DeviceWriteAmplification() float64 {
-	host := s.TotalHostWrites()
-	if host == 0 {
-		return 0
-	}
-	return float64(s.FlashPagePrograms+s.FlashDeltaPrograms) / float64(host)
-}
-
-// LifetimeEstimate returns a relative longevity estimate: the number of
-// host writes the device can absorb before the most-worn block reaches its
-// endurance, normalised by the observed erase rate.
-func (s Stats) LifetimeEstimate() float64 {
-	e := s.ErasesPerHostWrite()
-	if e == 0 {
-		return 0
-	}
-	return float64(s.EnduranceCycles) / e
 }
 
 // ChipBalance returns the ratio of the least to the most busy chip clock

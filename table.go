@@ -35,6 +35,10 @@ var ErrDuplicateKey = errors.New("ipa: duplicate key")
 // Non-unique secondary indexes (CreateSecondaryIndex) follow the same
 // architecture with (key, RID) entries; see SecondaryIndex.
 //
+// A Table exposes reads only (Get, Scan, ScanRange and the secondary
+// lookups); every write goes through a Tx, so it is logged, locked and
+// versioned — there is no second, unlogged write path.
+//
 // Tables are safe for concurrent use: pk and the index file are guarded by
 // a per-table read/write mutex, while tuple access synchronises at page
 // granularity inside the sharded buffer pool (readers take shared frame
@@ -91,40 +95,6 @@ func (t *Table) Count() uint64 { return t.heap.Count() }
 // Pages returns the number of heap pages of the table.
 func (t *Table) Pages() int { return len(t.heap.PageIDs()) }
 
-// Insert stores a tuple under the given primary key without transactional
-// overhead (used by benchmark load phases). The index entries — primary
-// key and every secondary — are written alongside the tuple; none are
-// covered by the write-ahead log, so crash-recoverable data must go
-// through Tx.Insert instead.
-func (t *Table) Insert(key int64, tuple []byte) error {
-	if err := t.db.acquire(); err != nil {
-		return err
-	}
-	defer t.db.release()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// A pk entry whose latest committed state is a delete (a zombie kept
-	// for older snapshots) does not block the key; the insert overwrites
-	// the entry in place. Older snapshots lose the key's old mapping — the
-	// documented delete-then-reinsert anomaly (docs/DESIGN_MVCC.md).
-	if v, ok := t.pk.Get(key); ok && !t.db.txns.Versions().CommittedDeleted(v) {
-		return fmt.Errorf("%w: %d", ErrDuplicateKey, key)
-	}
-	rid, err := t.heap.Insert(tuple)
-	if err != nil {
-		return err
-	}
-	if err := t.indexSetLocked(key, rid.Pack()); err != nil {
-		return err
-	}
-	for _, s := range t.secondaries {
-		if err := s.addLocked(s.extract(tuple), rid.Pack()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // indexSetLocked maps key to the packed RID in both the volatile B-tree
 // and the persistent index file. Caller holds t.mu.
 func (t *Table) indexSetLocked(key int64, value uint64) error {
@@ -174,51 +144,6 @@ func (t *Table) Get(key int64) ([]byte, error) {
 	return tuple, err
 }
 
-// Exists reports whether key is present in its latest committed state:
-// keys whose delete has not committed yet still read as present, pending
-// (uncommitted) inserts read as absent — matching Get.
-func (t *Table) Exists(key int64) bool {
-	t.mu.RLock()
-	v, ok := t.pk.Get(key)
-	t.mu.RUnlock()
-	if !ok {
-		return false
-	}
-	return t.db.txns.Versions().CommittedLive(v)
-}
-
-// UpdateAt overwrites len(data) bytes of the tuple stored under key,
-// starting at the tuple-relative offset, without transactional overhead.
-// Updates that change a tuple's extracted secondary keys ripple into the
-// affected secondary indexes (an entry move per changed key); on tables
-// with secondary indexes the whole read-compare-write runs under the
-// table mutex, so concurrent UpdateAt calls on the same key cannot leave
-// a stale entry behind.
-func (t *Table) UpdateAt(key int64, offset int, data []byte) error {
-	if err := t.db.acquire(); err != nil {
-		return err
-	}
-	defer t.db.release()
-	rid, err := t.rid(key)
-	if err != nil {
-		return err
-	}
-	if len(t.secondarySnapshot()) == 0 {
-		return t.heap.UpdateAt(rid, offset, data)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	old, err := t.heap.Get(rid)
-	if err != nil {
-		return err
-	}
-	moves := secondaryMoves(t.secondaries, old, offset, data)
-	if err := t.heap.UpdateAt(rid, offset, data); err != nil {
-		return err
-	}
-	return applySecondaryMovesLocked(moves, rid.Pack())
-}
-
 // secondaryMove is one pending secondary-index entry relocation caused by
 // an update that changed the tuple's extracted key.
 type secondaryMove struct {
@@ -246,56 +171,6 @@ func secondaryMoves(secs []*SecondaryIndex, old []byte, offset int, data []byte)
 		}
 	}
 	return moves
-}
-
-// applySecondaryMovesLocked relocates the secondary entries of the tuple
-// with the given packed RID (non-transactional path: both index halves
-// move immediately). Caller holds the table mutex.
-func applySecondaryMovesLocked(moves []secondaryMove, packed uint64) error {
-	for _, mv := range moves {
-		if err := mv.sec.removeLocked(mv.oldKey, packed); err != nil {
-			return err
-		}
-		if err := mv.sec.addLocked(mv.newKey, packed); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Delete removes the tuple stored under key (non-transactional). Like
-// Insert, the index entries — primary key and every secondary — are
-// removed alongside the tuple without logging.
-func (t *Table) Delete(key int64) error {
-	if err := t.db.acquire(); err != nil {
-		return err
-	}
-	defer t.db.release()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	v, ok := t.pk.Get(key)
-	if !ok {
-		return fmt.Errorf("%w: %s key %d", ErrKeyNotFound, t.name, key)
-	}
-	var old []byte
-	if len(t.secondaries) > 0 {
-		var err error
-		if old, err = t.heap.Get(heap.Unpack(v)); err != nil {
-			return err
-		}
-	}
-	if err := t.heap.Delete(heap.Unpack(v)); err != nil {
-		return err
-	}
-	if err := t.indexClearLocked(key); err != nil {
-		return err
-	}
-	for _, s := range t.secondaries {
-		if err := s.removeLocked(s.extract(old), v); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Scan calls fn for every tuple in primary-key order until fn returns
@@ -348,11 +223,11 @@ type scanPair struct {
 // scanPairs resolves each captured entry at the scan's snapshot (under the
 // close gate) and hands the visible rows to fn with no lock held, so fn
 // may call back into the table. Entries with no version visible at the
-// snapshot — created later, deleted earlier, or non-transactional residue
-// — are skipped. filter, when set, re-extracts the secondary key from the
-// resolved bytes and skips rows that no longer (or did not yet) belong
-// under the captured key, which keeps secondary scans snapshot-consistent
-// across update moves in both directions.
+// snapshot — created later or deleted earlier — are skipped. filter, when
+// set, re-extracts the secondary key from the resolved bytes and skips rows
+// that no longer (or did not yet) belong under the captured key, which
+// keeps secondary scans snapshot-consistent across update moves in both
+// directions.
 func (t *Table) scanPairs(pairs []scanPair, snap uint64, filter ExtractFunc, fn func(key int64, tuple []byte) bool) error {
 	for _, p := range pairs {
 		if err := t.db.acquire(); err != nil {

@@ -361,11 +361,6 @@ func (tx *Tx) applyMoves(t *Table, moves []secondaryMove, packed uint64) error {
 	return nil
 }
 
-// RIDFor returns the RID of key in table t (for drivers that cache RIDs).
-func (tx *Tx) RIDFor(t *Table, key int64) (heap.RID, error) {
-	return t.rid(key)
-}
-
 // Commit makes the transaction durable, charges the configured per-
 // transaction CPU cost to the virtual clock and releases all locks. On a
 // closed database Commit fails with ErrClosed; like Abort it still
@@ -426,7 +421,7 @@ func (tx *Tx) Commit() error {
 // updates and releases all locks. On a closed database the before images
 // can no longer be applied to the flushed buffer pool; the record locks
 // are still released (so shutdown never leaks them), no abort record is
-// written, and the transaction remains a WAL loser, so Recover rolls its
+// written, and the transaction remains a WAL loser, so Reopen rolls its
 // flushed updates back after a restart.
 func (tx *Tx) Abort() error {
 	if tx.done {
@@ -610,8 +605,7 @@ func (u pageUndoer) UndoInsert(pid uint64, slot uint16) error {
 }
 
 // RedoDelete re-applies a committed tuple deletion. It is idempotent:
-// slots that are already deleted, never reached Flash or never existed
-// (non-transactional residue) are skipped.
+// slots that are already deleted or never reached Flash are skipped.
 func (u pageUndoer) RedoDelete(objectID uint32, pid uint64, slot uint16) error {
 	h, err := u.db.pool.Fetch(pid)
 	if err != nil {
@@ -781,33 +775,4 @@ func (db *DB) secondaryByObjID(objectID uint32) *SecondaryIndex {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.secondaryByID[objectID]
-}
-
-// Recover replays the write-ahead log against the current storage state:
-// committed inserts and updates are redone and uncommitted ones undone. It
-// is used by the recovery tests to demonstrate that IPA does not interfere
-// with database recovery; Reopen runs the same passes after rebuilding the
-// FTL mapping from a crashed Flash image.
-func (db *DB) Recover() error {
-	if _, err := db.recoverReplay(); err != nil {
-		return err
-	}
-	return db.pool.FlushAll()
-}
-
-// recoverReplay runs the forward repeat-history pass (with compensation
-// for pre-crash aborts) and the reverse loser-undo pass against the
-// buffer pool, without the final flush. The forward pass is partitioned
-// across Config.RecoveryParallelism workers by heap page / index object;
-// 1 runs the serial oracle. It returns the number of redo, compensation
-// and undo operations issued — O(records since the last checkpoint).
-func (db *DB) recoverReplay() (int, error) {
-	analysis := db.log.Analyze()
-	workers := db.cfg.RecoveryParallelism
-	// The checkpoint cut (from the durable catalog) bounds the replay:
-	// records at or below it were force-flushed before the checkpoint
-	// became durable, so redo starts there instead of LSN 1.
-	n, err := db.log.Replay(analysis, pageUndoer{db: db, undo: true}, workers, db.ckptCut.Load())
-	db.recoveryRedo.Store(uint64(n))
-	return n, err
 }
