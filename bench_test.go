@@ -21,13 +21,13 @@ import (
 	"ipa/internal/bench"
 )
 
-// benchProfile keeps the Go benchmarks quick while still triggering garbage
-// collection on the simulated device.
-var benchProfile = bench.DeviceProfile{
-	PageSize:        4 * 1024,
-	Blocks:          96,
-	PagesPerBlock:   32,
-	BufferPoolPages: 48,
+// quickOptions is the -quick device with the paper's scheme, bounded to ops
+// transactions at scale 1: it keeps the Go benchmarks quick while still
+// triggering garbage collection on the simulated device.
+func quickOptions(ops int) bench.Options {
+	o := bench.Base
+	o.Quick, o.Profile, o.Scale, o.Ops = true, bench.SmallProfile, 1, ops
+	return o
 }
 
 // reportTable1Row publishes one Table 1 configuration as benchmark metrics.
@@ -58,7 +58,9 @@ func table1Config(b *testing.B, mode ipa.WriteMode, scheme ipa.Scheme, flash ipa
 			Ops:      5000,
 			Seed:     1,
 			Analytic: true,
-		}.ApplyProfile(benchProfile)
+
+			DeviceProfile: bench.SmallProfile,
+		}
 		res, err := bench.Run(exp)
 		if err != nil {
 			b.Fatal(err)
@@ -88,30 +90,20 @@ func BenchmarkTable1TPCBIPA2x4OddMLC(b *testing.B) {
 // write-amplification of the traditional write path and the transfer
 // reduction achieved by write_delta, per workload.
 func BenchmarkFigure1WriteAmplification(b *testing.B) {
-	for _, wl := range []string{"tpcb", "tpcc", "tatp", "linkbench"} {
-		b.Run(wl, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := bench.Figure1(bench.Figure1Options{
-					Workloads: []string{wl},
-					Scale:     1,
-					Ops:       1200,
-					Profile:   benchProfile,
-					SchemeN:   2, SchemeM: 4,
-					Seed: 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					row := res.Rows[0]
-					b.ReportMetric(100*row.SmallEvictionShare, "<100B-evictions%")
-					b.ReportMetric(row.AvgChangedBytes, "avgChangedBytes")
-					b.ReportMetric(row.WriteAmplification, "writeAmp")
-					b.ReportMetric(row.IPAReductionPct, "ipaTransferReduction%")
-					b.ReportMetric(100*row.IPAInPlaceShare, "ipaInPlace%")
-				}
+	for i := 0; i < b.N; i++ {
+		res, err := bench.Figure1(quickOptions(1200))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == b.N-1 {
+			for _, row := range res.Rows {
+				b.ReportMetric(100*row.SmallEvictionShare, row.Workload+"-<100B-evictions%")
+				b.ReportMetric(row.AvgChangedBytes, row.Workload+"-avgChangedBytes")
+				b.ReportMetric(row.WriteAmplification, row.Workload+"-writeAmp")
+				b.ReportMetric(row.IPAReductionPct, row.Workload+"-ipaTransferReduction%")
+				b.ReportMetric(100*row.IPAInPlaceShare, row.Workload+"-ipaInPlace%")
 			}
-		})
+		}
 	}
 }
 
@@ -119,30 +111,20 @@ func BenchmarkFigure1WriteAmplification(b *testing.B) {
 // throughput gain and the reduction of invalidations, migrations and erases
 // of IPA over the traditional baseline for TPC-B, TPC-C and TATP.
 func BenchmarkOLTPSuite(b *testing.B) {
-	for _, wl := range []string{"tpcb", "tpcc", "tatp"} {
-		b.Run(wl, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := bench.Suite(bench.SuiteOptions{
-					Workloads: []string{wl},
-					Scale:     1,
-					Ops:       3000,
-					Profile:   benchProfile,
-					SchemeN:   2, SchemeM: 4,
-					Seed: 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					row := res.Rows[0]
-					b.ReportMetric(row.Baseline.Throughput(), "baseTps")
-					b.ReportMetric(row.IPA.Throughput(), "ipaTps")
-					b.ReportMetric(row.ThroughputGainPct, "tpsGain%")
-					b.ReportMetric(row.InvalidationDropPct, "invalidationDrop%")
-					b.ReportMetric(row.EraseDropPct, "eraseDrop%")
-				}
+	for i := 0; i < b.N; i++ {
+		res, err := bench.Suite(quickOptions(3000))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == b.N-1 {
+			for _, row := range res.Rows {
+				b.ReportMetric(row.Baseline.Throughput(), row.Workload+"-baseTps")
+				b.ReportMetric(row.IPA.Throughput(), row.Workload+"-ipaTps")
+				b.ReportMetric(row.ThroughputGainPct, row.Workload+"-tpsGain%")
+				b.ReportMetric(row.InvalidationDropPct, row.Workload+"-invalidationDrop%")
+				b.ReportMetric(row.EraseDropPct, row.Workload+"-eraseDrop%")
 			}
-		})
+		}
 	}
 }
 
@@ -150,46 +132,29 @@ func BenchmarkOLTPSuite(b *testing.B) {
 // (experiment E4): Flash writes, reads and erases of both approaches on the
 // same eviction trace.
 func BenchmarkIPAvsIPL(b *testing.B) {
-	for _, wl := range []string{"tpcb", "tpcc", "tatp"} {
-		b.Run(wl, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := bench.IPLCompare(bench.IPLOptions{
-					Workloads: []string{wl},
-					Scale:     1,
-					Ops:       1200,
-					Profile:   benchProfile,
-					SchemeN:   2, SchemeM: 4,
-					Seed: 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					row := res.Rows[0]
-					b.ReportMetric(float64(row.IPAFlashWrites), "ipaWrites")
-					b.ReportMetric(float64(row.IPLFlashWrites), "iplWrites")
-					b.ReportMetric(row.WriteReductionPct, "writeReduction%")
-					b.ReportMetric(row.EraseReductionPct, "eraseReduction%")
-					b.ReportMetric(row.ReadOverheadPct, "iplReadOverhead%")
-				}
+	for i := 0; i < b.N; i++ {
+		res, err := bench.IPLCompare(quickOptions(1200))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == b.N-1 {
+			for _, row := range res.Rows {
+				b.ReportMetric(float64(row.IPAFlashWrites), row.Workload+"-ipaWrites")
+				b.ReportMetric(float64(row.IPLFlashWrites), row.Workload+"-iplWrites")
+				b.ReportMetric(row.WriteReductionPct, row.Workload+"-writeReduction%")
+				b.ReportMetric(row.EraseReductionPct, row.Workload+"-eraseReduction%")
+				b.ReportMetric(row.ReadOverheadPct, row.Workload+"-iplReadOverhead%")
 			}
-		})
+		}
 	}
 }
 
 // BenchmarkLongevity reproduces the Flash-lifetime estimate (experiment E5):
 // how many times longer the device lasts under IPA, derived from the erase
-// rate per host write.
+// rate per host write. The first two rows are TPC-B's baseline and IPA.
 func BenchmarkLongevity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := bench.Suite(bench.SuiteOptions{
-			Workloads: []string{"tpcb"},
-			Scale:     1,
-			Ops:       5000,
-			Profile:   benchProfile,
-			SchemeN:   2, SchemeM: 4,
-			Seed: 1,
-		})
+		res, err := bench.Suite(quickOptions(5000))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,38 +169,20 @@ func BenchmarkLongevity(b *testing.B) {
 
 // BenchmarkSchemeSweep reproduces the N×M ablation (experiment E6): the
 // space overhead of the delta-record area against the share of evictions
-// served by in-place appends.
+// served by in-place appends, for every scheme of the -quick grid.
 func BenchmarkSchemeSweep(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		n, m int
-	}{
-		{"1x4", 1, 4},
-		{"2x4", 2, 4},
-		{"4x8", 4, 8},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := bench.Sweep(bench.SweepOptions{
-					Workload: "tpcb",
-					Scale:    1,
-					Ops:      1000,
-					Profile:  benchProfile,
-					Ns:       []int{cfg.n},
-					Ms:       []int{cfg.m},
-					Seed:     1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == b.N-1 {
-					row := res.Rows[0]
-					b.ReportMetric(100*row.SpaceOverhead, "areaOverhead%")
-					b.ReportMetric(100*row.InPlaceShare, "inPlace%")
-					b.ReportMetric(row.Throughput, "tps")
-				}
+	for i := 0; i < b.N; i++ {
+		res, err := bench.Sweep(quickOptions(1000))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == b.N-1 {
+			for _, row := range res.Rows {
+				b.ReportMetric(100*row.SpaceOverhead, row.Scheme.String()+"-areaOverhead%")
+				b.ReportMetric(100*row.InPlaceShare, row.Scheme.String()+"-inPlace%")
+				b.ReportMetric(row.Throughput, row.Scheme.String()+"-tps")
 			}
-		})
+		}
 	}
 }
 
@@ -244,14 +191,7 @@ func BenchmarkSchemeSweep(b *testing.B) {
 // reports the transferred bytes and throughput of each.
 func BenchmarkScenarios(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := bench.Scenarios(bench.ScenarioOptions{
-			Workload: "tpcb",
-			Scale:    1,
-			Ops:      3000,
-			Profile:  benchProfile,
-			SchemeN:  2, SchemeM: 4,
-			Seed: 1,
-		})
+		res, err := bench.Scenarios(quickOptions(3000))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -270,15 +210,7 @@ func BenchmarkScenarios(b *testing.B) {
 // injection.
 func BenchmarkInterference(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := bench.Interference(bench.InterferenceOptions{
-			Workload: "tpcb",
-			Scale:    1,
-			Ops:      2000,
-			Profile:  benchProfile,
-			SchemeN:  2, SchemeM: 4,
-			InterferenceProb: 0.3,
-			Seed:             1,
-		})
+		res, err := bench.Interference(quickOptions(2000))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -421,8 +353,8 @@ func benchmarkEngineUpdate(b *testing.B, mode ipa.WriteMode, scheme ipa.Scheme, 
 	b.ReportMetric(float64(s.GCErases), "gcErases")
 }
 
-// BenchmarkSnapshotReadMix runs one shrunken cell of the read-skew ladder
-// (`ipabench -exp concurrent` runs the full one): a 90%-read hot-set mix
+// BenchmarkSnapshotReadMix runs a shrunken read-skew ladder (`ipabench
+// -exp readmix` runs the full one) and reports its 90%-read hot-set mix,
 // executed once with MVCC snapshot reads and once with 2PL locked reads.
 // The tps gap between the two reported metrics is the lock-free-reader
 // win. Writes lock in both modes, so the snapshot row still acquires
@@ -431,18 +363,18 @@ func benchmarkEngineUpdate(b *testing.B, mode ipa.WriteMode, scheme ipa.Scheme, 
 // TestReadersAcquireNoRecordLocks and TestReadMixScenario).
 func BenchmarkSnapshotReadMix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o := bench.DefaultReadMixOptions()
-		o.Goroutines = 4
-		o.ReadPcts = []int{90}
-		o.Tuples = 512
-		o.Ops = 600
-		o.Profile = bench.SmallProfile
+		o := quickOptions(600)
+		o.Threads = 4
 		res, err := bench.ReadMix(o)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			snap, lock := res.Rows[0], res.Rows[1]
+			snap, lock := res.Rows[2], res.Rows[3]
+			if snap.ReadPct != 90 || snap.Locked || lock.ReadPct != 90 || !lock.Locked {
+				b.Fatalf("rows 2 and 3 are (%d%%, locked=%v) and (%d%%, locked=%v), want the 90%% (snapshot, locked) pair",
+					snap.ReadPct, snap.Locked, lock.ReadPct, lock.Locked)
+			}
 			if snap.SnapshotReads == 0 {
 				b.Fatalf("snapshot row recorded no snapshot reads")
 			}

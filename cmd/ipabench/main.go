@@ -6,12 +6,13 @@
 //	ipabench -exp table1       # Table 1: TPC-B, 0x0 vs 2x4 pSLC vs 2x4 odd-MLC
 //	ipabench -exp fig1         # Figure 1: DBMS write-amplification analysis
 //	ipabench -exp oltp         # OLTP suite: throughput / GC reduction claims
+//	ipabench -exp longevity    # Flash lifetime estimate (runs oltp, derives from it)
 //	ipabench -exp ipl          # IPA vs In-Page Logging comparison
-//	ipabench -exp longevity    # Flash lifetime estimate
 //	ipabench -exp scenarios    # demo scenarios 1/2/3 side by side
 //	ipabench -exp interference # program-interference ablation (MLC modes)
 //	ipabench -exp sweep        # N×M scheme ablation
-//	ipabench -exp concurrent   # concurrency scaling (sharded pool, group commit)
+//	ipabench -exp concurrent   # concurrency scaling (sharded pool, group commit), then readmix
+//	ipabench -exp readmix      # read-skew ladder: MVCC snapshot reads vs 2PL locked reads
 //	ipabench -exp chips        # chip scaling (per-chip FTL partitions)
 //	ipabench -exp crash        # power-cut torture: crash at every fault point
 //	ipabench -exp index        # index maintenance: IPA vs out-of-place entry pages
@@ -19,8 +20,10 @@
 //	ipabench -exp ycsb         # YCSB A-F, cache-sized and 8x larger-than-memory
 //	ipabench -exp all
 //
-// The -quick flag shrinks every experiment so the whole suite finishes in
-// about a minute; without it the defaults match the full runs documented in
+// The experiments, their titles and their defaults live in one registry
+// (bench.Specs); this command only parses flags and iterates it. The -quick
+// flag shrinks every experiment so the whole suite finishes in about two
+// minutes; without it the defaults match the full runs documented in
 // EXPERIMENTS.md (which also maps each experiment to the paper's tables and
 // figures). With -json -out FILE the run additionally writes one structured
 // JSON object per experiment, which CI archives as a build artifact.
@@ -29,428 +32,66 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"time"
 
 	"ipa/internal/bench"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters; it returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ipabench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1, fig1, oltp, ipl, longevity, scenarios, interference, sweep, concurrent, chips, crash, index, secondary, ycsb, all")
-		scale    = flag.Int("scale", 0, "workload scale factor (0 = experiment default)")
-		ops      = flag.Int("ops", 0, "bound runs by committed transactions (0 = use duration)")
-		duration = flag.Duration("duration", 0, "bound runs by virtual device time (0 = experiment default)")
-		seed     = flag.Int64("seed", 1, "random seed")
-		quick    = flag.Bool("quick", false, "shrink all experiments for a fast demo run")
-		n        = flag.Int("n", 2, "IPA scheme parameter N")
-		m        = flag.Int("m", 4, "IPA scheme parameter M")
-		threads  = flag.Int("threads", 0, "concurrent experiment: fixed goroutine count (0 = ladder 1,2,4,8)")
-		chips    = flag.Int("chips", 0, "chips experiment: fixed chip count (0 = ladder 1,2,4,8)")
-		jsonOut  = flag.Bool("json", false, "collect machine-readable results")
-		outFile  = flag.String("out", "", "file for -json results (default bench.json)")
+		set     bench.Options
+		exp     = fs.String("exp", "all", "experiment: "+strings.Join(bench.Names(), ", ")+", all")
+		quick   = fs.Bool("quick", false, "shrink all experiments for a fast demo run")
+		jsonOut = fs.Bool("json", false, "collect machine-readable results")
+		outFile = fs.String("out", "", "file for -json results (default bench.json)")
 	)
-	flag.Parse()
-
-	profile := bench.DefaultProfile
-	if *quick {
-		profile = bench.SmallProfile
-	}
-	report := &bench.Report{}
-
-	run := func(name string, fn func() error) {
-		fmt.Printf("== %s ==\n", name)
-		start := time.Now()
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "ipabench: %s: %v\n", name, err)
-			os.Exit(1)
+	fs.IntVar(&set.Scale, "scale", 0, "workload scale factor (0 = experiment default)")
+	fs.IntVar(&set.Ops, "ops", 0, "bound runs by committed transactions (0 = experiment default)")
+	fs.DurationVar(&set.Duration, "duration", 0, "bound runs by virtual device time (0 = experiment default)")
+	fs.Int64Var(&set.Seed, "seed", bench.Base.Seed, "random seed")
+	fs.IntVar(&set.N, "n", bench.Base.N, "IPA scheme parameter N")
+	fs.IntVar(&set.M, "m", bench.Base.M, "IPA scheme parameter M")
+	fs.IntVar(&set.Threads, "threads", 0, "concurrent experiments: fixed goroutine count (0 = experiment default)")
+	fs.IntVar(&set.Chips, "chips", 0, "chips and crash experiments: fixed chip count (0 = experiment default)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
 		}
-		fmt.Printf("(completed in %s wall-clock)\n\n", time.Since(start).Round(time.Millisecond))
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "ipabench: %v\n", err)
+		return 1
+	}
+	specs, err := bench.Select(*exp)
+	if err != nil {
+		return fail(err)
 	}
 
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-
-	if want("table1") {
-		run("Table 1: TPC-B traditional vs IPA [2x4] pSLC / odd-MLC", func() error {
-			o := bench.DefaultTable1Options()
-			o.Profile = profile
-			o.Seed = *seed
-			o.Scheme.N, o.Scheme.M = *n, *m
-			if *scale > 0 {
-				o.Scale = *scale
-			}
-			if *ops > 0 {
-				o.Ops, o.Duration = *ops, 0
-			}
-			if *duration > 0 {
-				o.Duration, o.Ops = *duration, 0
-			}
-			if *quick {
-				o.Duration, o.Ops = 0, 6000
-				if *scale == 0 {
-					// The small quick-mode device halves its capacity in
-					// pSLC mode; keep the TPC-B data set within it.
-					o.Scale = 1
-				}
-			}
-			res, err := bench.Table1(o)
-			if err != nil {
-				return err
-			}
-			res.Write(os.Stdout)
-			report.Add("table1", o, res)
-			return nil
-		})
-	}
-	if want("fig1") {
-		run("Figure 1: DBMS write-amplification", func() error {
-			o := bench.DefaultFigure1Options()
-			o.Profile = profile
-			o.Seed = *seed
-			o.SchemeN, o.SchemeM = *n, *m
-			if *scale > 0 {
-				o.Scale = *scale
-			}
-			if *ops > 0 {
-				o.Ops = *ops
-			}
-			if *quick {
-				o.Ops = 3000
-			}
-			res, err := bench.Figure1(o)
-			if err != nil {
-				return err
-			}
-			res.Write(os.Stdout)
-			report.Add("fig1", o, res)
-			return nil
-		})
-	}
-	var suiteRes *bench.SuiteResult
-	if want("oltp") || want("longevity") {
-		run("OLTP suite: TPC-B / TPC-C / TATP", func() error {
-			o := bench.DefaultSuiteOptions()
-			o.Profile = profile
-			o.Seed = *seed
-			o.SchemeN, o.SchemeM = *n, *m
-			if *scale > 0 {
-				o.Scale = *scale
-			}
-			if *ops > 0 {
-				o.Ops, o.Duration = *ops, 0
-			}
-			if *duration > 0 {
-				o.Duration, o.Ops = *duration, 0
-			}
-			if *quick {
-				o.Duration, o.Ops = 0, 4000
-			}
-			res, err := bench.Suite(o)
-			if err != nil {
-				return err
-			}
-			suiteRes = &res
-			res.Write(os.Stdout)
-			report.Add("oltp", o, res)
-			return nil
-		})
-	}
-	if want("longevity") && suiteRes != nil {
-		run("Longevity: erase budget per host write", func() error {
-			rows := bench.Longevity(*suiteRes)
-			bench.WriteLongevity(os.Stdout, rows)
-			report.Add("longevity", nil, rows)
-			return nil
-		})
-	}
-	if want("ipl") {
-		run("IPA vs In-Page Logging", func() error {
-			o := bench.DefaultIPLOptions()
-			o.Profile = profile
-			o.Seed = *seed
-			o.SchemeN, o.SchemeM = *n, *m
-			if *scale > 0 {
-				o.Scale = *scale
-			}
-			if *ops > 0 {
-				o.Ops = *ops
-			}
-			if *quick {
-				o.Ops = 3000
-			}
-			res, err := bench.IPLCompare(o)
-			if err != nil {
-				return err
-			}
-			res.Write(os.Stdout)
-			report.Add("ipl", o, res)
-			return nil
-		})
-	}
-	if want("scenarios") {
-		run("Demonstration scenarios 1/2/3", func() error {
-			o := bench.DefaultScenarioOptions()
-			o.Profile = profile
-			o.Seed = *seed
-			o.SchemeN, o.SchemeM = *n, *m
-			if *scale > 0 {
-				o.Scale = *scale
-			}
-			if *ops > 0 {
-				o.Ops, o.Duration = *ops, 0
-			}
-			if *duration > 0 {
-				o.Duration, o.Ops = *duration, 0
-			}
-			if *quick {
-				o.Ops, o.Duration = 4000, 0
-				o.Scale = 1
-			}
-			res, err := bench.Scenarios(o)
-			if err != nil {
-				return err
-			}
-			res.Write(os.Stdout)
-			report.Add("scenarios", o, res)
-			return nil
-		})
-	}
-	if want("interference") {
-		run("Program interference on MLC Flash", func() error {
-			o := bench.DefaultInterferenceOptions()
-			o.Profile = profile
-			o.Seed = *seed
-			o.SchemeN, o.SchemeM = *n, *m
-			if *scale > 0 {
-				o.Scale = *scale
-			}
-			if *ops > 0 {
-				o.Ops = *ops
-			}
-			if *quick {
-				o.Ops = 3000
-				o.Scale = 1
-			}
-			res, err := bench.Interference(o)
-			if err != nil {
-				return err
-			}
-			res.Write(os.Stdout)
-			report.Add("interference", o, res)
-			return nil
-		})
-	}
-	if want("sweep") {
-		run("N×M scheme sweep", func() error {
-			o := bench.DefaultSweepOptions()
-			o.Profile = profile
-			o.Seed = *seed
-			if *scale > 0 {
-				o.Scale = *scale
-			}
-			if *ops > 0 {
-				o.Ops = *ops
-			}
-			if *quick {
-				o.Ops = 2000
-				o.Ns = []int{1, 2, 4}
-				o.Ms = []int{4, 8}
-			}
-			res, err := bench.Sweep(o)
-			if err != nil {
-				return err
-			}
-			res.Write(os.Stdout)
-			report.Add("sweep", o, res)
-			return nil
-		})
-	}
-	if want("concurrent") {
-		run("Concurrency scaling: sharded pool + group-commit WAL", func() error {
-			o := bench.DefaultConcurrentOptions()
-			o.Profile = profile
-			o.Seed = *seed
-			o.SchemeN, o.SchemeM = *n, *m
-			if *threads > 0 {
-				o.Goroutines = []int{*threads}
-			}
-			if *ops > 0 {
-				o.Ops = *ops
-			}
-			if *quick {
-				o.Ops = 6000
-				o.Tuples = 2048
-			}
-			res, err := bench.Concurrent(o)
-			if err != nil {
-				return err
-			}
-			res.Write(os.Stdout)
-			report.Add("concurrent", o, res)
-			return nil
-		})
-		run("Read-skew ladder: MVCC snapshot reads vs 2PL locked reads", func() error {
-			o := bench.DefaultReadMixOptions()
-			o.Profile = profile
-			o.Seed = *seed
-			o.SchemeN, o.SchemeM = *n, *m
-			if *threads > 0 {
-				o.Goroutines = *threads
-			}
-			if *ops > 0 {
-				o.Ops = *ops
-			}
-			if *quick {
-				o.Ops = 1500
-				o.Tuples = 512
-			}
-			res, err := bench.ReadMix(o)
-			if err != nil {
-				return err
-			}
-			res.Write(os.Stdout)
-			report.Add("readmix", o, res)
-			return nil
-		})
-	}
-	if want("chips") {
-		run("Chip scaling: per-chip FTL partitions", func() error {
-			o := bench.DefaultChipsOptions()
-			o.Profile = profile
-			o.Seed = *seed
-			o.SchemeN, o.SchemeM = *n, *m
-			if *chips > 0 {
-				o.Chips = []int{*chips}
-			}
-			if *threads > 0 {
-				o.Goroutines = *threads
-			}
-			if *ops > 0 {
-				o.Ops = *ops
-			}
-			if *quick {
-				o.Ops = 4000
-				o.Tuples = 4096
-			}
-			res, err := bench.Chips(o)
-			if err != nil {
-				return err
-			}
-			res.Write(os.Stdout)
-			report.Add("chips", o, res)
-			return nil
-		})
-	}
-	if want("crash") {
-		run("Power-cut torture: crash, recover, verify", func() error {
-			o := bench.DefaultCrashOptions()
-			o.Seed = *seed
-			if *ops > 0 {
-				o.Ops = *ops
-			}
-			if *chips > 0 {
-				o.Chips = *chips
-			}
-			if *quick {
-				// A bounded, evenly spread sample per fault mode; the full
-				// run sweeps every enumerated fault point.
-				o.Sample = 12
-				o.Ops = 120
-			}
-			res, err := bench.Crash(o)
-			if err != nil {
-				return err
-			}
-			res.Write(os.Stdout)
-			report.Add("crash", o, res)
-			if res.Failed() {
-				return fmt.Errorf("recovery invariants violated")
-			}
-			return nil
-		})
-	}
-	if want("index") {
-		run("Index maintenance: IPA vs out-of-place entry pages", func() error {
-			// The index experiment keeps its own small-pool profile (see
-			// bench.IndexProfile): a pool big enough to cache the whole
-			// index would leave no index I/O to measure.
-			o := bench.DefaultIndexOptions()
-			o.Seed = *seed
-			o.SchemeN, o.SchemeM = *n, *m
-			if *scale > 0 {
-				o.Scale = *scale
-			}
-			if *ops > 0 {
-				o.Ops, o.Duration = *ops, 0
-			}
-			if *duration > 0 {
-				o.Duration, o.Ops = *duration, 0
-			}
-			if *quick {
-				o.Profile = bench.SmallProfile
-				o.Profile.BufferPoolPages = 16
-				o.Ops = 4000
-			}
-			res, err := bench.Index(o)
-			if err != nil {
-				return err
-			}
-			res.Write(os.Stdout)
-			report.Add("index", o, res)
-			return nil
-		})
-	}
-	if want("secondary") {
-		run("Secondary indexes: IPA vs out-of-place entry pages", func() error {
-			// Same small-pool profile rationale as -exp index: a pool big
-			// enough to cache every entry page would leave nothing to
-			// measure.
-			o := bench.DefaultSecondaryOptions()
-			o.Seed = *seed
-			o.SchemeN, o.SchemeM = *n, *m
-			if *scale > 0 {
-				o.Scale = *scale
-			}
-			if *ops > 0 {
-				o.Ops, o.Duration = *ops, 0
-			}
-			if *duration > 0 {
-				o.Duration, o.Ops = *duration, 0
-			}
-			if *quick {
-				o.Profile = bench.SmallProfile
-				o.Profile.BufferPoolPages = 16
-				o.Ops = 4000
-			}
-			res, err := bench.Secondary(o)
-			if err != nil {
-				return err
-			}
-			res.Write(os.Stdout)
-			report.Add("secondary", o, res)
-			return nil
-		})
-	}
-	if want("ycsb") {
-		run("YCSB A-F: cache-sized vs larger-than-memory", func() error {
-			o := bench.DefaultYCSBOptions()
-			o.Profile = profile
-			o.Seed = *seed
-			o.SchemeN, o.SchemeM = *n, *m
-			if *ops > 0 {
-				o.Ops = *ops
-			}
-			if *quick {
-				o.Ops = 3000
-			}
-			res, err := bench.YCSB(o)
-			if err != nil {
-				return err
-			}
-			res.Write(os.Stdout)
-			report.Add("ycsb", o, res)
-			return nil
-		})
+	report := &bench.Report{}
+	for _, s := range specs {
+		o := s.Resolve(*quick, set)
+		fmt.Fprintf(stdout, "== %s ==\n", s.Title)
+		start := time.Now()
+		res, err := s.Run(o)
+		if err != nil {
+			return fail(fmt.Errorf("%s: %w", s.Title, err))
+		}
+		res.Write(stdout)
+		report.Add(s.Name, o, res)
+		if f, ok := res.(interface{ Failed() bool }); ok && f.Failed() {
+			return fail(fmt.Errorf("%s: recovery invariants violated", s.Title))
+		}
+		fmt.Fprintf(stdout, "(completed in %s wall-clock)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 	if *jsonOut {
 		path := *outFile
@@ -458,9 +99,9 @@ func main() {
 			path = "bench.json"
 		}
 		if err := report.WriteFile(path); err != nil {
-			fmt.Fprintf(os.Stderr, "ipabench: %v\n", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		fmt.Printf("wrote %d experiment results to %s\n", len(report.Entries), path)
+		fmt.Fprintf(stdout, "wrote %d experiment results to %s\n", len(report.Entries), path)
 	}
+	return 0
 }

@@ -3,14 +3,27 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"ipa"
 )
 
-// tinyProfile keeps the harness tests fast.
-var tinyProfile = DeviceProfile{
-	PageSize:        4 * 1024,
-	Blocks:          96,
-	PagesPerBlock:   32,
-	BufferPoolPages: 48,
+// spec returns the registered experiment called name.
+func spec(t testing.TB, name string) Spec {
+	t.Helper()
+	for _, s := range Specs() {
+		if s.Name == name {
+			return s
+		}
+	}
+	t.Fatalf("no experiment %q in the registry", name)
+	return Spec{}
+}
+
+// small returns the -quick defaults of the named experiment, shrunk further
+// to ops transactions at scale 1 so the harness tests stay fast.
+func small(t testing.TB, name string, ops int) Options {
+	t.Helper()
+	return spec(t, name).Defaults(true).with(Options{Scale: 1, Ops: ops})
 }
 
 func TestNewWorkloadNames(t *testing.T) {
@@ -35,22 +48,12 @@ func TestRunNeedsALimit(t *testing.T) {
 }
 
 func TestRunBaselineVsIPA(t *testing.T) {
-	base := Experiment{
-		Name: "t-base", Workload: "tpcb", Scale: 1,
-		Mode: modeTraditional, Flash: flashMLC,
-		Ops: 600, Seed: 1, Analytic: true,
-	}.ApplyProfile(tinyProfile)
-	ipaExp := Experiment{
-		Name: "t-ipa", Workload: "tpcb", Scale: 1,
-		Mode: modeNative, Scheme: ipaScheme(2, 4), Flash: flashPSLC,
-		Ops: 600, Seed: 1, Analytic: true,
-	}.ApplyProfile(tinyProfile)
-
-	baseRes, err := Run(base)
+	o := small(t, "table1", 600)
+	baseRes, err := Run(o.baseline("t-base", "tpcb"))
 	if err != nil {
 		t.Fatalf("baseline run: %v", err)
 	}
-	ipaRes, err := Run(ipaExp)
+	ipaRes, err := Run(o.native("t-ipa", "tpcb", ipa.PSLC))
 	if err != nil {
 		t.Fatalf("ipa run: %v", err)
 	}
@@ -73,21 +76,17 @@ func TestRunBaselineVsIPA(t *testing.T) {
 }
 
 func TestFigure1SmallRun(t *testing.T) {
-	res, err := Figure1(Figure1Options{
-		Workloads: []string{"tpcb"},
-		Scale:     1,
-		Ops:       400,
-		Profile:   tinyProfile,
-		SchemeN:   2, SchemeM: 4,
-		Seed: 1,
-	})
+	res, err := Figure1(small(t, "fig1", 400))
 	if err != nil {
 		t.Fatalf("Figure1: %v", err)
 	}
-	if len(res.Rows) != 1 {
-		t.Fatalf("expected one row")
+	if len(res.Rows) != len(figure1Workloads) {
+		t.Fatalf("expected one row per workload, got %d", len(res.Rows))
 	}
 	row := res.Rows[0]
+	if row.Workload != "tpcb" {
+		t.Fatalf("first row is %q, want tpcb", row.Workload)
+	}
 	if row.DirtyEvictions == 0 {
 		t.Fatalf("no dirty evictions observed")
 	}
@@ -108,14 +107,7 @@ func TestFigure1SmallRun(t *testing.T) {
 }
 
 func TestTable1SmallRun(t *testing.T) {
-	o := Table1Options{
-		Scale:   1,
-		Ops:     800,
-		Profile: tinyProfile,
-		Seed:    1,
-	}
-	o.Scheme.N, o.Scheme.M = 2, 4
-	res, err := Table1(o)
+	res, err := Table1(small(t, "table1", 800))
 	if err != nil {
 		t.Fatalf("Table1: %v", err)
 	}
@@ -140,14 +132,7 @@ func TestTable1SmallRun(t *testing.T) {
 }
 
 func TestIPLCompareSmallRun(t *testing.T) {
-	res, err := IPLCompare(IPLOptions{
-		Workloads: []string{"tpcb"},
-		Scale:     1,
-		Ops:       400,
-		Profile:   tinyProfile,
-		SchemeN:   2, SchemeM: 4,
-		Seed: 1,
-	})
+	res, err := IPLCompare(small(t, "ipl", 400))
 	if err != nil {
 		t.Fatalf("IPLCompare: %v", err)
 	}
@@ -167,27 +152,24 @@ func TestIPLCompareSmallRun(t *testing.T) {
 }
 
 func TestSweepSmallRun(t *testing.T) {
-	res, err := Sweep(SweepOptions{
-		Workload: "tpcb",
-		Scale:    1,
-		Ops:      300,
-		Profile:  tinyProfile,
-		Ns:       []int{1, 2},
-		Ms:       []int{4},
-		Seed:     1,
-	})
+	res, err := Sweep(small(t, "sweep", 300))
 	if err != nil {
 		t.Fatalf("Sweep: %v", err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("expected 2 grid points, got %d", len(res.Rows))
+	ns, ms := sweepGrid(true)
+	if len(res.Rows) != len(ns)*len(ms) {
+		t.Fatalf("expected %d grid points, got %d", len(ns)*len(ms), len(res.Rows))
+	}
+	// Rows are N-major: the first two N values at the first M.
+	lo, hi := res.Rows[0], res.Rows[len(ms)]
+	if lo.Scheme.M != hi.Scheme.M || lo.Scheme.N >= hi.Scheme.N {
+		t.Fatalf("grid order changed: %s then %s", lo.Scheme, hi.Scheme)
 	}
 	// A larger N must not lower the in-place share.
-	if res.Rows[1].InPlaceShare < res.Rows[0].InPlaceShare {
-		t.Fatalf("in-place share should grow with N: %.2f then %.2f",
-			res.Rows[0].InPlaceShare, res.Rows[1].InPlaceShare)
+	if hi.InPlaceShare < lo.InPlaceShare {
+		t.Fatalf("in-place share should grow with N: %.2f then %.2f", lo.InPlaceShare, hi.InPlaceShare)
 	}
-	if res.Rows[0].AreaBytes >= res.Rows[1].AreaBytes {
+	if lo.AreaBytes >= hi.AreaBytes {
 		t.Fatalf("area size should grow with N")
 	}
 	var sb strings.Builder
@@ -198,14 +180,7 @@ func TestSweepSmallRun(t *testing.T) {
 }
 
 func TestSuiteAndLongevitySmallRun(t *testing.T) {
-	res, err := Suite(SuiteOptions{
-		Workloads: []string{"tpcb"},
-		Scale:     1,
-		Ops:       600,
-		Profile:   tinyProfile,
-		SchemeN:   2, SchemeM: 4,
-		Seed: 1,
-	})
+	res, err := Suite(small(t, "oltp", 600))
 	if err != nil {
 		t.Fatalf("Suite: %v", err)
 	}
@@ -217,12 +192,12 @@ func TestSuiteAndLongevitySmallRun(t *testing.T) {
 		t.Fatalf("IPA should reduce invalidations, got %+.1f%%", row.InvalidationDropPct)
 	}
 	rows := Longevity(res)
-	if len(rows) != 2 {
-		t.Fatalf("expected 2 longevity rows")
+	if len(rows) != 2*len(suiteWorkloads) {
+		t.Fatalf("expected a baseline and an IPA longevity row per workload, got %d", len(rows))
 	}
 	var sb strings.Builder
 	res.Write(&sb)
-	WriteLongevity(&sb, rows)
+	rows.Write(&sb)
 	if !strings.Contains(sb.String(), "longevity") {
 		t.Fatalf("longevity rendering wrong")
 	}

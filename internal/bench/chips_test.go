@@ -3,32 +3,24 @@ package bench
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
-// chipTestOptions is a shrunken ladder that still forces Flash traffic:
-// the working set is several times the buffer pool.
-func chipTestOptions(chips []int) ChipsOptions {
-	return ChipsOptions{
-		Chips:      chips,
-		Goroutines: 4,
-		Tuples:     4096,
-		TupleSize:  64,
-		Ops:        1200,
-		Profile:    SmallProfile,
-		TxnCPUCost: time.Microsecond,
-		Seed:       1,
-	}
+// chipTestOptions is a shrunken run that still forces Flash traffic: the
+// -quick working set is several times the buffer pool.
+func chipTestOptions(t testing.TB, chips int) Options {
+	o := small(t, "chips", 1200)
+	o.Threads, o.Chips = 4, chips
+	return o
 }
 
-// TestChipsScenario checks the accounting of every row of a short ladder.
+// TestChipsScenario checks the accounting of every row of the ladder.
 func TestChipsScenario(t *testing.T) {
-	res, err := Chips(chipTestOptions([]int{1, 2}))
+	res, err := Chips(chipTestOptions(t, 0))
 	if err != nil {
 		t.Fatalf("Chips: %v", err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(res.Rows))
+	if len(res.Rows) != len(ladder(0)) {
+		t.Fatalf("rows = %d, want %d", len(res.Rows), len(ladder(0)))
 	}
 	for _, row := range res.Rows {
 		if row.Committed != 1200 {
@@ -52,18 +44,15 @@ func TestChipsScenario(t *testing.T) {
 	if !strings.Contains(sb.String(), "chips") {
 		t.Errorf("Write produced no table:\n%s", sb.String())
 	}
-}
 
-// TestChipScalingImprovesVirtualThroughput is the acceptance check of the
-// chip-parallel flash stack: the same work finishes in less virtual device
-// time on a 4-chip device than on a single chip, because the device clock
-// is the busiest chip's clock and the load stripes across the partitions.
-func TestChipScalingImprovesVirtualThroughput(t *testing.T) {
-	res, err := Chips(chipTestOptions([]int{1, 4}))
-	if err != nil {
-		t.Fatalf("Chips: %v", err)
+	// The acceptance check of the chip-parallel flash stack: the same work
+	// finishes in less virtual device time on a 4-chip device than on a
+	// single chip, because the device clock is the busiest chip's clock and
+	// the load stripes across the partitions.
+	one, four := res.Rows[0], res.Rows[2]
+	if one.Chips != 1 || four.Chips != 4 {
+		t.Fatalf("ladder changed: rows 0 and 2 have %d and %d chips", one.Chips, four.Chips)
 	}
-	one, four := res.Rows[0], res.Rows[1]
 	if four.Virtual >= one.Virtual*7/10 {
 		t.Fatalf("4 chips should cut virtual time well below 1 chip: 1-chip=%s 4-chip=%s",
 			one.Virtual, four.Virtual)
@@ -82,7 +71,7 @@ func TestChipScalingImprovesVirtualThroughput(t *testing.T) {
 func BenchmarkChipScaling(b *testing.B) {
 	for _, chips := range []int{1, 2, 4} {
 		b.Run(benchName(chips), func(b *testing.B) {
-			o := chipTestOptions([]int{chips})
+			o := chipTestOptions(b, chips)
 			o.Ops = 400 * b.N
 			res, err := Chips(o)
 			if err != nil {

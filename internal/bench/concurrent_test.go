@@ -3,27 +3,21 @@ package bench
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestConcurrentScenario runs a shrunken goroutine ladder and checks the
 // accounting of every row.
 func TestConcurrentScenario(t *testing.T) {
-	res, err := Concurrent(ConcurrentOptions{
-		Goroutines:          []int{1, 4},
-		Tuples:              512,
-		TupleSize:           64,
-		Ops:                 400,
-		Profile:             SmallProfile,
-		LogFlushLatency:     10 * time.Microsecond,
-		LogFlushWallLatency: time.Microsecond,
-		Seed:                1,
-	})
+	o := small(t, "concurrent", 400)
+	// A pool that holds the whole table: no write-back ever forces the log,
+	// so every WAL flush below is a commit flush.
+	o.Profile.BufferPoolPages = 128
+	res, err := Concurrent(o)
 	if err != nil {
 		t.Fatalf("Concurrent: %v", err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(res.Rows))
+	if len(res.Rows) != len(ladder(0)) {
+		t.Fatalf("rows = %d, want %d", len(res.Rows), len(ladder(0)))
 	}
 	for _, row := range res.Rows {
 		if row.Committed != 400 {
@@ -49,5 +43,14 @@ func TestConcurrentScenario(t *testing.T) {
 	res.Write(&sb)
 	if !strings.Contains(sb.String(), "goroutines") {
 		t.Errorf("Write produced no table:\n%s", sb.String())
+	}
+}
+
+// TestDriveRejectsBadGoroutineCount pins the driver's input check.
+func TestDriveRejectsBadGoroutineCount(t *testing.T) {
+	o := small(t, "readmix", 10)
+	o.Threads = 0
+	if _, err := ReadMix(o); err == nil {
+		t.Fatal("a run with no goroutines must be rejected")
 	}
 }

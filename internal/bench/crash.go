@@ -9,28 +9,10 @@ import (
 	"ipa/internal/crash"
 )
 
-// CrashOptions configures the crash-torture experiment: a deterministic
-// power-cut sweep across every write path.
-type CrashOptions struct {
-	// Modes are the write paths tortured (default: all three).
-	Modes []ipa.WriteMode
-	// Ops is the number of transactions per run (0 = harness default).
-	Ops int
-	// Sample bounds the fault points tested per fault mode (0 = every
-	// enumerated point, the exhaustive sweep).
-	Sample int
-	// Chips is the device chip count (0 = 1).
-	Chips int
-	Seed  int64
-}
-
-// DefaultCrashOptions returns the exhaustive single-chip sweep.
-func DefaultCrashOptions() CrashOptions {
-	return CrashOptions{
-		Modes: []ipa.WriteMode{ipa.Traditional, ipa.IPAConventionalSSD, ipa.IPANativeFlash},
-		Seed:  7,
-	}
-}
+// crashSample bounds the fault points tested per fault mode: 0 is the
+// exhaustive sweep of every enumerated point, -quick takes a bounded,
+// evenly spread sample.
+func crashSample(quick bool) int { return pick(quick, 0, 12) }
 
 // CrashRow is the outcome of one write path's sweep, including the
 // aggregated time-to-recover of every successful Reopen: wall and virtual
@@ -63,25 +45,18 @@ func (r CrashResult) Failed() bool {
 	return false
 }
 
-// Crash runs the power-cut torture sweep for every requested write path.
-func Crash(o CrashOptions) (CrashResult, error) {
-	if len(o.Modes) == 0 {
-		o.Modes = []ipa.WriteMode{ipa.Traditional, ipa.IPAConventionalSSD, ipa.IPANativeFlash}
-	}
+// Crash runs the crash-torture experiment: a deterministic power-cut sweep
+// of o.Ops transactions across every write path, on internal/crash's small
+// device with o.Chips chips (0 = its single chip).
+func Crash(o Options) (CrashResult, error) {
 	var out CrashResult
-	for _, mode := range o.Modes {
+	for _, mode := range []ipa.WriteMode{ipa.Traditional, ipa.IPAConventionalSSD, ipa.IPANativeFlash} {
 		co := crash.DefaultOptions()
 		co.DB.WriteMode = mode
 		if o.Chips > 0 {
 			co.DB.Chips = o.Chips
 		}
-		if o.Ops > 0 {
-			co.Ops = o.Ops
-		}
-		if o.Seed != 0 {
-			co.Seed = o.Seed
-		}
-		co.Sample = o.Sample
+		co.Ops, co.Seed, co.Sample = o.Ops, o.Seed, crashSample(o.Quick)
 		res, err := crash.Sweep(co)
 		if err != nil {
 			return out, fmt.Errorf("bench: crash sweep (%s): %w", mode, err)

@@ -3,39 +3,12 @@ package bench
 import (
 	"fmt"
 	"io"
+
+	"ipa"
 )
 
-// Figure1Options configures the write-amplification analysis behind
-// Figure 1 of the paper: for each OLTP workload, how many bytes does the
-// DBMS actually modify per evicted dirty page, how much does the
-// traditional approach write, and how much does IPA (write_delta) transfer
-// instead.
-type Figure1Options struct {
-	// Workloads to analyse (default: the four from the paper).
-	Workloads []string
-	// Scale and Ops size each run.
-	Scale int
-	Ops   int
-	// Profile sizes the simulated device.
-	Profile DeviceProfile
-	// Scheme is the IPA configuration used for the delta-transfer
-	// comparison (default 2×4).
-	SchemeN, SchemeM int
-	Seed             int64
-}
-
-// DefaultFigure1Options returns the configuration used by cmd/ipabench.
-func DefaultFigure1Options() Figure1Options {
-	return Figure1Options{
-		Workloads: []string{"tpcb", "tpcc", "tatp", "linkbench"},
-		Scale:     2,
-		Ops:       8000,
-		Profile:   DefaultProfile,
-		SchemeN:   2,
-		SchemeM:   4,
-		Seed:      1,
-	}
-}
+// figure1Workloads are the four workloads the paper analyses.
+var figure1Workloads = []string{"tpcb", "tpcc", "tatp", "linkbench"}
 
 // Figure1Row summarises one workload.
 type Figure1Row struct {
@@ -66,32 +39,15 @@ type Figure1Result struct {
 	Rows []Figure1Row
 }
 
-// Figure1 runs the analysis for every requested workload.
-func Figure1(o Figure1Options) (Figure1Result, error) {
-	if len(o.Workloads) == 0 {
-		o.Workloads = []string{"tpcb", "tpcc", "tatp", "linkbench"}
-	}
-	if o.Ops <= 0 {
-		o.Ops = 8000
-	}
-	if o.Scale <= 0 {
-		o.Scale = 2
-	}
-	if o.SchemeN == 0 && o.SchemeM == 0 {
-		o.SchemeN, o.SchemeM = 2, 4
-	}
+// Figure1 is the write-amplification analysis behind Figure 1 of the paper:
+// for each OLTP workload, how many bytes does the DBMS actually modify per
+// evicted dirty page, how much does the traditional approach write, and how
+// much does IPA (write_delta) transfer instead.
+func Figure1(o Options) (Figure1Result, error) {
 	var out Figure1Result
-	for _, wl := range o.Workloads {
-		trad := Experiment{
-			Name: "fig1-" + wl + "-traditional", Workload: wl, Scale: o.Scale,
-			Mode: modeTraditional, Flash: flashMLC,
-			Ops: o.Ops, Seed: o.Seed, Analytic: true,
-		}.ApplyProfile(o.Profile)
-		native := Experiment{
-			Name: "fig1-" + wl + "-ipa", Workload: wl, Scale: o.Scale,
-			Mode: modeNative, Scheme: ipaScheme(o.SchemeN, o.SchemeM), Flash: flashPSLC,
-			Ops: o.Ops, Seed: o.Seed, Analytic: true,
-		}.ApplyProfile(o.Profile)
+	for _, wl := range figure1Workloads {
+		trad := o.baseline("fig1-"+wl+"-traditional", wl)
+		native := o.native("fig1-"+wl+"-ipa", wl, ipa.PSLC)
 
 		tradRes, err := Run(trad)
 		if err != nil {
@@ -123,20 +79,13 @@ func Figure1(o Figure1Options) (Figure1Result, error) {
 			// Normalise the IPA transfer volume by the work performed, so
 			// runs with different committed-transaction counts compare
 			// fairly.
-			tradPerTxn := float64(ts.HostBytesWritten) / float64(maxU64(1, ts.CommittedTxns))
-			ipaPerTxn := float64(is.HostBytesWritten) / float64(maxU64(1, is.CommittedTxns))
+			tradPerTxn := float64(ts.HostBytesWritten) / float64(max(1, ts.CommittedTxns))
+			ipaPerTxn := float64(is.HostBytesWritten) / float64(max(1, is.CommittedTxns))
 			row.IPAReductionPct = 100 * (1 - ipaPerTxn/tradPerTxn)
 		}
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Write renders the analysis.

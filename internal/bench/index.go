@@ -3,59 +3,25 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
+
+	"ipa"
 )
 
-// IndexOptions configures the index-maintenance experiment: the same
-// workload run with traditional out-of-place index persistence and with
-// IPA-native delta appends, comparing the physical Flash writes caused by
-// primary-key index maintenance.
-//
-// TATP is the headline workload (its insert/delete call-forwarding ops
-// churn the forwarding index in ~4 % of transactions); LinkBench adds a
-// second, insert-heavier shape.
-type IndexOptions struct {
-	// Workloads are the drivers compared (default tatp + linkbench).
-	Workloads []string
-	Scale     int
-	Ops       int
-	Duration  time.Duration
-	Profile   DeviceProfile
-	SchemeN   int
-	SchemeM   int
-	// IndexN/IndexM size the index-region scheme. An index entry insert
-	// patches ~20 body bytes (entry + slot), so index pages want wider
-	// records than heap pages (whose OLTP field updates are a few bytes).
-	IndexN int
-	IndexM int
-	Seed   int64
-}
-
-// IndexProfile is the device sizing of the index experiment: the default
+// IndexProfile is the device sizing of the index experiments: the default
 // device with a deliberately small buffer pool, so index maintenance
 // actually reaches Flash instead of being absorbed by the cache (a cache
 // big enough to hold every index page would leave nothing to measure).
-var IndexProfile = DeviceProfile{
-	PageSize:        8 * 1024,
-	Blocks:          128,
-	PagesPerBlock:   64,
-	BufferPoolPages: 24,
-}
+// indexQuickProfile is the same idea on the -quick device.
+var (
+	IndexProfile      = DefaultProfile.withPool(24)
+	indexQuickProfile = SmallProfile.withPool(16)
+)
 
-// DefaultIndexOptions returns the configuration used by cmd/ipabench.
-func DefaultIndexOptions() IndexOptions {
-	return IndexOptions{
-		Workloads: []string{"tatp", "linkbench"},
-		Scale:     1,
-		Ops:       20000,
-		Profile:   IndexProfile,
-		SchemeN:   2,
-		SchemeM:   4,
-		IndexN:    4,
-		IndexM:    20,
-		Seed:      1,
-	}
-}
+// indexScheme sizes the index region (ipa.Config.IndexScheme, applied to
+// primary-key and secondary entry pages alike). An index entry insert
+// patches ~20 body bytes (entry + slot), so index pages want wider records
+// than heap pages (whose OLTP field updates are a few bytes).
+var indexScheme = ipa.Scheme{N: 4, M: 20}
 
 // IndexRow is one (workload, write path) measurement.
 type IndexRow struct {
@@ -96,49 +62,39 @@ func makeIndexRow(workload, label string, res Result) IndexRow {
 	}
 }
 
-// Index runs the index-maintenance comparison.
-func Index(o IndexOptions) (IndexResult, error) {
-	if len(o.Workloads) == 0 {
-		o.Workloads = []string{"tatp", "linkbench"}
-	}
-	if o.Scale <= 0 {
-		o.Scale = 1
-	}
-	if o.Ops <= 0 && o.Duration <= 0 {
-		o.Ops = 8000
-	}
-	if o.SchemeN == 0 && o.SchemeM == 0 {
-		o.SchemeN, o.SchemeM = 2, 4
-	}
-	if o.IndexN == 0 && o.IndexM == 0 {
-		o.IndexN, o.IndexM = 4, 20
-	}
-	scheme := ipaScheme(o.SchemeN, o.SchemeM)
-	idxScheme := ipaScheme(o.IndexN, o.IndexM)
-	var out IndexResult
-	for _, w := range o.Workloads {
-		base := Experiment{
-			Name: "index-oop-" + w, Workload: w, Scale: o.Scale,
-			Mode: modeTraditional, Flash: flashMLC,
-			Ops: o.Ops, Duration: o.Duration, Seed: o.Seed,
-		}.ApplyProfile(o.Profile)
-		native := Experiment{
-			Name: "index-ipa-" + w, Workload: w, Scale: o.Scale,
-			Mode: modeNative, Scheme: scheme, IndexScheme: idxScheme, Flash: flashPSLC,
-			Ops: o.Ops, Duration: o.Duration, Seed: o.Seed,
-		}.ApplyProfile(o.Profile)
+// indexRows runs every workload with traditional out-of-place index
+// persistence and with IPA-native delta appends.
+func indexRows(o Options, prefix string, workloads []string) ([]IndexRow, error) {
+	var rows []IndexRow
+	for _, w := range workloads {
+		base := o.baseline(prefix+"-oop-"+w, w)
+		native := o.native(prefix+"-ipa-"+w, w, ipa.PSLC)
+		native.IndexScheme = indexScheme
+		// Only the index-page counters are reported: no per-eviction byte
+		// accounting.
+		base.Analytic, native.Analytic = false, false
 		baseRes, err := Run(base)
 		if err != nil {
-			return out, err
+			return rows, err
 		}
-		out.Rows = append(out.Rows, makeIndexRow(w, "out-of-place", baseRes))
+		rows = append(rows, makeIndexRow(w, "out-of-place", baseRes))
 		nativeRes, err := Run(native)
 		if err != nil {
-			return out, err
+			return rows, err
 		}
-		out.Rows = append(out.Rows, makeIndexRow(w, fmt.Sprintf("IPA %s", idxScheme), nativeRes))
+		rows = append(rows, makeIndexRow(w, fmt.Sprintf("IPA %s", indexScheme), nativeRes))
 	}
-	return out, nil
+	return rows, nil
+}
+
+// Index runs the index-maintenance experiment, comparing the physical
+// Flash writes caused by primary-key index maintenance. TATP is the
+// headline workload (its insert/delete call-forwarding ops churn the
+// forwarding index in ~4 % of transactions); LinkBench adds a second,
+// insert-heavier shape.
+func Index(o Options) (IndexResult, error) {
+	rows, err := indexRows(o, "index", []string{"tatp", "linkbench"})
+	return IndexResult{Rows: rows}, err
 }
 
 // Write renders the comparison.

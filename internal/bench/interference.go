@@ -9,39 +9,9 @@ import (
 	"ipa/internal/workload"
 )
 
-// InterferenceOptions configures the program-interference ablation of
-// Section 3 of the paper: applying IPA on MLC Flash without the pSLC or
-// odd-MLC precautions exposes appends on MSB-paired wordlines to parasitic
-// capacitance coupling. The experiment injects interference faults into the
-// NAND simulator and measures how many bit errors each MLC operation mode
-// accumulates (and whether the ECC can still hide them).
-type InterferenceOptions struct {
-	Workload string
-	Scale    int
-	Ops      int
-	Profile  DeviceProfile
-	SchemeN  int
-	SchemeM  int
-	// InterferenceProb is the per-reprogram probability of disturbing the
-	// paired page (default 0.2, deliberately aggressive so short runs show
-	// the effect).
-	InterferenceProb float64
-	Seed             int64
-}
-
-// DefaultInterferenceOptions returns the configuration used by cmd/ipabench.
-func DefaultInterferenceOptions() InterferenceOptions {
-	return InterferenceOptions{
-		Workload:         "tpcb",
-		Scale:            2,
-		Ops:              6000,
-		Profile:          DefaultProfile,
-		SchemeN:          2,
-		SchemeM:          4,
-		InterferenceProb: 0.2,
-		Seed:             1,
-	}
-}
+// interferenceProb is the per-reprogram probability of disturbing the
+// paired page: deliberately aggressive so short runs show the effect.
+const interferenceProb = 0.2
 
 // InterferenceRow is the outcome for one MLC operation mode.
 type InterferenceRow struct {
@@ -58,23 +28,13 @@ type InterferenceResult struct {
 	Rows []InterferenceRow
 }
 
-// Interference runs the ablation for MLC-full, odd-MLC and pSLC modes.
-func Interference(o InterferenceOptions) (InterferenceResult, error) {
-	if o.Workload == "" {
-		o.Workload = "tpcb"
-	}
-	if o.Scale <= 0 {
-		o.Scale = 2
-	}
-	if o.Ops <= 0 {
-		o.Ops = 6000
-	}
-	if o.SchemeN == 0 && o.SchemeM == 0 {
-		o.SchemeN, o.SchemeM = 2, 4
-	}
-	if o.InterferenceProb <= 0 {
-		o.InterferenceProb = 0.2
-	}
+// Interference is the program-interference ablation of Section 3 of the
+// paper: applying IPA on MLC Flash without the pSLC or odd-MLC precautions
+// exposes appends on MSB-paired wordlines to parasitic capacitance
+// coupling. The experiment injects interference faults into the NAND
+// simulator while TPC-B runs and measures how many bit errors each MLC
+// operation mode accumulates (and whether the ECC can still hide them).
+func Interference(o Options) (InterferenceResult, error) {
 	var out InterferenceResult
 	for _, mode := range []ipa.FlashMode{ipa.MLCFull, ipa.OddMLC, ipa.PSLC} {
 		row, err := interferenceOne(o, mode)
@@ -86,29 +46,16 @@ func Interference(o InterferenceOptions) (InterferenceResult, error) {
 	return out, nil
 }
 
-func interferenceOne(o InterferenceOptions, mode ipa.FlashMode) (InterferenceRow, error) {
-	profile := o.Profile
-	if profile == (DeviceProfile{}) {
-		profile = DefaultProfile
-	}
-	db, err := ipa.Open(ipa.Config{
-		PageSize:         profile.PageSize,
-		Blocks:           profile.Blocks,
-		PagesPerBlock:    profile.PagesPerBlock,
-		BufferPoolPages:  profile.BufferPoolPages,
-		WriteMode:        ipa.IPANativeFlash,
-		Scheme:           ipa.Scheme{N: o.SchemeN, M: o.SchemeM},
-		FlashMode:        mode,
-		InterferenceProb: o.InterferenceProb,
-		Analytic:         true,
-		Seed:             o.Seed,
-	})
+func interferenceOne(o Options, mode ipa.FlashMode) (InterferenceRow, error) {
+	cfg := o.nativeConfig(mode)
+	cfg.InterferenceProb, cfg.Analytic = interferenceProb, true
+	db, err := ipa.Open(cfg)
 	if err != nil {
 		return InterferenceRow{}, err
 	}
 	defer db.Close()
 
-	w, err := NewWorkload(o.Workload, o.Scale, o.Seed)
+	w, err := NewWorkload("tpcb", o.Scale, o.Seed)
 	if err != nil {
 		return InterferenceRow{}, err
 	}

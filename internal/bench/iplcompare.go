@@ -9,34 +9,6 @@ import (
 	"ipa/internal/storage"
 )
 
-// IPLOptions configures the IPA vs In-Page Logging comparison (experiment
-// E4). Following footnote 1 of the paper, the comparison replays the
-// fetch/eviction trace of a benchmark run against the IPL simulator and
-// compares the resulting Flash writes, reads and erases with the IPA run
-// of the same trace.
-type IPLOptions struct {
-	Workloads []string
-	Scale     int
-	Ops       int
-	Profile   DeviceProfile
-	SchemeN   int
-	SchemeM   int
-	Seed      int64
-}
-
-// DefaultIPLOptions returns the configuration used by cmd/ipabench.
-func DefaultIPLOptions() IPLOptions {
-	return IPLOptions{
-		Workloads: []string{"tpcb", "tpcc", "tatp"},
-		Scale:     2,
-		Ops:       8000,
-		Profile:   DefaultProfile,
-		SchemeN:   2,
-		SchemeM:   4,
-		Seed:      1,
-	}
-}
-
 // IPLRow compares IPA and IPL for one workload.
 type IPLRow struct {
 	Workload string
@@ -62,22 +34,14 @@ type IPLResult struct {
 	Rows []IPLRow
 }
 
-// IPLCompare runs the comparison for every workload.
-func IPLCompare(o IPLOptions) (IPLResult, error) {
-	if len(o.Workloads) == 0 {
-		o.Workloads = []string{"tpcb", "tpcc", "tatp"}
-	}
-	if o.Ops <= 0 {
-		o.Ops = 8000
-	}
-	if o.Scale <= 0 {
-		o.Scale = 2
-	}
-	if o.SchemeN == 0 && o.SchemeM == 0 {
-		o.SchemeN, o.SchemeM = 2, 4
-	}
+// IPLCompare is the IPA vs In-Page Logging comparison (experiment E4).
+// Following footnote 1 of the paper, it replays the fetch/eviction trace of
+// a benchmark run against the IPL simulator and compares the resulting
+// Flash writes, reads and erases with the IPA run of the same trace, for
+// every workload of the OLTP suite.
+func IPLCompare(o Options) (IPLResult, error) {
 	var out IPLResult
-	for _, wl := range o.Workloads {
+	for _, wl := range suiteWorkloads {
 		row, err := iplCompareOne(wl, o)
 		if err != nil {
 			return out, err
@@ -87,18 +51,12 @@ func IPLCompare(o IPLOptions) (IPLResult, error) {
 	return out, nil
 }
 
-func iplCompareOne(wl string, o IPLOptions) (IPLRow, error) {
-	exp := Experiment{
-		Name: "ipl-" + wl, Workload: wl, Scale: o.Scale,
-		Mode: modeNative, Scheme: ipaScheme(o.SchemeN, o.SchemeM), Flash: flashPSLC,
-		Ops: o.Ops, Seed: o.Seed, Analytic: true, TraceEvictions: true,
-	}.ApplyProfile(o.Profile)
+func iplCompareOne(wl string, o Options) (IPLRow, error) {
+	exp := o.native("ipl-"+wl, wl, ipa.PSLC)
+	exp.TraceEvictions = true
 
 	var trace []storage.TraceEvent
-	res, err := RunWithDB(exp, func(db *ipa.DB, _ Result) error {
-		trace = db.Trace()
-		return nil
-	})
+	res, err := run(exp, func(db *ipa.DB) { trace = db.Trace() })
 	if err != nil {
 		return IPLRow{}, err
 	}

@@ -4,83 +4,32 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ipa"
 )
 
-// ReadMixOptions configures the read-skew ladder: N goroutines run
-// transactions of OpsPerTxn point operations over one SHARED keyspace (no
-// partitioning — readers and writers collide on purpose), with the read
-// fraction swept across ReadPcts. Every mix runs twice:
-//
-//   - snapshot: reads go through Tx.Get — lock-free MVCC snapshot reads;
-//   - locked:   reads go through Tx.GetForUpdate — the strict-2PL baseline
-//     where every read takes a record lock and conflicts abort.
-//
-// The gap between the two rows of a mix is the benefit of multi-version
-// readers; it widens with the read share because under 2PL read locks are
-// what most transactions collide on.
-type ReadMixOptions struct {
-	// Goroutines is the worker count (default 8).
-	Goroutines int
-	// ReadPcts is the ladder of read percentages (default 50, 90, 99).
-	ReadPcts []int
-	// Tuples is the shared keyspace size (default 1024 — small enough to
-	// make collisions common).
-	Tuples int
-	// TupleSize is the row size in bytes (default 100).
-	TupleSize int
-	// Ops is the number of committed transactions per run, split across
-	// the goroutines (default 4000).
-	Ops int
-	// OpsPerTxn is the number of point operations per transaction
-	// (default 4).
-	OpsPerTxn int
-	// HotKeys and HotOpPct skew the access pattern: HotOpPct percent of
-	// operations land on the first HotKeys keys (defaults 16 and 25).
-	// The hot set is where the two read modes diverge — under 2PL even
-	// two readers of the same hot key conflict (locks are exclusive),
-	// while snapshot readers never do.
-	HotKeys  int
-	HotOpPct int
-	// Mode, SchemeN/M and Flash configure the write path under test.
-	Mode             ipa.WriteMode
-	SchemeN, SchemeM int
-	Flash            ipa.FlashMode
-	// LogFlushLatency / LogFlushWallLatency mirror ConcurrentOptions.
-	LogFlushLatency     time.Duration
-	LogFlushWallLatency time.Duration
-	Profile             DeviceProfile
-	Seed                int64
-}
+// The read-skew ladder: transactions of readMixOpsPerTxn point operations
+// at each of readMixPcts percent reads, readMixHotOpPct percent of them on
+// the first readMixHotKeys keys. The hot set is where the two read modes
+// diverge — under 2PL even two readers of the same hot key conflict (locks
+// are exclusive), while snapshot readers never do. The log device is fast
+// (vs the concurrency-scaling scenario's 50µs): this ladder is about lock
+// contention, not group commit, so the flush must not dominate the
+// per-transaction cost.
+var readMixPcts = []int{50, 90, 99}
 
-// DefaultReadMixOptions returns the configuration used by cmd/ipabench.
-func DefaultReadMixOptions() ReadMixOptions {
-	return ReadMixOptions{
-		Goroutines: 8,
-		ReadPcts:   []int{50, 90, 99},
-		Tuples:     1024,
-		TupleSize:  100,
-		Ops:        4000,
-		OpsPerTxn:  8,
-		HotKeys:    16,
-		HotOpPct:   40,
-		Mode:       ipa.IPANativeFlash,
-		SchemeN:    2,
-		SchemeM:    4,
-		Flash:      ipa.PSLC,
-		// A fast log device (vs the concurrency-scaling scenario's 50µs):
-		// this ladder is about lock contention, not group commit, so the
-		// flush must not dominate the per-transaction cost.
-		LogFlushLatency:     20 * time.Microsecond,
-		LogFlushWallLatency: 5 * time.Microsecond,
-		Profile:             DefaultProfile,
-		Seed:                1,
-	}
-}
+const (
+	readMixOpsPerTxn           = 8
+	readMixHotKeys             = 16
+	readMixHotOpPct            = 40
+	readMixLogFlushLatency     = 20 * time.Microsecond
+	readMixLogFlushWallLatency = 5 * time.Microsecond
+)
+
+// readMixTuples is the shared keyspace size: small enough to make
+// collisions common.
+func readMixTuples(quick bool) int { return pick(quick, 1024, 512) }
 
 // ReadMixRow is the outcome of one (read percentage, read mode) cell.
 type ReadMixRow struct {
@@ -103,69 +52,25 @@ type ReadMixRow struct {
 // ReadMixResult bundles the ladder; rows come in (snapshot, locked) pairs
 // per read percentage.
 type ReadMixResult struct {
-	Options ReadMixOptions
+	Options Options
 	Rows    []ReadMixRow
 }
 
-func (o ReadMixOptions) withDefaults() ReadMixOptions {
-	d := DefaultReadMixOptions()
-	if o.Goroutines <= 0 {
-		o.Goroutines = d.Goroutines
-	}
-	if len(o.ReadPcts) == 0 {
-		o.ReadPcts = d.ReadPcts
-	}
-	if o.Tuples <= 0 {
-		o.Tuples = d.Tuples
-	}
-	if o.TupleSize <= 0 {
-		o.TupleSize = d.TupleSize
-	}
-	if o.Ops <= 0 {
-		o.Ops = d.Ops
-	}
-	if o.OpsPerTxn <= 0 {
-		o.OpsPerTxn = d.OpsPerTxn
-	}
-	if o.HotKeys <= 0 {
-		o.HotKeys = d.HotKeys
-	}
-	if o.HotKeys > o.Tuples {
-		o.HotKeys = o.Tuples
-	}
-	if o.HotOpPct <= 0 {
-		o.HotOpPct = d.HotOpPct
-	}
-	if o.SchemeN == 0 && o.SchemeM == 0 {
-		o.SchemeN, o.SchemeM = d.SchemeN, d.SchemeM
-		if o.Mode == ipa.Traditional {
-			o.Mode = d.Mode
-			o.Flash = d.Flash
-		}
-	}
-	if o.LogFlushLatency == 0 {
-		o.LogFlushLatency = d.LogFlushLatency
-	}
-	if o.LogFlushWallLatency == 0 {
-		o.LogFlushWallLatency = d.LogFlushWallLatency
-	}
-	if o.Profile == (DeviceProfile{}) {
-		o.Profile = d.Profile
-	}
-	if o.Seed == 0 {
-		o.Seed = d.Seed
-	}
-	return o
-}
-
-// ReadMix runs the read-skew ladder.
-func ReadMix(o ReadMixOptions) (ReadMixResult, error) {
-	o = o.withDefaults()
+// ReadMix runs the read-skew ladder: o.Threads goroutines run transactions
+// over one SHARED keyspace (no partitioning — readers and writers collide
+// on purpose), with the read fraction swept across readMixPcts. Every mix
+// runs twice:
+//
+//   - snapshot: reads go through Tx.Get — lock-free MVCC snapshot reads;
+//   - locked:   reads go through Tx.GetForUpdate — the strict-2PL baseline
+//     where every read takes a record lock and conflicts abort.
+//
+// The gap between the two rows of a mix is the benefit of multi-version
+// readers; it widens with the read share because under 2PL read locks are
+// what most transactions collide on.
+func ReadMix(o Options) (ReadMixResult, error) {
 	out := ReadMixResult{Options: o}
-	for _, pct := range o.ReadPcts {
-		if pct < 0 || pct > 100 {
-			return out, fmt.Errorf("bench: invalid read percentage %d", pct)
-		}
+	for _, pct := range readMixPcts {
 		for _, locked := range []bool{false, true} {
 			row, err := runReadMix(o, pct, locked)
 			if err != nil {
@@ -177,134 +82,66 @@ func ReadMix(o ReadMixOptions) (ReadMixResult, error) {
 	return out, nil
 }
 
-// runReadMix measures one cell on a fresh database.
-func runReadMix(o ReadMixOptions, readPct int, locked bool) (ReadMixRow, error) {
-	cfg := ipa.Config{
-		PageSize:            o.Profile.PageSize,
-		Blocks:              o.Profile.Blocks,
-		PagesPerBlock:       o.Profile.PagesPerBlock,
-		BufferPoolPages:     o.Profile.BufferPoolPages,
-		WriteMode:           o.Mode,
-		Scheme:              ipa.Scheme{N: o.SchemeN, M: o.SchemeM},
-		FlashMode:           o.Flash,
-		LogFlushLatency:     o.LogFlushLatency,
-		LogFlushWallLatency: o.LogFlushWallLatency,
-		Seed:                o.Seed,
-	}
-	db, err := ipa.Open(cfg)
-	if err != nil {
-		return ReadMixRow{}, fmt.Errorf("bench: readmix: %w", err)
-	}
-	defer db.Close()
-	tbl, err := db.CreateTable("readmix", o.TupleSize)
-	if err != nil {
-		return ReadMixRow{}, err
-	}
-	if err := loadRows(db, tbl, o.Tuples, make([]byte, o.TupleSize)); err != nil {
-		return ReadMixRow{}, fmt.Errorf("bench: readmix load: %w", err)
-	}
-	db.ResetStats()
-
-	perWorker, extraOps := o.Ops/o.Goroutines, o.Ops%o.Goroutines
-	var retries atomic.Uint64
-	errs := make(chan error, o.Goroutines)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < o.Goroutines; w++ {
-		ops := perWorker
-		if w < extraOps {
-			ops++
-		}
-		wg.Add(1)
-		go func(w, ops int) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(o.Seed + int64(w)*7919))
-			patch := []byte{byte(w), 0, 0}
-			for i := 0; i < ops; i++ {
-				for {
-					err := runMixTxn(db, tbl, r, o, readPct, locked, patch)
-					if err == nil {
-						break
+// runReadMix measures one cell on a fresh database. Each transaction is
+// readMixOpsPerTxn point operations, each a read with probability readPct%.
+func runReadMix(o Options, readPct int, locked bool) (ReadMixRow, error) {
+	tuples := readMixTuples(o.Quick)
+	cfg := o.nativeConfig(ipa.PSLC)
+	cfg.LogFlushLatency, cfg.LogFlushWallLatency = readMixLogFlushLatency, readMixLogFlushWallLatency
+	r, err := drive("readmix", cfg, tuples, o.Threads, o.Ops, func(tbl *ipa.Table, w int) func(*ipa.Tx, int) error {
+		rnd := rand.New(rand.NewSource(o.Seed + int64(w)*7919))
+		patch := []byte{byte(w), 0, 0}
+		return func(tx *ipa.Tx, _ int) error {
+			for j := 0; j < readMixOpsPerTxn; j++ {
+				var key int64
+				if rnd.Intn(100) < readMixHotOpPct {
+					key = int64(rnd.Intn(readMixHotKeys))
+				} else {
+					key = int64(rnd.Intn(tuples))
+				}
+				read := rnd.Intn(100) < readPct
+				if read && !locked {
+					if _, err := tx.Get(tbl, key); err != nil {
+						return err
 					}
-					if ipaConflict(err) {
-						retries.Add(1)
-						continue
-					}
-					errs <- fmt.Errorf("bench: readmix worker %d: %w", w, err)
-					return
+					continue
+				}
+				if _, err := tx.GetForUpdate(tbl, key); err != nil {
+					return err
+				}
+				if read {
+					continue
+				}
+				if err := tx.UpdateAt(tbl, key, 8, patch); err != nil {
+					return err
 				}
 			}
-		}(w, ops)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	close(errs)
-	for err := range errs {
+			return nil
+		}
+	})
+	if err != nil {
 		return ReadMixRow{}, err
 	}
-	if err := db.FlushAll(); err != nil {
-		return ReadMixRow{}, err
-	}
-	s := db.Stats()
-	out := ReadMixRow{
+	s := r.Stats
+	return ReadMixRow{
 		ReadPct:          readPct,
 		Locked:           locked,
 		Committed:        s.CommittedTxns,
-		Retries:          retries.Load(),
-		Wall:             wall,
+		Retries:          r.Retries,
+		Wall:             r.Wall,
+		OpsPerSec:        r.perSec(r.Wall),
 		LockAcquisitions: s.LockAcquisitions,
 		LockConflicts:    s.LockConflicts,
 		SnapshotReads:    s.SnapshotReads,
 		VersionReads:     s.VersionReads,
 		Stats:            s,
-	}
-	if wall > 0 {
-		out.OpsPerSec = float64(s.CommittedTxns) / wall.Seconds()
-	}
-	return out, nil
-}
-
-// runMixTxn executes one transaction of the mix: OpsPerTxn point
-// operations on uniformly random keys of the shared keyspace, each a read
-// with probability readPct%.
-func runMixTxn(db *ipa.DB, tbl *ipa.Table, r *rand.Rand, o ReadMixOptions, readPct int, locked bool, patch []byte) error {
-	tx := db.Begin()
-	for j := 0; j < o.OpsPerTxn; j++ {
-		var key int64
-		if r.Intn(100) < o.HotOpPct {
-			key = int64(r.Intn(o.HotKeys))
-		} else {
-			key = int64(r.Intn(o.Tuples))
-		}
-		if r.Intn(100) < readPct {
-			var err error
-			if locked {
-				_, err = tx.GetForUpdate(tbl, key)
-			} else {
-				_, err = tx.Get(tbl, key)
-			}
-			if err != nil {
-				_ = tx.Abort()
-				return err
-			}
-			continue
-		}
-		if _, err := tx.GetForUpdate(tbl, key); err != nil {
-			_ = tx.Abort()
-			return err
-		}
-		if err := tx.UpdateAt(tbl, key, 8, patch); err != nil {
-			_ = tx.Abort()
-			return err
-		}
-	}
-	return tx.Commit()
+	}, nil
 }
 
 // Write renders the read-skew table.
 func (r ReadMixResult) Write(w io.Writer) {
 	fmt.Fprintf(w, "Read-skew ladder: %d goroutines, %d-op txns over %d shared keys, %d%% of ops on %d hot keys (snapshot = MVCC Tx.Get, locked = 2PL GetForUpdate)\n",
-		r.Options.Goroutines, r.Options.OpsPerTxn, r.Options.Tuples, r.Options.HotOpPct, r.Options.HotKeys)
+		r.Options.Threads, readMixOpsPerTxn, readMixTuples(r.Options.Quick), readMixHotOpPct, readMixHotKeys)
 	fmt.Fprintf(w, "%-6s %-9s %10s %9s %12s %9s %11s %11s %10s %9s\n",
 		"read%", "reads", "committed", "retries", "wall", "ops/s", "lock acq", "lock confl", "snapReads", "verReads")
 	var prev float64

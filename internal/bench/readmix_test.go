@@ -3,36 +3,23 @@ package bench
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
-// TestReadMixScenario runs a shrunken read-skew ladder and checks the
-// accounting of every (mix, mode) cell — in particular that the snapshot
-// rows are lock-free in proportion to their read share and the locked
-// rows are not.
+// TestReadMixScenario runs one 100%-read cell of the read-skew ladder in
+// both read modes and checks the accounting — in particular that the
+// snapshot row is lock-free and the locked row is not.
 func TestReadMixScenario(t *testing.T) {
-	res, err := ReadMix(ReadMixOptions{
-		Goroutines:          4,
-		ReadPcts:            []int{100},
-		Tuples:              256,
-		TupleSize:           64,
-		Ops:                 200,
-		OpsPerTxn:           4,
-		Profile:             SmallProfile,
-		LogFlushLatency:     10 * time.Microsecond,
-		LogFlushWallLatency: time.Microsecond,
-		Seed:                1,
-	})
-	if err != nil {
-		t.Fatalf("ReadMix: %v", err)
-	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2 (snapshot + locked)", len(res.Rows))
+	o := small(t, "readmix", 200)
+	o.Threads = 4
+	res := ReadMixResult{Options: o}
+	for _, locked := range []bool{false, true} {
+		row, err := runReadMix(o, 100, locked)
+		if err != nil {
+			t.Fatalf("runReadMix(locked=%v): %v", locked, err)
+		}
+		res.Rows = append(res.Rows, row)
 	}
 	snap, lock := res.Rows[0], res.Rows[1]
-	if snap.Locked || !lock.Locked {
-		t.Fatalf("row order = (%v, %v), want (snapshot, locked)", snap.Locked, lock.Locked)
-	}
 	for _, row := range res.Rows {
 		if row.Committed != 200 {
 			t.Errorf("locked=%v committed %d, want 200", row.Locked, row.Committed)
@@ -56,5 +43,24 @@ func TestReadMixScenario(t *testing.T) {
 	res.Write(&sb)
 	if !strings.Contains(sb.String(), "read%") {
 		t.Errorf("Write produced no table:\n%s", sb.String())
+	}
+}
+
+// TestReadMixLadderOrder checks that the full ladder comes out as
+// (snapshot, locked) pairs per read percentage.
+func TestReadMixLadderOrder(t *testing.T) {
+	o := small(t, "readmix", 64)
+	res, err := ReadMix(o)
+	if err != nil {
+		t.Fatalf("ReadMix: %v", err)
+	}
+	if len(res.Rows) != 2*len(readMixPcts) {
+		t.Fatalf("rows = %d, want %d", len(res.Rows), 2*len(readMixPcts))
+	}
+	for i, row := range res.Rows {
+		if row.ReadPct != readMixPcts[i/2] || row.Locked != (i%2 == 1) {
+			t.Errorf("row %d = (%d%%, locked=%v), want (%d%%, locked=%v)",
+				i, row.ReadPct, row.Locked, readMixPcts[i/2], i%2 == 1)
+		}
 	}
 }

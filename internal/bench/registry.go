@@ -1,0 +1,176 @@
+package bench
+
+import (
+	"fmt"
+	"io"
+	"strings"
+	"time"
+
+	"ipa/internal/crash"
+)
+
+// Outcome is what every experiment returns: a structured result (the JSON
+// report marshals it as is) that renders itself as a plain-text table. An
+// outcome with a `Failed() bool` method reporting true fails the run after
+// it has been written.
+type Outcome interface{ Write(io.Writer) }
+
+// Spec is one registered experiment: its -exp name, the title printed above
+// its table, its defaults, and its runner.
+type Spec struct {
+	Name  string
+	Title string
+	// With names the spec that `-exp Name` runs as well: longevity derives
+	// from the OLTP suite, and the concurrency experiment is documented as
+	// both of its ladders.
+	With string
+	// OpsOnly marks an experiment bounded by committed transactions alone;
+	// -duration does not apply to it.
+	OpsOnly bool
+	// Full holds the defaults of the full-size run in EXPERIMENTS.md that
+	// differ from Base; Quick holds what -quick shrinks on top of them.
+	Full, Quick Options
+
+	run func(Options) (Outcome, error)
+}
+
+// Base is what every experiment starts from: the default device, the
+// paper's 2×4 scheme and the seed of every documented run.
+var Base = Options{Profile: DefaultProfile, N: 2, M: 4, Seed: 1}
+
+// Specs returns the registry, in the order `-exp all` runs it. This table
+// is the only place an experiment's flag-settable defaults are written.
+func Specs() []Spec {
+	// -exp oltp leaves its result here for -exp longevity to derive from,
+	// so `-exp all` runs the suite once.
+	var suite *SuiteResult
+	oltp := func(o Options) (SuiteResult, error) {
+		res, err := Suite(o)
+		if err == nil {
+			suite = &res
+		}
+		return res, err
+	}
+	longevity := func(o Options) (LongevityResult, error) {
+		if suite == nil {
+			if _, err := oltp(o); err != nil {
+				return nil, err
+			}
+		}
+		return Longevity(*suite), nil
+	}
+	oltpFull, oltpQuick := Options{Scale: 2, Duration: 3 * time.Second}, Options{Ops: 4000}
+	indexFull, indexQuick := Options{Profile: IndexProfile, Scale: 1, Ops: 20000}, Options{Profile: indexQuickProfile, Ops: 4000}
+
+	return []Spec{
+		{Name: "table1", Title: "Table 1: TPC-B traditional vs IPA [2x4] pSLC / odd-MLC",
+			// Quick: the small device halves its capacity in pSLC mode;
+			// scale 1 keeps the TPC-B data set within it.
+			Full: Options{Scale: 4, Duration: 12 * time.Second}, Quick: Options{Scale: 1, Ops: 6000}, run: adapt(Table1)},
+		{Name: "fig1", Title: "Figure 1: DBMS write-amplification",
+			Full: Options{Scale: 2, Ops: 8000}, Quick: Options{Ops: 3000}, run: adapt(Figure1)},
+		{Name: "oltp", Title: "OLTP suite: TPC-B / TPC-C / TATP",
+			Full: oltpFull, Quick: oltpQuick, run: adapt(oltp)},
+		{Name: "longevity", Title: "Longevity: erase budget per host write", With: "oltp",
+			Full: oltpFull, Quick: oltpQuick, run: adapt(longevity)},
+		{Name: "ipl", Title: "IPA vs In-Page Logging",
+			Full: Options{Scale: 2, Ops: 8000}, Quick: Options{Ops: 3000}, run: adapt(IPLCompare)},
+		{Name: "scenarios", Title: "Demonstration scenarios 1/2/3",
+			Full: Options{Scale: 2, Ops: 8000}, Quick: Options{Scale: 1, Ops: 4000}, run: adapt(Scenarios)},
+		{Name: "interference", Title: "Program interference on MLC Flash", OpsOnly: true,
+			Full: Options{Scale: 2, Ops: 6000}, Quick: Options{Scale: 1, Ops: 3000}, run: adapt(Interference)},
+		{Name: "sweep", Title: "N×M scheme sweep",
+			Full: Options{Scale: 2, Ops: 6000}, Quick: Options{Ops: 2000}, run: adapt(Sweep)},
+		{Name: "concurrent", Title: "Concurrency scaling: sharded pool + group-commit WAL", With: "readmix", OpsOnly: true,
+			Full: Options{Ops: 8000}, Quick: Options{Ops: 6000}, run: adapt(Concurrent)},
+		{Name: "readmix", Title: "Read-skew ladder: MVCC snapshot reads vs 2PL locked reads", OpsOnly: true,
+			Full: Options{Ops: 4000, Threads: 8}, Quick: Options{Ops: 1500}, run: adapt(ReadMix)},
+		{Name: "chips", Title: "Chip scaling: per-chip FTL partitions", OpsOnly: true,
+			Full: Options{Ops: 8000, Threads: 8}, Quick: Options{Ops: 4000}, run: adapt(Chips)},
+		{Name: "crash", Title: "Power-cut torture: crash, recover, verify", OpsOnly: true,
+			Full: Options{Ops: crash.DefaultOptions().Ops}, Quick: Options{Ops: 120}, run: adapt(Crash)},
+		{Name: "index", Title: "Index maintenance: IPA vs out-of-place entry pages",
+			Full: indexFull, Quick: indexQuick, run: adapt(Index)},
+		{Name: "secondary", Title: "Secondary indexes: IPA vs out-of-place entry pages",
+			Full: indexFull, Quick: indexQuick, run: adapt(Secondary)},
+		{Name: "ycsb", Title: "YCSB A-F: cache-sized vs larger-than-memory", OpsOnly: true,
+			Full: Options{Ops: 20000}, Quick: Options{Ops: 3000}, run: adapt(YCSB)},
+	}
+}
+
+// adapt lifts a typed experiment function into the registry's signature.
+func adapt[R Outcome](f func(Options) (R, error)) func(Options) (Outcome, error) {
+	return func(o Options) (Outcome, error) { return f(o) }
+}
+
+// Defaults returns the options the experiment runs with when no flag but
+// -quick is given.
+func (s Spec) Defaults(quick bool) Options {
+	o := Base.with(s.Full)
+	if quick {
+		o.Quick, o.Profile = true, SmallProfile
+		o = o.with(s.Quick)
+	}
+	return o
+}
+
+// Resolve overlays the flags the user set (the non-zero fields of set) on
+// the experiment's defaults.
+func (s Spec) Resolve(quick bool, set Options) Options {
+	if s.OpsOnly {
+		set.Duration = 0
+	}
+	return s.Defaults(quick).with(set)
+}
+
+// Validate reports why o cannot run the experiment.
+func (s Spec) Validate(o Options) error {
+	switch {
+	case s.OpsOnly && o.Ops <= 0:
+		return fmt.Errorf("bench: %s needs -ops > 0", s.Name)
+	case o.Ops <= 0 && o.Duration <= 0:
+		return fmt.Errorf("bench: %s needs -ops or -duration", s.Name)
+	case o.Profile.PageSize <= 0 || o.Profile.Blocks <= 0 || o.Profile.PagesPerBlock <= 0 || o.Profile.BufferPoolPages <= 0:
+		return fmt.Errorf("bench: %s: incomplete device profile %+v", s.Name, o.Profile)
+	}
+	return nil
+}
+
+// Run validates o and runs the experiment.
+func (s Spec) Run(o Options) (Outcome, error) {
+	if err := s.Validate(o); err != nil {
+		return nil, err
+	}
+	return s.run(o)
+}
+
+// Names lists the registered experiment names in registry order.
+func Names() []string {
+	var names []string
+	for _, s := range Specs() {
+		names = append(names, s.Name)
+	}
+	return names
+}
+
+// Select resolves an -exp argument to the specs it runs, in registry
+// order: every spec for "all", otherwise the named one and its With.
+func Select(exp string) ([]Spec, error) {
+	specs := Specs()
+	known, with := exp == "all", ""
+	for _, s := range specs {
+		if s.Name == exp {
+			known, with = true, s.With
+		}
+	}
+	if !known {
+		return nil, fmt.Errorf("unknown experiment %q (have %s, all)", exp, strings.Join(Names(), ", "))
+	}
+	var sel []Spec
+	for _, s := range specs {
+		if exp == "all" || s.Name == exp || s.Name == with {
+			sel = append(sel, s)
+		}
+	}
+	return sel, nil
+}

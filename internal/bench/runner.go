@@ -10,8 +10,13 @@
 //   - The IPA vs In-Page Logging comparison (trace replay).
 //   - The longevity estimate and the N×M scheme sweep ablation.
 //
-// Every experiment returns structured results and can render itself as a
-// plain-text table comparable with the paper.
+// plus the engine experiments this repository adds (concurrency, chip
+// scaling, crash torture, index maintenance, YCSB). It is one harness:
+// Options is what a run can vary, Specs is the registry of experiments
+// cmd/ipabench iterates, and two drivers do the running — measure for the
+// single-goroutine virtual-clock experiments, drive for the concurrent
+// ones. Every experiment returns structured results and can render itself
+// as a plain-text table comparable with the paper.
 package bench
 
 import (
@@ -21,6 +26,100 @@ import (
 	"ipa"
 	"ipa/internal/workload"
 )
+
+// Options is everything that can differ between two runs of one experiment:
+// exactly what an ipabench flag sets. Every other number of an experiment
+// (workload lists, index schemes, ladders, read mixes) is a literal in that
+// experiment's own file, with its -quick value beside it.
+type Options struct {
+	// Quick selects the shrunken variant of the per-experiment literals.
+	Quick bool
+	// Profile sizes the simulated device.
+	Profile DeviceProfile
+	// N and M are the IPA scheme of the write path under test.
+	N, M int
+	// Scale is the workload scale factor (see NewWorkload).
+	Scale int
+	// Ops bounds a run by committed transactions, Duration by virtual
+	// device time. They are alternatives: with sets one and clears the other.
+	Ops      int
+	Duration time.Duration
+	Seed     int64
+	// Threads is the goroutine count of the concurrent experiments and
+	// Chips the chip count of the device; 0 runs the experiment's ladder.
+	Threads int
+	Chips   int
+}
+
+// with overlays the fields that over sets (the non-zero ones) onto o.
+func (o Options) with(over Options) Options {
+	if over.Profile != (DeviceProfile{}) {
+		o.Profile = over.Profile
+	}
+	if over.N != 0 || over.M != 0 {
+		o.N, o.M = over.N, over.M
+	}
+	if over.Scale > 0 {
+		o.Scale = over.Scale
+	}
+	if over.Ops > 0 {
+		o.Ops, o.Duration = over.Ops, 0
+	}
+	if over.Duration > 0 {
+		o.Duration, o.Ops = over.Duration, 0
+	}
+	if over.Seed != 0 {
+		o.Seed = over.Seed
+	}
+	if over.Threads > 0 {
+		o.Threads = over.Threads
+	}
+	if over.Chips > 0 {
+		o.Chips = over.Chips
+	}
+	return o
+}
+
+// scheme is the N×M scheme of the IPA configurations.
+func (o Options) scheme() ipa.Scheme { return ipa.Scheme{N: o.N, M: o.M} }
+
+// pick returns the -quick variant of a per-experiment literal.
+func pick[T any](quick bool, full, shrunk T) T {
+	if quick {
+		return shrunk
+	}
+	return full
+}
+
+// experiment describes one analytic run of workload wl on the given write
+// path, sized and bounded by o.
+func (o Options) experiment(name, wl string, mode ipa.WriteMode, scheme ipa.Scheme, flash ipa.FlashMode) Experiment {
+	return Experiment{
+		Name: name, Workload: wl, Scale: o.Scale,
+		Mode: mode, Scheme: scheme, Flash: flash,
+		Ops: o.Ops, Duration: o.Duration, DeviceProfile: o.Profile,
+		Analytic: true, Seed: o.Seed,
+	}
+}
+
+// baseline is the traditional out-of-place [0×0] run on full MLC that every
+// comparison measures IPA against.
+func (o Options) baseline(name, wl string) Experiment {
+	return o.experiment(name, wl, ipa.Traditional, ipa.Scheme{}, ipa.MLCFull)
+}
+
+// native is the IPA run with the write_delta command, scheme N×M.
+func (o Options) native(name, wl string, flash ipa.FlashMode) Experiment {
+	return o.experiment(name, wl, ipa.IPANativeFlash, o.scheme(), flash)
+}
+
+// nativeConfig is the engine configuration of the experiments that drive
+// the database themselves: IPA native Flash [N×M] on o's device.
+func (o Options) nativeConfig(flash ipa.FlashMode) ipa.Config {
+	cfg := o.Profile.config()
+	cfg.WriteMode, cfg.Scheme, cfg.FlashMode, cfg.Seed = ipa.IPANativeFlash, o.scheme(), flash, o.Seed
+	return cfg
+}
 
 // Experiment describes one benchmark run.
 type Experiment struct {
@@ -48,11 +147,8 @@ type Experiment struct {
 	Ops      int
 	Duration time.Duration
 
-	// Device sizing (zero values select the defaults of DeviceProfile).
-	PageSize        int
-	Blocks          int
-	PagesPerBlock   int
-	BufferPoolPages int
+	// DeviceProfile sizes the simulated device.
+	DeviceProfile
 
 	// Analytic enables per-eviction byte accounting; TraceEvictions
 	// records the trace needed for the IPL comparison.
@@ -62,8 +158,8 @@ type Experiment struct {
 	Seed int64
 }
 
-// DeviceProfile selects the default device sizing of the harness: a scaled-
-// down OpenSSD-like device that is large enough for GC to matter but small
+// DeviceProfile is the sizing of the simulated device: a scaled-down
+// OpenSSD-like device that is large enough for GC to matter but small
 // enough to simulate quickly.
 type DeviceProfile struct {
 	PageSize        int
@@ -72,7 +168,7 @@ type DeviceProfile struct {
 	BufferPoolPages int
 }
 
-// DefaultProfile is used when an Experiment leaves the sizing fields zero.
+// DefaultProfile is the device of the full-size runs in EXPERIMENTS.md.
 var DefaultProfile = DeviceProfile{
 	PageSize:        8 * 1024,
 	Blocks:          128,
@@ -80,14 +176,30 @@ var DefaultProfile = DeviceProfile{
 	BufferPoolPages: 128,
 }
 
-// SmallProfile is a reduced sizing for unit tests and Go benchmarks. It is
-// large enough that the pSLC configurations (which halve the capacity)
-// still have ample headroom over the scale-1/2 data sets.
+// SmallProfile is the reduced sizing of -quick runs, unit tests and Go
+// benchmarks. It is large enough that the pSLC configurations (which halve
+// the capacity) still have ample headroom over the scale-1/2 data sets.
 var SmallProfile = DeviceProfile{
 	PageSize:        4 * 1024,
 	Blocks:          96,
 	PagesPerBlock:   32,
 	BufferPoolPages: 48,
+}
+
+// withPool is p with a buffer pool of pages pages.
+func (p DeviceProfile) withPool(pages int) DeviceProfile {
+	p.BufferPoolPages = pages
+	return p
+}
+
+// config is the sizing part of the engine configuration.
+func (p DeviceProfile) config() ipa.Config {
+	return ipa.Config{
+		PageSize:        p.PageSize,
+		Blocks:          p.Blocks,
+		PagesPerBlock:   p.PagesPerBlock,
+		BufferPoolPages: p.BufferPoolPages,
+	}
 }
 
 // Result bundles the outcome of one experiment.
@@ -144,102 +256,53 @@ func NewWorkload(name string, scale int, seed int64) (workload.Workload, error) 
 	}
 }
 
-// config builds the engine configuration for an experiment.
-func (e Experiment) config() ipa.Config {
-	p := DefaultProfile
-	if e.PageSize > 0 {
-		p.PageSize = e.PageSize
-	}
-	if e.Blocks > 0 {
-		p.Blocks = e.Blocks
-	}
-	if e.PagesPerBlock > 0 {
-		p.PagesPerBlock = e.PagesPerBlock
-	}
-	if e.BufferPoolPages > 0 {
-		p.BufferPoolPages = e.BufferPoolPages
-	}
-	return ipa.Config{
-		PageSize:        p.PageSize,
-		Blocks:          p.Blocks,
-		PagesPerBlock:   p.PagesPerBlock,
-		BufferPoolPages: p.BufferPoolPages,
-		WriteMode:       e.Mode,
-		Scheme:          e.Scheme,
-		IndexScheme:     e.IndexScheme,
-		FlashMode:       e.Flash,
-		Analytic:        e.Analytic,
-		TraceEvictions:  e.TraceEvictions,
-		Seed:            e.Seed,
-	}
-}
-
-// ApplyProfile fills the sizing fields of e from p (explicit fields win).
-func (e Experiment) ApplyProfile(p DeviceProfile) Experiment {
-	if e.PageSize == 0 {
-		e.PageSize = p.PageSize
-	}
-	if e.Blocks == 0 {
-		e.Blocks = p.Blocks
-	}
-	if e.PagesPerBlock == 0 {
-		e.PagesPerBlock = p.PagesPerBlock
-	}
-	if e.BufferPoolPages == 0 {
-		e.BufferPoolPages = p.BufferPoolPages
-	}
-	return e
-}
-
 // Run executes one experiment: open a fresh database, load the workload,
 // reset the counters and run the measurement phase.
-func Run(e Experiment) (Result, error) { return RunWithDB(e, nil) }
+func Run(e Experiment) (Result, error) { return run(e, nil) }
 
-// loadRows fills tbl with n copies of row under the keys 0..n-1, through
-// the transactional loader.
-func loadRows(db *ipa.DB, tbl *ipa.Table, n int, row []byte) error {
-	ld := workload.NewLoader(db)
-	for k := int64(0); k < int64(n); k++ {
-		if err := ld.Insert(tbl, k, row); err != nil {
-			return err
-		}
-	}
-	return ld.Commit()
-}
-
-// RunWithDB is like Run but gives the caller access to the database after
-// the measurement (e.g. to fetch the eviction trace).
-func RunWithDB(e Experiment, use func(db *ipa.DB, res Result) error) (Result, error) {
-	if e.Ops <= 0 && e.Duration <= 0 {
-		return Result{}, fmt.Errorf("bench: experiment %q needs Ops or Duration", e.Name)
-	}
-	db, err := ipa.Open(e.config())
-	if err != nil {
-		return Result{}, fmt.Errorf("bench: %s: %w", e.Name, err)
-	}
-	defer db.Close()
+// run is Run with access to the database after the measurement (e.g. to
+// fetch the eviction trace) and before it closes.
+func run(e Experiment, after func(*ipa.DB)) (Result, error) {
 	w, err := NewWorkload(e.Workload, e.Scale, e.Seed)
 	if err != nil {
 		return Result{}, err
 	}
+	cfg := e.config()
+	cfg.WriteMode, cfg.Scheme, cfg.IndexScheme, cfg.FlashMode = e.Mode, e.Scheme, e.IndexScheme, e.Flash
+	cfg.Analytic, cfg.TraceEvictions, cfg.Seed = e.Analytic, e.TraceEvictions, e.Seed
+	ro := workload.RunOptions{MaxOps: e.Ops, Duration: e.Duration, Seed: e.Seed + 1}
+	res, err := measure(e.Name, cfg, w, ro, after)
+	res.Experiment = e
+	return res, err
+}
+
+// measure is the single-goroutine driver every deterministic experiment
+// shares: open a fresh database, load w, reset the counters, run w within
+// ro's bounds and flush.
+func measure(name string, cfg ipa.Config, w workload.Workload, ro workload.RunOptions, after func(*ipa.DB)) (Result, error) {
+	if ro.MaxOps <= 0 && ro.Duration <= 0 {
+		return Result{}, fmt.Errorf("bench: experiment %q needs Ops or Duration", name)
+	}
+	db, err := ipa.Open(cfg)
+	if err != nil {
+		return Result{}, fmt.Errorf("bench: %s: %w", name, err)
+	}
+	defer db.Close()
 	loadStart := db.Now()
 	if err := w.Load(db); err != nil {
-		return Result{}, fmt.Errorf("bench: %s load: %w", e.Name, err)
+		return Result{}, fmt.Errorf("bench: %s load: %w", name, err)
 	}
 	loadTime := db.Now() - loadStart
 	db.ResetStats()
-	run, err := workload.Run(db, w, workload.RunOptions{MaxOps: e.Ops, Duration: e.Duration, Seed: e.Seed + 1})
+	ran, err := workload.Run(db, w, ro)
 	if err != nil {
-		return Result{}, fmt.Errorf("bench: %s run: %w", e.Name, err)
+		return Result{}, fmt.Errorf("bench: %s run: %w", name, err)
 	}
 	if err := db.FlushAll(); err != nil {
-		return Result{}, fmt.Errorf("bench: %s flush: %w", e.Name, err)
+		return Result{}, fmt.Errorf("bench: %s flush: %w", name, err)
 	}
-	res := Result{Experiment: e, Stats: db.Stats(), Run: run, LoadTime: loadTime}
-	if use != nil {
-		if err := use(db, res); err != nil {
-			return res, err
-		}
+	if after != nil {
+		after(db)
 	}
-	return res, nil
+	return Result{Stats: db.Stats(), Run: ran, LoadTime: loadTime}, nil
 }

@@ -3,42 +3,9 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
+
+	"ipa"
 )
-
-// ScenarioOptions configures the three-way comparison of the paper's
-// demonstration scenarios on the same workload:
-//
-//	scenario 1 — traditional out-of-place writes (baseline),
-//	scenario 2 — IPA for conventional SSDs (block-device interface),
-//	scenario 3 — IPA for native Flash (write_delta command).
-//
-// Scenarios 2 and 3 avoid the same page invalidations and GC work; the
-// native path additionally removes the DBMS write amplification on the
-// host interface because only the delta records are transferred.
-type ScenarioOptions struct {
-	Workload string
-	Scale    int
-	Ops      int
-	Duration time.Duration
-	Profile  DeviceProfile
-	SchemeN  int
-	SchemeM  int
-	Seed     int64
-}
-
-// DefaultScenarioOptions returns the configuration used by cmd/ipabench.
-func DefaultScenarioOptions() ScenarioOptions {
-	return ScenarioOptions{
-		Workload: "tpcb",
-		Scale:    2,
-		Ops:      8000,
-		Profile:  DefaultProfile,
-		SchemeN:  2,
-		SchemeM:  4,
-		Seed:     1,
-	}
-}
 
 // ScenarioRow is one demonstration scenario.
 type ScenarioRow struct {
@@ -78,54 +45,32 @@ func makeScenarioRow(label string, res Result) ScenarioRow {
 	}
 }
 
-// Scenarios runs the three demonstration scenarios.
-func Scenarios(o ScenarioOptions) (ScenarioResult, error) {
-	if o.Workload == "" {
-		o.Workload = "tpcb"
-	}
-	if o.Scale <= 0 {
-		o.Scale = 2
-	}
-	if o.Ops <= 0 && o.Duration <= 0 {
-		o.Ops = 8000
-	}
-	if o.SchemeN == 0 && o.SchemeM == 0 {
-		o.SchemeN, o.SchemeM = 2, 4
-	}
-	scheme := ipaScheme(o.SchemeN, o.SchemeM)
+// Scenarios runs the paper's three demonstration scenarios on TPC-B:
+//
+//	scenario 1 — traditional out-of-place writes (baseline),
+//	scenario 2 — IPA for conventional SSDs (block-device interface),
+//	scenario 3 — IPA for native Flash (write_delta command).
+//
+// Scenarios 2 and 3 avoid the same page invalidations and GC work; the
+// native path additionally removes the DBMS write amplification on the
+// host interface because only the delta records are transferred.
+func Scenarios(o Options) (ScenarioResult, error) {
 	var out ScenarioResult
-
-	base := Experiment{
-		Name: "scenario1-baseline", Workload: o.Workload, Scale: o.Scale,
-		Mode: modeTraditional, Flash: flashMLC,
-		Ops: o.Ops, Duration: o.Duration, Seed: o.Seed, Analytic: true,
-	}.ApplyProfile(o.Profile)
-	ssd := Experiment{
-		Name: "scenario2-ipa-ssd", Workload: o.Workload, Scale: o.Scale,
-		Mode: modeSSD, Scheme: scheme, Flash: flashPSLC,
-		Ops: o.Ops, Duration: o.Duration, Seed: o.Seed, Analytic: true,
-	}.ApplyProfile(o.Profile)
-	native := Experiment{
-		Name: "scenario3-ipa-native", Workload: o.Workload, Scale: o.Scale,
-		Mode: modeNative, Scheme: scheme, Flash: flashPSLC,
-		Ops: o.Ops, Duration: o.Duration, Seed: o.Seed, Analytic: true,
-	}.ApplyProfile(o.Profile)
-
-	baseRes, err := Run(base)
-	if err != nil {
-		return out, err
+	for _, c := range []struct {
+		row   *ScenarioRow
+		label string
+		exp   Experiment
+	}{
+		{&out.Baseline, "1: traditional", o.baseline("scenario1-baseline", "tpcb")},
+		{&out.SSD, "2: IPA conventional SSD", o.experiment("scenario2-ipa-ssd", "tpcb", ipa.IPAConventionalSSD, o.scheme(), ipa.PSLC)},
+		{&out.Native, "3: IPA native Flash", o.native("scenario3-ipa-native", "tpcb", ipa.PSLC)},
+	} {
+		res, err := Run(c.exp)
+		if err != nil {
+			return out, err
+		}
+		*c.row = makeScenarioRow(c.label, res)
 	}
-	out.Baseline = makeScenarioRow("1: traditional", baseRes)
-	ssdRes, err := Run(ssd)
-	if err != nil {
-		return out, err
-	}
-	out.SSD = makeScenarioRow("2: IPA conventional SSD", ssdRes)
-	nativeRes, err := Run(native)
-	if err != nil {
-		return out, err
-	}
-	out.Native = makeScenarioRow("3: IPA native Flash", nativeRes)
 	return out, nil
 }
 

@@ -8,14 +8,7 @@ import (
 )
 
 func TestScenariosSmallRun(t *testing.T) {
-	res, err := Scenarios(ScenarioOptions{
-		Workload: "tpcb",
-		Scale:    1,
-		Ops:      600,
-		Profile:  tinyProfile,
-		SchemeN:  2, SchemeM: 4,
-		Seed: 1,
-	})
+	res, err := Scenarios(small(t, "scenarios", 600))
 	if err != nil {
 		t.Fatalf("Scenarios: %v", err)
 	}
@@ -44,15 +37,7 @@ func TestScenariosSmallRun(t *testing.T) {
 }
 
 func TestInterferenceSmallRun(t *testing.T) {
-	res, err := Interference(InterferenceOptions{
-		Workload: "tpcb",
-		Scale:    1,
-		Ops:      800,
-		Profile:  tinyProfile,
-		SchemeN:  2, SchemeM: 4,
-		InterferenceProb: 0.5,
-		Seed:             1,
-	})
+	res, err := Interference(small(t, "interference", 800))
 	if err != nil {
 		t.Fatalf("Interference: %v", err)
 	}

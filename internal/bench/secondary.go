@@ -3,51 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
 )
-
-// SecondaryOptions configures the secondary-index experiment: the same
-// secondary-heavy workloads run with traditional out-of-place index
-// persistence and with IPA-native delta appends, comparing the physical
-// Flash writes caused by secondary-index maintenance.
-//
-// "secchurn" is the isolation workload — its primary keys never change
-// during the run, so the KindIndex counters measure (almost) pure
-// secondary churn; "tatpsec" (sub_nbr lookups + call-forwarding churn)
-// and "linkbenchsec" (assoc-by-id2) add realistic shapes.
-type SecondaryOptions struct {
-	// Workloads are the drivers compared (default secchurn + tatpsec +
-	// linkbenchsec).
-	Workloads []string
-	Scale     int
-	Ops       int
-	Duration  time.Duration
-	// Profile is the device sizing (default bench.IndexProfile: small
-	// pool, so index maintenance reaches Flash).
-	Profile DeviceProfile
-	SchemeN int
-	SchemeM int
-	// IndexN/IndexM size the index-region scheme applied to both the
-	// primary-key and secondary entry pages (Config.IndexScheme).
-	IndexN int
-	IndexM int
-	Seed   int64
-}
-
-// DefaultSecondaryOptions returns the configuration used by cmd/ipabench.
-func DefaultSecondaryOptions() SecondaryOptions {
-	return SecondaryOptions{
-		Workloads: []string{"secchurn", "tatpsec", "linkbenchsec"},
-		Scale:     1,
-		Ops:       20000,
-		Profile:   IndexProfile,
-		SchemeN:   2,
-		SchemeM:   4,
-		IndexN:    4,
-		IndexM:    20,
-		Seed:      1,
-	}
-}
 
 // SecondaryResult bundles the comparison rows in presentation order. The
 // rows reuse the index-experiment shape: the KindIndex counters cover the
@@ -56,49 +12,15 @@ type SecondaryResult struct {
 	Rows []IndexRow
 }
 
-// Secondary runs the secondary-index maintenance comparison.
-func Secondary(o SecondaryOptions) (SecondaryResult, error) {
-	if len(o.Workloads) == 0 {
-		o.Workloads = []string{"secchurn", "tatpsec", "linkbenchsec"}
-	}
-	if o.Scale <= 0 {
-		o.Scale = 1
-	}
-	if o.Ops <= 0 && o.Duration <= 0 {
-		o.Ops = 8000
-	}
-	if o.SchemeN == 0 && o.SchemeM == 0 {
-		o.SchemeN, o.SchemeM = 2, 4
-	}
-	if o.IndexN == 0 && o.IndexM == 0 {
-		o.IndexN, o.IndexM = 4, 20
-	}
-	scheme := ipaScheme(o.SchemeN, o.SchemeM)
-	idxScheme := ipaScheme(o.IndexN, o.IndexM)
-	var out SecondaryResult
-	for _, w := range o.Workloads {
-		base := Experiment{
-			Name: "secondary-oop-" + w, Workload: w, Scale: o.Scale,
-			Mode: modeTraditional, Flash: flashMLC,
-			Ops: o.Ops, Duration: o.Duration, Seed: o.Seed,
-		}.ApplyProfile(o.Profile)
-		native := Experiment{
-			Name: "secondary-ipa-" + w, Workload: w, Scale: o.Scale,
-			Mode: modeNative, Scheme: scheme, IndexScheme: idxScheme, Flash: flashPSLC,
-			Ops: o.Ops, Duration: o.Duration, Seed: o.Seed,
-		}.ApplyProfile(o.Profile)
-		baseRes, err := Run(base)
-		if err != nil {
-			return out, err
-		}
-		out.Rows = append(out.Rows, makeIndexRow(w, "out-of-place", baseRes))
-		nativeRes, err := Run(native)
-		if err != nil {
-			return out, err
-		}
-		out.Rows = append(out.Rows, makeIndexRow(w, fmt.Sprintf("IPA %s", idxScheme), nativeRes))
-	}
-	return out, nil
+// Secondary runs the secondary-index experiment: the index experiment's
+// comparison on secondary-heavy workloads. "secchurn" is the isolation
+// workload — its primary keys never change during the run, so the KindIndex
+// counters measure (almost) pure secondary churn; "tatpsec" (sub_nbr
+// lookups + call-forwarding churn) and "linkbenchsec" (assoc-by-id2) add
+// realistic shapes.
+func Secondary(o Options) (SecondaryResult, error) {
+	rows, err := indexRows(o, "secondary", []string{"secchurn", "tatpsec", "linkbenchsec"})
+	return SecondaryResult{Rows: rows}, err
 }
 
 // Write renders the comparison.

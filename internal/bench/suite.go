@@ -3,37 +3,12 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
+
+	"ipa"
 )
 
-// SuiteOptions configures the OLTP suite backing the paper's headline
-// claims (E3): up to 45% higher throughput, up to ~67-85% fewer page
-// invalidations/migrations and up to ~53-80% fewer erases across TPC-B,
-// TPC-C and TATP, plus the derived longevity estimate (E5).
-type SuiteOptions struct {
-	Workloads []string
-	Scale     int
-	Duration  time.Duration
-	Ops       int
-	Profile   DeviceProfile
-	SchemeN   int
-	SchemeM   int
-	Flash     int // 0 = pSLC, 1 = odd-MLC
-	Seed      int64
-}
-
-// DefaultSuiteOptions returns the configuration used by cmd/ipabench.
-func DefaultSuiteOptions() SuiteOptions {
-	return SuiteOptions{
-		Workloads: []string{"tpcb", "tpcc", "tatp"},
-		Scale:     2,
-		Duration:  3 * time.Second,
-		Profile:   DefaultProfile,
-		SchemeN:   2,
-		SchemeM:   4,
-		Seed:      1,
-	}
-}
+// suiteWorkloads are the three benchmarks of the paper's headline claims.
+var suiteWorkloads = []string{"tpcb", "tpcc", "tatp"}
 
 // SuiteRow compares baseline and IPA for one workload.
 type SuiteRow struct {
@@ -53,42 +28,18 @@ type SuiteResult struct {
 	Rows []SuiteRow
 }
 
-// Suite runs baseline vs IPA for every workload.
-func Suite(o SuiteOptions) (SuiteResult, error) {
-	if len(o.Workloads) == 0 {
-		o.Workloads = []string{"tpcb", "tpcc", "tatp"}
-	}
-	if o.Scale <= 0 {
-		o.Scale = 2
-	}
-	if o.Duration <= 0 && o.Ops <= 0 {
-		o.Duration = 3 * time.Second
-	}
-	if o.SchemeN == 0 && o.SchemeM == 0 {
-		o.SchemeN, o.SchemeM = 2, 4
-	}
-	flash := flashPSLC
-	if o.Flash == 1 {
-		flash = flashOddMLC
-	}
+// Suite runs the OLTP suite backing the paper's headline claims (E3): up to
+// 45% higher throughput, up to ~67-85% fewer page invalidations/migrations
+// and up to ~53-80% fewer erases across TPC-B, TPC-C and TATP — baseline vs
+// IPA (pSLC) for every workload. Longevity (E5) derives from its result.
+func Suite(o Options) (SuiteResult, error) {
 	var out SuiteResult
-	for _, wl := range o.Workloads {
-		base := Experiment{
-			Name: "suite-" + wl + "-baseline", Workload: wl, Scale: o.Scale,
-			Mode: modeTraditional, Flash: flashMLC,
-			Ops: o.Ops, Duration: o.Duration, Seed: o.Seed, Analytic: true,
-		}.ApplyProfile(o.Profile)
-		ipaExp := Experiment{
-			Name: "suite-" + wl + "-ipa", Workload: wl, Scale: o.Scale,
-			Mode: modeNative, Scheme: ipaScheme(o.SchemeN, o.SchemeM), Flash: flash,
-			Ops: o.Ops, Duration: o.Duration, Seed: o.Seed, Analytic: true,
-		}.ApplyProfile(o.Profile)
-
-		baseRes, err := Run(base)
+	for _, wl := range suiteWorkloads {
+		baseRes, err := Run(o.baseline("suite-"+wl+"-baseline", wl))
 		if err != nil {
 			return out, err
 		}
-		ipaRes, err := Run(ipaExp)
+		ipaRes, err := Run(o.native("suite-"+wl+"-ipa", wl, ipa.PSLC))
 		if err != nil {
 			return out, err
 		}
@@ -146,11 +97,14 @@ type LongevityRow struct {
 	RelativeLifetime float64 // normalised to the baseline row
 }
 
+// LongevityResult is the lifetime projection of every suite configuration.
+type LongevityResult []LongevityRow
+
 // Longevity derives lifetime estimates from a suite result: the fewer
 // erases each host write causes, the more host writes fit into the erase
 // budget of the Flash device.
-func Longevity(r SuiteResult) []LongevityRow {
-	var rows []LongevityRow
+func Longevity(r SuiteResult) LongevityResult {
+	var rows LongevityResult
 	for _, s := range r.Rows {
 		base := LongevityRow{
 			Label:           s.Workload + " 0x0",
@@ -171,8 +125,8 @@ func Longevity(r SuiteResult) []LongevityRow {
 	return rows
 }
 
-// WriteLongevity renders the longevity rows.
-func WriteLongevity(w io.Writer, rows []LongevityRow) {
+// Write renders the longevity rows.
+func (rows LongevityResult) Write(w io.Writer) {
 	fmt.Fprintf(w, "Flash longevity (erase budget per host write)\n")
 	fmt.Fprintf(w, "%-20s %16s %12s %14s\n", "configuration", "erases/write", "endurance", "rel. lifetime")
 	for _, r := range rows {

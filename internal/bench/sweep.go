@@ -7,37 +7,11 @@ import (
 	"ipa"
 )
 
-// SweepOptions configures the N×M scheme sweep ablation (experiment E6):
-// how the delta-record-area size trades off against the fraction of
-// evictions that IPA can serve in place, and the resulting GC work.
-type SweepOptions struct {
-	// Workload to sweep (default "tpcb"; "tatp" is also interesting since
-	// its updates are even smaller).
-	Workload string
-	Scale    int
-	Ops      int
-	Profile  DeviceProfile
-	// Ns and Ms are the parameter grids (defaults: N ∈ {1,2,4,8},
-	// M ∈ {2,4,8,16}).
-	Ns []int
-	Ms []int
-	// Flash is the MLC mode used for the IPA runs.
-	Flash ipa.FlashMode
-	Seed  int64
-}
-
-// DefaultSweepOptions returns the configuration used by cmd/ipabench.
-func DefaultSweepOptions() SweepOptions {
-	return SweepOptions{
-		Workload: "tpcb",
-		Scale:    2,
-		Ops:      6000,
-		Profile:  DefaultProfile,
-		Ns:       []int{1, 2, 4, 8},
-		Ms:       []int{2, 4, 8, 16},
-		Flash:    flashPSLC,
-		Seed:     1,
-	}
+// sweepGrid is the N×M parameter grid of the sweep.
+func sweepGrid(quick bool) (ns, ms []int) {
+	ns = pick(quick, []int{1, 2, 4, 8}, []int{1, 2, 4})
+	ms = pick(quick, []int{2, 4, 8, 16}, []int{4, 8})
+	return ns, ms
 }
 
 // SweepRow is the outcome of one N×M configuration.
@@ -60,56 +34,26 @@ type SweepResult struct {
 	PageSize int
 }
 
-// Sweep runs the N×M grid.
-func Sweep(o SweepOptions) (SweepResult, error) {
-	if o.Workload == "" {
-		o.Workload = "tpcb"
-	}
-	if o.Scale <= 0 {
-		o.Scale = 2
-	}
-	if o.Ops <= 0 {
-		o.Ops = 6000
-	}
-	if len(o.Ns) == 0 {
-		o.Ns = []int{1, 2, 4, 8}
-	}
-	if len(o.Ms) == 0 {
-		o.Ms = []int{2, 4, 8, 16}
-	}
-	if o.Flash == flashMLC {
-		o.Flash = flashPSLC
-	}
-	profile := o.Profile
-	if profile == (DeviceProfile{}) {
-		profile = DefaultProfile
-	}
-	out := SweepResult{Workload: o.Workload, PageSize: profile.PageSize}
-
-	baseExp := Experiment{
-		Name: "sweep-baseline", Workload: o.Workload, Scale: o.Scale,
-		Mode: modeTraditional, Flash: flashMLC, Ops: o.Ops, Seed: o.Seed, Analytic: true,
-	}.ApplyProfile(profile)
-	baseRes, err := Run(baseExp)
+// Sweep is the N×M scheme ablation (experiment E6) on TPC-B: how the
+// delta-record-area size trades off against the fraction of evictions that
+// IPA can serve in place, and the resulting GC work.
+func Sweep(o Options) (SweepResult, error) {
+	out := SweepResult{Workload: "tpcb", PageSize: o.Profile.PageSize}
+	baseRes, err := Run(o.baseline("sweep-baseline", out.Workload))
 	if err != nil {
 		return out, err
 	}
-	out.Baseline = makeSweepRow(ipa.Scheme{}, baseRes, profile.PageSize)
+	out.Baseline = makeSweepRow(ipa.Scheme{}, baseRes, out.PageSize)
 
-	for _, n := range o.Ns {
-		for _, m := range o.Ms {
-			scheme := ipaScheme(n, m)
-			exp := Experiment{
-				Name:     fmt.Sprintf("sweep-%s", scheme),
-				Workload: o.Workload, Scale: o.Scale,
-				Mode: modeNative, Scheme: scheme, Flash: o.Flash,
-				Ops: o.Ops, Seed: o.Seed, Analytic: true,
-			}.ApplyProfile(profile)
-			res, err := Run(exp)
+	ns, ms := sweepGrid(o.Quick)
+	for _, n := range ns {
+		for _, m := range ms {
+			o.N, o.M = n, m
+			res, err := Run(o.native(fmt.Sprintf("sweep-%s", o.scheme()), out.Workload, ipa.PSLC))
 			if err != nil {
 				return out, err
 			}
-			out.Rows = append(out.Rows, makeSweepRow(scheme, res, profile.PageSize))
+			out.Rows = append(out.Rows, makeSweepRow(o.scheme(), res, out.PageSize))
 		}
 	}
 	return out, nil

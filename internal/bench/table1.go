@@ -3,39 +3,9 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
+
+	"ipa"
 )
-
-// Table1Options configures the Table 1 reproduction: TPC-B under the
-// traditional approach [0×0] and under IPA [2×4] in pSLC and odd-MLC modes,
-// all running for the same amount of (virtual) time, exactly like the
-// two-hour runs of the paper.
-type Table1Options struct {
-	// Scale is the TPC-B scale factor (branches).
-	Scale int
-	// Duration is the virtual run time per configuration. The paper used
-	// two hours on real hardware; the demo used 5-10 minutes.
-	Duration time.Duration
-	// Ops optionally bounds the run by committed transactions instead.
-	Ops int
-	// Profile sizes the simulated device.
-	Profile DeviceProfile
-	// Scheme is the IPA configuration (the paper uses 2×4).
-	Scheme struct{ N, M int }
-	Seed   int64
-}
-
-// DefaultTable1Options returns the configuration used by cmd/ipabench.
-func DefaultTable1Options() Table1Options {
-	o := Table1Options{
-		Scale:    4,
-		Duration: 12 * time.Second,
-		Profile:  DefaultProfile,
-		Seed:     1,
-	}
-	o.Scheme.N, o.Scheme.M = 2, 4
-	return o
-}
 
 // Table1Row is one column of the paper's Table 1 (one configuration).
 type Table1Row struct {
@@ -96,52 +66,28 @@ func makeTable1Row(label string, res Result) Table1Row {
 	return row
 }
 
-// Table1 runs the three configurations of the paper's Table 1 and returns
-// the comparison.
-func Table1(o Table1Options) (Table1Result, error) {
-	if o.Scale <= 0 {
-		o.Scale = 4
-	}
-	if o.Duration <= 0 && o.Ops <= 0 {
-		o.Duration = 4 * time.Second
-	}
-	if o.Scheme.N == 0 && o.Scheme.M == 0 {
-		o.Scheme.N, o.Scheme.M = 2, 4
-	}
-	scheme := ipaScheme(o.Scheme.N, o.Scheme.M)
-
-	base := Experiment{
-		Name: "table1-0x0", Workload: "tpcb", Scale: o.Scale,
-		Mode: modeTraditional, Flash: flashMLC,
-		Ops: o.Ops, Duration: o.Duration, Seed: o.Seed, Analytic: true,
-	}.ApplyProfile(o.Profile)
-	pslc := Experiment{
-		Name: "table1-2x4-pslc", Workload: "tpcb", Scale: o.Scale,
-		Mode: modeNative, Scheme: scheme, Flash: flashPSLC,
-		Ops: o.Ops, Duration: o.Duration, Seed: o.Seed, Analytic: true,
-	}.ApplyProfile(o.Profile)
-	odd := Experiment{
-		Name: "table1-2x4-oddmlc", Workload: "tpcb", Scale: o.Scale,
-		Mode: modeNative, Scheme: scheme, Flash: flashOddMLC,
-		Ops: o.Ops, Duration: o.Duration, Seed: o.Seed, Analytic: true,
-	}.ApplyProfile(o.Profile)
-
+// Table1 reproduces the paper's Table 1: TPC-B under the traditional
+// approach [0×0] and under IPA [N×M] in pSLC and odd-MLC modes, all running
+// for the same amount of (virtual) time, exactly like the two-hour runs of
+// the paper (the demo used 5-10 minutes).
+func Table1(o Options) (Table1Result, error) {
 	var out Table1Result
-	baseRes, err := Run(base)
-	if err != nil {
-		return out, err
+	scheme := o.scheme()
+	for _, c := range []struct {
+		row   *Table1Row
+		label string
+		exp   Experiment
+	}{
+		{&out.Baseline, "0x0", o.baseline("table1-0x0", "tpcb")},
+		{&out.PSLC, fmt.Sprintf("%s pSLC", scheme), o.native("table1-2x4-pslc", "tpcb", ipa.PSLC)},
+		{&out.OddMLC, fmt.Sprintf("%s odd-MLC", scheme), o.native("table1-2x4-oddmlc", "tpcb", ipa.OddMLC)},
+	} {
+		res, err := Run(c.exp)
+		if err != nil {
+			return out, err
+		}
+		*c.row = makeTable1Row(c.label, res)
 	}
-	out.Baseline = makeTable1Row("0x0", baseRes)
-	pslcRes, err := Run(pslc)
-	if err != nil {
-		return out, err
-	}
-	out.PSLC = makeTable1Row(fmt.Sprintf("%s pSLC", scheme), pslcRes)
-	oddRes, err := Run(odd)
-	if err != nil {
-		return out, err
-	}
-	out.OddMLC = makeTable1Row(fmt.Sprintf("%s odd-MLC", scheme), oddRes)
 	return out, nil
 }
 

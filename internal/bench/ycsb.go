@@ -8,49 +8,20 @@ import (
 	"ipa/internal/workload"
 )
 
-// YCSBOptions configures the YCSB workload family (A–F) in two heap
-// sizings: cache-sized (the working set fits in the buffer pool) and
-// larger-than-memory (the heap is HeapFactor × the buffer pool, so every
-// hot page cycles through eviction → delta-merge → GC → wear-levelling).
-type YCSBOptions struct {
-	// Letters selects the workloads ('A'..'F'; empty = all six).
-	Letters []byte
-	// HeapFactors sizes each run's heap as a multiple of the buffer pool
-	// capacity. Values < 1 are cache-sized; the paper-motivated
-	// larger-than-memory point is ≥ 8. Empty = {0.5, 8}.
-	HeapFactors []float64
-	// ValueSize is the tuple size in bytes; UpdateBytes the tail-patch
-	// size of updates and read-modify-writes.
-	ValueSize   int
-	UpdateBytes int
-	// Ops bounds each run by committed operations.
-	Ops int
-	// Mode/Scheme/Flash configure the write path (default IPA native
-	// flash [N×M] on pSLC).
-	Mode    ipa.WriteMode
-	SchemeN int
-	SchemeM int
-	Flash   ipa.FlashMode
-	Profile DeviceProfile
-	Seed    int64
-}
+// The YCSB family: every letter at two heap sizings — cache-sized (half the
+// buffer pool, the working set stays resident) and the paper-motivated
+// larger-than-memory point (8× the pool, so every hot page cycles through
+// eviction → delta-merge → GC → wear-levelling) — with 120-byte tuples
+// whose updates and read-modify-writes patch the last 8 bytes.
+var (
+	ycsbLetters     = []byte{'A', 'B', 'C', 'D', 'E', 'F'}
+	ycsbHeapFactors = []float64{0.5, 8}
+)
 
-// DefaultYCSBOptions returns the configuration used by cmd/ipabench.
-func DefaultYCSBOptions() YCSBOptions {
-	return YCSBOptions{
-		Letters:     []byte{'A', 'B', 'C', 'D', 'E', 'F'},
-		HeapFactors: []float64{0.5, 8},
-		ValueSize:   120,
-		UpdateBytes: 8,
-		Ops:         20000,
-		Mode:        modeNative,
-		SchemeN:     2,
-		SchemeM:     4,
-		Flash:       flashPSLC,
-		Profile:     DefaultProfile,
-		Seed:        1,
-	}
-}
+const (
+	ycsbValueSize   = 120
+	ycsbUpdateBytes = 8
+)
 
 // YCSBRow is the outcome of one (workload, heap sizing) run.
 type YCSBRow struct {
@@ -101,70 +72,26 @@ func ycsbRecords(p DeviceProfile, valueSize int, factor float64) int {
 	return records
 }
 
-// YCSB runs every requested workload letter at every heap factor.
-func YCSB(o YCSBOptions) (YCSBResult, error) {
-	if len(o.Letters) == 0 {
-		o.Letters = []byte{'A', 'B', 'C', 'D', 'E', 'F'}
-	}
-	if len(o.HeapFactors) == 0 {
-		o.HeapFactors = []float64{0.5, 8}
-	}
-	if o.ValueSize == 0 {
-		o.ValueSize = 120
-	}
-	if o.Ops <= 0 {
-		o.Ops = 20000
-	}
-	if o.SchemeN == 0 && o.SchemeM == 0 {
-		o.SchemeN, o.SchemeM = 2, 4
-	}
-	p := o.Profile
-	if p.PageSize == 0 {
-		p = DefaultProfile
-	}
-
+// YCSB runs every workload letter at every heap factor on IPA native Flash
+// [N×M] pSLC, o.Ops committed operations each.
+func YCSB(o Options) (YCSBResult, error) {
 	var out YCSBResult
-	for _, letter := range o.Letters {
-		for _, factor := range o.HeapFactors {
+	for _, letter := range ycsbLetters {
+		for _, factor := range ycsbHeapFactors {
 			cfg := workload.DefaultYCSBConfig(letter)
-			cfg.Records = ycsbRecords(p, o.ValueSize, factor)
-			cfg.ValueSize = o.ValueSize
-			cfg.UpdateBytes = o.UpdateBytes
+			cfg.Records = ycsbRecords(o.Profile, ycsbValueSize, factor)
+			cfg.ValueSize = ycsbValueSize
+			cfg.UpdateBytes = ycsbUpdateBytes
 			cfg.Seed = o.Seed + int64(letter)
 			w, err := workload.NewYCSB(cfg)
 			if err != nil {
 				return out, err
 			}
-
-			db, err := ipa.Open(ipa.Config{
-				PageSize:        p.PageSize,
-				Blocks:          p.Blocks,
-				PagesPerBlock:   p.PagesPerBlock,
-				BufferPoolPages: p.BufferPoolPages,
-				WriteMode:       o.Mode,
-				Scheme:          ipaScheme(o.SchemeN, o.SchemeM),
-				FlashMode:       o.Flash,
-				Seed:            o.Seed,
-			})
+			res, err := measure(w.Name(), o.nativeConfig(ipa.PSLC), w, workload.RunOptions{MaxOps: o.Ops, Seed: o.Seed + 1}, nil)
 			if err != nil {
-				return out, fmt.Errorf("bench: ycsb-%c: %w", letter, err)
+				return out, err
 			}
-			if err := w.Load(db); err != nil {
-				db.Close()
-				return out, fmt.Errorf("bench: ycsb-%c load: %w", letter, err)
-			}
-			db.ResetStats()
-			run, err := workload.Run(db, w, workload.RunOptions{MaxOps: o.Ops, Seed: o.Seed + 1})
-			if err != nil {
-				db.Close()
-				return out, fmt.Errorf("bench: ycsb-%c run: %w", letter, err)
-			}
-			if err := db.FlushAll(); err != nil {
-				db.Close()
-				return out, fmt.Errorf("bench: ycsb-%c flush: %w", letter, err)
-			}
-			s := db.Stats()
-			db.Close()
+			s, run := res.Stats, res.Run
 
 			hitRate := 0.0
 			if tot := s.BufferHits + s.BufferMisses; tot > 0 {

@@ -2,21 +2,16 @@ package bench
 
 import "testing"
 
-// TestYCSBSweepSmall runs a tiny two-letter sweep end to end: the
-// larger-than-memory sizing must actually exceed the pool and force
-// evictions, and the update-heavy letter must profit from in-place appends.
+// TestYCSBSweepSmall runs a tiny sweep end to end: the larger-than-memory
+// sizing must actually exceed the pool and force evictions, and the
+// update-heavy letter must profit from in-place appends.
 func TestYCSBSweepSmall(t *testing.T) {
-	o := DefaultYCSBOptions()
-	o.Letters = []byte{'A', 'C'}
-	o.HeapFactors = []float64{0.5, 8}
-	o.Ops = 1500
-	o.Profile = SmallProfile
-	res, err := YCSB(o)
+	res, err := YCSB(small(t, "ycsb", 1500))
 	if err != nil {
 		t.Fatalf("YCSB: %v", err)
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(res.Rows))
+	if want := len(ycsbLetters) * len(ycsbHeapFactors); len(res.Rows) != want {
+		t.Fatalf("rows = %d, want %d", len(res.Rows), want)
 	}
 	byKey := map[string]YCSBRow{}
 	for _, r := range res.Rows {

@@ -57,117 +57,108 @@ func decodeEntry(buf []byte) Entry {
 	}
 }
 
-// File is the persistent entry storage of one index. It tracks where each
-// key's entry lives so deletes and remaps can edit the entry in place,
-// and keeps a free list of tombstoned slots so delete/reinsert churn
-// recycles entry space instead of growing the file without bound. Slot
+// entryFile is the storage core both index kinds share: entry pages, a map
+// from each live entry's identity K to the slot holding it, and a free list
+// of tombstoned slots so delete/reinsert churn recycles entry space instead
+// of growing the file without bound. K is the key alone for the unique
+// primary-key File and the whole (key, RID) pair for a Secondary. Slot
 // recycling is safe here — unlike heap files — because index WAL records
 // are logical (keyed), never slot-addressed.
-type File struct {
+type entryFile[K comparable] struct {
 	mu      sync.Mutex
 	entries *heap.File
-	loc     map[int64]uint64 // key -> packed entry RID
-	free    []uint64         // packed RIDs of tombstoned, reusable entry slots
+	id      func(Entry) K
+	loc     map[K]uint64 // identity -> packed entry-slot location
+	free    []uint64     // packed locations of tombstoned, reusable slots
 }
 
-// New creates an empty index file owned by objectID.
-func New(store *storage.Manager, pool *buffer.Pool, objectID uint32) *File {
-	return &File{
+func newEntryFile[K comparable](store *storage.Manager, pool *buffer.Pool, objectID uint32, id func(Entry) K) *entryFile[K] {
+	return &entryFile[K]{
 		entries: heap.New(store, pool, objectID, EntrySize),
-		loc:     make(map[int64]uint64),
+		id:      id,
+		loc:     make(map[K]uint64),
 	}
 }
 
 // ObjectID returns the owning object identifier of the index.
-func (f *File) ObjectID() uint32 { return f.entries.ObjectID() }
+func (f *entryFile[K]) ObjectID() uint32 { return f.entries.ObjectID() }
 
 // Len returns the number of live entries.
-func (f *File) Len() int {
+func (f *entryFile[K]) Len() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.loc)
 }
 
 // Pages returns the number of entry pages of the index.
-func (f *File) Pages() int { return len(f.entries.PageIDs()) }
+func (f *entryFile[K]) Pages() int { return len(f.entries.PageIDs()) }
 
 // PageIDs returns the identifiers of all entry pages.
-func (f *File) PageIDs() []uint64 { return f.entries.PageIDs() }
+func (f *entryFile[K]) PageIDs() []uint64 { return f.entries.PageIDs() }
 
-// Set maps key to value, rewriting the existing entry's value bytes in
-// place (an 8-byte patch), recycling a tombstoned slot (a 16-byte entry
-// rewrite plus a 2-byte slot revive), or — only when no slot is free —
-// appending a fresh entry. All three are the small in-place edits the
-// delta-append machinery absorbs.
-func (f *File) Set(key int64, value uint64) error {
+// contains reports whether the entry identified by k is live.
+func (f *entryFile[K]) contains(k K) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if packed, ok := f.loc[key]; ok {
-		img := make([]byte, 8)
-		binary.LittleEndian.PutUint64(img, value)
-		if err := f.entries.UpdateAt(heap.Unpack(packed), 8, img); err != nil {
-			return fmt.Errorf("index: remap key %d: %w", key, err)
-		}
-		return nil
-	}
+	_, ok := f.loc[k]
+	return ok
+}
+
+// insertLocked stores an entry that is not present yet: it recycles a
+// tombstoned slot (a 16-byte entry rewrite plus a 2-byte slot revive) or —
+// only when no slot is free — appends a fresh entry. The caller holds mu.
+func (f *entryFile[K]) insertLocked(e Entry) error {
 	if n := len(f.free); n > 0 {
 		packed := f.free[n-1]
-		if err := f.entries.Reuse(heap.Unpack(packed), encodeEntry(key, value)); err != nil {
-			return fmt.Errorf("index: reuse slot for key %d: %w", key, err)
+		if err := f.entries.Reuse(heap.Unpack(packed), encodeEntry(e.Key, e.Value)); err != nil {
+			return fmt.Errorf("index: reuse slot for key %d: %w", e.Key, err)
 		}
 		f.free = f.free[:n-1]
-		f.loc[key] = packed
+		f.loc[f.id(e)] = packed
 		return nil
 	}
-	rid, err := f.entries.Insert(encodeEntry(key, value))
+	rid, err := f.entries.Insert(encodeEntry(e.Key, e.Value))
 	if err != nil {
-		return fmt.Errorf("index: insert key %d: %w", key, err)
+		return fmt.Errorf("index: insert key %d: %w", e.Key, err)
 	}
-	f.loc[key] = rid.Pack()
+	f.loc[f.id(e)] = rid.Pack()
 	return nil
 }
 
-// Delete removes key's entry (tombstoning its slot and queueing it for
-// reuse). Deleting an absent key is a no-op, which recovery relies on for
-// idempotent replay.
-func (f *File) Delete(key int64) error {
+// remove tombstones the slot of the entry identified by k (key is its key,
+// for the error text) and queues the slot for reuse. Removing an absent
+// entry is a no-op, which recovery relies on for idempotent replay.
+func (f *entryFile[K]) remove(k K, key int64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	packed, ok := f.loc[key]
+	packed, ok := f.loc[k]
 	if !ok {
 		return nil
 	}
 	if err := f.entries.Delete(heap.Unpack(packed)); err != nil {
 		return fmt.Errorf("index: delete key %d: %w", key, err)
 	}
-	delete(f.loc, key)
+	delete(f.loc, k)
 	f.free = append(f.free, packed)
 	return nil
 }
 
-// Contains reports whether key has a live entry.
-func (f *File) Contains(key int64) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	_, ok := f.loc[key]
-	return ok
-}
-
 // AdoptPages installs the entry pages that survived a crash (ascending
 // order). Load must be called afterwards to rebuild the entry locations.
-func (f *File) AdoptPages(pids []uint64) { f.entries.AdoptPages(pids) }
+func (f *entryFile[K]) AdoptPages(pids []uint64) { f.entries.AdoptPages(pids) }
 
-// Load scans the adopted entry pages, rebuilds the key-to-entry locations
-// and the reusable-slot free list, and returns the surviving live
-// entries. A crash between the flush of two entry pages can leave
-// duplicate entries for one key (delete tombstone unflushed, reinserted
-// entry flushed); Load keeps the first and tombstones the rest — WAL
-// replay then rewrites the survivor with the committed value, so the
-// arbitrary choice never becomes visible.
-func (f *File) Load() ([]Entry, error) {
+// Load scans the adopted entry pages, rebuilds the entry locations and the
+// reusable-slot free list, and returns the surviving live entries. A crash
+// between the flush of two entry pages can leave duplicate entries for one
+// identity (delete tombstone unflushed, reinserted entry flushed
+// elsewhere); Load keeps the first and tombstones the rest — WAL replay
+// then rewrites the survivor with the committed value (File) or restores
+// the exact committed pair set (Secondary), so the arbitrary choice never
+// becomes visible.
+func (f *entryFile[K]) Load() ([]Entry, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.loc = make(map[int64]uint64)
+	f.loc = make(map[K]uint64)
 	f.free = nil
 	var (
 		out  []Entry
@@ -179,11 +170,11 @@ func (f *File) Load() ([]Entry, error) {
 			return true
 		}
 		e := decodeEntry(tuple)
-		if _, seen := f.loc[e.Key]; seen {
+		if _, seen := f.loc[f.id(e)]; seen {
 			dups = append(dups, rid)
 			return true
 		}
-		f.loc[e.Key] = rid.Pack()
+		f.loc[f.id(e)] = rid.Pack()
 		out = append(out, e)
 		return true
 	})
@@ -201,3 +192,40 @@ func (f *File) Load() ([]Entry, error) {
 	}
 	return out, nil
 }
+
+// File is the persistent entry storage of one unique index: one entry per
+// key, so deletes and remaps can edit a key's entry in place.
+type File struct {
+	*entryFile[int64]
+}
+
+// New creates an empty index file owned by objectID.
+func New(store *storage.Manager, pool *buffer.Pool, objectID uint32) *File {
+	return &File{newEntryFile(store, pool, objectID, func(e Entry) int64 { return e.Key })}
+}
+
+// Set maps key to value, rewriting the existing entry's value bytes in
+// place (an 8-byte patch) or storing a new entry in a recycled or fresh
+// slot. All of these are the small in-place edits the delta-append
+// machinery absorbs.
+func (f *File) Set(key int64, value uint64) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if packed, ok := f.loc[key]; ok {
+		img := make([]byte, 8)
+		binary.LittleEndian.PutUint64(img, value)
+		if err := f.entries.UpdateAt(heap.Unpack(packed), 8, img); err != nil {
+			return fmt.Errorf("index: remap key %d: %w", key, err)
+		}
+		return nil
+	}
+	return f.insertLocked(Entry{Key: key, Value: value})
+}
+
+// Delete removes key's entry (tombstoning its slot and queueing it for
+// reuse). Deleting an absent key is a no-op, which recovery relies on for
+// idempotent replay.
+func (f *File) Delete(key int64) error { return f.remove(key, key) }
+
+// Contains reports whether key has a live entry.
+func (f *File) Contains(key int64) bool { return f.contains(key) }

@@ -1,11 +1,7 @@
 package index
 
 import (
-	"fmt"
-	"sync"
-
 	"ipa/internal/buffer"
-	"ipa/internal/heap"
 	"ipa/internal/storage"
 )
 
@@ -15,43 +11,21 @@ import (
 // index's own object identifier and NoFTL region — but is keyed by the
 // *pair* (key, RID): many tuples may share one secondary key, and each
 // contributes its own entry. Like the primary-key file, tombstoned slots
-// are recycled through a free list, and all edits are the tiny in-place
-// patches the delta-append machinery absorbs.
+// are recycled through a free list (both share entryFile), and all edits
+// are the tiny in-place patches the delta-append machinery absorbs.
 //
 // Secondary maintenance is logged with the same logical WAL vocabulary as
 // the primary key (RecIndexInsert/RecIndexDelete carry the index object,
 // the key and the RID), so Add and Remove are idempotent: redo may replay
 // an operation whose effect already survived on Flash.
 type Secondary struct {
-	mu      sync.Mutex
-	entries *heap.File
-	loc     map[Entry]uint64 // (key, RID) -> packed entry-slot location
-	free    []uint64         // packed locations of tombstoned, reusable slots
+	*entryFile[Entry]
 }
 
 // NewSecondary creates an empty secondary-index file owned by objectID.
 func NewSecondary(store *storage.Manager, pool *buffer.Pool, objectID uint32) *Secondary {
-	return &Secondary{
-		entries: heap.New(store, pool, objectID, EntrySize),
-		loc:     make(map[Entry]uint64),
-	}
+	return &Secondary{newEntryFile(store, pool, objectID, func(e Entry) Entry { return e })}
 }
-
-// ObjectID returns the owning object identifier of the index.
-func (s *Secondary) ObjectID() uint32 { return s.entries.ObjectID() }
-
-// Len returns the number of live (key, RID) entries.
-func (s *Secondary) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.loc)
-}
-
-// Pages returns the number of entry pages of the index.
-func (s *Secondary) Pages() int { return len(s.entries.PageIDs()) }
-
-// PageIDs returns the identifiers of all entry pages.
-func (s *Secondary) PageIDs() []uint64 { return s.entries.PageIDs() }
 
 // Add stores the (key, value) pair, recycling a tombstoned slot when one
 // is free and appending a fresh entry otherwise. Adding a pair that is
@@ -63,91 +37,16 @@ func (s *Secondary) Add(key int64, value uint64) error {
 	if _, ok := s.loc[e]; ok {
 		return nil
 	}
-	if n := len(s.free); n > 0 {
-		packed := s.free[n-1]
-		if err := s.entries.Reuse(heap.Unpack(packed), encodeEntry(key, value)); err != nil {
-			return fmt.Errorf("index: reuse slot for key %d: %w", key, err)
-		}
-		s.free = s.free[:n-1]
-		s.loc[e] = packed
-		return nil
-	}
-	rid, err := s.entries.Insert(encodeEntry(key, value))
-	if err != nil {
-		return fmt.Errorf("index: insert key %d: %w", key, err)
-	}
-	s.loc[e] = rid.Pack()
-	return nil
+	return s.insertLocked(e)
 }
 
 // Remove deletes the (key, value) pair, tombstoning its slot and queueing
 // it for reuse. Removing an absent pair is a no-op (idempotent replay).
 func (s *Secondary) Remove(key int64, value uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := Entry{Key: key, Value: value}
-	packed, ok := s.loc[e]
-	if !ok {
-		return nil
-	}
-	if err := s.entries.Delete(heap.Unpack(packed)); err != nil {
-		return fmt.Errorf("index: delete key %d: %w", key, err)
-	}
-	delete(s.loc, e)
-	s.free = append(s.free, packed)
-	return nil
+	return s.remove(Entry{Key: key, Value: value}, key)
 }
 
 // Contains reports whether the (key, value) pair has a live entry.
 func (s *Secondary) Contains(key int64, value uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.loc[Entry{Key: key, Value: value}]
-	return ok
-}
-
-// AdoptPages installs the entry pages that survived a crash (ascending
-// order). Load must be called afterwards to rebuild the pair locations.
-func (s *Secondary) AdoptPages(pids []uint64) { s.entries.AdoptPages(pids) }
-
-// Load scans the adopted entry pages, rebuilds the pair locations and the
-// reusable-slot free list, and returns the surviving live entries. A crash
-// between the flush of two entry pages can leave duplicate entries for one
-// (key, RID) pair — a tombstone unflushed while the reinserted copy
-// flushed elsewhere; Load keeps the first and tombstones the rest, and WAL
-// replay then restores the exact committed pair set.
-func (s *Secondary) Load() ([]Entry, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.loc = make(map[Entry]uint64)
-	s.free = nil
-	var (
-		out  []Entry
-		dups []heap.RID
-	)
-	err := s.entries.ScanSlots(func(rid heap.RID, tuple []byte, deleted bool) bool {
-		if deleted {
-			s.free = append(s.free, rid.Pack())
-			return true
-		}
-		e := decodeEntry(tuple)
-		if _, seen := s.loc[e]; seen {
-			dups = append(dups, rid)
-			return true
-		}
-		s.loc[e] = rid.Pack()
-		out = append(out, e)
-		return true
-	})
-	if err != nil {
-		return nil, fmt.Errorf("index: load: %w", err)
-	}
-	s.entries.SetCount(uint64(len(s.loc) + len(dups)))
-	for _, rid := range dups {
-		if err := s.entries.Delete(rid); err != nil {
-			return nil, fmt.Errorf("index: drop duplicate entry %s: %w", rid, err)
-		}
-		s.free = append(s.free, rid.Pack())
-	}
-	return out, nil
+	return s.contains(Entry{Key: key, Value: value})
 }
