@@ -754,6 +754,10 @@ func RunPointDetail(o Options, k uint64, mode ipa.FaultMode) (PointOutcome, erro
 		runErr = d.run(o.Ops, o.Readers)
 	}
 	out.Tripped = plan.Tripped()
+	// The cut belongs to the pre-crash run. Readers change which pages get
+	// evicted, so that run can issue fewer than k device operations; a plan
+	// left armed would then fire inside the post-recovery transactions.
+	plan.Disarm()
 	out.Checkpoints = d.ckpts
 	if runErr != nil && !isPowerLoss(runErr) {
 		d.db.Close()

@@ -88,3 +88,27 @@ func TestCrashSweepSample(t *testing.T) {
 		res.FaultPoints, res.Runs, res.Crashes, res.GCCovered, res.Checkpoints,
 		res.Recovery.FromCheckpoint, res.Recovery.Recoveries, res.Recovery.RecordsRedone)
 }
+
+// TestUntrippedPlanStaysQuietAfterRecovery: a fault point the pre-crash run
+// never reaches belongs to no operation. The plan must not stay armed
+// through Crash and Reopen and cut the power under the post-recovery
+// transactions instead — which is what a sweep sees when its readers make
+// the pre-crash run issue fewer device operations than the enumeration.
+func TestUntrippedPlanStaysQuietAfterRecovery(t *testing.T) {
+	o := DefaultOptions()
+	o.Ops = 30
+	o.Readers = -1 // exact operation count: the run ends one short of the point
+	total, err := Enumerate(o)
+	if err != nil {
+		t.Fatalf("enumerate: %v", err)
+	}
+	for _, mode := range o.Modes {
+		out, err := RunPointDetail(o, total+1, mode)
+		if err != nil {
+			t.Fatalf("%v at point %d of %d: %v", mode, total+1, total, err)
+		}
+		if out.Tripped {
+			t.Fatalf("%v: plan reports a fault the run never reached", mode)
+		}
+	}
+}

@@ -69,6 +69,20 @@ const (
 // programmed (erased cells read 0xFFFF).
 const blankLen = 0xFFFF
 
+// oobStackSize is the largest OOB area whose per-command scratch copy stays
+// on the caller's stack; every geometry in use has 128 bytes or fewer.
+const oobStackSize = 256
+
+// oobScratch returns OOBSize bytes to read a page's OOB area into: the
+// caller's stack array where that is large enough.
+func (d *Device) oobScratch(stack *[oobStackSize]byte) []byte {
+	n := d.cfg.Chip.Geometry.OOBSize
+	if n > len(stack) {
+		return make([]byte, n)
+	}
+	return stack[:n]
+}
+
 // Errors returned by the device.
 var (
 	// ErrNoDeltaSlot is returned by ProgramDelta when all OOB delta ECC
@@ -457,7 +471,8 @@ func (d *Device) ReadPage(block, page int, buf []byte) error {
 		return fmt.Errorf("flashdev: ReadPage buffer %d bytes, want %d", len(buf), g.PageSize)
 	}
 	d.hook(chipIdx, nand.OpRead)
-	oob := make([]byte, g.OOBSize)
+	var stack [oobStackSize]byte
+	oob := d.oobScratch(&stack)
 	if err := chip.ReadPage(b, page, buf, oob); err != nil {
 		return err
 	}
@@ -486,17 +501,8 @@ func verifyInitial(buf, oob []byte) (int, error) {
 	if ecc.Blank(code) {
 		return 0, nil
 	}
-	region := coveredRegion(buf, coverLen, tailLen)
-	res, err := ecc.Decode(region, code)
-	if err != nil {
-		return 0, err
-	}
-	if res.Corrected > 0 && tailLen > 0 {
-		// Decode corrected the assembled copy; mirror it back.
-		copy(buf[:coverLen], region[:coverLen])
-		copy(buf[len(buf)-tailLen:], region[coverLen:])
-	}
-	return res.Corrected, nil
+	res, err := ecc.DecodeSplit(buf[:coverLen], buf[len(buf)-tailLen:], code)
+	return res.Corrected, err
 }
 
 // verify checks the initial-region ECC and all delta-record ECC slots,
@@ -554,15 +560,13 @@ func (d *Device) ProgramPageCovered(block, page int, data []byte, eccCover, eccT
 	return d.programPage(block, page, data, eccCover, eccTail, nil)
 }
 
-// encodeTag builds the OOB mapping-tag bytes for (lba, seq): the logical
-// address, the write sequence number and an ECC over both, so a torn
+// encodeTag writes the OOB mapping-tag bytes for (lba, seq) into tag: the
+// logical address, the write sequence number and an ECC over both, so a torn
 // program cannot leave a forged-but-valid tag behind.
-func encodeTag(lba int, seq uint64) []byte {
-	tag := make([]byte, TagSize)
+func encodeTag(tag *[TagSize]byte, lba int, seq uint64) {
 	binary.LittleEndian.PutUint32(tag[0:4], uint32(lba))
 	binary.LittleEndian.PutUint64(tag[4:12], seq)
-	copy(tag[tagBody:], ecc.Encode(tag[:tagBody]))
-	return tag
+	ecc.EncodeSplit(tag[tagBody:], tag[:tagBody], nil)
 }
 
 // ProgramPageTagged is ProgramPageCovered plus the FTL mapping tag: the
@@ -572,18 +576,9 @@ func encodeTag(lba int, seq uint64) []byte {
 // Flash image alone and to order stale copies of the same logical page. The
 // tag is written even when data ECC is disabled — it is FTL metadata.
 func (d *Device) ProgramPageTagged(block, page int, data []byte, eccCover, eccTail int, lba int, seq uint64) error {
-	return d.programPage(block, page, data, eccCover, eccTail, encodeTag(lba, seq))
-}
-
-// coveredRegion assembles the bytes protected by the initial ECC: the
-// leading cover bytes plus the trailing tail bytes of the page image.
-func coveredRegion(data []byte, cover, tail int) []byte {
-	if tail <= 0 {
-		return data[:cover]
-	}
-	region := make([]byte, 0, cover+tail)
-	region = append(region, data[:cover]...)
-	return append(region, data[len(data)-tail:]...)
+	var tag [TagSize]byte
+	encodeTag(&tag, lba, seq)
+	return d.programPage(block, page, data, eccCover, eccTail, tag[:])
 }
 
 func (d *Device) programPage(block, page int, data []byte, eccCover, eccTail int, tag []byte) error {
@@ -606,22 +601,19 @@ func (d *Device) programPage(block, page int, data []byte, eccCover, eccTail int
 	if tag != nil && g.OOBSize >= oobSlotsOff {
 		oobLen = oobSlotsOff
 	}
-	var oob []byte
-	if oobLen > 0 {
-		// Erased filler (0xFF) for the regions not written: programming a
-		// 0xFF byte leaves the cells untouched.
-		oob = make([]byte, oobLen)
-		for i := range oob {
-			oob[i] = 0xFF
-		}
-		if !d.cfg.DisableECC && oobLen >= oobInitialOff+ecc.CodeSize {
-			binary.LittleEndian.PutUint16(oob[0:oobCoverLenSize], uint16(eccCover))
-			binary.LittleEndian.PutUint16(oob[oobCoverLenSize:oobInitialOff], uint16(eccTail))
-			copy(oob[oobInitialOff:], ecc.Encode(coveredRegion(data, eccCover, eccTail)))
-		}
-		if tag != nil && oobLen == oobSlotsOff {
-			copy(oob[oobTagOff:], tag)
-		}
+	// Erased filler (0xFF) for the regions not written: programming a 0xFF
+	// byte leaves the cells untouched.
+	var stack [oobSlotsOff]byte
+	oob := stack[:oobLen]
+	nand.FillErased(oob)
+	if !d.cfg.DisableECC && oobLen >= oobInitialOff+ecc.CodeSize {
+		binary.LittleEndian.PutUint16(oob[0:oobCoverLenSize], uint16(eccCover))
+		binary.LittleEndian.PutUint16(oob[oobCoverLenSize:oobInitialOff], uint16(eccTail))
+		// The code of cover‖tail, from the page image where it lies.
+		ecc.EncodeSplit(oob[oobInitialOff:], data[:eccCover], data[len(data)-eccTail:])
+	}
+	if tag != nil && oobLen == oobSlotsOff {
+		copy(oob[oobTagOff:], tag)
 	}
 	if err := chip.Program(b, page, data, oob); err != nil {
 		return err
@@ -652,9 +644,11 @@ func (d *Device) ProgramDelta(block, page, offset int, delta []byte) (int, error
 	slot := -1
 	var oobOff int
 	var oobData []byte
+	var stack [oobStackSize]byte
+	var slotBuf [DeltaSlotSize]byte
 	if !d.cfg.DisableECC && g.OOBSize > 0 {
 		// Find the first blank delta slot.
-		oob := make([]byte, g.OOBSize)
+		oob := d.oobScratch(&stack)
 		if err := chip.ReadPage(b, page, nil, oob); err != nil {
 			return 0, err
 		}
@@ -670,10 +664,10 @@ func (d *Device) ProgramDelta(block, page, offset int, delta []byte) (int, error
 		if slot < 0 {
 			return 0, ErrNoDeltaSlot
 		}
-		oobData = make([]byte, DeltaSlotSize)
+		oobData = slotBuf[:]
 		binary.LittleEndian.PutUint16(oobData[0:2], uint16(offset))
 		binary.LittleEndian.PutUint16(oobData[2:4], uint16(len(delta)))
-		copy(oobData[deltaSlotHeader:], ecc.Encode(delta))
+		ecc.EncodeSplit(oobData[deltaSlotHeader:], delta, nil)
 	}
 	if err := chip.ProgramPartial(b, page, offset, delta, oobOff, oobData); err != nil {
 		return 0, err
@@ -697,7 +691,8 @@ func (d *Device) FreeDeltaSlots(block, page int) (int, error) {
 	if d.cfg.DisableECC || g.OOBSize == 0 {
 		return geo.DeltaSlots, nil
 	}
-	oob := make([]byte, g.OOBSize)
+	var stack [oobStackSize]byte
+	oob := d.oobScratch(&stack)
 	if err := chip.ReadPage(b, page, nil, oob); err != nil {
 		return 0, err
 	}

@@ -53,13 +53,12 @@ func (d *Device) ScanPage(block, page int, buf []byte) (PageScan, error) {
 	}
 	scan := PageScan{Programs: info.Programs}
 	if info.State != nand.PageProgrammed {
-		for i := range buf {
-			buf[i] = 0xFF
-		}
+		nand.FillErased(buf)
 		return scan, nil
 	}
 	scan.Programmed = true
-	oob := make([]byte, g.OOBSize)
+	var stack [oobStackSize]byte
+	oob := d.oobScratch(&stack)
 	if err := chip.ReadPage(b, page, buf, oob); err != nil {
 		return PageScan{}, err
 	}
@@ -73,9 +72,9 @@ func (d *Device) ScanPage(block, page int, buf []byte) (PageScan, error) {
 		return scan, nil
 	}
 
-	// Mapping tag.
-	tag := make([]byte, TagSize)
-	copy(tag, oob[oobTagOff:oobTagOff+TagSize])
+	// Mapping tag (a correction lands in the scratch copy, from which the
+	// fields are then read).
+	tag := oob[oobTagOff : oobTagOff+TagSize]
 	if !ecc.Blank(tag) {
 		if _, err := ecc.Decode(tag[:tagBody], tag[tagBody:]); err != nil {
 			scan.Torn = true
@@ -100,15 +99,10 @@ func (d *Device) ScanPage(block, page int, buf []byte) (PageScan, error) {
 		case coverLen+tailLen > len(buf):
 			scan.Torn = true
 		default:
-			region := coveredRegion(buf, coverLen, tailLen)
-			if res, err := ecc.Decode(region, code); err != nil {
+			if res, err := ecc.DecodeSplit(buf[:coverLen], buf[len(buf)-tailLen:], code); err != nil {
 				scan.Torn = true
 			} else {
 				scan.BodyValid = true
-				if res.Corrected > 0 && tailLen > 0 {
-					copy(buf[:coverLen], region[:coverLen])
-					copy(buf[len(buf)-tailLen:], region[coverLen:])
-				}
 				d.countCorrected(res.Corrected)
 			}
 		}

@@ -172,7 +172,16 @@ func (f *File) withPageShared(pid uint64, fn func(pg *page.Page) error) error {
 
 // Insert stores a tuple and returns its RID. Tuples must have the file's
 // fixed size.
-func (f *File) Insert(tuple []byte) (RID, error) {
+func (f *File) Insert(tuple []byte) (RID, error) { return f.InsertLogged(tuple, nil) }
+
+// InsertLogged is Insert for a caller that writes a log record for the
+// tuple: logged (if not nil) runs with the new RID while the page is still
+// pinned and latched, so no eviction or flush — a reader's miss on another
+// goroutine is enough to cause one — can carry the tuple to storage before
+// the record describing it exists. The RID is only known once the tuple is
+// placed, so an insert cannot log first the way an update does. If logged
+// fails the tuple stays placed and its RID is returned with the error.
+func (f *File) InsertLogged(tuple []byte, logged func(RID) error) (RID, error) {
 	if len(tuple) != f.tupleSize {
 		return RID{}, fmt.Errorf("heap: tuple size %d, want %d", len(tuple), f.tupleSize)
 	}
@@ -181,13 +190,12 @@ func (f *File) Insert(tuple []byte) (RID, error) {
 
 	// Try the most recently allocated page first.
 	if n := len(f.pages); n > 0 {
-		rid, ok, err := f.tryInsertLocked(f.pages[n-1], tuple)
-		if err != nil {
-			return RID{}, err
-		}
+		rid, ok, err := f.tryInsertLocked(f.pages[n-1], tuple, logged)
 		if ok {
 			f.count++
-			return rid, nil
+		}
+		if ok || err != nil {
+			return rid, err
 		}
 	}
 	// Allocate a fresh page.
@@ -214,12 +222,17 @@ func (f *File) Insert(tuple []byte) (RID, error) {
 	h.MarkDirty()
 	f.pages = append(f.pages, pid)
 	f.count++
-	return RID{PageID: pid, Slot: uint16(slot)}, nil
+	rid := RID{PageID: pid, Slot: uint16(slot)}
+	if logged != nil {
+		err = logged(rid)
+	}
+	return rid, err
 }
 
 // tryInsertLocked attempts to insert into an existing page; ok is false if
-// the page is full.
-func (f *File) tryInsertLocked(pid uint64, tuple []byte) (RID, bool, error) {
+// the page is full, and true once the tuple is placed, whether or not
+// logging it then succeeded.
+func (f *File) tryInsertLocked(pid uint64, tuple []byte, logged func(RID) error) (RID, bool, error) {
 	var rid RID
 	var ok bool
 	err := f.withPage(pid, func(h *buffer.Handle, pg *page.Page) error {
@@ -233,6 +246,9 @@ func (f *File) tryInsertLocked(pid uint64, tuple []byte) (RID, bool, error) {
 		h.MarkDirty()
 		rid = RID{PageID: pid, Slot: uint16(slot)}
 		ok = true
+		if logged != nil {
+			return logged(rid)
+		}
 		return nil
 	})
 	return rid, ok, err

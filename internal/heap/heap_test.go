@@ -3,6 +3,7 @@ package heap
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"ipa/internal/buffer"
@@ -194,5 +195,62 @@ func TestObjectIDAndTupleSize(t *testing.T) {
 	f, _ := testFile(t, 77, 8)
 	if f.ObjectID() != 1 || f.TupleSize() != 77 {
 		t.Fatalf("accessors wrong: %d %d", f.ObjectID(), f.TupleSize())
+	}
+}
+
+// TestInsertLoggedRunsUnderThePin: the log callback must run before the page
+// can leave the pool. Cycling more pages than the pool has frames through it
+// from inside the callback evicts everything evictable; the page that took
+// the tuple must still be resident and dirty afterwards — not written back
+// with a tuple whose log record does not exist yet.
+func TestInsertLoggedRunsUnderThePin(t *testing.T) {
+	const frames = 4
+	f, pool := testFile(t, 80, frames)
+	var first []RID // one tuple on each of the first pages
+	for i := 0; len(first) <= 2*frames; i++ {
+		rid, err := f.Insert(tuple(80, byte(i)))
+		if err != nil {
+			t.Fatalf("Insert %d: %v", i, err)
+		}
+		if rid.Slot == 0 {
+			first = append(first, rid)
+		}
+	}
+	before := f.Count()
+	calls := 0
+	logged := func(rid RID) error {
+		calls++
+		for _, other := range first {
+			if other.PageID == rid.PageID {
+				continue
+			}
+			if _, err := f.Get(other); err != nil {
+				return err
+			}
+		}
+		for _, pid := range pool.DirtySnapshot() {
+			if pid == rid.PageID {
+				return nil
+			}
+		}
+		return fmt.Errorf("page %d was written back before its insert was logged", rid.PageID)
+	}
+	// Enough inserts to take both paths: into the last page, and onto a
+	// freshly created one.
+	for i := 0; i < 40; i++ {
+		if _, err := f.InsertLogged(tuple(80, byte(i)), logged); err != nil {
+			t.Fatalf("InsertLogged %d: %v", i, err)
+		}
+	}
+	if calls != 40 || f.Count() != before+40 {
+		t.Fatalf("callback ran %d times and Count grew by %d for 40 inserts", calls, f.Count()-before)
+	}
+	wantErr := errors.New("log full")
+	rid, err := f.InsertLogged(tuple(80, 1), func(RID) error { return wantErr })
+	if !errors.Is(err, wantErr) {
+		t.Fatalf("callback error not returned: %v", err)
+	}
+	if got, gerr := f.Get(rid); gerr != nil || !bytes.Equal(got, tuple(80, 1)) {
+		t.Fatalf("tuple whose logging failed is not at the returned RID: %v", gerr)
 	}
 }

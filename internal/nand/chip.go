@@ -1,6 +1,7 @@
 package nand
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -66,6 +67,13 @@ type Chip struct {
 	blocks []block
 	stats  Stats
 	rng    *prng
+
+	// Page arrays that Erase took from their pages, for the next first
+	// programs to reuse. An array is allocated only while these are empty
+	// and every erased page returns its own, so the arrays of a chip never
+	// outnumber its pages. Their contents are stale: whoever takes one
+	// overwrites all of it.
+	freeData, freeOOB [][]byte
 }
 
 // NewChip creates a chip in the fully erased state.
@@ -164,10 +172,8 @@ func (c *Chip) page(b, p int) (*page, error) {
 // supplied buffers. Buffers may be nil to skip the respective area; a
 // shorter buffer receives a prefix. Erased pages read as 0xFF.
 func (c *Chip) ReadPage(b, p int, data, oob []byte) error {
-	if c.cfg.Faults != nil {
-		if err := c.cfg.Faults.alive(); err != nil {
-			return err
-		}
+	if err := c.cfg.Faults.alive(); err != nil {
+		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -189,10 +195,7 @@ func fillRead(dst, src []byte) {
 	if dst == nil {
 		return
 	}
-	n := copy(dst, src)
-	for i := n; i < len(dst); i++ {
-		dst[i] = 0xFF
-	}
+	FillErased(dst[copy(dst, src):])
 }
 
 // Program writes a full page (data and OOB). The operation obeys the
@@ -213,6 +216,9 @@ func (c *Chip) ProgramPartial(b, p, dataOff int, data []byte, oobOff int, oob []
 }
 
 func (c *Chip) program(b, p, dataOff int, data []byte, oobOff int, oob []byte, partial bool) error {
+	if err := c.cfg.Faults.alive(); err != nil {
+		return err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	pg, err := c.page(b, p)
@@ -227,52 +233,56 @@ func (c *Chip) program(b, p, dataOff int, data []byte, oobOff int, oob []byte, p
 	if oobOff < 0 || oobOff+len(oob) > g.OOBSize {
 		return fmt.Errorf("%w: oob [%d,%d)", ErrBadLength, oobOff, oobOff+len(oob))
 	}
-	act := actProceed
-	if c.cfg.Faults != nil {
-		op := OpProgram
-		if partial {
-			op = OpDeltaProgram
-		}
-		act, err = c.cfg.Faults.step(op)
-		if err != nil {
-			return err
-		}
-		if act == actTorn {
-			return c.tornProgram(pg, dataOff, data, oobOff, oob, partial)
-		}
-	}
+	// Admission comes before the fault step: a command the chip refuses
+	// never starts, so it is not a fault point and cannot tear. Layers above
+	// rely on the refusal (the FTL offers merge images it expects to be
+	// turned down); a torn prefix of one would corrupt a live page.
 	if blk.wornOut {
 		return fmt.Errorf("%w: block %d", ErrWornOut, b)
 	}
 	if pg.programs >= c.cfg.MaxProgramsPerPage {
 		return fmt.Errorf("%w: page %d/%d has %d programs", ErrNOPExceeded, b, p, pg.programs)
 	}
-	// Materialise the page arrays lazily (erased pages hold no storage).
-	if pg.data == nil {
-		pg.data = erasedBytes(g.PageSize)
-	}
-	if pg.oob == nil && g.OOBSize > 0 {
-		pg.oob = erasedBytes(g.OOBSize)
-	}
-	// Check the bit-clear-only constraint before touching any cell so the
-	// operation is atomic under StrictOverwrite.
-	if c.cfg.StrictOverwrite {
+	// The bit-clear-only constraint is checked before any cell is touched,
+	// so the operation is atomic under StrictOverwrite. Erased pages hold no
+	// arrays and accept any pattern.
+	if c.cfg.StrictOverwrite && pg.data != nil {
 		if violatesOverwrite(pg.data[dataOff:dataOff+len(data)], data) ||
 			violatesOverwrite(pg.oob[oobOff:oobOff+len(oob)], oob) {
 			c.stats.OverwriteDenied++
 			return fmt.Errorf("%w: block %d page %d", ErrOverwriteViolation, b, p)
 		}
 	}
-	programBits(pg.data[dataOff:dataOff+len(data)], data)
-	if len(oob) > 0 {
-		programBits(pg.oob[oobOff:oobOff+len(oob)], oob)
+	act := actProceed
+	if c.cfg.Faults != nil {
+		op := OpProgram
+		if partial {
+			op = OpDeltaProgram
+		}
+		if act, err = c.cfg.Faults.step(op); err != nil {
+			return err
+		}
+		if act == actTorn {
+			// A power cut mid-program: deterministic prefixes of the data
+			// and OOB bytes reach the cells, everything else stays untouched.
+			data = data[:c.cfg.Faults.tornLen(len(data))]
+			oob = oob[:c.cfg.Faults.tornLen(len(oob))]
+			if len(data) == 0 && len(oob) == 0 {
+				return ErrPowerLost
+			}
+		}
 	}
+	programCells(&pg.data, &c.freeData, g.PageSize, dataOff, data)
+	programCells(&pg.oob, &c.freeOOB, g.OOBSize, oobOff, oob)
 	pg.state = PageProgrammed
 	pg.programs++
 	if partial {
 		c.stats.PartialPrograms++
 	} else {
 		c.stats.PagePrograms++
+	}
+	if act == actTorn {
+		return ErrPowerLost
 	}
 	// Program interference: re-programming an MLC page may disturb the
 	// page sharing its wordline if that page already carries data.
@@ -287,44 +297,43 @@ func (c *Chip) program(b, p, dataOff int, data []byte, oobOff int, oob []byte, p
 	return nil
 }
 
-// tornProgram applies a power-cut-interrupted program: deterministic
-// prefixes of the data and OOB bytes reach the cells (with the physical AND
-// semantics, no StrictOverwrite policing — the bits land wherever the
-// charge pump got to), everything else stays untouched. The caller holds
-// the chip mutex.
-func (c *Chip) tornProgram(pg *page, dataOff int, data []byte, oobOff int, oob []byte, partial bool) error {
-	g := c.cfg.Geometry
-	kd := c.cfg.Faults.tornLen(len(data))
-	ko := c.cfg.Faults.tornLen(len(oob))
-	if kd == 0 && ko == 0 {
-		return ErrPowerLost
+// programCells programs src into the page array *cells at off. A page
+// erased since its last program has no array yet (erased pages hold no
+// storage): all its bits are 1, so AND-ing src into them is copying src,
+// and only the cells src does not cover need the 0xFF fill.
+func programCells(cells *[]byte, free *[][]byte, size, off int, src []byte) {
+	if *cells != nil {
+		programBits((*cells)[off:off+len(src)], src)
+		return
 	}
-	if pg.data == nil {
-		pg.data = erasedBytes(g.PageSize)
+	if size == 0 {
+		return
 	}
-	if pg.oob == nil && g.OOBSize > 0 {
-		pg.oob = erasedBytes(g.OOBSize)
-	}
-	programBits(pg.data[dataOff:dataOff+kd], data[:kd])
-	if ko > 0 {
-		programBits(pg.oob[oobOff:oobOff+ko], oob[:ko])
-	}
-	pg.state = PageProgrammed
-	pg.programs++
-	if partial {
-		c.stats.PartialPrograms++
+	var a []byte
+	if n := len(*free); n > 0 {
+		a, (*free)[n-1] = (*free)[n-1], nil
+		*free = (*free)[:n-1]
 	} else {
-		c.stats.PagePrograms++
+		a = make([]byte, size)
 	}
-	return ErrPowerLost
+	if len(src) < size {
+		FillErased(a)
+	}
+	copy(a[off:], src)
+	*cells = a
 }
 
 // violatesOverwrite reports whether programming new over old would require
-// any 0->1 transition.
+// any 0->1 transition: new has a 1 bit where old already has a 0 bit.
 func violatesOverwrite(old, new []byte) bool {
+	old = old[:len(new)]
+	for len(new) >= 8 {
+		if binary.LittleEndian.Uint64(new)&^binary.LittleEndian.Uint64(old) != 0 {
+			return true
+		}
+		old, new = old[8:], new[8:]
+	}
 	for i := range new {
-		// A violation exists where new has a 1 bit in a position where
-		// old already has a 0 bit.
 		if new[i]&^old[i] != 0 {
 			return true
 		}
@@ -335,6 +344,11 @@ func violatesOverwrite(old, new []byte) bool {
 // programBits applies the physical programming rule: the stored value is
 // the bitwise AND of the existing charge state and the new data.
 func programBits(dst, src []byte) {
+	dst = dst[:len(src)]
+	for len(src) >= 8 {
+		binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(dst)&binary.LittleEndian.Uint64(src))
+		dst, src = dst[8:], src[8:]
+	}
 	for i := range src {
 		dst[i] &= src[i]
 	}
@@ -385,12 +399,19 @@ func (c *Chip) maybeDisturbPaired(b, p int) {
 // the block's wear counter. Erasing past the endurance limit marks the
 // block as worn out and fails.
 func (c *Chip) Erase(b int) error {
+	if err := c.cfg.Faults.alive(); err != nil {
+		return err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if b < 0 || b >= len(c.blocks) {
 		return fmt.Errorf("%w: block %d", ErrOutOfRange, b)
 	}
 	blk := &c.blocks[b]
+	// Admission before the fault step, as in program.
+	if blk.wornOut {
+		return fmt.Errorf("%w: block %d", ErrWornOut, b)
+	}
 	act := actProceed
 	if c.cfg.Faults != nil {
 		var err error
@@ -399,9 +420,6 @@ func (c *Chip) Erase(b int) error {
 			return err
 		}
 	}
-	if blk.wornOut {
-		return fmt.Errorf("%w: block %d", ErrWornOut, b)
-	}
 	pages := len(blk.pages)
 	if act == actTorn {
 		// An interrupted erase resets only a prefix of the block's pages;
@@ -409,7 +427,14 @@ func (c *Chip) Erase(b int) error {
 		pages = c.cfg.Faults.tornLen(pages)
 	}
 	for i := 0; i < pages; i++ {
-		blk.pages[i] = page{}
+		pg := &blk.pages[i]
+		if pg.data != nil {
+			c.freeData = append(c.freeData, pg.data)
+		}
+		if pg.oob != nil {
+			c.freeOOB = append(c.freeOOB, pg.oob)
+		}
+		*pg = page{}
 	}
 	blk.eraseCount++
 	c.stats.BlockErases++
@@ -432,13 +457,15 @@ func (c *Chip) WornOut(b int) (bool, error) {
 	return c.blocks[b].wornOut, nil
 }
 
-// erasedBytes returns a fresh buffer in the erased (all 0xFF) state.
-func erasedBytes(n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = 0xFF
+// FillErased sets b to the erased state, all 0xFF, by doubling copies.
+func FillErased(b []byte) {
+	if len(b) == 0 {
+		return
 	}
-	return b
+	b[0] = 0xFF
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
 }
 
 // prng is a small deterministic xorshift* generator used for fault

@@ -13,9 +13,10 @@ import (
 var ErrPowerLost = errors.New("nand: power lost (injected fault)")
 
 // FaultOp classifies the device operations that can host a fault point.
-// Every program, erase and log-device flush executed while a FaultPlan is
-// attached is one fault point, numbered in execution order, so a sweep can
-// crash the system at each of them exactly once.
+// Every program and erase a chip admits, and every log-device flush,
+// executed while a FaultPlan is attached is one fault point, numbered in
+// execution order, so a sweep can crash the system at each of them exactly
+// once. A command the chip refuses changes nothing and is not counted.
 type FaultOp int
 
 const (
@@ -196,9 +197,13 @@ const (
 	actAfter               // apply fully, then report power loss
 )
 
-// alive returns ErrPowerLost once the plan is dead. It gates read-type
-// operations, which are never fault points themselves.
+// alive returns ErrPowerLost once the plan is dead; a chip without a plan
+// (nil) always has power. It gates reads, which are never fault points
+// themselves, and is the first check of every program and erase.
 func (p *FaultPlan) alive() error {
+	if p == nil {
+		return nil
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.dead {

@@ -151,8 +151,10 @@ type Config struct {
 	// remain 0 (which is what the physical device would produce).
 	StrictOverwrite bool
 	// Faults, if non-nil, is the deterministic power-cut schedule consulted
-	// before every program and erase. All chips of a device share one plan
-	// so fault points are numbered across the whole device.
+	// by every program and erase the chip admits (a command refused as worn
+	// out, over its NOP budget or violating StrictOverwrite never starts
+	// and is not a fault point). All chips of a device share one plan so
+	// fault points are numbered across the whole device.
 	Faults *FaultPlan
 }
 

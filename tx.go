@@ -175,7 +175,13 @@ func (tx *Tx) Insert(t *Table, key int64, tuple []byte) error {
 	if v, ok := t.pk.Get(key); ok && !t.db.txns.Versions().CommittedDeleted(v) {
 		return fmt.Errorf("%w: %d", ErrDuplicateKey, key)
 	}
-	rid, err := t.heap.Insert(tuple)
+	// Write-ahead: the insert is logged while the heap still pins the page,
+	// or an eviction from another goroutine could store the page between
+	// the two and a crash would leave a tuple no log record knows about.
+	rid, err := t.heap.InsertLogged(tuple, func(rid heap.RID) error {
+		_, err := tx.inner.LogInsert(t.id, rid.PageID, rid.Slot, tuple)
+		return err
+	})
 	if err != nil {
 		return err
 	}
@@ -186,9 +192,6 @@ func (tx *Tx) Insert(t *Table, key int64, tuple []byte) error {
 	// an index entry: the chain marks the tuple uncommitted-by-us, so
 	// snapshot readers see the key as absent until we commit.
 	t.db.txns.Versions().OnInsert(rid.Pack(), tx.inner.ID())
-	if _, err := tx.inner.LogInsert(t.id, rid.PageID, rid.Slot, tuple); err != nil {
-		return err
-	}
 	if _, err := tx.inner.LogIndexInsert(t.idxID, key, rid.Pack()); err != nil {
 		return err
 	}
