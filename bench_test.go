@@ -389,3 +389,94 @@ func BenchmarkSnapshotReadMix(b *testing.B) {
 		}
 	}
 }
+
+// residentTable opens the benchmark's mem_rw geometry — 8 KiB pages, a
+// 128-page pool, 3 776 rows of 120 bytes (half the pool), [2×4] on native
+// Flash in pSLC mode — loads it through transactions and checkpoints, so
+// every page an operation touches is resident and the device is idle. What
+// is left is the substrate above eviction: begin, lock, log, version,
+// commit, buffer hit, page update. The allocation pins in fastpath_test.go
+// run on the same table.
+func residentTable(b testing.TB) (*ipa.DB, *ipa.Table) {
+	b.Helper()
+	db, err := ipa.Open(ipa.Config{
+		PageSize:        8 * 1024,
+		Blocks:          128,
+		PagesPerBlock:   64,
+		Chips:           1,
+		FlashMode:       ipa.PSLC,
+		WriteMode:       ipa.IPANativeFlash,
+		Scheme:          ipa.Scheme{N: 2, M: 4},
+		BufferPoolPages: 128,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = db.Close() })
+	table, err := db.CreateTable("t", residentTupleSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	row := make([]byte, residentTupleSize)
+	for k := int64(0); k < residentRows; {
+		tx := db.Begin()
+		for n := 0; n < 64 && k < residentRows; n, k = n+1, k+1 {
+			if err := tx.Insert(table, k, row); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := db.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	return db, table
+}
+
+const (
+	residentRows      = 3776
+	residentTupleSize = 120
+	residentCkptEvery = 100000 // operations between checkpoints, as mem_rw runs them
+)
+
+// BenchmarkResidentUpdateTxn is one Begin → UpdateAt → Commit of an 8-byte
+// field on a resident page: the isolating benchmark of the transaction
+// layer. allocs/op is the figure the tier-1 AllocsPerRun tests pin.
+func BenchmarkResidentUpdateTxn(b *testing.B) {
+	db, table := residentTable(b)
+	var patch [8]byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		patch[0], patch[1], patch[2] = byte(i), byte(i>>8), byte(i>>16)
+		tx := db.Begin()
+		if err := tx.UpdateAt(table, int64(i*31)%residentRows, 112, patch[:]); err != nil {
+			b.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		if i%residentCkptEvery == residentCkptEvery-1 {
+			if _, err := db.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkResidentGet is one statement-snapshot Table.Get of a resident
+// row: oracle snapshot, B-tree probe, version resolve, shared buffer hit and
+// the copy handed to the caller.
+func BenchmarkResidentGet(b *testing.B) {
+	_, table := residentTable(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v, err := table.Get(int64(i*31) % residentRows)
+		if err != nil || len(v) != residentTupleSize {
+			b.Fatalf("get: %v (%d bytes)", err, len(v))
+		}
+	}
+}

@@ -110,6 +110,49 @@ type frame struct {
 	// exist in this frame. Fuzzy checkpoints flush dirty pages in recLSN
 	// order so the WAL truncation cut can advance past the oldest one.
 	recLSN uint64
+	// excl and shrd are the two handles the frame ever hands out, so a
+	// fetch allocates nothing. Their pid follows the frame's: residentLocked
+	// rewrites it, under the shard mutex, while pin == 0 — when nobody
+	// holds either.
+	excl, shrd Handle
+}
+
+// residentLocked starts a new residency of the frame: pid is its page, one
+// pin is taken for the caller, and both handles now name pid. The caller
+// holds the shard mutex and has claimed the frame (pin == 0), then loads
+// or formats the page and sets the tracker.
+func (s *shard) residentLocked(idx int, pid uint64, dirty bool) *frame {
+	f := &s.frames[idx]
+	f.pid = pid
+	f.pin = 1
+	f.ref = true
+	f.dirty = dirty
+	f.recLSN = 0
+	if dirty {
+		f.recLSN = s.stampLocked()
+	}
+	f.valid = true
+	f.tracker = nil
+	f.excl.pid, f.shrd.pid = pid, pid
+	s.table[pid] = idx
+	return f
+}
+
+// vacateLocked undoes residentLocked after the load or format failed.
+func (s *shard) vacateLocked(f *frame) {
+	delete(s.table, f.pid)
+	f.valid = false
+	f.pin = 0
+	f.dirty = false
+	f.recLSN = 0
+}
+
+// handle returns the frame's exclusive or shared handle.
+func (f *frame) handle(shared bool) *Handle {
+	if shared {
+		return &f.shrd
+	}
+	return &f.excl
 }
 
 // shard is one independently-latched partition of the pool.
@@ -180,7 +223,10 @@ func NewSharded(io PageIO, nframes, nshards int) (*Pool, error) {
 			table:  make(map[uint64]int, n),
 		}
 		for j := range s.frames {
-			s.frames[j].data = make([]byte, size)
+			f := &s.frames[j]
+			f.data = make([]byte, size)
+			f.excl = Handle{shard: s, idx: j}
+			f.shrd = Handle{shard: s, idx: j, shared: true}
 		}
 		p.shards[i] = s
 	}
@@ -221,6 +267,12 @@ func (p *Pool) Stats() Stats {
 // released exactly once. Handles from Fetch and Create hold the frame
 // latch exclusively; handles from FetchShared hold it shared and must not
 // modify the page.
+//
+// Release ends a handle's life. The Handle belongs to the frame, not to
+// the caller: every exclusive holder of a frame gets the same *Handle, all
+// its shared holders share another, and once the frame is evicted and
+// refilled both name the new page. Using a handle after its Release
+// therefore reads — or unlatches — whoever holds the frame next.
 type Handle struct {
 	shard  *shard
 	idx    int
@@ -330,34 +382,24 @@ func (p *Pool) fetch(pid uint64, shared bool) (*Handle, error) {
 		// the shard mutex so unrelated pages of the shard stay
 		// accessible.
 		lockLatch(f, shared)
-		return &Handle{shard: s, idx: idx, pid: pid, shared: shared}, nil
+		return f.handle(shared), nil
 	}
 	s.stats.Misses++
-	f := &s.frames[idx]
-	f.pid = pid
-	f.pin = 1
-	f.ref = true
-	f.dirty = false
-	f.recLSN = 0
-	f.valid = true
-	f.tracker = nil
-	s.table[pid] = idx
+	f := s.residentLocked(idx, pid, false)
 	// The load happens under the shard mutex: it keeps the miss-then-load
 	// path atomic with respect to concurrent fetches of the same page, and
 	// only serialises this shard — misses on other shards proceed in
 	// parallel.
 	tracker, err := s.io.LoadPage(pid, f.data)
 	if err != nil {
-		delete(s.table, pid)
-		f.valid = false
-		f.pin = 0
+		s.vacateLocked(f)
 		s.mu.Unlock()
 		return nil, err
 	}
 	f.tracker = tracker
 	s.mu.Unlock()
 	lockLatch(f, shared)
-	return &Handle{shard: s, idx: idx, pid: pid, shared: shared}, nil
+	return f.handle(shared), nil
 }
 
 func lockLatch(f *frame, shared bool) {
@@ -385,28 +427,17 @@ func (p *Pool) Create(pid uint64, init func(buf []byte) (*core.Tracker, error)) 
 		s.mu.Unlock()
 		return nil, fmt.Errorf("buffer: page %d already cached", pid)
 	}
-	f := &s.frames[idx]
-	f.pid = pid
-	f.pin = 1
-	f.ref = true
-	f.dirty = true
-	f.recLSN = s.stampLocked()
-	f.valid = true
-	f.tracker = nil
-	s.table[pid] = idx
+	f := s.residentLocked(idx, pid, true)
 	tracker, err := init(f.data)
 	if err != nil {
-		delete(s.table, pid)
-		f.valid = false
-		f.pin = 0
-		f.dirty = false
+		s.vacateLocked(f)
 		s.mu.Unlock()
 		return nil, err
 	}
 	f.tracker = tracker
 	s.mu.Unlock()
 	lockLatch(f, false)
-	return &Handle{shard: s, idx: idx, pid: pid}, nil
+	return &f.excl, nil
 }
 
 // victimLocked returns the index of a free frame, evicting a victim with

@@ -293,3 +293,124 @@ func TestCapacity(t *testing.T) {
 		t.Fatalf("Capacity = %d", pool.Capacity())
 	}
 }
+
+// TestRefilledFrameHandsOutHandlesForTheNewPage: handles belong to the
+// frame and are reused, so when the frame changes residency — by a miss or
+// by Create, after an eviction — both of them must name the new page, on
+// the first fetch and on every hit after it.
+func TestRefilledFrameHandsOutHandlesForTheNewPage(t *testing.T) {
+	io := newMemIO(64)
+	for pid := uint64(1); pid <= 3; pid++ {
+		io.seed(pid, byte(pid))
+	}
+	pool, err := New(io, 1) // one frame: every new page evicts the last
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(h *Handle, err error, pid uint64, val byte) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("page %d: %v", pid, err)
+		}
+		if h.PID() != pid || h.Data()[0] != val {
+			t.Fatalf("handle names page %d with first byte %#x, want page %d with %#x", h.PID(), h.Data()[0], pid, val)
+		}
+		h.Release()
+	}
+	for round := 0; round < 2; round++ {
+		for pid := uint64(1); pid <= 3; pid++ {
+			h, err := pool.Fetch(pid) // miss: the frame's last page is evicted
+			check(h, err, pid, byte(pid))
+			h, err = pool.FetchShared(pid) // hit, the other handle
+			check(h, err, pid, byte(pid))
+			h, err = pool.Fetch(pid) // hit
+			check(h, err, pid, byte(pid))
+		}
+	}
+	h, err := pool.Create(9, func(buf []byte) (*core.Tracker, error) {
+		buf[0] = 9
+		return core.NewTracker(core.Scheme{N: 2, M: 4}, 4, len(buf), 0), nil
+	})
+	check(h, err, 9, 9)
+	h, err = pool.FetchShared(9)
+	check(h, err, 9, 9)
+	// A failed load must not leave the handles naming a page that is not
+	// there: the next resident rewrites them.
+	io.failLoad = true
+	if _, err := pool.Fetch(2); err == nil {
+		t.Fatal("injected load failure not reported")
+	}
+	io.failLoad = false
+	h, err = pool.Fetch(3)
+	check(h, err, 3, 3)
+}
+
+// TestSharedHoldersReleaseIndependently: every shared holder of a frame
+// gets the same *Handle, so Release must carry no per-holder state — each
+// call gives back one pin and one read latch, in any order, and the page
+// stays pinned until the last.
+func TestSharedHoldersReleaseIndependently(t *testing.T) {
+	io := newMemIO(64)
+	io.seed(1, 1)
+	io.seed(2, 2)
+	pool, err := New(io, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := pool.FetchShared(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := pool.FetchShared(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Release()
+	// b still pins the only frame: page 2 cannot come in, and b still reads
+	// page 1.
+	if b.PID() != 1 || b.Data()[0] != 1 {
+		t.Fatalf("second holder reads page %d after the first released", b.PID())
+	}
+	s := pool.shardFor(1)
+	s.mu.Lock()
+	pins := s.frames[0].pin
+	s.mu.Unlock()
+	if pins != 1 {
+		t.Fatalf("pin count %d with one shared holder left, want 1", pins)
+	}
+	b.Release()
+	// Both latches are back: an exclusive fetch gets through, and the frame
+	// can be evicted for page 2.
+	h, err := pool.Fetch(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	h, err = pool.Fetch(2)
+	if err != nil {
+		t.Fatalf("frame still pinned after both shared holders released: %v", err)
+	}
+	h.Release()
+}
+
+// TestFetchOfCachedPageAllocatesNothing pins the per-frame handles.
+func TestFetchOfCachedPageAllocatesNothing(t *testing.T) {
+	io := newMemIO(64)
+	io.seed(1, 1)
+	pool, err := New(io, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fetch := range []func(uint64) (*Handle, error){pool.Fetch, pool.FetchShared} {
+		allocs := testing.AllocsPerRun(100, func() {
+			h, err := fetch(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Release()
+		})
+		if allocs != 0 {
+			t.Fatalf("Fetch + Release of a cached page allocates %.1f times, want 0", allocs)
+		}
+	}
+}

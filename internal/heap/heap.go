@@ -139,8 +139,10 @@ func (f *File) NoteRestoredTuple() {
 }
 
 // withPage pins a page exclusively, wraps it and attaches the frame's
-// tracker as the change recorder, then runs fn.
-func (f *File) withPage(pid uint64, fn func(h *buffer.Handle, pg *page.Page) error) error {
+// tracker as the change recorder, then runs fn. fn receives the page by
+// value — a Page is a buffer and a recorder, and a pointer handed to a
+// function value would force the wrapper onto the heap on every call.
+func (f *File) withPage(pid uint64, fn func(h *buffer.Handle, pg page.Page) error) error {
 	h, err := f.pool.Fetch(pid)
 	if err != nil {
 		return err
@@ -151,13 +153,13 @@ func (f *File) withPage(pid uint64, fn func(h *buffer.Handle, pg *page.Page) err
 		return err
 	}
 	pg.SetRecorder(h.Tracker())
-	return fn(h, pg)
+	return fn(h, *pg)
 }
 
 // withPageShared pins a page with a shared latch for read-only access, so
 // concurrent readers of the same page proceed in parallel. fn must not
 // modify the page.
-func (f *File) withPageShared(pid uint64, fn func(pg *page.Page) error) error {
+func (f *File) withPageShared(pid uint64, fn func(pg page.Page) error) error {
 	h, err := f.pool.FetchShared(pid)
 	if err != nil {
 		return err
@@ -167,7 +169,7 @@ func (f *File) withPageShared(pid uint64, fn func(pg *page.Page) error) error {
 	if err != nil {
 		return err
 	}
-	return fn(pg)
+	return fn(*pg)
 }
 
 // Insert stores a tuple and returns its RID. Tuples must have the file's
@@ -235,7 +237,7 @@ func (f *File) InsertLogged(tuple []byte, logged func(RID) error) (RID, error) {
 func (f *File) tryInsertLocked(pid uint64, tuple []byte, logged func(RID) error) (RID, bool, error) {
 	var rid RID
 	var ok bool
-	err := f.withPage(pid, func(h *buffer.Handle, pg *page.Page) error {
+	err := f.withPage(pid, func(h *buffer.Handle, pg page.Page) error {
 		if pg.FreeSpace() < len(tuple)+page.SlotSize {
 			return nil
 		}
@@ -257,7 +259,7 @@ func (f *File) tryInsertLocked(pid uint64, tuple []byte, logged func(RID) error)
 // Get returns a copy of the tuple at rid.
 func (f *File) Get(rid RID) ([]byte, error) {
 	var out []byte
-	err := f.withPageShared(rid.PageID, func(pg *page.Page) error {
+	err := f.withPageShared(rid.PageID, func(pg page.Page) error {
 		t, err := pg.Tuple(int(rid.Slot))
 		if err != nil {
 			if errors.Is(err, page.ErrDeleted) || errors.Is(err, page.ErrBadSlot) {
@@ -274,7 +276,7 @@ func (f *File) Get(rid RID) ([]byte, error) {
 // UpdateAt overwrites len(data) bytes of the tuple at rid starting at the
 // tuple-relative offset. This is the small in-place update IPA targets.
 func (f *File) UpdateAt(rid RID, offset int, data []byte) error {
-	return f.withPage(rid.PageID, func(h *buffer.Handle, pg *page.Page) error {
+	return f.withPage(rid.PageID, func(h *buffer.Handle, pg page.Page) error {
 		if err := pg.UpdateTupleAt(int(rid.Slot), offset, data); err != nil {
 			if errors.Is(err, page.ErrDeleted) || errors.Is(err, page.ErrBadSlot) {
 				return fmt.Errorf("%w: %s", ErrNotFound, rid)
@@ -307,7 +309,7 @@ func (f *File) Reuse(rid RID, tuple []byte) error {
 	if len(tuple) != f.tupleSize {
 		return fmt.Errorf("heap: tuple size %d, want %d", len(tuple), f.tupleSize)
 	}
-	err := f.withPage(rid.PageID, func(h *buffer.Handle, pg *page.Page) error {
+	err := f.withPage(rid.PageID, func(h *buffer.Handle, pg page.Page) error {
 		deleted, err := pg.Deleted(int(rid.Slot))
 		if err != nil {
 			return err
@@ -331,7 +333,7 @@ func (f *File) Reuse(rid RID, tuple []byte) error {
 
 // Delete removes the tuple at rid.
 func (f *File) Delete(rid RID) error {
-	err := f.withPage(rid.PageID, func(h *buffer.Handle, pg *page.Page) error {
+	err := f.withPage(rid.PageID, func(h *buffer.Handle, pg page.Page) error {
 		if err := pg.DeleteTuple(int(rid.Slot)); err != nil {
 			if errors.Is(err, page.ErrDeleted) || errors.Is(err, page.ErrBadSlot) {
 				return fmt.Errorf("%w: %s", ErrNotFound, rid)
@@ -369,7 +371,7 @@ func (f *File) Scan(fn func(rid RID, tuple []byte) bool) error {
 func (f *File) ScanSlots(fn func(rid RID, tuple []byte, deleted bool) bool) error {
 	for _, pid := range f.PageIDs() {
 		stop := false
-		err := f.withPageShared(pid, func(pg *page.Page) error {
+		err := f.withPageShared(pid, func(pg page.Page) error {
 			for s := 0; s < pg.SlotCount(); s++ {
 				deleted, err := pg.Deleted(s)
 				if err != nil {

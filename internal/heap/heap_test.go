@@ -254,3 +254,36 @@ func TestInsertLoggedRunsUnderThePin(t *testing.T) {
 		t.Fatalf("tuple whose logging failed is not at the returned RID: %v", gerr)
 	}
 }
+
+// TestResidentAccessAllocations pins what a heap operation on a cached page
+// costs: the wrapped page stays on the stack and the buffer handle belongs
+// to the frame, so an in-place update allocates nothing (the tracker's map
+// aside, which reaches its working size within a few updates) and a read
+// only the copy it returns.
+func TestResidentAccessAllocations(t *testing.T) {
+	f, _ := testFile(t, 80, 8)
+	rid, err := f.Insert(tuple(80, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	patch := []byte{1, 2, 3, 4}
+	for i := 0; i < 8; i++ { // the same four bytes every time: the tracker's map stops growing
+		if err := f.UpdateAt(rid, 40, patch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := f.UpdateAt(rid, 40, patch); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("UpdateAt on a cached page allocates %.1f times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := f.Get(rid); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Fatalf("Get on a cached page allocates %.1f times, want 1 (the copy)", allocs)
+	}
+}

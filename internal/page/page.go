@@ -92,8 +92,10 @@ var (
 // Recorder receives byte-level change notifications from mutating page
 // operations. core.Tracker satisfies this interface.
 type Recorder interface {
-	// RecordWrite reports that the page bytes at offset changed from old
-	// to new (body changes only).
+	// RecordWrite reports that the page bytes at offset change from old
+	// to new (body changes only). It is called before the page is written:
+	// old is the page's own memory, valid only during the call, so an
+	// implementation copies what it keeps.
 	RecordWrite(offset int, old, new []byte)
 	// RecordMetaChange reports that header or footer bytes changed.
 	RecordMetaChange()
@@ -346,14 +348,12 @@ func (p *Page) Deleted(i int) (bool, error) {
 	return uint16(length) == deletedLen, nil
 }
 
-// bodyWrite copies data into the page body at offset and reports the change.
+// bodyWrite copies data into the page body at offset and reports the
+// change. The recorder sees the page's own bytes as the old image and must
+// be told before they are overwritten; it does not retain either slice.
 func (p *Page) bodyWrite(offset int, data []byte) {
 	if p.rec != nil {
-		old := make([]byte, len(data))
-		copy(old, p.buf[offset:offset+len(data)])
-		copy(p.buf[offset:], data)
-		p.rec.RecordWrite(offset, old, data)
-		return
+		p.rec.RecordWrite(offset, p.buf[offset:offset+len(data)], data)
 	}
 	copy(p.buf[offset:], data)
 }

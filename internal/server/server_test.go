@@ -463,3 +463,78 @@ func TestDisconnectAbortsOpenTransaction(t *testing.T) {
 		t.Fatal("disconnect did not abort the open transaction")
 	}
 }
+
+// TestUpdateThenGetOnOneConnection is the session guarantee a RESP client
+// assumes: a command sees the effects of the commands the same connection
+// completed before it. Snapshots read the oracle's contiguous watermark, so
+// with other connections committing, an UPDATE's commit used to return
+// while an earlier timestamp was still in flight and the GET behind it read
+// the old value. Writers on other connections keep timestamps in flight.
+func TestUpdateThenGetOnOneConnection(t *testing.T) {
+	srv, _ := newTestServer(t)
+	admin := dial(t, srv)
+	do(t, admin, "CREATE", "ryw", "16")
+	const writers = 4
+	for k := 0; k <= writers; k++ {
+		do(t, admin, "INSERT", "ryw", fmt.Sprint(k), "00000000")
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 1; w <= writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c, err := ipaclient.Dial(srv.Addr().String())
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer c.Close()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := c.DoStrings("UPDATE", "ryw", fmt.Sprint(w), "0", fmt.Sprintf("%08d", i)); err != nil {
+					errs <- fmt.Errorf("writer %d: %w", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	c := dial(t, srv)
+	for i := 1; i <= 2000; i++ {
+		val := fmt.Sprintf("%08d", i)
+		do(t, c, "UPDATE", "ryw", "0", "0", val)
+		if r := do(t, c, "GET", "ryw", "0"); string(r.Bulk[:8]) != val {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("GET after UPDATE %s on the same connection returned %s", val, r.Bulk[:8])
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// TestVerbsAreCaseInsensitive: the dispatch probes the table with the verb
+// as sent and folds case only on a miss; both spellings must land on the
+// same command and the same latency series.
+func TestVerbsAreCaseInsensitive(t *testing.T) {
+	srv, _ := newTestServer(t)
+	c := dial(t, srv)
+	for _, verb := range []string{"PING", "ping", "Ping"} {
+		if r := do(t, c, verb); r.Str != "PONG" {
+			t.Fatalf("%s: %+v", verb, r)
+		}
+	}
+	doErr(t, c, "UNKNOWN", "nosuch")
+	if _, err := c.DoStrings("nosuch"); err == nil || !strings.Contains(err.Error(), `"NOSUCH"`) {
+		t.Fatalf("unknown verb reported as %v, want it upper-cased as before", err)
+	}
+}

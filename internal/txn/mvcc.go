@@ -50,15 +50,24 @@ type version struct {
 
 // chain is the version metadata of one record. The head fields describe
 // the state of the heap slot; olds lists superseded committed versions,
-// newest first.
+// oldest first (ascending ts), so a push is an append and GC trims a prefix.
 type chain struct {
 	writer        uint64 // txn holding the heap slot uncommitted; 0 = committed
 	inserted      bool   // writer created the record (no committed state exists)
 	pendingDelete bool   // writer's uncommitted change is a delete
-	pushed        bool   // writer pushed olds[0] (false for adopted dead-writer chains)
+	pushed        bool   // writer pushed the newest of olds (false for adopted dead-writer chains)
 	headTS        uint64 // commit timestamp of the heap bytes (writer == 0)
 	headDeleted   bool   // the committed head state is a delete (zombie)
 	olds          []version
+	// first is the array olds starts on: the one superseded version most
+	// chains ever hold costs no allocation beyond the chain itself.
+	first [1]version
+}
+
+func newChain() *chain {
+	ch := &chain{}
+	ch.olds = ch.first[:0]
+	return ch
 }
 
 const versionStripes = 64
@@ -75,6 +84,22 @@ type gcMark struct {
 	rid uint64
 }
 
+// writeSet is the packed RIDs one transaction has written. The first lives
+// in the map value itself, so a one-row transaction allocates no slice.
+type writeSet struct {
+	first uint64
+	more  []uint64
+}
+
+func (w *writeSet) len() int { return 1 + len(w.more) }
+
+func (w *writeSet) at(i int) uint64 {
+	if i == 0 {
+		return w.first
+	}
+	return w.more[i-1]
+}
+
 // VersionCache is the engine-global store of version chains, striped for
 // concurrency. Writers mutate chains under their record locks (plus the
 // stripe mutex); readers resolve lock-free via a per-stripe sequence
@@ -83,10 +108,18 @@ type VersionCache struct {
 	stripes [versionStripes]vstripe
 
 	txMu   sync.Mutex
-	txRIDs map[uint64][]uint64 // txn id -> packed RIDs it has written
+	txRIDs map[uint64]writeSet // txn id -> packed RIDs it has written
 
-	gcMu    sync.Mutex
-	gcQueue []gcMark
+	// gcQueue[gcHead:] are the parked marks in ascending ts: commits park
+	// in timestamp order give or take the few in flight, so a late mark
+	// bubbles back a step or two, the marks ready at a given floor are a
+	// prefix, and GC costs O(ready) however many marks an old snapshot
+	// keeps parked. Entries before gcHead are spent. gcMu is taken before
+	// any stripe mutex, never under one.
+	gcMu       sync.Mutex
+	gcQueue    []gcMark
+	gcHead     int
+	gcExamined uint64 // marks GC has compared against its floor (the tests' cost measure)
 
 	chainsLive        atomic.Int64
 	versionsCreated   atomic.Uint64
@@ -97,7 +130,7 @@ type VersionCache struct {
 
 // NewVersionCache creates an empty cache.
 func NewVersionCache() *VersionCache {
-	c := &VersionCache{txRIDs: make(map[uint64][]uint64)}
+	c := &VersionCache{txRIDs: make(map[uint64]writeSet)}
 	for i := range c.stripes {
 		c.stripes[i].chains = make(map[uint64]*chain)
 	}
@@ -112,16 +145,24 @@ func (c *VersionCache) stripe(rid uint64) *vstripe {
 
 func (c *VersionCache) noteTxn(txnID, rid uint64) {
 	c.txMu.Lock()
-	c.txRIDs[txnID] = append(c.txRIDs[txnID], rid)
+	if ws, ok := c.txRIDs[txnID]; ok {
+		ws.more = append(ws.more, rid)
+		c.txRIDs[txnID] = ws
+	} else {
+		c.txRIDs[txnID] = writeSet{first: rid}
+	}
 	c.txMu.Unlock()
 }
 
-func (c *VersionCache) takeTxn(txnID uint64) []uint64 {
+// takeTxn removes and returns txnID's write set; ok is false if it wrote
+// nothing.
+func (c *VersionCache) takeTxn(txnID uint64) (ws writeSet, ok bool) {
 	c.txMu.Lock()
-	rids := c.txRIDs[txnID]
-	delete(c.txRIDs, txnID)
+	if ws, ok = c.txRIDs[txnID]; ok {
+		delete(c.txRIDs, txnID)
+	}
 	c.txMu.Unlock()
-	return rids
+	return ws, ok
 }
 
 // OnInsert registers a freshly inserted record: the heap slot holds
@@ -131,7 +172,9 @@ func (c *VersionCache) takeTxn(txnID uint64) []uint64 {
 func (c *VersionCache) OnInsert(rid, txnID uint64) {
 	s := c.stripe(rid)
 	s.mu.Lock()
-	s.chains[rid] = &chain{writer: txnID, inserted: true}
+	ch := newChain()
+	ch.writer, ch.inserted = txnID, true
+	s.chains[rid] = ch
 	s.seq.Add(1)
 	s.mu.Unlock()
 	c.chainsLive.Add(1)
@@ -146,43 +189,48 @@ func (c *VersionCache) OnInsert(rid, txnID uint64) {
 //
 // If the chain still carries a dead writer (a transaction whose commit
 // flush failed, leaving its heap bytes uncommitted forever), the new
-// writer adopts the chain without pushing a pre-image: olds[0] already
-// holds the last committed state, and prev — read from the heap — is the
-// dead writer's residue, not a committed version.
+// writer adopts the chain without pushing a pre-image: the newest of olds
+// already holds the last committed state, and prev — read from the heap —
+// is the dead writer's residue, not a committed version.
 func (c *VersionCache) OnWrite(rid, txnID uint64, prev []byte, del bool) {
+	c.OnWriteOwned(rid, txnID, append([]byte(nil), prev...), del)
+}
+
+// OnWriteOwned is OnWrite taking ownership of prev: the slice becomes the
+// superseded version as it is, so the caller must not touch it again. The
+// engine hands over the tuple copy heap.Get just made for it instead of
+// having it copied a second time.
+func (c *VersionCache) OnWriteOwned(rid, txnID uint64, prev []byte, del bool) {
 	s := c.stripe(rid)
 	s.mu.Lock()
-	defer func() {
-		s.seq.Add(1)
-		s.mu.Unlock()
-	}()
 	ch := s.chains[rid]
 	if ch == nil {
-		ch = &chain{}
+		ch = newChain()
 		s.chains[rid] = ch
 		c.chainsLive.Add(1)
 	}
-	if ch.writer == txnID {
+	switch {
+	case ch.writer == txnID:
 		// Second write by the same transaction: the pre-image pushed by
 		// the first write stays the rollback target.
 		ch.pendingDelete = del
-		return
-	}
-	if ch.writer != 0 {
+	case ch.writer != 0:
 		ch.writer = txnID
 		ch.inserted = false
 		ch.pendingDelete = del
 		ch.pushed = false
 		c.noteTxn(txnID, rid)
-		return
+	default:
+		ch.olds = append(ch.olds, version{ts: ch.headTS, deleted: ch.headDeleted, data: prev})
+		ch.writer = txnID
+		ch.inserted = false
+		ch.pendingDelete = del
+		ch.pushed = true
+		c.versionsCreated.Add(1)
+		c.noteTxn(txnID, rid)
 	}
-	ch.olds = append([]version{{ts: ch.headTS, deleted: ch.headDeleted, data: append([]byte(nil), prev...)}}, ch.olds...)
-	ch.writer = txnID
-	ch.inserted = false
-	ch.pendingDelete = del
-	ch.pushed = true
-	c.versionsCreated.Add(1)
-	c.noteTxn(txnID, rid)
+	s.seq.Add(1)
+	s.mu.Unlock()
 }
 
 // CommitTxn stamps every chain written by txnID with its commit timestamp
@@ -191,12 +239,13 @@ func (c *VersionCache) OnWrite(rid, txnID uint64, prev []byte, del bool) {
 // before Oracle.EndCommit(ts) — otherwise a reader could acquire a
 // snapshot >= ts while the chains still look uncommitted.
 func (c *VersionCache) CommitTxn(txnID, ts uint64) {
-	rids := c.takeTxn(txnID)
-	if len(rids) == 0 {
+	ws, ok := c.takeTxn(txnID)
+	if !ok {
 		return
 	}
-	marks := make([]gcMark, 0, len(rids))
-	for _, rid := range rids {
+	c.gcMu.Lock()
+	for i := 0; i < ws.len(); i++ {
+		rid := ws.at(i)
 		s := c.stripe(rid)
 		s.mu.Lock()
 		if ch := s.chains[rid]; ch != nil && ch.writer == txnID {
@@ -207,13 +256,19 @@ func (c *VersionCache) CommitTxn(txnID, ts uint64) {
 			ch.inserted = false
 			ch.pushed = false
 			s.seq.Add(1)
-			marks = append(marks, gcMark{ts: ts, rid: rid})
+			c.parkLocked(gcMark{ts: ts, rid: rid})
 		}
 		s.mu.Unlock()
 	}
-	c.gcMu.Lock()
-	c.gcQueue = append(c.gcQueue, marks...)
 	c.gcMu.Unlock()
+}
+
+// parkLocked queues a mark in timestamp order. The caller holds gcMu.
+func (c *VersionCache) parkLocked(m gcMark) {
+	c.gcQueue = append(c.gcQueue, m)
+	for i := len(c.gcQueue) - 1; i > c.gcHead && c.gcQueue[i-1].ts > m.ts; i-- {
+		c.gcQueue[i], c.gcQueue[i-1] = c.gcQueue[i-1], c.gcQueue[i]
+	}
 }
 
 // AbortTxn rolls the chains written by txnID back to their committed
@@ -221,7 +276,9 @@ func (c *VersionCache) CommitTxn(txnID, ts uint64) {
 // AbortTxn and must still hold the record locks, so a chain flipping back
 // to "heap is committed" always points at restored bytes.
 func (c *VersionCache) AbortTxn(txnID uint64) {
-	for _, rid := range c.takeTxn(txnID) {
+	ws, ok := c.takeTxn(txnID)
+	for i := 0; ok && i < ws.len(); i++ {
+		rid := ws.at(i)
 		s := c.stripe(rid)
 		s.mu.Lock()
 		ch := s.chains[rid]
@@ -238,8 +295,10 @@ func (c *VersionCache) AbortTxn(txnID uint64) {
 		case ch.pushed:
 			// The undo restored the pre-image into the heap slot; pop it
 			// back off the chain.
-			head := ch.olds[0]
-			ch.olds = ch.olds[1:]
+			n := len(ch.olds) - 1
+			head := ch.olds[n]
+			ch.olds[n] = version{}
+			ch.olds = ch.olds[:n]
 			ch.writer = 0
 			ch.headTS = head.ts
 			ch.headDeleted = head.deleted
@@ -249,8 +308,8 @@ func (c *VersionCache) AbortTxn(txnID uint64) {
 		default:
 			// Adopted dead-writer chain: the heap bytes were never a
 			// committed state, so the chain stays pending forever and
-			// readers keep resolving to olds[0]. (Only reachable after a
-			// commit-flush failure, which poisons the engine anyway.)
+			// readers keep resolving to the newest of olds. (Only reachable
+			// after a commit-flush failure, which poisons the engine anyway.)
 		}
 		s.seq.Add(1)
 		s.mu.Unlock()
@@ -305,7 +364,7 @@ func (c *VersionCache) resolveLocked(s *vstripe, rid, snap, self uint64) Resolut
 	}
 	// The heap state is invisible (uncommitted by another txn, or too
 	// new): chase the chain for the newest version at or before snap.
-	for i := range ch.olds {
+	for i := len(ch.olds) - 1; i >= 0; i-- {
 		v := &ch.olds[i]
 		if v.ts <= snap {
 			if v.deleted {
@@ -363,53 +422,62 @@ func (c *VersionCache) HasChain(rid uint64) bool {
 // committed state is itself at or before oldest collapse entirely —
 // committed-deleted chains vanish (the heap slot is gone; a chainless
 // miss reads as absent) and live ones become chainless heap records.
+//
+// It runs on every commit and snapshot release, so it must cost what it
+// reclaims: the queue is in timestamp order, the ready marks are its
+// prefix, and a call that finds the first mark still pinned stops there.
 func (c *VersionCache) GC(oldest uint64) {
 	c.gcMu.Lock()
-	if len(c.gcQueue) == 0 {
-		c.gcMu.Unlock()
+	for c.gcHead < len(c.gcQueue) {
+		c.gcExamined++
+		m := c.gcQueue[c.gcHead]
+		if m.ts > oldest {
+			break
+		}
+		c.gcHead++
+		c.trim(m.rid, oldest)
+	}
+	// Reuse the array: start over once drained, and shift the live marks
+	// down when the spent prefix is the larger half (amortised O(1) a pop).
+	if live := len(c.gcQueue) - c.gcHead; live <= c.gcHead {
+		copy(c.gcQueue, c.gcQueue[c.gcHead:])
+		c.gcQueue, c.gcHead = c.gcQueue[:live], 0
+	}
+	c.gcMu.Unlock()
+}
+
+// trim drops the versions of rid that no snapshot at or after oldest can
+// resolve to.
+func (c *VersionCache) trim(rid, oldest uint64) {
+	s := c.stripe(rid)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ch := s.chains[rid]
+	if ch == nil {
 		return
 	}
-	var ready, keep []gcMark
-	for _, m := range c.gcQueue {
-		if m.ts <= oldest {
-			ready = append(ready, m)
-		} else {
-			keep = append(keep, m)
+	reclaimed := 0
+	if ch.writer == 0 && ch.headTS <= oldest {
+		// The head itself satisfies every snapshot: the whole history
+		// — and for still-live records the chain itself — can go.
+		reclaimed = len(ch.olds)
+		delete(s.chains, rid)
+		c.chainsLive.Add(-1)
+	} else {
+		// Keep everything newer than oldest plus the one boundary
+		// version a snapshot at exactly `oldest` resolves to.
+		newer := sort.Search(len(ch.olds), func(i int) bool { return ch.olds[i].ts > oldest })
+		if reclaimed = max(newer-1, 0); reclaimed > 0 {
+			// Shift down, staying on the same (possibly inline) array.
+			kept := copy(ch.olds, ch.olds[reclaimed:])
+			clear(ch.olds[kept:])
+			ch.olds = ch.olds[:kept]
 		}
 	}
-	c.gcQueue = keep
-	c.gcMu.Unlock()
-
-	for _, m := range ready {
-		s := c.stripe(m.rid)
-		s.mu.Lock()
-		ch := s.chains[m.rid]
-		if ch == nil {
-			s.mu.Unlock()
-			continue
-		}
-		reclaimed := 0
-		if ch.writer == 0 && ch.headTS <= oldest {
-			// The head itself satisfies every snapshot: the whole history
-			// — and for still-live records the chain itself — can go.
-			reclaimed = len(ch.olds)
-			delete(s.chains, m.rid)
-			c.chainsLive.Add(-1)
-		} else {
-			// Keep everything newer than oldest plus the one boundary
-			// version a snapshot at exactly `oldest` resolves to.
-			cut := sort.Search(len(ch.olds), func(i int) bool { return ch.olds[i].ts <= oldest })
-			if cut < len(ch.olds)-1 {
-				reclaimed = len(ch.olds) - cut - 1
-				ch.olds = ch.olds[: cut+1 : cut+1]
-			}
-		}
-		if reclaimed > 0 {
-			c.versionsReclaimed.Add(uint64(reclaimed))
-		}
-		s.seq.Add(1)
-		s.mu.Unlock()
+	if reclaimed > 0 {
+		c.versionsReclaimed.Add(uint64(reclaimed))
 	}
+	s.seq.Add(1)
 }
 
 // VersionStats is a point-in-time snapshot of the cache counters.

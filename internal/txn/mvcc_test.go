@@ -2,7 +2,9 @@ package txn
 
 import (
 	"bytes"
+	"errors"
 	"testing"
+	"time"
 
 	"ipa/internal/wal"
 )
@@ -211,5 +213,208 @@ func TestCommitCarriesTimestamp(t *testing.T) {
 	}
 	if got := m.Oracle().Watermark(); got != 1 {
 		t.Fatalf("watermark = %d after commit, want 1", got)
+	}
+}
+
+// gcExaminedMarks reads the GC cost counter.
+func gcExaminedMarks(c *VersionCache) uint64 {
+	c.gcMu.Lock()
+	defer c.gcMu.Unlock()
+	return c.gcExamined
+}
+
+// TestGCCostDoesNotGrowBehindAnIdleSnapshot: GC runs on every commit, and
+// while one old snapshot pins the floor nothing it has parked can be
+// trimmed. It must then cost O(1) a call — it used to rescan (and
+// reallocate) the whole queue, so every commit cost as much as there had
+// been commits since the snapshot. Counted in marks examined, not in time.
+func TestGCCostDoesNotGrowBehindAnIdleSnapshot(t *testing.T) {
+	m := NewManager(wal.New())
+	c, o := m.Versions(), m.Oracle()
+	const rows, commits = 100, 5000
+	update := func(i int) {
+		tx := m.Begin()
+		rid := uint64(i % rows)
+		if err := tx.Lock(LockKey{PageID: rid}); err != nil {
+			t.Fatal(err)
+		}
+		c.OnWrite(rid, tx.ID(), []byte{byte(i)}, false)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Idle values: with no reader, every commit's chain is trimmed by the
+	// GC call of that same commit.
+	for i := 0; i < rows; i++ {
+		update(i)
+	}
+	idle := c.Stats()
+	if idle.ChainsLive != 0 || idle.VersionsReclaimed != idle.VersionsCreated {
+		t.Fatalf("idle cache keeps history: %+v", idle)
+	}
+
+	reader := o.AcquireSnapshot()
+	before := gcExaminedMarks(c)
+	for i := 0; i < commits; i++ {
+		update(i)
+	}
+	if examined := gcExaminedMarks(c) - before; examined > 2*commits {
+		t.Fatalf("%d commits behind an idle snapshot examined %d marks: GC is rescanning its queue", commits, examined)
+	}
+	pinned := c.Stats()
+	if pinned.ChainsLive != rows || pinned.VersionsReclaimed != idle.VersionsReclaimed {
+		t.Fatalf("history reclaimed under a snapshot that still needs it: %+v", pinned)
+	}
+	if res, _ := c.Resolve(0, reader, 0); res.Kind != ResData || res.Data[0] != 0 {
+		t.Fatalf("reader's version of row 0 = %+v, want the bytes its snapshot saw", res)
+	}
+
+	o.ReleaseSnapshot(reader)
+	c.GC(o.OldestActive())
+	final := c.Stats()
+	if final.ChainsLive != 0 || final.VersionsReclaimed != final.VersionsCreated {
+		t.Fatalf("releasing the snapshot left history behind: %+v", final)
+	}
+	if final.VersionsCreated != rows+commits {
+		t.Fatalf("VersionsCreated = %d, want %d", final.VersionsCreated, rows+commits)
+	}
+	c.gcMu.Lock()
+	parked := len(c.gcQueue) - c.gcHead
+	c.gcMu.Unlock()
+	if parked != 0 {
+		t.Fatalf("%d marks still parked with no snapshot active", parked)
+	}
+}
+
+// TestGCQueueOrdersLateMarks: two commits in flight may stamp their chains
+// in either order; the later timestamp arriving first must not hide the
+// earlier one from a GC whose floor lies between them.
+func TestGCQueueOrdersLateMarks(t *testing.T) {
+	c := NewVersionCache()
+	c.OnWrite(1, 10, []byte{1}, false)
+	c.OnWrite(2, 20, []byte{2}, false)
+	c.OnWrite(3, 30, []byte{3}, false)
+	c.CommitTxn(30, 6)
+	c.CommitTxn(20, 5)
+	c.CommitTxn(10, 4)
+	c.GC(5)
+	if got := c.Stats().ChainsLive; got != 1 {
+		t.Fatalf("ChainsLive = %d after GC(5) over marks 6, 5, 4: want only the chain stamped 6", got)
+	}
+	if !c.HasChain(3) {
+		t.Fatalf("the chain stamped 6 was trimmed at floor 5")
+	}
+	c.GC(6)
+	if got := c.Stats().ChainsLive; got != 0 {
+		t.Fatalf("ChainsLive = %d after GC(6), want 0", got)
+	}
+}
+
+// TestOnWriteOwnedKeepsTheSliceOnWriteCopies: the engine hands the cache
+// the tuple copy it already made; everyone else may reuse their buffer.
+func TestOnWriteOwnedKeepsTheSliceOnWriteCopies(t *testing.T) {
+	c := NewVersionCache()
+	buf := []byte{7, 7}
+	c.OnWrite(1, 10, buf, false)
+	c.OnWriteOwned(2, 10, buf, false)
+	buf[0] = 9
+	if res, _ := c.Resolve(1, 0, 0); res.Kind != ResData || res.Data[0] != 7 {
+		t.Fatalf("OnWrite aliases the caller's buffer: %+v", res)
+	}
+	if res, _ := c.Resolve(2, 0, 0); res.Kind != ResData || &res.Data[0] != &buf[0] {
+		t.Fatalf("OnWriteOwned copied a slice it was given to keep: %+v", res)
+	}
+}
+
+// TestCommitReturnsOnlyOnceVisible is the commit-visibility repro: with
+// timestamp T still in flight, the commit that drew T+1 used to return
+// while the watermark — what a fresh snapshot reads — was still below T+1,
+// so the committer's next read could miss its own write.
+func TestCommitReturnsOnlyOnceVisible(t *testing.T) {
+	m := NewManager(wal.New())
+	o := m.Oracle()
+	held := o.BeginCommit() // T, kept pending by hand
+
+	tx := m.Begin()
+	if err := tx.Lock(LockKey{PageID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	m.Versions().OnInsert(1<<16, tx.ID())
+	done := make(chan error, 1)
+	go func() { done <- tx.Commit() }()
+
+	// Once the record lock is gone the commit has flushed, stamped and
+	// retired T+1: all that is left for it to do is wait to become visible.
+	deadline := time.Now().Add(5 * time.Second)
+	for heldLocks(m) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("commit did not get as far as releasing its locks")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("Commit returned (%v) with timestamp %d in flight: a snapshot taken now reads %d and misses it", err, held, o.Watermark())
+	case <-time.After(20 * time.Millisecond):
+	}
+	snap := o.AcquireSnapshot()
+	o.ReleaseSnapshot(snap)
+	if snap >= held+1 {
+		t.Fatalf("snapshot = %d while timestamp %d is pending", snap, held)
+	}
+
+	o.EndCommit(held)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Commit: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Commit still waiting after the earlier timestamp ended")
+	}
+	snap = o.AcquireSnapshot()
+	o.ReleaseSnapshot(snap)
+	if snap < tx.CommitTS() {
+		t.Fatalf("snapshot after Commit returned = %d, below its timestamp %d", snap, tx.CommitTS())
+	}
+}
+
+// TestFailedCommitDoesNotStallLaterOnes: every failure path pairs
+// BeginCommit with EndCommit, so a commit waiting for the watermark is
+// never left waiting on a timestamp whose transaction is gone.
+func TestFailedCommitDoesNotStallLaterOnes(t *testing.T) {
+	log := wal.New()
+	m := NewManager(log)
+	fail := true
+	log.SetFlushHook(func(int) error {
+		if fail {
+			return errors.New("power cut")
+		}
+		return nil
+	})
+	lost := m.Begin()
+	if _, err := lost.LogUpdate(1, 0, 0, []byte{0}, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := lost.Commit(); err == nil {
+		t.Fatal("commit over a failed log write succeeded")
+	}
+	fail = false
+	next := m.Begin()
+	if _, err := next.LogUpdate(2, 0, 0, []byte{0}, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- next.Commit() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Commit: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("commit stalled behind the failed commit's timestamp")
+	}
+	if got := m.Oracle().Watermark(); got != next.CommitTS() {
+		t.Fatalf("watermark = %d, want %d", got, next.CommitTS())
 	}
 }

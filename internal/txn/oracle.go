@@ -17,6 +17,7 @@ import "sync"
 // timestamp whose versions are not yet readable.
 type Oracle struct {
 	mu        sync.Mutex
+	advanced  sync.Cond       // on mu: the watermark moved (WaitVisible)
 	last      uint64          // highest timestamp handed out by BeginCommit
 	watermark uint64          // every commit <= watermark has finished
 	pending   map[uint64]bool // handed out, not yet ended
@@ -26,10 +27,12 @@ type Oracle struct {
 // NewOracle creates an oracle starting at timestamp zero (the timestamp of
 // everything recovery found committed — visible to every snapshot).
 func NewOracle() *Oracle {
-	return &Oracle{
+	o := &Oracle{
 		pending: make(map[uint64]bool),
 		active:  make(map[uint64]int),
 	}
+	o.advanced.L = &o.mu
+	return o
 }
 
 // StartAt restarts the oracle after a crash: timestamps resume past ts,
@@ -59,14 +62,34 @@ func (o *Oracle) BeginCommit() uint64 {
 }
 
 // EndCommit retires a commit timestamp and advances the watermark over
-// every contiguously finished commit.
-func (o *Oracle) EndCommit(ts uint64) {
+// every contiguously finished commit. It reports whether ts is now visible
+// to new snapshots (the watermark has reached it); it is not while an
+// earlier timestamp is still pending — see WaitVisible.
+func (o *Oracle) EndCommit(ts uint64) (visible bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	delete(o.pending, ts)
+	before := o.watermark
 	for o.watermark < o.last && !o.pending[o.watermark+1] {
 		o.watermark++
 	}
+	if o.watermark != before {
+		o.advanced.Broadcast()
+	}
+	return o.watermark >= ts
+}
+
+// WaitVisible blocks until the watermark has reached ts, i.e. until every
+// commit at or before ts has ended and a snapshot acquired next reads at
+// least ts. Every BeginCommit is paired with an EndCommit on success and
+// failure alike, so the wait ends as soon as the earlier commits in flight
+// do.
+func (o *Oracle) WaitVisible(ts uint64) {
+	o.mu.Lock()
+	for o.watermark < ts {
+		o.advanced.Wait()
+	}
+	o.mu.Unlock()
 }
 
 // Watermark returns the timestamp a snapshot acquired now would read.

@@ -189,15 +189,29 @@ type Txn struct {
 	mgr        *Manager
 	id         uint64
 	status     Status
-	locks      []LockKey
-	undo       []wal.Record
 	commitTS   uint64
 	registered bool // present in the manager's active-transaction table
+	locks      []LockKey
+	// undo holds the transaction's records as the log stores them: Old and
+	// New alias the WAL's segment arenas, which a truncation recycles. That
+	// is safe only because register puts the transaction in the active
+	// table before its first append and the checkpoint keeps its cut below
+	// every entry's first LSN until the transaction is deregistered —
+	// which Abort does after it has applied the undo, and a commit's
+	// caller after a point where undo is never read again.
+	undo []wal.Record
+	// Both sets start on these arrays, so a transaction of a few rows
+	// allocates nothing but itself; append moves a set that outgrows its
+	// array to the heap.
+	lockBuf [4]LockKey
+	undoBuf [2]wal.Record
 }
 
 // Begin starts a new transaction.
 func (m *Manager) Begin() *Txn {
-	return &Txn{mgr: m, id: m.nextID.Add(1)}
+	t := &Txn{mgr: m, id: m.nextID.Add(1)}
+	t.locks, t.undo = t.lockBuf[:0], t.undoBuf[:0]
+	return t
 }
 
 // ID returns the transaction identifier.
@@ -229,109 +243,51 @@ func (t *Txn) Lock(key LockKey) error {
 	return nil
 }
 
-// LogUpdate appends an update record (before and after image) to the WAL
-// and remembers it for rollback.
-func (t *Txn) LogUpdate(pageID uint64, slot, offset uint16, old, new []byte) (uint64, error) {
+// log appends rec to the WAL on the transaction's behalf and remembers the
+// stored record for rollback. The log copies the images, so callers pass
+// their own buffers straight through.
+func (t *Txn) log(rec wal.Record) (uint64, error) {
 	if t.status != Active {
 		return 0, ErrFinished
 	}
-	rec := wal.Record{
-		TxnID:  t.id,
-		Type:   wal.RecUpdate,
-		PageID: pageID,
-		Slot:   slot,
-		Offset: offset,
-		Old:    append([]byte(nil), old...),
-		New:    append([]byte(nil), new...),
-	}
+	rec.TxnID = t.id
 	t.register()
-	lsn := t.mgr.log.Append(rec)
-	rec.LSN = lsn
-	t.undo = append(t.undo, rec)
-	return lsn, nil
+	stored := t.mgr.log.AppendRef(rec)
+	t.undo = append(t.undo, stored)
+	return stored.LSN, nil
+}
+
+// LogUpdate appends an update record (before and after image) to the WAL
+// and remembers it for rollback.
+func (t *Txn) LogUpdate(pageID uint64, slot, offset uint16, old, new []byte) (uint64, error) {
+	return t.log(wal.Record{Type: wal.RecUpdate, PageID: pageID, Slot: slot, Offset: offset, Old: old, New: new})
 }
 
 // LogInsert appends an insert record (with the owning object, so recovery
 // can recreate lost pages) to the WAL and remembers it for rollback.
 func (t *Txn) LogInsert(objectID uint32, pageID uint64, slot uint16, tuple []byte) (uint64, error) {
-	if t.status != Active {
-		return 0, ErrFinished
-	}
-	rec := wal.Record{
-		TxnID:    t.id,
-		Type:     wal.RecInsert,
-		PageID:   pageID,
-		Slot:     slot,
-		ObjectID: objectID,
-		New:      append([]byte(nil), tuple...),
-	}
-	t.register()
-	lsn := t.mgr.log.Append(rec)
-	rec.LSN = lsn
-	t.undo = append(t.undo, rec)
-	return lsn, nil
+	return t.log(wal.Record{Type: wal.RecInsert, PageID: pageID, Slot: slot, ObjectID: objectID, New: tuple})
 }
 
 // LogDelete appends a delete record (with the owning object and the full
 // before image, so recovery and rollback can restore the tuple) to the WAL
 // and remembers it for rollback.
 func (t *Txn) LogDelete(objectID uint32, pageID uint64, slot uint16, old []byte) (uint64, error) {
-	if t.status != Active {
-		return 0, ErrFinished
-	}
-	rec := wal.Record{
-		TxnID:    t.id,
-		Type:     wal.RecDelete,
-		PageID:   pageID,
-		Slot:     slot,
-		ObjectID: objectID,
-		Old:      append([]byte(nil), old...),
-	}
-	t.register()
-	lsn := t.mgr.log.Append(rec)
-	rec.LSN = lsn
-	t.undo = append(t.undo, rec)
-	return lsn, nil
+	return t.log(wal.Record{Type: wal.RecDelete, PageID: pageID, Slot: slot, ObjectID: objectID, Old: old})
 }
 
 // LogIndexInsert appends a logical index-insertion record: key now maps to
 // the packed RID value in the index identified by objectID.
 func (t *Txn) LogIndexInsert(objectID uint32, key int64, value uint64) (uint64, error) {
-	if t.status != Active {
-		return 0, ErrFinished
-	}
-	rec := wal.Record{
-		TxnID:    t.id,
-		Type:     wal.RecIndexInsert,
-		ObjectID: objectID,
-		Key:      key,
-		New:      wal.ValueImage(value),
-	}
-	t.register()
-	lsn := t.mgr.log.Append(rec)
-	rec.LSN = lsn
-	t.undo = append(t.undo, rec)
-	return lsn, nil
+	img := wal.ValueImage(value)
+	return t.log(wal.Record{Type: wal.RecIndexInsert, ObjectID: objectID, Key: key, New: img[:]})
 }
 
 // LogIndexDelete appends a logical index-deletion record; old is the packed
 // RID the key mapped to (the undo image).
 func (t *Txn) LogIndexDelete(objectID uint32, key int64, old uint64) (uint64, error) {
-	if t.status != Active {
-		return 0, ErrFinished
-	}
-	rec := wal.Record{
-		TxnID:    t.id,
-		Type:     wal.RecIndexDelete,
-		ObjectID: objectID,
-		Key:      key,
-		Old:      wal.ValueImage(old),
-	}
-	t.register()
-	lsn := t.mgr.log.Append(rec)
-	rec.LSN = lsn
-	t.undo = append(t.undo, rec)
-	return lsn, nil
+	img := wal.ValueImage(old)
+	return t.log(wal.Record{Type: wal.RecIndexDelete, ObjectID: objectID, Key: key, Old: img[:]})
 }
 
 // Commit allocates a commit timestamp from the oracle, appends the commit
@@ -345,6 +301,13 @@ func (t *Txn) LogIndexDelete(objectID uint32, key int64, old uint64) (uint64, er
 // timestamp and before the locks drop, so no snapshot can read at or past
 // the new timestamp while any chain still looks uncommitted, and no new
 // writer can touch a still-pending chain.
+//
+// Commit returns only once the oracle's watermark has reached the
+// transaction's own timestamp, so a snapshot the caller takes next sees the
+// commit (read-your-writes across transactions; over the wire, UPDATE then
+// GET on one connection). The watermark is contiguous, so that can mean
+// waiting for an earlier timestamp still in flight on another goroutine —
+// after the record locks are released, so nobody is held up by the wait.
 //
 // If the log device fails (power cut during the leader flush) the commit
 // record is not durable: the timestamp is retired WITHOUT stamping — the
@@ -367,9 +330,12 @@ func (t *Txn) Commit() error {
 	t.mgr.cache.CommitTxn(t.id, ts)
 	t.commitTS = ts
 	t.status = Committed
-	t.mgr.oracle.EndCommit(ts)
+	visible := t.mgr.oracle.EndCommit(ts)
 	t.mgr.cache.GC(t.mgr.oracle.OldestActive())
 	t.releaseLocks()
+	if !visible {
+		t.mgr.oracle.WaitVisible(ts)
+	}
 	return nil
 }
 

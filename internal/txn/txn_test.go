@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -183,5 +184,126 @@ func TestAbortWithoutUndoer(t *testing.T) {
 	}
 	if err := tx.Abort(nil); err != nil {
 		t.Fatalf("Abort with nil undoer must still succeed: %v", err)
+	}
+}
+
+// TestAbortAfterCheckpointsRecycledTheLogAroundIt: a transaction's undo
+// list holds the log's own records, whose images live in segment arenas
+// that truncation recycles. They stay readable because the transaction is
+// in the active table from before its first append until Abort has applied
+// them, and a checkpoint keeps its cut below every entry — so the test
+// truncates exactly as a checkpoint does, again and again, while a
+// transaction with more undo records than its inline array holds (spread
+// over many sealed segments) is still open, lets other transactions refill
+// whatever was recycled, and then aborts: every byte must come back.
+func TestAbortAfterCheckpointsRecycledTheLogAroundIt(t *testing.T) {
+	log := wal.New()
+	log.SetSegmentBytes(256)
+	m := NewManager(log)
+	checkpoint := func() {
+		cut := log.NextLSN() - 1
+		for _, a := range m.ActiveTxns() {
+			if a.FirstLSN-1 < cut {
+				cut = a.FirstLSN - 1
+			}
+		}
+		if err := log.Flush(0); err != nil {
+			t.Fatal(err)
+		}
+		log.Truncate(cut)
+	}
+	// filler commits a transaction of its own whose images would overwrite
+	// a recycled arena, and leaves the active table as ipa.Tx.Commit does.
+	filler := func() {
+		tx := m.Begin()
+		for i := 0; i < 8; i++ {
+			if _, err := tx.LogUpdate(99, 0, 0, bytes.Repeat([]byte{0xEE}, 24), bytes.Repeat([]byte{0xDD}, 24)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		m.Deregister(tx.ID())
+	}
+
+	for i := 0; i < 4; i++ { // history below the transaction, to be truncated
+		filler()
+	}
+	const updates = 40
+	u := newMemUndoer()
+	u.pages[1] = make([]byte, 64)
+	want := append([]byte(nil), u.pages[1]...)
+	tx := m.Begin()
+	for i := 0; i < updates; i++ {
+		off := uint16(i % 60)
+		old := append([]byte(nil), u.pages[1][off:off+4]...)
+		img := []byte{byte(i + 1), byte(i + 2), byte(i + 3), byte(i + 4)}
+		if _, err := tx.LogUpdate(1, 0, off, old, img); err != nil {
+			t.Fatal(err)
+		}
+		copy(u.pages[1][off:], img)
+		copy(old, "junk") // the log keeps its own copy of both images
+		copy(img, "junk")
+		if i%5 == 4 {
+			filler()
+			checkpoint()
+		}
+	}
+	if len(tx.undo) != updates || cap(tx.undoBuf) >= updates {
+		t.Fatalf("%d undo records over an inline array of %d: the overflow path is not under test", len(tx.undo), cap(tx.undoBuf))
+	}
+	if log.TruncatedLSN() == 0 || log.TruncatedLSN() >= tx.undo[0].LSN {
+		t.Fatalf("truncated up to %d, transaction starts at %d: want history recycled, the transaction's records kept",
+			log.TruncatedLSN(), tx.undo[0].LSN)
+	}
+	if log.Segments() < 4 {
+		t.Fatalf("the open transaction spans %d segments, want several", log.Segments())
+	}
+	if err := tx.Abort(u); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(u.pages[1], want) {
+		t.Fatalf("rollback restored\n%x, want\n%x", u.pages[1], want)
+	}
+	// With the transaction gone the cut moves past it.
+	checkpoint()
+	if log.TruncatedLSN() < tx.undo[updates-1].LSN {
+		t.Fatalf("cut still at %d after the abort, below the transaction's last record %d", log.TruncatedLSN(), tx.undo[updates-1].LSN)
+	}
+}
+
+// TestSmallTransactionAllocatesOnlyItself pins the inline lock and undo
+// sets and the inline write set: begin, lock, log, version, commit of one
+// row costs the Txn, the chain and OnWrite's copy of the pre-image.
+func TestSmallTransactionAllocatesOnlyItself(t *testing.T) {
+	log := wal.New()
+	m := NewManager(log)
+	pre, img := make([]byte, 120), make([]byte, 8)
+	i := 0
+	one := func() {
+		i++
+		key := LockKey{PageID: uint64(i % 64), Slot: uint16(i % 59)}
+		tx := m.Begin()
+		if err := tx.Lock(key); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.LogUpdate(key.PageID, key.Slot, 112, pre[112:], img); err != nil {
+			t.Fatal(err)
+		}
+		m.Versions().OnWrite(key.PageID<<16|uint64(key.Slot), tx.ID(), pre, false)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		m.Deregister(tx.ID())
+		if i%256 == 0 {
+			log.Truncate(log.FlushedLSN())
+		}
+	}
+	for n := 0; n < 4096; n++ { // maps, segments and the GC queue reach their working size
+		one()
+	}
+	if allocs := testing.AllocsPerRun(1000, one); allocs > 3 {
+		t.Fatalf("a one-row transaction allocates %.1f times, want at most 3", allocs)
 	}
 }

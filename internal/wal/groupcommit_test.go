@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -189,5 +190,155 @@ func TestConcurrentCommitFlushStress(t *testing.T) {
 	}
 	if l.BytesWritten() != want {
 		t.Fatalf("BytesWritten = %d, want %d (no double accounting)", l.BytesWritten(), want)
+	}
+}
+
+// TestHookErrorReachesLeaderAndFollowers: the leader has no waiter object,
+// so its error travels by a local; followers that queued behind it are a
+// batch of their own and learn the outcome of their own write. Nothing a
+// failed write carried becomes durable or is accounted.
+func TestHookErrorReachesLeaderAndFollowers(t *testing.T) {
+	const followers = 3
+	l := New()
+	powerCut := errors.New("power cut")
+	entered := make(chan struct{}, 2)
+	release := make(chan struct{})
+	l.SetFlushHook(func(int) error {
+		entered <- struct{}{}
+		<-release
+		return powerCut
+	})
+
+	errs := make(chan error, followers+1)
+	leaderLSN := appendCommit(l, 1)
+	go func() { errs <- l.CommitFlush(leaderLSN) }()
+	<-entered // the leader is inside the hook
+	for i := 0; i < followers; i++ {
+		lsn := appendCommit(l, uint64(2+i))
+		go func() { errs <- l.CommitFlush(lsn) }()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for pendingCommits(l) < followers {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d followers queued", pendingCommits(l), followers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for i := 0; i < followers+1; i++ {
+		if err := <-errs; !errors.Is(err, powerCut) {
+			t.Fatalf("caller %d: err = %v, want the hook's error", i, err)
+		}
+	}
+	if got := l.FlushedLSN(); got != 0 {
+		t.Fatalf("FlushedLSN = %d after two failed writes, want 0", got)
+	}
+	if got := l.BytesWritten(); got != 0 {
+		t.Fatalf("BytesWritten = %d after two failed writes, want 0", got)
+	}
+	if s := l.GroupCommitStats(); s != (GroupCommitStats{}) {
+		t.Fatalf("failed writes were counted: %+v", s)
+	}
+	// The log is usable again: the next caller leads and its flush covers
+	// everything the failed ones left behind.
+	l.SetFlushHook(nil)
+	if err := l.CommitFlush(0); err != nil {
+		t.Fatalf("flush after the failures: %v", err)
+	}
+	var want uint64
+	for _, r := range l.Records() {
+		want += uint64(r.EncodedSize())
+	}
+	if l.BytesWritten() != want {
+		t.Fatalf("BytesWritten = %d, want %d: every record flushed once", l.BytesWritten(), want)
+	}
+}
+
+// TestUncontendedCommitFlushAllocatesNothing pins the implicit leader: a
+// committer that finds no flush in flight needs no waiter, no channel and
+// no queue slot.
+func TestUncontendedCommitFlushAllocatesNothing(t *testing.T) {
+	l := New()
+	hooked := 0
+	l.SetFlushHook(func(int) error { hooked++; return nil })
+	rec := Record{TxnID: 1, Type: RecCommit}
+	for i := 0; i < 300; i++ { // the first tail of a log grows by doubling: get past 512
+		l.CommitFlush(l.Append(rec))
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := l.CommitFlush(l.Append(rec)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("uncontended Append + CommitFlush allocates %.1f times, want 0", allocs)
+	}
+	if s := l.GroupCommitStats(); hooked != int(s.Flushes) || s.Flushes != s.FlushedCommits {
+		t.Fatalf("%d hook calls for %+v: want one write per commit", hooked, s)
+	}
+}
+
+// TestLeaderHandsOverAfterItsOwnBatch: a leader writes the batch it is part
+// of and returns; followers that queued meanwhile are led by the first of
+// them. A leader that stayed on to serve them would hold its caller's
+// commit — durable long since — for as long as others keep committing, and
+// with it the oracle's watermark, which every later commit waits for.
+func TestLeaderHandsOverAfterItsOwnBatch(t *testing.T) {
+	l := New()
+	entered := make(chan struct{}, 2)
+	release := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	writes := 0
+	l.SetFlushHook(func(int) error {
+		n := writes
+		writes++
+		entered <- struct{}{}
+		<-release[n]
+		return nil
+	})
+	leaderLSN := appendCommit(l, 1)
+	leaderDone := make(chan error, 1)
+	go func() { leaderDone <- l.CommitFlush(leaderLSN) }()
+	<-entered
+
+	const followers = 2
+	followersDone := make(chan error, followers)
+	var lastLSN uint64
+	for i := 0; i < followers; i++ {
+		lsn := appendCommit(l, uint64(2+i))
+		lastLSN = lsn
+		go func() { followersDone <- l.CommitFlush(lsn) }()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for pendingCommits(l) < followers {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d followers queued", pendingCommits(l), followers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	close(release[0])
+	select {
+	case err := <-leaderDone:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the leader's own batch is durable but it has not returned: it is serving the next batch")
+	}
+	<-entered // the second write is under way, led by a follower
+	if got := l.FlushedLSN(); got != leaderLSN {
+		t.Fatalf("FlushedLSN = %d during the second write, want %d", got, leaderLSN)
+	}
+	close(release[1])
+	for i := 0; i < followers; i++ {
+		if err := <-followersDone; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := l.FlushedLSN(); got != lastLSN {
+		t.Fatalf("FlushedLSN = %d, want %d", got, lastLSN)
+	}
+	if s := l.GroupCommitStats(); s != (GroupCommitStats{Flushes: 2, FlushedCommits: 3, MaxBatch: 2}) {
+		t.Fatalf("stats %+v, want 2 writes for 3 commits, the second shared by 2", s)
 	}
 }

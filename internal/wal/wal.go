@@ -177,16 +177,18 @@ func Decode(buf []byte) (Record, int, error) {
 	return r, total, nil
 }
 
-// commitWaiter is one caller waiting for the log to become durable up to
-// its LSN. Waiters queue up while a flush is in flight; the leader absorbs
-// the whole queue into a single log-device write and wakes every follower.
-// commit marks transaction commits (counted in the group-commit batch
+// commitWaiter is one follower waiting for the log to become durable up to
+// its LSN. Followers queue up while a flush is in flight; its leader wakes
+// the ones its write covered, and hands the lead to the first of the rest.
+// A caller that finds no flush in flight has no waiter object: it leads at
+// once. commit marks transaction commits (counted in the group-commit batch
 // statistics) as opposed to stand-alone Flush callers.
 type commitWaiter struct {
 	lsn    uint64
 	commit bool
 	done   chan struct{}
 	err    error // set before done is closed when the log-device write failed
+	lead   bool  // set before done is closed: not served — lead the next batch
 }
 
 // GroupCommitStats describes how effectively concurrent commits were
@@ -215,16 +217,52 @@ func (s GroupCommitStats) CommitsPerFlush() float64 {
 // over. Checkpoint truncation drops whole sealed segments.
 const DefaultSegmentBytes = 64 << 10
 
-// maxRecycledSegments bounds the free list of truncated segment arrays
-// kept for reuse as future tails.
-const maxRecycledSegments = 4
-
 // segment is one run of consecutive log records. Only the last segment of
 // a log accepts appends; earlier segments are sealed and immutable, which
 // is what makes whole-segment truncation and array recycling safe.
+//
+// The Old and New images of a segment's records live in its arena. Whoever
+// holds such a record — Txn.undo does — may read the images only until
+// Truncate passes the record's LSN: a recycled arena is overwritten by the
+// next tail. Everything that outlives a truncation (Records,
+// DurableRecords) copies the images out.
 type segment struct {
 	records []Record
-	bytes   int // sum of EncodedSize over records
+	arena   []byte // backing store of the records' images; the newest chunk if it had to grow
+	bytes   int    // sum of EncodedSize over records
+}
+
+// keep copies an image into the arena and returns the copy. A full arena is
+// not grown in place — records already stored alias it — but succeeded by a
+// larger chunk; the old one stays reachable through those records until the
+// segment is truncated, and the new one is what gets recycled.
+func (s *segment) keep(img []byte) []byte {
+	if len(img) == 0 {
+		return nil
+	}
+	if len(s.arena)+len(img) > cap(s.arena) {
+		s.arena = make([]byte, 0, max(2*cap(s.arena), len(img), 64))
+	}
+	n := len(s.arena)
+	s.arena = append(s.arena, img...)
+	return s.arena[n:len(s.arena):len(s.arena)]
+}
+
+// imageBytes returns the total length of the images of the segment's
+// records.
+func (s *segment) imageBytes() int { return s.bytes - headerSize*len(s.records) }
+
+// bytesAbove sums the encoded size of the segment's records with an LSN
+// above lsn.
+func (s *segment) bytesAbove(lsn uint64) int {
+	if s.firstLSN() > lsn {
+		return s.bytes
+	}
+	n := 0
+	for i := len(s.records) - 1; i >= 0 && s.records[i].LSN > lsn; i-- {
+		n += s.records[i].EncodedSize()
+	}
+	return n
 }
 
 func (s *segment) firstLSN() uint64 {
@@ -251,15 +289,16 @@ type Log struct {
 	mu           sync.Mutex
 	segs         []*segment // LSN order; the last segment is the active tail
 	segBytes     int
-	free         [][]Record // recycled arrays from truncated segments
+	free         []*segment // truncated segments, emptied, awaiting reuse as tails
 	liveBytes    uint64
+	unflushed    int    // encoded size of the retained records above flushedLSN
 	truncatedLSN uint64 // highest LSN discarded by Truncate
 	nextLSN      uint64
 	flushedLSN   uint64
 	bytesWritten uint64
 
-	// Group-commit state: waiters queue while a leader's flush is in
-	// flight; the leader drains the queue batch by batch.
+	// Group-commit state: followers queue while a leader's flush is in
+	// flight (flushing); each leader takes the whole queue as its batch.
 	waiters  []*commitWaiter
 	flushing bool
 	gcStats  GroupCommitStats
@@ -280,12 +319,14 @@ func New() *Log {
 
 // NewFromRecords creates a log pre-loaded with the records that survived a
 // crash (the durable prefix of a previous log, in LSN order). New appends
-// continue after the highest surviving LSN.
+// continue after the highest surviving LSN. The images are copied: the new
+// log does not alias records.
 func NewFromRecords(records []Record, flushedLSN uint64) *Log {
 	l := New()
 	l.flushedLSN = flushedLSN
-	for _, r := range records {
-		l.appendSealedLocked(r)
+	for i := range records {
+		r := &records[i]
+		l.appendLocked(r)
 		if r.LSN >= l.nextLSN {
 			l.nextLSN = r.LSN + 1
 		}
@@ -316,72 +357,100 @@ func (l *Log) SetSegmentBytes(n int) {
 	l.mu.Unlock()
 }
 
-// sealLocked closes the active tail and opens a fresh one, reusing a
-// truncated segment's array when one is available.
+// sealLocked closes the active tail and opens a fresh one: a truncated
+// segment when one is available, else arrays sized like the tail being
+// sealed plus headroom — the next segment will hold much the same record
+// mix, so it fills without regrowing.
 func (l *Log) sealLocked() {
-	var recs []Record
+	var s *segment
 	if n := len(l.free); n > 0 {
-		recs = l.free[n-1]
+		s, l.free[n-1] = l.free[n-1], nil
 		l.free = l.free[:n-1]
+	} else {
+		last := l.segs[len(l.segs)-1]
+		recs, img := len(last.records), last.imageBytes()
+		s = &segment{records: make([]Record, 0, recs+recs/8+8), arena: make([]byte, 0, img+img/8+64)}
 	}
-	l.segs = append(l.segs, &segment{records: recs})
+	l.segs = append(l.segs, s)
 }
 
-// appendSealedLocked appends a record (which already carries its LSN) to
-// the tail segment, sealing it when full.
-func (l *Log) appendSealedLocked(r Record) {
+// appendLocked appends a record (which already carries its LSN) to the
+// tail segment, copying its images into the segment's arena, and seals the
+// tail when it is full. It returns the record as stored.
+func (l *Log) appendLocked(r *Record) *Record {
 	tail := l.segs[len(l.segs)-1]
-	tail.records = append(tail.records, r)
-	sz := r.EncodedSize()
+	// Built field by field rather than by copying *r and patching the
+	// images: escape analysis follows variables, not assignments, and would
+	// otherwise conclude that the caller's image buffers reach the heap,
+	// moving them there.
+	tail.records = append(tail.records, Record{
+		LSN: r.LSN, TxnID: r.TxnID, Type: r.Type, PageID: r.PageID, Slot: r.Slot,
+		Offset: r.Offset, ObjectID: r.ObjectID, Key: r.Key,
+		Old: tail.keep(r.Old), New: tail.keep(r.New),
+	})
+	stored := &tail.records[len(tail.records)-1]
+	sz := stored.EncodedSize()
 	tail.bytes += sz
 	l.liveBytes += uint64(sz)
+	if stored.LSN > l.flushedLSN {
+		l.unflushed += sz
+	}
 	if tail.bytes >= l.segBytes {
 		l.sealLocked()
 	}
+	return stored
 }
 
-// Append adds a record and returns its LSN.
+// Append adds a record and returns its LSN. The images are copied: the
+// caller keeps ownership of r.Old and r.New.
 func (l *Log) Append(r Record) uint64 {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	r.LSN = l.nextLSN
 	l.nextLSN++
-	l.appendSealedLocked(r)
+	l.appendLocked(&r)
+	l.mu.Unlock()
 	return r.LSN
 }
 
-// pendingBytesLocked sums the encoded size of the records in
-// (flushedLSN, upTo]. Records are appended in LSN order, so whole
-// already-flushed segments are skipped and the first unflushed record in
-// the boundary segment is found by binary search. The caller holds the
-// log mutex.
-func (l *Log) pendingBytesLocked(upTo uint64) int {
-	bytes := 0
-	for _, s := range l.segs {
-		if len(s.records) == 0 || s.lastLSN() <= l.flushedLSN {
+// AppendRef is Append returning the record as the log stores it: LSN
+// assigned, Old and New aliasing the log's own copy of the images. The
+// images stay valid until Truncate passes the record's LSN and must not be
+// modified. A transaction's undo list holds such records; the
+// active-transaction table keeps the truncation cut below them.
+func (l *Log) AppendRef(r Record) Record {
+	l.mu.Lock()
+	r.LSN = l.nextLSN
+	l.nextLSN++
+	stored := *l.appendLocked(&r)
+	l.mu.Unlock()
+	return stored
+}
+
+// bytesAboveLocked sums the encoded size of the retained records with an
+// LSN above lsn, walking back from the tail: O(records above lsn), and
+// O(1) when lsn is the last appended LSN. The caller holds the log mutex.
+func (l *Log) bytesAboveLocked(lsn uint64) int {
+	n := 0
+	for i := len(l.segs) - 1; i >= 0; i-- {
+		s := l.segs[i]
+		if len(s.records) == 0 {
 			continue
 		}
-		recs := s.records
-		if s.firstLSN() <= l.flushedLSN {
-			lo, hi := 0, len(recs)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if recs[mid].LSN <= l.flushedLSN {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			recs = recs[lo:]
+		if s.lastLSN() <= lsn {
+			break
 		}
-		for _, r := range recs {
-			if r.LSN > upTo {
-				return bytes
-			}
-			bytes += r.EncodedSize()
-		}
+		n += s.bytesAbove(lsn)
 	}
-	return bytes
+	return n
+}
+
+// pendingBytesLocked returns the encoded size of the retained records in
+// (flushedLSN, upTo], for upTo >= flushedLSN: the running count of
+// unflushed bytes less whatever was appended past upTo. A commit flushes up
+// to the record it just appended, so the usual answer is the running count
+// itself. The caller holds the log mutex.
+func (l *Log) pendingBytesLocked(upTo uint64) int {
+	return l.unflushed - l.bytesAboveLocked(upTo)
 }
 
 // clampLocked resolves upTo == 0 / out-of-range to the last appended LSN.
@@ -413,6 +482,15 @@ func (l *Log) CommitFlush(lsn uint64) error { return l.flush(lsn, true) }
 // flush is the shared leader/follower pipeline behind Flush and
 // CommitFlush. Only commit callers count towards the group-commit batch
 // statistics.
+//
+// A caller that finds no flush in flight leads: no waiter object, no
+// channel, no queue slot, so an uncontended flush allocates nothing.
+// Callers arriving while a leader is inside the hook queue as followers. A
+// leader writes one batch — itself and everyone queued behind it — wakes
+// the followers the write covered and returns; if others queued meanwhile,
+// the first of them leads next. A leader never stays on to serve later
+// batches: its caller's commit timestamp is pending until it returns, and
+// every later commit waits for that timestamp to become visible.
 func (l *Log) flush(lsn uint64, commit bool) error {
 	l.mu.Lock()
 	lsn = l.clampLocked(lsn)
@@ -426,84 +504,96 @@ func (l *Log) flush(lsn uint64, commit bool) error {
 		l.mu.Unlock()
 		return nil
 	}
-	w := &commitWaiter{lsn: lsn, commit: commit, done: make(chan struct{})}
-	l.waiters = append(l.waiters, w)
 	if l.flushing {
-		// A leader is already writing the log device; it will pick this
-		// waiter up in its next batch.
+		// A leader is writing the log device: its write, or a later
+		// leader's, covers this record — unless the lead comes round to
+		// this caller first.
+		w := &commitWaiter{lsn: lsn, commit: commit, done: make(chan struct{})}
+		l.waiters = append(l.waiters, w)
 		l.mu.Unlock()
 		<-w.done
-		return w.err
+		if !w.lead {
+			return w.err
+		}
+		l.mu.Lock()
 	}
 	l.flushing = true
-	for {
-		batch := l.waiters
-		l.waiters = nil
-		target := uint64(0)
-		commits := uint64(0)
+	batch := l.waiters
+	l.waiters = nil
+	target, commits := lsn, uint64(0)
+	if commit {
+		commits = 1
+	}
+	for _, bw := range batch {
+		if bw.lsn > target {
+			target = bw.lsn
+		}
+		if bw.commit {
+			commits++
+		}
+	}
+	bytes := l.pendingBytesLocked(target)
+	hook := l.flushHook
+	l.mu.Unlock()
+	// One log-device write for the whole batch. New callers arriving during
+	// this write queue behind l.flushing and join the next batch.
+	var err error
+	if hook != nil {
+		err = hook(bytes)
+	}
+	l.mu.Lock()
+	if err == nil {
+		l.bytesWritten += uint64(bytes)
+		if target > l.flushedLSN {
+			l.flushedLSN = target
+			// Recounted rather than decremented by bytes: a Truncate
+			// during the write may already have taken some of them out.
+			l.unflushed = l.bytesAboveLocked(target)
+		}
+	} else {
+		// The write never reached the log device: the whole batch is lost.
+		// Every waiter learns its records are not durable.
 		for _, bw := range batch {
-			if bw.lsn > target {
-				target = bw.lsn
-			}
+			bw.err = err
+		}
+	}
+	// Waiters that queued during the write but whose records were already
+	// covered by it (their LSN is at or below flushedLSN) are served now
+	// instead of triggering a redundant zero-byte device write.
+	pending := l.waiters[:0]
+	for _, bw := range l.waiters {
+		if bw.lsn <= l.flushedLSN {
 			if bw.commit {
 				commits++
 			}
-		}
-		bytes := l.pendingBytesLocked(target)
-		hook := l.flushHook
-		l.mu.Unlock()
-		// One log-device write for the whole batch. New callers arriving
-		// during this write queue behind l.flushing and join the next
-		// batch.
-		var hookErr error
-		if hook != nil {
-			hookErr = hook(bytes)
-		}
-		l.mu.Lock()
-		if hookErr == nil {
-			l.bytesWritten += uint64(bytes)
-			if target > l.flushedLSN {
-				l.flushedLSN = target
-			}
+			batch = append(batch, bw)
 		} else {
-			// The write never reached the log device: the whole batch is
-			// lost. Every waiter learns its records are not durable.
-			for _, bw := range batch {
-				bw.err = hookErr
-			}
-		}
-		// Waiters that queued during the write but whose records were
-		// already covered by an earlier flush (their LSN is at or below
-		// flushedLSN) are served now instead of triggering a redundant
-		// zero-byte device write.
-		pending := l.waiters[:0]
-		for _, bw := range l.waiters {
-			if bw.lsn <= l.flushedLSN {
-				if bw.commit {
-					commits++
-				}
-				batch = append(batch, bw)
-			} else {
-				pending = append(pending, bw)
-			}
-		}
-		l.waiters = pending
-		if hookErr == nil {
-			l.gcStats.Flushes++
-			l.gcStats.FlushedCommits += commits
-			if commits > l.gcStats.MaxBatch {
-				l.gcStats.MaxBatch = commits
-			}
-		}
-		for _, bw := range batch {
-			close(bw.done)
-		}
-		if len(l.waiters) == 0 {
-			l.flushing = false
-			l.mu.Unlock()
-			return w.err
+			pending = append(pending, bw)
 		}
 	}
+	l.waiters = pending
+	if err == nil {
+		l.gcStats.Flushes++
+		l.gcStats.FlushedCommits += commits
+		if commits > l.gcStats.MaxBatch {
+			l.gcStats.MaxBatch = commits
+		}
+	}
+	for _, bw := range batch {
+		close(bw.done)
+	}
+	if len(l.waiters) == 0 {
+		l.flushing = false
+	} else {
+		// Hand over: l.flushing stays set, so arrivals keep queueing until
+		// the next leader has taken the lock and the queue with it.
+		next := l.waiters[0]
+		l.waiters = l.waiters[:copy(l.waiters, l.waiters[1:])]
+		next.lead = true
+		close(next.done)
+	}
+	l.mu.Unlock()
+	return err
 }
 
 // ResetStats zeroes the flushed-byte and group-commit counters (the
@@ -575,29 +665,42 @@ func (l *Log) TruncatedLSN() uint64 {
 func (l *Log) DurableRecords() []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var out []Record
-	for _, s := range l.segs {
-		for _, r := range s.records {
-			if r.LSN > l.flushedLSN {
-				return out
-			}
-			out = append(out, r)
-		}
-	}
-	return out
+	return l.copyRecordsLocked(l.flushedLSN)
 }
 
 // Records returns a copy of all retained records in LSN order.
 func (l *Log) Records() []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := 0
+	return l.copyRecordsLocked(l.nextLSN)
+}
+
+// copyRecordsLocked returns the retained records with LSN <= upTo. The
+// copy is deep — the images move into one buffer of their own — because
+// the caller keeps it across truncations that recycle the arenas.
+func (l *Log) copyRecordsLocked(upTo uint64) []Record {
+	n, img := 0, 0
 	for _, s := range l.segs {
-		n += len(s.records)
+		for _, r := range s.records {
+			if r.LSN > upTo {
+				break // LSN order: nothing after it qualifies, in this segment or a later one
+			}
+			n, img = n+1, img+len(r.Old)+len(r.New)
+		}
+	}
+	if n == 0 {
+		return nil
 	}
 	out := make([]Record, 0, n)
+	images := segment{arena: make([]byte, 0, img)}
 	for _, s := range l.segs {
-		out = append(out, s.records...)
+		for _, r := range s.records {
+			if len(out) == n {
+				return out
+			}
+			r.Old, r.New = images.keep(r.Old), images.keep(r.New)
+			out = append(out, r)
+		}
 	}
 	return out
 }
@@ -606,24 +709,38 @@ func (l *Log) Records() []Record {
 // (checkpointing: upTo is the cut below the oldest undo any recovery could
 // need). Truncation is segment-granular — a segment straddling the cut is
 // retained in full, which is safe because replay is idempotent — and O(1)
-// per dropped segment; dropped arrays are recycled as future tails.
+// per dropped segment. Dropped segments are emptied and kept as future
+// tails, as many of them as this call dropped: the log consumed that many
+// since the last truncation and will again before the next.
 func (l *Log) Truncate(upTo uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if tail := l.segs[len(l.segs)-1]; len(tail.records) > 0 && tail.lastLSN() <= upTo {
 		l.sealLocked()
 	}
-	for len(l.segs) > 1 {
-		s := l.segs[0]
+	dropped := 0
+	for ; dropped < len(l.segs)-1; dropped++ {
+		s := l.segs[dropped]
 		if len(s.records) == 0 || s.lastLSN() > upTo {
 			break
 		}
 		l.truncatedLSN = s.lastLSN()
 		l.liveBytes -= uint64(s.bytes)
-		if len(l.free) < maxRecycledSegments {
-			l.free = append(l.free, s.records[:0])
-		}
-		l.segs = l.segs[1:]
+		l.unflushed -= s.bytesAbove(l.flushedLSN)
+		s.records, s.arena, s.bytes = s.records[:0], s.arena[:0], 0
+		l.free = append(l.free, s)
+	}
+	if dropped == 0 {
+		return
+	}
+	// Shift down instead of re-slicing from the front, which would keep
+	// the dropped segments reachable through the array's dead prefix.
+	n := copy(l.segs, l.segs[dropped:])
+	clear(l.segs[n:])
+	l.segs = l.segs[:n]
+	if len(l.free) > dropped {
+		clear(l.free[dropped:])
+		l.free = l.free[:dropped]
 	}
 }
 
@@ -710,9 +827,10 @@ func ValueOf(image []byte) uint64 {
 }
 
 // ValueImage encodes a packed RID as the 8-byte image of an index record.
-func ValueImage(value uint64) []byte {
-	img := make([]byte, 8)
-	binary.LittleEndian.PutUint64(img, value)
+// It returns an array so the caller can log a slice of it without
+// allocating (Append copies the image).
+func ValueImage(value uint64) (img [8]byte) {
+	binary.LittleEndian.PutUint64(img[:], value)
 	return img
 }
 

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -254,7 +255,8 @@ func TestParallelReplayMatchesSerial(t *testing.T) {
 			txn := uint64(100 + i%5)
 			l.Append(Record{TxnID: txn, Type: RecUpdate, PageID: pid, Offset: uint16(i % 8), Old: []byte{byte(i)}, New: []byte{byte(i + 1)}})
 			if i%3 == 0 {
-				l.Append(Record{TxnID: txn, Type: RecIndexInsert, ObjectID: uint32(2 + i%2), Key: int64(i), New: ValueImage(uint64(i))})
+				img := ValueImage(uint64(i))
+				l.Append(Record{TxnID: txn, Type: RecIndexInsert, ObjectID: uint32(2 + i%2), Key: int64(i), New: img[:]})
 			}
 		}
 		l.Append(Record{TxnID: 100, Type: RecCommit})
@@ -350,5 +352,187 @@ func TestRecordTypeString(t *testing.T) {
 		if ty.String() == "" {
 			t.Errorf("empty name for %d", ty)
 		}
+	}
+}
+
+// walkPendingBytes is the definition pendingBytesLocked's running count
+// must agree with, flush by flush: the encoded size of every retained
+// record in (flushedLSN, upTo], found by walking the segments.
+func walkPendingBytes(l *Log, upTo uint64) int {
+	bytes := 0
+	for _, s := range l.segs {
+		for _, r := range s.records {
+			if r.LSN > l.flushedLSN && r.LSN <= upTo {
+				bytes += r.EncodedSize()
+			}
+		}
+	}
+	return bytes
+}
+
+// TestRunningPendingBytesMatchesSegmentWalk drives a random sequence of
+// appends, partial and full flushes, failed flushes and truncations —
+// including truncations that drop records nobody flushed, between flushes
+// and in the middle of one — and after every step compares the running count with the walk, for the full range and for
+// a random partial target. The flushed bytes are Stats.WALBytes and the
+// checkpoint trigger, so "close" is not good enough.
+func TestRunningPendingBytesMatchesSegmentWalk(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := New()
+		if seed%2 == 0 {
+			// Every other round starts from a crash image: some records at
+			// or below the flushed LSN, some above it.
+			var recs []Record
+			for lsn := uint64(5); lsn < 40; lsn++ {
+				recs = append(recs, Record{LSN: lsn, TxnID: 1, Type: RecUpdate, New: make([]byte, rng.Intn(30))})
+			}
+			l = NewFromRecords(recs, uint64(rng.Intn(50)))
+		}
+		l.SetSegmentBytes(300)
+		fail, cutDuringWrite := false, uint64(0)
+		l.SetFlushHook(func(int) error {
+			// The hook runs outside the log mutex, where a checkpoint on
+			// another goroutine may truncate.
+			l.Truncate(cutDuringWrite)
+			if fail {
+				return errors.New("power cut")
+			}
+			return nil
+		})
+		var wantWritten uint64
+		check := func(step int, what string) {
+			t.Helper()
+			l.mu.Lock()
+			defer l.mu.Unlock()
+			last := l.nextLSN - 1
+			if got, want := l.unflushed, walkPendingBytes(l, last); got != want {
+				t.Fatalf("seed %d step %d (%s): running count %d, walk %d", seed, step, what, got, want)
+			}
+			if last > l.flushedLSN {
+				upTo := l.flushedLSN + uint64(rng.Int63n(int64(last-l.flushedLSN)+1))
+				if got, want := l.pendingBytesLocked(upTo), walkPendingBytes(l, upTo); got != want {
+					t.Fatalf("seed %d step %d (%s): pending(%d) = %d, walk %d", seed, step, what, upTo, got, want)
+				}
+			}
+			if l.bytesWritten != wantWritten {
+				t.Fatalf("seed %d step %d (%s): BytesWritten %d, want %d", seed, step, what, l.bytesWritten, wantWritten)
+			}
+		}
+		check(0, "start")
+		for step := 1; step <= 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6:
+				l.Append(Record{TxnID: 1, Type: RecUpdate, Old: make([]byte, rng.Intn(20)), New: make([]byte, rng.Intn(40))})
+				check(step, "append")
+			case op < 8:
+				upTo := uint64(0)
+				if rng.Intn(2) == 0 {
+					upTo = uint64(rng.Int63n(int64(l.NextLSN())) + 1)
+				}
+				fail, cutDuringWrite = rng.Intn(5) == 0, 0
+				if rng.Intn(4) == 0 {
+					cutDuringWrite = uint64(rng.Int63n(int64(l.NextLSN()) + 1))
+				}
+				l.mu.Lock()
+				target := l.clampLocked(upTo)
+				pending, writes := walkPendingBytes(l, target), target > l.flushedLSN
+				l.mu.Unlock()
+				// Only a flush with something to make durable reaches the
+				// device, and only that one can fail.
+				if err := l.Flush(upTo); (err != nil) != (fail && writes) {
+					t.Fatalf("seed %d step %d: Flush(%d) err = %v with fail = %v", seed, step, upTo, err, fail)
+				} else if err == nil {
+					wantWritten += uint64(pending)
+				}
+				check(step, "flush")
+			default:
+				l.Truncate(uint64(rng.Int63n(int64(l.NextLSN()) + 1)))
+				check(step, "truncate")
+			}
+		}
+	}
+}
+
+// TestRecordCopiesSurviveArenaRecycling: what Records and DurableRecords
+// return outlives the log — a crash image is made of it — so the images
+// must not live in a segment arena that Truncate hands to the next tail.
+func TestRecordCopiesSurviveArenaRecycling(t *testing.T) {
+	l := New()
+	l.SetSegmentBytes(256)
+	image := func(lsn uint64, old bool) []byte {
+		b := byte(lsn)
+		if old {
+			b = ^b
+		}
+		return bytes.Repeat([]byte{b}, 1+int(lsn%7))
+	}
+	fill := func(n int) (last uint64) {
+		for i := 0; i < n; i++ {
+			lsn := l.NextLSN()
+			last = l.Append(Record{TxnID: 1, Type: RecUpdate, Old: image(lsn, true), New: image(lsn, false)})
+		}
+		return last
+	}
+	last := fill(60)
+	if err := l.Flush(last - 10); err != nil {
+		t.Fatal(err)
+	}
+	all, durable := l.Records(), l.DurableRecords()
+	if len(all) != 60 || len(durable) != 50 {
+		t.Fatalf("%d records, %d durable; want 60 and 50", len(all), len(durable))
+	}
+	// Recycle every arena and write other bytes over them.
+	if err := l.Flush(0); err != nil {
+		t.Fatal(err)
+	}
+	l.Truncate(last)
+	if l.Segments() != 1 || len(l.free) == 0 {
+		t.Fatalf("%d segments, %d recycled after truncating everything", l.Segments(), len(l.free))
+	}
+	fill(120)
+	for _, recs := range [][]Record{all, durable} {
+		for _, r := range recs {
+			if !bytes.Equal(r.Old, image(r.LSN, true)) || !bytes.Equal(r.New, image(r.LSN, false)) {
+				t.Fatalf("LSN %d: copy changed after its arena was recycled: old %x new %x", r.LSN, r.Old, r.New)
+			}
+		}
+	}
+}
+
+// TestAppendCopiesImages: the caller may reuse its buffers the moment
+// Append returns.
+func TestAppendCopiesImages(t *testing.T) {
+	l := New()
+	buf := []byte{1, 2, 3, 4}
+	stored := l.AppendRef(Record{TxnID: 1, Type: RecUpdate, Old: buf[:2], New: buf[2:]})
+	copy(buf, []byte{9, 9, 9, 9})
+	if !bytes.Equal(stored.Old, []byte{1, 2}) || !bytes.Equal(stored.New, []byte{3, 4}) {
+		t.Fatalf("stored record aliases the caller's buffer: %v %v", stored.Old, stored.New)
+	}
+	if r := l.Records()[0]; !bytes.Equal(r.Old, []byte{1, 2}) || !bytes.Equal(r.New, []byte{3, 4}) {
+		t.Fatalf("logged record aliases the caller's buffer: %v %v", r.Old, r.New)
+	}
+}
+
+// TestSteadyAppendsDoNotRegrow: a new tail is sized from the one it
+// succeeds and truncated segments come back as tails, so a log that is
+// checkpointed at a steady interval stops allocating.
+func TestSteadyAppendsDoNotRegrow(t *testing.T) {
+	l := New()
+	l.SetSegmentBytes(4 << 10)
+	rec := Record{TxnID: 1, Type: RecUpdate, Old: make([]byte, 8), New: make([]byte, 8)}
+	interval := func() {
+		var lsn uint64
+		for i := 0; i < 2000; i++ {
+			lsn = l.Append(rec)
+		}
+		l.Flush(lsn)
+		l.Truncate(lsn)
+	}
+	interval()
+	interval() // the first interval's segments grew from nil; now they are recycled
+	if allocs := testing.AllocsPerRun(5, interval); allocs != 0 {
+		t.Fatalf("a steady checkpoint interval allocates %.0f times, want 0", allocs)
 	}
 }

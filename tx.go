@@ -273,7 +273,7 @@ func (tx *Tx) Delete(t *Table, key int64) error {
 	// Push the committed pre-image into the version cache before the heap
 	// slot goes away, then delete. Readers resolve the chain first, so
 	// they never observe the slot's disappearance as a missing key.
-	t.db.txns.Versions().OnWrite(v, tx.inner.ID(), old, true)
+	t.db.txns.Versions().OnWriteOwned(v, tx.inner.ID(), old, true)
 	if err := t.heap.Delete(rid); err != nil {
 		return err
 	}
@@ -314,9 +314,9 @@ func (tx *Tx) UpdateRIDAt(t *Table, rid heap.RID, offset int, data []byte) error
 	if offset < 0 || offset+len(data) > len(old) {
 		return fmt.Errorf("ipa: update [%d,%d) outside tuple of %d bytes", offset, offset+len(data), len(old))
 	}
-	before := make([]byte, len(data))
-	copy(before, old[offset:offset+len(data)])
-	if _, err := tx.inner.LogUpdate(rid.PageID, rid.Slot, uint16(offset), before, data); err != nil {
+	// The log copies both images, so the before image is simply the range
+	// of the tuple copy this update already holds.
+	if _, err := tx.inner.LogUpdate(rid.PageID, rid.Slot, uint16(offset), old[offset:offset+len(data)], data); err != nil {
 		return err
 	}
 	// Updates that change an extracted secondary key move the tuple's
@@ -334,8 +334,11 @@ func (tx *Tx) UpdateRIDAt(t *Table, rid heap.RID, offset int, data []byte) error
 	}
 	// Push the committed pre-image into the version cache before the heap
 	// bytes change: snapshot readers that must not see this update keep
-	// resolving to the pushed version.
-	t.db.txns.Versions().OnWrite(rid.Pack(), tx.inner.ID(), old, false)
+	// resolving to the pushed version. The cache takes the tuple copy over
+	// as that version; old is not touched again. This runs between the two
+	// page visits, with no page latch held: the cache's stripe mutex comes
+	// before a page latch in the lock order (see mvcc.go).
+	t.db.txns.Versions().OnWriteOwned(rid.Pack(), tx.inner.ID(), old, false)
 	if err := t.heap.UpdateAt(rid, offset, data); err != nil {
 		return err
 	}
