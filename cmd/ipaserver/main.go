@@ -3,9 +3,10 @@
 // and cmd/ipaload for everything) plus an HTTP sidecar with /healthz,
 // Prometheus-style /metrics (per-command latency histograms, lifetime
 // burn gauges), the /stats.json ops document and the live /dashboard.
-// SIGINT/SIGTERM trigger a graceful shutdown:
-// in-flight pipelines finish, a final fuzzy checkpoint is taken, the
-// engine closes. The wire protocol is specified in docs/DESIGN_SERVER.md.
+// SIGINT/SIGTERM trigger a graceful shutdown: the commands every session
+// has already received are answered, a final fuzzy checkpoint is taken,
+// the engine closes. The wire protocol is specified in
+// docs/DESIGN_SERVER.md.
 //
 // Usage:
 //
@@ -31,7 +32,6 @@ func main() {
 		addr     = flag.String("addr", ":6389", "RESP listener address")
 		httpAddr = flag.String("http", ":6390", "health/metrics sidecar address ('' disables)")
 		workers  = flag.Int("workers", 0, "engine worker lanes (0 = chips × GOMAXPROCS)")
-		pipeline = flag.Int("pipeline", 128, "per-connection pipeline depth")
 		grace    = flag.Duration("grace", 10*time.Second, "graceful-shutdown drain deadline")
 
 		mode   = flag.String("mode", "native", "write mode: traditional, ssd or native")
@@ -81,11 +81,10 @@ func main() {
 	}
 
 	srv := server.New(db, server.Config{
-		Addr:          *addr,
-		HTTPAddr:      *httpAddr,
-		Workers:       *workers,
-		PipelineDepth: *pipeline,
-		Logf:          log.Printf,
+		Addr:     *addr,
+		HTTPAddr: *httpAddr,
+		Workers:  *workers,
+		Logf:     log.Printf,
 	})
 	if err := srv.Start(); err != nil {
 		fmt.Fprintf(os.Stderr, "ipaserver: %v\n", err)

@@ -2,14 +2,48 @@ package proto
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"reflect"
 	"testing"
+	"testing/iotest"
 )
+
+// decodeCommands decodes up to 1000 commands from src under the fuzz
+// limits, copying each — an argument is only valid until the next call on
+// the Reader — and returns them with the error that ended the stream.
+func decodeCommands(t *testing.T, src io.Reader) ([][][]byte, error) {
+	r := NewReader(src)
+	r.MaxBulk = 1 << 16
+	r.MaxArity = 64
+	var cmds [][][]byte
+	for i := 0; i < 1000; i++ {
+		args, err := r.ReadCommand()
+		if err != nil {
+			return cmds, err
+		}
+		if len(args) == 0 {
+			t.Fatalf("ReadCommand returned an empty command without error")
+		}
+		cmds = append(cmds, cloneArgs(args))
+	}
+	return cmds, nil
+}
+
+func cloneArgs(args [][]byte) [][]byte {
+	out := make([][]byte, len(args))
+	for i, a := range args {
+		out[i] = bytes.Clone(a)
+	}
+	return out
+}
 
 // FuzzProtoDecode drives both decoders over arbitrary byte streams with
 // tight limits. The properties pinned here (and explored further under
 // `go test -fuzz FuzzProtoDecode ./internal/proto`): the decoder never
-// panics, never allocates past its declared limits, terminates, and
+// panics, never allocates past its declared limits, terminates, decodes a
+// stream that arrives one byte per Read exactly as it decodes the stream
+// whole (every refill, slide and growth of the buffer is invisible), and
 // anything it successfully decodes re-encodes to a stream that decodes to
 // the same values (round-trip stability for commands).
 func FuzzProtoDecode(f *testing.F) {
@@ -23,20 +57,13 @@ func FuzzProtoDecode(f *testing.F) {
 	f.Add([]byte("\r\n\r\n*1\r\n$1\r\nX\r\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Commands: decode the whole stream, then round-trip what decoded.
-		r := NewReader(bytes.NewReader(data))
-		r.MaxBulk = 1 << 16
-		r.MaxArity = 64
-		var cmds [][][]byte
-		for i := 0; i < 1000; i++ {
-			args, err := r.ReadCommand()
-			if err != nil {
-				break
-			}
-			if len(args) == 0 {
-				t.Fatalf("ReadCommand returned an empty command without error")
-			}
-			cmds = append(cmds, args)
+		// Commands: decode the whole stream, the same stream in one-byte
+		// reads, then round-trip what decoded.
+		cmds, err := decodeCommands(t, bytes.NewReader(data))
+		trickled, terr := decodeCommands(t, iotest.OneByteReader(bytes.NewReader(data)))
+		if !reflect.DeepEqual(cmds, trickled) || fmt.Sprint(err) != fmt.Sprint(terr) {
+			t.Fatalf("whole stream: %d commands, then %v\none byte per read: %d commands, then %v\n%q\n%q",
+				len(cmds), err, len(trickled), terr, cmds, trickled)
 		}
 		if len(cmds) > 0 {
 			var buf bytes.Buffer
@@ -67,13 +94,19 @@ func FuzzProtoDecode(f *testing.F) {
 			}
 		}
 
-		// Replies: same stream through the reply decoder — must not panic
-		// and must terminate.
+		// Replies: same stream through the reply decoder — must not panic,
+		// must terminate, and must not depend on how the bytes arrive.
 		rr := NewReader(bytes.NewReader(data))
-		rr.MaxBulk = 1 << 16
-		rr.MaxArity = 64
+		tr := NewReader(iotest.OneByteReader(bytes.NewReader(data)))
+		rr.MaxBulk, tr.MaxBulk = 1<<16, 1<<16
+		rr.MaxArity, tr.MaxArity = 64, 64
 		for i := 0; i < 1000; i++ {
-			if _, err := rr.ReadReply(); err != nil {
+			rep, err := rr.ReadReply()
+			trep, terr := tr.ReadReply()
+			if !reflect.DeepEqual(rep, trep) || fmt.Sprint(err) != fmt.Sprint(terr) {
+				t.Fatalf("reply %d: whole stream %+v %v, one byte per read %+v %v", i, rep, err, trep, terr)
+			}
+			if err != nil {
 				break
 			}
 		}

@@ -20,6 +20,7 @@ package proto
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -113,9 +114,33 @@ func (r Reply) ErrorCode() string {
 	return r.Str
 }
 
-// Reader decodes RESP frames from a stream.
+// bufSize is the Reader's resting buffer size. It equals DefaultMaxLine, so
+// the longest permitted line always fits without growing.
+const bufSize = DefaultMaxLine
+
+// Reader decodes RESP frames from a stream. It owns one buffer and parses
+// in place: ReadCommand returns arguments that alias that buffer, ReadReply
+// copies out what it returns. The buffer grows past bufSize only to hold
+// the one command frame in flight — every length is checked against the
+// limits before a byte of room is made for it — and drops back once that
+// frame has been consumed.
 type Reader struct {
-	br *bufio.Reader
+	src io.Reader
+	// buf[r:w] holds the bytes read from src and not yet consumed. keep
+	// (≤ r) is the oldest byte a refill must preserve: the start of the
+	// command frame being decoded, whose arguments are offsets from it.
+	buf        []byte
+	keep, r, w int
+	// err is a source error that arrived together with data, reported by
+	// the refill after that data has been consumed.
+	err error
+
+	// spans and args are ReadCommand's reused scratch: the arguments as
+	// (offset from keep, length) while the frame may still move, and the
+	// slices handed to the caller.
+	spans []span
+	args  [][]byte
+
 	// MaxBulk, MaxArity and MaxLine bound the accepted frames; the zero
 	// value of each selects its package default.
 	MaxBulk  int
@@ -123,10 +148,12 @@ type Reader struct {
 	MaxLine  int
 }
 
-// NewReader wraps r in a frame decoder with default limits. The buffer is
-// sized to DefaultMaxLine so the longest permitted line fits ReadSlice.
+// span locates one argument inside the frame being decoded.
+type span struct{ off, n int }
+
+// NewReader wraps r in a frame decoder with default limits.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, DefaultMaxLine)}
+	return &Reader{src: r, buf: make([]byte, bufSize)}
 }
 
 func (r *Reader) maxBulk() int {
@@ -150,29 +177,108 @@ func (r *Reader) maxLine() int {
 	return DefaultMaxLine
 }
 
-// readLine reads one CRLF-terminated line, excluding the terminator. A
-// bare LF is rejected (RESP terminates every line with CRLF); a line
-// longer than MaxLine fails with ErrTooLarge.
-func (r *Reader) readLine() ([]byte, error) {
-	line, err := r.br.ReadSlice('\n')
-	if errors.Is(err, bufio.ErrBufferFull) {
-		return nil, fmt.Errorf("%w: line exceeds %d bytes", ErrTooLarge, r.maxLine())
+// maxEmptyReads is how many consecutive (0, nil) reads fill tolerates
+// before giving up on the source, as bufio does.
+const maxEmptyReads = 100
+
+// begin starts a new frame and makes its first byte available: nothing
+// before r is needed any more, and a buffer that grew for the previous
+// frame is given back once what is left unread fits the resting size. The
+// stream ending here ends it at a frame boundary: io.EOF comes back bare.
+func (r *Reader) begin() error {
+	if len(r.buf) > bufSize && r.w-r.r <= bufSize {
+		buf := make([]byte, bufSize)
+		r.w = copy(buf, r.buf[r.r:r.w])
+		r.r, r.buf = 0, buf
 	}
-	if err != nil {
-		if errors.Is(err, io.EOF) && len(line) > 0 {
-			return nil, io.ErrUnexpectedEOF
+	r.keep = r.r
+	if r.r == r.w {
+		return r.fill(1)
+	}
+	return nil
+}
+
+// fill reads more bytes from the source, at least one, after making room
+// for min of them: the bytes before keep are dropped by sliding the rest to
+// the front (so every offset into the buffer must be relative to keep), and
+// the buffer grows if buf[keep:] still cannot take min more. Callers check
+// min against the frame limits first.
+func (r *Reader) fill(min int) error {
+	if err := r.err; err != nil {
+		r.err = nil
+		return err
+	}
+	if r.keep > 0 {
+		copy(r.buf, r.buf[r.keep:r.w])
+		r.r -= r.keep
+		r.w -= r.keep
+		r.keep = 0
+	}
+	if r.w+min > len(r.buf) {
+		buf := make([]byte, max(2*len(r.buf), r.w+min))
+		copy(buf, r.buf[:r.w])
+		r.buf = buf
+	}
+	for i := 0; i < maxEmptyReads; i++ {
+		n, err := r.src.Read(r.buf[r.w:])
+		r.w += n
+		if n > 0 {
+			r.err = err
+			return nil
 		}
-		return nil, err
+		if err != nil {
+			return err
+		}
 	}
-	if len(line) > r.maxLine() {
-		return nil, fmt.Errorf("%w: line exceeds %d bytes", ErrTooLarge, r.maxLine())
+	return io.ErrNoProgress
+}
+
+// more is fill inside a frame: the stream ending there is a torn frame.
+func (r *Reader) more(min int) error {
+	err := r.fill(min)
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
 	}
-	if len(line) < 2 || line[len(line)-2] != '\r' {
-		return nil, fmt.Errorf("%w: line not CRLF-terminated", ErrProto)
+	return err
+}
+
+// need makes n unconsumed bytes available at buf[r:].
+func (r *Reader) need(n int) error {
+	for r.w-r.r < n {
+		if err := r.more(n - (r.w - r.r)); err != nil {
+			return err
+		}
 	}
-	out := make([]byte, len(line)-2)
-	copy(out, line[:len(line)-2])
-	return out, nil
+	return nil
+}
+
+// line consumes one CRLF-terminated line and returns it without the
+// terminator; the result aliases the buffer. A bare LF is rejected (RESP
+// terminates every line with CRLF); a line longer than MaxLine fails with
+// ErrTooLarge.
+func (r *Reader) line() ([]byte, error) {
+	scanned := 0
+	for {
+		if i := bytes.IndexByte(r.buf[r.r+scanned:r.w], '\n'); i >= 0 {
+			end := r.r + scanned + i
+			if end+1-r.r > r.maxLine() {
+				break
+			}
+			if end == r.r || r.buf[end-1] != '\r' {
+				return nil, fmt.Errorf("%w: line not CRLF-terminated", ErrProto)
+			}
+			line := r.buf[r.r : end-1]
+			r.r = end + 1
+			return line, nil
+		}
+		if scanned = r.w - r.r; scanned >= r.maxLine() {
+			break
+		}
+		if err := r.more(1); err != nil {
+			return nil, err
+		}
+	}
+	return nil, fmt.Errorf("%w: line exceeds %d bytes", ErrTooLarge, r.maxLine())
 }
 
 // parseInt parses a RESP length or integer line.
@@ -184,25 +290,28 @@ func parseInt(b []byte) (int64, error) {
 	return n, nil
 }
 
-// readBulkBody reads n payload bytes plus the trailing CRLF.
-func (r *Reader) readBulkBody(n int64) ([]byte, error) {
+// checkBulk checks a declared bulk length against MaxBulk, before any room
+// is made for the body.
+func (r *Reader) checkBulk(n int64) error {
 	if n < 0 {
-		return nil, fmt.Errorf("%w: negative bulk length %d", ErrProto, n)
+		return fmt.Errorf("%w: negative bulk length %d", ErrProto, n)
 	}
 	if n > int64(r.maxBulk()) {
-		return nil, fmt.Errorf("%w: bulk of %d bytes exceeds %d", ErrTooLarge, n, r.maxBulk())
+		return fmt.Errorf("%w: bulk of %d bytes exceeds %d", ErrTooLarge, n, r.maxBulk())
 	}
-	buf := make([]byte, n+2)
-	if _, err := io.ReadFull(r.br, buf); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, io.ErrUnexpectedEOF
-		}
-		return nil, err
+	return nil
+}
+
+// bulkEnd consumes the CRLF that closes a bulk body.
+func (r *Reader) bulkEnd() error {
+	if err := r.need(2); err != nil {
+		return err
 	}
-	if buf[n] != '\r' || buf[n+1] != '\n' {
-		return nil, fmt.Errorf("%w: bulk not CRLF-terminated", ErrProto)
+	if r.buf[r.r] != '\r' || r.buf[r.r+1] != '\n' {
+		return fmt.Errorf("%w: bulk not CRLF-terminated", ErrProto)
 	}
-	return buf[:n:n], nil
+	r.r += 2
+	return nil
 }
 
 // ReadCommand reads one client request: a RESP array of bulk strings, or
@@ -210,34 +319,32 @@ func (r *Reader) readBulkBody(n int64) ([]byte, error) {
 // start with '*'). Empty inline lines are skipped, as in Redis. io.EOF is
 // returned only at a clean frame boundary; a connection cut mid-frame
 // surfaces io.ErrUnexpectedEOF.
+//
+// The returned slice and the arguments in it alias the Reader's buffer:
+// they are valid until the next call on the Reader. A caller that keeps an
+// argument longer copies it.
 func (r *Reader) ReadCommand() ([][]byte, error) {
 	for {
-		first, err := r.br.ReadByte()
-		if err != nil {
+		if err := r.begin(); err != nil {
 			return nil, err
 		}
-		if first != '*' {
-			if err := r.br.UnreadByte(); err != nil {
-				return nil, err
-			}
-			line, err := r.readLine()
+		if r.buf[r.r] != '*' {
+			line, err := r.line()
 			if err != nil {
 				return nil, err
 			}
-			args := splitInline(line)
-			if len(args) == 0 {
+			r.args = splitInline(r.args[:0], line)
+			if len(r.args) == 0 {
 				continue // empty line between commands: ignore
 			}
-			if len(args) > r.maxArity() {
-				return nil, fmt.Errorf("%w: %d arguments exceed %d", ErrTooLarge, len(args), r.maxArity())
+			if len(r.args) > r.maxArity() {
+				return nil, fmt.Errorf("%w: %d arguments exceed %d", ErrTooLarge, len(r.args), r.maxArity())
 			}
-			return args, nil
+			return r.args, nil
 		}
-		header, err := r.readLine()
+		r.r++
+		header, err := r.line()
 		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil, io.ErrUnexpectedEOF // the '*' was consumed
-			}
 			return nil, err
 		}
 		n, err := parseInt(header)
@@ -250,42 +357,42 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 		if n > int64(r.maxArity()) {
 			return nil, fmt.Errorf("%w: %d arguments exceed %d", ErrTooLarge, n, r.maxArity())
 		}
-		args := make([][]byte, 0, n)
+		r.spans = r.spans[:0]
 		for i := int64(0); i < n; i++ {
-			t, err := r.br.ReadByte()
-			if err != nil {
-				if errors.Is(err, io.EOF) {
-					return nil, io.ErrUnexpectedEOF
-				}
+			if err := r.need(1); err != nil {
 				return nil, err
 			}
-			if t != '$' {
+			if t := r.buf[r.r]; t != '$' {
 				return nil, fmt.Errorf("%w: request element %d is %q, want bulk string", ErrProto, i, t)
 			}
-			line, err := r.readLine()
+			r.r++
+			line, err := r.line()
 			if err != nil {
-				if errors.Is(err, io.EOF) {
-					return nil, io.ErrUnexpectedEOF
-				}
 				return nil, err
 			}
 			ln, err := parseInt(line)
 			if err != nil {
 				return nil, err
 			}
-			body, err := r.readBulkBody(ln)
-			if err != nil {
+			if err := r.checkBulk(ln); err != nil {
 				return nil, err
 			}
-			args = append(args, body)
+			if err := r.need(int(ln) + 2); err != nil {
+				return nil, err
+			}
+			r.spans = append(r.spans, span{r.r - r.keep, int(ln)})
+			r.r += int(ln)
+			if err := r.bulkEnd(); err != nil {
+				return nil, err
+			}
 		}
-		return args, nil
+		return r.materialise(), nil
 	}
 }
 
-// splitInline splits an inline command on spaces and tabs.
-func splitInline(line []byte) [][]byte {
-	var args [][]byte
+// splitInline appends the fields of an inline command, split on spaces and
+// tabs, to args.
+func splitInline(args [][]byte, line []byte) [][]byte {
 	i := 0
 	for i < len(line) {
 		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
@@ -296,15 +403,30 @@ func splitInline(line []byte) [][]byte {
 			i++
 		}
 		if i > start {
-			args = append(args, line[start:i])
+			args = append(args, line[start:i:i])
 		}
 	}
 	return args
 }
 
+// materialise turns the recorded spans of a complete frame into slices of
+// the buffer, each capped at its own length.
+func (r *Reader) materialise() [][]byte {
+	r.args = r.args[:0]
+	for _, s := range r.spans {
+		at := r.keep + s.off
+		r.args = append(r.args, r.buf[at:at+s.n:at+s.n])
+	}
+	return r.args
+}
+
 // ReadReply reads one server reply, including nested arrays. io.EOF is
-// returned only at a clean frame boundary.
+// returned only at a clean frame boundary. Nothing in the reply aliases
+// the Reader: the caller owns Bulk.
 func (r *Reader) ReadReply() (Reply, error) {
+	if err := r.begin(); err != nil {
+		return Reply{}, err
+	}
 	return r.readReply(0)
 }
 
@@ -313,20 +435,19 @@ func (r *Reader) ReadReply() (Reply, error) {
 const maxReplyDepth = 8
 
 func (r *Reader) readReply(depth int) (Reply, error) {
-	t, err := r.br.ReadByte()
-	if err != nil {
+	r.keep = r.r // nothing of the reply so far is referenced from the buffer
+	if err := r.need(1); err != nil {
 		return Reply{}, err
 	}
-	line, err := r.readLine()
+	t := r.buf[r.r]
+	r.r++
+	line, err := r.line()
 	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return Reply{}, io.ErrUnexpectedEOF
-		}
 		return Reply{}, err
 	}
 	switch t {
 	case '+':
-		return Reply{Kind: KindSimple, Str: string(line)}, nil
+		return Reply{Kind: KindSimple, Str: status(line)}, nil
 	case '-':
 		return Reply{Kind: KindError, Str: string(line)}, nil
 	case ':':
@@ -343,8 +464,28 @@ func (r *Reader) readReply(depth int) (Reply, error) {
 		if n == -1 {
 			return Reply{Kind: KindNull}, nil
 		}
-		body, err := r.readBulkBody(n)
-		if err != nil {
+		if err := r.checkBulk(n); err != nil {
+			return Reply{}, err
+		}
+		// What is buffered is copied out; the rest of a larger body is read
+		// straight into its destination.
+		body := make([]byte, n)
+		got := copy(body, r.buf[r.r:r.w])
+		r.r += got
+		if got < len(body) {
+			err := r.err
+			if r.err = nil; err == nil {
+				_, err = io.ReadFull(r.src, body[got:])
+			}
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			if err != nil {
+				return Reply{}, err
+			}
+		}
+		r.keep = r.r
+		if err := r.bulkEnd(); err != nil {
 			return Reply{}, err
 		}
 		return Reply{Kind: KindBulk, Bulk: body}, nil
@@ -366,9 +507,6 @@ func (r *Reader) readReply(depth int) (Reply, error) {
 		for i := int64(0); i < n; i++ {
 			e, err := r.readReply(depth + 1)
 			if err != nil {
-				if errors.Is(err, io.EOF) {
-					return Reply{}, io.ErrUnexpectedEOF
-				}
 				return Reply{}, err
 			}
 			elems = append(elems, e)
@@ -379,9 +517,21 @@ func (r *Reader) readReply(depth int) (Reply, error) {
 	}
 }
 
+// status returns a simple-string reply's text, without allocating for the
+// two statuses the server sends on its hot paths.
+func status(line []byte) string {
+	switch string(line) {
+	case "OK":
+		return "OK"
+	case "PONG":
+		return "PONG"
+	}
+	return string(line)
+}
+
 // Writer encodes RESP frames onto a buffered stream. It is not safe for
-// concurrent use; the server serialises all writes through the session
-// executor, the client through its connection mutex.
+// concurrent use: a server session writes from its one goroutine, the
+// client under its connection mutex.
 type Writer struct {
 	bw *bufio.Writer
 }
@@ -414,18 +564,20 @@ func (w *Writer) WriteError(code, msg string) {
 	w.bw.WriteString("\r\n")
 }
 
-// WriteInt writes a :n integer reply.
-func (w *Writer) WriteInt(n int64) {
-	w.bw.WriteByte(':')
-	w.bw.WriteString(strconv.FormatInt(n, 10))
-	w.bw.WriteString("\r\n")
+// writeNumber writes a type byte, a decimal and CRLF, formatted in the
+// write buffer's own free space.
+func (w *Writer) writeNumber(t byte, n int64) {
+	b := append(w.bw.AvailableBuffer(), t)
+	b = strconv.AppendInt(b, n, 10)
+	w.bw.Write(append(b, '\r', '\n'))
 }
+
+// WriteInt writes a :n integer reply.
+func (w *Writer) WriteInt(n int64) { w.writeNumber(':', n) }
 
 // WriteBulk writes a $len binary-safe bulk reply.
 func (w *Writer) WriteBulk(b []byte) {
-	w.bw.WriteByte('$')
-	w.bw.WriteString(strconv.Itoa(len(b)))
-	w.bw.WriteString("\r\n")
+	w.writeNumber('$', int64(len(b)))
 	w.bw.Write(b)
 	w.bw.WriteString("\r\n")
 }
@@ -440,11 +592,7 @@ func (w *Writer) WriteNull() {
 
 // WriteArray writes an *n array header; the caller then writes n nested
 // replies.
-func (w *Writer) WriteArray(n int) {
-	w.bw.WriteByte('*')
-	w.bw.WriteString(strconv.Itoa(n))
-	w.bw.WriteString("\r\n")
-}
+func (w *Writer) WriteArray(n int) { w.writeNumber('*', int64(n)) }
 
 // WriteCommand writes one client request as a RESP array of bulk strings.
 func (w *Writer) WriteCommand(args ...[]byte) {
@@ -456,7 +604,3 @@ func (w *Writer) WriteCommand(args ...[]byte) {
 
 // Flush pushes buffered frames to the underlying stream.
 func (w *Writer) Flush() error { return w.bw.Flush() }
-
-// Buffered returns the number of bytes waiting for Flush. The session
-// executor uses it to flush only at pipeline boundaries.
-func (w *Writer) Buffered() int { return w.bw.Buffered() }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestReadCommandArray(t *testing.T) {
@@ -161,16 +163,8 @@ func TestOversizedRejected(t *testing.T) {
 // shape a pipelining client produces — and checks every frame comes out
 // intact and in order.
 func TestPipelinedBatchDecode(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	const n = 100
-	for i := 0; i < n; i++ {
-		w.WriteCommand([]byte("SET"), []byte{byte(i)}, bytes.Repeat([]byte{byte(i)}, i))
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(&buf)
+	r := NewReader(bytes.NewReader(pipeline(t, n)))
 	for i := 0; i < n; i++ {
 		args, err := r.ReadCommand()
 		if err != nil {
@@ -252,4 +246,217 @@ func TestErrorCodeOfNonError(t *testing.T) {
 	if c := (Reply{Kind: KindError, Str: "CLOSED"}).ErrorCode(); c != "CLOSED" {
 		t.Fatalf("ErrorCode = %q, want CLOSED", c)
 	}
+}
+
+// pipeline encodes n commands of growing size, the shape a pipelining
+// client produces.
+func pipeline(t testing.TB, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i := 0; i < n; i++ {
+		w.WriteCommand([]byte("SET"), []byte{byte(i)}, bytes.Repeat([]byte{byte(i)}, i))
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestArgumentsLiveUntilTheNextCall pins ReadCommand's lifetime contract:
+// the arguments of frame k are intact when the call returns and until the
+// next one, however often the Reader had to refill and slide its buffer
+// while decoding them (here inside every frame: one byte per read). They
+// are the Reader's to reuse from then on, which is why decodeCommands and
+// everything else that keeps a command copies it.
+func TestArgumentsLiveUntilTheNextCall(t *testing.T) {
+	const n = 100
+	r := NewReader(iotest.OneByteReader(bytes.NewReader(pipeline(t, n))))
+	for i := 0; i < n; i++ {
+		args, err := r.ReadCommand()
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if len(args) != 3 || string(args[0]) != "SET" || args[1][0] != byte(i) || !bytes.Equal(args[2], bytes.Repeat([]byte{byte(i)}, i)) {
+			t.Fatalf("frame %d decoded as %q", i, args)
+		}
+		// An argument is capped at its own length: appending to one cannot
+		// reach the bytes buffered behind it.
+		if cap(args[1]) != 1 {
+			t.Fatalf("frame %d: argument has capacity %d beyond its length", i, cap(args[1]))
+		}
+	}
+	if _, err := r.ReadCommand(); err != io.EOF {
+		t.Fatalf("after the pipeline: %v, want io.EOF", err)
+	}
+}
+
+// TestTrickledPipelineDecodesIdentically: how the bytes arrive — all at
+// once, one per Read, or with io.EOF riding on the last of them — changes
+// nothing about what is decoded.
+func TestTrickledPipelineDecodesIdentically(t *testing.T) {
+	stream := pipeline(t, 100)
+	whole, err := decodeCommands(t, bytes.NewReader(stream))
+	if len(whole) != 100 || err != io.EOF {
+		t.Fatalf("decoded %d frames, then %v; want 100, then io.EOF", len(whole), err)
+	}
+	for name, src := range map[string]io.Reader{
+		"one byte per read": iotest.OneByteReader(bytes.NewReader(stream)),
+		"half reads":        iotest.HalfReader(bytes.NewReader(stream)),
+		"data with EOF":     iotest.DataErrReader(bytes.NewReader(stream)),
+	} {
+		if got, err := decodeCommands(t, src); !reflect.DeepEqual(got, whole) || err != io.EOF {
+			t.Errorf("%s: decoded %d frames, then %v, that differ from the stream read whole", name, len(got), err)
+		}
+	}
+}
+
+// TestFrameLargerThanTheBuffer: the buffer grows to hold one large frame —
+// here a 1 MiB bulk between two small commands — and is back at its
+// resting size once that frame has been consumed.
+func TestFrameLargerThanTheBuffer(t *testing.T) {
+	big := bytes.Repeat([]byte("0123456789abcdef"), 1<<16)
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.WriteCommand([]byte("PING"))
+	w.WriteCommand([]byte("SET"), []byte("k"), big)
+	w.WriteCommand([]byte("ECHO"), []byte("after"))
+	w.WriteBulk(big)
+	w.WriteSimple("OK")
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(iotest.HalfReader(&buf))
+	if args, err := r.ReadCommand(); err != nil || string(args[0]) != "PING" {
+		t.Fatalf("first frame: %q %v", args, err)
+	}
+	args, err := r.ReadCommand()
+	if err != nil || len(args) != 3 || !bytes.Equal(args[2], big) {
+		t.Fatalf("large frame: %d args, %v", len(args), err)
+	}
+	if len(r.buf) < len(big) {
+		t.Fatalf("buffer is %d bytes while it holds a %d-byte argument", len(r.buf), len(big))
+	}
+	if args, err := r.ReadCommand(); err != nil || string(args[1]) != "after" {
+		t.Fatalf("frame after the large one: %q %v", args, err)
+	}
+	if len(r.buf) != bufSize {
+		t.Fatalf("buffer is %d bytes after the large frame was consumed, want %d", len(r.buf), bufSize)
+	}
+	// A large bulk reply is read straight into the caller's slice: the
+	// buffer does not grow for it at all.
+	rep, err := r.ReadReply()
+	if err != nil || !bytes.Equal(rep.Bulk, big) {
+		t.Fatalf("large bulk reply: %d bytes, %v", len(rep.Bulk), err)
+	}
+	if len(r.buf) != bufSize {
+		t.Fatalf("buffer grew to %d bytes for a bulk reply", len(r.buf))
+	}
+	if rep, err := r.ReadReply(); err != nil || rep.Str != "OK" {
+		t.Fatalf("reply after the large one: %+v %v", rep, err)
+	}
+}
+
+// TestCodecAllocations pins the codec's steady state: decoding a command
+// and encoding a reply allocate nothing, decoding a reply allocates only
+// the Bulk the caller keeps.
+func TestCodecAllocations(t *testing.T) {
+	const runs = 1000
+	row := make([]byte, 120)
+	var stream bytes.Buffer
+	w := NewWriter(&stream)
+	r := NewReader(&stream)
+	check := func(what string, want float64, f func()) {
+		t.Helper()
+		if got := testing.AllocsPerRun(runs, f); got != want {
+			t.Errorf("%s allocates %.0f times, want %.0f", what, got, want)
+		}
+	}
+
+	for i := 0; i <= runs; i++ {
+		w.WriteCommand([]byte("UPDATE"), []byte("t"), []byte("1234"), []byte("112"), row[:8])
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("ReadCommand on a warm reader", 0, func() {
+		if args, err := r.ReadCommand(); err != nil || len(args) != 5 {
+			t.Fatalf("ReadCommand: %q %v", args, err)
+		}
+	})
+
+	for i := 0; i <= runs; i++ {
+		w.WriteSimple("OK")
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("ReadReply of +OK", 0, func() {
+		if rep, err := r.ReadReply(); err != nil || rep.Str != "OK" {
+			t.Fatalf("ReadReply: %+v %v", rep, err)
+		}
+	})
+
+	for i := 0; i <= runs; i++ {
+		w.WriteBulk(row)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("ReadReply of a bulk", 1, func() {
+		if rep, err := r.ReadReply(); err != nil || len(rep.Bulk) != len(row) {
+			t.Fatalf("ReadReply: %+v %v", rep, err)
+		}
+	})
+
+	discard := NewWriter(io.Discard)
+	check("WriteBulk of 120 bytes", 0, func() { discard.WriteBulk(row) })
+}
+
+// BenchmarkReadCommand decodes the benchmark's UPDATE frame.
+func BenchmarkReadCommand(b *testing.B) {
+	var frame bytes.Buffer
+	w := NewWriter(&frame)
+	w.WriteCommand([]byte("UPDATE"), []byte("t"), []byte("1234"), []byte("112"), make([]byte, 8))
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	r := NewReader(&repeatReader{frame: frame.Bytes()})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if args, err := r.ReadCommand(); err != nil || len(args) != 5 {
+			b.Fatalf("ReadCommand: %q %v", args, err)
+		}
+	}
+}
+
+// BenchmarkReadReply decodes the benchmark's GET reply, a 120-byte bulk.
+func BenchmarkReadReply(b *testing.B) {
+	var frame bytes.Buffer
+	w := NewWriter(&frame)
+	w.WriteBulk(make([]byte, 120))
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	r := NewReader(&repeatReader{frame: frame.Bytes()})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep, err := r.ReadReply(); err != nil || len(rep.Bulk) != 120 {
+			b.Fatalf("ReadReply: %+v %v", rep, err)
+		}
+	}
+}
+
+// repeatReader is an endless stream of one frame, delivered in reads of as
+// many whole frames as fit — a pipelining peer.
+type repeatReader struct{ frame []byte }
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := 0
+	for n+len(r.frame) <= len(p) {
+		n += copy(p[n:], r.frame)
+	}
+	return n, nil
 }

@@ -1,10 +1,11 @@
 // Package server implements ipaserver's network front end: a TCP listener
 // speaking the RESP-compatible wire protocol of internal/proto, one
-// pipelined session per connection dispatching commands onto an embedded
-// ipa.DB, a worker pool bounding engine concurrency at chips × GOMAXPROCS,
-// and an HTTP sidecar exposing /healthz, Prometheus-style /metrics (with
-// per-command latency histograms), the machine-readable /stats.json ops
-// document, and the embedded live /dashboard.
+// goroutine per connection decoding, executing and answering its commands
+// in order on an embedded ipa.DB, a worker pool bounding engine
+// concurrency at chips × GOMAXPROCS, and an HTTP sidecar exposing /healthz,
+// Prometheus-style /metrics (with per-command latency histograms), the
+// machine-readable /stats.json ops document, and the embedded live
+// /dashboard.
 //
 // The protocol — frame grammar, command set, error-code table, pipelining
 // and transaction-session semantics, and the graceful-shutdown contract —
@@ -38,10 +39,6 @@ type Config struct {
 	// once, across all sessions. Default: Chips × GOMAXPROCS — one lane
 	// per plane of hardware parallelism the simulated device offers.
 	Workers int
-	// PipelineDepth is the per-session queue of decoded, not yet executed
-	// commands (default 128). A client pipelining deeper than this is
-	// simply backpressured by TCP; nothing is dropped.
-	PipelineDepth int
 	// MaxBulk overrides the largest accepted bulk-string payload
 	// (default proto.DefaultMaxBulk).
 	MaxBulk int
@@ -84,6 +81,11 @@ type Server struct {
 	// shard index to each new session so recorders spread across shards.
 	lat       *latencies
 	nextShard atomic.Uint64
+
+	// poisonArgs is a test hook, set before Start: sessions overwrite a
+	// command's arguments with 0xA5 as soon as execute returns, so anything
+	// that kept an alias of the read buffer reads garbage.
+	poisonArgs bool
 }
 
 // New wraps db in a Server. Start must be called to begin serving.
@@ -93,9 +95,6 @@ func New(db *ipa.DB, cfg Config) *Server {
 		if cfg.Workers < 1 {
 			cfg.Workers = 1
 		}
-	}
-	if cfg.PipelineDepth <= 0 {
-		cfg.PipelineDepth = 128
 	}
 	return &Server{
 		db:       db,
@@ -144,8 +143,8 @@ func (srv *Server) Start() error {
 	}
 	srv.acceptWG.Add(1)
 	go srv.acceptLoop()
-	srv.logf("server: listening on %s (workers=%d pipeline=%d http=%s)",
-		ln.Addr(), srv.cfg.Workers, srv.cfg.PipelineDepth, srv.cfg.HTTPAddr)
+	srv.logf("server: listening on %s (workers=%d http=%s)",
+		ln.Addr(), srv.cfg.Workers, srv.cfg.HTTPAddr)
 	return nil
 }
 
@@ -172,15 +171,21 @@ func (srv *Server) acceptLoop() {
 			conn.Close()
 			continue
 		}
-		srv.connsTotal.Add(1)
-		srv.connsCurrent.Add(1)
-		sess := newSession(srv, conn)
-		srv.mu.Lock()
-		srv.sessions[sess] = struct{}{}
-		srv.mu.Unlock()
-		srv.sessWG.Add(1)
-		go sess.serve()
+		srv.startSession(conn)
 	}
+}
+
+// startSession registers a session for conn and serves it on its own
+// goroutine.
+func (srv *Server) startSession(conn net.Conn) {
+	srv.connsTotal.Add(1)
+	srv.connsCurrent.Add(1)
+	sess := newSession(srv, conn)
+	srv.mu.Lock()
+	srv.sessions[sess] = struct{}{}
+	srv.mu.Unlock()
+	srv.sessWG.Add(1)
+	go sess.serve()
 }
 
 // dropSession unregisters a finished session.
@@ -193,13 +198,13 @@ func (srv *Server) dropSession(s *session) {
 }
 
 // Shutdown stops the server gracefully: the listener closes, /healthz
-// flips to 503, every session stops reading new frames and finishes the
-// pipelined commands it has already received (their replies are flushed),
-// open transactions of departing sessions are aborted, a final fuzzy
-// checkpoint is taken, and the engine is closed. If ctx expires before
-// all sessions drain, their connections are closed; commands that race
-// past the engine's close answer with the CLOSED wire error instead of a
-// dropped connection.
+// flips to 503, every session stops reading from its socket and finishes
+// the pipelined commands it has already read off it (their replies are
+// flushed), open transactions of departing sessions are aborted, a final
+// fuzzy checkpoint is taken, and the engine is closed. If ctx expires
+// before all sessions drain, their connections are closed; commands that
+// race past the engine's close answer with the CLOSED wire error instead
+// of a dropped connection.
 func (srv *Server) Shutdown(ctx context.Context) error {
 	srv.shut.Do(func() { srv.shutErr = srv.shutdown(ctx) })
 	return srv.shutErr
@@ -211,8 +216,8 @@ func (srv *Server) shutdown(ctx context.Context) error {
 	srv.ln.Close()
 	srv.acceptWG.Wait()
 
-	// Ask every session to drain: stop pulling frames off the socket,
-	// finish what is queued, flush, hang up.
+	// Ask every session to drain: stop reading from the socket, finish
+	// what is already in the read buffer, flush, hang up.
 	srv.mu.Lock()
 	for s := range srv.sessions {
 		s.drain()
@@ -256,8 +261,8 @@ func (srv *Server) shutdown(ctx context.Context) error {
 }
 
 // Close stops the server hard: listeners and connections close
-// immediately, queued commands are abandoned, and the engine is closed
-// (which still flushes). Prefer Shutdown.
+// immediately, commands not yet executed are abandoned, and the engine is
+// closed (which still flushes). Prefer Shutdown.
 func (srv *Server) Close() error {
 	srv.shut.Do(func() {
 		srv.draining.Store(true)

@@ -17,7 +17,10 @@ import (
 )
 
 // newTestServer starts a server on loopback ports over a small simulated
-// device and returns it with its engine.
+// device and returns it with its engine. Its sessions poison every
+// command's arguments once the command has executed, so the whole suite
+// doubles as the check that no handler — and nothing below it: Tx, undo
+// record, WAL image, version chain — keeps an alias of the read buffer.
 func newTestServer(t *testing.T) (*Server, *ipa.DB) {
 	t.Helper()
 	db, err := ipa.Open(ipa.Config{
@@ -33,6 +36,7 @@ func newTestServer(t *testing.T) (*Server, *ipa.DB) {
 		t.Fatalf("Open: %v", err)
 	}
 	srv := New(db, Config{Addr: "127.0.0.1:0", HTTPAddr: "127.0.0.1:0", Logf: t.Logf})
+	srv.poisonArgs = true
 	if err := srv.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"io"
 	"net"
 	"time"
 
@@ -10,23 +9,21 @@ import (
 	"ipa/internal/proto"
 )
 
-// session is one client connection: a reader goroutine decodes frames
-// into a bounded queue (the pipeline), and the session goroutine executes
-// them strictly in order, writing replies through a buffered encoder that
-// is flushed at pipeline boundaries — one syscall per batch, which is
-// where pipelining's throughput comes from. In-order execution is also
-// what gives BEGIN/…/COMMIT sequences their meaning on a pipelined
-// connection.
+// session is one client connection, served by one goroutine: decode a
+// frame, execute it, encode its reply, in order — which is also what gives
+// BEGIN/…/COMMIT sequences their meaning on a pipelined connection. The
+// decoder parses in place, so a command's arguments alias the read buffer
+// and are valid only until execute returns. Replies accumulate in the
+// write buffer and go out exactly when the decoder has to go back to the
+// socket for more input (Read below): a batch that arrived together is
+// answered together, in one syscall, and the session never waits for
+// input while holding replies. Per connection that is a read buffer, the
+// one frame in flight and a write buffer — nothing is queued.
 type session struct {
 	srv  *Server
 	conn net.Conn
 	r    *proto.Reader
 	w    *proto.Writer
-
-	// reqs carries decoded commands from the reader to the executor;
-	// readErr holds the reader's terminal error, valid after reqs closes.
-	reqs    chan [][]byte
-	readErr error
 
 	// tx is the connection's open explicit transaction, nil outside
 	// BEGIN…COMMIT/ABORT. Aborted on disconnect.
@@ -41,95 +38,67 @@ type session struct {
 }
 
 func newSession(srv *Server, conn net.Conn) *session {
-	r := proto.NewReader(conn)
-	if srv.cfg.MaxBulk > 0 {
-		r.MaxBulk = srv.cfg.MaxBulk
-	}
-	return &session{
+	s := &session{
 		srv:   srv,
 		conn:  conn,
-		r:     r,
 		w:     proto.NewWriter(conn),
-		reqs:  make(chan [][]byte, srv.cfg.PipelineDepth),
 		shard: int(srv.nextShard.Add(1)-1) % srv.lat.shards,
 	}
+	s.r = proto.NewReader(s)
+	if srv.cfg.MaxBulk > 0 {
+		s.r.MaxBulk = srv.cfg.MaxBulk
+	}
+	return s
+}
+
+// Read is the decoder's source: the socket, behind the flush rule.
+func (s *session) Read(p []byte) (int, error) {
+	if err := s.w.Flush(); err != nil {
+		return 0, err
+	}
+	return s.conn.Read(p)
 }
 
 // serve runs the session to completion.
 func (s *session) serve() {
 	defer s.srv.dropSession(s)
 	defer s.conn.Close()
-	go s.readLoop()
-
-	// readerDone records that the reqs channel closed: only then has
-	// readLoop finished, and only then may readErr be read (the channel
-	// close is the happens-before edge). Leaving the loop by break —
-	// QUIT, or a dead connection failing the flush — races the reader,
-	// and a final reply could not be delivered anyway.
-	readerDone := false
-loop:
-	for {
-		args, ok := <-s.reqs
-		if !ok {
-			readerDone = true
+	for !s.quit {
+		args, err := s.r.ReadCommand()
+		if err != nil {
+			// A malformed frame cannot be resynchronised: report it as the
+			// final reply, then hang up. Anything else — the peer gone, a
+			// dead connection, the drain deadline — just ends the session.
+			if errors.Is(err, proto.ErrProto) || errors.Is(err, proto.ErrTooLarge) {
+				s.writeError(codeProto, err.Error())
+			}
 			break
 		}
 		s.srv.workers <- struct{}{} // engine admission: chips × GOMAXPROCS lanes
 		s.execute(args)
 		<-s.srv.workers
-		if s.quit {
-			break loop
-		}
-		// Flush only at pipeline boundaries: while more commands are
-		// queued, replies accumulate in the write buffer.
-		if len(s.reqs) == 0 {
-			if err := s.w.Flush(); err != nil {
-				break loop
+		if s.srv.poisonArgs {
+			for _, a := range args {
+				for i := range a {
+					a[i] = 0xA5
+				}
 			}
 		}
 	}
-
-	// The reader is done. A malformed frame cannot be resynchronised:
-	// report it as the final reply, then hang up.
-	if readerDone && !s.quit {
-		if err := s.readErr; errors.Is(err, proto.ErrProto) || errors.Is(err, proto.ErrTooLarge) {
-			s.writeError(codeProto, err.Error())
-		}
-	}
-	s.w.Flush()
-	// Half-read pipelines die with the connection, but an open explicit
+	_ = s.w.Flush() // the last replies; the connection closes either way
+	// A half-read frame dies with the connection, but an open explicit
 	// transaction must not leak its locks: abort it.
 	if s.tx != nil {
 		_ = s.tx.Abort()
 		s.tx = nil
 	}
-	// Close the connection first — it unblocks a reader parked in Read —
-	// then drain the queue so the reader can never block forever on a
-	// full channel after the executor stops.
-	s.conn.Close()
-	for range s.reqs {
-	}
 }
 
-// readLoop decodes frames into the pipeline until the connection fails,
-// the peer hangs up, or the frame stream turns malformed.
-func (s *session) readLoop() {
-	defer close(s.reqs)
-	for {
-		args, err := s.r.ReadCommand()
-		if err != nil {
-			if !errors.Is(err, io.EOF) {
-				s.readErr = err
-			}
-			return
-		}
-		s.reqs <- args
-	}
-}
-
-// drain makes the session stop reading new frames: the in-flight read is
-// unblocked by an immediate deadline, the already-queued commands run to
-// completion and their replies are flushed by the executor as usual.
+// drain makes the session stop taking input off the socket: an immediate
+// read deadline fails the read in flight and every later one. The commands
+// already in the read buffer still run; their replies are flushed by the
+// read that then fails, and the session hangs up. A frame cut in half at
+// that point is dropped without a reply.
 func (s *session) drain() {
 	s.conn.SetReadDeadline(time.Now())
 }

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -11,48 +13,40 @@ import (
 )
 
 // TestShutdownWhilePipelining pins the drain contract: a client that has
-// a full pipeline in flight when Shutdown is called gets every one of its
-// already-received commands answered and flushed before the connection
-// closes — nothing is dropped, nothing is cut mid-reply.
+// a pipeline in flight when Shutdown is called gets every command the
+// session had already read off the socket answered and flushed before the
+// connection closes — nothing is dropped, nothing is cut mid-reply — and a
+// frame that was only half there is dropped without an error reply.
 func TestShutdownWhilePipelining(t *testing.T) {
 	srv, _ := newTestServer(t)
 	admin := dial(t, srv)
 	do(t, admin, "CREATE", "d", "32")
 	admin.Close()
 
-	conn, err := net.Dial("tcp", srv.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn, sc := countedSession(t, srv)
 
-	// One TCP write carrying a 100-command pipeline (within the default
-	// 128-deep session queue, so the reader can stage all of it).
+	// A 100-command pipeline and the first half of a 101st frame.
 	const k = 100
-	w := proto.NewWriter(conn)
+	var sent bytes.Buffer
+	w := proto.NewWriter(&sent)
 	for i := 0; i < k; i++ {
-		w.WriteCommand([]byte("INSERT"), []byte("d"), []byte{byte('0' + byte(i/100)), byte('0' + byte(i/10%10)), byte('0' + byte(i%10))}, []byte("v"))
+		w.WriteCommand([]byte("INSERT"), []byte("d"), []byte(fmt.Sprint(i)), []byte("v"))
 	}
+	w.WriteCommand([]byte("INSERT"), []byte("d"), []byte("100"), []byte("torn"))
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	sent.Truncate(sent.Len() - 9)
+	if _, err := conn.Write(sent.Bytes()); err != nil {
+		t.Fatal(err)
+	}
 
-	// Wait (white box) until the session has received every frame — the
-	// drain contract covers received commands, so the test must not race
-	// the decoder.
+	// The drain contract covers what the session has read, so wait until
+	// it has read everything sent.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var sess *session
-		srv.mu.Lock()
-		for s := range srv.sessions {
-			sess = s
-		}
-		srv.mu.Unlock()
-		if sess != nil && srv.commandsRun.Load()+uint64(len(sess.reqs)) >= k {
-			break
-		}
+	for sc.bytesRead.Load() < int64(sent.Len()) {
 		if time.Now().After(deadline) {
-			t.Fatal("session never staged the pipeline")
+			t.Fatal("session never read the pipeline")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -64,19 +58,19 @@ func TestShutdownWhilePipelining(t *testing.T) {
 		shutErr <- srv.Shutdown(ctx)
 	}()
 
-	// Every pipelined command answers, in order, then EOF.
+	// Every whole command answers, in order, then EOF.
 	r := proto.NewReader(conn)
 	for i := 0; i < k; i++ {
 		rep, err := r.ReadReply()
 		if err != nil {
 			t.Fatalf("reply %d/%d: %v", i, k, err)
 		}
-		if rep.Kind == proto.KindError {
-			t.Fatalf("reply %d: %s", i, rep.Str)
+		if rep.Kind != proto.KindSimple {
+			t.Fatalf("reply %d: %+v", i, rep)
 		}
 	}
-	if _, err := r.ReadReply(); err != io.EOF {
-		t.Fatalf("after drain: want EOF, got %v", err)
+	if rep, err := r.ReadReply(); err != io.EOF {
+		t.Fatalf("after drain: want EOF, got %+v %v", rep, err)
 	}
 	if err := <-shutErr; err != nil {
 		t.Fatalf("Shutdown: %v", err)
@@ -144,8 +138,8 @@ func TestEngineClosedMapsToClosedCode(t *testing.T) {
 	}
 }
 
-// TestDrainAnswersQueuedThenHangsUp: a session idle at drain time (reader
-// parked in Read) closes promptly without an error reply.
+// TestDrainAnswersQueuedThenHangsUp: a session idle at drain time (parked
+// in Read) closes promptly without an error reply.
 func TestDrainAnswersQueuedThenHangsUp(t *testing.T) {
 	srv, _ := newTestServer(t)
 	conn, err := net.Dial("tcp", srv.Addr().String())

@@ -1,10 +1,10 @@
 // Package ipaclient is the Go client for ipaserver's wire protocol. It
 // speaks the RESP-compatible framing of internal/proto over one TCP
 // connection: Do sends a single command and waits for its reply, Batch
-// pipelines many commands in one write and decodes the replies in order
-// (one round trip for the whole batch). A Client is safe for concurrent
-// use, but commands interleave — use one Client per goroutine (as
-// cmd/ipaload does) when BEGIN…COMMIT must not interleave with other
+// pipelines many commands and decodes the replies in order (one round trip
+// for a batch that fits the pipelining window). A Client is safe for
+// concurrent use, but commands interleave — use one Client per goroutine
+// (as cmd/ipaload does) when BEGIN…COMMIT must not interleave with other
 // traffic, since the transaction is a property of the connection.
 //
 // The protocol itself — commands, replies and error codes — is specified
@@ -14,6 +14,7 @@ package ipaclient
 import (
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -41,12 +42,18 @@ func IsCode(err error, code string) bool {
 	return ok && se.Code == code
 }
 
-// Client is one connection to an ipaserver.
+// Client is one connection to an ipaserver. The first transport error — a
+// failed write, a torn or malformed reply — is sticky: the position in the
+// reply stream is lost with it, so every later call returns that error
+// instead of decoding from the middle of a frame. Close and dial again.
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
 	r    *proto.Reader
 	w    *proto.Writer
+	err  error // the first transport error
+	// num is scratch for the decimal arguments of the typed calls.
+	num [2][20]byte
 }
 
 // Dial connects to an ipaserver at addr.
@@ -83,18 +90,32 @@ func reply(r proto.Reply) (proto.Reply, error) {
 	return r, nil
 }
 
+// fail records err, met while doing op, as the connection's sticky error.
+func (c *Client) fail(op string, err error) error {
+	c.err = fmt.Errorf("ipaclient: %s: %w", op, err)
+	return c.err
+}
+
 // Do sends one command and waits for its reply. Error replies surface as
 // *Error; transport failures as ordinary errors.
 func (c *Client) Do(args ...[]byte) (proto.Reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.do(args...)
+}
+
+// do is Do with the connection mutex held.
+func (c *Client) do(args ...[]byte) (proto.Reply, error) {
+	if c.err != nil {
+		return proto.Reply{}, c.err
+	}
 	c.w.WriteCommand(args...)
 	if err := c.w.Flush(); err != nil {
-		return proto.Reply{}, err
+		return proto.Reply{}, c.fail("send", err)
 	}
 	r, err := c.r.ReadReply()
 	if err != nil {
-		return proto.Reply{}, err
+		return proto.Reply{}, c.fail("read reply", err)
 	}
 	return reply(r)
 }
@@ -108,26 +129,57 @@ func (c *Client) DoStrings(args ...string) (proto.Reply, error) {
 	return c.Do(bs...)
 }
 
-// Batch pipelines every command in one write and decodes the replies in
-// order: len(cmds) commands, one round trip. Error replies appear in the
-// returned slice (Kind KindError), not as the error return — a batch with
-// a NOTFOUND in the middle still yields all replies. The error return is
-// reserved for transport failures, after which the replies decoded so far
-// are returned.
+// batchWindow bounds the command bytes a Batch leaves unanswered on the
+// wire. A server answers as it reads, so once the replies owed exceed what
+// the sockets buffer it blocks writing and stops reading; a client still
+// writing commands then blocks too, for good. Within the window the
+// client's writes always complete, and reading the replies unblocks the
+// server.
+const batchWindow = 64 << 10
+
+// Batch pipelines the commands and decodes the replies in order: one call,
+// and one round trip for every batchWindow bytes of commands (a window
+// ends before the command that would overflow it). Error replies appear in
+// the returned slice (Kind KindError), not as the error return — a batch
+// with a NOTFOUND in the middle still yields all replies. The error return
+// is reserved for transport failures, after which the replies decoded so
+// far are returned.
 func (c *Client) Batch(cmds [][][]byte) ([]proto.Reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, args := range cmds {
-		c.w.WriteCommand(args...)
-	}
-	if err := c.w.Flush(); err != nil {
-		return nil, err
+	if c.err != nil {
+		return nil, c.err
 	}
 	replies := make([]proto.Reply, 0, len(cmds))
-	for range cmds {
+	unanswered := 0
+	for i, args := range cmds {
+		size := 16 // array header, generously
+		for _, a := range args {
+			size += len(a) + 16
+		}
+		if unanswered > 0 && unanswered+size > batchWindow {
+			var err error
+			if replies, err = c.collect(replies, i); err != nil {
+				return replies, err
+			}
+			unanswered = 0
+		}
+		c.w.WriteCommand(args...)
+		unanswered += size
+	}
+	return c.collect(replies, len(cmds))
+}
+
+// collect flushes the commands written so far and appends their replies
+// until n have been read.
+func (c *Client) collect(replies []proto.Reply, n int) ([]proto.Reply, error) {
+	if err := c.w.Flush(); err != nil {
+		return replies, c.fail("send", err)
+	}
+	for len(replies) < n {
 		r, err := c.r.ReadReply()
 		if err != nil {
-			return replies, err
+			return replies, c.fail("read reply", err)
 		}
 		replies = append(replies, r)
 	}
@@ -142,46 +194,54 @@ func (c *Client) Ping() error {
 
 // CreateTable issues CREATE table tupleSize.
 func (c *Client) CreateTable(table string, tupleSize int) error {
-	_, err := c.DoStrings("CREATE", table, fmt.Sprint(tupleSize))
+	_, err := c.DoStrings("CREATE", table, strconv.Itoa(tupleSize))
 	return err
+}
+
+// decimal formats n into scratch slot i, which the connection mutex guards.
+func (c *Client) decimal(i int, n int64) []byte {
+	return strconv.AppendInt(c.num[i][:0], n, 10)
 }
 
 // Insert issues INSERT table key value.
 func (c *Client) Insert(table string, key int64, value []byte) error {
-	_, err := c.Do([]byte("INSERT"), []byte(table), []byte(fmt.Sprint(key)), value)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, err := c.do([]byte("INSERT"), []byte(table), c.decimal(0, key), value)
 	return err
 }
 
 // Get issues GET table key and returns the tuple.
 func (c *Client) Get(table string, key int64) ([]byte, error) {
-	r, err := c.DoStrings("GET", table, fmt.Sprint(key))
-	if err != nil {
-		return nil, err
-	}
-	return r.Bulk, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r, err := c.do([]byte("GET"), []byte(table), c.decimal(0, key))
+	return r.Bulk, err
 }
 
 // GetForUpdate issues GETFU table key: a GET under the open
 // transaction's record lock, so the returned tuple cannot change before
 // COMMIT/ABORT. Outside a transaction the server replies NOTXN.
 func (c *Client) GetForUpdate(table string, key int64) ([]byte, error) {
-	r, err := c.DoStrings("GETFU", table, fmt.Sprint(key))
-	if err != nil {
-		return nil, err
-	}
-	return r.Bulk, nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r, err := c.do([]byte("GETFU"), []byte(table), c.decimal(0, key))
+	return r.Bulk, err
 }
 
 // Update issues UPDATE table key offset value — a tail-patch of the tuple
 // at the given byte offset, the engine's in-place-append fast path.
 func (c *Client) Update(table string, key int64, offset int, value []byte) error {
-	_, err := c.Do([]byte("UPDATE"), []byte(table), []byte(fmt.Sprint(key)),
-		[]byte(fmt.Sprint(offset)), value)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, err := c.do([]byte("UPDATE"), []byte(table), c.decimal(0, key), c.decimal(1, int64(offset)), value)
 	return err
 }
 
 // Delete issues DEL table key.
 func (c *Client) Delete(table string, key int64) error {
-	_, err := c.DoStrings("DEL", table, fmt.Sprint(key))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, err := c.do([]byte("DEL"), []byte(table), c.decimal(0, key))
 	return err
 }
