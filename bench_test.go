@@ -12,6 +12,7 @@
 package ipa_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
@@ -398,6 +399,20 @@ func BenchmarkSnapshotReadMix(b *testing.B) {
 // commit, buffer hit, page update. The allocation pins in fastpath_test.go
 // run on the same table.
 func residentTable(b testing.TB) (*ipa.DB, *ipa.Table) {
+	return benchTable(b, residentRows, ipa.IPANativeFlash, ipa.Scheme{N: 2, M: 4})
+}
+
+// missTable is residentTable's geometry under the benchmark's flash_rw and
+// flash_trad tables: 60 416 rows, eight times the pool, so an operation on a
+// row 7 919 keys from the last one misses and — once updates have dirtied
+// the pool — evicts a dirty page. What is measured is the path below the
+// buffer hit: eviction, delta append or out-of-place write, garbage
+// collection, read, ECC and page reconstruction.
+func missTable(b testing.TB, mode ipa.WriteMode, scheme ipa.Scheme) (*ipa.DB, *ipa.Table) {
+	return benchTable(b, missRows, mode, scheme)
+}
+
+func benchTable(b testing.TB, rows int64, mode ipa.WriteMode, scheme ipa.Scheme) (*ipa.DB, *ipa.Table) {
 	b.Helper()
 	db, err := ipa.Open(ipa.Config{
 		PageSize:        8 * 1024,
@@ -405,8 +420,8 @@ func residentTable(b testing.TB) (*ipa.DB, *ipa.Table) {
 		PagesPerBlock:   64,
 		Chips:           1,
 		FlashMode:       ipa.PSLC,
-		WriteMode:       ipa.IPANativeFlash,
-		Scheme:          ipa.Scheme{N: 2, M: 4},
+		WriteMode:       mode,
+		Scheme:          scheme,
 		BufferPoolPages: 128,
 	})
 	if err != nil {
@@ -418,9 +433,9 @@ func residentTable(b testing.TB) (*ipa.DB, *ipa.Table) {
 		b.Fatal(err)
 	}
 	row := make([]byte, residentTupleSize)
-	for k := int64(0); k < residentRows; {
+	for k := int64(0); k < rows; {
 		tx := db.Begin()
-		for n := 0; n < 64 && k < residentRows; n, k = n+1, k+1 {
+		for n := 0; n < 64 && k < rows; n, k = n+1, k+1 {
 			if err := tx.Insert(table, k, row); err != nil {
 				b.Fatal(err)
 			}
@@ -439,6 +454,10 @@ const (
 	residentRows      = 3776
 	residentTupleSize = 120
 	residentCkptEvery = 100000 // operations between checkpoints, as mem_rw runs them
+
+	missRows      = 60416
+	missStride    = 7919 // rows between consecutive operations: 134 pages, coprime to missRows
+	missCkptEvery = 7000 // as flash_rw runs them
 )
 
 // BenchmarkResidentUpdateTxn is one Begin → UpdateAt → Commit of an 8-byte
@@ -479,4 +498,57 @@ func BenchmarkResidentGet(b *testing.B) {
 			b.Fatalf("get: %v (%d bytes)", err, len(v))
 		}
 	}
+}
+
+// missUpdateTxn is one Begin → UpdateAt → Commit of an 8-byte field of row
+// i·missStride: the page is not resident.
+func missUpdateTxn(db *ipa.DB, table *ipa.Table, i int64, patch *[8]byte) error {
+	binary.LittleEndian.PutUint64(patch[:], uint64(i))
+	tx := db.Begin()
+	if err := tx.UpdateAt(table, i*missStride%missRows, 112, patch[:]); err != nil {
+		return err
+	}
+	return tx.Commit()
+}
+
+func benchmarkMissEvict(b *testing.B, mode ipa.WriteMode, scheme ipa.Scheme) {
+	db, table := missTable(b, mode, scheme)
+	var patch [8]byte
+	for i := int64(0); i < 2048; i++ { // the pool fills with dirty pages, the device starts collecting
+		if err := missUpdateTxn(db, table, i, &patch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	before := db.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := int64(0); i < int64(b.N); i++ {
+		if err := missUpdateTxn(db, table, 2048+i, &patch); err != nil {
+			b.Fatal(err)
+		}
+		if i%missCkptEvery == missCkptEvery-1 {
+			if _, err := db.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	after := db.Stats()
+	b.ReportMetric(float64(after.BufferMisses-before.BufferMisses)/float64(b.N), "misses/op")
+	b.ReportMetric(float64(after.DirtyEvictions-before.DirtyEvictions)/float64(b.N), "dirty-evictions/op")
+}
+
+// BenchmarkMissEvictNative is an update transaction that misses and evicts a
+// dirty page on the paper's configuration, [2×4] on native Flash: the
+// isolating benchmark of the path below the buffer hit. allocs/op is the
+// transaction's own three plus whatever a miss and an eviction cost — zero,
+// pinned in fastpath_test.go and, layer by layer, in internal/.
+func BenchmarkMissEvictNative(b *testing.B) {
+	benchmarkMissEvict(b, ipa.IPANativeFlash, ipa.Scheme{N: 2, M: 4})
+}
+
+// BenchmarkMissEvictTrad is the same on the traditional out-of-place write
+// path.
+func BenchmarkMissEvictTrad(b *testing.B) {
+	benchmarkMissEvict(b, ipa.Traditional, ipa.Scheme{})
 }

@@ -3,6 +3,8 @@ package ipa_test
 import (
 	"encoding/binary"
 	"testing"
+
+	"ipa"
 )
 
 // TestResidentUpdateTransactionAllocations pins the transaction fast path:
@@ -62,5 +64,71 @@ func TestResidentGetAllocations(t *testing.T) {
 	get()
 	if allocs := testing.AllocsPerRun(2000, get); allocs != 1 {
 		t.Fatalf("Table.Get of a cached row allocates %.1f times, want 1", allocs)
+	}
+}
+
+// TestMissAllocations holds the resident bounds off the fast path, with one
+// allocation of slack each for an amortised refill (a slab of page arrays
+// on a device that has not erased yet, a WAL segment): on the benchmark's
+// flash_rw and flash_trad tables, eight times the pool, a Table.Get whose
+// page is not resident allocates the copy it returns, and a one-row update
+// transaction that misses and evicts a dirty page — as an in-place append or
+// an out-of-place write, garbage collection included — allocates what it
+// does on a cached page. The miss, the reconstruction and the eviction
+// themselves allocate nothing (8.5 → 2.0 allocations per flash_rw
+// operation).
+func TestMissAllocations(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mode   ipa.WriteMode
+		scheme ipa.Scheme
+	}{
+		{"ipa-native", ipa.IPANativeFlash, ipa.Scheme{N: 2, M: 4}},
+		{"traditional", ipa.Traditional, ipa.Scheme{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, table := missTable(t, tc.mode, tc.scheme)
+			var patch [8]byte
+			i := int64(0)
+			update := func() {
+				i++
+				if err := missUpdateTxn(db, table, i, &patch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			get := func() {
+				i++
+				if v, err := table.Get(i * missStride % missRows); err != nil || len(v) != residentTupleSize {
+					t.Fatalf("Get: %v (%d bytes)", err, len(v))
+				}
+			}
+			// Warm up until every frame is dirty, every frame's tracker has
+			// been used and the device collects garbage.
+			for n := 0; n < 4096; n++ {
+				update()
+			}
+			before := db.Stats()
+			updateAllocs := testing.AllocsPerRun(1000, update)
+			mid := db.Stats()
+			getAllocs := testing.AllocsPerRun(1000, get)
+			after := db.Stats()
+			t.Logf("allocations per missing update transaction %.0f, per missing Get %.0f", updateAllocs, getAllocs)
+			if d := mid.DirtyEvictions - before.DirtyEvictions; mid.BufferMisses-before.BufferMisses < 1000 || d < 1000 {
+				t.Fatalf("the measured updates did not all miss and evict: %d misses, %d dirty evictions",
+					mid.BufferMisses-before.BufferMisses, d)
+			}
+			if after.BufferMisses-mid.BufferMisses < 1000 {
+				t.Fatalf("the measured gets did not all miss: %d misses", after.BufferMisses-mid.BufferMisses)
+			}
+			if tc.mode == ipa.IPANativeFlash && mid.IPAAppendEvictions == before.IPAAppendEvictions {
+				t.Fatal("no eviction was an in-place append")
+			}
+			if updateAllocs > 5 {
+				t.Fatalf("an update transaction that misses and evicts allocates %.0f times, want at most 5", updateAllocs)
+			}
+			if getAllocs > 2 {
+				t.Fatalf("a Table.Get that misses allocates %.0f times, want at most 2", getAllocs)
+			}
+		})
 	}
 }

@@ -63,15 +63,16 @@ func victimBackoff(attempt int) {
 	}
 }
 
-// PageIO is implemented by the storage manager. LoadPage fills buf with the
-// up-to-date page image (delta records already applied) and returns the
-// change tracker for the new buffer residency. StorePage persists a dirty
+// PageIO is implemented by the storage manager. LoadPageInto fills buf with
+// the up-to-date page image (delta records already applied) and makes t —
+// the frame's tracker, whatever it tracked before — the change tracker of the
+// new buffer residency (core.Tracker.Init). StorePage persists a dirty
 // page; it must reset the tracker for the page's next residency before
 // returning. Implementations must be safe for concurrent use: different
 // shards issue loads and stores in parallel.
 type PageIO interface {
 	PageSize() int
-	LoadPage(pid uint64, buf []byte) (*core.Tracker, error)
+	LoadPageInto(pid uint64, buf []byte, t *core.Tracker) error
 	StorePage(pid uint64, buf []byte, t *core.Tracker) error
 }
 
@@ -97,10 +98,12 @@ type frame struct {
 	// to the shard state: a goroutine holds or waits on the latch only
 	// while it holds a pin, so a frame with pin == 0 has a free latch and
 	// may be evicted or reused under the shard mutex alone.
-	latch   sync.RWMutex
-	pid     uint64
-	data    []byte
-	tracker *core.Tracker
+	latch sync.RWMutex
+	pid   uint64
+	data  []byte
+	// tracker belongs to the frame like data does: every residency
+	// re-initialises it in place, so a miss allocates none.
+	tracker core.Tracker
 	pin     int
 	dirty   bool
 	ref     bool
@@ -120,7 +123,7 @@ type frame struct {
 // residentLocked starts a new residency of the frame: pid is its page, one
 // pin is taken for the caller, and both handles now name pid. The caller
 // holds the shard mutex and has claimed the frame (pin == 0), then loads
-// or formats the page and sets the tracker.
+// or formats the page, which initialises the tracker.
 func (s *shard) residentLocked(idx int, pid uint64, dirty bool) *frame {
 	f := &s.frames[idx]
 	f.pid = pid
@@ -132,7 +135,6 @@ func (s *shard) residentLocked(idx int, pid uint64, dirty bool) *frame {
 		f.recLSN = s.stampLocked()
 	}
 	f.valid = true
-	f.tracker = nil
 	f.excl.pid, f.shrd.pid = pid, pid
 	s.table[pid] = idx
 	return f
@@ -286,8 +288,10 @@ func (h *Handle) PID() uint64 { return h.pid }
 // Data returns the buffered page image. It remains valid until Release.
 func (h *Handle) Data() []byte { return h.shard.frames[h.idx].data }
 
-// Tracker returns the change tracker of the current residency.
-func (h *Handle) Tracker() *core.Tracker { return h.shard.frames[h.idx].tracker }
+// Tracker returns the change tracker of the current residency. It is the
+// frame's own and, like Data, valid until Release: the frame's next
+// residency re-initialises it for another page.
+func (h *Handle) Tracker() *core.Tracker { return &h.shard.frames[h.idx].tracker }
 
 // MarkDirty flags the page as modified. It requires an exclusive handle.
 // The first MarkDirty of a residency stamps the frame's recLSN from the
@@ -390,13 +394,11 @@ func (p *Pool) fetch(pid uint64, shared bool) (*Handle, error) {
 	// path atomic with respect to concurrent fetches of the same page, and
 	// only serialises this shard — misses on other shards proceed in
 	// parallel.
-	tracker, err := s.io.LoadPage(pid, f.data)
-	if err != nil {
+	if err := s.io.LoadPageInto(pid, f.data, &f.tracker); err != nil {
 		s.vacateLocked(f)
 		s.mu.Unlock()
 		return nil, err
 	}
-	f.tracker = tracker
 	s.mu.Unlock()
 	lockLatch(f, shared)
 	return f.handle(shared), nil
@@ -411,10 +413,10 @@ func lockLatch(f *frame, shared bool) {
 }
 
 // Create pins a frame for a brand-new page that does not exist on storage
-// yet. init formats the frame contents and returns the page's tracker
-// (typically one marked out-of-place, since the first write of a new page
-// cannot be an append). The handle is exclusively latched.
-func (p *Pool) Create(pid uint64, init func(buf []byte) (*core.Tracker, error)) (*Handle, error) {
+// yet. init formats the frame contents and initialises the frame's tracker
+// for the page (typically marked out-of-place, since the first write of a
+// new page cannot be an append). The handle is exclusively latched.
+func (p *Pool) Create(pid uint64, init func(buf []byte, t *core.Tracker) error) (*Handle, error) {
 	s := p.shardFor(pid)
 	idx, hit, err := s.claimFrame(func() (int, bool) {
 		i, ok := s.table[pid]
@@ -428,13 +430,11 @@ func (p *Pool) Create(pid uint64, init func(buf []byte) (*core.Tracker, error)) 
 		return nil, fmt.Errorf("buffer: page %d already cached", pid)
 	}
 	f := s.residentLocked(idx, pid, true)
-	tracker, err := init(f.data)
-	if err != nil {
+	if err := init(f.data, &f.tracker); err != nil {
 		s.vacateLocked(f)
 		s.mu.Unlock()
 		return nil, err
 	}
-	f.tracker = tracker
 	s.mu.Unlock()
 	lockLatch(f, false)
 	return &f.excl, nil
@@ -477,7 +477,7 @@ func (s *shard) evictLocked(idx int) error {
 	s.stats.Evictions++
 	if f.dirty {
 		s.stats.DirtyEvictions++
-		if err := s.io.StorePage(f.pid, f.data, f.tracker); err != nil {
+		if err := s.io.StorePage(f.pid, f.data, &f.tracker); err != nil {
 			return fmt.Errorf("buffer: evicting page %d: %w", f.pid, err)
 		}
 	}
@@ -485,7 +485,6 @@ func (s *shard) evictLocked(idx int) error {
 	f.valid = false
 	f.dirty = false
 	f.recLSN = 0
-	f.tracker = nil
 	return nil
 }
 
@@ -532,7 +531,7 @@ func (s *shard) storeLatched(f *frame) error {
 	if !dirty {
 		return nil
 	}
-	if err := s.io.StorePage(f.pid, f.data, f.tracker); err != nil {
+	if err := s.io.StorePage(f.pid, f.data, &f.tracker); err != nil {
 		return err
 	}
 	s.mu.Lock()

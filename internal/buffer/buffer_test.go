@@ -25,19 +25,20 @@ func newMemIO(pageSize int) *memIO {
 
 func (m *memIO) PageSize() int { return m.pageSize }
 
-func (m *memIO) LoadPage(pid uint64, buf []byte) (*core.Tracker, error) {
+func (m *memIO) LoadPageInto(pid uint64, buf []byte, t *core.Tracker) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.failLoad {
-		return nil, errors.New("injected load failure")
+		return errors.New("injected load failure")
 	}
 	m.loads++
 	img, ok := m.pages[pid]
 	if !ok {
-		return nil, fmt.Errorf("page %d missing", pid)
+		return fmt.Errorf("page %d missing", pid)
 	}
 	copy(buf, img)
-	return core.NewTracker(core.Scheme{N: 2, M: 4}, 4, m.pageSize, 0), nil
+	t.Init(core.Scheme{N: 2, M: 4}, m.pageSize, 0)
+	return nil
 }
 
 func (m *memIO) StorePage(pid uint64, buf []byte, t *core.Tracker) error {
@@ -47,9 +48,7 @@ func (m *memIO) StorePage(pid uint64, buf []byte, t *core.Tracker) error {
 	img := make([]byte, len(buf))
 	copy(img, buf)
 	m.pages[pid] = img
-	if t != nil {
-		t.Reset(0)
-	}
+	t.Reset(0)
 	return nil
 }
 
@@ -197,12 +196,12 @@ func TestPinnedPagesAreNotEvicted(t *testing.T) {
 func TestCreateNewPage(t *testing.T) {
 	io := newMemIO(64)
 	pool, _ := New(io, 2)
-	h, err := pool.Create(42, func(buf []byte) (*core.Tracker, error) {
+	h, err := pool.Create(42, func(buf []byte, tr *core.Tracker) error {
 		for i := range buf {
 			buf[i] = 0x7F
 		}
-		tr := core.NewTracker(core.Scheme{}, 4, len(buf), 0)
-		return tr, nil
+		tr.Init(core.Scheme{}, len(buf), 0)
+		return nil
 	})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
@@ -327,9 +326,10 @@ func TestRefilledFrameHandsOutHandlesForTheNewPage(t *testing.T) {
 			check(h, err, pid, byte(pid))
 		}
 	}
-	h, err := pool.Create(9, func(buf []byte) (*core.Tracker, error) {
+	h, err := pool.Create(9, func(buf []byte, tr *core.Tracker) error {
 		buf[0] = 9
-		return core.NewTracker(core.Scheme{N: 2, M: 4}, 4, len(buf), 0), nil
+		tr.Init(core.Scheme{N: 2, M: 4}, len(buf), 0)
+		return nil
 	})
 	check(h, err, 9, 9)
 	h, err = pool.FetchShared(9)

@@ -101,9 +101,7 @@ func TestConcurrentFetchAcrossShards(t *testing.T) {
 						return
 					}
 					h.Data()[1]++
-					if h.Tracker() != nil {
-						h.Tracker().RecordChange(1, h.Data()[1]-1, h.Data()[1])
-					}
+					h.Tracker().RecordChange(1, h.Data()[1]-1, h.Data()[1])
 					h.MarkDirty()
 					h.Release()
 				} else {

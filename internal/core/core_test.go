@@ -125,8 +125,8 @@ func TestEncodeDecodeArea(t *testing.T) {
 	if len(decoded) != 2 {
 		t.Fatalf("decoded %d records", len(decoded))
 	}
-	if CountRecords(area, s, metaLen) != 2 {
-		t.Fatalf("CountRecords wrong")
+	if n, meta := ApplyArea(make([]byte, 32), area, s, metaLen); n != 2 || !bytes.Equal(meta, meta2) {
+		t.Fatalf("ApplyArea saw %d records, newest Δmetadata %v", n, meta)
 	}
 	// Appending at a non-zero first slot leaves earlier slots blank so the
 	// image can be programmed over an existing area.
@@ -163,21 +163,30 @@ func TestApplyRecords(t *testing.T) {
 	}
 }
 
-func TestSplitPatches(t *testing.T) {
+// TestTrackerChunksRecords: the tracker hands out its changes as runs of at
+// most M patches in ascending offset order, whatever order they were made
+// in, every run carrying the Δmetadata.
+func TestTrackerChunksRecords(t *testing.T) {
 	s := Scheme{N: 4, M: 2}
 	meta := []byte{9}
-	patches := []Patch{{Offset: 5, Value: 1}, {Offset: 1, Value: 2}, {Offset: 3, Value: 3}}
-	recs := SplitPatches(patches, meta, s)
-	if len(recs) != 2 {
-		t.Fatalf("expected 2 records, got %d", len(recs))
+	tr := NewTracker(s, len(meta), 1024, 0)
+	for _, p := range []Patch{{Offset: 5, Value: 1}, {Offset: 1, Value: 2}, {Offset: 3, Value: 3}} {
+		tr.RecordChange(int(p.Offset), 0, p.Value)
+	}
+	recs := tr.BuildRecords(meta)
+	if len(recs) != 2 || tr.Records() != 2 {
+		t.Fatalf("expected 2 records, got %d (Records() = %d)", len(recs), tr.Records())
 	}
 	var offsets []int
-	for _, r := range recs {
+	for i, r := range recs {
 		if len(r.Patches) > s.M {
 			t.Fatalf("record exceeds M")
 		}
 		if !bytes.Equal(r.Meta, meta) {
 			t.Fatalf("meta not attached")
+		}
+		if !reflect.DeepEqual(r, tr.Record(i, meta)) {
+			t.Fatalf("BuildRecords[%d] = %+v, Record(%d) = %+v", i, r, i, tr.Record(i, meta))
 		}
 		for _, p := range r.Patches {
 			offsets = append(offsets, int(p.Offset))
@@ -186,8 +195,15 @@ func TestSplitPatches(t *testing.T) {
 	if !sort.IntsAreSorted(offsets) || len(offsets) != 3 {
 		t.Fatalf("patches lost or unsorted: %v", offsets)
 	}
+	// BuildRecords copies: the tracker's next change does not reach them.
+	tr.RecordChange(1, 0, 7)
+	if recs[0].Patches[0] != (Patch{Offset: 1, Value: 2}) {
+		t.Fatalf("BuildRecords aliases the tracker: %+v", recs[0])
+	}
 	// Metadata-only change still produces one record.
-	only := SplitPatches(nil, meta, s)
+	tr.Reset(0)
+	tr.RecordMetaChange()
+	only := tr.BuildRecords(meta)
 	if len(only) != 1 || len(only[0].Patches) != 0 {
 		t.Fatalf("metadata-only split wrong: %+v", only)
 	}
@@ -214,20 +230,20 @@ func TestAreaRoundTripProperty(t *testing.T) {
 			patches = append(patches, Patch{Offset: off, Value: v})
 			want[off] = v
 		}
-		// SplitPatches sorts by offset, so "last write wins" collapses to
-		// the map semantics above only if offsets are unique; deduplicate.
-		seen := make(map[uint16]bool)
-		var unique []Patch
+		// The tracker keeps one entry per offset, the last value winning.
+		meta := []byte{1, 2, 3, 4}
+		tr := NewTracker(s, metaLen, 256, 0)
 		for _, p := range patches {
-			if !seen[p.Offset] {
-				seen[p.Offset] = true
-				unique = append(unique, Patch{Offset: p.Offset, Value: want[p.Offset]})
+			tr.RecordChange(int(p.Offset), 0, p.Value)
+		}
+		for off, v := range want {
+			if v == 0 {
+				delete(want, off) // wrote the original value back: no change
 			}
 		}
-		meta := []byte{1, 2, 3, 4}
-		recs := SplitPatches(unique, meta, s)
-		if len(recs) > s.N {
-			return true // does not fit the scheme; nothing to check
+		recs := tr.BuildRecords(meta)
+		if len(recs) == 0 {
+			return len(want) == 0 || tr.OutOfPlace()
 		}
 		area, err := EncodeArea(recs, s, metaLen, 0)
 		if err != nil {
@@ -241,7 +257,7 @@ func TestAreaRoundTripProperty(t *testing.T) {
 				return false
 			}
 		}
-		return unique == nil || bytes.Equal(gotMeta, meta)
+		return bytes.Equal(gotMeta, meta)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatalf("area round-trip property: %v", err)

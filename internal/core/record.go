@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // Patch is one byte-granular change: the byte at Offset (relative to the
@@ -66,16 +65,19 @@ func EncodeRecord(dst []byte, rec DeltaRecord, s Scheme, metaLen int) error {
 	return nil
 }
 
-// DecodeRecord parses one record slot. The second return value reports
-// whether the slot holds a complete, verified record; blank (erased) slots,
-// records torn by a power cut (missing their commit marker) and records
-// failing their checksum return false.
-func DecodeRecord(src []byte, s Scheme, metaLen int) (DeltaRecord, bool) {
+// validRecord reports whether src starts with a complete, verified record:
+// programmed, carrying its commit marker and passing its checksum. Blank
+// (erased) slots, records torn by a power cut and corrupted records fail.
+func validRecord(src []byte, s Scheme, metaLen int) bool {
 	need := s.RecordSize(metaLen)
-	if len(src) < need || src[0] != ctrlPresent {
-		return DeltaRecord{}, false
-	}
-	if src[need-1] != ctrlCommit || src[need-2] != recordChecksum(src[:need-2]) {
+	return len(src) >= need && src[0] == ctrlPresent &&
+		src[need-1] == ctrlCommit && src[need-2] == recordChecksum(src[:need-2])
+}
+
+// DecodeRecord parses one record slot. The second return value reports
+// whether the slot holds a complete, verified record (validRecord).
+func DecodeRecord(src []byte, s Scheme, metaLen int) (DeltaRecord, bool) {
+	if !validRecord(src, s, metaLen) {
 		return DeltaRecord{}, false
 	}
 	rec := DeltaRecord{Meta: make([]byte, metaLen)}
@@ -134,11 +136,6 @@ func DecodeArea(area []byte, s Scheme, metaLen int) []DeltaRecord {
 	return out
 }
 
-// CountRecords returns the number of programmed records in the area.
-func CountRecords(area []byte, s Scheme, metaLen int) int {
-	return len(DecodeArea(area, s, metaLen))
-}
-
 // ApplyRecords applies the body patches of every record (in append order)
 // to page and returns the Δmetadata of the newest record, or nil if records
 // is empty. The caller is responsible for installing the returned metadata
@@ -158,26 +155,31 @@ func ApplyRecords(page []byte, records []DeltaRecord) []byte {
 	return meta
 }
 
-// SplitPatches partitions patches into delta records of at most M patches
-// each, in ascending offset order. The metadata copy meta is attached to
-// every record so the newest record always carries a complete Δmetadata.
-func SplitPatches(patches []Patch, meta []byte, s Scheme) []DeltaRecord {
-	sorted := make([]Patch, len(patches))
-	copy(sorted, patches)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Offset < sorted[j].Offset })
-	var out []DeltaRecord
-	for len(sorted) > 0 {
-		n := s.M
-		if n > len(sorted) {
-			n = len(sorted)
+// ApplyArea is page reconstruction where the bytes lie: it applies the body
+// patches of every complete record of a delta-record area to body, in append
+// order, without decoding them into DeltaRecords. It returns the number of
+// records applied and the Δmetadata of the newest, which aliases area (nil
+// if there is none); the caller installs it into the page header and footer.
+// body is the patchable page prefix and must not overlap area.
+func ApplyArea(body, area []byte, s Scheme, metaLen int) (records int, meta []byte) {
+	if !s.Enabled() {
+		return 0, nil
+	}
+	size := s.RecordSize(metaLen)
+	for ; records < s.N && len(area) >= size; records, area = records+1, area[size:] {
+		// Records are appended strictly in slot order, so the first slot
+		// without a complete record terminates the scan.
+		if !validRecord(area, s, metaLen) {
+			break
 		}
-		rec := DeltaRecord{Patches: sorted[:n:n], Meta: meta}
-		out = append(out, rec)
-		sorted = sorted[n:]
+		pos := 1
+		for i := 0; i < s.M; i, pos = i+1, pos+patchSize {
+			off := int(binary.LittleEndian.Uint16(area[pos:]))
+			if off != int(unusedOffset) && off < len(body) {
+				body[off] = area[pos+2]
+			}
+		}
+		meta = area[pos : pos+metaLen : pos+metaLen]
 	}
-	if len(out) == 0 {
-		// A metadata-only change still needs one record to carry Δmetadata.
-		out = append(out, DeltaRecord{Meta: meta})
-	}
-	return out
+	return records, meta
 }

@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // Tracker records the byte-granular changes applied to a buffered database
 // page between the moment it was faulted in (or last flushed) and its
 // eviction. The buffer manager feeds every in-place update into the
@@ -10,15 +12,30 @@ package core
 // Following the paper, the tracker stops recording as soon as the scheme is
 // violated ("the out-of-place flag is set, and further updates are not
 // tracked until eviction"), which keeps the bookkeeping overhead minimal.
+//
+// A Tracker is reused in place (Init) and refers to its own inline arrays:
+// it must not be copied.
 type Tracker struct {
 	scheme   Scheme
-	metaLen  int
 	existing int // delta records already present on the Flash page
 	bodyLen  int // bytes of the page covered by patches (header..end of body)
 
 	outOfPlace  bool
 	metaChanged bool
-	changes     map[uint16]changedByte
+
+	// patches are the net changes of the residency in ascending offset
+	// order — the byte at Offset differs from the on-Flash image and now
+	// holds Value — and olds[i] is the on-Flash value of patches[i].Offset.
+	// They are two arrays so that a run of M patches is a delta record's
+	// patch list as it stands (Record). The out-of-place flag is set, and
+	// tracking stops, with the entry that no longer fits: at most
+	// (N−existing)·M + 1 entries, which for the paper's 2×4 the inline
+	// arrays hold. A larger scheme (or analytic mode) grows onto the heap
+	// once; Init and Reset keep that backing.
+	patches       []Patch
+	olds          []byte
+	inlinePatches [inlineChanges]Patch
+	inlineOlds    [inlineChanges]byte
 
 	// analytic keeps counting changed bytes even after the out-of-place
 	// flag is set. The paper's prototype stops tracking at that point to
@@ -26,7 +43,7 @@ type Tracker struct {
 	// report the net-modified-bytes distribution of *all* dirty evictions
 	// (Figure 1), not only the IPA-eligible ones.
 	analytic     bool
-	extraChanged int // changed bytes counted past the analytic map cap
+	extraChanged int // changed bytes counted past the analytic cap
 
 	// originalMeta is the header/footer image as it is physically stored
 	// on the Flash page. The storage manager needs it to rebuild the
@@ -36,32 +53,36 @@ type Tracker struct {
 	originalMeta []byte
 }
 
-// analyticCap bounds the memory used by analytic change counting.
-const analyticCap = 8192
-
-type changedByte struct {
-	old byte
-	new byte
-}
+const (
+	// inlineChanges is the number of changes a Tracker holds without heap
+	// storage: 2×4 + 1.
+	inlineChanges = 9
+	// analyticCap bounds the memory used by analytic change counting.
+	analyticCap = 8192
+)
 
 // NewTracker creates a tracker for a page that already carries existing
-// delta records on Flash. bodyLen is the length of the page prefix that may
-// be patched byte-wise (everything before the delta-record area); changes
-// outside it are treated as metadata or force an out-of-place write.
+// delta records on Flash (see Init). The tracker has no use for metaLen, the
+// Δmetadata length of the page layout: records get their Δmetadata, and the
+// codec checks its length, when they are built.
 func NewTracker(scheme Scheme, metaLen, bodyLen, existing int) *Tracker {
-	t := &Tracker{
-		scheme:   scheme,
-		metaLen:  metaLen,
-		existing: existing,
-		bodyLen:  bodyLen,
-		// With IPA disabled, or with every record slot already used on
-		// Flash, the next eviction must go out-of-place.
-		outOfPlace: !scheme.Enabled() || existing >= scheme.N,
-	}
-	if scheme.Enabled() {
-		t.changes = make(map[uint16]changedByte, scheme.M)
-	}
+	t := new(Tracker)
+	t.Init(scheme, bodyLen, existing)
 	return t
+}
+
+// Init makes t the tracker of a new residency, as NewTracker would, keeping
+// the storage it already owns. bodyLen is the length of the page prefix that
+// may be patched byte-wise (everything before the delta-record area);
+// changes outside it are treated as metadata or force an out-of-place write.
+func (t *Tracker) Init(scheme Scheme, bodyLen, existing int) {
+	t.scheme, t.bodyLen = scheme, bodyLen
+	t.analytic = false
+	t.originalMeta = t.originalMeta[:0]
+	if t.patches == nil {
+		t.patches, t.olds = t.inlinePatches[:0], t.inlineOlds[:0]
+	}
+	t.Reset(existing)
 }
 
 // Scheme returns the N×M scheme the tracker enforces.
@@ -74,23 +95,19 @@ func (t *Tracker) Existing() int { return t.existing }
 // next eviction.
 func (t *Tracker) OutOfPlace() bool { return t.outOfPlace }
 
-// SetOriginalMeta records the header/footer image currently stored on the
-// Flash page (before any Δmetadata was applied during reconstruction).
+// SetOriginalMeta records a copy of the header/footer image currently
+// stored on the Flash page (before any Δmetadata was applied during
+// reconstruction).
 func (t *Tracker) SetOriginalMeta(meta []byte) {
-	t.originalMeta = append([]byte(nil), meta...)
+	t.originalMeta = append(t.originalMeta[:0], meta...)
 }
 
-// OriginalMeta returns the header/footer image stored on Flash, or nil if
-// it was never recorded.
+// OriginalMeta returns the header/footer image stored on Flash; it is empty
+// if none was recorded.
 func (t *Tracker) OriginalMeta() []byte { return t.originalMeta }
 
 // SetAnalytic enables analytic change counting (see the analytic field).
-func (t *Tracker) SetAnalytic(on bool) {
-	t.analytic = on
-	if on && t.changes == nil {
-		t.changes = make(map[uint16]changedByte)
-	}
-}
+func (t *Tracker) SetAnalytic(on bool) { t.analytic = on }
 
 // MarkOutOfPlace forces the next eviction to use a traditional
 // out-of-place write and stops change tracking (unless analytic counting
@@ -98,7 +115,7 @@ func (t *Tracker) SetAnalytic(on bool) {
 func (t *Tracker) MarkOutOfPlace() {
 	t.outOfPlace = true
 	if !t.analytic {
-		t.changes = nil
+		t.patches, t.olds = t.patches[:0], t.olds[:0]
 	}
 }
 
@@ -124,14 +141,13 @@ func (t *Tracker) RecordChange(offset int, old, new byte) {
 	}
 	if offset < 0 || offset >= t.bodyLen || offset > int(^uint16(0)) {
 		t.MarkOutOfPlace()
-		if !t.analytic {
-			return
+		if t.analytic {
+			// Analytic counting still wants the byte accounted for.
+			t.extraChanged++
 		}
-		// Analytic counting still wants the byte accounted for.
-		t.extraChanged += 1
 		return
 	}
-	if t.analytic && len(t.changes) >= analyticCap {
+	if t.analytic && len(t.patches) >= analyticCap {
 		t.extraChanged++
 		if !t.outOfPlace && !t.fits() {
 			t.MarkOutOfPlace()
@@ -139,15 +155,28 @@ func (t *Tracker) RecordChange(offset int, old, new byte) {
 		return
 	}
 	off := uint16(offset)
-	if prev, ok := t.changes[off]; ok {
-		if prev.old == new {
-			// The byte reverted to its on-Flash value; drop the change.
-			delete(t.changes, off)
-		} else {
-			t.changes[off] = changedByte{old: prev.old, new: new}
+	// Binary search for off; a write's bytes arrive in ascending order, so
+	// the usual answer is the end.
+	i, hi := len(t.patches), len(t.patches)
+	if hi > 0 && t.patches[hi-1].Offset >= off {
+		for i = 0; i < hi; {
+			if mid := int(uint(i+hi) >> 1); t.patches[mid].Offset < off {
+				i = mid + 1
+			} else {
+				hi = mid
+			}
 		}
-	} else {
-		t.changes[off] = changedByte{old: old, new: new}
+	}
+	switch {
+	case i == len(t.patches) || t.patches[i].Offset != off:
+		t.patches = slices.Insert(t.patches, i, Patch{Offset: off, Value: new})
+		t.olds = slices.Insert(t.olds, i, old)
+	case t.olds[i] == new:
+		// The byte reverted to its on-Flash value; drop the change.
+		t.patches = slices.Delete(t.patches, i, i+1)
+		t.olds = slices.Delete(t.olds, i, i+1)
+	default:
+		t.patches[i].Value = new
 	}
 	if !t.fits() {
 		t.MarkOutOfPlace()
@@ -184,27 +213,27 @@ func (t *Tracker) recordsNeeded() int {
 	if !t.scheme.Enabled() {
 		return t.scheme.N + 1 // never fits
 	}
-	if len(t.changes) == 0 {
+	if len(t.patches) == 0 {
 		if t.metaChanged {
 			return 1
 		}
 		return 0
 	}
-	return (len(t.changes) + t.scheme.M - 1) / t.scheme.M
+	return (len(t.patches) + t.scheme.M - 1) / t.scheme.M
 }
 
 // Dirty reports whether any change (body or metadata) was tracked. Pages
 // whose tracking stopped because the out-of-place flag was set rely on the
 // buffer manager's dirty bit instead.
 func (t *Tracker) Dirty() bool {
-	return t.metaChanged || len(t.changes) > 0
+	return t.metaChanged || len(t.patches) > 0
 }
 
 // NetChangedBytes returns the number of distinct body bytes whose value
 // differs from the on-Flash image. It is the quantity behind Figure 1 of
 // the paper (DBMS write-amplification analysis). Without analytic mode the
 // count is only meaningful while the page is still IPA-eligible.
-func (t *Tracker) NetChangedBytes() int { return len(t.changes) + t.extraChanged }
+func (t *Tracker) NetChangedBytes() int { return len(t.patches) + t.extraChanged }
 
 // Eligible reports whether the page can be evicted using an in-place
 // append: IPA must be enabled, the out-of-place flag must not be set and
@@ -213,39 +242,50 @@ func (t *Tracker) Eligible() bool {
 	return t.scheme.Enabled() && !t.outOfPlace && t.fits()
 }
 
-// Patches returns the tracked changes as patches in unspecified order.
-func (t *Tracker) Patches() []Patch {
-	out := make([]Patch, 0, len(t.changes))
-	for off, ch := range t.changes {
-		out = append(out, Patch{Offset: off, Value: ch.new})
+// Records returns the number of delta records an in-place append of the
+// tracked changes takes: zero if the page is not eligible for one or
+// nothing changed, one for a metadata-only change.
+func (t *Tracker) Records() int {
+	if !t.Eligible() || !t.Dirty() {
+		return 0
+	}
+	return t.recordsNeeded()
+}
+
+// Record returns the i-th of those records — the i-th run of at most M
+// changes in ascending offset order — carrying the Δmetadata meta; every
+// record carries it, so the newest always holds a complete copy. The
+// record's patches alias the tracker and are valid until its next change.
+func (t *Tracker) Record(i int, meta []byte) DeltaRecord {
+	lo := min(i*t.scheme.M, len(t.patches))
+	hi := min(lo+t.scheme.M, len(t.patches))
+	return DeltaRecord{Patches: t.patches[lo:hi:hi], Meta: meta}
+}
+
+// BuildRecords returns copies of all Records() delta records, or nil if
+// there are none.
+func (t *Tracker) BuildRecords(meta []byte) []DeltaRecord {
+	var out []DeltaRecord
+	for i, n := 0, t.Records(); i < n; i++ {
+		rec := t.Record(i, meta)
+		rec.Patches = slices.Clone(rec.Patches)
+		out = append(out, rec)
 	}
 	return out
 }
 
-// BuildRecords turns the tracked changes into delta records carrying the
-// supplied Δmetadata. It returns nil if the page is not eligible for an
-// in-place append or nothing changed.
-func (t *Tracker) BuildRecords(meta []byte) []DeltaRecord {
-	if !t.Eligible() || !t.Dirty() {
-		return nil
-	}
-	return SplitPatches(t.Patches(), meta, t.scheme)
-}
-
-// RestoreOriginal undoes the tracked body changes on a copy of the buffered
-// page, producing the image currently stored on Flash. The storage manager
+// RestoreOriginal writes into dst the buffered page with the tracked body
+// changes undone: the image currently stored on Flash. The storage manager
 // uses it on the IPA-over-conventional-SSD path, where the whole page
 // (original body + appended delta records) is written over the block-device
-// interface.
-func (t *Tracker) RestoreOriginal(buffered []byte) []byte {
-	img := make([]byte, len(buffered))
-	copy(img, buffered)
-	for off, ch := range t.changes {
-		if int(off) < len(img) {
-			img[off] = ch.old
+// interface. dst must be as long as buffered.
+func (t *Tracker) RestoreOriginal(dst, buffered []byte) {
+	copy(dst, buffered)
+	for i, p := range t.patches {
+		if int(p.Offset) < len(dst) {
+			dst[p.Offset] = t.olds[i]
 		}
 	}
-	return img
 }
 
 // Reset prepares the tracker for the next residency of the page in the
@@ -256,9 +296,5 @@ func (t *Tracker) Reset(existing int) {
 	t.outOfPlace = !t.scheme.Enabled() || existing >= t.scheme.N
 	t.metaChanged = false
 	t.extraChanged = 0
-	if t.scheme.Enabled() || t.analytic {
-		t.changes = make(map[uint16]changedByte, t.scheme.M)
-	} else {
-		t.changes = nil
-	}
+	t.patches, t.olds = t.patches[:0], t.olds[:0]
 }

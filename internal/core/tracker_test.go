@@ -120,7 +120,8 @@ func TestTrackerRestoreOriginal(t *testing.T) {
 	buf[3] = 0xEE
 	tr.RecordChange(9, buf[9], 0xDD)
 	buf[9] = 0xDD
-	img := tr.RestoreOriginal(buf)
+	img := make([]byte, len(buf))
+	tr.RestoreOriginal(img, buf)
 	if img[3] != 3 || img[9] != 9 {
 		t.Fatalf("RestoreOriginal did not undo the changes: %v", img[:12])
 	}
@@ -236,5 +237,37 @@ func TestTrackerEligibilityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatalf("eligibility property: %v", err)
+	}
+}
+
+// TestTrackerDoesNotAllocate pins the flat tracker: recording a write and its
+// revert, starting over (Reset, Init), giving up (MarkOutOfPlace) and
+// snapshotting the metadata allocate nothing on a tracker that has been used
+// once — a buffer frame's, from its second residency on.
+func TestTrackerDoesNotAllocate(t *testing.T) {
+	var tr Tracker
+	s := Scheme{N: 2, M: 4}
+	meta := make([]byte, 48)
+	old, patch := make([]byte, 8), bytes.Repeat([]byte{0x5A}, 8)
+	residency := func() {
+		tr.Init(s, 8000, 0)
+		tr.SetOriginalMeta(meta)
+		tr.RecordWrite(100, old, patch)
+		tr.RecordWrite(100, patch, old) // reverted: clean again
+		tr.RecordWrite(200, old, patch)
+		if tr.Records() != 2 || len(tr.Record(1, meta).Patches) != 4 {
+			t.Fatalf("8 changed bytes under %s: %d records", s, tr.Records())
+		}
+		tr.Reset(1)
+		tr.RecordWrite(300, old, patch) // 8 bytes into one free slot of 4: the fifth stops tracking
+		if !tr.OutOfPlace() || tr.Dirty() {
+			t.Fatalf("out-of-place %v, dirty %v after overflowing the last slot", tr.OutOfPlace(), tr.Dirty())
+		}
+		tr.Reset(0)
+		tr.MarkOutOfPlace()
+	}
+	residency()
+	if allocs := testing.AllocsPerRun(100, residency); allocs != 0 {
+		t.Fatalf("a tracker residency allocates %.0f times, want 0", allocs)
 	}
 }

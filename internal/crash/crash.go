@@ -490,15 +490,18 @@ func (d *driver) startReaders(n int) *readerPool {
 		go func() {
 			defer p.wg.Done()
 			for {
-				select {
-				case <-p.stop:
-					return
-				default:
-				}
 				err := d.auditOnce()
 				if err == nil {
 					p.passes.Add(1)
-					continue
+					// stop is looked at only after a completed pass, so a
+					// reader first scheduled once the writer is done still
+					// audits the final state.
+					select {
+					case <-p.stop:
+						return
+					default:
+						continue
+					}
 				}
 				if isPowerLoss(err) || errors.Is(err, ipa.ErrClosed) {
 					return // the fault fired; the device is gone

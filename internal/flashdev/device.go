@@ -380,37 +380,34 @@ func (d *Device) BlockEraseCount(block int) (int, error) {
 	return chip.EraseCount(b)
 }
 
-// CopyPage migrates a programmed page to another (erased) location, as done
-// by garbage collection (copy-back). Data and OOB are copied verbatim, so
-// the initial ECC and every per-delta-record ECC slot remain valid at the
-// destination and further appends can still use the remaining slots.
+// CopyPage migrates a programmed page to another (erased) location of the
+// same chip, as done by garbage collection (copy-back). Data and OOB are
+// copied verbatim inside the chip, so the initial ECC and every
+// per-delta-record ECC slot remain valid at the destination and further
+// appends can still use the remaining slots.
 func (d *Device) CopyPage(srcBlock, srcPage, dstBlock, dstPage int) error {
-	srcChipIdx, srcChip, sb, err := d.locate(srcBlock)
+	chipIdx, chip, sb, err := d.locate(srcBlock)
 	if err != nil {
 		return err
 	}
-	dstChipIdx, dstChip, db, err := d.locate(dstBlock)
+	dstChipIdx, _, db, err := d.locate(dstBlock)
 	if err != nil {
 		return err
 	}
-	d.hook(srcChipIdx, nand.OpRead)
-	d.hook(dstChipIdx, nand.OpProgram)
-	g := d.cfg.Chip.Geometry
-	data := make([]byte, g.PageSize)
-	oob := make([]byte, g.OOBSize)
-	if err := srcChip.ReadPage(sb, srcPage, data, oob); err != nil {
-		return err
+	if dstChipIdx != chipIdx {
+		return fmt.Errorf("flashdev: copy-back from chip %d to chip %d", chipIdx, dstChipIdx)
 	}
-	if err := dstChip.Program(db, dstPage, data, oob); err != nil {
+	d.hook(chipIdx, nand.OpRead)
+	d.hook(chipIdx, nand.OpProgram)
+	if err := chip.CopyBack(sb, srcPage, db, dstPage); err != nil {
 		return err
 	}
 	d.pageReads.Add(1)
 	d.pagePrograms.Add(1)
 	lsb := nand.IsLSBPage(d.cfg.Chip.Cell, dstPage)
-	// Copy-back stays on the device: no host bus transfer is charged. The
-	// read is charged to the source chip, the program to the destination.
-	d.advance(srcChipIdx, d.cfg.Latency.PageRead)
-	d.advance(dstChipIdx, d.cfg.Latency.programTime(d.cfg.Chip.Cell == nand.SLC, lsb))
+	// Copy-back stays on the chip: no host bus transfer is charged, only
+	// the read and the program.
+	d.advance(chipIdx, d.cfg.Latency.PageRead+d.cfg.Latency.programTime(d.cfg.Chip.Cell == nand.SLC, lsb))
 	return nil
 }
 

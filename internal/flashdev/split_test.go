@@ -208,3 +208,71 @@ func TestProgramOntoErasedBlockDoesNotAllocate(t *testing.T) {
 		t.Fatalf("page on recycled arrays reads back wrong (err %v)", err)
 	}
 }
+
+// TestCopyPageDoesNotAllocate: a garbage-collection migration onto a block
+// that has been erased before copies page and OOB inside the chip, charges
+// one read and one program to that chip's clock, and allocates nothing.
+func TestCopyPageDoesNotAllocate(t *testing.T) {
+	d := mustDevice(t, testConfig())
+	img := splitImage(4)
+	g := d.Geometry()
+	const runs = 30
+	at := func(i int) (int, int) { return i / g.PagesPerBlock, i % g.PagesPerBlock }
+	for i := 0; i < 4*g.PagesPerBlock; i++ { // blocks 0–1 the sources, 2–3 the destinations
+		b, p := at(i)
+		if err := d.ProgramPageTagged(b, p, img, splitCover, splitTail, i, uint64(i+1)); err != nil {
+			t.Fatalf("program: %v", err)
+		}
+	}
+	for b := 2; b < 4; b++ {
+		if err := d.EraseBlock(b); err != nil {
+			t.Fatalf("erase: %v", err)
+		}
+	}
+	before, clock := d.Stats(), d.Now()
+	i := 0
+	var err error
+	n := testing.AllocsPerRun(runs, func() {
+		b, p := at(i)
+		i++
+		if e := d.CopyPage(b, p, 2+b, p); e != nil {
+			err = e
+		}
+	})
+	if n != 0 || err != nil {
+		t.Fatalf("CopyPage: %v allocations per call (err %v), want 0", n, err)
+	}
+	after, lat := d.Stats(), d.Config().Latency
+	if copies := uint64(i); after.PageReads-before.PageReads != copies || after.PagePrograms-before.PagePrograms != copies ||
+		after.BytesToDevice != before.BytesToDevice || after.BytesFromDevice != before.BytesFromDevice {
+		t.Fatalf("%d copy-backs counted as %+v → %+v", copies, before, after)
+	}
+	want := clock
+	for k := 0; k < i; k++ {
+		_, p := at(k)
+		want += lat.PageRead + lat.programTime(false, d.IsLSBPage(p))
+	}
+	if d.Now() != want {
+		t.Fatalf("%d copy-backs advanced the clock by %v, want %v (a read and a program each, no transfer)", i, d.Now()-clock, want-clock)
+	}
+	buf := make([]byte, 2048)
+	if err := d.ReadPage(2, 0, buf); err != nil || !bytes.Equal(buf, img) {
+		t.Fatalf("copied page reads back wrong (err %v)", err)
+	}
+}
+
+// TestCopyPageStaysOnOneChip: copy-back is a chip-internal command.
+func TestCopyPageStaysOnOneChip(t *testing.T) {
+	cfg := testConfig()
+	cfg.Chips = 2
+	d := mustDevice(t, cfg)
+	if err := d.ProgramPage(0, 0, splitImage(5), 2048); err != nil {
+		t.Fatalf("program: %v", err)
+	}
+	if err := d.CopyPage(0, 0, d.BlocksPerChip(), 0); err == nil {
+		t.Fatal("copy-back from chip 0 to chip 1 accepted")
+	}
+	if s := d.Stats(); s.PageReads != 0 || s.PagePrograms != 1 {
+		t.Fatalf("the refused copy-back was counted: %+v", s)
+	}
+}

@@ -205,8 +205,8 @@ func (f *File) InsertLogged(tuple []byte, logged func(RID) error) (RID, error) {
 	if err != nil {
 		return RID{}, err
 	}
-	h, err := f.pool.Create(pid, func(buf []byte) (*core.Tracker, error) {
-		return f.store.InitPage(buf, pid, f.objectID)
+	h, err := f.pool.Create(pid, func(buf []byte, t *core.Tracker) error {
+		return f.store.InitPage(buf, pid, f.objectID, t)
 	})
 	if err != nil {
 		return RID{}, err

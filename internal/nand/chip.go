@@ -69,10 +69,10 @@ type Chip struct {
 	rng    *prng
 
 	// Page arrays that Erase took from their pages, for the next first
-	// programs to reuse. An array is allocated only while these are empty
-	// and every erased page returns its own, so the arrays of a chip never
-	// outnumber its pages. Their contents are stale: whoever takes one
-	// overwrites all of it.
+	// programs to reuse. Arrays are allocated only while a list is empty, a
+	// block's worth at a time, and every erased page returns its own, so the
+	// arrays of a chip outnumber its pages by less than one block's. Their
+	// contents are stale: whoever takes one overwrites all of it.
 	freeData, freeOOB [][]byte
 }
 
@@ -215,12 +215,43 @@ func (c *Chip) ProgramPartial(b, p, dataOff int, data []byte, oobOff int, oob []
 	return c.program(b, p, dataOff, data, oobOff, oob, true)
 }
 
+// CopyBack programs the contents of page (sb, sp) onto page (db, dp) of the
+// same chip — a ReadPage of the whole source followed by a Program of what
+// it returned, counted, admitted and faulted as those two commands, without
+// the data leaving the chip.
+func (c *Chip) CopyBack(sb, sp, db, dp int) error {
+	if err := c.cfg.Faults.alive(); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	src, err := c.page(sb, sp)
+	if err != nil {
+		return err
+	}
+	c.stats.PageReads++
+	data, oob := src.data, src.oob
+	if data == nil {
+		// An erased source reads as all ones.
+		g := c.cfg.Geometry
+		data, oob = make([]byte, g.PageSize), make([]byte, g.OOBSize)
+		FillErased(data)
+		FillErased(oob)
+	}
+	return c.programLocked(db, dp, 0, data, 0, oob, false)
+}
+
 func (c *Chip) program(b, p, dataOff int, data []byte, oobOff int, oob []byte, partial bool) error {
 	if err := c.cfg.Faults.alive(); err != nil {
 		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.programLocked(b, p, dataOff, data, oobOff, oob, partial)
+}
+
+// programLocked is program under the chip mutex, on a chip that has power.
+func (c *Chip) programLocked(b, p, dataOff int, data []byte, oobOff int, oob []byte, partial bool) error {
 	pg, err := c.page(b, p)
 	if err != nil {
 		return err
@@ -272,8 +303,8 @@ func (c *Chip) program(b, p, dataOff int, data []byte, oobOff int, oob []byte, p
 			}
 		}
 	}
-	programCells(&pg.data, &c.freeData, g.PageSize, dataOff, data)
-	programCells(&pg.oob, &c.freeOOB, g.OOBSize, oobOff, oob)
+	programCells(&pg.data, &c.freeData, g.PageSize, g.PagesPerBlock, dataOff, data)
+	programCells(&pg.oob, &c.freeOOB, g.OOBSize, g.PagesPerBlock, oobOff, oob)
 	pg.state = PageProgrammed
 	pg.programs++
 	if partial {
@@ -300,8 +331,10 @@ func (c *Chip) program(b, p, dataOff int, data []byte, oobOff int, oob []byte, p
 // programCells programs src into the page array *cells at off. A page
 // erased since its last program has no array yet (erased pages hold no
 // storage): all its bits are 1, so AND-ing src into them is copying src,
-// and only the cells src does not cover need the 0xFF fill.
-func programCells(cells *[]byte, free *[][]byte, size, off int, src []byte) {
+// and only the cells src does not cover need the 0xFF fill. It takes an
+// array from the free list, refilling an empty list with one allocation cut
+// into batch arrays.
+func programCells(cells *[]byte, free *[][]byte, size, batch, off int, src []byte) {
 	if *cells != nil {
 		programBits((*cells)[off:off+len(src)], src)
 		return
@@ -309,13 +342,15 @@ func programCells(cells *[]byte, free *[][]byte, size, off int, src []byte) {
 	if size == 0 {
 		return
 	}
-	var a []byte
-	if n := len(*free); n > 0 {
-		a, (*free)[n-1] = (*free)[n-1], nil
-		*free = (*free)[:n-1]
-	} else {
-		a = make([]byte, size)
+	if len(*free) == 0 {
+		for slab := make([]byte, batch*size); len(slab) > 0; slab = slab[size:] {
+			*free = append(*free, slab[:size:size])
+		}
 	}
+	n := len(*free) - 1
+	a := (*free)[n]
+	(*free)[n] = nil
+	*free = (*free)[:n]
 	if len(src) < size {
 		FillErased(a)
 	}

@@ -3,6 +3,7 @@ package nand
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -299,5 +300,118 @@ func BenchmarkReprogram8K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkErr = c.Program(0, 0, data, nil)
+	}
+}
+
+// TestCopyBackEqualsReadThenProgram: copy-back inside the chip is a ReadPage
+// of the whole source and a Program of what it returned — the same cells,
+// counters and fault points, whether the program runs, is refused, or is cut
+// before, during or after — for a programmed source (re-programmed once, so
+// its OOB carries a second range) and for an erased one.
+func TestCopyBackEqualsReadThenProgram(t *testing.T) {
+	type outcome struct {
+		err              error
+		stats            Stats
+		ops              uint64
+		srcData, dstData []byte
+		srcOOB, dstOOB   []byte
+		dstInfo          PageInfo
+	}
+	run := func(t *testing.T, mode FaultMode, crash, erasedSrc, occupiedDst, inChip bool) outcome {
+		plan := NewFaultPlan(0, CrashBefore)
+		c := faultChip(t, plan)
+		g := c.Geometry()
+		if !erasedSrc {
+			if err := c.Program(0, 3, bytes.Repeat([]byte{0xA5}, g.PageSize-40), []byte{1, 2, 3}); err != nil {
+				t.Fatalf("program source: %v", err)
+			}
+			if err := c.ProgramPartial(0, 3, g.PageSize-40, []byte{7, 7, 7}, 8, []byte{9}); err != nil {
+				t.Fatalf("append to source: %v", err)
+			}
+		}
+		if occupiedDst { // a destination the bit-clear-only rule refuses
+			if err := c.Program(2, 5, make([]byte, g.PageSize), nil); err != nil {
+				t.Fatalf("program destination: %v", err)
+			}
+		}
+		if crash {
+			plan.Arm(1, mode)
+		}
+		var out outcome
+		if inChip {
+			out.err = c.CopyBack(0, 3, 2, 5)
+		} else {
+			data, oob := make([]byte, g.PageSize), make([]byte, g.OOBSize)
+			if out.err = c.ReadPage(0, 3, data, oob); out.err == nil {
+				out.err = c.Program(2, 5, data, oob)
+			}
+		}
+		out.stats, out.ops = c.Stats(), plan.Ops()
+		plan.PowerCycle()
+		out.srcData, out.srcOOB = make([]byte, g.PageSize), make([]byte, g.OOBSize)
+		out.dstData, out.dstOOB = make([]byte, g.PageSize), make([]byte, g.OOBSize)
+		if err := c.ReadPage(0, 3, out.srcData, out.srcOOB); err != nil {
+			t.Fatalf("read source: %v", err)
+		}
+		if err := c.ReadPage(2, 5, out.dstData, out.dstOOB); err != nil {
+			t.Fatalf("read destination: %v", err)
+		}
+		var err error
+		if out.dstInfo, err = c.PageStatus(2, 5); err != nil {
+			t.Fatalf("status: %v", err)
+		}
+		out.stats.PageReads -= 2 // the two reads above
+		return out
+	}
+	for _, tc := range []struct {
+		name                          string
+		mode                          FaultMode
+		crash, erasedSrc, occupiedDst bool
+	}{
+		{name: "proceeds"},
+		{name: "erased source", erasedSrc: true},
+		{name: "refused", occupiedDst: true},
+		{name: "cut before", mode: CrashBefore, crash: true},
+		{name: "torn", mode: CrashTorn, crash: true},
+		{name: "torn, erased source", mode: CrashTorn, crash: true, erasedSrc: true},
+		{name: "cut after", mode: CrashAfter, crash: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := run(t, tc.mode, tc.crash, tc.erasedSrc, tc.occupiedDst, false)
+			got := run(t, tc.mode, tc.crash, tc.erasedSrc, tc.occupiedDst, true)
+			if !errors.Is(got.err, want.err) && !(got.err != nil && want.err != nil && got.err.Error() == want.err.Error()) {
+				t.Fatalf("CopyBack: %v; read then program: %v", got.err, want.err)
+			}
+			got.err, want.err = nil, nil
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("CopyBack left\n%+v\nread then program\n%+v", got, want)
+			}
+			if !tc.crash && !tc.occupiedDst && !bytes.Equal(got.dstData, got.srcData) {
+				t.Fatalf("the copy differs from its source")
+			}
+		})
+	}
+}
+
+// TestFirstProgramsAllocatePerBlock: first programs of never-erased pages
+// take their arrays from slabs of a block's worth — one allocation of page
+// arrays and one of OOB arrays per PagesPerBlock of them, not two per page.
+func TestFirstProgramsAllocatePerBlock(t *testing.T) {
+	c := mustChip(t, testConfig())
+	g := c.Geometry()
+	data, oob := make([]byte, g.PageSize), make([]byte, g.OOBSize)
+	b := 0
+	block := func() {
+		for p := 0; p < g.PagesPerBlock; p++ {
+			if err := c.Program(b, p, data, oob); err != nil {
+				t.Fatalf("program %d/%d: %v", b, p, err)
+			}
+		}
+		b++
+	}
+	block() // the free lists themselves reach a block's length
+	if allocs := testing.AllocsPerRun(g.Blocks-2, block); allocs > 2 {
+		t.Fatalf("%d first programs allocate %.0f times, want at most 2 (a slab of page arrays, one of OOB arrays)",
+			g.PagesPerBlock, allocs)
 	}
 }

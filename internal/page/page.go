@@ -360,11 +360,15 @@ func (p *Page) bodyWrite(offset int, data []byte) {
 
 // Meta returns the Δmetadata image of the page: the concatenation of header
 // and footer (MetaSize bytes).
-func (p *Page) Meta() []byte {
-	meta := make([]byte, MetaSize)
-	copy(meta, p.buf[:HeaderSize])
-	copy(meta[HeaderSize:], p.buf[p.footerStart():])
-	return meta
+func (p *Page) Meta() []byte { return p.MetaInto(make([]byte, MetaSize)) }
+
+// MetaInto is Meta into the caller's dst, which must hold MetaSize bytes; it
+// returns dst[:MetaSize].
+func (p *Page) MetaInto(dst []byte) []byte {
+	dst = dst[:MetaSize]
+	copy(dst, p.buf[:HeaderSize])
+	copy(dst[HeaderSize:], p.buf[p.footerStart():])
+	return dst
 }
 
 // ApplyMeta installs a Δmetadata image (header and footer) taken from a

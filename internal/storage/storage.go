@@ -20,6 +20,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -55,6 +56,11 @@ func (m WriteMode) String() string {
 		return fmt.Sprintf("WriteMode(%d)", int(m))
 	}
 }
+
+// encodeStackSize is the largest run of encoded delta records storeAppend
+// builds on its stack: both records of a 2×4 page, all four of the 4×20
+// index scheme.
+const encodeStackSize = 512
 
 // SmallEvictionThreshold is the "less than 100 bytes of net data" bound the
 // paper uses when characterising OLTP eviction behaviour (Figure 1).
@@ -200,6 +206,10 @@ type Manager struct {
 	// be lost by a crash.
 	walBarrier func() error
 
+	// images recycles the page-sized block-device images of the ipa-ssd
+	// append path (*[]byte, so a Put allocates nothing).
+	images sync.Pool
+
 	traceMu sync.Mutex
 	trace   []TraceEvent
 }
@@ -209,11 +219,16 @@ func New(f *ftl.FTL, cfg Config) (*Manager, error) {
 	if cfg.Regions == nil {
 		cfg.Regions = region.NewManager(region.Region{Name: "default"})
 	}
-	return &Manager{
+	m := &Manager{
 		ftl:      f,
 		cfg:      cfg,
 		pageSize: f.PageSize(),
-	}, nil
+	}
+	m.images.New = func() any {
+		b := make([]byte, m.pageSize)
+		return &b
+	}
+	return m, nil
 }
 
 // PageSize returns the database page size (equal to the Flash page size).
@@ -374,13 +389,10 @@ func (m *Manager) ScrubPage(pid uint64) error {
 		return fmt.Errorf("storage: scrub page %d: %w", pid, err)
 	}
 	scheme := m.effectiveScheme(pg.ObjectID())
-	if scheme.Enabled() && pg.DeltaAreaSize() >= scheme.AreaSize(page.MetaSize) {
-		records := core.DecodeArea(pg.DeltaArea(), scheme, page.MetaSize)
-		if meta := core.ApplyRecords(buf, records); meta != nil {
-			if err := pg.ApplyMeta(meta); err != nil {
-				return fmt.Errorf("storage: scrub page %d: %w", pid, err)
-			}
-		}
+	if _, err := reconstruct(pg, scheme); err != nil {
+		return fmt.Errorf("storage: scrub page %d: %w", pid, err)
+	}
+	if scheme.Enabled() {
 		pg.ResetDeltaArea()
 	}
 	if err := m.ftl.RewritePage(int(pid), buf); err != nil {
@@ -389,10 +401,25 @@ func (m *Manager) ScrubPage(pid uint64) error {
 	return nil
 }
 
-// InitPage formats buf as a fresh page for the given object and returns its
+// reconstruct brings a page image read from Flash up to date where it lies:
+// the complete delta records of its area are applied to the body and the
+// newest Δmetadata is installed. It returns the number of records applied,
+// which is the number of record slots the Flash page has used.
+func reconstruct(pg *page.Page, scheme core.Scheme) (int, error) {
+	if !scheme.Enabled() || pg.DeltaAreaSize() < scheme.AreaSize(page.MetaSize) {
+		return 0, nil
+	}
+	records, meta := core.ApplyArea(pg.Buf()[:pg.BodyEnd()], pg.DeltaArea(), scheme, page.MetaSize)
+	if meta == nil {
+		return 0, nil
+	}
+	return records, pg.ApplyMeta(meta)
+}
+
+// InitPage formats buf as a fresh page for the given object and makes t its
 // change tracker. The first eviction of a new page is always a whole-page
 // write (there is nothing on Flash to append to).
-func (m *Manager) InitPage(buf []byte, pid uint64, objectID uint32) (*core.Tracker, error) {
+func (m *Manager) InitPage(buf []byte, pid uint64, objectID uint32, t *core.Tracker) error {
 	scheme := m.effectiveScheme(objectID)
 	deltaSize := 0
 	if scheme.Enabled() {
@@ -400,52 +427,52 @@ func (m *Manager) InitPage(buf []byte, pid uint64, objectID uint32) (*core.Track
 	}
 	pg, err := page.Init(buf, pid, objectID, deltaSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Stamp the page kind before the tracker snapshots the metadata, so the
 	// flag is part of the original on-Flash header image.
 	if m.isIndexObject(objectID) {
 		pg.SetFlags(pg.Flags() | page.FlagIndex)
 	}
-	t := core.NewTracker(scheme, page.MetaSize, pg.BodyEnd(), 0)
+	var meta [page.MetaSize]byte
+	t.Init(scheme, pg.BodyEnd(), 0)
 	t.SetAnalytic(m.cfg.Analytic)
-	t.SetOriginalMeta(pg.Meta())
+	t.SetOriginalMeta(pg.MetaInto(meta[:]))
 	t.MarkOutOfPlace()
-	return t, nil
+	return nil
 }
 
-// LoadPage implements buffer.PageIO: it reads the page image from Flash,
-// applies any delta records (page reconstruction) and returns the tracker
-// for the new buffer residency.
+// LoadPage is LoadPageInto with a tracker of its own, for callers outside
+// the buffer pool.
 func (m *Manager) LoadPage(pid uint64, buf []byte) (*core.Tracker, error) {
+	t := new(core.Tracker)
+	return t, m.LoadPageInto(pid, buf, t)
+}
+
+// LoadPageInto implements buffer.PageIO: it reads the page image from Flash,
+// applies any delta records (page reconstruction) and makes t the tracker of
+// the new buffer residency.
+func (m *Manager) LoadPageInto(pid uint64, buf []byte, t *core.Tracker) error {
 	if err := m.ftl.ReadPage(int(pid), buf); err != nil {
-		return nil, err
+		return err
 	}
 	pg, err := page.Wrap(buf)
 	if err != nil {
-		return nil, fmt.Errorf("storage: page %d: %w", pid, err)
+		return fmt.Errorf("storage: page %d: %w", pid, err)
 	}
 	scheme := m.effectiveScheme(pg.ObjectID())
 	// Remember the header/footer exactly as stored on Flash: the
 	// conventional-SSD write path must reproduce that image when it
 	// appends further delta records.
-	rawMeta := pg.Meta()
-	existing := 0
-	if scheme.Enabled() && pg.DeltaAreaSize() >= scheme.AreaSize(page.MetaSize) {
-		records := core.DecodeArea(pg.DeltaArea(), scheme, page.MetaSize)
-		if len(records) > 0 {
-			meta := core.ApplyRecords(buf, records)
-			if meta != nil {
-				if err := pg.ApplyMeta(meta); err != nil {
-					return nil, fmt.Errorf("storage: page %d: %w", pid, err)
-				}
-			}
-			existing = len(records)
-		}
+	var rawMeta [page.MetaSize]byte
+	pg.MetaInto(rawMeta[:])
+	existing, err := reconstruct(pg, scheme)
+	if err != nil {
+		return fmt.Errorf("storage: page %d: %w", pid, err)
 	}
-	t := core.NewTracker(scheme, page.MetaSize, pg.BodyEnd(), existing)
+	t.Init(scheme, pg.BodyEnd(), existing)
 	t.SetAnalytic(m.cfg.Analytic)
-	t.SetOriginalMeta(rawMeta)
+	t.SetOriginalMeta(rawMeta[:])
 
 	m.stats.pageLoads.Add(1)
 	if m.isIndexObject(pg.ObjectID()) {
@@ -456,24 +483,21 @@ func (m *Manager) LoadPage(pid uint64, buf []byte) (*core.Tracker, error) {
 		m.trace = append(m.trace, TraceEvent{Type: TraceFetch, PID: pid})
 		m.traceMu.Unlock()
 	}
-	return t, nil
+	return nil
 }
 
 // StorePage implements buffer.PageIO: it persists a dirty page using the
-// configured write path and resets the tracker for the page's next buffer
-// residency.
+// configured write path and resets t, the tracker its residency was loaded
+// or initialised into, for the page's next one.
 func (m *Manager) StorePage(pid uint64, buf []byte, t *core.Tracker) error {
 	pg, err := page.Wrap(buf)
 	if err != nil {
 		return fmt.Errorf("storage: page %d: %w", pid, err)
 	}
-	scheme := core.Disabled
-	if t != nil {
-		scheme = t.Scheme()
-	}
+	scheme := t.Scheme()
 
 	// A page whose tracked changes all reverted needs no write at all.
-	if t != nil && !t.OutOfPlace() && !t.Dirty() {
+	if !t.OutOfPlace() && !t.Dirty() {
 		m.stats.cleanEvictions.Add(1)
 		return nil
 	}
@@ -488,12 +512,7 @@ func (m *Manager) StorePage(pid uint64, buf []byte, t *core.Tracker) error {
 		}
 	}
 
-	net := 0
-	metaChanged := false
-	if t != nil {
-		net = t.NetChangedBytes()
-		metaChanged = t.MetaChanged()
-	}
+	net, metaChanged := t.NetChangedBytes(), t.MetaChanged()
 	isIndex := m.isIndexObject(pg.ObjectID())
 	m.stats.dirtyEvictions.Add(1)
 	if isIndex {
@@ -508,7 +527,7 @@ func (m *Manager) StorePage(pid uint64, buf []byte, t *core.Tracker) error {
 
 	// IsAppendTarget is false for unmapped pages, so no separate Mapped
 	// check (and partition-lock round trip) is needed.
-	eligible := t != nil && scheme.Enabled() && t.Eligible() && t.Dirty() &&
+	eligible := t.Eligible() && t.Dirty() &&
 		m.cfg.Mode != WriteTraditional && m.ftl.IsAppendTarget(int(pid))
 
 	if eligible {
@@ -567,13 +586,13 @@ const (
 
 // storeAppend persists the tracked changes as appended delta records.
 func (m *Manager) storeAppend(pid uint64, buf []byte, pg *page.Page, t *core.Tracker, scheme core.Scheme, isIndex bool) (appendOutcome, error) {
-	records := t.BuildRecords(pg.Meta())
-	if len(records) == 0 {
+	records := t.Records()
+	if records == 0 {
 		// Nothing to persist (should have been caught as a clean page).
 		t.Reset(t.Existing())
 		return appendDone, nil
 	}
-	if m.isLogicalObject(pg.ObjectID()) && len(records) > 1 {
+	if m.isLogicalObject(pg.ObjectID()) && records > 1 {
 		// Index pages may append only when the residency's changes fit ONE
 		// delta record. A record is atomic (its checksum and commit marker
 		// are programmed last), but a torn append of several concatenated
@@ -590,12 +609,15 @@ func (m *Manager) storeAppend(pid uint64, buf []byte, pg *page.Page, t *core.Tra
 	}
 	firstSlot := t.Existing()
 	recordSize := scheme.RecordSize(page.MetaSize)
-	encoded := make([]byte, recordSize*len(records))
-	for i := range encoded {
-		encoded[i] = 0xFF
-	}
-	for i, rec := range records {
-		if err := core.EncodeRecord(encoded[i*recordSize:(i+1)*recordSize], rec, scheme, page.MetaSize); err != nil {
+	// The records are encoded straight from the tracker's sorted changes,
+	// every one carrying the page's current Δmetadata, on the stack unless
+	// the scheme's records are larger than the paper's.
+	var metaBuf [page.MetaSize]byte
+	var stack [encodeStackSize]byte
+	meta := pg.MetaInto(metaBuf[:])
+	encoded := slices.Grow(stack[:0], recordSize*records)[:recordSize*records]
+	for i := 0; i < records; i++ {
+		if err := core.EncodeRecord(encoded[i*recordSize:(i+1)*recordSize], t.Record(i, meta), scheme, page.MetaSize); err != nil {
 			return appendRefused, fmt.Errorf("storage: page %d: %w", pid, err)
 		}
 	}
@@ -615,13 +637,16 @@ func (m *Manager) storeAppend(pid uint64, buf []byte, pg *page.Page, t *core.Tra
 		// they are stored on Flash plus the delta-record area extended
 		// with the new records. Only previously erased bytes change, so
 		// the FTL can program the image onto the existing physical page.
-		image := t.RestoreOriginal(buf)
+		pooled := m.images.Get().(*[]byte)
+		image := *pooled
+		t.RestoreOriginal(image, buf)
 		if meta := t.OriginalMeta(); len(meta) == page.MetaSize {
 			copy(image[:page.HeaderSize], meta[:page.HeaderSize])
 			copy(image[len(image)-page.FooterSize:], meta[page.HeaderSize:])
 		}
 		copy(image[areaOffset:], encoded)
 		inPlace, err := m.ftl.WritePage(int(pid), image)
+		m.images.Put(pooled)
 		if err != nil {
 			return appendRefused, fmt.Errorf("storage: page %d: %w", pid, err)
 		}
@@ -629,8 +654,8 @@ func (m *Manager) storeAppend(pid uint64, buf []byte, pg *page.Page, t *core.Tra
 			// The FTL wrote the image out-of-place (e.g. append budget
 			// exhausted). The image is still correct; account it as a
 			// fallback so the statistics reflect reality.
-			m.syncBufferedArea(buf, pg, encoded, areaOffset)
-			t.Reset(firstSlot + len(records))
+			copy(buf[areaOffset:], encoded)
+			t.Reset(firstSlot + records)
 			m.stats.appendFallbacks.Add(1)
 			m.stats.outOfPlaceWrites.Add(1)
 			if isIndex {
@@ -642,23 +667,18 @@ func (m *Manager) storeAppend(pid uint64, buf []byte, pg *page.Page, t *core.Tra
 		return appendRefused, nil
 	}
 
-	m.syncBufferedArea(buf, pg, encoded, areaOffset)
+	// The buffered image mirrors the Flash page: it gains the records too.
+	copy(buf[areaOffset:], encoded)
 	m.stats.ipaAppends.Add(1)
-	m.stats.deltaRecordsWritten.Add(uint64(len(records)))
+	m.stats.deltaRecordsWritten.Add(uint64(records))
 	m.stats.deltaBytesWritten.Add(uint64(len(encoded)))
 	if isIndex {
 		m.stats.indexIPAAppends.Add(1)
-		m.stats.indexDeltaRecords.Add(uint64(len(records)))
+		m.stats.indexDeltaRecords.Add(uint64(records))
 		m.stats.indexDeltaBytes.Add(uint64(len(encoded)))
 	}
-	t.Reset(firstSlot + len(records))
+	t.Reset(firstSlot + records)
 	return appendDone, nil
-}
-
-// syncBufferedArea mirrors the freshly appended delta records into the
-// buffered page image so the in-memory copy matches the Flash page.
-func (m *Manager) syncBufferedArea(buf []byte, pg *page.Page, encoded []byte, areaOffset int) {
-	copy(buf[areaOffset:areaOffset+len(encoded)], encoded)
 }
 
 // storeOutOfPlace writes the whole up-to-date page image out-of-place.
@@ -678,10 +698,9 @@ func (m *Manager) storeOutOfPlace(pid uint64, buf []byte, pg *page.Page, t *core
 	if isIndex {
 		m.stats.indexOutOfPlaceWrites.Add(1)
 	}
-	if t != nil {
-		t.Reset(0)
-		// The freshly written page now carries the current metadata.
-		t.SetOriginalMeta(pg.Meta())
-	}
+	t.Reset(0)
+	// The freshly written page now carries the current metadata.
+	var meta [page.MetaSize]byte
+	t.SetOriginalMeta(pg.MetaInto(meta[:]))
 	return nil
 }

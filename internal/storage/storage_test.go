@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"ipa/internal/buffer"
 	"ipa/internal/core"
 	"ipa/internal/flashdev"
 	"ipa/internal/ftl"
@@ -57,8 +58,8 @@ func newPage(t *testing.T, m *Manager, tuples int) (uint64, []byte, *core.Tracke
 		t.Fatalf("AllocatePage: %v", err)
 	}
 	buf := make([]byte, m.PageSize())
-	tracker, err := m.InitPage(buf, pid, 1)
-	if err != nil {
+	tracker := new(core.Tracker)
+	if err := m.InitPage(buf, pid, 1, tracker); err != nil {
 		t.Fatalf("InitPage: %v", err)
 	}
 	pg, err := page.Wrap(buf)
@@ -330,8 +331,8 @@ func TestRegionSelectiveIPA(t *testing.T) {
 		t.Fatalf("AllocatePage: %v", err)
 	}
 	buf := make([]byte, m.PageSize())
-	tracker, err := m.InitPage(buf, pid, 2)
-	if err != nil {
+	tracker := new(core.Tracker)
+	if err := m.InitPage(buf, pid, 2, tracker); err != nil {
 		t.Fatalf("InitPage: %v", err)
 	}
 	pg, _ := page.Wrap(buf)
@@ -381,5 +382,95 @@ func TestWriteModeString(t *testing.T) {
 		if m.String() == "" {
 			t.Errorf("empty name for mode %d", m)
 		}
+	}
+}
+
+// TestMissAndDirtyEvictionDoNotAllocate pins the miss path on every write
+// mode: a Fetch that misses — evicting a dirty page as an in-place append or
+// an out-of-place write, garbage collection included, then reading, ECC
+// checking and reconstructing the wanted page into the frame's own tracker —
+// and a small tracked update of it allocate nothing. The ipa-ssd path takes
+// its block-device image from a sync.Pool, which a garbage collection may
+// empty: one allocation of slack there.
+func TestMissAndDirtyEvictionDoNotAllocate(t *testing.T) {
+	for _, tc := range modesUnderTest() {
+		t.Run(tc.name, func(t *testing.T) {
+			m := testStack(t, tc.mode, tc.scheme, tc.flash)
+			m.cfg.Analytic, m.cfg.TraceEvictions = false, false // as the engine runs
+			var pids []uint64
+			for i := 0; i < 24; i++ {
+				pid, _, _ := newPage(t, m, 5)
+				pids = append(pids, pid)
+			}
+			pool, err := buffer.New(m, 8)
+			if err != nil {
+				t.Fatalf("buffer.New: %v", err)
+			}
+			n, patch := 0, make([]byte, 2)
+			cycle := func() {
+				n++
+				patch[0], patch[1] = byte(n), byte(n>>8)
+				h, err := pool.Fetch(pids[n%len(pids)])
+				if err != nil {
+					t.Fatalf("Fetch: %v", err)
+				}
+				pg, err := page.Wrap(h.Data())
+				if err != nil {
+					t.Fatalf("Wrap: %v", err)
+				}
+				pg.SetRecorder(h.Tracker())
+				if err := pg.UpdateTupleAt(n%5, 10, patch); err != nil {
+					t.Fatalf("UpdateTupleAt: %v", err)
+				}
+				h.MarkDirty()
+				h.Release()
+			}
+			for i := 0; i < 4*len(pids); i++ { // every frame's tracker used, the device collecting
+				cycle()
+			}
+			before := m.Stats()
+			allocs := testing.AllocsPerRun(200, cycle)
+			after := m.Stats()
+			if after.PageLoads-before.PageLoads < 200 || after.DirtyEvictions-before.DirtyEvictions < 200 {
+				t.Fatalf("the measured cycles did not all miss and evict: %d loads, %d dirty evictions",
+					after.PageLoads-before.PageLoads, after.DirtyEvictions-before.DirtyEvictions)
+			}
+			if tc.mode != WriteTraditional && after.IPAAppends == before.IPAAppends {
+				t.Fatalf("no eviction was an in-place append")
+			}
+			limit := 0.0
+			if tc.mode == WriteIPASSD {
+				limit = 1
+			}
+			if allocs > limit {
+				t.Fatalf("a miss with a dirty eviction allocates %.0f times, want at most %.0f", allocs, limit)
+			}
+		})
+	}
+}
+
+// TestLoadPageIntoDoesNotAllocate: reading a page that carries delta records
+// and reconstructing it where it lies, into a tracker that is reused.
+func TestLoadPageIntoDoesNotAllocate(t *testing.T) {
+	m := testStack(t, WriteIPANative, core.Scheme{N: 2, M: 4}, nand.ModePSLC)
+	m.cfg.TraceEvictions = false
+	pid, _, _ := newPage(t, m, 5)
+	buf, tracker := reload(t, m, pid)
+	pg, _ := page.Wrap(buf)
+	pg.SetRecorder(tracker)
+	if err := pg.UpdateTupleAt(1, 3, []byte{0xEE}); err != nil {
+		t.Fatalf("UpdateTupleAt: %v", err)
+	}
+	want := bytes.Clone(buf)
+	if err := m.StorePage(pid, buf, tracker); err != nil {
+		t.Fatalf("StorePage: %v", err)
+	}
+	var err error
+	allocs := testing.AllocsPerRun(100, func() { err = m.LoadPageInto(pid, buf, tracker) })
+	if err != nil || allocs != 0 {
+		t.Fatalf("LoadPageInto allocates %.0f times (err %v), want 0", allocs, err)
+	}
+	if tracker.Existing() != 1 || !bytes.Equal(buf[:pg.BodyEnd()], want[:pg.BodyEnd()]) {
+		t.Fatalf("reconstruction lost the appended record: existing = %d", tracker.Existing())
 	}
 }

@@ -973,8 +973,8 @@ func (db *DB) writeCatalog(ckptLSN, cut uint64) error {
 		if pid, err = db.store.AllocatePage(catalogObjectID); err != nil {
 			return err
 		}
-		h, err = db.pool.Create(pid, func(buf []byte) (*core.Tracker, error) {
-			return db.store.InitPage(buf, pid, catalogObjectID)
+		h, err = db.pool.Create(pid, func(buf []byte, t *core.Tracker) error {
+			return db.store.InitPage(buf, pid, catalogObjectID, t)
 		})
 	}
 	if err != nil {

@@ -535,8 +535,8 @@ func (u pageUndoer) CompensateUpdate(pid uint64, slot uint16, offset uint16, old
 func (u pageUndoer) RedoInsert(objectID uint32, pid uint64, slot uint16, tuple []byte) error {
 	h, err := u.db.pool.Fetch(pid)
 	if err != nil && errors.Is(err, ftl.ErrUnmapped) {
-		h, err = u.db.pool.Create(pid, func(buf []byte) (*core.Tracker, error) {
-			return u.db.store.InitPage(buf, pid, objectID)
+		h, err = u.db.pool.Create(pid, func(buf []byte, t *core.Tracker) error {
+			return u.db.store.InitPage(buf, pid, objectID, t)
 		})
 		if err == nil {
 			u.db.store.EnsureAllocated(pid + 1)
