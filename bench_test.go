@@ -399,30 +399,32 @@ func BenchmarkSnapshotReadMix(b *testing.B) {
 // commit, buffer hit, page update. The allocation pins in fastpath_test.go
 // run on the same table.
 func residentTable(b testing.TB) (*ipa.DB, *ipa.Table) {
-	return benchTable(b, residentRows, ipa.IPANativeFlash, ipa.Scheme{N: 2, M: 4})
+	return benchTable(b, residentRows, 1, ipa.IPANativeFlash, ipa.Scheme{N: 2, M: 4})
 }
 
 // missTable is residentTable's geometry under the benchmark's flash_rw and
-// flash_trad tables: 60 416 rows, eight times the pool, so an operation on a
-// row 7 919 keys from the last one misses and — once updates have dirtied
-// the pool — evicts a dirty page. What is measured is the path below the
+// flash_trad tables: 60 416 rows, eight times the pool, so an operation on
+// the next heap page (missWalk) misses and, once updates have dirtied the
+// pool, evicts a dirty page. What is measured is the path below the
 // buffer hit: eviction, delta append or out-of-place write, garbage
 // collection, read, ECC and page reconstruction.
 func missTable(b testing.TB, mode ipa.WriteMode, scheme ipa.Scheme) (*ipa.DB, *ipa.Table) {
-	return benchTable(b, missRows, mode, scheme)
+	return benchTable(b, missRows, 1, mode, scheme)
 }
 
-func benchTable(b testing.TB, rows int64, mode ipa.WriteMode, scheme ipa.Scheme) (*ipa.DB, *ipa.Table) {
+// benchTable loads rows rows into the benchmark's geometry with the device
+// and the pool divided by shrink.
+func benchTable(b testing.TB, rows int64, shrink int, mode ipa.WriteMode, scheme ipa.Scheme) (*ipa.DB, *ipa.Table) {
 	b.Helper()
 	db, err := ipa.Open(ipa.Config{
 		PageSize:        8 * 1024,
-		Blocks:          128,
+		Blocks:          128 / shrink,
 		PagesPerBlock:   64,
 		Chips:           1,
 		FlashMode:       ipa.PSLC,
 		WriteMode:       mode,
 		Scheme:          scheme,
-		BufferPoolPages: 128,
+		BufferPoolPages: 128 / shrink,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -456,7 +458,6 @@ const (
 	residentCkptEvery = 100000 // operations between checkpoints, as mem_rw runs them
 
 	missRows      = 60416
-	missStride    = 7919 // rows between consecutive operations: 134 pages, coprime to missRows
 	missCkptEvery = 7000 // as flash_rw runs them
 )
 
@@ -500,12 +501,24 @@ func BenchmarkResidentGet(b *testing.B) {
 	}
 }
 
-// missUpdateTxn is one Begin → UpdateAt → Commit of an 8-byte field of row
-// i·missStride: the page is not resident.
-func missUpdateTxn(db *ipa.DB, table *ipa.Table, i int64, patch *[8]byte) error {
-	binary.LittleEndian.PutUint64(patch[:], uint64(i))
+// missWalk returns the key of the i-th operation on a missTable: the first
+// row of heap page i mod pages. The heap pages — 944 with a delta area, 930
+// without — are walked in page order, a cycle that misses every time under
+// any policy that has no more than an eighth of it to keep: recency evicts
+// each page long before its turn comes again, and frequency finds nothing to
+// prefer among pages all fetched equally often.
+func missWalk(table *ipa.Table) func(i int64) int64 {
+	pages := int64(table.Pages())
+	perPage := (missRows + pages - 1) / pages
+	return func(i int64) int64 { return i % pages * perPage }
+}
+
+// missUpdateTxn is one Begin → UpdateAt → Commit of an 8-byte field of the
+// row with the given key, whose page is not resident; seq is what it writes.
+func missUpdateTxn(db *ipa.DB, table *ipa.Table, key, seq int64, patch *[8]byte) error {
+	binary.LittleEndian.PutUint64(patch[:], uint64(seq))
 	tx := db.Begin()
-	if err := tx.UpdateAt(table, i*missStride%missRows, 112, patch[:]); err != nil {
+	if err := tx.UpdateAt(table, key, 112, patch[:]); err != nil {
 		return err
 	}
 	return tx.Commit()
@@ -513,9 +526,10 @@ func missUpdateTxn(db *ipa.DB, table *ipa.Table, i int64, patch *[8]byte) error 
 
 func benchmarkMissEvict(b *testing.B, mode ipa.WriteMode, scheme ipa.Scheme) {
 	db, table := missTable(b, mode, scheme)
+	key := missWalk(table)
 	var patch [8]byte
 	for i := int64(0); i < 2048; i++ { // the pool fills with dirty pages, the device starts collecting
-		if err := missUpdateTxn(db, table, i, &patch); err != nil {
+		if err := missUpdateTxn(db, table, key(i), i, &patch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -523,7 +537,7 @@ func benchmarkMissEvict(b *testing.B, mode ipa.WriteMode, scheme ipa.Scheme) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := int64(0); i < int64(b.N); i++ {
-		if err := missUpdateTxn(db, table, 2048+i, &patch); err != nil {
+		if err := missUpdateTxn(db, table, key(2048+i), 2048+i, &patch); err != nil {
 			b.Fatal(err)
 		}
 		if i%missCkptEvery == missCkptEvery-1 {

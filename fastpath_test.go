@@ -88,17 +88,18 @@ func TestMissAllocations(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db, table := missTable(t, tc.mode, tc.scheme)
+			key := missWalk(table)
 			var patch [8]byte
 			i := int64(0)
 			update := func() {
 				i++
-				if err := missUpdateTxn(db, table, i, &patch); err != nil {
+				if err := missUpdateTxn(db, table, key(i), i, &patch); err != nil {
 					t.Fatal(err)
 				}
 			}
 			get := func() {
 				i++
-				if v, err := table.Get(i * missStride % missRows); err != nil || len(v) != residentTupleSize {
+				if v, err := table.Get(key(i)); err != nil || len(v) != residentTupleSize {
 					t.Fatalf("Get: %v (%d bytes)", err, len(v))
 				}
 			}

@@ -65,8 +65,14 @@ func makeSuiteRow(wl string, baseRes, ipaRes Result) SuiteRow {
 	return row
 }
 
+// noGC is what a drop or a lifetime prints when the arm it divides by never
+// invalidated, migrated or erased anything: the run ended before garbage
+// collection began, and "+0.0%" or "0.00x" would read as a measurement.
+const noGC = "n/a (no GC)"
+
 // dropPctPerWrite compares two counters normalised by the work performed
-// (host writes), returning the percentage reduction.
+// (host writes), returning the percentage reduction — 0 when the baseline
+// arm counted nothing, which formatDrop prints as noGC.
 func dropPctPerWrite(baseCnt, baseWork, ipaCnt, ipaWork uint64) float64 {
 	if baseWork == 0 || ipaWork == 0 || baseCnt == 0 {
 		return 0
@@ -76,16 +82,33 @@ func dropPctPerWrite(baseCnt, baseWork, ipaCnt, ipaWork uint64) float64 {
 	return 100 * (1 - ipaRate/baseRate)
 }
 
+// formatDrop renders a drop of a counter the baseline arm counted baseCnt
+// times, formatLifetime a lifetime ratio (0 = an arm without erases).
+func formatDrop(pct float64, baseCnt uint64) string {
+	if baseCnt == 0 {
+		return noGC
+	}
+	return fmt.Sprintf("%+.1f%%", pct)
+}
+
+func formatLifetime(ratio float64) string {
+	if ratio <= 0 {
+		return noGC
+	}
+	return fmt.Sprintf("%.2fx", ratio)
+}
+
 // Write renders the suite comparison.
 func (r SuiteResult) Write(w io.Writer) {
 	fmt.Fprintf(w, "OLTP suite: traditional [0x0] vs IPA\n")
-	fmt.Fprintf(w, "%-10s %14s %14s %12s %12s %12s %12s %10s\n",
+	fmt.Fprintf(w, "%-10s %14s %14s %12s %12s %12s %12s %11s\n",
 		"workload", "base tps", "ipa tps", "tps gain", "inval drop", "migr drop", "erase drop", "lifetime")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-10s %14.1f %14.1f %+11.1f%% %+11.1f%% %+11.1f%% %+11.1f%% %9.2fx\n",
-			row.Workload, row.Baseline.Throughput(), row.IPA.Throughput(),
-			row.ThroughputGainPct, row.InvalidationDropPct, row.MigrationDropPct,
-			row.EraseDropPct, row.LongevityImprovement)
+		bs := row.Baseline.Stats
+		fmt.Fprintf(w, "%-10s %14.1f %14.1f %+11.1f%% %12s %12s %12s %11s\n",
+			row.Workload, row.Baseline.Throughput(), row.IPA.Throughput(), row.ThroughputGainPct,
+			formatDrop(row.InvalidationDropPct, bs.Invalidations), formatDrop(row.MigrationDropPct, bs.GCMigrations),
+			formatDrop(row.EraseDropPct, bs.GCErases), formatLifetime(row.LongevityImprovement))
 	}
 }
 
@@ -94,7 +117,7 @@ type LongevityRow struct {
 	Label            string
 	ErasesPerWrite   float64
 	EnduranceCycles  int
-	RelativeLifetime float64 // normalised to the baseline row
+	RelativeLifetime float64 // normalised to the baseline row; 0 = an arm without erases
 }
 
 // LongevityResult is the lifetime projection of every suite configuration.
@@ -116,9 +139,11 @@ func Longevity(r SuiteResult) LongevityResult {
 			ErasesPerWrite:  s.IPA.Stats.ErasesPerHostWrite(),
 			EnduranceCycles: s.IPA.Stats.EnduranceCycles,
 		}
-		base.RelativeLifetime = 1
-		if ipaRow.ErasesPerWrite > 0 && base.ErasesPerWrite > 0 {
-			ipaRow.RelativeLifetime = base.ErasesPerWrite / ipaRow.ErasesPerWrite
+		if base.ErasesPerWrite > 0 {
+			base.RelativeLifetime = 1
+			if ipaRow.ErasesPerWrite > 0 {
+				ipaRow.RelativeLifetime = base.ErasesPerWrite / ipaRow.ErasesPerWrite
+			}
 		}
 		rows = append(rows, base, ipaRow)
 	}
@@ -130,10 +155,6 @@ func (rows LongevityResult) Write(w io.Writer) {
 	fmt.Fprintf(w, "Flash longevity (erase budget per host write)\n")
 	fmt.Fprintf(w, "%-20s %16s %12s %14s\n", "configuration", "erases/write", "endurance", "rel. lifetime")
 	for _, r := range rows {
-		lifetime := "n/a"
-		if r.RelativeLifetime > 0 {
-			lifetime = fmt.Sprintf("%.2fx", r.RelativeLifetime)
-		}
-		fmt.Fprintf(w, "%-20s %16.5f %12d %14s\n", r.Label, r.ErasesPerWrite, r.EnduranceCycles, lifetime)
+		fmt.Fprintf(w, "%-20s %16.5f %12d %14s\n", r.Label, r.ErasesPerWrite, r.EnduranceCycles, formatLifetime(r.RelativeLifetime))
 	}
 }

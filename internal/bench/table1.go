@@ -96,20 +96,20 @@ func Table1(o Options) (Table1Result, error) {
 func (t Table1Result) Write(w io.Writer) {
 	b, p, o := t.Baseline, t.PSLC, t.OddMLC
 	rel := func(v, base float64) string {
-		if base == 0 {
-			return "n/a"
+		if base == 0 { // only a GC row can be: the baseline never collected
+			return noGC
 		}
 		return fmt.Sprintf("%+.0f%%", 100*(v-base)/base)
 	}
 	fmt.Fprintf(w, "TPC-B: traditional [0x0] vs IPA [%s]\n", p.Result.Experiment.Scheme)
-	fmt.Fprintf(w, "%-34s %14s %14s %9s %14s %9s\n", "", "0x0", "pSLC", "rel", "odd-MLC", "rel")
+	fmt.Fprintf(w, "%-34s %14s %14s %11s %14s %11s\n", "", "0x0", "pSLC", "rel", "odd-MLC", "rel")
 	row := func(name string, bv, pv, ov float64, format string) {
-		fmt.Fprintf(w, "%-34s "+format+" "+format+" %9s "+format+" %9s\n",
+		fmt.Fprintf(w, "%-34s "+format+" "+format+" %11s "+format+" %11s\n",
 			name, bv, pv, rel(pv, bv), ov, rel(ov, bv))
 	}
 	row("Host Reads (pages)", float64(b.HostReads), float64(p.HostReads), float64(o.HostReads), "%14.0f")
 	row("Host Writes (pages+deltas)", float64(b.HostWrites), float64(p.HostWrites), float64(o.HostWrites), "%14.0f")
-	fmt.Fprintf(w, "%-34s %10.0f/%.0f %10.0f/%.0f %9s %10.0f/%.0f %9s\n",
+	fmt.Fprintf(w, "%-34s %10.0f/%.0f %10.0f/%.0f %11s %10.0f/%.0f %11s\n",
 		"Out-of-Place vs In-Place [%]",
 		b.OutOfPlacePct, b.InPlacePct, p.OutOfPlacePct, p.InPlacePct, "",
 		o.OutOfPlacePct, o.InPlacePct, "")

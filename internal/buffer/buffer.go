@@ -1,15 +1,26 @@
 // Package buffer implements the database buffer pool.
 //
 // The pool caches fixed-size database pages, pins them for access, and
-// evicts victims with a clock (second-chance) policy. To scale with
-// concurrent traffic the pool is partitioned into independently-latched
-// shards: pages are hashed by page identifier onto a shard, each shard has
-// its own frame array, hash table, clock hand and statistics, so readers
-// and writers operating on different pages proceed in parallel. Within a
-// shard, every frame additionally carries a read/write latch that
-// serialises access to the page image itself: Fetch returns the page
-// exclusively latched, FetchShared allows any number of concurrent
-// readers.
+// evicts the least frequently fetched of the frames next to a clock hand.
+// To scale with concurrent traffic the pool is partitioned into
+// independently-latched shards: pages are hashed by page identifier onto a
+// shard, each shard has its own frame array, hash table, clock hand,
+// reference counts and statistics, so readers and writers operating on
+// different pages proceed in parallel. Within a shard, every frame
+// additionally carries a read/write latch that serialises access to the
+// page image itself: Fetch returns the page exclusively latched,
+// FetchShared allows any number of concurrent readers.
+//
+// Replacement is frequency-aware. A shard keeps a saturating 4-bit count of
+// fetches per page identifier — of every page it has ever held, resident or
+// not: identifiers are dense, so that is one flat array, sixteen counts to a
+// word, where 2Q or ARC keep ghost lists. Every agePeriod × frames fetches
+// all counts are halved, and the victim is the lowest count among the first
+// victimWindow unpinned frames from the hand. A page that comes back after
+// an eviction is therefore still known to be hot, which second-chance CLOCK
+// (refClock in the tests) and counts on resident frames alone (GCLOCK)
+// cannot know. docs/ARCHITECTURE.md has the trace replays that chose the
+// three constants, and the one pattern that pays for them: uniform access.
 //
 // The pool's interaction with In-Place Appends is deliberately thin,
 // exactly as the paper argues: the buffer always holds the up-to-date page
@@ -106,7 +117,6 @@ type frame struct {
 	tracker core.Tracker
 	pin     int
 	dirty   bool
-	ref     bool
 	valid   bool
 	// recLSN is the log sequence number stamped when the frame last went
 	// from clean to dirty: the oldest log record whose effects may only
@@ -128,7 +138,6 @@ func (s *shard) residentLocked(idx int, pid uint64, dirty bool) *frame {
 	f := &s.frames[idx]
 	f.pid = pid
 	f.pin = 1
-	f.ref = true
 	f.dirty = dirty
 	f.recLSN = 0
 	if dirty {
@@ -166,6 +175,54 @@ type shard struct {
 	hand   int
 	stats  Stats
 	lsn    func() uint64 // source of recLSN stamps (nil = always 0)
+	// counts packs the 4-bit reference counts of the shard's pages sixteen
+	// to a word (slot); fetches counts towards the next halving.
+	counts  []uint64
+	stride  uint64
+	fetches int
+}
+
+// The replacement policy's constants (TinyLFU's): counts saturate at
+// countMax and are halved every agePeriod fetches per frame of the shard.
+const (
+	countMax     = 15
+	agePeriod    = 10
+	victimWindow = 16 // unpinned frames from the hand a victim is chosen among
+)
+
+// slot returns the word and shift of the count of pid, the shard's
+// pid/stride-th page: identifiers are dense, shardFor deals them round robin.
+func (s *shard) slot(pid uint64) (w, shift uint64) {
+	n := pid / s.stride
+	return n >> 4, n & 15 * 4
+}
+
+// countLocked returns pid's reference count; a page never fetched has 0.
+func (s *shard) countLocked(pid uint64) uint64 {
+	if w, shift := s.slot(pid); w < uint64(len(s.counts)) {
+		return s.counts[w] >> shift & countMax
+	}
+	return 0
+}
+
+// touchLocked counts one successful fetch of pid — a hit, or a miss once
+// the page is loaded; Create is not a fetch — and, when the period is up,
+// halves every count of the shard, word-parallel. The array grows only the
+// first time a page is fetched: while the database is built.
+func (s *shard) touchLocked(pid uint64) {
+	w, shift := s.slot(pid)
+	for w >= uint64(len(s.counts)) {
+		s.counts = append(s.counts, 0)
+	}
+	if s.counts[w]>>shift&countMax < countMax {
+		s.counts[w] += 1 << shift
+	}
+	if s.fetches++; s.fetches >= agePeriod*len(s.frames) {
+		s.fetches = 0
+		for i, c := range s.counts {
+			s.counts[i] = c >> 1 & 0x7777777777777777
+		}
+	}
 }
 
 // Pool is a fixed-capacity page cache partitioned into shards.
@@ -176,8 +233,7 @@ type Pool struct {
 
 // Sharding defaults: shards are a power of two so the pid hash reduces to a
 // mask, each shard keeps at least minFramesPerShard frames so small pools
-// (unit tests, tiny devices) degenerate to a single shard with exactly the
-// classic clock semantics.
+// (unit tests, tiny devices) degenerate to a single shard.
 const (
 	maxShards         = 16
 	minFramesPerShard = 8
@@ -223,6 +279,7 @@ func NewSharded(io PageIO, nframes, nshards int) (*Pool, error) {
 			io:     io,
 			frames: make([]frame, n),
 			table:  make(map[uint64]int, n),
+			stride: uint64(nshards),
 		}
 		for j := range s.frames {
 			f := &s.frames[j]
@@ -379,7 +436,7 @@ func (p *Pool) fetch(pid uint64, shared bool) (*Handle, error) {
 	if hit {
 		f := &s.frames[idx]
 		f.pin++
-		f.ref = true
+		s.touchLocked(pid)
 		s.stats.Hits++
 		s.mu.Unlock()
 		// The pin keeps the frame resident; block on the latch outside
@@ -399,6 +456,7 @@ func (p *Pool) fetch(pid uint64, shared bool) (*Handle, error) {
 		s.mu.Unlock()
 		return nil, err
 	}
+	s.touchLocked(pid)
 	s.mu.Unlock()
 	lockLatch(f, shared)
 	return f.handle(shared), nil
@@ -440,8 +498,10 @@ func (p *Pool) Create(pid uint64, init func(buf []byte, t *core.Tracker) error) 
 	return &f.excl, nil
 }
 
-// victimLocked returns the index of a free frame, evicting a victim with
-// the clock policy if necessary. The caller holds the shard mutex.
+// victimLocked returns the index of a free frame, evicting if necessary the
+// least referenced of the first victimWindow unpinned frames from the hand
+// (ties to the first met); the hand moves past the victim. The caller holds
+// the shard mutex.
 func (s *shard) victimLocked() (int, error) {
 	// Prefer an unused frame.
 	for i := range s.frames {
@@ -449,24 +509,24 @@ func (s *shard) victimLocked() (int, error) {
 			return i, nil
 		}
 	}
-	// Clock sweep: two full passes guarantee a victim if one exists.
-	for sweep := 0; sweep < 2*len(s.frames); sweep++ {
-		idx := s.hand
-		s.hand = (s.hand + 1) % len(s.frames)
-		f := &s.frames[idx]
-		if f.pin > 0 {
-			continue
+	victim, low := -1, uint64(countMax+1)
+	for i, seen := 0, 0; i < len(s.frames) && seen < victimWindow; i++ {
+		idx := (s.hand + i) % len(s.frames)
+		if f := &s.frames[idx]; f.pin == 0 {
+			seen++
+			if c := s.countLocked(f.pid); c < low {
+				victim, low = idx, c
+			}
 		}
-		if f.ref {
-			f.ref = false
-			continue
-		}
-		if err := s.evictLocked(idx); err != nil {
-			return 0, err
-		}
-		return idx, nil
 	}
-	return 0, ErrNoFrames
+	if victim < 0 {
+		return 0, ErrNoFrames
+	}
+	s.hand = (victim + 1) % len(s.frames)
+	if err := s.evictLocked(victim); err != nil {
+		return 0, err
+	}
+	return victim, nil
 }
 
 // evictLocked writes back a dirty victim and removes it from the table.

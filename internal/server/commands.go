@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ipa"
+	"ipa/internal/buffer"
 	"ipa/internal/txn"
 )
 
@@ -31,13 +32,14 @@ const (
 	codeInTxn    = "INTXN"    // BEGIN while a transaction is already open
 	codeFinished = "FINISHED" // operation on a finished transaction
 	codeClosed   = "CLOSED"   // engine closed (server shutting down)
+	codeBusy     = "BUSY"     // every buffer frame the page could use stayed pinned; retry
 )
 
 // wireCodes lists every error code for the spec drift test.
 var wireCodes = []string{
 	codeErr, codeProto, codeUnknown, codeArgs, codeNoTable, codeExists,
 	codeNotFound, codeDupKey, codeConflict, codeNoIndex, codeNoTxn,
-	codeInTxn, codeFinished, codeClosed,
+	codeInTxn, codeFinished, codeClosed, codeBusy,
 }
 
 // errCode maps an engine error onto its stable wire code. The mapping is
@@ -59,6 +61,8 @@ func errCode(err error) string {
 		return codeExists
 	case errors.Is(err, txn.ErrFinished):
 		return codeFinished
+	case errors.Is(err, buffer.ErrNoFrames):
+		return codeBusy
 	default:
 		return codeErr
 	}

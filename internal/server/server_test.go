@@ -23,11 +23,17 @@ import (
 // record, WAL image, version chain — keeps an alias of the read buffer.
 func newTestServer(t *testing.T) (*Server, *ipa.DB) {
 	t.Helper()
+	return newTestServerPool(t, 64)
+}
+
+// newTestServerPool is newTestServer with a buffer pool of poolPages frames.
+func newTestServerPool(t *testing.T, poolPages int) (*Server, *ipa.DB) {
+	t.Helper()
 	db, err := ipa.Open(ipa.Config{
 		Blocks:          64,
 		PagesPerBlock:   32,
 		Chips:           2,
-		BufferPoolPages: 64,
+		BufferPoolPages: poolPages,
 		Scheme:          ipa.Scheme{N: 2, M: 4},
 		WriteMode:       ipa.IPANativeFlash,
 		FlashMode:       ipa.PSLC,
@@ -540,5 +546,25 @@ func TestVerbsAreCaseInsensitive(t *testing.T) {
 	doErr(t, c, "UNKNOWN", "nosuch")
 	if _, err := c.DoStrings("nosuch"); err == nil || !strings.Contains(err.Error(), `"NOSUCH"`) {
 		t.Fatalf("unknown verb reported as %v, want it upper-cased as before", err)
+	}
+}
+
+// TestAllFramesPinnedIsBusyOnTheWire: buffer.ErrNoFrames — more page
+// operations in flight than one pool shard has frames — is a condition a
+// client should retry, so it has its own code and is not the catch-all ERR.
+// The pool here is one shard of one frame; a secondary index's backfill
+// reads a heap page while it holds an index page, so the only frame is
+// pinned when the second is asked for, and stays pinned for the whole retry
+// budget. The session and the engine carry on afterwards.
+func TestAllFramesPinnedIsBusyOnTheWire(t *testing.T) {
+	srv, _ := newTestServerPool(t, 1)
+	c := dial(t, srv)
+	do(t, c, "CREATE", "t", "16")
+	for k := 0; k < 8; k++ {
+		do(t, c, "INSERT", "t", fmt.Sprint(k), "0123456789abcdef")
+	}
+	doErr(t, c, "BUSY", "CINDEX", "t", "by8", "8")
+	if r := do(t, c, "GET", "t", "3"); string(r.Bulk) != "0123456789abcdef" {
+		t.Fatalf("GET after BUSY: %q", r.Bulk)
 	}
 }
