@@ -97,25 +97,12 @@ func (g *ycsbGen) key(rng *rand.Rand) int64 {
 		}
 		return n - 1 - rank
 	}
-	// Scrambled zipfian: the FNV spread of workload.YCSB, inlined here via
-	// uniform re-draw over the live keyspace for ranks beyond the preload.
+	// Scrambled zipfian, with ranks beyond the preload clamped into the
+	// live keyspace.
 	if rank >= n {
 		rank = n - 1
 	}
-	return scramble(rank, n)
-}
-
-// scramble spreads a zipfian rank across [0, n) (FNV-1a, as in the engine
-// driver).
-func scramble(rank, n int64) int64 {
-	h := uint64(0xcbf29ce484222325)
-	v := uint64(rank)
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= 0x100000001b3
-		v >>= 8
-	}
-	return int64(h % uint64(n))
+	return workload.ScrambleKey(rank, n)
 }
 
 // gen appends the wire commands of one YCSB operation (one or, for RMW,

@@ -334,7 +334,10 @@ func TestGetForUpdateBlocksWriters(t *testing.T) {
 }
 
 // TestStatsAndResetRaceFree calls Stats and ResetStats continuously while
-// transactions commit (run with -race: the counters must be atomic).
+// transactions commit (run with -race: the counters must be atomic), and
+// reads Stats from a second goroutine across the resets: ResetStats zeroes
+// the log's byte counter before it re-bases the checkpoint mark, and the
+// gauge between the two must saturate, not wrap.
 func TestStatsAndResetRaceFree(t *testing.T) {
 	db, err := ipa.Open(smallConfig(ipa.IPANativeFlash, ipa.Scheme{N: 2, M: 4}, ipa.PSLC))
 	if err != nil {
@@ -348,9 +351,14 @@ func TestStatsAndResetRaceFree(t *testing.T) {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
+	// Every record of this run is under 256 bytes: three per loaded row, two
+	// per update transaction. A gauge of unsigned differences that reads
+	// more than the whole run wrote has wrapped below zero.
+	const updates = 150
+	const maxWALBytes = (3*keys + 2*4*updates) * 256
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
-	readers.Add(1)
+	readers.Add(2)
 	go func() {
 		defer readers.Done()
 		for {
@@ -367,13 +375,27 @@ func TestStatsAndResetRaceFree(t *testing.T) {
 			}
 		}
 	}()
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if since := db.Stats().WALBytesSinceCheckpoint; since > maxWALBytes {
+					t.Errorf("WALBytesSinceCheckpoint reads %d during a ResetStats; the run wrote at most %d", since, maxWALBytes)
+					return
+				}
+			}
+		}
+	}()
 	var writers sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		writers.Add(1)
 		go func(w int) {
 			defer writers.Done()
 			base := int64(w) * (keys / 4)
-			for i := 0; i < 150; i++ {
+			for i := 0; i < updates; i++ {
 				tx := db.Begin()
 				key := base + int64(i)%(keys/4)
 				if err := tx.UpdateAt(tbl, key, 8, []byte{byte(i)}); err != nil {

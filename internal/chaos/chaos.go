@@ -23,6 +23,7 @@
 package chaos
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -472,18 +473,12 @@ func (s *session) powerCut(i int) (uint64, error) {
 
 // putInt64 encodes v little-endian at b[off:off+8].
 func putInt64(b []byte, off int, v int64) {
-	for i := 0; i < 8; i++ {
-		b[off+i] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(b[off:], uint64(v))
 }
 
 // getInt64 decodes a little-endian int64 at b[off:off+8].
 func getInt64(b []byte, off int) int64 {
-	var v int64
-	for i := 0; i < 8; i++ {
-		v |= int64(b[off+i]) << (8 * i)
-	}
-	return v
+	return int64(binary.LittleEndian.Uint64(b[off:]))
 }
 
 // worker drives money transfers over the wire: BEGIN, read two accounts,
@@ -598,7 +593,5 @@ func isWireErr(err error) bool {
 }
 
 func int64Bytes(v int64) []byte {
-	b := make([]byte, 8)
-	putInt64(b, 0, v)
-	return b
+	return binary.LittleEndian.AppendUint64(nil, uint64(v))
 }

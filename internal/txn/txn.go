@@ -343,44 +343,18 @@ func (t *Txn) Commit() error {
 // (0 before Commit succeeds).
 func (t *Txn) CommitTS() uint64 { return t.commitTS }
 
-// Undoer applies before images during rollback; the storage/heap layer
-// implements it.
-type Undoer interface {
-	ApplyUpdate(pid uint64, slot uint16, offset uint16, image []byte) error
-	UndoInsert(pid uint64, slot uint16) error
-	UndoDelete(objectID uint32, pid uint64, slot uint16, tuple []byte) error
-	UndoIndexInsert(objectID uint32, key int64, value uint64) error
-	UndoIndexDelete(objectID uint32, key int64, value uint64) error
-}
-
-// Abort rolls back the transaction in reverse order — update before images
-// are restored, inserted tuples are deleted, deleted tuples and index
-// entries are restored — then writes an abort record and releases all
-// locks.
-func (t *Txn) Abort(u Undoer) error {
+// Abort rolls back the transaction: its records are handed to ap in
+// reverse order with wal.Undo — update before images are restored, inserted
+// tuples deleted, deleted tuples and index entries restored — then an abort
+// record is written and all locks are released. A nil ap skips the rollback
+// (the caller has nothing to roll back into).
+func (t *Txn) Abort(ap wal.Applier) error {
 	if t.status != Active {
 		return ErrFinished
 	}
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		r := t.undo[i]
-		if u == nil {
-			continue
-		}
-		var err error
-		switch r.Type {
-		case wal.RecInsert:
-			err = u.UndoInsert(r.PageID, r.Slot)
-		case wal.RecDelete:
-			err = u.UndoDelete(r.ObjectID, r.PageID, r.Slot, r.Old)
-		case wal.RecIndexInsert:
-			err = u.UndoIndexInsert(r.ObjectID, r.Key, wal.ValueOf(r.New))
-		case wal.RecIndexDelete:
-			err = u.UndoIndexDelete(r.ObjectID, r.Key, wal.ValueOf(r.Old))
-		default:
-			err = u.ApplyUpdate(r.PageID, r.Slot, r.Offset, r.Old)
-		}
-		if err != nil {
-			return fmt.Errorf("txn: rollback LSN %d: %w", r.LSN, err)
+	for i := len(t.undo) - 1; i >= 0 && ap != nil; i-- {
+		if err := wal.Apply(ap, &t.undo[i], wal.Undo); err != nil {
+			return fmt.Errorf("txn: rollback: %w", err)
 		}
 	}
 	// The undo above restored the heap slots; now flip the version chains

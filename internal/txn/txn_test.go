@@ -3,6 +3,7 @@ package txn
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"ipa/internal/wal"
@@ -20,38 +21,30 @@ func heldLocks(m *Manager) int {
 	return n
 }
 
-// memUndoer applies before images to an in-memory page map.
-type memUndoer struct {
+// memApplier rolls records back on an in-memory page map.
+type memApplier struct {
 	pages map[uint64][]byte
 }
 
-func newMemUndoer() *memUndoer { return &memUndoer{pages: make(map[uint64][]byte)} }
+func newMemApplier() *memApplier { return &memApplier{pages: make(map[uint64][]byte)} }
 
-func (u *memUndoer) ApplyUpdate(pid uint64, slot uint16, offset uint16, image []byte) error {
-	p, ok := u.pages[pid]
-	if !ok {
-		p = make([]byte, 64)
-		u.pages[pid] = p
+func (u *memApplier) Apply(r *wal.Record, a wal.Action) error {
+	if a != wal.Undo {
+		return fmt.Errorf("Abort asked for %s", a)
 	}
-	copy(p[int(offset):], image)
+	switch r.Type {
+	case wal.RecInsert:
+		delete(u.pages, r.PageID)
+	case wal.RecUpdate, wal.RecDelete:
+		p, ok := u.pages[r.PageID]
+		if !ok || r.Type == wal.RecDelete {
+			p = make([]byte, 64)
+			u.pages[r.PageID] = p
+		}
+		copy(p[r.Offset:], r.Old)
+	}
 	return nil
 }
-
-func (u *memUndoer) UndoInsert(pid uint64, slot uint16) error {
-	delete(u.pages, pid)
-	return nil
-}
-
-func (u *memUndoer) UndoDelete(objectID uint32, pid uint64, slot uint16, tuple []byte) error {
-	p := make([]byte, 64)
-	copy(p, tuple)
-	u.pages[pid] = p
-	return nil
-}
-
-func (u *memUndoer) UndoIndexInsert(objectID uint32, key int64, value uint64) error { return nil }
-
-func (u *memUndoer) UndoIndexDelete(objectID uint32, key int64, value uint64) error { return nil }
 
 func TestBeginAssignsUniqueIDs(t *testing.T) {
 	m := NewManager(wal.New())
@@ -126,7 +119,7 @@ func TestCommitWritesAndFlushesLog(t *testing.T) {
 func TestAbortRollsBackInReverseOrder(t *testing.T) {
 	log := wal.New()
 	m := NewManager(log)
-	u := newMemUndoer()
+	u := newMemApplier()
 	// Simulate the forward updates.
 	u.pages[1] = make([]byte, 64)
 	tx := m.Begin()
@@ -231,7 +224,7 @@ func TestAbortAfterCheckpointsRecycledTheLogAroundIt(t *testing.T) {
 		filler()
 	}
 	const updates = 40
-	u := newMemUndoer()
+	u := newMemApplier()
 	u.pages[1] = make([]byte, 64)
 	want := append([]byte(nil), u.pages[1]...)
 	tx := m.Begin()

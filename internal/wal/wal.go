@@ -780,42 +780,47 @@ func (l *Log) Analyze() Analysis {
 	return a
 }
 
-// Applier applies redo, undo and compensation images during recovery.
+// Action says what an Applier does with a record.
+type Action uint8
+
+const (
+	// Redo repeats history: the record's effect is installed as logged.
+	Redo Action = iota
+	// Undo rolls the record back: a live transaction's Abort, and recovery's
+	// reverse pass over the losers.
+	Undo
+	// Compensate rolls back the flushed residue of a transaction that aborted
+	// before the crash, during the forward pass. It differs from Undo for
+	// RecUpdate only: the before image is installed only while the bytes
+	// still equal the after image, because a page flushed after the
+	// in-memory rollback, or rewritten by a later committed transaction,
+	// already carries the right bytes. That condition is also what keeps
+	// replay correct when checkpoint truncation removed part of the
+	// transaction's records — whatever survives is safe to re-apply.
+	Compensate
+)
+
+// String names the action for error messages.
+func (a Action) String() string {
+	return [...]string{"redo", "undo", "compensate"}[a]
+}
+
+// Applier turns a log record into page and index writes. Every (record
+// type, action) pair must be idempotent, and — a freshly inserted tuple's
+// Redo aside, which recreates its page — a no-op on a page that never
+// reached Flash. Replay calls it from several goroutines, never for the
+// same heap page or index object at once.
 type Applier interface {
-	// ApplyUpdate installs image at the byte offset of the tuple in slot
-	// on page pid.
-	ApplyUpdate(pid uint64, slot uint16, offset uint16, image []byte) error
-	// CompensateUpdate rolls back an aborted transaction's update during
-	// the forward replay pass, conditionally: the before image old is
-	// installed only if the current page bytes still equal the after
-	// image new. The condition makes compensation idempotent against
-	// pages that were flushed after the in-memory rollback (the bytes
-	// already hold old, or a later committed value that must stand).
-	CompensateUpdate(pid uint64, slot uint16, offset uint16, old, new []byte) error
-	// RedoInsert (re)materialises the tuple in slot on page pid, creating
-	// the page for objectID if the crash lost it before its first flush.
-	RedoInsert(objectID uint32, pid uint64, slot uint16, tuple []byte) error
-	// UndoInsert removes the tuple in slot on page pid if it is present.
-	UndoInsert(pid uint64, slot uint16) error
-	// RedoDelete re-applies a committed tuple deletion (idempotent: a
-	// slot that is already deleted or never reached Flash is a no-op).
-	RedoDelete(objectID uint32, pid uint64, slot uint16) error
-	// UndoDelete restores the before image of a deleted tuple, if the
-	// page survived and the slot is still marked deleted.
-	UndoDelete(objectID uint32, pid uint64, slot uint16, tuple []byte) error
-	// RedoIndexInsert re-applies a committed logical index insertion:
-	// key maps to value in the index identified by objectID.
-	RedoIndexInsert(objectID uint32, key int64, value uint64) error
-	// RedoIndexDelete re-applies a committed logical index deletion.
-	// value is the packed RID of the removed entry: unique indexes may
-	// ignore it, non-unique ones use it to select the entry.
-	RedoIndexDelete(objectID uint32, key int64, value uint64) error
-	// UndoIndexInsert removes a loser's index entry if (and only if) key
-	// still maps to value.
-	UndoIndexInsert(objectID uint32, key int64, value uint64) error
-	// UndoIndexDelete restores a loser's deleted index entry if the key
-	// is currently unmapped.
-	UndoIndexDelete(objectID uint32, key int64, value uint64) error
+	Apply(r *Record, a Action) error
+}
+
+// Apply applies one record and names the action, record and LSN in the
+// error of a failed one.
+func Apply(ap Applier, r *Record, a Action) error {
+	if err := ap.Apply(r, a); err != nil {
+		return fmt.Errorf("wal: %s %s LSN %d: %w", a, r.Type, r.LSN, err)
+	}
+	return nil
 }
 
 // ValueOf decodes the packed RID carried in an index record image.
@@ -835,12 +840,12 @@ func ValueImage(value uint64) (img [8]byte) {
 }
 
 // replayOp is one unit of work in the forward repeat-history pass: either
-// the redo of a committed record or the compensation of an aborted one
+// the Redo of a committed record or the Compensate of an aborted one
 // (positioned at the transaction's RecAbort, in reverse record order, just
 // as the original rollback ran).
 type replayOp struct {
-	rec  Record
-	comp bool
+	rec Record
+	act Action
 }
 
 // lane assigns an op to a replay worker. Ops on the same entity — the
@@ -873,7 +878,7 @@ func buildReplayOps(recs []Record, a Analysis) []replayOp {
 		case a.Committed[r.TxnID]:
 			switch r.Type {
 			case RecUpdate, RecInsert, RecDelete, RecIndexInsert, RecIndexDelete:
-				ops = append(ops, replayOp{rec: r})
+				ops = append(ops, replayOp{rec: r, act: Redo})
 			}
 		case a.Aborted[r.TxnID]:
 			switch r.Type {
@@ -882,58 +887,13 @@ func buildReplayOps(recs []Record, a Analysis) []replayOp {
 			case RecAbort:
 				undo := pending[r.TxnID]
 				for i := len(undo) - 1; i >= 0; i-- {
-					ops = append(ops, replayOp{rec: undo[i], comp: true})
+					ops = append(ops, replayOp{rec: undo[i], act: Compensate})
 				}
 				delete(pending, r.TxnID)
 			}
 		}
 	}
 	return ops
-}
-
-// applyReplayOp dispatches one forward-pass op to the applier.
-func applyReplayOp(ap Applier, op replayOp) error {
-	r := op.rec
-	if op.comp {
-		switch r.Type {
-		case RecUpdate:
-			if err := ap.CompensateUpdate(r.PageID, r.Slot, r.Offset, r.Old, r.New); err != nil {
-				return fmt.Errorf("wal: compensate update LSN %d: %w", r.LSN, err)
-			}
-		case RecDelete:
-			if err := ap.UndoDelete(r.ObjectID, r.PageID, r.Slot, r.Old); err != nil {
-				return fmt.Errorf("wal: compensate delete LSN %d: %w", r.LSN, err)
-			}
-		case RecIndexDelete:
-			if err := ap.UndoIndexDelete(r.ObjectID, r.Key, ValueOf(r.Old)); err != nil {
-				return fmt.Errorf("wal: compensate index delete LSN %d: %w", r.LSN, err)
-			}
-		}
-		return nil
-	}
-	switch r.Type {
-	case RecUpdate:
-		if err := ap.ApplyUpdate(r.PageID, r.Slot, r.Offset, r.New); err != nil {
-			return fmt.Errorf("wal: redo LSN %d: %w", r.LSN, err)
-		}
-	case RecInsert:
-		if err := ap.RedoInsert(r.ObjectID, r.PageID, r.Slot, r.New); err != nil {
-			return fmt.Errorf("wal: redo insert LSN %d: %w", r.LSN, err)
-		}
-	case RecDelete:
-		if err := ap.RedoDelete(r.ObjectID, r.PageID, r.Slot); err != nil {
-			return fmt.Errorf("wal: redo delete LSN %d: %w", r.LSN, err)
-		}
-	case RecIndexInsert:
-		if err := ap.RedoIndexInsert(r.ObjectID, r.Key, ValueOf(r.New)); err != nil {
-			return fmt.Errorf("wal: redo index insert LSN %d: %w", r.LSN, err)
-		}
-	case RecIndexDelete:
-		if err := ap.RedoIndexDelete(r.ObjectID, r.Key, ValueOf(r.Old)); err != nil {
-			return fmt.Errorf("wal: redo index delete LSN %d: %w", r.LSN, err)
-		}
-	}
-	return nil
 }
 
 // undoRecords runs the final reverse pass: losers' updates, deletes and
@@ -946,33 +906,22 @@ func applyReplayOp(ap Applier, op replayOp) error {
 func undoRecords(recs []Record, a Analysis, ap Applier) (int, error) {
 	n := 0
 	for i := len(recs) - 1; i >= 0; i-- {
-		r := recs[i]
-		switch {
-		case r.Type == RecUpdate && a.Losers[r.TxnID]:
-			n++
-			if err := ap.ApplyUpdate(r.PageID, r.Slot, r.Offset, r.Old); err != nil {
-				return n, fmt.Errorf("wal: undo LSN %d: %w", r.LSN, err)
+		r := &recs[i]
+		switch r.Type {
+		case RecInsert, RecIndexInsert:
+			if !a.Losers[r.TxnID] && !a.Aborted[r.TxnID] {
+				continue
 			}
-		case r.Type == RecInsert && (a.Losers[r.TxnID] || a.Aborted[r.TxnID]):
-			n++
-			if err := ap.UndoInsert(r.PageID, r.Slot); err != nil {
-				return n, fmt.Errorf("wal: undo insert LSN %d: %w", r.LSN, err)
+		case RecUpdate, RecDelete, RecIndexDelete:
+			if !a.Losers[r.TxnID] {
+				continue
 			}
-		case r.Type == RecDelete && a.Losers[r.TxnID]:
-			n++
-			if err := ap.UndoDelete(r.ObjectID, r.PageID, r.Slot, r.Old); err != nil {
-				return n, fmt.Errorf("wal: undo delete LSN %d: %w", r.LSN, err)
-			}
-		case r.Type == RecIndexInsert && (a.Losers[r.TxnID] || a.Aborted[r.TxnID]):
-			n++
-			if err := ap.UndoIndexInsert(r.ObjectID, r.Key, ValueOf(r.New)); err != nil {
-				return n, fmt.Errorf("wal: undo index insert LSN %d: %w", r.LSN, err)
-			}
-		case r.Type == RecIndexDelete && a.Losers[r.TxnID]:
-			n++
-			if err := ap.UndoIndexDelete(r.ObjectID, r.Key, ValueOf(r.Old)); err != nil {
-				return n, fmt.Errorf("wal: undo index delete LSN %d: %w", r.LSN, err)
-			}
+		default:
+			continue
+		}
+		n++
+		if err := Apply(ap, r, Undo); err != nil {
+			return n, err
 		}
 	}
 	return n, nil
@@ -1008,8 +957,8 @@ func (l *Log) Replay(a Analysis, ap Applier, workers int, cut uint64) (int, erro
 	recs = recs[lo:]
 	ops := buildReplayOps(recs, a)
 	if workers <= 1 || len(ops) == 0 {
-		for _, op := range ops {
-			if err := applyReplayOp(ap, op); err != nil {
+		for i := range ops {
+			if err := Apply(ap, &ops[i].rec, ops[i].act); err != nil {
 				return len(ops), err
 			}
 		}
@@ -1028,9 +977,9 @@ func (l *Log) Replay(a Analysis, ap Applier, workers int, cut uint64) (int, erro
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				for _, op := range lanes[w] {
-					if err := applyReplayOp(ap, op); err != nil {
-						errs[w] = err
+				for i := range lanes[w] {
+					op := &lanes[w][i]
+					if errs[w] = Apply(ap, &op.rec, op.act); errs[w] != nil {
 						return
 					}
 				}

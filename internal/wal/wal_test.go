@@ -132,60 +132,34 @@ type applier struct {
 
 func newApplier() *applier { return &applier{pages: make(map[uint64][]byte)} }
 
-func (a *applier) ApplyUpdate(pid uint64, slot uint16, offset uint16, image []byte) error {
+// Apply keeps one 64-byte image per page: an update patches it (a
+// compensation only where the bytes still hold the after image), an insert
+// or a restored delete writes its tuple at offset 0, a delete or a removed
+// insert drops the page. Index records change nothing.
+func (a *applier) Apply(r *Record, act Action) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	p, ok := a.pages[pid]
-	if !ok {
-		p = make([]byte, 64)
-		a.pages[pid] = p
-	}
-	copy(p[int(offset):], image)
-	return nil
-}
-
-func (a *applier) CompensateUpdate(pid uint64, slot uint16, offset uint16, old, new []byte) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	p, ok := a.pages[pid]
-	if !ok {
+	p, image := a.pages[r.PageID], r.Old
+	switch {
+	case r.Type == RecIndexInsert || r.Type == RecIndexDelete:
 		return nil
+	case r.Type == RecInsert && act != Redo, r.Type == RecDelete && act == Redo:
+		delete(a.pages, r.PageID)
+		return nil
+	case act == Redo:
+		image = r.New
+	case act == Compensate && r.Type == RecUpdate:
+		if p == nil || !bytes.Equal(p[r.Offset:int(r.Offset)+len(r.New)], r.New) {
+			return nil
+		}
 	}
-	if bytes.Equal(p[int(offset):int(offset)+len(new)], new) {
-		copy(p[int(offset):], old)
+	if p == nil {
+		p = make([]byte, 64)
+		a.pages[r.PageID] = p
 	}
+	copy(p[r.Offset:], image)
 	return nil
 }
-
-func (a *applier) RedoInsert(objectID uint32, pid uint64, slot uint16, tuple []byte) error {
-	return a.ApplyUpdate(pid, slot, 0, tuple)
-}
-
-func (a *applier) UndoInsert(pid uint64, slot uint16) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	delete(a.pages, pid)
-	return nil
-}
-
-func (a *applier) RedoDelete(objectID uint32, pid uint64, slot uint16) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	delete(a.pages, pid)
-	return nil
-}
-
-func (a *applier) UndoDelete(objectID uint32, pid uint64, slot uint16, tuple []byte) error {
-	return a.ApplyUpdate(pid, slot, 0, tuple)
-}
-
-func (a *applier) RedoIndexInsert(objectID uint32, key int64, value uint64) error { return nil }
-
-func (a *applier) RedoIndexDelete(objectID uint32, key int64, value uint64) error { return nil }
-
-func (a *applier) UndoIndexInsert(objectID uint32, key int64, value uint64) error { return nil }
-
-func (a *applier) UndoIndexDelete(objectID uint32, key int64, value uint64) error { return nil }
 
 func TestReplayRedoAndLoserUndo(t *testing.T) {
 	l := New()

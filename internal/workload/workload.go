@@ -10,6 +10,7 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"time"
@@ -94,25 +95,17 @@ func nonUniform(r *rand.Rand, a, x, y int64) int64 {
 
 // putInt64 encodes v little-endian into b[off:off+8].
 func putInt64(b []byte, off int, v int64) {
-	for i := 0; i < 8; i++ {
-		b[off+i] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(b[off:], uint64(v))
 }
 
 // getInt64 decodes a little-endian int64 from b[off:off+8].
 func getInt64(b []byte, off int) int64 {
-	var v int64
-	for i := 0; i < 8; i++ {
-		v |= int64(b[off+i]) << (8 * i)
-	}
-	return v
+	return int64(binary.LittleEndian.Uint64(b[off:]))
 }
 
 // int64Bytes returns the little-endian encoding of v.
 func int64Bytes(v int64) []byte {
-	b := make([]byte, 8)
-	putInt64(b, 0, v)
-	return b
+	return binary.LittleEndian.AppendUint64(nil, uint64(v))
 }
 
 // fill fills a tuple with a deterministic pattern so pages are not trivially

@@ -186,11 +186,11 @@ func (z *Zipfian) HotSetMass(k int64) float64 {
 	return zetaSum(k, z.theta) / z.zetan
 }
 
-// scrambleKey spreads a zipfian rank across the keyspace with an FNV-1a
+// ScrambleKey spreads a zipfian rank across the keyspace with an FNV-1a
 // hash (YCSB's scrambled-zipfian), so the hot set is not one contiguous
 // key range sharing heap pages. Collisions merely merge two ranks onto one
 // key, exactly as in YCSB.
-func scrambleKey(rank, n int64) int64 {
+func ScrambleKey(rank, n int64) int64 {
 	const (
 		offset64 = 0xcbf29ce484222325
 		prime64  = 0x100000001b3
@@ -356,7 +356,7 @@ func (w *YCSB) nextKey(r *rand.Rand) int64 {
 		}
 		return w.maxKey - rank
 	default: // zipfian, scrambled across the keyspace
-		return scrambleKey(w.zipf.Next(r), n)
+		return ScrambleKey(w.zipf.Next(r), n)
 	}
 }
 

@@ -155,10 +155,8 @@ type Config struct {
 	PagesPerBlock int
 	// Chips is the number of NAND chips (default 1).
 	Chips int
-	// SLCCells selects SLC instead of MLC cells.
-	SLCCells bool
-	// FlashMode selects the MLC operation mode (default MLCFull; ignored
-	// for SLC cells).
+	// FlashMode selects how the Flash is operated (default MLCFull).
+	// SLCMode builds the device from SLC cells, every other mode from MLC.
 	FlashMode FlashMode
 	// WriteMode selects the eviction write path (default Traditional).
 	WriteMode WriteMode
@@ -215,9 +213,6 @@ type Config struct {
 	// since the last one (default 0: no background checkpointer; call
 	// DB.Checkpoint explicitly).
 	CheckpointEveryBytes uint64
-	// CheckpointInterval additionally (or alternatively) takes a fuzzy
-	// checkpoint on a wall-clock period (default 0: disabled).
-	CheckpointInterval time.Duration
 	// RecoveryParallelism is the number of redo workers Reopen partitions
 	// the post-checkpoint log across, by heap page / index object (default
 	// 4). 1 selects the serial replay used as the oracle in tests.
@@ -348,7 +343,7 @@ func Open(cfg Config) (*DB, error) {
 	cfg = cfg.withDefaults()
 
 	cell := nand.MLC
-	if cfg.SLCCells {
+	if cfg.FlashMode == SLCMode {
 		cell = nand.SLC
 	}
 	devCfg := flashdev.Config{
@@ -374,18 +369,13 @@ func Open(cfg Config) (*DB, error) {
 		return nil, fmt.Errorf("ipa: %w", err)
 	}
 
-	flashMode := cfg.FlashMode.internal()
-	if cfg.SLCCells {
-		flashMode = nand.ModeSLC
-	}
-	scheme := cfg.Scheme.internal()
-	if err := scheme.Validate(); err != nil {
+	if err := cfg.Scheme.internal().Validate(); err != nil {
 		return nil, fmt.Errorf("ipa: %w", err)
 	}
 	if err := cfg.IndexScheme.internal().Validate(); err != nil {
 		return nil, fmt.Errorf("ipa: index scheme: %w", err)
 	}
-	f, err := ftl.New(dev, cfg.ftlConfig(flashMode))
+	f, err := ftl.New(dev, cfg.ftlConfig())
 	if err != nil {
 		return nil, fmt.Errorf("ipa: %w", err)
 	}
@@ -420,7 +410,7 @@ func (c Config) formatAreaSize() int {
 // everything in front of the delta-record area plus the page footer behind
 // it; appended delta records carry their own ECC slots (Figure 3). This is
 // the "low-level format" parameter of demo scenario 2.
-func (c Config) ftlConfig(flashMode nand.Mode) ftl.Config {
+func (c Config) ftlConfig() ftl.Config {
 	area := c.formatAreaSize()
 	eccCover, eccTail := c.PageSize, 0
 	if area > 0 && c.WriteMode != Traditional {
@@ -428,7 +418,7 @@ func (c Config) ftlConfig(flashMode nand.Mode) ftl.Config {
 		eccTail = pageFooterSize
 	}
 	return ftl.Config{
-		FlashMode:        flashMode,
+		FlashMode:        c.FlashMode.internal(),
 		OverprovisionPct: c.OverprovisionPct,
 		InPlaceMerge:     c.WriteMode == IPAConventionalSSD,
 		EccCoverBytes:    eccCover,
@@ -441,9 +431,6 @@ func (c Config) ftlConfig(flashMode nand.Mode) ftl.Config {
 // rebuilt FTL and the durable remains of a crashed log.
 func assemble(cfg Config, dev *flashdev.Device, f *ftl.FTL, log *wal.Log, txns *txn.Manager) (*DB, error) {
 	flashMode := cfg.FlashMode.internal()
-	if cfg.SLCCells {
-		flashMode = nand.ModeSLC
-	}
 	regions := region.NewManager(region.Region{
 		Name:      "default",
 		Scheme:    cfg.Scheme.internal(),
@@ -623,25 +610,45 @@ func (db *DB) CreateTableWithScheme(name string, tupleSize int, scheme Scheme) (
 				name, part.what, s, s.AreaSize(pageMetaSize), formatArea, db.cfg.Scheme, db.cfg.IndexScheme)
 		}
 	}
-	id := db.nextObjID
-	idxID := db.nextObjID + 1
-	db.nextObjID += 2
-	db.regions.Assign(id, region.Region{
-		Name:      name,
-		Scheme:    internal,
-		FlashMode: db.regions.Default().FlashMode,
-	})
-	db.regions.Assign(idxID, region.Region{
-		Name:      name + ".pk",
-		Scheme:    idxScheme,
-		FlashMode: db.regions.Default().FlashMode,
-		Kind:      region.KindIndex,
-	})
+	return db.registerTableLocked(name, db.nextObjID, db.nextObjID+1, tupleSize, internal, idxScheme), nil
+}
+
+// registerTableLocked enters a table into the catalog: the NoFTL regions
+// of its heap and of its primary-key index, the object itself and the
+// lookup maps. CreateTableWithScheme calls it with fresh identifiers and
+// Reopen with the crashed instance's, so a recovered catalog is built by
+// the code that built the original. The caller holds db.mu, or — Reopen —
+// owns a DB nothing else can reach yet.
+func (db *DB) registerTableLocked(name string, id, idxID uint32, tupleSize int, scheme, idxScheme core.Scheme) *Table {
+	db.assignRegionLocked(id, name, scheme, region.KindHeap)
+	db.assignRegionLocked(idxID, name+".pk", idxScheme, region.KindIndex)
 	t := newTable(db, name, id, idxID, tupleSize)
 	db.tables[name] = t
 	db.tablesByID[id] = t
 	db.indexesByID[idxID] = t
-	return t, nil
+	return t
+}
+
+// registerSecondaryLocked enters a secondary index of t into the catalog,
+// for CreateSecondaryIndex and Reopen alike; the caller, holding db.mu (or
+// owning the DB, as above), appends it to t.secondaries under t.mu — which
+// is never waited for with db.mu held, because writers take page latches
+// under t.mu and rollback looks tables up under a page latch.
+func (db *DB) registerSecondaryLocked(t *Table, name string, id uint32, scheme core.Scheme, extract ExtractFunc) *SecondaryIndex {
+	db.assignRegionLocked(id, t.name+"."+name, scheme, region.KindIndex)
+	s := newSecondaryIndex(t, name, id, extract)
+	db.secondaryByID[id] = s
+	db.secondaryByName[t.name+"."+name] = s
+	return s
+}
+
+// assignRegionLocked gives a database object a region of its own, in the
+// device's flash mode, and keeps nextObjID above every identifier in use.
+func (db *DB) assignRegionLocked(id uint32, name string, scheme core.Scheme, kind region.Kind) {
+	db.regions.Assign(id, region.Region{Name: name, Scheme: scheme, FlashMode: db.regions.Default().FlashMode, Kind: kind})
+	if id >= db.nextObjID {
+		db.nextObjID = id + 1
+	}
 }
 
 // secondaryCount returns the number of secondary indexes in the catalog.
@@ -1008,7 +1015,7 @@ func (db *DB) writeCatalog(ckptLSN, cut uint64) error {
 // startCheckpointer launches the flush-behind checkpointer goroutine when
 // the configuration asks for one.
 func (db *DB) startCheckpointer() {
-	if db.cfg.CheckpointEveryBytes == 0 && db.cfg.CheckpointInterval <= 0 {
+	if db.cfg.CheckpointEveryBytes == 0 {
 		return
 	}
 	db.ckptStop = make(chan struct{})
@@ -1018,25 +1025,19 @@ func (db *DB) startCheckpointer() {
 
 // checkpointLoop is the flush-behind checkpointer: it polls the WAL growth
 // and takes a fuzzy checkpoint whenever CheckpointEveryBytes have
-// accumulated since the last one, or unconditionally every
-// CheckpointInterval. It exits on Close/Crash or on the first checkpoint
-// error (after a power cut every flash operation fails; recovery restarts
-// a fresh checkpointer).
+// accumulated since the last one. It exits on Close/Crash or on the first
+// checkpoint error (after a power cut every flash operation fails;
+// recovery restarts a fresh checkpointer).
 func (db *DB) checkpointLoop() {
 	defer close(db.ckptDone)
-	period := db.cfg.CheckpointInterval
-	byTime := period > 0
-	if !byTime {
-		period = 10 * time.Millisecond // byte-threshold polling cadence
-	}
-	ticker := time.NewTicker(period)
+	ticker := time.NewTicker(10 * time.Millisecond) // byte-threshold polling cadence
 	defer ticker.Stop()
 	for {
 		select {
 		case <-db.ckptStop:
 			return
 		case <-ticker.C:
-			if !byTime && db.log.BytesWritten()-db.walBytesAtCkpt.Load() < db.cfg.CheckpointEveryBytes {
+			if sub(db.log.BytesWritten(), db.walBytesAtCkpt.Load()) < db.cfg.CheckpointEveryBytes {
 				continue
 			}
 			if _, err := db.Checkpoint(); err != nil {

@@ -99,7 +99,6 @@ func TestEngineInsertUpdateReadBack(t *testing.T) {
 	for _, tc := range allModes() {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallConfig(tc.mode, tc.scheme, tc.flash)
-			cfg.SLCCells = tc.flash == ipa.SLCMode
 			db, err := ipa.Open(cfg)
 			if err != nil {
 				t.Fatalf("Open: %v", err)
@@ -213,7 +212,6 @@ func TestEngineRecovery(t *testing.T) {
 	for _, tc := range allModes() {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallConfig(tc.mode, tc.scheme, tc.flash)
-			cfg.SLCCells = tc.flash == ipa.SLCMode
 			db, err := ipa.Open(cfg)
 			if err != nil {
 				t.Fatalf("Open: %v", err)

@@ -10,9 +10,7 @@ import (
 	"ipa/internal/ftl"
 	"ipa/internal/heap"
 	"ipa/internal/index"
-	"ipa/internal/nand"
 	"ipa/internal/page"
-	"ipa/internal/region"
 	"ipa/internal/txn"
 	"ipa/internal/wal"
 )
@@ -155,11 +153,7 @@ func Reopen(img *CrashImage) (*DB, error) {
 	if cfg.Faults != nil {
 		cfg.Faults.PowerCycle()
 	}
-	flashMode := cfg.FlashMode.internal()
-	if cfg.SLCCells {
-		flashMode = nand.ModeSLC
-	}
-	f, report, err := ftl.Rebuild(img.dev, cfg.ftlConfig(flashMode))
+	f, report, err := ftl.Rebuild(img.dev, cfg.ftlConfig())
 	if err != nil {
 		return nil, fmt.Errorf("ipa: reopen: %w", err)
 	}
@@ -178,40 +172,9 @@ func Reopen(img *CrashImage) (*DB, error) {
 	// Recreate the catalog with the original object identifiers so the
 	// region assignments and page ownership line up with the Flash image.
 	for _, spec := range img.tables {
-		db.regions.Assign(spec.id, region.Region{
-			Name:      spec.name,
-			Scheme:    spec.scheme,
-			FlashMode: db.regions.Default().FlashMode,
-		})
-		db.regions.Assign(spec.idxID, region.Region{
-			Name:      spec.name + ".pk",
-			Scheme:    spec.idxScheme,
-			FlashMode: db.regions.Default().FlashMode,
-			Kind:      region.KindIndex,
-		})
-		t := newTable(db, spec.name, spec.id, spec.idxID, spec.tupleSize)
-		db.tables[spec.name] = t
-		db.tablesByID[spec.id] = t
-		db.indexesByID[spec.idxID] = t
-		for _, id := range []uint32{spec.id, spec.idxID} {
-			if id >= db.nextObjID {
-				db.nextObjID = id + 1
-			}
-		}
+		t := db.registerTableLocked(spec.name, spec.id, spec.idxID, spec.tupleSize, spec.scheme, spec.idxScheme)
 		for _, ss := range spec.secondaries {
-			db.regions.Assign(ss.id, region.Region{
-				Name:      spec.name + "." + ss.name,
-				Scheme:    ss.scheme,
-				FlashMode: db.regions.Default().FlashMode,
-				Kind:      region.KindIndex,
-			})
-			s := newSecondaryIndex(t, ss.name, ss.id, ss.extract)
-			t.secondaries = append(t.secondaries, s)
-			db.secondaryByID[ss.id] = s
-			db.secondaryByName[spec.name+"."+ss.name] = s
-			if ss.id >= db.nextObjID {
-				db.nextObjID = ss.id + 1
-			}
+			t.secondaries = append(t.secondaries, db.registerSecondaryLocked(t, ss.name, ss.id, ss.scheme, ss.extract))
 		}
 	}
 	// New page identifiers must not collide with any page on Flash or in
@@ -253,7 +216,7 @@ func Reopen(img *CrashImage) (*DB, error) {
 	// records at or below it were force-flushed before the checkpoint
 	// became durable, so redo starts there instead of LSN 1.
 	analysis := db.log.Analyze()
-	redone, err := db.log.Replay(analysis, pageUndoer{db: db, undo: true}, cfg.RecoveryParallelism, db.ckptCut.Load())
+	redone, err := db.log.Replay(analysis, applier{db}, cfg.RecoveryParallelism, db.ckptCut.Load())
 	if err != nil {
 		return nil, fmt.Errorf("ipa: reopen: %w", err)
 	}
@@ -394,37 +357,19 @@ func (db *DB) adoptSurvivingPages(floor uint64) error {
 	return nil
 }
 
-// loadCatalog decodes the surviving checkpoint state (if any): the last
+// loadCatalog adopts the surviving checkpoint state (if any): the last
 // checkpoint's LSN becomes the CheckpointLSN gauge and its max commit
 // timestamp bumps the oracle — after truncation the retained log may hold
 // no RecCommit records at all, so the catalog is the only witness of how
 // far commit timestamps had advanced.
 func (db *DB) loadCatalog() error {
-	enc := db.catalogPID.Load()
-	if enc == 0 {
-		return nil
+	st, ok, err := db.CheckpointState()
+	if err != nil || !ok {
+		return err
 	}
-	pid := enc - 1
-	h, err := db.pool.Fetch(pid)
-	if err != nil {
-		return fmt.Errorf("catalog page %d: %w", pid, err)
-	}
-	defer h.Release()
-	pg, err := page.Wrap(h.Data())
-	if err != nil {
-		return fmt.Errorf("catalog page %d: %w", pid, err)
-	}
-	tuple, err := pg.Tuple(0)
-	if err != nil {
-		return fmt.Errorf("catalog page %d: %w", pid, err)
-	}
-	ckptLSN, cut, maxTS, ok := decodeCatalogTuple(tuple)
-	if !ok {
-		return fmt.Errorf("catalog page %d: bad magic", pid)
-	}
-	db.checkpointLSN.Store(ckptLSN)
-	db.ckptCut.Store(cut)
-	db.txns.Oracle().StartAt(maxTS)
+	db.checkpointLSN.Store(st.LSN)
+	db.ckptCut.Store(st.TruncatedLSN)
+	db.txns.Oracle().StartAt(st.MaxCommitTS)
 	return nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"ipa/internal/core"
 	"ipa/internal/heap"
 	"ipa/internal/index"
-	"ipa/internal/region"
 )
 
 // ErrIndexNotFound is returned when a named secondary index does not exist.
@@ -237,8 +236,6 @@ func (t *Table) CreateSecondaryIndex(name string, extract ExtractFunc) (*Seconda
 		db.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q on table %q", ErrIndexExists, name, t.name)
 	}
-	id := db.nextObjID
-	db.nextObjID++
 	idxScheme := db.cfg.IndexScheme.internal()
 	if !idxScheme.Enabled() {
 		idxScheme = db.regions.For(t.id).Scheme
@@ -246,15 +243,7 @@ func (t *Table) CreateSecondaryIndex(name string, extract ExtractFunc) (*Seconda
 	if db.cfg.WriteMode == Traditional {
 		idxScheme = core.Disabled
 	}
-	db.regions.Assign(id, region.Region{
-		Name:      t.name + "." + name,
-		Scheme:    idxScheme,
-		FlashMode: db.regions.Default().FlashMode,
-		Kind:      region.KindIndex,
-	})
-	s := newSecondaryIndex(t, name, id, extract)
-	db.secondaryByID[id] = s
-	db.secondaryByName[t.name+"."+name] = s
+	s := db.registerSecondaryLocked(t, name, db.nextObjID, idxScheme, extract)
 	db.mu.Unlock()
 
 	t.mu.Lock()
@@ -285,7 +274,7 @@ func (t *Table) CreateSecondaryIndex(name string, extract ExtractFunc) (*Seconda
 }
 
 // newSecondaryIndex constructs the in-memory object (no backfill, no
-// registration); Reopen uses it to recreate crashed indexes.
+// registration).
 func newSecondaryIndex(t *Table, name string, id uint32, extract ExtractFunc) *SecondaryIndex {
 	return &SecondaryIndex{
 		table:   t,

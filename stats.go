@@ -275,7 +275,7 @@ func (db *DB) Stats() Stats {
 
 		CheckpointLSN:           db.checkpointLSN.Load(),
 		WALSegments:             db.log.Segments(),
-		WALBytesSinceCheckpoint: db.log.BytesWritten() - db.walBytesAtCkpt.Load(),
+		WALBytesSinceCheckpoint: sub(db.log.BytesWritten(), db.walBytesAtCkpt.Load()),
 		RecoveryRedoRecords:     db.recoveryStats.RecordsRedone,
 		RecoveryParallelism:     db.cfg.RecoveryParallelism,
 

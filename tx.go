@@ -10,6 +10,7 @@ import (
 	"ipa/internal/heap"
 	"ipa/internal/page"
 	"ipa/internal/txn"
+	"ipa/internal/wal"
 )
 
 // ErrConflict is returned when a transaction cannot acquire a record lock.
@@ -441,7 +442,7 @@ func (tx *Tx) Abort() error {
 		return derr
 	}
 	defer tx.db.release()
-	if err := tx.inner.Abort(pageUndoer{db: tx.db, undo: true}); err != nil {
+	if err := tx.inner.Abort(applier{tx.db}); err != nil {
 		return err
 	}
 	// The undo pass restored the tuples and persistent index entries, and
@@ -453,98 +454,55 @@ func (tx *Tx) Abort() error {
 	return nil
 }
 
-// pageUndoer applies before/after images directly to buffered pages; it is
-// used both by transaction rollback and by WAL-based recovery. With undo
-// set it tolerates pages that no longer exist — a loser transaction's page
-// the crash took before its first flush needs no rollback.
-type pageUndoer struct {
-	db   *DB
-	undo bool
-}
+// applier turns write-ahead log records into page and index writes: the
+// one place outside tests that switches on a record's type to change the
+// database. Transaction rollback (Undo), recovery's forward pass (Redo, and
+// Compensate for transactions that aborted before the crash) and its
+// reverse pass over the losers (Undo) all come through Apply:
+//
+//	                 Redo                       Undo                              Compensate
+//	RecUpdate        install New                install Old                       install Old iff slot live and bytes == New
+//	RecInsert        recreate lost page, fill   delete slot iff present, live     as Undo (replay never asks)
+//	                 gap slots, restore New
+//	RecDelete        delete slot iff live       restore Old iff slot deleted      as Undo
+//	RecIndexInsert   put key → RID              drop iff pk still maps to this    as Undo (replay never asks)
+//	                                            RID / the exact secondary pair
+//	RecIndexDelete   drop                       put iff pk key unmapped / the     as Undo
+//	                                            exact secondary pair
+//
+// Every cell is idempotent, and every cell but RecInsert/Redo skips a page
+// that never reached Flash (ftl.ErrUnmapped): there is nothing to repeat
+// or roll back on it.
+type applier struct{ db *DB }
 
-// ApplyUpdate installs image at the byte offset of the tuple in slot on
-// page pid.
-func (u pageUndoer) ApplyUpdate(pid uint64, slot uint16, offset uint16, image []byte) error {
-	h, err := u.db.pool.Fetch(pid)
-	if err != nil {
-		if u.undo && errors.Is(err, ftl.ErrUnmapped) {
+// Apply implements wal.Applier.
+func (ap applier) Apply(r *wal.Record, a wal.Action) error {
+	db, redo := ap.db, a == wal.Redo
+	switch r.Type {
+	case wal.RecUpdate, wal.RecInsert, wal.RecDelete:
+	case wal.RecIndexInsert:
+		return ap.applyIndex(r.ObjectID, r.Key, wal.ValueOf(r.New), redo, !redo)
+	case wal.RecIndexDelete:
+		return ap.applyIndex(r.ObjectID, r.Key, wal.ValueOf(r.Old), !redo, !redo)
+	default:
+		return fmt.Errorf("ipa: a %s record has nothing to apply", r.Type)
+	}
+	pid, slot := r.PageID, int(r.Slot)
+	h, err := db.pool.Fetch(pid)
+	if errors.Is(err, ftl.ErrUnmapped) {
+		if r.Type != wal.RecInsert || !redo {
 			return nil
 		}
-		return err
-	}
-	defer h.Release()
-	pg, err := page.Wrap(h.Data())
-	if err != nil {
-		return err
-	}
-	pg.SetRecorder(h.Tracker())
-	if err := pg.UpdateTupleAt(int(slot), int(offset), image); err != nil {
-		return err
-	}
-	h.MarkDirty()
-	return nil
-}
-
-// CompensateUpdate rolls back the flushed residue of an update whose
-// transaction aborted before the crash, during the forward replay pass.
-// The before image is installed only if the page bytes still equal the
-// after image: a page flushed after the in-memory rollback (or rewritten
-// by a later committed transaction) already carries the right bytes and
-// must not be clobbered. This conditional form is what keeps replay
-// correct when checkpoint truncation removed part of the transaction's
-// records — whatever compensation records survive are safe to re-apply.
-func (u pageUndoer) CompensateUpdate(pid uint64, slot uint16, offset uint16, old, new []byte) error {
-	h, err := u.db.pool.Fetch(pid)
-	if err != nil {
-		if errors.Is(err, ftl.ErrUnmapped) {
-			// The page never reached Flash: there is no residue.
-			return nil
-		}
-		return err
-	}
-	defer h.Release()
-	pg, err := page.Wrap(h.Data())
-	if err != nil {
-		return err
-	}
-	pg.SetRecorder(h.Tracker())
-	if int(slot) >= pg.SlotCount() {
-		return nil
-	}
-	if deleted, err := pg.Deleted(int(slot)); err != nil || deleted {
-		return err
-	}
-	cur, err := pg.Tuple(int(slot))
-	if err != nil {
-		return err
-	}
-	if int(offset)+len(new) > len(cur) || !bytes.Equal(cur[offset:int(offset)+len(new)], new) {
-		return nil
-	}
-	if err := pg.UpdateTupleAt(int(slot), int(offset), old); err != nil {
-		return err
-	}
-	h.MarkDirty()
-	return nil
-}
-
-// RedoInsert rematerialises a committed insert: the page is recreated if
-// the crash lost it before its first flush, missing slots are materialised
-// in order (fixed-size tuples make the layout deterministic) and the tuple
-// bytes are installed. It is idempotent.
-func (u pageUndoer) RedoInsert(objectID uint32, pid uint64, slot uint16, tuple []byte) error {
-	h, err := u.db.pool.Fetch(pid)
-	if err != nil && errors.Is(err, ftl.ErrUnmapped) {
-		h, err = u.db.pool.Create(pid, func(buf []byte, t *core.Tracker) error {
-			return u.db.store.InitPage(buf, pid, objectID, t)
+		// A committed insert whose page the crash took before its first
+		// flush: the page comes back empty and rejoins its heap file.
+		h, err = db.pool.Create(pid, func(buf []byte, t *core.Tracker) error {
+			return db.store.InitPage(buf, pid, r.ObjectID, t)
 		})
 		if err == nil {
-			u.db.store.EnsureAllocated(pid + 1)
-			u.db.mu.Lock()
-			if t := u.db.tablesByID[objectID]; t != nil {
+			db.store.EnsureAllocated(pid + 1)
+			if t := db.tableByID(r.ObjectID); t != nil {
 				t.heap.AdoptPage(pid)
 			}
-			u.db.mu.Unlock()
 		}
 	}
 	if err != nil {
@@ -556,206 +514,112 @@ func (u pageUndoer) RedoInsert(objectID uint32, pid uint64, slot uint16, tuple [
 		return err
 	}
 	pg.SetRecorder(h.Tracker())
-	// Materialise any missing slots in front of this one. Each gap slot
-	// belongs to another logged insert with a LOWER LSN — Tx.Insert holds
-	// the table mutex across slot assignment and log append, so slot order
-	// equals LSN order per page, and a commit flush covering this record
-	// also made every lower-slot record durable. That insert will either
-	// restore the gap slot (committed) or delete it (loser) in its own
-	// turn, so no placeholder survives recovery.
-	for pg.SlotCount() <= int(slot) {
-		if _, err := pg.InsertTuple(make([]byte, len(tuple))); err != nil {
-			return err
+	var note func(*heap.File)
+	switch {
+	case r.Type == wal.RecInsert && redo:
+		// Materialise any missing slots in front of this one. Each gap slot
+		// belongs to another logged insert with a LOWER LSN — Tx.Insert holds
+		// the table mutex across slot assignment and log append, so slot order
+		// equals LSN order per page, and a commit flush covering this record
+		// also made every lower-slot record durable. That insert will either
+		// restore the gap slot (committed) or delete it (loser) in its own
+		// turn, so no placeholder survives recovery. Fixed-size tuples make
+		// the layout deterministic.
+		for pg.SlotCount() <= slot {
+			if _, err := pg.InsertTuple(make([]byte, len(r.New))); err != nil {
+				return err
+			}
 		}
-	}
-	if err := pg.RestoreTuple(int(slot), tuple); err != nil {
-		return err
-	}
-	h.MarkDirty()
-	return nil
-}
-
-// UndoInsert deletes the tuple a rolled-back insert left behind, if it is
-// still present. It is idempotent; pages that never reached Flash are
-// skipped. The primary-key entry is removed separately by the
-// transaction's RecIndexInsert undo record.
-func (u pageUndoer) UndoInsert(pid uint64, slot uint16) error {
-	h, err := u.db.pool.Fetch(pid)
-	if err != nil {
-		if errors.Is(err, ftl.ErrUnmapped) {
+		err = pg.RestoreTuple(slot, r.New)
+	case r.Type == wal.RecUpdate && redo:
+		err = pg.UpdateTupleAt(slot, int(r.Offset), r.New)
+	case r.Type == wal.RecUpdate && a == wal.Undo:
+		err = pg.UpdateTupleAt(slot, int(r.Offset), r.Old)
+	default:
+		// The conditional cells look at the slot first.
+		if slot >= pg.SlotCount() {
 			return nil
 		}
-		return err
-	}
-	defer h.Release()
-	pg, err := page.Wrap(h.Data())
-	if err != nil {
-		return err
-	}
-	pg.SetRecorder(h.Tracker())
-	if int(slot) >= pg.SlotCount() {
-		return nil
-	}
-	deleted, err := pg.Deleted(int(slot))
-	if err != nil || deleted {
-		return err
-	}
-	if err := pg.DeleteTuple(int(slot)); err != nil {
-		return err
-	}
-	h.MarkDirty()
-	if t := u.db.tableByID(pg.ObjectID()); t != nil {
-		t.heap.NoteUndoneInsert()
-	}
-	return nil
-}
-
-// RedoDelete re-applies a committed tuple deletion. It is idempotent:
-// slots that are already deleted or never reached Flash are skipped.
-func (u pageUndoer) RedoDelete(objectID uint32, pid uint64, slot uint16) error {
-	h, err := u.db.pool.Fetch(pid)
-	if err != nil {
-		if errors.Is(err, ftl.ErrUnmapped) {
-			return nil
+		deleted, derr := pg.Deleted(slot)
+		if derr != nil {
+			return derr
 		}
-		return err
-	}
-	defer h.Release()
-	pg, err := page.Wrap(h.Data())
-	if err != nil {
-		return err
-	}
-	pg.SetRecorder(h.Tracker())
-	if int(slot) >= pg.SlotCount() {
-		return nil
-	}
-	deleted, err := pg.Deleted(int(slot))
-	if err != nil || deleted {
-		return err
-	}
-	if err := pg.DeleteTuple(int(slot)); err != nil {
-		return err
-	}
-	h.MarkDirty()
-	if t := u.db.tableByID(objectID); t != nil {
-		t.heap.NoteUndoneInsert()
-	}
-	return nil
-}
-
-// UndoDelete restores the before image of a tuple a rolled-back delete
-// removed, if the deletion reached the surviving state at all.
-func (u pageUndoer) UndoDelete(objectID uint32, pid uint64, slot uint16, tuple []byte) error {
-	h, err := u.db.pool.Fetch(pid)
-	if err != nil {
-		if u.undo && errors.Is(err, ftl.ErrUnmapped) {
-			return nil
+		switch {
+		case r.Type == wal.RecUpdate:
+			if deleted {
+				return nil
+			}
+			cur, terr := pg.Tuple(slot)
+			if terr != nil {
+				return terr
+			}
+			end := int(r.Offset) + len(r.New)
+			if end > len(cur) || !bytes.Equal(cur[r.Offset:end], r.New) {
+				return nil
+			}
+			err = pg.UpdateTupleAt(slot, int(r.Offset), r.Old)
+		case (r.Type == wal.RecDelete) == redo:
+			// A delete repeated or an insert rolled back: the slot goes.
+			// The tuple's index entries have records of their own.
+			if deleted {
+				return nil
+			}
+			err, note = pg.DeleteTuple(slot), (*heap.File).NoteUndoneInsert
+		default:
+			// A delete rolled back, if it reached the surviving state at all.
+			if !deleted {
+				return nil
+			}
+			err, note = pg.RestoreTuple(slot, r.Old), (*heap.File).NoteRestoredTuple
 		}
-		return err
 	}
-	defer h.Release()
-	pg, err := page.Wrap(h.Data())
 	if err != nil {
-		return err
-	}
-	pg.SetRecorder(h.Tracker())
-	if int(slot) >= pg.SlotCount() {
-		return nil
-	}
-	deleted, err := pg.Deleted(int(slot))
-	if err != nil {
-		return err
-	}
-	if !deleted {
-		return nil
-	}
-	if err := pg.RestoreTuple(int(slot), tuple); err != nil {
 		return err
 	}
 	h.MarkDirty()
-	if t := u.db.tableByID(objectID); t != nil {
-		t.heap.NoteRestoredTuple()
+	if note != nil {
+		if t := db.tableByID(r.ObjectID); t != nil {
+			note(t.heap)
+		}
 	}
 	return nil
 }
 
-// RedoIndexInsert re-applies a committed logical index insertion: the key
-// maps to the packed RID in both the volatile directory and the
-// persistent entry file of the index named by objectID — the primary key
-// of a table or one of its secondary indexes. Re-applying an existing
-// mapping is idempotent (a pk remap rewrites the entry's value bytes in
-// place; an existing secondary pair is a no-op).
-func (u pageUndoer) RedoIndexInsert(objectID uint32, key int64, value uint64) error {
-	if t := u.db.tableByIndexID(objectID); t != nil {
+// applyIndex puts (key → value) into, or drops it from, the index named by
+// objectID — a table's primary key or one of its secondary indexes — in
+// both the volatile directory and the persistent entry file. Repeating
+// history is unconditional and idempotent (a pk remap rewrites the entry's
+// value bytes in place, the key alone names the entry to drop; an existing
+// secondary pair is a no-op). Rolling back is conditional on the primary
+// key, so that a later committed writer of the same key is never
+// clobbered: an entry is restored only while the key is unmapped and
+// dropped only while it still maps to this RID. Secondary entries are
+// (key, RID) pairs and heap slots are never reused, so the exact pair gives
+// the same guarantee there with no condition.
+func (ap applier) applyIndex(objectID uint32, key int64, value uint64, put, conditional bool) error {
+	ap.db.mu.Lock()
+	t, s := ap.db.indexesByID[objectID], ap.db.secondaryByID[objectID]
+	ap.db.mu.Unlock()
+	switch {
+	case t != nil:
 		t.mu.Lock()
 		defer t.mu.Unlock()
-		return t.indexSetLocked(key, value)
-	}
-	if s := u.db.secondaryByObjID(objectID); s != nil {
-		s.table.mu.Lock()
-		defer s.table.mu.Unlock()
-		return s.addLocked(key, value)
-	}
-	return fmt.Errorf("ipa: index record for unknown index object %d", objectID)
-}
-
-// RedoIndexDelete re-applies a committed logical index deletion
-// (idempotent: deleting an absent entry is a no-op). The primary key is
-// unique, so the key alone names the entry; a secondary index removes
-// exactly the (key, RID) pair the record carries.
-func (u pageUndoer) RedoIndexDelete(objectID uint32, key int64, value uint64) error {
-	if t := u.db.tableByIndexID(objectID); t != nil {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		return t.indexClearLocked(key)
-	}
-	if s := u.db.secondaryByObjID(objectID); s != nil {
-		s.table.mu.Lock()
-		defer s.table.mu.Unlock()
-		return s.removeLocked(key, value)
-	}
-	return fmt.Errorf("ipa: index record for unknown index object %d", objectID)
-}
-
-// UndoIndexInsert removes a rolled-back insertion's index entry, but only
-// while key still maps to exactly the rolled-back RID — a later committed
-// writer of the same key is never clobbered. Secondary entries are
-// (key, RID) pairs and heap slots are never reused, so pair-exact removal
-// gives the same guarantee there.
-func (u pageUndoer) UndoIndexInsert(objectID uint32, key int64, value uint64) error {
-	if t := u.db.tableByIndexID(objectID); t != nil {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		if v, ok := t.pk.Get(key); !ok || v != value {
-			return nil
+		if conditional {
+			if v, ok := t.pk.Get(key); put && ok || !put && (!ok || v != value) {
+				return nil
+			}
+		}
+		if put {
+			return t.indexSetLocked(key, value)
 		}
 		return t.indexClearLocked(key)
-	}
-	if s := u.db.secondaryByObjID(objectID); s != nil {
+	case s != nil:
 		s.table.mu.Lock()
 		defer s.table.mu.Unlock()
-		return s.removeLocked(key, value)
-	}
-	return fmt.Errorf("ipa: index record for unknown index object %d", objectID)
-}
-
-// UndoIndexDelete restores a rolled-back deletion's index entry if the key
-// is currently unmapped (a later committed writer wins otherwise). For a
-// secondary index the pair itself is restored; no later writer can own it
-// because heap slots are never reused.
-func (u pageUndoer) UndoIndexDelete(objectID uint32, key int64, value uint64) error {
-	if t := u.db.tableByIndexID(objectID); t != nil {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		if _, ok := t.pk.Get(key); ok {
-			return nil
+		if put {
+			return s.addLocked(key, value)
 		}
-		return t.indexSetLocked(key, value)
-	}
-	if s := u.db.secondaryByObjID(objectID); s != nil {
-		s.table.mu.Lock()
-		defer s.table.mu.Unlock()
-		return s.addLocked(key, value)
+		return s.removeLocked(key, value)
 	}
 	return fmt.Errorf("ipa: index record for unknown index object %d", objectID)
 }
@@ -765,20 +629,4 @@ func (db *DB) tableByID(objectID uint32) *Table {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return db.tablesByID[objectID]
-}
-
-// tableByIndexID returns the table owning the given primary-key index
-// object, or nil.
-func (db *DB) tableByIndexID(objectID uint32) *Table {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.indexesByID[objectID]
-}
-
-// secondaryByObjID returns the secondary index owning the given object,
-// or nil.
-func (db *DB) secondaryByObjID(objectID uint32) *SecondaryIndex {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.secondaryByID[objectID]
 }
