@@ -278,12 +278,12 @@ func TestDoubleCrashDuringCheckpoint(t *testing.T) {
 func TestWALSegmentRecycling(t *testing.T) {
 	cfg := checkpointConfig()
 	cfg.Blocks = 96
-	cfg.WALSegmentBytes = 4096
 	db, err := ipa.Open(cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	defer db.Close()
+	db.WAL().SetSegmentBytes(4096)
 	tbl, err := db.CreateTable("t", 256)
 	if err != nil {
 		t.Fatalf("CreateTable: %v", err)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"regexp"
 	"strings"
@@ -9,6 +10,55 @@ import (
 
 	"ipa/internal/bench"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/quick.golden")
+
+// quickGolden lists the experiments whose -quick output runs on the virtual
+// device clock alone and so repeats byte for byte; concurrent, readmix,
+// chips and crash print wall-clock columns.
+var quickGolden = []string{"table1", "fig1", "oltp", "longevity", "ipl", "scenarios",
+	"interference", "sweep", "index", "secondary", "ycsb"}
+
+var wallClockLine = regexp.MustCompile(`(?m)^\(completed in .* wall-clock\)\n`)
+
+// TestQuickExperimentsMatchGolden is the refactor oracle: a change that
+// means to leave the engine's behaviour alone leaves these experiments'
+// output unchanged. A change that moves them on purpose reruns the test
+// with -update and shows the diff of testdata/quick.golden.
+func TestQuickExperimentsMatchGolden(t *testing.T) {
+	if testing.Short() || raceDetector {
+		t.Skip("runs the eleven deterministic experiments (≈11 s; far longer under -race)")
+	}
+	var out bytes.Buffer
+	for _, name := range quickGolden {
+		var stderr bytes.Buffer
+		if code := run([]string{"-exp", name, "-quick"}, &out, &stderr); code != 0 {
+			t.Fatalf("-exp %s -quick exited %d: %s", name, code, stderr.String())
+		}
+	}
+	got := wallClockLine.ReplaceAllString(out.String(), "")
+	const path = "testdata/quick.golden"
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := range min(len(gotLines), len(wantLines)) {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("output differs from %s at line %d:\n got: %q\nwant: %q", path, i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("output has %d lines, %s has %d", len(gotLines), path, len(wantLines))
+}
 
 // TestUnknownExperimentExitsNonZero pins the fix for `-exp tabel1`, which
 // used to print nothing and exit 0: an unknown name fails and lists the

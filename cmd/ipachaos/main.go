@@ -35,6 +35,11 @@ func main() {
 		quiet    = flag.Bool("q", false, "suppress progress lines")
 	)
 	flag.Parse()
+	if *duration <= 0 || *workers <= 0 || *accounts <= 0 {
+		fmt.Fprintf(os.Stderr, "ipachaos: -duration (%s), -workers (%d) and -accounts (%d) must be positive\n",
+			*duration, *workers, *accounts)
+		os.Exit(2)
+	}
 
 	o := chaos.DefaultOptions()
 	o.Duration = *duration

@@ -95,7 +95,10 @@ var goldenScript = []struct {
 		"delete users 2",
 		"delete users 2", // NOTFOUND
 	}},
-	{"tables", []string{"tables"}},
+	{"tables", []string{
+		"create accounts 32", // sorts before users: tables lists by name
+		"tables",
+	}},
 	{"flush", []string{"flush"}},
 	{"unknown", []string{"frobnicate the flash"}}, // UNKNOWN
 	{"quit", []string{"quit"}},

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -246,8 +248,17 @@ func TestStatsDerivedMetrics(t *testing.T) {
 	if s.Elapsed <= 0 || s.Throughput() < 0 {
 		t.Fatalf("virtual time accounting broken: %v", s.Elapsed)
 	}
-	if s.String() == "" {
-		t.Fatalf("Stats.String empty")
+	// The report prints the buffer pool on its own line and nothing of it
+	// on the log's.
+	report := s.String()
+	wantBuffer := fmt.Sprintf("buffer: hits=%d misses=%d shards=%d\n", s.BufferHits, s.BufferMisses, s.BufferShards)
+	if s.BufferMisses == 0 || !strings.Contains(report, wantBuffer) {
+		t.Fatalf("Stats.String has no %q line (misses %d):\n%s", wantBuffer, s.BufferMisses, report)
+	}
+	for _, line := range strings.Split(report, "\n") {
+		if strings.HasPrefix(line, "wal:") && strings.Contains(line, "shards=") {
+			t.Fatalf("Stats.String prints the buffer shard count on the wal line: %q", line)
+		}
 	}
 }
 
@@ -281,8 +292,17 @@ func TestCreateTableValidation(t *testing.T) {
 	if _, ok := db.Table("nosuch"); ok {
 		t.Fatalf("Table must report missing tables")
 	}
-	if names := db.Tables(); len(names) != 2 {
-		t.Fatalf("Tables() = %v", names)
+	for _, name := range []string{"zeta", "alpha", "mid"} {
+		if _, err := db.CreateTable(name, 64); err != nil {
+			t.Fatalf("CreateTable %s: %v", name, err)
+		}
+	}
+	// Sorted, hence the same on every call (not map order).
+	want := []string{"alpha", "mid", "ok", "optout", "zeta"}
+	for i := 0; i < 20; i++ {
+		if names := db.Tables(); !slices.Equal(names, want) {
+			t.Fatalf("Tables() = %v, want %v", names, want)
+		}
 	}
 	geo := db.Geometry()
 	if geo.PageSize != 4096 || geo.LogicalPages <= 0 {

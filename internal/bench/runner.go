@@ -220,37 +220,17 @@ func NewWorkload(name string, scale int, seed int64) (workload.Workload, error) 
 	}
 	switch name {
 	case "tpcb":
-		cfg := workload.DefaultTPCBConfig()
-		cfg.Branches = scale
-		cfg.Seed = seed
-		return workload.NewTPCB(cfg), nil
+		return workload.NewTPCB(workload.TPCBConfig{Branches: scale, Seed: seed}), nil
 	case "tpcc":
-		cfg := workload.DefaultTPCCConfig()
-		cfg.Warehouses = scale
-		cfg.Seed = seed
-		return workload.NewTPCC(cfg), nil
+		return workload.NewTPCC(workload.TPCCConfig{Warehouses: scale, Seed: seed}), nil
 	case "tatp", "tatpsec":
-		cfg := workload.DefaultTATPConfig()
-		cfg.Subscribers = scale * 5000
-		cfg.Seed = seed
-		cfg.SecondaryLookups = name == "tatpsec"
-		return workload.NewTATP(cfg), nil
+		return workload.NewTATP(workload.TATPConfig{Subscribers: scale * 5000, Seed: seed, SecondaryLookups: name == "tatpsec"}), nil
 	case "linkbench", "linkbenchsec":
-		cfg := workload.DefaultLinkBenchConfig()
-		cfg.Nodes = scale * 5000
-		cfg.Seed = seed
-		cfg.AssocByID2 = name == "linkbenchsec"
-		return workload.NewLinkBench(cfg), nil
+		return workload.NewLinkBench(workload.LinkBenchConfig{Nodes: scale * 5000, Seed: seed, AssocByID2: name == "linkbenchsec"}), nil
 	case "secchurn":
-		cfg := workload.DefaultSecondaryChurnConfig()
-		cfg.Rows = scale * 10000
-		cfg.Seed = seed
-		return workload.NewSecondaryChurn(cfg), nil
+		return workload.NewSecondaryChurn(workload.SecondaryChurnConfig{Rows: scale * 10000, Seed: seed}), nil
 	case "ycsb-a", "ycsb-b", "ycsb-c", "ycsb-d", "ycsb-e", "ycsb-f":
-		cfg := workload.DefaultYCSBConfig(name[len("ycsb-")])
-		cfg.Records = scale * 5000
-		cfg.Seed = seed
-		return workload.NewYCSB(cfg)
+		return workload.NewYCSB(workload.YCSBConfig{Letter: name[len("ycsb-")], Records: scale * 5000, Seed: seed})
 	default:
 		return nil, fmt.Errorf("bench: unknown workload %q", name)
 	}

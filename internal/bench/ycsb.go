@@ -11,16 +11,12 @@ import (
 // The YCSB family: every letter at two heap sizings — cache-sized (half the
 // buffer pool, the working set stays resident) and the paper-motivated
 // larger-than-memory point (8× the pool, so every hot page cycles through
-// eviction → delta-merge → GC → wear-levelling) — with 120-byte tuples
-// whose updates and read-modify-writes patch the last 8 bytes.
+// eviction → delta-merge → GC → wear-levelling) — with the workload's
+// 120-byte tuples whose updates and read-modify-writes patch the last 8
+// bytes.
 var (
 	ycsbLetters     = []byte{'A', 'B', 'C', 'D', 'E', 'F'}
 	ycsbHeapFactors = []float64{0.5, 8}
-)
-
-const (
-	ycsbValueSize   = 120
-	ycsbUpdateBytes = 8
 )
 
 // YCSBRow is the outcome of one (workload, heap sizing) run.
@@ -54,8 +50,8 @@ type YCSBResult struct {
 // header + per-slot overhead), which is accurate enough for the sizing's
 // purpose: factor < 1 keeps the working set resident, factor ≥ 8 forces
 // continuous eviction.
-func ycsbRecords(p DeviceProfile, valueSize int, factor float64) int {
-	perPage := (p.PageSize - 128) / (valueSize + 16)
+func ycsbRecords(p DeviceProfile, factor float64) int {
+	perPage := (p.PageSize - 128) / (workload.YCSBValueSize + 16)
 	if perPage < 1 {
 		perPage = 1
 	}
@@ -78,11 +74,11 @@ func YCSB(o Options) (YCSBResult, error) {
 	var out YCSBResult
 	for _, letter := range ycsbLetters {
 		for _, factor := range ycsbHeapFactors {
-			cfg := workload.DefaultYCSBConfig(letter)
-			cfg.Records = ycsbRecords(o.Profile, ycsbValueSize, factor)
-			cfg.ValueSize = ycsbValueSize
-			cfg.UpdateBytes = ycsbUpdateBytes
-			cfg.Seed = o.Seed + int64(letter)
+			cfg := workload.YCSBConfig{
+				Letter:  letter,
+				Records: ycsbRecords(o.Profile, factor),
+				Seed:    o.Seed + int64(letter),
+			}
 			w, err := workload.NewYCSB(cfg)
 			if err != nil {
 				return out, err

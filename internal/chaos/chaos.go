@@ -37,28 +37,39 @@ import (
 	"ipa/ipaclient"
 )
 
-// Options configures a chaos session.
+// The ledger's tuple layout and money, and the cost of a latency spike.
+const (
+	// tupleSize is the account tuple size.
+	tupleSize = 96
+	// balanceOffset is where the 8-byte little-endian balance lives in an
+	// account tuple (after the key copy, like the OLTP drivers).
+	balanceOffset = 8
+	// initialBalance is every account's seed money: the conserved total is
+	// Accounts × initialBalance.
+	initialBalance = int64(1_000_000)
+	// spikeVirtual is the virtual time a latency spike charges per chip
+	// operation.
+	spikeVirtual = 200 * time.Microsecond
+)
+
+// Options configures a chaos session. DefaultOptions is the one list of
+// their defaults; callers start from it.
 type Options struct {
 	// Duration is the wall-clock session length.
 	Duration time.Duration
 	// Workers is the number of wire-level transfer connections.
 	Workers int
-	// Accounts is the ledger size; InitialBalance the per-account seed
-	// money (the conserved total is Accounts × InitialBalance).
-	Accounts       int
-	TupleSize      int
-	InitialBalance int64
+	// Accounts is the ledger size.
+	Accounts int
 	// PowerCuts schedules this many wall-clock power cuts, evenly spread
 	// across Duration. Each cut kills the device mid-traffic, crashes the
 	// engine, recovers from the surviving image and restarts the server
 	// on the same address.
 	PowerCuts int
 	// SpikeEvery injects a device-wide latency spike with this period
-	// (0 disables); each spike lasts SpikeLen of wall time and charges
-	// SpikeVirtual of virtual time per chip operation.
-	SpikeEvery   time.Duration
-	SpikeLen     time.Duration
-	SpikeVirtual time.Duration
+	// (0 disables); each spike lasts SpikeLen of wall time.
+	SpikeEvery time.Duration
+	SpikeLen   time.Duration
 	// StallEvery freezes one chip (round-robin) for StallLen per period
 	// (0 disables).
 	StallEvery time.Duration
@@ -67,10 +78,10 @@ type Options struct {
 	// VerifyEvery the period of the quiesced VerifyIntegrity checker.
 	AuditEvery  time.Duration
 	VerifyEvery time.Duration
-	// Engine overrides the engine configuration (Faults is always
-	// replaced by the session's own plan). Zero values use engine
-	// defaults plus a small checkpoint interval so the durable watermark
-	// floor advances during the session.
+	// Engine is the engine configuration (Faults is always replaced by the
+	// session's own plan). A zero CheckpointEveryBytes becomes a small
+	// checkpoint interval so the durable watermark floor advances during
+	// the session.
 	Engine ipa.Config
 	Seed   int64
 	// Logf receives progress lines (nil = silent).
@@ -78,61 +89,21 @@ type Options struct {
 }
 
 // DefaultOptions returns a session sized for a local run: ~15 seconds,
-// 3 power cuts, every fault class enabled.
+// 3 power cuts, every fault class enabled. The caller chooses the Engine.
 func DefaultOptions() Options {
 	return Options{
-		Duration:       15 * time.Second,
-		Workers:        4,
-		Accounts:       512,
-		TupleSize:      96,
-		InitialBalance: 1_000_000,
-		PowerCuts:      3,
-		SpikeEvery:     2 * time.Second,
-		SpikeLen:       150 * time.Millisecond,
-		SpikeVirtual:   200 * time.Microsecond,
-		StallEvery:     1700 * time.Millisecond,
-		StallLen:       100 * time.Millisecond,
-		AuditEvery:     250 * time.Millisecond,
-		VerifyEvery:    1200 * time.Millisecond,
-		Seed:           1,
+		Duration:    15 * time.Second,
+		Workers:     4,
+		Accounts:    512,
+		PowerCuts:   3,
+		SpikeEvery:  2 * time.Second,
+		SpikeLen:    150 * time.Millisecond,
+		StallEvery:  1700 * time.Millisecond,
+		StallLen:    100 * time.Millisecond,
+		AuditEvery:  250 * time.Millisecond,
+		VerifyEvery: 1200 * time.Millisecond,
+		Seed:        1,
 	}
-}
-
-func (o Options) withDefaults() Options {
-	if o.Duration <= 0 {
-		o.Duration = 15 * time.Second
-	}
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
-	if o.Accounts <= 0 {
-		o.Accounts = 512
-	}
-	if o.TupleSize < 24 {
-		o.TupleSize = 96
-	}
-	if o.InitialBalance == 0 {
-		o.InitialBalance = 1_000_000
-	}
-	if o.AuditEvery <= 0 {
-		o.AuditEvery = 250 * time.Millisecond
-	}
-	if o.VerifyEvery <= 0 {
-		o.VerifyEvery = 1200 * time.Millisecond
-	}
-	if o.SpikeLen <= 0 {
-		o.SpikeLen = 150 * time.Millisecond
-	}
-	if o.SpikeVirtual <= 0 {
-		o.SpikeVirtual = 200 * time.Microsecond
-	}
-	if o.StallLen <= 0 {
-		o.StallLen = 100 * time.Millisecond
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
 }
 
 // Report summarises a session.
@@ -156,10 +127,6 @@ type Report struct {
 
 // Failed reports whether any invariant was violated.
 func (r Report) Failed() bool { return len(r.Violations) > 0 }
-
-// balanceOffset is where the 8-byte little-endian balance lives in an
-// account tuple (after the key copy, like the OLTP drivers).
-const balanceOffset = 8
 
 // session is one running chaos harness.
 type session struct {
@@ -215,7 +182,10 @@ func (s *session) violate(format string, args ...any) {
 
 // Run executes one chaos session and returns its report.
 func Run(o Options) (Report, error) {
-	o = o.withDefaults()
+	if o.Duration <= 0 || o.Workers <= 0 || o.Accounts <= 0 || o.AuditEvery <= 0 || o.VerifyEvery <= 0 {
+		return Report{}, fmt.Errorf("chaos: Duration (%s), Workers (%d), Accounts (%d), AuditEvery (%s) and VerifyEvery (%s) must be positive",
+			o.Duration, o.Workers, o.Accounts, o.AuditEvery, o.VerifyEvery)
+	}
 	s := &session{o: o, logf: o.Logf}
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
@@ -289,7 +259,7 @@ func Run(o Options) (Report, error) {
 	}
 	if sum, n, err := s.ledgerSum(db); err != nil {
 		s.violate("final ledger read: %v", err)
-	} else if want := int64(o.Accounts) * o.InitialBalance; sum != want {
+	} else if want := int64(o.Accounts) * initialBalance; sum != want {
 		s.violate("final ledger sum %d over %d accounts, want %d", sum, n, want)
 	} else {
 		s.audits.Add(1)
@@ -323,35 +293,24 @@ func (s *session) boot() error {
 		// watermark floor) advance several times per session.
 		cfg.CheckpointEveryBytes = 256 << 10
 	}
-	if cfg.Chips == 0 {
-		cfg.Chips = 4
-	}
-	if cfg.WriteMode == ipa.Traditional && cfg.Scheme == (ipa.Scheme{}) {
-		// A zero Engine gets the paper's native-IPA write path: chaos is
-		// about cuts landing mid-delta-append and mid-merge, which the
-		// traditional path never executes.
-		cfg.WriteMode = ipa.IPANativeFlash
-		cfg.Scheme = ipa.Scheme{N: 2, M: 4}
-		cfg.FlashMode = ipa.PSLC
-	}
-	s.chips = cfg.Chips
 	db, err := ipa.Open(cfg)
 	if err != nil {
 		return fmt.Errorf("chaos: open: %w", err)
 	}
-	t, err := db.CreateTable("accounts", s.o.TupleSize)
+	s.chips = db.Config().Chips
+	t, err := db.CreateTable("accounts", tupleSize)
 	if err != nil {
 		db.Close()
 		return fmt.Errorf("chaos: create: %w", err)
 	}
-	row := make([]byte, s.o.TupleSize)
+	row := make([]byte, tupleSize)
 	ld := workload.NewLoader(db)
 	for k := 0; k < s.o.Accounts && err == nil; k++ {
 		for i := range row {
 			row[i] = byte(k + i)
 		}
 		putInt64(row, 0, int64(k))
-		putInt64(row, balanceOffset, s.o.InitialBalance)
+		putInt64(row, balanceOffset, initialBalance)
 		err = ld.Insert(t, int64(k), row)
 	}
 	if err == nil {
@@ -390,7 +349,7 @@ func (s *session) installHook(db *ipa.DB) {
 		if now < s.spikeUntil.Load() {
 			// Device-wide latency spike: charge virtual time (visible in
 			// throughput figures) and stall the op briefly in wall time.
-			db.AdvanceClock(s.o.SpikeVirtual)
+			db.AdvanceClock(spikeVirtual)
 			time.Sleep(20 * time.Microsecond)
 			s.spiked.Add(1)
 		}
@@ -445,7 +404,7 @@ func (s *session) powerCut(i int) (uint64, error) {
 	}
 	if sum, n, err := s.ledgerSum(db); err != nil {
 		s.violate("cut %d: post-recovery ledger read: %v", i, err)
-	} else if want := int64(s.o.Accounts) * s.o.InitialBalance; sum != want {
+	} else if want := int64(s.o.Accounts) * initialBalance; sum != want {
 		s.violate("cut %d: post-recovery ledger sum %d over %d accounts, want %d", i, sum, n, want)
 	}
 	s.noteDurableFloor(db)

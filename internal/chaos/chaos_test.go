@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -81,6 +82,24 @@ func TestChaosSession(t *testing.T) {
 	t.Logf("ops=%d conflicts=%d retries=%d reconnects=%d redo=%d audits=%d ts=%d verify=%d spiked=%d stalled=%d",
 		rep.Ops, rep.Conflicts, rep.Retries, rep.Reconnects, rep.RecoveryRedos,
 		rep.LedgerAudits, rep.TSChecks, rep.VerifyPasses, rep.SpikedOps, rep.StalledOps)
+}
+
+// TestRunRejectsNonPositiveSettings: a session that cannot run fails
+// before it boots anything, instead of being silently repaired.
+func TestRunRejectsNonPositiveSettings(t *testing.T) {
+	for name, zero := range map[string]func(*Options){
+		"Duration":    func(o *Options) { o.Duration = 0 },
+		"Workers":     func(o *Options) { o.Workers = -1 },
+		"Accounts":    func(o *Options) { o.Accounts = 0 },
+		"AuditEvery":  func(o *Options) { o.AuditEvery = 0 },
+		"VerifyEvery": func(o *Options) { o.VerifyEvery = -time.Second },
+	} {
+		o := short()
+		zero(&o)
+		if _, err := Run(o); err == nil || !strings.Contains(err.Error(), "must be positive") {
+			t.Errorf("%s: Run returned %v, want a must-be-positive error", name, err)
+		}
+	}
 }
 
 // TestChaosNoCuts runs the same harness without power cuts: a control

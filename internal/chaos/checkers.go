@@ -35,10 +35,10 @@ func (s *session) ledgerSum(db *ipa.DB) (int64, int, error) {
 var errNoTable = errors.New("chaos: accounts table missing after recovery")
 
 // ledgerChecker audits conservation every AuditEvery: the snapshot sum of
-// all balances must equal Accounts × InitialBalance at every instant, no
+// all balances must equal Accounts × initialBalance at every instant, no
 // matter how many transfers, evictions, GC passes or power cuts happened.
 func (s *session) ledgerChecker() {
-	want := int64(s.o.Accounts) * s.o.InitialBalance
+	want := int64(s.o.Accounts) * initialBalance
 	for !s.stop.Load() {
 		s.sleep(s.o.AuditEvery)
 		if s.stop.Load() {
@@ -127,7 +127,7 @@ func (s *session) integrityChecker() {
 }
 
 // spiker schedules device-wide latency spikes: every SpikeEvery it opens
-// a SpikeLen window during which the op hook charges SpikeVirtual per
+// a SpikeLen window during which the op hook charges spikeVirtual per
 // chip operation.
 func (s *session) spiker() {
 	for !s.stop.Load() {

@@ -56,45 +56,47 @@ const (
 
 	initialBalance = int64(1_000_000_007)
 	loadBatch      = 32
+
+	// numBranches and numTellers size the TPC-B style schema beside
+	// Options.Accounts.
+	numBranches = 4
+	numTellers  = 20
+	// checkpointEvery takes a synchronous fuzzy checkpoint every so many
+	// writer transactions. Each checkpoint adds its own fault points to the
+	// enumeration — the WAL flush of the checkpoint record, the catalog page
+	// program and the segment-recycle step — so the sweep proves recovery
+	// from a crash at any of them, and that recovery restarts from the
+	// checkpoint rather than LSN 0.
+	checkpointEvery = 25
 )
 
-// Options configure a torture sweep.
+// faultModes are the fault modes a sweep applies at every tested point.
+var faultModes = [...]ipa.FaultMode{ipa.CrashBefore, ipa.CrashTorn, ipa.CrashAfter}
+
+// Options configure a torture sweep. DefaultOptions is the one list of
+// their defaults; callers start from it.
 type Options struct {
 	// DB is the engine configuration under test (write mode, scheme,
 	// flash mode, device sizing, chips). The Faults field is overwritten
 	// by the harness.
 	DB ipa.Config
-	// Branches, Tellers and Accounts size the TPC-B style schema.
-	Branches int
-	Tellers  int
+	// Accounts sizes the accounts table.
 	Accounts int
 	// Ops is the number of transactions attempted per run.
 	Ops int
 	// Seed drives the deterministic transaction mix.
 	Seed int64
-	// Modes are the fault modes applied at every tested point.
-	Modes []ipa.FaultMode
 	// Sample bounds the fault points tested per mode, spread evenly over
 	// the enumeration (0 tests every point — the exhaustive sweep).
 	Sample int
-	// Kinds restricts which operations count as fault points (0 = all).
-	Kinds ipa.FaultOp
 	// PostOps is the number of extra transactions committed on the
-	// reopened database to prove it stays usable (default 8).
+	// reopened database to prove it stays usable.
 	PostOps int
 	// Readers is the number of concurrent snapshot-reader goroutines that
 	// audit TPC-B conservation during the crash-prone transaction phase
-	// (default 2; negative disables them). Readers use lock-free MVCC
-	// reads only, so the single-threaded write oracle stays exact.
+	// (zero or negative disables them). Readers use lock-free MVCC reads
+	// only, so the single-threaded write oracle stays exact.
 	Readers int
-	// CheckpointEvery takes a synchronous fuzzy checkpoint every N writer
-	// transactions (default 25; negative disables checkpoints). Each
-	// checkpoint adds its own fault points to the enumeration — the WAL
-	// flush of the checkpoint record, the catalog page program and the
-	// segment-recycle step — so the sweep proves recovery from a crash at
-	// any of them, and that recovery restarts from the checkpoint rather
-	// than LSN 0.
-	CheckpointEvery int
 }
 
 // DefaultOptions returns a small-device configuration whose exhaustive
@@ -112,46 +114,12 @@ func DefaultOptions() Options {
 			FlashMode:       ipa.PSLC,
 			Seed:            1,
 		},
-		Branches: 4,
-		Tellers:  20,
 		Accounts: 400,
 		Ops:      220,
 		Seed:     7,
-		Modes:    []ipa.FaultMode{ipa.CrashBefore, ipa.CrashTorn, ipa.CrashAfter},
 		PostOps:  8,
 		Readers:  2,
 	}
-}
-
-func (o Options) withDefaults() Options {
-	if o.Branches <= 0 {
-		o.Branches = 4
-	}
-	if o.Tellers <= 0 {
-		o.Tellers = 20
-	}
-	if o.Accounts <= 0 {
-		o.Accounts = 200
-	}
-	if o.Ops <= 0 {
-		o.Ops = 150
-	}
-	if o.Seed == 0 {
-		o.Seed = 7
-	}
-	if len(o.Modes) == 0 {
-		o.Modes = []ipa.FaultMode{ipa.CrashBefore, ipa.CrashTorn, ipa.CrashAfter}
-	}
-	if o.PostOps <= 0 {
-		o.PostOps = 8
-	}
-	if o.Readers == 0 {
-		o.Readers = 2
-	}
-	if o.CheckpointEvery == 0 {
-		o.CheckpointEvery = 25
-	}
-	return o
 }
 
 // RecoverySummary aggregates the Reopen cost over a sweep's runs — the
@@ -212,8 +180,8 @@ type oracle struct {
 func newOracle(o Options) *oracle {
 	ora := &oracle{
 		accounts: make([]int64, o.Accounts),
-		tellers:  make([]int64, o.Tellers),
-		branches: make([]int64, o.Branches),
+		tellers:  make([]int64, numTellers),
+		branches: make([]int64, numBranches),
 		history:  make(map[int64][2]int64),
 		totals:   []int64{0},
 	}
@@ -344,10 +312,10 @@ func (d *driver) load() error {
 		}
 		return nil
 	}
-	if err := load(d.branches, d.opts.Branches, &d.ora.loadedB); err != nil {
+	if err := load(d.branches, numBranches, &d.ora.loadedB); err != nil {
 		return err
 	}
-	if err := load(d.tellers, d.opts.Tellers, &d.ora.loadedT); err != nil {
+	if err := load(d.tellers, numTellers, &d.ora.loadedT); err != nil {
 		return err
 	}
 	if err := load(d.accounts, d.opts.Accounts, &d.ora.loadedA); err != nil {
@@ -367,8 +335,8 @@ func (d *driver) runOne(r *rand.Rand) error {
 		return d.deleteOne(r)
 	}
 	a := r.Intn(d.opts.Accounts)
-	t := r.Intn(d.opts.Tellers)
-	b := r.Intn(d.opts.Branches)
+	t := r.Intn(numTellers)
+	b := r.Intn(numBranches)
 	delta := int64(r.Intn(1999999) - 999999)
 	d.ora.nextHist++
 	hid := d.ora.nextHist
@@ -447,7 +415,7 @@ func (d *driver) run(ops, readers int) error {
 		// their fault points (checkpoint-record flush, catalog program,
 		// segment recycle) land at deterministic positions in the
 		// enumeration.
-		if d.opts.CheckpointEvery > 0 && (i+1)%d.opts.CheckpointEvery == 0 {
+		if (i+1)%checkpointEvery == 0 {
 			if _, cerr := d.db.Checkpoint(); cerr != nil {
 				err = cerr
 				break
@@ -551,17 +519,17 @@ func (d *driver) auditOnce() error {
 	if err != nil {
 		return err
 	}
-	st, err := sum(d.tellers, d.opts.Tellers)
+	st, err := sum(d.tellers, numTellers)
 	if err != nil {
 		return err
 	}
-	sb, err := sum(d.branches, d.opts.Branches)
+	sb, err := sum(d.branches, numBranches)
 	if err != nil {
 		return err
 	}
 	da := sa - int64(d.opts.Accounts)*initialBalance
-	dt := st - int64(d.opts.Tellers)*initialBalance
-	db := sb - int64(d.opts.Branches)*initialBalance
+	dt := st - numTellers*initialBalance
+	db := sb - numBranches*initialBalance
 	if da != dt || dt != db {
 		return fmt.Errorf("%w: torn cut — account/teller/branch delta sums %d/%d/%d diverge", errTornSnapshot, da, dt, db)
 	}
@@ -698,11 +666,7 @@ func samplePoints(total uint64, sample int) []uint64 {
 // Enumerate counts the fault points of the reference run (load plus Ops
 // transactions) without crashing.
 func Enumerate(o Options) (uint64, error) {
-	o = o.withDefaults()
 	plan := ipa.NewFaultPlan(0, ipa.CrashBefore)
-	if o.Kinds != 0 {
-		plan.SetKinds(o.Kinds)
-	}
 	cfg := o.DB
 	cfg.Faults = plan
 	d, err := newDriver(cfg, o)
@@ -740,12 +704,8 @@ func RunPoint(o Options, k uint64, mode ipa.FaultMode) (gcRuns uint64, tripped b
 // RunPointDetail is RunPoint with the full cycle outcome, including the
 // recovery cost metrics of the Reopen.
 func RunPointDetail(o Options, k uint64, mode ipa.FaultMode) (PointOutcome, error) {
-	o = o.withDefaults()
 	var out PointOutcome
 	plan := ipa.NewFaultPlan(k, mode)
-	if o.Kinds != 0 {
-		plan.SetKinds(o.Kinds)
-	}
 	cfg := o.DB
 	cfg.Faults = plan
 	d, derr := newDriver(cfg, o)
@@ -804,14 +764,13 @@ func RunPointDetail(o Options, k uint64, mode ipa.FaultMode) (PointOutcome, erro
 // Sweep enumerates the fault points of the reference run and executes a
 // crash-recover-verify cycle at every sampled point for every mode.
 func Sweep(o Options) (Result, error) {
-	o = o.withDefaults()
 	total, err := Enumerate(o)
 	if err != nil {
 		return Result{}, fmt.Errorf("crash: enumerate: %w", err)
 	}
 	res := Result{FaultPoints: int(total)}
 	points := samplePoints(total, o.Sample)
-	for _, mode := range o.Modes {
+	for _, mode := range faultModes {
 		for _, k := range points {
 			out, err := RunPointDetail(o, k, mode)
 			res.Runs++
@@ -846,7 +805,6 @@ func Sweep(o Options) (Result, error) {
 // ReferenceRun executes the reference workload without faults and returns
 // the open database and its statistics (for calibration and tests).
 func ReferenceRun(o Options) (*ipa.DB, ipa.Stats, error) {
-	o = o.withDefaults()
 	d, err := newDriver(o.DB, o)
 	if err != nil {
 		return nil, ipa.Stats{}, err

@@ -102,7 +102,7 @@ func TestUntrippedPlanStaysQuietAfterRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("enumerate: %v", err)
 	}
-	for _, mode := range o.Modes {
+	for _, mode := range faultModes {
 		out, err := RunPointDetail(o, total+1, mode)
 		if err != nil {
 			t.Fatalf("%v at point %d of %d: %v", mode, total+1, total, err)

@@ -108,16 +108,6 @@ type Config struct {
 	DisableECC bool
 }
 
-// DefaultConfig returns a single-chip device with default geometry and
-// timing.
-func DefaultConfig() Config {
-	return Config{
-		Chips:   1,
-		Chip:    nand.DefaultConfig(),
-		Latency: DefaultLatencyModel(),
-	}
-}
-
 // Stats aggregates device-level counters.
 type Stats struct {
 	PageReads       uint64

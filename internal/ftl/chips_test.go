@@ -35,11 +35,11 @@ func testMultiChipDevice(t *testing.T, chips int) *flashdev.Device {
 // TestMultiChipCapacityScales verifies that the exported capacity of a
 // 4-chip FTL is exactly four single-chip partitions.
 func TestMultiChipCapacityScales(t *testing.T) {
-	one, err := New(testMultiChipDevice(t, 1), DefaultConfig())
+	one, err := New(testMultiChipDevice(t, 1), Config{FlashMode: nand.ModeMLCFull})
 	if err != nil {
 		t.Fatalf("New(1): %v", err)
 	}
-	four, err := New(testMultiChipDevice(t, 4), DefaultConfig())
+	four, err := New(testMultiChipDevice(t, 4), Config{FlashMode: nand.ModeMLCFull})
 	if err != nil {
 		t.Fatalf("New(4): %v", err)
 	}
@@ -55,7 +55,7 @@ func TestMultiChipCapacityScales(t *testing.T) {
 // pages backing a logical page always live on chip lba mod chips.
 func TestWritesLandOnTheirChip(t *testing.T) {
 	dev := testMultiChipDevice(t, 4)
-	f, err := New(dev, DefaultConfig())
+	f, err := New(dev, Config{FlashMode: nand.ModeMLCFull})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -80,7 +80,7 @@ func TestWritesLandOnTheirChip(t *testing.T) {
 // must run, and verifies the other partitions never garbage collect.
 func TestPerChipGCIndependence(t *testing.T) {
 	dev := testMultiChipDevice(t, 4)
-	f, err := New(dev, DefaultConfig())
+	f, err := New(dev, Config{FlashMode: nand.ModeMLCFull})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -122,7 +122,7 @@ func TestPerChipGCIndependence(t *testing.T) {
 // TestMultiChipGCPreservesData runs the high-utilisation overwrite workload
 // over all four chips and verifies every page survives GC migrations.
 func TestMultiChipGCPreservesData(t *testing.T) {
-	f, err := New(testMultiChipDevice(t, 4), DefaultConfig())
+	f, err := New(testMultiChipDevice(t, 4), Config{FlashMode: nand.ModeMLCFull})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -163,7 +163,7 @@ func TestMultiChipGCPreservesData(t *testing.T) {
 // runs on several chips at once.
 func TestConcurrentChipHammer(t *testing.T) {
 	dev := testMultiChipDevice(t, 4)
-	f, err := New(dev, DefaultConfig())
+	f, err := New(dev, Config{FlashMode: nand.ModeMLCFull})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -222,7 +222,7 @@ func TestConcurrentChipHammer(t *testing.T) {
 // wear levelling needs no device calls.
 func TestEraseCountCacheMatchesDevice(t *testing.T) {
 	dev := testMultiChipDevice(t, 2)
-	f, err := New(dev, DefaultConfig())
+	f, err := New(dev, Config{FlashMode: nand.ModeMLCFull})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -60,18 +60,9 @@ type Config struct {
 	// in-place appends.
 	FlashMode nand.Mode
 	// OverprovisionPct is the fraction of usable pages withheld from the
-	// exported capacity to give the garbage collector headroom.
+	// exported capacity to give the garbage collector headroom (default
+	// 0.08).
 	OverprovisionPct float64
-	// GCLowWater triggers garbage collection on a chip when the number of
-	// free blocks of that chip drops to this value.
-	GCLowWater int
-	// GCHighWater is the number of free blocks per chip garbage collection
-	// tries to reach before it stops.
-	GCHighWater int
-	// MaxAppendsPerPage caps the number of in-place appends to one
-	// physical page (bounded by the device NOP budget and the OOB delta
-	// ECC slots).
-	MaxAppendsPerPage int
 	// InPlaceMerge enables detection of host page writes that can be
 	// programmed onto the already mapped physical page (IPA over the
 	// block-device interface).
@@ -86,18 +77,12 @@ type Config struct {
 	EccTailBytes int
 }
 
-// DefaultConfig returns a conventional out-of-place FTL configuration.
-func DefaultConfig() Config {
-	return Config{
-		FlashMode:         nand.ModeMLCFull,
-		OverprovisionPct:  0.08,
-		GCLowWater:        2,
-		GCHighWater:       4,
-		MaxAppendsPerPage: 0,
-		InPlaceMerge:      false,
-		EccCoverBytes:     0,
-	}
-}
+// The garbage collector's watermarks: a chip whose free blocks drop to
+// gcLowWater is collected until it has gcHighWater free blocks again.
+const (
+	gcLowWater  = 2
+	gcHighWater = 4
+)
 
 // Stats are the counters the experiments report.
 type Stats struct {
@@ -237,20 +222,8 @@ func New(dev *flashdev.Device, cfg Config) (*FTL, error) {
 // an erased device; Rebuild reconstructs them from a surviving Flash image.
 func newSkeleton(dev *flashdev.Device, cfg Config) (*FTL, error) {
 	geo := dev.Geometry()
-	if cfg.GCLowWater <= 0 {
-		cfg.GCLowWater = 2
-	}
-	if cfg.GCHighWater <= cfg.GCLowWater {
-		cfg.GCHighWater = cfg.GCLowWater + 2
-	}
 	if cfg.OverprovisionPct <= 0 {
 		cfg.OverprovisionPct = 0.08
-	}
-	if cfg.MaxAppendsPerPage <= 0 {
-		cfg.MaxAppendsPerPage = geo.DeltaSlots
-	}
-	if cfg.MaxAppendsPerPage > geo.DeltaSlots && geo.DeltaSlots > 0 {
-		cfg.MaxAppendsPerPage = geo.DeltaSlots
 	}
 	if cfg.EccCoverBytes <= 0 || cfg.EccCoverBytes+cfg.EccTailBytes > geo.PageSize {
 		cfg.EccCoverBytes = geo.PageSize
@@ -276,7 +249,7 @@ func newSkeleton(dev *flashdev.Device, cfg Config) (*FTL, error) {
 	// partition garbage-collects independently and needs its own free
 	// blocks.
 	reserve := int(float64(usablePerChip) * cfg.OverprovisionPct)
-	minReserve := (cfg.GCHighWater + 1) * usable
+	minReserve := (gcHighWater + 1) * usable
 	if reserve < minReserve {
 		reserve = minReserve
 	}
@@ -432,7 +405,8 @@ func (f *FTL) appendableLocked(ppa int32) bool {
 	if !nand.AppendSafe(f.dev.CellType(), f.cfg.FlashMode, f.pageOf(ppa)) {
 		return false
 	}
-	return int(f.appends[ppa]) < f.cfg.MaxAppendsPerPage
+	// The append budget is one delta ECC slot in the page's OOB per append.
+	return int(f.appends[ppa]) < f.geo.DeltaSlots
 }
 
 func (f *FTL) mappedPPA(lba int) (int32, error) {
@@ -664,11 +638,11 @@ func (p *partition) popFreeLocked() int {
 // ensureFreeLocked runs garbage collection until the partition's free-block
 // pool is above the low-water mark.
 func (p *partition) ensureFreeLocked() error {
-	if len(p.free) > p.f.cfg.GCLowWater {
+	if len(p.free) > gcLowWater {
 		return nil
 	}
 	p.gcRuns.Add(1)
-	for len(p.free) < p.f.cfg.GCHighWater {
+	for len(p.free) < gcHighWater {
 		victim := p.pickVictimLocked()
 		if victim < 0 {
 			if len(p.free) > 0 {

@@ -61,7 +61,7 @@ func pageWithErasedTail(size, tail int, seed byte) []byte {
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
-	f := testFTL(t, DefaultConfig())
+	f := testFTL(t, Config{FlashMode: nand.ModeMLCFull})
 	img := pageImage(f.PageSize(), 1)
 	if _, err := f.WritePage(3, img); err != nil {
 		t.Fatalf("WritePage: %v", err)
@@ -83,7 +83,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 func TestReadUnmapped(t *testing.T) {
-	f := testFTL(t, DefaultConfig())
+	f := testFTL(t, Config{FlashMode: nand.ModeMLCFull})
 	if err := f.ReadPage(0, make([]byte, f.PageSize())); !errors.Is(err, ErrUnmapped) {
 		t.Fatalf("expected ErrUnmapped, got %v", err)
 	}
@@ -93,7 +93,7 @@ func TestReadUnmapped(t *testing.T) {
 }
 
 func TestOutOfPlaceUpdateInvalidates(t *testing.T) {
-	f := testFTL(t, DefaultConfig())
+	f := testFTL(t, Config{FlashMode: nand.ModeMLCFull})
 	img := pageImage(f.PageSize(), 2)
 	if _, err := f.WritePage(0, img); err != nil {
 		t.Fatalf("write 1: %v", err)
@@ -116,10 +116,7 @@ func TestOutOfPlaceUpdateInvalidates(t *testing.T) {
 }
 
 func TestWriteDeltaNative(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.FlashMode = nand.ModePSLC
-	cfg.EccCoverBytes = 1024
-	f := testFTL(t, cfg)
+	f := testFTL(t, Config{FlashMode: nand.ModePSLC, EccCoverBytes: 1024})
 	img := pageWithErasedTail(f.PageSize(), 1024, 3)
 	if _, err := f.WritePage(5, img); err != nil {
 		t.Fatalf("WritePage: %v", err)
@@ -152,11 +149,23 @@ func TestWriteDeltaNative(t *testing.T) {
 }
 
 func TestWriteDeltaUnmappedAndBudget(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.FlashMode = nand.ModePSLC
-	cfg.MaxAppendsPerPage = 1
-	cfg.EccCoverBytes = 1024
-	f := testFTL(t, cfg)
+	// An OOB with room for two delta ECC slots, so the FTL's budget (one
+	// append per slot) binds before the chip's NOP budget does.
+	dev, err := flashdev.New(flashdev.Config{Chip: nand.Config{
+		Geometry:        nand.Geometry{Blocks: 32, PagesPerBlock: 16, PageSize: 2048, OOBSize: 52},
+		Cell:            nand.MLC,
+		StrictOverwrite: true,
+	}})
+	if err != nil {
+		t.Fatalf("flashdev.New: %v", err)
+	}
+	if slots := dev.Geometry().DeltaSlots; slots != 2 {
+		t.Fatalf("test device has %d delta slots, want 2", slots)
+	}
+	f, err := New(dev, Config{FlashMode: nand.ModePSLC, EccCoverBytes: 1024})
+	if err != nil {
+		t.Fatalf("ftl.New: %v", err)
+	}
 	if err := f.WriteDelta(9, 0, []byte{1}); !errors.Is(err, ErrUnmapped) {
 		t.Fatalf("expected ErrUnmapped, got %v", err)
 	}
@@ -164,19 +173,21 @@ func TestWriteDeltaUnmappedAndBudget(t *testing.T) {
 	if _, err := f.WritePage(9, img); err != nil {
 		t.Fatalf("WritePage: %v", err)
 	}
-	if err := f.WriteDelta(9, 1024, []byte{1}); err != nil {
-		t.Fatalf("first append: %v", err)
+	for i := 0; i < 2; i++ {
+		if err := f.WriteDelta(9, 1024+i, []byte{byte(i)}); err != nil {
+			t.Fatalf("append %d: %v", i+1, err)
+		}
 	}
-	if err := f.WriteDelta(9, 1025, []byte{2}); !errors.Is(err, ErrNotAppendable) {
+	if err := f.WriteDelta(9, 1026, []byte{2}); !errors.Is(err, ErrNotAppendable) {
 		t.Fatalf("append budget not enforced: %v", err)
+	}
+	if n := dev.Stats().DeltaPrograms; n != 2 {
+		t.Fatalf("%d delta programs reached the device, want 2", n)
 	}
 }
 
 func TestOddMLCAppendsOnlyOnLSBPages(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.FlashMode = nand.ModeOddMLC
-	cfg.EccCoverBytes = 1024
-	f := testFTL(t, cfg)
+	f := testFTL(t, Config{FlashMode: nand.ModeOddMLC, EccCoverBytes: 1024})
 	// Write several pages; they land on consecutive physical pages, so some
 	// are MSB (even index) and some LSB (odd index).
 	appendable := 0
@@ -201,11 +212,7 @@ func TestOddMLCAppendsOnlyOnLSBPages(t *testing.T) {
 }
 
 func TestInPlaceMergeSSDMode(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.FlashMode = nand.ModePSLC
-	cfg.InPlaceMerge = true
-	cfg.EccCoverBytes = 1024
-	f := testFTL(t, cfg)
+	f := testFTL(t, Config{FlashMode: nand.ModePSLC, InPlaceMerge: true, EccCoverBytes: 1024})
 	img := pageWithErasedTail(f.PageSize(), 1024, 7)
 	if _, err := f.WritePage(2, img); err != nil {
 		t.Fatalf("WritePage: %v", err)
@@ -244,7 +251,7 @@ func TestInPlaceMergeSSDMode(t *testing.T) {
 }
 
 func TestGarbageCollectionReclaimsSpace(t *testing.T) {
-	f := testFTL(t, DefaultConfig())
+	f := testFTL(t, Config{FlashMode: nand.ModeMLCFull})
 	// Use a small hot set and overwrite it many times: far more writes than
 	// physical pages, so GC must reclaim invalidated space for the run to
 	// finish.
@@ -274,7 +281,7 @@ func TestGarbageCollectionReclaimsSpace(t *testing.T) {
 }
 
 func TestGCPreservesDataUnderMigration(t *testing.T) {
-	f := testFTL(t, DefaultConfig())
+	f := testFTL(t, Config{FlashMode: nand.ModeMLCFull})
 	// A working set close to the exported capacity: GC victims then always
 	// contain valid pages, so migrations must happen and must preserve the
 	// latest version of every page.
@@ -313,17 +320,15 @@ func TestGCPreservesDataUnderMigration(t *testing.T) {
 }
 
 func TestPSLCHalvesCapacity(t *testing.T) {
-	full := testFTL(t, DefaultConfig())
-	cfg := DefaultConfig()
-	cfg.FlashMode = nand.ModePSLC
-	half := testFTL(t, cfg)
+	full := testFTL(t, Config{FlashMode: nand.ModeMLCFull})
+	half := testFTL(t, Config{FlashMode: nand.ModePSLC})
 	if half.Capacity() >= full.Capacity() {
 		t.Fatalf("pSLC capacity (%d) must be below MLC capacity (%d)", half.Capacity(), full.Capacity())
 	}
 }
 
 func TestResetStats(t *testing.T) {
-	f := testFTL(t, DefaultConfig())
+	f := testFTL(t, Config{FlashMode: nand.ModeMLCFull})
 	for lba := 0; lba < 10; lba++ {
 		if _, err := f.WritePage(lba, pageImage(f.PageSize(), byte(lba))); err != nil {
 			t.Fatalf("WritePage: %v", err)
@@ -336,7 +341,7 @@ func TestResetStats(t *testing.T) {
 }
 
 func TestWritePageValidation(t *testing.T) {
-	f := testFTL(t, DefaultConfig())
+	f := testFTL(t, Config{FlashMode: nand.ModeMLCFull})
 	if _, err := f.WritePage(0, make([]byte, 10)); err == nil {
 		t.Fatalf("short buffer must be rejected")
 	}

@@ -24,6 +24,18 @@ import (
 	"ipa/internal/storage"
 )
 
+// The log format of Lee & Moon's IPL configuration.
+const (
+	// sectorSize is the log sector size (the flush granularity).
+	sectorSize = 512
+	// entryOverhead is the per-log-entry header size (page id, offset,
+	// length) in bytes.
+	entryOverhead = 12
+	// inMemoryBufferBytes is the per-block in-memory log buffer size; when
+	// an eviction fills it, a sector flush is forced.
+	inMemoryBufferBytes = 512
+)
+
 // Config describes the IPL layout, following the configuration of the
 // original IPL paper scaled to the simulated device geometry.
 type Config struct {
@@ -34,14 +46,6 @@ type Config struct {
 	// LogPagesPerBlock is the number of Flash pages per block reserved for
 	// the log region.
 	LogPagesPerBlock int
-	// SectorSize is the log sector size (the flush granularity).
-	SectorSize int
-	// EntryOverhead is the per-log-entry header size (page id, offset,
-	// length) in bytes.
-	EntryOverhead int
-	// InMemoryBufferBytes is the per-block in-memory log buffer size; when
-	// an eviction fills it, a sector flush is forced.
-	InMemoryBufferBytes int
 }
 
 // DefaultConfig mirrors the IPL configuration of Lee & Moon (512-byte log
@@ -51,14 +55,7 @@ func DefaultConfig(pageSize, pagesPerBlock int) Config {
 	if logPages < 1 {
 		logPages = 1
 	}
-	return Config{
-		PageSize:            pageSize,
-		PagesPerBlock:       pagesPerBlock,
-		LogPagesPerBlock:    logPages,
-		SectorSize:          512,
-		EntryOverhead:       12,
-		InMemoryBufferBytes: 512,
-	}
+	return Config{PageSize: pageSize, PagesPerBlock: pagesPerBlock, LogPagesPerBlock: logPages}
 }
 
 // Stats are the counters produced by a trace replay.
@@ -123,15 +120,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	if cfg.LogPagesPerBlock <= 0 || cfg.LogPagesPerBlock >= cfg.PagesPerBlock {
 		return nil, fmt.Errorf("ipl: invalid log region of %d pages", cfg.LogPagesPerBlock)
-	}
-	if cfg.SectorSize <= 0 {
-		cfg.SectorSize = 512
-	}
-	if cfg.EntryOverhead <= 0 {
-		cfg.EntryOverhead = 12
-	}
-	if cfg.InMemoryBufferBytes <= 0 {
-		cfg.InMemoryBufferBytes = cfg.SectorSize
 	}
 	return &Manager{
 		cfg:        cfg,
@@ -213,13 +201,13 @@ func (m *Manager) Evict(pid uint64, changedBytes int, metaChanged bool) {
 		m.stats.DataPageWrites++
 		return
 	}
-	entry := changedBytes + m.cfg.EntryOverhead
+	entry := changedBytes + entryOverhead
 	if metaChanged {
-		entry += m.cfg.EntryOverhead
+		entry += entryOverhead
 	}
 	if changedBytes <= 0 && !metaChanged {
 		// Unknown change size (non-analytic trace); assume one small entry.
-		entry = m.cfg.EntryOverhead + 16
+		entry = entryOverhead + 16
 	}
 	if entry > m.cfg.PageSize {
 		entry = m.cfg.PageSize
@@ -229,8 +217,8 @@ func (m *Manager) Evict(pid uint64, changedBytes int, metaChanged bool) {
 	m.stats.LogBytesWritten += uint64(entry)
 
 	// Flush full in-memory buffers to log sectors on Flash.
-	for blk.memBuffer >= m.cfg.InMemoryBufferBytes {
-		blk.memBuffer -= m.cfg.InMemoryBufferBytes
+	for blk.memBuffer >= inMemoryBufferBytes {
+		blk.memBuffer -= inMemoryBufferBytes
 		m.flushSector(blk)
 	}
 	// Eviction of the page forces its buffered entries out as well (the
@@ -244,11 +232,11 @@ func (m *Manager) Evict(pid uint64, changedBytes int, metaChanged bool) {
 // flushSector writes one log sector to the block's log region, merging the
 // block if the region is full.
 func (m *Manager) flushSector(blk *blockState) {
-	if blk.logBytesUsed+m.cfg.SectorSize > m.logBytes {
+	if blk.logBytesUsed+sectorSize > m.logBytes {
 		m.merge(blk)
 	}
 	prevPages := blk.logPagesUsed
-	blk.logBytesUsed += m.cfg.SectorSize
+	blk.logBytesUsed += sectorSize
 	blk.logSectorsUsed++
 	blk.logPagesUsed = (blk.logBytesUsed + m.cfg.PageSize - 1) / m.cfg.PageSize
 	m.stats.LogSectorFlush++

@@ -20,9 +20,6 @@ func TestDefaultConfig(t *testing.T) {
 	if cfg.LogPagesPerBlock <= 0 || cfg.LogPagesPerBlock >= cfg.PagesPerBlock {
 		t.Fatalf("bad log region size: %+v", cfg)
 	}
-	if cfg.SectorSize != 512 {
-		t.Fatalf("sector size %d", cfg.SectorSize)
-	}
 	small := DefaultConfig(2048, 8)
 	if small.LogPagesPerBlock < 1 {
 		t.Fatalf("log region must have at least one page")

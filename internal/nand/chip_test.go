@@ -399,11 +399,11 @@ func TestViolatesOverwriteProperty(t *testing.T) {
 }
 
 func TestDefaultConfigDefaults(t *testing.T) {
-	cfg := DefaultConfig().withDefaults()
+	cfg := testConfig().withDefaults()
 	if cfg.MaxProgramsPerPage <= 0 || cfg.EnduranceCycles <= 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
-	slc := Config{Geometry: DefaultGeometry(), Cell: SLC}.withDefaults()
+	slc := Config{Geometry: testConfig().Geometry, Cell: SLC}.withDefaults()
 	if slc.EnduranceCycles <= cfg.EnduranceCycles {
 		t.Fatalf("SLC endurance should exceed MLC endurance")
 	}

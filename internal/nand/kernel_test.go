@@ -247,9 +247,19 @@ func TestRefusedProgramIsNotAFaultPoint(t *testing.T) {
 
 var sinkErr error
 
+// config8K is the experiments' MLC chip (8 KiB pages, 128 per block) at the
+// given number of blocks.
+func config8K(blocks int) Config {
+	return Config{
+		Geometry:        Geometry{Blocks: blocks, PagesPerBlock: 128, PageSize: 8 << 10, OOBSize: 128},
+		Cell:            MLC,
+		Seed:            1,
+		StrictOverwrite: true,
+	}
+}
+
 func BenchmarkProgram8K(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Geometry.Blocks = 2
+	cfg := config8K(2)
 	cfg.EnduranceCycles = 1 << 30
 	c, err := NewChip(cfg)
 	if err != nil {
@@ -283,8 +293,7 @@ func BenchmarkProgram8K(b *testing.B) {
 // BenchmarkReprogram8K is the in-place merge of the ipa-ssd path: a whole
 // image over a programmed page, overwrite check and AND on every byte.
 func BenchmarkReprogram8K(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Geometry.Blocks = 1
+	cfg := config8K(1)
 	cfg.MaxProgramsPerPage = 1 << 30
 	c, err := NewChip(cfg)
 	if err != nil {

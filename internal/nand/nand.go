@@ -158,42 +158,13 @@ type Config struct {
 	Faults *FaultPlan
 }
 
-// DefaultGeometry mirrors (at reduced scale) the Samsung K9LCG08U1M modules
-// of the OpenSSD Jasmine board used in the paper: 128 pages per erase unit.
-func DefaultGeometry() Geometry {
-	return Geometry{
-		Blocks:        256,
-		PagesPerBlock: 128,
-		PageSize:      8 * 1024,
-		OOBSize:       128,
-	}
-}
-
-// DefaultConfig returns an MLC chip configuration with defaults suitable
-// for the experiments in the paper.
-func DefaultConfig() Config {
-	return Config{
-		Geometry:           DefaultGeometry(),
-		Cell:               MLC,
-		MaxProgramsPerPage: 0,
-		EnduranceCycles:    0,
-		InterferenceProb:   0,
-		Seed:               1,
-		StrictOverwrite:    true,
-	}
-}
-
 // withDefaults fills zero fields with technology-dependent defaults.
 func (c Config) withDefaults() Config {
 	if c.MaxProgramsPerPage == 0 {
 		// SLC NAND traditionally allows 4 partial programs per page;
 		// IPA re-programs the same page once per appended delta record,
 		// so we grant a generous budget that the FTL can restrict.
-		if c.Cell == SLC {
-			c.MaxProgramsPerPage = 8
-		} else {
-			c.MaxProgramsPerPage = 8
-		}
+		c.MaxProgramsPerPage = 8
 	}
 	if c.EnduranceCycles == 0 {
 		if c.Cell == SLC {

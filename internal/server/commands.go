@@ -238,7 +238,6 @@ func cmdCreate(s *session, args [][]byte) {
 
 func cmdTables(s *session, _ [][]byte) {
 	names := s.srv.db.Tables()
-	sort.Strings(names)
 	s.w.WriteArray(len(names))
 	for _, n := range names {
 		s.w.WriteBulkString(n)

@@ -39,9 +39,6 @@ type Config struct {
 	// once, across all sessions. Default: Chips × GOMAXPROCS — one lane
 	// per plane of hardware parallelism the simulated device offers.
 	Workers int
-	// MaxBulk overrides the largest accepted bulk-string payload
-	// (default proto.DefaultMaxBulk).
-	MaxBulk int
 	// Logf, when set, receives one line per lifecycle event (connections
 	// are not logged individually). nil discards.
 	Logf func(format string, args ...any)

@@ -45,9 +45,6 @@ func newSession(srv *Server, conn net.Conn) *session {
 		shard: int(srv.nextShard.Add(1)-1) % srv.lat.shards,
 	}
 	s.r = proto.NewReader(s)
-	if srv.cfg.MaxBulk > 0 {
-		s.r.MaxBulk = srv.cfg.MaxBulk
-	}
 	return s
 }
 

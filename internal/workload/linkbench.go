@@ -34,11 +34,6 @@ type LinkBenchConfig struct {
 	AssocByID2 bool
 }
 
-// DefaultLinkBenchConfig returns the configuration used by the experiments.
-func DefaultLinkBenchConfig() LinkBenchConfig {
-	return LinkBenchConfig{Nodes: 20000, LinksPerNode: 4, Seed: 17}
-}
-
 func (c LinkBenchConfig) withDefaults() LinkBenchConfig {
 	if c.Nodes <= 0 {
 		c.Nodes = 20000

@@ -26,12 +26,6 @@ type SecondaryChurnConfig struct {
 	Seed int64
 }
 
-// DefaultSecondaryChurnConfig returns the configuration used by the
-// experiments.
-func DefaultSecondaryChurnConfig() SecondaryChurnConfig {
-	return SecondaryChurnConfig{Rows: 20000, Groups: 512, Seed: 23}
-}
-
 func (c SecondaryChurnConfig) withDefaults() SecondaryChurnConfig {
 	if c.Rows <= 0 {
 		c.Rows = 20000

@@ -47,9 +47,6 @@ type TATPConfig struct {
 	SecondaryLookups bool
 }
 
-// DefaultTATPConfig returns the configuration used by the experiments.
-func DefaultTATPConfig() TATPConfig { return TATPConfig{Subscribers: 40000, Seed: 11} }
-
 func (c TATPConfig) withDefaults() TATPConfig {
 	if c.Subscribers <= 0 {
 		c.Subscribers = 40000

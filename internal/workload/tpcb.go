@@ -26,14 +26,15 @@ const (
 	// the 8-byte balance (sign flips would rewrite all eight bytes and
 	// artificially inflate the per-update change size).
 	tpcbInitialBalance = int64(1234567890123)
+
+	// tpcbTellersPerBranch is the TPC-B value.
+	tpcbTellersPerBranch = 10
 )
 
 // TPCBConfig scales the TPC-B database.
 type TPCBConfig struct {
-	// Branches is the scale factor (number of branches).
+	// Branches is the scale factor (number of branches; default 4).
 	Branches int
-	// TellersPerBranch defaults to the TPC-B value of 10.
-	TellersPerBranch int
 	// AccountsPerBranch defaults to 10000 (scaled down from TPC-B's
 	// 100000 to fit the simulated device).
 	AccountsPerBranch int
@@ -41,17 +42,9 @@ type TPCBConfig struct {
 	Seed int64
 }
 
-// DefaultTPCBConfig returns the configuration used by the experiments.
-func DefaultTPCBConfig() TPCBConfig {
-	return TPCBConfig{Branches: 4, TellersPerBranch: 10, AccountsPerBranch: 10000, Seed: 7}
-}
-
 func (c TPCBConfig) withDefaults() TPCBConfig {
 	if c.Branches <= 0 {
 		c.Branches = 4
-	}
-	if c.TellersPerBranch <= 0 {
-		c.TellersPerBranch = 10
 	}
 	if c.AccountsPerBranch <= 0 {
 		c.AccountsPerBranch = 10000
@@ -114,7 +107,7 @@ func (w *TPCB) Load(db *ipa.DB) error {
 			return fmt.Errorf("tpcb load branches: %w", err)
 		}
 	}
-	for t := 0; t < c.Branches*c.TellersPerBranch; t++ {
+	for t := 0; t < c.Branches*tpcbTellersPerBranch; t++ {
 		row := make([]byte, tpcbTellerSize)
 		fill(row, int64(t)+2000)
 		putInt64(row, 0, int64(t))
@@ -139,7 +132,7 @@ func (w *TPCB) Load(db *ipa.DB) error {
 func (w *TPCB) RunOne(db *ipa.DB, r *rand.Rand) (bool, error) {
 	c := w.cfg
 	branch := randInt64(r, int64(c.Branches))
-	teller := branch*int64(c.TellersPerBranch) + randInt64(r, int64(c.TellersPerBranch))
+	teller := branch*tpcbTellersPerBranch + randInt64(r, tpcbTellersPerBranch)
 	// 85% of accounts belong to the home branch, 15% are remote (TPC-B).
 	var account int64
 	if r.Intn(100) < 85 || c.Branches == 1 {

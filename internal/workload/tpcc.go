@@ -32,14 +32,15 @@ const (
 	// typical update touches only the low-order bytes (see the TPC-B
 	// driver for the rationale).
 	tpccInitialAmount = int64(1234567890123)
+
+	// tpccDistrictsPerWarehouse is the TPC-C value.
+	tpccDistrictsPerWarehouse = 10
 )
 
 // TPCCConfig scales the TPC-C database.
 type TPCCConfig struct {
-	// Warehouses is the scale factor.
+	// Warehouses is the scale factor (default 2).
 	Warehouses int
-	// DistrictsPerWarehouse defaults to 10.
-	DistrictsPerWarehouse int
 	// CustomersPerDistrict defaults to 300 (scaled down from 3000).
 	CustomersPerDistrict int
 	// Items defaults to 2000 (scaled down from 100000).
@@ -48,17 +49,9 @@ type TPCCConfig struct {
 	Seed int64
 }
 
-// DefaultTPCCConfig returns the configuration used by the experiments.
-func DefaultTPCCConfig() TPCCConfig {
-	return TPCCConfig{Warehouses: 2, DistrictsPerWarehouse: 10, CustomersPerDistrict: 300, Items: 2000, Seed: 13}
-}
-
 func (c TPCCConfig) withDefaults() TPCCConfig {
 	if c.Warehouses <= 0 {
 		c.Warehouses = 2
-	}
-	if c.DistrictsPerWarehouse <= 0 {
-		c.DistrictsPerWarehouse = 10
 	}
 	if c.CustomersPerDistrict <= 0 {
 		c.CustomersPerDistrict = 300
@@ -154,7 +147,7 @@ func (w *TPCC) Load(db *ipa.DB) error {
 		if err := ld.Insert(w.warehouses, wh, row); err != nil {
 			return fmt.Errorf("tpcc load warehouse: %w", err)
 		}
-		for d := int64(0); d < int64(c.DistrictsPerWarehouse); d++ {
+		for d := int64(0); d < tpccDistrictsPerWarehouse; d++ {
 			drow := make([]byte, tpccDistrictSize)
 			fill(drow, wh*100+d+9200)
 			putInt64(drow, 0, w.districtKey(wh, d))
@@ -224,7 +217,7 @@ func (w *TPCC) run(db *ipa.DB, body func(tx *ipa.Tx) error) (bool, error) {
 func (w *TPCC) newOrder(db *ipa.DB, r *rand.Rand) (bool, error) {
 	c := w.cfg
 	wh := randInt64(r, int64(c.Warehouses))
-	d := randInt64(r, int64(c.DistrictsPerWarehouse))
+	d := randInt64(r, tpccDistrictsPerWarehouse)
 	cust := nonUniform(r, 1023, 0, int64(c.CustomersPerDistrict)-1)
 	nItems := 5 + r.Intn(11)
 
@@ -296,7 +289,7 @@ func (w *TPCC) newOrder(db *ipa.DB, r *rand.Rand) (bool, error) {
 func (w *TPCC) payment(db *ipa.DB, r *rand.Rand) (bool, error) {
 	c := w.cfg
 	wh := randInt64(r, int64(c.Warehouses))
-	d := randInt64(r, int64(c.DistrictsPerWarehouse))
+	d := randInt64(r, tpccDistrictsPerWarehouse)
 	cust := nonUniform(r, 1023, 0, int64(c.CustomersPerDistrict)-1)
 	amount := int64(100 + r.Intn(500000))
 
@@ -341,7 +334,7 @@ func (w *TPCC) payment(db *ipa.DB, r *rand.Rand) (bool, error) {
 func (w *TPCC) orderStatus(db *ipa.DB, r *rand.Rand) (bool, error) {
 	c := w.cfg
 	wh := randInt64(r, int64(c.Warehouses))
-	d := randInt64(r, int64(c.DistrictsPerWarehouse))
+	d := randInt64(r, tpccDistrictsPerWarehouse)
 	cust := nonUniform(r, 1023, 0, int64(c.CustomersPerDistrict)-1)
 
 	return w.run(db, func(tx *ipa.Tx) error {

@@ -57,7 +57,7 @@ func TestTPCBInvariants(t *testing.T) {
 		}
 		accounts += bal - tpcbInitialBalance
 	}
-	for tl := int64(0); tl < int64(c.Branches*c.TellersPerBranch); tl++ {
+	for tl := int64(0); tl < int64(c.Branches*tpcbTellersPerBranch); tl++ {
 		bal, err := w.TellerBalance(tl)
 		if err != nil {
 			t.Fatalf("TellerBalance: %v", err)

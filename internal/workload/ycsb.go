@@ -19,7 +19,7 @@ import (
 //	E  short-scans    95% scan /  5% insert           zipfian start keys
 //	F  read-mod-write 50% read / 50% read-modify-write zipfian
 //
-// Updates patch a few bytes at the tail of the tuple (UpdateBytes), the
+// Updates patch a few bytes at the tail of the tuple (YCSBUpdateBytes), the
 // access pattern the paper's in-place appends absorb: a skewed stream of
 // tiny modifications against pages that keep coming back dirty.
 
@@ -209,40 +209,28 @@ func ScrambleKey(rank, n int64) int64 {
 	return k
 }
 
+// The YCSB tuple: YCSBValueSize bytes, of which updates and
+// read-modify-writes patch the last YCSBUpdateBytes.
+const (
+	YCSBValueSize   = 120
+	YCSBUpdateBytes = 8
+)
+
 // YCSBConfig configures one YCSB workload instance.
 type YCSBConfig struct {
-	// Letter selects the mix: 'A'..'F'.
+	// Letter selects the mix: 'A'..'F' (default 'A').
 	Letter byte
-	// Records is the number of preloaded rows (the insert phase).
+	// Records is the number of preloaded rows (the insert phase; default
+	// 10000).
 	Records int
-	// ValueSize is the tuple size in bytes.
-	ValueSize int
-	// UpdateBytes is the size of the tail patch an update writes.
-	UpdateBytes int
 	// Distribution overrides the request distribution: "zipfian",
 	// "latest" or "uniform". Empty selects the letter's default (latest
 	// for D, zipfian otherwise).
 	Distribution string
-	// Theta is the zipfian constant (0 = YCSBTheta).
-	Theta float64
 	// MaxScanLength bounds workload E scans (default 100).
 	MaxScanLength int
 	// Seed drives the load-phase generator.
 	Seed int64
-}
-
-// DefaultYCSBConfig returns the configuration of one workload letter with
-// YCSB-like defaults scaled to the simulated device.
-func DefaultYCSBConfig(letter byte) YCSBConfig {
-	return YCSBConfig{
-		Letter:        letter,
-		Records:       10000,
-		ValueSize:     120,
-		UpdateBytes:   8,
-		Theta:         YCSBTheta,
-		MaxScanLength: 100,
-		Seed:          11,
-	}
 }
 
 func (c YCSBConfig) withDefaults() YCSBConfig {
@@ -254,15 +242,6 @@ func (c YCSBConfig) withDefaults() YCSBConfig {
 	}
 	if c.Records <= 0 {
 		c.Records = 10000
-	}
-	if c.ValueSize <= 16 {
-		c.ValueSize = 120
-	}
-	if c.UpdateBytes <= 0 || c.UpdateBytes > c.ValueSize-8 {
-		c.UpdateBytes = 8
-	}
-	if c.Theta <= 0 || c.Theta >= 1 {
-		c.Theta = YCSBTheta
 	}
 	if c.MaxScanLength <= 0 {
 		c.MaxScanLength = 100
@@ -309,7 +288,7 @@ func NewYCSB(cfg YCSBConfig) (*YCSB, error) {
 	return &YCSB{
 		cfg:  cfg,
 		mix:  mix,
-		zipf: NewZipfian(int64(cfg.Records), cfg.Theta),
+		zipf: NewZipfian(int64(cfg.Records), YCSBTheta),
 	}, nil
 }
 
@@ -326,10 +305,10 @@ func (w *YCSB) Mix() YCSBMix { return w.mix }
 // keyspace [0, Records).
 func (w *YCSB) Load(db *ipa.DB) error {
 	var err error
-	if w.table, err = db.CreateTable("ycsb", w.cfg.ValueSize); err != nil {
+	if w.table, err = db.CreateTable("ycsb", YCSBValueSize); err != nil {
 		return err
 	}
-	row := make([]byte, w.cfg.ValueSize)
+	row := make([]byte, YCSBValueSize)
 	ld := NewLoader(db)
 	for k := 0; k < w.cfg.Records; k++ {
 		fill(row, int64(k)+w.cfg.Seed)
@@ -388,7 +367,7 @@ func (w *YCSB) RunOne(db *ipa.DB, r *rand.Rand) (bool, error) {
 
 	case YCSBInsert:
 		key := w.maxKey + 1
-		row := make([]byte, w.cfg.ValueSize)
+		row := make([]byte, YCSBValueSize)
 		fill(row, key+w.cfg.Seed)
 		putInt64(row, 0, key)
 		tx := db.Begin()
@@ -403,10 +382,10 @@ func (w *YCSB) RunOne(db *ipa.DB, r *rand.Rand) (bool, error) {
 
 	case YCSBUpdate:
 		key := w.nextKey(r)
-		patch := make([]byte, w.cfg.UpdateBytes)
+		patch := make([]byte, YCSBUpdateBytes)
 		fill(patch, int64(r.Int63()))
 		tx := db.Begin()
-		if err := tx.UpdateAt(w.table, key, w.cfg.ValueSize-w.cfg.UpdateBytes, patch); err != nil {
+		if err := tx.UpdateAt(w.table, key, YCSBValueSize-YCSBUpdateBytes, patch); err != nil {
 			return w.abort(tx, err)
 		}
 		if err := tx.Commit(); err != nil {
@@ -423,8 +402,8 @@ func (w *YCSB) RunOne(db *ipa.DB, r *rand.Rand) (bool, error) {
 		}
 		// Derive the patch from the read (the "modify" of read-modify-
 		// write): bump a counter in the tail.
-		off := w.cfg.ValueSize - w.cfg.UpdateBytes
-		patch := make([]byte, w.cfg.UpdateBytes)
+		off := YCSBValueSize - YCSBUpdateBytes
+		patch := make([]byte, YCSBUpdateBytes)
 		copy(patch, row[off:])
 		patch[0]++
 		if err := tx.UpdateAt(w.table, key, off, patch); err != nil {

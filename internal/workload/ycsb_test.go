@@ -54,8 +54,7 @@ func TestZipfianDeterminism(t *testing.T) {
 // TestLatestDistributionHotSet: the latest distribution concentrates its
 // mass on the most recently inserted keys.
 func TestLatestDistributionHotSet(t *testing.T) {
-	cfg := DefaultYCSBConfig('D')
-	cfg.Records = 10000
+	cfg := YCSBConfig{Letter: 'D', Records: 10000}
 	w, err := NewYCSB(cfg)
 	if err != nil {
 		t.Fatalf("NewYCSB: %v", err)
@@ -81,9 +80,7 @@ func TestLatestDistributionHotSet(t *testing.T) {
 // TestUniformDistribution: the uniform override really is uniform (no
 // sampled key takes a zipfian-sized share).
 func TestUniformDistribution(t *testing.T) {
-	cfg := DefaultYCSBConfig('C')
-	cfg.Records = 1000
-	cfg.Distribution = "uniform"
+	cfg := YCSBConfig{Letter: 'C', Records: 1000, Distribution: "uniform"}
 	w, err := NewYCSB(cfg)
 	if err != nil {
 		t.Fatalf("NewYCSB: %v", err)
@@ -151,8 +148,7 @@ func TestYCSBMixes(t *testing.T) {
 // stream.
 func TestYCSBDeterminism(t *testing.T) {
 	mk := func() *YCSB {
-		cfg := DefaultYCSBConfig('A')
-		cfg.Records = 5000
+		cfg := YCSBConfig{Letter: 'A', Records: 5000}
 		w, err := NewYCSB(cfg)
 		if err != nil {
 			t.Fatalf("NewYCSB: %v", err)
@@ -182,9 +178,7 @@ func TestYCSBRunAllLetters(t *testing.T) {
 		t.Run(string(letter), func(t *testing.T) {
 			db := testDB(t, ipa.IPANativeFlash)
 			defer db.Close()
-			cfg := DefaultYCSBConfig(letter)
-			cfg.Records = 2000
-			cfg.MaxScanLength = 20
+			cfg := YCSBConfig{Letter: letter, Records: 2000, MaxScanLength: 20}
 			w, err := NewYCSB(cfg)
 			if err != nil {
 				t.Fatalf("NewYCSB: %v", err)

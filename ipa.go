@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -199,8 +200,6 @@ type Config struct {
 	TraceEvictions bool
 	// Seed drives deterministic fault injection.
 	Seed int64
-	// DisableECC turns off ECC simulation.
-	DisableECC bool
 	// Faults, if non-nil, attaches a deterministic power-cut schedule to
 	// the device and the log-device flush path: the K-th program, erase or
 	// log flush fails (optionally torn mid-operation) and every operation
@@ -217,10 +216,6 @@ type Config struct {
 	// the post-checkpoint log across, by heap page / index object (default
 	// 4). 1 selects the serial replay used as the oracle in tests.
 	RecoveryParallelism int
-	// WALSegmentBytes overrides the log segment seal threshold (default
-	// 64 KiB). Checkpoint truncation recycles whole segments, so smaller
-	// segments give it finer grain; tests use tiny ones.
-	WALSegmentBytes int
 	// StatsInterval starts the background ops sampler: every interval one
 	// counter snapshot is pushed onto the trailing ring that backs the
 	// windowed rates and the lifetime burn gauge (DB.Ops, DB.SampleOps;
@@ -230,7 +225,9 @@ type Config struct {
 	StatsInterval time.Duration
 }
 
-// withDefaults fills unset fields.
+// withDefaults fills unset fields. The default geometry mirrors (at reduced
+// scale) the Samsung K9LCG08U1M modules of the OpenSSD Jasmine board used in
+// the paper: 8 KiB pages, 128 pages per erase unit.
 func (c Config) withDefaults() Config {
 	if c.PageSize <= 0 {
 		c.PageSize = 8 * 1024
@@ -246,9 +243,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BufferPoolPages <= 0 {
 		c.BufferPoolPages = 256
-	}
-	if c.OverprovisionPct <= 0 {
-		c.OverprovisionPct = 0.08
 	}
 	if c.TxnCPUCost <= 0 {
 		c.TxnCPUCost = 50 * time.Microsecond
@@ -361,8 +355,7 @@ func Open(cfg Config) (*DB, error) {
 			StrictOverwrite:  true,
 			Faults:           cfg.Faults,
 		},
-		Latency:    flashdev.DefaultLatencyModel(),
-		DisableECC: cfg.DisableECC,
+		Latency: flashdev.DefaultLatencyModel(),
 	}
 	dev, err := flashdev.New(devCfg)
 	if err != nil {
@@ -474,7 +467,6 @@ func assemble(cfg Config, dev *flashdev.Device, f *ftl.FTL, log *wal.Log, txns *
 	// the checkpointer flushes dirty pages oldest-recLSN-first so the
 	// truncation cut advances as far as possible.
 	pool.SetLSNSource(log.NextLSN)
-	log.SetSegmentBytes(cfg.WALSegmentBytes)
 	if cfg.LogFlushLatency > 0 || cfg.LogFlushWallLatency > 0 || cfg.Faults != nil {
 		// Model the separate log device: every flush batch costs one
 		// device write — of virtual time and, optionally, of real time the
@@ -666,7 +658,7 @@ func (db *DB) Table(name string) (*Table, bool) {
 	return t, ok
 }
 
-// Tables returns the names of all tables.
+// Tables returns the names of all tables, sorted.
 func (db *DB) Tables() []string {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -674,6 +666,7 @@ func (db *DB) Tables() []string {
 	for name := range db.tables {
 		out = append(out, name)
 	}
+	sort.Strings(out)
 	return out
 }
 

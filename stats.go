@@ -411,8 +411,9 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "mvcc: snapshotReads=%d versionReads=%d (%.4f chased/read) created=%d reclaimed=%d chains=%d zombies=%d reclaimedZombies=%d activeSnapshots=%d oldestSnapshotAge=%d\n",
 		s.SnapshotReads, s.VersionReads, s.VersionChasedPerRead(), s.VersionsCreated, s.VersionsReclaimed,
 		s.VersionChainsLive, s.ZombieEntries, s.ZombiesReclaimed, s.ActiveSnapshots, s.OldestSnapshotAge)
-	fmt.Fprintf(&b, "wal: flushes=%d commits/flush=%.2f maxBatch=%d shards=%d\n",
-		s.WALFlushes, s.CommitsPerFlush(), s.WALMaxCommitBatch, s.BufferShards)
+	fmt.Fprintf(&b, "buffer: hits=%d misses=%d shards=%d\n", s.BufferHits, s.BufferMisses, s.BufferShards)
+	fmt.Fprintf(&b, "wal: flushes=%d commits/flush=%.2f maxBatch=%d\n",
+		s.WALFlushes, s.CommitsPerFlush(), s.WALMaxCommitBatch)
 	fmt.Fprintf(&b, "checkpoint: lsn=%d segments=%d bytesSince=%d redoRecords=%d redoWorkers=%d\n",
 		s.CheckpointLSN, s.WALSegments, s.WALBytesSinceCheckpoint, s.RecoveryRedoRecords, s.RecoveryParallelism)
 	if s.Chips > 1 {
