@@ -296,19 +296,6 @@ func (d *Device) Stats() Stats {
 	}
 }
 
-// ResetStats zeroes the device counters. The virtual clock and the per-
-// block wear state are preserved.
-func (d *Device) ResetStats() {
-	d.pageReads.Store(0)
-	d.pagePrograms.Store(0)
-	d.deltaPrograms.Store(0)
-	d.blockErases.Store(0)
-	d.bytesToDevice.Store(0)
-	d.bytesFromDevice.Store(0)
-	d.correctedBits.Store(0)
-	d.uncorrectable.Store(0)
-}
-
 // ChipStats returns the summed raw chip counters.
 func (d *Device) ChipStats() nand.Stats {
 	var s nand.Stats
@@ -325,8 +312,8 @@ func (d *Device) ChipStats() nand.Stats {
 }
 
 // PerChipStats returns the raw operation counters of every chip, indexed by
-// chip. Chip counters accumulate over the device lifetime (they are not
-// affected by ResetStats).
+// chip. Chip counters accumulate over the device lifetime, like every
+// counter of the device.
 func (d *Device) PerChipStats() []nand.Stats {
 	out := make([]nand.Stats, len(d.chips))
 	for i, c := range d.chips {

@@ -326,24 +326,3 @@ func TestMultiChipAddressing(t *testing.T) {
 		t.Fatalf("expected out of range, got %v", err)
 	}
 }
-
-func TestResetStatsKeepsClockAndWear(t *testing.T) {
-	d := mustDevice(t, testConfig())
-	if err := d.ProgramPage(0, 0, pattern(2048, 11), 2048); err != nil {
-		t.Fatalf("ProgramPage: %v", err)
-	}
-	if err := d.EraseBlock(0); err != nil {
-		t.Fatalf("EraseBlock: %v", err)
-	}
-	before := d.Now()
-	d.ResetStats()
-	if d.Stats().PagePrograms != 0 || d.Stats().BlockErases != 0 {
-		t.Fatalf("stats not reset")
-	}
-	if d.Now() != before {
-		t.Fatalf("clock must survive ResetStats")
-	}
-	if d.TotalErases() != 1 {
-		t.Fatalf("wear must survive ResetStats")
-	}
-}

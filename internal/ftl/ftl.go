@@ -139,17 +139,6 @@ type counters struct {
 	invalidations    atomic.Uint64
 }
 
-func (c *counters) reset() {
-	c.hostReads.Store(0)
-	c.hostWrites.Store(0)
-	c.hostWriteDeltas.Store(0)
-	c.hostBytesRead.Store(0)
-	c.hostBytesWritten.Store(0)
-	c.inPlaceAppends.Store(0)
-	c.outOfPlaceWrites.Store(0)
-	c.invalidations.Store(0)
-}
-
 // partition is the per-chip slice of the FTL: its own lock, active block,
 // free-block list and garbage collector. A partition owns the blocks
 // [chip*blocksPerChip, (chip+1)*blocksPerChip) of the device, every
@@ -353,16 +342,6 @@ func (f *FTL) ChipStats() []ChipStats {
 		}
 	}
 	return out
-}
-
-// ResetStats clears all counters (used after benchmark load phases).
-func (f *FTL) ResetStats() {
-	f.stats.reset()
-	for _, p := range f.parts {
-		p.gcRuns.Store(0)
-		p.gcMigrations.Store(0)
-		p.gcErases.Store(0)
-	}
 }
 
 // ppa helpers.

@@ -327,19 +327,6 @@ func TestPSLCHalvesCapacity(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	f := testFTL(t, Config{FlashMode: nand.ModeMLCFull})
-	for lba := 0; lba < 10; lba++ {
-		if _, err := f.WritePage(lba, pageImage(f.PageSize(), byte(lba))); err != nil {
-			t.Fatalf("WritePage: %v", err)
-		}
-	}
-	f.ResetStats()
-	if f.Stats().HostWrites != 0 {
-		t.Fatalf("ResetStats failed")
-	}
-}
-
 func TestWritePageValidation(t *testing.T) {
 	f := testFTL(t, Config{FlashMode: nand.ModeMLCFull})
 	if _, err := f.WritePage(0, make([]byte, 10)); err == nil {

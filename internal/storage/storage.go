@@ -276,31 +276,11 @@ func (m *Manager) Stats() Stats {
 	return s
 }
 
-// ResetStats clears the counters and the trace (used after load phases).
-func (m *Manager) ResetStats() {
-	m.stats.pageLoads.Store(0)
-	m.stats.dirtyEvictions.Store(0)
-	m.stats.cleanEvictions.Store(0)
-	m.stats.ipaAppends.Store(0)
-	m.stats.outOfPlaceWrites.Store(0)
-	m.stats.appendFallbacks.Store(0)
-	m.stats.deltaRecordsWritten.Store(0)
-	m.stats.deltaBytesWritten.Store(0)
-	m.stats.netChangedBytes.Store(0)
-	m.stats.smallEvictions.Store(0)
-	m.stats.evictedBytes.Store(0)
-	m.stats.indexPageLoads.Store(0)
-	m.stats.indexDirtyEvictions.Store(0)
-	m.stats.indexIPAAppends.Store(0)
-	m.stats.indexOutOfPlaceWrites.Store(0)
-	m.stats.indexDeltaRecords.Store(0)
-	m.stats.indexDeltaBytes.Store(0)
-	for i := range m.stats.histogram {
-		m.stats.histogram[i].Store(0)
-	}
+// TraceLen returns the number of events recorded in the trace so far.
+func (m *Manager) TraceLen() int {
 	m.traceMu.Lock()
-	m.trace = nil
-	m.traceMu.Unlock()
+	defer m.traceMu.Unlock()
+	return len(m.trace)
 }
 
 // Trace returns a copy of the recorded fetch/eviction trace.

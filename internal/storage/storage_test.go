@@ -263,7 +263,7 @@ func TestFigure1Accounting(t *testing.T) {
 	m := testStack(t, WriteTraditional, core.Disabled, nand.ModeMLCFull)
 	pid, _, _ := newPage(t, m, 4)
 	// Measure only the small update below, not the initial page fill.
-	m.ResetStats()
+	before := m.Stats()
 	buf, tracker := reload(t, m, pid)
 	pg, _ := page.Wrap(buf)
 	pg.SetRecorder(tracker)
@@ -274,15 +274,15 @@ func TestFigure1Accounting(t *testing.T) {
 		t.Fatalf("StorePage: %v", err)
 	}
 	s := m.Stats()
-	if s.SmallEvictions != 1 {
-		t.Fatalf("a small change must count as a small eviction: %+v", s)
+	if small := s.SmallEvictions - before.SmallEvictions; small != 1 {
+		t.Fatalf("a small change must count as one small eviction, got %d", small)
 	}
 	// Tuple 0 is filled with 0x01, so writing {1,2,3} nets two changed bytes.
-	if s.NetChangedBytes != 2 {
-		t.Fatalf("NetChangedBytes = %d, want 2", s.NetChangedBytes)
+	if net := s.NetChangedBytes - before.NetChangedBytes; net != 2 {
+		t.Fatalf("NetChangedBytes grew by %d, want 2", net)
 	}
-	if s.EvictedBytes == 0 || s.EvictedBytes%uint64(m.PageSize()) != 0 {
-		t.Fatalf("EvictedBytes accounting wrong: %d", s.EvictedBytes)
+	if evicted := s.EvictedBytes - before.EvictedBytes; evicted == 0 || evicted%uint64(m.PageSize()) != 0 {
+		t.Fatalf("EvictedBytes accounting wrong: %d", evicted)
 	}
 }
 
@@ -313,9 +313,8 @@ func TestTraceRecording(t *testing.T) {
 	if fetches == 0 || evicts < 2 {
 		t.Fatalf("trace incomplete: %d fetches, %d evicts", fetches, evicts)
 	}
-	m.ResetStats()
-	if len(m.Trace()) != 0 {
-		t.Fatalf("ResetStats must clear the trace")
+	if m.TraceLen() != len(trace) {
+		t.Fatalf("TraceLen = %d, want %d", m.TraceLen(), len(trace))
 	}
 }
 

@@ -503,11 +503,3 @@ func (c *VersionCache) Stats() VersionStats {
 		VersionReads:      c.versionReads.Load(),
 	}
 }
-
-// ResetStats zeroes the monotonic counters (gauges are left alone).
-func (c *VersionCache) ResetStats() {
-	c.versionsCreated.Store(0)
-	c.versionsReclaimed.Store(0)
-	c.resolves.Store(0)
-	c.versionReads.Store(0)
-}

@@ -178,12 +178,6 @@ func (m *Manager) LockStats() (acquisitions, conflicts uint64) {
 	return m.lockAcquisitions.Load(), m.lockConflicts.Load()
 }
 
-// ResetLockStats zeroes the lock counters.
-func (m *Manager) ResetLockStats() {
-	m.lockAcquisitions.Store(0)
-	m.lockConflicts.Store(0)
-}
-
 // Txn is one transaction.
 type Txn struct {
 	mgr        *Manager

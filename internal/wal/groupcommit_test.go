@@ -127,33 +127,6 @@ func TestFlushDoesNotCountAsCommit(t *testing.T) {
 	}
 }
 
-// TestResetStatsClearsWindowNotDurability verifies that ResetStats zeroes
-// the accounting counters while preserving the durability state.
-func TestResetStatsClearsWindowNotDurability(t *testing.T) {
-	l := New()
-	lsn := appendCommit(l, 1)
-	l.CommitFlush(lsn)
-	if l.BytesWritten() == 0 {
-		t.Fatalf("nothing accounted before reset")
-	}
-	l.ResetStats()
-	if l.BytesWritten() != 0 {
-		t.Fatalf("BytesWritten survived reset")
-	}
-	if s := l.GroupCommitStats(); s != (GroupCommitStats{}) {
-		t.Fatalf("group-commit stats survived reset: %+v", s)
-	}
-	if l.FlushedLSN() != lsn {
-		t.Fatalf("reset must not touch durability: FlushedLSN = %d", l.FlushedLSN())
-	}
-	// Records flushed before the reset must not be re-accounted.
-	lsn2 := appendCommit(l, 2)
-	l.CommitFlush(lsn2)
-	if want := uint64(Record{TxnID: 2, Type: RecCommit, LSN: lsn2}.EncodedSize()); l.BytesWritten() != want {
-		t.Fatalf("BytesWritten after reset = %d, want %d", l.BytesWritten(), want)
-	}
-}
-
 // TestConcurrentCommitFlushStress hammers CommitFlush from many goroutines
 // and checks the accounting invariants (run with -race).
 func TestConcurrentCommitFlushStress(t *testing.T) {

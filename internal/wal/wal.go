@@ -596,16 +596,6 @@ func (l *Log) flush(lsn uint64, commit bool) error {
 	return err
 }
 
-// ResetStats zeroes the flushed-byte and group-commit counters (the
-// durability state — flushedLSN, records — is untouched). Used by
-// DB.ResetStats to restart the measurement window after a load phase.
-func (l *Log) ResetStats() {
-	l.mu.Lock()
-	l.bytesWritten = 0
-	l.gcStats = GroupCommitStats{}
-	l.mu.Unlock()
-}
-
 // GroupCommitStats returns a snapshot of the group-commit counters.
 func (l *Log) GroupCommitStats() GroupCommitStats {
 	l.mu.Lock()

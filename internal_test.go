@@ -118,20 +118,3 @@ func TestReopenRegistersWhatCreateRegistered(t *testing.T) {
 		t.Errorf("VerifyIntegrity: %v", err)
 	}
 }
-
-// TestWALGaugeSaturatesMidReset puts the database in the state ResetStats
-// passes through — the log's byte counter already zeroed, the checkpoint
-// mark not yet re-based — and reads the gauge a concurrent Stats would see.
-// (TestStatsAndResetRaceFree hits the same window by chance.)
-func TestWALGaugeSaturatesMidReset(t *testing.T) {
-	db, err := Open(smallGeometry())
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer db.Close()
-	db.walBytesAtCkpt.Store(4096)
-	db.log.ResetStats()
-	if since := db.Stats().WALBytesSinceCheckpoint; since != 0 {
-		t.Fatalf("WALBytesSinceCheckpoint reads %d with the mark ahead of the counter, want 0", since)
-	}
-}

@@ -297,10 +297,11 @@ type DB struct {
 	closeErr  error
 
 	// Hot counters mutated by the commit path; kept atomic so Stats and
-	// ResetStats are safe while transactions run.
+	// ResetStats are safe while transactions run. mark is the reading the
+	// Stats window starts from (see stats.go).
 	committed atomic.Uint64
 	aborted   atomic.Uint64
-	timeBase  atomic.Int64 // nanoseconds of virtual time
+	mark      atomic.Pointer[reading]
 
 	// MVCC zombie queue: index entries retained for old snapshots,
 	// re-checked and dropped by maybeGC (see mvcc.go).
@@ -324,10 +325,10 @@ type DB struct {
 	ckptStop       chan struct{}
 	ckptDone       chan struct{}
 
-	// Ops sampler state: the trailing ring of counter snapshots behind
-	// the windowed rates and burn gauge (see ops.go).
+	// Ops sampler state: the trailing ring of counter readings behind the
+	// windowed rates (see ops.go).
 	opsMu   sync.Mutex
-	opsRing []OpsSample
+	opsRing []*reading
 	opsStop chan struct{}
 	opsDone chan struct{}
 }
@@ -490,7 +491,7 @@ func assemble(cfg Config, dev *flashdev.Device, f *ftl.FTL, log *wal.Log, txns *
 			return nil
 		})
 	}
-	return &DB{
+	db := &DB{
 		cfg:             cfg,
 		dev:             dev,
 		ftl:             f,
@@ -505,7 +506,9 @@ func assemble(cfg Config, dev *flashdev.Device, f *ftl.FTL, log *wal.Log, txns *
 		secondaryByID:   make(map[uint32]*SecondaryIndex),
 		secondaryByName: make(map[string]*SecondaryIndex),
 		nextObjID:       1,
-	}, nil
+	}
+	db.mark.Store(zeroReading(f.Chips()))
+	return db, nil
 }
 
 // Config returns the configuration the database was opened with (defaults
@@ -715,34 +718,19 @@ func (db *DB) acquire() error {
 
 func (db *DB) release() { db.gate.RUnlock() }
 
-// ResetStats zeroes all performance counters and restarts the virtual-time
-// window; it is typically called after a benchmark's load phase so the
-// measurement covers only the workload itself. It is safe to call while
-// transactions are running.
-func (db *DB) ResetStats() {
-	db.ftl.ResetStats()
-	db.store.ResetStats()
-	db.dev.ResetStats()
-	db.log.ResetStats()
-	db.txns.Versions().ResetStats()
-	db.txns.ResetLockStats()
-	db.committed.Store(0)
-	db.aborted.Store(0)
-	db.zombiesReclaimed.Store(0)
-	// Re-baseline the checkpoint byte trigger: the log's BytesWritten just
-	// went back to zero, and walBytesAtCkpt must never exceed it.
-	db.walBytesAtCkpt.Store(db.log.BytesWritten())
-	db.timeBase.Store(int64(db.dev.Now()))
-	// Drop the ops snapshot ring: samples taken before the reset would
-	// yield negative window deltas against the zeroed counters.
-	db.opsMu.Lock()
-	db.opsRing = db.opsRing[:0]
-	db.opsMu.Unlock()
-}
+// ResetStats starts a new Stats window, typically after a benchmark's load
+// phase so the measurement covers only the workload itself. It clears no
+// counter — it marks where the window starts — so it is safe to call while
+// transactions are running, and the gauges, the background checkpointer
+// and the ops ring do not notice it.
+func (db *DB) ResetStats() { db.mark.Store(db.read()) }
 
-// Trace returns the recorded fetch/eviction trace (TraceEvictions must be
-// enabled).
-func (db *DB) Trace() []storage.TraceEvent { return db.store.Trace() }
+// Trace returns the fetch/eviction trace recorded since the last
+// ResetStats (TraceEvictions must be enabled).
+func (db *DB) Trace() []storage.TraceEvent {
+	from := db.mark.Load().traceLen // before the trace, which only grows
+	return db.store.Trace()[from:]
+}
 
 // DeviceGeometry describes the simulated Flash device.
 type DeviceGeometry struct {
@@ -1030,7 +1018,8 @@ func (db *DB) checkpointLoop() {
 		case <-db.ckptStop:
 			return
 		case <-ticker.C:
-			if sub(db.log.BytesWritten(), db.walBytesAtCkpt.Load()) < db.cfg.CheckpointEveryBytes {
+			// The mark is loaded first, so the difference cannot go negative.
+			if atCkpt := db.walBytesAtCkpt.Load(); db.log.BytesWritten()-atCkpt < db.cfg.CheckpointEveryBytes {
 				continue
 			}
 			if _, err := db.Checkpoint(); err != nil {

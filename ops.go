@@ -9,7 +9,7 @@ import (
 // the paper's one-shot E5 longevity estimate into a number you can watch
 // move on a running server, and the windowed rates (tps, evictions/s,
 // in-place-append share, erase rate) computed from a lightweight ring of
-// periodic counter snapshots.
+// periodic counter readings.
 //
 // All rates are computed over *virtual* device time, the same clock
 // Stats.Throughput uses — which keeps them deterministic under test (a
@@ -17,32 +17,15 @@ import (
 // across write modes. Wall-clock widths are reported alongside for
 // dashboard context only.
 
-// opsRingCap bounds the snapshot ring: at the default 1s StatsInterval it
+// opsRingCap bounds the reading ring: at the default 1s StatsInterval it
 // holds about two minutes of trailing history.
 const opsRingCap = 128
 
-// OpsSample is one snapshot of the raw counters the windowed rates are
-// derived from. Samples are taken by the background sampler
-// (Config.StatsInterval) or explicitly via DB.SampleOps.
-type OpsSample struct {
-	// Wall is the wall-clock time of the snapshot; Virtual the device
-	// clock (DB.Now).
-	Wall    time.Time     `json:"wall"`
-	Virtual time.Duration `json:"virtual"`
-
-	// Counters as of the snapshot. Committed, DirtyEvictions,
-	// InPlaceAppends and OutOfPlaceWrites follow ResetStats windows;
-	// Erases is the lifetime device total (never reset).
-	Committed        uint64 `json:"committed"`
-	DirtyEvictions   uint64 `json:"dirty_evictions"`
-	InPlaceAppends   uint64 `json:"in_place_appends"`
-	OutOfPlaceWrites uint64 `json:"out_of_place_writes"`
-	Erases           uint64 `json:"erases"`
-}
-
 // OpsStats is the derived ops gauge set: lifetime burn plus trailing-window
-// rates. DB.Ops computes it from the two newest ring samples when the
-// sampler has run, falling back to the whole ResetStats window otherwise.
+// rates. DB.Ops takes the trailing window between the two newest ring
+// readings when the sampler has run, and the Stats window (since the last
+// ResetStats) otherwise; a ResetStats moves the latter and leaves the ring
+// alone.
 type OpsStats struct {
 	// EraseBudget is the total block erases the device can absorb before
 	// every block reaches its endurance: blocks (across all chips) ×
@@ -54,7 +37,7 @@ type OpsStats struct {
 	// device's lifetime already spent. 1.0 means the budget is exhausted.
 	LifeBurned float64 `json:"life_burned"`
 	// ErasesAvoided estimates how many erases in-place appends saved over
-	// the NoFTL/out-of-place baseline in the current stats window: each
+	// the NoFTL/out-of-place baseline in the Stats window: each
 	// in-place append replaced one out-of-place page write, and
 	// PagesPerBlock page writes cost the device one eventual GC erase, so
 	// ErasesAvoided = InPlaceAppends / PagesPerBlock. This is the live
@@ -66,7 +49,7 @@ type OpsStats struct {
 	BaselineErases uint64 `json:"baseline_erases"`
 
 	// WindowVirtual / WindowWall are the width of the trailing window the
-	// rates below cover.
+	// rates below cover (WindowWall is 0 for the Stats window).
 	WindowVirtual time.Duration `json:"window_virtual"`
 	WindowWall    time.Duration `json:"window_wall"`
 	// WindowTPS is committed transactions per virtual second in the window.
@@ -84,125 +67,64 @@ type OpsStats struct {
 	// in virtual time. 0 means no erase activity in the window (the
 	// device is not measurably dying) or the budget is already exhausted.
 	TimeToDeath time.Duration `json:"time_to_death"`
-	// Samples is how many ring snapshots backed the window (0 or 1 means
-	// the fallback whole-window rates were used).
+	// Samples is how many ring readings there are (0 or 1 means the
+	// rates cover the Stats window).
 	Samples int `json:"samples"`
 }
 
-// SampleOps takes one counter snapshot, pushes it onto the trailing ring
-// and returns it. The background sampler (Config.StatsInterval) calls it
-// periodically; tests and tools may call it explicitly — e.g. around a
-// deterministic virtual-clock workload phase.
-func (db *DB) SampleOps() OpsSample {
-	ss := db.store.Stats()
-	fs := db.ftl.Stats()
-	s := OpsSample{
-		Wall:             time.Now(),
-		Virtual:          db.dev.Now(),
-		Committed:        db.committed.Load(),
-		DirtyEvictions:   ss.DirtyEvictions,
-		InPlaceAppends:   fs.InPlaceAppends,
-		OutOfPlaceWrites: fs.OutOfPlaceWrites,
-		Erases:           db.dev.TotalErases(),
-	}
-	db.opsMu.Lock()
-	if len(db.opsRing) == opsRingCap {
-		copy(db.opsRing, db.opsRing[1:])
-		db.opsRing = db.opsRing[:opsRingCap-1]
-	}
-	db.opsRing = append(db.opsRing, s)
-	db.opsMu.Unlock()
-	return s
-}
-
-// OpsWindow returns a copy of the snapshot ring, oldest first.
-func (db *DB) OpsWindow() []OpsSample {
+// SampleOps pushes one reading of every counter onto the trailing ring.
+// The background sampler (Config.StatsInterval) calls it periodically;
+// tests and tools may call it explicitly — e.g. around a deterministic
+// virtual-clock workload phase.
+func (db *DB) SampleOps() {
 	db.opsMu.Lock()
 	defer db.opsMu.Unlock()
-	out := make([]OpsSample, len(db.opsRing))
-	copy(out, db.opsRing)
-	return out
+	if len(db.opsRing) == opsRingCap {
+		db.opsRing = append(db.opsRing[:0], db.opsRing[1:]...)
+	}
+	// Read under opsMu, so every reading on the ring is later than the
+	// one before it.
+	db.opsRing = append(db.opsRing, db.read())
 }
 
 // Ops computes the derived operational gauges. The trailing window is the
-// span between the two newest ring snapshots; with fewer than two samples
-// it degrades to the whole window since the last ResetStats, so Ops is
-// meaningful even without the background sampler.
+// span between the two newest ring readings; with fewer than two it is the
+// Stats window, so Ops is meaningful even without the background sampler.
 func (db *DB) Ops() OpsStats {
+	s := db.Stats()
 	geo := db.dev.Geometry()
-	endurance := db.dev.EnduranceCycles()
-	consumed := db.dev.TotalErases()
-	fs := db.ftl.Stats()
-	ds := db.dev.Stats()
-	ss := db.store.Stats()
-	ppb := uint64(geo.PagesPerBlock)
-
 	o := OpsStats{
-		EraseBudget:    uint64(geo.Blocks) * uint64(endurance),
-		ErasesConsumed: consumed,
+		EraseBudget:    uint64(geo.Blocks) * uint64(s.EnduranceCycles),
+		ErasesConsumed: s.TotalErasesEver,
+		ErasesAvoided:  s.InPlaceAppends / uint64(geo.PagesPerBlock),
 	}
 	if o.EraseBudget > 0 {
-		o.LifeBurned = float64(consumed) / float64(o.EraseBudget)
+		o.LifeBurned = float64(o.ErasesConsumed) / float64(o.EraseBudget)
 	}
-	if ppb > 0 {
-		o.ErasesAvoided = fs.InPlaceAppends / ppb
-	}
-	o.BaselineErases = ds.BlockErases + o.ErasesAvoided
+	o.BaselineErases = s.FlashBlockErases + o.ErasesAvoided
 
-	// Window deltas: newest two ring samples, or the ResetStats window.
+	w := s
 	db.opsMu.Lock()
-	n := len(db.opsRing)
-	var newest, oldest OpsSample
-	if n >= 2 {
-		newest, oldest = db.opsRing[n-1], db.opsRing[n-2]
+	if o.Samples = len(db.opsRing); o.Samples >= 2 {
+		older, newer := db.opsRing[o.Samples-2], db.opsRing[o.Samples-1]
+		w, o.WindowWall = window(older, newer), newer.wall.Sub(older.wall)
 	}
 	db.opsMu.Unlock()
-	o.Samples = n
-
-	var dVirtual time.Duration
-	var dCommitted, dEvictions, dInPlace, dOutOfPlace, dErases uint64
-	if n >= 2 {
-		dVirtual = newest.Virtual - oldest.Virtual
-		o.WindowWall = newest.Wall.Sub(oldest.Wall)
-		dCommitted = sub(newest.Committed, oldest.Committed)
-		dEvictions = sub(newest.DirtyEvictions, oldest.DirtyEvictions)
-		dInPlace = sub(newest.InPlaceAppends, oldest.InPlaceAppends)
-		dOutOfPlace = sub(newest.OutOfPlaceWrites, oldest.OutOfPlaceWrites)
-		dErases = sub(newest.Erases, oldest.Erases)
-	} else {
-		dVirtual = db.dev.Now() - time.Duration(db.timeBase.Load())
-		dCommitted = db.committed.Load()
-		dEvictions = ss.DirtyEvictions
-		dInPlace = fs.InPlaceAppends
-		dOutOfPlace = fs.OutOfPlaceWrites
-		dErases = ds.BlockErases
+	o.WindowVirtual = w.Elapsed
+	if secs := w.Elapsed.Seconds(); secs > 0 {
+		o.WindowTPS = float64(w.CommittedTxns) / secs
+		o.WindowEvictionsPerSec = float64(w.DirtyEvictions) / secs
+		o.WindowEraseRatePerSec = float64(w.FlashBlockErases) / secs
 	}
-	o.WindowVirtual = dVirtual
-	if secs := dVirtual.Seconds(); secs > 0 {
-		o.WindowTPS = float64(dCommitted) / secs
-		o.WindowEvictionsPerSec = float64(dEvictions) / secs
-		o.WindowEraseRatePerSec = float64(dErases) / secs
-	}
-	if writes := dInPlace + dOutOfPlace; writes > 0 {
-		o.WindowInPlaceShare = float64(dInPlace) / float64(writes)
-	}
-	if o.WindowEraseRatePerSec > 0 && consumed < o.EraseBudget {
-		remaining := float64(o.EraseBudget - consumed)
+	o.WindowInPlaceShare = w.InPlaceShare()
+	if o.WindowEraseRatePerSec > 0 && o.ErasesConsumed < o.EraseBudget {
+		remaining := float64(o.EraseBudget - o.ErasesConsumed)
 		o.TimeToDeath = time.Duration(remaining / o.WindowEraseRatePerSec * float64(time.Second))
 	}
 	return o
 }
 
-// sub is a - b clamped at zero: a ResetStats between two samples may move
-// windowed counters backwards.
-func sub(a, b uint64) uint64 {
-	if a < b {
-		return 0
-	}
-	return a - b
-}
-
-// startOpsSampler launches the background snapshot goroutine when the
+// startOpsSampler launches the background sampler goroutine when the
 // configuration asks for one.
 func (db *DB) startOpsSampler() {
 	if db.cfg.StatsInterval <= 0 {

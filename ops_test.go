@@ -46,8 +46,8 @@ func churn(t *testing.T, db *ipa.DB, table *ipa.Table, rows int64, ops int) {
 
 // TestBurnGaugeClosedForm pins the burn-rate derivation against a
 // closed-form oracle: the run is entirely on the virtual device clock, so
-// the expected time-to-death is computable exactly from the raw counters
-// of the two ring samples the gauge itself is derived from.
+// the expected time-to-death is computable exactly from the counters as
+// they stood at the two ring readings the gauge itself is derived from.
 func TestBurnGaugeClosedForm(t *testing.T) {
 	db, err := ipa.Open(opsConfig(ipa.Traditional))
 	if err != nil {
@@ -69,20 +69,22 @@ func TestBurnGaugeClosedForm(t *testing.T) {
 	// Warm-up phase so the measured window starts mid-life, then bracket
 	// a deterministic churn phase with two explicit samples.
 	churn(t, db, table, rows, 2000)
-	s1 := db.SampleOps()
+	db.SampleOps()
+	s1 := db.Stats()
 	churn(t, db, table, rows, 4000)
-	s2 := db.SampleOps()
+	db.SampleOps()
+	s2 := db.Stats()
 
-	if s2.Erases <= s1.Erases {
+	if s2.FlashBlockErases <= s1.FlashBlockErases {
 		t.Fatalf("churn produced no erases in the window (%d -> %d); device too large for the test",
-			s1.Erases, s2.Erases)
+			s1.FlashBlockErases, s2.FlashBlockErases)
 	}
-	if s2.Virtual <= s1.Virtual {
-		t.Fatalf("virtual clock did not advance: %v -> %v", s1.Virtual, s2.Virtual)
+	if s2.Elapsed <= s1.Elapsed {
+		t.Fatalf("virtual clock did not advance: %v -> %v", s1.Elapsed, s2.Elapsed)
 	}
 
 	o := db.Ops()
-	st := db.Stats()
+	st := s2
 	geo := db.Geometry()
 
 	// Closed-form oracle, from first principles.
@@ -98,12 +100,12 @@ func TestBurnGaugeClosedForm(t *testing.T) {
 		t.Fatalf("LifeBurned = %g, want %g", o.LifeBurned, wantBurn)
 	}
 
-	dv := (s2.Virtual - s1.Virtual).Seconds()
-	wantRate := float64(s2.Erases-s1.Erases) / dv
+	dv := (s2.Elapsed - s1.Elapsed).Seconds()
+	wantRate := float64(s2.FlashBlockErases-s1.FlashBlockErases) / dv
 	if math.Abs(o.WindowEraseRatePerSec-wantRate)/wantRate > 1e-9 {
 		t.Fatalf("WindowEraseRatePerSec = %g, want %g", o.WindowEraseRatePerSec, wantRate)
 	}
-	wantTPS := float64(s2.Committed-s1.Committed) / dv
+	wantTPS := float64(s2.CommittedTxns-s1.CommittedTxns) / dv
 	if math.Abs(o.WindowTPS-wantTPS)/wantTPS > 1e-9 {
 		t.Fatalf("WindowTPS = %g, want %g", o.WindowTPS, wantTPS)
 	}
@@ -153,12 +155,6 @@ func TestBurnGaugeFallbackWindow(t *testing.T) {
 	}
 	if o.WindowEraseRatePerSec <= 0 {
 		t.Fatalf("fallback erase rate = %g, want > 0", o.WindowEraseRatePerSec)
-	}
-	// ResetStats drops the ring so stale samples can never straddle it.
-	db.SampleOps()
-	db.ResetStats()
-	if got := len(db.OpsWindow()); got != 0 {
-		t.Fatalf("ring holds %d samples after ResetStats, want 0", got)
 	}
 }
 
@@ -216,18 +212,18 @@ func TestOpsSamplerBackground(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for len(db.OpsWindow()) < 2 {
+	for db.Ops().Samples < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("sampler produced %d samples in 5s, want >= 2", len(db.OpsWindow()))
+			t.Fatalf("sampler produced %d samples in 5s, want >= 2", db.Ops().Samples)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	n := len(db.OpsWindow())
+	n := db.Ops().Samples
 	time.Sleep(10 * time.Millisecond)
-	if got := len(db.OpsWindow()); got != n {
+	if got := db.Ops().Samples; got != n {
 		t.Fatalf("sampler still running after Close: %d -> %d samples", n, got)
 	}
 }

@@ -5,7 +5,13 @@ import (
 	"strings"
 	"time"
 
+	"ipa/internal/buffer"
+	"ipa/internal/flashdev"
+	"ipa/internal/ftl"
+	"ipa/internal/nand"
 	"ipa/internal/storage"
+	"ipa/internal/txn"
+	"ipa/internal/wal"
 )
 
 // Stats aggregates the counters reported by the paper's experiments across
@@ -13,8 +19,14 @@ import (
 // garbage-collection work, raw Flash operations, storage-manager eviction
 // behaviour, buffer-pool efficiency and transactional throughput.
 //
-// All counters cover the window since the last ResetStats call (benchmarks
-// reset after the load phase).
+// Every counter covers the window since the last ResetStats call, or since
+// Open or Reopen before the first one (benchmarks reset after the load
+// phase), and so does Elapsed. The exceptions say so: configuration echoes,
+// gauges (VersionChainsLive, ZombieEntries, ActiveSnapshots,
+// OldestSnapshotAge, CheckpointLSN, WALSegments, WALBytesSinceCheckpoint,
+// the per-chip FreeBlocks, MaxEraseCount), RecoveryRedoRecords, and the
+// lifetime figures WALMaxCommitBatch, TotalErasesEver and the per-chip
+// Flash counters and Busy clocks.
 type Stats struct {
 	// Configuration echo.
 	Mode      WriteMode
@@ -111,8 +123,9 @@ type Stats struct {
 	ActiveSnapshots   int
 	OldestSnapshotAge uint64
 	// Group commit: physical log flushes, the commit requests they served
-	// and the largest batch one flush absorbed. WALFlushedCommits /
-	// WALFlushes is the average group-commit batch size.
+	// and the largest batch one flush absorbed since Open (a maximum has no
+	// window). WALFlushedCommits / WALFlushes is the average group-commit
+	// batch size.
 	WALFlushes        uint64
 	WALFlushedCommits uint64
 	WALMaxCommitBatch uint64
@@ -137,16 +150,15 @@ type Stats struct {
 
 	// Chips is the number of NAND chips; ChipStats breaks the Flash and
 	// GC activity down per chip. The raw flash counters and the per-chip
-	// Busy clocks accumulate over the device lifetime (like
-	// TotalErasesEver, they are not affected by ResetStats), so their
-	// spread shows how evenly the whole run striped load across the
-	// chips; the per-chip GC counters follow ResetStats windows like the
-	// global GC statistics.
+	// Busy clocks cover the device lifetime, like TotalErasesEver, so their
+	// spread shows how evenly the whole run striped load across the chips;
+	// the per-chip GC counters cover the window like the global GC
+	// statistics.
 	Chips     int
 	ChipStats []ChipStat
 
 	// Wear (longevity).
-	TotalErasesEver uint64 // erases since device creation (not reset)
+	TotalErasesEver uint64 // erases since device creation
 	MaxEraseCount   int
 	EnduranceCycles int
 
@@ -155,8 +167,8 @@ type Stats struct {
 }
 
 // ChipStat is the per-chip slice of the device and FTL activity: raw Flash
-// operations and Busy since device creation, GC work since the last
-// ResetStats. On a well-striped workload the chips carry similar loads.
+// operations and Busy since device creation, GC work within the Stats
+// window. On a well-striped workload the chips carry similar loads.
 type ChipStat struct {
 	Chip          int
 	PageReads     uint64
@@ -170,126 +182,168 @@ type ChipStat struct {
 	Busy          time.Duration // per-chip virtual clock
 }
 
-// Stats returns a snapshot of all counters since the last ResetStats call.
-func (db *DB) Stats() Stats {
-	fs := db.ftl.Stats()
-	ds := db.dev.Stats()
-	cs := db.dev.ChipStats()
-	ss := db.store.Stats()
-	ps := db.pool.Stats()
-	gc := db.log.GroupCommitStats()
+// reading is one look at every layer's counters. The layers only count up,
+// so a window is the difference of two readings, and window alone takes
+// it: the database's mark is the reading the Stats window starts from, and
+// the ops ring holds the readings its trailing windows lie between.
+type reading struct {
+	wall     time.Time
+	virtual  time.Duration
+	ftl      ftl.Stats
+	ftlChips []ftl.ChipStats
+	dev      flashdev.Stats
+	chips    nand.Stats // summed over the chips
+	store    storage.Stats
+	traceLen int
+	pool     buffer.Stats
+	walBytes uint64
+	group    wal.GroupCommitStats
+	versions txn.VersionStats
 
-	committed := db.committed.Load()
-	aborted := db.aborted.Load()
-	base := time.Duration(db.timeBase.Load())
-	vs := db.txns.Versions().Stats()
-	ora := db.txns.Oracle()
-	lockAcq, lockConf := db.txns.LockStats()
+	lockAcquisitions, lockConflicts       uint64
+	committed, aborted, zombiesReclaimed uint64
+}
 
-	perChip := db.dev.PerChipStats()
-	clocks := db.dev.ChipClocks()
-	ftlChips := db.ftl.ChipStats()
-	chipStats := make([]ChipStat, len(perChip))
-	for i := range perChip {
-		chipStats[i] = ChipStat{
-			Chip:          i,
-			PageReads:     perChip[i].PageReads,
-			PagePrograms:  perChip[i].PagePrograms,
-			DeltaPrograms: perChip[i].PartialPrograms,
-			BlockErases:   perChip[i].BlockErases,
-			GCRuns:        ftlChips[i].GCRuns,
-			GCMigrations:  ftlChips[i].GCMigrations,
-			GCErases:      ftlChips[i].GCErases,
-			FreeBlocks:    ftlChips[i].FreeBlocks,
-			Busy:          clocks[i],
-		}
+// zeroReading is the mark of a database fresh from Open or Reopen: its
+// windows start at the layers' zero.
+func zeroReading(chips int) *reading { return &reading{ftlChips: make([]ftl.ChipStats, chips)} }
+
+// read takes a reading of every layer's counters.
+func (db *DB) read() *reading {
+	acq, conf := db.txns.LockStats()
+	return &reading{
+		wall:             time.Now(),
+		virtual:          db.dev.Now(),
+		ftl:              db.ftl.Stats(),
+		ftlChips:         db.ftl.ChipStats(),
+		dev:              db.dev.Stats(),
+		chips:            db.dev.ChipStats(),
+		store:            db.store.Stats(),
+		traceLen:         db.store.TraceLen(),
+		pool:             db.pool.Stats(),
+		walBytes:         db.log.BytesWritten(),
+		group:            db.log.GroupCommitStats(),
+		versions:         db.txns.Versions().Stats(),
+		lockAcquisitions: acq,
+		lockConflicts:    conf,
+		committed:        db.committed.Load(),
+		aborted:          db.aborted.Load(),
+		zombiesReclaimed: db.zombiesReclaimed.Load(),
 	}
+}
 
+// window returns the counters' growth from one reading to a later one:
+// the windowed fields of Stats, and only those. Every reading is taken
+// after the one it is subtracted from, so no difference goes negative.
+func window(from, to *reading) Stats {
+	chips := make([]ChipStat, len(to.ftlChips))
+	for i, c := range to.ftlChips {
+		f := from.ftlChips[i]
+		chips[i] = ChipStat{Chip: i, GCRuns: c.GCRuns - f.GCRuns, GCMigrations: c.GCMigrations - f.GCMigrations, GCErases: c.GCErases - f.GCErases}
+	}
+	hist := make([]uint64, len(to.store.EvictionSizeHistogram))
+	for i := range hist {
+		hist[i] = to.store.EvictionSizeHistogram[i] - from.store.EvictionSizeHistogram[i]
+	}
 	return Stats{
-		Mode:      db.cfg.WriteMode,
-		Scheme:    db.cfg.Scheme,
-		FlashMode: db.cfg.FlashMode,
+		HostReads:        to.ftl.HostReads - from.ftl.HostReads,
+		HostWrites:       to.ftl.HostWrites - from.ftl.HostWrites,
+		HostWriteDeltas:  to.ftl.HostWriteDeltas - from.ftl.HostWriteDeltas,
+		HostBytesRead:    to.ftl.HostBytesRead - from.ftl.HostBytesRead,
+		HostBytesWritten: to.ftl.HostBytesWritten - from.ftl.HostBytesWritten,
 
-		HostReads:        fs.HostReads,
-		HostWrites:       fs.HostWrites,
-		HostWriteDeltas:  fs.HostWriteDeltas,
-		HostBytesRead:    fs.HostBytesRead,
-		HostBytesWritten: fs.HostBytesWritten,
+		InPlaceAppends:   to.ftl.InPlaceAppends - from.ftl.InPlaceAppends,
+		OutOfPlaceWrites: to.ftl.OutOfPlaceWrites - from.ftl.OutOfPlaceWrites,
+		Invalidations:    to.ftl.Invalidations - from.ftl.Invalidations,
 
-		InPlaceAppends:   fs.InPlaceAppends,
-		OutOfPlaceWrites: fs.OutOfPlaceWrites,
-		Invalidations:    fs.Invalidations,
+		GCMigrations: to.ftl.GCMigrations - from.ftl.GCMigrations,
+		GCErases:     to.ftl.GCErases - from.ftl.GCErases,
+		GCRuns:       to.ftl.GCRuns - from.ftl.GCRuns,
 
-		GCMigrations: fs.GCMigrations,
-		GCErases:     fs.GCErases,
-		GCRuns:       fs.GCRuns,
+		FlashPageReads:     to.dev.PageReads - from.dev.PageReads,
+		FlashPagePrograms:  to.dev.PagePrograms - from.dev.PagePrograms,
+		FlashDeltaPrograms: to.dev.DeltaPrograms - from.dev.DeltaPrograms,
+		FlashBlockErases:   to.dev.BlockErases - from.dev.BlockErases,
+		CorrectedBits:      to.dev.CorrectedBits - from.dev.CorrectedBits,
+		UncorrectableReads: to.dev.Uncorrectable - from.dev.Uncorrectable,
+		InterferenceBits:   to.chips.InterferenceBits - from.chips.InterferenceBits,
 
-		FlashPageReads:     ds.PageReads,
-		FlashPagePrograms:  ds.PagePrograms,
-		FlashDeltaPrograms: ds.DeltaPrograms,
-		FlashBlockErases:   ds.BlockErases,
-		CorrectedBits:      ds.CorrectedBits,
-		UncorrectableReads: ds.Uncorrectable,
-		InterferenceBits:   cs.InterferenceBits,
+		DirtyEvictions:        to.store.DirtyEvictions - from.store.DirtyEvictions,
+		IPAAppendEvictions:    to.store.IPAAppends - from.store.IPAAppends,
+		OutOfPlaceEvictions:   to.store.OutOfPlaceWrites - from.store.OutOfPlaceWrites,
+		AppendFallbacks:       to.store.AppendFallbacks - from.store.AppendFallbacks,
+		DeltaRecordsWritten:   to.store.DeltaRecordsWritten - from.store.DeltaRecordsWritten,
+		DeltaBytesWritten:     to.store.DeltaBytesWritten - from.store.DeltaBytesWritten,
+		NetChangedBytes:       to.store.NetChangedBytes - from.store.NetChangedBytes,
+		EvictedBytes:          to.store.EvictedBytes - from.store.EvictedBytes,
+		SmallEvictions:        to.store.SmallEvictions - from.store.SmallEvictions,
+		EvictionSizeHistogram: hist,
 
-		DirtyEvictions:          ss.DirtyEvictions,
-		IPAAppendEvictions:      ss.IPAAppends,
-		OutOfPlaceEvictions:     ss.OutOfPlaceWrites,
-		AppendFallbacks:         ss.AppendFallbacks,
-		DeltaRecordsWritten:     ss.DeltaRecordsWritten,
-		DeltaBytesWritten:       ss.DeltaBytesWritten,
-		NetChangedBytes:         ss.NetChangedBytes,
-		EvictedBytes:            ss.EvictedBytes,
-		SmallEvictions:          ss.SmallEvictions,
-		EvictionSizeHistogram:   ss.EvictionSizeHistogram[:],
-		EvictionHistogramBounds: storage.HistogramBucketBounds(),
+		IndexPageReads:        to.store.IndexPageLoads - from.store.IndexPageLoads,
+		IndexPageWrites:       to.store.IndexDirtyEvictions - from.store.IndexDirtyEvictions,
+		IndexInPlaceAppends:   to.store.IndexIPAAppends - from.store.IndexIPAAppends,
+		IndexOutOfPlaceWrites: to.store.IndexOutOfPlaceWrites - from.store.IndexOutOfPlaceWrites,
+		IndexDeltaRecords:     to.store.IndexDeltaRecords - from.store.IndexDeltaRecords,
+		IndexDeltaBytes:       to.store.IndexDeltaBytes - from.store.IndexDeltaBytes,
 
-		IndexPageReads:        ss.IndexPageLoads,
-		IndexPageWrites:       ss.IndexDirtyEvictions,
-		IndexInPlaceAppends:   ss.IndexIPAAppends,
-		IndexOutOfPlaceWrites: ss.IndexOutOfPlaceWrites,
-		IndexDeltaRecords:     ss.IndexDeltaRecords,
-		IndexDeltaBytes:       ss.IndexDeltaBytes,
-		SecondaryIndexes:      db.secondaryCount(),
+		BufferHits:   to.pool.Hits - from.pool.Hits,
+		BufferMisses: to.pool.Misses - from.pool.Misses,
 
-		BufferHits:   ps.Hits,
-		BufferMisses: ps.Misses,
+		CommittedTxns:     to.committed - from.committed,
+		AbortedTxns:       to.aborted - from.aborted,
+		WALBytes:          to.walBytes - from.walBytes,
+		LockAcquisitions:  to.lockAcquisitions - from.lockAcquisitions,
+		LockConflicts:     to.lockConflicts - from.lockConflicts,
+		SnapshotReads:     to.versions.SnapshotReads - from.versions.SnapshotReads,
+		VersionReads:      to.versions.VersionReads - from.versions.VersionReads,
+		VersionsCreated:   to.versions.VersionsCreated - from.versions.VersionsCreated,
+		VersionsReclaimed: to.versions.VersionsReclaimed - from.versions.VersionsReclaimed,
+		ZombiesReclaimed:  to.zombiesReclaimed - from.zombiesReclaimed,
+		WALFlushes:        to.group.Flushes - from.group.Flushes,
+		WALFlushedCommits: to.group.FlushedCommits - from.group.FlushedCommits,
 
-		CommittedTxns:     committed,
-		AbortedTxns:       aborted,
-		WALBytes:          db.log.BytesWritten(),
-		LockAcquisitions:  lockAcq,
-		LockConflicts:     lockConf,
-		SnapshotReads:     vs.SnapshotReads,
-		VersionReads:      vs.VersionReads,
-		VersionsCreated:   vs.VersionsCreated,
-		VersionsReclaimed: vs.VersionsReclaimed,
-		VersionChainsLive: vs.ChainsLive,
-		ZombieEntries:     db.zombieCount(),
-		ZombiesReclaimed:  db.zombiesReclaimed.Load(),
-		ActiveSnapshots:   ora.ActiveSnapshots(),
-		OldestSnapshotAge: ora.SnapshotAge(),
-		WALFlushes:        gc.Flushes,
-		WALFlushedCommits: gc.FlushedCommits,
-		WALMaxCommitBatch: gc.MaxBatch,
-
-		CheckpointLSN:           db.checkpointLSN.Load(),
-		WALSegments:             db.log.Segments(),
-		WALBytesSinceCheckpoint: sub(db.log.BytesWritten(), db.walBytesAtCkpt.Load()),
-		RecoveryRedoRecords:     db.recoveryStats.RecordsRedone,
-		RecoveryParallelism:     db.cfg.RecoveryParallelism,
-
-		BufferShards: db.pool.Shards(),
-
-		Chips:     len(chipStats),
-		ChipStats: chipStats,
-
-		TotalErasesEver: db.dev.TotalErases(),
-		MaxEraseCount:   db.dev.MaxEraseCount(),
-		EnduranceCycles: db.dev.EnduranceCycles(),
-
-		Elapsed: db.dev.Now() - base,
+		ChipStats: chips,
+		Elapsed:   to.virtual - from.virtual,
 	}
+}
+
+// Stats returns the counters' window since the last ResetStats (or since
+// Open or Reopen), with the gauges, configuration echoes and lifetime
+// figures as of now.
+func (db *DB) Stats() Stats {
+	// The marks are loaded before any counter is read, so neither the
+	// window nor the bytes-since-checkpoint gauge can go negative.
+	mark, walAtCkpt := db.mark.Load(), db.walBytesAtCkpt.Load()
+	now := db.read()
+	s := window(mark, now)
+
+	s.Mode, s.Scheme, s.FlashMode = db.cfg.WriteMode, db.cfg.Scheme, db.cfg.FlashMode
+	s.EvictionHistogramBounds = storage.HistogramBucketBounds()
+	s.SecondaryIndexes = db.secondaryCount()
+	s.VersionChainsLive = now.versions.ChainsLive
+	s.ZombieEntries = db.zombieCount()
+	ora := db.txns.Oracle()
+	s.ActiveSnapshots, s.OldestSnapshotAge = ora.ActiveSnapshots(), ora.SnapshotAge()
+	s.WALMaxCommitBatch = now.group.MaxBatch
+	s.CheckpointLSN = db.checkpointLSN.Load()
+	s.WALSegments = db.log.Segments()
+	s.WALBytesSinceCheckpoint = now.walBytes - walAtCkpt
+	s.RecoveryRedoRecords = db.recoveryStats.RecordsRedone
+	s.RecoveryParallelism = db.cfg.RecoveryParallelism
+	s.BufferShards = db.pool.Shards()
+
+	perChip, clocks := db.dev.PerChipStats(), db.dev.ChipClocks()
+	s.Chips = len(s.ChipStats)
+	for i := range s.ChipStats {
+		c := &s.ChipStats[i]
+		c.PageReads, c.PagePrograms = perChip[i].PageReads, perChip[i].PagePrograms
+		c.DeltaPrograms, c.BlockErases = perChip[i].PartialPrograms, perChip[i].BlockErases
+		c.FreeBlocks, c.Busy = now.ftlChips[i].FreeBlocks, clocks[i]
+	}
+	s.TotalErasesEver = db.dev.TotalErases()
+	s.MaxEraseCount = db.dev.MaxEraseCount()
+	s.EnduranceCycles = db.dev.EnduranceCycles()
+	return s
 }
 
 // TotalHostWrites returns full-page writes plus write_delta commands, the
