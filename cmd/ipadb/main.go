@@ -72,30 +72,17 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := ipa.Config{
+	cfg, err := withModes(ipa.Config{
 		PageSize:        8 * 1024,
 		Blocks:          128,
 		PagesPerBlock:   64,
 		BufferPoolPages: 128,
 		Scheme:          ipa.Scheme{N: *n, M: *m},
 		Analytic:        true,
-	}
-	switch *mode {
-	case "traditional":
-		cfg.WriteMode = ipa.Traditional
-		cfg.Scheme = ipa.Scheme{}
-	case "ssd":
-		cfg.WriteMode = ipa.IPAConventionalSSD
-	default:
-		cfg.WriteMode = ipa.IPANativeFlash
-	}
-	switch *flash {
-	case "oddmlc":
-		cfg.FlashMode = ipa.OddMLC
-	case "mlc":
-		cfg.FlashMode = ipa.MLCFull
-	default:
-		cfg.FlashMode = ipa.PSLC
+	}, *mode, *flash)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ipadb: %v\n", err)
+		os.Exit(2)
 	}
 
 	db, err := ipa.Open(cfg)
@@ -125,6 +112,25 @@ func main() {
 			return
 		}
 	}
+}
+
+// withModes sets cfg's write and flash modes from the -mode and -flash
+// flags (the traditional write path runs without a scheme). An unknown
+// name is an error that lists the accepted ones.
+func withModes(cfg ipa.Config, mode, flash string) (ipa.Config, error) {
+	writeModes := map[string]ipa.WriteMode{"traditional": ipa.Traditional, "ssd": ipa.IPAConventionalSSD, "native": ipa.IPANativeFlash}
+	flashModes := map[string]ipa.FlashMode{"pslc": ipa.PSLC, "oddmlc": ipa.OddMLC, "mlc": ipa.MLCFull}
+	var ok bool
+	if cfg.WriteMode, ok = writeModes[mode]; !ok {
+		return cfg, fmt.Errorf("unknown -mode %q (want traditional, ssd or native)", mode)
+	}
+	if cfg.FlashMode, ok = flashModes[flash]; !ok {
+		return cfg, fmt.Errorf("unknown -flash %q (want pslc, oddmlc or mlc)", flash)
+	}
+	if cfg.WriteMode == ipa.Traditional {
+		cfg.Scheme = ipa.Scheme{}
+	}
+	return cfg, nil
 }
 
 // envelope is the uniform -json reply: exactly one per command, one per

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"strconv"
@@ -55,108 +56,92 @@ type report struct {
 	Points    []point `json:"points"`
 }
 
-// ycsbGen turns the YCSB mix of one letter into wire commands. Shared by
-// every connection of a sweep point: the insert counter hands out unique
-// keys, and the zipfian sampler is immutable. Scans use the SCAN verb,
-// read-modify-writes pipeline a GET followed by an UPDATE of the same key.
+// ycsbGen turns a YCSB operation mix into wire commands: a letter's mix,
+// or the default -updates mix of UPDATEs and GETs over uniform keys.
+// Shared by every connection of the sweep: the insert counter hands
+// out unique keys, and the zipfian sampler is immutable. Scans use the
+// SCAN verb, read-modify-writes pipeline a GET followed by an UPDATE of the
+// same key.
 type ycsbGen struct {
 	mix     workload.YCSBMix
 	dist    string
 	zipf    *workload.Zipfian
-	scanMax int
 	tuple   int
 	nextKey atomic.Int64 // next unused insert key == current keyspace size
 }
 
-func newYCSBGen(letter byte, keys, tuple int) (*ycsbGen, error) {
-	mix, err := workload.YCSBMixFor(letter)
-	if err != nil {
-		return nil, err
-	}
-	g := &ycsbGen{
-		mix:     mix,
-		dist:    "zipfian",
-		zipf:    workload.NewZipfian(int64(keys), workload.YCSBTheta),
-		scanMax: 100,
-		tuple:   tuple,
-	}
-	if letter == 'D' || letter == 'd' {
-		g.dist = "latest"
-	}
+func newYCSBGen(mix workload.YCSBMix, dist string, keys, tuple int) *ycsbGen {
+	g := &ycsbGen{mix: mix, dist: dist, zipf: workload.NewZipfian(int64(keys), workload.YCSBTheta), tuple: tuple}
 	g.nextKey.Store(int64(keys))
-	return g, nil
-}
-
-// key draws a request key from the generator's distribution.
-func (g *ycsbGen) key(rng *rand.Rand) int64 {
-	n := g.nextKey.Load()
-	rank := g.zipf.Next(rng)
-	if g.dist == "latest" {
-		if rank >= n {
-			rank = n - 1
-		}
-		return n - 1 - rank
-	}
-	// Scrambled zipfian, with ranks beyond the preload clamped into the
-	// live keyspace.
-	if rank >= n {
-		rank = n - 1
-	}
-	return workload.ScrambleKey(rank, n)
+	return g
 }
 
 // gen appends the wire commands of one YCSB operation (one or, for RMW,
 // two commands) and returns the updated slice.
 func (g *ycsbGen) gen(cmds [][][]byte, rng *rand.Rand, tbl []byte, patchOff []byte) [][][]byte {
 	keyArg := func(k int64) []byte { return []byte(strconv.FormatInt(k, 10)) }
+	key := func() int64 { return workload.YCSBKey(rng, g.dist, g.zipf, g.nextKey.Load()) }
 	patch := func() []byte {
 		b := make([]byte, 8)
 		rng.Read(b)
 		return b
 	}
-	p := rng.Intn(100)
-	m := g.mix
-	switch {
-	case p < m.Read:
-		return append(cmds, [][]byte{[]byte("GET"), tbl, keyArg(g.key(rng))})
-	case p < m.Read+m.Update:
-		return append(cmds, [][]byte{[]byte("UPDATE"), tbl, keyArg(g.key(rng)), patchOff, patch()})
-	case p < m.Read+m.Update+m.Insert:
+	switch g.mix.Pick(rng) {
+	case workload.YCSBRead:
+		return append(cmds, [][]byte{[]byte("GET"), tbl, keyArg(key())})
+	case workload.YCSBUpdate:
+		return append(cmds, [][]byte{[]byte("UPDATE"), tbl, keyArg(key()), patchOff, patch()})
+	case workload.YCSBInsert:
 		k := g.nextKey.Add(1) - 1
 		row := make([]byte, g.tuple)
 		for i := range row {
 			row[i] = byte('a' + i%26)
 		}
 		return append(cmds, [][]byte{[]byte("INSERT"), tbl, keyArg(k), row})
-	case p < m.Read+m.Update+m.Insert+m.Scan:
-		from := g.key(rng)
-		length := int64(1 + rng.Intn(g.scanMax))
+	case workload.YCSBScan:
+		from := key()
+		length := int64(1 + rng.Intn(100))
 		return append(cmds, [][]byte{
 			[]byte("SCAN"), tbl, keyArg(from), keyArg(from + length), keyArg(length),
 		})
 	default: // read-modify-write
-		k := keyArg(g.key(rng))
+		k := keyArg(key())
 		cmds = append(cmds, [][]byte{[]byte("GET"), tbl, k})
 		return append(cmds, [][]byte{[]byte("UPDATE"), tbl, k, patchOff, patch()})
 	}
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters; it returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ipaload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr     = flag.String("addr", "localhost:6389", "ipaserver address")
-		connsArg = flag.String("conns", "16", "comma-separated connection counts to sweep")
-		pipeline = flag.Int("pipeline", 32, "pipeline depth per connection (1 = unpipelined)")
-		duration = flag.Duration("duration", 5*time.Second, "measurement window per sweep point")
-		keys     = flag.Int("keys", 10000, "keyspace size (preloaded)")
-		tuple    = flag.Int("tuple", 200, "tuple size in bytes")
-		updates  = flag.Int("updates", 80, "percentage of operations that are UPDATEs (rest are GETs)")
-		table    = flag.String("table", "load", "table name")
-		ycsb     = flag.String("ycsb", "", "YCSB workload letter A-F (empty = legacy update/get mix)")
-		quick    = flag.Bool("quick", false, "CI smoke mode: tiny sweep, sub-second windows")
-		jsonOut  = flag.Bool("json", false, "emit the report as JSON on stdout")
-		outPath  = flag.String("out", "", "also write the JSON report to this file")
+		addr     = fs.String("addr", "localhost:6389", "ipaserver address")
+		connsArg = fs.String("conns", "16", "comma-separated connection counts to sweep")
+		pipeline = fs.Int("pipeline", 32, "pipeline depth per connection (1 = unpipelined)")
+		duration = fs.Duration("duration", 5*time.Second, "measurement window per sweep point")
+		keys     = fs.Int("keys", 10000, "keyspace size (preloaded)")
+		tuple    = fs.Int("tuple", 200, "tuple size in bytes")
+		updates  = fs.Int("updates", 80, "percentage of operations that are UPDATEs (rest are GETs)")
+		table    = fs.String("table", "load", "table name")
+		ycsb     = fs.String("ycsb", "", "YCSB workload letter A-F (empty = the -updates mix over uniform keys)")
+		quick    = fs.Bool("quick", false, "CI smoke mode: tiny sweep, sub-second windows")
+		jsonOut  = fs.Bool("json", false, "emit the report as JSON on stdout")
+		outPath  = fs.String("out", "", "also write the JSON report to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "ipaload: %v\n", err)
+		return 1
+	}
 
 	if *quick {
 		*connsArg = "1,4,16,64"
@@ -165,26 +150,30 @@ func main() {
 	}
 	conns, err := parseConns(*connsArg)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *pipeline < 1 {
 		*pipeline = 1
 	}
 
-	var gen *ycsbGen
+	if *updates < 0 || *updates > 100 {
+		return fail(fmt.Errorf("bad -updates %d: want a percentage", *updates))
+	}
+	mix, dist := workload.YCSBMix{Read: 100 - *updates, Update: *updates}, "uniform"
 	if *ycsb != "" {
 		if len(*ycsb) != 1 {
-			fatal(fmt.Errorf("bad -ycsb %q: want one letter A-F", *ycsb))
+			return fail(fmt.Errorf("bad -ycsb %q: want one letter A-F", *ycsb))
 		}
-		g, err := newYCSBGen((*ycsb)[0], *keys, *tuple)
-		if err != nil {
-			fatal(err)
+		if mix, err = workload.YCSBMixFor((*ycsb)[0]); err != nil {
+			return fail(err)
 		}
-		gen = g
+		if dist = "zipfian"; strings.EqualFold(*ycsb, "D") {
+			dist = "latest"
+		}
 	}
 
 	if err := preload(*addr, *table, *tuple, *keys); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	rep := report{
@@ -196,35 +185,32 @@ func main() {
 		UpdatePct: *updates,
 		YCSB:      strings.ToUpper(*ycsb),
 	}
+	gen := newYCSBGen(mix, dist, *keys, *tuple)
 	for _, n := range conns {
-		p, err := run(*addr, *table, *tuple, *keys, *updates, n, *pipeline, *duration, gen)
+		p, err := measure(*addr, *table, *tuple, n, *pipeline, *duration, gen)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		rep.Points = append(rep.Points, p)
 		if !*jsonOut {
-			fmt.Printf("conns=%-4d pipeline=%-3d  %10.0f ops/s  (%d ops, %d conflicts, %d errors, %.2fs)\n",
+			fmt.Fprintf(stdout, "conns=%-4d pipeline=%-3d  %10.0f ops/s  (%d ops, %d conflicts, %d errors, %.2fs)\n",
 				p.Conns, p.Pipeline, p.Throughput, p.Ops, p.Conflicts, p.Errors, p.DurationS)
 		}
 	}
 
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *jsonOut {
-		fmt.Println(string(out))
+		fmt.Fprintln(stdout, string(out))
 	}
 	if *outPath != "" {
 		if err := os.WriteFile(*outPath, append(out, '\n'), 0o644); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "ipaload: %v\n", err)
-	os.Exit(1)
+	return 0
 }
 
 func parseConns(s string) ([]int, error) {
@@ -279,11 +265,10 @@ func preload(addr, table string, tuple, keys int) error {
 	return nil
 }
 
-// run measures one sweep point: n connections, each a goroutine with its
-// own client, issuing pipelined batches until the window closes. With a
-// non-nil gen the batches carry a YCSB mix instead of the legacy
-// update/get mix.
-func run(addr, table string, tuple, keys, updates, n, depth int, window time.Duration, gen *ycsbGen) (point, error) {
+// measure runs one sweep point: n connections, each a goroutine with its
+// own client, issuing pipelined batches of gen's mix until the window
+// closes.
+func measure(addr, table string, tuple, n, depth int, window time.Duration, gen *ycsbGen) (point, error) {
 	clients := make([]*ipaclient.Client, n)
 	for i := range clients {
 		c, err := ipaclient.Dial(addr)
@@ -315,29 +300,12 @@ func run(addr, table string, tuple, keys, updates, n, depth int, window time.Dur
 		go func(i int, c *ipaclient.Client) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(i)*7919 + 1))
-			patch := make([]byte, 8)
 			offArg := []byte(strconv.Itoa(patchOff))
 			tbl := []byte(table)
 			for !stop.Load() {
-				var cmds [][][]byte
-				if gen != nil {
-					cmds = make([][][]byte, 0, depth+1)
-					for len(cmds) < depth {
-						cmds = gen.gen(cmds, rng, tbl, offArg)
-					}
-				} else {
-					cmds = make([][][]byte, depth)
-					for j := range cmds {
-						key := []byte(strconv.Itoa(rng.Intn(keys)))
-						if rng.Intn(100) < updates {
-							rng.Read(patch)
-							val := make([]byte, 8)
-							copy(val, patch)
-							cmds[j] = [][]byte{[]byte("UPDATE"), tbl, key, offArg, val}
-						} else {
-							cmds[j] = [][]byte{[]byte("GET"), tbl, key}
-						}
-					}
+				cmds := make([][][]byte, 0, depth+1)
+				for len(cmds) < depth {
+					cmds = gen.gen(cmds, rng, tbl, offArg)
 				}
 				replies, err := c.Batch(cmds)
 				if err != nil {
@@ -352,7 +320,7 @@ func run(addr, table string, tuple, keys, updates, n, depth int, window time.Dur
 						ops.Add(1)
 					case code == "CONFLICT":
 						conflicts.Add(1)
-					case gen != nil && code == "NOTFOUND":
+					case code == "NOTFOUND" && gen.mix.Insert > 0:
 						// YCSB read-latest: a read may chase a key whose
 						// INSERT is still in flight on another connection.
 						// YCSB counts the miss as a completed read.

@@ -47,7 +47,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := ipa.Config{
+	cfg, err := withModes(ipa.Config{
 		Chips:                *chips,
 		Blocks:               *blocks,
 		PagesPerBlock:        *pages,
@@ -55,23 +55,10 @@ func main() {
 		Scheme:               ipa.Scheme{N: *n, M: *m},
 		CheckpointEveryBytes: *ckpt,
 		StatsInterval:        *stats,
-	}
-	switch *mode {
-	case "traditional":
-		cfg.WriteMode = ipa.Traditional
-		cfg.Scheme = ipa.Scheme{}
-	case "ssd":
-		cfg.WriteMode = ipa.IPAConventionalSSD
-	default:
-		cfg.WriteMode = ipa.IPANativeFlash
-	}
-	switch *flash {
-	case "oddmlc":
-		cfg.FlashMode = ipa.OddMLC
-	case "mlc":
-		cfg.FlashMode = ipa.MLCFull
-	default:
-		cfg.FlashMode = ipa.PSLC
+	}, *mode, *flash)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ipaserver: %v\n", err)
+		os.Exit(2)
 	}
 
 	db, err := ipa.Open(cfg)
@@ -102,4 +89,23 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ipaserver: shutdown: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// withModes sets cfg's write and flash modes from the -mode and -flash
+// flags (the traditional write path runs without a scheme). An unknown
+// name is an error that lists the accepted ones.
+func withModes(cfg ipa.Config, mode, flash string) (ipa.Config, error) {
+	writeModes := map[string]ipa.WriteMode{"traditional": ipa.Traditional, "ssd": ipa.IPAConventionalSSD, "native": ipa.IPANativeFlash}
+	flashModes := map[string]ipa.FlashMode{"pslc": ipa.PSLC, "oddmlc": ipa.OddMLC, "mlc": ipa.MLCFull}
+	var ok bool
+	if cfg.WriteMode, ok = writeModes[mode]; !ok {
+		return cfg, fmt.Errorf("unknown -mode %q (want traditional, ssd or native)", mode)
+	}
+	if cfg.FlashMode, ok = flashModes[flash]; !ok {
+		return cfg, fmt.Errorf("unknown -flash %q (want pslc, oddmlc or mlc)", flash)
+	}
+	if cfg.WriteMode == ipa.Traditional {
+		cfg.Scheme = ipa.Scheme{}
+	}
+	return cfg, nil
 }

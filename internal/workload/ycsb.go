@@ -79,8 +79,8 @@ func YCSBMixFor(letter byte) (YCSBMix, error) {
 	}
 }
 
-// pick draws one operation class from the mix.
-func (m YCSBMix) pick(r *rand.Rand) YCSBOp {
+// Pick draws one operation class from the mix.
+func (m YCSBMix) Pick(r *rand.Rand) YCSBOp {
 	p := r.Intn(100)
 	if p -= m.Read; p < 0 {
 		return YCSBRead
@@ -321,27 +321,29 @@ func (w *YCSB) Load(db *ipa.DB) error {
 	return finishLoad(db, ld)
 }
 
-// nextKey draws a key from the configured request distribution.
-func (w *YCSB) nextKey(r *rand.Rand) int64 {
-	n := w.maxKey + 1
-	switch w.cfg.Distribution {
+// YCSBKey draws a request key from the dense keyspace [0, n) under a YCSB
+// request distribution: "uniform", "latest" (zipfian ranks counted down
+// from the newest key, n-1) or otherwise "zipfian", scrambled across the
+// keyspace. zipf draws the ranks of the two skewed distributions.
+func YCSBKey(r *rand.Rand, dist string, zipf *Zipfian, n int64) int64 {
+	switch dist {
 	case "uniform":
 		return randInt64(r, n)
 	case "latest":
-		// Rank 0 = the most recently inserted key.
-		rank := w.zipf.Next(r)
-		if rank > w.maxKey {
-			rank = w.maxKey
-		}
-		return w.maxKey - rank
-	default: // zipfian, scrambled across the keyspace
-		return ScrambleKey(w.zipf.Next(r), n)
+		return n - 1 - min(zipf.Next(r), n-1)
+	default:
+		return ScrambleKey(zipf.Next(r), n)
 	}
+}
+
+// nextKey draws a key from the configured request distribution.
+func (w *YCSB) nextKey(r *rand.Rand) int64 {
+	return YCSBKey(r, w.cfg.Distribution, w.zipf, w.maxKey+1)
 }
 
 // RunOne implements Workload: one YCSB operation as one transaction.
 func (w *YCSB) RunOne(db *ipa.DB, r *rand.Rand) (bool, error) {
-	op := w.mix.pick(r)
+	op := w.mix.Pick(r)
 	switch op {
 	case YCSBRead:
 		key := w.nextKey(r)

@@ -125,7 +125,7 @@ func TestYCSBMixes(t *testing.T) {
 		const samples = 100000
 		counts := map[YCSBOp]int{}
 		for i := 0; i < samples; i++ {
-			counts[mix.pick(r)]++
+			counts[mix.Pick(r)]++
 		}
 		check := func(op YCSBOp, pct int) {
 			got := float64(counts[op]) / samples * 100
@@ -160,7 +160,7 @@ func TestYCSBDeterminism(t *testing.T) {
 	r1 := rand.New(rand.NewSource(7))
 	r2 := rand.New(rand.NewSource(7))
 	for i := 0; i < 20000; i++ {
-		op1, op2 := w1.mix.pick(r1), w2.mix.pick(r2)
+		op1, op2 := w1.mix.Pick(r1), w2.mix.Pick(r2)
 		if op1 != op2 {
 			t.Fatalf("op %d diverged: %s vs %s", i, op1, op2)
 		}

@@ -200,7 +200,7 @@ type reading struct {
 	group    wal.GroupCommitStats
 	versions txn.VersionStats
 
-	lockAcquisitions, lockConflicts       uint64
+	lockAcquisitions, lockConflicts      uint64
 	committed, aborted, zombiesReclaimed uint64
 }
 
