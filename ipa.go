@@ -507,7 +507,8 @@ func assemble(cfg Config, dev *flashdev.Device, f *ftl.FTL, log *wal.Log, txns *
 		secondaryByName: make(map[string]*SecondaryIndex),
 		nextObjID:       1,
 	}
-	db.mark.Store(zeroReading(f.Chips()))
+	// A fresh handle's Stats window starts at the layers' zero.
+	db.mark.Store(&reading{ftlChips: make([]ftl.ChipStats, f.Chips())})
 	return db, nil
 }
 

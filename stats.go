@@ -204,10 +204,6 @@ type reading struct {
 	committed, aborted, zombiesReclaimed uint64
 }
 
-// zeroReading is the mark of a database fresh from Open or Reopen: its
-// windows start at the layers' zero.
-func zeroReading(chips int) *reading { return &reading{ftlChips: make([]ftl.ChipStats, chips)} }
-
 // read takes a reading of every layer's counters.
 func (db *DB) read() *reading {
 	acq, conf := db.txns.LockStats()
@@ -239,7 +235,8 @@ func window(from, to *reading) Stats {
 	chips := make([]ChipStat, len(to.ftlChips))
 	for i, c := range to.ftlChips {
 		f := from.ftlChips[i]
-		chips[i] = ChipStat{Chip: i, GCRuns: c.GCRuns - f.GCRuns, GCMigrations: c.GCMigrations - f.GCMigrations, GCErases: c.GCErases - f.GCErases}
+		chips[i] = ChipStat{Chip: i, GCRuns: c.GCRuns - f.GCRuns,
+			GCMigrations: c.GCMigrations - f.GCMigrations, GCErases: c.GCErases - f.GCErases}
 	}
 	hist := make([]uint64, len(to.store.EvictionSizeHistogram))
 	for i := range hist {
