@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -22,23 +23,34 @@ import (
 	"ipa/internal/chaos"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters; it returns the
+// exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ipachaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		duration = flag.Duration("duration", 15*time.Second, "session length")
-		cuts     = flag.Int("cuts", 3, "scheduled power cuts")
-		workers  = flag.Int("workers", 4, "wire transfer connections")
-		accounts = flag.Int("accounts", 4096, "ledger size")
-		seed     = flag.Int64("seed", 1, "workload seed")
-		quick    = flag.Bool("quick", false, "short CI session (~4s, 2 cuts)")
-		jsonOut  = flag.Bool("json", false, "emit the report as JSON")
-		out      = flag.String("out", "", "also write the JSON report to this file")
-		quiet    = flag.Bool("q", false, "suppress progress lines")
+		duration = fs.Duration("duration", 15*time.Second, "session length")
+		cuts     = fs.Int("cuts", 3, "scheduled power cuts")
+		workers  = fs.Int("workers", 4, "wire transfer connections")
+		accounts = fs.Int("accounts", 4096, "ledger size")
+		seed     = fs.Int64("seed", 1, "workload seed")
+		quick    = fs.Bool("quick", false, "short CI session (~4s, 2 cuts)")
+		jsonOut  = fs.Bool("json", false, "emit the report as JSON")
+		out      = fs.String("out", "", "also write the JSON report to this file")
+		quiet    = fs.Bool("q", false, "suppress progress lines")
 	)
-	flag.Parse()
-	if *duration <= 0 || *workers <= 0 || *accounts <= 0 {
-		fmt.Fprintf(os.Stderr, "ipachaos: -duration (%s), -workers (%d) and -accounts (%d) must be positive\n",
-			*duration, *workers, *accounts)
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if *duration <= 0 || *workers <= 0 || *accounts <= 0 || *cuts < 0 {
+		fmt.Fprintf(stderr, "ipachaos: -duration (%s), -workers (%d) and -accounts (%d) must be positive, -cuts (%d) not negative\n",
+			*duration, *workers, *accounts, *cuts)
+		return 2
 	}
 
 	o := chaos.DefaultOptions()
@@ -70,42 +82,43 @@ func main() {
 	}
 	if !*quiet && !*jsonOut {
 		o.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+			fmt.Fprintf(stderr, format+"\n", args...)
 		}
 	}
 
 	rep, err := chaos.Run(o)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ipachaos: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "ipachaos: %v\n", err)
+		return 2
 	}
 
 	if *out != "" {
 		buf, _ := json.MarshalIndent(rep, "", "  ")
 		if err := os.WriteFile(*out, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "ipachaos: write %s: %v\n", *out, err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "ipachaos: write %s: %v\n", *out, err)
+			return 2
 		}
 	}
 	if *jsonOut {
 		buf, _ := json.MarshalIndent(rep, "", "  ")
-		fmt.Println(string(buf))
+		fmt.Fprintln(stdout, string(buf))
 	} else {
-		fmt.Printf("chaos: %s wall, %d transfers (%d conflicts, %d retries, %d reconnects)\n",
+		fmt.Fprintf(stdout, "chaos: %s wall, %d transfers (%d conflicts, %d retries, %d reconnects)\n",
 			rep.Wall.Round(time.Millisecond), rep.Ops, rep.Conflicts, rep.Retries, rep.Reconnects)
-		fmt.Printf("chaos: %d power cuts, %d restarts, %d WAL records redone\n",
+		fmt.Fprintf(stdout, "chaos: %d power cuts, %d restarts, %d WAL records redone\n",
 			rep.PowerCuts, rep.Restarts, rep.RecoveryRedos)
-		fmt.Printf("chaos: %d ledger audits, %d timestamp checks, %d integrity passes; %d spiked ops, %d stalled ops\n",
+		fmt.Fprintf(stdout, "chaos: %d ledger audits, %d timestamp checks, %d integrity passes; %d spiked ops, %d stalled ops\n",
 			rep.LedgerAudits, rep.TSChecks, rep.VerifyPasses, rep.SpikedOps, rep.StalledOps)
 	}
 	if rep.Failed() {
-		fmt.Fprintf(os.Stderr, "ipachaos: %d INVARIANT VIOLATIONS\n", len(rep.Violations))
+		fmt.Fprintf(stderr, "ipachaos: %d INVARIANT VIOLATIONS\n", len(rep.Violations))
 		for _, v := range rep.Violations {
-			fmt.Fprintf(os.Stderr, "  - %s\n", v)
+			fmt.Fprintf(stderr, "  - %s\n", v)
 		}
-		os.Exit(1)
+		return 1
 	}
 	if !*jsonOut {
-		fmt.Println("chaos: all invariants held")
+		fmt.Fprintln(stdout, "chaos: all invariants held")
 	}
+	return 0
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,8 +20,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// newTestShell builds a -json shell over a small deterministic engine.
-func newTestShell(t *testing.T) *shell {
+// newTestServer starts a server over a small deterministic engine on a
+// loopback port and returns its address.
+func newTestServer(t *testing.T) string {
 	t.Helper()
 	db, err := ipa.Open(ipa.Config{
 		PageSize:        2048,
@@ -35,25 +37,53 @@ func newTestShell(t *testing.T) *shell {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	t.Cleanup(func() { db.Close() })
-	return &shell{db: db, jsonOut: true}
+	srv := server.New(db, server.Config{Addr: "127.0.0.1:0"})
+	if err := srv.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv.Addr().String()
 }
 
-// elapsedRe masks the envelope latency — the only nondeterministic field.
-var elapsedRe = regexp.MustCompile(`"elapsed_ms":[0-9.eE+-]+`)
-
-func maskElapsed(s string) string {
-	return elapsedRe.ReplaceAllString(s, `"elapsed_ms":"X"`)
+// shell runs ipadb against addr with the lines on stdin and returns what
+// it printed; it fails the test on a nonzero exit.
+func shell(t *testing.T, addr string, jsonOut bool, lines ...string) string {
+	t.Helper()
+	args := []string{"-addr", addr}
+	if jsonOut {
+		args = append(args, "-json")
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, strings.NewReader(strings.Join(lines, "\n")+"\n"), &stdout, &stderr); code != 0 {
+		t.Fatalf("ipadb %v: exit %d: %s", args, code, stderr.String())
+	}
+	return stdout.String()
 }
 
-// goldenScript is every shell command, success and failure paths, in one
-// deterministic sequence. The map key names the golden file; each entry
-// runs under its own sub-test.
+// elapsedRe and infoRe mask what varies from run to run: the envelope
+// latency, and the INFO fields that carry the port, the clock, the CPU
+// count and the server's running totals.
+var (
+	elapsedRe = regexp.MustCompile(`"elapsed_ms":[0-9.eE+-]+`)
+	infoRe    = regexp.MustCompile(`(addr|uptime_seconds|workers|connections_current|connections_total|commands_total|error_replies_total):[^\\]*`)
+)
+
+func mask(s string) string {
+	s = elapsedRe.ReplaceAllString(s, `"elapsed_ms":"X"`)
+	return infoRe.ReplaceAllString(s, `$1:X`)
+}
+
+// goldenScript covers one success and one error of every verb the shell
+// had before it spoke the server's command set; each step is named after
+// that old verb and runs over its own connection to one server.
 var goldenScript = []struct {
 	name  string
 	lines []string
 }{
-	{"help", []string{"help"}},
+	{"help", []string{
+		"info",
+		"info all", // ARGS
+	}},
 	{"create", []string{
 		"create users 64",
 		"create users 64", // EXISTS
@@ -80,47 +110,43 @@ var goldenScript = []struct {
 		"scan users 0", // ARGS
 	}},
 	{"index", []string{
-		"index users byref 8",
-		"index users bad 63", // ARGS: offset+8 > 64
+		"cindex users byref 8",
+		"cindex users bad 63", // ARGS: offset+8 > 64
 	}},
 	{"indexes", []string{
 		"indexes users",
 		"indexes nosuch", // NOTABLE
 	}},
 	{"get-by", []string{
-		"get-by users byref 0",
-		"get-by users nosuch 0", // NOINDEX
+		"getby users byref 0",
+		"getby users nosuch 0", // NOINDEX
 	}},
 	{"delete", []string{
-		"delete users 2",
-		"delete users 2", // NOTFOUND
+		"del users 2",
+		"del users 2", // NOTFOUND
 	}},
 	{"tables", []string{
-		"create accounts 32", // sorts before users: tables lists by name
+		"create accounts 32", // sorts before users: TABLES lists by name
 		"tables",
+		"count users",
 	}},
-	{"flush", []string{"flush"}},
+	{"flush", []string{
+		"checkpoint",
+		"checkpoint now", // ARGS
+	}},
 	{"unknown", []string{"frobnicate the flash"}}, // UNKNOWN
-	{"quit", []string{"quit"}},
+	{"quit", []string{"quit", "ping"}},            // nothing runs after QUIT
 }
 
-// TestGoldenEnvelopes runs the full script through one shell and compares
-// each command's envelopes (elapsed_ms masked) against its golden file.
+// TestGoldenEnvelopes runs the script against one server and compares
+// each step's envelopes (volatile fields masked) with its golden file.
 func TestGoldenEnvelopes(t *testing.T) {
-	sh := newTestShell(t)
+	addr := newTestServer(t)
 	for _, step := range goldenScript {
 		t.Run(step.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			sh.out = &buf
-			for _, line := range step.lines {
-				sh.run(line)
-			}
-			got := maskElapsed(buf.String())
+			got := mask(shell(t, addr, true, step.lines...))
 			golden := filepath.Join("testdata", step.name+".golden")
 			if *update {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
 				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -140,20 +166,15 @@ func TestGoldenEnvelopes(t *testing.T) {
 // TestEnvelopeShape checks every reply line is a well-formed envelope:
 // valid JSON, ok/cmd always present, data xor error, elapsed_ms >= 0.
 func TestEnvelopeShape(t *testing.T) {
-	sh := newTestShell(t)
-	var buf bytes.Buffer
-	sh.out = &buf
+	addr := newTestServer(t)
+	var out strings.Builder
 	for _, step := range goldenScript {
-		for _, line := range step.lines {
-			sh.run(line)
-		}
+		out.WriteString(shell(t, addr, true, step.lines...))
 	}
-	// stats/ops/checkpoint carry engine-defined payloads; include them in
-	// the shape check even though they are not golden-pinned.
-	for _, line := range []string{"stats", "ops", "checkpoint"} {
-		sh.run(line)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+	// Replies the goldens do not pin: text, JSON in a bulk, a transaction.
+	out.WriteString(shell(t, addr, true, "stats", "stats json", "ping",
+		"begin", "getfu users 1", "commit", "commit"))
+	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		var env struct {
 			OK        *bool           `json:"ok"`
 			Cmd       string          `json:"cmd"`
@@ -170,75 +191,31 @@ func TestEnvelopeShape(t *testing.T) {
 		if *env.ElapsedMS < 0 {
 			t.Errorf("negative elapsed_ms: %q", line)
 		}
-		if *env.OK && env.Error != nil {
-			t.Errorf("ok envelope with error: %q", line)
+		if *env.OK && (env.Error != nil || len(env.Data) == 0) {
+			t.Errorf("ok envelope without data or with an error: %q", line)
 		}
-		if !*env.OK {
-			if env.Error == nil || env.Error.Code == "" || env.Error.Msg == "" {
-				t.Errorf("error envelope without code/msg: %q", line)
-			}
-			if len(env.Data) != 0 {
-				t.Errorf("error envelope with data: %q", line)
-			}
+		if !*env.OK && (env.Error == nil || env.Error.Code == "" || env.Error.Msg == "" || len(env.Data) != 0) {
+			t.Errorf("error envelope without code/msg or with data: %q", line)
 		}
 	}
 }
 
-// TestEnvelopeCodesMatchWire drives each failure path and checks the
-// envelope carries exactly the wire code ipaserver would answer with, and
-// that every code the shell can emit exists in the server's table.
-func TestEnvelopeCodesMatchWire(t *testing.T) {
-	sh := newTestShell(t)
-	var buf bytes.Buffer
-	sh.out = &buf
-	wire := make(map[string]bool)
-	for _, c := range server.WireCodes() {
-		wire[c] = true
+// TestNoServerIsAnError: with nothing listening on -addr the dial is
+// refused, and the shell exits 1 with a message naming the address
+// instead of waiting for input.
+func TestNoServerIsAnError(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	cases := []struct {
-		line string
-		want string
-	}{
-		{"frobnicate", server.CodeUnknown},
-		{"create", server.CodeArgs},
-		{"get nosuch 1", server.CodeNoTable},
-		{"create t 64", ""}, // setup
-		{"create t 64", server.CodeExists},
-		{"insert t 1 x", ""}, // setup
-		{"insert t 1 x", server.CodeDupKey},
-		{"get t 99", server.CodeNotFound},
-		{"get-by t nosuch 1", server.CodeNoIndex},
-		{"update t 1 zz x", server.CodeArgs},
+	addr := ln.Addr().String()
+	ln.Close()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-addr", addr, "-json"}, strings.NewReader("ping\n"), &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1", code)
 	}
-	for _, c := range cases {
-		buf.Reset()
-		sh.run(c.line)
-		var env envelope
-		envLine := strings.TrimSpace(buf.String())
-		if err := json.Unmarshal([]byte(envLine), &env); err != nil {
-			t.Fatalf("%q: %v", envLine, err)
-		}
-		if c.want == "" {
-			if !env.OK {
-				t.Fatalf("%q: setup failed: %s", c.line, envLine)
-			}
-			continue
-		}
-		if env.OK {
-			t.Errorf("%q: expected failure with %s, got ok", c.line, c.want)
-			continue
-		}
-		if env.Error == nil {
-			t.Errorf("%q: error envelope without error object", c.line)
-			continue
-		}
-		if env.Error.Code != c.want {
-			t.Errorf("%q: code %s, want %s", c.line, env.Error.Code, c.want)
-		}
-		if !wire[env.Error.Code] {
-			t.Errorf("%q: code %s not in the server wire-code table", c.line, env.Error.Code)
-		}
+	if !strings.Contains(stderr.String(), addr) {
+		t.Errorf("stderr does not name %s: %q", addr, stderr.String())
 	}
 }
 
@@ -321,75 +298,13 @@ func TestWatchFetchError(t *testing.T) {
 // TestPlainModeStillWorks smoke-tests the prose renderer so -json stays
 // optional.
 func TestPlainModeStillWorks(t *testing.T) {
-	sh := newTestShell(t)
-	sh.jsonOut = false
-	var buf bytes.Buffer
-	sh.out = &buf
-	for _, line := range []string{"create t 64", "insert t 1 hello", "get t 1", "tables"} {
-		sh.run(line)
-	}
-	out := buf.String()
-	for _, want := range []string{"table t created", "ok", `"hello"`, "1 rows"} {
+	out := shell(t, newTestServer(t), false, "create t 64", "insert t 1 hello", "get t 1", "tables", "get t 2")
+	for _, want := range []string{"connected to", "> OK\n", "> hello\n", "> t\n", "> error: NOTFOUND"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("plain output missing %q:\n%s", want, out)
 		}
 	}
 	if strings.Contains(out, `"ok":`) {
 		t.Errorf("plain mode leaked JSON envelopes:\n%s", out)
-	}
-}
-
-// TestInsertSurvivesCrash: the insert verb is a transaction like update and
-// delete, so a row it reported "ok" for is still there after a power cut
-// that saves nothing volatile.
-func TestInsertSurvivesCrash(t *testing.T) {
-	sh := newTestShell(t)
-	sh.out = &bytes.Buffer{}
-	for _, line := range []string{"create t 64", "insert t 7 hello"} {
-		sh.run(line)
-	}
-	db, err := ipa.Reopen(sh.db.Crash())
-	if err != nil {
-		t.Fatalf("Reopen: %v", err)
-	}
-	defer db.Close()
-	tbl, ok := db.Table("t")
-	if !ok {
-		t.Fatalf("table lost across the crash")
-	}
-	row, err := tbl.Get(7)
-	if err != nil {
-		t.Fatalf("inserted row lost across the crash: %v", err)
-	}
-	if got := strings.TrimRight(string(row), "\x00"); got != "hello" {
-		t.Fatalf("row = %q, want %q", got, "hello")
-	}
-}
-
-// TestWithModesRejectsUnknownNames: a typo in -mode or -flash is an error
-// naming the accepted values, never a silent native pSLC run.
-func TestWithModesRejectsUnknownNames(t *testing.T) {
-	base := ipa.Config{Scheme: ipa.Scheme{N: 2, M: 4}}
-	for _, tc := range []struct {
-		mode, flash string
-		want        ipa.Config // unused when an error is expected
-		errWords    string
-	}{
-		{"native", "pslc", ipa.Config{Scheme: base.Scheme, WriteMode: ipa.IPANativeFlash, FlashMode: ipa.PSLC}, ""},
-		{"ssd", "oddmlc", ipa.Config{Scheme: base.Scheme, WriteMode: ipa.IPAConventionalSSD, FlashMode: ipa.OddMLC}, ""},
-		{"traditional", "mlc", ipa.Config{WriteMode: ipa.Traditional, FlashMode: ipa.MLCFull}, ""},
-		{"tradtional", "pslc", ipa.Config{}, "traditional, ssd or native"},
-		{"native", "slc", ipa.Config{}, "pslc, oddmlc or mlc"},
-	} {
-		got, err := withModes(base, tc.mode, tc.flash)
-		if tc.errWords != "" {
-			if err == nil || !strings.Contains(err.Error(), tc.errWords) {
-				t.Errorf("-mode %s -flash %s: err %v, want one listing %q", tc.mode, tc.flash, err, tc.errWords)
-			}
-			continue
-		}
-		if err != nil || got != tc.want {
-			t.Errorf("-mode %s -flash %s: %+v, %v; want %+v", tc.mode, tc.flash, got, err, tc.want)
-		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"ipa"
 	"ipa/internal/server"
 )
 
@@ -113,4 +114,21 @@ func renderWatch(w io.Writer, d *server.StatsDoc) {
 				name, l.Count, l.MeanUS, l.P50US, l.P95US, l.P99US)
 		}
 	}
+}
+
+// renderOps prints the derived gauges.
+func renderOps(w io.Writer, o ipa.OpsStats) {
+	fmt.Fprintf(w, "device life burned   %8.4f%%  (%d of %d erases)\n",
+		o.LifeBurned*100, o.ErasesConsumed, o.EraseBudget)
+	if o.TimeToDeath > 0 {
+		fmt.Fprintf(w, "time to death        %8s   (virtual, at current erase rate)\n", o.TimeToDeath.Round(time.Second))
+	} else {
+		fmt.Fprintf(w, "time to death        %8s\n", "∞")
+	}
+	fmt.Fprintf(w, "erases avoided       %8d   (vs out-of-place baseline %d)\n", o.ErasesAvoided, o.BaselineErases)
+	fmt.Fprintf(w, "window               %8s   virtual (%d samples)\n", o.WindowVirtual.Round(time.Millisecond), o.Samples)
+	fmt.Fprintf(w, "  tps                %10.1f/s\n", o.WindowTPS)
+	fmt.Fprintf(w, "  evictions          %10.1f/s\n", o.WindowEvictionsPerSec)
+	fmt.Fprintf(w, "  erase rate         %10.3f/s\n", o.WindowEraseRatePerSec)
+	fmt.Fprintf(w, "  in-place share     %9.1f%%\n", o.WindowInPlaceShare*100)
 }

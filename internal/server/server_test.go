@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -240,17 +241,40 @@ func TestGetForUpdateLocksOnTheWire(t *testing.T) {
 }
 
 // TestAutocommitIsDurableOnTheWire verifies that a plain INSERT (no BEGIN)
-// commits a transaction — every wire write goes through the WAL.
+// commits a transaction — every wire write goes through the WAL — so what
+// the server answered OK for survives a power cut that saves nothing
+// volatile.
 func TestAutocommitIsDurableOnTheWire(t *testing.T) {
 	srv, db := newTestServer(t)
 	c := dial(t, srv)
 	before := db.Stats().CommittedTxns
 	do(t, c, "CREATE", "d", "32")
 	do(t, c, "INSERT", "d", "1", "x")
+	do(t, c, "INSERT", "d", "2", "z")
 	do(t, c, "UPDATE", "d", "1", "0", "y")
-	do(t, c, "DEL", "d", "1")
-	if got := db.Stats().CommittedTxns - before; got != 3 {
-		t.Fatalf("autocommit transactions: got %d, want 3", got)
+	do(t, c, "DEL", "d", "2")
+	if got := db.Stats().CommittedTxns - before; got != 4 {
+		t.Fatalf("autocommit transactions: got %d, want 4", got)
+	}
+
+	db2, err := ipa.Reopen(db.Crash())
+	if err != nil {
+		t.Fatalf("Reopen: %v", err)
+	}
+	defer db2.Close()
+	tbl, ok := db2.Table("d")
+	if !ok {
+		t.Fatalf("table lost across the crash")
+	}
+	row, err := tbl.Get(1)
+	if err != nil {
+		t.Fatalf("autocommitted row lost across the crash: %v", err)
+	}
+	if got := strings.TrimRight(string(row), "\x00"); got != "y" {
+		t.Fatalf("row 1 = %q, want the autocommitted update %q", got, "y")
+	}
+	if _, err := tbl.Get(2); !errors.Is(err, ipa.ErrKeyNotFound) {
+		t.Fatalf("row 2 after the autocommitted delete: %v, want ErrKeyNotFound", err)
 	}
 }
 

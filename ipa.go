@@ -914,8 +914,8 @@ type CheckpointState struct {
 
 // CheckpointState reads the catalog region and returns the durable
 // checkpoint state; ok is false when no checkpoint has ever been taken.
-// Diagnostic tools (cmd/flashinspect) use it to show what survives on
-// flash below the WAL.
+// Recovery and the chaos harness use it to read what survives on flash
+// below the WAL.
 func (db *DB) CheckpointState() (CheckpointState, bool, error) {
 	enc := db.catalogPID.Load()
 	if enc == 0 {

@@ -29,7 +29,7 @@ type ExtractFunc func(tuple []byte) int64
 // given tuple-relative offset — the common secondary-key shape of the
 // benchmark schemas (TATP sub_nbr, LinkBench id2). An offset outside the
 // tuple extracts key 0 for every row; callers that know the tuple size
-// should validate the offset up front (cmd/ipadb does).
+// should validate the offset up front (the server's CINDEX does).
 func Int64Field(offset int) ExtractFunc {
 	return func(tuple []byte) int64 {
 		if offset < 0 || offset+8 > len(tuple) {
