@@ -24,6 +24,13 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // loopback port and returns its address.
 func newTestServer(t *testing.T) string {
 	t.Helper()
+	addr, _ := newTestServerDB(t)
+	return addr
+}
+
+// newTestServerDB is newTestServer that also returns the server's engine.
+func newTestServerDB(t *testing.T) (string, *ipa.DB) {
+	t.Helper()
 	db, err := ipa.Open(ipa.Config{
 		PageSize:        2048,
 		Blocks:          32,
@@ -42,7 +49,7 @@ func newTestServer(t *testing.T) string {
 		t.Fatalf("Start: %v", err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return srv.Addr().String()
+	return srv.Addr().String(), db
 }
 
 // shell runs ipadb against addr with the lines on stdin and returns what
@@ -216,6 +223,33 @@ func TestNoServerIsAnError(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), addr) {
 		t.Errorf("stderr does not name %s: %q", addr, stderr.String())
+	}
+}
+
+// TestInsertSurvivesCrash: an insert the shell printed OK for was
+// committed by the server, so it survives a power cut that saves nothing
+// volatile.
+func TestInsertSurvivesCrash(t *testing.T) {
+	addr, db := newTestServerDB(t)
+	out := shell(t, addr, true, "create t 64", "insert t 7 hello")
+	if strings.Contains(out, `"ok":false`) {
+		t.Fatalf("shell reported an error:\n%s", out)
+	}
+	db2, err := ipa.Reopen(db.Crash())
+	if err != nil {
+		t.Fatalf("Reopen: %v", err)
+	}
+	defer db2.Close()
+	tbl, ok := db2.Table("t")
+	if !ok {
+		t.Fatalf("table lost across the crash")
+	}
+	row, err := tbl.Get(7)
+	if err != nil {
+		t.Fatalf("inserted row lost across the crash: %v", err)
+	}
+	if got := strings.TrimRight(string(row), "\x00"); got != "hello" {
+		t.Fatalf("row = %q, want %q", got, "hello")
 	}
 }
 
