@@ -504,9 +504,13 @@ func BenchmarkResidentGet(b *testing.B) {
 // missWalk returns the key of the i-th operation on a missTable: the first
 // row of heap page i mod pages. The heap pages — 944 with a delta area, 930
 // without — are walked in page order, a cycle that misses every time under
-// any policy that has no more than an eighth of it to keep: recency evicts
-// each page long before its turn comes again, and frequency finds nothing to
-// prefer among pages all fetched equally often.
+// any policy that has no more than an eighth of it to keep and nothing to
+// tell its pages apart by: recency evicts each page long before its turn
+// comes again, and frequency finds nothing to prefer among pages all fetched
+// equally often. Updates on the IPA path do tell them apart: every third
+// residency of a page ends in a whole-page write, the pool prices those
+// frames higher, and a few of them outlive a lap (BenchmarkMissEvictNative:
+// 0.96 misses per operation).
 func missWalk(table *ipa.Table) func(i int64) int64 {
 	pages := int64(table.Pages())
 	perPage := (missRows + pages - 1) / pages

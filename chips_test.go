@@ -80,7 +80,7 @@ func TestMultiChipGCAndDurability(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateTable: %v", err)
 	}
-	const keys = 600
+	const keys = 1200 // some forty pages: more than twice the pool
 	for k := int64(0); k < keys; k++ {
 		if err := insertRow(db, tbl, k, fillTuple(100, k)); err != nil {
 			t.Fatalf("Insert: %v", err)

@@ -88,7 +88,7 @@ func TestMissAllocations(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db, table := missTable(t, tc.mode, tc.scheme)
-			key := missWalk(table)
+			key, pages := missWalk(table), int64(table.Pages())
 			var patch [8]byte
 			i := int64(0)
 			update := func() {
@@ -103,23 +103,54 @@ func TestMissAllocations(t *testing.T) {
 					t.Fatalf("Get: %v (%d bytes)", err, len(v))
 				}
 			}
+			// churn rewrites sixteen other bytes of the row, every one changed
+			// since the page's last lap — more than the N×M bytes a page's
+			// delta area holds — so the page leaves as a whole-page write and
+			// its delta area is empty again. After a lap of churn only its
+			// last pages are resident — the pool keeps frames bound for
+			// whole-page writes longest — and every other page has room for
+			// appends on Flash. The next runs+1 pages of the walk, fewer than
+			// a lap less the pool, are therefore all misses, and updates of
+			// them leave as appends.
+			var wide [16]byte
+			churn := func() {
+				i++
+				for b := range wide {
+					wide[b] = byte(1 + i/pages%255)
+				}
+				tx := db.Begin()
+				if err := tx.UpdateAt(table, key(i), 96, wide[:]); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const runs = 800
 			// Warm up until every frame is dirty, every frame's tracker has
 			// been used and the device collects garbage.
-			for n := 0; n < 4096; n++ {
-				update()
+			for n := int64(0); n < 4*pages; n++ {
+				churn()
 			}
 			before := db.Stats()
-			updateAllocs := testing.AllocsPerRun(1000, update)
+			updateAllocs := testing.AllocsPerRun(runs, update)
 			mid := db.Stats()
-			getAllocs := testing.AllocsPerRun(1000, get)
+			for n := int64(0); n < pages; n++ {
+				churn()
+			}
+			if _, err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			churned := db.Stats()
+			getAllocs := testing.AllocsPerRun(runs, get)
 			after := db.Stats()
 			t.Logf("allocations per missing update transaction %.0f, per missing Get %.0f", updateAllocs, getAllocs)
-			if d := mid.DirtyEvictions - before.DirtyEvictions; mid.BufferMisses-before.BufferMisses < 1000 || d < 1000 {
+			if d := mid.DirtyEvictions - before.DirtyEvictions; mid.BufferMisses-before.BufferMisses <= runs || d <= runs {
 				t.Fatalf("the measured updates did not all miss and evict: %d misses, %d dirty evictions",
 					mid.BufferMisses-before.BufferMisses, d)
 			}
-			if after.BufferMisses-mid.BufferMisses < 1000 {
-				t.Fatalf("the measured gets did not all miss: %d misses", after.BufferMisses-mid.BufferMisses)
+			if after.BufferMisses-churned.BufferMisses <= runs {
+				t.Fatalf("the measured gets did not all miss: %d misses", after.BufferMisses-churned.BufferMisses)
 			}
 			if tc.mode == ipa.IPANativeFlash && mid.IPAAppendEvictions == before.IPAAppendEvictions {
 				t.Fatal("no eviction was an in-place append")

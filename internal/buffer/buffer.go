@@ -1,42 +1,63 @@
 // Package buffer implements the database buffer pool.
 //
 // The pool caches fixed-size database pages, pins them for access, and
-// evicts the least frequently fetched of the frames next to a clock hand.
-// To scale with concurrent traffic the pool is partitioned into
-// independently-latched shards: pages are hashed by page identifier onto a
-// shard, each shard has its own frame array, hash table, clock hand,
-// reference counts and statistics, so readers and writers operating on
-// different pages proceed in parallel. Within a shard, every frame
-// additionally carries a read/write latch that serialises access to the
-// page image itself: Fetch returns the page exclusively latched,
-// FetchShared allows any number of concurrent readers.
+// evicts the cheapest of the frames near one pool-wide clock hand. Its page
+// table is partitioned into independently-latched shards — pages are hashed
+// by identifier onto a shard, and each shard has its own mutex and hash
+// table — so lookups of different pages proceed in parallel. The frames,
+// the hand and the reference counts belong to the whole pool: a miss may
+// evict a frame holding a page of any shard. Every frame carries a
+// read/write latch that serialises access to the page image: Fetch returns
+// the page exclusively latched, FetchShared allows any number of concurrent
+// readers, and a miss writes its victim back and loads its own page under
+// the victim's exclusive latch with no shard mutex held.
 //
-// Replacement is frequency-aware. A shard keeps a saturating 4-bit count of
-// fetches per page identifier — of every page it has ever held, resident or
-// not: identifiers are dense, so that is one flat array, sixteen counts to a
-// word, where 2Q or ARC keep ghost lists. Every agePeriod × frames fetches
-// all counts are halved, and the victim is the lowest count among the first
-// victimWindow unpinned frames from the hand. A page that comes back after
-// an eviction is therefore still known to be hot, which second-chance CLOCK
-// (refClock in the tests) and counts on resident frames alone (GCLOCK)
-// cannot know. docs/ARCHITECTURE.md has the trace replays that chose the
-// three constants, and the one pattern that pays for them: uniform access.
+// Replacement is frequency-aware and priced. The pool keeps a saturating
+// 4-bit count of fetches per page identifier — of every page it has ever
+// held, resident or not: identifiers are dense, so that is one flat array,
+// sixteen counts to a word, where 2Q or ARC keep ghost lists. Every
+// agePeriod × frames fetches all counts are halved. The victim is the
+// cheapest of victimWindow unpinned frames sampled from the hand, priced
+// count + 1, times wholePageWeight when its write-back would be a
+// whole-page program. A page that comes back after an eviction is therefore
+// still known to be hot, which second-chance CLOCK (refClock in the tests)
+// and counts on resident frames alone (GCLOCK) cannot know.
+// docs/ARCHITECTURE.md has the trace replays that chose the three
+// constants, the derivation of the weight, and the one pattern that pays
+// for the history: uniform access.
 //
-// The pool's interaction with In-Place Appends is deliberately thin,
-// exactly as the paper argues: the buffer always holds the up-to-date page
-// image and all updates happen in place as usual; the only addition is
-// that every frame carries a core.Tracker fed by the page layer, and that
-// dirty evictions hand both the page image and the tracker to the storage
-// manager, which decides between an in-place append and a traditional
-// out-of-place write.
+// The pool's part in In-Place Appends is still to carry the tracker: the
+// buffer always holds the up-to-date page image and all updates happen in
+// place as usual; every frame carries a core.Tracker fed by the page layer,
+// and dirty evictions hand both the page image and the tracker to the
+// storage manager, which decides between an in-place append and a
+// traditional out-of-place write. The one addition is a question the pool
+// asks the tracker for victim choice — is this frame still
+// append-eligible? — when the frame's exclusive latch is released, the last
+// moment the answer can change before the frame is unpinned.
+//
+// Locks, outermost first:
+//   - Pool.mu, the replacement lock, guards the hand, the never-used frames
+//     and the growth of the count array. Only a miss takes it, never while
+//     it holds a shard mutex, and never to wait on a latch.
+//   - shard.mu guards the shard's table and the header of every frame whose
+//     page hashes to the shard: a pin rises only under it; dirty and recLSN
+//     change under it and the frame's exclusive latch; pid changes under it
+//     and the mutex of the frame's next page's shard, taken in shard order.
+//   - frame.latch guards the page image and the tracker.
+//
+// Pins, pids, weights and counts are atomic, so victim choice reads them
+// without a lock and claims its victim under that one frame's shard mutex.
 package buffer
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ipa/internal/core"
@@ -44,21 +65,19 @@ import (
 
 // Errors returned by the pool.
 var (
-	// ErrNoFrames is returned when every frame of the page's shard stays
-	// pinned for longer than the retry budget and no victim can be
-	// evicted.
+	// ErrNoFrames is returned when every frame of the pool stays pinned for
+	// longer than the retry budget and no victim can be evicted.
 	ErrNoFrames = errors.New("buffer: all frames pinned")
 	// ErrNotCached is returned by FlushPage for pages not in the pool.
 	ErrNotCached = errors.New("buffer: page not cached")
 )
 
-// Pins are held only for the duration of one page operation, so a shard
-// whose frames are all pinned usually frees one within microseconds.
-// Fetch and Create therefore retry briefly before surfacing ErrNoFrames —
-// without this, sharding would turn "more concurrent operations than
-// frames in one shard" into a hard error even while other shards sit
-// idle. The budget is generous enough for transient pile-ups and still
-// bounded so leaked handles fail loudly.
+// Pins are held only for the duration of one page operation, so a pool
+// whose frames are all pinned usually frees one within microseconds. Fetch
+// and Create therefore retry briefly before surfacing ErrNoFrames — without
+// this, more concurrent page operations than frames would be a hard error
+// rather than a wait. The budget is generous enough for transient pile-ups
+// and still bounded so leaked handles fail loudly.
 const (
 	victimRetries    = 200
 	victimSpinPhase  = 16 // attempts that just yield before sleeping
@@ -79,8 +98,8 @@ func victimBackoff(attempt int) {
 // the frame's tracker, whatever it tracked before — the change tracker of the
 // new buffer residency (core.Tracker.Init). StorePage persists a dirty
 // page; it must reset the tracker for the page's next residency before
-// returning. Implementations must be safe for concurrent use: different
-// shards issue loads and stores in parallel.
+// returning. Implementations must be safe for concurrent use: misses of
+// different pages load and store in parallel.
 type PageIO interface {
 	PageSize() int
 	LoadPageInto(pid uint64, buf []byte, t *core.Tracker) error
@@ -96,66 +115,41 @@ type Stats struct {
 	Flushes        uint64
 }
 
-func (s *Stats) add(o Stats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.DirtyEvictions += o.DirtyEvictions
-	s.Flushes += o.Flushes
-}
-
 type frame struct {
-	// latch serialises access to data and tracker. The invariant tying it
-	// to the shard state: a goroutine holds or waits on the latch only
-	// while it holds a pin, so a frame with pin == 0 has a free latch and
-	// may be evicted or reused under the shard mutex alone.
+	// latch serialises access to data and tracker. A goroutine holds
+	// or waits on it only while it holds a pin, and Release drops the latch
+	// before the pin, so a frame with pin == 0 has a free latch.
 	latch sync.RWMutex
-	pid   uint64
-	data  []byte
+	// pid is the frame's page. It changes only while the changer holds the
+	// frame's one pin and the shard mutexes of the old and the new page; it
+	// is atomic so that a goroutine holding neither can find the shard to
+	// lock (lockFrame).
+	pid atomic.Uint64
+	// pin counts the frame's holders. It rises only under pid's shard mutex
+	// and may fall anywhere.
+	pin  atomic.Int32
+	data []byte
 	// tracker belongs to the frame like data does: every residency
 	// re-initialises it in place, so a miss allocates none.
 	tracker core.Tracker
-	pin     int
-	dirty   bool
-	valid   bool
-	// recLSN is the log sequence number stamped when the frame last went
-	// from clean to dirty: the oldest log record whose effects may only
-	// exist in this frame. Fuzzy checkpoints flush dirty pages in recLSN
-	// order so the WAL truncation cut can advance past the oldest one.
+	// weight prices the frame's eviction (reweigh). It is 0 while data holds
+	// no page — before the frame's first use, while its page loads or is
+	// formatted, and after that failed. It is set whenever the frame's state
+	// may have changed — on the release of its exclusive latch, after a
+	// load, after a write-back — so an unpinned frame's weight is current
+	// and victim choice reads no tracker.
+	weight atomic.Uint32
+	// dirty and recLSN change under both pid's shard mutex and the exclusive
+	// latch, so either suffices to read them. recLSN is the log sequence
+	// number stamped when the frame last went from clean to dirty: the
+	// oldest log record whose effects may only exist in this frame. Fuzzy
+	// checkpoints flush dirty pages in recLSN order so the WAL truncation cut
+	// can advance past the oldest one.
+	dirty  bool
 	recLSN uint64
 	// excl and shrd are the two handles the frame ever hands out, so a
-	// fetch allocates nothing. Their pid follows the frame's: residentLocked
-	// rewrites it, under the shard mutex, while pin == 0 — when nobody
-	// holds either.
+	// fetch allocates nothing. Their pid follows the frame's.
 	excl, shrd Handle
-}
-
-// residentLocked starts a new residency of the frame: pid is its page, one
-// pin is taken for the caller, and both handles now name pid. The caller
-// holds the shard mutex and has claimed the frame (pin == 0), then loads
-// or formats the page, which initialises the tracker.
-func (s *shard) residentLocked(idx int, pid uint64, dirty bool) *frame {
-	f := &s.frames[idx]
-	f.pid = pid
-	f.pin = 1
-	f.dirty = dirty
-	f.recLSN = 0
-	if dirty {
-		f.recLSN = s.stampLocked()
-	}
-	f.valid = true
-	f.excl.pid, f.shrd.pid = pid, pid
-	s.table[pid] = idx
-	return f
-}
-
-// vacateLocked undoes residentLocked after the load or format failed.
-func (s *shard) vacateLocked(f *frame) {
-	delete(s.table, f.pid)
-	f.valid = false
-	f.pin = 0
-	f.dirty = false
-	f.recLSN = 0
 }
 
 // handle returns the frame's exclusive or shared handle.
@@ -166,74 +160,102 @@ func (f *frame) handle(shared bool) *Handle {
 	return &f.excl
 }
 
-// shard is one independently-latched partition of the pool.
+// reweigh sets the frame's weight from its state: wholePageWeight if its
+// write-back would be a whole-page program — it is dirty and its tracker is
+// not append-eligible, which covers every dirty frame on the traditional
+// path — and 1 if it is clean or would leave as a delta append. The caller
+// holds the exclusive latch. Most releases leave the weight as it was, and
+// then reweigh writes nothing.
+func (f *frame) reweigh() {
+	w := uint32(1)
+	if f.dirty && !f.tracker.Eligible() {
+		w = wholePageWeight
+	}
+	if f.weight.Load() != w {
+		f.weight.Store(w)
+	}
+}
+
+func lockLatch(f *frame, shared bool) {
+	if shared {
+		f.latch.RLock()
+	} else {
+		f.latch.Lock()
+	}
+}
+
+func unlockLatch(f *frame, shared bool) {
+	if shared {
+		f.latch.RUnlock()
+	} else {
+		f.latch.Unlock()
+	}
+}
+
+// shard is one independently-latched partition of the page table.
 type shard struct {
-	mu     sync.Mutex
-	io     PageIO
-	frames []frame
-	table  map[uint64]int
-	hand   int
-	stats  Stats
-	lsn    func() uint64 // source of recLSN stamps (nil = always 0)
-	// counts packs the 4-bit reference counts of the shard's pages sixteen
-	// to a word (slot); fetches counts towards the next halving.
-	counts  []uint64
-	stride  uint64
-	fetches int
+	mu    sync.Mutex
+	table map[uint64]int // page id → frame index
+	// The shard's counts: hits and misses of its pages, evictions and
+	// write-backs of frames holding them.
+	hits, misses, evictions, dirtyEvictions, flushes atomic.Uint64
 }
 
 // The replacement policy's constants (TinyLFU's): counts saturate at
-// countMax and are halved every agePeriod fetches per frame of the shard.
+// countMax and are halved every agePeriod fetches per frame of the pool.
 const (
 	countMax     = 15
 	agePeriod    = 10
-	victimWindow = 16 // unpinned frames from the hand a victim is chosen among
+	victimWindow = 16 // unpinned frames sampled from the hand a victim is chosen among
 )
 
-// slot returns the word and shift of the count of pid, the shard's
-// pid/stride-th page: identifiers are dense, shardFor deals them round robin.
-func (s *shard) slot(pid uint64) (w, shift uint64) {
-	n := pid / s.stride
-	return n >> 4, n & 15 * 4
-}
+// wholePageWeight prices a dirty frame whose write-back would be a
+// whole-page program against a frame that is clean or would leave as a
+// delta append. Under flashdev.DefaultLatencyModel a pSLC read of an 8 KiB
+// page with its transfer costs 95 µs and a page program 425 µs. Evicting
+// any frame costs its page's next fetch a read; a reference to a frame
+// bound for a whole-page program also, at a ½ update share, costs half a
+// program on the way out, so one more reference to it is worth
+// (95 + ½·425)/95 ≈ 3.2 reads against one read for any other frame.
+const wholePageWeight = 3
 
-// countLocked returns pid's reference count; a page never fetched has 0.
-func (s *shard) countLocked(pid uint64) uint64 {
-	if w, shift := s.slot(pid); w < uint64(len(s.counts)) {
-		return s.counts[w] >> shift & countMax
-	}
-	return 0
-}
+// countBlock packs the 4-bit reference counts of blockWords × 16
+// consecutive page identifiers sixteen to a word. The pool's count array
+// is a list of blocks that grows by whole blocks, the first time a page
+// beyond it is loaded or created — while the database is built — so its
+// words never move and a hit updates one in place.
+type countBlock [blockWords]atomic.Uint64
 
-// touchLocked counts one successful fetch of pid — a hit, or a miss once
-// the page is loaded; Create is not a fetch — and, when the period is up,
-// halves every count of the shard, word-parallel. The array grows only the
-// first time a page is fetched: while the database is built.
-func (s *shard) touchLocked(pid uint64) {
-	w, shift := s.slot(pid)
-	for w >= uint64(len(s.counts)) {
-		s.counts = append(s.counts, 0)
-	}
-	if s.counts[w]>>shift&countMax < countMax {
-		s.counts[w] += 1 << shift
-	}
-	if s.fetches++; s.fetches >= agePeriod*len(s.frames) {
-		s.fetches = 0
-		for i, c := range s.counts {
-			s.counts[i] = c >> 1 & 0x7777777777777777
-		}
-	}
-}
+const blockWords = 64
 
-// Pool is a fixed-capacity page cache partitioned into shards.
+// Pool is a fixed-capacity page cache with a sharded page table.
 type Pool struct {
 	io     PageIO
-	shards []*shard
+	frames []frame
+	shards []shard
+	mask   uint64        // len(shards) - 1
+	lsn    func() uint64 // source of recLSN stamps (nil = always 0)
+
+	// mu is the replacement lock. It guards hand and fresh — frames
+	// [fresh:] were never used — and the growth of counts.
+	mu    sync.Mutex
+	hand  int
+	fresh int
+	// step is the stride at which the victim window samples the frames: the
+	// least at or above frames/victimWindow that is coprime with frames, so
+	// the window spreads over the whole pool and the walk still meets every
+	// frame. Sixteen adjacent frames would let a run of hot pages — loaded
+	// together, before a scan — fill the window and be evicted one by one.
+	step int
+	// counts holds every page's reference count; untilHalving counts down
+	// the fetches left before the next halving.
+	counts       atomic.Pointer[[]*countBlock]
+	untilHalving atomic.Int64
 }
 
 // Sharding defaults: shards are a power of two so the pid hash reduces to a
-// mask, each shard keeps at least minFramesPerShard frames so small pools
-// (unit tests, tiny devices) degenerate to a single shard.
+// mask, each shard maps at least minFramesPerShard frames' worth of pages so
+// small pools (unit tests, tiny devices) degenerate to a single shard.
 const (
 	maxShards         = 16
 	minFramesPerShard = 8
@@ -252,74 +274,156 @@ func defaultShards(nframes int) int {
 	return s
 }
 
-// New creates a pool with nframes frames spread over an automatically
-// chosen number of shards.
+// New creates a pool with nframes frames and an automatically chosen
+// number of page-table shards.
 func New(io PageIO, nframes int) (*Pool, error) {
 	return NewSharded(io, nframes, defaultShards(nframes))
 }
 
-// NewSharded creates a pool with nframes frames spread over nshards
-// independently-latched shards.
+// NewSharded creates a pool with nframes frames and nshards
+// independently-latched page-table shards, a power of two.
 func NewSharded(io PageIO, nframes, nshards int) (*Pool, error) {
 	if nframes <= 0 {
 		return nil, fmt.Errorf("buffer: pool needs at least one frame, got %d", nframes)
 	}
-	if nshards <= 0 || nshards > nframes {
+	if nshards <= 0 || nshards > nframes || nshards&(nshards-1) != 0 {
 		return nil, fmt.Errorf("buffer: shard count %d invalid for %d frames", nshards, nframes)
 	}
-	p := &Pool{io: io, shards: make([]*shard, nshards)}
-	size := io.PageSize()
-	base, rem := nframes/nshards, nframes%nshards
-	for i := range p.shards {
-		n := base
-		if i < rem {
-			n++
-		}
-		s := &shard{
-			io:     io,
-			frames: make([]frame, n),
-			table:  make(map[uint64]int, n),
-			stride: uint64(nshards),
-		}
-		for j := range s.frames {
-			f := &s.frames[j]
-			f.data = make([]byte, size)
-			f.excl = Handle{shard: s, idx: j}
-			f.shrd = Handle{shard: s, idx: j, shared: true}
-		}
-		p.shards[i] = s
+	p := &Pool{io: io, frames: make([]frame, nframes), shards: make([]shard, nshards), mask: uint64(nshards - 1)}
+	p.untilHalving.Store(agePeriod * int64(nframes))
+	p.step = max(nframes/victimWindow, 1)
+	for gcd(p.step, nframes) != 1 {
+		p.step++
 	}
+	for i := range p.shards {
+		p.shards[i].table = make(map[uint64]int, nframes/nshards+1)
+	}
+	size := io.PageSize()
+	for i := range p.frames {
+		f := &p.frames[i]
+		f.data = make([]byte, size)
+		f.excl = Handle{pool: p, idx: i}
+		f.shrd = Handle{pool: p, idx: i, shared: true}
+	}
+	p.counts.Store(new([]*countBlock))
 	return p, nil
 }
 
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
 // shardFor maps a page identifier onto its shard. Page identifiers are
-// allocated sequentially, so a plain modulo spreads neighbouring pages
-// across shards and scans fan out over all partitions.
+// allocated sequentially, so a plain modulo — a mask — spreads neighbouring
+// pages across shards and scans fan out over all partitions.
 func (p *Pool) shardFor(pid uint64) *shard {
-	return p.shards[pid%uint64(len(p.shards))]
+	return &p.shards[pid&p.mask]
+}
+
+// lockFrame locks and returns the shard whose mutex guards f's header.
+func (p *Pool) lockFrame(f *frame) *shard {
+	for {
+		pid := f.pid.Load()
+		s := p.shardFor(pid)
+		s.mu.Lock()
+		if f.pid.Load() == pid {
+			return s
+		}
+		s.mu.Unlock()
+	}
 }
 
 // Capacity returns the total number of frames.
-func (p *Pool) Capacity() int {
-	n := 0
-	for _, s := range p.shards {
-		n += len(s.frames)
-	}
-	return n
-}
+func (p *Pool) Capacity() int { return len(p.frames) }
 
-// Shards returns the number of independently-latched partitions.
+// Shards returns the number of independently-latched page-table partitions.
 func (p *Pool) Shards() int { return len(p.shards) }
 
 // Stats returns a snapshot of the pool counters summed over all shards.
 func (p *Pool) Stats() Stats {
 	var out Stats
-	for _, s := range p.shards {
-		s.mu.Lock()
-		out.add(s.stats)
-		s.mu.Unlock()
+	for i := range p.shards {
+		s := &p.shards[i]
+		out.Hits += s.hits.Load()
+		out.Misses += s.misses.Load()
+		out.Evictions += s.evictions.Load()
+		out.DirtyEvictions += s.dirtyEvictions.Load()
+		out.Flushes += s.flushes.Load()
 	}
 	return out
+}
+
+// word returns the word holding pid's count and the count's shift in it,
+// or nil if the array does not reach pid.
+func (p *Pool) word(pid uint64) (*atomic.Uint64, uint64) {
+	n, blocks := pid>>4, *p.counts.Load()
+	if b := n / blockWords; b < uint64(len(blocks)) {
+		return &blocks[b][n%blockWords], pid & 15 * 4
+	}
+	return nil, 0
+}
+
+// count returns pid's reference count; a page never fetched has 0.
+func (p *Pool) count(pid uint64) uint64 {
+	if w, shift := p.word(pid); w != nil {
+		return w.Load() >> shift & countMax
+	}
+	return 0
+}
+
+// cover grows the count array to reach pid, once pid is loaded or created:
+// a failed load counts nothing, so asking for page ids that do not exist
+// cannot grow it.
+func (p *Pool) cover(pid uint64) {
+	if w, _ := p.word(pid); w != nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	old := *p.counts.Load()
+	n := int(pid>>4/blockWords) + 1
+	if n <= len(old) {
+		return
+	}
+	blocks := make([]*countBlock, n)
+	copy(blocks, old)
+	for i := len(old); i < n; i++ {
+		blocks[i] = new(countBlock)
+	}
+	p.counts.Store(&blocks)
+}
+
+// touch counts one fetch of pid — a hit, or a miss once the page is loaded;
+// Create is not a fetch — and, when the period is up, halves every count,
+// word-parallel. pid is resident, so the array reaches it. The fetch that
+// ends a period is the one whose countdown reads 0, or a multiple of the
+// period below it while an earlier halving is still running.
+func (p *Pool) touch(pid uint64) {
+	w, shift := p.word(pid)
+	for {
+		c := w.Load()
+		if c>>shift&countMax == countMax || w.CompareAndSwap(c, c+1<<shift) {
+			break
+		}
+	}
+	period := agePeriod * int64(len(p.frames))
+	if n := p.untilHalving.Add(-1); n > 0 || n%period != 0 {
+		return
+	}
+	p.untilHalving.Add(period)
+	for _, b := range *p.counts.Load() {
+		for i := range b {
+			for {
+				c := b[i].Load()
+				if b[i].CompareAndSwap(c, c>>1&0x7777777777777777) {
+					break
+				}
+			}
+		}
+	}
 }
 
 // Handle is a pinned, latched reference to a buffered page. It must be
@@ -333,61 +437,54 @@ func (p *Pool) Stats() Stats {
 // refilled both name the new page. Using a handle after its Release
 // therefore reads — or unlatches — whoever holds the frame next.
 type Handle struct {
-	shard  *shard
+	pool   *Pool
 	idx    int
 	pid    uint64
 	shared bool
 }
 
+func (h *Handle) frame() *frame { return &h.pool.frames[h.idx] }
+
 // PID returns the page identifier.
 func (h *Handle) PID() uint64 { return h.pid }
 
 // Data returns the buffered page image. It remains valid until Release.
-func (h *Handle) Data() []byte { return h.shard.frames[h.idx].data }
+func (h *Handle) Data() []byte { return h.frame().data }
 
 // Tracker returns the change tracker of the current residency. It is the
 // frame's own and, like Data, valid until Release: the frame's next
 // residency re-initialises it for another page.
-func (h *Handle) Tracker() *core.Tracker { return &h.shard.frames[h.idx].tracker }
+func (h *Handle) Tracker() *core.Tracker { return &h.frame().tracker }
 
 // MarkDirty flags the page as modified. It requires an exclusive handle.
 // The first MarkDirty of a residency stamps the frame's recLSN from the
 // pool's LSN source (see SetLSNSource).
 func (h *Handle) MarkDirty() {
-	s := h.shard
+	f, s := h.frame(), h.pool.shardFor(h.pid)
 	s.mu.Lock()
-	f := &s.frames[h.idx]
 	if !f.dirty {
-		f.dirty = true
-		f.recLSN = s.stampLocked()
+		f.dirty, f.recLSN = true, h.pool.stamp()
 	}
 	s.mu.Unlock()
 }
 
-// stampLocked returns the current recLSN stamp. The caller holds the
-// shard mutex.
-func (s *shard) stampLocked() uint64 {
-	if s.lsn == nil {
+// stamp returns the current recLSN stamp.
+func (p *Pool) stamp() uint64 {
+	if p.lsn == nil {
 		return 0
 	}
-	return s.lsn()
+	return p.lsn()
 }
 
 // Release drops the frame latch and unpins the page. The latch is released
-// before the pin so that, under the shard mutex, pin == 0 implies the
-// latch is free.
+// before the pin, so pin == 0 implies the latch is free.
 func (h *Handle) Release() {
-	f := &h.shard.frames[h.idx]
-	if h.shared {
-		f.latch.RUnlock()
-	} else {
-		f.latch.Unlock()
+	f := h.frame()
+	if !h.shared {
+		f.reweigh()
 	}
-	h.shard.mu.Lock()
-	if f.pin > 0 {
-		f.pin--
-	}
-	h.shard.mu.Unlock()
+	unlockLatch(f, h.shared)
+	f.pin.Add(-1)
 }
 
 // Fetch pins the page with identifier pid, loading it through the PageIO if
@@ -399,75 +496,44 @@ func (p *Pool) Fetch(pid uint64) (*Handle, error) { return p.fetch(pid, false) }
 // modify the page.
 func (p *Pool) FetchShared(pid uint64) (*Handle, error) { return p.fetch(pid, true) }
 
-// claimFrame acquires the shard mutex and claims a frame for a new
-// residency, backing off while every frame is transiently pinned. Each
-// attempt first re-runs lookup (under the mutex): if it reports the page
-// is already cached, claimFrame stops with hit == true. On success (hit
-// or claimed victim index) the shard mutex is HELD; on error it is
-// released.
-func (s *shard) claimFrame(lookup func() (int, bool)) (idx int, hit bool, err error) {
-	s.mu.Lock()
-	for attempt := 0; ; attempt++ {
-		if i, ok := lookup(); ok {
-			return i, true, nil
-		}
-		i, err := s.victimLocked()
-		if err == nil {
-			return i, false, nil
-		}
-		s.mu.Unlock()
-		if !errors.Is(err, ErrNoFrames) || attempt >= victimRetries {
-			return 0, false, err
-		}
-		victimBackoff(attempt)
-		s.mu.Lock()
-	}
-}
-
 func (p *Pool) fetch(pid uint64, shared bool) (*Handle, error) {
-	s := p.shardFor(pid)
-	idx, hit, err := s.claimFrame(func() (int, bool) {
-		i, ok := s.table[pid]
-		return i, ok
-	})
-	if err != nil {
-		return nil, err
-	}
-	if hit {
-		f := &s.frames[idx]
-		f.pin++
-		s.touchLocked(pid)
-		s.stats.Hits++
-		s.mu.Unlock()
-		// The pin keeps the frame resident; block on the latch outside
-		// the shard mutex so unrelated pages of the shard stay
-		// accessible.
+	for {
+		f, hit, err := p.frameFor(pid, false)
+		if err != nil {
+			return nil, err
+		}
+		if !hit {
+			return p.load(f, pid, shared)
+		}
+		// The pin keeps the frame pid's; block on the latch outside every
+		// mutex, so other pages stay accessible.
 		lockLatch(f, shared)
-		return f.handle(shared), nil
+		if f.weight.Load() != 0 {
+			p.shardFor(pid).hits.Add(1)
+			p.touch(pid)
+			return f.handle(shared), nil
+		}
+		// The load this fetch waited for failed: try again.
+		unlockLatch(f, shared)
+		f.pin.Add(-1)
 	}
-	s.stats.Misses++
-	f := s.residentLocked(idx, pid, false)
-	// The load happens under the shard mutex: it keeps the miss-then-load
-	// path atomic with respect to concurrent fetches of the same page, and
-	// only serialises this shard — misses on other shards proceed in
-	// parallel.
-	if err := s.io.LoadPageInto(pid, f.data, &f.tracker); err != nil {
-		s.vacateLocked(f)
-		s.mu.Unlock()
-		return nil, err
-	}
-	s.touchLocked(pid)
-	s.mu.Unlock()
-	lockLatch(f, shared)
-	return f.handle(shared), nil
 }
 
-func lockLatch(f *frame, shared bool) {
-	if shared {
-		f.latch.RLock()
-	} else {
-		f.latch.Lock()
+// load reads pid into the frame frameFor mapped it to.
+func (p *Pool) load(f *frame, pid uint64, shared bool) (*Handle, error) {
+	if err := p.io.LoadPageInto(pid, f.data, &f.tracker); err != nil {
+		p.vacate(f)
+		return nil, err
 	}
+	f.reweigh()
+	p.cover(pid)
+	p.touch(pid)
+	if shared {
+		// The pin keeps the page resident across the change of latch mode.
+		f.latch.Unlock()
+		f.latch.RLock()
+	}
+	return f.handle(shared), nil
 }
 
 // Create pins a frame for a brand-new page that does not exist on storage
@@ -475,152 +541,256 @@ func lockLatch(f *frame, shared bool) {
 // for the page (typically marked out-of-place, since the first write of a
 // new page cannot be an append). The handle is exclusively latched.
 func (p *Pool) Create(pid uint64, init func(buf []byte, t *core.Tracker) error) (*Handle, error) {
-	s := p.shardFor(pid)
-	idx, hit, err := s.claimFrame(func() (int, bool) {
-		i, ok := s.table[pid]
-		return i, ok
-	})
+	f, hit, err := p.frameFor(pid, true)
 	if err != nil {
 		return nil, err
 	}
 	if hit {
-		s.mu.Unlock()
+		f.pin.Add(-1)
 		return nil, fmt.Errorf("buffer: page %d already cached", pid)
 	}
-	f := s.residentLocked(idx, pid, true)
 	if err := init(f.data, &f.tracker); err != nil {
-		s.vacateLocked(f)
-		s.mu.Unlock()
+		p.vacate(f)
 		return nil, err
 	}
-	s.mu.Unlock()
-	lockLatch(f, false)
+	f.reweigh()
+	p.cover(pid)
 	return &f.excl, nil
 }
 
-// victimLocked returns the index of a free frame, evicting if necessary the
-// least referenced of the first victimWindow unpinned frames from the hand
-// (ties to the first met); the hand moves past the victim. The caller holds
-// the shard mutex.
-func (s *shard) victimLocked() (int, error) {
-	// Prefer an unused frame.
-	for i := range s.frames {
-		if !s.frames[i].valid {
-			return i, nil
+// frameFor returns pid's frame with one pin taken for the caller, and
+// whether it was a hit. A hit's frame is neither latched nor necessarily
+// loaded yet. Otherwise the frame is a victim, written back if
+// it was dirty, now mapped to pid and latched exclusively, for the caller to
+// load or — create — to format; a created page is dirty from the start.
+// While every frame is pinned, frameFor backs off and looks again.
+func (p *Pool) frameFor(pid uint64, create bool) (*frame, bool, error) {
+	s := p.shardFor(pid)
+	for attempt := 0; ; {
+		s.mu.Lock()
+		if i, ok := s.table[pid]; ok {
+			f := &p.frames[i]
+			f.pin.Add(1)
+			s.mu.Unlock()
+			return f, true, nil
 		}
+		s.mu.Unlock()
+		p.mu.Lock()
+		idx, ok := p.victimLocked()
+		p.mu.Unlock()
+		if !ok {
+			if attempt >= victimRetries {
+				return nil, false, ErrNoFrames
+			}
+			victimBackoff(attempt)
+			attempt++
+			continue
+		}
+		f := &p.frames[idx]
+		// The victim stays its page's, in the table, while it is written
+		// back: a fetch of that page pins it and waits on the latch instead of
+		// reading the older image from Flash, and FlushPage returns once the
+		// write is durable.
+		wrote, err := p.store(f, true)
+		if err != nil {
+			err = fmt.Errorf("buffer: evicting page %d: %w", f.pid.Load(), err)
+			p.unclaim(f)
+			return nil, false, err
+		}
+		if p.install(idx, pid, create, wrote) {
+			return f, false, nil
+		}
+		if wrote { // the page stays cached: its write-back was a flush
+			p.shardFor(f.pid.Load()).flushes.Add(1)
+		}
+		p.unclaim(f)
 	}
-	victim, low := -1, uint64(countMax+1)
-	for i, seen := 0, 0; i < len(s.frames) && seen < victimWindow; i++ {
-		idx := (s.hand + i) % len(s.frames)
-		if f := &s.frames[idx]; f.pin == 0 {
+}
+
+// victimLocked claims the frame a miss refills: a never-used frame while
+// one is left, else the cheapest of the first victimWindow unpinned frames
+// met stepping from the hand by step (ties to the first met), priced its
+// weight × (count + 1); the hand moves to the frame after it. The caller
+// holds the replacement lock.
+func (p *Pool) victimLocked() (int, bool) {
+	if idx := p.fresh; idx < len(p.frames) {
+		p.fresh++
+		return idx, p.claim(idx)
+	}
+	n := len(p.frames)
+	for {
+		best, low := -1, uint64(math.MaxUint64)
+		for i, seen := 0, 0; i < n && seen < victimWindow; i++ {
+			idx := (p.hand + i*p.step) % n
+			f := &p.frames[idx]
+			if f.pin.Load() != 0 {
+				continue
+			}
 			seen++
-			if c := s.countLocked(f.pid); c < low {
-				victim, low = idx, c
+			// What evicting f costs, in reads to come.
+			if c := uint64(f.weight.Load()) * (p.count(f.pid.Load()) + 1); c < low {
+				best, low = idx, c
 			}
 		}
-	}
-	if victim < 0 {
-		return 0, ErrNoFrames
-	}
-	s.hand = (victim + 1) % len(s.frames)
-	if err := s.evictLocked(victim); err != nil {
-		return 0, err
-	}
-	return victim, nil
-}
-
-// evictLocked writes back a dirty victim and removes it from the table.
-// The caller holds the shard mutex; the victim is unpinned, so its latch
-// is free and nobody can observe the page while it is written back.
-func (s *shard) evictLocked(idx int) error {
-	f := &s.frames[idx]
-	s.stats.Evictions++
-	if f.dirty {
-		s.stats.DirtyEvictions++
-		if err := s.io.StorePage(f.pid, f.data, &f.tracker); err != nil {
-			return fmt.Errorf("buffer: evicting page %d: %w", f.pid, err)
+		if best < 0 {
+			return 0, false
+		}
+		// best may have been pinned since it was priced; then choose again.
+		if p.claim(best) {
+			p.hand = (best + 1) % n
+			return best, true
 		}
 	}
-	delete(s.table, f.pid)
-	f.valid = false
-	f.dirty = false
-	f.recLSN = 0
-	return nil
 }
 
-// FlushPage writes a cached page back to storage if it is dirty. The page
-// stays cached.
-func (p *Pool) FlushPage(pid uint64) error {
+// claim pins frame idx for a new residency and latches it exclusively,
+// unless it is pinned. A pin rises only under the shard mutex, so pin == 0
+// there means the latch is free: claiming never waits on a latch.
+func (p *Pool) claim(idx int) bool {
+	f := &p.frames[idx]
+	s := p.lockFrame(f)
+	defer s.mu.Unlock()
+	if f.pin.Load() != 0 {
+		return false
+	}
+	f.pin.Store(1)
+	f.latch.Lock()
+	return true
+}
+
+// unclaim gives a claimed frame up.
+func (p *Pool) unclaim(f *frame) {
+	f.latch.Unlock()
+	f.pin.Add(-1)
+}
+
+// install maps pid onto the claimed frame idx under the shard mutexes of
+// its old page and of pid, and counts the eviction: a dirty one if wrote
+// says the old page was written back. It fails if pid arrived in another frame
+// meanwhile, or if the page the frame holds was pinned again since it was
+// claimed: a fetch or a flush of it is waiting for the latch.
+func (p *Pool) install(idx int, pid uint64, create, wrote bool) bool {
+	f := &p.frames[idx]
+	old := f.pid.Load()
+	a, b := old&p.mask, pid&p.mask
+	if a > b {
+		a, b = b, a
+	}
+	p.shards[a].mu.Lock()
+	defer p.shards[a].mu.Unlock()
+	if a != b {
+		p.shards[b].mu.Lock()
+		defer p.shards[b].mu.Unlock()
+	}
+	from, to := p.shardFor(old), p.shardFor(pid)
+	held := f.weight.Load() != 0
+	if _, ok := to.table[pid]; ok || held && f.pin.Load() != 1 {
+		return false
+	}
+	if held {
+		delete(from.table, old)
+		from.evictions.Add(1)
+		if wrote {
+			from.dirtyEvictions.Add(1)
+		}
+	}
+	to.table[pid] = idx
+	f.pid.Store(pid)
+	f.excl.pid, f.shrd.pid = pid, pid
+	f.weight.Store(0)
+	f.dirty, f.recLSN = create, 0
+	if create {
+		f.recLSN = p.stamp()
+	} else {
+		to.misses.Add(1)
+	}
+	return true
+}
+
+// vacate unmaps a claimed frame whose load or format failed and gives it
+// up. It holds no page, so it is the cheapest victim there is.
+func (p *Pool) vacate(f *frame) {
+	s := p.shardFor(f.pid.Load())
+	s.mu.Lock()
+	delete(s.table, f.pid.Load())
+	f.dirty, f.recLSN = false, 0
+	s.mu.Unlock()
+	p.unclaim(f)
+}
+
+// store writes f's page back if it is dirty and reports whether it wrote,
+// counting the write as a flush unless it is an eviction's, which install
+// counts once the frame has left the page. The caller holds the exclusive
+// latch, which keeps the image still and — dirty changes only under it —
+// the dirty bit too, and no shard mutex across the write.
+func (p *Pool) store(f *frame, evict bool) (bool, error) {
+	if !f.dirty {
+		return false, nil
+	}
+	pid := f.pid.Load()
+	if err := p.io.StorePage(pid, f.data, &f.tracker); err != nil {
+		return false, err
+	}
+	s := p.shardFor(pid)
+	s.mu.Lock()
+	f.dirty, f.recLSN = false, 0
+	s.mu.Unlock()
+	f.reweigh()
+	if !evict {
+		s.flushes.Add(1)
+	}
+	return true, nil
+}
+
+// FlushPage writes a cached page back to storage if it is dirty and
+// reports whether it wrote; the page stays cached. A page whose eviction
+// is writing it back is flushed once that write is durable: FlushPage then
+// finds it clean, or not cached at all.
+func (p *Pool) FlushPage(pid uint64) (bool, error) {
 	s := p.shardFor(pid)
 	s.mu.Lock()
 	idx, ok := s.table[pid]
 	if !ok {
 		s.mu.Unlock()
-		return fmt.Errorf("%w: %d", ErrNotCached, pid)
+		return false, fmt.Errorf("%w: %d", ErrNotCached, pid)
 	}
-	s.frames[idx].pin++
+	f := &p.frames[idx]
+	f.pin.Add(1)
 	s.mu.Unlock()
-	return s.flushFrame(idx)
+	return p.flushPinned(f)
 }
 
-// flushFrame writes one pinned frame back if it is dirty, then unpins it.
-// The caller must have incremented the frame's pin count; flushFrame takes
-// the frame latch so the write-back never observes a half-applied update.
-func (s *shard) flushFrame(idx int) error {
-	f := &s.frames[idx]
+// flushPinned writes a frame the caller pinned back if it is dirty, under
+// its exclusive latch so the write-back never observes a half-applied
+// update, then unpins it.
+func (p *Pool) flushPinned(f *frame) (bool, error) {
 	f.latch.Lock()
-	err := s.storeLatched(f)
-	// Mirror Handle.Release: drop the latch before the pin so that, under
-	// the shard mutex, pin == 0 implies the latch is free.
+	wrote, err := p.store(f, false)
 	f.latch.Unlock()
-	s.mu.Lock()
-	if f.pin > 0 {
-		f.pin--
-	}
-	s.mu.Unlock()
-	return err
-}
-
-// storeLatched writes a pinned frame back if it is dirty. The caller holds
-// the frame latch exclusively, which keeps the page image stable; the shard
-// mutex is not held across the store so unrelated pages stay accessible.
-func (s *shard) storeLatched(f *frame) error {
-	s.mu.Lock()
-	dirty := f.valid && f.dirty
-	s.mu.Unlock()
-	if !dirty {
-		return nil
-	}
-	if err := s.io.StorePage(f.pid, f.data, &f.tracker); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	f.dirty = false
-	f.recLSN = 0
-	s.stats.Flushes++
-	s.mu.Unlock()
-	return nil
+	f.pin.Add(-1)
+	return wrote, err
 }
 
 // Flush writes the page back to storage if it is dirty, while the handle
 // keeps it pinned and latched — no eviction can slip between a modification
 // and its write-back. It requires an exclusive handle.
 func (h *Handle) Flush() error {
-	return h.shard.storeLatched(&h.shard.frames[h.idx])
+	_, err := h.pool.store(h.frame(), false)
+	return err
 }
 
 // FlushAll writes every dirty cached page back to storage.
 func (p *Pool) FlushAll() error {
-	for _, s := range p.shards {
-		for idx := range s.frames {
-			s.mu.Lock()
-			if !s.frames[idx].valid {
-				s.mu.Unlock()
-				continue
-			}
-			s.frames[idx].pin++
-			s.mu.Unlock()
-			if err := s.flushFrame(idx); err != nil {
+	for i := range p.frames {
+		f := &p.frames[i]
+		s := p.lockFrame(f)
+		dirty := f.dirty
+		if dirty {
+			f.pin.Add(1)
+		}
+		s.mu.Unlock()
+		if dirty {
+			if _, err := p.flushPinned(f); err != nil {
 				return err
 			}
 		}
@@ -629,14 +799,10 @@ func (p *Pool) FlushAll() error {
 }
 
 // SetLSNSource installs fn as the recLSN stamp source: it is sampled
-// (under the shard mutex) whenever a frame transitions from clean to
-// dirty, typically wired to the WAL's next-LSN counter. It must be set
-// before the pool is shared between goroutines.
-func (p *Pool) SetLSNSource(fn func() uint64) {
-	for _, s := range p.shards {
-		s.lsn = fn
-	}
-}
+// whenever a frame transitions from clean to dirty, typically wired to the
+// WAL's next-LSN counter. It must be set before the pool is shared between
+// goroutines.
+func (p *Pool) SetLSNSource(fn func() uint64) { p.lsn = fn }
 
 // DirtySnapshot returns the identifiers of all currently dirty pages,
 // ordered by recLSN ascending (oldest first). It is the fuzzy
@@ -650,13 +816,11 @@ func (p *Pool) DirtySnapshot() []uint64 {
 		recLSN uint64
 	}
 	var dirty []entry
-	for _, s := range p.shards {
-		s.mu.Lock()
-		for i := range s.frames {
-			f := &s.frames[i]
-			if f.valid && f.dirty {
-				dirty = append(dirty, entry{pid: f.pid, recLSN: f.recLSN})
-			}
+	for i := range p.frames {
+		f := &p.frames[i]
+		s := p.lockFrame(f)
+		if f.dirty {
+			dirty = append(dirty, entry{pid: f.pid.Load(), recLSN: f.recLSN})
 		}
 		s.mu.Unlock()
 	}

@@ -210,10 +210,12 @@ func TestCreateNewPage(t *testing.T) {
 	if _, err := pool.Create(42, nil); err == nil {
 		t.Fatalf("creating a cached page twice must fail")
 	}
-	// Force eviction; the created page must be stored.
+	// Force eviction; the created page must be stored. Its write-back is a
+	// whole-page program (the scheme is disabled), so page 1 is fetched
+	// often enough to cost more, and page 2 then evicts the created page.
 	io.seed(1, 1)
 	io.seed(2, 2)
-	for pid := uint64(1); pid <= 2; pid++ {
+	for _, pid := range []uint64{1, 1, 1, 2} {
 		hh, err := pool.Fetch(pid)
 		if err != nil {
 			t.Fatalf("Fetch: %v", err)
@@ -239,13 +241,13 @@ func TestFlushAllAndFlushPage(t *testing.T) {
 		h.MarkDirty()
 		h.Release()
 	}
-	if err := pool.FlushPage(1); err != nil {
-		t.Fatalf("FlushPage: %v", err)
+	if wrote, err := pool.FlushPage(1); err != nil || !wrote {
+		t.Fatalf("FlushPage of a dirty page: wrote %v, %v", wrote, err)
 	}
 	if io.pages[1][0] != 0xEE {
 		t.Fatalf("FlushPage did not persist")
 	}
-	if err := pool.FlushPage(99); !errors.Is(err, ErrNotCached) {
+	if _, err := pool.FlushPage(99); !errors.Is(err, ErrNotCached) {
 		t.Fatalf("expected ErrNotCached, got %v", err)
 	}
 	if err := pool.FlushAll(); err != nil {
@@ -261,6 +263,37 @@ func TestFlushAllAndFlushPage(t *testing.T) {
 	}
 	if io.stores != stores {
 		t.Fatalf("clean flush should not store pages")
+	}
+}
+
+// TestFlushPageOfCleanPageReportsNoWrite: a page found clean — never
+// dirtied, or written back since it was — is cached and flushed without a
+// store, and FlushPage says so, so the checkpoint counts only its own
+// writes.
+func TestFlushPageOfCleanPageReportsNoWrite(t *testing.T) {
+	io := newMemIO(64)
+	io.seed(1, 1)
+	pool, _ := New(io, 4)
+	h, err := pool.Fetch(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	if wrote, err := pool.FlushPage(1); err != nil || wrote || io.stores != 0 {
+		t.Fatalf("FlushPage of a clean cached page: wrote %v, %v, %d stores", wrote, err, io.stores)
+	}
+	h, err = pool.Fetch(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Data()[0] = 2
+	h.MarkDirty()
+	if err := h.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	if wrote, err := pool.FlushPage(1); err != nil || wrote || io.stores != 1 {
+		t.Fatalf("FlushPage of a page written back since it was dirtied: wrote %v, %v, %d stores", wrote, err, io.stores)
 	}
 }
 
@@ -371,11 +404,7 @@ func TestSharedHoldersReleaseIndependently(t *testing.T) {
 	if b.PID() != 1 || b.Data()[0] != 1 {
 		t.Fatalf("second holder reads page %d after the first released", b.PID())
 	}
-	s := pool.shardFor(1)
-	s.mu.Lock()
-	pins := s.frames[0].pin
-	s.mu.Unlock()
-	if pins != 1 {
+	if pins := pool.frames[0].pin.Load(); pins != 1 {
 		t.Fatalf("pin count %d with one shared holder left, want 1", pins)
 	}
 	b.Release()

@@ -1,8 +1,15 @@
 package buffer
 
 import (
+	"encoding/binary"
+	"errors"
+	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"ipa/internal/core"
 )
 
 // TestShardSizing covers the automatic shard count and NewSharded.
@@ -30,6 +37,9 @@ func TestShardSizing(t *testing.T) {
 	}
 	if _, err := NewSharded(newMemIO(64), 8, 0); err == nil {
 		t.Fatalf("zero shards must be rejected")
+	}
+	if _, err := NewSharded(newMemIO(64), 8, 3); err == nil {
+		t.Fatalf("a shard count that is not a power of two must be rejected")
 	}
 	pool, err := NewSharded(newMemIO(64), 10, 4)
 	if err != nil {
@@ -135,6 +145,162 @@ func TestConcurrentFetchAcrossShards(t *testing.T) {
 	s := pool.Stats()
 	if s.Hits+s.Misses == 0 {
 		t.Fatalf("no pool traffic recorded: %+v", s)
+	}
+}
+
+// checkIO is a PageIO that fails the test when the pool breaks one of its
+// promises: a load returns an image older than the page's newest — read
+// while a write-back of the page is in flight, or while another frame holds
+// it —, a page is resident in two frames, or FlushPage returns before a
+// write-back that began before it has finished. A page's first eight bytes
+// are a sequence number; the test's writers keep the newest one in latest.
+// A frame changes page only when it is mapped to its next one, so a load of
+// a page finds exactly one frame naming it: the one it loads into. Page 0,
+// which never-used frames name, is never fetched.
+type checkIO struct {
+	t     *testing.T
+	pool  *Pool
+	mu    sync.Mutex
+	pages [][]byte
+	// begun and done count each page's stores; a page's stores never
+	// overlap, because only the one frame holding it stores it.
+	begun, done []int
+	latest      []atomic.Uint64
+}
+
+func newCheckIO(t *testing.T, pages int) *checkIO {
+	c := &checkIO{t: t, pages: make([][]byte, pages),
+		begun: make([]int, pages), done: make([]int, pages), latest: make([]atomic.Uint64, pages)}
+	for i := range c.pages {
+		c.pages[i] = make([]byte, 64)
+	}
+	return c
+}
+
+func (c *checkIO) PageSize() int { return 64 }
+
+func (c *checkIO) LoadPageInto(pid uint64, buf []byte, t *core.Tracker) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.begun[pid] != c.done[pid] {
+		c.t.Errorf("page %d loaded while its write-back is in flight", pid)
+	}
+	frames := 0
+	for i := range c.pool.frames {
+		if c.pool.frames[i].pid.Load() == pid {
+			frames++
+		}
+	}
+	if frames != 1 {
+		c.t.Errorf("page %d loaded while %d frames name it", pid, frames)
+	}
+	copy(buf, c.pages[pid])
+	if got, want := binary.LittleEndian.Uint64(buf), c.latest[pid].Load(); got != want {
+		c.t.Errorf("page %d loaded at sequence %d, its newest is %d", pid, got, want)
+	}
+	t.Init(core.Scheme{N: 2, M: 4}, len(buf), 0)
+	return nil
+}
+
+func (c *checkIO) StorePage(pid uint64, buf []byte, t *core.Tracker) error {
+	c.mu.Lock()
+	c.begun[pid]++
+	c.mu.Unlock()
+	runtime.Gosched() // the program is in flight
+	c.mu.Lock()
+	copy(c.pages[pid], buf)
+	c.done[pid]++
+	c.mu.Unlock()
+	t.Reset(0)
+	return nil
+}
+
+// stores returns how many stores of pid have begun.
+func (c *checkIO) stores(pid uint64) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.begun[pid]
+}
+
+// flushed fails the test unless the first n stores of pid have finished.
+func (c *checkIO) flushed(pid uint64, n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done[pid] < n {
+		c.t.Errorf("FlushPage(%d) returned with a write-back of the page in flight", pid)
+	}
+}
+
+// TestConcurrentMissesKeepThePoolsPromises runs eight goroutines over a
+// working set eight times the pool, so misses evict frames of every shard
+// while other goroutines hit, wait on and flush the victims' pages. Half of
+// them bump a page's sequence number under the exclusive latch, the other
+// half read it under the shared latch and flush the page; checkIO watches
+// every load, store and flush (run with -race).
+func TestConcurrentMissesKeepThePoolsPromises(t *testing.T) {
+	const frames, pages = 32, 256
+	io := newCheckIO(t, pages)
+	pool, err := New(io, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.pool = pool
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rnd := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 1500 && !t.Failed(); i++ {
+				pid := 1 + uint64(rnd.Intn(pages-1))
+				if w%2 == 0 {
+					h, err := pool.Fetch(pid)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					seq := binary.LittleEndian.Uint64(h.Data()) + 1
+					var img [8]byte
+					binary.LittleEndian.PutUint64(img[:], seq)
+					h.Tracker().RecordWrite(0, h.Data()[:8], img[:])
+					copy(h.Data(), img[:])
+					io.latest[pid].Store(seq)
+					h.MarkDirty()
+					h.Release()
+					continue
+				}
+				h, err := pool.FetchShared(pid)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got, want := binary.LittleEndian.Uint64(h.Data()), io.latest[pid].Load(); got != want {
+					t.Errorf("page %d reads sequence %d, its newest is %d", pid, got, want)
+				}
+				h.Release()
+				if i%2 == 0 { // any page: the victims' among them
+					pid := 1 + uint64(rnd.Intn(pages-1))
+					n := io.stores(pid)
+					if _, err := pool.FlushPage(pid); err != nil && !errors.Is(err, ErrNotCached) {
+						t.Error(err)
+					}
+					io.flushed(pid, n)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	s, stores := pool.Stats(), 0
+	for _, n := range io.done {
+		stores += n
+	}
+	if s.DirtyEvictions == 0 || s.Evictions == 0 {
+		t.Fatalf("no evictions: %+v", s)
+	}
+	// Every write-back counts once: as a dirty eviction if its frame left
+	// the page, else — it lost a race for the frame — as a flush.
+	if s.DirtyEvictions > s.Evictions || s.DirtyEvictions+s.Flushes != uint64(stores) {
+		t.Fatalf("%d stores counted as %+v", stores, s)
 	}
 }
 

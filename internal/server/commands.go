@@ -11,6 +11,8 @@ import (
 
 	"ipa"
 	"ipa/internal/buffer"
+	"ipa/internal/ftl"
+	"ipa/internal/storage"
 	"ipa/internal/txn"
 )
 
@@ -32,14 +34,15 @@ const (
 	codeInTxn    = "INTXN"    // BEGIN while a transaction is already open
 	codeFinished = "FINISHED" // operation on a finished transaction
 	codeClosed   = "CLOSED"   // engine closed (server shutting down)
-	codeBusy     = "BUSY"     // every buffer frame the page could use stayed pinned; retry
+	codeBusy     = "BUSY"     // every buffer frame stayed pinned; retry
+	codeFull     = "FULL"     // the device has no room for the write
 )
 
 // wireCodes lists every error code for the spec drift test.
 var wireCodes = []string{
 	codeErr, codeProto, codeUnknown, codeArgs, codeNoTable, codeExists,
 	codeNotFound, codeDupKey, codeConflict, codeNoIndex, codeNoTxn,
-	codeInTxn, codeFinished, codeClosed, codeBusy,
+	codeInTxn, codeFinished, codeClosed, codeBusy, codeFull,
 }
 
 // errCode maps an engine error onto its stable wire code. The mapping is
@@ -63,6 +66,8 @@ func errCode(err error) string {
 		return codeFinished
 	case errors.Is(err, buffer.ErrNoFrames):
 		return codeBusy
+	case errors.Is(err, storage.ErrCapacity), errors.Is(err, ftl.ErrDeviceFull):
+		return codeFull
 	default:
 		return codeErr
 	}

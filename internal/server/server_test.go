@@ -30,8 +30,15 @@ func newTestServer(t *testing.T) (*Server, *ipa.DB) {
 // newTestServerPool is newTestServer with a buffer pool of poolPages frames.
 func newTestServerPool(t *testing.T, poolPages int) (*Server, *ipa.DB) {
 	t.Helper()
+	return newTestServerOn(t, 64, poolPages)
+}
+
+// newTestServerOn is newTestServer on a device of blocks blocks per chip
+// with a buffer pool of poolPages frames.
+func newTestServerOn(t *testing.T, blocks, poolPages int) (*Server, *ipa.DB) {
+	t.Helper()
 	db, err := ipa.Open(ipa.Config{
-		Blocks:          64,
+		Blocks:          blocks,
 		PagesPerBlock:   32,
 		Chips:           2,
 		BufferPoolPages: poolPages,
@@ -574,9 +581,9 @@ func TestVerbsAreCaseInsensitive(t *testing.T) {
 }
 
 // TestAllFramesPinnedIsBusyOnTheWire: buffer.ErrNoFrames — more page
-// operations in flight than one pool shard has frames — is a condition a
-// client should retry, so it has its own code and is not the catch-all ERR.
-// The pool here is one shard of one frame; a secondary index's backfill
+// operations in flight than the pool has frames — is a condition a client
+// should retry, so it has its own code and is not the catch-all ERR.
+// The pool here is one frame; a secondary index's backfill
 // reads a heap page while it holds an index page, so the only frame is
 // pinned when the second is asked for, and stays pinned for the whole retry
 // budget. The session and the engine carry on afterwards.
@@ -591,4 +598,33 @@ func TestAllFramesPinnedIsBusyOnTheWire(t *testing.T) {
 	if r := do(t, c, "GET", "t", "3"); string(r.Bulk) != "0123456789abcdef" {
 		t.Fatalf("GET after BUSY: %q", r.Bulk)
 	}
+}
+
+// TestFullDeviceIsFullOnTheWire: a device with no room left is a condition
+// a client can act on, so it has its own code and is not the catch-all ERR.
+// Over a device of eight blocks a chip, the first insert that does not fit
+// answers FULL, and the session, the rows already in and PING carry on.
+func TestFullDeviceIsFullOnTheWire(t *testing.T) {
+	srv, _ := newTestServerOn(t, 8, 16)
+	c := dial(t, srv)
+	do(t, c, "CREATE", "t", "512")
+	k := 0
+	for ; k < 10000; k++ {
+		if _, err := c.DoStrings("INSERT", "t", fmt.Sprint(k), "row"); err != nil {
+			if !ipaclient.IsCode(err, "FULL") {
+				t.Fatalf("insert %d: %v, want wire code FULL", k, err)
+			}
+			break
+		}
+	}
+	if k == 0 || k == 10000 {
+		t.Fatalf("%d inserts before the device filled", k)
+	}
+	if r := do(t, c, "PING"); r.Str != "PONG" {
+		t.Fatalf("PING after FULL: %+v", r)
+	}
+	if r := do(t, c, "GET", "t", "0"); !strings.HasPrefix(string(r.Bulk), "row") {
+		t.Fatalf("GET after FULL: %q", r.Bulk)
+	}
+	t.Logf("FULL after %d inserts", k)
 }

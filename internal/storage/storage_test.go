@@ -388,9 +388,11 @@ func TestWriteModeString(t *testing.T) {
 // mode: a Fetch that misses — evicting a dirty page as an in-place append or
 // an out-of-place write, garbage collection included, then reading, ECC
 // checking and reconstructing the wanted page into the frame's own tracker —
-// and a small tracked update of it allocate nothing. The ipa-ssd path takes
-// its block-device image from a sync.Pool, which a garbage collection may
-// empty: one allocation of slack there.
+// and a small tracked update of it allocate nothing. The pool has one frame,
+// so every fetch evicts the page before it whatever the replacement policy
+// makes of the walk. The ipa-ssd path takes its block-device image from a
+// sync.Pool, which a garbage collection may empty: one allocation of slack
+// there.
 func TestMissAndDirtyEvictionDoNotAllocate(t *testing.T) {
 	for _, tc := range modesUnderTest() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -401,7 +403,7 @@ func TestMissAndDirtyEvictionDoNotAllocate(t *testing.T) {
 				pid, _, _ := newPage(t, m, 5)
 				pids = append(pids, pid)
 			}
-			pool, err := buffer.New(m, 8)
+			pool, err := buffer.New(m, 1)
 			if err != nil {
 				t.Fatalf("buffer.New: %v", err)
 			}
@@ -424,7 +426,7 @@ func TestMissAndDirtyEvictionDoNotAllocate(t *testing.T) {
 				h.MarkDirty()
 				h.Release()
 			}
-			for i := 0; i < 4*len(pids); i++ { // every frame's tracker used, the device collecting
+			for i := 0; i < 4*len(pids); i++ { // the frame's tracker used, the device collecting
 				cycle()
 			}
 			before := m.Stats()

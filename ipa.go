@@ -806,7 +806,8 @@ type CheckpointResult struct {
 	// dropped).
 	TruncatedLSN uint64 `json:"truncated_lsn"`
 	// PagesFlushed is the number of dirty pages force-flushed,
-	// oldest-recLSN-first.
+	// oldest-recLSN-first: pages the checkpoint wrote itself, not those an
+	// eviction wrote between the dirty snapshot and their flush.
 	PagesFlushed int `json:"pages_flushed"`
 	// ActiveTxns is the number of in-flight transactions recorded in the
 	// checkpoint's transaction table.
@@ -851,12 +852,15 @@ func (db *DB) Checkpoint() (CheckpointResult, error) {
 	// (3) Force-flush dirty pages, oldest recLSN first. Every flush runs
 	// the write-ahead barrier, so the log is always durable ahead of the
 	// page image. Pages evicted (or re-dirtied) since the snapshot are
-	// fine: ErrNotCached means some eviction already wrote the frame out.
+	// fine: ErrNotCached, or a clean page, means some eviction already
+	// wrote the frame out, and only pages written here are counted.
 	for _, pid := range db.pool.DirtySnapshot() {
-		err := db.pool.FlushPage(pid)
+		wrote, err := db.pool.FlushPage(pid)
 		switch {
 		case err == nil:
-			res.PagesFlushed++
+			if wrote {
+				res.PagesFlushed++
+			}
 		case errors.Is(err, buffer.ErrNotCached):
 		default:
 			return res, fmt.Errorf("ipa: checkpoint flush page %d: %w", pid, err)

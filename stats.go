@@ -144,8 +144,9 @@ type Stats struct {
 	RecoveryRedoRecords     uint64
 	RecoveryParallelism     int
 
-	// BufferShards is the number of independently-latched buffer pool
-	// partitions (a configuration echo, like Mode and Scheme).
+	// BufferShards is the number of independently-latched partitions of
+	// the buffer pool's page table (a configuration echo, like Mode and
+	// Scheme).
 	BufferShards int
 
 	// Chips is the number of NAND chips; ChipStats breaks the Flash and

@@ -19,10 +19,14 @@ var notWindowed = map[string]bool{
 
 // windowFixture loads a small two-chip MLC device far enough to run its
 // garbage collector and disturb paired pages, with a checkpoint halfway,
-// and returns the Stats just before and just after a ResetStats.
+// and returns the Stats just before and just after a ResetStats. With one
+// delta record per page, a page is re-programmed at most once between
+// erases, so each page of a wordline flips at most one bit — always
+// correctable, whichever pages the update stream and the eviction order
+// happen to append to.
 func windowFixture(t *testing.T) (before, after ipa.Stats) {
 	t.Helper()
-	cfg := smallConfig(ipa.IPANativeFlash, ipa.Scheme{N: 2, M: 4}, ipa.MLCFull)
+	cfg := smallConfig(ipa.IPANativeFlash, ipa.Scheme{N: 1, M: 4}, ipa.MLCFull)
 	cfg.Chips, cfg.Blocks, cfg.InterferenceProb = 2, 12, 0.02
 	db, err := ipa.Open(cfg)
 	if err != nil {
