@@ -5,13 +5,12 @@
 //
 //	ipabench -exp table1       # Table 1: TPC-B, 0x0 vs 2x4 pSLC vs 2x4 odd-MLC
 //	ipabench -exp fig1         # Figure 1: DBMS write-amplification analysis
-//	ipabench -exp oltp         # OLTP suite: throughput / GC reduction claims
-//	ipabench -exp longevity    # Flash lifetime estimate (runs oltp, derives from it)
+//	ipabench -exp oltp         # OLTP suite: throughput / GC reduction claims, Flash lifetime estimate
 //	ipabench -exp ipl          # IPA vs In-Page Logging comparison
 //	ipabench -exp scenarios    # demo scenarios 1/2/3 side by side
 //	ipabench -exp interference # program-interference ablation (MLC modes)
 //	ipabench -exp sweep        # N×M scheme ablation
-//	ipabench -exp concurrent   # concurrency scaling (sharded pool, group commit), then readmix
+//	ipabench -exp concurrent   # concurrency scaling (sharded pool, group commit)
 //	ipabench -exp readmix      # read-skew ladder: MVCC snapshot reads vs 2PL locked reads
 //	ipabench -exp chips        # chip scaling (per-chip FTL partitions)
 //	ipabench -exp crash        # power-cut torture: crash at every fault point

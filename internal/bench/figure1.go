@@ -65,7 +65,7 @@ func Figure1(o Options) (Figure1Result, error) {
 			SmallEvictionShare: ts.SmallEvictionShare(),
 			PageBytesWritten:   ts.HostBytesWritten,
 			WriteAmplification: ts.DBMSWriteAmplification(),
-			Histogram:          ts.EvictionSizeHistogram,
+			Histogram:          ts.EvictionSizeHistogram[:],
 			HistogramBounds:    ts.EvictionHistogramBounds,
 			IPABytesWritten:    is.HostBytesWritten,
 			IPAInPlaceShare:    is.InPlaceShare(),

@@ -20,10 +20,6 @@ type Outcome interface{ Write(io.Writer) }
 type Spec struct {
 	Name  string
 	Title string
-	// With names the spec that `-exp Name` runs as well: longevity derives
-	// from the OLTP suite, and the concurrency experiment is documented as
-	// both of its ladders.
-	With string
 	// OpsOnly marks an experiment bounded by committed transactions alone;
 	// -duration does not apply to it.
 	OpsOnly bool
@@ -41,25 +37,6 @@ var Base = Options{Profile: DefaultProfile, N: 2, M: 4, Seed: 1}
 // Specs returns the registry, in the order `-exp all` runs it. This table
 // is the only place an experiment's flag-settable defaults are written.
 func Specs() []Spec {
-	// -exp oltp leaves its result here for -exp longevity to derive from,
-	// so `-exp all` runs the suite once.
-	var suite *SuiteResult
-	oltp := func(o Options) (SuiteResult, error) {
-		res, err := Suite(o)
-		if err == nil {
-			suite = &res
-		}
-		return res, err
-	}
-	longevity := func(o Options) (LongevityResult, error) {
-		if suite == nil {
-			if _, err := oltp(o); err != nil {
-				return nil, err
-			}
-		}
-		return Longevity(*suite), nil
-	}
-	oltpFull, oltpQuick := Options{Scale: 2, Duration: 3 * time.Second}, Options{Ops: 4000}
 	indexFull, indexQuick := Options{Profile: IndexProfile, Scale: 1, Ops: 20000}, Options{Profile: indexQuickProfile, Ops: 4000}
 
 	return []Spec{
@@ -70,9 +47,7 @@ func Specs() []Spec {
 		{Name: "fig1", Title: "Figure 1: DBMS write-amplification",
 			Full: Options{Scale: 2, Ops: 8000}, Quick: Options{Ops: 3000}, run: adapt(Figure1)},
 		{Name: "oltp", Title: "OLTP suite: TPC-B / TPC-C / TATP",
-			Full: oltpFull, Quick: oltpQuick, run: adapt(oltp)},
-		{Name: "longevity", Title: "Longevity: erase budget per host write", With: "oltp",
-			Full: oltpFull, Quick: oltpQuick, run: adapt(longevity)},
+			Full: Options{Scale: 2, Duration: 3 * time.Second}, Quick: Options{Ops: 4000}, run: adapt(Suite)},
 		{Name: "ipl", Title: "IPA vs In-Page Logging",
 			Full: Options{Scale: 2, Ops: 8000}, Quick: Options{Ops: 3000}, run: adapt(IPLCompare)},
 		{Name: "scenarios", Title: "Demonstration scenarios 1/2/3",
@@ -81,7 +56,7 @@ func Specs() []Spec {
 			Full: Options{Scale: 2, Ops: 6000}, Quick: Options{Scale: 1, Ops: 3000}, run: adapt(Interference)},
 		{Name: "sweep", Title: "N×M scheme sweep",
 			Full: Options{Scale: 2, Ops: 6000}, Quick: Options{Ops: 2000}, run: adapt(Sweep)},
-		{Name: "concurrent", Title: "Concurrency scaling: sharded pool + group-commit WAL", With: "readmix", OpsOnly: true,
+		{Name: "concurrent", Title: "Concurrency scaling: sharded pool + group-commit WAL", OpsOnly: true,
 			Full: Options{Ops: 8000}, Quick: Options{Ops: 6000}, run: adapt(Concurrent)},
 		{Name: "readmix", Title: "Read-skew ladder: MVCC snapshot reads vs 2PL locked reads", OpsOnly: true,
 			Full: Options{Ops: 4000, Threads: 8}, Quick: Options{Ops: 1500}, run: adapt(ReadMix)},
@@ -153,24 +128,17 @@ func Names() []string {
 	return names
 }
 
-// Select resolves an -exp argument to the specs it runs, in registry
-// order: every spec for "all", otherwise the named one and its With.
+// Select resolves an -exp argument to the specs it runs: every spec, in
+// registry order, for "all", otherwise the named one.
 func Select(exp string) ([]Spec, error) {
 	specs := Specs()
-	known, with := exp == "all", ""
+	if exp == "all" {
+		return specs, nil
+	}
 	for _, s := range specs {
 		if s.Name == exp {
-			known, with = true, s.With
+			return []Spec{s}, nil
 		}
 	}
-	if !known {
-		return nil, fmt.Errorf("unknown experiment %q (have %s, all)", exp, strings.Join(Names(), ", "))
-	}
-	var sel []Spec
-	for _, s := range specs {
-		if exp == "all" || s.Name == exp || s.Name == with {
-			sel = append(sel, s)
-		}
-	}
-	return sel, nil
+	return nil, fmt.Errorf("unknown experiment %q (have %s, all)", exp, strings.Join(Names(), ", "))
 }

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// TestSelect covers the -exp argument: one name, the names that bring a
-// second experiment along, "all", and the unknown-name error.
+// TestSelect covers the -exp argument: one name runs that experiment alone,
+// "all" runs every one, and an unknown name is an error listing them.
 func TestSelect(t *testing.T) {
 	names := func(specs []Spec) string {
 		var out []string
@@ -19,8 +19,7 @@ func TestSelect(t *testing.T) {
 	for exp, want := range map[string]string{
 		"table1":     "table1",
 		"oltp":       "oltp",
-		"longevity":  "oltp longevity",
-		"concurrent": "concurrent readmix",
+		"concurrent": "concurrent",
 		"readmix":    "readmix",
 		"all":        strings.Join(Names(), " "),
 	} {

@@ -23,9 +23,11 @@ type SuiteRow struct {
 	LongevityImprovement float64 // ratio of host writes per erase (IPA / baseline)
 }
 
-// SuiteResult is the full comparison.
+// SuiteResult is the full comparison, with the lifetime projection derived
+// from it.
 type SuiteResult struct {
-	Rows []SuiteRow
+	Rows      []SuiteRow
+	Longevity LongevityResult
 }
 
 // Suite runs the OLTP suite backing the paper's headline claims (E3): up to
@@ -45,6 +47,7 @@ func Suite(o Options) (SuiteResult, error) {
 		}
 		out.Rows = append(out.Rows, makeSuiteRow(wl, baseRes, ipaRes))
 	}
+	out.Longevity = Longevity(out)
 	return out, nil
 }
 
@@ -109,6 +112,10 @@ func (r SuiteResult) Write(w io.Writer) {
 			row.Workload, row.Baseline.Throughput(), row.IPA.Throughput(), row.ThroughputGainPct,
 			formatDrop(row.InvalidationDropPct, bs.Invalidations), formatDrop(row.MigrationDropPct, bs.GCMigrations),
 			formatDrop(row.EraseDropPct, bs.GCErases), formatLifetime(row.LongevityImprovement))
+	}
+	if len(r.Longevity) > 0 {
+		fmt.Fprintln(w)
+		r.Longevity.Write(w)
 	}
 }
 

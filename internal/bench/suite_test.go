@@ -10,10 +10,10 @@ import (
 
 // arm is a run that wrote writes pages and migrated and erased that often.
 func arm(writes, migrations, erases uint64) Result {
-	return Result{Stats: ipa.Stats{
-		HostReads: 500, HostWrites: writes, Invalidations: writes / 2, GCMigrations: migrations, GCErases: erases,
-		CommittedTxns: 100, Elapsed: time.Second,
-	}}
+	s := ipa.Stats{Elapsed: time.Second}
+	s.HostReads, s.HostWrites, s.Invalidations = 500, writes, writes/2
+	s.GCMigrations, s.GCErases, s.CommittedTxns = migrations, erases, 100
+	return Result{Stats: s}
 }
 
 // TestDropsAndLifetimesWithoutGC: a drop or a lifetime is a quotient, and

@@ -61,6 +61,7 @@ import (
 	"time"
 
 	"ipa/internal/core"
+	"ipa/internal/stat"
 )
 
 // Errors returned by the pool.
@@ -106,13 +107,15 @@ type PageIO interface {
 	StorePage(pid uint64, buf []byte, t *core.Tracker) error
 }
 
-// Stats counts buffer pool events, aggregated over all shards.
+// Stats counts buffer pool events. Every shard keeps its own as its live
+// counter set, bumped atomically, for the pages it maps; Pool.Stats sums
+// them.
 type Stats struct {
-	Hits           uint64
-	Misses         uint64
-	Evictions      uint64
-	DirtyEvictions uint64
-	Flushes        uint64
+	BufferHits           uint64
+	BufferMisses         uint64
+	BufferEvictions      uint64
+	BufferDirtyEvictions uint64 // evictions that wrote the page back
+	BufferFlushes        uint64 // write-backs that left the page cached
 }
 
 type frame struct {
@@ -196,9 +199,7 @@ func unlockLatch(f *frame, shared bool) {
 type shard struct {
 	mu    sync.Mutex
 	table map[uint64]int // page id → frame index
-	// The shard's counts: hits and misses of its pages, evictions and
-	// write-backs of frames holding them.
-	hits, misses, evictions, dirtyEvictions, flushes atomic.Uint64
+	stats Stats
 }
 
 // The replacement policy's constants (TinyLFU's): counts saturate at
@@ -346,12 +347,7 @@ func (p *Pool) Shards() int { return len(p.shards) }
 func (p *Pool) Stats() Stats {
 	var out Stats
 	for i := range p.shards {
-		s := &p.shards[i]
-		out.Hits += s.hits.Load()
-		out.Misses += s.misses.Load()
-		out.Evictions += s.evictions.Load()
-		out.DirtyEvictions += s.dirtyEvictions.Load()
-		out.Flushes += s.flushes.Load()
+		out = stat.Add(out, stat.Load(&p.shards[i].stats))
 	}
 	return out
 }
@@ -509,7 +505,7 @@ func (p *Pool) fetch(pid uint64, shared bool) (*Handle, error) {
 		// mutex, so other pages stay accessible.
 		lockLatch(f, shared)
 		if f.weight.Load() != 0 {
-			p.shardFor(pid).hits.Add(1)
+			atomic.AddUint64(&p.shardFor(pid).stats.BufferHits, 1)
 			p.touch(pid)
 			return f.handle(shared), nil
 		}
@@ -601,7 +597,7 @@ func (p *Pool) frameFor(pid uint64, create bool) (*frame, bool, error) {
 			return f, false, nil
 		}
 		if wrote { // the page stays cached: its write-back was a flush
-			p.shardFor(f.pid.Load()).flushes.Add(1)
+			atomic.AddUint64(&p.shardFor(f.pid.Load()).stats.BufferFlushes, 1)
 		}
 		p.unclaim(f)
 	}
@@ -689,9 +685,9 @@ func (p *Pool) install(idx int, pid uint64, create, wrote bool) bool {
 	}
 	if held {
 		delete(from.table, old)
-		from.evictions.Add(1)
+		atomic.AddUint64(&from.stats.BufferEvictions, 1)
 		if wrote {
-			from.dirtyEvictions.Add(1)
+			atomic.AddUint64(&from.stats.BufferDirtyEvictions, 1)
 		}
 	}
 	to.table[pid] = idx
@@ -702,7 +698,7 @@ func (p *Pool) install(idx int, pid uint64, create, wrote bool) bool {
 	if create {
 		f.recLSN = p.stamp()
 	} else {
-		to.misses.Add(1)
+		atomic.AddUint64(&to.stats.BufferMisses, 1)
 	}
 	return true
 }
@@ -737,7 +733,7 @@ func (p *Pool) store(f *frame, evict bool) (bool, error) {
 	s.mu.Unlock()
 	f.reweigh()
 	if !evict {
-		s.flushes.Add(1)
+		atomic.AddUint64(&s.stats.BufferFlushes, 1)
 	}
 	return true, nil
 }

@@ -90,7 +90,7 @@ func TestFetchHitAndMiss(t *testing.T) {
 	}
 	h2.Release()
 	s := pool.Stats()
-	if s.Misses != 1 || s.Hits != 1 {
+	if s.BufferMisses != 1 || s.BufferHits != 1 {
 		t.Fatalf("stats %+v", s)
 	}
 	if io.loads != 1 {
@@ -133,7 +133,7 @@ func TestEvictionWritesDirtyPages(t *testing.T) {
 		t.Fatalf("dirty eviction did not persist the change")
 	}
 	s := pool.Stats()
-	if s.DirtyEvictions == 0 || s.Evictions == 0 {
+	if s.BufferDirtyEvictions == 0 || s.BufferEvictions == 0 {
 		t.Fatalf("stats %+v", s)
 	}
 }

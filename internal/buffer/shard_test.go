@@ -143,7 +143,7 @@ func TestConcurrentFetchAcrossShards(t *testing.T) {
 		}
 	}
 	s := pool.Stats()
-	if s.Hits+s.Misses == 0 {
+	if s.BufferHits+s.BufferMisses == 0 {
 		t.Fatalf("no pool traffic recorded: %+v", s)
 	}
 }
@@ -294,12 +294,12 @@ func TestConcurrentMissesKeepThePoolsPromises(t *testing.T) {
 	for _, n := range io.done {
 		stores += n
 	}
-	if s.DirtyEvictions == 0 || s.Evictions == 0 {
+	if s.BufferDirtyEvictions == 0 || s.BufferEvictions == 0 {
 		t.Fatalf("no evictions: %+v", s)
 	}
 	// Every write-back counts once: as a dirty eviction if its frame left
 	// the page, else — it lost a race for the frame — as a flush.
-	if s.DirtyEvictions > s.Evictions || s.DirtyEvictions+s.Flushes != uint64(stores) {
+	if s.BufferDirtyEvictions > s.BufferEvictions || s.BufferDirtyEvictions+s.BufferFlushes != uint64(stores) {
 		t.Fatalf("%d stores counted as %+v", stores, s)
 	}
 }

@@ -36,6 +36,7 @@ import (
 
 	"ipa/internal/ecc"
 	"ipa/internal/nand"
+	"ipa/internal/stat"
 )
 
 // OOB layout constants. The OOB area of every page holds, in order, the
@@ -108,16 +109,20 @@ type Config struct {
 	DisableECC bool
 }
 
-// Stats aggregates device-level counters.
+// Stats aggregates device-level counters. The device's own value is its
+// live counter set, bumped atomically.
 type Stats struct {
-	PageReads       uint64
-	PagePrograms    uint64
-	DeltaPrograms   uint64
-	BlockErases     uint64
-	BytesToDevice   uint64 // bytes transferred host -> device
-	BytesFromDevice uint64 // bytes transferred device -> host
-	CorrectedBits   uint64
-	Uncorrectable   uint64
+	FlashPageReads     uint64
+	FlashPagePrograms  uint64
+	FlashDeltaPrograms uint64
+	FlashBlockErases   uint64
+	BytesToDevice      uint64 // bytes transferred host -> device
+	BytesFromDevice    uint64 // bytes transferred device -> host
+	CorrectedBits      uint64
+	UncorrectableReads uint64
+	// InterferenceBits is the chips' count of bits flipped in paired pages;
+	// Stats sums it, the live set never holds it.
+	InterferenceBits uint64
 }
 
 // chipClock is one chip's virtual-time accumulator, padded onto its own
@@ -150,14 +155,7 @@ type Device struct {
 	// opHook, when set, observes every chip operation (see OpHook).
 	opHook atomic.Pointer[OpHook]
 
-	pageReads       atomic.Uint64
-	pagePrograms    atomic.Uint64
-	deltaPrograms   atomic.Uint64
-	blockErases     atomic.Uint64
-	bytesToDevice   atomic.Uint64
-	bytesFromDevice atomic.Uint64
-	correctedBits   atomic.Uint64
-	uncorrectable   atomic.Uint64
+	stats Stats
 }
 
 // New creates a device with all blocks erased.
@@ -284,29 +282,9 @@ func (d *Device) hook(chip int, op nand.FaultOp) {
 
 // Stats returns a snapshot of the device counters.
 func (d *Device) Stats() Stats {
-	return Stats{
-		PageReads:       d.pageReads.Load(),
-		PagePrograms:    d.pagePrograms.Load(),
-		DeltaPrograms:   d.deltaPrograms.Load(),
-		BlockErases:     d.blockErases.Load(),
-		BytesToDevice:   d.bytesToDevice.Load(),
-		BytesFromDevice: d.bytesFromDevice.Load(),
-		CorrectedBits:   d.correctedBits.Load(),
-		Uncorrectable:   d.uncorrectable.Load(),
-	}
-}
-
-// ChipStats returns the summed raw chip counters.
-func (d *Device) ChipStats() nand.Stats {
-	var s nand.Stats
+	s := stat.Load(&d.stats)
 	for _, c := range d.chips {
-		cs := c.Stats()
-		s.PageReads += cs.PageReads
-		s.PagePrograms += cs.PagePrograms
-		s.PartialPrograms += cs.PartialPrograms
-		s.BlockErases += cs.BlockErases
-		s.InterferenceBits += cs.InterferenceBits
-		s.OverwriteDenied += cs.OverwriteDenied
+		s.InterferenceBits += c.Stats().InterferenceBits
 	}
 	return s
 }
@@ -379,8 +357,8 @@ func (d *Device) CopyPage(srcBlock, srcPage, dstBlock, dstPage int) error {
 	if err := chip.CopyBack(sb, srcPage, db, dstPage); err != nil {
 		return err
 	}
-	d.pageReads.Add(1)
-	d.pagePrograms.Add(1)
+	atomic.AddUint64(&d.stats.FlashPageReads, 1)
+	atomic.AddUint64(&d.stats.FlashPagePrograms, 1)
 	lsb := nand.IsLSBPage(d.cfg.Chip.Cell, dstPage)
 	// Copy-back stays on the chip: no host bus transfer is charged, only
 	// the read and the program.
@@ -450,8 +428,8 @@ func (d *Device) ReadPage(block, page int, buf []byte) error {
 	if err := chip.ReadPage(b, page, buf, oob); err != nil {
 		return err
 	}
-	d.pageReads.Add(1)
-	d.bytesFromDevice.Add(uint64(len(buf)))
+	atomic.AddUint64(&d.stats.FlashPageReads, 1)
+	atomic.AddUint64(&d.stats.BytesFromDevice, uint64(len(buf)))
 	d.advance(chipIdx, d.cfg.Latency.PageRead+d.cfg.Latency.transfer(len(buf)))
 	if d.cfg.DisableECC || g.OOBSize == 0 {
 		return nil
@@ -484,7 +462,7 @@ func verifyInitial(buf, oob []byte) (int, error) {
 func (d *Device) verify(buf, oob []byte) error {
 	corrected, err := verifyInitial(buf, oob)
 	if err != nil {
-		d.uncorrectable.Add(1)
+		atomic.AddUint64(&d.stats.UncorrectableReads, 1)
 		return fmt.Errorf("%w: initial region: %v", ErrCorrupted, err)
 	}
 	d.countCorrected(corrected)
@@ -498,13 +476,13 @@ func (d *Device) verify(buf, oob []byte) error {
 		dOff := int(binary.LittleEndian.Uint16(hdr[0:2]))
 		dLen := int(binary.LittleEndian.Uint16(hdr[2:4]))
 		if dOff+dLen > len(buf) {
-			d.uncorrectable.Add(1)
+			atomic.AddUint64(&d.stats.UncorrectableReads, 1)
 			return fmt.Errorf("%w: delta slot %d header out of range", ErrCorrupted, slot)
 		}
 		code := oob[off+deltaSlotHeader : off+DeltaSlotSize]
 		res, err := ecc.Decode(buf[dOff:dOff+dLen], code)
 		if err != nil {
-			d.uncorrectable.Add(1)
+			atomic.AddUint64(&d.stats.UncorrectableReads, 1)
 			return fmt.Errorf("%w: delta slot %d: %v", ErrCorrupted, slot, err)
 		}
 		d.countCorrected(res.Corrected)
@@ -516,7 +494,7 @@ func (d *Device) countCorrected(n int) {
 	if n == 0 {
 		return
 	}
-	d.correctedBits.Add(uint64(n))
+	atomic.AddUint64(&d.stats.CorrectedBits, uint64(n))
 }
 
 // ProgramPage programs the full data area of a page. eccCover is the number
@@ -592,8 +570,8 @@ func (d *Device) programPage(block, page int, data []byte, eccCover, eccTail int
 	if err := chip.Program(b, page, data, oob); err != nil {
 		return err
 	}
-	d.pagePrograms.Add(1)
-	d.bytesToDevice.Add(uint64(len(data)))
+	atomic.AddUint64(&d.stats.FlashPagePrograms, 1)
+	atomic.AddUint64(&d.stats.BytesToDevice, uint64(len(data)))
 	lsb := nand.IsLSBPage(d.cfg.Chip.Cell, page)
 	d.advance(chipIdx, d.cfg.Latency.programTime(d.cfg.Chip.Cell == nand.SLC, lsb)+
 		d.cfg.Latency.transfer(len(data)))
@@ -646,8 +624,8 @@ func (d *Device) ProgramDelta(block, page, offset int, delta []byte) (int, error
 	if err := chip.ProgramPartial(b, page, offset, delta, oobOff, oobData); err != nil {
 		return 0, err
 	}
-	d.deltaPrograms.Add(1)
-	d.bytesToDevice.Add(uint64(len(delta)))
+	atomic.AddUint64(&d.stats.FlashDeltaPrograms, 1)
+	atomic.AddUint64(&d.stats.BytesToDevice, uint64(len(delta)))
 	lsb := nand.IsLSBPage(d.cfg.Chip.Cell, page)
 	d.advance(chipIdx, d.cfg.Latency.programTime(d.cfg.Chip.Cell == nand.SLC, lsb)+
 		d.cfg.Latency.transfer(len(delta)))
@@ -690,7 +668,7 @@ func (d *Device) EraseBlock(block int) error {
 	if err := chip.Erase(b); err != nil {
 		return err
 	}
-	d.blockErases.Add(1)
+	atomic.AddUint64(&d.stats.FlashBlockErases, 1)
 	d.advance(chipIdx, d.cfg.Latency.BlockErase)
 	return nil
 }

@@ -129,7 +129,7 @@ func TestChipsRaceFreedom(t *testing.T) {
 	wg.Wait()
 	close(done)
 	s := d.Stats()
-	if s.PagePrograms != 200 {
-		t.Fatalf("programs %d, want 200", s.PagePrograms)
+	if s.FlashPagePrograms != 200 {
+		t.Fatalf("programs %d, want 200", s.FlashPagePrograms)
 	}
 }

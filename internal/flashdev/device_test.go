@@ -73,7 +73,7 @@ func TestProgramReadRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch")
 	}
 	s := d.Stats()
-	if s.PagePrograms != 1 || s.PageReads != 1 {
+	if s.FlashPagePrograms != 1 || s.FlashPageReads != 1 {
 		t.Fatalf("stats %+v", s)
 	}
 	if s.BytesToDevice != 2048 || s.BytesFromDevice != 2048 {

@@ -3,6 +3,7 @@ package flashdev
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 
 	"ipa/internal/ecc"
 	"ipa/internal/nand"
@@ -62,8 +63,8 @@ func (d *Device) ScanPage(block, page int, buf []byte) (PageScan, error) {
 	if err := chip.ReadPage(b, page, buf, oob); err != nil {
 		return PageScan{}, err
 	}
-	d.pageReads.Add(1)
-	d.bytesFromDevice.Add(uint64(len(buf)))
+	atomic.AddUint64(&d.stats.FlashPageReads, 1)
+	atomic.AddUint64(&d.stats.BytesFromDevice, uint64(len(buf)))
 	d.advance(chipIdx, d.cfg.Latency.PageRead+d.cfg.Latency.transfer(len(buf)))
 
 	if g.OOBSize < oobSlotsOff {

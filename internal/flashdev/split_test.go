@@ -243,7 +243,7 @@ func TestCopyPageDoesNotAllocate(t *testing.T) {
 		t.Fatalf("CopyPage: %v allocations per call (err %v), want 0", n, err)
 	}
 	after, lat := d.Stats(), d.Config().Latency
-	if copies := uint64(i); after.PageReads-before.PageReads != copies || after.PagePrograms-before.PagePrograms != copies ||
+	if copies := uint64(i); after.FlashPageReads-before.FlashPageReads != copies || after.FlashPagePrograms-before.FlashPagePrograms != copies ||
 		after.BytesToDevice != before.BytesToDevice || after.BytesFromDevice != before.BytesFromDevice {
 		t.Fatalf("%d copy-backs counted as %+v → %+v", copies, before, after)
 	}
@@ -272,7 +272,7 @@ func TestCopyPageStaysOnOneChip(t *testing.T) {
 	if err := d.CopyPage(0, 0, d.BlocksPerChip(), 0); err == nil {
 		t.Fatal("copy-back from chip 0 to chip 1 accepted")
 	}
-	if s := d.Stats(); s.PageReads != 0 || s.PagePrograms != 1 {
+	if s := d.Stats(); s.FlashPageReads != 0 || s.FlashPagePrograms != 1 {
 		t.Fatalf("the refused copy-back was counted: %+v", s)
 	}
 }

@@ -20,7 +20,7 @@
 // lba mod chips), and every chip partition owns its own lock, active
 // block, free-block list and garbage collector. Operations on different
 // chips — including a GC run on one chip and allocations on another —
-// proceed fully in parallel; the global counters are atomics.
+// proceed fully in parallel; the counters are bumped atomically.
 //
 // All counters that the paper reports (host reads and writes, GC page
 // migrations, GC erases, in-place vs out-of-place writes) are collected
@@ -35,6 +35,7 @@ import (
 
 	"ipa/internal/flashdev"
 	"ipa/internal/nand"
+	"ipa/internal/stat"
 )
 
 // Errors returned by the FTL.
@@ -84,7 +85,9 @@ const (
 	gcHighWater = 4
 )
 
-// Stats are the counters the experiments report.
+// Stats are the counters the experiments report. The FTL's own value is
+// its live counter set, bumped atomically; its GCStats stay zero there,
+// because every partition counts its own garbage collection.
 type Stats struct {
 	HostReads        uint64 // host page reads
 	HostWrites       uint64 // host full-page writes
@@ -96,6 +99,11 @@ type Stats struct {
 	OutOfPlaceWrites uint64 // host writes served by writing a new physical page
 	Invalidations    uint64 // physical pages invalidated by host writes
 
+	GCStats // summed over the chip partitions
+}
+
+// GCStats counts the garbage collector's work.
+type GCStats struct {
 	GCMigrations uint64 // valid pages copied by the garbage collector
 	GCErases     uint64 // blocks erased by the garbage collector
 	GCRuns       uint64
@@ -103,10 +111,8 @@ type Stats struct {
 
 // ChipStats reports the activity of one chip partition.
 type ChipStats struct {
-	Chip          int
-	GCRuns        uint64
-	GCMigrations  uint64
-	GCErases      uint64
+	Chip int
+	GCStats
 	FreeBlocks    int
 	ExportedPages int
 }
@@ -126,19 +132,6 @@ type blockInfo struct {
 	eraseCount int // cached device erase count (wear levelling without device calls)
 }
 
-// counters holds the global FTL statistics as atomics so the hot write and
-// read paths of different chip partitions never rendezvous on a stats lock.
-type counters struct {
-	hostReads        atomic.Uint64
-	hostWrites       atomic.Uint64
-	hostWriteDeltas  atomic.Uint64
-	hostBytesRead    atomic.Uint64
-	hostBytesWritten atomic.Uint64
-	inPlaceAppends   atomic.Uint64
-	outOfPlaceWrites atomic.Uint64
-	invalidations    atomic.Uint64
-}
-
 // partition is the per-chip slice of the FTL: its own lock, active block,
 // free-block list and garbage collector. A partition owns the blocks
 // [chip*blocksPerChip, (chip+1)*blocksPerChip) of the device, every
@@ -154,9 +147,7 @@ type partition struct {
 	free       []int
 	active     int // global block index, -1 if none
 
-	gcRuns       atomic.Uint64
-	gcMigrations atomic.Uint64
-	gcErases     atomic.Uint64
+	gc GCStats // bumped atomically
 }
 
 // FTL is a page-mapping Flash translation layer, partitioned per chip.
@@ -183,7 +174,9 @@ type FTL struct {
 	blocks  []blockInfo
 
 	parts []*partition
-	stats counters
+	// stats is the live host-side counter set: atomics, so the hot write
+	// and read paths of different chips never rendezvous on a stats lock.
+	stats Stats
 
 	// seq numbers every out-of-place page program. It is stored in the
 	// page's OOB mapping tag, so crash recovery can order the copies of a
@@ -307,20 +300,9 @@ func (f *FTL) ChipOf(lba int) int {
 
 // Stats returns a snapshot of the FTL counters.
 func (f *FTL) Stats() Stats {
-	s := Stats{
-		HostReads:        f.stats.hostReads.Load(),
-		HostWrites:       f.stats.hostWrites.Load(),
-		HostWriteDeltas:  f.stats.hostWriteDeltas.Load(),
-		HostBytesRead:    f.stats.hostBytesRead.Load(),
-		HostBytesWritten: f.stats.hostBytesWritten.Load(),
-		InPlaceAppends:   f.stats.inPlaceAppends.Load(),
-		OutOfPlaceWrites: f.stats.outOfPlaceWrites.Load(),
-		Invalidations:    f.stats.invalidations.Load(),
-	}
+	s := stat.Load(&f.stats)
 	for _, p := range f.parts {
-		s.GCRuns += p.gcRuns.Load()
-		s.GCMigrations += p.gcMigrations.Load()
-		s.GCErases += p.gcErases.Load()
+		s.GCStats = stat.Add(s.GCStats, stat.Load(&p.gc))
 	}
 	return s
 }
@@ -332,14 +314,7 @@ func (f *FTL) ChipStats() []ChipStats {
 		p.mu.Lock()
 		free := len(p.free)
 		p.mu.Unlock()
-		out[i] = ChipStats{
-			Chip:          i,
-			GCRuns:        p.gcRuns.Load(),
-			GCMigrations:  p.gcMigrations.Load(),
-			GCErases:      p.gcErases.Load(),
-			FreeBlocks:    free,
-			ExportedPages: f.exportedPerChip,
-		}
+		out[i] = ChipStats{Chip: i, GCStats: stat.Load(&p.gc), FreeBlocks: free, ExportedPages: f.exportedPerChip}
 	}
 	return out
 }
@@ -415,8 +390,8 @@ func (f *FTL) ReadPage(lba int, buf []byte) error {
 	if err != nil {
 		return err
 	}
-	f.stats.hostReads.Add(1)
-	f.stats.hostBytesRead.Add(uint64(len(buf)))
+	atomic.AddUint64(&f.stats.HostReads, 1)
+	atomic.AddUint64(&f.stats.HostBytesRead, uint64(len(buf)))
 	return f.dev.ReadPage(f.blockOf(ppa), f.pageOf(ppa), buf)
 }
 
@@ -436,14 +411,14 @@ func (f *FTL) WritePage(lba int, data []byte) (bool, error) {
 	p := f.part(lba)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	f.stats.hostWrites.Add(1)
-	f.stats.hostBytesWritten.Add(uint64(len(data)))
+	atomic.AddUint64(&f.stats.HostWrites, 1)
+	atomic.AddUint64(&f.stats.HostBytesWritten, uint64(len(data)))
 
 	if f.cfg.InPlaceMerge {
 		if ppa := f.l2p[lba]; ppa >= 0 && f.appendableLocked(ppa) {
 			if err := f.tryInPlaceLocked(ppa, data); err == nil {
 				f.appends[ppa]++
-				f.stats.inPlaceAppends.Add(1)
+				atomic.AddUint64(&f.stats.InPlaceAppends, 1)
 				return true, nil
 			}
 		}
@@ -470,8 +445,8 @@ func (f *FTL) WritePageOut(lba int, data []byte) error {
 	p := f.part(lba)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	f.stats.hostWrites.Add(1)
-	f.stats.hostBytesWritten.Add(uint64(len(data)))
+	atomic.AddUint64(&f.stats.HostWrites, 1)
+	atomic.AddUint64(&f.stats.HostBytesWritten, uint64(len(data)))
 	return p.writeOutOfPlaceLocked(lba, data)
 }
 
@@ -517,8 +492,8 @@ func (f *FTL) WriteDelta(lba, offset int, delta []byte) error {
 	if !f.appendableLocked(ppa) {
 		return ErrNotAppendable
 	}
-	f.stats.hostWriteDeltas.Add(1)
-	f.stats.hostBytesWritten.Add(uint64(len(delta)))
+	atomic.AddUint64(&f.stats.HostWriteDeltas, 1)
+	atomic.AddUint64(&f.stats.HostBytesWritten, uint64(len(delta)))
 
 	_, err = f.dev.ProgramDelta(f.blockOf(ppa), f.pageOf(ppa), offset, delta)
 	if err != nil {
@@ -529,7 +504,7 @@ func (f *FTL) WriteDelta(lba, offset int, delta []byte) error {
 		return err
 	}
 	f.appends[ppa]++
-	f.stats.inPlaceAppends.Add(1)
+	atomic.AddUint64(&f.stats.InPlaceAppends, 1)
 	return nil
 }
 
@@ -549,13 +524,13 @@ func (p *partition) writeOutOfPlaceLocked(lba int, data []byte) error {
 	}
 	if old := f.l2p[lba]; old >= 0 {
 		f.invalidateLocked(old)
-		f.stats.invalidations.Add(1)
+		atomic.AddUint64(&f.stats.Invalidations, 1)
 	}
 	f.l2p[lba] = ppa
 	f.p2l[ppa] = int32(lba)
 	f.appends[ppa] = 0
 	f.blocks[f.blockOf(ppa)].validCount++
-	f.stats.outOfPlaceWrites.Add(1)
+	atomic.AddUint64(&f.stats.OutOfPlaceWrites, 1)
 	return nil
 }
 
@@ -620,7 +595,7 @@ func (p *partition) ensureFreeLocked() error {
 	if len(p.free) > gcLowWater {
 		return nil
 	}
-	p.gcRuns.Add(1)
+	atomic.AddUint64(&p.gc.GCRuns, 1)
 	for len(p.free) < gcHighWater {
 		victim := p.pickVictimLocked()
 		if victim < 0 {
@@ -676,7 +651,7 @@ func (p *partition) collectBlockLocked(victim int) error {
 		if err := f.dev.CopyPage(victim, pg, f.blockOf(dst), f.pageOf(dst)); err != nil {
 			return err
 		}
-		p.gcMigrations.Add(1)
+		atomic.AddUint64(&p.gc.GCMigrations, 1)
 		f.p2l[ppa] = -1
 		f.blocks[victim].validCount--
 		f.l2p[lba] = dst
@@ -688,7 +663,7 @@ func (p *partition) collectBlockLocked(victim int) error {
 	if err := f.dev.EraseBlock(victim); err != nil {
 		return err
 	}
-	p.gcErases.Add(1)
+	atomic.AddUint64(&p.gc.GCErases, 1)
 	for pg := 0; pg < f.geo.PagesPerBlock; pg++ {
 		f.appends[f.ppaOf(victim, pg)] = 0
 	}

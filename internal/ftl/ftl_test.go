@@ -181,7 +181,7 @@ func TestWriteDeltaUnmappedAndBudget(t *testing.T) {
 	if err := f.WriteDelta(9, 1026, []byte{2}); !errors.Is(err, ErrNotAppendable) {
 		t.Fatalf("append budget not enforced: %v", err)
 	}
-	if n := dev.Stats().DeltaPrograms; n != 2 {
+	if n := dev.Stats().FlashDeltaPrograms; n != 2 {
 		t.Fatalf("%d delta programs reached the device, want 2", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ipa/internal/flashdev"
@@ -251,8 +252,8 @@ func (f *FTL) SalvageRead(lba int, buf []byte) (flashdev.PageScan, error) {
 	if err != nil {
 		return flashdev.PageScan{}, err
 	}
-	f.stats.hostReads.Add(1)
-	f.stats.hostBytesRead.Add(uint64(len(buf)))
+	atomic.AddUint64(&f.stats.HostReads, 1)
+	atomic.AddUint64(&f.stats.HostBytesRead, uint64(len(buf)))
 	return f.dev.ScanPage(f.blockOf(ppa), f.pageOf(ppa), buf)
 }
 
@@ -270,8 +271,8 @@ func (f *FTL) RewritePage(lba int, data []byte) error {
 	p := f.part(lba)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	f.stats.hostWrites.Add(1)
-	f.stats.hostBytesWritten.Add(uint64(len(data)))
+	atomic.AddUint64(&f.stats.HostWrites, 1)
+	atomic.AddUint64(&f.stats.HostBytesWritten, uint64(len(data)))
 	return p.writeOutOfPlaceLocked(lba, data)
 }
 

@@ -231,13 +231,13 @@ func TestIndexEvictionsUseDeltaAppends(t *testing.T) {
 		}
 	}
 	s := store.Stats()
-	if s.IndexIPAAppends == 0 {
+	if s.IndexInPlaceAppends == 0 {
 		t.Fatalf("expected index delta appends, stats %+v", s)
 	}
-	if s.IndexDirtyEvictions == 0 {
+	if s.IndexPageWrites == 0 {
 		t.Fatalf("index counters not populated: %+v", s)
 	}
-	if s.IndexDirtyEvictions != s.DirtyEvictions {
-		t.Fatalf("all evictions here are index evictions: index=%d total=%d", s.IndexDirtyEvictions, s.DirtyEvictions)
+	if s.IndexPageWrites != s.DirtyEvictions {
+		t.Fatalf("all evictions here are index evictions: index=%d total=%d", s.IndexPageWrites, s.DirtyEvictions)
 	}
 }

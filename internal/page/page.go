@@ -85,7 +85,7 @@ var (
 	// ErrTooSmall is returned when the page buffer cannot hold the layout.
 	ErrTooSmall = errors.New("page: buffer too small for layout")
 	// ErrNotInitialized is returned when wrapping a buffer that does not
-	// contain an initialised page.
+	// contain an initialised page, or one whose layout does not fit it.
 	ErrNotInitialized = errors.New("page: buffer does not hold an initialised page")
 )
 
@@ -130,13 +130,18 @@ func Init(buf []byte, pageID uint64, objectID uint32, deltaAreaSize int) (*Page,
 	return p, nil
 }
 
-// Wrap interprets buf as an already initialised page.
+// Wrap interprets buf as an already initialised page. It refuses an image
+// whose delta-record area or slot array does not fit the page, so no reader
+// of a wrapped page indexes outside it. Wrap is as large as the compiler
+// inlines: inlined, the page it returns lives on its caller's stack, which
+// the miss path's allocation tests pin.
 func Wrap(buf []byte) (*Page, error) {
 	if len(buf) < HeaderSize+FooterSize {
 		return nil, ErrTooSmall
 	}
 	p := &Page{buf: buf}
-	if binary.LittleEndian.Uint32(buf[p.footerStart()+offFooterMagic:]) != magic {
+	if binary.LittleEndian.Uint32(buf[p.footerStart()+offFooterMagic:]) != magic ||
+		HeaderSize+p.SlotCount()*SlotSize > p.BodyEnd() {
 		return nil, ErrNotInitialized
 	}
 	return p, nil
@@ -221,6 +226,13 @@ func (p *Page) slot(i int) (off, length int, err error) {
 	so := p.slotOffset(i)
 	off = int(binary.LittleEndian.Uint16(p.buf[so:]))
 	length = int(binary.LittleEndian.Uint16(p.buf[so+2:]))
+	end := off + length
+	if uint16(length) == deletedLen {
+		end = off + 1
+	}
+	if off < HeaderSize || end > p.BodyEnd() {
+		return 0, 0, fmt.Errorf("%w: slot %d holds [%d,%d), outside the body", ErrBadSlot, i, off, off+length)
+	}
 	return off, length, nil
 }
 

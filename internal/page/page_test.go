@@ -288,3 +288,49 @@ func TestInsertReadProperty(t *testing.T) {
 		t.Fatalf("insert/read property: %v", err)
 	}
 }
+
+// FuzzPageWrap feeds corrupted page images to Wrap: it may refuse one, but
+// no reader of a page it accepts may panic. The seeds are a valid 2 KiB page
+// and two corruptions of it that used to panic — a slot count of 5000, read
+// at slot 4000, and slot 0 pointing at offset 2040 with length 100.
+func FuzzPageWrap(f *testing.F) {
+	valid := make([]byte, 2048)
+	p, err := Init(valid, 1, 1, 122)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, n := range []int{20, 100, 7} {
+		if _, err := p.InsertTuple(bytes.Repeat([]byte{byte(n)}, n)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := p.DeleteTuple(2); err != nil {
+		f.Fatal(err)
+	}
+	slots := bytes.Clone(valid)
+	binary.LittleEndian.PutUint16(slots[offSlotCount:], 5000)
+	entry := bytes.Clone(valid)
+	so := p.slotOffset(0)
+	binary.LittleEndian.PutUint16(entry[so:], 2040)
+	binary.LittleEndian.PutUint16(entry[so+2:], 100)
+	for _, img := range [][]byte{valid, slots, entry} {
+		f.Add(img)
+	}
+	f.Fuzz(func(t *testing.T, img []byte) {
+		p, err := Wrap(img)
+		if err != nil {
+			return
+		}
+		p.FreeSpace()
+		for i := -1; i <= p.SlotCount(); i++ {
+			p.Tuple(i)
+			p.TupleLen(i)
+			p.Deleted(i)
+			c, err := Wrap(bytes.Clone(img))
+			if err != nil {
+				t.Fatalf("a copy of an accepted image is refused: %v", err)
+			}
+			c.UpdateTupleAt(i, 0, []byte{0xA5})
+		}
+	})
+}

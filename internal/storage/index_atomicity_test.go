@@ -39,12 +39,12 @@ func TestIndexAppendSingleRecordOnly(t *testing.T) {
 		s := m.Stats()
 		switch kind {
 		case region.KindHeap:
-			if s.IPAAppends != 1 || s.DeltaRecordsWritten != 2 {
-				t.Fatalf("heap page: appends=%d records=%d, want a 2-record append", s.IPAAppends, s.DeltaRecordsWritten)
+			if s.IPAAppendEvictions != 1 || s.DeltaRecordsWritten != 2 {
+				t.Fatalf("heap page: appends=%d records=%d, want a 2-record append", s.IPAAppendEvictions, s.DeltaRecordsWritten)
 			}
 		case region.KindIndex:
-			if s.IndexDeltaRecords != 0 || s.IndexIPAAppends != 0 {
-				t.Fatalf("index page: %d records appended across %d appends, want the multi-record append refused", s.IndexDeltaRecords, s.IndexIPAAppends)
+			if s.IndexDeltaRecords != 0 || s.IndexInPlaceAppends != 0 {
+				t.Fatalf("index page: %d records appended across %d appends, want the multi-record append refused", s.IndexDeltaRecords, s.IndexInPlaceAppends)
 			}
 			if s.IndexOutOfPlaceWrites == 0 || s.AppendFallbacks == 0 {
 				t.Fatalf("index page: expected an out-of-place fallback (oop=%d fallbacks=%d)", s.IndexOutOfPlaceWrites, s.AppendFallbacks)
@@ -62,8 +62,8 @@ func TestIndexAppendSingleRecordOnly(t *testing.T) {
 			t.Fatalf("StorePage: %v", err)
 		}
 		s = m.Stats()
-		if kind == region.KindIndex && (s.IndexIPAAppends != 1 || s.IndexDeltaRecords != 1) {
-			t.Fatalf("index page: single-record residency must append (appends=%d records=%d)", s.IndexIPAAppends, s.IndexDeltaRecords)
+		if kind == region.KindIndex && (s.IndexInPlaceAppends != 1 || s.IndexDeltaRecords != 1) {
+			t.Fatalf("index page: single-record residency must append (appends=%d records=%d)", s.IndexInPlaceAppends, s.IndexDeltaRecords)
 		}
 	}
 }

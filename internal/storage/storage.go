@@ -28,6 +28,7 @@ import (
 	"ipa/internal/ftl"
 	"ipa/internal/page"
 	"ipa/internal/region"
+	"ipa/internal/stat"
 )
 
 // WriteMode selects the eviction write path.
@@ -84,15 +85,17 @@ type Config struct {
 	TraceEvictions bool
 }
 
-// Stats aggregates storage-manager counters.
+// Stats aggregates storage-manager counters. The manager's own value is
+// its live counter set, bumped atomically, so evictions and fetches on
+// different chips never share a lock.
 type Stats struct {
 	PageLoads      uint64
 	DirtyEvictions uint64
 	CleanEvictions uint64 // dirty flag set but nothing actually changed
 
-	IPAAppends       uint64 // evictions persisted as in-place appends
-	OutOfPlaceWrites uint64 // evictions persisted as whole-page writes
-	AppendFallbacks  uint64 // IPA attempted but refused by the FTL/device
+	IPAAppendEvictions  uint64 // evictions persisted as in-place appends
+	OutOfPlaceEvictions uint64 // evictions persisted as whole-page writes
+	AppendFallbacks     uint64 // IPA attempted but refused by the FTL/device
 
 	DeltaRecordsWritten uint64
 	DeltaBytesWritten   uint64
@@ -108,15 +111,17 @@ type Stats struct {
 	EvictionSizeHistogram [len(histogramBounds) + 1]uint64
 
 	// Index-page slice of the counters above (pages owned by KindIndex
-	// regions — primary-key entry pages). Index maintenance is
-	// small-update dominated, so the ratio IndexIPAAppends /
-	// IndexDirtyEvictions shows how much of it IPA absorbs.
-	IndexPageLoads        uint64
-	IndexDirtyEvictions   uint64
-	IndexIPAAppends       uint64
-	IndexOutOfPlaceWrites uint64
-	IndexDeltaRecords     uint64
-	IndexDeltaBytes       uint64
+	// regions: primary-key and secondary entry pages). Index maintenance is
+	// small-update dominated, so under IPA most index evictions become
+	// delta appends: IndexInPlaceAppends / IndexPageWrites shows how much of
+	// it IPA absorbs, and IndexDeltaRecords / IndexOutOfPlaceWrites is the
+	// number of delta appends amortised per full index-page rewrite (merge).
+	IndexPageReads        uint64 // index entry pages loaded from Flash
+	IndexPageWrites       uint64 // dirty index-page evictions
+	IndexInPlaceAppends   uint64 // index evictions persisted as delta appends
+	IndexOutOfPlaceWrites uint64 // index evictions written as whole pages
+	IndexDeltaRecords     uint64 // delta records written for index pages
+	IndexDeltaBytes       uint64 // delta bytes written for index pages
 }
 
 // histogramBounds are the upper bounds (inclusive) of the eviction-size
@@ -161,34 +166,6 @@ type TraceEvent struct {
 	FullWrite    bool // the eviction was (or had to be) a whole-page write
 }
 
-// managerCounters are the storage statistics as atomics: evictions and
-// fetches on different chips update them without ever sharing a lock.
-type managerCounters struct {
-	pageLoads      atomic.Uint64
-	dirtyEvictions atomic.Uint64
-	cleanEvictions atomic.Uint64
-
-	ipaAppends       atomic.Uint64
-	outOfPlaceWrites atomic.Uint64
-	appendFallbacks  atomic.Uint64
-
-	deltaRecordsWritten atomic.Uint64
-	deltaBytesWritten   atomic.Uint64
-
-	netChangedBytes atomic.Uint64
-	smallEvictions  atomic.Uint64
-	evictedBytes    atomic.Uint64
-
-	indexPageLoads        atomic.Uint64
-	indexDirtyEvictions   atomic.Uint64
-	indexIPAAppends       atomic.Uint64
-	indexOutOfPlaceWrites atomic.Uint64
-	indexDeltaRecords     atomic.Uint64
-	indexDeltaBytes       atomic.Uint64
-
-	histogram [len(histogramBounds) + 1]atomic.Uint64
-}
-
 // Manager is the storage manager. It holds no lock on the eviction and
 // fetch paths: page-identifier allocation and all counters are atomic, so
 // concurrent evictions and fetches targeting different chips never
@@ -198,7 +175,7 @@ type Manager struct {
 	cfg      Config
 	pageSize int
 	nextPID  atomic.Uint64
-	stats    managerCounters
+	stats    Stats
 
 	// walBarrier, if set, is invoked before any dirty page reaches Flash —
 	// the write-ahead rule. The engine wires it to a WAL flush so a page
@@ -249,32 +226,7 @@ func (m *Manager) FTL() *ftl.FTL { return m.ftl }
 func (m *Manager) Regions() *region.Manager { return m.cfg.Regions }
 
 // Stats returns a snapshot of the storage counters.
-func (m *Manager) Stats() Stats {
-	s := Stats{
-		PageLoads:           m.stats.pageLoads.Load(),
-		DirtyEvictions:      m.stats.dirtyEvictions.Load(),
-		CleanEvictions:      m.stats.cleanEvictions.Load(),
-		IPAAppends:          m.stats.ipaAppends.Load(),
-		OutOfPlaceWrites:    m.stats.outOfPlaceWrites.Load(),
-		AppendFallbacks:     m.stats.appendFallbacks.Load(),
-		DeltaRecordsWritten: m.stats.deltaRecordsWritten.Load(),
-		DeltaBytesWritten:   m.stats.deltaBytesWritten.Load(),
-		NetChangedBytes:     m.stats.netChangedBytes.Load(),
-		SmallEvictions:      m.stats.smallEvictions.Load(),
-		EvictedBytes:        m.stats.evictedBytes.Load(),
-
-		IndexPageLoads:        m.stats.indexPageLoads.Load(),
-		IndexDirtyEvictions:   m.stats.indexDirtyEvictions.Load(),
-		IndexIPAAppends:       m.stats.indexIPAAppends.Load(),
-		IndexOutOfPlaceWrites: m.stats.indexOutOfPlaceWrites.Load(),
-		IndexDeltaRecords:     m.stats.indexDeltaRecords.Load(),
-		IndexDeltaBytes:       m.stats.indexDeltaBytes.Load(),
-	}
-	for i := range m.stats.histogram {
-		s.EvictionSizeHistogram[i] = m.stats.histogram[i].Load()
-	}
-	return s
-}
+func (m *Manager) Stats() Stats { return stat.Load(&m.stats) }
 
 // TraceLen returns the number of events recorded in the trace so far.
 func (m *Manager) TraceLen() int {
@@ -454,9 +406,9 @@ func (m *Manager) LoadPageInto(pid uint64, buf []byte, t *core.Tracker) error {
 	t.SetAnalytic(m.cfg.Analytic)
 	t.SetOriginalMeta(rawMeta[:])
 
-	m.stats.pageLoads.Add(1)
+	atomic.AddUint64(&m.stats.PageLoads, 1)
 	if m.isIndexObject(pg.ObjectID()) {
-		m.stats.indexPageLoads.Add(1)
+		atomic.AddUint64(&m.stats.IndexPageReads, 1)
 	}
 	if m.cfg.TraceEvictions {
 		m.traceMu.Lock()
@@ -478,7 +430,7 @@ func (m *Manager) StorePage(pid uint64, buf []byte, t *core.Tracker) error {
 
 	// A page whose tracked changes all reverted needs no write at all.
 	if !t.OutOfPlace() && !t.Dirty() {
-		m.stats.cleanEvictions.Add(1)
+		atomic.AddUint64(&m.stats.CleanEvictions, 1)
 		return nil
 	}
 
@@ -494,16 +446,16 @@ func (m *Manager) StorePage(pid uint64, buf []byte, t *core.Tracker) error {
 
 	net, metaChanged := t.NetChangedBytes(), t.MetaChanged()
 	isIndex := m.isIndexObject(pg.ObjectID())
-	m.stats.dirtyEvictions.Add(1)
+	atomic.AddUint64(&m.stats.DirtyEvictions, 1)
 	if isIndex {
-		m.stats.indexDirtyEvictions.Add(1)
+		atomic.AddUint64(&m.stats.IndexPageWrites, 1)
 	}
-	m.stats.evictedBytes.Add(uint64(len(buf)))
-	m.stats.netChangedBytes.Add(uint64(net))
+	atomic.AddUint64(&m.stats.EvictedBytes, uint64(len(buf)))
+	atomic.AddUint64(&m.stats.NetChangedBytes, uint64(net))
 	if net > 0 && net < SmallEvictionThreshold {
-		m.stats.smallEvictions.Add(1)
+		atomic.AddUint64(&m.stats.SmallEvictions, 1)
 	}
-	m.stats.histogram[histogramBucket(net)].Add(1)
+	atomic.AddUint64(&m.stats.EvictionSizeHistogram[histogramBucket(net)], 1)
 
 	// IsAppendTarget is false for unmapped pages, so no separate Mapped
 	// check (and partition-lock round trip) is needed.
@@ -524,7 +476,7 @@ func (m *Manager) StorePage(pid uint64, buf []byte, t *core.Tracker) error {
 			m.recordEvictTrace(pid, net, metaChanged, true)
 			return nil
 		case appendRefused:
-			m.stats.appendFallbacks.Add(1)
+			atomic.AddUint64(&m.stats.AppendFallbacks, 1)
 		}
 	}
 	if err := m.storeOutOfPlace(pid, buf, pg, t, scheme, isIndex); err != nil {
@@ -636,11 +588,8 @@ func (m *Manager) storeAppend(pid uint64, buf []byte, pg *page.Page, t *core.Tra
 			// fallback so the statistics reflect reality.
 			copy(buf[areaOffset:], encoded)
 			t.Reset(firstSlot + records)
-			m.stats.appendFallbacks.Add(1)
-			m.stats.outOfPlaceWrites.Add(1)
-			if isIndex {
-				m.stats.indexOutOfPlaceWrites.Add(1)
-			}
+			atomic.AddUint64(&m.stats.AppendFallbacks, 1)
+			m.countOutOfPlace(isIndex)
 			return appendFellBack, nil
 		}
 	default:
@@ -649,13 +598,13 @@ func (m *Manager) storeAppend(pid uint64, buf []byte, pg *page.Page, t *core.Tra
 
 	// The buffered image mirrors the Flash page: it gains the records too.
 	copy(buf[areaOffset:], encoded)
-	m.stats.ipaAppends.Add(1)
-	m.stats.deltaRecordsWritten.Add(uint64(records))
-	m.stats.deltaBytesWritten.Add(uint64(len(encoded)))
+	atomic.AddUint64(&m.stats.IPAAppendEvictions, 1)
+	atomic.AddUint64(&m.stats.DeltaRecordsWritten, uint64(records))
+	atomic.AddUint64(&m.stats.DeltaBytesWritten, uint64(len(encoded)))
 	if isIndex {
-		m.stats.indexIPAAppends.Add(1)
-		m.stats.indexDeltaRecords.Add(uint64(records))
-		m.stats.indexDeltaBytes.Add(uint64(len(encoded)))
+		atomic.AddUint64(&m.stats.IndexInPlaceAppends, 1)
+		atomic.AddUint64(&m.stats.IndexDeltaRecords, uint64(records))
+		atomic.AddUint64(&m.stats.IndexDeltaBytes, uint64(len(encoded)))
 	}
 	t.Reset(firstSlot + records)
 	return appendDone, nil
@@ -674,13 +623,18 @@ func (m *Manager) storeOutOfPlace(pid uint64, buf []byte, pg *page.Page, t *core
 	if err := m.ftl.WritePageOut(int(pid), buf); err != nil {
 		return fmt.Errorf("storage: page %d: %w", pid, err)
 	}
-	m.stats.outOfPlaceWrites.Add(1)
-	if isIndex {
-		m.stats.indexOutOfPlaceWrites.Add(1)
-	}
+	m.countOutOfPlace(isIndex)
 	t.Reset(0)
 	// The freshly written page now carries the current metadata.
 	var meta [page.MetaSize]byte
 	t.SetOriginalMeta(pg.MetaInto(meta[:]))
 	return nil
+}
+
+// countOutOfPlace counts an eviction persisted as a whole-page write.
+func (m *Manager) countOutOfPlace(isIndex bool) {
+	atomic.AddUint64(&m.stats.OutOfPlaceEvictions, 1)
+	if isIndex {
+		atomic.AddUint64(&m.stats.IndexOutOfPlaceWrites, 1)
+	}
 }

@@ -160,10 +160,10 @@ func TestSmallUpdateRoundTrip(t *testing.T) {
 
 			stats := m.Stats()
 			if tc.mode == WriteTraditional {
-				if stats.IPAAppends != 0 {
+				if stats.IPAAppendEvictions != 0 {
 					t.Fatalf("traditional mode must not append: %+v", stats)
 				}
-			} else if stats.IPAAppends == 0 {
+			} else if stats.IPAAppendEvictions == 0 {
 				t.Fatalf("IPA mode performed no appends: %+v", stats)
 			}
 		})
@@ -190,7 +190,7 @@ func TestAppendBudgetFallsBackToFullWrite(t *testing.T) {
 		}
 	}
 	stats := m.Stats()
-	if stats.IPAAppends == 0 || stats.OutOfPlaceWrites < 2 {
+	if stats.IPAAppendEvictions == 0 || stats.OutOfPlaceEvictions < 2 {
 		t.Fatalf("expected a mix of appends and full rewrites: %+v", stats)
 	}
 	// All five updates must be visible.
@@ -220,7 +220,7 @@ func TestLargeUpdateGoesOutOfPlace(t *testing.T) {
 		t.Fatalf("StorePage: %v", err)
 	}
 	s := m.Stats()
-	if s.IPAAppends != 0 || s.OutOfPlaceWrites == 0 {
+	if s.IPAAppendEvictions != 0 || s.OutOfPlaceEvictions == 0 {
 		t.Fatalf("large update must go out-of-place: %+v", s)
 	}
 	buf2, _ := reload(t, m, pid)
@@ -354,7 +354,7 @@ func TestRegionSelectiveIPA(t *testing.T) {
 	if err := m.StorePage(pid, buf2, tracker2); err != nil {
 		t.Fatalf("StorePage: %v", err)
 	}
-	if s := m.Stats(); s.IPAAppends != 0 {
+	if s := m.Stats(); s.IPAAppendEvictions != 0 {
 		t.Fatalf("no-IPA region must never append: %+v", s)
 	}
 }
@@ -436,7 +436,7 @@ func TestMissAndDirtyEvictionDoNotAllocate(t *testing.T) {
 				t.Fatalf("the measured cycles did not all miss and evict: %d loads, %d dirty evictions",
 					after.PageLoads-before.PageLoads, after.DirtyEvictions-before.DirtyEvictions)
 			}
-			if tc.mode != WriteTraditional && after.IPAAppends == before.IPAAppends {
+			if tc.mode != WriteTraditional && after.IPAAppendEvictions == before.IPAAppendEvictions {
 				t.Fatalf("no eviction was an in-place append")
 			}
 			limit := 0.0

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"ipa/internal/stat"
 )
 
 // The version cache gives every record a version chain keyed by its packed
@@ -121,11 +123,7 @@ type VersionCache struct {
 	gcHead     int
 	gcExamined uint64 // marks GC has compared against its floor (the tests' cost measure)
 
-	chainsLive        atomic.Int64
-	versionsCreated   atomic.Uint64
-	versionsReclaimed atomic.Uint64
-	resolves          atomic.Uint64
-	versionReads      atomic.Uint64
+	stats VersionStats
 }
 
 // NewVersionCache creates an empty cache.
@@ -177,7 +175,7 @@ func (c *VersionCache) OnInsert(rid, txnID uint64) {
 	s.chains[rid] = ch
 	s.seq.Add(1)
 	s.mu.Unlock()
-	c.chainsLive.Add(1)
+	atomic.AddUint64(&c.stats.VersionChainsLive, 1)
 	c.noteTxn(txnID, rid)
 }
 
@@ -207,7 +205,7 @@ func (c *VersionCache) OnWriteOwned(rid, txnID uint64, prev []byte, del bool) {
 	if ch == nil {
 		ch = newChain()
 		s.chains[rid] = ch
-		c.chainsLive.Add(1)
+		atomic.AddUint64(&c.stats.VersionChainsLive, 1)
 	}
 	switch {
 	case ch.writer == txnID:
@@ -226,7 +224,7 @@ func (c *VersionCache) OnWriteOwned(rid, txnID uint64, prev []byte, del bool) {
 		ch.inserted = false
 		ch.pendingDelete = del
 		ch.pushed = true
-		c.versionsCreated.Add(1)
+		atomic.AddUint64(&c.stats.VersionsCreated, 1)
 		c.noteTxn(txnID, rid)
 	}
 	s.seq.Add(1)
@@ -291,7 +289,7 @@ func (c *VersionCache) AbortTxn(txnID uint64) {
 			// The undo removed the inserted tuple; no committed state ever
 			// existed, so the whole chain goes.
 			delete(s.chains, rid)
-			c.chainsLive.Add(-1)
+			atomic.AddUint64(&c.stats.VersionChainsLive, ^uint64(0))
 		case ch.pushed:
 			// The undo restored the pre-image into the heap slot; pop it
 			// back off the chain.
@@ -304,7 +302,7 @@ func (c *VersionCache) AbortTxn(txnID uint64) {
 			ch.headDeleted = head.deleted
 			ch.pendingDelete = false
 			ch.pushed = false
-			c.versionsReclaimed.Add(1)
+			atomic.AddUint64(&c.stats.VersionsReclaimed, 1)
 		default:
 			// Adopted dead-writer chain: the heap bytes were never a
 			// committed state, so the chain stays pending forever and
@@ -344,7 +342,7 @@ func (c *VersionCache) Resolve(rid, snap, self uint64) (Resolution, uint64) {
 }
 
 func (c *VersionCache) resolveLocked(s *vstripe, rid, snap, self uint64) Resolution {
-	c.resolves.Add(1)
+	atomic.AddUint64(&c.stats.SnapshotReads, 1)
 	ch := s.chains[rid]
 	if ch == nil {
 		// No chain: committed at timestamp zero, visible to any snapshot.
@@ -370,7 +368,7 @@ func (c *VersionCache) resolveLocked(s *vstripe, rid, snap, self uint64) Resolut
 			if v.deleted {
 				return Resolution{Kind: ResAbsent}
 			}
-			c.versionReads.Add(1)
+			atomic.AddUint64(&c.stats.VersionReads, 1)
 			return Resolution{Kind: ResData, Data: v.data}
 		}
 	}
@@ -462,7 +460,7 @@ func (c *VersionCache) trim(rid, oldest uint64) {
 		// — and for still-live records the chain itself — can go.
 		reclaimed = len(ch.olds)
 		delete(s.chains, rid)
-		c.chainsLive.Add(-1)
+		atomic.AddUint64(&c.stats.VersionChainsLive, ^uint64(0))
 	} else {
 		// Keep everything newer than oldest plus the one boundary
 		// version a snapshot at exactly `oldest` resolves to.
@@ -475,14 +473,15 @@ func (c *VersionCache) trim(rid, oldest uint64) {
 		}
 	}
 	if reclaimed > 0 {
-		c.versionsReclaimed.Add(uint64(reclaimed))
+		atomic.AddUint64(&c.stats.VersionsReclaimed, uint64(reclaimed))
 	}
 	s.seq.Add(1)
 }
 
-// VersionStats is a point-in-time snapshot of the cache counters.
+// VersionStats counts the cache's work. The cache's own value is its live
+// counter set, bumped atomically.
 type VersionStats struct {
-	ChainsLive        uint64 // gauge: records with version metadata
+	VersionChainsLive uint64 `stat:"gauge"` // records with version metadata
 	VersionsCreated   uint64 // superseded committed versions materialized
 	VersionsReclaimed uint64 // versions dropped by GC or rollback
 	SnapshotReads     uint64 // chain resolutions on behalf of readers
@@ -490,16 +489,4 @@ type VersionStats struct {
 }
 
 // Stats returns the current counter values.
-func (c *VersionCache) Stats() VersionStats {
-	live := c.chainsLive.Load()
-	if live < 0 {
-		live = 0
-	}
-	return VersionStats{
-		ChainsLive:        uint64(live),
-		VersionsCreated:   c.versionsCreated.Load(),
-		VersionsReclaimed: c.versionsReclaimed.Load(),
-		SnapshotReads:     c.resolves.Load(),
-		VersionReads:      c.versionReads.Load(),
-	}
-}
+func (c *VersionCache) Stats() VersionStats { return stat.Load(&c.stats) }

@@ -156,10 +156,10 @@ func TestVersionCacheAbortRestoresHead(t *testing.T) {
 
 	// Aborted insert on a fresh rid: the whole chain disappears.
 	c.OnInsert(4, writer)
-	before := c.Stats().ChainsLive
+	before := c.Stats().VersionChainsLive
 	c.AbortTxn(writer)
-	if got := c.Stats().ChainsLive; got != before-1 {
-		t.Fatalf("ChainsLive = %d after aborted insert, want %d", got, before-1)
+	if got := c.Stats().VersionChainsLive; got != before-1 {
+		t.Fatalf("VersionChainsLive = %d after aborted insert, want %d", got, before-1)
 	}
 }
 
@@ -183,8 +183,8 @@ func TestVersionCacheGCTrims(t *testing.T) {
 	}
 	// No snapshot predates the head: the chain collapses entirely.
 	c.GC(7)
-	if got := c.Stats().ChainsLive; got != 0 {
-		t.Fatalf("ChainsLive = %d after full GC, want 0", got)
+	if got := c.Stats().VersionChainsLive; got != 0 {
+		t.Fatalf("VersionChainsLive = %d after full GC, want 0", got)
 	}
 	if res, _ := c.Resolve(rid, 7, 0); res.Kind != ResHeap {
 		t.Fatalf("chainless record after GC = %v, want ResHeap", res.Kind)
@@ -249,7 +249,7 @@ func TestGCCostDoesNotGrowBehindAnIdleSnapshot(t *testing.T) {
 		update(i)
 	}
 	idle := c.Stats()
-	if idle.ChainsLive != 0 || idle.VersionsReclaimed != idle.VersionsCreated {
+	if idle.VersionChainsLive != 0 || idle.VersionsReclaimed != idle.VersionsCreated {
 		t.Fatalf("idle cache keeps history: %+v", idle)
 	}
 
@@ -262,7 +262,7 @@ func TestGCCostDoesNotGrowBehindAnIdleSnapshot(t *testing.T) {
 		t.Fatalf("%d commits behind an idle snapshot examined %d marks: GC is rescanning its queue", commits, examined)
 	}
 	pinned := c.Stats()
-	if pinned.ChainsLive != rows || pinned.VersionsReclaimed != idle.VersionsReclaimed {
+	if pinned.VersionChainsLive != rows || pinned.VersionsReclaimed != idle.VersionsReclaimed {
 		t.Fatalf("history reclaimed under a snapshot that still needs it: %+v", pinned)
 	}
 	if res, _ := c.Resolve(0, reader, 0); res.Kind != ResData || res.Data[0] != 0 {
@@ -272,7 +272,7 @@ func TestGCCostDoesNotGrowBehindAnIdleSnapshot(t *testing.T) {
 	o.ReleaseSnapshot(reader)
 	c.GC(o.OldestActive())
 	final := c.Stats()
-	if final.ChainsLive != 0 || final.VersionsReclaimed != final.VersionsCreated {
+	if final.VersionChainsLive != 0 || final.VersionsReclaimed != final.VersionsCreated {
 		t.Fatalf("releasing the snapshot left history behind: %+v", final)
 	}
 	if final.VersionsCreated != rows+commits {
@@ -298,15 +298,15 @@ func TestGCQueueOrdersLateMarks(t *testing.T) {
 	c.CommitTxn(20, 5)
 	c.CommitTxn(10, 4)
 	c.GC(5)
-	if got := c.Stats().ChainsLive; got != 1 {
-		t.Fatalf("ChainsLive = %d after GC(5) over marks 6, 5, 4: want only the chain stamped 6", got)
+	if got := c.Stats().VersionChainsLive; got != 1 {
+		t.Fatalf("VersionChainsLive = %d after GC(5) over marks 6, 5, 4: want only the chain stamped 6", got)
 	}
 	if !c.HasChain(3) {
 		t.Fatalf("the chain stamped 6 was trimmed at floor 5")
 	}
 	c.GC(6)
-	if got := c.Stats().ChainsLive; got != 0 {
-		t.Fatalf("ChainsLive = %d after GC(6), want 0", got)
+	if got := c.Stats().VersionChainsLive; got != 0 {
+		t.Fatalf("VersionChainsLive = %d after GC(6), want 0", got)
 	}
 }
 

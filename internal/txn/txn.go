@@ -81,9 +81,6 @@ type Manager struct {
 	// physical index retirement) stays in the log.
 	activeMu sync.Mutex
 	active   map[uint64]uint64
-
-	lockAcquisitions atomic.Uint64
-	lockConflicts    atomic.Uint64
 }
 
 // NewManager creates a transaction manager writing to log.
@@ -172,12 +169,6 @@ func (t *Txn) register() {
 	t.mgr.activeMu.Unlock()
 }
 
-// LockStats returns the cumulative record-lock acquisition and conflict
-// counts — the evidence that snapshot readers take zero record locks.
-func (m *Manager) LockStats() (acquisitions, conflicts uint64) {
-	return m.lockAcquisitions.Load(), m.lockConflicts.Load()
-}
-
 // Txn is one transaction.
 type Txn struct {
 	mgr        *Manager
@@ -226,10 +217,8 @@ func (t *Txn) Lock(key LockKey) error {
 	defer s.mu.Unlock()
 	owner, held := s.locks[key]
 	if held && owner != t.id {
-		t.mgr.lockConflicts.Add(1)
 		return fmt.Errorf("%w: page %d slot %d held by txn %d", ErrConflict, key.PageID, key.Slot, owner)
 	}
-	t.mgr.lockAcquisitions.Add(1)
 	if !held {
 		s.locks[key] = t.id
 		t.locks = append(t.locks, key)

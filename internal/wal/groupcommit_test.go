@@ -35,7 +35,7 @@ func TestCommitFlushMakesDurable(t *testing.T) {
 	before := l.GroupCommitStats()
 	l.CommitFlush(lsn)
 	after := l.GroupCommitStats()
-	if after.Flushes != before.Flushes {
+	if after.WALFlushes != before.WALFlushes {
 		t.Fatalf("no-op commit flush must not write: %+v -> %+v", before, after)
 	}
 }
@@ -92,17 +92,14 @@ func TestGroupCommitBatchesFollowers(t *testing.T) {
 		t.Fatalf("FlushedLSN = %d, want >= %d", l.FlushedLSN(), maxLSN)
 	}
 	s := l.GroupCommitStats()
-	if s.Flushes != 2 {
-		t.Fatalf("expected 2 flushes (leader + one shared batch), got %d", s.Flushes)
+	if s.WALFlushes != 2 {
+		t.Fatalf("expected 2 flushes (leader + one shared batch), got %d", s.WALFlushes)
 	}
-	if s.FlushedCommits != followers+1 {
-		t.Fatalf("FlushedCommits = %d, want %d", s.FlushedCommits, followers+1)
+	if s.WALFlushedCommits != followers+1 {
+		t.Fatalf("WALFlushedCommits = %d, want %d", s.WALFlushedCommits, followers+1)
 	}
-	if s.MaxBatch != followers {
-		t.Fatalf("MaxBatch = %d, want %d", s.MaxBatch, followers)
-	}
-	if s.CommitsPerFlush() <= 1 {
-		t.Fatalf("commits/flush must exceed 1, got %f", s.CommitsPerFlush())
+	if s.WALMaxCommitBatch != followers {
+		t.Fatalf("WALMaxCommitBatch = %d, want %d", s.WALMaxCommitBatch, followers)
 	}
 }
 
@@ -113,16 +110,16 @@ func TestFlushDoesNotCountAsCommit(t *testing.T) {
 	l.Append(Record{TxnID: 1, Type: RecUpdate, New: []byte{1}})
 	l.Flush(0)
 	s := l.GroupCommitStats()
-	if s.Flushes != 1 {
-		t.Fatalf("Flushes = %d, want 1", s.Flushes)
+	if s.WALFlushes != 1 {
+		t.Fatalf("WALFlushes = %d, want 1", s.WALFlushes)
 	}
-	if s.FlushedCommits != 0 || s.MaxBatch != 0 {
+	if s.WALFlushedCommits != 0 || s.WALMaxCommitBatch != 0 {
 		t.Fatalf("stand-alone Flush counted as a commit: %+v", s)
 	}
 	lsn := appendCommit(l, 1)
 	l.CommitFlush(lsn)
 	s = l.GroupCommitStats()
-	if s.FlushedCommits != 1 || s.MaxBatch != 1 {
+	if s.WALFlushedCommits != 1 || s.WALMaxCommitBatch != 1 {
 		t.Fatalf("commit not counted: %+v", s)
 	}
 }
@@ -150,10 +147,10 @@ func TestConcurrentCommitFlushStress(t *testing.T) {
 	}
 	wg.Wait()
 	s := l.GroupCommitStats()
-	if s.FlushedCommits != workers*commitsPerWorker {
-		t.Fatalf("FlushedCommits = %d, want %d", s.FlushedCommits, workers*commitsPerWorker)
+	if s.WALFlushedCommits != workers*commitsPerWorker {
+		t.Fatalf("WALFlushedCommits = %d, want %d", s.WALFlushedCommits, workers*commitsPerWorker)
 	}
-	if s.Flushes == 0 || s.Flushes > s.FlushedCommits {
+	if s.WALFlushes == 0 || s.WALFlushes > s.WALFlushedCommits {
 		t.Fatalf("implausible flush count: %+v", s)
 	}
 	// Every record is a commit, and each was flushed exactly once.
@@ -246,7 +243,7 @@ func TestUncontendedCommitFlushAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("uncontended Append + CommitFlush allocates %.1f times, want 0", allocs)
 	}
-	if s := l.GroupCommitStats(); hooked != int(s.Flushes) || s.Flushes != s.FlushedCommits {
+	if s := l.GroupCommitStats(); hooked != int(s.WALFlushes) || s.WALFlushes != s.WALFlushedCommits {
 		t.Fatalf("%d hook calls for %+v: want one write per commit", hooked, s)
 	}
 }
@@ -311,7 +308,7 @@ func TestLeaderHandsOverAfterItsOwnBatch(t *testing.T) {
 	if got := l.FlushedLSN(); got != lastLSN {
 		t.Fatalf("FlushedLSN = %d, want %d", got, lastLSN)
 	}
-	if s := l.GroupCommitStats(); s != (GroupCommitStats{Flushes: 2, FlushedCommits: 3, MaxBatch: 2}) {
+	if s := l.GroupCommitStats(); s != (GroupCommitStats{WALBytes: l.BytesWritten(), WALFlushes: 2, WALFlushedCommits: 3, WALMaxCommitBatch: 2}) {
 		t.Fatalf("stats %+v, want 2 writes for 3 commits, the second shared by 2", s)
 	}
 }

@@ -191,24 +191,21 @@ type commitWaiter struct {
 	lead   bool  // set before done is closed: not served — lead the next batch
 }
 
-// GroupCommitStats describes how effectively concurrent commits were
-// batched into shared flushes.
+// GroupCommitStats describes the log's flushes: how many bytes they made
+// durable and how effectively concurrent commits were batched into them.
+// The log's own value is its live counter set, kept under the log mutex.
 type GroupCommitStats struct {
-	// Flushes is the number of physical log flushes.
-	Flushes uint64
-	// FlushedCommits is the number of commit requests those flushes served;
-	// FlushedCommits / Flushes is the average group-commit batch size.
-	FlushedCommits uint64
-	// MaxBatch is the largest number of commits served by one flush.
-	MaxBatch uint64
-}
-
-// CommitsPerFlush returns the average group-commit batch size.
-func (s GroupCommitStats) CommitsPerFlush() float64 {
-	if s.Flushes == 0 {
-		return 0
-	}
-	return float64(s.FlushedCommits) / float64(s.Flushes)
+	// WALBytes is the number of log bytes made durable.
+	WALBytes uint64
+	// WALFlushes is the number of physical log flushes.
+	WALFlushes uint64
+	// WALFlushedCommits is the number of commit requests those flushes
+	// served; WALFlushedCommits / WALFlushes is the average group-commit
+	// batch size.
+	WALFlushedCommits uint64
+	// WALMaxCommitBatch is the largest number of commits served by one
+	// flush.
+	WALMaxCommitBatch uint64 `stat:"max"`
 }
 
 // DefaultSegmentBytes is the seal threshold of a log segment: once the
@@ -295,7 +292,6 @@ type Log struct {
 	truncatedLSN uint64 // highest LSN discarded by Truncate
 	nextLSN      uint64
 	flushedLSN   uint64
-	bytesWritten uint64
 
 	// Group-commit state: followers queue while a leader's flush is in
 	// flight (flushing); each leader takes the whole queue as its batch.
@@ -499,7 +495,7 @@ func (l *Log) flush(lsn uint64, commit bool) error {
 		// reached past this record) already made it durable: the commit was
 		// served by that flush and counts towards the batch statistics.
 		if commit {
-			l.gcStats.FlushedCommits++
+			l.gcStats.WALFlushedCommits++
 		}
 		l.mu.Unlock()
 		return nil
@@ -543,7 +539,7 @@ func (l *Log) flush(lsn uint64, commit bool) error {
 	}
 	l.mu.Lock()
 	if err == nil {
-		l.bytesWritten += uint64(bytes)
+		l.gcStats.WALBytes += uint64(bytes)
 		if target > l.flushedLSN {
 			l.flushedLSN = target
 			// Recounted rather than decremented by bytes: a Truncate
@@ -573,11 +569,9 @@ func (l *Log) flush(lsn uint64, commit bool) error {
 	}
 	l.waiters = pending
 	if err == nil {
-		l.gcStats.Flushes++
-		l.gcStats.FlushedCommits += commits
-		if commits > l.gcStats.MaxBatch {
-			l.gcStats.MaxBatch = commits
-		}
+		l.gcStats.WALFlushes++
+		l.gcStats.WALFlushedCommits += commits
+		l.gcStats.WALMaxCommitBatch = max(l.gcStats.WALMaxCommitBatch, commits)
 	}
 	for _, bw := range batch {
 		close(bw.done)
@@ -621,7 +615,7 @@ func (l *Log) NextLSN() uint64 {
 func (l *Log) BytesWritten() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.bytesWritten
+	return l.gcStats.WALBytes
 }
 
 // LiveBytes returns the encoded size of all records currently retained by

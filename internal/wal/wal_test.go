@@ -389,8 +389,8 @@ func TestRunningPendingBytesMatchesSegmentWalk(t *testing.T) {
 					t.Fatalf("seed %d step %d (%s): pending(%d) = %d, walk %d", seed, step, what, upTo, got, want)
 				}
 			}
-			if l.bytesWritten != wantWritten {
-				t.Fatalf("seed %d step %d (%s): BytesWritten %d, want %d", seed, step, what, l.bytesWritten, wantWritten)
+			if l.gcStats.WALBytes != wantWritten {
+				t.Fatalf("seed %d step %d (%s): BytesWritten %d, want %d", seed, step, what, l.gcStats.WALBytes, wantWritten)
 			}
 		}
 		check(0, "start")

@@ -296,18 +296,16 @@ type DB struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// Hot counters mutated by the commit path; kept atomic so Stats and
-	// ResetStats are safe while transactions run. mark is the reading the
-	// Stats window starts from (see stats.go).
-	committed atomic.Uint64
-	aborted   atomic.Uint64
-	mark      atomic.Pointer[reading]
+	// counts is the database's own live counter set, bumped atomically so
+	// Stats and ResetStats are safe while transactions run. mark is the
+	// reading the Stats window starts from (see stats.go).
+	counts TxnStats
+	mark   atomic.Pointer[reading]
 
 	// MVCC zombie queue: index entries retained for old snapshots,
 	// re-checked and dropped by maybeGC (see mvcc.go).
-	gcMu             sync.Mutex
-	zombies          []zombieEntry
-	zombiesReclaimed atomic.Uint64
+	gcMu    sync.Mutex
+	zombies []zombieEntry
 
 	// Fuzzy-checkpoint state. ckptMu serialises checkpoints; catalogPID
 	// holds the durable catalog page identifier plus one (0 = not yet
@@ -508,7 +506,7 @@ func assemble(cfg Config, dev *flashdev.Device, f *ftl.FTL, log *wal.Log, txns *
 		nextObjID:       1,
 	}
 	// A fresh handle's Stats window starts at the layers' zero.
-	db.mark.Store(&reading{ftlChips: make([]ftl.ChipStats, f.Chips())})
+	db.mark.Store(&reading{chips: make([]ftl.ChipStats, f.Chips())})
 	return db, nil
 }
 

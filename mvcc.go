@@ -3,6 +3,7 @@ package ipa
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"ipa/internal/heap"
 	"ipa/internal/txn"
@@ -164,7 +165,7 @@ func (db *DB) maybeGC() {
 		} else {
 			z.sec.dropPairZombie(z.key, z.rid, z.ts)
 		}
-		db.zombiesReclaimed.Add(1)
+		atomic.AddUint64(&db.counts.ZombiesReclaimed, 1)
 	}
 	db.txns.Versions().GC(oldest)
 }

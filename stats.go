@@ -8,127 +8,83 @@ import (
 	"ipa/internal/buffer"
 	"ipa/internal/flashdev"
 	"ipa/internal/ftl"
-	"ipa/internal/nand"
+	"ipa/internal/stat"
 	"ipa/internal/storage"
 	"ipa/internal/txn"
 	"ipa/internal/wal"
 )
 
+// The layers' counter sets, named as Stats embeds them. Each is declared
+// once, in its layer, and the layer's own value of it is the live set.
+type (
+	// FTLStats is host I/O, the write-path outcome and garbage collection
+	// at the Flash translation layer: the rows of Table 1.
+	FTLStats = ftl.Stats
+	// DeviceStats is the raw Flash operations of the device.
+	DeviceStats = flashdev.Stats
+	// StorageStats is the storage manager's eviction behaviour (Figure 1)
+	// and its index-page slice: primary-key and secondary entry pages.
+	StorageStats = storage.Stats
+	// BufferStats is the buffer pool's hits, misses and write-backs.
+	BufferStats = buffer.Stats
+	// GroupCommitStats is the log's durable bytes and flushes, and the
+	// commits those flushes served.
+	GroupCommitStats = wal.GroupCommitStats
+	// VersionStats is the MVCC version cache's work: SnapshotReads counts
+	// chain resolutions, VersionReads how many of them were served from a
+	// superseded version rather than the heap slot (reads that 2PL would
+	// have blocked or answered dirtily).
+	VersionStats = txn.VersionStats
+)
+
+// TxnStats are the counters the database keeps itself. Readers run
+// lock-free against MVCC snapshots; only writers take record locks, so
+// LockAcquisitions counts writer lock grants and LockConflicts no-wait
+// denials (ErrConflict). The database's own value is the live set.
+type TxnStats struct {
+	CommittedTxns    uint64
+	AbortedTxns      uint64
+	LockAcquisitions uint64
+	LockConflicts    uint64
+	ZombiesReclaimed uint64 // index entries the MVCC GC dropped
+}
+
 // Stats aggregates the counters reported by the paper's experiments across
-// all layers of the system: host I/O seen by the Flash translation layer,
-// garbage-collection work, raw Flash operations, storage-manager eviction
-// behaviour, buffer-pool efficiency and transactional throughput.
+// all layers of the system. It embeds each layer's counter set, so a
+// counter declared in a layer is a field of Stats, a key of its JSON and
+// part of the window with no further edit.
 //
 // Every counter covers the window since the last ResetStats call, or since
 // Open or Reopen before the first one (benchmarks reset after the load
-// phase), and so does Elapsed. The exceptions say so: configuration echoes,
-// gauges (VersionChainsLive, ZombieEntries, ActiveSnapshots,
-// OldestSnapshotAge, CheckpointLSN, WALSegments, WALBytesSinceCheckpoint,
-// the per-chip FreeBlocks, MaxEraseCount), RecoveryRedoRecords, and the
-// lifetime figures WALMaxCommitBatch, TotalErasesEver and the per-chip
-// Flash counters and Busy clocks.
+// phase), and so does Elapsed. The exceptions are the fields tagged
+// `stat:"gauge"`, `stat:"max"` or `stat:"lifetime"`, and the configuration
+// echoes and per-chip figures below.
 type Stats struct {
 	// Configuration echo.
 	Mode      WriteMode
 	Scheme    Scheme
 	FlashMode FlashMode
 
-	// Host I/O (FTL level) — the "Host Reads/Writes" rows of Table 1.
-	HostReads        uint64
-	HostWrites       uint64 // full page writes
-	HostWriteDeltas  uint64 // write_delta commands
-	HostBytesRead    uint64
-	HostBytesWritten uint64
+	FTLStats
+	DeviceStats
+	StorageStats
+	BufferStats
+	TxnStats
+	GroupCommitStats
+	VersionStats
 
-	// Write-path outcome — the "Out-of-Place Writes vs In-Place Appends"
-	// row of Table 1.
-	InPlaceAppends   uint64
-	OutOfPlaceWrites uint64
-	Invalidations    uint64
-
-	// Garbage collection — the "GC Page Migrations" / "GC Erases" rows.
-	GCMigrations uint64
-	GCErases     uint64
-	GCRuns       uint64
-
-	// Raw Flash operations.
-	FlashPageReads     uint64
-	FlashPagePrograms  uint64
-	FlashDeltaPrograms uint64
-	FlashBlockErases   uint64
-	CorrectedBits      uint64
-	UncorrectableReads uint64
-	InterferenceBits   uint64
-
-	// Storage-manager eviction behaviour (Figure 1).
-	DirtyEvictions      uint64
-	IPAAppendEvictions  uint64
-	OutOfPlaceEvictions uint64
-	AppendFallbacks     uint64
-	DeltaRecordsWritten uint64
-	DeltaBytesWritten   uint64
-	NetChangedBytes     uint64
-	EvictedBytes        uint64
-	SmallEvictions      uint64
-	// EvictionSizeHistogram buckets dirty evictions by net modified bytes;
 	// EvictionHistogramBounds holds the inclusive upper bound of each
-	// bucket (the last histogram entry counts larger evictions).
-	EvictionSizeHistogram   []uint64
+	// bucket of EvictionSizeHistogram; its last bucket counts larger
+	// evictions.
 	EvictionHistogramBounds []int
+	SecondaryIndexes        int // secondary indexes in the catalog (echo)
 
-	// Index maintenance (the index-page slice of the eviction counters
-	// above, covering primary-key and secondary entry pages — both live in
-	// KindIndex regions). Index entry pages absorb tiny slot edits, so
-	// under IPA most index evictions become delta appends instead of full
-	// page writes; IndexDeltaRecords / IndexOutOfPlaceWrites is the number
-	// of delta appends amortised per full index-page rewrite (merge).
-	IndexPageReads        uint64 // index entry pages loaded from Flash
-	IndexPageWrites       uint64 // dirty index-page evictions
-	IndexInPlaceAppends   uint64 // index evictions persisted as delta appends
-	IndexOutOfPlaceWrites uint64 // index evictions written as whole pages
-	IndexDeltaRecords     uint64 // delta records written for index pages
-	IndexDeltaBytes       uint64 // delta bytes written for index pages
-	SecondaryIndexes      int    // secondary indexes in the catalog (echo)
-
-	// Buffer pool.
-	BufferHits   uint64
-	BufferMisses uint64
-
-	// Transactions and logging.
-	CommittedTxns uint64
-	AbortedTxns   uint64
-	WALBytes      uint64
-
-	// Concurrency control. Readers run lock-free against MVCC snapshots;
-	// only writers take record locks, so LockAcquisitions counts writer
-	// lock grants and LockConflicts counts no-wait denials (ErrConflict).
-	LockAcquisitions uint64
-	LockConflicts    uint64
-
-	// MVCC version chains. SnapshotReads counts version-cache resolutions;
-	// VersionReads is how many of them were served from a superseded
-	// version rather than the heap slot (reads that 2PL would have blocked
-	// or answered dirtily). VersionsCreated / VersionsReclaimed track the
-	// version-chain churn, VersionChainsLive and ZombieEntries are gauges
-	// of retained MVCC state, and OldestSnapshotAge is how many commits the
-	// oldest active snapshot lags behind the watermark (0 = no reader
-	// pinning history).
-	SnapshotReads     uint64
-	VersionReads      uint64
-	VersionsCreated   uint64
-	VersionsReclaimed uint64
-	VersionChainsLive uint64
+	// Gauges of retained MVCC state: index entries kept for old snapshots,
+	// open snapshots, and how many commits the oldest of them lags behind
+	// the watermark (0 = no reader pinning history).
 	ZombieEntries     int
-	ZombiesReclaimed  uint64
 	ActiveSnapshots   int
-	OldestSnapshotAge uint64
-	// Group commit: physical log flushes, the commit requests they served
-	// and the largest batch one flush absorbed since Open (a maximum has no
-	// window). WALFlushedCommits / WALFlushes is the average group-commit
-	// batch size.
-	WALFlushes        uint64
-	WALFlushedCommits uint64
-	WALMaxCommitBatch uint64
+	OldestSnapshotAge uint64 `stat:"gauge"`
 
 	// Checkpointing and recovery. CheckpointLSN is the LSN of the last
 	// fuzzy checkpoint (0 = never checkpointed), WALSegments counts the
@@ -138,10 +94,10 @@ type Stats struct {
 	// last Reopen actually replayed (0 on a fresh Open) and
 	// RecoveryParallelism is the configured redo worker count (1 = the
 	// serial oracle).
-	CheckpointLSN           uint64
+	CheckpointLSN           uint64 `stat:"gauge"`
 	WALSegments             int
-	WALBytesSinceCheckpoint uint64
-	RecoveryRedoRecords     uint64
+	WALBytesSinceCheckpoint uint64 `stat:"gauge"`
+	RecoveryRedoRecords     uint64 `stat:"lifetime"`
 	RecoveryParallelism     int
 
 	// BufferShards is the number of independently-latched partitions of
@@ -159,7 +115,7 @@ type Stats struct {
 	ChipStats []ChipStat
 
 	// Wear (longevity).
-	TotalErasesEver uint64 // erases since device creation
+	TotalErasesEver uint64 `stat:"lifetime"` // erases since device creation
 	MaxEraseCount   int
 	EnduranceCycles int
 
@@ -176,11 +132,9 @@ type ChipStat struct {
 	PagePrograms  uint64 // full page programs (includes partial/delta programs' chip ops)
 	DeltaPrograms uint64 // partial (in-place append) programs
 	BlockErases   uint64
-	GCRuns        uint64
-	GCMigrations  uint64
-	GCErases      uint64
-	FreeBlocks    int
-	Busy          time.Duration // per-chip virtual clock
+	ftl.GCStats
+	FreeBlocks int
+	Busy       time.Duration // per-chip virtual clock
 }
 
 // reading is one look at every layer's counters. The layers only count up,
@@ -190,119 +144,42 @@ type ChipStat struct {
 type reading struct {
 	wall     time.Time
 	virtual  time.Duration
-	ftl      ftl.Stats
-	ftlChips []ftl.ChipStats
-	dev      flashdev.Stats
-	chips    nand.Stats // summed over the chips
-	store    storage.Stats
 	traceLen int
-	pool     buffer.Stats
-	walBytes uint64
-	group    wal.GroupCommitStats
-	versions txn.VersionStats
-
-	lockAcquisitions, lockConflicts      uint64
-	committed, aborted, zombiesReclaimed uint64
+	chips    []ftl.ChipStats
+	counts   Stats // the embedded counter sets only
 }
 
 // read takes a reading of every layer's counters.
 func (db *DB) read() *reading {
-	acq, conf := db.txns.LockStats()
 	return &reading{
-		wall:             time.Now(),
-		virtual:          db.dev.Now(),
-		ftl:              db.ftl.Stats(),
-		ftlChips:         db.ftl.ChipStats(),
-		dev:              db.dev.Stats(),
-		chips:            db.dev.ChipStats(),
-		store:            db.store.Stats(),
-		traceLen:         db.store.TraceLen(),
-		pool:             db.pool.Stats(),
-		walBytes:         db.log.BytesWritten(),
-		group:            db.log.GroupCommitStats(),
-		versions:         db.txns.Versions().Stats(),
-		lockAcquisitions: acq,
-		lockConflicts:    conf,
-		committed:        db.committed.Load(),
-		aborted:          db.aborted.Load(),
-		zombiesReclaimed: db.zombiesReclaimed.Load(),
+		wall:     time.Now(),
+		virtual:  db.dev.Now(),
+		traceLen: db.store.TraceLen(),
+		chips:    db.ftl.ChipStats(),
+		counts: Stats{
+			FTLStats:         db.ftl.Stats(),
+			DeviceStats:      db.dev.Stats(),
+			StorageStats:     db.store.Stats(),
+			BufferStats:      db.pool.Stats(),
+			TxnStats:         stat.Load(&db.counts),
+			GroupCommitStats: db.log.GroupCommitStats(),
+			VersionStats:     db.txns.Versions().Stats(),
+		},
 	}
 }
 
 // window returns the counters' growth from one reading to a later one:
-// the windowed fields of Stats, and only those. Every reading is taken
-// after the one it is subtracted from, so no difference goes negative.
+// the windowed fields of Stats, and only those, with the gauges and maxima
+// of the later one. Every reading is taken after the one it is subtracted
+// from, so no difference goes negative.
 func window(from, to *reading) Stats {
-	chips := make([]ChipStat, len(to.ftlChips))
-	for i, c := range to.ftlChips {
-		f := from.ftlChips[i]
-		chips[i] = ChipStat{Chip: i, GCRuns: c.GCRuns - f.GCRuns,
-			GCMigrations: c.GCMigrations - f.GCMigrations, GCErases: c.GCErases - f.GCErases}
+	s := stat.Sub(to.counts, from.counts)
+	s.Elapsed = to.virtual - from.virtual
+	s.ChipStats = make([]ChipStat, len(to.chips))
+	for i, c := range to.chips {
+		s.ChipStats[i] = ChipStat{Chip: i, GCStats: stat.Sub(c.GCStats, from.chips[i].GCStats)}
 	}
-	hist := make([]uint64, len(to.store.EvictionSizeHistogram))
-	for i := range hist {
-		hist[i] = to.store.EvictionSizeHistogram[i] - from.store.EvictionSizeHistogram[i]
-	}
-	return Stats{
-		HostReads:        to.ftl.HostReads - from.ftl.HostReads,
-		HostWrites:       to.ftl.HostWrites - from.ftl.HostWrites,
-		HostWriteDeltas:  to.ftl.HostWriteDeltas - from.ftl.HostWriteDeltas,
-		HostBytesRead:    to.ftl.HostBytesRead - from.ftl.HostBytesRead,
-		HostBytesWritten: to.ftl.HostBytesWritten - from.ftl.HostBytesWritten,
-
-		InPlaceAppends:   to.ftl.InPlaceAppends - from.ftl.InPlaceAppends,
-		OutOfPlaceWrites: to.ftl.OutOfPlaceWrites - from.ftl.OutOfPlaceWrites,
-		Invalidations:    to.ftl.Invalidations - from.ftl.Invalidations,
-
-		GCMigrations: to.ftl.GCMigrations - from.ftl.GCMigrations,
-		GCErases:     to.ftl.GCErases - from.ftl.GCErases,
-		GCRuns:       to.ftl.GCRuns - from.ftl.GCRuns,
-
-		FlashPageReads:     to.dev.PageReads - from.dev.PageReads,
-		FlashPagePrograms:  to.dev.PagePrograms - from.dev.PagePrograms,
-		FlashDeltaPrograms: to.dev.DeltaPrograms - from.dev.DeltaPrograms,
-		FlashBlockErases:   to.dev.BlockErases - from.dev.BlockErases,
-		CorrectedBits:      to.dev.CorrectedBits - from.dev.CorrectedBits,
-		UncorrectableReads: to.dev.Uncorrectable - from.dev.Uncorrectable,
-		InterferenceBits:   to.chips.InterferenceBits - from.chips.InterferenceBits,
-
-		DirtyEvictions:        to.store.DirtyEvictions - from.store.DirtyEvictions,
-		IPAAppendEvictions:    to.store.IPAAppends - from.store.IPAAppends,
-		OutOfPlaceEvictions:   to.store.OutOfPlaceWrites - from.store.OutOfPlaceWrites,
-		AppendFallbacks:       to.store.AppendFallbacks - from.store.AppendFallbacks,
-		DeltaRecordsWritten:   to.store.DeltaRecordsWritten - from.store.DeltaRecordsWritten,
-		DeltaBytesWritten:     to.store.DeltaBytesWritten - from.store.DeltaBytesWritten,
-		NetChangedBytes:       to.store.NetChangedBytes - from.store.NetChangedBytes,
-		EvictedBytes:          to.store.EvictedBytes - from.store.EvictedBytes,
-		SmallEvictions:        to.store.SmallEvictions - from.store.SmallEvictions,
-		EvictionSizeHistogram: hist,
-
-		IndexPageReads:        to.store.IndexPageLoads - from.store.IndexPageLoads,
-		IndexPageWrites:       to.store.IndexDirtyEvictions - from.store.IndexDirtyEvictions,
-		IndexInPlaceAppends:   to.store.IndexIPAAppends - from.store.IndexIPAAppends,
-		IndexOutOfPlaceWrites: to.store.IndexOutOfPlaceWrites - from.store.IndexOutOfPlaceWrites,
-		IndexDeltaRecords:     to.store.IndexDeltaRecords - from.store.IndexDeltaRecords,
-		IndexDeltaBytes:       to.store.IndexDeltaBytes - from.store.IndexDeltaBytes,
-
-		BufferHits:   to.pool.Hits - from.pool.Hits,
-		BufferMisses: to.pool.Misses - from.pool.Misses,
-
-		CommittedTxns:     to.committed - from.committed,
-		AbortedTxns:       to.aborted - from.aborted,
-		WALBytes:          to.walBytes - from.walBytes,
-		LockAcquisitions:  to.lockAcquisitions - from.lockAcquisitions,
-		LockConflicts:     to.lockConflicts - from.lockConflicts,
-		SnapshotReads:     to.versions.SnapshotReads - from.versions.SnapshotReads,
-		VersionReads:      to.versions.VersionReads - from.versions.VersionReads,
-		VersionsCreated:   to.versions.VersionsCreated - from.versions.VersionsCreated,
-		VersionsReclaimed: to.versions.VersionsReclaimed - from.versions.VersionsReclaimed,
-		ZombiesReclaimed:  to.zombiesReclaimed - from.zombiesReclaimed,
-		WALFlushes:        to.group.Flushes - from.group.Flushes,
-		WALFlushedCommits: to.group.FlushedCommits - from.group.FlushedCommits,
-
-		ChipStats: chips,
-		Elapsed:   to.virtual - from.virtual,
-	}
+	return s
 }
 
 // Stats returns the counters' window since the last ResetStats (or since
@@ -318,14 +195,12 @@ func (db *DB) Stats() Stats {
 	s.Mode, s.Scheme, s.FlashMode = db.cfg.WriteMode, db.cfg.Scheme, db.cfg.FlashMode
 	s.EvictionHistogramBounds = storage.HistogramBucketBounds()
 	s.SecondaryIndexes = db.secondaryCount()
-	s.VersionChainsLive = now.versions.ChainsLive
 	s.ZombieEntries = db.zombieCount()
 	ora := db.txns.Oracle()
 	s.ActiveSnapshots, s.OldestSnapshotAge = ora.ActiveSnapshots(), ora.SnapshotAge()
-	s.WALMaxCommitBatch = now.group.MaxBatch
 	s.CheckpointLSN = db.checkpointLSN.Load()
 	s.WALSegments = db.log.Segments()
-	s.WALBytesSinceCheckpoint = now.walBytes - walAtCkpt
+	s.WALBytesSinceCheckpoint = now.counts.WALBytes - walAtCkpt
 	s.RecoveryRedoRecords = db.recoveryStats.RecordsRedone
 	s.RecoveryParallelism = db.cfg.RecoveryParallelism
 	s.BufferShards = db.pool.Shards()
@@ -336,7 +211,7 @@ func (db *DB) Stats() Stats {
 		c := &s.ChipStats[i]
 		c.PageReads, c.PagePrograms = perChip[i].PageReads, perChip[i].PagePrograms
 		c.DeltaPrograms, c.BlockErases = perChip[i].PartialPrograms, perChip[i].BlockErases
-		c.FreeBlocks, c.Busy = now.ftlChips[i].FreeBlocks, clocks[i]
+		c.FreeBlocks, c.Busy = now.chips[i].FreeBlocks, clocks[i]
 	}
 	s.TotalErasesEver = db.dev.TotalErases()
 	s.MaxEraseCount = db.dev.MaxEraseCount()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"ipa/internal/core"
 	"ipa/internal/ftl"
@@ -111,6 +112,18 @@ func (tx *Tx) check() error {
 // ID returns the transaction identifier.
 func (tx *Tx) ID() uint64 { return tx.inner.ID() }
 
+// lock takes rid's record lock, counting the grant or the no-wait denial.
+func (tx *Tx) lock(rid heap.RID) error {
+	err := tx.inner.Lock(txn.LockKey{PageID: rid.PageID, Slot: rid.Slot})
+	switch {
+	case err == nil:
+		atomic.AddUint64(&tx.db.counts.LockAcquisitions, 1)
+	case errors.Is(err, txn.ErrConflict):
+		atomic.AddUint64(&tx.db.counts.LockConflicts, 1)
+	}
+	return err
+}
+
 // Get returns a copy of the tuple stored under key in table t, read at
 // the transaction's snapshot without taking any record lock: the first
 // Get pins the snapshot, and every later Get repeats it (repeatable
@@ -144,7 +157,7 @@ func (tx *Tx) GetForUpdate(t *Table, key int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := tx.inner.Lock(txn.LockKey{PageID: rid.PageID, Slot: rid.Slot}); err != nil {
+	if err := tx.lock(rid); err != nil {
 		return nil, err
 	}
 	tuple, err := t.heap.Get(rid)
@@ -186,7 +199,7 @@ func (tx *Tx) Insert(t *Table, key int64, tuple []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := tx.inner.Lock(txn.LockKey{PageID: rid.PageID, Slot: rid.Slot}); err != nil {
+	if err := tx.lock(rid); err != nil {
 		return err
 	}
 	// Register the version chain before any reader can find the RID via
@@ -238,7 +251,7 @@ func (tx *Tx) Delete(t *Table, key int64) error {
 		return fmt.Errorf("%w: %s key %d", ErrKeyNotFound, t.name, key)
 	}
 	rid := heap.Unpack(v)
-	if err := tx.inner.Lock(txn.LockKey{PageID: rid.PageID, Slot: rid.Slot}); err != nil {
+	if err := tx.lock(rid); err != nil {
 		return err
 	}
 	old, err := t.heap.Get(rid)
@@ -305,7 +318,7 @@ func (tx *Tx) UpdateRIDAt(t *Table, rid heap.RID, offset int, data []byte) error
 		return err
 	}
 	defer tx.db.release()
-	if err := tx.inner.Lock(txn.LockKey{PageID: rid.PageID, Slot: rid.Slot}); err != nil {
+	if err := tx.lock(rid); err != nil {
 		return err
 	}
 	old, err := t.heap.Get(rid)
@@ -384,7 +397,7 @@ func (tx *Tx) Commit() error {
 		_ = tx.inner.Detach()
 		tx.releaseSnapshot()
 		tx.done = true
-		tx.db.aborted.Add(1)
+		atomic.AddUint64(&tx.db.counts.AbortedTxns, 1)
 		return err
 	}
 	defer tx.db.release()
@@ -395,7 +408,7 @@ func (tx *Tx) Commit() error {
 			// rolls its effects back after the restart.
 			tx.releaseSnapshot()
 			tx.done = true
-			tx.db.aborted.Add(1)
+			atomic.AddUint64(&tx.db.counts.AbortedTxns, 1)
 		}
 		return err
 	}
@@ -420,7 +433,7 @@ func (tx *Tx) Commit() error {
 	// it can need the log any more.
 	tx.db.txns.Deregister(tx.inner.ID())
 	tx.db.dev.AdvanceClock(tx.db.cfg.TxnCPUCost)
-	tx.db.committed.Add(1)
+	atomic.AddUint64(&tx.db.counts.CommittedTxns, 1)
 	return nil
 }
 
@@ -438,7 +451,7 @@ func (tx *Tx) Abort() error {
 		derr := tx.inner.Detach()
 		tx.releaseSnapshot()
 		tx.done = true
-		tx.db.aborted.Add(1)
+		atomic.AddUint64(&tx.db.counts.AbortedTxns, 1)
 		return derr
 	}
 	defer tx.db.release()
@@ -450,7 +463,7 @@ func (tx *Tx) Abort() error {
 	// pending retirement lists are simply dropped.
 	tx.releaseSnapshot()
 	tx.done = true
-	tx.db.aborted.Add(1)
+	atomic.AddUint64(&tx.db.counts.AbortedTxns, 1)
 	return nil
 }
 

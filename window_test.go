@@ -1,6 +1,7 @@
 package ipa_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -9,12 +10,23 @@ import (
 	"ipa/internal/storage"
 )
 
-// notWindowed names the uint64 fields of ipa.Stats that are gauges or
-// lifetime figures; every other uint64 field covers the ResetStats window.
-var notWindowed = map[string]bool{
-	"VersionChainsLive": true, "OldestSnapshotAge": true, "WALMaxCommitBatch": true,
-	"CheckpointLSN": true, "WALBytesSinceCheckpoint": true, "RecoveryRedoRecords": true,
-	"TotalErasesEver": true,
+// eachCounter calls f with the name, `stat` tag and value of every uint64
+// field of v and of the structs it embeds; an array of counters is one
+// call per element.
+func eachCounter(v reflect.Value, f func(name, tag string, n uint64)) {
+	for i := 0; i < v.NumField(); i++ {
+		sf, fv := v.Type().Field(i), v.Field(i)
+		switch {
+		case sf.Anonymous:
+			eachCounter(fv, f)
+		case sf.Type.Kind() == reflect.Uint64:
+			f(sf.Name, sf.Tag.Get("stat"), fv.Uint())
+		case sf.Type.Kind() == reflect.Array && sf.Type.Elem().Kind() == reflect.Uint64:
+			for j := 0; j < fv.Len(); j++ {
+				f(fmt.Sprintf("%s[%d]", sf.Name, j), sf.Tag.Get("stat"), fv.Index(j).Uint())
+			}
+		}
+	}
 }
 
 // windowFixture loads a small two-chip MLC device far enough to run its
@@ -77,18 +89,11 @@ func TestOneMeasurementWindow(t *testing.T) {
 				t.Fatalf("fixture too light: hits %d misses %d interference %d gc %d elapsed %v",
 					before.BufferHits, before.BufferMisses, before.InterferenceBits, before.GCRuns, before.Elapsed)
 			}
-			v := reflect.ValueOf(after)
-			for i := 0; i < v.NumField(); i++ {
-				f := v.Type().Field(i)
-				if f.Type.Kind() == reflect.Uint64 && !notWindowed[f.Name] && v.Field(i).Uint() != 0 {
-					t.Errorf("%s = %d right after ResetStats, want 0", f.Name, v.Field(i).Uint())
+			eachCounter(reflect.ValueOf(after), func(name, tag string, n uint64) {
+				if tag == "" && n != 0 {
+					t.Errorf("%s = %d right after ResetStats, want 0", name, n)
 				}
-			}
-			for i, n := range after.EvictionSizeHistogram {
-				if n != 0 {
-					t.Errorf("EvictionSizeHistogram[%d] = %d right after ResetStats, want 0", i, n)
-				}
-			}
+			})
 			for _, c := range after.ChipStats {
 				if c.GCRuns != 0 || c.GCMigrations != 0 || c.GCErases != 0 {
 					t.Errorf("chip %d GC counters %+v right after ResetStats, want 0", c.Chip, c)
