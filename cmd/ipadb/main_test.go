@@ -275,7 +275,7 @@ func TestWatchRender(t *testing.T) {
 			WindowTPS:      123.4,
 			TimeToDeath:    90 * time.Minute,
 		},
-		Server: server.ServerCounters{ConnectionsCurrent: 2, CommandsTotal: 99},
+		Server: server.ServerCounters{ConnectionsCurrent: 2, Commands: 99},
 		Latency: map[string]server.LatencySummary{
 			"GET": {Count: 50, MeanUS: 12.5, P50US: 10, P95US: 30, P99US: 44},
 		},

@@ -77,8 +77,8 @@ func renderWatch(w io.Writer, d *server.StatsDoc) {
 		(time.Duration(d.UptimeSec * float64(time.Second))).Round(time.Second),
 		(time.Duration(d.VirtualMS * float64(time.Millisecond))).Round(time.Millisecond))
 	fmt.Fprintf(w, "conns %d (total %d)  commands %d  errors %d\n\n",
-		d.Server.ConnectionsCurrent, d.Server.ConnectionsTotal,
-		d.Server.CommandsTotal, d.Server.ErrorRepliesTotal)
+		d.Server.ConnectionsCurrent, d.Server.Connections,
+		d.Server.Commands, d.Server.ErrorReplies)
 
 	renderOps(w, ops)
 

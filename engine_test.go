@@ -248,16 +248,17 @@ func TestStatsDerivedMetrics(t *testing.T) {
 	if s.Elapsed <= 0 || s.Throughput() < 0 {
 		t.Fatalf("virtual time accounting broken: %v", s.Elapsed)
 	}
-	// The report prints the buffer pool on its own line and nothing of it
-	// on the log's.
+	// The report prints the buffer pool's counters on the line of the set
+	// that declares them, and the shard count, an echo of ipa.Stats
+	// itself, on that set's line: nothing of the pool on the log's.
 	report := s.String()
-	wantBuffer := fmt.Sprintf("buffer: hits=%d misses=%d shards=%d\n", s.BufferHits, s.BufferMisses, s.BufferShards)
+	wantBuffer := fmt.Sprintf("\nBufferStats: BufferHits=%d BufferMisses=%d ", s.BufferHits, s.BufferMisses)
 	if s.BufferMisses == 0 || !strings.Contains(report, wantBuffer) {
 		t.Fatalf("Stats.String has no %q line (misses %d):\n%s", wantBuffer, s.BufferMisses, report)
 	}
 	for _, line := range strings.Split(report, "\n") {
-		if strings.HasPrefix(line, "wal:") && strings.Contains(line, "shards=") {
-			t.Fatalf("Stats.String prints the buffer shard count on the wal line: %q", line)
+		if strings.Contains(line, "BufferShards=") != strings.HasPrefix(line, "Stats:") {
+			t.Fatalf("Stats.String prints the buffer shard count on the wrong line: %q", line)
 		}
 	}
 }

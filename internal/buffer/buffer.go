@@ -143,11 +143,12 @@ type frame struct {
 	// and victim choice reads no tracker.
 	weight atomic.Uint32
 	// dirty and recLSN change under both pid's shard mutex and the exclusive
-	// latch, so either suffices to read them. recLSN is the log sequence
-	// number stamped when the frame last went from clean to dirty: the
-	// oldest log record whose effects may only exist in this frame. Fuzzy
-	// checkpoints flush dirty pages in recLSN order so the WAL truncation cut
-	// can advance past the oldest one.
+	// latch, so either suffices to read them. recLSN is the log's next LSN
+	// when the frame last went from clean to dirty; Tx.UpdateRIDAt logs, then
+	// marks, so it is one past the dirtying record (three past with a
+	// secondary move), and a cut derived from it must first stamp at or below
+	// that record. Fuzzy checkpoints flush dirty pages in recLSN order so the
+	// WAL truncation cut can advance past the oldest one.
 	dirty  bool
 	recLSN uint64
 	// excl and shrd are the two handles the frame ever hands out, so a

@@ -122,7 +122,6 @@ type Report struct {
 	VerifyPasses  int           `json:"verify_passes"`
 	RecoveryRedos uint64        `json:"recovery_redo_records"`
 	Violations    []string      `json:"violations"`
-	FinalStats    ipa.Stats     `json:"-"`
 }
 
 // Failed reports whether any invariant was violated.
@@ -264,7 +263,6 @@ func Run(o Options) (Report, error) {
 	} else {
 		s.audits.Add(1)
 	}
-	rep.FinalStats = db.Stats()
 	srv.Close()
 
 	rep.Wall = time.Since(start)

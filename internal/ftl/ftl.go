@@ -278,6 +278,9 @@ func newSkeleton(dev *flashdev.Device, cfg Config) (*FTL, error) {
 // Capacity returns the number of logical pages exported to the host.
 func (f *FTL) Capacity() int { return f.exportedPages }
 
+// UsablePerBlock returns the pages of a block that hold data (pSLC: the LSBs).
+func (f *FTL) UsablePerBlock() int { return f.usablePerBlock }
+
 // PageSize returns the logical and physical page size in bytes.
 func (f *FTL) PageSize() int { return f.geo.PageSize }
 

@@ -7,11 +7,13 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"ipa"
 	"ipa/internal/buffer"
 	"ipa/internal/ftl"
+	"ipa/internal/stat"
 	"ipa/internal/storage"
 	"ipa/internal/txn"
 )
@@ -119,7 +121,7 @@ func init() {
 
 // execute dispatches one decoded command and writes exactly one reply.
 func (s *session) execute(args [][]byte) {
-	s.srv.commandsRun.Add(1)
+	atomic.AddUint64(&s.srv.counts.Commands, 1)
 	// The table is keyed by the upper-case spelling, which is what clients
 	// send: probing with the bytes as they came allocates nothing (the
 	// compiler elides the conversion inside a map index), and only a miss
@@ -564,10 +566,9 @@ func cmdInfo(s *session, _ [][]byte) {
 	fmt.Fprintf(&b, "addr:%s\n", srv.ln.Addr())
 	fmt.Fprintf(&b, "uptime_seconds:%d\n", int64(time.Since(srv.started).Seconds()))
 	fmt.Fprintf(&b, "workers:%d\n", srv.cfg.Workers)
-	fmt.Fprintf(&b, "connections_current:%d\n", srv.connsCurrent.Load())
-	fmt.Fprintf(&b, "connections_total:%d\n", srv.connsTotal.Load())
-	fmt.Fprintf(&b, "commands_total:%d\n", srv.commandsRun.Load())
-	fmt.Fprintf(&b, "error_replies_total:%d\n", srv.errorReplies.Load())
+	stat.Each(stat.Load(&srv.counts), func(f stat.Field) {
+		fmt.Fprintf(&b, "%s:%v\n", metricName("", f), f.Value())
+	})
 	fmt.Fprintf(&b, "draining:%v\n", srv.draining.Load())
 	fmt.Fprintf(&b, "commands:%s\n", strings.Join(commandNames, ","))
 	s.w.WriteBulkString(b.String())

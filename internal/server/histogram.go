@@ -41,12 +41,12 @@ func bucketOf(d time.Duration) int {
 	return histBucketCount
 }
 
-// histShard is one worker's slice of a histogram. The trailing pad keeps
-// concurrently-written shards off each other's cache lines.
+// histShard is one worker's slice of a histogram. The trailing pad rounds
+// it up to whole 64-byte cache lines, so concurrent shards share none.
 type histShard struct {
 	counts [histBucketCount + 1]atomic.Uint64
 	sum    atomic.Int64 // nanoseconds
-	_      [48]byte
+	_      [(64 - (histBucketCount+2)*8%64) % 64]byte
 }
 
 // cmdHist is the sharded histogram of one command.
@@ -139,21 +139,9 @@ type latencies struct {
 
 // latencyShards picks the shard count: one per scheduling lane, capped so
 // scrapes stay cheap.
-func latencyShards() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	if n > 16 {
-		n = 16
-	}
-	return n
-}
+func latencyShards() int { return min(runtime.GOMAXPROCS(0), 16) }
 
 func newLatencies(shards int) *latencies {
-	if shards < 1 {
-		shards = 1
-	}
 	l := &latencies{shards: shards, cmds: make(map[string]*cmdHist, len(commandNames))}
 	for _, name := range commandNames {
 		l.cmds[name] = &cmdHist{shards: make([]histShard, shards)}

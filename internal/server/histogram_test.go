@@ -5,7 +5,17 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
+
+// TestHistShardFillsWholeCacheLines pins the pad: a shard that is not a
+// multiple of 64 bytes shares a cache line with its neighbour in the
+// shard array, and the two workers recording into them contend on it.
+func TestHistShardFillsWholeCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(histShard{}); n%64 != 0 {
+		t.Fatalf("histShard is %d bytes, not a multiple of 64", n)
+	}
+}
 
 // TestBucketBoundaries pins the le semantics at the edges: zero and
 // negative durations land in bucket 0, a duration exactly on a bound

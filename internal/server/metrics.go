@@ -1,11 +1,18 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
+	"regexp"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
+
+	"ipa/internal/stat"
 )
 
 // Prometheus text exposition (/metrics). Every family is written as a
@@ -14,102 +21,91 @@ import (
 // +Inf. internal/server/metrics_test.go validates the whole scrape
 // against the exposition grammar, so a malformed metric cannot ship.
 
-// metricWriter renders one exposition document.
-type metricWriter struct {
-	w io.Writer
-}
-
 // family writes the HELP/TYPE header of one metric family.
-func (m *metricWriter) family(name, help, typ string) {
-	fmt.Fprintf(m.w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+func family(w io.Writer, name, help, typ string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
 }
 
-// sample writes one unlabelled sample.
-func (m *metricWriter) sample(name string, v any) {
-	fmt.Fprintf(m.w, "%s %v\n", name, v)
+// writeSets renders every field stat.Each yields from the structs as a
+// sample of the family metricName derives for it, the families sorted by
+// name and the samples of each (the chips', an array's) under its header.
+func writeSets(w io.Writer, prefix string, sets ...any) {
+	families := make(map[string]*strings.Builder)
+	for _, set := range sets {
+		stat.Each(set, func(f stat.Field) {
+			name, labels, v := metricName(prefix, f), "", f.Value()
+			b := families[name]
+			if b == nil {
+				b = new(strings.Builder)
+				families[name] = b
+				typ := "gauge"
+				if strings.HasSuffix(name, "_total") {
+					typ = "counter"
+				}
+				// HELP names the Go field, whose comment says what it counts.
+				family(b, name, fmt.Sprintf("%s (%s).", strings.TrimPrefix(f.Set+"."+f.Name, "."), cmp.Or(f.Kind, "window")), typ)
+			}
+			if f.Elem >= 0 {
+				labels = fmt.Sprintf("{%s=\"%d\"}", cmp.Or(f.Label, "bucket"), f.Elem)
+			}
+			if d, ok := v.(time.Duration); ok {
+				v = d.Seconds()
+			}
+			fmt.Fprintf(b, "%s%s %v\n", name, labels, v)
+		})
+	}
+	for _, name := range slices.Sorted(maps.Keys(families)) {
+		io.WriteString(w, families[name].String())
+	}
 }
 
-// labelled writes one sample with a single label.
-func (m *metricWriter) labelled(name, label, value string, v any) {
-	fmt.Fprintf(m.w, "%s{%s=%q} %v\n", name, label, value, v)
+// metricName derives a field's family name: its metric tag, or else the
+// prefix, the label of the slice of sets it belongs to and its Go name in
+// snake case, with _seconds for a duration and _total for a count.
+func metricName(prefix string, f stat.Field) string {
+	if f.Metric != "" {
+		return f.Metric
+	}
+	if f.Label != "" {
+		prefix += f.Label + "_"
+	}
+	name := prefix + strings.ToLower(wordStart.ReplaceAllString(f.Name, "${1}${3}_${2}${4}"))
+	if _, ok := f.Value().(time.Duration); ok {
+		name += "_seconds"
+	}
+	if f.Kind == "" || f.Kind == "lifetime" {
+		name += "_total"
+	}
+	return name
 }
 
-// simple writes a one-sample family.
-func (m *metricWriter) simple(name, help, typ string, v any) {
-	m.family(name, help, typ)
-	m.sample(name, v)
-}
+// wordStart finds where a word of a Go name begins, an initialism counting
+// as one word: GCMigrations is gc_migrations, CheckpointLSN checkpoint_lsn.
+var wordStart = regexp.MustCompile(`([a-z])([A-Z])|([A-Z])([A-Z][a-z])`)
 
-// fmtLE renders a bucket bound in seconds the way Prometheus clients
-// expect ("1e-06", "0.000512", …).
-func fmtLE(d time.Duration) string {
-	return strconv.FormatFloat(d.Seconds(), 'g', -1, 64)
-}
-
-// handleMetrics renders engine and server counters, the derived ops
-// gauges and the per-command latency histograms in the Prometheus text
-// exposition format.
+// handleMetrics renders the engine's counter sets, the derived ops gauges
+// and the server's counters from their declarations, then the group-commit
+// batch mean, the uptime and the per-command latency histograms.
 func (srv *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	st := srv.db.Stats()
-	ops := srv.db.Ops()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	m := &metricWriter{w: w}
-
-	m.simple("ipa_committed_txns_total", "Committed transactions since the last stats reset.", "counter", st.CommittedTxns)
-	m.simple("ipa_aborted_txns_total", "Aborted transactions since the last stats reset.", "counter", st.AbortedTxns)
-	m.simple("ipa_in_place_appends_total", "Host writes served as in-place appends.", "counter", st.InPlaceAppends)
-	m.simple("ipa_out_of_place_writes_total", "Host writes served out of place.", "counter", st.OutOfPlaceWrites)
-	m.simple("ipa_gc_migrations_total", "Garbage-collection page migrations.", "counter", st.GCMigrations)
-	m.simple("ipa_gc_erases_total", "Garbage-collection block erases.", "counter", st.GCErases)
-	m.simple("ipa_flash_erases_lifetime_total", "Block erases since device creation.", "counter", st.TotalErasesEver)
-	m.simple("ipa_wal_bytes_total", "Bytes appended to the write-ahead log.", "counter", st.WALBytes)
-	m.simple("ipa_wal_segments", "Live write-ahead-log segments after recycling.", "gauge", st.WALSegments)
-	m.simple("ipa_wal_bytes_since_checkpoint", "Log volume accumulated since the last checkpoint (the redo bound).", "gauge", st.WALBytesSinceCheckpoint)
-	m.simple("ipa_checkpoint_lsn", "LSN of the last fuzzy checkpoint (0 = never).", "gauge", st.CheckpointLSN)
-	m.simple("ipa_buffer_hits_total", "Buffer pool hits.", "counter", st.BufferHits)
-	m.simple("ipa_buffer_misses_total", "Buffer pool misses.", "counter", st.BufferMisses)
-	m.simple("ipa_lock_conflicts_total", "No-wait record-lock denials (CONFLICT replies).", "counter", st.LockConflicts)
-	m.simple("ipa_snapshot_reads_total", "Lock-free MVCC snapshot read resolutions.", "counter", st.SnapshotReads)
-	m.simple("ipa_group_commit_batch_mean", "Mean commit requests served per physical WAL flush.", "gauge", st.CommitsPerFlush())
-
-	// Derived lifetime-burn gauges (docs/DESIGN_OPS.md).
-	m.simple("ipa_device_erase_budget", "Total block erases the device can absorb: blocks x endurance cycles.", "gauge", ops.EraseBudget)
-	m.simple("ipa_device_life_burned_ratio", "Fraction of the erase budget already consumed (1.0 = device dead).", "gauge", ops.LifeBurned)
-	m.simple("ipa_device_time_to_death_seconds", "Remaining erase budget extrapolated at the trailing-window erase rate, in virtual seconds (0 = no erase activity observed).", "gauge", ops.TimeToDeath.Seconds())
-	m.simple("ipa_device_erases_avoided_total", "Erases the in-place-append path saved over the out-of-place baseline (modelled, current stats window).", "counter", ops.ErasesAvoided)
-	m.simple("ipa_window_tps", "Committed transactions per virtual second over the trailing window.", "gauge", ops.WindowTPS)
-	m.simple("ipa_window_evictions_per_sec", "Dirty page evictions per virtual second over the trailing window.", "gauge", ops.WindowEvictionsPerSec)
-	m.simple("ipa_window_in_place_share", "Fraction of trailing-window host writes served as in-place appends.", "gauge", ops.WindowInPlaceShare)
-	m.simple("ipa_window_erase_rate_per_sec", "Block erases per virtual second over the trailing window.", "gauge", ops.WindowEraseRatePerSec)
-
-	// Per-chip wear and load, for the balance view.
-	if len(st.ChipStats) > 0 {
-		m.family("ipa_chip_erases_total", "Block erases per chip since device creation.", "counter")
-		for _, c := range st.ChipStats {
-			m.labelled("ipa_chip_erases_total", "chip", strconv.Itoa(c.Chip), c.BlockErases)
-		}
-		m.family("ipa_chip_busy_seconds", "Virtual busy time per chip since device creation.", "gauge")
-		for _, c := range st.ChipStats {
-			m.labelled("ipa_chip_busy_seconds", "chip", strconv.Itoa(c.Chip), c.Busy.Seconds())
-		}
-	}
-
-	// Server wire counters.
-	m.simple("ipa_server_connections_current", "Connections currently open.", "gauge", srv.connsCurrent.Load())
-	m.simple("ipa_server_connections_total", "Connections accepted since start.", "counter", srv.connsTotal.Load())
-	m.simple("ipa_server_commands_total", "Commands executed since start.", "counter", srv.commandsRun.Load())
-	m.simple("ipa_server_error_replies_total", "Error replies sent since start.", "counter", srv.errorReplies.Load())
-	m.simple("ipa_server_uptime_seconds", "Seconds since the server started.", "gauge", int64(time.Since(srv.started).Seconds()))
+	writeSets(w, "ipa_", st, srv.db.Ops())
+	writeSets(w, "ipa_server_", stat.Load(&srv.counts))
+	family(w, "ipa_group_commit_batch_mean", "Mean commit requests served per physical WAL flush.", "gauge")
+	fmt.Fprintf(w, "ipa_group_commit_batch_mean %v\n", st.CommitsPerFlush())
+	family(w, "ipa_server_uptime_seconds", "Seconds since the server started.", "gauge")
+	fmt.Fprintf(w, "ipa_server_uptime_seconds %d\n", int64(time.Since(srv.started).Seconds()))
 
 	// Per-command latency histograms: one family, one series set per
 	// command, cumulative buckets ending at +Inf.
-	m.family("ipa_server_command_seconds", "Wall-clock latency of command handling, by command.", "histogram")
+	family(w, "ipa_server_command_seconds", "Wall-clock latency of command handling, by command.", "histogram")
 	for _, name := range commandNames {
 		s := srv.lat.cmds[name].snapshot()
 		var cum uint64
 		for i := 0; i < histBucketCount; i++ {
 			cum += s.Counts[i]
-			fmt.Fprintf(w, "ipa_server_command_seconds_bucket{cmd=%q,le=%q} %d\n", name, fmtLE(histBounds[i]), cum)
+			le := strconv.FormatFloat(histBounds[i].Seconds(), 'g', -1, 64) // "1e-06", "0.000512", …
+			fmt.Fprintf(w, "ipa_server_command_seconds_bucket{cmd=%q,le=%q} %d\n", name, le, cum)
 		}
 		cum += s.Counts[histBucketCount]
 		fmt.Fprintf(w, "ipa_server_command_seconds_bucket{cmd=%q,le=\"+Inf\"} %d\n", name, cum)

@@ -67,12 +67,9 @@ type Server struct {
 	acceptWG sync.WaitGroup
 	sessWG   sync.WaitGroup
 
-	// Wire-level counters, exported via /metrics and the INFO command.
-	connsTotal   atomic.Uint64
-	connsCurrent atomic.Int64
-	commandsRun  atomic.Uint64
-	errorReplies atomic.Uint64
-	started      time.Time
+	// The live set of wire-level counters, and the start of the uptime.
+	counts  ServerCounters
+	started time.Time
 
 	// lat holds the per-command latency histograms; nextShard deals a
 	// shard index to each new session so recorders spread across shards.
@@ -175,8 +172,8 @@ func (srv *Server) acceptLoop() {
 // startSession registers a session for conn and serves it on its own
 // goroutine.
 func (srv *Server) startSession(conn net.Conn) {
-	srv.connsTotal.Add(1)
-	srv.connsCurrent.Add(1)
+	atomic.AddUint64(&srv.counts.Connections, 1)
+	atomic.AddUint64(&srv.counts.ConnectionsCurrent, 1)
 	sess := newSession(srv, conn)
 	srv.mu.Lock()
 	srv.sessions[sess] = struct{}{}
@@ -190,7 +187,7 @@ func (srv *Server) dropSession(s *session) {
 	srv.mu.Lock()
 	delete(srv.sessions, s)
 	srv.mu.Unlock()
-	srv.connsCurrent.Add(-1)
+	atomic.AddUint64(&srv.counts.ConnectionsCurrent, ^uint64(0))
 	srv.sessWG.Done()
 }
 
@@ -208,7 +205,7 @@ func (srv *Server) Shutdown(ctx context.Context) error {
 }
 
 func (srv *Server) shutdown(ctx context.Context) error {
-	srv.logf("server: shutting down (draining %d sessions)", srv.connsCurrent.Load())
+	srv.logf("server: shutting down (draining %d sessions)", atomic.LoadUint64(&srv.counts.ConnectionsCurrent))
 	srv.draining.Store(true)
 	srv.ln.Close()
 	srv.acceptWG.Wait()
@@ -231,7 +228,7 @@ func (srv *Server) shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		// Stragglers lose their connection; their in-flight engine calls
 		// still finish (db.Close waits for them below).
-		srv.logf("server: drain deadline expired, closing %d sessions", srv.connsCurrent.Load())
+		srv.logf("server: drain deadline expired, closing %d sessions", atomic.LoadUint64(&srv.counts.ConnectionsCurrent))
 		srv.mu.Lock()
 		for s := range srv.sessions {
 			s.conn.Close()

@@ -199,7 +199,7 @@ func TestCommandMatrix(t *testing.T) {
 	if err := json.Unmarshal(do(t, c, "CHECKPOINT").Bulk, &ck); err != nil {
 		t.Fatalf("CHECKPOINT json: %v", err)
 	}
-	if !strings.Contains(string(do(t, c, "STATS").Bulk), "committed") {
+	if !strings.Contains(string(do(t, c, "STATS").Bulk), " CommittedTxns=") {
 		t.Fatalf("STATS text missing counters")
 	}
 	var st map[string]any

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"net"
+	"sync/atomic"
 	"time"
 
 	"ipa"
@@ -102,6 +103,6 @@ func (s *session) drain() {
 
 // writeError emits one error reply and counts it.
 func (s *session) writeError(code, msg string) {
-	s.srv.errorReplies.Add(1)
+	atomic.AddUint64(&s.srv.counts.ErrorReplies, 1)
 	s.w.WriteError(code, msg)
 }

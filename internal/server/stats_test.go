@@ -1,13 +1,17 @@
 package server
 
 import (
+	"cmp"
 	"encoding/json"
 	"reflect"
+	"regexp"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"ipa"
+	"ipa/internal/stat"
 )
 
 // TestEveryLayerCounterReachesEverySurface pins the one declaration of a
@@ -16,7 +20,9 @@ import (
 // field that another embedded struct, or Stats itself, also declares is
 // ambiguous or shadowed, and encoding/json silently drops it — must be a
 // key of the STATS JSON reply, and must read 0 right after ResetStats
-// unless its tag says it is a gauge or a maximum.
+// unless its tag says it is a gauge or a maximum. Every numeric field of
+// ipa.Stats and ipa.ChipStat, layer counter or not, must also reach the
+// STATS text as Name=value and /metrics as the family its name derives.
 func TestEveryLayerCounterReachesEverySurface(t *testing.T) {
 	srv, db := newTestServer(t)
 	c := dial(t, srv)
@@ -30,19 +36,45 @@ func TestEveryLayerCounterReachesEverySurface(t *testing.T) {
 	if err := json.Unmarshal(do(t, c, "STATS", "JSON").Bulk, &reply); err != nil {
 		t.Fatal(err)
 	}
+	text := string(do(t, c, "STATS").Bulk)
+	families := parseExposition(t, scrapeMetrics(t, srv))
+	// The family each field renders as, keyed by label and name.
+	family := make(map[string]string)
+	stat.Each(db.Stats(), func(f stat.Field) { family[f.Label+"."+f.Name] = metricName("ipa_", f) })
+	rendered := func(label string, f reflect.StructField) {
+		switch f.Type.Kind() {
+		case reflect.Int, reflect.Int64, reflect.Uint64, reflect.Float64, reflect.Array:
+		default:
+			return
+		}
+		if f.Tag.Get("stat") == "-" {
+			return
+		}
+		if !strings.Contains(text, " "+f.Name+"=") {
+			t.Errorf("STATS text has no %s=", f.Name)
+		}
+		if name, ok := family[label+"."+f.Name]; !ok || families[name] == nil {
+			t.Errorf("/metrics has no family for %s (%q)", f.Name, name)
+		}
+	}
 
 	stats := reflect.TypeOf(ipa.Stats{})
 	counters := 0
-	var walk func(typ reflect.Type, index []int)
-	walk = func(typ reflect.Type, index []int) {
+	var walk func(typ reflect.Type, label string, index []int)
+	walk = func(typ reflect.Type, label string, index []int) {
 		for i := 0; i < typ.NumField(); i++ {
 			f, at := typ.Field(i), append(slices.Clip(index), i)
 			switch {
 			case f.Anonymous:
-				walk(f.Type, at)
+				walk(f.Type, label, at)
 				continue
-			case len(index) == 0:
-				continue // declared by Stats itself, not by a layer
+			case f.Name == "ChipStats":
+				walk(f.Type.Elem(), f.Tag.Get("label"), nil)
+				continue
+			}
+			rendered(label, f)
+			if len(index) == 0 || label != "" {
+				continue // declared by Stats or ChipStat itself, not by a layer
 			}
 			counters++
 			if promoted, ok := stats.FieldByName(f.Name); !ok || !slices.Equal(promoted.Index, at) {
@@ -59,10 +91,48 @@ func TestEveryLayerCounterReachesEverySurface(t *testing.T) {
 			}
 		}
 	}
-	walk(stats, nil)
+	walk(stats, "", nil)
 	if counters < 40 {
 		t.Fatalf("found %d layer counters in ipa.Stats, want the layers' structs embedded", counters)
 	}
+}
+
+// TestDashboardReadsOnlyServedFields holds the embedded dashboard to the
+// /stats.json it polls: every field the page reads — eng.X and a chip's
+// c.X from the engine snapshot, ops.x, d.server.x and d.x — must be a key
+// of a live document.
+func TestDashboardReadsOnlyServedFields(t *testing.T) {
+	srv, _ := newTestServer(t)
+	populateMetrics(t, srv)
+	var doc map[string]any
+	if err := json.Unmarshal(mustMarshal(t, srv.statsDoc()), &doc); err != nil {
+		t.Fatal(err)
+	}
+	eng := doc["engine"].(map[string]any)
+	objects := map[string]map[string]any{
+		"eng": eng, "c": eng["ChipStats"].([]any)[0].(map[string]any),
+		"ops": doc["ops"].(map[string]any), "d.server": doc["server"].(map[string]any), "d": doc,
+	}
+	refs := regexp.MustCompile(`\b(?:(eng|c)\.([A-Z]\w*)|(ops|d\.server|d)\.([a-z_]+))`).
+		FindAllStringSubmatch(string(dashboardHTML), -1)
+	if len(refs) < 20 {
+		t.Fatalf("found %d field references in the dashboard, want its eng/ops/d/c reads", len(refs))
+	}
+	for _, m := range refs {
+		obj, key := cmp.Or(m[1], m[3]), cmp.Or(m[2], m[4])
+		if _, ok := objects[obj][key]; !ok {
+			t.Errorf("dashboard reads %s, which /stats.json does not serve", m[0])
+		}
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // zero reports whether a decoded JSON number, or every element of an

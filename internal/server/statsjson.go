@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ipa"
+	"ipa/internal/stat"
 )
 
 // /stats.json: the machine-readable ops document behind the embedded
@@ -36,12 +37,13 @@ type StatsDoc struct {
 	Latency map[string]LatencySummary `json:"latency"`
 }
 
-// ServerCounters are the wire-level counters.
+// ServerCounters are the wire-level counters since the server started. The
+// server's own value is the live set; INFO, /metrics and /stats.json copy it.
 type ServerCounters struct {
-	ConnectionsCurrent int64  `json:"connections_current"`
-	ConnectionsTotal   uint64 `json:"connections_total"`
-	CommandsTotal      uint64 `json:"commands_total"`
-	ErrorRepliesTotal  uint64 `json:"error_replies_total"`
+	ConnectionsCurrent uint64 `json:"connections_current" stat:"gauge"`
+	Connections        uint64 `json:"connections_total" stat:"lifetime"` // accepted
+	Commands           uint64 `json:"commands_total" stat:"lifetime"`    // executed
+	ErrorReplies       uint64 `json:"error_replies_total" stat:"lifetime"`
 }
 
 // LatencySummary condenses one command's histogram for humans and
@@ -64,13 +66,8 @@ func (srv *Server) statsDoc() StatsDoc {
 		Mode:      srv.db.Config().WriteMode.String(),
 		Engine:    srv.db.Stats(),
 		Ops:       srv.db.Ops(),
-		Server: ServerCounters{
-			ConnectionsCurrent: srv.connsCurrent.Load(),
-			ConnectionsTotal:   srv.connsTotal.Load(),
-			CommandsTotal:      srv.commandsRun.Load(),
-			ErrorRepliesTotal:  srv.errorReplies.Load(),
-		},
-		Latency: make(map[string]LatencySummary),
+		Server:    stat.Load(&srv.counts),
+		Latency:   make(map[string]LatencySummary),
 	}
 	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 	for name, s := range srv.lat.snapshot() {

@@ -30,46 +30,47 @@ type OpsStats struct {
 	// EraseBudget is the total block erases the device can absorb before
 	// every block reaches its endurance: blocks (across all chips) ×
 	// endurance cycles per block.
-	EraseBudget uint64 `json:"erase_budget"`
+	EraseBudget uint64 `json:"erase_budget" stat:"gauge" metric:"ipa_device_erase_budget"`
 	// ErasesConsumed is the lifetime erase total (Stats.TotalErasesEver).
-	ErasesConsumed uint64 `json:"erases_consumed"`
+	ErasesConsumed uint64 `json:"erases_consumed" stat:"lifetime"`
 	// LifeBurned is ErasesConsumed / EraseBudget: the fraction of the
 	// device's lifetime already spent. 1.0 means the budget is exhausted.
-	LifeBurned float64 `json:"life_burned"`
+	LifeBurned float64 `json:"life_burned" stat:"gauge" metric:"ipa_device_life_burned_ratio"`
 	// ErasesAvoided estimates how many erases in-place appends saved over
-	// the NoFTL/out-of-place baseline in the Stats window: each
-	// in-place append replaced one out-of-place page write, and
-	// PagesPerBlock page writes cost the device one eventual GC erase, so
-	// ErasesAvoided = InPlaceAppends / PagesPerBlock. This is the live
+	// the NoFTL/out-of-place baseline in the Stats window: each in-place
+	// append replaced one out-of-place page write, and one block's usable
+	// pages' worth of page writes (all its pages, or under pSLC the LSB
+	// half) cost the device one eventual GC erase, so ErasesAvoided =
+	// InPlaceAppends / usable pages per block. This is the live
 	// form of the paper's E5 longevity estimate (first-order: it ignores
 	// GC migration write amplification, which only increases the saving).
-	ErasesAvoided uint64 `json:"erases_avoided"`
+	ErasesAvoided uint64 `json:"erases_avoided" metric:"ipa_device_erases_avoided_total"`
 	// BaselineErases is what the modelled baseline would have consumed in
 	// the same window: the erases actually performed plus the avoided ones.
 	BaselineErases uint64 `json:"baseline_erases"`
 
 	// WindowVirtual / WindowWall are the width of the trailing window the
 	// rates below cover (WindowWall is 0 for the Stats window).
-	WindowVirtual time.Duration `json:"window_virtual"`
-	WindowWall    time.Duration `json:"window_wall"`
+	WindowVirtual time.Duration `json:"window_virtual" stat:"gauge"`
+	WindowWall    time.Duration `json:"window_wall" stat:"gauge"`
 	// WindowTPS is committed transactions per virtual second in the window.
-	WindowTPS float64 `json:"window_tps"`
+	WindowTPS float64 `json:"window_tps" stat:"gauge"`
 	// WindowEvictionsPerSec is dirty page evictions per virtual second.
-	WindowEvictionsPerSec float64 `json:"window_evictions_per_sec"`
+	WindowEvictionsPerSec float64 `json:"window_evictions_per_sec" stat:"gauge"`
 	// WindowInPlaceShare is the fraction of window host writes served as
 	// in-place appends (0 when the window saw no writes).
-	WindowInPlaceShare float64 `json:"window_in_place_share"`
+	WindowInPlaceShare float64 `json:"window_in_place_share" stat:"gauge"`
 	// WindowEraseRatePerSec is block erases per virtual second in the
 	// window — the burn speed.
-	WindowEraseRatePerSec float64 `json:"window_erase_rate_per_sec"`
+	WindowEraseRatePerSec float64 `json:"window_erase_rate_per_sec" stat:"gauge"`
 	// TimeToDeath extrapolates the remaining erase budget at the window
 	// erase rate: (EraseBudget − ErasesConsumed) / WindowEraseRatePerSec,
 	// in virtual time. 0 means no erase activity in the window (the
 	// device is not measurably dying) or the budget is already exhausted.
-	TimeToDeath time.Duration `json:"time_to_death"`
+	TimeToDeath time.Duration `json:"time_to_death" stat:"gauge" metric:"ipa_device_time_to_death_seconds"`
 	// Samples is how many ring readings there are (0 or 1 means the
 	// rates cover the Stats window).
-	Samples int `json:"samples"`
+	Samples int `json:"samples" stat:"gauge"`
 }
 
 // SampleOps pushes one reading of every counter onto the trailing ring.
@@ -92,11 +93,10 @@ func (db *DB) SampleOps() {
 // Stats window, so Ops is meaningful even without the background sampler.
 func (db *DB) Ops() OpsStats {
 	s := db.Stats()
-	geo := db.dev.Geometry()
 	o := OpsStats{
-		EraseBudget:    uint64(geo.Blocks) * uint64(s.EnduranceCycles),
+		EraseBudget:    uint64(db.dev.Geometry().Blocks) * uint64(s.EnduranceCycles),
 		ErasesConsumed: s.TotalErasesEver,
-		ErasesAvoided:  s.InPlaceAppends / uint64(geo.PagesPerBlock),
+		ErasesAvoided:  s.InPlaceAppends / uint64(db.ftl.UsablePerBlock()),
 	}
 	if o.EraseBudget > 0 {
 		o.LifeBurned = float64(o.ErasesConsumed) / float64(o.EraseBudget)

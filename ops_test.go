@@ -163,6 +163,7 @@ func TestBurnGaugeFallbackWindow(t *testing.T) {
 // consume strictly fewer erases — the live form of the paper's E5
 // longevity claim — and the avoided-erase counter must be non-zero.
 func TestBurnIPALowerThanBaseline(t *testing.T) {
+	var inPlace uint64
 	run := func(mode ipa.WriteMode) ipa.OpsStats {
 		cfg := opsConfig(mode)
 		cfg.IndexScheme = cfg.Scheme
@@ -179,6 +180,7 @@ func TestBurnIPALowerThanBaseline(t *testing.T) {
 		if _, err := workload.Run(db, w, workload.RunOptions{MaxOps: 4000, Seed: 42}); err != nil {
 			t.Fatalf("run(%v): %v", mode, err)
 		}
+		inPlace = db.Stats().InPlaceAppends
 		return db.Ops()
 	}
 	base := run(ipa.Traditional)
@@ -196,6 +198,11 @@ func TestBurnIPALowerThanBaseline(t *testing.T) {
 	}
 	if nativ.ErasesAvoided == 0 {
 		t.Fatalf("IPA mode reports zero erases avoided despite in-place appends")
+	}
+	// pSLC programs only the LSB half of opsConfig's 8 pages per block, so
+	// 4 out-of-place writes fill a block and cost one erase.
+	if nativ.ErasesAvoided != inPlace/4 {
+		t.Fatalf("ErasesAvoided = %d, want InPlaceAppends %d / 4 usable pages per block", nativ.ErasesAvoided, inPlace)
 	}
 	if base.ErasesAvoided != 0 {
 		t.Fatalf("baseline reports %d erases avoided; traditional mode has no in-place appends", base.ErasesAvoided)

@@ -1,6 +1,7 @@
 package ipa
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 	"time"
@@ -58,12 +59,13 @@ type TxnStats struct {
 // Open or Reopen before the first one (benchmarks reset after the load
 // phase), and so does Elapsed. The exceptions are the fields tagged
 // `stat:"gauge"`, `stat:"max"` or `stat:"lifetime"`, and the configuration
-// echoes and per-chip figures below.
+// echoes and per-chip figures below. String and /metrics render every
+// field by its tags; a `metric` tag names one whose Go name does not fit.
 type Stats struct {
 	// Configuration echo.
-	Mode      WriteMode
-	Scheme    Scheme
-	FlashMode FlashMode
+	Mode      WriteMode `stat:"-"`
+	Scheme    Scheme    `stat:"-"`
+	FlashMode FlashMode `stat:"-"`
 
 	FTLStats
 	DeviceStats
@@ -76,14 +78,14 @@ type Stats struct {
 	// EvictionHistogramBounds holds the inclusive upper bound of each
 	// bucket of EvictionSizeHistogram; its last bucket counts larger
 	// evictions.
-	EvictionHistogramBounds []int
-	SecondaryIndexes        int // secondary indexes in the catalog (echo)
+	EvictionHistogramBounds []int `stat:"-"`
+	SecondaryIndexes        int   `stat:"gauge"` // secondary indexes in the catalog (echo)
 
 	// Gauges of retained MVCC state: index entries kept for old snapshots,
 	// open snapshots, and how many commits the oldest of them lags behind
 	// the watermark (0 = no reader pinning history).
-	ZombieEntries     int
-	ActiveSnapshots   int
+	ZombieEntries     int    `stat:"gauge"`
+	ActiveSnapshots   int    `stat:"gauge"`
 	OldestSnapshotAge uint64 `stat:"gauge"`
 
 	// Checkpointing and recovery. CheckpointLSN is the LSN of the last
@@ -95,15 +97,23 @@ type Stats struct {
 	// RecoveryParallelism is the configured redo worker count (1 = the
 	// serial oracle).
 	CheckpointLSN           uint64 `stat:"gauge"`
-	WALSegments             int
+	WALSegments             int    `stat:"gauge"`
 	WALBytesSinceCheckpoint uint64 `stat:"gauge"`
 	RecoveryRedoRecords     uint64 `stat:"lifetime"`
-	RecoveryParallelism     int
+	RecoveryParallelism     int    `stat:"gauge"`
 
 	// BufferShards is the number of independently-latched partitions of
 	// the buffer pool's page table (a configuration echo, like Mode and
 	// Scheme).
-	BufferShards int
+	BufferShards int `stat:"gauge"`
+
+	// Wear (longevity).
+	TotalErasesEver uint64 `stat:"lifetime" metric:"ipa_flash_erases_lifetime_total"` // erases since device creation
+	MaxEraseCount   int    `stat:"gauge"`
+	EnduranceCycles int    `stat:"gauge"`
+
+	// Elapsed is the virtual time covered by this window.
+	Elapsed time.Duration `stat:"gauge"`
 
 	// Chips is the number of NAND chips; ChipStats breaks the Flash and
 	// GC activity down per chip. The raw flash counters and the per-chip
@@ -111,30 +121,22 @@ type Stats struct {
 	// spread shows how evenly the whole run striped load across the chips;
 	// the per-chip GC counters cover the window like the global GC
 	// statistics.
-	Chips     int
-	ChipStats []ChipStat
-
-	// Wear (longevity).
-	TotalErasesEver uint64 `stat:"lifetime"` // erases since device creation
-	MaxEraseCount   int
-	EnduranceCycles int
-
-	// Elapsed is the virtual time covered by this window.
-	Elapsed time.Duration
+	Chips     int        `stat:"gauge"`
+	ChipStats []ChipStat `label:"chip"`
 }
 
 // ChipStat is the per-chip slice of the device and FTL activity: raw Flash
 // operations and Busy since device creation, GC work within the Stats
 // window. On a well-striped workload the chips carry similar loads.
 type ChipStat struct {
-	Chip          int
-	PageReads     uint64
-	PagePrograms  uint64 // full page programs (includes partial/delta programs' chip ops)
-	DeltaPrograms uint64 // partial (in-place append) programs
-	BlockErases   uint64
+	Chip          int    `stat:"-"`
+	PageReads     uint64 `stat:"lifetime"`
+	PagePrograms  uint64 `stat:"lifetime"` // full page programs (includes partial/delta programs' chip ops)
+	DeltaPrograms uint64 `stat:"lifetime"` // partial (in-place append) programs
+	BlockErases   uint64 `stat:"lifetime" metric:"ipa_chip_erases_total"`
 	ftl.GCStats
-	FreeBlocks int
-	Busy       time.Duration // per-chip virtual clock
+	FreeBlocks int           `stat:"gauge"`
+	Busy       time.Duration `stat:"gauge"` // per-chip virtual clock
 }
 
 // reading is one look at every layer's counters. The layers only count up,
@@ -239,12 +241,6 @@ func (s Stats) InPlaceShare() float64 {
 	return ratio(s.InPlaceAppends, s.InPlaceAppends+s.OutOfPlaceWrites)
 }
 
-// IndexInPlaceShare returns the fraction of dirty index-page evictions
-// persisted as in-place delta appends.
-func (s Stats) IndexInPlaceShare() float64 {
-	return ratio(s.IndexInPlaceAppends, s.IndexPageWrites)
-}
-
 // IndexDeltasPerMerge returns how many delta appends one full index-page
 // rewrite (merge) amortises: delta records written per out-of-place index
 // write.
@@ -257,13 +253,6 @@ func (s Stats) IndexDeltasPerMerge() float64 {
 // mean concurrent commits shared log-device writes.
 func (s Stats) CommitsPerFlush() float64 {
 	return ratio(s.WALFlushedCommits, s.WALFlushes)
-}
-
-// VersionChasedPerRead returns the fraction of snapshot reads that had to
-// chase the version chain past the heap slot (served from a superseded
-// version). 0 means every read saw the newest committed version.
-func (s Stats) VersionChasedPerRead() float64 {
-	return ratio(s.VersionReads, s.SnapshotReads)
 }
 
 // Throughput returns committed transactions per second of virtual time.
@@ -318,37 +307,29 @@ func ratio(a, b uint64) float64 {
 	return float64(a) / float64(b)
 }
 
-// String renders the statistics as a small report.
+// String renders the statistics as a small report: the configuration
+// echo, then every counter of each set on one line (the chips' one line
+// each, an array's elements comma-separated), then the derived ratios.
 func (s Stats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "mode=%s scheme=%s flash=%s\n", s.Mode, s.Scheme, s.FlashMode)
-	fmt.Fprintf(&b, "host: reads=%d writes=%d write_deltas=%d bytesWritten=%d\n",
-		s.HostReads, s.HostWrites, s.HostWriteDeltas, s.HostBytesWritten)
-	fmt.Fprintf(&b, "writes: in-place=%d out-of-place=%d invalidations=%d\n",
-		s.InPlaceAppends, s.OutOfPlaceWrites, s.Invalidations)
-	fmt.Fprintf(&b, "gc: migrations=%d erases=%d (%.4f migr/write, %.4f erases/write)\n",
-		s.GCMigrations, s.GCErases, s.MigrationsPerHostWrite(), s.ErasesPerHostWrite())
-	fmt.Fprintf(&b, "flash: reads=%d programs=%d deltaPrograms=%d erases=%d\n",
-		s.FlashPageReads, s.FlashPagePrograms, s.FlashDeltaPrograms, s.FlashBlockErases)
-	fmt.Fprintf(&b, "index: reads=%d writes=%d in-place=%d out-of-place=%d deltaRecords=%d secondaries=%d\n",
-		s.IndexPageReads, s.IndexPageWrites, s.IndexInPlaceAppends, s.IndexOutOfPlaceWrites, s.IndexDeltaRecords, s.SecondaryIndexes)
-	fmt.Fprintf(&b, "txn: committed=%d aborted=%d throughput=%.1f tps elapsed=%s\n",
-		s.CommittedTxns, s.AbortedTxns, s.Throughput(), s.Elapsed)
-	fmt.Fprintf(&b, "locks: acquired=%d conflicts=%d\n", s.LockAcquisitions, s.LockConflicts)
-	fmt.Fprintf(&b, "mvcc: snapshotReads=%d versionReads=%d (%.4f chased/read) created=%d reclaimed=%d chains=%d zombies=%d reclaimedZombies=%d activeSnapshots=%d oldestSnapshotAge=%d\n",
-		s.SnapshotReads, s.VersionReads, s.VersionChasedPerRead(), s.VersionsCreated, s.VersionsReclaimed,
-		s.VersionChainsLive, s.ZombieEntries, s.ZombiesReclaimed, s.ActiveSnapshots, s.OldestSnapshotAge)
-	fmt.Fprintf(&b, "buffer: hits=%d misses=%d shards=%d\n", s.BufferHits, s.BufferMisses, s.BufferShards)
-	fmt.Fprintf(&b, "wal: flushes=%d commits/flush=%.2f maxBatch=%d\n",
-		s.WALFlushes, s.CommitsPerFlush(), s.WALMaxCommitBatch)
-	fmt.Fprintf(&b, "checkpoint: lsn=%d segments=%d bytesSince=%d redoRecords=%d redoWorkers=%d\n",
-		s.CheckpointLSN, s.WALSegments, s.WALBytesSinceCheckpoint, s.RecoveryRedoRecords, s.RecoveryParallelism)
-	if s.Chips > 1 {
-		fmt.Fprintf(&b, "chips: %d balance=%.2f\n", s.Chips, s.ChipBalance())
-		for _, c := range s.ChipStats {
-			fmt.Fprintf(&b, "  chip %d: reads=%d programs=%d deltas=%d erases=%d gcRuns=%d busy=%s\n",
-				c.Chip, c.PageReads, c.PagePrograms, c.DeltaPrograms, c.BlockErases, c.GCRuns, c.Busy.Round(time.Millisecond))
+	fmt.Fprintf(&b, "mode=%s scheme=%s flash=%s", s.Mode, s.Scheme, s.FlashMode)
+	line := ""
+	stat.Each(s, func(f stat.Field) {
+		at := cmp.Or(f.Set, "Stats")
+		if f.Label != "" {
+			at = fmt.Sprintf("%s %d", f.Label, f.Elem)
 		}
-	}
+		if at != line {
+			line = at
+			fmt.Fprintf(&b, "\n%s:", at)
+		}
+		if f.Elem > 0 && f.Label == "" {
+			fmt.Fprintf(&b, ",%v", f.Value())
+		} else {
+			fmt.Fprintf(&b, " %s=%v", f.Name, f.Value())
+		}
+	})
+	fmt.Fprintf(&b, "\nderived: tps=%.1f migrations/write=%.4f erases/write=%.4f commits/flush=%.2f chip-balance=%.2f\n",
+		s.Throughput(), s.MigrationsPerHostWrite(), s.ErasesPerHostWrite(), s.CommitsPerFlush(), s.ChipBalance())
 	return b.String()
 }
