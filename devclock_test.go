@@ -26,8 +26,8 @@ func TestFlashRWDeviceClock(t *testing.T) {
 		ops       = 6000
 		ckptEvery = missCkptEvery / 8
 
-		maxMissesPerOp = 0.610 // measured 0.5817
-		maxMicrosPerOp = 229.0 // measured 218.1
+		maxMissesPerOp = 0.610 // measured 0.5807
+		maxMicrosPerOp = 225.0 // measured 214.2
 	)
 	db, table := benchTable(t, rows, 8, ipa.IPANativeFlash, ipa.Scheme{N: 2, M: 4})
 	rnd, zipf := rand.New(rand.NewSource(1)), workload.NewZipfian(rows, workload.YCSBTheta)

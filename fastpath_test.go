@@ -128,8 +128,11 @@ func TestMissAllocations(t *testing.T) {
 			}
 			const runs = 800
 			// Warm up until every frame is dirty, every frame's tracker has
-			// been used and the device collects garbage.
-			for n := int64(0); n < 4*pages; n++ {
+			// been used, the device collects garbage and the reference counts
+			// have settled: an update adds one to its page's count, halved
+			// every 20 × frames references; with fewer than eight laps a few
+			// pages still outlive a lap, so the measured walk would hit them.
+			for n := int64(0); n < 8*pages; n++ {
 				churn()
 			}
 			before := db.Stats()

@@ -13,18 +13,23 @@
 // the victim's exclusive latch with no shard mutex held.
 //
 // Replacement is frequency-aware and priced. The pool keeps a saturating
-// 4-bit count of fetches per page identifier — of every page it has ever
-// held, resident or not: identifiers are dense, so that is one flat array,
-// sixteen counts to a word, where 2Q or ARC keep ghost lists. Every
-// agePeriod × frames fetches all counts are halved. The victim is the
-// cheapest of victimWindow unpinned frames sampled from the hand, priced
-// count + 1, times wholePageWeight when its write-back would be a
-// whole-page program. A page that comes back after an eviction is therefore
-// still known to be hot, which second-chance CLOCK (refClock in the tests)
-// and counts on resident frames alone (GCLOCK) cannot know.
-// docs/ARCHITECTURE.md has the trace replays that chose the three
-// constants, the derivation of the weight, and the one pattern that pays
-// for the history: uniform access.
+// 4-bit count of references per page identifier — of every page it has
+// ever held, resident or not: identifiers are dense, so that is one flat
+// array, sixteen counts to a word, where 2Q or ARC keep ghost lists. A
+// reference is a fetch, less the two kinds that predict no reuse, which
+// only the caller can tell (LRU-K's correlated references): the write
+// visit of an update, whose read counted a moment earlier, comes through
+// Refetch, and a heap file that moves on from a filled page zeroes the
+// fill's count with Forget. Every agePeriod × frames references all
+// counts are halved. The victim is the cheapest of victimWindow unpinned
+// frames sampled from the hand, priced count + 1, times wholePageWeight
+// when its write-back would be a whole-page program. A page that comes
+// back after an eviction is therefore still known to be hot, which
+// second-chance CLOCK (refClock in the tests) and counts on resident
+// frames alone (GCLOCK) cannot know. docs/ARCHITECTURE.md has the trace
+// replays that chose the constants, the ablation that doubled the period,
+// the derivation of the weight, and the one pattern that pays for the
+// history: uniform access.
 //
 // The pool's part in In-Place Appends is still to carry the tracker: the
 // buffer always holds the up-to-date page image and all updates happen in
@@ -203,11 +208,12 @@ type shard struct {
 	stats Stats
 }
 
-// The replacement policy's constants (TinyLFU's): counts saturate at
-// countMax and are halved every agePeriod fetches per frame of the pool.
+// The replacement policy's constants: counts saturate at countMax and are
+// halved every agePeriod references per frame of the pool (TinyLFU's 10
+// until updates counted once and filled pages were forgotten; 20 since).
 const (
 	countMax     = 15
-	agePeriod    = 10
+	agePeriod    = 20
 	victimWindow = 16 // unpinned frames sampled from the hand a victim is chosen among
 )
 
@@ -250,7 +256,7 @@ type Pool struct {
 	// together, before a scan — fill the window and be evicted one by one.
 	step int
 	// counts holds every page's reference count; untilHalving counts down
-	// the fetches left before the next halving.
+	// the references left before the next halving.
 	counts       atomic.Pointer[[]*countBlock]
 	untilHalving atomic.Int64
 }
@@ -393,11 +399,12 @@ func (p *Pool) cover(pid uint64) {
 	p.counts.Store(&blocks)
 }
 
-// touch counts one fetch of pid — a hit, or a miss once the page is loaded;
-// Create is not a fetch — and, when the period is up, halves every count,
-// word-parallel. pid is resident, so the array reaches it. The fetch that
-// ends a period is the one whose countdown reads 0, or a multiple of the
-// period below it while an earlier halving is still running.
+// touch counts one reference to pid — a hit, or a miss once the page is
+// loaded; neither Create nor Refetch counts — and, when the period is up,
+// halves every count, word-parallel. pid is resident, so the array reaches
+// it. The reference that ends a period is the one whose countdown reads 0,
+// or a multiple of the period below it while an earlier halving is still
+// running.
 func (p *Pool) touch(pid uint64) {
 	w, shift := p.word(pid)
 	for {
@@ -419,6 +426,22 @@ func (p *Pool) touch(pid uint64) {
 					break
 				}
 			}
+		}
+	}
+}
+
+// Forget zeroes pid's count: its fetches so far were one burst that will
+// not recur — an append-only page's while it filled — and predict no reuse.
+// A page beyond the count array has no count to zero.
+func (p *Pool) Forget(pid uint64) {
+	w, shift := p.word(pid)
+	if w == nil {
+		return
+	}
+	for {
+		c := w.Load()
+		if w.CompareAndSwap(c, c&^(countMax<<shift)) {
+			return
 		}
 	}
 }
@@ -486,28 +509,36 @@ func (h *Handle) Release() {
 
 // Fetch pins the page with identifier pid, loading it through the PageIO if
 // necessary, and returns it exclusively latched.
-func (p *Pool) Fetch(pid uint64) (*Handle, error) { return p.fetch(pid, false) }
+func (p *Pool) Fetch(pid uint64) (*Handle, error) { return p.fetch(pid, false, true) }
 
 // FetchShared is Fetch with a shared latch: any number of readers may hold
 // the same page concurrently. The returned handle must not be used to
 // modify the page.
-func (p *Pool) FetchShared(pid uint64) (*Handle, error) { return p.fetch(pid, true) }
+func (p *Pool) FetchShared(pid uint64) (*Handle, error) { return p.fetch(pid, true, true) }
 
-func (p *Pool) fetch(pid uint64, shared bool) (*Handle, error) {
+// Refetch is Fetch for the second visit of one reference: the write of a
+// read-modify-write whose read fetched pid a moment ago. It pins and
+// latches as Fetch does but does not count, so an update is one reference,
+// as a read is.
+func (p *Pool) Refetch(pid uint64) (*Handle, error) { return p.fetch(pid, false, false) }
+
+func (p *Pool) fetch(pid uint64, shared, counted bool) (*Handle, error) {
 	for {
 		f, hit, err := p.frameFor(pid, false)
 		if err != nil {
 			return nil, err
 		}
 		if !hit {
-			return p.load(f, pid, shared)
+			return p.load(f, pid, shared, counted)
 		}
 		// The pin keeps the frame pid's; block on the latch outside every
 		// mutex, so other pages stay accessible.
 		lockLatch(f, shared)
 		if f.weight.Load() != 0 {
 			atomic.AddUint64(&p.shardFor(pid).stats.BufferHits, 1)
-			p.touch(pid)
+			if counted {
+				p.touch(pid)
+			}
 			return f.handle(shared), nil
 		}
 		// The load this fetch waited for failed: try again.
@@ -517,14 +548,16 @@ func (p *Pool) fetch(pid uint64, shared bool) (*Handle, error) {
 }
 
 // load reads pid into the frame frameFor mapped it to.
-func (p *Pool) load(f *frame, pid uint64, shared bool) (*Handle, error) {
+func (p *Pool) load(f *frame, pid uint64, shared, counted bool) (*Handle, error) {
 	if err := p.io.LoadPageInto(pid, f.data, &f.tracker); err != nil {
 		p.vacate(f)
 		return nil, err
 	}
 	f.reweigh()
 	p.cover(pid)
-	p.touch(pid)
+	if counted {
+		p.touch(pid)
+	}
 	if shared {
 		// The pin keeps the page resident across the change of latch mode.
 		f.latch.Unlock()

@@ -486,17 +486,22 @@ func TestFailedLoadGrowsNothing(t *testing.T) {
 	}
 }
 
-// TestCountsSaturateAndHalve checks the packed arithmetic against one count
-// per element.
+// TestCountsSaturateAndHalve checks the packed arithmetic — counting,
+// saturation, halving and Forget — against one count per element.
 func TestCountsSaturateAndHalve(t *testing.T) {
 	p, _ := newPolicyPool(t, 1<<20, 8)
 	want := make([]uint64, 100)
 	p.cover(uint64(len(want) - 1))
+	p.Forget(1 << 40) // beyond the array: nothing to zero
 	rnd := rand.New(rand.NewSource(7))
 	for i := 0; i < 5000; i++ {
 		pid := uint64(rnd.Intn(len(want)))
 		if rnd.Intn(4) == 0 {
 			pid = uint64(rnd.Intn(3)) // a few counts saturate
+		}
+		if rnd.Intn(50) == 0 {
+			p.Forget(pid)
+			want[pid] = 0
 		}
 		p.touch(pid)
 		want[pid] = min(want[pid]+1, countMax)

@@ -142,8 +142,15 @@ func (f *File) NoteRestoredTuple() {
 // tracker as the change recorder, then runs fn. fn receives the page by
 // value — a Page is a buffer and a recorder, and a pointer handed to a
 // function value would force the wrapper onto the heap on every call.
-func (f *File) withPage(pid uint64, fn func(h *buffer.Handle, pg page.Page) error) error {
-	h, err := f.pool.Fetch(pid)
+// again fetches the page without counting a reference (buffer.Pool.Refetch).
+func (f *File) withPage(pid uint64, again bool, fn func(h *buffer.Handle, pg page.Page) error) error {
+	var h *buffer.Handle
+	var err error
+	if again {
+		h, err = f.pool.Refetch(pid)
+	} else {
+		h, err = f.pool.Fetch(pid)
+	}
 	if err != nil {
 		return err
 	}
@@ -200,7 +207,12 @@ func (f *File) InsertLogged(tuple []byte, logged func(RID) error) (RID, error) {
 			return rid, err
 		}
 	}
-	// Allocate a fresh page.
+	// Allocate a fresh page. The full one was fetched once per tuple while
+	// it filled, and no more tuples come to it: its count is a burst, not
+	// reuse, so it is forgotten.
+	if n := len(f.pages); n > 0 {
+		f.pool.Forget(f.pages[n-1])
+	}
 	pid, err := f.store.AllocatePage(f.objectID)
 	if err != nil {
 		return RID{}, err
@@ -237,7 +249,7 @@ func (f *File) InsertLogged(tuple []byte, logged func(RID) error) (RID, error) {
 func (f *File) tryInsertLocked(pid uint64, tuple []byte, logged func(RID) error) (RID, bool, error) {
 	var rid RID
 	var ok bool
-	err := f.withPage(pid, func(h *buffer.Handle, pg page.Page) error {
+	err := f.withPage(pid, false, func(h *buffer.Handle, pg page.Page) error {
 		if pg.FreeSpace() < len(tuple)+page.SlotSize {
 			return nil
 		}
@@ -276,7 +288,18 @@ func (f *File) Get(rid RID) ([]byte, error) {
 // UpdateAt overwrites len(data) bytes of the tuple at rid starting at the
 // tuple-relative offset. This is the small in-place update IPA targets.
 func (f *File) UpdateAt(rid RID, offset int, data []byte) error {
-	return f.withPage(rid.PageID, func(h *buffer.Handle, pg page.Page) error {
+	return f.updateAt(rid, offset, data, false)
+}
+
+// RewriteAt is UpdateAt for the write of a read-modify-write whose Get read
+// the tuple a moment ago: the two visits are one reference to the page, and
+// the Get counted it (buffer.Pool.Refetch).
+func (f *File) RewriteAt(rid RID, offset int, data []byte) error {
+	return f.updateAt(rid, offset, data, true)
+}
+
+func (f *File) updateAt(rid RID, offset int, data []byte, again bool) error {
+	return f.withPage(rid.PageID, again, func(h *buffer.Handle, pg page.Page) error {
 		if err := pg.UpdateTupleAt(int(rid.Slot), offset, data); err != nil {
 			if errors.Is(err, page.ErrDeleted) || errors.Is(err, page.ErrBadSlot) {
 				return fmt.Errorf("%w: %s", ErrNotFound, rid)
@@ -309,7 +332,7 @@ func (f *File) Reuse(rid RID, tuple []byte) error {
 	if len(tuple) != f.tupleSize {
 		return fmt.Errorf("heap: tuple size %d, want %d", len(tuple), f.tupleSize)
 	}
-	err := f.withPage(rid.PageID, func(h *buffer.Handle, pg page.Page) error {
+	err := f.withPage(rid.PageID, false, func(h *buffer.Handle, pg page.Page) error {
 		deleted, err := pg.Deleted(int(rid.Slot))
 		if err != nil {
 			return err
@@ -333,7 +356,7 @@ func (f *File) Reuse(rid RID, tuple []byte) error {
 
 // Delete removes the tuple at rid.
 func (f *File) Delete(rid RID) error {
-	err := f.withPage(rid.PageID, func(h *buffer.Handle, pg page.Page) error {
+	err := f.withPage(rid.PageID, false, func(h *buffer.Handle, pg page.Page) error {
 		if err := pg.DeleteTuple(int(rid.Slot)); err != nil {
 			if errors.Is(err, page.ErrDeleted) || errors.Is(err, page.ErrBadSlot) {
 				return fmt.Errorf("%w: %s", ErrNotFound, rid)

@@ -274,10 +274,57 @@ func TestResidentAccessAllocations(t *testing.T) {
 		t.Fatalf("UpdateAt on a cached page allocates %.1f times, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
+		if err := f.RewriteAt(rid, 40, patch); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("RewriteAt on a cached page allocates %.1f times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
 		if _, err := f.Get(rid); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 1 {
 		t.Fatalf("Get on a cached page allocates %.1f times, want 1 (the copy)", allocs)
+	}
+}
+
+// TestFilledPageForgetsItsFillBurst: an append-only file's page is fetched
+// once per tuple while it fills and never again, so the pool forgets that
+// burst when the file moves on to a fresh page. A hot set of eight pages,
+// each read once per 32 inserts, then stays resident in a pool of sixteen
+// frames while the other file fills pages; counting the fills would price
+// each filled page at a saturated count, above the hot pages'.
+func TestFilledPageForgetsItsFillBurst(t *testing.T) {
+	const size, hot = 100, 8
+	log, pool := testFile(t, size, 16)
+	hotFile := New(log.store, pool, 2, size)
+	var rids []RID
+	for len(rids) < hot {
+		rid, err := hotFile.Insert(tuple(size, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rids) == 0 || rids[len(rids)-1].PageID != rid.PageID {
+			rids = append(rids, rid)
+		}
+	}
+	run := func(inserts int) {
+		for i := 0; i < inserts; i++ {
+			if _, err := log.Insert(tuple(size, byte(i))); err != nil {
+				t.Fatal(err)
+			}
+			if i%4 == 0 {
+				if _, err := hotFile.Get(rids[i/4%hot]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	run(600)
+	before := pool.Stats().BufferMisses
+	run(600)
+	if missed := pool.Stats().BufferMisses - before; missed != 0 {
+		t.Fatalf("%d misses while the other file filled %d pages, want 0: the hot set and the tail page stay resident", missed, len(log.PageIDs()))
 	}
 }

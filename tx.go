@@ -353,7 +353,7 @@ func (tx *Tx) UpdateRIDAt(t *Table, rid heap.RID, offset int, data []byte) error
 	// page visits, with no page latch held: the cache's stripe mutex comes
 	// before a page latch in the lock order (see mvcc.go).
 	t.db.txns.Versions().OnWriteOwned(rid.Pack(), tx.inner.ID(), old, false)
-	if err := t.heap.UpdateAt(rid, offset, data); err != nil {
+	if err := t.heap.RewriteAt(rid, offset, data); err != nil {
 		return err
 	}
 	return tx.applyMoves(t, moves, rid.Pack())
