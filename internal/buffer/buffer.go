@@ -4,13 +4,11 @@
 // evicts the cheapest of the frames near one pool-wide clock hand. Its page
 // table is partitioned into independently-latched shards — pages are hashed
 // by identifier onto a shard, and each shard has its own mutex and hash
-// table — so lookups of different pages proceed in parallel. The frames,
-// the hand and the reference counts belong to the whole pool: a miss may
-// evict a frame holding a page of any shard. Every frame carries a
-// read/write latch that serialises access to the page image: Fetch returns
-// the page exclusively latched, FetchShared allows any number of concurrent
-// readers, and a miss writes its victim back and loads its own page under
-// the victim's exclusive latch with no shard mutex held.
+// table — so hits on different pages proceed in parallel. The frames, the
+// hand and the reference counts belong to the whole pool: a miss may evict
+// a frame holding a page of any shard. Every frame carries a read/write
+// latch that serialises access to the page image: Fetch returns the page
+// exclusively latched, FetchShared allows any number of concurrent readers.
 //
 // Replacement is frequency-aware and priced. The pool keeps a saturating
 // 4-bit count of references per page identifier — of every page it has
@@ -41,18 +39,28 @@
 // append-eligible? — when the frame's exclusive latch is released, the last
 // moment the answer can change before the frame is unpinned.
 //
+// One invariant: a page is in the table exactly while its frame holds the
+// page's valid image. A miss unmaps its victim when it claims the frame and
+// maps the new page only once it is loaded; a frame whose load failed holds
+// no page, and is the cheapest victim there is.
+//
 // Locks, outermost first:
-//   - Pool.mu, the replacement lock, guards the hand, the never-used frames
-//     and the growth of the count array. Only a miss takes it, never while
-//     it holds a shard mutex, and never to wait on a latch.
-//   - shard.mu guards the shard's table and the header of every frame whose
-//     page hashes to the shard: a pin rises only under it; dirty and recLSN
-//     change under it and the frame's exclusive latch; pid changes under it
-//     and the mutex of the frame's next page's shard, taken in shard order.
+//   - Pool.mu, the replacement lock, is held by a miss from start to
+//     finish: re-check the table, claim the victim, write it back, load or
+//     format the new page, map it. It guards the hand, the never-used
+//     frames, the growth of the count array and every frame's mapping.
+//     FlushPage, FlushAll and DirtySnapshot find their frames under it, so
+//     none of them gets past a write-back in flight. Nothing waits on a
+//     latch under it.
+//   - shard.mu guards the shard's table and the header of every frame
+//     mapped to one of its pages: a pin rises only under it; dirty and
+//     recLSN change under it and the frame's exclusive latch.
 //   - frame.latch guards the page image and the tracker.
 //
-// Pins, pids, weights and counts are atomic, so victim choice reads them
-// without a lock and claims its victim under that one frame's shard mutex.
+// A hit takes only its shard mutex, to find and pin the frame, and then the
+// latch: a pinned frame cannot be claimed, so the latch it waits for is its
+// page's. Pins, weights and counts are atomic, so victim choice reads them
+// without a shard mutex and claims its victim under that one frame's.
 package buffer
 
 import (
@@ -104,8 +112,9 @@ func victimBackoff(attempt int) {
 // the frame's tracker, whatever it tracked before — the change tracker of the
 // new buffer residency (core.Tracker.Init). StorePage persists a dirty
 // page; it must reset the tracker for the page's next residency before
-// returning. Implementations must be safe for concurrent use: misses of
-// different pages load and store in parallel.
+// returning. Implementations must be safe for concurrent use — flushes
+// store while a miss loads or stores — and must not call back into the
+// pool: a miss calls them under the replacement lock.
 type PageIO interface {
 	PageSize() int
 	LoadPageInto(pid uint64, buf []byte, t *core.Tracker) error
@@ -128,27 +137,27 @@ type frame struct {
 	// or waits on it only while it holds a pin, and Release drops the latch
 	// before the pin, so a frame with pin == 0 has a free latch.
 	latch sync.RWMutex
-	// pid is the frame's page. It changes only while the changer holds the
-	// frame's one pin and the shard mutexes of the old and the new page; it
-	// is atomic so that a goroutine holding neither can find the shard to
-	// lock (lockFrame).
-	pid atomic.Uint64
+	// pid is the frame's page, and mapped says whether the table maps pid to
+	// the frame: whether the frame holds the page. Both change only under the
+	// replacement lock, and a miss sets them under pid's shard mutex as it
+	// maps the frame, so a pin also suffices to read pid.
+	pid    uint64
+	mapped bool
 	// pin counts the frame's holders. It rises only under pid's shard mutex
-	// and may fall anywhere.
+	// while the frame is mapped, and as a miss maps it; it may fall anywhere.
 	pin  atomic.Int32
 	data []byte
 	// tracker belongs to the frame like data does: every residency
 	// re-initialises it in place, so a miss allocates none.
 	tracker core.Tracker
-	// weight prices the frame's eviction (reweigh). It is 0 while data holds
-	// no page — before the frame's first use, while its page loads or is
-	// formatted, and after that failed. It is set whenever the frame's state
-	// may have changed — on the release of its exclusive latch, after a
-	// load, after a write-back — so an unpinned frame's weight is current
-	// and victim choice reads no tracker.
+	// weight prices the frame's eviction (reweigh). It is set whenever the
+	// frame's state may have changed — on the release of its exclusive
+	// latch, as it is mapped, after a write-back — so a mapped, unpinned
+	// frame's weight is current and victim choice reads no tracker.
 	weight atomic.Uint32
 	// dirty and recLSN change under both pid's shard mutex and the exclusive
-	// latch, so either suffices to read them. recLSN is the log's next LSN
+	// latch, so either suffices to read them, or while the frame is unmapped
+	// under the replacement lock. recLSN is the log's next LSN
 	// when the frame last went from clean to dirty; Tx.UpdateRIDAt logs, then
 	// marks, so it is one past the dirtying record (three past with a
 	// secondary move), and a cut derived from it must first stamp at or below
@@ -173,8 +182,8 @@ func (f *frame) handle(shared bool) *Handle {
 // write-back would be a whole-page program — it is dirty and its tracker is
 // not append-eligible, which covers every dirty frame on the traditional
 // path — and 1 if it is clean or would leave as a delta append. The caller
-// holds the exclusive latch. Most releases leave the weight as it was, and
-// then reweigh writes nothing.
+// holds the exclusive latch, or the frame unmapped. Most releases leave the
+// weight as it was, and then reweigh writes nothing.
 func (f *frame) reweigh() {
 	w := uint32(1)
 	if f.dirty && !f.tracker.Eligible() {
@@ -244,8 +253,9 @@ type Pool struct {
 	mask   uint64        // len(shards) - 1
 	lsn    func() uint64 // source of recLSN stamps (nil = always 0)
 
-	// mu is the replacement lock. It guards hand and fresh — frames
-	// [fresh:] were never used — and the growth of counts.
+	// mu is the replacement lock. It is held by every miss and guards the
+	// hand, fresh — frames [fresh:] were never used — the growth of counts
+	// and every frame's pid and mapped.
 	mu    sync.Mutex
 	hand  int
 	fresh int
@@ -331,19 +341,6 @@ func (p *Pool) shardFor(pid uint64) *shard {
 	return &p.shards[pid&p.mask]
 }
 
-// lockFrame locks and returns the shard whose mutex guards f's header.
-func (p *Pool) lockFrame(f *frame) *shard {
-	for {
-		pid := f.pid.Load()
-		s := p.shardFor(pid)
-		s.mu.Lock()
-		if f.pid.Load() == pid {
-			return s
-		}
-		s.mu.Unlock()
-	}
-}
-
 // Capacity returns the total number of frames.
 func (p *Pool) Capacity() int { return len(p.frames) }
 
@@ -379,13 +376,11 @@ func (p *Pool) count(pid uint64) uint64 {
 
 // cover grows the count array to reach pid, once pid is loaded or created:
 // a failed load counts nothing, so asking for page ids that do not exist
-// cannot grow it.
+// cannot grow it. The caller holds the replacement lock.
 func (p *Pool) cover(pid uint64) {
 	if w, _ := p.word(pid); w != nil {
 		return
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	old := *p.counts.Load()
 	n := int(pid>>4/blockWords) + 1
 	if n <= len(old) {
@@ -523,129 +518,128 @@ func (p *Pool) FetchShared(pid uint64) (*Handle, error) { return p.fetch(pid, tr
 func (p *Pool) Refetch(pid uint64) (*Handle, error) { return p.fetch(pid, false, false) }
 
 func (p *Pool) fetch(pid uint64, shared, counted bool) (*Handle, error) {
-	for {
-		f, hit, err := p.frameFor(pid, false)
-		if err != nil {
+	f, loaded := p.pinned(pid), false
+	if f == nil {
+		var err error
+		if f, loaded, err = p.miss(pid, shared, nil); err != nil {
 			return nil, err
 		}
-		if !hit {
-			return p.load(f, pid, shared, counted)
-		}
+	}
+	if !loaded {
 		// The pin keeps the frame pid's; block on the latch outside every
 		// mutex, so other pages stay accessible.
 		lockLatch(f, shared)
-		if f.weight.Load() != 0 {
-			atomic.AddUint64(&p.shardFor(pid).stats.BufferHits, 1)
-			if counted {
-				p.touch(pid)
-			}
-			return f.handle(shared), nil
-		}
-		// The load this fetch waited for failed: try again.
-		unlockLatch(f, shared)
-		f.pin.Add(-1)
+		atomic.AddUint64(&p.shardFor(pid).stats.BufferHits, 1)
 	}
-}
-
-// load reads pid into the frame frameFor mapped it to.
-func (p *Pool) load(f *frame, pid uint64, shared, counted bool) (*Handle, error) {
-	if err := p.io.LoadPageInto(pid, f.data, &f.tracker); err != nil {
-		p.vacate(f)
-		return nil, err
-	}
-	f.reweigh()
-	p.cover(pid)
 	if counted {
 		p.touch(pid)
 	}
-	if shared {
-		// The pin keeps the page resident across the change of latch mode.
-		f.latch.Unlock()
-		f.latch.RLock()
-	}
 	return f.handle(shared), nil
+}
+
+// pinned returns pid's frame with one pin taken for the caller, or nil if
+// pid is not cached.
+func (p *Pool) pinned(pid uint64) *frame {
+	s := p.shardFor(pid)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i, ok := s.table[pid]
+	if !ok {
+		return nil
+	}
+	f := &p.frames[i]
+	f.pin.Add(1)
+	return f
 }
 
 // Create pins a frame for a brand-new page that does not exist on storage
 // yet. init formats the frame contents and initialises the frame's tracker
 // for the page (typically marked out-of-place, since the first write of a
-// new page cannot be an append). The handle is exclusively latched.
+// new page cannot be an append). init runs under the replacement lock, like
+// every load, and must not call back into the pool. The handle is
+// exclusively latched.
 func (p *Pool) Create(pid uint64, init func(buf []byte, t *core.Tracker) error) (*Handle, error) {
-	f, hit, err := p.frameFor(pid, true)
+	f, created, err := p.miss(pid, false, init)
 	if err != nil {
 		return nil, err
 	}
-	if hit {
+	if !created {
 		f.pin.Add(-1)
 		return nil, fmt.Errorf("buffer: page %d already cached", pid)
 	}
-	if err := init(f.data, &f.tracker); err != nil {
-		p.vacate(f)
-		return nil, err
-	}
-	f.reweigh()
-	p.cover(pid)
 	return &f.excl, nil
 }
 
-// frameFor returns pid's frame with one pin taken for the caller, and
-// whether it was a hit. A hit's frame is neither latched nor necessarily
-// loaded yet. Otherwise the frame is a victim, written back if
-// it was dirty, now mapped to pid and latched exclusively, for the caller to
-// load or — create — to format; a created page is dirty from the start.
-// While every frame is pinned, frameFor backs off and looks again.
-func (p *Pool) frameFor(pid uint64, create bool) (*frame, bool, error) {
-	s := p.shardFor(pid)
-	for attempt := 0; ; {
-		s.mu.Lock()
-		if i, ok := s.table[pid]; ok {
-			f := &p.frames[i]
-			f.pin.Add(1)
-			s.mu.Unlock()
-			return f, true, nil
-		}
-		s.mu.Unlock()
-		p.mu.Lock()
-		idx, ok := p.victimLocked()
-		p.mu.Unlock()
-		if !ok {
-			if attempt >= victimRetries {
-				return nil, false, ErrNoFrames
-			}
-			victimBackoff(attempt)
-			attempt++
-			continue
-		}
-		f := &p.frames[idx]
-		// The victim stays its page's, in the table, while it is written
-		// back: a fetch of that page pins it and waits on the latch instead of
-		// reading the older image from Flash, and FlushPage returns once the
-		// write is durable.
-		wrote, err := p.store(f, true)
-		if err != nil {
-			err = fmt.Errorf("buffer: evicting page %d: %w", f.pid.Load(), err)
-			p.unclaim(f)
-			return nil, false, err
-		}
-		if p.install(idx, pid, create, wrote) {
+// miss brings pid into a frame — loaded through the PageIO, or, for Create,
+// formatted by init; a created page is dirty from the start — and returns
+// the frame pinned and latched as shared asks, with true. If pid arrived
+// meanwhile, it returns pid's frame pinned but not latched, with false. It
+// holds the replacement lock from start to finish, except while every frame
+// is pinned: then it backs off with the lock released and looks again.
+func (p *Pool) miss(pid uint64, shared bool, init func([]byte, *core.Tracker) error) (*frame, bool, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	idx, held := 0, false
+	for attempt := 0; ; attempt++ {
+		if f := p.pinned(pid); f != nil {
 			return f, false, nil
 		}
-		if wrote { // the page stays cached: its write-back was a flush
-			atomic.AddUint64(&p.shardFor(f.pid.Load()).stats.BufferFlushes, 1)
+		var ok bool
+		if idx, held, ok = p.victimLocked(); ok {
+			break
 		}
-		p.unclaim(f)
+		if attempt == victimRetries {
+			return nil, false, ErrNoFrames
+		}
+		p.mu.Unlock()
+		victimBackoff(attempt)
+		p.mu.Lock()
 	}
+	if held {
+		if err := p.evict(idx); err != nil {
+			return nil, false, err
+		}
+	}
+	f := &p.frames[idx]
+	var err error
+	if init != nil {
+		err = init(f.data, &f.tracker)
+	} else {
+		err = p.io.LoadPageInto(pid, f.data, &f.tracker)
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	p.cover(pid)
+	f.dirty, f.recLSN = init != nil, 0
+	if f.dirty {
+		f.recLSN = p.stamp()
+	}
+	f.reweigh()
+	// The frame is unmapped, so its latch is free.
+	f.pin.Store(1)
+	lockLatch(f, shared)
+	s := p.shardFor(pid)
+	s.mu.Lock()
+	s.table[pid] = idx
+	f.pid, f.mapped, f.excl.pid, f.shrd.pid = pid, true, pid, pid
+	if init == nil {
+		atomic.AddUint64(&s.stats.BufferMisses, 1)
+	}
+	s.mu.Unlock()
+	return f, true, nil
 }
 
-// victimLocked claims the frame a miss refills: a never-used frame while
-// one is left, else the cheapest of the first victimWindow unpinned frames
-// met stepping from the hand by step (ties to the first met), priced its
-// weight × (count + 1); the hand moves to the frame after it. The caller
+// victimLocked claims the frame a miss refills and reports whether it holds
+// a page: a never-used frame while one is left, else the cheapest of the
+// first victimWindow unpinned frames met stepping from the hand by step
+// (ties to the first met), priced 0 if it holds no page and its weight ×
+// (count + 1) if it does; the hand moves to the frame after it. The caller
 // holds the replacement lock.
-func (p *Pool) victimLocked() (int, bool) {
+func (p *Pool) victimLocked() (idx int, held, ok bool) {
 	if idx := p.fresh; idx < len(p.frames) {
 		p.fresh++
-		return idx, p.claim(idx)
+		return idx, false, true
 	}
 	n := len(p.frames)
 	for {
@@ -658,110 +652,77 @@ func (p *Pool) victimLocked() (int, bool) {
 			}
 			seen++
 			// What evicting f costs, in reads to come.
-			if c := uint64(f.weight.Load()) * (p.count(f.pid.Load()) + 1); c < low {
+			c := uint64(0)
+			if f.mapped {
+				c = uint64(f.weight.Load()) * (p.count(f.pid) + 1)
+			}
+			if c < low {
 				best, low = idx, c
 			}
 		}
 		if best < 0 {
-			return 0, false
+			return 0, false, false
 		}
 		// best may have been pinned since it was priced; then choose again.
-		if p.claim(best) {
+		if held := p.frames[best].mapped; p.claim(best) {
 			p.hand = (best + 1) % n
-			return best, true
+			return best, held, true
 		}
 	}
 }
 
-// claim pins frame idx for a new residency and latches it exclusively,
-// unless it is pinned. A pin rises only under the shard mutex, so pin == 0
-// there means the latch is free: claiming never waits on a latch.
+// claim unmaps frame idx for a miss to refill, unless it is pinned. A pin
+// rises only under the shard mutex while the frame is mapped, so once the
+// mapping is gone nobody else can pin the frame, and its latch is free. A
+// frame that holds no page is never pinned.
 func (p *Pool) claim(idx int) bool {
 	f := &p.frames[idx]
-	s := p.lockFrame(f)
+	if !f.mapped {
+		return true
+	}
+	s := p.shardFor(f.pid)
+	s.mu.Lock()
 	defer s.mu.Unlock()
 	if f.pin.Load() != 0 {
 		return false
 	}
-	f.pin.Store(1)
-	f.latch.Lock()
+	delete(s.table, f.pid)
+	f.mapped = false
 	return true
 }
 
-// unclaim gives a claimed frame up.
-func (p *Pool) unclaim(f *frame) {
-	f.latch.Unlock()
-	f.pin.Add(-1)
-}
-
-// install maps pid onto the claimed frame idx under the shard mutexes of
-// its old page and of pid, and counts the eviction: a dirty one if wrote
-// says the old page was written back. It fails if pid arrived in another frame
-// meanwhile, or if the page the frame holds was pinned again since it was
-// claimed: a fetch or a flush of it is waiting for the latch.
-func (p *Pool) install(idx int, pid uint64, create, wrote bool) bool {
+// evict writes the claimed frame's page back if it is dirty and counts the
+// eviction. A write that fails maps the page again, still dirty.
+func (p *Pool) evict(idx int) error {
 	f := &p.frames[idx]
-	old := f.pid.Load()
-	a, b := old&p.mask, pid&p.mask
-	if a > b {
-		a, b = b, a
+	s := p.shardFor(f.pid)
+	wrote, err := p.store(f, true)
+	if err != nil {
+		s.mu.Lock()
+		s.table[f.pid], f.mapped = idx, true
+		s.mu.Unlock()
+		return fmt.Errorf("buffer: evicting page %d: %w", f.pid, err)
 	}
-	p.shards[a].mu.Lock()
-	defer p.shards[a].mu.Unlock()
-	if a != b {
-		p.shards[b].mu.Lock()
-		defer p.shards[b].mu.Unlock()
+	atomic.AddUint64(&s.stats.BufferEvictions, 1)
+	if wrote {
+		atomic.AddUint64(&s.stats.BufferDirtyEvictions, 1)
 	}
-	from, to := p.shardFor(old), p.shardFor(pid)
-	held := f.weight.Load() != 0
-	if _, ok := to.table[pid]; ok || held && f.pin.Load() != 1 {
-		return false
-	}
-	if held {
-		delete(from.table, old)
-		atomic.AddUint64(&from.stats.BufferEvictions, 1)
-		if wrote {
-			atomic.AddUint64(&from.stats.BufferDirtyEvictions, 1)
-		}
-	}
-	to.table[pid] = idx
-	f.pid.Store(pid)
-	f.excl.pid, f.shrd.pid = pid, pid
-	f.weight.Store(0)
-	f.dirty, f.recLSN = create, 0
-	if create {
-		f.recLSN = p.stamp()
-	} else {
-		atomic.AddUint64(&to.stats.BufferMisses, 1)
-	}
-	return true
-}
-
-// vacate unmaps a claimed frame whose load or format failed and gives it
-// up. It holds no page, so it is the cheapest victim there is.
-func (p *Pool) vacate(f *frame) {
-	s := p.shardFor(f.pid.Load())
-	s.mu.Lock()
-	delete(s.table, f.pid.Load())
-	f.dirty, f.recLSN = false, 0
-	s.mu.Unlock()
-	p.unclaim(f)
+	return nil
 }
 
 // store writes f's page back if it is dirty and reports whether it wrote,
-// counting the write as a flush unless it is an eviction's, which install
-// counts once the frame has left the page. The caller holds the exclusive
-// latch, which keeps the image still and — dirty changes only under it —
-// the dirty bit too, and no shard mutex across the write.
+// counting the write as a flush unless it is an eviction's, which evict
+// counts. The caller holds the exclusive latch, which keeps the image still
+// and — dirty changes only under it — the dirty bit too, or holds the frame
+// unmapped under the replacement lock.
 func (p *Pool) store(f *frame, evict bool) (bool, error) {
 	if !f.dirty {
 		return false, nil
 	}
-	pid := f.pid.Load()
-	if err := p.io.StorePage(pid, f.data, &f.tracker); err != nil {
+	if err := p.io.StorePage(f.pid, f.data, &f.tracker); err != nil {
 		return false, err
 	}
-	s := p.shardFor(pid)
+	s := p.shardFor(f.pid)
 	s.mu.Lock()
 	f.dirty, f.recLSN = false, 0
 	s.mu.Unlock()
@@ -773,20 +734,16 @@ func (p *Pool) store(f *frame, evict bool) (bool, error) {
 }
 
 // FlushPage writes a cached page back to storage if it is dirty and
-// reports whether it wrote; the page stays cached. A page whose eviction
-// is writing it back is flushed once that write is durable: FlushPage then
-// finds it clean, or not cached at all.
+// reports whether it wrote; the page stays cached. It looks the page up
+// under the replacement lock, so a page whose eviction is writing it back
+// is looked up once that write is durable, and is not cached.
 func (p *Pool) FlushPage(pid uint64) (bool, error) {
-	s := p.shardFor(pid)
-	s.mu.Lock()
-	idx, ok := s.table[pid]
-	if !ok {
-		s.mu.Unlock()
+	p.mu.Lock()
+	f := p.pinned(pid)
+	p.mu.Unlock()
+	if f == nil {
 		return false, fmt.Errorf("%w: %d", ErrNotCached, pid)
 	}
-	f := &p.frames[idx]
-	f.pin.Add(1)
-	s.mu.Unlock()
 	return p.flushPinned(f)
 }
 
@@ -809,16 +766,21 @@ func (h *Handle) Flush() error {
 	return err
 }
 
-// FlushAll writes every dirty cached page back to storage.
+// FlushAll writes every dirty cached page back to storage, in frame order.
+// It reads each frame's pid under the replacement lock; a frame that holds
+// no page is clean.
 func (p *Pool) FlushAll() error {
 	for i := range p.frames {
 		f := &p.frames[i]
-		s := p.lockFrame(f)
+		p.mu.Lock()
+		s := p.shardFor(f.pid)
+		s.mu.Lock()
 		dirty := f.dirty
 		if dirty {
 			f.pin.Add(1)
 		}
 		s.mu.Unlock()
+		p.mu.Unlock()
 		if dirty {
 			if _, err := p.flushPinned(f); err != nil {
 				return err
@@ -846,14 +808,17 @@ func (p *Pool) DirtySnapshot() []uint64 {
 		recLSN uint64
 	}
 	var dirty []entry
+	p.mu.Lock()
 	for i := range p.frames {
 		f := &p.frames[i]
-		s := p.lockFrame(f)
+		s := p.shardFor(f.pid)
+		s.mu.Lock()
 		if f.dirty {
-			dirty = append(dirty, entry{pid: f.pid.Load(), recLSN: f.recLSN})
+			dirty = append(dirty, entry{pid: f.pid, recLSN: f.recLSN})
 		}
 		s.mu.Unlock()
 	}
+	p.mu.Unlock()
 	sort.Slice(dirty, func(i, j int) bool { return dirty[i].recLSN < dirty[j].recLSN })
 	out := make([]uint64, len(dirty))
 	for i, e := range dirty {

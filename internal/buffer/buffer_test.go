@@ -297,20 +297,37 @@ func TestFlushPageOfCleanPageReportsNoWrite(t *testing.T) {
 	}
 }
 
+// TestLoadFailureLeavesPoolConsistent: a failed load leaves its page
+// fetchable, and — with one frame, whose resident page the failed load
+// evicted — gives its frame back for the next fetch of another page.
 func TestLoadFailureLeavesPoolConsistent(t *testing.T) {
-	io := newMemIO(64)
-	pool, _ := New(io, 2)
-	io.failLoad = true
-	if _, err := pool.Fetch(5); err == nil {
-		t.Fatalf("expected load failure")
+	for _, c := range []struct {
+		frames int
+		next   uint64
+	}{{frames: 2, next: 5}, {frames: 1, next: 6}} {
+		io := newMemIO(64)
+		io.seed(1, 1)
+		pool, _ := New(io, c.frames)
+		h, err := pool.Fetch(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+		io.failLoad = true
+		if _, err := pool.Fetch(5); err == nil {
+			t.Fatalf("%d frames: expected load failure", c.frames)
+		}
+		io.failLoad = false
+		io.seed(c.next, byte(c.next))
+		h, err = pool.Fetch(c.next)
+		if err != nil {
+			t.Fatalf("%d frames: Fetch(%d) after failed load: %v", c.frames, c.next, err)
+		}
+		if h.Data()[0] != byte(c.next) {
+			t.Fatalf("%d frames: page %d reads %#x", c.frames, c.next, h.Data()[0])
+		}
+		h.Release()
 	}
-	io.failLoad = false
-	io.seed(5, 5)
-	h, err := pool.Fetch(5)
-	if err != nil {
-		t.Fatalf("Fetch after failed load: %v", err)
-	}
-	h.Release()
 }
 
 func TestNewValidation(t *testing.T) {

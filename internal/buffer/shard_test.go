@@ -3,11 +3,13 @@ package buffer
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ipa/internal/core"
 )
@@ -149,14 +151,12 @@ func TestConcurrentFetchAcrossShards(t *testing.T) {
 }
 
 // checkIO is a PageIO that fails the test when the pool breaks one of its
-// promises: a load returns an image older than the page's newest — read
-// while a write-back of the page is in flight, or while another frame holds
-// it —, a page is resident in two frames, or FlushPage returns before a
-// write-back that began before it has finished. A page's first eight bytes
-// are a sequence number; the test's writers keep the newest one in latest.
-// A frame changes page only when it is mapped to its next one, so a load of
-// a page finds exactly one frame naming it: the one it loads into. Page 0,
-// which never-used frames name, is never fetched.
+// promises: a load returns an image older than the page's newest, a page is
+// loaded while its write-back is in flight or while the table maps it to a
+// frame, or FlushPage returns before a write-back that began before it has
+// finished. A page's first
+// eight bytes are a sequence number; the test's writers keep the newest one
+// in latest.
 type checkIO struct {
 	t     *testing.T
 	pool  *Pool
@@ -185,14 +185,8 @@ func (c *checkIO) LoadPageInto(pid uint64, buf []byte, t *core.Tracker) error {
 	if c.begun[pid] != c.done[pid] {
 		c.t.Errorf("page %d loaded while its write-back is in flight", pid)
 	}
-	frames := 0
-	for i := range c.pool.frames {
-		if c.pool.frames[i].pid.Load() == pid {
-			frames++
-		}
-	}
-	if frames != 1 {
-		c.t.Errorf("page %d loaded while %d frames name it", pid, frames)
+	if cached(c.pool, pid) {
+		c.t.Errorf("page %d loaded while a frame holds it", pid)
 	}
 	copy(buf, c.pages[pid])
 	if got, want := binary.LittleEndian.Uint64(buf), c.latest[pid].Load(); got != want {
@@ -297,10 +291,95 @@ func TestConcurrentMissesKeepThePoolsPromises(t *testing.T) {
 	if s.BufferDirtyEvictions == 0 || s.BufferEvictions == 0 {
 		t.Fatalf("no evictions: %+v", s)
 	}
-	// Every write-back counts once: as a dirty eviction if its frame left
-	// the page, else — it lost a race for the frame — as a flush.
+	// Every write-back counts once: as a dirty eviction or as a flush.
 	if s.BufferDirtyEvictions > s.BufferEvictions || s.BufferDirtyEvictions+s.BufferFlushes != uint64(stores) {
 		t.Fatalf("%d stores counted as %+v", stores, s)
+	}
+}
+
+// gateIO is a memIO whose store of one page blocks until release is closed.
+// It closes entered when that store begins, and sets stored once the image
+// is in.
+type gateIO struct {
+	*memIO
+	pid              uint64
+	entered, release chan struct{}
+	stored           atomic.Bool
+}
+
+func (g *gateIO) StorePage(pid uint64, buf []byte, t *core.Tracker) error {
+	if pid != g.pid {
+		return g.memIO.StorePage(pid, buf, t)
+	}
+	close(g.entered)
+	<-g.release
+	err := g.memIO.StorePage(pid, buf, t)
+	g.stored.Store(true)
+	return err
+}
+
+// TestNothingGetsPastAWriteBackInFlight: while a miss evicts dirty page X
+// and its store has not finished, neither FlushPage(X) nor Fetch(X) may
+// return — the fuzzy checkpoint needs X's image on Flash, and a fetch must
+// not read the older one — and Fetch(X) then loads the image that was
+// stored.
+func TestNothingGetsPastAWriteBackInFlight(t *testing.T) {
+	const x, y = 1, 2
+	io := &gateIO{memIO: newMemIO(64), pid: x, entered: make(chan struct{}), release: make(chan struct{})}
+	io.seed(x, 0)
+	io.seed(y, 0)
+	pool, err := New(io, 1) // one frame: the fetch of y evicts x
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := pool.Fetch(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Data()[0] = 7
+	h.Tracker().RecordChange(0, 0, 7)
+	h.MarkDirty()
+	h.Release()
+	errs := make(chan error, 3)
+	go func() {
+		h, err := pool.Fetch(y)
+		if err == nil {
+			h.Release()
+		}
+		errs <- err
+	}()
+	<-io.entered
+	go func() {
+		_, err := pool.FlushPage(x)
+		switch {
+		case err != nil && !errors.Is(err, ErrNotCached):
+		case !io.stored.Load():
+			err = errors.New("FlushPage(x) returned before the eviction stored x")
+		default:
+			err = nil
+		}
+		errs <- err
+	}()
+	go func() {
+		h, err := pool.Fetch(x)
+		if err != nil {
+			errs <- err
+			return
+		}
+		if !io.stored.Load() {
+			err = errors.New("Fetch(x) returned before the eviction stored x")
+		} else if got := h.Data()[0]; got != 7 {
+			err = fmt.Errorf("Fetch(x) read %d, the stored image has 7", got)
+		}
+		h.Release()
+		errs <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // give both a chance to get past the store
+	close(io.release)
+	for range 3 {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -11,8 +11,9 @@
 // out-of-place writes.
 //
 // Log records are kept in memory (the experiments place the log on a
-// separate device, as DBMSs commonly do) but are fully serialisable so
-// that log volume can be accounted and recovery can be tested end to end.
+// separate device, as DBMSs commonly do). Each is accounted at its encoded
+// size (EncodedSize), so log volume is measured, and recovery is tested end
+// to end on the durable records themselves (DurableRecords, NewFromRecords).
 // Records live in fixed-size segments: appends go to the active tail
 // segment, sealed segments are immutable, and checkpoint truncation drops
 // whole sealed segments in O(1) and recycles their backing arrays for new
@@ -22,7 +23,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -120,62 +120,14 @@ func MaxCommitTS(records []Record) uint64 {
 	return max
 }
 
-// headerSize is the fixed encoded size of a record before the images.
+// headerSize is the fixed size of a record before its images: LSN (8),
+// TxnID (8), Type (1), PageID (8), Slot (2), Offset (2), ObjectID (4), Key
+// (8) and the lengths of Old and New (4 each).
 const headerSize = 8 + 8 + 1 + 8 + 2 + 2 + 4 + 8 + 4 + 4
 
-// EncodedSize returns the serialised size of the record in bytes.
+// EncodedSize returns the size of the record in the log's byte accounting:
+// the fixed header followed by the Old and New images.
 func (r Record) EncodedSize() int { return headerSize + len(r.Old) + len(r.New) }
-
-// Encode serialises the record.
-func (r Record) Encode() []byte {
-	buf := make([]byte, r.EncodedSize())
-	binary.LittleEndian.PutUint64(buf[0:], r.LSN)
-	binary.LittleEndian.PutUint64(buf[8:], r.TxnID)
-	buf[16] = byte(r.Type)
-	binary.LittleEndian.PutUint64(buf[17:], r.PageID)
-	binary.LittleEndian.PutUint16(buf[25:], r.Slot)
-	binary.LittleEndian.PutUint16(buf[27:], r.Offset)
-	binary.LittleEndian.PutUint32(buf[29:], r.ObjectID)
-	binary.LittleEndian.PutUint64(buf[33:], uint64(r.Key))
-	binary.LittleEndian.PutUint32(buf[41:], uint32(len(r.Old)))
-	binary.LittleEndian.PutUint32(buf[45:], uint32(len(r.New)))
-	copy(buf[headerSize:], r.Old)
-	copy(buf[headerSize+len(r.Old):], r.New)
-	return buf
-}
-
-// ErrShortRecord is returned when decoding a truncated record buffer.
-var ErrShortRecord = errors.New("wal: truncated record")
-
-// Decode parses one record from buf and returns it together with the
-// number of bytes consumed.
-func Decode(buf []byte) (Record, int, error) {
-	if len(buf) < headerSize {
-		return Record{}, 0, ErrShortRecord
-	}
-	var r Record
-	r.LSN = binary.LittleEndian.Uint64(buf[0:])
-	r.TxnID = binary.LittleEndian.Uint64(buf[8:])
-	r.Type = RecordType(buf[16])
-	r.PageID = binary.LittleEndian.Uint64(buf[17:])
-	r.Slot = binary.LittleEndian.Uint16(buf[25:])
-	r.Offset = binary.LittleEndian.Uint16(buf[27:])
-	r.ObjectID = binary.LittleEndian.Uint32(buf[29:])
-	r.Key = int64(binary.LittleEndian.Uint64(buf[33:]))
-	oldLen := int(binary.LittleEndian.Uint32(buf[41:]))
-	newLen := int(binary.LittleEndian.Uint32(buf[45:]))
-	total := headerSize + oldLen + newLen
-	if len(buf) < total {
-		return Record{}, 0, ErrShortRecord
-	}
-	if oldLen > 0 {
-		r.Old = append([]byte(nil), buf[headerSize:headerSize+oldLen]...)
-	}
-	if newLen > 0 {
-		r.New = append([]byte(nil), buf[headerSize+oldLen:total]...)
-	}
-	return r, total, nil
-}
 
 // commitWaiter is one follower waiting for the log to become durable up to
 // its LSN. Followers queue up while a flush is in flight; its leader wakes

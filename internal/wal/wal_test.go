@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func TestAppendAssignsMonotonicLSNs(t *testing.T) {
@@ -21,61 +20,6 @@ func TestAppendAssignsMonotonicLSNs(t *testing.T) {
 	}
 	if l.NextLSN() != last+1 {
 		t.Fatalf("NextLSN = %d, want %d", l.NextLSN(), last+1)
-	}
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	rec := Record{
-		LSN:    7,
-		TxnID:  3,
-		Type:   RecUpdate,
-		PageID: 99,
-		Slot:   4,
-		Offset: 16,
-		Old:    []byte{1, 2, 3},
-		New:    []byte{4, 5, 6, 7},
-	}
-	buf := rec.Encode()
-	if len(buf) != rec.EncodedSize() {
-		t.Fatalf("encoded size mismatch: %d vs %d", len(buf), rec.EncodedSize())
-	}
-	got, n, err := Decode(buf)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if n != len(buf) {
-		t.Fatalf("consumed %d bytes, want %d", n, len(buf))
-	}
-	if got.LSN != rec.LSN || got.TxnID != rec.TxnID || got.Type != rec.Type ||
-		got.PageID != rec.PageID || got.Slot != rec.Slot || got.Offset != rec.Offset ||
-		!bytes.Equal(got.Old, rec.Old) || !bytes.Equal(got.New, rec.New) {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, rec)
-	}
-}
-
-func TestDecodeShortBuffer(t *testing.T) {
-	if _, _, err := Decode([]byte{1, 2, 3}); !errors.Is(err, ErrShortRecord) {
-		t.Fatalf("expected ErrShortRecord, got %v", err)
-	}
-	rec := Record{Type: RecUpdate, Old: []byte{1, 2, 3, 4}}
-	buf := rec.Encode()
-	if _, _, err := Decode(buf[:len(buf)-2]); !errors.Is(err, ErrShortRecord) {
-		t.Fatalf("truncated image not detected: %v", err)
-	}
-}
-
-func TestEncodeDecodeProperty(t *testing.T) {
-	f := func(txn uint64, pid uint64, slot, off uint16, old, new []byte) bool {
-		rec := Record{TxnID: txn, Type: RecUpdate, PageID: pid, Slot: slot, Offset: off, Old: old, New: new}
-		got, n, err := Decode(rec.Encode())
-		if err != nil || n != rec.EncodedSize() {
-			return false
-		}
-		return got.TxnID == txn && got.PageID == pid && got.Slot == slot && got.Offset == off &&
-			bytes.Equal(got.Old, old) && bytes.Equal(got.New, new)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatalf("encode/decode property: %v", err)
 	}
 }
 
