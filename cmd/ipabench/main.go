@@ -55,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	)
 	fs.IntVar(&set.Scale, "scale", 0, "workload scale factor (0 = experiment default)")
 	fs.IntVar(&set.Ops, "ops", 0, "bound runs by committed transactions (0 = experiment default)")
-	fs.DurationVar(&set.Duration, "duration", 0, "bound runs by virtual device time (0 = experiment default)")
 	fs.Int64Var(&set.Seed, "seed", bench.Base.Seed, "random seed")
 	fs.IntVar(&set.N, "n", bench.Base.N, "IPA scheme parameter N")
 	fs.IntVar(&set.M, "m", bench.Base.M, "IPA scheme parameter M")
@@ -65,6 +64,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err == flag.ErrHelp {
 			return 0
 		}
+		return 2
+	}
+	// Zero leaves an experiment's default in place, so a value the
+	// defaults would silently replace is a usage error.
+	if set.Ops < 0 || set.Scale < 0 || set.Threads < 0 || set.Chips < 0 || set.Seed == 0 {
+		fmt.Fprintf(stderr, "ipabench: -ops (%d), -scale (%d), -threads (%d) and -chips (%d) must not be negative, -seed (%d) not 0\n",
+			set.Ops, set.Scale, set.Threads, set.Chips, set.Seed)
 		return 2
 	}
 	fail := func(err error) int {

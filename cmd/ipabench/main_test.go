@@ -111,3 +111,24 @@ func TestEveryExperimentDocumented(t *testing.T) {
 		}
 	}
 }
+
+// TestRejectsBadSettings: a flag value the experiment defaults would
+// silently replace (a negative bound or count, seed 0) and the retired
+// -duration flag are usage errors, before anything runs.
+func TestRejectsBadSettings(t *testing.T) {
+	for _, args := range [][]string{
+		{"-ops", "-5"}, {"-scale", "-3"}, {"-threads", "-2"}, {"-chips", "-1"},
+		{"-seed", "0"}, {"-duration", "1s"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(args, "-exp", "fig1", "-quick"), &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.Contains(stderr.String(), args[0]) {
+			t.Errorf("%v: stderr does not name %s: %q", args, args[0], stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: ran anyway: %q", args, stdout.String())
+		}
+	}
+}

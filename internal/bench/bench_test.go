@@ -42,8 +42,11 @@ func TestNewWorkloadNames(t *testing.T) {
 }
 
 func TestRunNeedsALimit(t *testing.T) {
-	if _, err := Run(Experiment{Name: "x", Workload: "tpcb"}); err == nil {
-		t.Fatalf("experiments without Ops or Duration must be rejected")
+	for _, ops := range []int{0, -1} {
+		_, err := Run(Experiment{Name: "x", Workload: "tpcb", Ops: ops})
+		if err == nil || !strings.Contains(err.Error(), "MaxOps > 0") {
+			t.Fatalf("Ops %d: err %v, want the Ops > 0 rejection", ops, err)
+		}
 	}
 }
 
@@ -120,6 +123,11 @@ func TestTable1SmallRun(t *testing.T) {
 	}
 	if res.PSLC.Throughput <= res.Baseline.Throughput {
 		t.Fatalf("IPA pSLC throughput must exceed the baseline")
+	}
+	for _, r := range res.Rows() {
+		if got := r.Result.Stats.CommittedTxns; got != 800 {
+			t.Fatalf("%s committed %d transactions, want 800: the arms must do equal work", r.Label, got)
+		}
 	}
 	var sb strings.Builder
 	res.Write(&sb)

@@ -42,28 +42,36 @@ func TestSelect(t *testing.T) {
 	}
 }
 
-// TestResolve covers how flags overlay the defaults: -ops and -duration
-// replace each other, -quick defaults yield to flags, and an ops-only
-// experiment ignores -duration.
+// TestResolve covers how flags overlay the defaults: every experiment's full
+// and -quick defaults are bounded by a transaction count, -ops replaces it,
+// -quick defaults yield to flags, and Validate refuses a run without ops.
 func TestResolve(t *testing.T) {
-	table1, ycsb := spec(t, "table1"), spec(t, "ycsb")
-	if o := table1.Resolve(false, Options{}); o.Duration == 0 || o.Ops != 0 || o.Scale != 4 || o.Profile != DefaultProfile || o.Quick {
+	for _, s := range Specs() {
+		for _, quick := range []bool{false, true} {
+			if o := s.Resolve(quick, Options{}); o.Ops <= 0 {
+				t.Errorf("%s (quick %v) defaults have no ops bound: %+v", s.Name, quick, o)
+			}
+			if o := s.Resolve(quick, Options{Ops: 50}); o.Ops != 50 {
+				t.Errorf("%s (quick %v): -ops 50 resolved to %d", s.Name, quick, o.Ops)
+			}
+			o := s.Defaults(quick)
+			for _, ops := range []int{0, -1} {
+				o.Ops = ops
+				if err := s.Validate(o); err == nil {
+					t.Errorf("%s (quick %v) validated with Ops %d", s.Name, quick, ops)
+				}
+			}
+		}
+	}
+	table1 := spec(t, "table1")
+	if o := table1.Resolve(false, Options{}); o.Ops != 14831 || o.Scale != 4 || o.Profile != DefaultProfile || o.Quick {
 		t.Errorf("table1 full defaults = %+v", o)
 	}
-	if o := table1.Resolve(true, Options{}); o.Duration != 0 || o.Ops == 0 || o.Scale != 1 || o.Profile != SmallProfile || !o.Quick {
+	if o := table1.Resolve(true, Options{}); o.Scale != 1 || o.Profile != SmallProfile || !o.Quick {
 		t.Errorf("table1 quick defaults = %+v", o)
 	}
-	if o := table1.Resolve(false, Options{Ops: 50}); o.Ops != 50 || o.Duration != 0 {
-		t.Errorf("-ops did not replace the default duration: %+v", o)
-	}
-	if o := table1.Resolve(true, Options{Duration: 5, Scale: 3, N: 4, M: 8, Seed: 9}); o.Duration != 5 || o.Ops != 0 || o.Scale != 3 || o.N != 4 || o.M != 8 || o.Seed != 9 {
+	if o := table1.Resolve(true, Options{Ops: 5, Scale: 3, N: 4, M: 8, Seed: 9}); o.Ops != 5 || o.Scale != 3 || o.N != 4 || o.M != 8 || o.Seed != 9 {
 		t.Errorf("flags did not override the quick defaults: %+v", o)
-	}
-	if o := ycsb.Resolve(false, Options{Duration: 5}); o.Duration != 0 || o.Ops == 0 {
-		t.Errorf("ops-only experiment took -duration: %+v", o)
-	}
-	if err := ycsb.Validate(Options{Profile: SmallProfile, Duration: 5}); err == nil {
-		t.Error("ops-only experiment validated without ops")
 	}
 	if err := table1.Validate(Options{Ops: 5}); err == nil {
 		t.Error("options without a device profile validated")

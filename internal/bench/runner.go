@@ -40,11 +40,9 @@ type Options struct {
 	N, M int
 	// Scale is the workload scale factor (see NewWorkload).
 	Scale int
-	// Ops bounds a run by committed transactions, Duration by virtual
-	// device time. They are alternatives: with sets one and clears the other.
-	Ops      int
-	Duration time.Duration
-	Seed     int64
+	// Ops bounds every measured phase by committed transactions.
+	Ops  int
+	Seed int64
 	// Threads is the goroutine count of the concurrent experiments and
 	// Chips the chip count of the device; 0 runs the experiment's ladder.
 	Threads int
@@ -63,10 +61,7 @@ func (o Options) with(over Options) Options {
 		o.Scale = over.Scale
 	}
 	if over.Ops > 0 {
-		o.Ops, o.Duration = over.Ops, 0
-	}
-	if over.Duration > 0 {
-		o.Duration, o.Ops = over.Duration, 0
+		o.Ops = over.Ops
 	}
 	if over.Seed != 0 {
 		o.Seed = over.Seed
@@ -97,7 +92,7 @@ func (o Options) experiment(name, wl string, mode ipa.WriteMode, scheme ipa.Sche
 	return Experiment{
 		Name: name, Workload: wl, Scale: o.Scale,
 		Mode: mode, Scheme: scheme, Flash: flash,
-		Ops: o.Ops, Duration: o.Duration, DeviceProfile: o.Profile,
+		Ops: o.Ops, DeviceProfile: o.Profile,
 		Analytic: true, Seed: o.Seed,
 	}
 }
@@ -142,10 +137,9 @@ type Experiment struct {
 	// inherits Scheme); see ipa.Config.IndexScheme.
 	IndexScheme ipa.Scheme
 
-	// Ops bounds the measurement by committed transactions; Duration
-	// bounds it by virtual device time. At least one must be set.
-	Ops      int
-	Duration time.Duration
+	// Ops bounds the measurement by committed transactions; it must be
+	// positive.
+	Ops int
 
 	// DeviceProfile sizes the simulated device.
 	DeviceProfile
@@ -250,7 +244,7 @@ func run(e Experiment, after func(*ipa.DB)) (Result, error) {
 	cfg := e.config()
 	cfg.WriteMode, cfg.Scheme, cfg.IndexScheme, cfg.FlashMode = e.Mode, e.Scheme, e.IndexScheme, e.Flash
 	cfg.Analytic, cfg.TraceEvictions, cfg.Seed = e.Analytic, e.TraceEvictions, e.Seed
-	ro := workload.RunOptions{MaxOps: e.Ops, Duration: e.Duration, Seed: e.Seed + 1}
+	ro := workload.RunOptions{MaxOps: e.Ops, Seed: e.Seed + 1}
 	res, err := measure(e.Name, cfg, w, ro, after)
 	res.Experiment = e
 	return res, err
@@ -260,9 +254,6 @@ func run(e Experiment, after func(*ipa.DB)) (Result, error) {
 // shares: open a fresh database, load w, reset the counters, run w within
 // ro's bounds and flush.
 func measure(name string, cfg ipa.Config, w workload.Workload, ro workload.RunOptions, after func(*ipa.DB)) (Result, error) {
-	if ro.MaxOps <= 0 && ro.Duration <= 0 {
-		return Result{}, fmt.Errorf("bench: experiment %q needs Ops or Duration", name)
-	}
 	db, err := ipa.Open(cfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("bench: %s: %w", name, err)

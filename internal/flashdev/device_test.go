@@ -27,7 +27,7 @@ func testConfig() Config {
 	}
 }
 
-func mustDevice(t *testing.T, cfg Config) *Device {
+func mustDevice(t testing.TB, cfg Config) *Device {
 	t.Helper()
 	d, err := New(cfg)
 	if err != nil {

@@ -131,3 +131,54 @@ func TestScanPageDetectsTornDeltaAppend(t *testing.T) {
 	// bytes persisted) or torn; a persisted OOB prefix must flag Torn.
 	t.Logf("torn append scan: %+v", scan)
 }
+
+// FuzzScanPage programs arbitrary data and OOB bytes onto an erased page —
+// which accepts any pattern — and scans it the way recovery does: the scan
+// must neither panic nor fail, must count no more verified records than the
+// page has delta slots, and must report the same PageScan and image when
+// repeated. The seed is a tagged page with one delta appended.
+func FuzzScanPage(f *testing.F) {
+	d := mustDevice(f, testConfig())
+	g := d.cfg.Chip.Geometry
+	data := pattern(g.PageSize, 4)
+	cover := 1024
+	for i := cover; i < g.PageSize-16; i++ {
+		data[i] = 0xFF
+	}
+	if err := d.ProgramPageTagged(0, 0, data, cover, 16, 5, 6); err != nil {
+		f.Fatalf("program: %v", err)
+	}
+	if _, err := d.ProgramDelta(0, 0, cover, []byte{7, 8, 9}); err != nil {
+		f.Fatalf("delta: %v", err)
+	}
+	if scan, err := d.ScanPage(0, 0, make([]byte, g.PageSize)); err != nil || !scan.Tagged || scan.Records != 1 || scan.Torn {
+		f.Fatalf("seed page scans as %+v, %v", scan, err)
+	}
+	oob := make([]byte, g.OOBSize)
+	if err := d.chips[0].ReadPage(0, 0, data, oob); err != nil {
+		f.Fatalf("read: %v", err)
+	}
+	f.Add(data, oob)
+	f.Fuzz(func(t *testing.T, data, oob []byte) {
+		d := mustDevice(t, testConfig())
+		if err := d.chips[0].Program(0, 0, data[:min(len(data), g.PageSize)], oob[:min(len(oob), g.OOBSize)]); err != nil {
+			t.Fatalf("program onto an erased page: %v", err)
+		}
+		first := make([]byte, g.PageSize)
+		scan, err := d.ScanPage(0, 0, first)
+		if err != nil {
+			t.Fatalf("scan: %v", err)
+		}
+		if slots := d.Geometry().DeltaSlots; scan.Records > slots {
+			t.Fatalf("%d records verified on a page of %d delta slots", scan.Records, slots)
+		}
+		second := make([]byte, g.PageSize)
+		again, err := d.ScanPage(0, 0, second)
+		if err != nil {
+			t.Fatalf("second scan: %v", err)
+		}
+		if again != scan || !bytes.Equal(first, second) {
+			t.Fatalf("second scan differs: %+v then %+v, images equal %v", scan, again, bytes.Equal(first, second))
+		}
+	})
+}

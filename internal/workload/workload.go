@@ -29,13 +29,12 @@ type Workload interface {
 	RunOne(db *ipa.DB, r *rand.Rand) (bool, error)
 }
 
-// RunOptions bounds a measurement run. Either MaxOps or Duration (virtual
-// device time) must be set; if both are set the run stops at whichever
-// limit is reached first.
+// RunOptions bounds a measurement run: it ends after MaxOps committed
+// transactions, so two write paths compared on one workload do the same
+// work whatever their speed.
 type RunOptions struct {
-	MaxOps   int
-	Duration time.Duration
-	Seed     int64
+	MaxOps int
+	Seed   int64
 }
 
 // RunResult summarises a measurement run.
@@ -45,12 +44,12 @@ type RunResult struct {
 	Elapsed   time.Duration // virtual time consumed by the run
 }
 
-// Run executes transactions of w against db until the limits in opts are
-// reached. Statistics windows are the caller's responsibility (call
+// Run executes transactions of w against db until opts.MaxOps have
+// committed. Statistics windows are the caller's responsibility (call
 // db.ResetStats after Load).
 func Run(db *ipa.DB, w Workload, opts RunOptions) (RunResult, error) {
-	if opts.MaxOps <= 0 && opts.Duration <= 0 {
-		return RunResult{}, fmt.Errorf("workload: RunOptions needs MaxOps or Duration")
+	if opts.MaxOps <= 0 {
+		return RunResult{}, fmt.Errorf("workload: RunOptions needs MaxOps > 0")
 	}
 	seed := opts.Seed
 	if seed == 0 {
@@ -59,13 +58,7 @@ func Run(db *ipa.DB, w Workload, opts RunOptions) (RunResult, error) {
 	r := rand.New(rand.NewSource(seed))
 	start := db.Now()
 	var res RunResult
-	for {
-		if opts.MaxOps > 0 && res.Committed >= opts.MaxOps {
-			break
-		}
-		if opts.Duration > 0 && db.Now()-start >= opts.Duration {
-			break
-		}
+	for res.Committed < opts.MaxOps {
 		ok, err := w.RunOne(db, r)
 		if err != nil {
 			return res, fmt.Errorf("workload %s: %w", w.Name(), err)

@@ -3,8 +3,8 @@ package workload
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
-	"time"
 
 	"ipa"
 )
@@ -159,26 +159,6 @@ func TestLinkBenchRuns(t *testing.T) {
 	}
 }
 
-func TestRunByVirtualDuration(t *testing.T) {
-	db := testDB(t, ipa.Traditional)
-	defer db.Close()
-	w := NewTPCB(TPCBConfig{Branches: 1, AccountsPerBranch: 1000, Seed: 3})
-	if err := w.Load(db); err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	db.ResetStats()
-	res, err := Run(db, w, RunOptions{Duration: 200 * time.Millisecond, Seed: 3})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Committed == 0 {
-		t.Fatalf("no transactions committed within the virtual window")
-	}
-	if res.Elapsed < 200*time.Millisecond {
-		t.Fatalf("run stopped before the virtual deadline: %v", res.Elapsed)
-	}
-}
-
 func TestRunOptionValidation(t *testing.T) {
 	db := testDB(t, ipa.Traditional)
 	defer db.Close()
@@ -186,8 +166,11 @@ func TestRunOptionValidation(t *testing.T) {
 	if err := w.Load(db); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if _, err := Run(db, w, RunOptions{}); err == nil {
-		t.Fatalf("missing limits must be rejected")
+	for _, max := range []int{0, -1} {
+		_, err := Run(db, w, RunOptions{MaxOps: max})
+		if err == nil || !strings.Contains(err.Error(), "MaxOps > 0") {
+			t.Fatalf("MaxOps %d: err %v, want the MaxOps > 0 rejection", max, err)
+		}
 	}
 }
 
