@@ -158,10 +158,14 @@ type Device struct {
 	stats Stats
 }
 
-// New creates a device with all blocks erased.
+// New creates a device with all blocks erased. Every page's OOB area must
+// hold at least the initial-ECC header and the mapping tag.
 func New(cfg Config) (*Device, error) {
 	if cfg.Chips <= 0 {
 		cfg.Chips = 1
+	}
+	if oob := cfg.Chip.Geometry.OOBSize; oob < oobSlotsOff {
+		return nil, fmt.Errorf("flashdev: OOB area of %d bytes, want at least %d", oob, oobSlotsOff)
 	}
 	if cfg.Latency == (LatencyModel{}) {
 		cfg.Latency = DefaultLatencyModel()
@@ -191,16 +195,12 @@ type Geometry struct {
 // Geometry returns the device geometry.
 func (d *Device) Geometry() Geometry {
 	g := d.cfg.Chip.Geometry
-	slots := 0
-	if g.OOBSize > oobSlotsOff {
-		slots = (g.OOBSize - oobSlotsOff) / DeltaSlotSize
-	}
 	return Geometry{
 		Blocks:        g.Blocks * d.cfg.Chips,
 		PagesPerBlock: g.PagesPerBlock,
 		PageSize:      g.PageSize,
 		OOBSize:       g.OOBSize,
-		DeltaSlots:    slots,
+		DeltaSlots:    (g.OOBSize - oobSlotsOff) / DeltaSlotSize,
 	}
 }
 
@@ -212,9 +212,6 @@ func (d *Device) Config() Config { return d.cfg }
 
 // Chips returns the number of NAND chips of the device.
 func (d *Device) Chips() int { return len(d.chips) }
-
-// BlocksPerChip returns the number of erase blocks on each chip.
-func (d *Device) BlocksPerChip() int { return d.cfg.Chip.Geometry.Blocks }
 
 // ChipOf returns the index of the chip holding the device block, or -1 for
 // out-of-range blocks.
@@ -377,42 +374,12 @@ func (d *Device) locate(block int) (int, *nand.Chip, int, error) {
 	return chip, d.chips[chip], block % per, nil
 }
 
-// IsLSBPage reports whether the page index addresses an LSB page on the
-// device's cell technology.
-func (d *Device) IsLSBPage(pageInBlock int) bool {
-	return nand.IsLSBPage(d.cfg.Chip.Cell, pageInBlock)
-}
-
-// PageProgrammed reports whether the addressed page currently holds data.
-func (d *Device) PageProgrammed(block, page int) (bool, error) {
-	_, chip, b, err := d.locate(block)
-	if err != nil {
-		return false, err
-	}
-	info, err := chip.PageStatus(b, page)
-	if err != nil {
-		return false, err
-	}
-	return info.State == nand.PageProgrammed, nil
-}
-
-// PagePrograms returns the number of program operations the page has seen
-// since its block was last erased.
-func (d *Device) PagePrograms(block, page int) (int, error) {
-	_, chip, b, err := d.locate(block)
-	if err != nil {
-		return 0, err
-	}
-	info, err := chip.PageStatus(b, page)
-	if err != nil {
-		return 0, err
-	}
-	return info.Programs, nil
-}
-
 // ReadPage reads the full data area of a page into buf (which must be
 // PageSize bytes), verifies the ECC of the initially programmed region and
-// of every appended delta record, and corrects single-bit errors.
+// of every appended delta record, and corrects single-bit errors. It reads
+// no mapping tag and fails with ErrCorrupted unless the initial region and
+// every programmed delta slot verify, so it reads every page ScanPage
+// reports body-valid and not torn, and none whose body ScanPage rejects.
 func (d *Device) ReadPage(block, page int, buf []byte) error {
 	chipIdx, chip, b, err := d.locate(block)
 	if err != nil {
@@ -431,63 +398,60 @@ func (d *Device) ReadPage(block, page int, buf []byte) error {
 	atomic.AddUint64(&d.stats.FlashPageReads, 1)
 	atomic.AddUint64(&d.stats.BytesFromDevice, uint64(len(buf)))
 	d.advance(chipIdx, d.cfg.Latency.PageRead+d.cfg.Latency.transfer(len(buf)))
-	if d.cfg.DisableECC || g.OOBSize == 0 {
+	if d.cfg.DisableECC {
 		return nil
 	}
-	return d.verify(buf, oob)
-}
-
-// verifyInitial checks the initial-region ECC (leading cover plus trailing
-// tail), correcting a single bit error in place in buf. It returns the
-// number of corrected bits.
-func verifyInitial(buf, oob []byte) (int, error) {
-	coverLen := int(binary.LittleEndian.Uint16(oob[0:oobCoverLenSize]))
-	tailLen := int(binary.LittleEndian.Uint16(oob[oobCoverLenSize:oobInitialOff]))
-	if coverLen == blankLen || tailLen == blankLen || coverLen+tailLen > len(buf) {
-		if coverLen == blankLen {
-			return 0, nil // never programmed with an ECC header
-		}
-		return 0, fmt.Errorf("initial region header out of range")
-	}
-	code := oob[oobInitialOff : oobInitialOff+ecc.CodeSize]
-	if ecc.Blank(code) {
-		return 0, nil
-	}
-	res, err := ecc.DecodeSplit(buf[:coverLen], buf[len(buf)-tailLen:], code)
-	return res.Corrected, err
-}
-
-// verify checks the initial-region ECC and all delta-record ECC slots,
-// correcting single-bit errors in buf.
-func (d *Device) verify(buf, oob []byte) error {
-	corrected, err := verifyInitial(buf, oob)
-	if err != nil {
+	if _, _, err := d.decode(buf, oob); err != nil {
 		atomic.AddUint64(&d.stats.UncorrectableReads, 1)
-		return fmt.Errorf("%w: initial region: %v", ErrCorrupted, err)
-	}
-	d.countCorrected(corrected)
-	geo := d.Geometry()
-	for slot := 0; slot < geo.DeltaSlots; slot++ {
-		off := oobSlotsOff + slot*DeltaSlotSize
-		hdr := oob[off : off+deltaSlotHeader]
-		if hdr[0] == 0xFF && hdr[1] == 0xFF && hdr[2] == 0xFF && hdr[3] == 0xFF {
-			continue // blank slot
-		}
-		dOff := int(binary.LittleEndian.Uint16(hdr[0:2]))
-		dLen := int(binary.LittleEndian.Uint16(hdr[2:4]))
-		if dOff+dLen > len(buf) {
-			atomic.AddUint64(&d.stats.UncorrectableReads, 1)
-			return fmt.Errorf("%w: delta slot %d header out of range", ErrCorrupted, slot)
-		}
-		code := oob[off+deltaSlotHeader : off+DeltaSlotSize]
-		res, err := ecc.Decode(buf[dOff:dOff+dLen], code)
-		if err != nil {
-			atomic.AddUint64(&d.stats.UncorrectableReads, 1)
-			return fmt.Errorf("%w: delta slot %d: %v", ErrCorrupted, slot, err)
-		}
-		d.countCorrected(res.Corrected)
+		return fmt.Errorf("%w: %v", ErrCorrupted, err)
 	}
 	return nil
+}
+
+// decode verifies a page image against its OOB area, the one reader of the
+// page format (Figure 3 of the paper): first the initial region (its cover
+// and tail lengths and their ECC), then the delta-record slots in order. It
+// stops at the first region that fails and corrects single-bit errors in buf
+// up to there. A slot is blank only when all its bytes are erased, and a
+// programmed slot behind a blank one fails. It reports whether the initial
+// region verified and how many delta records did; err is nil exactly when
+// the initial region and every programmed slot verified.
+func (d *Device) decode(buf, oob []byte) (bodyValid bool, records int, err error) {
+	coverLen := int(binary.LittleEndian.Uint16(oob[0:oobCoverLenSize]))
+	tailLen := int(binary.LittleEndian.Uint16(oob[oobCoverLenSize:oobInitialOff]))
+	code := oob[oobInitialOff:oobTagOff]
+	switch {
+	case coverLen == blankLen || tailLen == blankLen || ecc.Blank(code):
+		return false, 0, errors.New("initial region has no ECC header")
+	case coverLen+tailLen > len(buf):
+		return false, 0, errors.New("initial region header out of range")
+	}
+	res, err := ecc.DecodeSplit(buf[:coverLen], buf[len(buf)-tailLen:], code)
+	if err != nil {
+		return false, 0, fmt.Errorf("initial region: %w", err)
+	}
+	d.countCorrected(res.Corrected)
+	for s := 0; s < d.Geometry().DeltaSlots; s++ {
+		slot := oob[oobSlotsOff+s*DeltaSlotSize:][:DeltaSlotSize]
+		if ecc.Blank(slot) {
+			continue
+		}
+		if s != records {
+			return true, records, fmt.Errorf("delta slot %d programmed behind blank slot %d", s, records)
+		}
+		dOff := int(binary.LittleEndian.Uint16(slot[0:2]))
+		dLen := int(binary.LittleEndian.Uint16(slot[2:4]))
+		if dOff+dLen > len(buf) {
+			return true, records, fmt.Errorf("delta slot %d header out of range", s)
+		}
+		res, err := ecc.Decode(buf[dOff:dOff+dLen], slot[deltaSlotHeader:])
+		if err != nil {
+			return true, records, fmt.Errorf("delta slot %d: %w", s, err)
+		}
+		d.countCorrected(res.Corrected)
+		records++
+	}
+	return true, records, nil
 }
 
 func (d *Device) countCorrected(n int) {
@@ -497,17 +461,10 @@ func (d *Device) countCorrected(n int) {
 	atomic.AddUint64(&d.stats.CorrectedBits, uint64(n))
 }
 
-// ProgramPage programs the full data area of a page. eccCover is the number
-// of leading bytes protected by the initial ECC; layers using in-place
-// appends exclude the delta-record area from the cover so later appends do
-// not invalidate the code. A cover of len(data) protects the whole page.
-func (d *Device) ProgramPage(block, page int, data []byte, eccCover int) error {
-	return d.programPage(block, page, data, eccCover, 0, nil)
-}
-
-// ProgramPageCovered is ProgramPage with a split initial ECC cover: the
-// leading eccCover bytes and the trailing eccTail bytes are protected,
-// leaving the delta-record area between them open for appends.
+// ProgramPageCovered programs the full data area of a page. The initial ECC
+// protects the leading eccCover bytes and the trailing eccTail bytes,
+// leaving the delta-record area between them open for appends; a cover of
+// len(data) protects the whole page.
 func (d *Device) ProgramPageCovered(block, page int, data []byte, eccCover, eccTail int) error {
 	return d.programPage(block, page, data, eccCover, eccTail, nil)
 }
@@ -540,31 +497,30 @@ func (d *Device) programPage(block, page int, data []byte, eccCover, eccTail int
 	}
 	g := d.cfg.Chip.Geometry
 	if len(data) != g.PageSize {
-		return fmt.Errorf("flashdev: ProgramPage buffer %d bytes, want %d", len(data), g.PageSize)
+		return fmt.Errorf("flashdev: program buffer %d bytes, want %d", len(data), g.PageSize)
 	}
 	if eccCover < 0 || eccTail < 0 || eccCover+eccTail > len(data) {
 		return fmt.Errorf("flashdev: ecc cover %d+%d out of range", eccCover, eccTail)
 	}
 	d.hook(chipIdx, nand.OpProgram)
 	oobLen := 0
-	if !d.cfg.DisableECC && g.OOBSize >= oobInitialOff+ecc.CodeSize {
-		oobLen = oobInitialOff + ecc.CodeSize
-	}
-	if tag != nil && g.OOBSize >= oobSlotsOff {
+	if tag != nil {
 		oobLen = oobSlotsOff
+	} else if !d.cfg.DisableECC {
+		oobLen = oobTagOff
 	}
 	// Erased filler (0xFF) for the regions not written: programming a 0xFF
 	// byte leaves the cells untouched.
 	var stack [oobSlotsOff]byte
 	oob := stack[:oobLen]
 	nand.FillErased(oob)
-	if !d.cfg.DisableECC && oobLen >= oobInitialOff+ecc.CodeSize {
+	if !d.cfg.DisableECC {
 		binary.LittleEndian.PutUint16(oob[0:oobCoverLenSize], uint16(eccCover))
 		binary.LittleEndian.PutUint16(oob[oobCoverLenSize:oobInitialOff], uint16(eccTail))
 		// The code of cover‖tail, from the page image where it lies.
 		ecc.EncodeSplit(oob[oobInitialOff:], data[:eccCover], data[len(data)-eccTail:])
 	}
-	if tag != nil && oobLen == oobSlotsOff {
+	if tag != nil {
 		copy(oob[oobTagOff:], tag)
 	}
 	if err := chip.Program(b, page, data, oob); err != nil {
@@ -598,7 +554,7 @@ func (d *Device) ProgramDelta(block, page, offset int, delta []byte) (int, error
 	var oobData []byte
 	var stack [oobStackSize]byte
 	var slotBuf [DeltaSlotSize]byte
-	if !d.cfg.DisableECC && g.OOBSize > 0 {
+	if !d.cfg.DisableECC {
 		// Find the first blank delta slot.
 		oob := d.oobScratch(&stack)
 		if err := chip.ReadPage(b, page, nil, oob); err != nil {
@@ -630,32 +586,6 @@ func (d *Device) ProgramDelta(block, page, offset int, delta []byte) (int, error
 	d.advance(chipIdx, d.cfg.Latency.programTime(d.cfg.Chip.Cell == nand.SLC, lsb)+
 		d.cfg.Latency.transfer(len(delta)))
 	return slot, nil
-}
-
-// FreeDeltaSlots returns the number of unused delta ECC slots of a page.
-func (d *Device) FreeDeltaSlots(block, page int) (int, error) {
-	_, chip, b, err := d.locate(block)
-	if err != nil {
-		return 0, err
-	}
-	g := d.cfg.Chip.Geometry
-	geo := d.Geometry()
-	if d.cfg.DisableECC || g.OOBSize == 0 {
-		return geo.DeltaSlots, nil
-	}
-	var stack [oobStackSize]byte
-	oob := d.oobScratch(&stack)
-	if err := chip.ReadPage(b, page, nil, oob); err != nil {
-		return 0, err
-	}
-	free := 0
-	for s := 0; s < geo.DeltaSlots; s++ {
-		off := oobSlotsOff + s*DeltaSlotSize
-		if ecc.Blank(oob[off : off+DeltaSlotSize]) {
-			free++
-		}
-	}
-	return free, nil
 }
 
 // EraseBlock erases a block.

@@ -18,13 +18,13 @@ func TestPerChipClocksMerge(t *testing.T) {
 	// Two programs on chip 0 (blocks 0..7), one on chip 1 (blocks 8..15),
 	// all MSB pages of equal latency and size.
 	data := pattern(2048, 1)
-	if err := d.ProgramPage(0, 0, data, 2048); err != nil {
+	if err := d.programPage(0, 0, data, 2048, 0, nil); err != nil {
 		t.Fatalf("chip0 program 1: %v", err)
 	}
-	if err := d.ProgramPage(1, 0, data, 2048); err != nil {
+	if err := d.programPage(1, 0, data, 2048, 0, nil); err != nil {
 		t.Fatalf("chip0 program 2: %v", err)
 	}
-	if err := d.ProgramPage(8, 0, data, 2048); err != nil {
+	if err := d.programPage(8, 0, data, 2048, 0, nil); err != nil {
 		t.Fatalf("chip1 program: %v", err)
 	}
 	clocks := d.ChipClocks()
@@ -52,11 +52,11 @@ func TestPerChipStats(t *testing.T) {
 	cfg.Chips = 2
 	d := mustDevice(t, cfg)
 	data := pattern(2048, 2)
-	if err := d.ProgramPage(0, 0, data, 2048); err != nil {
-		t.Fatalf("ProgramPage: %v", err)
+	if err := d.programPage(0, 0, data, 2048, 0, nil); err != nil {
+		t.Fatalf("program: %v", err)
 	}
-	if err := d.ProgramPage(8, 0, data, 2048); err != nil {
-		t.Fatalf("ProgramPage: %v", err)
+	if err := d.programPage(8, 0, data, 2048, 0, nil); err != nil {
+		t.Fatalf("program: %v", err)
 	}
 	if err := d.ReadPage(8, 0, make([]byte, 2048)); err != nil {
 		t.Fatalf("ReadPage: %v", err)
@@ -97,7 +97,7 @@ func TestChipsRaceFreedom(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				blk := first + i/16 // each page is programmed exactly once
 				pg := i % 16
-				if err := d.ProgramPage(blk, pg, pattern(2048, byte(i)), 2048); err != nil {
+				if err := d.programPage(blk, pg, pattern(2048, byte(i)), 2048, 0, nil); err != nil {
 					t.Errorf("chip %d program: %v", c, err)
 					return
 				}

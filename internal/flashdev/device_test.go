@@ -62,8 +62,8 @@ func TestGeometryAndDeltaSlots(t *testing.T) {
 func TestProgramReadRoundTrip(t *testing.T) {
 	d := mustDevice(t, testConfig())
 	data := pattern(2048, 1)
-	if err := d.ProgramPage(0, 0, data, len(data)); err != nil {
-		t.Fatalf("ProgramPage: %v", err)
+	if err := d.programPage(0, 0, data, len(data), 0, nil); err != nil {
+		t.Fatalf("program: %v", err)
 	}
 	got := make([]byte, 2048)
 	if err := d.ReadPage(0, 0, got); err != nil {
@@ -88,8 +88,8 @@ func TestProgramDeltaAppend(t *testing.T) {
 	for i := cover; i < 2048; i++ {
 		data[i] = 0xFF // erased delta area
 	}
-	if err := d.ProgramPage(1, 3, data, cover); err != nil {
-		t.Fatalf("ProgramPage: %v", err)
+	if err := d.programPage(1, 3, data, cover, 0, nil); err != nil {
+		t.Fatalf("program: %v", err)
 	}
 	delta := []byte{0xDE, 0xAD, 0xBE, 0xEF}
 	slot, err := d.ProgramDelta(1, 3, cover, delta)
@@ -117,20 +117,16 @@ func TestProgramDeltaAppend(t *testing.T) {
 	if !bytes.Equal(got[cover:cover+4], delta) || got[cover+4] != 0x01 || got[cover+5] != 0x02 {
 		t.Fatalf("appended deltas wrong: % x", got[cover:cover+8])
 	}
-	free, err := d.FreeDeltaSlots(1, 3)
-	if err != nil {
-		t.Fatalf("FreeDeltaSlots: %v", err)
-	}
-	if free != d.Geometry().DeltaSlots-2 {
-		t.Fatalf("free slots = %d", free)
+	if scan, err := d.ScanPage(1, 3, got); err != nil || scan.Records != 2 || scan.Torn {
+		t.Fatalf("two appends scan as %+v, %v", scan, err)
 	}
 }
 
 func TestProgramDeltaOverwriteViolation(t *testing.T) {
 	d := mustDevice(t, testConfig())
 	data := pattern(2048, 3)
-	if err := d.ProgramPage(0, 1, data, 2048); err != nil {
-		t.Fatalf("ProgramPage: %v", err)
+	if err := d.programPage(0, 1, data, 2048, 0, nil); err != nil {
+		t.Fatalf("program: %v", err)
 	}
 	// Appending over already programmed (non-erased) bytes that would need
 	// 0->1 transitions must fail.
@@ -150,8 +146,8 @@ func TestNoDeltaSlotLeft(t *testing.T) {
 		data[i] = 0xFF
 	}
 	data[0] = 0x01
-	if err := d.ProgramPage(0, 0, data, 1024); err != nil {
-		t.Fatalf("ProgramPage: %v", err)
+	if err := d.programPage(0, 0, data, 1024, 0, nil); err != nil {
+		t.Fatalf("program: %v", err)
 	}
 	if _, err := d.ProgramDelta(0, 0, 1500, []byte{0xAA}); err != nil {
 		t.Fatalf("first delta: %v", err)
@@ -163,17 +159,16 @@ func TestNoDeltaSlotLeft(t *testing.T) {
 
 func TestEraseBlockAndReuse(t *testing.T) {
 	d := mustDevice(t, testConfig())
-	if err := d.ProgramPage(2, 0, pattern(2048, 4), 2048); err != nil {
-		t.Fatalf("ProgramPage: %v", err)
+	if err := d.programPage(2, 0, pattern(2048, 4), 2048, 0, nil); err != nil {
+		t.Fatalf("program: %v", err)
 	}
 	if err := d.EraseBlock(2); err != nil {
 		t.Fatalf("EraseBlock: %v", err)
 	}
-	programmed, err := d.PageProgrammed(2, 0)
-	if err != nil || programmed {
-		t.Fatalf("page should be erased: %v %v", programmed, err)
+	if info, err := d.chips[0].PageStatus(2, 0); err != nil || info.State != nand.PageErased {
+		t.Fatalf("page should be erased: %+v %v", info, err)
 	}
-	if err := d.ProgramPage(2, 0, pattern(2048, 5), 2048); err != nil {
+	if err := d.programPage(2, 0, pattern(2048, 5), 2048, 0, nil); err != nil {
 		t.Fatalf("re-program after erase: %v", err)
 	}
 	if d.TotalErases() != 1 {
@@ -191,8 +186,8 @@ func TestCopyPagePreservesContentAndECC(t *testing.T) {
 	for i := cover; i < 2048; i++ {
 		data[i] = 0xFF
 	}
-	if err := d.ProgramPage(0, 0, data, cover); err != nil {
-		t.Fatalf("ProgramPage: %v", err)
+	if err := d.programPage(0, 0, data, cover, 0, nil); err != nil {
+		t.Fatalf("program: %v", err)
 	}
 	if _, err := d.ProgramDelta(0, 0, cover, []byte{1, 2, 3}); err != nil {
 		t.Fatalf("ProgramDelta: %v", err)
@@ -225,8 +220,8 @@ func TestVirtualClockAdvances(t *testing.T) {
 	if d.Now() != 0 {
 		t.Fatalf("clock should start at zero")
 	}
-	if err := d.ProgramPage(0, 0, pattern(2048, 7), 2048); err != nil {
-		t.Fatalf("ProgramPage: %v", err)
+	if err := d.programPage(0, 0, pattern(2048, 7), 2048, 0, nil); err != nil {
+		t.Fatalf("program: %v", err)
 	}
 	afterWrite := d.Now()
 	if afterWrite <= 0 {
@@ -249,11 +244,11 @@ func TestLatencyLSBvsMSB(t *testing.T) {
 	d := mustDevice(t, testConfig())
 	data := pattern(2048, 8)
 	// Page 0 is an MSB page, page 1 an LSB page on MLC.
-	if err := d.ProgramPage(0, 0, data, 2048); err != nil {
+	if err := d.programPage(0, 0, data, 2048, 0, nil); err != nil {
 		t.Fatalf("program MSB: %v", err)
 	}
 	msbTime := d.Now()
-	if err := d.ProgramPage(0, 1, data, 2048); err != nil {
+	if err := d.programPage(0, 1, data, 2048, 0, nil); err != nil {
 		t.Fatalf("program LSB: %v", err)
 	}
 	lsbTime := d.Now() - msbTime
@@ -271,7 +266,7 @@ func TestCorruptionDetectedOnRead(t *testing.T) {
 	// repeatedly; with interference probability 1 the paired LSB page
 	// accumulates bit errors until the ECC gives up.
 	lsb := pattern(2048, 9)
-	if err := d.ProgramPage(0, 1, lsb, 2048); err != nil {
+	if err := d.programPage(0, 1, lsb, 2048, 0, nil); err != nil {
 		t.Fatalf("program lsb: %v", err)
 	}
 	msb := make([]byte, 2048)
@@ -279,7 +274,7 @@ func TestCorruptionDetectedOnRead(t *testing.T) {
 		msb[i] = 0xFF
 	}
 	msb[0] = 0x00
-	if err := d.ProgramPage(0, 0, msb, 2048); err != nil {
+	if err := d.programPage(0, 0, msb, 2048, 0, nil); err != nil {
 		t.Fatalf("program msb: %v", err)
 	}
 	buf := make([]byte, 2048)
@@ -315,8 +310,8 @@ func TestMultiChipAddressing(t *testing.T) {
 		t.Fatalf("expected 16 blocks across 2 chips, got %d", g.Blocks)
 	}
 	// Last block of the second chip.
-	if err := d.ProgramPage(15, 0, pattern(2048, 10), 2048); err != nil {
-		t.Fatalf("ProgramPage on chip 2: %v", err)
+	if err := d.programPage(15, 0, pattern(2048, 10), 2048, 0, nil); err != nil {
+		t.Fatalf("program on chip 2: %v", err)
 	}
 	got := make([]byte, 2048)
 	if err := d.ReadPage(15, 0, got); err != nil {

@@ -23,7 +23,7 @@ type PageScan struct {
 	// disabled it is true for every programmed page.
 	BodyValid bool
 	// Records is the number of delta-record OOB slots holding a verified
-	// append (the valid prefix).
+	// append (the valid prefix); 0 when the body does not verify.
 	Records int
 	// Torn reports that some programmed content failed verification: a
 	// corrupt mapping tag, a failed initial-region ECC or a delta slot
@@ -35,10 +35,11 @@ type PageScan struct {
 	Programs int
 }
 
-// ScanPage reads a physical page for crash recovery. Unlike ReadPage it
-// never fails on corruption — it reports what survived the power cut. buf
-// (PageSize bytes) receives the raw page image, with single-bit errors in
-// the regions that verify corrected in place.
+// ScanPage reads a physical page for crash recovery: the mapping-tag check
+// plus the decoder ReadPage uses. Unlike ReadPage it never fails on
+// corruption — it reports what survived the power cut. buf (PageSize bytes)
+// receives the raw page image, with single-bit errors in the regions that
+// verify corrected in place.
 func (d *Device) ScanPage(block, page int, buf []byte) (PageScan, error) {
 	chipIdx, chip, b, err := d.locate(block)
 	if err != nil {
@@ -67,12 +68,6 @@ func (d *Device) ScanPage(block, page int, buf []byte) (PageScan, error) {
 	atomic.AddUint64(&d.stats.BytesFromDevice, uint64(len(buf)))
 	d.advance(chipIdx, d.cfg.Latency.PageRead+d.cfg.Latency.transfer(len(buf)))
 
-	if g.OOBSize < oobSlotsOff {
-		// No room for a mapping tag on this geometry: nothing recoverable.
-		scan.BodyValid = d.cfg.DisableECC
-		return scan, nil
-	}
-
 	// Mapping tag (a correction lands in the scratch copy, from which the
 	// fields are then read).
 	tag := oob[oobTagOff : oobTagOff+TagSize]
@@ -85,59 +80,15 @@ func (d *Device) ScanPage(block, page int, buf []byte) (PageScan, error) {
 			scan.Seq = binary.LittleEndian.Uint64(tag[4:12])
 		}
 	}
-
-	// Initially programmed region (leading cover plus trailing tail).
 	if d.cfg.DisableECC {
 		scan.BodyValid = true
-	} else {
-		coverLen := int(binary.LittleEndian.Uint16(oob[0:oobCoverLenSize]))
-		tailLen := int(binary.LittleEndian.Uint16(oob[oobCoverLenSize:oobInitialOff]))
-		code := oob[oobInitialOff : oobInitialOff+ecc.CodeSize]
-		switch {
-		case coverLen == blankLen || tailLen == blankLen || ecc.Blank(code):
-			// The program never finished writing its header: torn.
-			scan.Torn = true
-		case coverLen+tailLen > len(buf):
-			scan.Torn = true
-		default:
-			if res, err := ecc.DecodeSplit(buf[:coverLen], buf[len(buf)-tailLen:], code); err != nil {
-				scan.Torn = true
-			} else {
-				scan.BodyValid = true
-				d.countCorrected(res.Corrected)
-			}
-		}
+		return scan, nil
 	}
-
-	// Delta-record slots: count the verified prefix; anything programmed
-	// at or after the first invalid slot marks the page torn.
-	if !d.cfg.DisableECC {
-		geo := d.Geometry()
-		for s := 0; s < geo.DeltaSlots; s++ {
-			off := oobSlotsOff + s*DeltaSlotSize
-			slot := oob[off : off+DeltaSlotSize]
-			if ecc.Blank(slot) {
-				continue
-			}
-			if s != scan.Records {
-				// Programmed slot after an invalid/blank one.
-				scan.Torn = true
-				continue
-			}
-			dOff := int(binary.LittleEndian.Uint16(slot[0:2]))
-			dLen := int(binary.LittleEndian.Uint16(slot[2:4]))
-			if dOff+dLen > len(buf) {
-				scan.Torn = true
-				continue
-			}
-			res, err := ecc.Decode(buf[dOff:dOff+dLen], slot[deltaSlotHeader:])
-			if err != nil {
-				scan.Torn = true
-				continue
-			}
-			d.countCorrected(res.Corrected)
-			scan.Records++
-		}
+	// The initial region and the valid prefix of delta records; anything
+	// that fails, and anything programmed behind it, marks the page torn.
+	scan.BodyValid, scan.Records, err = d.decode(buf, oob)
+	if err != nil {
+		scan.Torn = true
 	}
 	return scan, nil
 }

@@ -2,9 +2,11 @@ package flashdev
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
+	"ipa/internal/ecc"
 	"ipa/internal/nand"
 )
 
@@ -132,11 +134,73 @@ func TestScanPageDetectsTornDeltaAppend(t *testing.T) {
 	t.Logf("torn append scan: %+v", scan)
 }
 
+// TestReadPageRefusesWhatScanPageCallsTorn: ReadPage and ScanPage share one
+// decoder, so a page recovery calls torn is no page a normal read accepts —
+// neither a body programmed without its OOB nor a delta record in a slot
+// behind a blank one.
+func TestReadPageRefusesWhatScanPageCallsTorn(t *testing.T) {
+	d := mustDevice(t, testConfig())
+	cover := 1024
+	data := pattern(2048, 5)
+	for i := cover; i < 2048; i++ {
+		data[i] = 0xFF
+	}
+	// Page 0: the body with a blank OOB area.
+	if err := d.chips[0].Program(0, 0, data, nil); err != nil {
+		t.Fatalf("program body: %v", err)
+	}
+	// Page 1: a tagged page whose one delta record sits in slot 1.
+	if err := d.ProgramPageTagged(0, 1, data, cover, 0, 4, 1); err != nil {
+		t.Fatalf("program tagged: %v", err)
+	}
+	delta := []byte{1, 2, 3}
+	var slot [DeltaSlotSize]byte
+	binary.LittleEndian.PutUint16(slot[0:2], uint16(cover))
+	binary.LittleEndian.PutUint16(slot[2:4], uint16(len(delta)))
+	ecc.EncodeSplit(slot[deltaSlotHeader:], delta, nil)
+	if err := d.chips[0].ProgramPartial(0, 1, cover, delta, oobSlotsOff+DeltaSlotSize, slot[:]); err != nil {
+		t.Fatalf("append into slot 1: %v", err)
+	}
+	buf := make([]byte, 2048)
+	for page, want := range []PageScan{
+		{Programmed: true, Torn: true, Programs: 1},
+		{Programmed: true, Tagged: true, LBA: 4, Seq: 1, BodyValid: true, Torn: true, Programs: 2},
+	} {
+		if scan, err := d.ScanPage(0, page, buf); err != nil || scan != want {
+			t.Fatalf("page %d scans as %+v, %v; want %+v", page, scan, err, want)
+		}
+		before := d.Stats().UncorrectableReads
+		if err := d.ReadPage(0, page, buf); !errors.Is(err, ErrCorrupted) {
+			t.Fatalf("page %d: ReadPage = %v, want ErrCorrupted", page, err)
+		}
+		if n := d.Stats().UncorrectableReads - before; n != 1 {
+			t.Fatalf("page %d: %d uncorrectable reads counted, want 1", page, n)
+		}
+	}
+}
+
+// TestNewRejectsAnOOBWithoutRoomForECC: every page must hold the initial-ECC
+// header and the mapping tag.
+func TestNewRejectsAnOOBWithoutRoomForECC(t *testing.T) {
+	cfg := testConfig()
+	cfg.Chip.Geometry.OOBSize = oobSlotsOff - 1
+	if _, err := New(cfg); err == nil {
+		t.Fatalf("a %d-byte OOB area was accepted", cfg.Chip.Geometry.OOBSize)
+	}
+	cfg.Chip.Geometry.OOBSize = oobSlotsOff
+	if d, err := New(cfg); err != nil || d.Geometry().DeltaSlots != 0 {
+		t.Fatalf("a %d-byte OOB area: %v", oobSlotsOff, err)
+	}
+}
+
 // FuzzScanPage programs arbitrary data and OOB bytes onto an erased page —
 // which accepts any pattern — and scans it the way recovery does: the scan
 // must neither panic nor fail, must count no more verified records than the
 // page has delta slots, and must report the same PageScan and image when
-// repeated. The seed is a tagged page with one delta appended.
+// repeated. ReadPage, through the same decoder, must read every page the
+// scan reports body-valid and untorn with the same image, and fail with
+// ErrCorrupted on every page whose body the scan rejects. The seed is a
+// tagged page with one delta appended.
 func FuzzScanPage(f *testing.F) {
 	d := mustDevice(f, testConfig())
 	g := d.cfg.Chip.Geometry
@@ -179,6 +243,13 @@ func FuzzScanPage(f *testing.F) {
 		}
 		if again != scan || !bytes.Equal(first, second) {
 			t.Fatalf("second scan differs: %+v then %+v, images equal %v", scan, again, bytes.Equal(first, second))
+		}
+		err = d.ReadPage(0, 0, second)
+		switch {
+		case scan.BodyValid && !scan.Torn && (err != nil || !bytes.Equal(first, second)):
+			t.Fatalf("page scans whole (%+v) but ReadPage = %v, images equal %v", scan, err, bytes.Equal(first, second))
+		case !scan.BodyValid && !errors.Is(err, ErrCorrupted):
+			t.Fatalf("page body scans invalid (%+v) but ReadPage = %v", scan, err)
 		}
 	})
 }

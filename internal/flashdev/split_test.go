@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"ipa/internal/nand"
 )
 
 // Split-cover geometry of the tests below: body, open delta area, footer.
@@ -107,7 +109,7 @@ func TestSplitCoverCodeEqualsContiguousCode(t *testing.T) {
 	joined := bytes.Repeat([]byte{0xFF}, 2048)
 	copy(joined, img[:splitCover])
 	copy(joined[splitCover:], img[2048-splitTail:])
-	if err := d.ProgramPage(0, 3, joined, splitCover+splitTail); err != nil {
+	if err := d.programPage(0, 3, joined, splitCover+splitTail, 0, nil); err != nil {
 		t.Fatalf("program contiguous: %v", err)
 	}
 	var codes [2][]byte
@@ -140,9 +142,6 @@ func TestReadPageDoesNotAllocate(t *testing.T) {
 	var err error
 	if n := testing.AllocsPerRun(50, func() { err = d.ReadPage(0, 1, buf) }); n != 0 || err != nil {
 		t.Fatalf("ReadPage: %v allocations per call (err %v), want 0", n, err)
-	}
-	if n := testing.AllocsPerRun(50, func() { _, err = d.FreeDeltaSlots(0, 1) }); n != 0 || err != nil {
-		t.Fatalf("FreeDeltaSlots: %v allocations per call (err %v), want 0", n, err)
 	}
 }
 
@@ -250,7 +249,7 @@ func TestCopyPageDoesNotAllocate(t *testing.T) {
 	want := clock
 	for k := 0; k < i; k++ {
 		_, p := at(k)
-		want += lat.PageRead + lat.programTime(false, d.IsLSBPage(p))
+		want += lat.PageRead + lat.programTime(false, nand.IsLSBPage(d.CellType(), p))
 	}
 	if d.Now() != want {
 		t.Fatalf("%d copy-backs advanced the clock by %v, want %v (a read and a program each, no transfer)", i, d.Now()-clock, want-clock)
@@ -266,10 +265,10 @@ func TestCopyPageStaysOnOneChip(t *testing.T) {
 	cfg := testConfig()
 	cfg.Chips = 2
 	d := mustDevice(t, cfg)
-	if err := d.ProgramPage(0, 0, splitImage(5), 2048); err != nil {
+	if err := d.programPage(0, 0, splitImage(5), 2048, 0, nil); err != nil {
 		t.Fatalf("program: %v", err)
 	}
-	if err := d.CopyPage(0, 0, d.BlocksPerChip(), 0); err == nil {
+	if err := d.CopyPage(0, 0, cfg.Chip.Geometry.Blocks, 0); err == nil {
 		t.Fatal("copy-back from chip 0 to chip 1 accepted")
 	}
 	if s := d.Stats(); s.FlashPageReads != 0 || s.FlashPagePrograms != 1 {

@@ -330,13 +330,23 @@ func (f *FTL) pageOf(ppa int32) int        { return int(ppa) % f.geo.PagesPerBlo
 // part returns the partition owning a logical page address.
 func (f *FTL) part(lba int) *partition { return f.parts[lba%f.chips] }
 
-// Mapped reports whether the logical page has been written.
-func (f *FTL) Mapped(lba int) bool {
+// lock checks that lba is exported and returns its partition, locked; the
+// caller unlocks it.
+func (f *FTL) lock(lba int) (*partition, error) {
 	if lba < 0 || lba >= len(f.l2p) {
-		return false
+		return nil, fmt.Errorf("%w: %d", ErrBadLBA, lba)
 	}
 	p := f.part(lba)
 	p.mu.Lock()
+	return p, nil
+}
+
+// Mapped reports whether the logical page has been written.
+func (f *FTL) Mapped(lba int) bool {
+	p, err := f.lock(lba)
+	if err != nil {
+		return false
+	}
 	defer p.mu.Unlock()
 	return f.l2p[lba] >= 0
 }
@@ -345,11 +355,10 @@ func (f *FTL) Mapped(lba int) bool {
 // may accept further in-place appends (flash-mode safety and budget); it
 // does not consider the content about to be appended.
 func (f *FTL) IsAppendTarget(lba int) bool {
-	if lba < 0 || lba >= len(f.l2p) {
+	p, err := f.lock(lba)
+	if err != nil {
 		return false
 	}
-	p := f.part(lba)
-	p.mu.Lock()
 	defer p.mu.Unlock()
 	ppa, err := f.mappedPPA(lba)
 	if err != nil {
@@ -366,10 +375,9 @@ func (f *FTL) appendableLocked(ppa int32) bool {
 	return int(f.appends[ppa]) < f.geo.DeltaSlots
 }
 
+// mappedPPA returns the physical page backing an exported lba; the caller
+// holds its partition lock.
 func (f *FTL) mappedPPA(lba int) (int32, error) {
-	if lba < 0 || lba >= len(f.l2p) {
-		return -1, fmt.Errorf("%w: %d", ErrBadLBA, lba)
-	}
 	ppa := f.l2p[lba]
 	if ppa < 0 {
 		return -1, fmt.Errorf("%w: %d", ErrUnmapped, lba)
@@ -383,11 +391,10 @@ func (f *FTL) mappedPPA(lba int) (int32, error) {
 // still proceed in parallel, and same-chip commands serialise at the chip
 // anyway.
 func (f *FTL) ReadPage(lba int, buf []byte) error {
-	if lba < 0 || lba >= len(f.l2p) {
-		return fmt.Errorf("%w: %d", ErrBadLBA, lba)
+	p, err := f.lock(lba)
+	if err != nil {
+		return err
 	}
-	p := f.part(lba)
-	p.mu.Lock()
 	defer p.mu.Unlock()
 	ppa, err := f.mappedPPA(lba)
 	if err != nil {
@@ -405,28 +412,7 @@ func (f *FTL) ReadPage(lba int, buf []byte) error {
 // out-of-place and the old physical page is invalidated. The first return
 // value reports whether the write was served in place.
 func (f *FTL) WritePage(lba int, data []byte) (bool, error) {
-	if len(data) != f.geo.PageSize {
-		return false, fmt.Errorf("ftl: WritePage buffer %d bytes, want %d", len(data), f.geo.PageSize)
-	}
-	if lba < 0 || lba >= len(f.l2p) {
-		return false, fmt.Errorf("%w: %d", ErrBadLBA, lba)
-	}
-	p := f.part(lba)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	atomic.AddUint64(&f.stats.HostWrites, 1)
-	atomic.AddUint64(&f.stats.HostBytesWritten, uint64(len(data)))
-
-	if f.cfg.InPlaceMerge {
-		if ppa := f.l2p[lba]; ppa >= 0 && f.appendableLocked(ppa) {
-			if err := f.tryInPlaceLocked(ppa, data); err == nil {
-				f.appends[ppa]++
-				atomic.AddUint64(&f.stats.InPlaceAppends, 1)
-				return true, nil
-			}
-		}
-	}
-	return false, p.writeOutOfPlaceLocked(lba, data)
+	return f.writePage(lba, data, f.cfg.InPlaceMerge)
 }
 
 // WritePageOut writes a full logical page strictly out-of-place, never
@@ -437,20 +423,38 @@ func (f *FTL) WritePage(lba int, data []byte) (bool, error) {
 // A torn in-place BODY program would keep the old mapping tag valid while
 // leaving an old/new byte mix — silent corruption. (Out-of-place programs
 // are safe: a torn copy never validates its tag, so recovery falls back to
-// the previous complete copy.)
+// the previous complete copy.) Recovery's scrub uses it too, for a page
+// whose copy carries a torn append: the fresh copy gets a clean delta area
+// and a new sequence tag, and the torn copy is invalidated.
 func (f *FTL) WritePageOut(lba int, data []byte) error {
+	_, err := f.writePage(lba, data, false)
+	return err
+}
+
+// writePage writes a full logical page, in place when merge is set and the
+// mapped physical page takes the image, out of place otherwise.
+func (f *FTL) writePage(lba int, data []byte, merge bool) (bool, error) {
 	if len(data) != f.geo.PageSize {
-		return fmt.Errorf("ftl: WritePageOut buffer %d bytes, want %d", len(data), f.geo.PageSize)
+		return false, fmt.Errorf("ftl: page buffer %d bytes, want %d", len(data), f.geo.PageSize)
 	}
-	if lba < 0 || lba >= len(f.l2p) {
-		return fmt.Errorf("%w: %d", ErrBadLBA, lba)
+	p, err := f.lock(lba)
+	if err != nil {
+		return false, err
 	}
-	p := f.part(lba)
-	p.mu.Lock()
 	defer p.mu.Unlock()
 	atomic.AddUint64(&f.stats.HostWrites, 1)
 	atomic.AddUint64(&f.stats.HostBytesWritten, uint64(len(data)))
-	return p.writeOutOfPlaceLocked(lba, data)
+
+	if merge {
+		if ppa := f.l2p[lba]; ppa >= 0 && f.appendableLocked(ppa) {
+			if err := f.tryInPlaceLocked(ppa, data); err == nil {
+				f.appends[ppa]++
+				atomic.AddUint64(&f.stats.InPlaceAppends, 1)
+				return true, nil
+			}
+		}
+	}
+	return false, p.writeOutOfPlaceLocked(lba, data)
 }
 
 // tryInPlaceLocked attempts to program data over the existing physical
@@ -478,15 +482,14 @@ func (f *FTL) tryInPlaceLocked(ppa int32, data []byte) error {
 // architecture). It fails with ErrNotAppendable when the mapped page cannot
 // take the append, in which case the caller must issue a full WritePage.
 func (f *FTL) WriteDelta(lba, offset int, delta []byte) error {
-	if lba < 0 || lba >= len(f.l2p) {
-		return fmt.Errorf("%w: %d", ErrBadLBA, lba)
-	}
 	// The partition lock is held across the device program so a same-chip
 	// GC run cannot migrate the page out from under the append (which
 	// would drop the delta and charge the append budget to a stale
 	// physical page). Appends on different chips run in parallel.
-	p := f.part(lba)
-	p.mu.Lock()
+	p, err := f.lock(lba)
+	if err != nil {
+		return err
+	}
 	defer p.mu.Unlock()
 	ppa, err := f.mappedPPA(lba)
 	if err != nil {
@@ -515,7 +518,7 @@ func (f *FTL) WriteDelta(lba, offset int, delta []byte) error {
 // the partition.
 func (p *partition) writeOutOfPlaceLocked(lba int, data []byte) error {
 	f := p.f
-	ppa, err := p.allocatePageLocked()
+	ppa, err := p.allocateLocked(true)
 	if err != nil {
 		return err
 	}
@@ -544,9 +547,12 @@ func (f *FTL) invalidateLocked(ppa int32) {
 	}
 }
 
-// allocatePageLocked returns the next writable physical page of the
-// partition, running the garbage collector when its free blocks run low.
-func (p *partition) allocatePageLocked() (int32, error) {
+// allocateLocked returns the next usable page of the partition's active
+// block, opening the least-worn free block when there is none or it is full.
+// With collect set it first runs the garbage collector when free blocks run
+// low; the collector's own migrations allocate without it, so garbage
+// collection never recurses.
+func (p *partition) allocateLocked(collect bool) (int32, error) {
 	f := p.f
 	for {
 		if p.active >= 0 {
@@ -562,14 +568,19 @@ func (p *partition) allocatePageLocked() (int32, error) {
 			blk.state = blockUsed
 			p.active = -1
 		}
-		if err := p.ensureFreeLocked(); err != nil {
-			return -1, err
+		if collect {
+			if err := p.ensureFreeLocked(); err != nil {
+				return -1, err
+			}
+			// Garbage collection may have installed (and partially filled) a
+			// new active block for its migrations; keep using it instead of
+			// leaking it.
+			if p.active >= 0 {
+				continue
+			}
 		}
-		// Garbage collection may have installed (and partially filled) a
-		// new active block for its migrations; keep using it instead of
-		// leaking it.
-		if p.active >= 0 {
-			continue
+		if len(p.free) == 0 {
+			return -1, ErrDeviceFull
 		}
 		p.active = p.popFreeLocked()
 		f.blocks[p.active].state = blockActive
@@ -647,7 +658,7 @@ func (p *partition) collectBlockLocked(victim int) error {
 		if lba < 0 {
 			continue
 		}
-		dst, err := p.allocateForGCLocked(victim)
+		dst, err := p.allocateLocked(false)
 		if err != nil {
 			return err
 		}
@@ -676,37 +687,6 @@ func (p *partition) collectBlockLocked(victim int) error {
 	f.blocks[victim].eraseCount++
 	p.free = append(p.free, victim)
 	return nil
-}
-
-// allocateForGCLocked allocates a destination page for a GC migration. It
-// must never trigger recursive garbage collection, so it only consumes the
-// partition's active block and free pool.
-func (p *partition) allocateForGCLocked(victim int) (int32, error) {
-	f := p.f
-	for {
-		if p.active >= 0 && p.active != victim {
-			blk := &f.blocks[p.active]
-			for blk.nextPage < f.geo.PagesPerBlock {
-				pg := blk.nextPage
-				blk.nextPage++
-				if nand.PageUsable(f.dev.CellType(), f.cfg.FlashMode, pg) {
-					return f.ppaOf(p.active, pg), nil
-				}
-			}
-			blk.state = blockUsed
-			p.active = -1
-		}
-		if p.active == victim {
-			f.blocks[p.active].state = blockUsed
-			p.active = -1
-		}
-		if len(p.free) == 0 {
-			return -1, ErrDeviceFull
-		}
-		p.active = p.popFreeLocked()
-		f.blocks[p.active].state = blockActive
-		f.blocks[p.active].nextPage = 0
-	}
 }
 
 // FreeBlocks returns the current number of free blocks across all chips.

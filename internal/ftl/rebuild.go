@@ -41,7 +41,11 @@ type rebuildPage struct {
 	ppa  int32
 	seq  uint64
 	torn bool
-	recs int
+	// appends is the page's used append budget: its verified delta records,
+	// or its programs after the first on flash modes that append without
+	// consuming OOB slots (the conventional-SSD merge path), whichever is
+	// more.
+	appends int
 }
 
 // Rebuild reconstructs an FTL from a surviving Flash image: it scans every
@@ -131,14 +135,7 @@ func rebuild(dev *flashdev.Device, cfg Config, parallel bool) (*FTL, *RebuildRep
 		f.l2p[lba] = w.ppa
 		f.p2l[w.ppa] = int32(lba)
 		f.blocks[f.blockOf(w.ppa)].validCount++
-		appends := w.recs
-		if progs := w.progsOf(dev, f); progs-1 > appends {
-			appends = progs - 1
-		}
-		if appends > 255 {
-			appends = 255
-		}
-		f.appends[w.ppa] = uint8(appends)
+		f.appends[w.ppa] = uint8(min(w.appends, 255))
 		if lba > report.MaxLBA {
 			report.MaxLBA = lba
 		}
@@ -205,7 +202,7 @@ func (f *FTL) scanBlocks(dev *flashdev.Device, lo, hi int, winners map[int]rebui
 				report.GarbagePages++
 				continue
 			}
-			cand := rebuildPage{ppa: f.ppaOf(b, pg), seq: scan.Seq, torn: scan.Torn, recs: scan.Records}
+			cand := rebuildPage{ppa: f.ppaOf(b, pg), seq: scan.Seq, torn: scan.Torn, appends: max(scan.Records, scan.Programs-1)}
 			cur, ok := winners[scan.LBA]
 			switch {
 			case !ok:
@@ -225,28 +222,16 @@ func (f *FTL) scanBlocks(dev *flashdev.Device, lo, hi int, winners map[int]rebui
 	return nil
 }
 
-// progsOf returns the program count of the winner's physical page, used to
-// restore the in-place append budget on flash modes that append without
-// consuming OOB slots (the conventional-SSD merge path).
-func (w rebuildPage) progsOf(dev *flashdev.Device, f *FTL) int {
-	progs, err := dev.PagePrograms(f.blockOf(w.ppa), f.pageOf(w.ppa))
-	if err != nil {
-		return 0
-	}
-	return progs
-}
-
 // SalvageRead reads the logical page through the tolerant recovery scan:
 // unlike ReadPage it succeeds even when an interrupted append left a delta
 // slot that fails its ECC. The returned image carries whatever bytes the
 // power cut persisted; the delta-record commit markers let the layers above
 // discard the torn tail.
 func (f *FTL) SalvageRead(lba int, buf []byte) (flashdev.PageScan, error) {
-	if lba < 0 || lba >= len(f.l2p) {
-		return flashdev.PageScan{}, fmt.Errorf("%w: %d", ErrBadLBA, lba)
+	p, err := f.lock(lba)
+	if err != nil {
+		return flashdev.PageScan{}, err
 	}
-	p := f.part(lba)
-	p.mu.Lock()
 	defer p.mu.Unlock()
 	ppa, err := f.mappedPPA(lba)
 	if err != nil {
@@ -255,25 +240,6 @@ func (f *FTL) SalvageRead(lba int, buf []byte) (flashdev.PageScan, error) {
 	atomic.AddUint64(&f.stats.HostReads, 1)
 	atomic.AddUint64(&f.stats.HostBytesRead, uint64(len(buf)))
 	return f.dev.ScanPage(f.blockOf(ppa), f.pageOf(ppa), buf)
-}
-
-// RewritePage writes a full logical page image strictly out of place,
-// bypassing the in-place merge. Recovery uses it to scrub pages whose
-// physical copy carries a torn append: the fresh copy gets a clean delta
-// area and a new sequence tag, and the torn copy is invalidated.
-func (f *FTL) RewritePage(lba int, data []byte) error {
-	if len(data) != f.geo.PageSize {
-		return fmt.Errorf("ftl: RewritePage buffer %d bytes, want %d", len(data), f.geo.PageSize)
-	}
-	if lba < 0 || lba >= len(f.l2p) {
-		return fmt.Errorf("%w: %d", ErrBadLBA, lba)
-	}
-	p := f.part(lba)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	atomic.AddUint64(&f.stats.HostWrites, 1)
-	atomic.AddUint64(&f.stats.HostBytesWritten, uint64(len(data)))
-	return p.writeOutOfPlaceLocked(lba, data)
 }
 
 // CheckConsistency validates the FTL's translation invariants: l2p and p2l

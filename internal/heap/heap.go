@@ -311,14 +311,6 @@ func (f *File) updateAt(rid RID, offset int, data []byte, again bool) error {
 	})
 }
 
-// Update replaces the whole tuple at rid (same size).
-func (f *File) Update(rid RID, tuple []byte) error {
-	if len(tuple) != f.tupleSize {
-		return fmt.Errorf("heap: tuple size %d, want %d", len(tuple), f.tupleSize)
-	}
-	return f.UpdateAt(rid, 0, tuple)
-}
-
 // Reuse re-materialises a previously deleted slot with a fresh tuple of
 // the same fixed size, reclaiming its space instead of growing the file.
 // The caller must know the slot is deleted (e.g. from its own free list).

@@ -92,10 +92,6 @@ func TestInsertWrongSize(t *testing.T) {
 	if _, err := f.Insert(make([]byte, 10)); err == nil {
 		t.Fatalf("wrong tuple size must be rejected")
 	}
-	rid, _ := f.Insert(tuple(80, 1))
-	if err := f.Update(rid, make([]byte, 10)); err == nil {
-		t.Fatalf("wrong update size must be rejected")
-	}
 }
 
 func TestUpdateAtSurvivesEviction(t *testing.T) {

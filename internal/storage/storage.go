@@ -327,7 +327,7 @@ func (m *Manager) ScrubPage(pid uint64) error {
 	if scheme.Enabled() {
 		pg.ResetDeltaArea()
 	}
-	if err := m.ftl.RewritePage(int(pid), buf); err != nil {
+	if err := m.ftl.WritePageOut(int(pid), buf); err != nil {
 		return fmt.Errorf("storage: scrub page %d: %w", pid, err)
 	}
 	return nil

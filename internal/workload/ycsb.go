@@ -298,9 +298,6 @@ func (w *YCSB) Name() string { return "ycsb-" + string(w.cfg.Letter+'a'-'A') }
 // Config returns the effective configuration.
 func (w *YCSB) Config() YCSBConfig { return w.cfg }
 
-// Mix returns the letter's operation mix.
-func (w *YCSB) Mix() YCSBMix { return w.mix }
-
 // Load implements Workload: it creates the table and inserts the dense
 // keyspace [0, Records).
 func (w *YCSB) Load(db *ipa.DB) error {
@@ -432,6 +429,3 @@ func (w *YCSB) abort(tx *ipa.Tx, err error) (bool, error) {
 
 // Table returns the YCSB table (for invariant checks in tests).
 func (w *YCSB) Table() *ipa.Table { return w.table }
-
-// MaxKey returns the highest key inserted so far.
-func (w *YCSB) MaxKey() int64 { return w.maxKey }
