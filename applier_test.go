@@ -318,7 +318,7 @@ func TestApplierMatrix(t *testing.T) {
 		{"update/installs the before image", holdsNew, (*matrixFixture).update, rollback, rowIs(matrixOld, 0)},
 		{"update/rollback already on Flash", nil, (*matrixFixture).update, comp, unchanged},
 		{"update/a later writer's bytes stand", holdsOther, (*matrixFixture).update, comp, unchanged},
-		{"update/slot deleted since", (*matrixFixture).slotDeleted, (*matrixFixture).update, comp, unchanged},
+		{"update/slot deleted since", (*matrixFixture).slotDeleted, (*matrixFixture).update, []wal.Action{wal.Redo, wal.Compensate}, unchanged},
 		{"update/slot never reached Flash", nil, pastTheSlots((*matrixFixture).update), comp, unchanged},
 
 		{"insert/live slot", nil, (*matrixFixture).insert, redo, unchanged},

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"ipa"
 )
@@ -337,14 +340,26 @@ func TestWALSegmentRecycling(t *testing.T) {
 	}
 }
 
-// TestParallelRedoMatchesSerial runs the identical deterministic workload
-// — inserts, updates, deletes, an abort and an in-flight loser around a
-// mid-run checkpoint — under RecoveryParallelism 1 (the serial oracle) and
-// 8, and requires bit-identical recovered tables.
-func TestParallelRedoMatchesSerial(t *testing.T) {
-	run := func(parallelism int) (*ipa.DB, ipa.RecoveryStats) {
+// TestReopenIsDeterministic requires recovery to be a function of the
+// crash image. One workload — inserts, updates and deletes around a
+// mid-run checkpoint, an abort and an in-flight loser — is built from
+// scratch and crashed five times. Each image is reopened under the same
+// re-armed fault plan, which crashes before every second device operation,
+// until Reopen succeeds. The five recoveries must survive the same number
+// of crashes and end with the same device counters and virtual clock, and
+// with the expected rows: updates applied, deletes gone, the abort
+// compensated and the loser's insert absent.
+func TestReopenIsDeterministic(t *testing.T) {
+	type outcome struct {
+		crashes int
+		ftl     ipa.FTLStats
+		dev     ipa.DeviceStats
+		now     time.Duration
+	}
+	run := func() outcome {
 		cfg := checkpointConfig()
-		cfg.RecoveryParallelism = parallelism
+		plan := ipa.NewFaultPlan(0, ipa.CrashBefore)
+		cfg.Faults = plan
 		db, err := ipa.Open(cfg)
 		if err != nil {
 			t.Fatalf("Open: %v", err)
@@ -353,11 +368,26 @@ func TestParallelRedoMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("CreateTable: %v", err)
 		}
+		// Three more tables, written on both sides of the checkpoint,
+		// make recovery load four indexes through a pool too small for
+		// all of them: their order must not depend on map iteration.
+		var others []*ipa.Table
+		for _, name := range []string{"u", "v", "w"} {
+			other, err := db.CreateTable(name, 64)
+			if err != nil {
+				t.Fatalf("CreateTable: %v", err)
+			}
+			ckptInsert(t, db, other, 0, 200)
+			others = append(others, other)
+		}
 		ckptInsert(t, db, tbl, 0, 80)
 		if _, err := db.Checkpoint(); err != nil {
 			t.Fatalf("Checkpoint: %v", err)
 		}
 		ckptInsert(t, db, tbl, 80, 120)
+		for _, other := range others {
+			ckptInsert(t, db, other, 200, 230)
+		}
 		for k := int64(0); k < 120; k += 5 {
 			tx := db.Begin()
 			if err := tx.UpdateAt(tbl, k, 1, []byte{9, 9, 9}); err != nil {
@@ -376,8 +406,6 @@ func TestParallelRedoMatchesSerial(t *testing.T) {
 				t.Fatalf("Commit delete %d: %v", k, err)
 			}
 		}
-		// An aborted transaction and an in-flight loser: compensation and
-		// undo must land identically under both worker counts.
 		ab := db.Begin()
 		if err := ab.UpdateAt(tbl, 11, 2, []byte{7, 7}); err != nil {
 			t.Fatalf("abort update: %v", err)
@@ -389,55 +417,63 @@ func TestParallelRedoMatchesSerial(t *testing.T) {
 		if err := loser.Insert(tbl, 5000, ckptRow(5000, 9)); err != nil {
 			t.Fatalf("loser insert: %v", err)
 		}
-		db2, err := ipa.Reopen(db.Crash())
-		if err != nil {
-			t.Fatalf("Reopen (parallelism %d): %v", parallelism, err)
+		img := db.Crash()
+
+		crashes := 0
+		var db2 *ipa.DB
+		for j := uint64(1); ; j += 2 {
+			plan.Arm(j, ipa.CrashBefore)
+			if db2, err = ipa.Reopen(img); err == nil {
+				break
+			}
+			if !errors.Is(err, ipa.ErrPowerLost) {
+				t.Fatalf("Reopen: %v", err)
+			}
+			if crashes++; crashes > 200 {
+				t.Fatalf("recovery never completed under repeated crashes")
+			}
 		}
-		return db2, db2.RecoveryStats()
-	}
-
-	serialDB, serialStats := run(1)
-	defer serialDB.Close()
-	parallelDB, parallelStats := run(8)
-	defer parallelDB.Close()
-
-	if serialStats.Parallelism != 1 || parallelStats.Parallelism != 8 {
-		t.Fatalf("parallelism not honoured: serial=%d parallel=%d",
-			serialStats.Parallelism, parallelStats.Parallelism)
-	}
-	if serialStats.RecordsRedone != parallelStats.RecordsRedone {
-		t.Fatalf("redo counts diverge: serial=%d parallel=%d",
-			serialStats.RecordsRedone, parallelStats.RecordsRedone)
-	}
-	for _, db := range []*ipa.DB{serialDB, parallelDB} {
-		if err := db.VerifyIntegrity(); err != nil {
+		defer db2.Close()
+		plan.Disarm()
+		if crashes == 0 {
+			t.Fatalf("recovery performed no faultable work")
+		}
+		if err := db2.VerifyIntegrity(); err != nil {
 			t.Fatalf("VerifyIntegrity: %v", err)
 		}
-	}
-	st, _ := serialDB.Table("t")
-	pt, _ := parallelDB.Table("t")
-	type rowT struct {
-		k int64
-		v []byte
-	}
-	collect := func(tbl *ipa.Table) []rowT {
-		var out []rowT
-		if err := tbl.ScanRange(0, 10000, func(k int64, v []byte) bool {
-			out = append(out, rowT{k, append([]byte(nil), v...)})
+		tbl2, _ := db2.Table("t")
+		var got []int64
+		if err := tbl2.ScanRange(0, 10000, func(k int64, v []byte) bool {
+			want := ckptRow(k, 1)
+			if k%5 == 0 {
+				copy(want[1:], []byte{9, 9, 9})
+			}
+			if !bytes.Equal(v, want) {
+				t.Errorf("key %d = %v, want %v", k, v, want)
+			}
+			got = append(got, k)
 			return true
 		}); err != nil {
 			t.Fatalf("ScanRange: %v", err)
 		}
-		return out
+		var keys []int64
+		for k := int64(0); k < 120; k++ {
+			if k%7 != 3 {
+				keys = append(keys, k)
+			}
+		}
+		if !slices.Equal(got, keys) {
+			t.Fatalf("recovered keys %v, want %v", got, keys)
+		}
+		s := db2.Stats()
+		return outcome{crashes, s.FTLStats, s.DeviceStats, db2.Now()}
 	}
-	sr, pr := collect(st), collect(pt)
-	if len(sr) != len(pr) {
-		t.Fatalf("row counts diverge: serial=%d parallel=%d", len(sr), len(pr))
-	}
-	for i := range sr {
-		if sr[i].k != pr[i].k || !bytes.Equal(sr[i].v, pr[i].v) {
-			t.Fatalf("row %d diverges between serial and parallel redo (key %d vs %d)",
-				i, sr[i].k, pr[i].k)
+
+	first := run()
+	t.Logf("recovery survived %d crashes before completing", first.crashes)
+	for i := 1; i < 5; i++ {
+		if o := run(); !reflect.DeepEqual(o, first) {
+			t.Fatalf("run %d recovered differently from run 0:\n got %+v\nwant %+v", i, o, first)
 		}
 	}
 }

@@ -87,7 +87,7 @@ func TestDesignDocsAreCrossLinked(t *testing.T) {
 func TestDesignDocsHaveNotDrifted(t *testing.T) {
 	for doc, want := range map[string]struct{ symbols, sections []string }{
 		"docs/DESIGN_CHECKPOINT.md": {
-			symbols: []string{"Checkpoint", "RecoveryParallelism", "SetSegmentBytes"},
+			symbols: []string{"Checkpoint", "RecordsRedone", "SetSegmentBytes"},
 		},
 		"docs/DESIGN_SERVER.md": {
 			symbols: []string{"ipaserver", "ipaload", "ipaclient", "FuzzProtoDecode", "MaxBulk", "healthz", "metrics", "PROTO", "CLOSED", "CONFLICT"},
@@ -156,7 +156,7 @@ func TestEveryInternalPackageHasAGodocComment(t *testing.T) {
 // lineBudget is the most lines of non-test Go the tree may hold outside
 // benchmark/ (ROADMAP item 6 wants it at 20,500). A change that needs more
 // raises it in its own diff, where a reviewer sees the growth.
-const lineBudget = 21259
+const lineBudget = 21112
 
 // TestTreeStaysWithinItsLineBudget counts the lines of every non-test .go
 // file outside benchmark/ (and outside hidden directories, where build

@@ -16,7 +16,7 @@ func crashSample(quick bool) int { return pick(quick, 0, 12) }
 
 // CrashRow is the outcome of one write path's sweep, including the
 // aggregated time-to-recover of every successful Reopen: wall and virtual
-// recovery time, physical pages scanned by the chip-parallel FTL rebuild
+// recovery time, physical pages scanned by the FTL rebuild
 // and WAL records redone — the quantities fuzzy checkpoints bound.
 type CrashRow struct {
 	Mode        ipa.WriteMode         `json:"mode"`

@@ -193,10 +193,13 @@ func TestCrashMidGCOnMultiChipDevice(t *testing.T) {
 
 // TestDoubleCrashDuringRecovery crashes the device again while the FIRST
 // recovery is replaying (scrubs, redo writes, final flush), then recovers
-// from the second crash. Recovery must be idempotent. The writer runs
-// alone: snapshot readers' misses and evictions move the device operations,
-// so the fault point two thirds into the enumeration would sometimes land
-// where recovery has nothing to redo. The sweeps run with readers.
+// from the second crash. Recovery must be idempotent, and — being serial —
+// a function of the crash image: the scenario runs three times and must
+// survive the same number of recovery crashes each time. The writer runs
+// alone: snapshot readers' misses and evictions move the device
+// operations, so the fault point two thirds into the enumeration would
+// sometimes land where recovery has nothing to redo. The sweeps run with
+// readers.
 func TestDoubleCrashDuringRecovery(t *testing.T) {
 	o := DefaultOptions()
 	o.Ops = 150
@@ -205,52 +208,60 @@ func TestDoubleCrashDuringRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("enumerate: %v", err)
 	}
-	k := total * 2 / 3
-	plan := ipa.NewFaultPlan(k, ipa.CrashTorn)
-	cfg := o.DB
-	cfg.Faults = plan
-	d, err := newDriver(cfg, o)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	runErr := d.load()
-	if runErr == nil {
-		runErr = d.run(o.Ops, o.Readers)
-	}
-	if runErr != nil && !isPowerLoss(runErr) {
-		t.Fatalf("workload: %v", runErr)
-	}
-	if !plan.Tripped() {
-		t.Fatalf("first fault never fired")
-	}
-	img := d.db.Crash()
+	run := func() int {
+		plan := ipa.NewFaultPlan(total*2/3, ipa.CrashTorn)
+		cfg := o.DB
+		cfg.Faults = plan
+		d, err := newDriver(cfg, o)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		runErr := d.load()
+		if runErr == nil {
+			runErr = d.run(o.Ops, o.Readers)
+		}
+		if runErr != nil && !isPowerLoss(runErr) {
+			t.Fatalf("workload: %v", runErr)
+		}
+		if !plan.Tripped() {
+			t.Fatalf("first fault never fired")
+		}
+		img := d.db.Crash()
 
-	// Second crash: re-arm the plan so recovery's own device writes trip.
-	secondCrashes := 0
-	var db2 *ipa.DB
-	for j := uint64(1); ; j += 2 {
-		plan.Arm(j, ipa.CrashBefore)
-		db2, err = ipa.Reopen(img)
-		if err == nil {
-			break
+		// Second crash: re-arm the plan so recovery's own device writes trip.
+		secondCrashes := 0
+		var db2 *ipa.DB
+		for j := uint64(1); ; j += 2 {
+			plan.Arm(j, ipa.CrashBefore)
+			db2, err = ipa.Reopen(img)
+			if err == nil {
+				break
+			}
+			if !isPowerLoss(err) {
+				t.Fatalf("reopen after double crash: %v", err)
+			}
+			secondCrashes++
+			if secondCrashes > 200 {
+				t.Fatalf("recovery never completed under repeated crashes")
+			}
 		}
-		if !isPowerLoss(err) {
-			t.Fatalf("reopen after double crash: %v", err)
+		defer db2.Close()
+		if secondCrashes == 0 {
+			t.Fatalf("recovery performed no faultable work; double-crash path untested")
 		}
-		secondCrashes++
-		if secondCrashes > 200 {
-			t.Fatalf("recovery never completed under repeated crashes")
+		plan.Disarm()
+		if err := verify(db2, o, d.ora); err != nil {
+			t.Fatalf("verify after double crash (%d recovery crashes): %v", secondCrashes, err)
+		}
+		return secondCrashes
+	}
+	first := run()
+	t.Logf("recovery survived %d crashes before completing", first)
+	for i := 1; i < 3; i++ {
+		if n := run(); n != first {
+			t.Fatalf("run %d survived %d recovery crashes, run 0 %d", i, n, first)
 		}
 	}
-	defer db2.Close()
-	if secondCrashes == 0 {
-		t.Fatalf("recovery performed no faultable work; double-crash path untested")
-	}
-	plan.Disarm()
-	if err := verify(db2, o, d.ora); err != nil {
-		t.Fatalf("verify after double crash (%d recovery crashes): %v", secondCrashes, err)
-	}
-	t.Logf("recovery survived %d crashes before completing", secondCrashes)
 }
 
 // TestAbortedUpdateResidueRepairedByRecovery pins down the recovery rule

@@ -3,9 +3,7 @@ package ftl
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"ipa/internal/flashdev"
 	"ipa/internal/nand"
@@ -25,15 +23,6 @@ type RebuildReport struct {
 	MaxLBA int
 	// MaxSeq is the highest write sequence number seen on the device.
 	MaxSeq uint64
-	// Parallelism is the number of concurrent scan goroutines used (one
-	// per chip for Rebuild, 1 for RebuildSerial).
-	Parallelism int
-	// ScanVirtual is the simulated duration of the device scan: the
-	// chip-parallel scan drives all flash channels at once, so it costs
-	// the busiest chip's read time; the serial oracle reads one chip at a
-	// time and costs the sum. Their ratio is the modelled recovery
-	// speedup of chip parallelism.
-	ScanVirtual time.Duration
 }
 
 // rebuildPage is one candidate mapping discovered by the scan.
@@ -55,79 +44,18 @@ type rebuildPage struct {
 // the device half of the crash-recovery path: after a power cut the
 // in-memory translation state is gone and the tags are all that is left.
 //
-// The scan runs chip-parallel: one goroutine per chip walks that chip's
-// blocks. Logical pages stripe across chips (lba % chips) and the tag
-// validation rejects any copy found off its chip, so the per-chip winner
-// maps are disjoint and merge trivially; the result is bit-identical to
-// RebuildSerial, the single-threaded oracle.
+// One goroutine walks every block in order. Each read is charged to its
+// own chip's clock, so the scan's device time is the busiest chip's reads.
 func Rebuild(dev *flashdev.Device, cfg Config) (*FTL, *RebuildReport, error) {
-	return rebuild(dev, cfg, true)
-}
-
-// RebuildSerial is the single-threaded rebuild, kept as the oracle the
-// equivalence tests compare the chip-parallel scan against.
-func RebuildSerial(dev *flashdev.Device, cfg Config) (*FTL, *RebuildReport, error) {
-	return rebuild(dev, cfg, false)
-}
-
-func rebuild(dev *flashdev.Device, cfg Config, parallel bool) (*FTL, *RebuildReport, error) {
 	f, err := newSkeleton(dev, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	report := &RebuildReport{MaxLBA: -1, Parallelism: 1}
+	report := &RebuildReport{MaxLBA: -1}
 	winners := make(map[int]rebuildPage)
 	blockProgrammed := make([]bool, f.geo.Blocks)
-	clocksBefore := dev.ChipClocks()
-
-	if parallel && f.chips > 1 {
-		report.Parallelism = f.chips
-		partials := make([]RebuildReport, f.chips)
-		maps := make([]map[int]rebuildPage, f.chips)
-		errs := make([]error, f.chips)
-		var wg sync.WaitGroup
-		for c := 0; c < f.chips; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				maps[c] = make(map[int]rebuildPage)
-				// Chips share nothing: the goroutine reads its own chip's
-				// blocks and writes its own slice of blockProgrammed.
-				errs[c] = f.scanBlocks(dev, c*f.blocksPerChip, (c+1)*f.blocksPerChip,
-					maps[c], blockProgrammed, &partials[c])
-			}(c)
-		}
-		wg.Wait()
-		for c := 0; c < f.chips; c++ {
-			if errs[c] != nil {
-				return nil, nil, errs[c]
-			}
-			report.PagesScanned += partials[c].PagesScanned
-			report.StalePages += partials[c].StalePages
-			report.GarbagePages += partials[c].GarbagePages
-			if partials[c].MaxSeq > report.MaxSeq {
-				report.MaxSeq = partials[c].MaxSeq
-			}
-			for lba, w := range maps[c] {
-				winners[lba] = w
-			}
-		}
-	} else if err := f.scanBlocks(dev, 0, f.geo.Blocks, winners, blockProgrammed, report); err != nil {
+	if err := f.scanBlocks(winners, blockProgrammed, report); err != nil {
 		return nil, nil, err
-	}
-
-	// Charge the scan's virtual cost: the busiest channel when the chips
-	// were scanned concurrently, the sum of all channels when one
-	// goroutine walked them in turn.
-	for i, after := range dev.ChipClocks() {
-		dt := after - clocksBefore[i]
-		if parallel && f.chips > 1 {
-			if dt > report.ScanVirtual {
-				report.ScanVirtual = dt
-			}
-		} else {
-			report.ScanVirtual += dt
-		}
 	}
 
 	// Install the winners.
@@ -167,17 +95,15 @@ func rebuild(dev *flashdev.Device, cfg Config, parallel bool) (*FTL, *RebuildRep
 	return f, report, nil
 }
 
-// scanBlocks walks the physical blocks [lo, hi), validating mapping tags
-// and collecting the candidate winners into the given map and the scan
+// scanBlocks walks every physical block, validating mapping tags and
+// collecting the candidate winners into the given map and the scan
 // counters into report (MaxLBA/LivePages/Scrub are derived later, at
-// winner installation). Concurrent calls must use disjoint block ranges
-// and private winner maps/reports; blockProgrammed is shared but each call
-// touches only its own indices.
-func (f *FTL) scanBlocks(dev *flashdev.Device, lo, hi int, winners map[int]rebuildPage, blockProgrammed []bool, report *RebuildReport) error {
+// winner installation).
+func (f *FTL) scanBlocks(winners map[int]rebuildPage, blockProgrammed []bool, report *RebuildReport) error {
 	buf := make([]byte, f.geo.PageSize)
-	for b := lo; b < hi; b++ {
+	for b := range f.geo.Blocks {
 		for pg := 0; pg < f.geo.PagesPerBlock; pg++ {
-			scan, err := dev.ScanPage(b, pg, buf)
+			scan, err := f.dev.ScanPage(b, pg, buf)
 			if err != nil {
 				return fmt.Errorf("ftl: rebuild scan block %d page %d: %w", b, pg, err)
 			}
@@ -196,7 +122,7 @@ func (f *FTL) scanBlocks(dev *flashdev.Device, lo, hi int, winners map[int]rebui
 				report.GarbagePages++
 				continue
 			}
-			if scan.LBA < 0 || scan.LBA >= len(f.l2p) || scan.LBA%f.chips != dev.ChipOf(b) {
+			if scan.LBA < 0 || scan.LBA >= len(f.l2p) || scan.LBA%f.chips != f.dev.ChipOf(b) {
 				// A tag that points outside the exported range or off its
 				// own chip cannot be real: logical pages never change chip.
 				report.GarbagePages++

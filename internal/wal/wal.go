@@ -744,8 +744,7 @@ func (a Action) String() string {
 // Applier turns a log record into page and index writes. Every (record
 // type, action) pair must be idempotent, and — a freshly inserted tuple's
 // Redo aside, which recreates its page — a no-op on a page that never
-// reached Flash. Replay calls it from several goroutines, never for the
-// same heap page or index object at once.
+// reached Flash.
 type Applier interface {
 	Apply(r *Record, a Action) error
 }
@@ -773,63 +772,6 @@ func ValueOf(image []byte) uint64 {
 func ValueImage(value uint64) (img [8]byte) {
 	binary.LittleEndian.PutUint64(img[:], value)
 	return img
-}
-
-// replayOp is one unit of work in the forward repeat-history pass: either
-// the Redo of a committed record or the Compensate of an aborted one
-// (positioned at the transaction's RecAbort, in reverse record order, just
-// as the original rollback ran).
-type replayOp struct {
-	rec Record
-	act Action
-}
-
-// lane assigns an op to a replay worker. Ops on the same entity — the
-// same heap page, or the same index object — always hash to the same
-// lane, so per-entity order is preserved under parallel replay; distinct
-// entities commute.
-func (op replayOp) lane(workers int) int {
-	var key uint64
-	switch op.rec.Type {
-	case RecIndexInsert, RecIndexDelete:
-		key = uint64(op.rec.ObjectID)*2 + 1
-	default:
-		key = op.rec.PageID * 2
-	}
-	key *= 0x9E3779B97F4A7C15 // spread sequential IDs across lanes
-	return int(key % uint64(workers))
-}
-
-// buildReplayOps linearises the forward pass: committed records replay in
-// LSN order; each aborted transaction's updates, deletes and index
-// deletes replay as compensations at its RecAbort position in reverse
-// order. Aborted inserts and index inserts are NOT compensated here —
-// a slot or entry belongs to exactly one insert ever, so they are removed
-// by the final reverse undo pass alongside the losers'.
-func buildReplayOps(recs []Record, a Analysis) []replayOp {
-	var ops []replayOp
-	pending := make(map[uint64][]Record)
-	for _, r := range recs {
-		switch {
-		case a.Committed[r.TxnID]:
-			switch r.Type {
-			case RecUpdate, RecInsert, RecDelete, RecIndexInsert, RecIndexDelete:
-				ops = append(ops, replayOp{rec: r, act: Redo})
-			}
-		case a.Aborted[r.TxnID]:
-			switch r.Type {
-			case RecUpdate, RecDelete, RecIndexDelete:
-				pending[r.TxnID] = append(pending[r.TxnID], r)
-			case RecAbort:
-				undo := pending[r.TxnID]
-				for i := len(undo) - 1; i >= 0; i-- {
-					ops = append(ops, replayOp{rec: undo[i], act: Compensate})
-				}
-				delete(pending, r.TxnID)
-			}
-		}
-	}
-	return ops
 }
 
 // undoRecords runs the final reverse pass: losers' updates, deletes and
@@ -863,11 +805,14 @@ func undoRecords(recs []Record, a Analysis, ap Applier) (int, error) {
 	return n, nil
 }
 
-// Replay performs crash recovery over the retained records: a forward
-// "repeat history" pass re-applies committed work in LSN order and rolls
-// back each pre-crash-aborted transaction at its RecAbort position via
-// conditional compensation, then a reverse pass undoes the losers (and
-// removes aborted inserts).
+// Replay performs crash recovery over the retained records, on the
+// calling goroutine: a forward "repeat history" pass re-applies committed
+// work in LSN order and rolls back each pre-crash-aborted transaction's
+// updates, deletes and index deletes at its RecAbort position, in reverse
+// record order, via conditional compensation — just as the original
+// rollback ran. Aborted inserts and index inserts are NOT compensated
+// there: a slot or entry belongs to exactly one insert ever, so the final
+// reverse pass removes them alongside the losers' work.
 //
 // cut is the last checkpoint's truncation LSN (0 = replay everything):
 // records at or below it are skipped even when they physically survive —
@@ -878,56 +823,42 @@ func undoRecords(recs []Record, a Analysis, ap Applier) (int, error) {
 // transaction that was still active, so no loser or pending abort loses
 // records to it.
 //
-// workers > 1 partitions the forward pass across goroutines by entity
-// (heap page / index object); ops on the same entity stay ordered because
-// they always land on the same worker, and ops on different entities
-// commute, so the result is identical to the serial pass (workers <= 1,
-// the oracle used by tests). The final undo pass is serial either way.
-//
 // It returns the number of redo, compensation and undo operations issued,
 // which is O(records since the last checkpoint) — the restart-cost metric.
-func (l *Log) Replay(a Analysis, ap Applier, workers int, cut uint64) (int, error) {
+func (l *Log) Replay(a Analysis, ap Applier, cut uint64) (int, error) {
 	recs := l.Records()
 	// Records are in LSN order: drop the pre-checkpoint prefix.
 	lo := sort.Search(len(recs), func(i int) bool { return recs[i].LSN > cut })
 	recs = recs[lo:]
-	ops := buildReplayOps(recs, a)
-	if workers <= 1 || len(ops) == 0 {
-		for i := range ops {
-			if err := Apply(ap, &ops[i].rec, ops[i].act); err != nil {
-				return len(ops), err
+	n := 0
+	pending := make(map[uint64][]*Record)
+	for i := range recs {
+		r := &recs[i]
+		switch {
+		case a.Committed[r.TxnID]:
+			switch r.Type {
+			case RecUpdate, RecInsert, RecDelete, RecIndexInsert, RecIndexDelete:
+				n++
+				if err := Apply(ap, r, Redo); err != nil {
+					return n, err
+				}
 			}
-		}
-	} else {
-		lanes := make([][]replayOp, workers)
-		for _, op := range ops {
-			w := op.lane(workers)
-			lanes[w] = append(lanes[w], op)
-		}
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := range lanes {
-			if len(lanes[w]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := range lanes[w] {
-					op := &lanes[w][i]
-					if errs[w] = Apply(ap, &op.rec, op.act); errs[w] != nil {
-						return
+		case a.Aborted[r.TxnID]:
+			switch r.Type {
+			case RecUpdate, RecDelete, RecIndexDelete:
+				pending[r.TxnID] = append(pending[r.TxnID], r)
+			case RecAbort:
+				undo := pending[r.TxnID]
+				for j := len(undo) - 1; j >= 0; j-- {
+					n++
+					if err := Apply(ap, undo[j], Compensate); err != nil {
+						return n, err
 					}
 				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return len(ops), err
+				delete(pending, r.TxnID)
 			}
 		}
 	}
 	undone, err := undoRecords(recs, a, ap)
-	return len(ops) + undone, err
+	return n + undone, err
 }

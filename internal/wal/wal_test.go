@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -66,11 +65,8 @@ func TestAnalyze(t *testing.T) {
 	}
 }
 
-// applier records redo/undo applications in memory. It is locked like the
-// real applier (the buffer pool latches pages): parallel replay workers
-// call it concurrently.
+// applier records redo/undo applications in memory.
 type applier struct {
-	mu    sync.Mutex
 	pages map[uint64][]byte
 }
 
@@ -81,8 +77,6 @@ func newApplier() *applier { return &applier{pages: make(map[uint64][]byte)} }
 // or a restored delete writes its tuple at offset 0, a delete or a removed
 // insert drops the page. Index records change nothing.
 func (a *applier) Apply(r *Record, act Action) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	p, image := a.pages[r.PageID], r.Old
 	switch {
 	case r.Type == RecIndexInsert || r.Type == RecIndexDelete:
@@ -105,28 +99,85 @@ func (a *applier) Apply(r *Record, act Action) error {
 	return nil
 }
 
+// TestReplayRedoAndLoserUndo replays a log into an empty applier and
+// compares the operation count and every page's first eight bytes (the
+// rest stay zero) with values worked out by hand.
 func TestReplayRedoAndLoserUndo(t *testing.T) {
-	l := New()
-	// Committed transaction writes 0xAA at offset 0 of page 1.
-	l.Append(Record{TxnID: 1, Type: RecUpdate, PageID: 1, Offset: 0, Old: []byte{0x00}, New: []byte{0xAA}})
-	l.Append(Record{TxnID: 1, Type: RecCommit})
-	// Loser transaction writes 0xBB at offset 1 of page 1.
-	l.Append(Record{TxnID: 2, Type: RecUpdate, PageID: 1, Offset: 1, Old: []byte{0x11}, New: []byte{0xBB}})
-
-	a := l.Analyze()
-	ap := newApplier()
-	n, err := l.Replay(a, ap, 1, 0)
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	if n != 2 { // one committed redo + one loser undo
-		t.Fatalf("Replay issued %d ops, want 2", n)
-	}
-	if ap.pages[1][0] != 0xAA {
-		t.Fatalf("replay did not apply the committed update")
-	}
-	if ap.pages[1][1] != 0x11 {
-		t.Fatalf("replay did not restore the loser's before image")
+	cases := []struct {
+		name  string
+		build func(l *Log)
+		ops   int
+		pages map[uint64][8]byte
+	}{{
+		name: "committed and loser",
+		build: func(l *Log) {
+			// Txn 1 commits 0xAA at offset 0 of page 1; loser txn 2 writes
+			// 0xBB at offset 1, whose before image 0x11 undo restores.
+			l.Append(Record{TxnID: 1, Type: RecUpdate, PageID: 1, Offset: 0, Old: []byte{0x00}, New: []byte{0xAA}})
+			l.Append(Record{TxnID: 1, Type: RecCommit})
+			l.Append(Record{TxnID: 2, Type: RecUpdate, PageID: 1, Offset: 1, Old: []byte{0x11}, New: []byte{0xBB}})
+		},
+		ops:   2, // one committed redo + one loser undo
+		pages: map[uint64][8]byte{1: {0xAA, 0x11}},
+	}, {
+		// Record i (0..39) of txn 100+i%5 updates byte i%8 of page i%7
+		// from i to i+1, and every third also inserts into index object
+		// 2 or 3. Txns 100 and 101 commit, 102 aborts, 103 and 104 are
+		// losers. i < 56 touches a distinct byte, so byte i%8 of page i%7
+		// ends as i+1 (committed), i (loser undone) or 0 (aborted:
+		// compensation finds no residue; or untouched).
+		name: "interleaved",
+		build: func(l *Log) {
+			for i := 0; i < 40; i++ {
+				pid := uint64(i % 7)
+				txn := uint64(100 + i%5)
+				l.Append(Record{TxnID: txn, Type: RecUpdate, PageID: pid, Offset: uint16(i % 8), Old: []byte{byte(i)}, New: []byte{byte(i + 1)}})
+				if i%3 == 0 {
+					img := ValueImage(uint64(i))
+					l.Append(Record{TxnID: txn, Type: RecIndexInsert, ObjectID: uint32(2 + i%2), Key: int64(i), New: img[:]})
+				}
+			}
+			l.Append(Record{TxnID: 100, Type: RecCommit})
+			l.Append(Record{TxnID: 101, Type: RecCommit})
+			l.Append(Record{TxnID: 102, Type: RecAbort})
+		},
+		// Redo: 16 committed updates + 6 index inserts. Compensate: 8
+		// aborted updates. Undo: 16 loser updates + 6 loser and 2 aborted
+		// index inserts.
+		ops: 22 + 8 + 24,
+		pages: map[uint64][8]byte{
+			0: {1, 0, 0, 36, 28, 22, 14, 0},
+			1: {8, 2, 0, 0, 37, 29, 0, 16},
+			2: {17, 9, 0, 0, 0, 0, 31, 23},
+			3: {24, 0, 11, 3, 0, 0, 38, 32},
+			4: {0, 26, 18, 12, 4, 0, 0, 39},
+			5: {0, 33, 27, 19, 0, 6, 0, 0},
+			6: {0, 0, 34, 0, 21, 13, 7, 0},
+		},
+	}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			l := New()
+			c.build(l)
+			ap := newApplier()
+			n, err := l.Replay(l.Analyze(), ap, 0)
+			if err != nil {
+				t.Fatalf("Replay: %v", err)
+			}
+			if n != c.ops {
+				t.Fatalf("Replay issued %d ops, want %d", n, c.ops)
+			}
+			if len(ap.pages) != len(c.pages) {
+				t.Fatalf("replay left %d pages, want %d", len(ap.pages), len(c.pages))
+			}
+			for pid, head := range c.pages {
+				want := make([]byte, 64)
+				copy(want, head[:])
+				if got := ap.pages[pid]; !bytes.Equal(got, want) {
+					t.Fatalf("page %d = %v, want %v", pid, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -142,7 +193,7 @@ func TestReplayCompensatesAbortedResidue(t *testing.T) {
 	ap := newApplier()
 	ap.pages[3] = make([]byte, 64)
 	ap.pages[3][0] = 0x99 // flushed residue of the aborted update
-	if _, err := l.Replay(a, ap, 1, 0); err != nil {
+	if _, err := l.Replay(a, ap, 0); err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
 	if ap.pages[3][0] != 0x01 {
@@ -155,55 +206,11 @@ func TestReplayCompensatesAbortedResidue(t *testing.T) {
 	ap2 := newApplier()
 	ap2.pages[3] = make([]byte, 64)
 	ap2.pages[3][0] = 0x42
-	if _, err := l.Replay(a, ap2, 1, 0); err != nil {
+	if _, err := l.Replay(a, ap2, 0); err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
 	if ap2.pages[3][0] != 0x42 {
 		t.Fatalf("conditional compensation clobbered unrelated bytes: %#x", ap2.pages[3][0])
-	}
-}
-
-func TestParallelReplayMatchesSerial(t *testing.T) {
-	build := func() *Log {
-		l := New()
-		// Interleave committed, aborted and loser transactions across
-		// many pages and two index objects.
-		for i := 0; i < 40; i++ {
-			pid := uint64(i % 7)
-			txn := uint64(100 + i%5)
-			l.Append(Record{TxnID: txn, Type: RecUpdate, PageID: pid, Offset: uint16(i % 8), Old: []byte{byte(i)}, New: []byte{byte(i + 1)}})
-			if i%3 == 0 {
-				img := ValueImage(uint64(i))
-				l.Append(Record{TxnID: txn, Type: RecIndexInsert, ObjectID: uint32(2 + i%2), Key: int64(i), New: img[:]})
-			}
-		}
-		l.Append(Record{TxnID: 100, Type: RecCommit})
-		l.Append(Record{TxnID: 101, Type: RecCommit})
-		l.Append(Record{TxnID: 102, Type: RecAbort})
-		// txns 103, 104 stay losers.
-		return l
-	}
-	serial, parallel := newApplier(), newApplier()
-	l := build()
-	a := l.Analyze()
-	n1, err := l.Replay(a, serial, 1, 0)
-	if err != nil {
-		t.Fatalf("serial Replay: %v", err)
-	}
-	n2, err := l.Replay(a, parallel, 4, 0)
-	if err != nil {
-		t.Fatalf("parallel Replay: %v", err)
-	}
-	if n1 != n2 {
-		t.Fatalf("op counts differ: serial %d, parallel %d", n1, n2)
-	}
-	if len(serial.pages) != len(parallel.pages) {
-		t.Fatalf("page sets differ: %d vs %d", len(serial.pages), len(parallel.pages))
-	}
-	for pid, p := range serial.pages {
-		if !bytes.Equal(p, parallel.pages[pid]) {
-			t.Fatalf("page %d differs between serial and parallel replay", pid)
-		}
 	}
 }
 

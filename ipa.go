@@ -212,10 +212,6 @@ type Config struct {
 	// since the last one (default 0: no background checkpointer; call
 	// DB.Checkpoint explicitly).
 	CheckpointEveryBytes uint64
-	// RecoveryParallelism is the number of redo workers Reopen partitions
-	// the post-checkpoint log across, by heap page / index object (default
-	// 4). 1 selects the serial replay used as the oracle in tests.
-	RecoveryParallelism int
 	// StatsInterval starts the background ops sampler: every interval one
 	// counter snapshot is pushed onto the trailing ring that backs the
 	// windowed rates and the lifetime burn gauge (DB.Ops, DB.SampleOps;
@@ -249,9 +245,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.RecoveryParallelism <= 0 {
-		c.RecoveryParallelism = 4
 	}
 	return c
 }

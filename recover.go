@@ -110,15 +110,14 @@ func (db *DB) Crash() *CrashImage {
 
 // RecoveryStats describes the cost of the last crash recovery (Reopen):
 // the restart time in wall-clock and virtual (device) terms, the physical
-// pages the chip-parallel FTL rebuild scanned, and the redo, compensation
-// and undo operations the log replay issued — O(records since the last
-// checkpoint), the quantity fuzzy checkpoints bound.
+// pages the FTL rebuild scanned, and the redo, compensation and undo
+// operations the log replay issued — O(records since the last checkpoint),
+// the quantity fuzzy checkpoints bound.
 type RecoveryStats struct {
 	Wall          time.Duration `json:"wall_ns"`
 	Virtual       time.Duration `json:"virtual_ns"`
 	PagesScanned  int           `json:"pages_scanned"`
 	RecordsRedone uint64        `json:"records_redone"`
-	Parallelism   int           `json:"parallelism"`
 	CheckpointLSN uint64        `json:"checkpoint_lsn"`
 }
 
@@ -128,22 +127,23 @@ func (db *DB) RecoveryStats() RecoveryStats { return db.recoveryStats }
 
 // Reopen opens a database on the remains of a crash: it power-cycles the
 // device, rebuilds the FTL mapping from the OOB tags on Flash (newest valid
-// copy of every logical page wins, one scan goroutine per chip), scrubs
-// pages carrying torn in-place appends, recreates the catalog, adopts the
-// surviving heap and index entry pages (primary-key and secondary alike),
-// reads the durable checkpoint state from the catalog page, and replays
-// the retained write-ahead log — which a fuzzy checkpoint has truncated to
-// the records since the last checkpoint — across
-// Config.RecoveryParallelism redo workers (analysis, forward repeat
-// history with compensation, reverse undo of losers). The undone losers
-// are then retired with one durable RecAbort each, so a later recovery
+// copy of every logical page wins), scrubs pages carrying torn in-place
+// appends, recreates the catalog, adopts the surviving heap and index entry
+// pages (primary-key and secondary alike), reads the durable checkpoint
+// state from the catalog page, and replays the retained write-ahead log —
+// which a fuzzy checkpoint has truncated to the records since the last
+// checkpoint — in one forward and one reverse pass (analysis, forward
+// repeat history with compensation, reverse undo of losers). The undone
+// losers are then retired with one durable RecAbort each, so a later recovery
 // treats them like any pre-crash abort (conditional compensation) instead
 // of stamping their before-images over work committed since. Every index
 // comes from its own entry pages plus the log — the heaps are never
 // scanned. On success all committed transactions are visible, all losers
 // are rolled back and the database is fully usable.
 //
-// Reopen may itself be interrupted by an armed fault plan (a crash during
+// Reopen runs on the calling goroutine, so the device operations it issues,
+// and the virtual time they cost, are a function of the crash image alone.
+// It may itself be interrupted by an armed fault plan (a crash during
 // recovery); recovery is idempotent, so calling Reopen on the same image
 // again continues from the surviving state.
 func Reopen(img *CrashImage) (*DB, error) {
@@ -216,7 +216,7 @@ func Reopen(img *CrashImage) (*DB, error) {
 	// records at or below it were force-flushed before the checkpoint
 	// became durable, so redo starts there instead of LSN 1.
 	analysis := db.log.Analyze()
-	redone, err := db.log.Replay(analysis, applier{db}, cfg.RecoveryParallelism, db.ckptCut.Load())
+	redone, err := db.log.Replay(analysis, applier{db}, db.ckptCut.Load())
 	if err != nil {
 		return nil, fmt.Errorf("ipa: reopen: %w", err)
 	}
@@ -239,7 +239,6 @@ func Reopen(img *CrashImage) (*DB, error) {
 		Virtual:       db.dev.Now() - virtStart,
 		PagesScanned:  report.PagesScanned,
 		RecordsRedone: uint64(redone),
-		Parallelism:   cfg.RecoveryParallelism,
 		CheckpointLSN: db.checkpointLSN.Load(),
 	}
 	db.startCheckpointer()
@@ -268,8 +267,9 @@ func (db *DB) retireLosers(losers map[uint64]bool) error {
 	return db.log.Flush(0)
 }
 
-// snapshotTables returns the current tables without holding the catalog
-// mutex across any per-table work.
+// snapshotTables returns the current tables in identifier order, so that
+// recovery loads them in the same order every time, without holding the
+// catalog mutex across any per-table work.
 func (db *DB) snapshotTables() []*Table {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -277,6 +277,7 @@ func (db *DB) snapshotTables() []*Table {
 	for _, t := range db.tablesByID {
 		tables = append(tables, t)
 	}
+	sort.Slice(tables, func(i, j int) bool { return tables[i].id < tables[j].id })
 	return tables
 }
 

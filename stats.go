@@ -93,14 +93,11 @@ type Stats struct {
 	// live log segments after recycling, and WALBytesSinceCheckpoint is
 	// the log volume accumulated since that checkpoint — the redo bound
 	// for the next crash. RecoveryRedoRecords is how many log records the
-	// last Reopen actually replayed (0 on a fresh Open) and
-	// RecoveryParallelism is the configured redo worker count (1 = the
-	// serial oracle).
+	// last Reopen actually replayed (0 on a fresh Open).
 	CheckpointLSN           uint64 `stat:"gauge"`
 	WALSegments             int    `stat:"gauge"`
 	WALBytesSinceCheckpoint uint64 `stat:"gauge"`
 	RecoveryRedoRecords     uint64 `stat:"lifetime"`
-	RecoveryParallelism     int    `stat:"gauge"`
 
 	// BufferShards is the number of independently-latched partitions of
 	// the buffer pool's page table (a configuration echo, like Mode and
@@ -204,7 +201,6 @@ func (db *DB) Stats() Stats {
 	s.WALSegments = db.log.Segments()
 	s.WALBytesSinceCheckpoint = now.counts.WALBytes - walAtCkpt
 	s.RecoveryRedoRecords = db.recoveryStats.RecordsRedone
-	s.RecoveryParallelism = db.cfg.RecoveryParallelism
 	s.BufferShards = db.pool.Shards()
 
 	perChip, clocks := db.dev.PerChipStats(), db.dev.ChipClocks()

@@ -474,7 +474,7 @@ func (tx *Tx) Abort() error {
 // reverse pass over the losers (Undo) all come through Apply:
 //
 //	                 Redo                       Undo                              Compensate
-//	RecUpdate        install New                install Old                       install Old iff slot live and bytes == New
+//	RecUpdate        install New iff slot live  install Old                       install Old iff slot live and bytes == New
 //	RecInsert        recreate lost page, fill   delete slot iff present, live     as Undo (replay never asks)
 //	                 gap slots, restore New
 //	RecDelete        delete slot iff live       restore Old iff slot deleted      as Undo
@@ -545,6 +545,12 @@ func (ap applier) Apply(r *wal.Record, a wal.Action) error {
 		}
 		err = pg.RestoreTuple(slot, r.New)
 	case r.Type == wal.RecUpdate && redo:
+		// A deleted slot means a later committed delete of the tuple
+		// already reached Flash: there is nothing left to repeat.
+		deleted, derr := pg.Deleted(slot)
+		if derr != nil || deleted {
+			return derr
+		}
 		err = pg.UpdateTupleAt(slot, int(r.Offset), r.New)
 	case r.Type == wal.RecUpdate && a == wal.Undo:
 		err = pg.UpdateTupleAt(slot, int(r.Offset), r.Old)
