@@ -58,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Int64Var(&set.Seed, "seed", bench.Base.Seed, "random seed")
 	fs.IntVar(&set.N, "n", bench.Base.N, "IPA scheme parameter N")
 	fs.IntVar(&set.M, "m", bench.Base.M, "IPA scheme parameter M")
-	fs.IntVar(&set.Threads, "threads", 0, "concurrent experiments: fixed goroutine count (0 = experiment default)")
+	fs.IntVar(&set.Threads, "threads", 0, "concurrent, readmix and chips: fixed client count (0 = experiment default)")
 	fs.IntVar(&set.Chips, "chips", 0, "chips and crash experiments: fixed chip count (0 = experiment default)")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {

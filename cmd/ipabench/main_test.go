@@ -14,10 +14,10 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/quick.golden")
 
 // quickGolden lists the experiments whose -quick output runs on the virtual
-// device clock alone and so repeats byte for byte; concurrent, readmix,
-// chips and crash print wall-clock columns.
+// device clock alone and so repeats byte for byte; concurrent and crash
+// print wall-clock columns.
 var quickGolden = []string{"table1", "fig1", "oltp", "ipl", "scenarios",
-	"interference", "sweep", "index", "secondary", "ycsb"}
+	"interference", "sweep", "readmix", "chips", "index", "secondary", "ycsb"}
 
 var wallClockLine = regexp.MustCompile(`(?m)^\(completed in .* wall-clock\)\n`)
 
@@ -27,7 +27,7 @@ var wallClockLine = regexp.MustCompile(`(?m)^\(completed in .* wall-clock\)\n`)
 // with -update and shows the diff of testdata/quick.golden.
 func TestQuickExperimentsMatchGolden(t *testing.T) {
 	if testing.Short() || raceDetector {
-		t.Skip("runs the ten deterministic experiments (≈10 s; far longer under -race)")
+		t.Skip("runs the twelve deterministic experiments (≈11 s; far longer under -race)")
 	}
 	var out bytes.Buffer
 	for _, name := range quickGolden {

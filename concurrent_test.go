@@ -2,9 +2,11 @@ package ipa_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"ipa"
 	"ipa/internal/wal"
@@ -213,6 +215,133 @@ func TestConcurrentCommitDurability(t *testing.T) {
 	if s.WALFlushes == 0 || s.WALFlushedCommits != uint64(commits) {
 		t.Fatalf("group-commit accounting wrong: %+v", s)
 	}
+}
+
+// TestCrashDuringGroupCommitLeaderFlush kills the log device while a
+// group-commit leader is flushing on behalf of concurrent committers: every
+// transaction in the doomed batch must report the failure and be rolled
+// back by recovery, while transactions from earlier batches stay durable.
+func TestCrashDuringGroupCommitLeaderFlush(t *testing.T) {
+	const (
+		rowSize        = 64
+		initialBalance = int64(1_000_000_007)
+		workers        = 4
+		keysPerWkr     = 4
+		opsPerWkr      = 200
+		crashAtFlsh    = 25
+	)
+	plan := ipa.NewFaultPlan(crashAtFlsh, ipa.CrashBefore)
+	plan.SetKinds(ipa.OpLogFlush)
+	cfg := ipa.Config{
+		PageSize:        2048,
+		Blocks:          16,
+		PagesPerBlock:   16,
+		BufferPoolPages: 32,
+		WriteMode:       ipa.IPANativeFlash,
+		Scheme:          ipa.Scheme{N: 2, M: 4},
+		FlashMode:       ipa.PSLC,
+		// A real wall-clock cost per log flush so concurrent commits pile
+		// up behind the leader and ride shared batches.
+		LogFlushWallLatency: 200 * time.Microsecond,
+		Faults:              plan,
+	}
+	db, err := ipa.Open(cfg)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	table, err := db.CreateTable("balances", rowSize)
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	// Load all worker keys in one transaction (one log flush).
+	tx := db.Begin()
+	for k := 0; k < workers*keysPerWkr; k++ {
+		row := make([]byte, rowSize)
+		binary.LittleEndian.PutUint64(row[8:], uint64(initialBalance))
+		if err := tx.Insert(table, int64(k), row); err != nil {
+			t.Fatalf("load insert: %v", err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("load commit: %v", err)
+	}
+
+	// committed[k] is the last balance whose commit SUCCEEDED for key k.
+	committed := make([]int64, workers*keysPerWkr)
+	for i := range committed {
+		committed[i] = initialBalance
+	}
+	var failedCommits int64
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < opsPerWkr; i++ {
+				key := int64(w*keysPerWkr + i%keysPerWkr)
+				delta := int64(w*1000 + i + 1)
+				tx := db.Begin()
+				mu.Lock()
+				cur := committed[key]
+				mu.Unlock()
+				row := make([]byte, 8)
+				binary.LittleEndian.PutUint64(row, uint64(cur+delta))
+				if err := tx.UpdateAt(table, key, 8, row); err != nil {
+					if errors.Is(err, ipa.ErrPowerLost) || errors.Is(err, ipa.ErrClosed) {
+						return
+					}
+					if errors.Is(err, ipa.ErrConflict) {
+						_ = tx.Abort()
+						continue
+					}
+					t.Errorf("worker %d: update: %v", w, err)
+					return
+				}
+				if err := tx.Commit(); err != nil {
+					mu.Lock()
+					failedCommits++
+					mu.Unlock()
+					if errors.Is(err, ipa.ErrPowerLost) || errors.Is(err, ipa.ErrClosed) {
+						return
+					}
+					t.Errorf("worker %d: commit: %v", w, err)
+					return
+				}
+				mu.Lock()
+				committed[key] = cur + delta
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if !plan.Tripped() {
+		t.Fatalf("the log-flush fault never fired (%d flush points seen)", plan.Ops())
+	}
+
+	img := db.Crash()
+	db2, err := ipa.Reopen(img)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer db2.Close()
+	if err := db2.VerifyIntegrity(); err != nil {
+		t.Fatalf("integrity: %v", err)
+	}
+	t2, ok := db2.Table("balances")
+	if !ok {
+		t.Fatalf("table missing after reopen")
+	}
+	for k := range committed {
+		row, err := t2.Get(int64(k))
+		if err != nil {
+			t.Fatalf("key %d: %v", k, err)
+		}
+		if got := int64(binary.LittleEndian.Uint64(row[8:])); got != committed[k] {
+			t.Errorf("key %d: balance %d after recovery, committed state says %d", k, got, committed[k])
+		}
+	}
+	t.Logf("flush points=%d failed commits=%d", plan.Ops(), failedCommits)
 }
 
 // TestRecoveryAfterConcurrentCrash crashes a database mid-flight — some

@@ -72,10 +72,10 @@ func Example_ssdVsNative() {
 	//                                         traditional IPA block-device  IPA write_delta
 	// host writes (pages / deltas)                   2384             2433             2433
 	// bytes host -> device                        9764864          9965568          3704448
-	// in-place appends                                  0             1279             1566
-	// page invalidations                             2367             1137              850
-	// GC erases                                       212               89               52
-	// throughput (tps)                               3952             4976             5509
+	// in-place appends                                  0             1566             1566
+	// page invalidations                             2367              850              850
+	// GC erases                                       212               52               52
+	// throughput (tps)                               3952             5471             5509
 	// DBMS write amplification                      161.6x           164.7x            61.2x
 	//
 	// Both IPA variants avoid the same page invalidations and GC work; only the

@@ -26,7 +26,7 @@ func TestChipsScenario(t *testing.T) {
 		if row.Committed != 1200 {
 			t.Errorf("chips=%d committed %d, want 1200", row.Chips, row.Committed)
 		}
-		if row.VirtualTPS <= 0 || row.WallPerSec <= 0 {
+		if row.VirtualTPS <= 0 {
 			t.Errorf("chips=%d reported no throughput", row.Chips)
 		}
 		if row.Stats.Chips != row.Chips || len(row.Stats.ChipStats) != row.Chips {
@@ -66,8 +66,8 @@ func TestChipsScenario(t *testing.T) {
 	}
 }
 
-// BenchmarkChipScaling reports wall and virtual throughput for a ladder of
-// chip counts (run with -benchtime to extend the ladder's op count).
+// BenchmarkChipScaling reports virtual throughput for a ladder of chip
+// counts (run with -benchtime to extend the ladder's op count).
 func BenchmarkChipScaling(b *testing.B) {
 	for _, chips := range []int{1, 2, 4} {
 		b.Run(benchName(chips), func(b *testing.B) {
@@ -78,7 +78,6 @@ func BenchmarkChipScaling(b *testing.B) {
 				b.Fatalf("Chips: %v", err)
 			}
 			row := res.Rows[0]
-			b.ReportMetric(row.WallPerSec, "wall-tps")
 			b.ReportMetric(row.VirtualTPS, "virtual-tps")
 		})
 	}

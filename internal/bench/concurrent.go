@@ -64,7 +64,7 @@ func Concurrent(o Options) (ConcurrentResult, error) {
 	cfg := o.nativeConfig(ipa.PSLC)
 	cfg.LogFlushLatency, cfg.LogFlushWallLatency = concurrentLogFlushLatency, concurrentLogFlushWallLatency
 	for _, g := range ladder(o.Threads) {
-		r, err := drive("concurrent", cfg, tuples, g, o.Ops, stridedUpdates(tuples, g, 17))
+		r, err := drive("concurrent", cfg, tuples, g, o.Ops, o.Seed, true, stridedUpdates(tuples, g, 17))
 		if err != nil {
 			return out, err
 		}

@@ -4,17 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ipa"
+	"ipa/internal/interleave"
 	"ipa/internal/workload"
 )
 
 // tupleSize is the row size of the table the concurrent experiments load.
 const tupleSize = 100
 
-// driven is what one run of the multi-goroutine driver measured.
+// driven is what one run of a concurrent experiment measured.
 type driven struct {
 	Stats   ipa.Stats
 	Retries uint64        // transactions re-run after a record-lock conflict
@@ -30,17 +30,21 @@ func (r driven) perSec(d time.Duration) float64 {
 	return float64(r.Stats.CommittedTxns) / d.Seconds()
 }
 
-// drive is the multi-goroutine driver the concurrent experiments share:
-// open a fresh database, load tuples rows of tupleSize bytes into one
-// table, flush, reset the counters, fan ops transactions out over
-// goroutines workers and flush again. worker is called once per goroutine
-// (w is its index) and returns the body of that goroutine's i-th
-// transaction; the driver begins and commits around it and re-runs a
-// transaction that lost a record-lock conflict.
-func drive(name string, cfg ipa.Config, tuples, goroutines, ops int,
-	worker func(tbl *ipa.Table, w int) func(tx *ipa.Tx, i int) error) (driven, error) {
-	if goroutines <= 0 {
-		return driven{}, fmt.Errorf("bench: %s: invalid goroutine count %d", name, goroutines)
+// client returns, for client c of a run on tbl, the statements of its i-th
+// transaction; the last one ends it.
+type client func(tbl *ipa.Table, c int) func(i int) []interleave.Step
+
+// drive is the driver the concurrent experiments share: open a fresh
+// database, load tuples rows of tupleSize bytes into one table, flush,
+// reset the counters, run ops transactions split over clients clients as
+// txn describes them, and flush again. The clients run as programs of
+// internal/interleave: stepped from one goroutine in an order drawn from
+// seed, so the run is a function of it — or, with parallel set (-exp
+// concurrent, which measures what needs real goroutines: group-commit
+// batching and latch contention), each on a goroutine of its own.
+func drive(name string, cfg ipa.Config, tuples, clients, ops int, seed int64, parallel bool, txn client) (driven, error) {
+	if clients <= 0 {
+		return driven{}, fmt.Errorf("bench: %s: invalid client count %d", name, clients)
 	}
 	db, err := ipa.Open(cfg)
 	if err != nil {
@@ -57,54 +61,53 @@ func drive(name string, cfg ipa.Config, tuples, goroutines, ops int,
 	if err := db.FlushAll(); err != nil {
 		return driven{}, err
 	}
-	db.ResetStats()
-	virtualStart := db.Now()
-
-	var retries atomic.Uint64
-	errs := make(chan error, goroutines)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < goroutines; w++ {
-		n := ops / goroutines
-		if w < ops%goroutines {
+	progs := make([]interleave.Program, clients)
+	for c := range progs {
+		next, n, i := txn(tbl, c), ops/clients, 0
+		if c < ops%clients {
 			n++
 		}
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			body := worker(tbl, w)
-			for i := 0; i < n; i++ {
-				for {
-					tx := db.Begin()
-					err := body(tx, i)
-					if err == nil {
-						err = tx.Commit()
-					}
-					if err == nil {
-						break
-					}
-					_ = tx.Abort() // err is what the worker reports; a finished tx refuses the abort
-					if errors.Is(err, ipa.ErrConflict) {
-						retries.Add(1)
-						continue
-					}
-					errs <- fmt.Errorf("bench: %s worker %d: %w", name, w, err)
-					return
-				}
+		progs[c] = func() []interleave.Step {
+			if i == n {
+				return nil
 			}
-		}(w, n)
+			i++
+			return next(i - 1)
+		}
 	}
-	wg.Wait()
+	db.ResetStats()
+	virtualStart := db.Now()
+	start := time.Now()
+	retries, errs := make([]uint64, clients), make([]error, clients)
+	if parallel {
+		var wg sync.WaitGroup
+		for c, p := range progs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				retries[c], errs[c] = interleave.Run(db, seed, p)
+			}()
+		}
+		wg.Wait()
+	} else {
+		retries[0], errs[0] = interleave.Run(db, seed, progs...)
+	}
 	wall := time.Since(start)
-	close(errs)
-	for err := range errs {
-		return driven{}, err
+	if err := errors.Join(errs...); err != nil {
+		return driven{}, fmt.Errorf("bench: %s: %w", name, err)
 	}
 	if err := db.FlushAll(); err != nil {
 		return driven{}, err
 	}
-	return driven{Stats: db.Stats(), Retries: retries.Load(), Wall: wall, Virtual: db.Now() - virtualStart}, nil
+	r := driven{Stats: db.Stats(), Wall: wall, Virtual: db.Now() - virtualStart}
+	for _, n := range retries {
+		r.Retries += n
+	}
+	return r, nil
 }
+
+// commit is the last statement of a transaction that commits.
+func commit(tx *ipa.Tx) error { return tx.Commit() }
 
 // loadRows fills tbl with n copies of row under the keys 0..n-1, through
 // the transactional loader.
@@ -118,18 +121,19 @@ func loadRows(db *ipa.DB, tbl *ipa.Table, n int, row []byte) error {
 	return ld.Commit()
 }
 
-// stridedUpdates is the worker of the update-only ladders: each goroutine
-// owns a disjoint slice of the key space and strides through it, so
-// consecutive transactions land on different pages — and therefore on
-// different buffer pool shards and, with page identifiers striped across
-// chips, on different chips.
-func stridedUpdates(tuples, goroutines, stride int) func(*ipa.Table, int) func(*ipa.Tx, int) error {
-	span := max(tuples/max(goroutines, 1), 1)
-	return func(tbl *ipa.Table, w int) func(*ipa.Tx, int) error {
-		base := int64(w * span)
-		return func(tx *ipa.Tx, i int) error {
+// stridedUpdates is the transaction of the update-only ladders, one update
+// and the commit: each client owns a disjoint slice of the key space and
+// strides through it, so consecutive transactions land on different pages —
+// and therefore on different buffer pool shards and, with page identifiers
+// striped across chips, on different chips.
+func stridedUpdates(tuples, clients, stride int) client {
+	span := max(tuples/max(clients, 1), 1)
+	return func(tbl *ipa.Table, c int) func(int) []interleave.Step {
+		base := int64(c * span)
+		return func(i int) []interleave.Step {
 			key := base + int64(i*stride)%int64(span)
-			return tx.UpdateAt(tbl, key, 8, []byte{byte(i), byte(i >> 8), byte(w)})
+			update := func(tx *ipa.Tx) error { return tx.UpdateAt(tbl, key, 8, []byte{byte(i), byte(i >> 8), byte(c)}) }
+			return []interleave.Step{update, commit}
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ipa"
+	"ipa/internal/interleave"
 )
 
 // The read-skew ladder: transactions of readMixOpsPerTxn point operations
@@ -14,17 +15,15 @@ import (
 // the first readMixHotKeys keys. The hot set is where the two read modes
 // diverge — under 2PL even two readers of the same hot key conflict (locks
 // are exclusive), while snapshot readers never do. The log device is fast
-// (vs the concurrency-scaling scenario's 50µs): this ladder is about lock
-// contention, not group commit, so the flush must not dominate the
-// per-transaction cost.
+// (vs the concurrency-scaling scenario's 100µs): this ladder is about lock
+// contention, not group commit.
 var readMixPcts = []int{50, 90, 99}
 
 const (
-	readMixOpsPerTxn           = 8
-	readMixHotKeys             = 16
-	readMixHotOpPct            = 40
-	readMixLogFlushLatency     = 20 * time.Microsecond
-	readMixLogFlushWallLatency = 5 * time.Microsecond
+	readMixOpsPerTxn       = 8
+	readMixHotKeys         = 16
+	readMixHotOpPct        = 40
+	readMixLogFlushLatency = 20 * time.Microsecond
 )
 
 // readMixTuples is the shared keyspace size: small enough to make
@@ -37,8 +36,6 @@ type ReadMixRow struct {
 	Locked    bool // true = GetForUpdate baseline, false = snapshot reads
 	Committed uint64
 	Retries   uint64 // transactions re-run after ErrConflict
-	Wall      time.Duration
-	OpsPerSec float64
 
 	// Lock-table pressure and MVCC activity for the run.
 	LockAcquisitions uint64
@@ -56,18 +53,19 @@ type ReadMixResult struct {
 	Rows    []ReadMixRow
 }
 
-// ReadMix runs the read-skew ladder: o.Threads goroutines run transactions
+// ReadMix runs the read-skew ladder: o.Threads clients run transactions
 // over one SHARED keyspace (no partitioning — readers and writers collide
-// on purpose), with the read fraction swept across readMixPcts. Every mix
-// runs twice:
+// on purpose), with the read fraction swept across readMixPcts. The
+// clients' statements interleave on one goroutine in an order the seed
+// draws, so transactions overlap and conflict, and every figure repeats.
+// Every mix runs twice:
 //
 //   - snapshot: reads go through Tx.Get — lock-free MVCC snapshot reads;
 //   - locked:   reads go through Tx.GetForUpdate — the strict-2PL baseline
 //     where every read takes a record lock and conflicts abort.
 //
-// The gap between the two rows of a mix is the benefit of multi-version
-// readers; it widens with the read share because under 2PL read locks are
-// what most transactions collide on.
+// The gap between the two rows' conflicts is the benefit of multi-version
+// readers: under 2PL read locks are what most transactions collide on.
 func ReadMix(o Options) (ReadMixResult, error) {
 	out := ReadMixResult{Options: o}
 	for _, pct := range readMixPcts {
@@ -83,41 +81,38 @@ func ReadMix(o Options) (ReadMixResult, error) {
 }
 
 // runReadMix measures one cell on a fresh database. Each transaction is
-// readMixOpsPerTxn point operations, each a read with probability readPct%.
+// readMixOpsPerTxn point operations, each a read with probability readPct%,
+// one statement each; a retry draws new keys.
 func runReadMix(o Options, readPct int, locked bool) (ReadMixRow, error) {
 	tuples := readMixTuples(o.Quick)
 	cfg := o.nativeConfig(ipa.PSLC)
-	cfg.LogFlushLatency, cfg.LogFlushWallLatency = readMixLogFlushLatency, readMixLogFlushWallLatency
-	r, err := drive("readmix", cfg, tuples, o.Threads, o.Ops, func(tbl *ipa.Table, w int) func(*ipa.Tx, int) error {
-		rnd := rand.New(rand.NewSource(o.Seed + int64(w)*7919))
-		patch := []byte{byte(w), 0, 0}
-		return func(tx *ipa.Tx, _ int) error {
-			for j := 0; j < readMixOpsPerTxn; j++ {
-				var key int64
-				if rnd.Intn(100) < readMixHotOpPct {
-					key = int64(rnd.Intn(readMixHotKeys))
-				} else {
-					key = int64(rnd.Intn(tuples))
-				}
-				read := rnd.Intn(100) < readPct
-				if read && !locked {
-					if _, err := tx.Get(tbl, key); err != nil {
-						return err
-					}
-					continue
-				}
-				if _, err := tx.GetForUpdate(tbl, key); err != nil {
-					return err
-				}
-				if read {
-					continue
-				}
-				if err := tx.UpdateAt(tbl, key, 8, patch); err != nil {
-					return err
-				}
+	cfg.LogFlushLatency = readMixLogFlushLatency
+	r, err := drive("readmix", cfg, tuples, o.Threads, o.Ops, o.Seed, false, func(tbl *ipa.Table, c int) func(int) []interleave.Step {
+		rnd := rand.New(rand.NewSource(o.Seed + int64(c)*7919))
+		patch := []byte{byte(c), 0, 0}
+		op := func(tx *ipa.Tx) error {
+			var key int64
+			if rnd.Intn(100) < readMixHotOpPct {
+				key = int64(rnd.Intn(readMixHotKeys))
+			} else {
+				key = int64(rnd.Intn(tuples))
 			}
-			return nil
+			read := rnd.Intn(100) < readPct
+			if read && !locked {
+				_, err := tx.Get(tbl, key)
+				return err
+			}
+			if _, err := tx.GetForUpdate(tbl, key); err != nil || read {
+				return err
+			}
+			return tx.UpdateAt(tbl, key, 8, patch)
 		}
+		steps := make([]interleave.Step, readMixOpsPerTxn, readMixOpsPerTxn+1)
+		for j := range steps {
+			steps[j] = op
+		}
+		steps = append(steps, commit)
+		return func(int) []interleave.Step { return steps }
 	})
 	if err != nil {
 		return ReadMixRow{}, err
@@ -128,8 +123,6 @@ func runReadMix(o Options, readPct int, locked bool) (ReadMixRow, error) {
 		Locked:           locked,
 		Committed:        s.CommittedTxns,
 		Retries:          r.Retries,
-		Wall:             r.Wall,
-		OpsPerSec:        r.perSec(r.Wall),
 		LockAcquisitions: s.LockAcquisitions,
 		LockConflicts:    s.LockConflicts,
 		SnapshotReads:    s.SnapshotReads,
@@ -140,23 +133,17 @@ func runReadMix(o Options, readPct int, locked bool) (ReadMixRow, error) {
 
 // Write renders the read-skew table.
 func (r ReadMixResult) Write(w io.Writer) {
-	fmt.Fprintf(w, "Read-skew ladder: %d goroutines, %d-op txns over %d shared keys, %d%% of ops on %d hot keys (snapshot = MVCC Tx.Get, locked = 2PL GetForUpdate)\n",
+	fmt.Fprintf(w, "Read-skew ladder: %d clients, %d-op txns over %d shared keys, %d%% of ops on %d hot keys (snapshot = MVCC Tx.Get, locked = 2PL GetForUpdate)\n",
 		r.Options.Threads, readMixOpsPerTxn, readMixTuples(r.Options.Quick), readMixHotOpPct, readMixHotKeys)
-	fmt.Fprintf(w, "%-6s %-9s %10s %9s %12s %9s %11s %11s %10s %9s\n",
-		"read%", "reads", "committed", "retries", "wall", "ops/s", "lock acq", "lock confl", "snapReads", "verReads")
-	var prev float64
+	fmt.Fprintf(w, "%-6s %-9s %10s %9s %11s %11s %10s %9s\n",
+		"read%", "reads", "committed", "retries", "lock acq", "lock confl", "snapReads", "verReads")
 	for _, row := range r.Rows {
 		mode := "snapshot"
 		if row.Locked {
 			mode = "locked"
 		}
-		fmt.Fprintf(w, "%-6d %-9s %10d %9d %12s %9.0f %11d %11d %10d %9d",
-			row.ReadPct, mode, row.Committed, row.Retries, row.Wall.Round(time.Millisecond),
-			row.OpsPerSec, row.LockAcquisitions, row.LockConflicts, row.SnapshotReads, row.VersionReads)
-		if row.Locked && prev > 0 && row.OpsPerSec > 0 {
-			fmt.Fprintf(w, "  (snapshot %+.0f%%)", (prev/row.OpsPerSec-1)*100)
-		}
-		fmt.Fprintln(w)
-		prev = row.OpsPerSec
+		fmt.Fprintf(w, "%-6d %-9s %10d %9d %11d %11d %10d %9d\n",
+			row.ReadPct, mode, row.Committed, row.Retries,
+			row.LockAcquisitions, row.LockConflicts, row.SnapshotReads, row.VersionReads)
 	}
 }

@@ -24,9 +24,6 @@ func TestReadMixScenario(t *testing.T) {
 		if row.Committed != 200 {
 			t.Errorf("locked=%v committed %d, want 200", row.Locked, row.Committed)
 		}
-		if row.OpsPerSec <= 0 {
-			t.Errorf("locked=%v reported no throughput", row.Locked)
-		}
 	}
 	// A 100%-read snapshot run takes no record locks at all; the locked
 	// baseline takes one per read.

@@ -43,7 +43,8 @@ type Options struct {
 	// Ops bounds every measured phase by committed transactions.
 	Ops  int
 	Seed int64
-	// Threads is the goroutine count of the concurrent experiments and
+	// Threads is the client count of the concurrent experiments (goroutines
+	// in -exp concurrent, interleaved programs in readmix and chips) and
 	// Chips the chip count of the device; 0 runs the experiment's ladder.
 	Threads int
 	Chips   int

@@ -125,7 +125,7 @@ func TestEncodeDecodeArea(t *testing.T) {
 	if len(decoded) != 2 {
 		t.Fatalf("decoded %d records", len(decoded))
 	}
-	if n, meta := ApplyArea(make([]byte, 32), area, s, metaLen); n != 2 || !bytes.Equal(meta, meta2) {
+	if n, meta := ApplyArea(make([]byte, 32), area, s, metaLen, nil); n != 2 || !bytes.Equal(meta, meta2) {
 		t.Fatalf("ApplyArea saw %d records, newest Δmetadata %v", n, meta)
 	}
 	// Appending at a non-zero first slot leaves earlier slots blank so the

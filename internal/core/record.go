@@ -160,8 +160,9 @@ func ApplyRecords(page []byte, records []DeltaRecord) []byte {
 // order, without decoding them into DeltaRecords. It returns the number of
 // records applied and the Δmetadata of the newest, which aliases area (nil
 // if there is none); the caller installs it into the page header and footer.
-// body is the patchable page prefix and must not overlap area.
-func ApplyArea(body, area []byte, s Scheme, metaLen int) (records int, meta []byte) {
+// body is the patchable page prefix and must not overlap area. A non-nil t
+// keeps the prior value of every byte applied, for RestoreOriginal.
+func ApplyArea(body, area []byte, s Scheme, metaLen int, t *Tracker) (records int, meta []byte) {
 	if !s.Enabled() {
 		return 0, nil
 	}
@@ -176,6 +177,9 @@ func ApplyArea(body, area []byte, s Scheme, metaLen int) (records int, meta []by
 		for i := 0; i < s.M; i, pos = i+1, pos+patchSize {
 			off := int(binary.LittleEndian.Uint16(area[pos:]))
 			if off != int(unusedOffset) && off < len(body) {
+				if t != nil {
+					t.keepFlash(off, body[off])
+				}
 				body[off] = area[pos+2]
 			}
 		}

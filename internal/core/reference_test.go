@@ -295,14 +295,25 @@ func FuzzApplyAreaMatchesDecode(f *testing.F) {
 		const bodyLen = 300
 		size := s.RecordSize(metaLen)
 
+		// The body starts patterned; the tracker ApplyArea fills must
+		// restore it.
 		check := func(what string, area []byte) {
-			got, want := make([]byte, bodyLen), make([]byte, bodyLen)
-			n, meta := ApplyArea(got, area, s, metaLen)
+			orig := make([]byte, bodyLen)
+			for i := range orig {
+				orig[i] = byte(i * 7)
+			}
+			got, want, back := bytes.Clone(orig), bytes.Clone(orig), make([]byte, bodyLen)
+			var tr Tracker
+			tr.Init(s, bodyLen, 0)
+			n, meta := ApplyArea(got, area, s, metaLen, &tr)
 			records := DecodeArea(area, s, metaLen)
 			wantMeta := ApplyRecords(want, records)
 			if n != len(records) || !bytes.Equal(got, want) || !bytes.Equal(meta, wantMeta) || (meta == nil) != (wantMeta == nil) {
 				t.Fatalf("%s: ApplyArea saw %d records (Δmetadata %x), the decoder %d (%x); pages equal: %v\narea %x",
 					what, n, meta, len(records), wantMeta, bytes.Equal(got, want), area)
+			}
+			if tr.RestoreOriginal(back, got); !bytes.Equal(back, orig) {
+				t.Fatalf("%s: RestoreOriginal does not undo the applied records\narea %x", what, area)
 			}
 		}
 		check("raw input", in)
@@ -325,21 +336,21 @@ func FuzzApplyAreaMatchesDecode(f *testing.F) {
 			t.Fatalf("EncodeArea: %v", err)
 		}
 		check("whole area", area)
-		if n, _ := ApplyArea(make([]byte, bodyLen), area, s, metaLen); n != len(records) {
+		if n, _ := ApplyArea(make([]byte, bodyLen), area, s, metaLen, nil); n != len(records) {
 			t.Fatalf("ApplyArea saw %d of %d encoded records", n, len(records))
 		}
 		programmed := len(records) * size
 		for cut := 0; cut < programmed; cut++ {
 			torn := slices.Concat(area[:cut], bytes.Repeat([]byte{0xFF}, len(area)-cut))
 			check("torn", torn)
-			if n, _ := ApplyArea(make([]byte, bodyLen), torn, s, metaLen); n != cut/size {
+			if n, _ := ApplyArea(make([]byte, bodyLen), torn, s, metaLen, nil); n != cut/size {
 				t.Fatalf("area torn after byte %d of %d-byte records: %d records applied, want %d", cut, size, n, cut/size)
 			}
 		}
 		for bit := 0; bit < programmed*8; bit++ {
 			area[bit/8] ^= 1 << (bit % 8)
 			check("bit flip", area)
-			if n, _ := ApplyArea(make([]byte, bodyLen), area, s, metaLen); n != bit/8/size {
+			if n, _ := ApplyArea(make([]byte, bodyLen), area, s, metaLen, nil); n != bit/8/size {
 				t.Fatalf("bit %d flipped: %d records applied, want the %d before it", bit, n, bit/8/size)
 			}
 			area[bit/8] ^= 1 << (bit % 8)

@@ -37,6 +37,13 @@ type Tracker struct {
 	inlinePatches [inlineChanges]Patch
 	inlineOlds    [inlineChanges]byte
 
+	// flash holds, for every body byte the page's on-Flash delta records
+	// change, its value in the Flash body: the records' bytes are in the
+	// buffered body and not there. It is filled as the load applies the
+	// records and as the residency's appends land, at most N·M entries.
+	flash       []Patch
+	inlineFlash [inlineChanges]Patch
+
 	// analytic keeps counting changed bytes even after the out-of-place
 	// flag is set. The paper's prototype stops tracking at that point to
 	// minimise overhead; the analytic mode exists so the experiments can
@@ -80,8 +87,9 @@ func (t *Tracker) Init(scheme Scheme, bodyLen, existing int) {
 	t.analytic = false
 	t.originalMeta = t.originalMeta[:0]
 	if t.patches == nil {
-		t.patches, t.olds = t.inlinePatches[:0], t.inlineOlds[:0]
+		t.patches, t.olds, t.flash = t.inlinePatches[:0], t.inlineOlds[:0], t.inlineFlash[:0]
 	}
+	t.flash = t.flash[:0]
 	t.Reset(existing)
 }
 
@@ -275,10 +283,11 @@ func (t *Tracker) BuildRecords(meta []byte) []DeltaRecord {
 }
 
 // RestoreOriginal writes into dst the buffered page with the tracked body
-// changes undone: the image currently stored on Flash. The storage manager
-// uses it on the IPA-over-conventional-SSD path, where the whole page
-// (original body + appended delta records) is written over the block-device
-// interface. dst must be as long as buffered.
+// changes and the on-Flash records' body bytes undone: the body currently
+// stored on Flash. The storage manager uses it on the
+// IPA-over-conventional-SSD path, where the whole page (original body +
+// appended delta records) is written over the block-device interface. dst
+// must be as long as buffered.
 func (t *Tracker) RestoreOriginal(dst, buffered []byte) {
 	copy(dst, buffered)
 	for i, p := range t.patches {
@@ -286,15 +295,45 @@ func (t *Tracker) RestoreOriginal(dst, buffered []byte) {
 			dst[p.Offset] = t.olds[i]
 		}
 	}
+	for _, p := range t.flash {
+		if int(p.Offset) < len(dst) {
+			dst[p.Offset] = p.Value
+		}
+	}
+}
+
+// keepFlash notes that the Flash body holds old at offset, unless a record
+// already on Flash changed that byte first.
+func (t *Tracker) keepFlash(offset int, old byte) {
+	for _, p := range t.flash {
+		if int(p.Offset) == offset {
+			return
+		}
+	}
+	t.flash = append(t.flash, Patch{Offset: uint16(offset), Value: old})
+}
+
+// Appended notes that the tracked changes reached Flash as records more
+// delta records beside an unchanged body, and restarts tracking for the
+// rest of the residency.
+func (t *Tracker) Appended(records int) {
+	for i, p := range t.patches {
+		t.keepFlash(int(p.Offset), t.olds[i])
+	}
+	t.Reset(t.existing + records)
 }
 
 // Reset prepares the tracker for the next residency of the page in the
 // buffer pool: the number of on-Flash records becomes existing and all
-// tracked state is discarded.
+// tracked state is discarded — with existing 0 (a whole-page write) the
+// Flash body's record bytes too.
 func (t *Tracker) Reset(existing int) {
 	t.existing = existing
 	t.outOfPlace = !t.scheme.Enabled() || existing >= t.scheme.N
 	t.metaChanged = false
 	t.extraChanged = 0
 	t.patches, t.olds = t.patches[:0], t.olds[:0]
+	if existing == 0 {
+		t.flash = t.flash[:0]
+	}
 }

@@ -17,15 +17,19 @@
 //
 // The oracle is exact because the *writing* workload is single-threaded
 // and seeded: the harness mirrors every committed transaction's effect in
-// memory and compares the recovered database against it key by key. On
-// top of the writer, concurrent snapshot readers (Options.Readers) run
-// lock-free MVCC read transactions during the crash-prone phase: each
-// sums every account, teller and branch balance inside one transaction
-// and checks that the three totals describe the same committed prefix of
-// the workload — a torn read (a cut through the middle of a transaction)
-// or a total the single-threaded oracle never produced fails the run.
-// The readers stop when the injected fault fires and are joined before
-// the crash, so the oracle stays exact.
+// memory and compares the recovered database against it key by key. Beside
+// the writer, snapshot readers (Options.Readers) run lock-free MVCC read
+// transactions: each sums every account, teller and branch balance inside
+// one transaction and checks that the three totals describe the committed
+// prefix of the workload the snapshot was pinned at — a torn read (a cut
+// through the middle of a transaction) or any other total fails the run.
+//
+// Writer and readers are programs of internal/interleave, stepped one
+// statement at a time from one goroutine: a reader reads a few rows per
+// statement, so one snapshot spans many writer commits, and the seed fixes
+// every device operation, the readers' misses and evictions included. The
+// fault point K of a sweep is therefore the K-th operation of the
+// enumerated run, readers and all.
 package crash
 
 import (
@@ -33,11 +37,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ipa"
+	"ipa/internal/interleave"
 )
 
 // Tuple layout of the harness tables: int64 key at offset 0, int64
@@ -49,7 +52,7 @@ const (
 	balanceOffset = 8
 	// historyAccountOffset is where history rows store their account id;
 	// it coincides with balanceOffset numerically but names a different
-	// field of a different layout (runOne writes the account id there).
+	// field of a different layout (txn writes the account id there).
 	historyAccountOffset = 8
 	accountSize          = 64
 	historySize          = 48
@@ -68,6 +71,10 @@ const (
 	// from a crash at any of them, and that recovery restarts from the
 	// checkpoint rather than LSN 0.
 	checkpointEvery = 25
+	// auditRows is how many rows a snapshot reader sums per statement: an
+	// audit of the default schema takes about a hundred statements, over
+	// which the writer commits some twenty transactions.
+	auditRows = 4
 )
 
 // faultModes are the fault modes a sweep applies at every tested point.
@@ -92,10 +99,10 @@ type Options struct {
 	// PostOps is the number of extra transactions committed on the
 	// reopened database to prove it stays usable.
 	PostOps int
-	// Readers is the number of concurrent snapshot-reader goroutines that
-	// audit TPC-B conservation during the crash-prone transaction phase
+	// Readers is the number of snapshot-reader programs interleaved with
+	// the writer once the schema is loaded, auditing TPC-B conservation
 	// (zero or negative disables them). Readers use lock-free MVCC reads
-	// only, so the single-threaded write oracle stays exact.
+	// only, so the single-writer oracle stays exact.
 	Readers int
 }
 
@@ -141,6 +148,7 @@ type Result struct {
 	GCCovered   bool // some crash happened after garbage collection ran
 	Checkpoints int  // fuzzy checkpoints completed across all runs
 	CkptCovered bool // some crash happened after a checkpoint completed
+	Audits      int  // snapshot-reader audits passed before the crashes
 	Recovery    RecoverySummary
 	Failures    []string
 }
@@ -162,19 +170,7 @@ type oracle struct {
 	history  map[int64][2]int64 // history key -> (account, delta)
 	liveHist []int64            // committed, not-yet-deleted history keys in insertion order
 	nextHist int64
-
-	// totals is the audit ledger for the concurrent snapshot readers: the
-	// cumulative TPC-B delta sum after every prefix of attempted commits.
-	// An entry is recorded BEFORE Commit is called — a committed state
-	// becomes reader-visible inside Commit, so recording after it returns
-	// would race the reader that snapshots in between. The cost is a
-	// phantom entry when a commit fails (its state never becomes visible,
-	// so no reader can match it; the check merely has one dead entry).
-	// cum is the confirmed cumulative delta; only the writer thread
-	// touches it, so it needs no lock.
-	totalsMu sync.Mutex
-	totals   []int64
-	cum      int64
+	cum      int64 // the committed transactions' TPC-B delta sum
 }
 
 func newOracle(o Options) *oracle {
@@ -183,7 +179,6 @@ func newOracle(o Options) *oracle {
 		tellers:  make([]int64, numTellers),
 		branches: make([]int64, numBranches),
 		history:  make(map[int64][2]int64),
-		totals:   []int64{0},
 	}
 	for i := range ora.accounts {
 		ora.accounts[i] = initialBalance
@@ -197,36 +192,14 @@ func newOracle(o Options) *oracle {
 	return ora
 }
 
-// noteTotal records a cumulative delta total the database may expose from
-// now on (called by the writer just before each balance-moving Commit).
-func (o *oracle) noteTotal(v int64) {
-	o.totalsMu.Lock()
-	o.totals = append(o.totals, v)
-	o.totalsMu.Unlock()
-}
-
-// totalSeen reports whether v is the cumulative total of some prefix of
-// the attempted commits. Newest-first: readers usually observe a recent
-// state.
-func (o *oracle) totalSeen(v int64) bool {
-	o.totalsMu.Lock()
-	defer o.totalsMu.Unlock()
-	for i := len(o.totals) - 1; i >= 0; i-- {
-		if o.totals[i] == v {
-			return true
-		}
-	}
-	return false
-}
-
 // driver runs the workload against one database instance.
 type driver struct {
 	opts   Options
 	db     *ipa.DB
 	ora    *oracle
 	loaded bool
-	audits uint64 // successful snapshot-reader audit passes of the last run
-	ckpts  int    // fuzzy checkpoints completed
+	audits int // successful snapshot-reader audit passes
+	ckpts  int // fuzzy checkpoints completed
 
 	accounts *ipa.Table
 	tellers  *ipa.Table
@@ -325,14 +298,40 @@ func (d *driver) load() error {
 	return nil
 }
 
-// runOne executes one transaction — usually the TPC-B style
-// update/update/update/insert, but every sixth op (once history rows
-// exist) a transactional delete of a committed history row, so the sweep
-// also enumerates the index-delete and tuple-delete fault points — and
-// mirrors it in the oracle if (and only if) the commit succeeded.
-func (d *driver) runOne(r *rand.Rand) error {
+// txn returns the statements of the writer's next transaction — usually
+// the TPC-B style update/update/update/insert, but every sixth (once
+// history rows exist) a transactional delete of a committed history row, so
+// the sweep also enumerates the index-delete and tuple-delete fault points.
+// Its last statement commits, mirrors the transaction in the oracle if (and
+// only if) the commit succeeded, and then, with ckpt set, takes a
+// synchronous fuzzy checkpoint, whose fault points (checkpoint-record
+// flush, catalog program, segment recycle) so land at fixed positions in
+// the enumeration.
+func (d *driver) txn(r *rand.Rand, ckpt bool) []interleave.Step {
+	checkpoint := func() error {
+		if !ckpt {
+			return nil
+		}
+		if _, err := d.db.Checkpoint(); err != nil {
+			return err
+		}
+		d.ckpts++
+		return nil
+	}
 	if r.Intn(6) == 0 && len(d.ora.liveHist) > 0 {
-		return d.deleteOne(r)
+		idx := r.Intn(len(d.ora.liveHist))
+		hid := d.ora.liveHist[idx]
+		return []interleave.Step{
+			func(tx *ipa.Tx) error { return tx.Delete(d.history, hid) },
+			func(tx *ipa.Tx) error {
+				if err := tx.Commit(); err != nil {
+					return err
+				}
+				d.ora.liveHist = append(d.ora.liveHist[:idx], d.ora.liveHist[idx+1:]...)
+				delete(d.ora.history, hid)
+				return checkpoint()
+			},
+		}
 	}
 	a := r.Intn(d.opts.Accounts)
 	t := r.Intn(numTellers)
@@ -340,203 +339,119 @@ func (d *driver) runOne(r *rand.Rand) error {
 	delta := int64(r.Intn(1999999) - 999999)
 	d.ora.nextHist++
 	hid := d.ora.nextHist
-
-	tx := d.db.Begin()
-	update := func(tbl *ipa.Table, key int64, cur int64) error {
-		row := make([]byte, 8)
-		putKey(row, 0, cur+delta)
-		return tx.UpdateAt(tbl, key, balanceOffset, row)
-	}
-	if err := update(d.accounts, int64(a), d.ora.accounts[a]); err != nil {
-		return err
-	}
-	if err := update(d.tellers, int64(t), d.ora.tellers[t]); err != nil {
-		return err
-	}
-	if err := update(d.branches, int64(b), d.ora.branches[b]); err != nil {
-		return err
-	}
-	hrow := make([]byte, historySize)
-	fillRow(hrow, hid)
-	putKey(hrow, keyOffset, hid)
-	putKey(hrow, historyAccountOffset, int64(a))
-	putKey(hrow, 16, delta)
-	if err := tx.Insert(d.history, hid, hrow); err != nil {
-		return err
-	}
-	d.ora.noteTotal(d.ora.cum + delta)
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	d.ora.cum += delta
-	d.ora.accounts[a] += delta
-	d.ora.tellers[t] += delta
-	d.ora.branches[b] += delta
-	d.ora.history[hid] = [2]int64{int64(a), delta}
-	d.ora.liveHist = append(d.ora.liveHist, hid)
-	return nil
-}
-
-// deleteOne removes one committed history row through a transaction and
-// mirrors the deletion in the oracle only if the commit succeeded.
-func (d *driver) deleteOne(r *rand.Rand) error {
-	idx := r.Intn(len(d.ora.liveHist))
-	hid := d.ora.liveHist[idx]
-	tx := d.db.Begin()
-	if err := tx.Delete(d.history, hid); err != nil {
-		return err
-	}
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	d.ora.liveHist = append(d.ora.liveHist[:idx], d.ora.liveHist[idx+1:]...)
-	delete(d.ora.history, hid)
-	return nil
-}
-
-// run executes ops transactions. With readers > 0 (and the schema fully
-// loaded) that many concurrent snapshot readers audit TPC-B conservation
-// while the writer works; they are joined before run returns, so the
-// caller can crash the device with no goroutine still touching it. An
-// audit violation is reported even when the writer ended with the
-// expected injected power cut — a torn snapshot must fail the point.
-func (d *driver) run(ops, readers int) error {
-	var pool *readerPool
-	if readers > 0 && d.loaded {
-		pool = d.startReaders(readers)
-	}
-	r := rand.New(rand.NewSource(d.opts.Seed))
-	var err error
-	for i := 0; i < ops; i++ {
-		if err = d.runOne(r); err != nil {
-			break
+	update := func(tbl *ipa.Table, key int, cur []int64) interleave.Step {
+		return func(tx *ipa.Tx) error {
+			row := make([]byte, 8)
+			putKey(row, 0, cur[key]+delta)
+			return tx.UpdateAt(tbl, int64(key), balanceOffset, row)
 		}
-		// Synchronous fuzzy checkpoints: the writer takes them in-line so
-		// their fault points (checkpoint-record flush, catalog program,
-		// segment recycle) land at deterministic positions in the
-		// enumeration.
-		if (i+1)%checkpointEvery == 0 {
-			if _, cerr := d.db.Checkpoint(); cerr != nil {
-				err = cerr
-				break
+	}
+	return []interleave.Step{
+		update(d.accounts, a, d.ora.accounts),
+		update(d.tellers, t, d.ora.tellers),
+		update(d.branches, b, d.ora.branches),
+		func(tx *ipa.Tx) error {
+			hrow := make([]byte, historySize)
+			fillRow(hrow, hid)
+			putKey(hrow, keyOffset, hid)
+			putKey(hrow, historyAccountOffset, int64(a))
+			putKey(hrow, 16, delta)
+			return tx.Insert(d.history, hid, hrow)
+		},
+		func(tx *ipa.Tx) error {
+			if err := tx.Commit(); err != nil {
+				return err
 			}
-			d.ckpts++
-		}
+			d.ora.cum += delta
+			d.ora.accounts[a] += delta
+			d.ora.tellers[t] += delta
+			d.ora.branches[b] += delta
+			d.ora.history[hid] = [2]int64{int64(a), delta}
+			d.ora.liveHist = append(d.ora.liveHist, hid)
+			return checkpoint()
+		},
 	}
-	if pool != nil {
-		verr := pool.stopAndJoin()
-		d.audits = pool.passes.Load()
-		if verr != nil && (err == nil || isPowerLoss(err)) {
-			return verr
+}
+
+// run executes ops writer transactions drawn from seed, with a checkpoint
+// after every checkpointEvery of them, and, once the schema is loaded,
+// readers snapshot-reader programs beside the writer, all on one goroutine
+// in a schedule drawn from the same seed: the run, every device
+// operation of it, is a function of the driver's state and the arguments.
+// The first error ends the run at once: an injected power cut, wherever it
+// lands, or an audit violation.
+func (d *driver) run(seed int64, ops, readers int) error {
+	r := rand.New(rand.NewSource(seed))
+	done, writing := 0, true
+	progs := []interleave.Program{func() []interleave.Step {
+		if done == ops {
+			writing = false
+			return nil
 		}
+		done++
+		return d.txn(r, done%checkpointEvery == 0)
+	}}
+	for i := 0; i < readers && d.loaded; i++ {
+		progs = append(progs, d.reader(&writing))
 	}
+	_, err := interleave.Run(d.db, seed, progs...)
 	return err
 }
 
-// errTornSnapshot tags an invariant violation observed by a concurrent
-// snapshot reader.
+// errTornSnapshot tags an invariant violation observed by a snapshot
+// reader.
 var errTornSnapshot = errors.New("crash: snapshot reader observed inconsistent state")
 
-// readerPool manages the concurrent snapshot-reader goroutines.
-type readerPool struct {
-	stop   chan struct{}
-	wg     sync.WaitGroup
-	passes atomic.Uint64
-
-	mu        sync.Mutex
-	violation error
-}
-
-// startReaders launches n goroutines that repeatedly audit the TPC-B
-// conservation invariant through lock-free snapshot reads. A reader exits
-// on the first device error (the injected power cut reaches readers too)
-// or on the first violation, which stopAndJoin reports.
-func (d *driver) startReaders(n int) *readerPool {
-	p := &readerPool{stop: make(chan struct{})}
-	for i := 0; i < n; i++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for {
-				err := d.auditOnce()
-				if err == nil {
-					p.passes.Add(1)
-					// stop is looked at only after a completed pass, so a
-					// reader first scheduled once the writer is done still
-					// audits the final state.
-					select {
-					case <-p.stop:
-						return
-					default:
-						continue
+// reader returns a snapshot-reader program. Each of its transactions — an
+// audit — sums every account, teller and branch balance, auditRows Gets per
+// statement, all at the one snapshot its first Get pins, and its last
+// statement aborts (a read-only abort touches no device) and checks that
+// each of the three delta sums is the oracle's delta sum when the snapshot
+// was pinned: the committed transactions, no more and no fewer. It starts
+// audits until the writer is done (*writing false), and at least one.
+func (d *driver) reader(writing *bool) interleave.Program {
+	var sums [3]int64
+	var want int64
+	var steps []interleave.Step
+	tables := []struct {
+		t *ipa.Table
+		n int
+	}{{d.accounts, d.opts.Accounts}, {d.tellers, numTellers}, {d.branches, numBranches}}
+	for i, tb := range tables {
+		for lo := 0; lo < tb.n; lo += auditRows {
+			steps = append(steps, func(tx *ipa.Tx) error {
+				if i == 0 && lo == 0 {
+					sums, want = [3]int64{}, d.ora.cum
+				}
+				for k := lo; k < min(lo+auditRows, tb.n); k++ {
+					row, err := tx.Get(tb.t, int64(k))
+					if err != nil {
+						return err
 					}
+					sums[i] += getKey(row, balanceOffset) - initialBalance
 				}
-				if isPowerLoss(err) || errors.Is(err, ipa.ErrClosed) {
-					return // the fault fired; the device is gone
-				}
-				p.mu.Lock()
-				if p.violation == nil {
-					p.violation = err
-				}
-				p.mu.Unlock()
-				return
-			}
-		}()
-	}
-	return p
-}
-
-// stopAndJoin stops the readers, waits for them and returns the first
-// violation any of them observed.
-func (p *readerPool) stopAndJoin() error {
-	close(p.stop)
-	p.wg.Wait()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.violation
-}
-
-// auditOnce sums every account, teller and branch balance inside ONE read
-// transaction — a single MVCC snapshot — and checks that the three delta
-// sums agree and describe a prefix of the attempted commits. The
-// transaction is aborted, not committed: a read-only abort touches no
-// device (no log flush), so readers add no fault points of their own.
-func (d *driver) auditOnce() error {
-	tx := d.db.Begin()
-	defer func() { _ = tx.Abort() }()
-	sum := func(t *ipa.Table, n int) (int64, error) {
-		var s int64
-		for k := 0; k < n; k++ {
-			row, err := tx.Get(t, int64(k))
-			if err != nil {
-				return 0, err
-			}
-			s += getKey(row, balanceOffset)
+				return nil
+			})
 		}
-		return s, nil
 	}
-	sa, err := sum(d.accounts, d.opts.Accounts)
-	if err != nil {
-		return err
+	passes := 0
+	steps = append(steps, func(tx *ipa.Tx) error {
+		if err := tx.Abort(); err != nil {
+			return err
+		}
+		if sums != [3]int64{want, want, want} {
+			return fmt.Errorf("%w: account/teller/branch delta sums %v at a snapshot of delta sum %d", errTornSnapshot, sums, want)
+		}
+		passes++
+		d.audits++
+		return nil
+	})
+	return func() []interleave.Step {
+		if passes > 0 && !*writing {
+			return nil
+		}
+		return steps
 	}
-	st, err := sum(d.tellers, numTellers)
-	if err != nil {
-		return err
-	}
-	sb, err := sum(d.branches, numBranches)
-	if err != nil {
-		return err
-	}
-	da := sa - int64(d.opts.Accounts)*initialBalance
-	dt := st - numTellers*initialBalance
-	db := sb - numBranches*initialBalance
-	if da != dt || dt != db {
-		return fmt.Errorf("%w: torn cut — account/teller/branch delta sums %d/%d/%d diverge", errTornSnapshot, da, dt, db)
-	}
-	if !d.ora.totalSeen(da) {
-		return fmt.Errorf("%w: delta total %d matches no prefix of the committed transactions", errTornSnapshot, da)
-	}
-	return nil
 }
 
 // verify compares a (re)opened database against the oracle.
@@ -677,9 +592,7 @@ func Enumerate(o Options) (uint64, error) {
 	if err := d.load(); err != nil {
 		return 0, err
 	}
-	// No readers: the enumeration must stay deterministic, and reader-
-	// driven buffer-pool traffic would perturb the eviction order.
-	if err := d.run(o.Ops, 0); err != nil {
+	if err := d.run(o.Seed, o.Ops, o.Readers); err != nil {
 		return 0, err
 	}
 	return plan.Ops(), nil
@@ -690,19 +603,12 @@ type PointOutcome struct {
 	GCRuns      uint64            // garbage-collection runs before the crash
 	Tripped     bool              // whether the fault actually fired
 	Checkpoints int               // fuzzy checkpoints the pre-crash run completed
+	Audits      int               // snapshot-reader audits the pre-crash run passed
 	Recovery    ipa.RecoveryStats // cost of the successful Reopen (zero until it succeeds)
 }
 
-// RunPoint runs the workload once, crashing at fault point k with the given
-// mode, then reopens and verifies. It returns the pre-crash GC run count
-// and whether the fault fired.
-func RunPoint(o Options, k uint64, mode ipa.FaultMode) (gcRuns uint64, tripped bool, err error) {
-	out, err := RunPointDetail(o, k, mode)
-	return out.GCRuns, out.Tripped, err
-}
-
-// RunPointDetail is RunPoint with the full cycle outcome, including the
-// recovery cost metrics of the Reopen.
+// RunPointDetail runs the workload once, crashing at fault point k with the
+// given mode, then reopens, verifies and reports the cycle.
 func RunPointDetail(o Options, k uint64, mode ipa.FaultMode) (PointOutcome, error) {
 	var out PointOutcome
 	plan := ipa.NewFaultPlan(k, mode)
@@ -714,14 +620,13 @@ func RunPointDetail(o Options, k uint64, mode ipa.FaultMode) (PointOutcome, erro
 	}
 	runErr := d.load()
 	if runErr == nil {
-		runErr = d.run(o.Ops, o.Readers)
+		runErr = d.run(o.Seed, o.Ops, o.Readers)
 	}
 	out.Tripped = plan.Tripped()
-	// The cut belongs to the pre-crash run. Readers change which pages get
-	// evicted, so that run can issue fewer than k device operations; a plan
-	// left armed would then fire inside the post-recovery transactions.
+	// The cut belongs to the pre-crash run: a point past its last operation
+	// must not fire inside the post-recovery transactions.
 	plan.Disarm()
-	out.Checkpoints = d.ckpts
+	out.Checkpoints, out.Audits = d.ckpts, d.audits
 	if runErr != nil && !isPowerLoss(runErr) {
 		d.db.Close()
 		return out, fmt.Errorf("workload: %w", runErr)
@@ -739,7 +644,7 @@ func RunPointDetail(o Options, k uint64, mode ipa.FaultMode) (PointOutcome, erro
 		return out, verr
 	}
 	// The recovered database must keep working.
-	post := &driver{opts: o, db: db2, ora: d.ora}
+	post := &driver{opts: o, db: db2, ora: d.ora, loaded: d.loaded}
 	var ok bool
 	if post.accounts, ok = db2.Table("accounts"); !ok {
 		return out, fmt.Errorf("accounts table missing after reopen")
@@ -748,11 +653,8 @@ func RunPointDetail(o Options, k uint64, mode ipa.FaultMode) (PointOutcome, erro
 	post.branches, _ = db2.Table("branches")
 	post.history, _ = db2.Table("history")
 	if d.loaded {
-		r := rand.New(rand.NewSource(o.Seed + int64(k) + 1))
-		for i := 0; i < o.PostOps; i++ {
-			if perr := post.runOne(r); perr != nil {
-				return out, fmt.Errorf("post-recovery transaction: %w", perr)
-			}
+		if perr := post.run(o.Seed+int64(k)+1, o.PostOps, o.Readers); perr != nil {
+			return out, fmt.Errorf("post-recovery transaction: %w", perr)
 		}
 		if verr := verify(db2, o, d.ora); verr != nil {
 			return out, fmt.Errorf("after post-recovery work: %w", verr)
@@ -775,6 +677,7 @@ func Sweep(o Options) (Result, error) {
 			out, err := RunPointDetail(o, k, mode)
 			res.Runs++
 			res.Checkpoints += out.Checkpoints
+			res.Audits += out.Audits
 			if out.Tripped {
 				res.Crashes++
 				if out.GCRuns > 0 {
@@ -800,21 +703,4 @@ func Sweep(o Options) (Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// ReferenceRun executes the reference workload without faults and returns
-// the open database and its statistics (for calibration and tests).
-func ReferenceRun(o Options) (*ipa.DB, ipa.Stats, error) {
-	d, err := newDriver(o.DB, o)
-	if err != nil {
-		return nil, ipa.Stats{}, err
-	}
-	if err := d.load(); err != nil {
-		return d.db, d.db.Stats(), err
-	}
-	// No readers: reference statistics calibrate device activity.
-	if err := d.run(o.Ops, 0); err != nil {
-		return d.db, d.db.Stats(), err
-	}
-	return d.db, d.db.Stats(), nil
 }

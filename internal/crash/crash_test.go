@@ -1,6 +1,8 @@
 package crash
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"ipa"
@@ -18,7 +20,7 @@ func TestCleanCrashRecovers(t *testing.T) {
 	if err := d.load(); err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if err := d.run(o.Ops, o.Readers); err != nil {
+	if err := d.run(o.Seed, o.Ops, o.Readers); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if d.audits == 0 {
@@ -92,12 +94,10 @@ func TestCrashSweepSample(t *testing.T) {
 // TestUntrippedPlanStaysQuietAfterRecovery: a fault point the pre-crash run
 // never reaches belongs to no operation. The plan must not stay armed
 // through Crash and Reopen and cut the power under the post-recovery
-// transactions instead — which is what a sweep sees when its readers make
-// the pre-crash run issue fewer device operations than the enumeration.
+// transactions instead.
 func TestUntrippedPlanStaysQuietAfterRecovery(t *testing.T) {
 	o := DefaultOptions()
 	o.Ops = 30
-	o.Readers = -1 // exact operation count: the run ends one short of the point
 	total, err := Enumerate(o)
 	if err != nil {
 		t.Fatalf("enumerate: %v", err)
@@ -110,5 +110,41 @@ func TestUntrippedPlanStaysQuietAfterRecovery(t *testing.T) {
 		if out.Tripped {
 			t.Fatalf("%v: plan reports a fault the run never reached", mode)
 		}
+	}
+}
+
+// TestSweepIsDeterministic: writer and readers run on one goroutine from a
+// seed, so a sweep is a function of its options at any GOMAXPROCS — the
+// enumeration, every crash, checkpoint and audit, and the device side of
+// every recovery — and the run at point K issues exactly the enumerated
+// operations, so every sampled point trips.
+func TestSweepIsDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, mode := range []ipa.WriteMode{ipa.Traditional, ipa.IPAConventionalSSD, ipa.IPANativeFlash} {
+		o := DefaultOptions()
+		o.DB.WriteMode = mode
+		o.Ops, o.Sample = 60, 6
+		var first Result
+		for i, procs := range []int{1, 2, 4, 1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			res, err := Sweep(o)
+			if err != nil {
+				t.Fatalf("%s: sweep: %v", mode, err)
+			}
+			for _, f := range res.Failures {
+				t.Errorf("%s: %s", mode, f)
+			}
+			if res.Crashes != res.Runs || res.Audits == 0 {
+				t.Fatalf("%s: %d of %d runs crashed, %d audits passed", mode, res.Crashes, res.Runs, res.Audits)
+			}
+			res.Recovery.Wall = 0
+			if i == 0 {
+				first = res
+			} else if fmt.Sprint(res) != fmt.Sprint(first) {
+				t.Fatalf("%s at GOMAXPROCS %d:\n got %+v\nwant %+v", mode, procs, res, first)
+			}
+		}
+		t.Logf("%s: points=%d runs=%d audits=%d ckpts=%d redone=%d", mode, first.FaultPoints, first.Runs,
+			first.Audits, first.Checkpoints, first.Recovery.RecordsRedone)
 	}
 }

@@ -1,139 +1,10 @@
 package crash
 
 import (
-	"errors"
-	"sync"
 	"testing"
-	"time"
 
 	"ipa"
 )
-
-// TestCrashDuringGroupCommitLeaderFlush kills the log device while a
-// group-commit leader is flushing on behalf of concurrent committers: every
-// transaction in the doomed batch must report the failure and be rolled
-// back by recovery, while transactions from earlier batches stay durable.
-func TestCrashDuringGroupCommitLeaderFlush(t *testing.T) {
-	const (
-		workers     = 4
-		keysPerWkr  = 4
-		opsPerWkr   = 200
-		crashAtFlsh = 25
-	)
-	plan := ipa.NewFaultPlan(crashAtFlsh, ipa.CrashBefore)
-	plan.SetKinds(ipa.OpLogFlush)
-	cfg := ipa.Config{
-		PageSize:        2048,
-		Blocks:          16,
-		PagesPerBlock:   16,
-		BufferPoolPages: 32,
-		WriteMode:       ipa.IPANativeFlash,
-		Scheme:          ipa.Scheme{N: 2, M: 4},
-		FlashMode:       ipa.PSLC,
-		// A real wall-clock cost per log flush so concurrent commits pile
-		// up behind the leader and ride shared batches.
-		LogFlushWallLatency: 200 * time.Microsecond,
-		Faults:              plan,
-	}
-	db, err := ipa.Open(cfg)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	table, err := db.CreateTable("balances", accountSize)
-	if err != nil {
-		t.Fatalf("create: %v", err)
-	}
-	// Load all worker keys in one transaction (one log flush).
-	tx := db.Begin()
-	for k := 0; k < workers*keysPerWkr; k++ {
-		row := make([]byte, accountSize)
-		putKey(row, keyOffset, int64(k))
-		putKey(row, balanceOffset, initialBalance)
-		if err := tx.Insert(table, int64(k), row); err != nil {
-			t.Fatalf("load insert: %v", err)
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatalf("load commit: %v", err)
-	}
-
-	// committed[k] is the last balance whose commit SUCCEEDED for key k.
-	committed := make([]int64, workers*keysPerWkr)
-	for i := range committed {
-		committed[i] = initialBalance
-	}
-	var failedCommits int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < opsPerWkr; i++ {
-				key := int64(w*keysPerWkr + i%keysPerWkr)
-				delta := int64(w*1000 + i + 1)
-				tx := db.Begin()
-				mu.Lock()
-				cur := committed[key]
-				mu.Unlock()
-				row := make([]byte, 8)
-				putKey(row, 0, cur+delta)
-				if err := tx.UpdateAt(table, key, balanceOffset, row); err != nil {
-					if isPowerLoss(err) || errors.Is(err, ipa.ErrClosed) {
-						return
-					}
-					if errors.Is(err, ipa.ErrConflict) {
-						_ = tx.Abort()
-						continue
-					}
-					t.Errorf("worker %d: update: %v", w, err)
-					return
-				}
-				if err := tx.Commit(); err != nil {
-					mu.Lock()
-					failedCommits++
-					mu.Unlock()
-					if isPowerLoss(err) || errors.Is(err, ipa.ErrClosed) {
-						return
-					}
-					t.Errorf("worker %d: commit: %v", w, err)
-					return
-				}
-				mu.Lock()
-				committed[key] = cur + delta
-				mu.Unlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if !plan.Tripped() {
-		t.Fatalf("the log-flush fault never fired (%d flush points seen)", plan.Ops())
-	}
-
-	img := db.Crash()
-	db2, err := ipa.Reopen(img)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer db2.Close()
-	if err := db2.VerifyIntegrity(); err != nil {
-		t.Fatalf("integrity: %v", err)
-	}
-	t2, ok := db2.Table("balances")
-	if !ok {
-		t.Fatalf("table missing after reopen")
-	}
-	for k := range committed {
-		row, err := t2.Get(int64(k))
-		if err != nil {
-			t.Fatalf("key %d: %v", k, err)
-		}
-		if got := getKey(row, balanceOffset); got != committed[k] {
-			t.Errorf("key %d: balance %d after recovery, committed state says %d", k, got, committed[k])
-		}
-	}
-	t.Logf("flush points=%d failed commits=%d", plan.Ops(), failedCommits)
-}
 
 // TestCrashMidGCOnMultiChipDevice sweeps crash points through the late,
 // GC-active phase of a multi-chip run: a power cut between a garbage
@@ -146,11 +17,18 @@ func TestCrashMidGCOnMultiChipDevice(t *testing.T) {
 	o.Ops = 600
 	o.PostOps = 4
 
-	db, st, err := ReferenceRun(o)
+	d, err := newDriver(o.DB, o)
 	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if err := d.load(); err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if err := d.run(o.Seed, o.Ops, o.Readers); err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
-	db.Close()
+	st := d.db.Stats()
+	d.db.Close()
 	if st.GCRuns == 0 || st.FlashBlockErases == 0 {
 		t.Fatalf("reference run never garbage-collected (gcRuns=%d erases=%d); harness miscalibrated", st.GCRuns, st.FlashBlockErases)
 	}
@@ -177,11 +55,11 @@ func TestCrashMidGCOnMultiChipDevice(t *testing.T) {
 	gcCovered := false
 	for _, mode := range []ipa.FaultMode{ipa.CrashBefore, ipa.CrashTorn, ipa.CrashAfter} {
 		for k := start; k <= total; k += step {
-			gcRuns, tripped, err := RunPoint(o, k, mode)
+			out, err := RunPointDetail(o, k, mode)
 			if err != nil {
 				t.Fatalf("point %d (%v): %v", k, mode, err)
 			}
-			if tripped && gcRuns > 0 {
+			if out.Tripped && out.GCRuns > 0 {
 				gcCovered = true
 			}
 		}
@@ -193,17 +71,13 @@ func TestCrashMidGCOnMultiChipDevice(t *testing.T) {
 
 // TestDoubleCrashDuringRecovery crashes the device again while the FIRST
 // recovery is replaying (scrubs, redo writes, final flush), then recovers
-// from the second crash. Recovery must be idempotent, and — being serial —
-// a function of the crash image: the scenario runs three times and must
-// survive the same number of recovery crashes each time. The writer runs
-// alone: snapshot readers' misses and evictions move the device
-// operations, so the fault point two thirds into the enumeration would
-// sometimes land where recovery has nothing to redo. The sweeps run with
-// readers.
+// from the second crash. Recovery must be idempotent, and — the pre-crash
+// run being a function of the seed and recovery serial — a function of
+// the options: the scenario runs three times and must survive the same
+// number of recovery crashes each time.
 func TestDoubleCrashDuringRecovery(t *testing.T) {
 	o := DefaultOptions()
 	o.Ops = 150
-	o.Readers = 0
 	total, err := Enumerate(o)
 	if err != nil {
 		t.Fatalf("enumerate: %v", err)
@@ -218,7 +92,7 @@ func TestDoubleCrashDuringRecovery(t *testing.T) {
 		}
 		runErr := d.load()
 		if runErr == nil {
-			runErr = d.run(o.Ops, o.Readers)
+			runErr = d.run(o.Seed, o.Ops, o.Readers)
 		}
 		if runErr != nil && !isPowerLoss(runErr) {
 			t.Fatalf("workload: %v", runErr)

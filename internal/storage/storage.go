@@ -321,7 +321,7 @@ func (m *Manager) ScrubPage(pid uint64) error {
 		return fmt.Errorf("storage: scrub page %d: %w", pid, err)
 	}
 	scheme := m.effectiveScheme(pg.ObjectID())
-	if _, err := reconstruct(pg, scheme); err != nil {
+	if _, err := reconstruct(pg, scheme, nil); err != nil {
 		return fmt.Errorf("storage: scrub page %d: %w", pid, err)
 	}
 	if scheme.Enabled() {
@@ -336,12 +336,13 @@ func (m *Manager) ScrubPage(pid uint64) error {
 // reconstruct brings a page image read from Flash up to date where it lies:
 // the complete delta records of its area are applied to the body and the
 // newest Δmetadata is installed. It returns the number of records applied,
-// which is the number of record slots the Flash page has used.
-func reconstruct(pg *page.Page, scheme core.Scheme) (int, error) {
+// which is the number of record slots the Flash page has used. A non-nil t
+// keeps the Flash body's value of every byte the records change.
+func reconstruct(pg *page.Page, scheme core.Scheme, t *core.Tracker) (int, error) {
 	if !scheme.Enabled() || pg.DeltaAreaSize() < scheme.AreaSize(page.MetaSize) {
 		return 0, nil
 	}
-	records, meta := core.ApplyArea(pg.Buf()[:pg.BodyEnd()], pg.DeltaArea(), scheme, page.MetaSize)
+	records, meta := core.ApplyArea(pg.Buf()[:pg.BodyEnd()], pg.DeltaArea(), scheme, page.MetaSize, t)
 	if meta == nil {
 		return 0, nil
 	}
@@ -398,11 +399,12 @@ func (m *Manager) LoadPageInto(pid uint64, buf []byte, t *core.Tracker) error {
 	// appends further delta records.
 	var rawMeta [page.MetaSize]byte
 	pg.MetaInto(rawMeta[:])
-	existing, err := reconstruct(pg, scheme)
+	t.Init(scheme, pg.BodyEnd(), 0)
+	existing, err := reconstruct(pg, scheme, t)
 	if err != nil {
 		return fmt.Errorf("storage: page %d: %w", pid, err)
 	}
-	t.Init(scheme, pg.BodyEnd(), existing)
+	t.Reset(existing)
 	t.SetAnalytic(m.cfg.Analytic)
 	t.SetOriginalMeta(rawMeta[:])
 
@@ -587,7 +589,7 @@ func (m *Manager) storeAppend(pid uint64, buf []byte, pg *page.Page, t *core.Tra
 			// exhausted). The image is still correct; account it as a
 			// fallback so the statistics reflect reality.
 			copy(buf[areaOffset:], encoded)
-			t.Reset(firstSlot + records)
+			t.Appended(records)
 			atomic.AddUint64(&m.stats.AppendFallbacks, 1)
 			m.countOutOfPlace(isIndex)
 			return appendFellBack, nil
@@ -606,7 +608,7 @@ func (m *Manager) storeAppend(pid uint64, buf []byte, pg *page.Page, t *core.Tra
 		atomic.AddUint64(&m.stats.IndexDeltaRecords, uint64(records))
 		atomic.AddUint64(&m.stats.IndexDeltaBytes, uint64(len(encoded)))
 	}
-	t.Reset(firstSlot + records)
+	t.Appended(records)
 	return appendDone, nil
 }
 
