@@ -20,6 +20,8 @@ import (
 
 	"ipa"
 	"ipa/internal/bench"
+	"ipa/internal/core"
+	"ipa/internal/page"
 )
 
 // quickOptions is the -quick device with the paper's scheme, bounded to ops
@@ -31,43 +33,34 @@ func quickOptions(ops int) bench.Options {
 	return o
 }
 
-// reportTable1Row publishes one Table 1 configuration as benchmark metrics.
-func reportTable1Row(b *testing.B, row bench.Table1Row) {
+// reportTable1Column publishes one Table 1 configuration as benchmark metrics.
+func reportTable1Column(b *testing.B, s ipa.Stats) {
 	b.Helper()
-	s := row.Result.Stats
 	b.ReportMetric(float64(s.HostReads), "hostReads")
 	b.ReportMetric(float64(s.TotalHostWrites()), "hostWrites")
-	b.ReportMetric(row.InPlacePct, "inPlace%")
+	b.ReportMetric(100*s.InPlaceShare(), "inPlace%")
 	b.ReportMetric(float64(s.GCMigrations), "gcMigrations")
 	b.ReportMetric(float64(s.GCErases), "gcErases")
-	b.ReportMetric(row.MigPerWrite, "migrations/write")
-	b.ReportMetric(row.ErasePerWrite, "erases/write")
-	b.ReportMetric(row.Throughput, "tps")
+	b.ReportMetric(s.MigrationsPerHostWrite(), "migrations/write")
+	b.ReportMetric(s.ErasesPerHostWrite(), "erases/write")
+	b.ReportMetric(s.Throughput(), "tps")
 }
 
 // table1Config runs one Table 1 configuration (one column of the table).
 func table1Config(b *testing.B, mode ipa.WriteMode, scheme ipa.Scheme, flash ipa.FlashMode) {
 	b.Helper()
+	p := bench.SmallProfile
+	cfg := ipa.Config{
+		PageSize: p.PageSize, Blocks: p.Blocks, PagesPerBlock: p.PagesPerBlock, BufferPoolPages: p.BufferPoolPages,
+		WriteMode: mode, Scheme: scheme, FlashMode: flash, Analytic: true, Seed: 1,
+	}
 	for i := 0; i < b.N; i++ {
-		exp := bench.Experiment{
-			Name:     "bench-table1",
-			Workload: "tpcb",
-			Scale:    1,
-			Mode:     mode,
-			Scheme:   scheme,
-			Flash:    flash,
-			Ops:      5000,
-			Seed:     1,
-			Analytic: true,
-
-			DeviceProfile: bench.SmallProfile,
-		}
-		res, err := bench.Run(exp)
+		res, err := bench.Run(quickOptions(5000), "tpcb", cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			reportTable1Row(b, bench.Table1RowFromResult(res))
+			reportTable1Column(b, res.Stats)
 		}
 	}
 }
@@ -98,11 +91,12 @@ func BenchmarkFigure1WriteAmplification(b *testing.B) {
 		}
 		if i == b.N-1 {
 			for _, row := range res.Rows {
-				b.ReportMetric(100*row.SmallEvictionShare, row.Workload+"-<100B-evictions%")
-				b.ReportMetric(row.AvgChangedBytes, row.Workload+"-avgChangedBytes")
-				b.ReportMetric(row.WriteAmplification, row.Workload+"-writeAmp")
-				b.ReportMetric(row.IPAReductionPct, row.Workload+"-ipaTransferReduction%")
-				b.ReportMetric(100*row.IPAInPlaceShare, row.Workload+"-ipaInPlace%")
+				ts := row.Traditional
+				b.ReportMetric(100*ts.SmallEvictionShare(), row.Workload+"-<100B-evictions%")
+				b.ReportMetric(float64(ts.NetChangedBytes)/float64(max(1, ts.DirtyEvictions)), row.Workload+"-avgChangedBytes")
+				b.ReportMetric(ts.DBMSWriteAmplification(), row.Workload+"-writeAmp")
+				b.ReportMetric(row.TransferReduction(), row.Workload+"-ipaTransferReduction%")
+				b.ReportMetric(100*row.IPA.InPlaceShare(), row.Workload+"-ipaInPlace%")
 			}
 		}
 	}
@@ -121,9 +115,10 @@ func BenchmarkOLTPSuite(b *testing.B) {
 			for _, row := range res.Rows {
 				b.ReportMetric(row.Baseline.Throughput(), row.Workload+"-baseTps")
 				b.ReportMetric(row.IPA.Throughput(), row.Workload+"-ipaTps")
-				b.ReportMetric(row.ThroughputGainPct, row.Workload+"-tpsGain%")
-				b.ReportMetric(row.InvalidationDropPct, row.Workload+"-invalidationDrop%")
-				b.ReportMetric(row.EraseDropPct, row.Workload+"-eraseDrop%")
+				inval, _, erase := row.Drops()
+				b.ReportMetric(row.ThroughputGain(), row.Workload+"-tpsGain%")
+				b.ReportMetric(inval, row.Workload+"-invalidationDrop%")
+				b.ReportMetric(erase, row.Workload+"-eraseDrop%")
 			}
 		}
 	}
@@ -140,11 +135,13 @@ func BenchmarkIPAvsIPL(b *testing.B) {
 		}
 		if i == b.N-1 {
 			for _, row := range res.Rows {
-				b.ReportMetric(float64(row.IPAFlashWrites), row.Workload+"-ipaWrites")
-				b.ReportMetric(float64(row.IPLFlashWrites), row.Workload+"-iplWrites")
-				b.ReportMetric(row.WriteReductionPct, row.Workload+"-writeReduction%")
-				b.ReportMetric(row.EraseReductionPct, row.Workload+"-eraseReduction%")
-				b.ReportMetric(row.ReadOverheadPct, row.Workload+"-iplReadOverhead%")
+				s, l := row.IPA, row.IPL
+				writes := float64(s.FlashPagePrograms + s.FlashDeltaPrograms)
+				b.ReportMetric(writes, row.Workload+"-ipaWrites")
+				b.ReportMetric(float64(l.TotalFlashWrites()), row.Workload+"-iplWrites")
+				b.ReportMetric(100*(1-writes/float64(l.TotalFlashWrites())), row.Workload+"-writeReduction%")
+				b.ReportMetric(100*(1-float64(s.FlashBlockErases)/float64(max(1, l.Erases))), row.Workload+"-eraseReduction%")
+				b.ReportMetric(100*(float64(l.TotalFlashReads())/float64(s.FlashPageReads)-1), row.Workload+"-iplReadOverhead%")
 			}
 		}
 	}
@@ -161,8 +158,8 @@ func BenchmarkLongevity(b *testing.B) {
 		}
 		if i == b.N-1 {
 			rows := bench.Longevity(res)
-			b.ReportMetric(rows[0].ErasesPerWrite, "baseErases/write")
-			b.ReportMetric(rows[1].ErasesPerWrite, "ipaErases/write")
+			b.ReportMetric(rows[0].ErasesPerHostWrite(), "baseErases/write")
+			b.ReportMetric(rows[1].ErasesPerHostWrite(), "ipaErases/write")
 			b.ReportMetric(rows[1].RelativeLifetime, "lifetimeX")
 		}
 	}
@@ -179,9 +176,10 @@ func BenchmarkSchemeSweep(b *testing.B) {
 		}
 		if i == b.N-1 {
 			for _, row := range res.Rows {
-				b.ReportMetric(100*row.SpaceOverhead, row.Scheme.String()+"-areaOverhead%")
-				b.ReportMetric(100*row.InPlaceShare, row.Scheme.String()+"-inPlace%")
-				b.ReportMetric(row.Throughput, row.Scheme.String()+"-tps")
+				area := core.Scheme{N: row.Scheme.N, M: row.Scheme.M}.AreaSize(page.MetaSize)
+				b.ReportMetric(100*float64(area)/float64(res.PageSize), row.Scheme.String()+"-areaOverhead%")
+				b.ReportMetric(100*row.InPlaceShare(), row.Scheme.String()+"-inPlace%")
+				b.ReportMetric(row.Throughput(), row.Scheme.String()+"-tps")
 			}
 		}
 	}
@@ -200,8 +198,8 @@ func BenchmarkScenarios(b *testing.B) {
 			b.ReportMetric(float64(res.Baseline.HostBytesWritten), "baseBytes")
 			b.ReportMetric(float64(res.SSD.HostBytesWritten), "ssdBytes")
 			b.ReportMetric(float64(res.Native.HostBytesWritten), "nativeBytes")
-			b.ReportMetric(res.Baseline.Throughput, "baseTps")
-			b.ReportMetric(res.Native.Throughput, "nativeTps")
+			b.ReportMetric(res.Baseline.Throughput(), "baseTps")
+			b.ReportMetric(res.Native.Throughput(), "nativeTps")
 		}
 	}
 }
@@ -217,7 +215,7 @@ func BenchmarkInterference(b *testing.B) {
 		}
 		if i == b.N-1 {
 			for _, row := range res.Rows {
-				b.ReportMetric(float64(row.InterferenceBits), row.Mode.String()+"-bits")
+				b.ReportMetric(float64(row.InterferenceBits), row.FlashMode.String()+"-bits")
 			}
 		}
 	}

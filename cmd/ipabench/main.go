@@ -68,9 +68,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// Zero leaves an experiment's default in place, so a value the
 	// defaults would silently replace is a usage error.
-	if set.Ops < 0 || set.Scale < 0 || set.Threads < 0 || set.Chips < 0 || set.Seed == 0 {
-		fmt.Fprintf(stderr, "ipabench: -ops (%d), -scale (%d), -threads (%d) and -chips (%d) must not be negative, -seed (%d) not 0\n",
-			set.Ops, set.Scale, set.Threads, set.Chips, set.Seed)
+	if set.Ops < 0 || set.Scale < 0 || set.Threads < 0 || set.Chips < 0 || set.Seed == 0 || set.N < 1 || set.M < 1 {
+		fmt.Fprintf(stderr, "ipabench: -ops (%d), -scale (%d), -threads (%d) and -chips (%d) must not be negative, -seed (%d) not 0, -n (%d) and -m (%d) at least 1\n",
+			set.Ops, set.Scale, set.Threads, set.Chips, set.Seed, set.N, set.M)
 		return 2
 	}
 	fail := func(err error) int {

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -113,12 +116,13 @@ func TestEveryExperimentDocumented(t *testing.T) {
 }
 
 // TestRejectsBadSettings: a flag value the experiment defaults would
-// silently replace (a negative bound or count, seed 0) and the retired
-// -duration flag are usage errors, before anything runs.
+// silently replace (a negative bound or count, seed 0, an N or M below 1)
+// or the engine would refuse mid-run, and the retired -duration flag, are
+// usage errors, before anything runs.
 func TestRejectsBadSettings(t *testing.T) {
 	for _, args := range [][]string{
 		{"-ops", "-5"}, {"-scale", "-3"}, {"-threads", "-2"}, {"-chips", "-1"},
-		{"-seed", "0"}, {"-duration", "1s"},
+		{"-seed", "0"}, {"-duration", "1s"}, {"-n", "0", "-m", "0"}, {"-n", "0", "-m", "4"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(append(args, "-exp", "fig1", "-quick"), &stdout, &stderr); code != 2 {
@@ -130,5 +134,63 @@ func TestRejectsBadSettings(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("%v: ran anyway: %q", args, stdout.String())
 		}
+	}
+}
+
+// TestJSONCarriesEveryArm: -json writes each arm of Table 1 as its label
+// beside the full ipa.Stats of its run, and those are the counts the
+// printed table shows. A MarshalJSON promoted from an embedded type would
+// drop the label or the counters.
+func TestJSONCarriesEveryArm(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-exp", "table1", "-quick", "-json", "-out", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var entries []struct {
+		Experiment string
+		Result     map[string]map[string]json.RawMessage
+	}
+	if err := json.Unmarshal(data, &entries); err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Experiment != "table1" {
+		t.Fatalf("want one table1 entry, got %s", data)
+	}
+	arms := entries[0].Result
+	for _, name := range []string{"Baseline", "PSLC", "OddMLC"} {
+		for _, key := range []string{"Label", "Scheme", "HostWrites", "GCErases", "InPlaceAppends", "CommittedTxns", "Elapsed", "Run"} {
+			if _, ok := arms[name][key]; !ok {
+				t.Errorf("arm %s has no %q key", name, key)
+			}
+		}
+	}
+	count := func(key string) (n uint64) {
+		if err := json.Unmarshal(arms["PSLC"][key], &n); err != nil {
+			t.Fatalf("pSLC %s: %v", key, err)
+		}
+		return n
+	}
+	// pSLC is the second figure of a row, after the baseline's.
+	column := func(row string) string {
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, row+" "); ok {
+				return strings.Fields(rest)[1]
+			}
+		}
+		t.Fatalf("no %q row in:\n%s", row, stdout.String())
+		return ""
+	}
+	if got, want := column("GC Erases"), fmt.Sprint(count("GCErases")); got != want {
+		t.Errorf("printed pSLC GC erases %s, JSON %s", got, want)
+	}
+	appends, oop := float64(count("InPlaceAppends")), float64(count("OutOfPlaceWrites"))
+	want := fmt.Sprintf("%.0f/%.0f", 100*oop/(appends+oop), 100*appends/(appends+oop))
+	if got := column("Out-of-Place vs In-Place [%]"); got != want {
+		t.Errorf("printed pSLC split %s, JSON's appends make it %s", got, want)
 	}
 }

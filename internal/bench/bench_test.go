@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -43,7 +44,9 @@ func TestNewWorkloadNames(t *testing.T) {
 
 func TestRunNeedsALimit(t *testing.T) {
 	for _, ops := range []int{0, -1} {
-		_, err := Run(Experiment{Name: "x", Workload: "tpcb", Ops: ops})
+		o := small(t, "table1", 1)
+		o.Ops = ops
+		_, err := Run(o, "tpcb", o.baseline())
 		if err == nil || !strings.Contains(err.Error(), "MaxOps > 0") {
 			t.Fatalf("Ops %d: err %v, want the Ops > 0 rejection", ops, err)
 		}
@@ -52,18 +55,18 @@ func TestRunNeedsALimit(t *testing.T) {
 
 func TestRunBaselineVsIPA(t *testing.T) {
 	o := small(t, "table1", 600)
-	baseRes, err := Run(o.baseline("t-base", "tpcb"))
+	baseRes, err := Run(o, "tpcb", o.baseline())
 	if err != nil {
 		t.Fatalf("baseline run: %v", err)
 	}
-	ipaRes, err := Run(o.native("t-ipa", "tpcb", ipa.PSLC))
+	ipaRes, err := Run(o, "tpcb", o.native(ipa.PSLC))
 	if err != nil {
 		t.Fatalf("ipa run: %v", err)
 	}
 	if baseRes.Run.Committed != 600 || ipaRes.Run.Committed != 600 {
 		t.Fatalf("both runs must commit 600 transactions")
 	}
-	bs, is := baseRes.Stats, ipaRes.Stats
+	bs, is := baseRes, ipaRes
 	if bs.InPlaceAppends != 0 {
 		t.Fatalf("baseline must not append in place")
 	}
@@ -90,17 +93,18 @@ func TestFigure1SmallRun(t *testing.T) {
 	if row.Workload != "tpcb" {
 		t.Fatalf("first row is %q, want tpcb", row.Workload)
 	}
-	if row.DirtyEvictions == 0 {
+	ts := row.Traditional
+	if ts.DirtyEvictions == 0 {
 		t.Fatalf("no dirty evictions observed")
 	}
-	if row.SmallEvictionShare < 0.5 {
-		t.Fatalf("OLTP evictions should be dominated by small changes, got %.2f", row.SmallEvictionShare)
+	if ts.SmallEvictionShare() < 0.5 {
+		t.Fatalf("OLTP evictions should be dominated by small changes, got %.2f", ts.SmallEvictionShare())
 	}
-	if row.WriteAmplification < 10 {
-		t.Fatalf("traditional write amplification should be large, got %.1f", row.WriteAmplification)
+	if ts.DBMSWriteAmplification() < 10 {
+		t.Fatalf("traditional write amplification should be large, got %.1f", ts.DBMSWriteAmplification())
 	}
-	if row.IPAReductionPct <= 0 {
-		t.Fatalf("IPA must reduce the transferred bytes, got %.1f%%", row.IPAReductionPct)
+	if row.TransferReduction() <= 0 {
+		t.Fatalf("IPA must reduce the transferred bytes, got %.1f%%", row.TransferReduction())
 	}
 	var sb strings.Builder
 	res.Write(&sb)
@@ -114,18 +118,18 @@ func TestTable1SmallRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Table1: %v", err)
 	}
-	if res.Baseline.InPlacePct != 0 {
+	if res.Baseline.InPlaceShare() != 0 {
 		t.Fatalf("baseline must have no in-place appends")
 	}
-	if res.PSLC.InPlacePct <= res.OddMLC.InPlacePct {
-		t.Fatalf("pSLC must serve more appends than odd-MLC: %.1f vs %.1f",
-			res.PSLC.InPlacePct, res.OddMLC.InPlacePct)
+	if res.PSLC.InPlaceShare() <= res.OddMLC.InPlaceShare() {
+		t.Fatalf("pSLC must serve more appends than odd-MLC: %.3f vs %.3f",
+			res.PSLC.InPlaceShare(), res.OddMLC.InPlaceShare())
 	}
-	if res.PSLC.Throughput <= res.Baseline.Throughput {
+	if res.PSLC.Throughput() <= res.Baseline.Throughput() {
 		t.Fatalf("IPA pSLC throughput must exceed the baseline")
 	}
 	for _, r := range res.Rows() {
-		if got := r.Result.Stats.CommittedTxns; got != 800 {
+		if got := r.CommittedTxns; got != 800 {
 			t.Fatalf("%s committed %d transactions, want 800: the arms must do equal work", r.Label, got)
 		}
 	}
@@ -145,11 +149,11 @@ func TestIPLCompareSmallRun(t *testing.T) {
 		t.Fatalf("IPLCompare: %v", err)
 	}
 	row := res.Rows[0]
-	if row.IPLFlashReads <= row.IPAFlashReads {
+	if row.IPL.TotalFlashReads() <= row.IPA.FlashPageReads {
 		t.Fatalf("IPL must read more pages than IPA (read amplification): %d vs %d",
-			row.IPLFlashReads, row.IPAFlashReads)
+			row.IPL.TotalFlashReads(), row.IPA.FlashPageReads)
 	}
-	if row.IPAFlashWrites == 0 || row.IPLFlashWrites == 0 {
+	if row.IPA.FlashPagePrograms+row.IPA.FlashDeltaPrograms == 0 || row.IPL.TotalFlashWrites() == 0 {
 		t.Fatalf("write counters missing")
 	}
 	var sb strings.Builder
@@ -174,10 +178,10 @@ func TestSweepSmallRun(t *testing.T) {
 		t.Fatalf("grid order changed: %s then %s", lo.Scheme, hi.Scheme)
 	}
 	// A larger N must not lower the in-place share.
-	if hi.InPlaceShare < lo.InPlaceShare {
-		t.Fatalf("in-place share should grow with N: %.2f then %.2f", lo.InPlaceShare, hi.InPlaceShare)
+	if hi.InPlaceShare() < lo.InPlaceShare() {
+		t.Fatalf("in-place share should grow with N: %.2f then %.2f", lo.InPlaceShare(), hi.InPlaceShare())
 	}
-	if lo.AreaBytes >= hi.AreaBytes {
+	if areaBytes(lo.Scheme) >= areaBytes(hi.Scheme) {
 		t.Fatalf("area size should grow with N")
 	}
 	var sb strings.Builder
@@ -187,17 +191,32 @@ func TestSweepSmallRun(t *testing.T) {
 	}
 }
 
+// TestSweepAreaIsTheEnginesReservation: the sweep's area column is the
+// delta-record area the engine reserves on a page — checksum and commit
+// bytes included, 2 × (1 + 3·4 + 48 + 2) = 126 bytes at 2×4 — and its
+// overhead that area over the page size.
+func TestSweepAreaIsTheEnginesReservation(t *testing.T) {
+	if got := areaBytes(ipa.Scheme{N: 2, M: 4}); got != 126 {
+		t.Fatalf("2x4 area = %d bytes, want 126", got)
+	}
+	var sb strings.Builder
+	SweepResult{Workload: "tpcb", PageSize: 4096, Rows: []Result{{Stats: ipa.Stats{Scheme: ipa.Scheme{N: 2, M: 4}}}}}.Write(&sb)
+	if !regexp.MustCompile(`(?m)^2x4 +126 +3\.1% `).MatchString(sb.String()) {
+		t.Fatalf("sweep row of 2x4 does not print 126 B and 3.1%%:\n%s", sb.String())
+	}
+}
+
 func TestSuiteAndLongevitySmallRun(t *testing.T) {
 	res, err := Suite(small(t, "oltp", 600))
 	if err != nil {
 		t.Fatalf("Suite: %v", err)
 	}
 	row := res.Rows[0]
-	if row.ThroughputGainPct <= 0 {
-		t.Fatalf("IPA should improve throughput, got %+.1f%%", row.ThroughputGainPct)
+	if row.ThroughputGain() <= 0 {
+		t.Fatalf("IPA should improve throughput, got %+.1f%%", row.ThroughputGain())
 	}
-	if row.InvalidationDropPct <= 0 {
-		t.Fatalf("IPA should reduce invalidations, got %+.1f%%", row.InvalidationDropPct)
+	if inval, _, _ := row.Drops(); inval <= 0 {
+		t.Fatalf("IPA should reduce invalidations, got %+.1f%%", inval)
 	}
 	rows := Longevity(res)
 	if len(rows) != 2*len(suiteWorkloads) {

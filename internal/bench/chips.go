@@ -13,28 +13,12 @@ import (
 // scaling is visible.
 const chipsTxnCPUCost = 5 * time.Microsecond
 
-// ChipsRow is the outcome of one chip count.
-type ChipsRow struct {
-	Chips     int
-	Committed uint64
-	Conflicts uint64
-
-	// Virtual-time figures: the device clock is the busiest chip's clock,
-	// so parallel chips shorten the elapsed virtual time of the same work.
-	Virtual    time.Duration
-	VirtualTPS float64
-	Speedup    float64 // VirtualTPS relative to the first row
-
-	// Balance is the least/most busy chip-clock ratio (1 = even striping).
-	Balance float64
-
-	Stats ipa.Stats
-}
-
-// ChipsResult bundles the whole chip ladder.
+// ChipsResult bundles the whole chip ladder, one arm per chip count (its
+// Stats.Chips). The device clock is the busiest chip's clock, so parallel
+// chips shorten the arm's Stats.Elapsed for the same work.
 type ChipsResult struct {
 	Options Options
-	Rows    []ChipsRow
+	Rows    []Result
 }
 
 // Chips runs the chip-scaling scenario: the same update-heavy workload
@@ -50,26 +34,13 @@ func Chips(o Options) (ChipsResult, error) {
 	out := ChipsResult{Options: o}
 	tuples := pick(o.Quick, 16384, 4096)
 	for _, chips := range ladder(o.Chips) {
-		cfg := o.nativeConfig(ipa.PSLC)
+		cfg := o.native(ipa.PSLC)
 		cfg.Chips, cfg.TxnCPUCost = chips, chipsTxnCPUCost
-		r, err := drive("chips", cfg, tuples, o.Threads, o.Ops, o.Seed, false, stridedUpdates(tuples, o.Threads, 1031))
+		res, _, err := drive("chips", cfg, tuples, o.Threads, o.Ops, o.Seed, false, stridedUpdates(tuples, o.Threads, 1031))
 		if err != nil {
 			return out, fmt.Errorf("chips=%d: %w", chips, err)
 		}
-		row := ChipsRow{
-			Chips:      chips,
-			Committed:  r.Stats.CommittedTxns,
-			Conflicts:  r.Retries,
-			Virtual:    r.Virtual,
-			VirtualTPS: r.perSec(r.Virtual),
-			Speedup:    1,
-			Balance:    r.Stats.ChipBalance(),
-			Stats:      r.Stats,
-		}
-		if len(out.Rows) > 0 && out.Rows[0].VirtualTPS > 0 {
-			row.Speedup = row.VirtualTPS / out.Rows[0].VirtualTPS
-		}
-		out.Rows = append(out.Rows, row)
+		out.Rows = append(out.Rows, res)
 	}
 	return out, nil
 }
@@ -80,9 +51,9 @@ func (r ChipsResult) Write(w io.Writer) {
 		ipa.IPANativeFlash, r.Options.Threads, r.Options.Ops)
 	fmt.Fprintf(w, "%-6s %10s %10s %12s %12s %9s %8s\n",
 		"chips", "committed", "conflicts", "virtual", "virtual tps", "balance", "speedup")
-	for _, row := range r.Rows {
+	for _, s := range r.Rows {
 		fmt.Fprintf(w, "%-6d %10d %10d %12s %12.0f %9.2f %7.2fx\n",
-			row.Chips, row.Committed, row.Conflicts, row.Virtual.Round(time.Millisecond), row.VirtualTPS,
-			row.Balance, row.Speedup)
+			s.Chips, s.CommittedTxns, s.Run.Aborted, s.Elapsed.Round(time.Millisecond), s.Throughput(),
+			s.ChipBalance(), speedup(s.Throughput(), r.Rows[0].Throughput()))
 	}
 }

@@ -22,27 +22,27 @@ func TestChipsScenario(t *testing.T) {
 	if len(res.Rows) != len(ladder(0)) {
 		t.Fatalf("rows = %d, want %d", len(res.Rows), len(ladder(0)))
 	}
-	for _, row := range res.Rows {
-		if row.Committed != 1200 {
-			t.Errorf("chips=%d committed %d, want 1200", row.Chips, row.Committed)
+	for i, row := range res.Rows {
+		if row.CommittedTxns != 1200 {
+			t.Errorf("chips=%d committed %d, want 1200", row.Chips, row.CommittedTxns)
 		}
-		if row.VirtualTPS <= 0 {
+		if row.Throughput() <= 0 {
 			t.Errorf("chips=%d reported no throughput", row.Chips)
 		}
-		if row.Stats.Chips != row.Chips || len(row.Stats.ChipStats) != row.Chips {
-			t.Errorf("chips=%d stats report %d chips", row.Chips, row.Stats.Chips)
+		if want := ladder(0)[i]; row.Chips != want || len(row.ChipStats) != want {
+			t.Errorf("row %d: stats report %d chips and %d chip stats, want %d", i, row.Chips, len(row.ChipStats), want)
 		}
-		if row.Balance <= 0 || row.Balance > 1 {
-			t.Errorf("chips=%d implausible balance %f", row.Chips, row.Balance)
+		if b := row.ChipBalance(); b <= 0 || b > 1 {
+			t.Errorf("chips=%d implausible balance %f", row.Chips, b)
 		}
-	}
-	if res.Rows[0].Speedup != 1 {
-		t.Errorf("baseline speedup = %f, want 1", res.Rows[0].Speedup)
 	}
 	var sb strings.Builder
 	res.Write(&sb)
 	if !strings.Contains(sb.String(), "chips") {
 		t.Errorf("Write produced no table:\n%s", sb.String())
+	}
+	if first := strings.Split(sb.String(), "\n")[2]; !strings.HasSuffix(first, " 1.00x") {
+		t.Errorf("baseline row %q: want a speedup of 1.00x", first)
 	}
 
 	// The acceptance check of the chip-parallel flash stack: the same work
@@ -53,16 +53,16 @@ func TestChipsScenario(t *testing.T) {
 	if one.Chips != 1 || four.Chips != 4 {
 		t.Fatalf("ladder changed: rows 0 and 2 have %d and %d chips", one.Chips, four.Chips)
 	}
-	if four.Virtual >= one.Virtual*7/10 {
+	if four.Elapsed >= one.Elapsed*7/10 {
 		t.Fatalf("4 chips should cut virtual time well below 1 chip: 1-chip=%s 4-chip=%s",
-			one.Virtual, four.Virtual)
+			one.Elapsed, four.Elapsed)
 	}
-	if four.Speedup < 1.5 {
-		t.Fatalf("4-chip virtual throughput speedup %.2fx, want >= 1.5x", four.Speedup)
+	if s := four.Throughput() / one.Throughput(); s < 1.5 {
+		t.Fatalf("4-chip virtual throughput speedup %.2fx, want >= 1.5x", s)
 	}
 	// The stripe must actually use all chips.
-	if four.Balance < 0.25 {
-		t.Fatalf("chip load badly skewed: balance %.2f", four.Balance)
+	if four.ChipBalance() < 0.25 {
+		t.Fatalf("chip load badly skewed: balance %.2f", four.ChipBalance())
 	}
 }
 
@@ -78,7 +78,7 @@ func BenchmarkChipScaling(b *testing.B) {
 				b.Fatalf("Chips: %v", err)
 			}
 			row := res.Rows[0]
-			b.ReportMetric(row.VirtualTPS, "virtual-tps")
+			b.ReportMetric(row.Throughput(), "virtual-tps")
 		})
 	}
 }

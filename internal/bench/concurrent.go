@@ -28,21 +28,21 @@ func ladder(fixed int) []int {
 	return []int{1, 2, 4, 8}
 }
 
-// ConcurrentRow is the outcome of one worker count.
+// ConcurrentRow is the outcome of one goroutine count: Run.Aborted counts
+// the transactions a lock conflict re-ran, and Wall is the wall-clock time
+// of the measured phase.
 type ConcurrentRow struct {
 	Goroutines int
-	Committed  uint64
-	Conflicts  uint64 // transactions retried after a lock conflict
 	Wall       time.Duration
-	OpsPerSec  float64 // committed transactions per wall-clock second
-	Speedup    float64 // relative to the first row of the ladder
+	Result
+}
 
-	// Group-commit effectiveness.
-	WALFlushes      uint64
-	CommitsPerFlush float64
-	MaxCommitBatch  uint64
-
-	Stats ipa.Stats
+// OpsPerSec is committed transactions per wall-clock second.
+func (r ConcurrentRow) OpsPerSec() float64 {
+	if r.Wall <= 0 {
+		return 0
+	}
+	return float64(r.CommittedTxns) / r.Wall.Seconds()
 }
 
 // ConcurrentResult bundles the whole goroutine ladder.
@@ -61,34 +61,20 @@ type ConcurrentResult struct {
 func Concurrent(o Options) (ConcurrentResult, error) {
 	out := ConcurrentResult{Options: o}
 	tuples := pick(o.Quick, 4096, 2048)
-	cfg := o.nativeConfig(ipa.PSLC)
+	cfg := o.native(ipa.PSLC)
 	cfg.LogFlushLatency, cfg.LogFlushWallLatency = concurrentLogFlushLatency, concurrentLogFlushWallLatency
 	for _, g := range ladder(o.Threads) {
-		r, err := drive("concurrent", cfg, tuples, g, o.Ops, o.Seed, true, stridedUpdates(tuples, g, 17))
+		res, wall, err := drive("concurrent", cfg, tuples, g, o.Ops, o.Seed, true, stridedUpdates(tuples, g, 17))
 		if err != nil {
 			return out, err
 		}
-		row := ConcurrentRow{
-			Goroutines:      g,
-			Committed:       r.Stats.CommittedTxns,
-			Conflicts:       r.Retries,
-			Wall:            r.Wall,
-			OpsPerSec:       r.perSec(r.Wall),
-			Speedup:         1,
-			WALFlushes:      r.Stats.WALFlushes,
-			CommitsPerFlush: r.Stats.CommitsPerFlush(),
-			MaxCommitBatch:  r.Stats.WALMaxCommitBatch,
-			Stats:           r.Stats,
-		}
-		if len(out.Rows) > 0 && out.Rows[0].OpsPerSec > 0 {
-			row.Speedup = row.OpsPerSec / out.Rows[0].OpsPerSec
-		}
-		out.Rows = append(out.Rows, row)
+		out.Rows = append(out.Rows, ConcurrentRow{g, wall, res})
 	}
 	return out, nil
 }
 
-// Write renders the scaling table.
+// Write renders the scaling table; speedup is ops/s relative to the first
+// row of the ladder.
 func (r ConcurrentResult) Write(w io.Writer) {
 	fmt.Fprintf(w, "Concurrency scaling: %s, %d ops over disjoint keys (sharded pool + group-commit WAL)\n",
 		ipa.IPANativeFlash, r.Options.Ops)
@@ -96,7 +82,15 @@ func (r ConcurrentResult) Write(w io.Writer) {
 		"goroutines", "committed", "conflicts", "wall", "ops/s", "wal flushes", "commits/flush", "speedup")
 	for _, row := range r.Rows {
 		fmt.Fprintf(w, "%-11d %10d %10d %12s %9.0f %12d %14.2f %8.2fx\n",
-			row.Goroutines, row.Committed, row.Conflicts, row.Wall.Round(time.Millisecond),
-			row.OpsPerSec, row.WALFlushes, row.CommitsPerFlush, row.Speedup)
+			row.Goroutines, row.CommittedTxns, row.Run.Aborted, row.Wall.Round(time.Millisecond),
+			row.OpsPerSec(), row.WALFlushes, row.CommitsPerFlush(), speedup(row.OpsPerSec(), r.Rows[0].OpsPerSec()))
 	}
+}
+
+// speedup is v relative to base, 1 when base is 0.
+func speedup(v, base float64) float64 {
+	if base <= 0 {
+		return 1
+	}
+	return v / base
 }

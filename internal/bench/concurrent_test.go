@@ -20,29 +20,29 @@ func TestConcurrentScenario(t *testing.T) {
 		t.Fatalf("rows = %d, want %d", len(res.Rows), len(ladder(0)))
 	}
 	for _, row := range res.Rows {
-		if row.Committed != 400 {
-			t.Errorf("goroutines=%d committed %d, want 400", row.Goroutines, row.Committed)
+		if row.CommittedTxns != 400 {
+			t.Errorf("goroutines=%d committed %d, want 400", row.Goroutines, row.CommittedTxns)
 		}
-		if row.OpsPerSec <= 0 {
+		if row.OpsPerSec() <= 0 {
 			t.Errorf("goroutines=%d reported no throughput", row.Goroutines)
 		}
-		if row.WALFlushes == 0 || row.WALFlushes > row.Committed {
+		if row.WALFlushes == 0 || row.WALFlushes > row.CommittedTxns {
 			t.Errorf("goroutines=%d implausible flush count %d", row.Goroutines, row.WALFlushes)
 		}
-		if row.CommitsPerFlush < 1 {
-			t.Errorf("goroutines=%d commits/flush %f < 1", row.Goroutines, row.CommitsPerFlush)
+		if row.CommitsPerFlush() < 1 {
+			t.Errorf("goroutines=%d commits/flush %f < 1", row.Goroutines, row.CommitsPerFlush())
 		}
-		if row.Stats.BufferShards < 2 {
-			t.Errorf("expected a sharded pool, got %d shards", row.Stats.BufferShards)
+		if row.BufferShards < 2 {
+			t.Errorf("expected a sharded pool, got %d shards", row.BufferShards)
 		}
-	}
-	if res.Rows[0].Speedup != 1 {
-		t.Errorf("baseline speedup = %f, want 1", res.Rows[0].Speedup)
 	}
 	var sb strings.Builder
 	res.Write(&sb)
 	if !strings.Contains(sb.String(), "goroutines") {
 		t.Errorf("Write produced no table:\n%s", sb.String())
+	}
+	if first := strings.Split(sb.String(), "\n")[2]; !strings.HasSuffix(first, " 1.00x") {
+		t.Errorf("baseline row %q: want a speedup of 1.00x", first)
 	}
 }
 

@@ -15,19 +15,10 @@ import (
 func crashSample(quick bool) int { return pick(quick, 0, 12) }
 
 // CrashRow is the outcome of one write path's sweep, including the
-// aggregated time-to-recover of every successful Reopen: wall and virtual
-// recovery time, physical pages scanned by the FTL rebuild
-// and WAL records redone — the quantities fuzzy checkpoints bound.
+// aggregated time-to-recover of every successful Reopen.
 type CrashRow struct {
-	Mode        ipa.WriteMode         `json:"mode"`
-	FaultPoints int                   `json:"fault_points"`
-	Runs        int                   `json:"runs"`
-	Crashes     int                   `json:"crashes"`
-	GCCovered   bool                  `json:"gc_covered"`
-	Checkpoints int                   `json:"checkpoints"`
-	CkptCovered bool                  `json:"checkpoint_covered"`
-	Recovery    crash.RecoverySummary `json:"recovery"`
-	Failures    []string              `json:"failures"`
+	Mode ipa.WriteMode `json:"mode"`
+	crash.Result
 }
 
 // CrashResult is the full torture outcome.
@@ -38,7 +29,7 @@ type CrashResult struct {
 // Failed reports whether any write path violated a recovery invariant.
 func (r CrashResult) Failed() bool {
 	for _, row := range r.Rows {
-		if len(row.Failures) > 0 {
+		if row.Failed() {
 			return true
 		}
 	}
@@ -61,17 +52,7 @@ func Crash(o Options) (CrashResult, error) {
 		if err != nil {
 			return out, fmt.Errorf("bench: crash sweep (%s): %w", mode, err)
 		}
-		out.Rows = append(out.Rows, CrashRow{
-			Mode:        mode,
-			FaultPoints: res.FaultPoints,
-			Runs:        res.Runs,
-			Crashes:     res.Crashes,
-			GCCovered:   res.GCCovered,
-			Checkpoints: res.Checkpoints,
-			CkptCovered: res.CkptCovered,
-			Recovery:    res.Recovery,
-			Failures:    res.Failures,
-		})
+		out.Rows = append(out.Rows, CrashRow{mode, res})
 	}
 	return out, nil
 }

@@ -14,96 +14,69 @@ import (
 // tupleSize is the row size of the table the concurrent experiments load.
 const tupleSize = 100
 
-// driven is what one run of a concurrent experiment measured.
-type driven struct {
-	Stats   ipa.Stats
-	Retries uint64        // transactions re-run after a record-lock conflict
-	Wall    time.Duration // wall-clock time of the measured phase
-	Virtual time.Duration // device-clock time of the measured phase
-}
-
-// perSec is committed transactions per second of d.
-func (r driven) perSec(d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(r.Stats.CommittedTxns) / d.Seconds()
-}
-
 // client returns, for client c of a run on tbl, the statements of its i-th
 // transaction; the last one ends it.
 type client func(tbl *ipa.Table, c int) func(i int) []interleave.Step
 
-// drive is the driver the concurrent experiments share: open a fresh
-// database, load tuples rows of tupleSize bytes into one table, flush,
-// reset the counters, run ops transactions split over clients clients as
-// txn describes them, and flush again. The clients run as programs of
+// drive is measure around K clients: its load is tuples rows of tupleSize
+// bytes in one table, its measured phase ops transactions split over
+// clients clients as txn describes them, and Result.Run.Aborted counts the
+// attempts a lock conflict re-ran. The clients run as programs of
 // internal/interleave: stepped from one goroutine in an order drawn from
 // seed, so the run is a function of it — or, with parallel set (-exp
 // concurrent, which measures what needs real goroutines: group-commit
-// batching and latch contention), each on a goroutine of its own.
-func drive(name string, cfg ipa.Config, tuples, clients, ops int, seed int64, parallel bool, txn client) (driven, error) {
+// batching and latch contention), each on a goroutine of its own. drive
+// also returns the wall-clock time of the measured phase.
+func drive(name string, cfg ipa.Config, tuples, clients, ops int, seed int64, parallel bool, txn client) (Result, time.Duration, error) {
 	if clients <= 0 {
-		return driven{}, fmt.Errorf("bench: %s: invalid client count %d", name, clients)
+		return Result{}, 0, fmt.Errorf("bench: %s: invalid client count %d", name, clients)
 	}
-	db, err := ipa.Open(cfg)
-	if err != nil {
-		return driven{}, fmt.Errorf("bench: %s: %w", name, err)
-	}
-	defer db.Close()
-	tbl, err := db.CreateTable(name, tupleSize)
-	if err != nil {
-		return driven{}, err
-	}
-	if err := loadRows(db, tbl, tuples, make([]byte, tupleSize)); err != nil {
-		return driven{}, fmt.Errorf("bench: %s load: %w", name, err)
-	}
-	if err := db.FlushAll(); err != nil {
-		return driven{}, err
-	}
-	progs := make([]interleave.Program, clients)
-	for c := range progs {
-		next, n, i := txn(tbl, c), ops/clients, 0
-		if c < ops%clients {
-			n++
+	var tbl *ipa.Table
+	load := func(db *ipa.DB) (err error) {
+		if tbl, err = db.CreateTable(name, tupleSize); err != nil {
+			return err
 		}
-		progs[c] = func() []interleave.Step {
-			if i == n {
-				return nil
+		return loadRows(db, tbl, tuples, make([]byte, tupleSize))
+	}
+	var wall time.Duration
+	res, err := measure(name, cfg, load, func(db *ipa.DB) (workload.RunResult, error) {
+		progs := make([]interleave.Program, clients)
+		for c := range progs {
+			next, n, i := txn(tbl, c), ops/clients, 0
+			if c < ops%clients {
+				n++
 			}
-			i++
-			return next(i - 1)
+			progs[c] = func() []interleave.Step {
+				if i == n {
+					return nil
+				}
+				i++
+				return next(i - 1)
+			}
 		}
-	}
-	db.ResetStats()
-	virtualStart := db.Now()
-	start := time.Now()
-	retries, errs := make([]uint64, clients), make([]error, clients)
-	if parallel {
-		var wg sync.WaitGroup
-		for c, p := range progs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				retries[c], errs[c] = interleave.Run(db, seed, p)
-			}()
+		virtualStart, start := db.Now(), time.Now()
+		retries, errs := make([]uint64, clients), make([]error, clients)
+		if parallel {
+			var wg sync.WaitGroup
+			for c, p := range progs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					retries[c], errs[c] = interleave.Run(db, seed, p)
+				}()
+			}
+			wg.Wait()
+		} else {
+			retries[0], errs[0] = interleave.Run(db, seed, progs...)
 		}
-		wg.Wait()
-	} else {
-		retries[0], errs[0] = interleave.Run(db, seed, progs...)
-	}
-	wall := time.Since(start)
-	if err := errors.Join(errs...); err != nil {
-		return driven{}, fmt.Errorf("bench: %s: %w", name, err)
-	}
-	if err := db.FlushAll(); err != nil {
-		return driven{}, err
-	}
-	r := driven{Stats: db.Stats(), Wall: wall, Virtual: db.Now() - virtualStart}
-	for _, n := range retries {
-		r.Retries += n
-	}
-	return r, nil
+		wall = time.Since(start)
+		ran := workload.RunResult{Committed: ops, Elapsed: db.Now() - virtualStart}
+		for _, n := range retries {
+			ran.Aborted += int(n)
+		}
+		return ran, errors.Join(errs...)
+	}, nil)
+	return res, wall, err
 }
 
 // commit is the last statement of a transaction that commits.

@@ -10,28 +10,25 @@ import (
 // figure1Workloads are the four workloads the paper analyses.
 var figure1Workloads = []string{"tpcb", "tpcc", "tatp", "linkbench"}
 
-// Figure1Row summarises one workload.
+// Figure1Row is one workload's two arms: the traditional write path, whose
+// dirty evictions the figure analyses, and IPA native Flash.
 type Figure1Row struct {
-	Workload string
+	Workload    string
+	Traditional Result
+	IPA         Result
+}
 
-	// Traditional write path.
-	DirtyEvictions     uint64
-	SmallEvictionShare float64 // fraction of dirty evictions changing < 100 bytes
-	AvgChangedBytes    float64 // net modified bytes per dirty eviction
-	PageBytesWritten   uint64  // bytes the traditional approach transfers
-	WriteAmplification float64 // transferred / modified
-	// Histogram is the distribution of net modified bytes per dirty
-	// eviction; HistogramBounds holds the inclusive upper bound of each
-	// bucket (the last histogram entry counts larger evictions).
-	Histogram       []uint64
-	HistogramBounds []int
-
-	// IPA (native) write path on the same workload.
-	IPABytesWritten  uint64  // bytes transferred with write_delta available
-	IPAReductionPct  float64 // transfer reduction vs traditional
-	IPAInPlaceShare  float64 // fraction of host writes served in place
-	DeltaBytes       uint64  // bytes carried inside delta records
-	IPAAppendedPages uint64  // evictions served as appends
+// TransferReduction is how much less IPA transfers to the device than the
+// traditional path, in percent, per committed transaction so that arms of
+// different lengths compare fairly.
+func (r Figure1Row) TransferReduction() float64 {
+	ts, is := r.Traditional.Stats, r.IPA.Stats
+	if ts.HostBytesWritten == 0 {
+		return 0
+	}
+	tradPerTxn := float64(ts.HostBytesWritten) / float64(max(1, ts.CommittedTxns))
+	ipaPerTxn := float64(is.HostBytesWritten) / float64(max(1, is.CommittedTxns))
+	return 100 * (1 - ipaPerTxn/tradPerTxn)
 }
 
 // Figure1Result is the full analysis.
@@ -46,71 +43,54 @@ type Figure1Result struct {
 func Figure1(o Options) (Figure1Result, error) {
 	var out Figure1Result
 	for _, wl := range figure1Workloads {
-		trad := o.baseline("fig1-"+wl+"-traditional", wl)
-		native := o.native("fig1-"+wl+"-ipa", wl, ipa.PSLC)
-
-		tradRes, err := Run(trad)
-		if err != nil {
+		row := Figure1Row{Workload: wl}
+		var err error
+		if row.Traditional, err = Run(o, wl, analytic(o.baseline())); err != nil {
 			return out, err
 		}
-		ipaRes, err := Run(native)
-		if err != nil {
+		if row.IPA, err = Run(o, wl, o.native(ipa.PSLC)); err != nil {
 			return out, err
-		}
-
-		ts, is := tradRes.Stats, ipaRes.Stats
-		row := Figure1Row{
-			Workload:           wl,
-			DirtyEvictions:     ts.DirtyEvictions,
-			SmallEvictionShare: ts.SmallEvictionShare(),
-			PageBytesWritten:   ts.HostBytesWritten,
-			WriteAmplification: ts.DBMSWriteAmplification(),
-			Histogram:          ts.EvictionSizeHistogram[:],
-			HistogramBounds:    ts.EvictionHistogramBounds,
-			IPABytesWritten:    is.HostBytesWritten,
-			IPAInPlaceShare:    is.InPlaceShare(),
-			DeltaBytes:         is.DeltaBytesWritten,
-			IPAAppendedPages:   is.IPAAppendEvictions,
-		}
-		if ts.DirtyEvictions > 0 {
-			row.AvgChangedBytes = float64(ts.NetChangedBytes) / float64(ts.DirtyEvictions)
-		}
-		if ts.HostBytesWritten > 0 {
-			// Normalise the IPA transfer volume by the work performed, so
-			// runs with different committed-transaction counts compare
-			// fairly.
-			tradPerTxn := float64(ts.HostBytesWritten) / float64(max(1, ts.CommittedTxns))
-			ipaPerTxn := float64(is.HostBytesWritten) / float64(max(1, is.CommittedTxns))
-			row.IPAReductionPct = 100 * (1 - ipaPerTxn/tradPerTxn)
 		}
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil
 }
 
-// Write renders the analysis.
+// Write renders the analysis: per workload the traditional arm's dirty
+// evictions, the share changing fewer than 100 bytes, the net modified
+// bytes per eviction and the resulting write amplification, then IPA's.
 func (r Figure1Result) Write(w io.Writer) {
 	fmt.Fprintf(w, "Figure 1: DBMS write-amplification, traditional vs In-Place Appends\n")
 	fmt.Fprintf(w, "%-10s %10s %12s %12s %10s %14s %12s\n",
 		"workload", "evictions", "<100B share", "avg changed", "write-amp", "IPA transfer", "in-place")
 	for _, row := range r.Rows {
+		ts := row.Traditional.Stats
 		fmt.Fprintf(w, "%-10s %10d %11.1f%% %11.1fB %9.1fx %13.1f%% %11.1f%%\n",
-			row.Workload, row.DirtyEvictions, 100*row.SmallEvictionShare, row.AvgChangedBytes,
-			row.WriteAmplification, row.IPAReductionPct, 100*row.IPAInPlaceShare)
+			row.Workload, ts.DirtyEvictions, 100*ts.SmallEvictionShare(), avgChangedBytes(ts),
+			ts.DBMSWriteAmplification(), row.TransferReduction(), 100*row.IPA.InPlaceShare())
 	}
 	fmt.Fprintf(w, "\nDistribution of net modified bytes per evicted dirty page:\n")
 	for _, row := range r.Rows {
-		if row.DirtyEvictions == 0 || len(row.Histogram) == 0 {
+		ts := row.Traditional.Stats
+		if ts.DirtyEvictions == 0 {
 			continue
 		}
 		fmt.Fprintf(w, "  %-10s", row.Workload)
-		for i, count := range row.Histogram {
+		for i, count := range ts.EvictionSizeHistogram {
 			label := "more"
-			if i < len(row.HistogramBounds) {
-				label = fmt.Sprintf("<=%dB", row.HistogramBounds[i])
+			if i < len(ts.EvictionHistogramBounds) {
+				label = fmt.Sprintf("<=%dB", ts.EvictionHistogramBounds[i])
 			}
-			fmt.Fprintf(w, " %s:%.1f%%", label, 100*float64(count)/float64(row.DirtyEvictions))
+			fmt.Fprintf(w, " %s:%.1f%%", label, 100*float64(count)/float64(ts.DirtyEvictions))
 		}
 		fmt.Fprintln(w)
 	}
+}
+
+// avgChangedBytes is the net modified bytes per dirty eviction of s.
+func avgChangedBytes(s ipa.Stats) float64 {
+	if s.DirtyEvictions == 0 {
+		return 0
+	}
+	return float64(s.NetChangedBytes) / float64(s.DirtyEvictions)
 }

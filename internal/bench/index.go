@@ -23,68 +23,38 @@ var (
 // than heap pages (whose OLTP field updates are a few bytes).
 var indexScheme = ipa.Scheme{N: 4, M: 20}
 
-// IndexRow is one (workload, write path) measurement.
+// IndexRow is one (workload, write path) arm.
 type IndexRow struct {
 	Workload string
-	Label    string
-	Result   Result
-
-	// IndexPageWrites is the number of dirty index-page evictions;
-	// IndexOutOfPlace of them were physical whole-page programs and
-	// IndexInPlace were delta appends onto the existing physical page.
-	IndexPageWrites uint64
-	IndexInPlace    uint64
-	IndexOutOfPlace uint64
-	IndexDeltas     uint64
-	// DeltasPerMerge is how many delta appends one full index-page rewrite
-	// (merge) amortises.
-	DeltasPerMerge float64
-	Throughput     float64
+	Arm
 }
 
-// IndexResult bundles the comparison rows in presentation order.
+// IndexResult is the index or the secondary-index comparison: the rows in
+// presentation order, under the experiment's title.
 type IndexResult struct {
-	Rows []IndexRow
-}
-
-func makeIndexRow(workload, label string, res Result) IndexRow {
-	s := res.Stats
-	return IndexRow{
-		Workload:        workload,
-		Label:           label,
-		Result:          res,
-		IndexPageWrites: s.IndexPageWrites,
-		IndexInPlace:    s.IndexInPlaceAppends,
-		IndexOutOfPlace: s.IndexOutOfPlaceWrites,
-		IndexDeltas:     s.IndexDeltaRecords,
-		DeltasPerMerge:  s.IndexDeltasPerMerge(),
-		Throughput:      s.Throughput(),
-	}
+	Title string
+	Rows  []IndexRow
 }
 
 // indexRows runs every workload with traditional out-of-place index
 // persistence and with IPA-native delta appends.
-func indexRows(o Options, prefix string, workloads []string) ([]IndexRow, error) {
-	var rows []IndexRow
+func indexRows(o Options, title string, workloads []string) (IndexResult, error) {
+	out := IndexResult{Title: title}
+	native := o.native(ipa.PSLC)
+	native.IndexScheme = indexScheme
 	for _, w := range workloads {
-		base := o.baseline(prefix+"-oop-"+w, w)
-		native := o.native(prefix+"-ipa-"+w, w, ipa.PSLC)
-		native.IndexScheme = indexScheme
-		// Only the index-page counters are reported: no per-eviction byte
-		// accounting.
-		base.Analytic, native.Analytic = false, false
-		baseRes, err := Run(base)
-		if err != nil {
-			return rows, err
+		for _, a := range []struct {
+			label string
+			cfg   ipa.Config
+		}{{"out-of-place", o.baseline()}, {fmt.Sprintf("IPA %s", indexScheme), native}} {
+			res, err := Run(o, w, a.cfg)
+			if err != nil {
+				return out, err
+			}
+			out.Rows = append(out.Rows, IndexRow{w, Arm{a.label, res}})
 		}
-		rows = append(rows, makeIndexRow(w, "out-of-place", baseRes))
-		nativeRes, err := Run(native)
-		if err != nil {
-			return rows, err
-		}
-		rows = append(rows, makeIndexRow(w, fmt.Sprintf("IPA %s", indexScheme), nativeRes))
 	}
-	return rows, nil
+	return out, nil
 }
 
 // Index runs the index-maintenance experiment, comparing the physical
@@ -93,18 +63,35 @@ func indexRows(o Options, prefix string, workloads []string) ([]IndexRow, error)
 // forwarding index in ~4 % of transactions); LinkBench adds a second,
 // insert-heavier shape.
 func Index(o Options) (IndexResult, error) {
-	rows, err := indexRows(o, "index", []string{"tatp", "linkbench"})
-	return IndexResult{Rows: rows}, err
+	return indexRows(o, "Index maintenance: out-of-place vs IPA delta appends (primary-key entry pages)",
+		[]string{"tatp", "linkbench"})
 }
 
-// Write renders the comparison.
+// Secondary runs the secondary-index experiment: the index experiment's
+// comparison on secondary-heavy workloads, whose KindIndex counters cover
+// the secondary entry pages (plus the mostly idle primary key). "secchurn"
+// is the isolation workload — its primary keys never change during the
+// run, so the counters measure (almost) pure secondary churn; "tatpsec"
+// (sub_nbr lookups + call-forwarding churn) and "linkbenchsec"
+// (assoc-by-id2) add realistic shapes.
+func Secondary(o Options) (IndexResult, error) {
+	return indexRows(o, "Secondary-index maintenance: out-of-place vs IPA delta appends (entry pages)",
+		[]string{"secchurn", "tatpsec", "linkbenchsec"})
+}
+
+// Write renders the comparison, its workload column as wide as the longest
+// name.
 func (r IndexResult) Write(w io.Writer) {
-	fmt.Fprintf(w, "Index maintenance: out-of-place vs IPA delta appends (primary-key entry pages)\n")
-	fmt.Fprintf(w, "%-10s %-12s %12s %12s %14s %12s %14s %10s\n",
+	width := 0
+	for _, row := range r.Rows {
+		width = max(width, len(row.Workload)+1)
+	}
+	fmt.Fprintln(w, r.Title)
+	fmt.Fprintf(w, "%-*s %-12s %12s %12s %14s %12s %14s %10s\n", width,
 		"workload", "write path", "idx evicts", "idx appends", "idx page wr", "idx deltas", "deltas/merge", "tps")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-10s %-12s %12d %12d %14d %12d %14.1f %10.1f\n",
-			row.Workload, row.Label, row.IndexPageWrites, row.IndexInPlace,
-			row.IndexOutOfPlace, row.IndexDeltas, row.DeltasPerMerge, row.Throughput)
+		fmt.Fprintf(w, "%-*s %-12s %12d %12d %14d %12d %14.1f %10.1f\n", width,
+			row.Workload, row.Label, row.IndexPageWrites, row.IndexInPlaceAppends,
+			row.IndexOutOfPlaceWrites, row.IndexDeltaRecords, row.IndexDeltasPerMerge(), row.Throughput())
 	}
 }

@@ -13,19 +13,10 @@ import (
 // paired page: deliberately aggressive so short runs show the effect.
 const interferenceProb = 0.2
 
-// InterferenceRow is the outcome for one MLC operation mode.
-type InterferenceRow struct {
-	Mode             ipa.FlashMode
-	InPlaceAppends   uint64
-	InterferenceBits uint64 // bit flips injected into paired pages
-	CorrectedBits    uint64 // bit errors the ECC repaired on reads
-	Uncorrectable    uint64 // reads that failed ECC verification
-	Throughput       float64
-}
-
-// InterferenceResult is the comparison across modes.
+// InterferenceResult is the comparison across modes, one arm per MLC
+// operation mode (its Stats.FlashMode).
 type InterferenceResult struct {
-	Rows []InterferenceRow
+	Rows []Result
 }
 
 // Interference is the program-interference ablation of Section 3 of the
@@ -46,54 +37,49 @@ func Interference(o Options) (InterferenceResult, error) {
 	return out, nil
 }
 
-func interferenceOne(o Options, mode ipa.FlashMode) (InterferenceRow, error) {
-	cfg := o.nativeConfig(mode)
-	cfg.InterferenceProb, cfg.Analytic = interferenceProb, true
+// interferenceOne measures one mode. It is the one arm that does not run
+// by measure: the corruption it provokes on the unsafe modes fails
+// transactions and may fail the final flush, and the arm's figures are
+// exactly what was counted up to there.
+func interferenceOne(o Options, mode ipa.FlashMode) (Result, error) {
+	cfg := o.native(mode)
+	cfg.InterferenceProb = interferenceProb
 	db, err := ipa.Open(cfg)
 	if err != nil {
-		return InterferenceRow{}, err
+		return Result{}, err
 	}
 	defer db.Close()
 
 	w, err := NewWorkload("tpcb", o.Scale, o.Seed)
 	if err != nil {
-		return InterferenceRow{}, err
+		return Result{}, err
 	}
 	if err := w.Load(db); err != nil {
-		return InterferenceRow{}, fmt.Errorf("bench: interference %s load: %w", mode, err)
+		return Result{}, fmt.Errorf("bench: interference %s load: %w", mode, err)
 	}
 	db.ResetStats()
-	runTolerant(db, w, o.Ops, o.Seed+1)
+	ran := runTolerant(db, w, o.Ops, o.Seed+1)
 	_ = db.FlushAll() // a corrupted page may surface here; keep the stats
-	s := db.Stats()
-	return InterferenceRow{
-		Mode:             mode,
-		InPlaceAppends:   s.InPlaceAppends,
-		InterferenceBits: s.InterferenceBits,
-		CorrectedBits:    s.CorrectedBits,
-		Uncorrectable:    s.UncorrectableReads,
-		Throughput:       s.Throughput(),
-	}, nil
+	return Result{Stats: db.Stats(), Run: ran}, nil
 }
 
 // runTolerant executes up to ops transactions but, unlike workload.Run,
 // tolerates transaction failures caused by uncorrectable data corruption —
-// the very effect this experiment provokes on unsafe MLC modes.
-func runTolerant(db *ipa.DB, w workload.Workload, ops int, seed int64) {
+// the very effect this experiment provokes on unsafe MLC modes. Aborted
+// counts the failed ones.
+func runTolerant(db *ipa.DB, w workload.Workload, ops int, seed int64) workload.RunResult {
 	r := rand.New(rand.NewSource(seed))
-	failures := 0
-	for committed := 0; committed < ops && failures < ops; {
-		ok, err := w.RunOne(db, r)
-		if err != nil {
-			failures++
-			continue
-		}
-		if ok {
-			committed++
+	var ran workload.RunResult
+	start := db.Now()
+	for ran.Committed < ops && ran.Aborted < ops {
+		if ok, err := w.RunOne(db, r); err == nil && ok {
+			ran.Committed++
 		} else {
-			failures++
+			ran.Aborted++
 		}
 	}
+	ran.Elapsed = db.Now() - start
+	return ran
 }
 
 // Write renders the ablation.
@@ -101,8 +87,8 @@ func (r InterferenceResult) Write(w io.Writer) {
 	fmt.Fprintf(w, "Program interference on MLC Flash (fault injection enabled)\n")
 	fmt.Fprintf(w, "%-10s %14s %18s %16s %16s %12s\n",
 		"mode", "appends", "interference bits", "ECC corrected", "uncorrectable", "tps")
-	for _, row := range r.Rows {
+	for _, s := range r.Rows {
 		fmt.Fprintf(w, "%-10s %14d %18d %16d %16d %12.1f\n",
-			row.Mode, row.InPlaceAppends, row.InterferenceBits, row.CorrectedBits, row.Uncorrectable, row.Throughput)
+			s.FlashMode, s.InPlaceAppends, s.InterferenceBits, s.CorrectedBits, s.UncorrectableReads, s.Throughput())
 	}
 }

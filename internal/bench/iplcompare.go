@@ -9,24 +9,12 @@ import (
 	"ipa/internal/storage"
 )
 
-// IPLRow compares IPA and IPL for one workload.
+// IPLRow compares IPA and IPL on one workload: the engine run with
+// write_delta, and the IPL simulator's replay of that run's trace.
 type IPLRow struct {
 	Workload string
-
-	// IPA side (from the engine run with write_delta).
-	IPAFlashWrites uint64 // physical page programs + delta programs
-	IPAFlashReads  uint64
-	IPAErases      uint64
-
-	// IPL side (from the trace replay).
-	IPLFlashWrites uint64
-	IPLFlashReads  uint64
-	IPLErases      uint64
-	IPLStats       ipl.Stats
-
-	WriteReductionPct float64 // fewer writes with IPA
-	EraseReductionPct float64
-	ReadOverheadPct   float64 // extra reads IPL needs vs IPA
+	IPA      Result
+	IPL      ipl.Stats
 }
 
 // IPLResult is the full comparison.
@@ -52,56 +40,47 @@ func IPLCompare(o Options) (IPLResult, error) {
 }
 
 func iplCompareOne(wl string, o Options) (IPLRow, error) {
-	exp := o.native("ipl-"+wl, wl, ipa.PSLC)
-	exp.TraceEvictions = true
-
+	cfg := analytic(o.native(ipa.PSLC))
+	cfg.TraceEvictions = true
 	var trace []storage.TraceEvent
-	res, err := run(exp, func(db *ipa.DB) { trace = db.Trace() })
+	res, err := run(o, wl, cfg, func(db *ipa.DB) { trace = db.Trace() })
 	if err != nil {
 		return IPLRow{}, err
 	}
-
-	iplCfg := ipl.DefaultConfig(exp.PageSize, exp.PagesPerBlock)
-	mgr, err := ipl.NewManager(iplCfg)
+	mgr, err := ipl.NewManager(ipl.DefaultConfig(cfg.PageSize, cfg.PagesPerBlock))
 	if err != nil {
 		return IPLRow{}, err
 	}
 	mgr.Replay(trace)
-	is := mgr.Stats()
-	s := res.Stats
-
-	row := IPLRow{
-		Workload:       wl,
-		IPAFlashWrites: s.FlashPagePrograms + s.FlashDeltaPrograms,
-		IPAFlashReads:  s.FlashPageReads,
-		IPAErases:      s.FlashBlockErases,
-		IPLFlashWrites: is.TotalFlashWrites(),
-		IPLFlashReads:  is.TotalFlashReads(),
-		IPLErases:      is.Erases,
-		IPLStats:       is,
-	}
-	if row.IPLFlashWrites > 0 {
-		row.WriteReductionPct = 100 * (1 - float64(row.IPAFlashWrites)/float64(row.IPLFlashWrites))
-	}
-	if row.IPLErases > 0 {
-		row.EraseReductionPct = 100 * (1 - float64(row.IPAErases)/float64(row.IPLErases))
-	}
-	if row.IPAFlashReads > 0 {
-		row.ReadOverheadPct = 100 * (float64(row.IPLFlashReads)/float64(row.IPAFlashReads) - 1)
-	}
-	return row, nil
+	return IPLRow{Workload: wl, IPA: res, IPL: mgr.Stats()}, nil
 }
 
-// Write renders the comparison.
+// Write renders the comparison: Flash writes (page and delta programs for
+// IPA), erases and reads of both sides, how many fewer writes and erases
+// IPA makes, and how many more reads IPL needs.
 func (r IPLResult) Write(w io.Writer) {
 	fmt.Fprintf(w, "IPA vs In-Page Logging (trace replay)\n")
 	fmt.Fprintf(w, "%-10s %12s %12s %12s %12s %12s %12s %12s %12s %12s\n",
 		"workload", "ipa writes", "ipl writes", "write red.", "ipa erases", "ipl erases", "erase red.",
 		"ipa reads", "ipl reads", "read ovh.")
 	for _, row := range r.Rows {
+		s, l := row.IPA.Stats, row.IPL
+		writes := s.FlashPagePrograms + s.FlashDeltaPrograms
+		readOverhead := 0.0
+		if s.FlashPageReads > 0 {
+			readOverhead = 100 * (float64(l.TotalFlashReads())/float64(s.FlashPageReads) - 1)
+		}
 		fmt.Fprintf(w, "%-10s %12d %12d %+11.1f%% %12d %12d %+11.1f%% %12d %12d %+11.1f%%\n",
-			row.Workload, row.IPAFlashWrites, row.IPLFlashWrites, row.WriteReductionPct,
-			row.IPAErases, row.IPLErases, row.EraseReductionPct,
-			row.IPAFlashReads, row.IPLFlashReads, row.ReadOverheadPct)
+			row.Workload, writes, l.TotalFlashWrites(), reduction(writes, l.TotalFlashWrites()),
+			s.FlashBlockErases, l.Erases, reduction(s.FlashBlockErases, l.Erases),
+			s.FlashPageReads, l.TotalFlashReads(), readOverhead)
 	}
+}
+
+// reduction is how much lower v is than other, in percent of other.
+func reduction(v, other uint64) float64 {
+	if other == 0 {
+		return 0
+	}
+	return 100 * (1 - float64(v)/float64(other))
 }

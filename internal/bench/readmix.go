@@ -30,20 +30,12 @@ const (
 // collisions common.
 func readMixTuples(quick bool) int { return pick(quick, 1024, 512) }
 
-// ReadMixRow is the outcome of one (read percentage, read mode) cell.
+// ReadMixRow is the outcome of one (read percentage, read mode) cell;
+// Run.Aborted counts the transactions re-run after ErrConflict.
 type ReadMixRow struct {
-	ReadPct   int
-	Locked    bool // true = GetForUpdate baseline, false = snapshot reads
-	Committed uint64
-	Retries   uint64 // transactions re-run after ErrConflict
-
-	// Lock-table pressure and MVCC activity for the run.
-	LockAcquisitions uint64
-	LockConflicts    uint64
-	SnapshotReads    uint64
-	VersionReads     uint64
-
-	Stats ipa.Stats
+	ReadPct int
+	Locked  bool // true = GetForUpdate baseline, false = snapshot reads
+	Result
 }
 
 // ReadMixResult bundles the ladder; rows come in (snapshot, locked) pairs
@@ -85,9 +77,9 @@ func ReadMix(o Options) (ReadMixResult, error) {
 // one statement each; a retry draws new keys.
 func runReadMix(o Options, readPct int, locked bool) (ReadMixRow, error) {
 	tuples := readMixTuples(o.Quick)
-	cfg := o.nativeConfig(ipa.PSLC)
+	cfg := o.native(ipa.PSLC)
 	cfg.LogFlushLatency = readMixLogFlushLatency
-	r, err := drive("readmix", cfg, tuples, o.Threads, o.Ops, o.Seed, false, func(tbl *ipa.Table, c int) func(int) []interleave.Step {
+	res, _, err := drive("readmix", cfg, tuples, o.Threads, o.Ops, o.Seed, false, func(tbl *ipa.Table, c int) func(int) []interleave.Step {
 		rnd := rand.New(rand.NewSource(o.Seed + int64(c)*7919))
 		patch := []byte{byte(c), 0, 0}
 		op := func(tx *ipa.Tx) error {
@@ -114,21 +106,7 @@ func runReadMix(o Options, readPct int, locked bool) (ReadMixRow, error) {
 		steps = append(steps, commit)
 		return func(int) []interleave.Step { return steps }
 	})
-	if err != nil {
-		return ReadMixRow{}, err
-	}
-	s := r.Stats
-	return ReadMixRow{
-		ReadPct:          readPct,
-		Locked:           locked,
-		Committed:        s.CommittedTxns,
-		Retries:          r.Retries,
-		LockAcquisitions: s.LockAcquisitions,
-		LockConflicts:    s.LockConflicts,
-		SnapshotReads:    s.SnapshotReads,
-		VersionReads:     s.VersionReads,
-		Stats:            s,
-	}, nil
+	return ReadMixRow{readPct, locked, res}, err
 }
 
 // Write renders the read-skew table.
@@ -143,7 +121,7 @@ func (r ReadMixResult) Write(w io.Writer) {
 			mode = "locked"
 		}
 		fmt.Fprintf(w, "%-6d %-9s %10d %9d %11d %11d %10d %9d\n",
-			row.ReadPct, mode, row.Committed, row.Retries,
+			row.ReadPct, mode, row.CommittedTxns, row.Run.Aborted,
 			row.LockAcquisitions, row.LockConflicts, row.SnapshotReads, row.VersionReads)
 	}
 }

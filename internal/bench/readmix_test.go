@@ -21,8 +21,8 @@ func TestReadMixScenario(t *testing.T) {
 	}
 	snap, lock := res.Rows[0], res.Rows[1]
 	for _, row := range res.Rows {
-		if row.Committed != 200 {
-			t.Errorf("locked=%v committed %d, want 200", row.Locked, row.Committed)
+		if row.CommittedTxns != 200 {
+			t.Errorf("locked=%v committed %d, want 200", row.Locked, row.CommittedTxns)
 		}
 	}
 	// A 100%-read snapshot run takes no record locks at all; the locked

@@ -13,15 +13,15 @@
 // plus the engine experiments this repository adds (concurrency, chip
 // scaling, crash torture, index maintenance, YCSB). It is one harness:
 // Options is what a run can vary, Specs is the registry of experiments
-// cmd/ipabench iterates, and two drivers do the running — measure for the
-// single-goroutine virtual-clock experiments, drive for the concurrent
-// ones. Every experiment returns structured results and can render itself
-// as a plain-text table comparable with the paper.
+// cmd/ipabench iterates, an arm of an experiment is an ipa.Config, and
+// measure is the one protocol that runs an arm (open, load, flush, reset,
+// measured phase, flush). Every arm's Result carries its ipa.Stats; every
+// experiment returns its arms and renders them as a plain-text table
+// comparable with the paper.
 package bench
 
 import (
 	"fmt"
-	"time"
 
 	"ipa"
 	"ipa/internal/workload"
@@ -87,70 +87,31 @@ func pick[T any](quick bool, full, shrunk T) T {
 	return full
 }
 
-// experiment describes one analytic run of workload wl on the given write
-// path, sized and bounded by o.
-func (o Options) experiment(name, wl string, mode ipa.WriteMode, scheme ipa.Scheme, flash ipa.FlashMode) Experiment {
-	return Experiment{
-		Name: name, Workload: wl, Scale: o.Scale,
-		Mode: mode, Scheme: scheme, Flash: flash,
-		Ops: o.Ops, DeviceProfile: o.Profile,
-		Analytic: true, Seed: o.Seed,
-	}
-}
-
-// baseline is the traditional out-of-place [0×0] run on full MLC that every
-// comparison measures IPA against.
-func (o Options) baseline(name, wl string) Experiment {
-	return o.experiment(name, wl, ipa.Traditional, ipa.Scheme{}, ipa.MLCFull)
-}
-
-// native is the IPA run with the write_delta command, scheme N×M.
-func (o Options) native(name, wl string, flash ipa.FlashMode) Experiment {
-	return o.experiment(name, wl, ipa.IPANativeFlash, o.scheme(), flash)
-}
-
-// nativeConfig is the engine configuration of the experiments that drive
-// the database themselves: IPA native Flash [N×M] on o's device.
-func (o Options) nativeConfig(flash ipa.FlashMode) ipa.Config {
+// config is the engine configuration of one arm: o's device and seed and
+// the write path under test.
+func (o Options) config(mode ipa.WriteMode, scheme ipa.Scheme, flash ipa.FlashMode) ipa.Config {
 	cfg := o.Profile.config()
-	cfg.WriteMode, cfg.Scheme, cfg.FlashMode, cfg.Seed = ipa.IPANativeFlash, o.scheme(), flash, o.Seed
+	cfg.WriteMode, cfg.Scheme, cfg.FlashMode, cfg.Seed = mode, scheme, flash, o.Seed
 	return cfg
 }
 
-// Experiment describes one benchmark run.
-type Experiment struct {
-	// Name labels the run in reports.
-	Name string
-	// Workload selects the driver: "tpcb", "tpcc", "tatp", "linkbench",
-	// a YCSB letter ("ycsb-a" .. "ycsb-f"), or a secondary-index variant
-	// — "tatpsec" (sub_nbr lookups), "linkbenchsec" (assoc-by-id2) or
-	// "secchurn" (isolated secondary-entry churn).
-	Workload string
-	// Scale is the workload scale factor (branches, warehouses,
-	// subscribers/10000, nodes/10000 depending on the driver).
-	Scale int
+// analytic is cfg with the per-eviction byte accounting (Config.Analytic)
+// that Figure 1's traditional arm, the scenarios' write amplification and
+// the IPL replay's log sectors read. It moves no device figure but makes a
+// load up to four times slower, so the arms that print nothing it counts
+// run without it.
+func analytic(cfg ipa.Config) ipa.Config {
+	cfg.Analytic = true
+	return cfg
+}
 
-	// Mode, Scheme and Flash configure the write path under test.
-	Mode   ipa.WriteMode
-	Scheme ipa.Scheme
-	Flash  ipa.FlashMode
-	// IndexScheme overrides the N×M scheme of index entry pages (zero
-	// inherits Scheme); see ipa.Config.IndexScheme.
-	IndexScheme ipa.Scheme
+// baseline is the traditional out-of-place [0×0] arm on full MLC that every
+// comparison measures IPA against.
+func (o Options) baseline() ipa.Config { return o.config(ipa.Traditional, ipa.Scheme{}, ipa.MLCFull) }
 
-	// Ops bounds the measurement by committed transactions; it must be
-	// positive.
-	Ops int
-
-	// DeviceProfile sizes the simulated device.
-	DeviceProfile
-
-	// Analytic enables per-eviction byte accounting; TraceEvictions
-	// records the trace needed for the IPL comparison.
-	Analytic       bool
-	TraceEvictions bool
-
-	Seed int64
+// native is the IPA arm with the write_delta command, scheme N×M.
+func (o Options) native(flash ipa.FlashMode) ipa.Config {
+	return o.config(ipa.IPANativeFlash, o.scheme(), flash)
 }
 
 // DeviceProfile is the sizing of the simulated device: a scaled-down
@@ -197,18 +158,26 @@ func (p DeviceProfile) config() ipa.Config {
 	}
 }
 
-// Result bundles the outcome of one experiment.
+// Result is what one arm measured: the engine's counters over its measured
+// phase, final flush included, and the phase's own count of committed and
+// aborted transactions. Every figure an experiment prints derives from it.
 type Result struct {
-	Experiment Experiment
-	Stats      ipa.Stats
-	Run        workload.RunResult
-	LoadTime   time.Duration // virtual time consumed by the load phase
+	ipa.Stats
+	Run workload.RunResult
 }
 
-// Throughput returns committed transactions per virtual second.
-func (r Result) Throughput() float64 { return r.Stats.Throughput() }
+// Arm is one labelled arm of an experiment's comparison.
+type Arm struct {
+	Label string
+	Result
+}
 
-// NewWorkload instantiates the driver named by the experiment.
+// NewWorkload instantiates the driver called name — "tpcb", "tpcc",
+// "tatp", "linkbench", a YCSB letter ("ycsb-a" .. "ycsb-f"), or a
+// secondary-index variant: "tatpsec" (sub_nbr lookups), "linkbenchsec"
+// (assoc-by-id2) or "secchurn" (isolated secondary-entry churn) — at scale:
+// TPC-B branches, TPC-C warehouses, else units of 5,000 subscribers, nodes
+// or records (10,000 rows for secchurn).
 func NewWorkload(name string, scale int, seed int64) (workload.Workload, error) {
 	if scale <= 0 {
 		scale = 1
@@ -231,42 +200,46 @@ func NewWorkload(name string, scale int, seed int64) (workload.Workload, error) 
 	}
 }
 
-// Run executes one experiment: open a fresh database, load the workload,
-// reset the counters and run the measurement phase.
-func Run(e Experiment) (Result, error) { return run(e, nil) }
+// Run measures one arm: o.Ops transactions of workload wl (see
+// NewWorkload) at o's scale and seed, on the engine configuration cfg.
+func Run(o Options, wl string, cfg ipa.Config) (Result, error) { return run(o, wl, cfg, nil) }
 
-// run is Run with access to the database after the measurement (e.g. to
-// fetch the eviction trace) and before it closes.
-func run(e Experiment, after func(*ipa.DB)) (Result, error) {
-	w, err := NewWorkload(e.Workload, e.Scale, e.Seed)
+// run is Run with access to the database after the final flush (the IPL
+// comparison reads the eviction trace there).
+func run(o Options, wl string, cfg ipa.Config, after func(*ipa.DB)) (Result, error) {
+	w, err := NewWorkload(wl, o.Scale, o.Seed)
 	if err != nil {
 		return Result{}, err
 	}
-	cfg := e.config()
-	cfg.WriteMode, cfg.Scheme, cfg.IndexScheme, cfg.FlashMode = e.Mode, e.Scheme, e.IndexScheme, e.Flash
-	cfg.Analytic, cfg.TraceEvictions, cfg.Seed = e.Analytic, e.TraceEvictions, e.Seed
-	ro := workload.RunOptions{MaxOps: e.Ops, Seed: e.Seed + 1}
-	res, err := measure(e.Name, cfg, w, ro, after)
-	res.Experiment = e
-	return res, err
+	return measure(wl, cfg, w.Load, transactions(w, o.Ops, o.Seed+1), after)
 }
 
-// measure is the single-goroutine driver every deterministic experiment
-// shares: open a fresh database, load w, reset the counters, run w within
-// ro's bounds and flush.
-func measure(name string, cfg ipa.Config, w workload.Workload, ro workload.RunOptions, after func(*ipa.DB)) (Result, error) {
+// transactions is the measured phase of a workload arm: ops committed
+// transactions of w, drawn from seed.
+func transactions(w workload.Workload, ops int, seed int64) func(*ipa.DB) (workload.RunResult, error) {
+	return func(db *ipa.DB) (workload.RunResult, error) {
+		return workload.Run(db, w, workload.RunOptions{MaxOps: ops, Seed: seed})
+	}
+}
+
+// measure is the one protocol every arm runs by: open a fresh database with
+// cfg, load it, flush, reset the counters, run the measured phase and flush
+// again, so the counters cover the phase and the write-back it left behind.
+// after, if set, sees the database before it closes.
+func measure(name string, cfg ipa.Config, load func(*ipa.DB) error, phase func(*ipa.DB) (workload.RunResult, error), after func(*ipa.DB)) (Result, error) {
 	db, err := ipa.Open(cfg)
 	if err != nil {
 		return Result{}, fmt.Errorf("bench: %s: %w", name, err)
 	}
 	defer db.Close()
-	loadStart := db.Now()
-	if err := w.Load(db); err != nil {
+	if err := load(db); err != nil {
 		return Result{}, fmt.Errorf("bench: %s load: %w", name, err)
 	}
-	loadTime := db.Now() - loadStart
+	if err := db.FlushAll(); err != nil {
+		return Result{}, fmt.Errorf("bench: %s load: %w", name, err)
+	}
 	db.ResetStats()
-	ran, err := workload.Run(db, w, ro)
+	ran, err := phase(db)
 	if err != nil {
 		return Result{}, fmt.Errorf("bench: %s run: %w", name, err)
 	}
@@ -276,5 +249,5 @@ func measure(name string, cfg ipa.Config, w workload.Workload, ro workload.RunOp
 	if after != nil {
 		after(db)
 	}
-	return Result{Stats: db.Stats(), Run: ran, LoadTime: loadTime}, nil
+	return Result{Stats: db.Stats(), Run: ran}, nil
 }

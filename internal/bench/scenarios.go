@@ -7,43 +7,15 @@ import (
 	"ipa"
 )
 
-// ScenarioRow is one demonstration scenario.
-type ScenarioRow struct {
-	Label            string
-	Result           Result
-	HostWrites       uint64
-	HostBytesWritten uint64
-	InPlaceAppends   uint64
-	Invalidations    uint64
-	GCErases         uint64
-	Throughput       float64
-	WriteAmp         float64
-}
-
 // ScenarioResult bundles the three scenarios.
 type ScenarioResult struct {
-	Baseline ScenarioRow
-	SSD      ScenarioRow
-	Native   ScenarioRow
+	Baseline Arm
+	SSD      Arm
+	Native   Arm
 }
 
 // Rows returns the scenarios in presentation order.
-func (r ScenarioResult) Rows() []ScenarioRow { return []ScenarioRow{r.Baseline, r.SSD, r.Native} }
-
-func makeScenarioRow(label string, res Result) ScenarioRow {
-	s := res.Stats
-	return ScenarioRow{
-		Label:            label,
-		Result:           res,
-		HostWrites:       s.TotalHostWrites(),
-		HostBytesWritten: s.HostBytesWritten,
-		InPlaceAppends:   s.InPlaceAppends,
-		Invalidations:    s.Invalidations,
-		GCErases:         s.GCErases,
-		Throughput:       s.Throughput(),
-		WriteAmp:         s.DBMSWriteAmplification(),
-	}
-}
+func (r ScenarioResult) Rows() []Arm { return []Arm{r.Baseline, r.SSD, r.Native} }
 
 // Scenarios runs the paper's three demonstration scenarios on TPC-B:
 //
@@ -57,19 +29,19 @@ func makeScenarioRow(label string, res Result) ScenarioRow {
 func Scenarios(o Options) (ScenarioResult, error) {
 	var out ScenarioResult
 	for _, c := range []struct {
-		row   *ScenarioRow
+		arm   *Arm
 		label string
-		exp   Experiment
+		cfg   ipa.Config
 	}{
-		{&out.Baseline, "1: traditional", o.baseline("scenario1-baseline", "tpcb")},
-		{&out.SSD, "2: IPA conventional SSD", o.experiment("scenario2-ipa-ssd", "tpcb", ipa.IPAConventionalSSD, o.scheme(), ipa.PSLC)},
-		{&out.Native, "3: IPA native Flash", o.native("scenario3-ipa-native", "tpcb", ipa.PSLC)},
+		{&out.Baseline, "1: traditional", o.baseline()},
+		{&out.SSD, "2: IPA conventional SSD", o.config(ipa.IPAConventionalSSD, o.scheme(), ipa.PSLC)},
+		{&out.Native, "3: IPA native Flash", o.native(ipa.PSLC)},
 	} {
-		res, err := Run(c.exp)
+		res, err := Run(o, "tpcb", analytic(c.cfg))
 		if err != nil {
 			return out, err
 		}
-		*c.row = makeScenarioRow(c.label, res)
+		*c.arm = Arm{c.label, res}
 	}
 	return out, nil
 }
@@ -79,9 +51,9 @@ func (r ScenarioResult) Write(w io.Writer) {
 	fmt.Fprintf(w, "Demonstration scenarios: traditional vs IPA (conventional SSD) vs IPA (native Flash)\n")
 	fmt.Fprintf(w, "%-26s %12s %16s %12s %14s %10s %12s %10s\n",
 		"scenario", "host writes", "bytes to device", "in-place", "invalidations", "erases", "tps", "write-amp")
-	for _, row := range r.Rows() {
+	for _, a := range r.Rows() {
 		fmt.Fprintf(w, "%-26s %12d %16d %12d %14d %10d %12.1f %9.1fx\n",
-			row.Label, row.HostWrites, row.HostBytesWritten, row.InPlaceAppends,
-			row.Invalidations, row.GCErases, row.Throughput, row.WriteAmp)
+			a.Label, a.TotalHostWrites(), a.HostBytesWritten, a.InPlaceAppends,
+			a.Invalidations, a.GCErases, a.Throughput(), a.DBMSWriteAmplification())
 	}
 }

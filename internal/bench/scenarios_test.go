@@ -44,9 +44,9 @@ func TestInterferenceSmallRun(t *testing.T) {
 	if len(res.Rows) != 3 {
 		t.Fatalf("expected rows for MLC, odd-MLC and pSLC")
 	}
-	byMode := map[ipa.FlashMode]InterferenceRow{}
+	byMode := map[ipa.FlashMode]Result{}
 	for _, row := range res.Rows {
-		byMode[row.Mode] = row
+		byMode[row.FlashMode] = row
 	}
 	if byMode[ipa.PSLC].InterferenceBits != 0 {
 		t.Fatalf("pSLC must not suffer interference, got %d bits", byMode[ipa.PSLC].InterferenceBits)

@@ -15,19 +15,41 @@ type SuiteRow struct {
 	Workload string
 	Baseline Result
 	IPA      Result
-
-	ThroughputGainPct    float64
-	InvalidationDropPct  float64
-	MigrationDropPct     float64
-	EraseDropPct         float64
-	LongevityImprovement float64 // ratio of host writes per erase (IPA / baseline)
 }
 
-// SuiteResult is the full comparison, with the lifetime projection derived
-// from it.
+// ThroughputGain is IPA's throughput over the baseline's, in percent.
+func (r SuiteRow) ThroughputGain() float64 {
+	bt := r.Baseline.Throughput()
+	if bt <= 0 {
+		return 0
+	}
+	return 100 * (r.IPA.Throughput() - bt) / bt
+}
+
+// Drops are how much less often IPA invalidates, migrates and erases a page
+// per host write than the baseline, in percent (see dropPctPerWrite).
+func (r SuiteRow) Drops() (invalidations, migrations, erases float64) {
+	bs, is := r.Baseline.Stats, r.IPA.Stats
+	drop := func(b, i uint64) float64 {
+		return dropPctPerWrite(b, bs.TotalHostWrites(), i, is.TotalHostWrites())
+	}
+	return drop(bs.Invalidations, is.Invalidations), drop(bs.GCMigrations, is.GCMigrations), drop(bs.GCErases, is.GCErases)
+}
+
+// Lifetime is the ratio of host writes per erase, IPA over the baseline: 0
+// when either arm erased nothing.
+func (r SuiteRow) Lifetime() float64 {
+	be, ie := r.Baseline.ErasesPerHostWrite(), r.IPA.ErasesPerHostWrite()
+	if be <= 0 || ie <= 0 {
+		return 0
+	}
+	return be / ie
+}
+
+// SuiteResult is the full comparison; the lifetime projection derives from
+// it (Longevity).
 type SuiteResult struct {
-	Rows      []SuiteRow
-	Longevity LongevityResult
+	Rows []SuiteRow
 }
 
 // Suite runs the OLTP suite backing the paper's headline claims (E3): up to
@@ -37,35 +59,17 @@ type SuiteResult struct {
 func Suite(o Options) (SuiteResult, error) {
 	var out SuiteResult
 	for _, wl := range suiteWorkloads {
-		baseRes, err := Run(o.baseline("suite-"+wl+"-baseline", wl))
-		if err != nil {
+		row := SuiteRow{Workload: wl}
+		var err error
+		if row.Baseline, err = Run(o, wl, o.baseline()); err != nil {
 			return out, err
 		}
-		ipaRes, err := Run(o.native("suite-"+wl+"-ipa", wl, ipa.PSLC))
-		if err != nil {
+		if row.IPA, err = Run(o, wl, o.native(ipa.PSLC)); err != nil {
 			return out, err
 		}
-		out.Rows = append(out.Rows, makeSuiteRow(wl, baseRes, ipaRes))
+		out.Rows = append(out.Rows, row)
 	}
-	out.Longevity = Longevity(out)
 	return out, nil
-}
-
-func makeSuiteRow(wl string, baseRes, ipaRes Result) SuiteRow {
-	bs, is := baseRes.Stats, ipaRes.Stats
-	row := SuiteRow{Workload: wl, Baseline: baseRes, IPA: ipaRes}
-	if bt := bs.Throughput(); bt > 0 {
-		row.ThroughputGainPct = 100 * (is.Throughput() - bt) / bt
-	}
-	row.InvalidationDropPct = dropPctPerWrite(bs.Invalidations, bs.TotalHostWrites(), is.Invalidations, is.TotalHostWrites())
-	row.MigrationDropPct = dropPctPerWrite(bs.GCMigrations, bs.TotalHostWrites(), is.GCMigrations, is.TotalHostWrites())
-	row.EraseDropPct = dropPctPerWrite(bs.GCErases, bs.TotalHostWrites(), is.GCErases, is.TotalHostWrites())
-	be := bs.ErasesPerHostWrite()
-	ie := is.ErasesPerHostWrite()
-	if ie > 0 && be > 0 {
-		row.LongevityImprovement = be / ie
-	}
-	return row
 }
 
 // noGC is what a drop or a lifetime prints when the arm it divides by never
@@ -101,29 +105,28 @@ func formatLifetime(ratio float64) string {
 	return fmt.Sprintf("%.2fx", ratio)
 }
 
-// Write renders the suite comparison.
+// Write renders the suite comparison and the lifetime projection.
 func (r SuiteResult) Write(w io.Writer) {
 	fmt.Fprintf(w, "OLTP suite: traditional [0x0] vs IPA\n")
 	fmt.Fprintf(w, "%-10s %14s %14s %12s %12s %12s %12s %11s\n",
 		"workload", "base tps", "ipa tps", "tps gain", "inval drop", "migr drop", "erase drop", "lifetime")
 	for _, row := range r.Rows {
 		bs := row.Baseline.Stats
+		inval, migr, erase := row.Drops()
 		fmt.Fprintf(w, "%-10s %14.1f %14.1f %+11.1f%% %12s %12s %12s %11s\n",
-			row.Workload, row.Baseline.Throughput(), row.IPA.Throughput(), row.ThroughputGainPct,
-			formatDrop(row.InvalidationDropPct, bs.Invalidations), formatDrop(row.MigrationDropPct, bs.GCMigrations),
-			formatDrop(row.EraseDropPct, bs.GCErases), formatLifetime(row.LongevityImprovement))
+			row.Workload, row.Baseline.Throughput(), row.IPA.Throughput(), row.ThroughputGain(),
+			formatDrop(inval, bs.Invalidations), formatDrop(migr, bs.GCMigrations),
+			formatDrop(erase, bs.GCErases), formatLifetime(row.Lifetime()))
 	}
-	if len(r.Longevity) > 0 {
+	if len(r.Rows) > 0 {
 		fmt.Fprintln(w)
-		r.Longevity.Write(w)
+		Longevity(r).Write(w)
 	}
 }
 
-// LongevityRow summarises device-lifetime projections (experiment E5).
+// LongevityRow is one arm's device-lifetime projection (experiment E5).
 type LongevityRow struct {
-	Label            string
-	ErasesPerWrite   float64
-	EnduranceCycles  int
+	Arm
 	RelativeLifetime float64 // normalised to the baseline row; 0 = an arm without erases
 }
 
@@ -136,23 +139,11 @@ type LongevityResult []LongevityRow
 func Longevity(r SuiteResult) LongevityResult {
 	var rows LongevityResult
 	for _, s := range r.Rows {
-		base := LongevityRow{
-			Label:           s.Workload + " 0x0",
-			ErasesPerWrite:  s.Baseline.Stats.ErasesPerHostWrite(),
-			EnduranceCycles: s.Baseline.Stats.EnduranceCycles,
-		}
-		ipaRow := LongevityRow{
-			Label:           s.Workload + " " + s.IPA.Experiment.Scheme.String(),
-			ErasesPerWrite:  s.IPA.Stats.ErasesPerHostWrite(),
-			EnduranceCycles: s.IPA.Stats.EnduranceCycles,
-		}
-		if base.ErasesPerWrite > 0 {
+		base := LongevityRow{Arm: Arm{s.Workload + " 0x0", s.Baseline}}
+		if s.Baseline.ErasesPerHostWrite() > 0 {
 			base.RelativeLifetime = 1
-			if ipaRow.ErasesPerWrite > 0 {
-				ipaRow.RelativeLifetime = base.ErasesPerWrite / ipaRow.ErasesPerWrite
-			}
 		}
-		rows = append(rows, base, ipaRow)
+		rows = append(rows, base, LongevityRow{Arm{s.Workload + " " + s.IPA.Scheme.String(), s.IPA}, s.Lifetime()})
 	}
 	return rows
 }
@@ -162,6 +153,6 @@ func (rows LongevityResult) Write(w io.Writer) {
 	fmt.Fprintf(w, "Flash longevity (erase budget per host write)\n")
 	fmt.Fprintf(w, "%-20s %16s %12s %14s\n", "configuration", "erases/write", "endurance", "rel. lifetime")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-20s %16.5f %12d %14s\n", r.Label, r.ErasesPerWrite, r.EnduranceCycles, formatLifetime(r.RelativeLifetime))
+		fmt.Fprintf(w, "%-20s %16.5f %12d %14s\n", r.Label, r.ErasesPerHostWrite(), r.EnduranceCycles, formatLifetime(r.RelativeLifetime))
 	}
 }

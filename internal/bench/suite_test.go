@@ -42,9 +42,9 @@ func TestDropsAndLifetimesWithoutGC(t *testing.T) {
 			if got := dropPctPerWrite(bs.GCMigrations, bs.TotalHostWrites(), is.GCMigrations, is.TotalHostWrites()); got != tc.migrPct {
 				t.Errorf("dropPctPerWrite of migrations = %v, want %v", got, tc.migrPct)
 			}
-			row := makeSuiteRow("w", tc.base, tc.ipa)
-			if row.LongevityImprovement != tc.lifeIs {
-				t.Errorf("LongevityImprovement = %v, want %v", row.LongevityImprovement, tc.lifeIs)
+			row := SuiteRow{"w", tc.base, tc.ipa}
+			if row.Lifetime() != tc.lifeIs {
+				t.Errorf("Lifetime = %v, want %v", row.Lifetime(), tc.lifeIs)
 			}
 			var sb strings.Builder
 			SuiteResult{Rows: []SuiteRow{row}}.Write(&sb)
@@ -75,9 +75,9 @@ func TestDropsAndLifetimesWithoutGC(t *testing.T) {
 func TestTable1WithoutGC(t *testing.T) {
 	var sb strings.Builder
 	Table1Result{
-		Baseline: makeTable1Row("0x0", arm(1000, 0, 0)),
-		PSLC:     makeTable1Row("pSLC", arm(1000, 12, 1)),
-		OddMLC:   makeTable1Row("odd-MLC", arm(1000, 0, 0)),
+		Baseline: Arm{"0x0", arm(1000, 0, 0)},
+		PSLC:     Arm{"pSLC", arm(1000, 12, 1)},
+		OddMLC:   Arm{"odd-MLC", arm(1000, 0, 0)},
 	}.Write(&sb)
 	for _, line := range strings.Split(sb.String(), "\n") {
 		if gc := strings.HasPrefix(line, "GC ") || strings.HasPrefix(line, "Page Migrations"); gc != (strings.Count(line, noGC) == 2) {

@@ -5,6 +5,8 @@ import (
 	"io"
 
 	"ipa"
+	"ipa/internal/core"
+	"ipa/internal/page"
 )
 
 // sweepGrid is the N×M parameter grid of the sweep.
@@ -14,24 +16,13 @@ func sweepGrid(quick bool) (ns, ms []int) {
 	return ns, ms
 }
 
-// SweepRow is the outcome of one N×M configuration.
-type SweepRow struct {
-	Scheme          ipa.Scheme
-	AreaBytes       int     // delta-record area per page
-	SpaceOverhead   float64 // area / page size
-	InPlaceShare    float64 // host writes served in place
-	AppendFallbacks uint64
-	MigPerWrite     float64
-	ErasePerWrite   float64
-	Throughput      float64
-}
-
-// SweepResult is the grid of results, plus the baseline for reference.
+// SweepResult is the grid of results in N-major order, plus the baseline
+// for reference. Each arm's scheme is its Stats.Scheme.
 type SweepResult struct {
 	Workload string
-	Baseline SweepRow // 0×0
-	Rows     []SweepRow
 	PageSize int
+	Baseline Result // 0×0
+	Rows     []Result
 }
 
 // Sweep is the N×M scheme ablation (experiment E6) on TPC-B: how the
@@ -39,58 +30,37 @@ type SweepResult struct {
 // IPA can serve in place, and the resulting GC work.
 func Sweep(o Options) (SweepResult, error) {
 	out := SweepResult{Workload: "tpcb", PageSize: o.Profile.PageSize}
-	baseRes, err := Run(o.baseline("sweep-baseline", out.Workload))
-	if err != nil {
+	var err error
+	if out.Baseline, err = Run(o, out.Workload, o.baseline()); err != nil {
 		return out, err
 	}
-	out.Baseline = makeSweepRow(ipa.Scheme{}, baseRes, out.PageSize)
-
 	ns, ms := sweepGrid(o.Quick)
 	for _, n := range ns {
 		for _, m := range ms {
 			o.N, o.M = n, m
-			res, err := Run(o.native(fmt.Sprintf("sweep-%s", o.scheme()), out.Workload, ipa.PSLC))
+			res, err := Run(o, out.Workload, o.native(ipa.PSLC))
 			if err != nil {
 				return out, err
 			}
-			out.Rows = append(out.Rows, makeSweepRow(o.scheme(), res, out.PageSize))
+			out.Rows = append(out.Rows, res)
 		}
 	}
 	return out, nil
 }
 
-func makeSweepRow(scheme ipa.Scheme, res Result, pageSize int) SweepRow {
-	s := res.Stats
-	area := 0
-	if scheme.Enabled() {
-		// Mirror core.Scheme.AreaSize: N × (1 + 3·M + Δmetadata) with the
-		// 48-byte header+footer Δmetadata of the page layout.
-		area = scheme.N * (1 + 3*scheme.M + 48)
-	}
-	row := SweepRow{
-		Scheme:          scheme,
-		AreaBytes:       area,
-		InPlaceShare:    s.InPlaceShare(),
-		AppendFallbacks: s.AppendFallbacks,
-		MigPerWrite:     s.MigrationsPerHostWrite(),
-		ErasePerWrite:   s.ErasesPerHostWrite(),
-		Throughput:      s.Throughput(),
-	}
-	if pageSize > 0 {
-		row.SpaceOverhead = float64(area) / float64(pageSize)
-	}
-	return row
-}
+// areaBytes is the delta-record area the engine reserves on every page
+// under scheme s.
+func areaBytes(s ipa.Scheme) int { return core.Scheme{N: s.N, M: s.M}.AreaSize(page.MetaSize) }
 
 // Write renders the sweep.
 func (r SweepResult) Write(w io.Writer) {
 	fmt.Fprintf(w, "N×M scheme sweep (%s), page size %d bytes\n", r.Workload, r.PageSize)
 	fmt.Fprintf(w, "%-8s %10s %10s %12s %12s %14s %14s %12s\n",
 		"scheme", "area [B]", "overhead", "in-place", "fallbacks", "migr/write", "erases/write", "tps")
-	rows := append([]SweepRow{r.Baseline}, r.Rows...)
-	for _, row := range rows {
+	for _, s := range append([]Result{r.Baseline}, r.Rows...) {
+		area := areaBytes(s.Scheme)
 		fmt.Fprintf(w, "%-8s %10d %9.1f%% %11.1f%% %12d %14.4f %14.4f %12.1f\n",
-			row.Scheme, row.AreaBytes, 100*row.SpaceOverhead, 100*row.InPlaceShare,
-			row.AppendFallbacks, row.MigPerWrite, row.ErasePerWrite, row.Throughput)
+			s.Scheme, area, 100*float64(area)/float64(r.PageSize), 100*s.InPlaceShare(),
+			s.AppendFallbacks, s.MigrationsPerHostWrite(), s.ErasesPerHostWrite(), s.Throughput())
 	}
 }

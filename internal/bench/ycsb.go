@@ -21,28 +21,16 @@ var (
 
 // YCSBRow is the outcome of one (workload, heap sizing) run.
 type YCSBRow struct {
-	Workload     string  `json:"workload"`
-	Distribution string  `json:"distribution"`
-	HeapFactor   float64 `json:"heap_factor"` // heap bytes / buffer pool bytes
-	Records      int     `json:"records"`
-	Committed    int     `json:"committed"`
-	Aborted      int     `json:"aborted"`
-	// TPS is committed operations per virtual device second. Reads are
-	// lock-free snapshot reads, not transactions, so this is derived from
-	// the run's op count, not from Stats.CommittedTxns. 0 means the run
-	// consumed no virtual device time at all (fully cached reads).
-	TPS         float64 `json:"tps"`
-	Erases      uint64  `json:"erases"`
-	GCErases    uint64  `json:"gc_erases"`
-	IPASharePct float64 `json:"ipa_share_pct"` // in-place appends / (appends + out-of-place)
-	HitRatePct  float64 `json:"buffer_hit_pct"`
-	DirtyEvicts uint64  `json:"dirty_evictions"`
-	ErasesPerOp float64 `json:"erases_per_host_write"`
+	Workload     string
+	Distribution string
+	HeapFactor   float64 // heap bytes / buffer pool bytes
+	Records      int
+	Result
 }
 
 // YCSBResult is the full family sweep.
 type YCSBResult struct {
-	Rows []YCSBRow `json:"rows"`
+	Rows []YCSBRow
 }
 
 // ycsbRecords sizes the keyspace so the heap is roughly factor × the
@@ -83,35 +71,11 @@ func YCSB(o Options) (YCSBResult, error) {
 			if err != nil {
 				return out, err
 			}
-			res, err := measure(w.Name(), o.nativeConfig(ipa.PSLC), w, workload.RunOptions{MaxOps: o.Ops, Seed: o.Seed + 1}, nil)
+			res, err := measure(w.Name(), o.native(ipa.PSLC), w.Load, transactions(w, o.Ops, o.Seed+1), nil)
 			if err != nil {
 				return out, err
 			}
-			s, run := res.Stats, res.Run
-
-			hitRate := 0.0
-			if tot := s.BufferHits + s.BufferMisses; tot > 0 {
-				hitRate = 100 * float64(s.BufferHits) / float64(tot)
-			}
-			tps := 0.0
-			if run.Elapsed > 0 {
-				tps = float64(run.Committed) / run.Elapsed.Seconds()
-			}
-			out.Rows = append(out.Rows, YCSBRow{
-				Workload:     w.Name(),
-				Distribution: w.Config().Distribution,
-				HeapFactor:   factor,
-				Records:      cfg.Records,
-				Committed:    run.Committed,
-				Aborted:      run.Aborted,
-				TPS:          tps,
-				Erases:       s.FlashBlockErases,
-				GCErases:     s.GCErases,
-				IPASharePct:  100 * s.InPlaceShare(),
-				HitRatePct:   hitRate,
-				DirtyEvicts:  s.DirtyEvictions,
-				ErasesPerOp:  s.ErasesPerHostWrite(),
-			})
+			out.Rows = append(out.Rows, YCSBRow{w.Name(), w.Config().Distribution, factor, cfg.Records, res})
 		}
 	}
 	return out, nil
@@ -122,8 +86,18 @@ func (r YCSBResult) Write(w io.Writer) {
 	fmt.Fprintf(w, "%-8s %-8s %6s %8s %10s %8s %8s %7s %7s %9s\n",
 		"workload", "dist", "heap", "records", "tps", "erases", "gc-er", "ipa%", "hit%", "evictions")
 	for _, row := range r.Rows {
+		// Reads are lock-free snapshot reads, not transactions, so tps is
+		// the run's committed operations per virtual second; 0 means the
+		// run consumed no device time at all (fully cached reads).
+		tps, hits := 0.0, 0.0
+		if run := row.Run; run.Elapsed > 0 {
+			tps = float64(run.Committed) / run.Elapsed.Seconds()
+		}
+		if tot := row.BufferHits + row.BufferMisses; tot > 0 {
+			hits = 100 * float64(row.BufferHits) / float64(tot)
+		}
 		fmt.Fprintf(w, "%-8s %-8s %5.1fx %8d %10.0f %8d %8d %6.1f%% %6.1f%% %9d\n",
 			row.Workload, row.Distribution, row.HeapFactor, row.Records,
-			row.TPS, row.Erases, row.GCErases, row.IPASharePct, row.HitRatePct, row.DirtyEvicts)
+			tps, row.FlashBlockErases, row.GCErases, 100*row.InPlaceShare(), hits, row.DirtyEvictions)
 	}
 }

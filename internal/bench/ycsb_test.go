@@ -15,7 +15,7 @@ func TestYCSBSweepSmall(t *testing.T) {
 	}
 	byKey := map[string]YCSBRow{}
 	for _, r := range res.Rows {
-		if r.Committed == 0 {
+		if r.Run.Committed == 0 {
 			t.Errorf("%s %gx committed no ops", r.Workload, r.HeapFactor)
 		}
 		byKey[r.Workload+keyFactor(r.HeapFactor)] = r
@@ -25,14 +25,14 @@ func TestYCSBSweepSmall(t *testing.T) {
 	if large.Records <= small.Records {
 		t.Errorf("8x records %d not larger than cache-sized %d", large.Records, small.Records)
 	}
-	if large.DirtyEvicts == 0 {
+	if large.DirtyEvictions == 0 {
 		t.Error("larger-than-memory A run evicted nothing — pool not under pressure")
 	}
-	if large.IPASharePct <= 0 {
+	if large.InPlaceShare() <= 0 {
 		t.Error("update-heavy A run recorded no in-place appends")
 	}
-	if c := byKey["ycsb-c|8"]; c.DirtyEvicts != 0 {
-		t.Errorf("read-only C run evicted %d dirty pages", c.DirtyEvicts)
+	if c := byKey["ycsb-c|8"]; c.DirtyEvictions != 0 {
+		t.Errorf("read-only C run evicted %d dirty pages", c.DirtyEvictions)
 	}
 }
 
@@ -43,7 +43,7 @@ func keyFactor(f float64) string {
 	return "|8"
 }
 
-// TestNewWorkloadYCSB covers the Experiment-API entry point.
+// TestNewWorkloadYCSB covers the YCSB letters of NewWorkload.
 func TestNewWorkloadYCSB(t *testing.T) {
 	w, err := NewWorkload("ycsb-f", 1, 3)
 	if err != nil {
