@@ -2,9 +2,9 @@
 // real ipaserver front end on an engine with a live fault plan, drives
 // money-transfer traffic over the wire, and — while the system runs —
 // injects transient faults (device latency spikes, per-chip stalls and
-// wall-clock-scheduled power cuts followed by recovery and restart) as
-// concurrent checker goroutines audit the invariants the paper's
-// durability argument rests on:
+// wall-clock-scheduled power cuts followed by recovery and restart) and
+// audits, on one tick loop, the invariants the paper's durability
+// argument rests on:
 //
 //   - Ledger conservation: the sum of all account balances, read in one
 //     MVCC snapshot, never changes — transfers move money, they do not
@@ -17,9 +17,10 @@
 //
 // Unlike internal/crash, which replays deterministic fault points offline,
 // chaos runs in wall-clock time against the serving stack: cuts land
-// mid-pipeline, recovery races reconnecting clients, and the checkers
-// never stop. The fault taxonomy and the scheduling model are documented
-// in docs/DESIGN_CHAOS.md.
+// mid-pipeline and recovery races reconnecting clients. The goroutine
+// that calls Run owns the engine and the server; only the wire workers
+// run beside it. The fault taxonomy and the scheduling model are
+// documented in docs/DESIGN_CHAOS.md.
 package chaos
 
 import (
@@ -37,7 +38,8 @@ import (
 	"ipa/ipaclient"
 )
 
-// The ledger's tuple layout and money, and the cost of a latency spike.
+// The ledger's tuple layout and money, and the fault schedule in ticks of
+// Options.AuditEvery.
 const (
 	// tupleSize is the account tuple size.
 	tupleSize = 96
@@ -50,6 +52,18 @@ const (
 	// spikeVirtual is the virtual time a latency spike charges per chip
 	// operation.
 	spikeVirtual = 200 * time.Microsecond
+
+	// Every verifyTicks-th audit also runs VerifyIntegrity at a quiesce
+	// point.
+	verifyTicks = 5
+	// Every spikeTicks-th tick opens a device-wide latency spike of
+	// spikeLen.
+	spikeTicks = 4
+	spikeLen   = 100 * time.Millisecond
+	// Every stallTicks-th tick stalls the next chip, round-robin, for
+	// stallLen.
+	stallTicks = 3
+	stallLen   = 60 * time.Millisecond
 )
 
 // Options configures a chaos session. DefaultOptions is the one list of
@@ -66,22 +80,12 @@ type Options struct {
 	// engine, recovers from the surviving image and restarts the server
 	// on the same address.
 	PowerCuts int
-	// SpikeEvery injects a device-wide latency spike with this period
-	// (0 disables); each spike lasts SpikeLen of wall time.
-	SpikeEvery time.Duration
-	SpikeLen   time.Duration
-	// StallEvery freezes one chip (round-robin) for StallLen per period
-	// (0 disables).
-	StallEvery time.Duration
-	StallLen   time.Duration
-	// AuditEvery is the period of the ledger and watermark checkers;
-	// VerifyEvery the period of the quiesced VerifyIntegrity checker.
-	AuditEvery  time.Duration
-	VerifyEvery time.Duration
+	// AuditEvery is the tick of the session's schedule: every tick runs
+	// one audit, and spikes, stalls and integrity checks open on fixed
+	// multiples of it.
+	AuditEvery time.Duration
 	// Engine is the engine configuration (Faults is always replaced by the
-	// session's own plan). A zero CheckpointEveryBytes becomes a small
-	// checkpoint interval so the durable watermark floor advances during
-	// the session.
+	// session's own plan).
 	Engine ipa.Config
 	Seed   int64
 	// Logf receives progress lines (nil = silent).
@@ -89,36 +93,45 @@ type Options struct {
 }
 
 // DefaultOptions returns a session sized for a local run: ~15 seconds,
-// 3 power cuts, every fault class enabled. The caller chooses the Engine.
+// 3 power cuts, every fault class enabled, on a device small enough that
+// the ledger does not fit in the buffer pool — chaos is only interesting
+// when cuts land while dirty pages, deltas and GC are in flight.
 func DefaultOptions() Options {
 	return Options{
-		Duration:    15 * time.Second,
-		Workers:     4,
-		Accounts:    512,
-		PowerCuts:   3,
-		SpikeEvery:  2 * time.Second,
-		SpikeLen:    150 * time.Millisecond,
-		StallEvery:  1700 * time.Millisecond,
-		StallLen:    100 * time.Millisecond,
-		AuditEvery:  250 * time.Millisecond,
-		VerifyEvery: 1200 * time.Millisecond,
-		Seed:        1,
+		Duration:   15 * time.Second,
+		Workers:    4,
+		Accounts:   4096,
+		PowerCuts:  3,
+		AuditEvery: 250 * time.Millisecond,
+		Engine: ipa.Config{
+			PageSize:        4096,
+			Blocks:          128,
+			PagesPerBlock:   32,
+			BufferPoolPages: 64,
+			WriteMode:       ipa.IPANativeFlash,
+			Scheme:          ipa.Scheme{N: 2, M: 4},
+			FlashMode:       ipa.PSLC,
+			Chips:           4,
+			// Small enough that checkpoints, and with them the durable
+			// watermark floor, advance several times per session.
+			CheckpointEveryBytes: 256 << 10,
+		},
+		Seed: 1,
 	}
 }
 
 // Report summarises a session.
 type Report struct {
+	Seed          int64         `json:"seed"`
 	Wall          time.Duration `json:"wall_ns"`
 	Ops           uint64        `json:"ops"`
 	Conflicts     uint64        `json:"conflicts"`
 	Retries       uint64        `json:"retries"`
 	Reconnects    uint64        `json:"reconnects"`
 	PowerCuts     int           `json:"power_cuts"`
-	Restarts      int           `json:"restarts"`
 	SpikedOps     uint64        `json:"spiked_ops"`
 	StalledOps    uint64        `json:"stalled_ops"`
-	LedgerAudits  int           `json:"ledger_audits"`
-	TSChecks      int           `json:"ts_checks"`
+	Audits        int           `json:"audits"`
 	VerifyPasses  int           `json:"verify_passes"`
 	RecoveryRedos uint64        `json:"recovery_redo_records"`
 	Violations    []string      `json:"violations"`
@@ -127,45 +140,39 @@ type Report struct {
 // Failed reports whether any invariant was violated.
 func (r Report) Failed() bool { return len(r.Violations) > 0 }
 
-// session is one running chaos harness.
+// session is one running chaos harness. The goroutine that calls Run owns
+// db, srv, rep and the audit state; the wire workers and the device op
+// hook touch only the atomics and the gate.
 type session struct {
 	o    Options
 	plan *ipa.FaultPlan
-
-	// mu guards the (db, srv) epoch: the power-cutter holds it
-	// exclusively while swapping, in-process checkers hold it shared.
-	mu    sync.RWMutex
-	db    *ipa.DB
-	srv   *server.Server
-	epoch int64
+	db   *ipa.DB
+	srv  *server.Server
+	rep  Report
 
 	// addr is the concrete TCP address, stable across restarts.
 	addr string
 
 	// gate is the quiesce gate: wire workers hold it shared for the
-	// length of one transaction, the integrity checker holds it
+	// length of one transaction, and an audit that verifies holds it
 	// exclusively so VerifyIntegrity never observes a worker transaction
 	// in flight.
 	gate sync.RWMutex
 
-	chips int
-	stop  atomic.Bool
+	stop atomic.Bool
 
 	// Fault-injection state read by the device op hook.
 	spikeUntil atomic.Int64 // wall ns
-	stallChip  atomic.Int64 // chip currently stalled (-1 = none)
+	stallChip  atomic.Int64 // chip the current or last stall froze
 	stallUntil atomic.Int64 // wall ns
 
-	// durableFloor is the highest MaxCommitTS read from a durable
-	// checkpoint: the recovered watermark may never fall below it.
-	durableFloor atomic.Uint64
+	// floor is the highest MaxCommitTS read from a durable checkpoint:
+	// the recovered watermark may never fall below it. lastW is the
+	// watermark the previous audit of this epoch read.
+	floor, lastW uint64
 
 	ops, conflicts, retries, reconnects atomic.Uint64
 	spiked, stalled                     atomic.Uint64
-	audits, tsChecks, verifies          atomic.Uint64
-
-	vmu        sync.Mutex
-	violations []string
 
 	logf func(string, ...any)
 }
@@ -173,25 +180,20 @@ type session struct {
 // violate records one invariant violation.
 func (s *session) violate(format string, args ...any) {
 	msg := fmt.Sprintf(format, args...)
-	s.vmu.Lock()
-	s.violations = append(s.violations, msg)
-	s.vmu.Unlock()
+	s.rep.Violations = append(s.rep.Violations, msg)
 	s.logf("chaos: VIOLATION: %s", msg)
 }
 
 // Run executes one chaos session and returns its report.
 func Run(o Options) (Report, error) {
-	if o.Duration <= 0 || o.Workers <= 0 || o.Accounts <= 0 || o.AuditEvery <= 0 || o.VerifyEvery <= 0 {
-		return Report{}, fmt.Errorf("chaos: Duration (%s), Workers (%d), Accounts (%d), AuditEvery (%s) and VerifyEvery (%s) must be positive",
-			o.Duration, o.Workers, o.Accounts, o.AuditEvery, o.VerifyEvery)
+	if o.Duration <= 0 || o.Workers <= 0 || o.Accounts <= 0 || o.AuditEvery <= 0 || o.PowerCuts < 0 {
+		return Report{}, fmt.Errorf("chaos: Duration (%s), Workers (%d), Accounts (%d) and AuditEvery (%s) must be positive, PowerCuts (%d) not negative",
+			o.Duration, o.Workers, o.Accounts, o.AuditEvery, o.PowerCuts)
 	}
-	s := &session{o: o, logf: o.Logf}
+	s := &session{o: o, logf: o.Logf, rep: Report{Seed: o.Seed}}
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
 	}
-	s.stallChip.Store(-1)
-	s.plan = ipa.NewFaultPlan(0, ipa.CrashBefore) // passive: KillPower only
-
 	if err := s.boot(); err != nil {
 		return Report{}, err
 	}
@@ -199,103 +201,151 @@ func Run(o Options) (Report, error) {
 	start := time.Now()
 	var wg sync.WaitGroup
 	rng := rand.New(rand.NewSource(o.Seed))
-
-	// Wire transfer workers.
 	for i := 0; i < o.Workers; i++ {
 		wg.Add(1)
-		seed := rng.Int63()
-		go func(i int, seed int64) {
+		go func(seed int64) {
 			defer wg.Done()
-			s.worker(i, seed)
-		}(i, seed)
+			s.worker(seed)
+		}(rng.Int63())
 	}
-	// Continuous checkers.
-	wg.Add(3)
-	go func() { defer wg.Done(); s.ledgerChecker() }()
-	go func() { defer wg.Done(); s.watermarkChecker() }()
-	go func() { defer wg.Done(); s.integrityChecker() }()
-	// Transient-fault injectors.
-	if o.SpikeEvery > 0 {
-		wg.Add(1)
-		go func() { defer wg.Done(); s.spiker() }()
-	}
-	if o.StallEvery > 0 {
-		wg.Add(1)
-		go func() { defer wg.Done(); s.staller() }()
-	}
-
-	// Wall-clock-scheduled power cuts, evenly spread across the session.
-	rep := Report{}
-	for i := 1; i <= o.PowerCuts; i++ {
-		target := start.Add(o.Duration * time.Duration(i) / time.Duration(o.PowerCuts+1))
-		if d := time.Until(target); d > 0 {
-			time.Sleep(d)
-		}
-		redo, err := s.powerCut(i)
-		if err != nil {
-			s.stop.Store(true)
-			wg.Wait()
-			return rep, err
-		}
-		rep.PowerCuts++
-		rep.Restarts++
-		rep.RecoveryRedos += redo
-	}
-	if d := time.Until(start.Add(o.Duration)); d > 0 {
-		time.Sleep(d)
-	}
+	err := s.schedule(start)
 	s.stop.Store(true)
 	wg.Wait()
-
-	// Final quiesced audit on the surviving epoch, then a graceful drain.
-	s.mu.RLock()
-	db, srv := s.db, s.srv
-	s.mu.RUnlock()
-	if err := db.VerifyIntegrity(); err != nil {
-		s.violate("final VerifyIntegrity: %v", err)
-	} else {
-		s.verifies.Add(1)
+	if err != nil {
+		return s.rep, err
 	}
-	if sum, n, err := s.ledgerSum(db); err != nil {
-		s.violate("final ledger read: %v", err)
-	} else if want := int64(o.Accounts) * initialBalance; sum != want {
-		s.violate("final ledger sum %d over %d accounts, want %d", sum, n, want)
-	} else {
-		s.audits.Add(1)
-	}
-	srv.Close()
 
-	rep.Wall = time.Since(start)
-	rep.Ops = s.ops.Load()
-	rep.Conflicts = s.conflicts.Load()
-	rep.Retries = s.retries.Load()
-	rep.Reconnects = s.reconnects.Load()
-	rep.SpikedOps = s.spiked.Load()
-	rep.StalledOps = s.stalled.Load()
-	rep.LedgerAudits = int(s.audits.Load())
-	rep.TSChecks = int(s.tsChecks.Load())
-	rep.VerifyPasses = int(s.verifies.Load())
-	s.vmu.Lock()
-	rep.Violations = append(rep.Violations, s.violations...)
-	s.vmu.Unlock()
-	return rep, nil
+	// The surviving epoch's last audit, then a hard close.
+	s.audit("end", true)
+	s.srv.Close()
+
+	s.rep.Wall = time.Since(start)
+	s.rep.Ops = s.ops.Load()
+	s.rep.Conflicts = s.conflicts.Load()
+	s.rep.Retries = s.retries.Load()
+	s.rep.Reconnects = s.reconnects.Load()
+	s.rep.SpikedOps = s.spiked.Load()
+	s.rep.StalledOps = s.stalled.Load()
+	return s.rep, nil
+}
+
+// schedule is the session's one tick loop. It sleeps until the earlier of
+// the next tick and the next power cut, and runs that. A tick opens the
+// spikes and stalls that fall on it and audits; a cut fires at its
+// wall-clock time, evenly spread across Duration, so every cut happens
+// however few ticks the session has. The loop ends at Duration.
+func (s *session) schedule(start time.Time) error {
+	end := start.Add(s.o.Duration)
+	next := start.Add(s.o.AuditEvery)
+	for cut, tick := 1, 1; ; {
+		at, isCut := next, false
+		if cut <= s.o.PowerCuts {
+			if c := start.Add(s.o.Duration * time.Duration(cut) / time.Duration(s.o.PowerCuts+1)); !c.After(at) {
+				at, isCut = c, true
+			}
+		}
+		if !at.Before(end) {
+			time.Sleep(time.Until(end))
+			return nil
+		}
+		time.Sleep(time.Until(at))
+		if isCut {
+			if err := s.powerCut(cut); err != nil {
+				return err
+			}
+			cut++
+			continue
+		}
+		now := time.Now()
+		if tick%spikeTicks == 0 {
+			s.spikeUntil.Store(now.Add(spikeLen).UnixNano())
+		}
+		if tick%stallTicks == 0 {
+			s.stallChip.Store(int64(tick / stallTicks % s.db.Config().Chips))
+			s.stallUntil.Store(now.Add(stallLen).UnixNano())
+		}
+		s.audit(fmt.Sprintf("tick %d", tick), tick%verifyTicks == 0)
+		tick++
+		next = time.Now().Add(s.o.AuditEvery)
+	}
+}
+
+// audit checks every invariant on the current engine: when verify is set,
+// VerifyIntegrity at a quiesce point (the gate held exclusively, so no
+// wire worker is mid-transaction); the snapshot ledger sum; and the
+// commit watermark, which must not move backwards since the last audit of
+// this epoch and must be at least the durable floor. It then raises the
+// floor from the engine's checkpoint state. An audit never races a power
+// cut, so any error it sees is a violation.
+func (s *session) audit(when string, verify bool) {
+	if verify {
+		s.gate.Lock()
+		err := s.db.VerifyIntegrity()
+		s.gate.Unlock()
+		if err != nil {
+			s.violate("%s: VerifyIntegrity: %v", when, err)
+		} else {
+			s.rep.VerifyPasses++
+		}
+	}
+	want := int64(s.o.Accounts) * initialBalance
+	switch sum, n, err := ledgerSum(s.db); {
+	case err != nil:
+		s.violate("%s: ledger scan: %v", when, err)
+	case n != s.o.Accounts:
+		s.violate("%s: ledger scan saw %d accounts, want %d", when, n, s.o.Accounts)
+	case sum != want:
+		s.violate("%s: ledger sum %d, want %d (money %+d)", when, sum, want, sum-want)
+	}
+	w := s.db.CommitWatermark()
+	if w < s.lastW {
+		s.violate("%s: watermark moved backwards %d → %d", when, s.lastW, w)
+	}
+	if w < s.floor {
+		s.violate("%s: watermark %d below durable floor %d", when, w, s.floor)
+	}
+	s.lastW = w
+	s.raiseFloor(s.db)
+	s.rep.Audits++
+}
+
+// raiseFloor raises the durable watermark floor from db's checkpoint
+// state.
+func (s *session) raiseFloor(db *ipa.DB) {
+	if cs, ok, err := db.CheckpointState(); err == nil && ok && cs.MaxCommitTS > s.floor {
+		s.floor = cs.MaxCommitTS
+	}
+}
+
+// ledgerSum reads every account balance in one MVCC snapshot and returns
+// the total and the row count. Scan's single statement snapshot is what
+// makes the conservation check sound: a concurrent transfer is either
+// entirely visible (both legs) or entirely invisible.
+func ledgerSum(db *ipa.DB) (int64, int, error) {
+	t, ok := db.Table("accounts")
+	if !ok {
+		return 0, 0, errors.New("accounts table missing")
+	}
+	var sum int64
+	var n int
+	err := t.Scan(func(key int64, tuple []byte) bool {
+		sum += getInt64(tuple, balanceOffset)
+		n++
+		return true
+	})
+	return sum, n, err
 }
 
 // boot opens the engine, preloads the ledger durably, and starts the
 // server front end.
 func (s *session) boot() error {
+	s.plan = ipa.NewFaultPlan(0, ipa.CrashBefore) // passive: KillPower only
 	cfg := s.o.Engine
 	cfg.Faults = s.plan
-	if cfg.CheckpointEveryBytes == 0 {
-		// Small enough that checkpoints (and with them the durable
-		// watermark floor) advance several times per session.
-		cfg.CheckpointEveryBytes = 256 << 10
-	}
 	db, err := ipa.Open(cfg)
 	if err != nil {
 		return fmt.Errorf("chaos: open: %w", err)
 	}
-	s.chips = db.Config().Chips
 	t, err := db.CreateTable("accounts", tupleSize)
 	if err != nil {
 		db.Close()
@@ -324,7 +374,7 @@ func (s *session) boot() error {
 		db.Close()
 		return fmt.Errorf("chaos: checkpoint: %w", err)
 	}
-	s.noteDurableFloor(db)
+	s.raiseFloor(db)
 	s.installHook(db)
 
 	srv := server.New(db, server.Config{Addr: "127.0.0.1:0", Logf: nil})
@@ -359,53 +409,24 @@ func (s *session) installHook(db *ipa.DB) {
 	})
 }
 
-// noteDurableFloor raises the durable watermark floor from the engine's
-// checkpoint state.
-func (s *session) noteDurableFloor(db *ipa.DB) {
-	cs, ok, err := db.CheckpointState()
-	if err != nil || !ok {
-		return
-	}
-	for {
-		cur := s.durableFloor.Load()
-		if cs.MaxCommitTS <= cur || s.durableFloor.CompareAndSwap(cur, cs.MaxCommitTS) {
-			return
-		}
-	}
-}
-
 // powerCut kills the device mid-traffic, crashes the engine, recovers
-// from the surviving image, re-checks every invariant on the recovered
-// state and restarts the server on the same address.
-func (s *session) powerCut(i int) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	floor := s.durableFloor.Load()
-	s.logf("chaos: power cut %d (durable watermark floor %d)", i, floor)
+// from the surviving image, audits the recovered engine and restarts the
+// server on the same address.
+func (s *session) powerCut(i int) error {
+	s.logf("chaos: power cut %d (durable watermark floor %d)", i, s.floor)
 	s.plan.KillPower()
 	img := s.db.Crash()
 	s.srv.Close() // hard close; the engine is already crashed
 
 	db, err := ipa.Reopen(img)
 	if err != nil {
-		return 0, fmt.Errorf("chaos: reopen after cut %d: %w", i, err)
+		return fmt.Errorf("chaos: reopen after cut %d: %w", i, err)
 	}
 	redo := db.RecoveryStats().RecordsRedone
-
-	// Post-recovery invariants.
-	if err := db.VerifyIntegrity(); err != nil {
-		s.violate("cut %d: post-recovery VerifyIntegrity: %v", i, err)
-	}
-	if w := db.CommitWatermark(); w < floor {
-		s.violate("cut %d: recovered watermark %d below durable floor %d", i, w, floor)
-	}
-	if sum, n, err := s.ledgerSum(db); err != nil {
-		s.violate("cut %d: post-recovery ledger read: %v", i, err)
-	} else if want := int64(s.o.Accounts) * initialBalance; sum != want {
-		s.violate("cut %d: post-recovery ledger sum %d over %d accounts, want %d", i, sum, n, want)
-	}
-	s.noteDurableFloor(db)
+	s.rep.PowerCuts++
+	s.rep.RecoveryRedos += redo
+	s.db, s.lastW = db, 0
+	s.audit(fmt.Sprintf("cut %d: recovered", i), true)
 	s.installHook(db)
 
 	// Same listen address, so clients reconnect without rediscovery. The
@@ -418,14 +439,13 @@ func (s *session) powerCut(i int) (uint64, error) {
 		}
 		if attempt >= 50 {
 			db.Close()
-			return redo, fmt.Errorf("chaos: restart server after cut %d: %w", i, err)
+			return fmt.Errorf("chaos: restart server after cut %d: %w", i, err)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	s.db, s.srv = db, srv
-	s.epoch++
+	s.srv = srv
 	s.logf("chaos: cut %d recovered (%d records redone), serving again", i, redo)
-	return redo, nil
+	return nil
 }
 
 // putInt64 encodes v little-endian at b[off:off+8].
@@ -441,7 +461,7 @@ func getInt64(b []byte, off int) int64 {
 // worker drives money transfers over the wire: BEGIN, read two accounts,
 // move a random amount between them, COMMIT. Conflicts abort and retry;
 // transport failures (power cuts, restarts) reconnect.
-func (s *session) worker(id int, seed int64) {
+func (s *session) worker(seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	var c *ipaclient.Client
 	defer func() {

@@ -316,12 +316,13 @@ type DB struct {
 	ckptStop       chan struct{}
 	ckptDone       chan struct{}
 
-	// Ops sampler state: the trailing ring of counter readings behind the
-	// windowed rates (see ops.go).
-	opsMu   sync.Mutex
-	opsRing []*reading
-	opsStop chan struct{}
-	opsDone chan struct{}
+	// Ops sampler state: the two newest counter readings behind the
+	// windowed rates and how many were taken (see ops.go).
+	opsMu            sync.Mutex
+	opsPrev, opsLast *reading
+	opsSamples       int
+	opsStop          chan struct{}
+	opsDone          chan struct{}
 }
 
 // Open creates a database on a freshly formatted simulated Flash device.

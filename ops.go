@@ -8,7 +8,7 @@ import (
 // surface (docs/DESIGN_OPS.md): the device-lifetime burn gauge that turns
 // the paper's one-shot E5 longevity estimate into a number you can watch
 // move on a running server, and the windowed rates (tps, evictions/s,
-// in-place-append share, erase rate) computed from a lightweight ring of
+// in-place-append share, erase rate) computed from the two newest of the
 // periodic counter readings.
 //
 // All rates are computed over *virtual* device time, the same clock
@@ -17,15 +17,11 @@ import (
 // across write modes. Wall-clock widths are reported alongside for
 // dashboard context only.
 
-// opsRingCap bounds the reading ring: at the default 1s StatsInterval it
-// holds about two minutes of trailing history.
-const opsRingCap = 128
-
 // OpsStats is the derived ops gauge set: lifetime burn plus trailing-window
-// rates. DB.Ops takes the trailing window between the two newest ring
-// readings when the sampler has run, and the Stats window (since the last
-// ResetStats) otherwise; a ResetStats moves the latter and leaves the ring
-// alone.
+// rates. DB.Ops takes the trailing window between the two newest
+// readings when the sampler has taken two, and the Stats window (since the
+// last ResetStats) otherwise; a ResetStats moves the latter and leaves the
+// readings alone.
 type OpsStats struct {
 	// EraseBudget is the total block erases the device can absorb before
 	// every block reaches its endurance: blocks (across all chips) ×
@@ -68,28 +64,27 @@ type OpsStats struct {
 	// in virtual time. 0 means no erase activity in the window (the
 	// device is not measurably dying) or the budget is already exhausted.
 	TimeToDeath time.Duration `json:"time_to_death" stat:"gauge" metric:"ipa_device_time_to_death_seconds"`
-	// Samples is how many ring readings there are (0 or 1 means the
+	// Samples is how many readings SampleOps has taken (0 or 1 means the
 	// rates cover the Stats window).
 	Samples int `json:"samples" stat:"gauge"`
 }
 
-// SampleOps pushes one reading of every counter onto the trailing ring.
+// SampleOps takes one reading of every counter; the newest two bound the
+// trailing window.
 // The background sampler (Config.StatsInterval) calls it periodically;
 // tests and tools may call it explicitly — e.g. around a deterministic
 // virtual-clock workload phase.
 func (db *DB) SampleOps() {
 	db.opsMu.Lock()
 	defer db.opsMu.Unlock()
-	if len(db.opsRing) == opsRingCap {
-		db.opsRing = append(db.opsRing[:0], db.opsRing[1:]...)
-	}
-	// Read under opsMu, so every reading on the ring is later than the
-	// one before it.
-	db.opsRing = append(db.opsRing, db.read())
+	// Read under opsMu, so the newest reading is later than the one
+	// before it.
+	db.opsPrev, db.opsLast = db.opsLast, db.read()
+	db.opsSamples++
 }
 
 // Ops computes the derived operational gauges. The trailing window is the
-// span between the two newest ring readings; with fewer than two it is the
+// span between the two newest readings; with fewer than two it is the
 // Stats window, so Ops is meaningful even without the background sampler.
 func (db *DB) Ops() OpsStats {
 	s := db.Stats()
@@ -105,9 +100,8 @@ func (db *DB) Ops() OpsStats {
 
 	w := s
 	db.opsMu.Lock()
-	if o.Samples = len(db.opsRing); o.Samples >= 2 {
-		older, newer := db.opsRing[o.Samples-2], db.opsRing[o.Samples-1]
-		w, o.WindowWall = window(older, newer), newer.wall.Sub(older.wall)
+	if o.Samples = db.opsSamples; o.Samples >= 2 {
+		w, o.WindowWall = window(db.opsPrev, db.opsLast), db.opsLast.wall.Sub(db.opsPrev.wall)
 	}
 	db.opsMu.Unlock()
 	o.WindowVirtual = w.Elapsed
