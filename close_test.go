@@ -71,6 +71,9 @@ func TestOperationsAfterCloseFail(t *testing.T) {
 	if err := tbl.ScanRange(0, 10, func(int64, []byte) bool { return true }); !errors.Is(err, ipa.ErrClosed) {
 		t.Errorf("ScanRange after Close = %v, want ErrClosed", err)
 	}
+	if err := db.VerifyIntegrity(); !errors.Is(err, ipa.ErrClosed) {
+		t.Errorf("VerifyIntegrity after Close = %v, want ErrClosed", err)
+	}
 
 	// Abort still succeeds after Close: the record locks must be released
 	// even though the before images can no longer reach the flushed pool.

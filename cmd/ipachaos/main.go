@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"ipa/internal/chaos"
@@ -54,6 +55,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if *quick {
+		var explicit []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "duration" || f.Name == "cuts" {
+				explicit = append(explicit, "-"+f.Name)
+			}
+		})
+		if len(explicit) > 0 {
+			fmt.Fprintf(stderr, "ipachaos: -quick sets -duration and -cuts itself; drop %s or -quick\n", strings.Join(explicit, " and "))
+			return 2
+		}
 		o.Duration = 4 * time.Second
 		o.PowerCuts = 2
 		o.AuditEvery = 120 * time.Millisecond

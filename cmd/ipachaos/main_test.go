@@ -26,9 +26,11 @@ func TestShortSessionHoldsInvariants(t *testing.T) {
 }
 
 // TestRejectsBadSettings: a negative -cuts or a zero -duration is a usage
-// error, never a session that silently cuts no power.
+// error, never a session that silently cuts no power, and so is an explicit
+// -duration or -cuts beside -quick, which would replace it.
 func TestRejectsBadSettings(t *testing.T) {
-	for _, args := range [][]string{{"-cuts", "-1"}, {"-duration", "0"}} {
+	for _, args := range [][]string{{"-cuts", "-1"}, {"-duration", "0"},
+		{"-duration", "1s", "-quick"}, {"-cuts", "0", "-quick"}} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)

@@ -43,7 +43,6 @@ func main() {
 		pages  = flag.Int("pages-per-block", 0, "pages per erase block (0 = engine default)")
 		pool   = flag.Int("pool", 0, "buffer pool pages (0 = engine default)")
 		ckpt   = flag.Uint64("checkpoint-bytes", 4<<20, "WAL bytes between fuzzy checkpoints (0 disables)")
-		stats  = flag.Duration("stats-interval", time.Second, "ops-sampler period for windowed rates (0 disables)")
 	)
 	flag.Parse()
 
@@ -54,7 +53,6 @@ func main() {
 		BufferPoolPages:      *pool,
 		Scheme:               ipa.Scheme{N: *n, M: *m},
 		CheckpointEveryBytes: *ckpt,
-		StatsInterval:        *stats,
 	}, *mode, *flash)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ipaserver: %v\n", err)

@@ -95,7 +95,7 @@ func TestDesignDocsHaveNotDrifted(t *testing.T) {
 				"## Transaction sessions", "## Graceful shutdown"},
 		},
 		"docs/DESIGN_OPS.md": {
-			symbols: []string{"StatsInterval", "ipa_device_erase_budget", "ipa_device_life_burned_ratio",
+			symbols: []string{"SampleOps", "ipa_device_erase_budget", "ipa_device_life_burned_ratio",
 				"ipa_device_time_to_death_seconds", "ipa_device_erases_avoided_total", "ipa_window_tps",
 				"ipa_server_command_seconds", "ipa_chip_erases_total", "stats.json", "dashboard",
 				"elapsed_ms", "StatsDoc", "-CODE msg"},
@@ -154,9 +154,9 @@ func TestEveryInternalPackageHasAGodocComment(t *testing.T) {
 }
 
 // lineBudget is the most lines of non-test Go the tree may hold outside
-// benchmark/ (ROADMAP item 6 wants it at 20,500). A change that needs more
-// raises it in its own diff, where a reviewer sees the growth.
-const lineBudget = 20546
+// benchmark/ (ROADMAP item 6 wanted it at 20,500 or below). A change that
+// needs more raises it in its own diff, where a reviewer sees the growth.
+const lineBudget = 20491
 
 // TestTreeStaysWithinItsLineBudget counts the lines of every non-test .go
 // file outside benchmark/ (and outside hidden directories, where build

@@ -64,13 +64,6 @@ const (
 	// Options.Accounts.
 	numBranches = 4
 	numTellers  = 20
-	// checkpointEvery takes a synchronous fuzzy checkpoint every so many
-	// writer transactions. Each checkpoint adds its own fault points to the
-	// enumeration — the WAL flush of the checkpoint record, the catalog page
-	// program and the segment-recycle step — so the sweep proves recovery
-	// from a crash at any of them, and that recovery restarts from the
-	// checkpoint rather than LSN 0.
-	checkpointEvery = 25
 	// auditRows is how many rows a snapshot reader sums per statement: an
 	// audit of the default schema takes about a hundred statements, over
 	// which the writer commits some twenty transactions.
@@ -120,6 +113,14 @@ func DefaultOptions() Options {
 			Scheme:          ipa.Scheme{N: 2, M: 4},
 			FlashMode:       ipa.PSLC,
 			Seed:            1,
+			// About every 24th writer transaction checkpoints as it
+			// commits. Each checkpoint adds its own fault points to the
+			// enumeration — the dirty-page flushes, the WAL flush of the
+			// checkpoint record, the catalog page program and the
+			// segment-recycle step — so the sweep proves recovery from a
+			// crash at any of them, right after a durable commit, and that
+			// recovery restarts from the checkpoint rather than LSN 0.
+			CheckpointEveryBytes: 12 << 10,
 		},
 		Accounts: 400,
 		Ops:      220,
@@ -199,7 +200,6 @@ type driver struct {
 	ora    *oracle
 	loaded bool
 	audits int // successful snapshot-reader audit passes
-	ckpts  int // fuzzy checkpoints completed
 
 	accounts *ipa.Table
 	tellers  *ipa.Table
@@ -302,22 +302,11 @@ func (d *driver) load() error {
 // the TPC-B style update/update/update/insert, but every sixth (once
 // history rows exist) a transactional delete of a committed history row, so
 // the sweep also enumerates the index-delete and tuple-delete fault points.
-// Its last statement commits, mirrors the transaction in the oracle if (and
-// only if) the commit succeeded, and then, with ckpt set, takes a
-// synchronous fuzzy checkpoint, whose fault points (checkpoint-record
-// flush, catalog program, segment recycle) so land at fixed positions in
-// the enumeration.
-func (d *driver) txn(r *rand.Rand, ckpt bool) []interleave.Step {
-	checkpoint := func() error {
-		if !ckpt {
-			return nil
-		}
-		if _, err := d.db.Checkpoint(); err != nil {
-			return err
-		}
-		d.ckpts++
-		return nil
-	}
+// Its last statement commits and mirrors the transaction in the oracle if
+// (and only if) the commit succeeded; a commit that crosses
+// CheckpointEveryBytes takes the checkpoint first, so its fault points land
+// at fixed positions in the enumeration.
+func (d *driver) txn(r *rand.Rand) []interleave.Step {
 	if r.Intn(6) == 0 && len(d.ora.liveHist) > 0 {
 		idx := r.Intn(len(d.ora.liveHist))
 		hid := d.ora.liveHist[idx]
@@ -329,7 +318,7 @@ func (d *driver) txn(r *rand.Rand, ckpt bool) []interleave.Step {
 				}
 				d.ora.liveHist = append(d.ora.liveHist[:idx], d.ora.liveHist[idx+1:]...)
 				delete(d.ora.history, hid)
-				return checkpoint()
+				return nil
 			},
 		}
 	}
@@ -368,16 +357,16 @@ func (d *driver) txn(r *rand.Rand, ckpt bool) []interleave.Step {
 			d.ora.branches[b] += delta
 			d.ora.history[hid] = [2]int64{int64(a), delta}
 			d.ora.liveHist = append(d.ora.liveHist, hid)
-			return checkpoint()
+			return nil
 		},
 	}
 }
 
-// run executes ops writer transactions drawn from seed, with a checkpoint
-// after every checkpointEvery of them, and, once the schema is loaded,
-// readers snapshot-reader programs beside the writer, all on one goroutine
-// in a schedule drawn from the same seed: the run, every device
-// operation of it, is a function of the driver's state and the arguments.
+// run executes ops writer transactions drawn from seed and, once the
+// schema is loaded, readers snapshot-reader programs beside the writer, all
+// on one goroutine in a schedule drawn from the same seed: the run, every
+// device operation of it, is a function of the driver's state and the
+// arguments.
 // The first error ends the run at once: an injected power cut, wherever it
 // lands, or an audit violation.
 func (d *driver) run(seed int64, ops, readers int) error {
@@ -389,7 +378,7 @@ func (d *driver) run(seed int64, ops, readers int) error {
 			return nil
 		}
 		done++
-		return d.txn(r, done%checkpointEvery == 0)
+		return d.txn(r)
 	}}
 	for i := 0; i < readers && d.loaded; i++ {
 		progs = append(progs, d.reader(&writing))
@@ -626,7 +615,7 @@ func RunPointDetail(o Options, k uint64, mode ipa.FaultMode) (PointOutcome, erro
 	// The cut belongs to the pre-crash run: a point past its last operation
 	// must not fire inside the post-recovery transactions.
 	plan.Disarm()
-	out.Checkpoints, out.Audits = d.ckpts, d.audits
+	out.Checkpoints, out.Audits = int(d.db.Stats().Checkpoints), d.audits
 	if runErr != nil && !isPowerLoss(runErr) {
 		d.db.Close()
 		return out, fmt.Errorf("workload: %w", runErr)

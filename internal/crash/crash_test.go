@@ -71,7 +71,7 @@ func TestCrashSweepSample(t *testing.T) {
 	if res.Crashes == 0 {
 		t.Fatalf("sweep never crashed (%d runs over %d points)", res.Runs, res.FaultPoints)
 	}
-	// The periodic checkpoints must actually run during the sweep, some
+	// The automatic checkpoints must actually run during the sweep, some
 	// crash points must land after one (so recovery starts from it, not
 	// LSN 0), and every successful Reopen reports its cost.
 	if res.Checkpoints == 0 {

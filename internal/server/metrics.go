@@ -85,8 +85,10 @@ var wordStart = regexp.MustCompile(`([a-z])([A-Z])|([A-Z])([A-Z][a-z])`)
 
 // handleMetrics renders the engine's counter sets, the derived ops gauges
 // and the server's counters from their declarations, then the group-commit
-// batch mean, the uptime and the per-command latency histograms.
+// batch mean, the uptime and the per-command latency histograms. Each
+// scrape takes an ops reading, so the window is the span since the last.
 func (srv *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
+	srv.db.SampleOps()
 	st := srv.db.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	writeSets(w, "ipa_", st, srv.db.Ops())

@@ -3,6 +3,7 @@ package server
 import (
 	"cmp"
 	"encoding/json"
+	"net/http"
 	"reflect"
 	"regexp"
 	"slices"
@@ -123,6 +124,36 @@ func TestDashboardReadsOnlyServedFields(t *testing.T) {
 		if _, ok := objects[obj][key]; !ok {
 			t.Errorf("dashboard reads %s, which /stats.json does not serve", m[0])
 		}
+	}
+}
+
+// TestScrapesTakeOpsReadings: every /stats.json scrape takes an ops
+// reading, so the first answers with the Stats window and the second with
+// the span since the first — the commits in between, a wall width above 0.
+func TestScrapesTakeOpsReadings(t *testing.T) {
+	srv, _ := newTestServer(t)
+	scrape := func() ipa.OpsStats {
+		t.Helper()
+		resp, err := http.Get("http://" + srv.HTTPAddr().String() + "/stats.json")
+		if err != nil {
+			t.Fatalf("GET /stats.json: %v", err)
+		}
+		defer resp.Body.Close()
+		var doc struct {
+			Ops ipa.OpsStats `json:"ops"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+			t.Fatalf("decode /stats.json: %v", err)
+		}
+		return doc.Ops
+	}
+	if o := scrape(); o.Samples != 1 || o.WindowWall != 0 {
+		t.Fatalf("first scrape: %d samples, window wall %v; want 1 and the Stats window", o.Samples, o.WindowWall)
+	}
+	populateMetrics(t, srv)
+	if o := scrape(); o.Samples != 2 || o.WindowWall <= 0 || o.WindowTPS <= 0 {
+		t.Fatalf("second scrape: %d samples, window wall %v, window tps %v; want 2, > 0, > 0",
+			o.Samples, o.WindowWall, o.WindowTPS)
 	}
 }
 

@@ -58,6 +58,7 @@ type LatencySummary struct {
 
 // statsDoc assembles the document.
 func (srv *Server) statsDoc() StatsDoc {
+	srv.db.SampleOps()
 	doc := StatsDoc{
 		Now:       time.Now(),
 		UptimeSec: time.Since(srv.started).Seconds(),

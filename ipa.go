@@ -207,18 +207,11 @@ type Config struct {
 	// crash-torture harness uses it to prove the engine reopens consistent
 	// from any crash point; see DB.Crash and Reopen.
 	Faults *FaultPlan
-	// CheckpointEveryBytes starts the flush-behind checkpointer: a fuzzy
-	// checkpoint is taken whenever this many WAL bytes have accumulated
-	// since the last one (default 0: no background checkpointer; call
+	// CheckpointEveryBytes makes the commit that leaves this many WAL bytes
+	// since the last fuzzy checkpoint take the next one, after it has
+	// returned durable (default 0: no automatic checkpoint; call
 	// DB.Checkpoint explicitly).
 	CheckpointEveryBytes uint64
-	// StatsInterval starts the background ops sampler: every interval one
-	// counter snapshot is pushed onto the trailing ring that backs the
-	// windowed rates and the lifetime burn gauge (DB.Ops, DB.SampleOps;
-	// see docs/DESIGN_OPS.md). Default 0: no background sampler — Ops
-	// falls back to whole-window rates, and tools may call SampleOps
-	// explicitly.
-	StatsInterval time.Duration
 }
 
 // withDefaults fills unset fields. The default geometry mirrors (at reduced
@@ -304,25 +297,21 @@ type DB struct {
 	// holds the durable catalog page identifier plus one (0 = not yet
 	// allocated); checkpointLSN is the LSN of the last checkpoint record;
 	// walBytesAtCkpt is the log's BytesWritten at that moment, so the
-	// bytes-since-checkpoint gauge and the flush-behind trigger need no
-	// extra counter. recoveryStats describes the Reopen that produced this
-	// handle (written once, before the handle is shared).
+	// bytes-since-checkpoint gauge and the commit's checkpoint trigger need
+	// no extra counter. recoveryStats describes the Reopen that produced
+	// this handle (written once, before the handle is shared).
 	ckptMu         sync.Mutex
 	catalogPID     atomic.Uint64
 	checkpointLSN  atomic.Uint64
 	ckptCut        atomic.Uint64
 	walBytesAtCkpt atomic.Uint64
 	recoveryStats  RecoveryStats
-	ckptStop       chan struct{}
-	ckptDone       chan struct{}
 
-	// Ops sampler state: the two newest counter readings behind the
-	// windowed rates and how many were taken (see ops.go).
+	// Ops readings: the two newest counter readings behind the windowed
+	// rates and how many were taken (see ops.go).
 	opsMu            sync.Mutex
 	opsPrev, opsLast *reading
 	opsSamples       int
-	opsStop          chan struct{}
-	opsDone          chan struct{}
 }
 
 // Open creates a database on a freshly formatted simulated Flash device.
@@ -366,13 +355,7 @@ func Open(cfg Config) (*DB, error) {
 		return nil, fmt.Errorf("ipa: %w", err)
 	}
 	log := wal.New()
-	db, err := assemble(cfg, dev, f, log, txn.NewManager(log))
-	if err != nil {
-		return nil, err
-	}
-	db.startCheckpointer()
-	db.startOpsSampler()
-	return db, nil
+	return assemble(cfg, dev, f, log, txn.NewManager(log))
 }
 
 // formatAreaSize returns the delta-record area reserved by the device's
@@ -678,8 +661,6 @@ func (db *DB) FlushAll() error { return db.pool.FlushAll() }
 // share its result.
 func (db *DB) Close() error {
 	db.closeOnce.Do(func() {
-		db.stopCheckpointer()
-		db.stopOpsSampler()
 		db.gate.Lock()
 		db.closed.Store(true)
 		db.gate.Unlock()
@@ -714,8 +695,8 @@ func (db *DB) release() { db.gate.RUnlock() }
 // ResetStats starts a new Stats window, typically after a benchmark's load
 // phase so the measurement covers only the workload itself. It clears no
 // counter — it marks where the window starts — so it is safe to call while
-// transactions are running, and the gauges, the background checkpointer
-// and the ops ring do not notice it.
+// transactions are running, and the gauges, the checkpoint trigger and
+// the ops readings do not notice it.
 func (db *DB) ResetStats() { db.mark.Store(db.read()) }
 
 // Trace returns the fetch/eviction trace recorded since the last
@@ -823,7 +804,37 @@ func (db *DB) Checkpoint() (CheckpointResult, error) {
 	defer db.release()
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
+	return db.checkpoint()
+}
 
+// checkpointIfDue is the automatic checkpoint: the commit that leaves
+// CheckpointEveryBytes of log since the last checkpoint takes the next one
+// itself, once it has left the close gate (a nested acquire would deadlock
+// against a waiting Close). A commit that finds a checkpoint running skips
+// it, and a failed checkpoint is not the commit's error — the commit is
+// already durable — so the next commit past the threshold retries.
+func (db *DB) checkpointIfDue() {
+	due := func() bool {
+		// The mark is loaded first, so the difference cannot go negative.
+		at := db.walBytesAtCkpt.Load()
+		return db.cfg.CheckpointEveryBytes > 0 && db.log.BytesWritten()-at >= db.cfg.CheckpointEveryBytes
+	}
+	if !due() || db.acquire() != nil {
+		return
+	}
+	defer db.release()
+	if !db.ckptMu.TryLock() {
+		return
+	}
+	defer db.ckptMu.Unlock()
+	if due() { // a checkpoint that ended since the first look moved the mark
+		_, _ = db.checkpoint()
+	}
+}
+
+// checkpoint takes the fuzzy checkpoint; the caller holds the close gate
+// and ckptMu.
+func (db *DB) checkpoint() (CheckpointResult, error) {
 	var res CheckpointResult
 	// (1) The checkpoint covers everything appended so far. Records after
 	// beginLSN belong to the next checkpoint.
@@ -887,6 +898,7 @@ func (db *DB) Checkpoint() (CheckpointResult, error) {
 	db.checkpointLSN.Store(ckptLSN)
 	db.ckptCut.Store(cut)
 	db.walBytesAtCkpt.Store(db.log.BytesWritten())
+	atomic.AddUint64(&db.counts.Checkpoints, 1)
 	res.LSN = ckptLSN
 	res.TruncatedLSN = cut
 	res.ActiveTxns = len(active)
@@ -988,50 +1000,4 @@ func (db *DB) writeCatalog(ckptLSN, cut uint64) error {
 	}
 	db.catalogPID.Store(pid + 1)
 	return nil
-}
-
-// startCheckpointer launches the flush-behind checkpointer goroutine when
-// the configuration asks for one.
-func (db *DB) startCheckpointer() {
-	if db.cfg.CheckpointEveryBytes == 0 {
-		return
-	}
-	db.ckptStop = make(chan struct{})
-	db.ckptDone = make(chan struct{})
-	go db.checkpointLoop()
-}
-
-// checkpointLoop is the flush-behind checkpointer: it polls the WAL growth
-// and takes a fuzzy checkpoint whenever CheckpointEveryBytes have
-// accumulated since the last one. It exits on Close/Crash or on the first
-// checkpoint error (after a power cut every flash operation fails;
-// recovery restarts a fresh checkpointer).
-func (db *DB) checkpointLoop() {
-	defer close(db.ckptDone)
-	ticker := time.NewTicker(10 * time.Millisecond) // byte-threshold polling cadence
-	defer ticker.Stop()
-	for {
-		select {
-		case <-db.ckptStop:
-			return
-		case <-ticker.C:
-			// The mark is loaded first, so the difference cannot go negative.
-			if atCkpt := db.walBytesAtCkpt.Load(); db.log.BytesWritten()-atCkpt < db.cfg.CheckpointEveryBytes {
-				continue
-			}
-			if _, err := db.Checkpoint(); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// stopCheckpointer shuts the flush-behind checkpointer down and waits for
-// an in-flight checkpoint to finish.
-func (db *DB) stopCheckpointer() {
-	if db.ckptStop == nil {
-		return
-	}
-	close(db.ckptStop)
-	<-db.ckptDone
 }

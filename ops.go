@@ -8,8 +8,8 @@ import (
 // surface (docs/DESIGN_OPS.md): the device-lifetime burn gauge that turns
 // the paper's one-shot E5 longevity estimate into a number you can watch
 // move on a running server, and the windowed rates (tps, evictions/s,
-// in-place-append share, erase rate) computed from the two newest of the
-// periodic counter readings.
+// in-place-append share, erase rate) computed from the two newest counter
+// readings, which the server's scrapes take.
 //
 // All rates are computed over *virtual* device time, the same clock
 // Stats.Throughput uses — which keeps them deterministic under test (a
@@ -19,7 +19,7 @@ import (
 
 // OpsStats is the derived ops gauge set: lifetime burn plus trailing-window
 // rates. DB.Ops takes the trailing window between the two newest
-// readings when the sampler has taken two, and the Stats window (since the
+// readings when SampleOps has taken two, and the Stats window (since the
 // last ResetStats) otherwise; a ResetStats moves the latter and leaves the
 // readings alone.
 type OpsStats struct {
@@ -70,10 +70,9 @@ type OpsStats struct {
 }
 
 // SampleOps takes one reading of every counter; the newest two bound the
-// trailing window.
-// The background sampler (Config.StatsInterval) calls it periodically;
-// tests and tools may call it explicitly — e.g. around a deterministic
-// virtual-clock workload phase.
+// trailing window. The server's /metrics and /stats.json take one per
+// scrape, so their window is the span since the scrape before; tests and
+// tools call it around a deterministic virtual-clock workload phase.
 func (db *DB) SampleOps() {
 	db.opsMu.Lock()
 	defer db.opsMu.Unlock()
@@ -85,7 +84,7 @@ func (db *DB) SampleOps() {
 
 // Ops computes the derived operational gauges. The trailing window is the
 // span between the two newest readings; with fewer than two it is the
-// Stats window, so Ops is meaningful even without the background sampler.
+// Stats window, so Ops is meaningful before any reading is taken.
 func (db *DB) Ops() OpsStats {
 	s := db.Stats()
 	o := OpsStats{
@@ -116,37 +115,4 @@ func (db *DB) Ops() OpsStats {
 		o.TimeToDeath = time.Duration(remaining / o.WindowEraseRatePerSec * float64(time.Second))
 	}
 	return o
-}
-
-// startOpsSampler launches the background sampler goroutine when the
-// configuration asks for one.
-func (db *DB) startOpsSampler() {
-	if db.cfg.StatsInterval <= 0 {
-		return
-	}
-	db.opsStop = make(chan struct{})
-	db.opsDone = make(chan struct{})
-	go func() {
-		defer close(db.opsDone)
-		ticker := time.NewTicker(db.cfg.StatsInterval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-db.opsStop:
-				return
-			case <-ticker.C:
-				db.SampleOps()
-			}
-		}
-	}()
-}
-
-// stopOpsSampler shuts the background sampler down.
-func (db *DB) stopOpsSampler() {
-	if db.opsStop == nil {
-		return
-	}
-	close(db.opsStop)
-	<-db.opsDone
-	db.opsStop = nil
 }

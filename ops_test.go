@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"ipa"
 	"ipa/internal/workload"
@@ -206,31 +205,5 @@ func TestBurnIPALowerThanBaseline(t *testing.T) {
 	}
 	if base.ErasesAvoided != 0 {
 		t.Fatalf("baseline reports %d erases avoided; traditional mode has no in-place appends", base.ErasesAvoided)
-	}
-}
-
-// TestOpsSamplerBackground checks that Config.StatsInterval spins the
-// background sampler and that Close stops it.
-func TestOpsSamplerBackground(t *testing.T) {
-	cfg := opsConfig(ipa.IPANativeFlash)
-	cfg.StatsInterval = 2 * time.Millisecond
-	db, err := ipa.Open(cfg)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for db.Ops().Samples < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("sampler produced %d samples in 5s, want >= 2", db.Ops().Samples)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	n := db.Ops().Samples
-	time.Sleep(10 * time.Millisecond)
-	if got := db.Ops().Samples; got != n {
-		t.Fatalf("sampler still running after Close: %d -> %d samples", n, got)
 	}
 }

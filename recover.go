@@ -66,8 +66,6 @@ type secondarySpec struct {
 // were flushed (FlushAll) before the cut.
 func (db *DB) Crash() *CrashImage {
 	db.closeOnce.Do(func() {
-		db.stopCheckpointer()
-		db.stopOpsSampler()
 		db.gate.Lock()
 		db.closed.Store(true)
 		db.gate.Unlock()
@@ -241,8 +239,6 @@ func Reopen(img *CrashImage) (*DB, error) {
 		RecordsRedone: uint64(redone),
 		CheckpointLSN: db.checkpointLSN.Load(),
 	}
-	db.startCheckpointer()
-	db.startOpsSampler()
 	return db, nil
 }
 
@@ -389,6 +385,10 @@ func (db *DB) loadCatalog() error {
 // only; the recovery path itself never scans heaps. The crash-torture
 // harness runs this after every recovery.
 func (db *DB) VerifyIntegrity() error {
+	if err := db.acquire(); err != nil {
+		return err
+	}
+	defer db.release()
 	if err := db.ftl.CheckConsistency(); err != nil {
 		return fmt.Errorf("ipa: %w", err)
 	}

@@ -48,6 +48,7 @@ type TxnStats struct {
 	LockAcquisitions uint64
 	LockConflicts    uint64
 	ZombiesReclaimed uint64 // index entries the MVCC GC dropped
+	Checkpoints      uint64 // fuzzy checkpoints completed, explicit or automatic
 }
 
 // Stats aggregates the counters reported by the paper's experiments across
@@ -139,7 +140,7 @@ type ChipStat struct {
 // reading is one look at every layer's counters. The layers only count up,
 // so a window is the difference of two readings, and window alone takes
 // it: the database's mark is the reading the Stats window starts from, and
-// the ops ring holds the readings its trailing windows lie between.
+// the ops readings are the ones its trailing windows lie between.
 type reading struct {
 	wall     time.Time
 	virtual  time.Duration

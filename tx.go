@@ -385,8 +385,19 @@ func (tx *Tx) applyMoves(t *Table, moves []secondaryMove, packed uint64) error {
 // transaction CPU cost to the virtual clock and releases all locks. On a
 // closed database Commit fails with ErrClosed; like Abort it still
 // releases the record locks (the transaction stays a WAL loser, so
-// recovery rolls its changes back).
+// recovery rolls its changes back). The commit that leaves
+// Config.CheckpointEveryBytes of log since the last checkpoint then takes
+// the next one; its error is not the commit's.
 func (tx *Tx) Commit() error {
+	if err := tx.commit(); err != nil {
+		return err
+	}
+	tx.db.checkpointIfDue()
+	return nil
+}
+
+// commit is Commit up to the checkpoint, inside the close gate.
+func (tx *Tx) commit() error {
 	if tx.done {
 		return txn.ErrFinished
 	}

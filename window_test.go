@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"ipa"
 	"ipa/internal/storage"
@@ -70,7 +69,7 @@ func windowFixture(t *testing.T) (before, after ipa.Stats) {
 
 // TestOneMeasurementWindow pins what ResetStats is: a mark where the Stats
 // window starts. Every windowed counter reads zero after it; nothing else —
-// gauges, lifetime figures, the background checkpointer — notices it.
+// gauges, lifetime figures, the commit's checkpoint trigger — notices it.
 func TestOneMeasurementWindow(t *testing.T) {
 	var before, after ipa.Stats
 	fixture := func(t *testing.T) {
@@ -177,11 +176,12 @@ func TestOneMeasurementWindow(t *testing.T) {
 	}
 }
 
-// checkpointRows opens a database whose background checkpointer fires
-// every 8 KiB of log, inserts rows one transaction each and returns how
-// many it took for the checkpointer to fire. With want > 0 it inserts
-// want-1 rows, calling ResetStats halfway when reset is set, checks that
-// no checkpoint followed, then inserts one more and waits for it.
+// checkpointRows opens a database that checkpoints every 8 KiB of log,
+// inserts rows one transaction each and returns how many it took for the
+// commit that crosses the threshold to checkpoint, checking after every
+// commit that none did before it and exactly one did then. With want > 0
+// it calls ResetStats halfway when reset is set, and requires the
+// checkpoint on row want.
 func checkpointRows(t *testing.T, reset bool, want int) int {
 	t.Helper()
 	cfg := checkpointConfig()
@@ -195,38 +195,27 @@ func checkpointRows(t *testing.T, reset bool, want int) int {
 	if err != nil {
 		t.Fatalf("CreateTable: %v", err)
 	}
-	waitCheckpoint := func(d time.Duration) bool {
-		for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-			if db.Stats().CheckpointLSN != 0 {
-				return true
-			}
-		}
-		return false
-	}
-	rows := 0
-	insert := func() {
+	for rows := 1; rows <= 1000; rows++ {
 		if err := insertRow(db, tbl, int64(rows), ckptRow(int64(rows), 1)); err != nil {
 			t.Fatalf("insert %d: %v", rows, err)
 		}
-		rows++
-	}
-	if want == 0 {
-		for db.Stats().WALBytesSinceCheckpoint < cfg.CheckpointEveryBytes {
-			insert()
+		if reset && rows == want/2 {
+			db.ResetStats()
 		}
-	} else {
-		for rows < want-1 {
-			if insert(); reset && rows == want/2 {
-				db.ResetStats()
+		s := db.Stats()
+		if s.CheckpointLSN == 0 && s.Checkpoints == 0 {
+			if s.WALBytesSinceCheckpoint >= cfg.CheckpointEveryBytes || rows == want {
+				t.Fatalf("row %d crossed %d WAL bytes without a checkpoint (want one on row %d, reset halfway: %v)",
+					rows, s.WALBytesSinceCheckpoint, want, reset)
 			}
+			continue
 		}
-		if waitCheckpoint(50 * time.Millisecond) {
-			t.Fatalf("checkpoint after %d rows, before the %d-row threshold", rows, want)
+		if s.CheckpointLSN == 0 || s.Checkpoints != 1 || want > 0 && rows != want {
+			t.Fatalf("row %d: CheckpointLSN %d, Checkpoints %d; want the one checkpoint on row %d (reset halfway: %v)",
+				rows, s.CheckpointLSN, s.Checkpoints, want, reset)
 		}
-		insert()
+		return rows
 	}
-	if !waitCheckpoint(5 * time.Second) {
-		t.Fatalf("no checkpoint within 5s of %d rows (reset halfway: %v)", rows, reset)
-	}
-	return rows
+	t.Fatalf("no checkpoint in 1000 rows")
+	return 0
 }
