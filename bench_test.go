@@ -52,7 +52,7 @@ func table1Config(b *testing.B, mode ipa.WriteMode, scheme ipa.Scheme, flash ipa
 	p := bench.SmallProfile
 	cfg := ipa.Config{
 		PageSize: p.PageSize, Blocks: p.Blocks, PagesPerBlock: p.PagesPerBlock, BufferPoolPages: p.BufferPoolPages,
-		WriteMode: mode, Scheme: scheme, FlashMode: flash, Analytic: true, Seed: 1,
+		WriteMode: mode, Scheme: scheme, FlashMode: flash, Seed: 1,
 	}
 	for i := 0; i < b.N; i++ {
 		res, err := bench.Run(quickOptions(5000), "tpcb", cfg)

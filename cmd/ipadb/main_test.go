@@ -39,7 +39,6 @@ func newTestServerDB(t *testing.T) (string, *ipa.DB) {
 		Scheme:          ipa.Scheme{N: 2, M: 4},
 		WriteMode:       ipa.IPANativeFlash,
 		FlashMode:       ipa.PSLC,
-		Analytic:        true,
 	})
 	if err != nil {
 		t.Fatalf("Open: %v", err)

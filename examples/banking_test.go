@@ -17,7 +17,6 @@ func runBank(mode ipa.WriteMode, scheme ipa.Scheme, flash ipa.FlashMode) ipa.Sta
 		WriteMode:       mode,
 		Scheme:          scheme,
 		FlashMode:       flash,
-		Analytic:        true,
 	})
 	if err != nil {
 		log.Fatalf("open: %v", err)

@@ -17,7 +17,6 @@ func runGraph(mode ipa.WriteMode) ipa.Stats {
 		WriteMode:       mode,
 		Scheme:          ipa.Scheme{N: 2, M: 4},
 		FlashMode:       ipa.PSLC,
-		Analytic:        true,
 	})
 	if err != nil {
 		log.Fatalf("open: %v", err)

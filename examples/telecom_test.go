@@ -23,7 +23,6 @@ func Example_telecom() {
 		WriteMode:       ipa.IPANativeFlash,
 		Scheme:          ipa.Scheme{N: 2, M: 4},
 		FlashMode:       ipa.OddMLC, // full capacity, appends on LSB pages only
-		Analytic:        true,
 	})
 	if err != nil {
 		log.Fatalf("open: %v", err)

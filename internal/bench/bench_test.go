@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"regexp"
 	"strings"
 	"testing"
@@ -139,6 +140,25 @@ func TestTable1SmallRun(t *testing.T) {
 	for _, want := range []string{"Host Reads", "GC Erases", "Transactional Throughput"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Table 1 rendering missing %q", want)
+		}
+	}
+}
+
+// TestTable1ArmsCountTheSameNetBytes: the -quick table1 arms run one TPC-B
+// stream, so a dirty eviction changes about as many bytes whichever path
+// writes it. The tracker counts an append; a whole-page write, the only
+// kind the [0×0] arm makes, is counted against the page's Flash copy.
+func TestTable1ArmsCountTheSameNetBytes(t *testing.T) {
+	res, err := Table1(spec(t, "table1").Defaults(true))
+	if err != nil {
+		t.Fatalf("Table1: %v", err)
+	}
+	perEviction := func(a Arm) float64 { return float64(a.NetChangedBytes) / float64(max(1, a.DirtyEvictions)) }
+	base := perEviction(res.Baseline)
+	for _, r := range res.Rows() {
+		if r.DirtyEvictions == 0 || math.Abs(perEviction(r)-base) > 0.01*base {
+			t.Errorf("%s: %d net bytes over %d dirty evictions (%.2f each), the [0x0] arm %.2f each",
+				r.Label, r.NetChangedBytes, r.DirtyEvictions, perEviction(r), base)
 		}
 	}
 }

@@ -45,7 +45,7 @@ func Figure1(o Options) (Figure1Result, error) {
 	for _, wl := range figure1Workloads {
 		row := Figure1Row{Workload: wl}
 		var err error
-		if row.Traditional, err = Run(o, wl, analytic(o.baseline())); err != nil {
+		if row.Traditional, err = Run(o, wl, o.baseline()); err != nil {
 			return out, err
 		}
 		if row.IPA, err = Run(o, wl, o.native(ipa.PSLC)); err != nil {

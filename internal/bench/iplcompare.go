@@ -40,7 +40,7 @@ func IPLCompare(o Options) (IPLResult, error) {
 }
 
 func iplCompareOne(wl string, o Options) (IPLRow, error) {
-	cfg := analytic(o.native(ipa.PSLC))
+	cfg := o.native(ipa.PSLC)
 	cfg.TraceEvictions = true
 	var trace []storage.TraceEvent
 	res, err := run(o, wl, cfg, func(db *ipa.DB) { trace = db.Trace() })

@@ -95,16 +95,6 @@ func (o Options) config(mode ipa.WriteMode, scheme ipa.Scheme, flash ipa.FlashMo
 	return cfg
 }
 
-// analytic is cfg with the per-eviction byte accounting (Config.Analytic)
-// that Figure 1's traditional arm, the scenarios' write amplification and
-// the IPL replay's log sectors read. It moves no device figure but makes a
-// load up to four times slower, so the arms that print nothing it counts
-// run without it.
-func analytic(cfg ipa.Config) ipa.Config {
-	cfg.Analytic = true
-	return cfg
-}
-
 // baseline is the traditional out-of-place [0×0] arm on full MLC that every
 // comparison measures IPA against.
 func (o Options) baseline() ipa.Config { return o.config(ipa.Traditional, ipa.Scheme{}, ipa.MLCFull) }

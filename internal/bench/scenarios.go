@@ -37,7 +37,7 @@ func Scenarios(o Options) (ScenarioResult, error) {
 		{&out.SSD, "2: IPA conventional SSD", o.config(ipa.IPAConventionalSSD, o.scheme(), ipa.PSLC)},
 		{&out.Native, "3: IPA native Flash", o.native(ipa.PSLC)},
 	} {
-		res, err := Run(o, "tpcb", analytic(c.cfg))
+		res, err := Run(o, "tpcb", c.cfg)
 		if err != nil {
 			return out, err
 		}

@@ -17,17 +17,15 @@ type refTracker struct {
 	existing int
 	bodyLen  int
 
-	outOfPlace   bool
-	metaChanged  bool
-	changes      map[uint16]refByte
-	analytic     bool
-	extraChanged int
+	outOfPlace  bool
+	metaChanged bool
+	changes     map[uint16]refByte
 }
 
 type refByte struct{ old, new byte }
 
-func newRefTracker(scheme Scheme, bodyLen, existing int, analytic bool) *refTracker {
-	t := &refTracker{scheme: scheme, bodyLen: bodyLen, analytic: analytic}
+func newRefTracker(scheme Scheme, bodyLen, existing int) *refTracker {
+	t := &refTracker{scheme: scheme, bodyLen: bodyLen}
 	t.reset(existing)
 	return t
 }
@@ -36,36 +34,23 @@ func (t *refTracker) reset(existing int) {
 	t.existing = existing
 	t.outOfPlace = !t.scheme.Enabled() || existing >= t.scheme.N
 	t.metaChanged = false
-	t.extraChanged = 0
 	t.changes = nil
-	if t.scheme.Enabled() || t.analytic {
+	if t.scheme.Enabled() {
 		t.changes = make(map[uint16]refByte)
 	}
 }
 
 func (t *refTracker) markOutOfPlace() {
 	t.outOfPlace = true
-	if !t.analytic {
-		t.changes = nil
-	}
+	t.changes = nil
 }
 
 func (t *refTracker) recordChange(offset int, old, new byte) {
-	if t.outOfPlace && !t.analytic || old == new {
+	if t.outOfPlace || old == new {
 		return
 	}
 	if offset < 0 || offset >= t.bodyLen || offset > int(^uint16(0)) {
 		t.markOutOfPlace()
-		if t.analytic {
-			t.extraChanged++
-		}
-		return
-	}
-	if t.analytic && len(t.changes) >= analyticCap {
-		t.extraChanged++
-		if !t.outOfPlace && !t.fits() {
-			t.markOutOfPlace()
-		}
 		return
 	}
 	off := uint16(offset)
@@ -83,7 +68,7 @@ func (t *refTracker) recordChange(offset int, old, new byte) {
 
 func (t *refTracker) recordWrite(offset int, old, new []byte) {
 	for i := range new {
-		if t.outOfPlace && !t.analytic {
+		if t.outOfPlace {
 			return
 		}
 		t.recordChange(offset+i, old[i], new[i])
@@ -106,7 +91,7 @@ func (t *refTracker) recordsNeeded() int {
 func (t *refTracker) fits() bool     { return t.recordsNeeded() <= t.scheme.N-t.existing }
 func (t *refTracker) dirty() bool    { return t.metaChanged || len(t.changes) > 0 }
 func (t *refTracker) eligible() bool { return t.scheme.Enabled() && !t.outOfPlace && t.fits() }
-func (t *refTracker) net() int       { return len(t.changes) + t.extraChanged }
+func (t *refTracker) net() int       { return len(t.changes) }
 
 // records sorts the map's patches and cuts them into records of at most M.
 func (t *refTracker) records(meta []byte) []DeltaRecord {
@@ -159,20 +144,20 @@ func encodeAll(t *testing.T, records []DeltaRecord, s Scheme, metaLen int) []byt
 // on-Flash image after every step. One Tracker is re-initialised for every
 // input, as a buffer frame's is for every residency.
 func FuzzTrackerMatchesReference(f *testing.F) {
-	// Header: N−1, index of M, 7 = IPA disabled, existing, analytic, index of
-	// the body length; then operations (see the switch below).
+	// Header: N−1, index of M, 7 = IPA disabled, existing, index of the
+	// body length; then operations (see the switch below).
 	// 2×4 on a 1 KiB body: writes in descending offset order, a partial
 	// revert, metadata, a reset to one used slot, an overflow of the last
 	// slot, a mark and an out-of-body write.
-	f.Add([]byte{1, 2, 0, 0, 0, 1, 0, 0, 10, 3, 1, 2, 3, 4, 0, 0, 5, 1, 9, 9, 0, 0, 12, 0, 8, 1, 0, 11, 1, 2, 3, 1, 0, 0, 20, 7, 1, 2, 3, 4, 5, 6, 7, 8, 4, 0, 4, 6, 0, 5})
-	// 1×256, analytic, 40 000-byte body: bulk writes past the analytic cap.
-	f.Add([]byte{0, 4, 0, 0, 1, 2, 5, 0, 0, 255, 5, 0x30, 0, 255, 1, 0, 5, 7, 3, 0, 5, 0, 100, 3, 0, 0, 100, 2, 7, 7, 7})
+	f.Add([]byte{1, 2, 0, 0, 1, 0, 0, 10, 3, 1, 2, 3, 4, 0, 0, 5, 1, 9, 9, 0, 0, 12, 0, 8, 1, 0, 11, 1, 2, 3, 1, 0, 0, 20, 7, 1, 2, 3, 4, 5, 6, 7, 8, 4, 0, 4, 6, 0, 5})
+	// 1×256 on a 40 000-byte body: bulk writes that overflow the record.
+	f.Add([]byte{0, 4, 0, 0, 2, 5, 0, 0, 255, 5, 0x30, 0, 255, 1, 0, 5, 7, 3, 0, 5, 0, 100, 3, 0, 0, 100, 2, 7, 7, 7})
 	// 4×20: the changes leave the inline arrays, fit, then overflow two slots.
-	f.Add([]byte{3, 3, 0, 0, 0, 1, 5, 0, 40, 0, 1, 0, 50, 7, 3, 2, 5, 0, 200, 0})
-	// IPA disabled, analytic counting only.
-	f.Add([]byte{1, 2, 7, 0, 1, 0, 0, 0, 3, 2, 1, 2, 3, 2, 1, 0, 3, 1, 3, 0, 0, 0, 60, 0, 9})
+	f.Add([]byte{3, 3, 0, 0, 1, 5, 0, 40, 0, 1, 0, 50, 7, 3, 2, 5, 0, 200, 0})
+	// IPA disabled: nothing is tracked, metadata and resets still are.
+	f.Add([]byte{1, 2, 7, 0, 0, 0, 0, 3, 2, 1, 2, 3, 2, 1, 0, 3, 1, 3, 0, 0, 0, 60, 0, 9})
 	// Every record slot already used, then a reset that frees them.
-	f.Add([]byte{1, 2, 0, 2, 0, 0, 0, 0, 1, 1, 7, 2, 3, 0, 0, 0, 1, 1, 7, 2})
+	f.Add([]byte{1, 2, 0, 2, 0, 0, 0, 1, 1, 7, 2, 3, 0, 0, 0, 1, 1, 7, 2})
 	var tr Tracker // re-initialised for every input, as a buffer frame's is
 	f.Fuzz(func(t *testing.T, in []byte) {
 		next := func() int {
@@ -188,7 +173,6 @@ func FuzzTrackerMatchesReference(f *testing.F) {
 			s = Disabled
 		}
 		existing := next() % (s.N + 1)
-		analytic := next()%2 == 1
 		bodyLen := []int{64, 1024, 40000}[next()%3]
 		const metaLen = 4
 		meta := []byte{0xA1, 0xA2, 0xA3, 0xA4}
@@ -199,8 +183,7 @@ func FuzzTrackerMatchesReference(f *testing.F) {
 		}
 		buf := bytes.Clone(flash)
 		tr.Init(s, bodyLen, existing)
-		tr.SetAnalytic(analytic)
-		ref := newRefTracker(s, bodyLen, existing, analytic)
+		ref := newRefTracker(s, bodyLen, existing)
 		img := make([]byte, len(buf))
 
 		write := func(off int, new []byte) {

@@ -30,8 +30,8 @@ type Tracker struct {
 	// patch list as it stands (Record). The out-of-place flag is set, and
 	// tracking stops, with the entry that no longer fits: at most
 	// (N−existing)·M + 1 entries, which for the paper's 2×4 the inline
-	// arrays hold. A larger scheme (or analytic mode) grows onto the heap
-	// once; Init and Reset keep that backing.
+	// arrays hold. A larger scheme grows onto the heap once; Init and Reset
+	// keep that backing.
 	patches       []Patch
 	olds          []byte
 	inlinePatches [inlineChanges]Patch
@@ -44,14 +44,6 @@ type Tracker struct {
 	flash       []Patch
 	inlineFlash [inlineChanges]Patch
 
-	// analytic keeps counting changed bytes even after the out-of-place
-	// flag is set. The paper's prototype stops tracking at that point to
-	// minimise overhead; the analytic mode exists so the experiments can
-	// report the net-modified-bytes distribution of *all* dirty evictions
-	// (Figure 1), not only the IPA-eligible ones.
-	analytic     bool
-	extraChanged int // changed bytes counted past the analytic cap
-
 	// originalMeta is the header/footer image as it is physically stored
 	// on the Flash page. The storage manager needs it to rebuild the
 	// on-Flash image for the IPA-over-conventional-SSD write path, where
@@ -60,13 +52,9 @@ type Tracker struct {
 	originalMeta []byte
 }
 
-const (
-	// inlineChanges is the number of changes a Tracker holds without heap
-	// storage: 2×4 + 1.
-	inlineChanges = 9
-	// analyticCap bounds the memory used by analytic change counting.
-	analyticCap = 8192
-)
+// inlineChanges is the number of changes a Tracker holds without heap
+// storage: 2×4 + 1.
+const inlineChanges = 9
 
 // NewTracker creates a tracker for a page that already carries existing
 // delta records on Flash (see Init). The tracker has no use for metaLen, the
@@ -84,7 +72,6 @@ func NewTracker(scheme Scheme, metaLen, bodyLen, existing int) *Tracker {
 // changes outside it are treated as metadata or force an out-of-place write.
 func (t *Tracker) Init(scheme Scheme, bodyLen, existing int) {
 	t.scheme, t.bodyLen = scheme, bodyLen
-	t.analytic = false
 	t.originalMeta = t.originalMeta[:0]
 	if t.patches == nil {
 		t.patches, t.olds, t.flash = t.inlinePatches[:0], t.inlineOlds[:0], t.inlineFlash[:0]
@@ -114,17 +101,11 @@ func (t *Tracker) SetOriginalMeta(meta []byte) {
 // if none was recorded.
 func (t *Tracker) OriginalMeta() []byte { return t.originalMeta }
 
-// SetAnalytic enables analytic change counting (see the analytic field).
-func (t *Tracker) SetAnalytic(on bool) { t.analytic = on }
-
 // MarkOutOfPlace forces the next eviction to use a traditional
-// out-of-place write and stops change tracking (unless analytic counting
-// is enabled).
+// out-of-place write and stops change tracking.
 func (t *Tracker) MarkOutOfPlace() {
 	t.outOfPlace = true
-	if !t.analytic {
-		t.patches, t.olds = t.patches[:0], t.olds[:0]
-	}
+	t.patches, t.olds = t.patches[:0], t.olds[:0]
 }
 
 // MetaChanged reports whether page metadata (header/footer) changed.
@@ -141,25 +122,11 @@ func (t *Tracker) RecordMetaChange() { t.metaChanged = true }
 // Once the accumulated changes can no longer fit the remaining delta-record
 // slots, tracking stops and the page is marked for an out-of-place write.
 func (t *Tracker) RecordChange(offset int, old, new byte) {
-	if t.outOfPlace && !t.analytic {
-		return
-	}
-	if old == new {
+	if t.outOfPlace || old == new {
 		return
 	}
 	if offset < 0 || offset >= t.bodyLen || offset > int(^uint16(0)) {
 		t.MarkOutOfPlace()
-		if t.analytic {
-			// Analytic counting still wants the byte accounted for.
-			t.extraChanged++
-		}
-		return
-	}
-	if t.analytic && len(t.patches) >= analyticCap {
-		t.extraChanged++
-		if !t.outOfPlace && !t.fits() {
-			t.MarkOutOfPlace()
-		}
 		return
 	}
 	off := uint16(offset)
@@ -195,18 +162,15 @@ func (t *Tracker) RecordChange(offset int, old, new byte) {
 // update starting at offset, with old and new holding the previous and new
 // images of the updated range.
 func (t *Tracker) RecordWrite(offset int, old, new []byte) {
-	if t.outOfPlace && !t.analytic {
-		return
-	}
 	for i := range new {
+		if t.outOfPlace {
+			return
+		}
 		var o byte
 		if i < len(old) {
 			o = old[i]
 		}
 		t.RecordChange(offset+i, o, new[i])
-		if t.outOfPlace && !t.analytic {
-			return
-		}
 	}
 }
 
@@ -238,10 +202,11 @@ func (t *Tracker) Dirty() bool {
 }
 
 // NetChangedBytes returns the number of distinct body bytes whose value
-// differs from the on-Flash image. It is the quantity behind Figure 1 of
-// the paper (DBMS write-amplification analysis). Without analytic mode the
-// count is only meaningful while the page is still IPA-eligible.
-func (t *Tracker) NetChangedBytes() int { return len(t.patches) + t.extraChanged }
+// differs from the on-Flash image, the quantity behind Figure 1 of the
+// paper. Tracking stops with the out-of-place flag, so the count is exact
+// only while OutOfPlace is false; after that it reads 0, and the storage
+// manager counts the eviction against the Flash copy instead.
+func (t *Tracker) NetChangedBytes() int { return len(t.patches) }
 
 // Eligible reports whether the page can be evicted using an in-place
 // append: IPA must be enabled, the out-of-place flag must not be set and
@@ -331,7 +296,6 @@ func (t *Tracker) Reset(existing int) {
 	t.existing = existing
 	t.outOfPlace = !t.scheme.Enabled() || existing >= t.scheme.N
 	t.metaChanged = false
-	t.extraChanged = 0
 	t.patches, t.olds = t.patches[:0], t.olds[:0]
 	if existing == 0 {
 		t.flash = t.flash[:0]

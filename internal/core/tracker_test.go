@@ -155,31 +155,6 @@ func TestTrackerDisabledScheme(t *testing.T) {
 	}
 }
 
-func TestTrackerAnalyticCounting(t *testing.T) {
-	tr := NewTracker(Disabled, 4, 1024, 0)
-	tr.SetAnalytic(true)
-	for i := 0; i < 200; i++ {
-		tr.RecordChange(i, 0, byte(i+1))
-	}
-	if tr.NetChangedBytes() != 200 {
-		t.Fatalf("analytic tracker must keep counting, got %d", tr.NetChangedBytes())
-	}
-	if tr.Eligible() {
-		t.Fatalf("analytic counting must not make a disabled scheme eligible")
-	}
-}
-
-func TestTrackerAnalyticCap(t *testing.T) {
-	tr := NewTracker(Scheme{N: 1, M: 1}, 4, 64*1024, 0)
-	tr.SetAnalytic(true)
-	for i := 0; i < analyticCap+100; i++ {
-		tr.RecordChange(i%60000, 0, 1)
-	}
-	if tr.NetChangedBytes() < analyticCap {
-		t.Fatalf("analytic cap handling lost counts: %d", tr.NetChangedBytes())
-	}
-}
-
 func TestTrackerOriginalMeta(t *testing.T) {
 	tr := newTestTracker(2, 4, 0)
 	meta := []byte{1, 2, 3, 4}

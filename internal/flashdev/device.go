@@ -408,6 +408,18 @@ func (d *Device) ReadPage(block, page int, buf []byte) error {
 	return nil
 }
 
+// Peek copies the raw data area of a page into buf as nand.Chip.Peek does:
+// no clock, no op hook, no read counted, and no ECC decode (dearer than the
+// copy), so the bytes are exact unless the chips inject program
+// interference (InterferenceProb > 0). It is for measurements, not data.
+func (d *Device) Peek(block, page int, buf []byte) error {
+	_, chip, b, err := d.locate(block)
+	if err != nil {
+		return err
+	}
+	return chip.Peek(b, page, buf)
+}
+
 // decode verifies a page image against its OOB area, the one reader of the
 // page format (Figure 3 of the paper): first the initial region (its cover
 // and tail lengths and their ECC), then the delta-record slots in order. It

@@ -405,6 +405,22 @@ func (f *FTL) ReadPage(lba int, buf []byte) error {
 	return f.dev.ReadPage(f.blockOf(ppa), f.pageOf(ppa), buf)
 }
 
+// Peek is ReadPage without a host read, device time or ECC (see
+// flashdev.Device.Peek). For a page never written it returns ErrUnmapped
+// bare, an answer the caller expects, so it allocates nothing.
+func (f *FTL) Peek(lba int, buf []byte) error {
+	p, err := f.lock(lba)
+	if err != nil {
+		return err
+	}
+	defer p.mu.Unlock()
+	ppa := f.l2p[lba]
+	if ppa < 0 {
+		return ErrUnmapped
+	}
+	return f.dev.Peek(f.blockOf(ppa), f.pageOf(ppa), buf)
+}
+
 // WritePage writes a full logical page. With InPlaceMerge enabled the FTL
 // first attempts to program the new image onto the currently mapped
 // physical page (possible when the only changed bits are 1->0, i.e. the

@@ -60,6 +60,36 @@ func pageWithErasedTail(size, tail int, seed byte) []byte {
 	return img
 }
 
+// TestPeekIsNoDeviceOperation: a peek returns the image ReadPage returns
+// but leaves the clock, the read counters of the FTL, the device and the
+// chip, and the operation hook untouched; a page never written is unmapped.
+func TestPeekIsNoDeviceOperation(t *testing.T) {
+	f := testFTL(t, Config{FlashMode: nand.ModeMLCFull})
+	img := pageImage(f.PageSize(), 7)
+	if _, err := f.WritePage(3, img); err != nil {
+		t.Fatalf("WritePage: %v", err)
+	}
+	dev := f.Device()
+	ops := 0
+	dev.SetOpHook(func(int, nand.FaultOp) { ops++ })
+	now, hostReads, devReads, chipReads := dev.Now(), f.Stats().HostReads, dev.Stats().FlashPageReads, dev.PerChipStats()[0].PageReads
+	got := make([]byte, f.PageSize())
+	if err := f.Peek(3, got); err != nil {
+		t.Fatalf("Peek: %v", err)
+	}
+	if !bytes.Equal(got, img) {
+		t.Fatalf("Peek returned another image than the one written")
+	}
+	if err := f.Peek(4, got); !errors.Is(err, ErrUnmapped) {
+		t.Fatalf("Peek of an unwritten page: %v, want ErrUnmapped", err)
+	}
+	if dev.Now() != now || f.Stats().HostReads != hostReads || dev.Stats().FlashPageReads != devReads ||
+		dev.PerChipStats()[0].PageReads != chipReads || ops != 0 {
+		t.Fatalf("a peek moved the device: clock %v→%v, host reads %d→%d, device reads %d→%d, chip reads %d→%d, %d hooked operations",
+			now, dev.Now(), hostReads, f.Stats().HostReads, devReads, dev.Stats().FlashPageReads, chipReads, dev.PerChipStats()[0].PageReads, ops)
+	}
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	f := testFTL(t, Config{FlashMode: nand.ModeMLCFull})
 	img := pageImage(f.PageSize(), 1)

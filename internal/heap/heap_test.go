@@ -41,7 +41,7 @@ func testFile(t *testing.T, tupleSize, poolFrames int) (*File, *buffer.Pool) {
 		t.Fatalf("ftl.New: %v", err)
 	}
 	regions := region.NewManager(region.Region{Name: "default", Scheme: scheme, FlashMode: nand.ModePSLC})
-	store, err := storage.New(f, storage.Config{Mode: storage.WriteIPANative, Regions: regions, Analytic: true})
+	store, err := storage.New(f, storage.Config{Mode: storage.WriteIPANative, Regions: regions})
 	if err != nil {
 		t.Fatalf("storage.New: %v", err)
 	}

@@ -39,7 +39,7 @@ func testFile(t *testing.T, poolFrames int) (*File, *buffer.Pool, *storage.Manag
 	}
 	regions := region.NewManager(region.Region{Name: "default", Scheme: scheme, FlashMode: nand.ModePSLC})
 	regions.Assign(7, region.Region{Name: "t.pk", Scheme: scheme, FlashMode: nand.ModePSLC, Kind: region.KindIndex})
-	store, err := storage.New(f, storage.Config{Mode: storage.WriteIPANative, Regions: regions, Analytic: true})
+	store, err := storage.New(f, storage.Config{Mode: storage.WriteIPANative, Regions: regions})
 	if err != nil {
 		t.Fatalf("storage.New: %v", err)
 	}

@@ -206,7 +206,8 @@ func (m *Manager) Evict(pid uint64, changedBytes int, metaChanged bool) {
 		entry += entryOverhead
 	}
 	if changedBytes <= 0 && !metaChanged {
-		// Unknown change size (non-analytic trace); assume one small entry.
+		// An eviction that changed no body byte and no metadata (a page
+		// dirtied and reverted); assume one small entry.
 		entry = entryOverhead + 16
 	}
 	if entry > m.cfg.PageSize {

@@ -137,7 +137,7 @@ func TestPagesSpreadAcrossBlocks(t *testing.T) {
 func TestReplayTrace(t *testing.T) {
 	m := testManager(t)
 	trace := []storage.TraceEvent{
-		{Type: storage.TraceEvict, PID: 1, ChangedBytes: 0, FullWrite: true},
+		{Type: storage.TraceEvict, PID: 1, ChangedBytes: 0},
 		{Type: storage.TraceFetch, PID: 1},
 		{Type: storage.TraceEvict, PID: 1, ChangedBytes: 12, MetaChanged: true},
 		{Type: storage.TraceFetch, PID: 1},

@@ -190,6 +190,22 @@ func (c *Chip) ReadPage(b, p int, data, oob []byte) error {
 	return nil
 }
 
+// Peek copies the data area of the addressed page into data as ReadPage
+// does, but is no chip command: it counts no read and is no fault point.
+func (c *Chip) Peek(b, p int, data []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	pg, err := c.page(b, p)
+	if err != nil {
+		return err
+	}
+	if len(data) > c.cfg.Geometry.PageSize {
+		return ErrBadLength
+	}
+	fillRead(data, pg.data)
+	return nil
+}
+
 // fillRead copies src into dst, padding with 0xFF where src is shorter or nil.
 func fillRead(dst, src []byte) {
 	if dst == nil {

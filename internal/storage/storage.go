@@ -18,6 +18,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -63,6 +64,11 @@ func (m WriteMode) String() string {
 // index scheme.
 const encodeStackSize = 512
 
+// imageStackSize is the largest page image the eviction path builds on its
+// stack: the ipa-ssd block-device image and the Flash copy changedOnFlash
+// compares with. A sync.Pool would allocate again after every collection.
+const imageStackSize = 8192
+
 // SmallEvictionThreshold is the "less than 100 bytes of net data" bound the
 // paper uses when characterising OLTP eviction behaviour (Figure 1).
 const SmallEvictionThreshold = 100
@@ -76,10 +82,6 @@ type Config struct {
 	Mode WriteMode
 	// Regions maps database objects to their IPA configuration.
 	Regions *region.Manager
-	// Analytic enables net-changed-bytes accounting for every dirty
-	// eviction (needed by the Figure 1 experiment); it slightly increases
-	// tracking overhead, mirroring an instrumented build.
-	Analytic bool
 	// TraceEvictions records a fetch/eviction trace that can be replayed
 	// against the In-Page Logging baseline.
 	TraceEvictions bool
@@ -161,9 +163,8 @@ const (
 type TraceEvent struct {
 	Type         TraceEventType
 	PID          uint64
-	ChangedBytes int  // net modified bytes at eviction (0 for fetches)
+	ChangedBytes int  // body bytes the eviction changes against the Flash copy (0 for fetches)
 	MetaChanged  bool // page metadata changed
-	FullWrite    bool // the eviction was (or had to be) a whole-page write
 }
 
 // Manager is the storage manager. It holds no lock on the eviction and
@@ -183,10 +184,6 @@ type Manager struct {
 	// be lost by a crash.
 	walBarrier func() error
 
-	// images recycles the page-sized block-device images of the ipa-ssd
-	// append path (*[]byte, so a Put allocates nothing).
-	images sync.Pool
-
 	traceMu sync.Mutex
 	trace   []TraceEvent
 }
@@ -200,10 +197,6 @@ func New(f *ftl.FTL, cfg Config) (*Manager, error) {
 		ftl:      f,
 		cfg:      cfg,
 		pageSize: f.PageSize(),
-	}
-	m.images.New = func() any {
-		b := make([]byte, m.pageSize)
-		return &b
 	}
 	return m, nil
 }
@@ -369,7 +362,6 @@ func (m *Manager) InitPage(buf []byte, pid uint64, objectID uint32, t *core.Trac
 	}
 	var meta [page.MetaSize]byte
 	t.Init(scheme, pg.BodyEnd(), 0)
-	t.SetAnalytic(m.cfg.Analytic)
 	t.SetOriginalMeta(pg.MetaInto(meta[:]))
 	t.MarkOutOfPlace()
 	return nil
@@ -405,7 +397,6 @@ func (m *Manager) LoadPageInto(pid uint64, buf []byte, t *core.Tracker) error {
 		return fmt.Errorf("storage: page %d: %w", pid, err)
 	}
 	t.Reset(existing)
-	t.SetAnalytic(m.cfg.Analytic)
 	t.SetOriginalMeta(rawMeta[:])
 
 	atomic.AddUint64(&m.stats.PageLoads, 1)
@@ -446,7 +437,12 @@ func (m *Manager) StorePage(pid uint64, buf []byte, t *core.Tracker) error {
 		}
 	}
 
-	net, metaChanged := t.NetChangedBytes(), t.MetaChanged()
+	net := t.NetChangedBytes()
+	if t.OutOfPlace() {
+		if net, err = m.changedOnFlash(pid, pg, scheme); err != nil {
+			return err
+		}
+	}
 	isIndex := m.isIndexObject(pg.ObjectID())
 	atomic.AddUint64(&m.stats.DirtyEvictions, 1)
 	if isIndex {
@@ -458,74 +454,73 @@ func (m *Manager) StorePage(pid uint64, buf []byte, t *core.Tracker) error {
 		atomic.AddUint64(&m.stats.SmallEvictions, 1)
 	}
 	atomic.AddUint64(&m.stats.EvictionSizeHistogram[histogramBucket(net)], 1)
+	if m.cfg.TraceEvictions {
+		m.traceMu.Lock()
+		m.trace = append(m.trace, TraceEvent{Type: TraceEvict, PID: pid, ChangedBytes: net, MetaChanged: t.MetaChanged()})
+		m.traceMu.Unlock()
+	}
 
 	// IsAppendTarget is false for unmapped pages, so no separate Mapped
 	// check (and partition-lock round trip) is needed.
 	eligible := t.Eligible() && t.Dirty() &&
 		m.cfg.Mode != WriteTraditional && m.ftl.IsAppendTarget(int(pid))
-
 	if eligible {
-		outcome, err := m.storeAppend(pid, buf, pg, t, scheme, isIndex)
-		if err != nil {
+		stored, err := m.storeAppend(pid, buf, pg, t, scheme, isIndex)
+		if err != nil || stored {
 			return err
 		}
-		switch outcome {
-		case appendDone:
-			m.recordEvictTrace(pid, net, metaChanged, false)
-			return nil
-		case appendFellBack:
-			// The FTL already persisted the page out-of-place.
-			m.recordEvictTrace(pid, net, metaChanged, true)
-			return nil
-		case appendRefused:
-			atomic.AddUint64(&m.stats.AppendFallbacks, 1)
+		atomic.AddUint64(&m.stats.AppendFallbacks, 1)
+	}
+	return m.storeOutOfPlace(pid, buf, pg, t, scheme, isIndex)
+}
+
+// changedOnFlash counts the body bytes of pg that differ from its peeked
+// Flash copy with the copy's delta records applied, or from the zeroed body
+// page.Init formats if the page was never written: Figure 1's net modified
+// bytes for an eviction the tracker stopped following.
+func (m *Manager) changedOnFlash(pid uint64, pg *page.Page, scheme core.Scheme) (int, error) {
+	var stack [imageStackSize]byte
+	image := slices.Grow(stack[:0], m.pageSize)[:m.pageSize]
+	if err := m.ftl.Peek(int(pid), image); errors.Is(err, ftl.ErrUnmapped) {
+		clear(image)
+	} else if err != nil {
+		return 0, fmt.Errorf("storage: page %d: %w", pid, err)
+	} else if flash, err := page.Wrap(image); err == nil {
+		// A copy that does not wrap (interference flipped its header) is
+		// compared as it lies: the count is a measurement, and a flipped
+		// bit is a changed byte.
+		if _, err := reconstruct(flash, scheme, nil); err != nil {
+			return 0, fmt.Errorf("storage: page %d: %w", pid, err)
 		}
 	}
-	if err := m.storeOutOfPlace(pid, buf, pg, t, scheme, isIndex); err != nil {
-		return err
-	}
-	m.recordEvictTrace(pid, net, metaChanged, true)
-	return nil
+	return changedBytes(pg.Buf()[page.HeaderSize:pg.BodyEnd()], image[page.HeaderSize:pg.BodyEnd()]), nil
 }
 
-func (m *Manager) recordEvictTrace(pid uint64, net int, metaChanged, fullWrite bool) {
-	if !m.cfg.TraceEvictions {
-		return
+// changedBytes counts the positions at which a and b differ, halving an
+// unequal range down to 64 bytes before it compares byte by byte: an
+// eviction changes a few spots, and equal spans compare much faster.
+func changedBytes(a, b []byte) int {
+	if bytes.Equal(a, b) {
+		return 0
 	}
-	m.traceMu.Lock()
-	m.trace = append(m.trace, TraceEvent{
-		Type:         TraceEvict,
-		PID:          pid,
-		ChangedBytes: net,
-		MetaChanged:  metaChanged,
-		FullWrite:    fullWrite,
-	})
-	m.traceMu.Unlock()
+	if len(a) > 64 {
+		h := len(a) / 2
+		return changedBytes(a[:h], b[:h]) + changedBytes(a[h:], b[h:])
+	}
+	n := 0
+	for i := range a {
+		if a[i] != b[i] {
+			n++
+		}
+	}
+	return n
 }
 
-// appendOutcome describes how storeAppend persisted (or did not persist)
-// the page.
-type appendOutcome int
-
-const (
-	// appendDone: the delta records were appended in place.
-	appendDone appendOutcome = iota
-	// appendFellBack: the FTL refused the in-place program but already
-	// wrote the page out-of-place; nothing more to do.
-	appendFellBack
-	// appendRefused: no write happened; the caller must write the page
-	// out-of-place itself.
-	appendRefused
-)
-
-// storeAppend persists the tracked changes as appended delta records.
-func (m *Manager) storeAppend(pid uint64, buf []byte, pg *page.Page, t *core.Tracker, scheme core.Scheme, isIndex bool) (appendOutcome, error) {
-	records := t.Records()
-	if records == 0 {
-		// Nothing to persist (should have been caught as a clean page).
-		t.Reset(t.Existing())
-		return appendDone, nil
-	}
+// storeAppend persists the tracked changes as appended delta records. It
+// reports false, having written nothing, when the page must be written out
+// of place instead.
+func (m *Manager) storeAppend(pid uint64, buf []byte, pg *page.Page, t *core.Tracker, scheme core.Scheme, isIndex bool) (bool, error) {
+	records := t.Records() // at least one: StorePage sends only dirty, eligible pages
 	if m.isLogicalObject(pg.ObjectID()) && records > 1 {
 		// Index pages may append only when the residency's changes fit ONE
 		// delta record. A record is atomic (its checksum and commit marker
@@ -539,7 +534,7 @@ func (m *Manager) storeAppend(pid uint64, buf []byte, pg *page.Page, t *core.Tra
 		// a secondary entry move split across two records, torn after the
 		// first, decoding as an old/new key mix. Falling back to the
 		// out-of-place write keeps the page atomic (mapping-tag ECC).
-		return appendRefused, nil
+		return false, nil
 	}
 	firstSlot := t.Existing()
 	recordSize := scheme.RecordSize(page.MetaSize)
@@ -552,7 +547,7 @@ func (m *Manager) storeAppend(pid uint64, buf []byte, pg *page.Page, t *core.Tra
 	encoded := slices.Grow(stack[:0], recordSize*records)[:recordSize*records]
 	for i := 0; i < records; i++ {
 		if err := core.EncodeRecord(encoded[i*recordSize:(i+1)*recordSize], t.Record(i, meta), scheme, page.MetaSize); err != nil {
-			return appendRefused, fmt.Errorf("storage: page %d: %w", pid, err)
+			return false, fmt.Errorf("storage: page %d: %w", pid, err)
 		}
 	}
 	areaOffset := pg.DeltaAreaStart() + firstSlot*recordSize
@@ -561,18 +556,18 @@ func (m *Manager) storeAppend(pid uint64, buf []byte, pg *page.Page, t *core.Tra
 	case WriteIPANative:
 		err := m.ftl.WriteDelta(int(pid), areaOffset, encoded)
 		if errors.Is(err, ftl.ErrNotAppendable) {
-			return appendRefused, nil
+			return false, nil
 		}
 		if err != nil {
-			return appendRefused, fmt.Errorf("storage: write_delta page %d: %w", pid, err)
+			return false, fmt.Errorf("storage: write_delta page %d: %w", pid, err)
 		}
 	case WriteIPASSD:
 		// Build the block-device image: the body and metadata exactly as
 		// they are stored on Flash plus the delta-record area extended
 		// with the new records. Only previously erased bytes change, so
 		// the FTL can program the image onto the existing physical page.
-		pooled := m.images.Get().(*[]byte)
-		image := *pooled
+		var stack [imageStackSize]byte
+		image := slices.Grow(stack[:0], m.pageSize)[:m.pageSize]
 		t.RestoreOriginal(image, buf)
 		if meta := t.OriginalMeta(); len(meta) == page.MetaSize {
 			copy(image[:page.HeaderSize], meta[:page.HeaderSize])
@@ -580,9 +575,8 @@ func (m *Manager) storeAppend(pid uint64, buf []byte, pg *page.Page, t *core.Tra
 		}
 		copy(image[areaOffset:], encoded)
 		inPlace, err := m.ftl.WritePage(int(pid), image)
-		m.images.Put(pooled)
 		if err != nil {
-			return appendRefused, fmt.Errorf("storage: page %d: %w", pid, err)
+			return false, fmt.Errorf("storage: page %d: %w", pid, err)
 		}
 		if !inPlace {
 			// The FTL wrote the image out-of-place (e.g. append budget
@@ -592,10 +586,10 @@ func (m *Manager) storeAppend(pid uint64, buf []byte, pg *page.Page, t *core.Tra
 			t.Appended(records)
 			atomic.AddUint64(&m.stats.AppendFallbacks, 1)
 			m.countOutOfPlace(isIndex)
-			return appendFellBack, nil
+			return true, nil
 		}
 	default:
-		return appendRefused, nil
+		return false, nil
 	}
 
 	// The buffered image mirrors the Flash page: it gains the records too.
@@ -609,7 +603,7 @@ func (m *Manager) storeAppend(pid uint64, buf []byte, pg *page.Page, t *core.Tra
 		atomic.AddUint64(&m.stats.IndexDeltaBytes, uint64(len(encoded)))
 	}
 	t.Appended(records)
-	return appendDone, nil
+	return true, nil
 }
 
 // storeOutOfPlace writes the whole up-to-date page image out-of-place.

@@ -20,7 +20,6 @@ func testDB(t *testing.T, mode ipa.WriteMode) *ipa.DB {
 		WriteMode:       mode,
 		Scheme:          ipa.Scheme{N: 2, M: 4},
 		FlashMode:       ipa.PSLC,
-		Analytic:        true,
 	})
 	if err != nil {
 		t.Fatalf("Open: %v", err)

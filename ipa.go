@@ -193,8 +193,6 @@ type Config struct {
 	// queue up and ride the next batch — the classic group-commit
 	// amortisation.
 	LogFlushWallLatency time.Duration
-	// Analytic enables per-eviction net-changed-byte accounting (Figure 1).
-	Analytic bool
 	// TraceEvictions records the fetch/eviction trace used for the IPL
 	// comparison.
 	TraceEvictions bool
@@ -425,7 +423,6 @@ func assemble(cfg Config, dev *flashdev.Device, f *ftl.FTL, log *wal.Log, txns *
 	store, err := storage.New(f, storage.Config{
 		Mode:           cfg.WriteMode.internal(),
 		Regions:        regions,
-		Analytic:       cfg.Analytic,
 		TraceEvictions: cfg.TraceEvictions,
 	})
 	if err != nil {

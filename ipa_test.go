@@ -19,7 +19,6 @@ func smallConfig(mode ipa.WriteMode, scheme ipa.Scheme, flash ipa.FlashMode) ipa
 		WriteMode:       mode,
 		Scheme:          scheme,
 		FlashMode:       flash,
-		Analytic:        true,
 	}
 }
 

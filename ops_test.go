@@ -20,7 +20,6 @@ func opsConfig(mode ipa.WriteMode) ipa.Config {
 		BufferPoolPages: 16,
 		WriteMode:       mode,
 		FlashMode:       ipa.PSLC,
-		Analytic:        true,
 	}
 	if mode != ipa.Traditional {
 		cfg.Scheme = ipa.Scheme{N: 4, M: 20}

@@ -24,7 +24,6 @@ func TestUpdateIsOneReference(t *testing.T) {
 		WriteMode:       IPANativeFlash,
 		Scheme:          Scheme{N: 2, M: 4},
 		FlashMode:       PSLC,
-		Analytic:        true,
 	})
 	if err != nil {
 		t.Fatal(err)
