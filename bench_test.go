@@ -14,6 +14,7 @@ package ipa_test
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -409,11 +410,10 @@ func missTable(b testing.TB, mode ipa.WriteMode, scheme ipa.Scheme) (*ipa.DB, *i
 	return benchTable(b, missRows, 1, mode, scheme)
 }
 
-// benchTable loads rows rows into the benchmark's geometry with the device
-// and the pool divided by shrink.
-func benchTable(b testing.TB, rows int64, shrink int, mode ipa.WriteMode, scheme ipa.Scheme) (*ipa.DB, *ipa.Table) {
-	b.Helper()
-	db, err := ipa.Open(ipa.Config{
+// benchConfig is the benchmark's engine geometry with the device and the
+// pool divided by shrink.
+func benchConfig(shrink int, mode ipa.WriteMode, scheme ipa.Scheme) ipa.Config {
+	return ipa.Config{
 		PageSize:        8 * 1024,
 		Blocks:          128 / shrink,
 		PagesPerBlock:   64,
@@ -422,7 +422,14 @@ func benchTable(b testing.TB, rows int64, shrink int, mode ipa.WriteMode, scheme
 		WriteMode:       mode,
 		Scheme:          scheme,
 		BufferPoolPages: 128 / shrink,
-	})
+	}
+}
+
+// benchTable loads rows rows into the benchmark's geometry with the device
+// and the pool divided by shrink.
+func benchTable(b testing.TB, rows int64, shrink int, mode ipa.WriteMode, scheme ipa.Scheme) (*ipa.DB, *ipa.Table) {
+	b.Helper()
+	db, err := ipa.Open(benchConfig(shrink, mode, scheme))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -457,6 +464,59 @@ const (
 	missRows      = 60416
 	missCkptEvery = 7000 // as flash_rw runs them
 )
+
+// BenchmarkLoad is the bulk load every experiment starts with, on the
+// benchmark's flash_* table: open, missRows rows of 120 bytes inserted 64 per
+// transaction, flush, checkpoint, close. Every row differs, so each fresh
+// heap page's first write diffs a full body against its zeroed image.
+// allocs/row is allocs/op over the rows; TestLoadAllocations pins it.
+func BenchmarkLoad(b *testing.B) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		db, err := ipa.Open(benchConfig(1, ipa.IPANativeFlash, ipa.Scheme{N: 2, M: 4}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		table, err := db.CreateTable("t", residentTupleSize)
+		if err != nil {
+			b.Fatal(err)
+		}
+		row := make([]byte, residentTupleSize)
+		for k := int64(0); k < missRows; k += 64 {
+			if err := loadBatch(db, table, k, 64, row); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := db.FlushAll(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := db.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*missRows), "allocs/row")
+}
+
+// loadBatch inserts the rows keyed first..first+count-1 in one transaction,
+// each row a different image of its key.
+func loadBatch(db *ipa.DB, table *ipa.Table, first int64, count int, row []byte) error {
+	tx := db.Begin()
+	for k := first; k < first+int64(count); k++ {
+		for o := 0; o+8 <= len(row); o += 8 {
+			binary.LittleEndian.PutUint64(row[o:], uint64(k)*0x9E3779B97F4A7C15+uint64(o))
+		}
+		if err := tx.Insert(table, k, row); err != nil {
+			return err
+		}
+	}
+	return tx.Commit()
+}
 
 // BenchmarkResidentUpdateTxn is one Begin → UpdateAt → Commit of an 8-byte
 // field on a resident page: the isolating benchmark of the transaction

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -79,6 +80,76 @@ func TestTableScanAndDelete(t *testing.T) {
 	// Duplicate insert.
 	if err := insertRow(db, tbl, 6, fillTuple(80, 6)); !errors.Is(err, ipa.ErrDuplicateKey) {
 		t.Fatalf("duplicate insert must fail: %v", err)
+	}
+}
+
+// TestLargeAbortAcrossASegmentSeal: a transaction of 300 inserts, with
+// updates and deletes of committed rows among them, logs across a WAL
+// segment seal, so its undo list points into two segments' record arrays
+// and into arrays the tail left behind as it regrew. Abort rolls every
+// record back: the table reads as before and passes VerifyIntegrity, and
+// so does a load that then reuses the chains the aborted inserts dropped.
+func TestLargeAbortAcrossASegmentSeal(t *testing.T) {
+	db, err := ipa.Open(smallConfig(ipa.IPANativeFlash, ipa.Scheme{N: 2, M: 4}, ipa.PSLC))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("t", 120)
+	if err != nil {
+		t.Fatalf("CreateTable: %v", err)
+	}
+	for k := int64(0); k < 100; k++ {
+		if err := insertRow(db, tbl, k, fillTuple(120, k)); err != nil {
+			t.Fatalf("Insert: %v", err)
+		}
+	}
+	contents := func() map[int64]string {
+		rows := map[int64]string{}
+		if err := tbl.Scan(func(key int64, tuple []byte) bool { rows[key] = string(tuple); return true }); err != nil {
+			t.Fatalf("Scan: %v", err)
+		}
+		return rows
+	}
+	before, segments := contents(), db.WAL().Segments()
+	tx := db.Begin()
+	for k := int64(100); k < 400; k++ {
+		if err := tx.Insert(tbl, k, fillTuple(120, k)); err != nil {
+			t.Fatalf("Insert %d: %v", k, err)
+		}
+		if k%3 == 0 { // keys 0..49, some twice
+			if err := tx.UpdateAt(tbl, k%50, 8, []byte{0xEE, byte(k)}); err != nil {
+				t.Fatalf("UpdateAt %d: %v", k%50, err)
+			}
+		}
+		if k%30 == 1 { // keys 50..59
+			if err := tx.Delete(tbl, 50+(k-100)/30); err != nil {
+				t.Fatalf("Delete %d: %v", 50+(k-100)/30, err)
+			}
+		}
+	}
+	if db.WAL().Segments() <= segments {
+		t.Fatalf("the transaction stayed in %d WAL segments: no seal to span", segments)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatalf("Abort: %v", err)
+	}
+	if after := contents(); !reflect.DeepEqual(after, before) || tbl.Count() != 100 {
+		t.Fatalf("after the abort the table holds %d rows (count %d), want the %d it held before, unchanged", len(after), tbl.Count(), len(before))
+	}
+	if err := db.VerifyIntegrity(); err != nil {
+		t.Fatalf("VerifyIntegrity after the abort: %v", err)
+	}
+	for k := int64(100); k < 400; k++ {
+		if err := insertRow(db, tbl, k, fillTuple(120, -k)); err != nil {
+			t.Fatalf("reinsert %d: %v", k, err)
+		}
+	}
+	if got, err := tbl.Get(399); err != nil || !bytes.Equal(got, fillTuple(120, -399)) {
+		t.Fatalf("Get 399 after the reload: %v", err)
+	}
+	if err := db.VerifyIntegrity(); err != nil {
+		t.Fatalf("VerifyIntegrity after the reload: %v", err)
 	}
 }
 

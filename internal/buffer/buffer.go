@@ -212,8 +212,12 @@ func unlockLatch(f *frame, shared bool) {
 
 // shard is one independently-latched partition of the page table.
 type shard struct {
-	mu    sync.Mutex
-	table map[uint64]int // page id → frame index
+	mu sync.Mutex
+	// table maps a page id to its frame index, or to -1 once the page has
+	// left the pool: a key is never deleted, because deletes leave
+	// tombstones that make the map regrow at times its hash seed decides,
+	// so a run's allocations would not repeat.
+	table map[uint64]int
 	stats Stats
 }
 
@@ -544,7 +548,7 @@ func (p *Pool) pinned(pid uint64) *frame {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	i, ok := s.table[pid]
-	if !ok {
+	if !ok || i < 0 {
 		return nil
 	}
 	f := &p.frames[i]
@@ -686,8 +690,7 @@ func (p *Pool) claim(idx int) bool {
 	if f.pin.Load() != 0 {
 		return false
 	}
-	delete(s.table, f.pid)
-	f.mapped = false
+	s.table[f.pid], f.mapped = -1, false
 	return true
 }
 

@@ -65,8 +65,8 @@ func cached(p *Pool, pid uint64) bool {
 	s := p.shardFor(pid)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.table[pid]
-	return ok
+	i, ok := s.table[pid]
+	return ok && i >= 0
 }
 
 func TestFetchHitAndMiss(t *testing.T) {

@@ -121,7 +121,7 @@ func TestEncodeDecodeArea(t *testing.T) {
 	if len(area) != s.AreaSize(metaLen) {
 		t.Fatalf("area size %d", len(area))
 	}
-	decoded := DecodeArea(area, s, metaLen)
+	decoded := decodeArea(area, s, metaLen)
 	if len(decoded) != 2 {
 		t.Fatalf("decoded %d records", len(decoded))
 	}
@@ -249,7 +249,7 @@ func TestAreaRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		decoded := DecodeArea(area, s, metaLen)
+		decoded := decodeArea(area, s, metaLen)
 		page := make([]byte, 256)
 		gotMeta := ApplyRecords(page, decoded)
 		for off, v := range want {
@@ -262,4 +262,24 @@ func TestAreaRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatalf("area round-trip property: %v", err)
 	}
+}
+
+// decodeArea parses every programmed record of a delta-record area, in
+// append order.
+func decodeArea(area []byte, s Scheme, metaLen int) []DeltaRecord {
+	if !s.Enabled() {
+		return nil
+	}
+	size := s.RecordSize(metaLen)
+	var out []DeltaRecord
+	for slot := 0; slot < s.N && (slot+1)*size <= len(area); slot++ {
+		rec, ok := DecodeRecord(area[slot*size:(slot+1)*size], s, metaLen)
+		if !ok {
+			// Records are appended strictly in slot order, so the first
+			// blank slot terminates the scan.
+			break
+		}
+		out = append(out, rec)
+	}
+	return out
 }

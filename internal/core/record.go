@@ -116,26 +116,6 @@ func EncodeArea(records []DeltaRecord, s Scheme, metaLen, firstSlot int) ([]byte
 	return area, nil
 }
 
-// DecodeArea parses every programmed record of a delta-record area, in
-// append order.
-func DecodeArea(area []byte, s Scheme, metaLen int) []DeltaRecord {
-	if !s.Enabled() {
-		return nil
-	}
-	size := s.RecordSize(metaLen)
-	var out []DeltaRecord
-	for slot := 0; slot < s.N && (slot+1)*size <= len(area); slot++ {
-		rec, ok := DecodeRecord(area[slot*size:(slot+1)*size], s, metaLen)
-		if !ok {
-			// Records are appended strictly in slot order, so the first
-			// blank slot terminates the scan.
-			break
-		}
-		out = append(out, rec)
-	}
-	return out
-}
-
 // ApplyRecords applies the body patches of every record (in append order)
 // to page and returns the Δmetadata of the newest record, or nil if records
 // is empty. The caller is responsible for installing the returned metadata

@@ -289,7 +289,7 @@ func FuzzApplyAreaMatchesDecode(f *testing.F) {
 			var tr Tracker
 			tr.Init(s, bodyLen, 0)
 			n, meta := ApplyArea(got, area, s, metaLen, &tr)
-			records := DecodeArea(area, s, metaLen)
+			records := decodeArea(area, s, metaLen)
 			wantMeta := ApplyRecords(want, records)
 			if n != len(records) || !bytes.Equal(got, want) || !bytes.Equal(meta, wantMeta) || (meta == nil) != (wantMeta == nil) {
 				t.Fatalf("%s: ApplyArea saw %d records (Δmetadata %x), the decoder %d (%x); pages equal: %v\narea %x",

@@ -41,9 +41,9 @@ type Entry struct {
 	Value uint64
 }
 
-// encodeEntry serialises an entry.
-func encodeEntry(key int64, value uint64) []byte {
-	buf := make([]byte, EntrySize)
+// encodeEntry serialises an entry into an array, which stays on the
+// caller's stack.
+func encodeEntry(key int64, value uint64) (buf [EntrySize]byte) {
 	binary.LittleEndian.PutUint64(buf[0:], uint64(key))
 	binary.LittleEndian.PutUint64(buf[8:], value)
 	return buf
@@ -108,16 +108,17 @@ func (f *entryFile[K]) contains(k K) bool {
 // tombstoned slot (a 16-byte entry rewrite plus a 2-byte slot revive) or —
 // only when no slot is free — appends a fresh entry. The caller holds mu.
 func (f *entryFile[K]) insertLocked(e Entry) error {
+	img := encodeEntry(e.Key, e.Value)
 	if n := len(f.free); n > 0 {
 		packed := f.free[n-1]
-		if err := f.entries.Reuse(heap.Unpack(packed), encodeEntry(e.Key, e.Value)); err != nil {
+		if err := f.entries.Reuse(heap.Unpack(packed), img[:]); err != nil {
 			return fmt.Errorf("index: reuse slot for key %d: %w", e.Key, err)
 		}
 		f.free = f.free[:n-1]
 		f.loc[f.id(e)] = packed
 		return nil
 	}
-	rid, err := f.entries.Insert(encodeEntry(e.Key, e.Value))
+	rid, err := f.entries.Insert(img[:])
 	if err != nil {
 		return fmt.Errorf("index: insert key %d: %w", e.Key, err)
 	}
@@ -212,9 +213,9 @@ func (f *File) Set(key int64, value uint64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if packed, ok := f.loc[key]; ok {
-		img := make([]byte, 8)
-		binary.LittleEndian.PutUint64(img, value)
-		if err := f.entries.UpdateAt(heap.Unpack(packed), 8, img); err != nil {
+		var img [8]byte
+		binary.LittleEndian.PutUint64(img[:], value)
+		if err := f.entries.UpdateAt(heap.Unpack(packed), 8, img[:]); err != nil {
 			return fmt.Errorf("index: remap key %d: %w", key, err)
 		}
 		return nil

@@ -13,6 +13,12 @@ import (
 )
 
 // testFile builds the full stack (device, FTL, storage, pool) and returns
+// entryImage is encodeEntry as a slice.
+func entryImage(key int64, value uint64) []byte {
+	e := encodeEntry(key, value)
+	return e[:]
+}
+
 // an index file plus the pool for flushing.
 func testFile(t *testing.T, poolFrames int) (*File, *buffer.Pool, *storage.Manager) {
 	t.Helper()
@@ -106,13 +112,13 @@ func TestSetDeleteLoadRoundTrip(t *testing.T) {
 func TestLoadTombstonesDuplicates(t *testing.T) {
 	ix, pool, _ := testFile(t, 8)
 	// Forge a duplicate the way a crash can: two live entries for one key.
-	if _, err := ix.entries.Insert(encodeEntry(42, 111)); err != nil {
+	if _, err := ix.entries.Insert(entryImage(42, 111)); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
-	if _, err := ix.entries.Insert(encodeEntry(42, 222)); err != nil {
+	if _, err := ix.entries.Insert(entryImage(42, 222)); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
-	if _, err := ix.entries.Insert(encodeEntry(7, 700)); err != nil {
+	if _, err := ix.entries.Insert(entryImage(7, 700)); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
 	if err := pool.FlushAll(); err != nil {

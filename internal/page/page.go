@@ -14,14 +14,16 @@
 // appended delta records on Flash without relocating any content.
 //
 // All mutating operations report their byte-level effects to an optional
-// Recorder, which is how the buffer manager's change tracking (core.Tracker)
-// learns about small in-place updates.
+// core.Tracker, the buffer frame's change tracking, which is how small
+// in-place updates become delta records.
 package page
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"ipa/internal/core"
 )
 
 // Layout constants.
@@ -89,22 +91,10 @@ var (
 	ErrNotInitialized = errors.New("page: buffer does not hold an initialised page")
 )
 
-// Recorder receives byte-level change notifications from mutating page
-// operations. core.Tracker satisfies this interface.
-type Recorder interface {
-	// RecordWrite reports that the page bytes at offset change from old
-	// to new (body changes only). It is called before the page is written:
-	// old is the page's own memory, valid only during the call, so an
-	// implementation copies what it keeps.
-	RecordWrite(offset int, old, new []byte)
-	// RecordMetaChange reports that header or footer bytes changed.
-	RecordMetaChange()
-}
-
 // Page wraps a byte buffer holding one NSM slotted page.
 type Page struct {
 	buf []byte
-	rec Recorder
+	rec *core.Tracker
 }
 
 // Init formats buf as an empty page belonging to the given object, with a
@@ -147,14 +137,12 @@ func Wrap(buf []byte) (*Page, error) {
 	return p, nil
 }
 
-// SetRecorder installs the change recorder; nil disables recording.
-func (p *Page) SetRecorder(r Recorder) { p.rec = r }
+// SetRecorder installs the tracker that records the page's changes; nil
+// disables recording.
+func (p *Page) SetRecorder(r *core.Tracker) { p.rec = r }
 
 // Buf returns the underlying buffer.
 func (p *Page) Buf() []byte { return p.buf }
-
-// Size returns the page size in bytes.
-func (p *Page) Size() int { return len(p.buf) }
 
 // ID returns the page identifier.
 func (p *Page) ID() uint64 { return binary.LittleEndian.Uint64(p.buf[offPageID:]) }
@@ -283,18 +271,6 @@ func (p *Page) Tuple(i int) ([]byte, error) {
 	return out, nil
 }
 
-// TupleLen returns the length of the tuple in slot i, or ErrDeleted.
-func (p *Page) TupleLen(i int) (int, error) {
-	_, length, err := p.slot(i)
-	if err != nil {
-		return 0, err
-	}
-	if uint16(length) == deletedLen {
-		return 0, fmt.Errorf("%w: slot %d", ErrDeleted, i)
-	}
-	return length, nil
-}
-
 // UpdateTupleAt overwrites len(data) bytes of the tuple in slot i starting
 // at tuple-relative offset off. This is the in-place small update that IPA
 // turns into delta records.
@@ -361,8 +337,7 @@ func (p *Page) Deleted(i int) (bool, error) {
 }
 
 // bodyWrite copies data into the page body at offset and reports the
-// change. The recorder sees the page's own bytes as the old image and must
-// be told before they are overwritten; it does not retain either slice.
+// change to the tracker before the page's own bytes are overwritten.
 func (p *Page) bodyWrite(offset int, data []byte) {
 	if p.rec != nil {
 		p.rec.RecordWrite(offset, p.buf[offset:offset+len(data)], data)

@@ -6,25 +6,9 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"ipa/internal/core"
 )
-
-// recorder captures change notifications for assertions.
-type recorder struct {
-	writes []struct {
-		off      int
-		old, new []byte
-	}
-	metaChanges int
-}
-
-func (r *recorder) RecordWrite(offset int, old, new []byte) {
-	r.writes = append(r.writes, struct {
-		off      int
-		old, new []byte
-	}{offset, append([]byte(nil), old...), append([]byte(nil), new...)})
-}
-
-func (r *recorder) RecordMetaChange() { r.metaChanges++ }
 
 func newTestPage(t *testing.T, size, deltaArea int) *Page {
 	t.Helper()
@@ -68,8 +52,8 @@ func TestInitAndWrap(t *testing.T) {
 
 func TestLayoutBoundaries(t *testing.T) {
 	p := newTestPage(t, 4096, 100)
-	if p.Size() != 4096 {
-		t.Fatalf("Size = %d", p.Size())
+	if len(p.Buf()) != 4096 {
+		t.Fatalf("Size = %d", len(p.Buf()))
 	}
 	if p.DeltaAreaStart() != 4096-FooterSize-100 {
 		t.Fatalf("DeltaAreaStart = %d", p.DeltaAreaStart())
@@ -103,9 +87,6 @@ func TestInsertAndReadTuples(t *testing.T) {
 		}
 		if !bytes.Equal(got, bytes.Repeat([]byte{byte(i + 1)}, 50)) {
 			t.Fatalf("tuple %d content wrong", s)
-		}
-		if n, err := p.TupleLen(s); err != nil || n != 50 {
-			t.Fatalf("TupleLen = %d, %v", n, err)
 		}
 	}
 }
@@ -170,33 +151,33 @@ func TestDeleteTuple(t *testing.T) {
 	}
 }
 
+// TestChangeRecording: every mutation reaches the page's tracker — body
+// bytes as patches, header and footer as a metadata change.
 func TestChangeRecording(t *testing.T) {
 	p := newTestPage(t, 2048, 64)
-	rec := &recorder{}
-	p.SetRecorder(rec)
+	var tr core.Tracker
+	tr.Init(core.Scheme{N: 4, M: 8}, p.BodyEnd(), 0)
+	p.SetRecorder(&tr)
 
 	slot, err := p.InsertTuple(make([]byte, 40))
 	if err != nil {
 		t.Fatalf("InsertTuple: %v", err)
 	}
-	if len(rec.writes) == 0 || rec.metaChanges == 0 {
-		t.Fatalf("insert must report body and metadata changes: %d writes, %d meta", len(rec.writes), rec.metaChanges)
+	// A zero tuple over zeroed space changes only its slot entry's offset
+	// and length bytes.
+	if tr.NetChangedBytes() != 2 || !tr.MetaChanged() {
+		t.Fatalf("insert must report its slot entry and a metadata change: %d bytes, meta %v", tr.NetChangedBytes(), tr.MetaChanged())
 	}
-	before := len(rec.writes)
 	if err := p.UpdateTupleAt(slot, 5, []byte{0xAA}); err != nil {
 		t.Fatalf("UpdateTupleAt: %v", err)
 	}
-	if len(rec.writes) != before+1 {
-		t.Fatalf("update must report exactly one write")
+	if tr.NetChangedBytes() != 3 {
+		t.Fatalf("update must report exactly one changed byte, tracker holds %d", tr.NetChangedBytes())
 	}
-	w := rec.writes[len(rec.writes)-1]
-	if len(w.new) != 1 || w.new[0] != 0xAA {
-		t.Fatalf("recorded write wrong: %+v", w)
-	}
-	metaBefore := rec.metaChanges
+	tr.Init(core.Scheme{N: 4, M: 8}, p.BodyEnd(), 0)
 	p.SetFlags(FlagOutOfPlace)
-	if rec.metaChanges != metaBefore+1 {
-		t.Fatalf("SetFlags must report a metadata change")
+	if !tr.MetaChanged() || tr.NetChangedBytes() != 0 {
+		t.Fatalf("SetFlags must report a metadata change only: meta %v, %d bytes", tr.MetaChanged(), tr.NetChangedBytes())
 	}
 	if p.Flags() != FlagOutOfPlace {
 		t.Fatalf("Flags = %d", p.Flags())
@@ -324,7 +305,6 @@ func FuzzPageWrap(f *testing.F) {
 		p.FreeSpace()
 		for i := -1; i <= p.SlotCount(); i++ {
 			p.Tuple(i)
-			p.TupleLen(i)
 			p.Deleted(i)
 			c, err := Wrap(bytes.Clone(img))
 			if err != nil {

@@ -19,8 +19,10 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -278,11 +280,6 @@ func (m *Manager) AllocatePage(objectID uint32) (uint64, error) {
 	}
 }
 
-// AllocatedPages returns the number of allocated page identifiers.
-func (m *Manager) AllocatedPages() uint64 {
-	return m.nextPID.Load()
-}
-
 // EnsureAllocated advances the page-identifier allocator so it never hands
 // out an identifier below floor. Recovery calls it after rebuilding the
 // mapping from a surviving Flash image, so new pages cannot collide with
@@ -497,18 +494,27 @@ func (m *Manager) changedOnFlash(pid uint64, pg *page.Page, scheme core.Scheme) 
 }
 
 // changedBytes counts the positions at which a and b differ, halving an
-// unequal range down to 64 bytes before it compares byte by byte: an
-// eviction changes a few spots, and equal spans compare much faster.
+// unequal range down to 128 bytes (an eviction changes a few spots, and
+// equal spans compare much faster) and counting that a word at a time: the
+// first write of a fresh page differs everywhere.
 func changedBytes(a, b []byte) int {
 	if bytes.Equal(a, b) {
 		return 0
 	}
-	if len(a) > 64 {
+	if len(a) > 128 {
 		h := len(a) / 2
 		return changedBytes(a[:h], b[:h]) + changedBytes(a[h:], b[h:])
 	}
-	n := 0
-	for i := range a {
+	b = b[:len(a)]
+	n, i := 0, 0
+	for ; i+8 <= len(a); i += 8 {
+		// Fold each byte of the XOR onto its low bit: one bit per differing byte.
+		x := binary.LittleEndian.Uint64(a[i:i+8]) ^ binary.LittleEndian.Uint64(b[i:i+8])
+		x |= x >> 4
+		x |= x >> 2
+		n += bits.OnesCount64((x | x>>1) & 0x0101010101010101)
+	}
+	for ; i < len(a); i++ {
 		if a[i] != b[i] {
 			n++
 		}

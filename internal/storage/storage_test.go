@@ -376,7 +376,7 @@ func TestOutOfPlaceCountsOnlyThisResidency(t *testing.T) {
 // differences.
 func TestChangedBytesMatchesAByteLoop(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
-	for _, n := range []int{0, 1, 63, 64, 65, 127, 1000, 8144} {
+	for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 1000, 8144} {
 		for _, flips := range []int{0, 1, 5, n / 3, n} {
 			a := make([]byte, n)
 			for i := range a {
@@ -484,8 +484,8 @@ func TestAllocatePageCapacity(t *testing.T) {
 	if _, err := m.AllocatePage(1); err == nil {
 		t.Fatalf("expected capacity error")
 	}
-	if m.AllocatedPages() != uint64(cap) {
-		t.Fatalf("AllocatedPages = %d", m.AllocatedPages())
+	if m.nextPID.Load() != uint64(cap) {
+		t.Fatalf("allocated %d page identifiers", m.nextPID.Load())
 	}
 }
 

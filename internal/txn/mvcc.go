@@ -66,18 +66,40 @@ type chain struct {
 	first [1]version
 }
 
-func newChain() *chain {
-	ch := &chain{}
-	ch.olds = ch.first[:0]
-	return ch
-}
-
 const versionStripes = 64
 
+// vstripe is one partition of the cache. Chains are touched only under mu
+// and a resolution hands out version bytes, never a chain, so a chain that
+// leaves chains is reset and kept in spare for the stripe's next record: a
+// load commits and collects a chain for every row it inserts.
 type vstripe struct {
 	mu     sync.Mutex
 	seq    atomic.Uint64 // bumped on every chain mutation in this stripe
 	chains map[uint64]*chain
+	spare  []*chain // reset chains, at most spareChains
+}
+
+const spareChains = 16
+
+// newChain returns a reset chain. The caller holds mu.
+func (s *vstripe) newChain() (ch *chain) {
+	if n := len(s.spare); n > 0 {
+		ch, s.spare = s.spare[n-1], s.spare[:n-1]
+		return ch
+	}
+	ch = &chain{}
+	ch.olds = ch.first[:0]
+	return ch
+}
+
+// drop removes rid's chain ch, keeping it as a spare while there is room.
+// The caller holds mu.
+func (s *vstripe) drop(rid uint64, ch *chain) {
+	delete(s.chains, rid)
+	if len(s.spare) < spareChains {
+		*ch = chain{olds: ch.first[:0]}
+		s.spare = append(s.spare, ch)
+	}
 }
 
 // gcMark parks one chain for trimming once no snapshot predates ts.
@@ -170,7 +192,7 @@ func (c *VersionCache) takeTxn(txnID uint64) (ws writeSet, ok bool) {
 func (c *VersionCache) OnInsert(rid, txnID uint64) {
 	s := c.stripe(rid)
 	s.mu.Lock()
-	ch := newChain()
+	ch := s.newChain()
 	ch.writer, ch.inserted = txnID, true
 	s.chains[rid] = ch
 	s.seq.Add(1)
@@ -203,7 +225,7 @@ func (c *VersionCache) OnWriteOwned(rid, txnID uint64, prev []byte, del bool) {
 	s.mu.Lock()
 	ch := s.chains[rid]
 	if ch == nil {
-		ch = newChain()
+		ch = s.newChain()
 		s.chains[rid] = ch
 		atomic.AddUint64(&c.stats.VersionChainsLive, 1)
 	}
@@ -288,7 +310,7 @@ func (c *VersionCache) AbortTxn(txnID uint64) {
 		case ch.inserted:
 			// The undo removed the inserted tuple; no committed state ever
 			// existed, so the whole chain goes.
-			delete(s.chains, rid)
+			s.drop(rid, ch)
 			atomic.AddUint64(&c.stats.VersionChainsLive, ^uint64(0))
 		case ch.pushed:
 			// The undo restored the pre-image into the heap slot; pop it
@@ -459,7 +481,7 @@ func (c *VersionCache) trim(rid, oldest uint64) {
 		// The head itself satisfies every snapshot: the whole history
 		// — and for still-live records the chain itself — can go.
 		reclaimed = len(ch.olds)
-		delete(s.chains, rid)
+		s.drop(rid, ch)
 		atomic.AddUint64(&c.stats.VersionChainsLive, ^uint64(0))
 	} else {
 		// Keep everything newer than oldest plus the one boundary

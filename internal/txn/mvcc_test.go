@@ -418,3 +418,126 @@ func TestFailedCommitDoesNotStallLaterOnes(t *testing.T) {
 		t.Fatalf("watermark = %d, want %d", got, next.CommitTS())
 	}
 }
+
+// sameStripe returns n distinct RIDs that hash onto one stripe, so the
+// chain one of them drops is the chain the next one takes.
+func sameStripe(c *VersionCache, n int) []uint64 {
+	rids := []uint64{1}
+	for rid := uint64(2); len(rids) < n; rid++ {
+		if c.stripe(rid) == c.stripe(1) {
+			rids = append(rids, rid)
+		}
+	}
+	return rids
+}
+
+// onFirst reports whether ch's versions are on its inline array.
+func onFirst(ch *chain) bool { return cap(ch.olds) > 0 && &ch.olds[:1][0] == &ch.first[0] }
+
+// TestRecycledChainStartsClean: a chain dropped by an aborted insert or by
+// GC comes back to the next insert or update of its stripe reset — no
+// writer, superseded versions, head timestamp or flag carried over, and its
+// versions back on the inline array.
+func TestRecycledChainStartsClean(t *testing.T) {
+	c := NewVersionCache()
+	rids := sameStripe(c, 6)
+	chainOf := func(rid uint64) *chain { return c.stripe(rid).chains[rid] }
+
+	// Dropped by an aborted insert, reused by an insert and by an update.
+	c.OnInsert(rids[0], 10)
+	dropped := chainOf(rids[0])
+	c.AbortTxn(10)
+	c.OnInsert(rids[1], 11)
+	if ch := chainOf(rids[1]); ch != dropped || ch.writer != 11 || !ch.inserted || ch.pendingDelete || ch.pushed ||
+		ch.headTS != 0 || ch.headDeleted || len(ch.olds) != 0 || !onFirst(ch) {
+		t.Fatalf("insert over a recycled chain: %+v (recycled %v)", *ch, ch == dropped)
+	}
+	c.OnInsert(rids[2], 12)
+	dropped = chainOf(rids[2])
+	c.AbortTxn(12)
+	c.OnWrite(rids[3], 13, []byte("pre"), false)
+	ch := chainOf(rids[3])
+	if ch != dropped || ch.writer != 13 || ch.inserted || ch.pendingDelete || !ch.pushed || ch.headTS != 0 || ch.headDeleted ||
+		len(ch.olds) != 1 || !onFirst(ch) || ch.olds[0].ts != 0 || ch.olds[0].deleted || string(ch.olds[0].data) != "pre" {
+		t.Fatalf("update over a recycled chain: %+v (recycled %v)", *ch, ch == dropped)
+	}
+
+	// Dropped by GC with a full history — a committed delete at ts 3 over
+	// two superseded versions — and reused by an update of a chainless row.
+	c.OnInsert(rids[4], 20)
+	c.CommitTxn(20, 1)
+	c.OnWrite(rids[4], 21, []byte("v1"), false)
+	c.CommitTxn(21, 2)
+	c.OnWrite(rids[4], 22, []byte("v2"), true)
+	c.CommitTxn(22, 3)
+	dropped = chainOf(rids[4])
+	if len(dropped.olds) != 2 || !dropped.headDeleted || dropped.headTS != 3 {
+		t.Fatalf("history before GC: %+v", *dropped)
+	}
+	c.GC(3)
+	c.OnWrite(rids[5], 23, []byte("pre"), false)
+	if ch := chainOf(rids[5]); ch != dropped || ch.headTS != 0 || ch.headDeleted || len(ch.olds) != 1 || !onFirst(ch) {
+		t.Fatalf("update over a chain GC dropped: %+v (recycled %v)", *ch, ch == dropped)
+	}
+	// A snapshot older than the update reads the pre-image, committed at
+	// timestamp zero, not the dropped chain's deleted head at 3.
+	if res, _ := c.Resolve(rids[5], 1, 0); res.Kind != ResData || string(res.Data) != "pre" {
+		t.Fatalf("snapshot 1 of the updated row = %+v, want the pre-image", res)
+	}
+}
+
+// TestSnapshotDataOutlivesItsRecycledChain: a resolution hands out version
+// bytes, never the chain, so a reader keeps valid data while the chain it
+// was read from is trimmed, reset and rewritten for another row. Run it
+// under -race: a reset or reuse that touched the bytes would be a race.
+func TestSnapshotDataOutlivesItsRecycledChain(t *testing.T) {
+	c := NewVersionCache()
+	rids := sameStripe(c, 2)
+	c.OnWrite(rids[0], 10, []byte("old"), false)
+	c.CommitTxn(10, 2)
+	res, _ := c.Resolve(rids[0], 1, 0)
+	if res.Kind != ResData || string(res.Data) != "old" {
+		t.Fatalf("snapshot 1 = %+v, want the superseded version", res)
+	}
+	read := c.stripe(rids[0]).chains[rids[0]]
+	done := make(chan string)
+	go func() {
+		for i := 0; i < 2000; i++ {
+			if got := string(res.Data); got != "old" {
+				done <- got
+				return
+			}
+		}
+		done <- "old"
+	}()
+	c.GC(2)
+	for i := uint64(0); i < 200; i++ {
+		c.OnWrite(rids[1], 100+i, []byte{byte(i), byte(i), byte(i)}, false)
+		if i == 0 && c.stripe(rids[1]).chains[rids[1]] != read {
+			t.Fatal("the trimmed chain was not reused")
+		}
+		c.CommitTxn(100+i, 3+i)
+		c.GC(3 + i)
+	}
+	if got := <-done; got != "old" {
+		t.Fatalf("the reader's version reads %q after its chain was reused, want \"old\"", got)
+	}
+}
+
+// TestSpareChainsStayBounded: however many chains one abort drops, a stripe
+// keeps at most spareChains of them.
+func TestSpareChainsStayBounded(t *testing.T) {
+	c := NewVersionCache()
+	for rid := uint64(1); rid <= 10000; rid++ {
+		c.OnInsert(rid, 7)
+	}
+	c.AbortTxn(7)
+	if live := c.Stats().VersionChainsLive; live != 0 {
+		t.Fatalf("%d chains live after the abort, want 0", live)
+	}
+	for i := range c.stripes {
+		if s := &c.stripes[i]; len(s.spare) != spareChains || len(s.chains) != 0 {
+			t.Fatalf("stripe %d keeps %d spare chains (bound %d) and %d live", i, len(s.spare), spareChains, len(s.chains))
+		}
+	}
+}

@@ -177,19 +177,19 @@ type Txn struct {
 	commitTS   uint64
 	registered bool // present in the manager's active-transaction table
 	locks      []LockKey
-	// undo holds the transaction's records as the log stores them: Old and
-	// New alias the WAL's segment arenas, which a truncation recycles. That
+	// undo points at the transaction's records as the log stores them, in
+	// the WAL's segment arrays and arenas, which a truncation recycles. That
 	// is safe only because register puts the transaction in the active
 	// table before its first append and the checkpoint keeps its cut below
 	// every entry's first LSN until the transaction is deregistered —
 	// which Abort does after it has applied the undo, and a commit's
 	// caller after a point where undo is never read again.
-	undo []wal.Record
+	undo []*wal.Record
 	// Both sets start on these arrays, so a transaction of a few rows
 	// allocates nothing but itself; append moves a set that outgrows its
 	// array to the heap.
 	lockBuf [4]LockKey
-	undoBuf [2]wal.Record
+	undoBuf [4]*wal.Record
 }
 
 // Begin starts a new transaction.
@@ -235,7 +235,7 @@ func (t *Txn) log(rec wal.Record) (uint64, error) {
 	}
 	rec.TxnID = t.id
 	t.register()
-	stored := t.mgr.log.AppendRef(rec)
+	stored := t.mgr.log.AppendRef(&rec)
 	t.undo = append(t.undo, stored)
 	return stored.LSN, nil
 }
@@ -336,7 +336,7 @@ func (t *Txn) Abort(ap wal.Applier) error {
 		return ErrFinished
 	}
 	for i := len(t.undo) - 1; i >= 0 && ap != nil; i-- {
-		if err := wal.Apply(ap, &t.undo[i], wal.Undo); err != nil {
+		if err := wal.Apply(ap, t.undo[i], wal.Undo); err != nil {
 			return fmt.Errorf("txn: rollback: %w", err)
 		}
 	}

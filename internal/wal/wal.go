@@ -352,24 +352,21 @@ func (l *Log) appendLocked(r *Record) *Record {
 // Append adds a record and returns its LSN. The images are copied: the
 // caller keeps ownership of r.Old and r.New.
 func (l *Log) Append(r Record) uint64 {
-	l.mu.Lock()
-	r.LSN = l.nextLSN
-	l.nextLSN++
-	l.appendLocked(&r)
-	l.mu.Unlock()
+	l.AppendRef(&r)
 	return r.LSN
 }
 
-// AppendRef is Append returning the record as the log stores it: LSN
-// assigned, Old and New aliasing the log's own copy of the images. The
-// images stay valid until Truncate passes the record's LSN and must not be
-// modified. A transaction's undo list holds such records; the
-// active-transaction table keeps the truncation cut below them.
-func (l *Log) AppendRef(r Record) Record {
+// AppendRef is Append setting r.LSN and returning the record the log
+// stores, its images the log's own copy. Record and images stay valid until
+// Truncate passes the record's LSN (a segment array that regrows leaves the
+// old one as it is, kept alive by such pointers) and must not be modified.
+// A transaction's undo list holds such records; the active-transaction
+// table keeps the truncation cut below them.
+func (l *Log) AppendRef(r *Record) *Record {
 	l.mu.Lock()
 	r.LSN = l.nextLSN
 	l.nextLSN++
-	stored := *l.appendLocked(&r)
+	stored := l.appendLocked(r)
 	l.mu.Unlock()
 	return stored
 }

@@ -430,13 +430,36 @@ func TestRecordCopiesSurviveArenaRecycling(t *testing.T) {
 func TestAppendCopiesImages(t *testing.T) {
 	l := New()
 	buf := []byte{1, 2, 3, 4}
-	stored := l.AppendRef(Record{TxnID: 1, Type: RecUpdate, Old: buf[:2], New: buf[2:]})
+	stored := l.AppendRef(&Record{TxnID: 1, Type: RecUpdate, Old: buf[:2], New: buf[2:]})
 	copy(buf, []byte{9, 9, 9, 9})
 	if !bytes.Equal(stored.Old, []byte{1, 2}) || !bytes.Equal(stored.New, []byte{3, 4}) {
 		t.Fatalf("stored record aliases the caller's buffer: %v %v", stored.Old, stored.New)
 	}
 	if r := l.Records()[0]; !bytes.Equal(r.Old, []byte{1, 2}) || !bytes.Equal(r.New, []byte{3, 4}) {
 		t.Fatalf("logged record aliases the caller's buffer: %v %v", r.Old, r.New)
+	}
+}
+
+// TestAppendRefSurvivesRegrowthAndSeals: the record AppendRef returns is
+// the stored one and reads the same however the tail's array regrows and
+// however many segments are sealed after it, as long as nothing truncates
+// past it.
+func TestAppendRefSurvivesRegrowthAndSeals(t *testing.T) {
+	l := New()
+	l.SetSegmentBytes(1 << 10)
+	var refs []*Record
+	for i := 0; i < 300; i++ {
+		img := []byte{byte(i), byte(i >> 8)}
+		refs = append(refs, l.AppendRef(&Record{TxnID: 1, Type: RecUpdate, Key: int64(i), Old: img, New: img}))
+	}
+	if l.Segments() < 4 {
+		t.Fatalf("300 records fill %d segments, want several", l.Segments())
+	}
+	for i, r := range refs {
+		img := []byte{byte(i), byte(i >> 8)}
+		if r.LSN != uint64(i+1) || r.Key != int64(i) || !bytes.Equal(r.Old, img) || !bytes.Equal(r.New, img) {
+			t.Fatalf("record %d reads LSN %d key %d images %x %x", i, r.LSN, r.Key, r.Old, r.New)
+		}
 	}
 }
 
