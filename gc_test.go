@@ -1,0 +1,118 @@
+package ipa
+
+import "testing"
+
+// gcFixture opens a small engine with rows committed rows of 64 bytes.
+func gcFixture(t *testing.T, rows int64) (*DB, *Table) {
+	t.Helper()
+	db, err := Open(Config{
+		PageSize: 2048, Blocks: 24, PagesPerBlock: 16, BufferPoolPages: 8,
+		WriteMode: IPANativeFlash, Scheme: Scheme{N: 2, M: 4}, FlashMode: PSLC,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	tbl, err := db.CreateTable("t", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	for k := int64(0); k < rows; k++ {
+		if err := tx.Insert(tbl, k, make([]byte, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return db, tbl
+}
+
+// pinSnapshot returns a transaction holding the reader snapshot its first
+// Get would take.
+func pinSnapshot(db *DB) *Tx {
+	reader := db.Begin()
+	reader.snapshot()
+	return reader
+}
+
+func commitTx(t *testing.T, db *DB, op func(*Tx) error) {
+	t.Helper()
+	tx := db.Begin()
+	if err := op(tx); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSnapshotReleaseCollectsParkedVersions: maybeGC returns at once when
+// no zombie and no chain waits, so it must see the chains parked behind a
+// snapshot. A reader pins one while a row takes 100 committed updates; the
+// commits' own GC can reclaim none of them, and the reader's release (an
+// Abort: no commit, no GC of its own) must reclaim all 100.
+func TestSnapshotReleaseCollectsParkedVersions(t *testing.T) {
+	db, tbl := gcFixture(t, 1)
+	db.ResetStats()
+	vc := db.txns.Versions()
+	reader := pinSnapshot(db)
+	for i := 0; i < 100; i++ {
+		commitTx(t, db, func(tx *Tx) error { return tx.UpdateAt(tbl, 0, 0, []byte{byte(i)}) })
+	}
+	if s, parked := db.Stats(), vc.ParkedMarks(); s.VersionsCreated != 100 || s.VersionsReclaimed != 0 || parked != 100 {
+		t.Fatalf("behind the snapshot: created %d, reclaimed %d, parked %d; want 100, 0, 100", s.VersionsCreated, s.VersionsReclaimed, parked)
+	}
+	if err := reader.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if s, parked := db.Stats(), vc.ParkedMarks(); s.VersionsReclaimed != 100 || s.VersionChainsLive != 0 || parked != 0 {
+		t.Fatalf("after the release: reclaimed %d, chains %d, parked %d; want 100, 0, 0", s.VersionsReclaimed, s.VersionChainsLive, parked)
+	}
+}
+
+// TestSnapshotReleaseDropsZombie: the same with a committed delete, whose
+// pk entry the snapshot keeps as a zombie. Released as Tx.releaseSnapshot
+// does it, the zombie goes. Then the interleaving in which the zombie is
+// all that is left: between a release and its maybeGC a commit runs its own
+// GC, which collects the delete's chain (no snapshot predates it any more)
+// but not the zombie — so maybeGC must look at the zombie count too.
+func TestSnapshotReleaseDropsZombie(t *testing.T) {
+	db, tbl := gcFixture(t, 3)
+	vc := db.txns.Versions()
+	for _, interleaved := range []bool{false, true} {
+		key := int64(0)
+		if interleaved {
+			key = 1
+		}
+		rid, err := tbl.rid(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.ResetStats()
+		reader := pinSnapshot(db)
+		commitTx(t, db, func(tx *Tx) error { return tx.Delete(tbl, key) })
+		if z, parked := db.zombieCount(), vc.ParkedMarks(); z != 1 || parked != 1 {
+			t.Fatalf("interleaved=%v: behind the snapshot %d zombies, %d parked; want 1, 1", interleaved, z, parked)
+		}
+		if interleaved {
+			db.txns.Oracle().ReleaseSnapshot(reader.snap)
+			reader.hasSnap = false
+			commitTx(t, db, func(tx *Tx) error { return tx.UpdateAt(tbl, 2, 0, []byte{1}) })
+			if z, parked := db.zombieCount(), vc.ParkedMarks(); z != 1 || parked != 0 {
+				t.Fatalf("after the commit's own GC %d zombies, %d parked; want 1, 0", z, parked)
+			}
+			db.maybeGC()
+		} else if err := reader.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		if s, parked := db.Stats(), vc.ParkedMarks(); s.ZombieEntries != 0 || s.ZombiesReclaimed != 1 || parked != 0 || vc.HasChain(rid.Pack()) {
+			t.Fatalf("interleaved=%v: after the release %d zombies (%d reclaimed), %d parked, chain kept %v; want 0 (1), 0, false",
+				interleaved, s.ZombieEntries, s.ZombiesReclaimed, parked, vc.HasChain(rid.Pack()))
+		}
+		if _, err := tbl.rid(key); err == nil {
+			t.Fatalf("interleaved=%v: key %d still in the primary index", interleaved, key)
+		}
+	}
+}

@@ -108,31 +108,13 @@ type gcMark struct {
 	rid uint64
 }
 
-// writeSet is the packed RIDs one transaction has written. The first lives
-// in the map value itself, so a one-row transaction allocates no slice.
-type writeSet struct {
-	first uint64
-	more  []uint64
-}
-
-func (w *writeSet) len() int { return 1 + len(w.more) }
-
-func (w *writeSet) at(i int) uint64 {
-	if i == 0 {
-		return w.first
-	}
-	return w.more[i-1]
-}
-
 // VersionCache is the engine-global store of version chains, striped for
 // concurrency. Writers mutate chains under their record locks (plus the
 // stripe mutex); readers resolve lock-free via a per-stripe sequence
 // number (see Resolve/Validate).
 type VersionCache struct {
 	stripes [versionStripes]vstripe
-
-	txMu   sync.Mutex
-	txRIDs map[uint64]writeSet // txn id -> packed RIDs it has written
+	mgr     *Manager // finds the transaction behind OnWrite's identifier
 
 	// gcQueue[gcHead:] are the parked marks in ascending ts: commits park
 	// in timestamp order give or take the few in flight, so a late mark
@@ -143,14 +125,15 @@ type VersionCache struct {
 	gcMu       sync.Mutex
 	gcQueue    []gcMark
 	gcHead     int
-	gcExamined uint64 // marks GC has compared against its floor (the tests' cost measure)
+	gcExamined uint64       // marks GC has compared against its floor (the tests' cost measure)
+	parked     atomic.Int64 // len(gcQueue)-gcHead, stored under gcMu, read without it
 
 	stats VersionStats
 }
 
-// NewVersionCache creates an empty cache.
-func NewVersionCache() *VersionCache {
-	c := &VersionCache{txRIDs: make(map[uint64]writeSet)}
+// newVersionCache creates the empty cache of mgr's transactions.
+func newVersionCache(mgr *Manager) *VersionCache {
+	c := &VersionCache{mgr: mgr}
 	for i := range c.stripes {
 		c.stripes[i].chains = make(map[uint64]*chain)
 	}
@@ -163,49 +146,30 @@ func (c *VersionCache) stripe(rid uint64) *vstripe {
 	return &c.stripes[h>>58&(versionStripes-1)]
 }
 
-func (c *VersionCache) noteTxn(txnID, rid uint64) {
-	c.txMu.Lock()
-	if ws, ok := c.txRIDs[txnID]; ok {
-		ws.more = append(ws.more, rid)
-		c.txRIDs[txnID] = ws
-	} else {
-		c.txRIDs[txnID] = writeSet{first: rid}
-	}
-	c.txMu.Unlock()
-}
-
-// takeTxn removes and returns txnID's write set; ok is false if it wrote
-// nothing.
-func (c *VersionCache) takeTxn(txnID uint64) (ws writeSet, ok bool) {
-	c.txMu.Lock()
-	if ws, ok = c.txRIDs[txnID]; ok {
-		delete(c.txRIDs, txnID)
-	}
-	c.txMu.Unlock()
-	return ws, ok
-}
-
-// OnInsert registers a freshly inserted record: the heap slot holds
-// txnID's uncommitted bytes and no committed state exists, so the record
-// is invisible to every other transaction. The caller holds the record
-// lock; rid must be a fresh heap slot (never previously used).
-func (c *VersionCache) OnInsert(rid, txnID uint64) {
+// OnInsert registers a freshly inserted record: the heap slot holds tx's
+// uncommitted bytes and no committed state exists, so the record is
+// invisible to every other transaction. The caller holds the record lock;
+// rid must be a fresh heap slot (never previously used). The record joins
+// tx's write set, which its commit or abort takes back from it.
+func (c *VersionCache) OnInsert(rid uint64, tx *Txn) {
 	s := c.stripe(rid)
 	s.mu.Lock()
 	ch := s.newChain()
-	ch.writer, ch.inserted = txnID, true
+	ch.writer, ch.inserted = tx.id, true
 	s.chains[rid] = ch
 	s.seq.Add(1)
 	s.mu.Unlock()
 	atomic.AddUint64(&c.stats.VersionChainsLive, 1)
-	c.noteTxn(txnID, rid)
+	tx.writes = append(tx.writes, rid)
 }
 
 // OnWrite registers an update (del=false) or delete (del=true) of a
-// committed record: prev is the committed tuple image being superseded
-// (the cache keeps its own copy). The caller holds the record lock and
-// must call OnWrite BEFORE overwriting or deleting the heap slot, so
-// readers never see the new bytes attributed to the old version.
+// committed record by transaction txnID, which must have logged a record
+// (OnWrite finds it in the manager's active table, and panics if not):
+// prev is the committed tuple image being superseded (the cache keeps its
+// own copy). The caller holds the record lock and must call OnWrite
+// BEFORE overwriting or deleting the heap slot, so readers never see the
+// new bytes attributed to the old version.
 //
 // If the chain still carries a dead writer (a transaction whose commit
 // flush failed, leaving its heap bytes uncommitted forever), the new
@@ -213,14 +177,18 @@ func (c *VersionCache) OnInsert(rid, txnID uint64) {
 // already holds the last committed state, and prev — read from the heap —
 // is the dead writer's residue, not a committed version.
 func (c *VersionCache) OnWrite(rid, txnID uint64, prev []byte, del bool) {
-	c.OnWriteOwned(rid, txnID, append([]byte(nil), prev...), del)
+	tx := c.mgr.registered(txnID)
+	if tx == nil {
+		panic("txn: OnWrite by a transaction that has logged nothing")
+	}
+	c.OnWriteOwned(rid, tx, append([]byte(nil), prev...), del)
 }
 
-// OnWriteOwned is OnWrite taking ownership of prev: the slice becomes the
-// superseded version as it is, so the caller must not touch it again. The
-// engine hands over the tuple copy heap.Get just made for it instead of
-// having it copied a second time.
-func (c *VersionCache) OnWriteOwned(rid, txnID uint64, prev []byte, del bool) {
+// OnWriteOwned is OnWrite taking the transaction itself and ownership of
+// prev: the slice becomes the superseded version as it is, so the caller
+// must not touch it again. The engine hands over the tuple copy heap.Get
+// just made for it instead of having it copied a second time.
+func (c *VersionCache) OnWriteOwned(rid uint64, tx *Txn, prev []byte, del bool) {
 	s := c.stripe(rid)
 	s.mu.Lock()
 	ch := s.chains[rid]
@@ -229,46 +197,46 @@ func (c *VersionCache) OnWriteOwned(rid, txnID uint64, prev []byte, del bool) {
 		s.chains[rid] = ch
 		atomic.AddUint64(&c.stats.VersionChainsLive, 1)
 	}
+	first := ch.writer != tx.id
 	switch {
-	case ch.writer == txnID:
+	case !first:
 		// Second write by the same transaction: the pre-image pushed by
 		// the first write stays the rollback target.
 		ch.pendingDelete = del
 	case ch.writer != 0:
-		ch.writer = txnID
+		ch.writer = tx.id
 		ch.inserted = false
 		ch.pendingDelete = del
 		ch.pushed = false
-		c.noteTxn(txnID, rid)
 	default:
 		ch.olds = append(ch.olds, version{ts: ch.headTS, deleted: ch.headDeleted, data: prev})
-		ch.writer = txnID
+		ch.writer = tx.id
 		ch.inserted = false
 		ch.pendingDelete = del
 		ch.pushed = true
 		atomic.AddUint64(&c.stats.VersionsCreated, 1)
-		c.noteTxn(txnID, rid)
 	}
 	s.seq.Add(1)
 	s.mu.Unlock()
+	if first {
+		tx.writes = append(tx.writes, rid)
+	}
 }
 
-// CommitTxn stamps every chain written by txnID with its commit timestamp
+// CommitTxn stamps every chain in tx's write set with its commit timestamp
 // and parks each for garbage collection. Must run after the commit record
 // is durable and BEFORE the transaction's record locks are released and
 // before Oracle.EndCommit(ts) — otherwise a reader could acquire a
 // snapshot >= ts while the chains still look uncommitted.
-func (c *VersionCache) CommitTxn(txnID, ts uint64) {
-	ws, ok := c.takeTxn(txnID)
-	if !ok {
+func (c *VersionCache) CommitTxn(tx *Txn, ts uint64) {
+	if len(tx.writes) == 0 {
 		return
 	}
 	c.gcMu.Lock()
-	for i := 0; i < ws.len(); i++ {
-		rid := ws.at(i)
+	for _, rid := range tx.writes {
 		s := c.stripe(rid)
 		s.mu.Lock()
-		if ch := s.chains[rid]; ch != nil && ch.writer == txnID {
+		if ch := s.chains[rid]; ch != nil && ch.writer == tx.id {
 			ch.writer = 0
 			ch.headTS = ts
 			ch.headDeleted = ch.pendingDelete
@@ -280,6 +248,7 @@ func (c *VersionCache) CommitTxn(txnID, ts uint64) {
 		}
 		s.mu.Unlock()
 	}
+	c.parked.Store(int64(len(c.gcQueue) - c.gcHead))
 	c.gcMu.Unlock()
 }
 
@@ -291,18 +260,16 @@ func (c *VersionCache) parkLocked(m gcMark) {
 	}
 }
 
-// AbortTxn rolls the chains written by txnID back to their committed
+// AbortTxn rolls the chains in tx's write set back to their committed
 // state. The caller must restore the heap slots (undo) BEFORE calling
 // AbortTxn and must still hold the record locks, so a chain flipping back
 // to "heap is committed" always points at restored bytes.
-func (c *VersionCache) AbortTxn(txnID uint64) {
-	ws, ok := c.takeTxn(txnID)
-	for i := 0; ok && i < ws.len(); i++ {
-		rid := ws.at(i)
+func (c *VersionCache) AbortTxn(tx *Txn) {
+	for _, rid := range tx.writes {
 		s := c.stripe(rid)
 		s.mu.Lock()
 		ch := s.chains[rid]
-		if ch == nil || ch.writer != txnID {
+		if ch == nil || ch.writer != tx.id {
 			s.mu.Unlock()
 			continue
 		}
@@ -334,14 +301,6 @@ func (c *VersionCache) AbortTxn(txnID uint64) {
 		s.seq.Add(1)
 		s.mu.Unlock()
 	}
-}
-
-// AbandonTxn forgets txnID's write set without touching the chains. Used
-// when a transaction detaches (commit-flush failure, engine close): the
-// heap keeps its uncommitted bytes, the chains stay pending, and readers
-// keep resolving to the last committed version.
-func (c *VersionCache) AbandonTxn(txnID uint64) {
-	c.takeTxn(txnID)
 }
 
 // Resolve reads the chain of rid at snapshot snap and returns how the
@@ -463,8 +422,13 @@ func (c *VersionCache) GC(oldest uint64) {
 		copy(c.gcQueue, c.gcQueue[c.gcHead:])
 		c.gcQueue, c.gcHead = c.gcQueue[:live], 0
 	}
+	c.parked.Store(int64(len(c.gcQueue) - c.gcHead))
 	c.gcMu.Unlock()
 }
+
+// ParkedMarks returns the number of committed chains waiting for GC,
+// without taking the GC mutex: 0 means a GC call would find nothing.
+func (c *VersionCache) ParkedMarks() int { return int(c.parked.Load()) }
 
 // trim drops the versions of rid that no snapshot at or after oldest can
 // resolve to.

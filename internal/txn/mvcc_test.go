@@ -78,9 +78,23 @@ func TestOracleStartAt(t *testing.T) {
 	}
 }
 
+// newCache returns a fresh manager's version cache: the tests drive it
+// through transactions of that manager, as the engine does.
+func newCache() (*Manager, *VersionCache) {
+	m := NewManager(wal.New())
+	return m, m.Versions()
+}
+
+// write is OnWrite on behalf of a transaction the test holds: prev is
+// copied, as OnWrite copies it.
+func write(c *VersionCache, rid uint64, tx *Txn, prev []byte, del bool) {
+	c.OnWriteOwned(rid, tx, append([]byte(nil), prev...), del)
+}
+
 func TestVersionCacheResolveMatrix(t *testing.T) {
-	c := NewVersionCache()
-	const rid, writer, reader = 7, 10, 11
+	m, c := newCache()
+	const rid = 7
+	reader := m.Begin().ID()
 
 	// No chain: any snapshot reads the heap.
 	if res, _ := c.Resolve(rid, 0, reader); res.Kind != ResHeap {
@@ -88,11 +102,12 @@ func TestVersionCacheResolveMatrix(t *testing.T) {
 	}
 
 	// Uncommitted insert: visible only to the writer.
+	writer := m.Begin()
 	c.OnInsert(rid, writer)
 	if res, _ := c.Resolve(rid, 99, reader); res.Kind != ResAbsent {
 		t.Fatalf("pending insert visible to another txn: %v", res.Kind)
 	}
-	if res, _ := c.Resolve(rid, 0, writer); res.Kind != ResHeap {
+	if res, _ := c.Resolve(rid, 0, writer.ID()); res.Kind != ResHeap {
 		t.Fatalf("pending insert invisible to its writer: %v", res.Kind)
 	}
 	c.CommitTxn(writer, 5)
@@ -107,12 +122,13 @@ func TestVersionCacheResolveMatrix(t *testing.T) {
 
 	// Pending update: other snapshots read the pushed pre-image.
 	old := []byte("v1")
-	c.OnWrite(rid, writer, old, false)
+	writer = m.Begin()
+	write(c, rid, writer, old, false)
 	res, _ := c.Resolve(rid, 9, reader)
 	if res.Kind != ResData || !bytes.Equal(res.Data, old) {
 		t.Fatalf("snapshot read during pending update = %v %q, want pre-image", res.Kind, res.Data)
 	}
-	if res, _ := c.Resolve(rid, 9, writer); res.Kind != ResHeap {
+	if res, _ := c.Resolve(rid, 9, writer.ID()); res.Kind != ResHeap {
 		t.Fatalf("writer must see its own update: %v", res.Kind)
 	}
 	c.CommitTxn(writer, 9)
@@ -126,7 +142,8 @@ func TestVersionCacheResolveMatrix(t *testing.T) {
 	}
 
 	// Committed delete: new snapshots see absent, old ones the last value.
-	c.OnWrite(rid, writer, []byte("v2"), true)
+	writer = m.Begin()
+	write(c, rid, writer, []byte("v2"), true)
 	c.CommitTxn(writer, 12)
 	if res, _ := c.Resolve(rid, 12, reader); res.Kind != ResAbsent {
 		t.Fatalf("snapshot 12 sees deleted record: %v", res.Kind)
@@ -140,12 +157,14 @@ func TestVersionCacheResolveMatrix(t *testing.T) {
 }
 
 func TestVersionCacheAbortRestoresHead(t *testing.T) {
-	c := NewVersionCache()
-	const rid, writer = 3, 20
+	m, c := newCache()
+	const rid = 3
+	writer := m.Begin()
 	c.OnInsert(rid, writer)
 	c.CommitTxn(writer, 1)
 
-	c.OnWrite(rid, writer, []byte("committed"), false)
+	writer = m.Begin()
+	write(c, rid, writer, []byte("committed"), false)
 	c.AbortTxn(writer)
 	if res, _ := c.Resolve(rid, 1, 0); res.Kind != ResHeap {
 		t.Fatalf("aborted update left chain pending: %v", res.Kind)
@@ -155,6 +174,7 @@ func TestVersionCacheAbortRestoresHead(t *testing.T) {
 	}
 
 	// Aborted insert on a fresh rid: the whole chain disappears.
+	writer = m.Begin()
 	c.OnInsert(4, writer)
 	before := c.Stats().VersionChainsLive
 	c.AbortTxn(writer)
@@ -164,12 +184,14 @@ func TestVersionCacheAbortRestoresHead(t *testing.T) {
 }
 
 func TestVersionCacheGCTrims(t *testing.T) {
-	c := NewVersionCache()
-	const rid, writer = 9, 30
+	m, c := newCache()
+	const rid = 9
+	writer := m.Begin()
 	c.OnInsert(rid, writer)
 	c.CommitTxn(writer, 1)
 	for i, ts := range []uint64{3, 5, 7} {
-		c.OnWrite(rid, writer, []byte{byte(i)}, false)
+		writer = m.Begin()
+		write(c, rid, writer, []byte{byte(i)}, false)
 		c.CommitTxn(writer, ts)
 	}
 	// Three superseded versions (ts 1, 3, 5). A snapshot at 4 needs the
@@ -198,7 +220,7 @@ func TestCommitCarriesTimestamp(t *testing.T) {
 	log := wal.New()
 	m := NewManager(log)
 	tx := m.Begin()
-	m.Versions().OnInsert(77, tx.ID())
+	m.Versions().OnInsert(77, tx)
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("Commit: %v", err)
 	}
@@ -238,7 +260,7 @@ func TestGCCostDoesNotGrowBehindAnIdleSnapshot(t *testing.T) {
 		if err := tx.Lock(LockKey{PageID: rid}); err != nil {
 			t.Fatal(err)
 		}
-		c.OnWrite(rid, tx.ID(), []byte{byte(i)}, false)
+		write(c, rid, tx, []byte{byte(i)}, false)
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
@@ -278,10 +300,7 @@ func TestGCCostDoesNotGrowBehindAnIdleSnapshot(t *testing.T) {
 	if final.VersionsCreated != rows+commits {
 		t.Fatalf("VersionsCreated = %d, want %d", final.VersionsCreated, rows+commits)
 	}
-	c.gcMu.Lock()
-	parked := len(c.gcQueue) - c.gcHead
-	c.gcMu.Unlock()
-	if parked != 0 {
+	if parked := c.ParkedMarks(); parked != 0 {
 		t.Fatalf("%d marks still parked with no snapshot active", parked)
 	}
 }
@@ -290,13 +309,14 @@ func TestGCCostDoesNotGrowBehindAnIdleSnapshot(t *testing.T) {
 // in either order; the later timestamp arriving first must not hide the
 // earlier one from a GC whose floor lies between them.
 func TestGCQueueOrdersLateMarks(t *testing.T) {
-	c := NewVersionCache()
-	c.OnWrite(1, 10, []byte{1}, false)
-	c.OnWrite(2, 20, []byte{2}, false)
-	c.OnWrite(3, 30, []byte{3}, false)
-	c.CommitTxn(30, 6)
-	c.CommitTxn(20, 5)
-	c.CommitTxn(10, 4)
+	m, c := newCache()
+	w := []*Txn{m.Begin(), m.Begin(), m.Begin()}
+	for i, tx := range w {
+		write(c, uint64(i+1), tx, []byte{byte(i + 1)}, false)
+	}
+	c.CommitTxn(w[2], 6)
+	c.CommitTxn(w[1], 5)
+	c.CommitTxn(w[0], 4)
 	c.GC(5)
 	if got := c.Stats().VersionChainsLive; got != 1 {
 		t.Fatalf("VersionChainsLive = %d after GC(5) over marks 6, 5, 4: want only the chain stamped 6", got)
@@ -313,10 +333,14 @@ func TestGCQueueOrdersLateMarks(t *testing.T) {
 // TestOnWriteOwnedKeepsTheSliceOnWriteCopies: the engine hands the cache
 // the tuple copy it already made; everyone else may reuse their buffer.
 func TestOnWriteOwnedKeepsTheSliceOnWriteCopies(t *testing.T) {
-	c := NewVersionCache()
+	m, c := newCache()
+	tx := m.Begin()
+	if _, err := tx.LogUpdate(1, 0, 0, []byte{7}, []byte{8}); err != nil { // enters the active table
+		t.Fatal(err)
+	}
 	buf := []byte{7, 7}
-	c.OnWrite(1, 10, buf, false)
-	c.OnWriteOwned(2, 10, buf, false)
+	c.OnWrite(1, tx.ID(), buf, false)
+	c.OnWriteOwned(2, tx, buf, false)
 	buf[0] = 9
 	if res, _ := c.Resolve(1, 0, 0); res.Kind != ResData || res.Data[0] != 7 {
 		t.Fatalf("OnWrite aliases the caller's buffer: %+v", res)
@@ -339,7 +363,7 @@ func TestCommitReturnsOnlyOnceVisible(t *testing.T) {
 	if err := tx.Lock(LockKey{PageID: 1}); err != nil {
 		t.Fatal(err)
 	}
-	m.Versions().OnInsert(1<<16, tx.ID())
+	m.Versions().OnInsert(1<<16, tx)
 	done := make(chan error, 1)
 	go func() { done <- tx.Commit() }()
 
@@ -439,43 +463,47 @@ func onFirst(ch *chain) bool { return cap(ch.olds) > 0 && &ch.olds[:1][0] == &ch
 // writer, superseded versions, head timestamp or flag carried over, and its
 // versions back on the inline array.
 func TestRecycledChainStartsClean(t *testing.T) {
-	c := NewVersionCache()
+	m, c := newCache()
 	rids := sameStripe(c, 6)
 	chainOf := func(rid uint64) *chain { return c.stripe(rid).chains[rid] }
+	tx := make([]*Txn, 8)
+	for i := range tx {
+		tx[i] = m.Begin()
+	}
 
 	// Dropped by an aborted insert, reused by an insert and by an update.
-	c.OnInsert(rids[0], 10)
+	c.OnInsert(rids[0], tx[0])
 	dropped := chainOf(rids[0])
-	c.AbortTxn(10)
-	c.OnInsert(rids[1], 11)
-	if ch := chainOf(rids[1]); ch != dropped || ch.writer != 11 || !ch.inserted || ch.pendingDelete || ch.pushed ||
+	c.AbortTxn(tx[0])
+	c.OnInsert(rids[1], tx[1])
+	if ch := chainOf(rids[1]); ch != dropped || ch.writer != tx[1].ID() || !ch.inserted || ch.pendingDelete || ch.pushed ||
 		ch.headTS != 0 || ch.headDeleted || len(ch.olds) != 0 || !onFirst(ch) {
 		t.Fatalf("insert over a recycled chain: %+v (recycled %v)", *ch, ch == dropped)
 	}
-	c.OnInsert(rids[2], 12)
+	c.OnInsert(rids[2], tx[2])
 	dropped = chainOf(rids[2])
-	c.AbortTxn(12)
-	c.OnWrite(rids[3], 13, []byte("pre"), false)
+	c.AbortTxn(tx[2])
+	write(c, rids[3], tx[3], []byte("pre"), false)
 	ch := chainOf(rids[3])
-	if ch != dropped || ch.writer != 13 || ch.inserted || ch.pendingDelete || !ch.pushed || ch.headTS != 0 || ch.headDeleted ||
+	if ch != dropped || ch.writer != tx[3].ID() || ch.inserted || ch.pendingDelete || !ch.pushed || ch.headTS != 0 || ch.headDeleted ||
 		len(ch.olds) != 1 || !onFirst(ch) || ch.olds[0].ts != 0 || ch.olds[0].deleted || string(ch.olds[0].data) != "pre" {
 		t.Fatalf("update over a recycled chain: %+v (recycled %v)", *ch, ch == dropped)
 	}
 
 	// Dropped by GC with a full history — a committed delete at ts 3 over
 	// two superseded versions — and reused by an update of a chainless row.
-	c.OnInsert(rids[4], 20)
-	c.CommitTxn(20, 1)
-	c.OnWrite(rids[4], 21, []byte("v1"), false)
-	c.CommitTxn(21, 2)
-	c.OnWrite(rids[4], 22, []byte("v2"), true)
-	c.CommitTxn(22, 3)
+	c.OnInsert(rids[4], tx[4])
+	c.CommitTxn(tx[4], 1)
+	write(c, rids[4], tx[5], []byte("v1"), false)
+	c.CommitTxn(tx[5], 2)
+	write(c, rids[4], tx[6], []byte("v2"), true)
+	c.CommitTxn(tx[6], 3)
 	dropped = chainOf(rids[4])
 	if len(dropped.olds) != 2 || !dropped.headDeleted || dropped.headTS != 3 {
 		t.Fatalf("history before GC: %+v", *dropped)
 	}
 	c.GC(3)
-	c.OnWrite(rids[5], 23, []byte("pre"), false)
+	write(c, rids[5], tx[7], []byte("pre"), false)
 	if ch := chainOf(rids[5]); ch != dropped || ch.headTS != 0 || ch.headDeleted || len(ch.olds) != 1 || !onFirst(ch) {
 		t.Fatalf("update over a chain GC dropped: %+v (recycled %v)", *ch, ch == dropped)
 	}
@@ -491,10 +519,11 @@ func TestRecycledChainStartsClean(t *testing.T) {
 // was read from is trimmed, reset and rewritten for another row. Run it
 // under -race: a reset or reuse that touched the bytes would be a race.
 func TestSnapshotDataOutlivesItsRecycledChain(t *testing.T) {
-	c := NewVersionCache()
+	m, c := newCache()
 	rids := sameStripe(c, 2)
-	c.OnWrite(rids[0], 10, []byte("old"), false)
-	c.CommitTxn(10, 2)
+	tx := m.Begin()
+	write(c, rids[0], tx, []byte("old"), false)
+	c.CommitTxn(tx, 2)
 	res, _ := c.Resolve(rids[0], 1, 0)
 	if res.Kind != ResData || string(res.Data) != "old" {
 		t.Fatalf("snapshot 1 = %+v, want the superseded version", res)
@@ -512,11 +541,12 @@ func TestSnapshotDataOutlivesItsRecycledChain(t *testing.T) {
 	}()
 	c.GC(2)
 	for i := uint64(0); i < 200; i++ {
-		c.OnWrite(rids[1], 100+i, []byte{byte(i), byte(i), byte(i)}, false)
+		tx := m.Begin()
+		write(c, rids[1], tx, []byte{byte(i), byte(i), byte(i)}, false)
 		if i == 0 && c.stripe(rids[1]).chains[rids[1]] != read {
 			t.Fatal("the trimmed chain was not reused")
 		}
-		c.CommitTxn(100+i, 3+i)
+		c.CommitTxn(tx, 3+i)
 		c.GC(3 + i)
 	}
 	if got := <-done; got != "old" {
@@ -527,11 +557,12 @@ func TestSnapshotDataOutlivesItsRecycledChain(t *testing.T) {
 // TestSpareChainsStayBounded: however many chains one abort drops, a stripe
 // keeps at most spareChains of them.
 func TestSpareChainsStayBounded(t *testing.T) {
-	c := NewVersionCache()
+	m, c := newCache()
+	tx := m.Begin()
 	for rid := uint64(1); rid <= 10000; rid++ {
-		c.OnInsert(rid, 7)
+		c.OnInsert(rid, tx)
 	}
-	c.AbortTxn(7)
+	c.AbortTxn(tx)
 	if live := c.Stats().VersionChainsLive; live != 0 {
 		t.Fatalf("%d chains live after the abort, want 0", live)
 	}

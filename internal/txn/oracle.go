@@ -17,20 +17,24 @@ import "sync"
 // timestamp whose versions are not yet readable.
 type Oracle struct {
 	mu        sync.Mutex
-	advanced  sync.Cond       // on mu: the watermark moved (WaitVisible)
-	last      uint64          // highest timestamp handed out by BeginCommit
-	watermark uint64          // every commit <= watermark has finished
-	pending   map[uint64]bool // handed out, not yet ended
-	active    map[uint64]int  // snapshot timestamp -> reference count
+	advanced  sync.Cond // on mu: the watermark moved (WaitVisible)
+	last      uint64    // highest timestamp handed out by BeginCommit
+	watermark uint64    // every commit <= watermark has finished
+	// ended[i] says whether timestamp watermark+1+i has ended; EndCommit
+	// pops the finished prefix as the watermark advances over it.
+	ended []bool
+	// active holds each snapshot timestamp and its reader count, ascending:
+	// snapshots read the watermark, which never falls, so the head is oldest.
+	active []snapshotRef
 }
+
+// snapshotRef is a snapshot timestamp and the number of readers on it.
+type snapshotRef struct{ ts, n uint64 }
 
 // NewOracle creates an oracle starting at timestamp zero (the timestamp of
 // everything recovery found committed — visible to every snapshot).
 func NewOracle() *Oracle {
-	o := &Oracle{
-		pending: make(map[uint64]bool),
-		active:  make(map[uint64]int),
-	}
+	o := &Oracle{}
 	o.advanced.L = &o.mu
 	return o
 }
@@ -41,10 +45,9 @@ func NewOracle() *Oracle {
 func (o *Oracle) StartAt(ts uint64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if ts > o.last {
-		o.last = ts
-	}
-	if ts > o.watermark {
+	o.last = max(o.last, ts)
+	if ts > o.watermark { // the flags of the timestamps jumped over go too
+		o.ended = o.ended[:copy(o.ended, o.ended[min(ts-o.watermark, uint64(len(o.ended))):])]
 		o.watermark = ts
 	}
 }
@@ -57,26 +60,31 @@ func (o *Oracle) BeginCommit() uint64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.last++
-	o.pending[o.last] = true
+	o.ended = append(o.ended, false)
 	return o.last
 }
 
 // EndCommit retires a commit timestamp and advances the watermark over
 // every contiguously finished commit. It reports whether ts is now visible
 // to new snapshots (the watermark has reached it); it is not while an
-// earlier timestamp is still pending — see WaitVisible.
-func (o *Oracle) EndCommit(ts uint64) (visible bool) {
+// earlier timestamp is still pending — see WaitVisible. oldest is
+// OldestActive as of the same moment, for the commit's garbage collection.
+func (o *Oracle) EndCommit(ts uint64) (visible bool, oldest uint64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	delete(o.pending, ts)
-	before := o.watermark
-	for o.watermark < o.last && !o.pending[o.watermark+1] {
-		o.watermark++
+	if ts > o.watermark && ts-o.watermark <= uint64(len(o.ended)) {
+		o.ended[ts-o.watermark-1] = true
 	}
-	if o.watermark != before {
+	done := 0
+	for done < len(o.ended) && o.ended[done] {
+		done++
+	}
+	if done > 0 {
+		o.ended = o.ended[:copy(o.ended, o.ended[done:])]
+		o.watermark += uint64(done)
 		o.advanced.Broadcast()
 	}
-	return o.watermark >= ts
+	return o.watermark >= ts, o.oldestLocked()
 }
 
 // WaitVisible blocks until the watermark has reached ts, i.e. until every
@@ -106,18 +114,26 @@ func (o *Oracle) Watermark() uint64 {
 func (o *Oracle) AcquireSnapshot() uint64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.active[o.watermark]++
+	if n := len(o.active); n > 0 && o.active[n-1].ts == o.watermark {
+		o.active[n-1].n++
+	} else {
+		o.active = append(o.active, snapshotRef{o.watermark, 1})
+	}
 	return o.watermark
 }
 
-// ReleaseSnapshot unregisters a reader.
+// ReleaseSnapshot unregisters a reader. Releasing a timestamp no reader
+// holds does nothing.
 func (o *Oracle) ReleaseSnapshot(ts uint64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if n := o.active[ts]; n > 1 {
-		o.active[ts] = n - 1
-	} else {
-		delete(o.active, ts)
+	for i := len(o.active) - 1; i >= 0 && o.active[i].ts >= ts; i-- {
+		if a := &o.active[i]; a.ts == ts {
+			if a.n--; a.n == 0 {
+				o.active = append(o.active[:i], o.active[i+1:]...)
+			}
+			return
+		}
 	}
 }
 
@@ -132,22 +148,17 @@ func (o *Oracle) OldestActive() uint64 {
 }
 
 func (o *Oracle) oldestLocked() uint64 {
-	oldest := o.watermark
-	for ts := range o.active {
-		if ts < oldest {
-			oldest = ts
-		}
+	if len(o.active) > 0 {
+		return o.active[0].ts
 	}
-	return oldest
+	return o.watermark
 }
 
 // NoActiveBefore reports whether no active snapshot predates ts — i.e.
 // whether state superseded at ts can be dropped immediately instead of
 // being parked for the version garbage collector.
 func (o *Oracle) NoActiveBefore(ts uint64) bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.oldestLocked() >= ts
+	return o.OldestActive() >= ts
 }
 
 // ActiveSnapshots returns the number of registered reader snapshots.
@@ -155,8 +166,8 @@ func (o *Oracle) ActiveSnapshots() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	n := 0
-	for _, c := range o.active {
-		n += c
+	for _, a := range o.active {
+		n += int(a.n)
 	}
 	return n
 }

@@ -74,18 +74,19 @@ type Manager struct {
 	cache   *VersionCache
 
 	// active tracks transactions that have logged at least one record and
-	// whose effects are not yet fully applied: id -> a conservative lower
-	// bound of the transaction's first LSN. The fuzzy checkpoint's
+	// whose effects are not yet fully applied, by identifier; each carries
+	// a conservative lower bound of its first LSN. The fuzzy checkpoint's
 	// truncation cut never advances past the oldest entry, so every
 	// record recovery could need for undo (or for redo of still-pending
 	// physical index retirement) stays in the log.
 	activeMu sync.Mutex
-	active   map[uint64]uint64
+	active   map[uint64]*Txn
 }
 
 // NewManager creates a transaction manager writing to log.
 func NewManager(log *wal.Log) *Manager {
-	m := &Manager{log: log, oracle: NewOracle(), cache: NewVersionCache(), active: make(map[uint64]uint64)}
+	m := &Manager{log: log, oracle: NewOracle(), active: make(map[uint64]*Txn)}
+	m.cache = newVersionCache(m)
 	for i := range m.stripes {
 		m.stripes[i].locks = make(map[LockKey]uint64)
 	}
@@ -135,8 +136,8 @@ func (m *Manager) ActiveTxns() []ActiveTxn {
 	m.activeMu.Lock()
 	defer m.activeMu.Unlock()
 	out := make([]ActiveTxn, 0, len(m.active))
-	for id, lsn := range m.active {
-		out = append(out, ActiveTxn{ID: id, FirstLSN: lsn})
+	for id, t := range m.active {
+		out = append(out, ActiveTxn{ID: id, FirstLSN: t.firstLSN})
 	}
 	return out
 }
@@ -159,24 +160,31 @@ func (m *Manager) Deregister(id uint64) {
 // reads its begin-LSN and then the table either sees the transaction or
 // none of its records lie below the begin-LSN.
 func (t *Txn) register() {
-	if t.registered {
+	if t.firstLSN != 0 {
 		return
 	}
-	t.registered = true
 	lb := t.mgr.log.NextLSN()
 	t.mgr.activeMu.Lock()
-	t.mgr.active[t.id] = lb
+	t.firstLSN = lb
+	t.mgr.active[t.id] = t
 	t.mgr.activeMu.Unlock()
+}
+
+// registered returns the active-table transaction with identifier id, or nil.
+func (m *Manager) registered(id uint64) *Txn {
+	m.activeMu.Lock()
+	defer m.activeMu.Unlock()
+	return m.active[id]
 }
 
 // Txn is one transaction.
 type Txn struct {
-	mgr        *Manager
-	id         uint64
-	status     Status
-	commitTS   uint64
-	registered bool // present in the manager's active-transaction table
-	locks      []LockKey
+	mgr      *Manager
+	id       uint64
+	status   Status
+	commitTS uint64
+	firstLSN uint64 // 0 until register: lower bound of the first record's LSN
+	locks    []LockKey
 	// undo points at the transaction's records as the log stores them, in
 	// the WAL's segment arrays and arenas, which a truncation recycles. That
 	// is safe only because register puts the transaction in the active
@@ -185,17 +193,21 @@ type Txn struct {
 	// which Abort does after it has applied the undo, and a commit's
 	// caller after a point where undo is never read again.
 	undo []*wal.Record
-	// Both sets start on these arrays, so a transaction of a few rows
+	// writes holds the packed RIDs whose chains name this transaction as
+	// writer: the VersionCache's write set, stamped or rolled back at the end.
+	writes []uint64
+	// The three sets start on these arrays, so a transaction of a few rows
 	// allocates nothing but itself; append moves a set that outgrows its
 	// array to the heap.
-	lockBuf [4]LockKey
-	undoBuf [4]*wal.Record
+	lockBuf  [4]LockKey
+	undoBuf  [4]*wal.Record
+	writeBuf [4]uint64
 }
 
 // Begin starts a new transaction.
 func (m *Manager) Begin() *Txn {
 	t := &Txn{mgr: m, id: m.nextID.Add(1)}
-	t.locks, t.undo = t.lockBuf[:0], t.undoBuf[:0]
+	t.locks, t.undo, t.writes = t.lockBuf[:0], t.undoBuf[:0], t.writeBuf[:0]
 	return t
 }
 
@@ -275,10 +287,10 @@ func (t *Txn) LogIndexDelete(objectID uint32, key int64, old uint64) (uint64, er
 
 // Commit allocates a commit timestamp from the oracle, appends the commit
 // record carrying it (in the Key field — part of every record's fixed
-// header, so the log format is unchanged and the timestamp is durable),
-// makes the log durable through the group-commit pipeline (concurrent
-// commits share one log flush), stamps the transaction's version chains,
-// and releases all locks.
+// header, so the log format is unchanged and the timestamp is durable) and
+// makes it durable through the group-commit pipeline in one log call
+// (AppendCommit), stamps the transaction's version chains, collects what no
+// snapshot needs, and releases all locks.
 //
 // Ordering matters: chains are stamped BEFORE EndCommit retires the
 // timestamp and before the locks drop, so no snapshot can read at or past
@@ -302,19 +314,17 @@ func (t *Txn) Commit() error {
 		return ErrFinished
 	}
 	ts := t.mgr.oracle.BeginCommit()
-	lsn := t.mgr.log.Append(wal.Record{TxnID: t.id, Type: wal.RecCommit, Key: int64(ts)})
-	if err := t.mgr.log.CommitFlush(lsn); err != nil {
-		t.mgr.cache.AbandonTxn(t.id)
+	if err := t.mgr.log.AppendCommit(wal.Record{TxnID: t.id, Type: wal.RecCommit, Key: int64(ts)}); err != nil {
 		t.mgr.oracle.EndCommit(ts)
 		t.status = Aborted
 		t.releaseLocks()
 		return fmt.Errorf("txn: commit flush: %w", err)
 	}
-	t.mgr.cache.CommitTxn(t.id, ts)
+	t.mgr.cache.CommitTxn(t, ts)
 	t.commitTS = ts
 	t.status = Committed
-	visible := t.mgr.oracle.EndCommit(ts)
-	t.mgr.cache.GC(t.mgr.oracle.OldestActive())
+	visible, oldest := t.mgr.oracle.EndCommit(ts)
+	t.mgr.cache.GC(oldest)
 	t.releaseLocks()
 	if !visible {
 		t.mgr.oracle.WaitVisible(ts)
@@ -342,7 +352,7 @@ func (t *Txn) Abort(ap wal.Applier) error {
 	}
 	// The undo above restored the heap slots; now flip the version chains
 	// back to their committed state, still under the record locks.
-	t.mgr.cache.AbortTxn(t.id)
+	t.mgr.cache.AbortTxn(t)
 	t.mgr.log.Append(wal.Record{TxnID: t.id, Type: wal.RecAbort})
 	t.status = Aborted
 	// The rollback is fully applied and the abort record is in the log
@@ -365,7 +375,6 @@ func (t *Txn) Detach() error {
 	}
 	// The heap keeps the uncommitted bytes, so the version chains must
 	// stay pending: readers keep resolving to the last committed version.
-	t.mgr.cache.AbandonTxn(t.id)
 	t.status = Aborted
 	t.releaseLocks()
 	return nil

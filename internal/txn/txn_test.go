@@ -300,3 +300,36 @@ func TestSmallTransactionAllocatesOnlyItself(t *testing.T) {
 		t.Fatalf("a one-row transaction allocates %.1f times, want at most 3", allocs)
 	}
 }
+
+// TestProbeCommitLoopCollectsEveryChain runs the benchmark's txn.commit_ns
+// probe loop, which names the writer to OnWrite by identifier: OnWrite must
+// enroll the write in that transaction's write set, or its commit stamps
+// nothing, GC never sees the chain, and every chain stays pending.
+func TestProbeCommitLoopCollectsEveryChain(t *testing.T) {
+	const rounds, tupleSize, patchOff = 2048, 120, 112
+	log := wal.New()
+	m := NewManager(log)
+	versions := m.Versions()
+	img, zero, patch := make([]byte, tupleSize), make([]byte, 8), bytes.Repeat([]byte{0x5a}, 8)
+	for i := 0; i < rounds; i++ {
+		tx := m.Begin()
+		key := LockKey{PageID: uint64(i % 64), Slot: uint16(i % 59)}
+		if err := tx.Lock(key); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.LogUpdate(key.PageID, key.Slot, patchOff, zero, patch); err != nil {
+			t.Fatal(err)
+		}
+		versions.OnWrite(key.PageID<<16|uint64(key.Slot), tx.ID(), img[:tupleSize], false)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if i%1024 == 1023 {
+			log.Truncate(log.FlushedLSN())
+		}
+	}
+	st := versions.Stats()
+	if st.VersionChainsLive != 0 || st.VersionsCreated != rounds || st.VersionsReclaimed != st.VersionsCreated {
+		t.Fatalf("after %d probe commits: %+v, want every chain stamped and collected", rounds, st)
+	}
+}

@@ -312,3 +312,85 @@ func TestLeaderHandsOverAfterItsOwnBatch(t *testing.T) {
 		t.Fatalf("stats %+v, want 2 writes for 3 commits, the second shared by 2", s)
 	}
 }
+
+// TestAppendCommitWithoutHookFlushesOnce: with no log device to wait for,
+// AppendCommit appends and flushes in one critical section, and a commit
+// still counts as exactly one flush serving one commit — allocating
+// nothing, like the uncontended CommitFlush it replaces.
+func TestAppendCommitWithoutHookFlushesOnce(t *testing.T) {
+	l := New()
+	l.Append(Record{TxnID: 1, Type: RecUpdate, New: []byte{1, 2, 3}})
+	if err := l.AppendCommit(Record{TxnID: 1, Type: RecCommit, Key: 7}); err != nil {
+		t.Fatal(err)
+	}
+	recs := l.Records()
+	last := recs[len(recs)-1]
+	if last.Type != RecCommit || last.Key != 7 || l.FlushedLSN() != last.LSN {
+		t.Fatalf("last record %+v, FlushedLSN %d: want the commit record, durable", last, l.FlushedLSN())
+	}
+	want := GroupCommitStats{WALBytes: uint64(recs[0].EncodedSize() + last.EncodedSize()), WALFlushes: 1, WALFlushedCommits: 1, WALMaxCommitBatch: 1}
+	if s := l.GroupCommitStats(); s != want {
+		t.Fatalf("one commit counted as %+v, want %+v", s, want)
+	}
+	rec := Record{TxnID: 2, Type: RecCommit}
+	for i := 0; i < 300; i++ { // the first tail of a log grows by doubling: get past 512
+		l.AppendCommit(rec)
+	}
+	before := l.GroupCommitStats()
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := l.AppendCommit(rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendCommit allocates %.1f times, want 0", allocs)
+	}
+	if s := l.GroupCommitStats(); s.WALFlushes-before.WALFlushes != 201 || s.WALFlushedCommits-before.WALFlushedCommits != 201 {
+		t.Fatalf("201 commits counted as %+v -> %+v: want one flush and one commit each", before, s)
+	}
+}
+
+// TestAppendCommitPowerCutReachesFollowers: a failed log-device write under
+// AppendCommit fails the leader's commit and every commit queued behind it,
+// and nothing they appended becomes durable.
+func TestAppendCommitPowerCutReachesFollowers(t *testing.T) {
+	const followers = 3
+	l := New()
+	if err := l.AppendCommit(Record{TxnID: 1, Type: RecCommit}); err != nil {
+		t.Fatal(err)
+	}
+	durable := l.FlushedLSN()
+	powerCut := errors.New("power cut")
+	entered := make(chan struct{}, 2)
+	release := make(chan struct{})
+	l.SetFlushHook(func(int) error {
+		entered <- struct{}{}
+		<-release
+		return powerCut
+	})
+	errs := make(chan error, followers+1)
+	go func() { errs <- l.AppendCommit(Record{TxnID: 2, Type: RecCommit}) }()
+	<-entered // the leader is inside the hook
+	for i := 0; i < followers; i++ {
+		go func() { errs <- l.AppendCommit(Record{TxnID: uint64(3 + i), Type: RecCommit}) }()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for pendingCommits(l) < followers {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d followers queued", pendingCommits(l), followers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	for i := 0; i < followers+1; i++ {
+		if err := <-errs; !errors.Is(err, powerCut) {
+			t.Fatalf("commit %d: err = %v, want the hook's error", i, err)
+		}
+	}
+	if got := l.FlushedLSN(); got != durable {
+		t.Fatalf("FlushedLSN = %d after the failed writes, want %d", got, durable)
+	}
+	if s := l.GroupCommitStats(); s.WALFlushes != 1 || s.WALFlushedCommits != 1 {
+		t.Fatalf("failed writes were counted: %+v", s)
+	}
+}

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // RecordType enumerates log record kinds.
@@ -242,8 +243,8 @@ type Log struct {
 	liveBytes    uint64
 	unflushed    int    // encoded size of the retained records above flushedLSN
 	truncatedLSN uint64 // highest LSN discarded by Truncate
-	nextLSN      uint64
 	flushedLSN   uint64
+	nextLSN      atomic.Uint64 // written under mu, read without it by NextLSN
 
 	// Group-commit state: followers queue while a leader's flush is in
 	// flight (flushing); each leader takes the whole queue as its batch.
@@ -262,7 +263,9 @@ type Log struct {
 
 // New creates an empty log. LSNs start at 1.
 func New() *Log {
-	return &Log{nextLSN: 1, segBytes: DefaultSegmentBytes, segs: []*segment{{}}}
+	l := &Log{segBytes: DefaultSegmentBytes, segs: []*segment{{}}}
+	l.nextLSN.Store(1)
+	return l
 }
 
 // NewFromRecords creates a log pre-loaded with the records that survived a
@@ -275,12 +278,12 @@ func NewFromRecords(records []Record, flushedLSN uint64) *Log {
 	for i := range records {
 		r := &records[i]
 		l.appendLocked(r)
-		if r.LSN >= l.nextLSN {
-			l.nextLSN = r.LSN + 1
+		if r.LSN >= l.nextLSN.Load() {
+			l.nextLSN.Store(r.LSN + 1)
 		}
 	}
-	if flushedLSN >= l.nextLSN {
-		l.nextLSN = flushedLSN + 1
+	if flushedLSN >= l.nextLSN.Load() {
+		l.nextLSN.Store(flushedLSN + 1)
 	}
 	if len(records) > 0 {
 		l.truncatedLSN = records[0].LSN - 1
@@ -364,12 +367,22 @@ func (l *Log) Append(r Record) uint64 {
 // table keeps the truncation cut below them.
 func (l *Log) AppendRef(r *Record) *Record {
 	l.mu.Lock()
-	r.LSN = l.nextLSN
-	l.nextLSN++
-	stored := l.appendLocked(r)
+	stored := l.appendNextLocked(r)
 	l.mu.Unlock()
 	return stored
 }
+
+// appendNextLocked is appendLocked giving r the next LSN first.
+func (l *Log) appendNextLocked(r *Record) *Record {
+	r.LSN = l.nextLSN.Load()
+	l.nextLSN.Store(r.LSN + 1)
+	return l.appendLocked(r)
+}
+
+// AppendCommit is Append of a transaction's commit record r followed by
+// CommitFlush of it, in one critical section: the flush starts without
+// letting go of the log mutex the append took.
+func (l *Log) AppendCommit(r Record) error { return l.flush(&r, 0, true) }
 
 // bytesAboveLocked sums the encoded size of the retained records with an
 // LSN above lsn, walking back from the tail: O(records above lsn), and
@@ -400,8 +413,8 @@ func (l *Log) pendingBytesLocked(upTo uint64) int {
 
 // clampLocked resolves upTo == 0 / out-of-range to the last appended LSN.
 func (l *Log) clampLocked(upTo uint64) uint64 {
-	if upTo == 0 || upTo >= l.nextLSN {
-		return l.nextLSN - 1
+	if next := l.nextLSN.Load(); upTo == 0 || upTo >= next {
+		return next - 1
 	}
 	return upTo
 }
@@ -413,7 +426,7 @@ func (l *Log) clampLocked(upTo uint64) uint64 {
 // share one flush pipeline, so concurrent callers never account the same
 // records twice. A non-nil error means the log device failed (power cut)
 // and the records are NOT durable.
-func (l *Log) Flush(upTo uint64) error { return l.flush(upTo, false) }
+func (l *Log) Flush(upTo uint64) error { return l.flush(nil, upTo, false) }
 
 // CommitFlush makes the log durable at least up to lsn, batching
 // concurrently-arriving commits into one flush. The first caller becomes
@@ -422,11 +435,11 @@ func (l *Log) Flush(upTo uint64) error { return l.flush(upTo, false) }
 // follower rides along for free, which is exactly how a DBMS amortises
 // the latency of a dedicated log device. An error means the commit record
 // never became durable: the transaction must be treated as rolled back.
-func (l *Log) CommitFlush(lsn uint64) error { return l.flush(lsn, true) }
+func (l *Log) CommitFlush(lsn uint64) error { return l.flush(nil, lsn, true) }
 
-// flush is the shared leader/follower pipeline behind Flush and
-// CommitFlush. Only commit callers count towards the group-commit batch
-// statistics.
+// flush is the shared leader/follower pipeline behind Flush, CommitFlush
+// and AppendCommit, whose record r it appends first, under the same lock.
+// Only commit callers count towards the group-commit batch statistics.
 //
 // A caller that finds no flush in flight leads: no waiter object, no
 // channel, no queue slot, so an uncontended flush allocates nothing.
@@ -435,9 +448,14 @@ func (l *Log) CommitFlush(lsn uint64) error { return l.flush(lsn, true) }
 // the followers the write covered and returns; if others queued meanwhile,
 // the first of them leads next. A leader never stays on to serve later
 // batches: its caller's commit timestamp is pending until it returns, and
-// every later commit waits for that timestamp to become visible.
-func (l *Log) flush(lsn uint64, commit bool) error {
+// every later commit waits for that timestamp to become visible. Without a
+// flush hook nobody ever queues: the leader's flush never lets go of the
+// mutex.
+func (l *Log) flush(r *Record, lsn uint64, commit bool) error {
 	l.mu.Lock()
+	if r != nil {
+		lsn = l.appendNextLocked(r).LSN
+	}
 	lsn = l.clampLocked(lsn)
 	if lsn <= l.flushedLSN {
 		// An earlier flush (a write-ahead barrier, or a leader whose range
@@ -462,7 +480,6 @@ func (l *Log) flush(lsn uint64, commit bool) error {
 		}
 		l.mu.Lock()
 	}
-	l.flushing = true
 	batch := l.waiters
 	l.waiters = nil
 	target, commits := lsn, uint64(0)
@@ -478,15 +495,15 @@ func (l *Log) flush(lsn uint64, commit bool) error {
 		}
 	}
 	bytes := l.pendingBytesLocked(target)
-	hook := l.flushHook
-	l.mu.Unlock()
-	// One log-device write for the whole batch. New callers arriving during
-	// this write queue behind l.flushing and join the next batch.
 	var err error
-	if hook != nil {
+	if hook := l.flushHook; hook != nil {
+		// One log-device write for the whole batch. New callers arriving
+		// during this write queue behind l.flushing and join the next batch.
+		l.flushing = true
+		l.mu.Unlock()
 		err = hook(bytes)
+		l.mu.Lock()
 	}
-	l.mu.Lock()
 	if err == nil {
 		l.gcStats.WALBytes += uint64(bytes)
 		if target > l.flushedLSN {
@@ -553,12 +570,10 @@ func (l *Log) FlushedLSN() uint64 {
 	return l.flushedLSN
 }
 
-// NextLSN returns the LSN the next appended record will receive.
-func (l *Log) NextLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextLSN
-}
+// NextLSN returns the LSN the next appended record will receive, without
+// the log mutex: racing an append it may be that append's LSN, a lower
+// bound, which is what every caller wants (first LSN, recLSN, begin LSN).
+func (l *Log) NextLSN() uint64 { return l.nextLSN.Load() }
 
 // BytesWritten returns the number of log bytes made durable so far.
 func (l *Log) BytesWritten() uint64 {
@@ -605,7 +620,7 @@ func (l *Log) DurableRecords() []Record {
 func (l *Log) Records() []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.copyRecordsLocked(l.nextLSN)
+	return l.copyRecordsLocked(l.nextLSN.Load())
 }
 
 // copyRecordsLocked returns the retained records with LSN <= upTo. The

@@ -330,7 +330,7 @@ func TestRunningPendingBytesMatchesSegmentWalk(t *testing.T) {
 			t.Helper()
 			l.mu.Lock()
 			defer l.mu.Unlock()
-			last := l.nextLSN - 1
+			last := l.NextLSN() - 1
 			if got, want := l.unflushed, walkPendingBytes(l, last); got != want {
 				t.Fatalf("seed %d step %d (%s): running count %d, walk %d", seed, step, what, got, want)
 			}

@@ -290,6 +290,7 @@ type DB struct {
 	// re-checked and dropped by maybeGC (see mvcc.go).
 	gcMu    sync.Mutex
 	zombies []zombieEntry
+	zombieN atomic.Int64 // len(zombies), stored under gcMu, read without it
 
 	// Fuzzy-checkpoint state. ckptMu serialises checkpoints; catalogPID
 	// holds the durable catalog page identifier plus one (0 = not yet

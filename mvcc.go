@@ -121,25 +121,24 @@ type zombieEntry struct {
 func (db *DB) enqueueZombie(z zombieEntry) {
 	db.gcMu.Lock()
 	db.zombies = append(db.zombies, z)
+	db.zombieN.Store(int64(len(db.zombies)))
 	db.gcMu.Unlock()
 }
 
-// ZombieEntries returns the number of index entries currently retained
-// for old snapshots.
-func (db *DB) zombieCount() int {
-	db.gcMu.Lock()
-	defer db.gcMu.Unlock()
-	return len(db.zombies)
-}
+// zombieCount returns the number of index entries currently retained for
+// old snapshots.
+func (db *DB) zombieCount() int { return int(db.zombieN.Load()) }
 
 // maybeGC advances MVCC garbage collection: parked index entries whose
 // retirement predates every active snapshot are dropped, then version
 // chains superseded before the oldest snapshot are trimmed (entries go
 // first so a retained entry always has its chain to justify it). Pure
 // in-memory work — callable with or without the close gate. Called after
-// commits and snapshot releases; cheap when there is nothing to do.
+// snapshot releases; with no zombie and no parked chain it returns before
+// taking a lock (what is queued after the look waits for the next call,
+// or, a chain, is its committer's: Txn.Commit parks before EndCommit).
 func (db *DB) maybeGC() {
-	if db.closed.Load() {
+	if db.closed.Load() || db.zombieN.Load() == 0 && db.txns.Versions().ParkedMarks() == 0 {
 		return
 	}
 	oldest := db.txns.Oracle().OldestActive()
@@ -156,6 +155,7 @@ func (db *DB) maybeGC() {
 			}
 		}
 		db.zombies = keep
+		db.zombieN.Store(int64(len(keep)))
 	}
 	db.gcMu.Unlock()
 

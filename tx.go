@@ -205,7 +205,7 @@ func (tx *Tx) Insert(t *Table, key int64, tuple []byte) error {
 	// Register the version chain before any reader can find the RID via
 	// an index entry: the chain marks the tuple uncommitted-by-us, so
 	// snapshot readers see the key as absent until we commit.
-	t.db.txns.Versions().OnInsert(rid.Pack(), tx.inner.ID())
+	t.db.txns.Versions().OnInsert(rid.Pack(), tx.inner)
 	if _, err := tx.inner.LogIndexInsert(t.idxID, key, rid.Pack()); err != nil {
 		return err
 	}
@@ -287,7 +287,7 @@ func (tx *Tx) Delete(t *Table, key int64) error {
 	// Push the committed pre-image into the version cache before the heap
 	// slot goes away, then delete. Readers resolve the chain first, so
 	// they never observe the slot's disappearance as a missing key.
-	t.db.txns.Versions().OnWriteOwned(v, tx.inner.ID(), old, true)
+	t.db.txns.Versions().OnWriteOwned(v, tx.inner, old, true)
 	if err := t.heap.Delete(rid); err != nil {
 		return err
 	}
@@ -352,7 +352,7 @@ func (tx *Tx) UpdateRIDAt(t *Table, rid heap.RID, offset int, data []byte) error
 	// as that version; old is not touched again. This runs between the two
 	// page visits, with no page latch held: the cache's stripe mutex comes
 	// before a page latch in the lock order (see mvcc.go).
-	t.db.txns.Versions().OnWriteOwned(rid.Pack(), tx.inner.ID(), old, false)
+	t.db.txns.Versions().OnWriteOwned(rid.Pack(), tx.inner, old, false)
 	if err := t.heap.RewriteAt(rid, offset, data); err != nil {
 		return err
 	}
