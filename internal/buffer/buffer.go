@@ -14,12 +14,10 @@
 // 4-bit count of references per page identifier — of every page it has
 // ever held, resident or not: identifiers are dense, so that is one flat
 // array, sixteen counts to a word, where 2Q or ARC keep ghost lists. A
-// reference is a fetch, less the two kinds that predict no reuse, which
-// only the caller can tell (LRU-K's correlated references): the write
-// visit of an update, whose read counted a moment earlier, comes through
-// Refetch, and a heap file that moves on from a filled page zeroes the
-// fill's count with Forget. Every agePeriod × frames references all
-// counts are halved. The victim is the cheapest of victimWindow unpinned
+// reference is a fetch, less the kind that predicts no reuse, which only
+// the caller can tell (LRU-K's correlated references): a heap file that
+// moves on from a filled page zeroes the fill's count with Forget. Every
+// agePeriod × frames references all counts are halved. The victim is the cheapest of victimWindow unpinned
 // frames sampled from the hand, priced count + 1, times wholePageWeight
 // when its write-back would be a whole-page program. A page that comes
 // back after an eviction is therefore still known to be hot, which
@@ -399,8 +397,8 @@ func (p *Pool) cover(pid uint64) {
 }
 
 // touch counts one reference to pid — a hit, or a miss once the page is
-// loaded; neither Create nor Refetch counts — and, when the period is up,
-// halves every count, word-parallel. pid is resident, so the array reaches
+// loaded, not a Create — and, when the period is up, halves every count,
+// word-parallel. pid is resident, so the array reaches
 // it. The reference that ends a period is the one whose countdown reads 0,
 // or a multiple of the period below it while an earlier halving is still
 // running.
@@ -508,20 +506,14 @@ func (h *Handle) Release() {
 
 // Fetch pins the page with identifier pid, loading it through the PageIO if
 // necessary, and returns it exclusively latched.
-func (p *Pool) Fetch(pid uint64) (*Handle, error) { return p.fetch(pid, false, true) }
+func (p *Pool) Fetch(pid uint64) (*Handle, error) { return p.fetch(pid, false) }
 
 // FetchShared is Fetch with a shared latch: any number of readers may hold
 // the same page concurrently. The returned handle must not be used to
 // modify the page.
-func (p *Pool) FetchShared(pid uint64) (*Handle, error) { return p.fetch(pid, true, true) }
+func (p *Pool) FetchShared(pid uint64) (*Handle, error) { return p.fetch(pid, true) }
 
-// Refetch is Fetch for the second visit of one reference: the write of a
-// read-modify-write whose read fetched pid a moment ago. It pins and
-// latches as Fetch does but does not count, so an update is one reference,
-// as a read is.
-func (p *Pool) Refetch(pid uint64) (*Handle, error) { return p.fetch(pid, false, false) }
-
-func (p *Pool) fetch(pid uint64, shared, counted bool) (*Handle, error) {
+func (p *Pool) fetch(pid uint64, shared bool) (*Handle, error) {
 	f, loaded := p.pinned(pid), false
 	if f == nil {
 		var err error
@@ -535,9 +527,7 @@ func (p *Pool) fetch(pid uint64, shared, counted bool) (*Handle, error) {
 		lockLatch(f, shared)
 		atomic.AddUint64(&p.shardFor(pid).stats.BufferHits, 1)
 	}
-	if counted {
-		p.touch(pid)
-	}
+	p.touch(pid)
 	return f.handle(shared), nil
 }
 

@@ -17,6 +17,7 @@
 package heap
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -142,15 +143,8 @@ func (f *File) NoteRestoredTuple() {
 // tracker as the change recorder, then runs fn. fn receives the page by
 // value — a Page is a buffer and a recorder, and a pointer handed to a
 // function value would force the wrapper onto the heap on every call.
-// again fetches the page without counting a reference (buffer.Pool.Refetch).
-func (f *File) withPage(pid uint64, again bool, fn func(h *buffer.Handle, pg page.Page) error) error {
-	var h *buffer.Handle
-	var err error
-	if again {
-		h, err = f.pool.Refetch(pid)
-	} else {
-		h, err = f.pool.Fetch(pid)
-	}
+func (f *File) withPage(pid uint64, fn func(h *buffer.Handle, pg page.Page) error) error {
+	h, err := f.pool.Fetch(pid)
 	if err != nil {
 		return err
 	}
@@ -249,7 +243,7 @@ func (f *File) InsertLogged(tuple []byte, logged func(RID) error) (RID, error) {
 func (f *File) tryInsertLocked(pid uint64, tuple []byte, logged func(RID) error) (RID, bool, error) {
 	var rid RID
 	var ok bool
-	err := f.withPage(pid, false, func(h *buffer.Handle, pg page.Page) error {
+	err := f.withPage(pid, func(h *buffer.Handle, pg page.Page) error {
 		if pg.FreeSpace() < len(tuple)+page.SlotSize {
 			return nil
 		}
@@ -271,35 +265,44 @@ func (f *File) tryInsertLocked(pid uint64, tuple []byte, logged func(RID) error)
 // Get returns a copy of the tuple at rid.
 func (f *File) Get(rid RID) ([]byte, error) {
 	var out []byte
-	err := f.withPageShared(rid.PageID, func(pg page.Page) error {
-		t, err := pg.Tuple(int(rid.Slot))
-		if err != nil {
-			if errors.Is(err, page.ErrDeleted) || errors.Is(err, page.ErrBadSlot) {
-				return fmt.Errorf("%w: %s", ErrNotFound, rid)
-			}
-			return err
+	err := f.View(rid, func(t []byte) error {
+		if t == nil {
+			return fmt.Errorf("%w: %s", ErrNotFound, rid)
 		}
-		out = t
+		out = bytes.Clone(t)
 		return nil
 	})
 	return out, err
 }
 
+// View runs fn under the shared latch of rid's page with the tuple as the
+// page holds it (nil if rid addresses no live tuple), which fn must neither
+// write nor keep.
+func (f *File) View(rid RID, fn func(tuple []byte) error) error {
+	return f.withPageShared(rid.PageID, func(pg page.Page) error {
+		t, _ := pg.TupleBytes(int(rid.Slot)) // its only errors mean "no live tuple"
+		return fn(t)
+	})
+}
+
 // UpdateAt overwrites len(data) bytes of the tuple at rid starting at the
 // tuple-relative offset. This is the small in-place update IPA targets.
 func (f *File) UpdateAt(rid RID, offset int, data []byte) error {
-	return f.updateAt(rid, offset, data, false)
+	return f.UpdateAtWith(rid, offset, data, nil)
 }
 
-// RewriteAt is UpdateAt for the write of a read-modify-write whose Get read
-// the tuple a moment ago: the two visits are one reference to the page, and
-// the Get counted it (buffer.Pool.Refetch).
-func (f *File) RewriteAt(rid RID, offset int, data []byte) error {
-	return f.updateAt(rid, offset, data, true)
-}
-
-func (f *File) updateAt(rid RID, offset int, data []byte, again bool) error {
-	return f.withPage(rid.PageID, again, func(h *buffer.Handle, pg page.Page) error {
+// UpdateAtWith is UpdateAt for a caller with work to do under the page's
+// exclusive latch before the bytes change (a transaction locks, versions
+// and logs the tuple): check, if not nil, first sees the tuple as View's fn
+// does, and the update happens only if it returns nil.
+func (f *File) UpdateAtWith(rid RID, offset int, data []byte, check func(cur []byte) error) error {
+	return f.withPage(rid.PageID, func(h *buffer.Handle, pg page.Page) error {
+		if check != nil {
+			cur, _ := pg.TupleBytes(int(rid.Slot)) // its only errors mean "no live tuple"
+			if err := check(cur); err != nil {
+				return err
+			}
+		}
 		if err := pg.UpdateTupleAt(int(rid.Slot), offset, data); err != nil {
 			if errors.Is(err, page.ErrDeleted) || errors.Is(err, page.ErrBadSlot) {
 				return fmt.Errorf("%w: %s", ErrNotFound, rid)
@@ -324,7 +327,7 @@ func (f *File) Reuse(rid RID, tuple []byte) error {
 	if len(tuple) != f.tupleSize {
 		return fmt.Errorf("heap: tuple size %d, want %d", len(tuple), f.tupleSize)
 	}
-	err := f.withPage(rid.PageID, false, func(h *buffer.Handle, pg page.Page) error {
+	err := f.withPage(rid.PageID, func(h *buffer.Handle, pg page.Page) error {
 		deleted, err := pg.Deleted(int(rid.Slot))
 		if err != nil {
 			return err
@@ -348,7 +351,7 @@ func (f *File) Reuse(rid RID, tuple []byte) error {
 
 // Delete removes the tuple at rid.
 func (f *File) Delete(rid RID) error {
-	err := f.withPage(rid.PageID, false, func(h *buffer.Handle, pg page.Page) error {
+	err := f.withPage(rid.PageID, func(h *buffer.Handle, pg page.Page) error {
 		if err := pg.DeleteTuple(int(rid.Slot)); err != nil {
 			if errors.Is(err, page.ErrDeleted) || errors.Is(err, page.ErrBadSlot) {
 				return fmt.Errorf("%w: %s", ErrNotFound, rid)

@@ -19,6 +19,7 @@
 package page
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -259,6 +260,13 @@ func (p *Page) InsertTuple(data []byte) (int, error) {
 
 // Tuple returns a copy of the tuple stored in slot i.
 func (p *Page) Tuple(i int) ([]byte, error) {
+	t, err := p.TupleBytes(i)
+	return bytes.Clone(t), err
+}
+
+// TupleBytes returns the tuple stored in slot i as the page holds it: the
+// slice aliases the page buffer and must not be written or kept.
+func (p *Page) TupleBytes(i int) ([]byte, error) {
 	off, length, err := p.slot(i)
 	if err != nil {
 		return nil, err
@@ -266,9 +274,7 @@ func (p *Page) Tuple(i int) ([]byte, error) {
 	if uint16(length) == deletedLen {
 		return nil, fmt.Errorf("%w: slot %d", ErrDeleted, i)
 	}
-	out := make([]byte, length)
-	copy(out, p.buf[off:off+length])
-	return out, nil
+	return p.buf[off : off+length : off+length], nil
 }
 
 // UpdateTupleAt overwrites len(data) bytes of the tuple in slot i starting

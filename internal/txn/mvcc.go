@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,6 +25,9 @@ import (
 // produces. Only the commit timestamps themselves are durable (carried in
 // the Key field of each RecCommit record) so the oracle can restart past
 // them.
+//
+// A chain is also its record's lock (owner). A lock on a record with no
+// history makes a chain that carries nothing else; it goes with the lock.
 
 // ResKind classifies how a snapshot read resolves against a chain.
 type ResKind uint8
@@ -54,7 +58,8 @@ type version struct {
 // the state of the heap slot; olds lists superseded committed versions,
 // oldest first (ascending ts), so a push is an append and GC trims a prefix.
 type chain struct {
-	writer        uint64 // txn holding the heap slot uncommitted; 0 = committed
+	owner         uint64 // txn holding the record lock; 0 = unlocked
+	writer        uint64 // txn holding the heap slot uncommitted; 0 = committed (a detached one stays, unlocked)
 	inserted      bool   // writer created the record (no committed state exists)
 	pendingDelete bool   // writer's uncommitted change is a delete
 	pushed        bool   // writer pushed the newest of olds (false for adopted dead-writer chains)
@@ -92,9 +97,14 @@ func (s *vstripe) newChain() (ch *chain) {
 	return ch
 }
 
-// drop removes rid's chain ch, keeping it as a spare while there is room.
-// The caller holds mu.
-func (s *vstripe) drop(rid uint64, ch *chain) {
+// drop removes rid's chain ch with its whole history from stripe s,
+// keeping it as a spare while there is room. The caller holds s.mu.
+func (c *VersionCache) drop(s *vstripe, rid uint64, ch *chain) {
+	if n := len(ch.olds); n > 0 {
+		atomic.AddUint64(&c.stats.VersionsReclaimed, uint64(n))
+	}
+	atomic.AddUint64(&c.stats.VersionChainsLive, ^uint64(0))
+	s.seq.Add(1)
 	delete(s.chains, rid)
 	if len(s.spare) < spareChains {
 		*ch = chain{olds: ch.first[:0]}
@@ -109,9 +119,11 @@ type gcMark struct {
 }
 
 // VersionCache is the engine-global store of version chains, striped for
-// concurrency. Writers mutate chains under their record locks (plus the
-// stripe mutex); readers resolve lock-free via a per-stripe sequence
-// number (see Resolve/Validate).
+// concurrency. A chain is also its record's lock (owner): writers take it
+// and mutate the chain under the stripe mutex; readers resolve without it,
+// fenced by a per-stripe sequence number (see Resolve/Validate). A stripe
+// mutex is a leaf under the page latches: the engine may take one while it
+// holds a page latch, never a page latch while it holds one.
 type VersionCache struct {
 	stripes [versionStripes]vstripe
 	mgr     *Manager // finds the transaction behind OnWrite's identifier
@@ -141,115 +153,151 @@ func newVersionCache(mgr *Manager) *VersionCache {
 }
 
 func (c *VersionCache) stripe(rid uint64) *vstripe {
-	// Same multiplicative hash as the lock table, over the packed RID.
+	// A multiplicative hash of the packed RID: its top bits pick the stripe.
 	h := rid * 0x9E3779B97F4A7C15
 	return &c.stripes[h>>58&(versionStripes-1)]
 }
 
-// OnInsert registers a freshly inserted record: the heap slot holds tx's
-// uncommitted bytes and no committed state exists, so the record is
-// invisible to every other transaction. The caller holds the record lock;
-// rid must be a fresh heap slot (never previously used). The record joins
-// tx's write set, which its commit or abort takes back from it.
-func (c *VersionCache) OnInsert(rid uint64, tx *Txn) {
-	s := c.stripe(rid)
-	s.mu.Lock()
-	ch := s.newChain()
-	ch.writer, ch.inserted = tx.id, true
-	s.chains[rid] = ch
-	s.seq.Add(1)
-	s.mu.Unlock()
-	atomic.AddUint64(&c.stats.VersionChainsLive, 1)
-	tx.writes = append(tx.writes, rid)
-}
-
-// OnWrite registers an update (del=false) or delete (del=true) of a
-// committed record by transaction txnID, which must have logged a record
-// (OnWrite finds it in the manager's active table, and panics if not):
-// prev is the committed tuple image being superseded (the cache keeps its
-// own copy). The caller holds the record lock and must call OnWrite
-// BEFORE overwriting or deleting the heap slot, so readers never see the
-// new bytes attributed to the old version.
-//
-// If the chain still carries a dead writer (a transaction whose commit
-// flush failed, leaving its heap bytes uncommitted forever), the new
-// writer adopts the chain without pushing a pre-image: the newest of olds
-// already holds the last committed state, and prev — read from the heap —
-// is the dead writer's residue, not a committed version.
-func (c *VersionCache) OnWrite(rid, txnID uint64, prev []byte, del bool) {
-	tx := c.mgr.registered(txnID)
-	if tx == nil {
-		panic("txn: OnWrite by a transaction that has logged nothing")
-	}
-	c.OnWriteOwned(rid, tx, append([]byte(nil), prev...), del)
-}
-
-// OnWriteOwned is OnWrite taking the transaction itself and ownership of
-// prev: the slice becomes the superseded version as it is, so the caller
-// must not touch it again. The engine hands over the tuple copy heap.Get
-// just made for it instead of having it copied a second time.
-func (c *VersionCache) OnWriteOwned(rid uint64, tx *Txn, prev []byte, del bool) {
-	s := c.stripe(rid)
-	s.mu.Lock()
+// lockLocked returns rid's chain, creating it, locked for tx — or the
+// conflict if another transaction holds it. The caller holds s.mu.
+func (c *VersionCache) lockLocked(s *vstripe, rid uint64, tx *Txn) (*chain, error) {
 	ch := s.chains[rid]
 	if ch == nil {
 		ch = s.newChain()
 		s.chains[rid] = ch
 		atomic.AddUint64(&c.stats.VersionChainsLive, 1)
 	}
-	first := ch.writer != tx.id
-	switch {
-	case !first:
-		// Second write by the same transaction: the pre-image pushed by
-		// the first write stays the rollback target.
-		ch.pendingDelete = del
-	case ch.writer != 0:
-		ch.writer = tx.id
-		ch.inserted = false
-		ch.pendingDelete = del
-		ch.pushed = false
+	switch ch.owner {
+	case tx.id:
+	case 0:
+		ch.owner = tx.id
+		tx.locks = append(tx.locks, rid)
 	default:
-		ch.olds = append(ch.olds, version{ts: ch.headTS, deleted: ch.headDeleted, data: prev})
-		ch.writer = tx.id
-		ch.inserted = false
-		ch.pendingDelete = del
-		ch.pushed = true
-		atomic.AddUint64(&c.stats.VersionsCreated, 1)
+		return nil, fmt.Errorf("%w: page %d slot %d held by txn %d", ErrConflict, rid>>16, rid&0xFFFF, ch.owner)
 	}
+	return ch, nil
+}
+
+// Lock takes rid's record lock for tx, or returns ErrConflict if another
+// transaction holds it; taking a lock tx holds already is a no-op.
+func (c *VersionCache) Lock(rid uint64, tx *Txn) error {
+	s := c.stripe(rid)
+	s.mu.Lock()
+	_, err := c.lockLocked(s, rid, tx)
+	s.mu.Unlock()
+	return err
+}
+
+// OnInsert registers a freshly inserted record and locks it for tx: the
+// heap slot holds tx's uncommitted bytes and no committed state exists, so
+// the record is invisible to every other transaction. rid must be a fresh
+// heap slot (never previously used), so nobody else can hold its lock.
+func (c *VersionCache) OnInsert(rid uint64, tx *Txn) {
+	s := c.stripe(rid)
+	s.mu.Lock()
+	ch, _ := c.lockLocked(s, rid, tx)
+	ch.writer, ch.inserted = tx.id, true
 	s.seq.Add(1)
 	s.mu.Unlock()
-	if first {
-		tx.writes = append(tx.writes, rid)
+}
+
+// OnWrite registers an update (del=false) or delete (del=true) of a
+// committed record by transaction txnID, which must have logged a record
+// (OnWrite finds it in the manager's active table, and panics if not):
+// prev is the committed tuple image being superseded (the cache keeps its
+// own copy). OnWrite takes the record lock (it panics if another
+// transaction holds it) and must be called BEFORE the heap slot is
+// overwritten or deleted, so readers never see the new bytes attributed to
+// the old version.
+//
+// If the chain still carries a dead writer (a transaction whose commit
+// flush failed, or a detached one, leaving its heap bytes uncommitted
+// forever), the new writer adopts the chain without pushing a pre-image:
+// the newest of olds already holds the last committed state, and prev —
+// read from the heap — is the dead writer's residue, not a committed version.
+func (c *VersionCache) OnWrite(rid, txnID uint64, prev []byte, del bool) {
+	tx := c.mgr.registered(txnID)
+	if tx == nil {
+		panic("txn: OnWrite by a transaction that has logged nothing")
+	}
+	if err := c.OnWriteOwned(rid, tx, append([]byte(nil), prev...), del); err != nil {
+		panic(err)
 	}
 }
 
-// CommitTxn stamps every chain in tx's write set with its commit timestamp
-// and parks each for garbage collection. Must run after the commit record
-// is durable and BEFORE the transaction's record locks are released and
-// before Oracle.EndCommit(ts) — otherwise a reader could acquire a
-// snapshot >= ts while the chains still look uncommitted.
-func (c *VersionCache) CommitTxn(tx *Txn, ts uint64) {
-	if len(tx.writes) == 0 {
-		return
+// OnWriteOwned is OnWrite taking the transaction itself and ownership of
+// prev (the slice becomes the superseded version as it is), and returning
+// a conflict, which changes nothing, instead of panicking.
+func (c *VersionCache) OnWriteOwned(rid uint64, tx *Txn, prev []byte, del bool) error {
+	s := c.stripe(rid)
+	s.mu.Lock()
+	ch, err := c.lockLocked(s, rid, tx)
+	if err != nil {
+		s.mu.Unlock()
+		return err
 	}
-	c.gcMu.Lock()
-	for _, rid := range tx.writes {
+	// A second write by the same transaction keeps the first write's
+	// pre-image as the rollback target; a dead writer's chain is adopted.
+	if ch.writer != tx.id {
+		if ch.pushed = ch.writer == 0; ch.pushed {
+			ch.olds = append(ch.olds, version{ts: ch.headTS, deleted: ch.headDeleted, data: prev})
+			atomic.AddUint64(&c.stats.VersionsCreated, 1)
+		}
+		ch.writer, ch.inserted = tx.id, false
+	}
+	ch.pendingDelete = del
+	s.seq.Add(1)
+	s.mu.Unlock()
+	return nil
+}
+
+// stamp marks every chain tx wrote as committed at ts. Must run after the
+// commit record is durable and BEFORE Oracle.EndCommit(ts) — otherwise a
+// reader could acquire a snapshot >= ts while the chains still look
+// uncommitted — and before release.
+func (c *VersionCache) stamp(tx *Txn, ts uint64) {
+	for _, rid := range tx.locks {
 		s := c.stripe(rid)
 		s.mu.Lock()
 		if ch := s.chains[rid]; ch != nil && ch.writer == tx.id {
-			ch.writer = 0
-			ch.headTS = ts
-			ch.headDeleted = ch.pendingDelete
-			ch.pendingDelete = false
-			ch.inserted = false
-			ch.pushed = false
+			ch.writer, ch.headTS, ch.headDeleted = 0, ts, ch.pendingDelete
+			ch.pendingDelete, ch.inserted, ch.pushed = false, false, false
 			s.seq.Add(1)
-			c.parkLocked(gcMark{ts: ts, rid: rid})
 		}
 		s.mu.Unlock()
 	}
-	c.parked.Store(int64(len(c.gcQueue) - c.gcHead))
-	c.gcMu.Unlock()
+}
+
+// release lets go of every lock tx holds, after its commit at ts (0: none)
+// has been retired. A chain no snapshot at or above the floor oldest needs
+// goes, as trim drops it; one stamped ts is parked for GC instead. It
+// reports whether it parked anything.
+func (c *VersionCache) release(tx *Txn, ts, oldest uint64) bool {
+	park := false
+	for _, rid := range tx.locks {
+		s := c.stripe(rid)
+		s.mu.Lock()
+		if ch := s.chains[rid]; ch != nil && ch.owner == tx.id {
+			ch.owner = 0
+			switch {
+			case ch.writer != 0:
+			case ch.headTS <= oldest:
+				c.drop(s, rid, ch)
+			case ch.headTS == ts:
+				park = true
+			}
+		}
+		s.mu.Unlock()
+	}
+	if park { // under gcMu, which comes before a stripe mutex
+		c.gcMu.Lock()
+		for _, rid := range tx.locks {
+			c.parkLocked(gcMark{ts: ts, rid: rid})
+		}
+		c.parked.Store(int64(len(c.gcQueue) - c.gcHead))
+		c.gcMu.Unlock()
+	}
+	return park
 }
 
 // parkLocked queues a mark in timestamp order. The caller holds gcMu.
@@ -260,12 +308,12 @@ func (c *VersionCache) parkLocked(m gcMark) {
 	}
 }
 
-// AbortTxn rolls the chains in tx's write set back to their committed
-// state. The caller must restore the heap slots (undo) BEFORE calling
-// AbortTxn and must still hold the record locks, so a chain flipping back
-// to "heap is committed" always points at restored bytes.
-func (c *VersionCache) AbortTxn(tx *Txn) {
-	for _, rid := range tx.writes {
+// rollback returns the chains tx wrote to their committed state. The
+// caller must restore the heap slots (undo) BEFORE calling rollback and
+// must still hold the record locks, so a chain flipping back to "heap is
+// committed" always points at restored bytes.
+func (c *VersionCache) rollback(tx *Txn) {
+	for _, rid := range tx.locks {
 		s := c.stripe(rid)
 		s.mu.Lock()
 		ch := s.chains[rid]
@@ -276,9 +324,8 @@ func (c *VersionCache) AbortTxn(tx *Txn) {
 		switch {
 		case ch.inserted:
 			// The undo removed the inserted tuple; no committed state ever
-			// existed, so the whole chain goes.
-			s.drop(rid, ch)
-			atomic.AddUint64(&c.stats.VersionChainsLive, ^uint64(0))
+			// existed, so the whole chain goes, lock and all.
+			c.drop(s, rid, ch)
 		case ch.pushed:
 			// The undo restored the pre-image into the heap slot; pop it
 			// back off the chain.
@@ -286,17 +333,15 @@ func (c *VersionCache) AbortTxn(tx *Txn) {
 			head := ch.olds[n]
 			ch.olds[n] = version{}
 			ch.olds = ch.olds[:n]
-			ch.writer = 0
-			ch.headTS = head.ts
-			ch.headDeleted = head.deleted
-			ch.pendingDelete = false
-			ch.pushed = false
+			ch.writer, ch.headTS, ch.headDeleted = 0, head.ts, head.deleted
+			ch.pendingDelete, ch.pushed = false, false
 			atomic.AddUint64(&c.stats.VersionsReclaimed, 1)
 		default:
 			// Adopted dead-writer chain: the heap bytes were never a
 			// committed state, so the chain stays pending forever and
 			// readers keep resolving to the newest of olds. (Only reachable
-			// after a commit-flush failure, which poisons the engine anyway.)
+			// after a commit-flush failure, which poisons the engine anyway,
+			// or a transaction detached by Close.)
 		}
 		s.seq.Add(1)
 		s.mu.Unlock()
@@ -312,7 +357,9 @@ func (c *VersionCache) AbortTxn(tx *Txn) {
 // any cache lock and then calls Validate(rid, seq): if the sequence is
 // unchanged the chain did not move while the heap was read, so the bytes
 // belong to the resolved version. On a sequence change, retry (or fall
-// back to ResolveFenced).
+// back to a read that resolves under the page's shared latch: every change
+// of the heap bytes happens under the exclusive latch, after the chain
+// that describes it).
 func (c *VersionCache) Resolve(rid, snap, self uint64) (Resolution, uint64) {
 	s := c.stripe(rid)
 	s.mu.Lock()
@@ -362,17 +409,6 @@ func (c *VersionCache) Validate(rid, seq uint64) bool {
 	return c.stripe(rid).seq.Load() == seq
 }
 
-// ResolveFenced is the contended-path fallback: it resolves rid under the
-// stripe mutex and, for a ResHeap outcome, invokes fetch while STILL
-// holding the mutex, so no chain mutation can slip between resolution and
-// heap read. fetch must not call back into the cache.
-func (c *VersionCache) ResolveFenced(rid, snap, self uint64, fetch func(Resolution) error) error {
-	s := c.stripe(rid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return fetch(c.resolveLocked(s, rid, snap, self))
-}
-
 // CommittedDeleted reports whether rid's latest committed state is a
 // delete — i.e. the record is a zombie whose index entries survive only
 // for older snapshots. Insert-over-delete uses this to allow overwriting
@@ -406,6 +442,9 @@ func (c *VersionCache) HasChain(rid uint64) bool {
 // reclaims: the queue is in timestamp order, the ready marks are its
 // prefix, and a call that finds the first mark still pinned stops there.
 func (c *VersionCache) GC(oldest uint64) {
+	if c.parked.Load() == 0 {
+		return
+	}
 	c.gcMu.Lock()
 	for c.gcHead < len(c.gcQueue) {
 		c.gcExamined++
@@ -440,25 +479,21 @@ func (c *VersionCache) trim(rid, oldest uint64) {
 	if ch == nil {
 		return
 	}
-	reclaimed := 0
-	if ch.writer == 0 && ch.headTS <= oldest {
+	if ch.writer == 0 && ch.headTS <= oldest && ch.owner == 0 {
 		// The head itself satisfies every snapshot: the whole history
-		// — and for still-live records the chain itself — can go.
-		reclaimed = len(ch.olds)
-		s.drop(rid, ch)
-		atomic.AddUint64(&c.stats.VersionChainsLive, ^uint64(0))
-	} else {
-		// Keep everything newer than oldest plus the one boundary
-		// version a snapshot at exactly `oldest` resolves to.
-		newer := sort.Search(len(ch.olds), func(i int) bool { return ch.olds[i].ts > oldest })
-		if reclaimed = max(newer-1, 0); reclaimed > 0 {
-			// Shift down, staying on the same (possibly inline) array.
-			kept := copy(ch.olds, ch.olds[reclaimed:])
-			clear(ch.olds[kept:])
-			ch.olds = ch.olds[:kept]
-		}
+		// — and for still-live records the chain itself — can go. A
+		// locked chain goes when its lock does (release).
+		c.drop(s, rid, ch)
+		return
 	}
-	if reclaimed > 0 {
+	// Keep everything newer than oldest plus the one boundary version a
+	// snapshot at exactly `oldest` resolves to.
+	newer := sort.Search(len(ch.olds), func(i int) bool { return ch.olds[i].ts > oldest })
+	if reclaimed := max(newer-1, 0); reclaimed > 0 {
+		// Shift down, staying on the same (possibly inline) array.
+		kept := copy(ch.olds, ch.olds[reclaimed:])
+		clear(ch.olds[kept:])
+		ch.olds = ch.olds[:kept]
 		atomic.AddUint64(&c.stats.VersionsReclaimed, uint64(reclaimed))
 	}
 	s.seq.Add(1)

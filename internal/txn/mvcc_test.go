@@ -88,7 +88,23 @@ func newCache() (*Manager, *VersionCache) {
 // write is OnWrite on behalf of a transaction the test holds: prev is
 // copied, as OnWrite copies it.
 func write(c *VersionCache, rid uint64, tx *Txn, prev []byte, del bool) {
-	c.OnWriteOwned(rid, tx, append([]byte(nil), prev...), del)
+	if err := c.OnWriteOwned(rid, tx, append([]byte(nil), prev...), del); err != nil {
+		panic(err)
+	}
+}
+
+// commit does to tx's chains what Txn.Commit does at ts with a snapshot
+// below every timestamp: stamp them, then release the locks, parking every
+// chain for GC.
+func commit(c *VersionCache, tx *Txn, ts uint64) {
+	c.stamp(tx, ts)
+	c.release(tx, ts, 0)
+}
+
+// abort does to tx's chains what Txn.Abort does once the undo has run.
+func abort(c *VersionCache, tx *Txn) {
+	c.rollback(tx)
+	c.release(tx, 0, 0)
 }
 
 func TestVersionCacheResolveMatrix(t *testing.T) {
@@ -110,7 +126,7 @@ func TestVersionCacheResolveMatrix(t *testing.T) {
 	if res, _ := c.Resolve(rid, 0, writer.ID()); res.Kind != ResHeap {
 		t.Fatalf("pending insert invisible to its writer: %v", res.Kind)
 	}
-	c.CommitTxn(writer, 5)
+	commit(c, writer, 5)
 
 	// Committed at 5: snapshots before 5 miss it, later ones read the heap.
 	if res, _ := c.Resolve(rid, 4, reader); res.Kind != ResAbsent {
@@ -131,7 +147,7 @@ func TestVersionCacheResolveMatrix(t *testing.T) {
 	if res, _ := c.Resolve(rid, 9, writer.ID()); res.Kind != ResHeap {
 		t.Fatalf("writer must see its own update: %v", res.Kind)
 	}
-	c.CommitTxn(writer, 9)
+	commit(c, writer, 9)
 
 	// Committed update: old snapshots keep the superseded version.
 	if res, _ := c.Resolve(rid, 8, reader); res.Kind != ResData || !bytes.Equal(res.Data, old) {
@@ -144,7 +160,7 @@ func TestVersionCacheResolveMatrix(t *testing.T) {
 	// Committed delete: new snapshots see absent, old ones the last value.
 	writer = m.Begin()
 	write(c, rid, writer, []byte("v2"), true)
-	c.CommitTxn(writer, 12)
+	commit(c, writer, 12)
 	if res, _ := c.Resolve(rid, 12, reader); res.Kind != ResAbsent {
 		t.Fatalf("snapshot 12 sees deleted record: %v", res.Kind)
 	}
@@ -161,11 +177,11 @@ func TestVersionCacheAbortRestoresHead(t *testing.T) {
 	const rid = 3
 	writer := m.Begin()
 	c.OnInsert(rid, writer)
-	c.CommitTxn(writer, 1)
+	commit(c, writer, 1)
 
 	writer = m.Begin()
 	write(c, rid, writer, []byte("committed"), false)
-	c.AbortTxn(writer)
+	abort(c, writer)
 	if res, _ := c.Resolve(rid, 1, 0); res.Kind != ResHeap {
 		t.Fatalf("aborted update left chain pending: %v", res.Kind)
 	}
@@ -177,7 +193,7 @@ func TestVersionCacheAbortRestoresHead(t *testing.T) {
 	writer = m.Begin()
 	c.OnInsert(4, writer)
 	before := c.Stats().VersionChainsLive
-	c.AbortTxn(writer)
+	abort(c, writer)
 	if got := c.Stats().VersionChainsLive; got != before-1 {
 		t.Fatalf("VersionChainsLive = %d after aborted insert, want %d", got, before-1)
 	}
@@ -188,11 +204,11 @@ func TestVersionCacheGCTrims(t *testing.T) {
 	const rid = 9
 	writer := m.Begin()
 	c.OnInsert(rid, writer)
-	c.CommitTxn(writer, 1)
+	commit(c, writer, 1)
 	for i, ts := range []uint64{3, 5, 7} {
 		writer = m.Begin()
 		write(c, rid, writer, []byte{byte(i)}, false)
-		c.CommitTxn(writer, ts)
+		commit(c, writer, ts)
 	}
 	// Three superseded versions (ts 1, 3, 5). A snapshot at 4 needs the
 	// boundary version at 3; GC(4) may only reclaim ts 1.
@@ -314,9 +330,9 @@ func TestGCQueueOrdersLateMarks(t *testing.T) {
 	for i, tx := range w {
 		write(c, uint64(i+1), tx, []byte{byte(i + 1)}, false)
 	}
-	c.CommitTxn(w[2], 6)
-	c.CommitTxn(w[1], 5)
-	c.CommitTxn(w[0], 4)
+	commit(c, w[2], 6)
+	commit(c, w[1], 5)
+	commit(c, w[0], 4)
 	c.GC(5)
 	if got := c.Stats().VersionChainsLive; got != 1 {
 		t.Fatalf("VersionChainsLive = %d after GC(5) over marks 6, 5, 4: want only the chain stamped 6", got)
@@ -460,8 +476,8 @@ func onFirst(ch *chain) bool { return cap(ch.olds) > 0 && &ch.olds[:1][0] == &ch
 
 // TestRecycledChainStartsClean: a chain dropped by an aborted insert or by
 // GC comes back to the next insert or update of its stripe reset — no
-// writer, superseded versions, head timestamp or flag carried over, and its
-// versions back on the inline array.
+// owner, writer, superseded versions, head timestamp or flag carried over,
+// and its versions back on the inline array.
 func TestRecycledChainStartsClean(t *testing.T) {
 	m, c := newCache()
 	rids := sameStripe(c, 6)
@@ -474,18 +490,18 @@ func TestRecycledChainStartsClean(t *testing.T) {
 	// Dropped by an aborted insert, reused by an insert and by an update.
 	c.OnInsert(rids[0], tx[0])
 	dropped := chainOf(rids[0])
-	c.AbortTxn(tx[0])
+	abort(c, tx[0])
 	c.OnInsert(rids[1], tx[1])
-	if ch := chainOf(rids[1]); ch != dropped || ch.writer != tx[1].ID() || !ch.inserted || ch.pendingDelete || ch.pushed ||
+	if ch := chainOf(rids[1]); ch != dropped || ch.owner != tx[1].ID() || ch.writer != tx[1].ID() || !ch.inserted || ch.pendingDelete || ch.pushed ||
 		ch.headTS != 0 || ch.headDeleted || len(ch.olds) != 0 || !onFirst(ch) {
 		t.Fatalf("insert over a recycled chain: %+v (recycled %v)", *ch, ch == dropped)
 	}
 	c.OnInsert(rids[2], tx[2])
 	dropped = chainOf(rids[2])
-	c.AbortTxn(tx[2])
+	abort(c, tx[2])
 	write(c, rids[3], tx[3], []byte("pre"), false)
 	ch := chainOf(rids[3])
-	if ch != dropped || ch.writer != tx[3].ID() || ch.inserted || ch.pendingDelete || !ch.pushed || ch.headTS != 0 || ch.headDeleted ||
+	if ch != dropped || ch.owner != tx[3].ID() || ch.writer != tx[3].ID() || ch.inserted || ch.pendingDelete || !ch.pushed || ch.headTS != 0 || ch.headDeleted ||
 		len(ch.olds) != 1 || !onFirst(ch) || ch.olds[0].ts != 0 || ch.olds[0].deleted || string(ch.olds[0].data) != "pre" {
 		t.Fatalf("update over a recycled chain: %+v (recycled %v)", *ch, ch == dropped)
 	}
@@ -493,18 +509,18 @@ func TestRecycledChainStartsClean(t *testing.T) {
 	// Dropped by GC with a full history — a committed delete at ts 3 over
 	// two superseded versions — and reused by an update of a chainless row.
 	c.OnInsert(rids[4], tx[4])
-	c.CommitTxn(tx[4], 1)
+	commit(c, tx[4], 1)
 	write(c, rids[4], tx[5], []byte("v1"), false)
-	c.CommitTxn(tx[5], 2)
+	commit(c, tx[5], 2)
 	write(c, rids[4], tx[6], []byte("v2"), true)
-	c.CommitTxn(tx[6], 3)
+	commit(c, tx[6], 3)
 	dropped = chainOf(rids[4])
 	if len(dropped.olds) != 2 || !dropped.headDeleted || dropped.headTS != 3 {
 		t.Fatalf("history before GC: %+v", *dropped)
 	}
 	c.GC(3)
 	write(c, rids[5], tx[7], []byte("pre"), false)
-	if ch := chainOf(rids[5]); ch != dropped || ch.headTS != 0 || ch.headDeleted || len(ch.olds) != 1 || !onFirst(ch) {
+	if ch := chainOf(rids[5]); ch != dropped || ch.owner != tx[7].ID() || ch.headTS != 0 || ch.headDeleted || len(ch.olds) != 1 || !onFirst(ch) {
 		t.Fatalf("update over a chain GC dropped: %+v (recycled %v)", *ch, ch == dropped)
 	}
 	// A snapshot older than the update reads the pre-image, committed at
@@ -523,7 +539,7 @@ func TestSnapshotDataOutlivesItsRecycledChain(t *testing.T) {
 	rids := sameStripe(c, 2)
 	tx := m.Begin()
 	write(c, rids[0], tx, []byte("old"), false)
-	c.CommitTxn(tx, 2)
+	commit(c, tx, 2)
 	res, _ := c.Resolve(rids[0], 1, 0)
 	if res.Kind != ResData || string(res.Data) != "old" {
 		t.Fatalf("snapshot 1 = %+v, want the superseded version", res)
@@ -546,7 +562,7 @@ func TestSnapshotDataOutlivesItsRecycledChain(t *testing.T) {
 		if i == 0 && c.stripe(rids[1]).chains[rids[1]] != read {
 			t.Fatal("the trimmed chain was not reused")
 		}
-		c.CommitTxn(tx, 3+i)
+		commit(c, tx, 3+i)
 		c.GC(3 + i)
 	}
 	if got := <-done; got != "old" {
@@ -562,7 +578,7 @@ func TestSpareChainsStayBounded(t *testing.T) {
 	for rid := uint64(1); rid <= 10000; rid++ {
 		c.OnInsert(rid, tx)
 	}
-	c.AbortTxn(tx)
+	abort(c, tx)
 	if live := c.Stats().VersionChainsLive; live != 0 {
 		t.Fatalf("%d chains live after the abort, want 0", live)
 	}
@@ -570,5 +586,34 @@ func TestSpareChainsStayBounded(t *testing.T) {
 		if s := &c.stripes[i]; len(s.spare) != spareChains || len(s.chains) != 0 {
 			t.Fatalf("stripe %d keeps %d spare chains (bound %d) and %d live", i, len(s.spare), spareChains, len(s.chains))
 		}
+	}
+}
+
+// TestGCKeepsALockedChain: a chain is also its record's lock, so GC must
+// not drop one a transaction still owns even when no snapshot needs its
+// history; the lock's release drops it.
+func TestGCKeepsALockedChain(t *testing.T) {
+	m, c := newCache()
+	const rid = 5
+	w := m.Begin()
+	write(c, rid, w, []byte("pre"), false)
+	commit(c, w, 1) // parked: commit's floor was 0
+	holder, rival := m.Begin(), m.Begin()
+	if err := c.Lock(rid, holder); err != nil {
+		t.Fatal(err)
+	}
+	c.GC(1)
+	if !c.HasChain(rid) {
+		t.Fatal("GC dropped a chain whose lock is held")
+	}
+	if err := c.Lock(rid, rival); !errors.Is(err, ErrConflict) {
+		t.Fatalf("rival Lock after GC = %v, want ErrConflict", err)
+	}
+	c.release(holder, 0, 1)
+	if c.HasChain(rid) || c.Stats().VersionChainsLive != 0 {
+		t.Fatalf("the release left the chain: %+v", c.Stats())
+	}
+	if err := c.Lock(rid, rival); err != nil {
+		t.Fatalf("Lock after the release: %v", err)
 	}
 }

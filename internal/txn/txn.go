@@ -1,7 +1,7 @@
 // Package txn implements transactions with record-level locking for
 // writers, WAL-based rollback, and multi-version concurrency control for
 // readers: a commit-timestamp Oracle and a VersionCache of superseded
-// tuple versions let snapshot reads run without touching the lock table
+// tuple versions let snapshot reads run without taking a record lock
 // while writers keep strict two-phase locking among themselves.
 //
 // The transaction layer is part of the Shore-MT-like substrate the paper's
@@ -49,29 +49,15 @@ type LockKey struct {
 	Slot   uint16
 }
 
-// lockStripes is the number of independently-latched partitions of the
-// lock table. Record locks hash onto a stripe by page and slot, so
-// transactions touching different records rarely contend on the same
-// mutex.
-const lockStripes = 64
-
-// lockStripe is one partition of the lock table.
-type lockStripe struct {
-	mu    sync.Mutex
-	locks map[LockKey]uint64 // key -> owning transaction
-}
-
 // Manager coordinates transactions. Transaction identifiers are handed out
-// with an atomic counter and the lock table is striped, so Begin and Lock
-// scale with concurrent transactions. The manager also owns the two MVCC
-// singletons — the commit-timestamp Oracle and the VersionCache — which
-// commit and abort keep in lockstep with the lock table.
+// with an atomic counter, so Begin scales with concurrent transactions. The
+// manager also owns the two MVCC singletons — the commit-timestamp Oracle
+// and the VersionCache, whose version chains also carry the record locks.
 type Manager struct {
-	nextID  atomic.Uint64
-	stripes [lockStripes]lockStripe
-	log     *wal.Log
-	oracle  *Oracle
-	cache   *VersionCache
+	nextID atomic.Uint64
+	log    *wal.Log
+	oracle *Oracle
+	cache  *VersionCache
 
 	// active tracks transactions that have logged at least one record and
 	// whose effects are not yet fully applied, by identifier; each carries
@@ -87,9 +73,6 @@ type Manager struct {
 func NewManager(log *wal.Log) *Manager {
 	m := &Manager{log: log, oracle: NewOracle(), active: make(map[uint64]*Txn)}
 	m.cache = newVersionCache(m)
-	for i := range m.stripes {
-		m.stripes[i].locks = make(map[LockKey]uint64)
-	}
 	return m
 }
 
@@ -104,17 +87,6 @@ func NewManagerAt(log *wal.Log, lastID uint64) *Manager {
 
 // LastTxnID returns the highest transaction identifier handed out so far.
 func (m *Manager) LastTxnID() uint64 { return m.nextID.Load() }
-
-// stripeFor returns the lock-table stripe responsible for key. The slot is
-// mixed with its own multiplier before the avalanche shift so that
-// different slots of the same (hot) page land on different stripes.
-func (m *Manager) stripeFor(key LockKey) *lockStripe {
-	h := key.PageID*0x9E3779B97F4A7C15 ^ (uint64(key.Slot)+1)*0xC2B2AE3D27D4EB4F
-	return &m.stripes[(h>>32)%lockStripes]
-}
-
-// Log returns the write-ahead log used by the manager.
-func (m *Manager) Log() *wal.Log { return m.log }
 
 // Oracle returns the commit-timestamp oracle.
 func (m *Manager) Oracle() *Oracle { return m.oracle }
@@ -184,7 +156,10 @@ type Txn struct {
 	status   Status
 	commitTS uint64
 	firstLSN uint64 // 0 until register: lower bound of the first record's LSN
-	locks    []LockKey
+	// locks holds the packed RIDs whose chains name this transaction as
+	// owner: its record locks and, since a write takes the lock, its write
+	// set, which the end stamps or rolls back before it lets them all go.
+	locks []uint64
 	// undo points at the transaction's records as the log stores them, in
 	// the WAL's segment arrays and arenas, which a truncation recycles. That
 	// is safe only because register puts the transaction in the active
@@ -193,21 +168,17 @@ type Txn struct {
 	// which Abort does after it has applied the undo, and a commit's
 	// caller after a point where undo is never read again.
 	undo []*wal.Record
-	// writes holds the packed RIDs whose chains name this transaction as
-	// writer: the VersionCache's write set, stamped or rolled back at the end.
-	writes []uint64
-	// The three sets start on these arrays, so a transaction of a few rows
+	// The two sets start on these arrays, so a transaction of a few rows
 	// allocates nothing but itself; append moves a set that outgrows its
 	// array to the heap.
-	lockBuf  [4]LockKey
-	undoBuf  [4]*wal.Record
-	writeBuf [4]uint64
+	lockBuf [4]uint64
+	undoBuf [4]*wal.Record
 }
 
 // Begin starts a new transaction.
 func (m *Manager) Begin() *Txn {
 	t := &Txn{mgr: m, id: m.nextID.Add(1)}
-	t.locks, t.undo, t.writes = t.lockBuf[:0], t.undoBuf[:0], t.writeBuf[:0]
+	t.locks, t.undo = t.lockBuf[:0], t.undoBuf[:0]
 	return t
 }
 
@@ -217,25 +188,15 @@ func (t *Txn) ID() uint64 { return t.id }
 // Status returns the transaction status.
 func (t *Txn) Status() Status { return t.status }
 
-// Lock acquires an exclusive record lock. Locks are held until commit or
-// abort (strict two-phase locking). A conflict with another transaction
+// Lock acquires an exclusive record lock: key's version chain names the
+// transaction as its owner (VersionCache.Lock). Locks are held until commit
+// or abort (strict two-phase locking). A conflict with another transaction
 // returns ErrConflict; the OLTP drivers retry the transaction.
 func (t *Txn) Lock(key LockKey) error {
 	if t.status != Active {
 		return ErrFinished
 	}
-	s := t.mgr.stripeFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	owner, held := s.locks[key]
-	if held && owner != t.id {
-		return fmt.Errorf("%w: page %d slot %d held by txn %d", ErrConflict, key.PageID, key.Slot, owner)
-	}
-	if !held {
-		s.locks[key] = t.id
-		t.locks = append(t.locks, key)
-	}
-	return nil
+	return t.mgr.cache.Lock(key.PageID<<16|uint64(key.Slot), t)
 }
 
 // log appends rec to the WAL on the transaction's behalf and remembers the
@@ -289,13 +250,15 @@ func (t *Txn) LogIndexDelete(objectID uint32, key int64, old uint64) (uint64, er
 // record carrying it (in the Key field — part of every record's fixed
 // header, so the log format is unchanged and the timestamp is durable) and
 // makes it durable through the group-commit pipeline in one log call
-// (AppendCommit), stamps the transaction's version chains, collects what no
-// snapshot needs, and releases all locks.
+// (AppendCommit), stamps the transaction's version chains, releases all
+// locks and collects what no snapshot needs.
 //
 // Ordering matters: chains are stamped BEFORE EndCommit retires the
-// timestamp and before the locks drop, so no snapshot can read at or past
-// the new timestamp while any chain still looks uncommitted, and no new
-// writer can touch a still-pending chain.
+// timestamp and the locks drop only after it, so no snapshot can read at or
+// past the new timestamp while any chain still looks uncommitted, and no
+// new writer can touch a chain before its timestamp is retired. The release
+// drops the chains no snapshot below EndCommit's floor needs and parks the
+// rest for GC.
 //
 // Commit returns only once the oracle's watermark has reached the
 // transaction's own timestamp, so a snapshot the caller takes next sees the
@@ -317,15 +280,19 @@ func (t *Txn) Commit() error {
 	if err := t.mgr.log.AppendCommit(wal.Record{TxnID: t.id, Type: wal.RecCommit, Key: int64(ts)}); err != nil {
 		t.mgr.oracle.EndCommit(ts)
 		t.status = Aborted
-		t.releaseLocks()
+		t.mgr.cache.release(t, 0, t.mgr.oracle.OldestActive())
 		return fmt.Errorf("txn: commit flush: %w", err)
 	}
-	t.mgr.cache.CommitTxn(t, ts)
+	t.mgr.cache.stamp(t, ts)
 	t.commitTS = ts
 	t.status = Committed
 	visible, oldest := t.mgr.oracle.EndCommit(ts)
+	if t.mgr.cache.release(t, ts, oldest) {
+		// A chain parked behind a snapshot that has let go since EndCommit
+		// would have nobody left to collect it.
+		oldest = t.mgr.oracle.OldestActive()
+	}
 	t.mgr.cache.GC(oldest)
-	t.releaseLocks()
 	if !visible {
 		t.mgr.oracle.WaitVisible(ts)
 	}
@@ -352,7 +319,7 @@ func (t *Txn) Abort(ap wal.Applier) error {
 	}
 	// The undo above restored the heap slots; now flip the version chains
 	// back to their committed state, still under the record locks.
-	t.mgr.cache.AbortTxn(t)
+	t.mgr.cache.rollback(t)
 	t.mgr.log.Append(wal.Record{TxnID: t.id, Type: wal.RecAbort})
 	t.status = Aborted
 	// The rollback is fully applied and the abort record is in the log
@@ -360,7 +327,7 @@ func (t *Txn) Abort(ap wal.Applier) error {
 	// keeps the RecAbort, because truncation never splits the undurable
 	// tail), so the transaction no longer pins the truncation cut.
 	t.mgr.Deregister(t.id)
-	t.releaseLocks()
+	t.mgr.cache.release(t, 0, t.mgr.oracle.OldestActive())
 	return nil
 }
 
@@ -376,18 +343,6 @@ func (t *Txn) Detach() error {
 	// The heap keeps the uncommitted bytes, so the version chains must
 	// stay pending: readers keep resolving to the last committed version.
 	t.status = Aborted
-	t.releaseLocks()
+	t.mgr.cache.release(t, 0, t.mgr.oracle.OldestActive())
 	return nil
-}
-
-func (t *Txn) releaseLocks() {
-	for _, k := range t.locks {
-		s := t.mgr.stripeFor(k)
-		s.mu.Lock()
-		if s.locks[k] == t.id {
-			delete(s.locks, k)
-		}
-		s.mu.Unlock()
-	}
-	t.locks = nil
 }

@@ -9,13 +9,18 @@ import (
 	"ipa/internal/wal"
 )
 
-// heldLocks returns the number of record locks currently held.
+// heldLocks returns the number of record locks currently held: chains
+// with an owner.
 func heldLocks(m *Manager) int {
 	n := 0
-	for i := range m.stripes {
-		s := &m.stripes[i]
+	for i := range m.cache.stripes {
+		s := &m.cache.stripes[i]
 		s.mu.Lock()
-		n += len(s.locks)
+		for _, ch := range s.chains {
+			if ch.owner != 0 {
+				n++
+			}
+		}
 		s.mu.Unlock()
 	}
 	return n

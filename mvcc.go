@@ -1,6 +1,7 @@
 package ipa
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -21,14 +22,18 @@ import (
 // the chain says the slot's bytes are the visible version. That heap fetch
 // runs without any cache lock, fenced by a per-stripe sequence number:
 // if the stripe changed while the page was read, the bytes may belong to a
-// different version and the read retries (falling back to a fenced resolve
-// that holds the stripe mutex across the fetch — stripe mutexes are leaves
-// in front of the buffer pool's page latches, writers never hold a page
-// latch while calling the cache, so the order is deadlock-free).
+// different version and the read retries, and after seqRetries rounds it
+// resolves under the page's shared latch instead: a writer changes a
+// tuple's bytes only under the exclusive latch, after its chain describes
+// the change. The lock order is page latch, then version stripe — writers
+// lock and version a row under the page latch (Tx.UpdateRIDAt, Tx.Insert,
+// Tx.GetForUpdate), and nothing takes a latch under a stripe mutex. The
+// record lock is the chain's owner (internal/txn); there is no lock table.
 
 // seqRetries is how many optimistic resolve+fetch+validate rounds a read
-// attempts before falling back to the fenced path.
-const seqRetries = 8
+// attempts before it resolves under the page latch (a variable, so a test
+// can send every read down that path).
+var seqRetries = 8
 
 // readVersion returns the tuple of rid visible at snapshot snap (selfTxn
 // is the reading transaction's id, 0 for table-level reads — a transaction
@@ -46,40 +51,27 @@ func (t *Table) readVersion(rid heap.RID, snap, selfTxn uint64) (tuple []byte, o
 			return append([]byte(nil), res.Data...), true, nil
 		}
 		b, err := t.heap.Get(rid)
-		if err != nil {
-			if errors.Is(err, heap.ErrNotFound) {
-				if vc.Validate(packed, seq) {
-					// The chain did not move: the slot is gone and nothing
-					// in the cache says otherwise — a committed delete
-					// whose chain GC already trimmed (this snapshot
-					// postdates it), reached through an index entry the
-					// caller captured before its zombie was dropped.
-					return nil, false, nil
-				}
-				continue
-			}
+		if err != nil && !errors.Is(err, heap.ErrNotFound) {
 			return nil, false, err
 		}
 		if vc.Validate(packed, seq) {
-			return b, true, nil
+			// The chain did not move while the page was read. A slot gone
+			// with nothing in the cache saying otherwise is a committed
+			// delete whose chain GC already trimmed (this snapshot
+			// postdates it), reached through an index entry the caller
+			// captured before its zombie was dropped.
+			return b, err == nil, nil
 		}
 	}
-	err = vc.ResolveFenced(packed, snap, selfTxn, func(res txn.Resolution) error {
-		switch res.Kind {
-		case txn.ResAbsent:
-			return nil
-		case txn.ResData:
-			tuple, ok = append([]byte(nil), res.Data...), true
-			return nil
+	// Still moving: resolve under the page's shared latch, where the heap
+	// bytes cannot change and the chain already describes them.
+	err = t.heap.View(rid, func(cur []byte) error {
+		switch res, _ := vc.Resolve(packed, snap, selfTxn); {
+		case res.Kind == txn.ResData:
+			tuple, ok = bytes.Clone(res.Data), true
+		case res.Kind == txn.ResHeap && cur != nil:
+			tuple, ok = bytes.Clone(cur), true
 		}
-		b, ferr := t.heap.Get(rid)
-		if ferr != nil {
-			if errors.Is(ferr, heap.ErrNotFound) {
-				return nil
-			}
-			return ferr
-		}
-		tuple, ok = b, true
 		return nil
 	})
 	return tuple, ok, err

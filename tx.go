@@ -109,12 +109,26 @@ func (tx *Tx) check() error {
 	return tx.db.checkOpen()
 }
 
+// enter is check holding the close gate when it passes: the caller
+// releases it (db.release).
+func (tx *Tx) enter() error {
+	if tx.done {
+		return txn.ErrFinished
+	}
+	return tx.db.acquire()
+}
+
 // ID returns the transaction identifier.
 func (tx *Tx) ID() uint64 { return tx.inner.ID() }
 
-// lock takes rid's record lock, counting the grant or the no-wait denial.
+// lock takes rid's record lock (its version chain's owner).
 func (tx *Tx) lock(rid heap.RID) error {
-	err := tx.inner.Lock(txn.LockKey{PageID: rid.PageID, Slot: rid.Slot})
+	return tx.counted(tx.inner.Lock(txn.LockKey{PageID: rid.PageID, Slot: rid.Slot}))
+}
+
+// counted counts a record-lock request's grant or its no-wait denial, and
+// returns its error.
+func (tx *Tx) counted(err error) error {
 	switch {
 	case err == nil:
 		atomic.AddUint64(&tx.db.counts.LockAcquisitions, 1)
@@ -131,10 +145,7 @@ func (tx *Tx) lock(rid heap.RID) error {
 // transaction's own writes are. The value is not locked — a transaction
 // whose logic depends on it staying put must use GetForUpdate.
 func (tx *Tx) Get(t *Table, key int64) ([]byte, error) {
-	if tx.done {
-		return nil, txn.ErrFinished
-	}
-	if err := tx.db.acquire(); err != nil {
+	if err := tx.enter(); err != nil {
 		return nil, err
 	}
 	defer tx.db.release()
@@ -146,10 +157,7 @@ func (tx *Tx) Get(t *Table, key int64) ([]byte, error) {
 // Abort. The returned value is stable: no concurrent transaction can
 // change or roll back the tuple while the lock is held.
 func (tx *Tx) GetForUpdate(t *Table, key int64) ([]byte, error) {
-	if tx.done {
-		return nil, txn.ErrFinished
-	}
-	if err := tx.db.acquire(); err != nil {
+	if err := tx.enter(); err != nil {
 		return nil, err
 	}
 	defer tx.db.release()
@@ -157,24 +165,32 @@ func (tx *Tx) GetForUpdate(t *Table, key int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := tx.lock(rid); err != nil {
-		return nil, err
-	}
-	tuple, err := t.heap.Get(rid)
-	if err != nil && errors.Is(err, heap.ErrNotFound) {
-		// A zombie entry of a committed delete (retained for older
-		// snapshots): under the lock the key reads as absent.
-		return nil, fmt.Errorf("%w: %s key %d", ErrKeyNotFound, t.name, key)
-	}
+	return tx.lockedGet(t, key, rid)
+}
+
+// lockedGet takes the record lock of key's row rid and copies its tuple in
+// one visit under the page's shared latch.
+func (tx *Tx) lockedGet(t *Table, key int64, rid heap.RID) ([]byte, error) {
+	var tuple []byte
+	err := t.heap.View(rid, func(cur []byte) error {
+		if err := tx.lock(rid); err != nil {
+			return err
+		}
+		if cur == nil {
+			// A pending delete of our own, or a zombie entry of a committed
+			// one retained for older snapshots: under the lock the key
+			// reads as absent.
+			return errKeyNotFound(t, key)
+		}
+		tuple = bytes.Clone(cur)
+		return nil
+	})
 	return tuple, err
 }
 
 // Insert stores a new tuple under key in table t.
 func (tx *Tx) Insert(t *Table, key int64, tuple []byte) error {
-	if tx.done {
-		return txn.ErrFinished
-	}
-	if err := tx.db.acquire(); err != nil {
+	if err := tx.enter(); err != nil {
 		return err
 	}
 	defer tx.db.release()
@@ -192,20 +208,20 @@ func (tx *Tx) Insert(t *Table, key int64, tuple []byte) error {
 	// Write-ahead: the insert is logged while the heap still pins the page,
 	// or an eviction from another goroutine could store the page between
 	// the two and a crash would leave a tuple no log record knows about.
+	// The same visit locks the record and registers its chain before any
+	// reader can find the RID via an index entry, so snapshot readers see
+	// the key as absent until we commit.
 	rid, err := t.heap.InsertLogged(tuple, func(rid heap.RID) error {
-		_, err := tx.inner.LogInsert(t.id, rid.PageID, rid.Slot, tuple)
-		return err
+		if _, err := tx.inner.LogInsert(t.id, rid.PageID, rid.Slot, tuple); err != nil {
+			return err
+		}
+		t.db.txns.Versions().OnInsert(rid.Pack(), tx.inner)
+		atomic.AddUint64(&tx.db.counts.LockAcquisitions, 1)
+		return nil
 	})
 	if err != nil {
 		return err
 	}
-	if err := tx.lock(rid); err != nil {
-		return err
-	}
-	// Register the version chain before any reader can find the RID via
-	// an index entry: the chain marks the tuple uncommitted-by-us, so
-	// snapshot readers see the key as absent until we commit.
-	t.db.txns.Versions().OnInsert(rid.Pack(), tx.inner)
 	if _, err := tx.inner.LogIndexInsert(t.idxID, key, rid.Pack()); err != nil {
 		return err
 	}
@@ -237,10 +253,7 @@ func (tx *Tx) Insert(t *Table, key int64, tuple []byte) error {
 // committed version (through its version chain) until the delete commits
 // and their snapshots move past it.
 func (tx *Tx) Delete(t *Table, key int64) error {
-	if tx.done {
-		return txn.ErrFinished
-	}
-	if err := tx.db.acquire(); err != nil {
+	if err := tx.enter(); err != nil {
 		return err
 	}
 	defer tx.db.release()
@@ -251,16 +264,8 @@ func (tx *Tx) Delete(t *Table, key int64) error {
 		return fmt.Errorf("%w: %s key %d", ErrKeyNotFound, t.name, key)
 	}
 	rid := heap.Unpack(v)
-	if err := tx.lock(rid); err != nil {
-		return err
-	}
-	old, err := t.heap.Get(rid)
+	old, err := tx.lockedGet(t, key, rid)
 	if err != nil {
-		if errors.Is(err, heap.ErrNotFound) {
-			// Our own pending delete, or the zombie of a committed one:
-			// the tuple itself is already gone.
-			return fmt.Errorf("%w: %s key %d", ErrKeyNotFound, t.name, key)
-		}
 		return err
 	}
 	if _, err := tx.inner.LogDelete(t.id, rid.PageID, rid.Slot, old); err != nil {
@@ -287,7 +292,9 @@ func (tx *Tx) Delete(t *Table, key int64) error {
 	// Push the committed pre-image into the version cache before the heap
 	// slot goes away, then delete. Readers resolve the chain first, so
 	// they never observe the slot's disappearance as a missing key.
-	t.db.txns.Versions().OnWriteOwned(v, tx.inner, old, true)
+	if err := t.db.txns.Versions().OnWriteOwned(v, tx.inner, old, true); err != nil {
+		return err
+	}
 	if err := t.heap.Delete(rid); err != nil {
 		return err
 	}
@@ -309,51 +316,54 @@ func (tx *Tx) UpdateAt(t *Table, key int64, offset int, data []byte) error {
 	return tx.UpdateRIDAt(t, rid, offset, data)
 }
 
-// UpdateRIDAt is UpdateAt addressing the tuple directly by RID.
+// UpdateRIDAt is UpdateAt addressing the tuple directly by RID. It visits
+// the page once, under its exclusive latch: the record is locked and its
+// pre-image pushed onto the version chain in one stripe trip (readers
+// resolve the chain first, so it moves first), the update is logged, and
+// the bytes change (see mvcc.go for the lock order).
 func (tx *Tx) UpdateRIDAt(t *Table, rid heap.RID, offset int, data []byte) error {
-	if tx.done {
-		return txn.ErrFinished
-	}
-	if err := tx.db.acquire(); err != nil {
+	if err := tx.enter(); err != nil {
 		return err
 	}
 	defer tx.db.release()
-	if err := tx.lock(rid); err != nil {
-		return err
-	}
-	old, err := t.heap.Get(rid)
+	secs := t.secondarySnapshot()
+	var moves []secondaryMove
+	err := t.heap.UpdateAtWith(rid, offset, data, func(cur []byte) error {
+		if cur == nil || offset < 0 || offset+len(data) > len(cur) {
+			// Refused, but a row another transaction holds is a conflict.
+			if err := tx.lock(rid); err != nil {
+				return err
+			}
+			if cur == nil {
+				return fmt.Errorf("%w: %s", heap.ErrNotFound, rid)
+			}
+			return fmt.Errorf("ipa: update [%d,%d) outside tuple of %d bytes", offset, offset+len(data), len(cur))
+		}
+		// The cache takes the copy over as the superseded version.
+		if err := tx.counted(t.db.txns.Versions().OnWriteOwned(rid.Pack(), tx.inner, bytes.Clone(cur), false)); err != nil {
+			return err
+		}
+		// The log copies both images, so the before image is simply the
+		// page's own bytes.
+		if _, err := tx.inner.LogUpdate(rid.PageID, rid.Slot, uint16(offset), cur[offset:offset+len(data)], data); err != nil {
+			return err
+		}
+		// Updates that change an extracted secondary key move the tuple's
+		// entry under the new key: one logical delete + insert pair per
+		// affected index, logged before the bytes change so rollback and
+		// recovery reverse or replay the move with the tuple update.
+		moves = secondaryMoves(secs, cur, offset, data)
+		for _, mv := range moves {
+			if _, err := tx.inner.LogIndexDelete(mv.sec.id, mv.oldKey, rid.Pack()); err != nil {
+				return err
+			}
+			if _, err := tx.inner.LogIndexInsert(mv.sec.id, mv.newKey, rid.Pack()); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
-		return err
-	}
-	if offset < 0 || offset+len(data) > len(old) {
-		return fmt.Errorf("ipa: update [%d,%d) outside tuple of %d bytes", offset, offset+len(data), len(old))
-	}
-	// The log copies both images, so the before image is simply the range
-	// of the tuple copy this update already holds.
-	if _, err := tx.inner.LogUpdate(rid.PageID, rid.Slot, uint16(offset), old[offset:offset+len(data)], data); err != nil {
-		return err
-	}
-	// Updates that change an extracted secondary key move the tuple's
-	// entry under the new key: one logical delete + insert pair per
-	// affected index, logged before the bytes change so rollback and
-	// recovery reverse or replay the move with the tuple update.
-	moves := secondaryMoves(t.secondarySnapshot(), old, offset, data)
-	for _, mv := range moves {
-		if _, err := tx.inner.LogIndexDelete(mv.sec.id, mv.oldKey, rid.Pack()); err != nil {
-			return err
-		}
-		if _, err := tx.inner.LogIndexInsert(mv.sec.id, mv.newKey, rid.Pack()); err != nil {
-			return err
-		}
-	}
-	// Push the committed pre-image into the version cache before the heap
-	// bytes change: snapshot readers that must not see this update keep
-	// resolving to the pushed version. The cache takes the tuple copy over
-	// as that version; old is not touched again. This runs between the two
-	// page visits, with no page latch held: the cache's stripe mutex comes
-	// before a page latch in the lock order (see mvcc.go).
-	t.db.txns.Versions().OnWriteOwned(rid.Pack(), tx.inner, old, false)
-	if err := t.heap.RewriteAt(rid, offset, data); err != nil {
 		return err
 	}
 	return tx.applyMoves(t, moves, rid.Pack())
@@ -500,7 +510,7 @@ func (tx *Tx) Abort() error {
 type applier struct{ db *DB }
 
 // Apply implements wal.Applier.
-func (ap applier) Apply(r *wal.Record, a wal.Action) error {
+func (ap applier) Apply(r *wal.Record, a wal.Action) (err error) {
 	db, redo := ap.db, a == wal.Redo
 	switch r.Type {
 	case wal.RecUpdate, wal.RecInsert, wal.RecDelete:
@@ -532,13 +542,23 @@ func (ap applier) Apply(r *wal.Record, a wal.Action) error {
 	if err != nil {
 		return err
 	}
-	defer h.Release()
+	var note func(*heap.File)
+	defer func() {
+		// The live-tuple count is the heap file's, whose mutex comes before
+		// a page latch (heap.File.InsertLogged holds it across its fetch):
+		// it changes only once the page is let go.
+		h.Release()
+		if note != nil && err == nil {
+			if t := db.tableByID(r.ObjectID); t != nil {
+				note(t.heap)
+			}
+		}
+	}()
 	pg, err := page.Wrap(h.Data())
 	if err != nil {
 		return err
 	}
 	pg.SetRecorder(h.Tracker())
-	var note func(*heap.File)
 	switch {
 	case r.Type == wal.RecInsert && redo:
 		// Materialise any missing slots in front of this one. Each gap slot
@@ -607,11 +627,6 @@ func (ap applier) Apply(r *wal.Record, a wal.Action) error {
 		return err
 	}
 	h.MarkDirty()
-	if note != nil {
-		if t := db.tableByID(r.ObjectID); t != nil {
-			note(t.heap)
-		}
-	}
 	return nil
 }
 
