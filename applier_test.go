@@ -102,7 +102,6 @@ func otherRID(f *matrixFixture) uint64 { return heap.RID{PageID: f.rid.PageID, S
 type matrixState struct {
 	Page, Lost  []byte // images of the row's page and the lost page (nil while it does not exist)
 	HeapPages   []uint64
-	Count       uint64
 	PK          map[int64]uint64 // the volatile directory
 	PKFile      map[int64]bool   // the persistent entry file, probed at the keys the records use
 	Sec         map[secPair]bool
@@ -126,7 +125,7 @@ func (f *matrixFixture) image(pid uint64) []byte {
 
 func (f *matrixFixture) state() matrixState {
 	st := matrixState{
-		Page: f.image(f.rid.PageID), Lost: f.image(f.lost), HeapPages: f.tbl.heap.PageIDs(), Count: f.tbl.Count(),
+		Page: f.image(f.rid.PageID), Lost: f.image(f.lost), HeapPages: f.tbl.heap.PageIDs(),
 		PK: map[int64]uint64{}, PKFile: map[int64]bool{}, Sec: map[secPair]bool{}, SecFile: map[secPair]bool{},
 		PKFileLen: f.tbl.idx.Len(), SecFileLen: f.sec.file.Len(), SecKeyCount: f.sec.Keys(),
 	}
@@ -232,10 +231,9 @@ func unchanged(f *matrixFixture, before, after matrixState) {
 }
 
 // rowIs expects the row's slot live with field in its patched bytes (the
-// rest as inserted), or deleted for a nil field, and the live-tuple count
-// moved by dCount.
-func rowIs(field []byte, dCount int) matrixWant {
-	return func(f *matrixFixture, before, after matrixState) {
+// rest as inserted), or deleted for a nil field.
+func rowIs(field []byte) matrixWant {
+	return func(f *matrixFixture, _, after matrixState) {
 		f.t.Helper()
 		got, _ := f.slot(after.Page, int(f.rid.Slot))
 		var want []byte
@@ -245,9 +243,6 @@ func rowIs(field []byte, dCount int) matrixWant {
 		}
 		if !bytes.Equal(got, want) {
 			f.t.Errorf("slot holds %x, want %x", got, want)
-		}
-		if after.Count != before.Count+uint64(dCount) {
-			f.t.Errorf("Count %d → %d, want a change of %d", before.Count, after.Count, dCount)
 		}
 	}
 }
@@ -283,8 +278,8 @@ func pairIs(rid func(*matrixFixture) uint64, present bool) matrixWant {
 }
 
 func (s matrixState) brief() string {
-	return fmt.Sprintf("count=%d heapPages=%v pk=%v pkFile=%v/%d sec=%v secFile=%v/%d lostPage=%v",
-		s.Count, s.HeapPages, s.PK, s.PKFile, s.PKFileLen, s.Sec, s.SecFile, s.SecFileLen, s.Lost != nil)
+	return fmt.Sprintf("heapPages=%v pk=%v pkFile=%v/%d sec=%v secFile=%v/%d lostPage=%v",
+		s.HeapPages, s.PK, s.PKFile, s.PKFileLen, s.Sec, s.SecFile, s.SecFileLen, s.Lost != nil)
 }
 
 // TestApplierMatrix walks the contract table of applier: record type ×
@@ -314,8 +309,8 @@ func TestApplierMatrix(t *testing.T) {
 	holdsNew := func(f *matrixFixture) { f.fieldHolds(matrixNew) }
 	holdsOther := func(f *matrixFixture) { f.fieldHolds(matrixOther) }
 	cells := []cell{
-		{"update/installs the after image", nil, (*matrixFixture).update, redo, rowIs(matrixNew, 0)},
-		{"update/installs the before image", holdsNew, (*matrixFixture).update, rollback, rowIs(matrixOld, 0)},
+		{"update/installs the after image", nil, (*matrixFixture).update, redo, rowIs(matrixNew)},
+		{"update/installs the before image", holdsNew, (*matrixFixture).update, rollback, rowIs(matrixOld)},
 		{"update/rollback already on Flash", nil, (*matrixFixture).update, comp, unchanged},
 		{"update/a later writer's bytes stand", holdsOther, (*matrixFixture).update, comp, unchanged},
 		{"update/slot deleted since", (*matrixFixture).slotDeleted, (*matrixFixture).update, []wal.Action{wal.Redo, wal.Compensate}, unchanged},
@@ -323,7 +318,7 @@ func TestApplierMatrix(t *testing.T) {
 
 		{"insert/live slot", nil, (*matrixFixture).insert, redo, unchanged},
 		// Redo leaves the count alone: Reopen takes it from the recovered index.
-		{"insert/deleted slot comes back", (*matrixFixture).slotDeleted, (*matrixFixture).insert, redo, rowIs(matrixOld, 0)},
+		{"insert/deleted slot comes back", (*matrixFixture).slotDeleted, (*matrixFixture).insert, redo, rowIs(matrixOld)},
 		{"insert/gap slots are filled", nil, func(f *matrixFixture) wal.Record {
 			r := f.insert()
 			r.Slot, r.New = f.rid.Slot+2, matrixRow(11)
@@ -336,14 +331,14 @@ func TestApplierMatrix(t *testing.T) {
 				f.t.Errorf("inserted slot holds %x", got)
 			}
 		}},
-		{"insert/removed", nil, (*matrixFixture).insert, rollback, rowIs(nil, -1)},
+		{"insert/removed", nil, (*matrixFixture).insert, rollback, rowIs(nil)},
 		{"insert/already removed", (*matrixFixture).slotDeleted, (*matrixFixture).insert, rollback, unchanged},
 		{"insert/slot never reached Flash", nil, pastTheSlots((*matrixFixture).insert), rollback, unchanged},
 
-		{"delete/repeated", nil, (*matrixFixture).delete, redo, rowIs(nil, -1)},
+		{"delete/repeated", nil, (*matrixFixture).delete, redo, rowIs(nil)},
 		{"delete/already deleted", (*matrixFixture).slotDeleted, (*matrixFixture).delete, redo, unchanged},
 		{"delete/slot never reached Flash", nil, pastTheSlots((*matrixFixture).delete), redo, unchanged},
-		{"delete/restored", (*matrixFixture).slotDeleted, (*matrixFixture).delete, rollback, rowIs(matrixOld, 1)},
+		{"delete/restored", (*matrixFixture).slotDeleted, (*matrixFixture).delete, rollback, rowIs(matrixOld)},
 		{"delete/never reached the surviving state", holdsOther, (*matrixFixture).delete, rollback, unchanged},
 
 		{"pk insert/put", nil, pk(wal.RecIndexInsert, matrixFree, otherRID), redo, pkIs(matrixFree, otherRID)},

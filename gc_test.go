@@ -73,11 +73,11 @@ func TestSnapshotReleaseCollectsParkedVersions(t *testing.T) {
 }
 
 // TestSnapshotReleaseDropsZombie: the same with a committed delete, whose
-// pk entry the snapshot keeps as a zombie. Released as Tx.releaseSnapshot
-// does it, the zombie goes. Then the interleaving in which the zombie is
-// all that is left: between a release and its maybeGC a commit runs its own
-// GC, which collects the delete's chain (no snapshot predates it any more)
-// but not the zombie — so maybeGC must look at the zombie count too.
+// pk entry the snapshot keeps as a zombie: it is parked on the GC queue
+// beside the delete's chain. Released as Tx.releaseSnapshot does it, both
+// go. Then the interleaving in which a commit's own GC runs between a
+// release and its maybeGC: that pass finds the entry and the chain ready
+// together and drops the entry first, so nothing is left for maybeGC.
 func TestSnapshotReleaseDropsZombie(t *testing.T) {
 	db, tbl := gcFixture(t, 3)
 	vc := db.txns.Versions()
@@ -93,17 +93,13 @@ func TestSnapshotReleaseDropsZombie(t *testing.T) {
 		db.ResetStats()
 		reader := pinSnapshot(db)
 		commitTx(t, db, func(tx *Tx) error { return tx.Delete(tbl, key) })
-		if z, parked := db.zombieCount(), vc.ParkedMarks(); z != 1 || parked != 1 {
-			t.Fatalf("interleaved=%v: behind the snapshot %d zombies, %d parked; want 1, 1", interleaved, z, parked)
+		if z, parked := vc.Retained(), vc.ParkedMarks(); z != 1 || parked != 2 {
+			t.Fatalf("interleaved=%v: behind the snapshot %d zombies, %d parked; want 1, 2 (the entry and its chain)", interleaved, z, parked)
 		}
 		if interleaved {
 			db.txns.Oracle().ReleaseSnapshot(reader.snap)
 			reader.hasSnap = false
 			commitTx(t, db, func(tx *Tx) error { return tx.UpdateAt(tbl, 2, 0, []byte{1}) })
-			if z, parked := db.zombieCount(), vc.ParkedMarks(); z != 1 || parked != 0 {
-				t.Fatalf("after the commit's own GC %d zombies, %d parked; want 1, 0", z, parked)
-			}
-			db.maybeGC()
 		} else if err := reader.Abort(); err != nil {
 			t.Fatal(err)
 		}
@@ -114,5 +110,26 @@ func TestSnapshotReleaseDropsZombie(t *testing.T) {
 		if _, err := tbl.rid(key); err == nil {
 			t.Fatalf("interleaved=%v: key %d still in the primary index", interleaved, key)
 		}
+	}
+}
+
+// TestZombieNeverOutlivesItsChain: a snapshot pins a committed delete of
+// key 1 and lets go without collecting; an unrelated commit's own GC then
+// finds the delete's chain ready. It must drop the key's retained pk entry
+// with the chain: an entry left behind it points at no live tuple and no
+// chain, so the integrity check fails and the key cannot be inserted again.
+func TestZombieNeverOutlivesItsChain(t *testing.T) {
+	db, tbl := gcFixture(t, 3)
+	reader := pinSnapshot(db)
+	commitTx(t, db, func(tx *Tx) error { return tx.Delete(tbl, 1) })
+	db.txns.Oracle().ReleaseSnapshot(reader.snap)
+	reader.hasSnap = false
+	commitTx(t, db, func(tx *Tx) error { return tx.UpdateAt(tbl, 2, 0, []byte{1}) })
+	if err := db.VerifyIntegrity(); err != nil {
+		t.Fatalf("after the unrelated commit: %v", err)
+	}
+	commitTx(t, db, func(tx *Tx) error { return tx.Insert(tbl, 1, make([]byte, 64)) })
+	if got, err := tbl.Get(1); err != nil || len(got) != 64 {
+		t.Fatalf("reinserted key 1 reads %d bytes, %v", len(got), err)
 	}
 }

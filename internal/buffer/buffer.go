@@ -156,7 +156,7 @@ type frame struct {
 	// dirty and recLSN change under both pid's shard mutex and the exclusive
 	// latch, so either suffices to read them, or while the frame is unmapped
 	// under the replacement lock. recLSN is the log's next LSN
-	// when the frame last went from clean to dirty; Tx.UpdateRIDAt logs, then
+	// when the frame last went from clean to dirty; Tx.UpdateAt logs, then
 	// marks, so it is one past the dirtying record (three past with a
 	// secondary move), and a cut derived from it must first stamp at or below
 	// that record. Fuzzy checkpoints flush dirty pages in recLSN order so the

@@ -56,7 +56,6 @@ type File struct {
 	store     *storage.Manager
 	pool      *buffer.Pool
 	pages     []uint64 // all pages of the file, in allocation order
-	count     uint64   // live tuples
 }
 
 // New creates an empty heap file for the given object.
@@ -84,13 +83,6 @@ func (f *File) PageIDs() []uint64 {
 	return out
 }
 
-// Count returns the number of live tuples.
-func (f *File) Count() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.count
-}
-
 // AdoptPages installs the page list of a heap file rebuilt from a surviving
 // Flash image after a crash. pids must be in ascending order (page
 // identifiers are allocated sequentially, so that is allocation order).
@@ -112,31 +104,6 @@ func (f *File) AdoptPage(pid uint64) {
 	f.pages = append(f.pages, 0)
 	copy(f.pages[i+1:], f.pages[i:])
 	f.pages[i] = pid
-}
-
-// SetCount installs the live-tuple count computed by an index rebuild.
-func (f *File) SetCount(n uint64) {
-	f.mu.Lock()
-	f.count = n
-	f.mu.Unlock()
-}
-
-// NoteUndoneInsert adjusts the live-tuple count after transaction rollback
-// deleted an inserted tuple directly at the page level.
-func (f *File) NoteUndoneInsert() {
-	f.mu.Lock()
-	if f.count > 0 {
-		f.count--
-	}
-	f.mu.Unlock()
-}
-
-// NoteRestoredTuple adjusts the live-tuple count after rollback or
-// recovery re-materialised a deleted tuple directly at the page level.
-func (f *File) NoteRestoredTuple() {
-	f.mu.Lock()
-	f.count++
-	f.mu.Unlock()
 }
 
 // withPage pins a page exclusively, wraps it and attaches the frame's
@@ -194,9 +161,6 @@ func (f *File) InsertLogged(tuple []byte, logged func(RID) error) (RID, error) {
 	// Try the most recently allocated page first.
 	if n := len(f.pages); n > 0 {
 		rid, ok, err := f.tryInsertLocked(f.pages[n-1], tuple, logged)
-		if ok {
-			f.count++
-		}
 		if ok || err != nil {
 			return rid, err
 		}
@@ -229,7 +193,6 @@ func (f *File) InsertLogged(tuple []byte, logged func(RID) error) (RID, error) {
 	}
 	h.MarkDirty()
 	f.pages = append(f.pages, pid)
-	f.count++
 	rid := RID{PageID: pid, Slot: uint16(slot)}
 	if logged != nil {
 		err = logged(rid)
@@ -327,7 +290,7 @@ func (f *File) Reuse(rid RID, tuple []byte) error {
 	if len(tuple) != f.tupleSize {
 		return fmt.Errorf("heap: tuple size %d, want %d", len(tuple), f.tupleSize)
 	}
-	err := f.withPage(rid.PageID, func(h *buffer.Handle, pg page.Page) error {
+	return f.withPage(rid.PageID, func(h *buffer.Handle, pg page.Page) error {
 		deleted, err := pg.Deleted(int(rid.Slot))
 		if err != nil {
 			return err
@@ -341,17 +304,11 @@ func (f *File) Reuse(rid RID, tuple []byte) error {
 		h.MarkDirty()
 		return nil
 	})
-	if err == nil {
-		f.mu.Lock()
-		f.count++
-		f.mu.Unlock()
-	}
-	return err
 }
 
 // Delete removes the tuple at rid.
 func (f *File) Delete(rid RID) error {
-	err := f.withPage(rid.PageID, func(h *buffer.Handle, pg page.Page) error {
+	return f.withPage(rid.PageID, func(h *buffer.Handle, pg page.Page) error {
 		if err := pg.DeleteTuple(int(rid.Slot)); err != nil {
 			if errors.Is(err, page.ErrDeleted) || errors.Is(err, page.ErrBadSlot) {
 				return fmt.Errorf("%w: %s", ErrNotFound, rid)
@@ -361,12 +318,6 @@ func (f *File) Delete(rid RID) error {
 		h.MarkDirty()
 		return nil
 	})
-	if err == nil {
-		f.mu.Lock()
-		f.count--
-		f.mu.Unlock()
-	}
-	return err
 }
 
 // Scan calls fn for every live tuple of the file, in page/slot order, until

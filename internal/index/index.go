@@ -182,9 +182,6 @@ func (f *entryFile[K]) Load() ([]Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("index: load: %w", err)
 	}
-	// Fix the live count before tombstoning so the deletes account against
-	// a consistent base.
-	f.entries.SetCount(uint64(len(f.loc) + len(dups)))
 	for _, rid := range dups {
 		if err := f.entries.Delete(rid); err != nil {
 			return nil, fmt.Errorf("index: drop duplicate entry %s: %w", rid, err)

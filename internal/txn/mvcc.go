@@ -112,10 +112,12 @@ func (c *VersionCache) drop(s *vstripe, rid uint64, ch *chain) {
 	}
 }
 
-// gcMark parks one chain for trimming once no snapshot predates ts.
+// gcMark parks one chain for trimming, or one index entry MVCC retains
+// for older snapshots for dropping (drop set), once no snapshot predates ts.
 type gcMark struct {
-	ts  uint64
-	rid uint64
+	ts   uint64
+	rid  uint64
+	drop func()
 }
 
 // VersionCache is the engine-global store of version chains, striped for
@@ -133,12 +135,14 @@ type VersionCache struct {
 	// bubbles back a step or two, the marks ready at a given floor are a
 	// prefix, and GC costs O(ready) however many marks an old snapshot
 	// keeps parked. Entries before gcHead are spent. gcMu is taken before
-	// any stripe mutex, never under one.
+	// any stripe mutex, never under one, and GC runs the retained entries'
+	// drops under it: gcMu comes before the engine's table mutex too.
 	gcMu       sync.Mutex
 	gcQueue    []gcMark
 	gcHead     int
 	gcExamined uint64       // marks GC has compared against its floor (the tests' cost measure)
 	parked     atomic.Int64 // len(gcQueue)-gcHead, stored under gcMu, read without it
+	retained   atomic.Int64 // the parked marks with a drop
 
 	stats VersionStats
 }
@@ -300,6 +304,19 @@ func (c *VersionCache) release(tx *Txn, ts, oldest uint64) bool {
 	return park
 }
 
+// Retain parks drop, the removal of an index entry kept for the snapshots
+// older than ts, on the GC queue beside the chain marks. The GC pass that
+// finds ts ready runs it before it trims that pass's chains, so the entry
+// never outlives the chain that justifies it. drop runs under gcMu and may
+// take the engine's table mutex: the caller holds none of its locks.
+func (c *VersionCache) Retain(ts uint64, drop func()) {
+	c.gcMu.Lock()
+	c.parkLocked(gcMark{ts: ts, drop: drop})
+	c.retained.Add(1)
+	c.parked.Store(int64(len(c.gcQueue) - c.gcHead))
+	c.gcMu.Unlock()
+}
+
 // parkLocked queues a mark in timestamp order. The caller holds gcMu.
 func (c *VersionCache) parkLocked(m gcMark) {
 	c.gcQueue = append(c.gcQueue, m)
@@ -431,10 +448,11 @@ func (c *VersionCache) HasChain(rid uint64) bool {
 	return s.chains[rid] != nil
 }
 
-// GC trims every parked chain whose commit timestamp is invisible to all
-// snapshots older than oldest (= Oracle.OldestActive): superseded
-// versions at or before oldest are dropped, and chains whose newest
-// committed state is itself at or before oldest collapse entirely —
+// GC drops every retained index entry and trims every parked chain whose
+// timestamp is invisible to all snapshots older than oldest
+// (= Oracle.OldestActive), entries first. Superseded versions at or
+// before oldest are dropped, and chains whose newest committed state is
+// itself at or before oldest collapse entirely —
 // committed-deleted chains vanish (the heap slot is gone; a chainless
 // miss reads as absent) and live ones become chainless heap records.
 //
@@ -446,15 +464,27 @@ func (c *VersionCache) GC(oldest uint64) {
 		return
 	}
 	c.gcMu.Lock()
+	start := c.gcHead
 	for c.gcHead < len(c.gcQueue) {
 		c.gcExamined++
-		m := c.gcQueue[c.gcHead]
-		if m.ts > oldest {
+		if c.gcQueue[c.gcHead].ts > oldest {
 			break
 		}
 		c.gcHead++
-		c.trim(m.rid, oldest)
 	}
+	ready := c.gcQueue[start:c.gcHead]
+	for _, m := range ready {
+		if m.drop != nil {
+			m.drop()
+			c.retained.Add(-1)
+		}
+	}
+	for _, m := range ready {
+		if m.drop == nil {
+			c.trim(m.rid, oldest)
+		}
+	}
+	clear(ready) // the drops' closures go with their marks
 	// Reuse the array: start over once drained, and shift the live marks
 	// down when the spent prefix is the larger half (amortised O(1) a pop).
 	if live := len(c.gcQueue) - c.gcHead; live <= c.gcHead {
@@ -465,9 +495,14 @@ func (c *VersionCache) GC(oldest uint64) {
 	c.gcMu.Unlock()
 }
 
-// ParkedMarks returns the number of committed chains waiting for GC,
-// without taking the GC mutex: 0 means a GC call would find nothing.
+// ParkedMarks returns the number of committed chains and retained index
+// entries waiting for GC, without taking the GC mutex: 0 means a GC call
+// would find nothing.
 func (c *VersionCache) ParkedMarks() int { return int(c.parked.Load()) }
+
+// Retained returns the number of index entries parked by Retain and not
+// yet dropped.
+func (c *VersionCache) Retained() int { return int(c.retained.Load()) }
 
 // trim drops the versions of rid that no snapshot at or after oldest can
 // resolve to.

@@ -3,6 +3,7 @@ package txn
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -343,6 +344,55 @@ func TestGCQueueOrdersLateMarks(t *testing.T) {
 	c.GC(6)
 	if got := c.Stats().VersionChainsLive; got != 0 {
 		t.Fatalf("VersionChainsLive = %d after GC(6), want 0", got)
+	}
+}
+
+// TestRetainedEntriesShareTheChainQueue: an index entry kept for older
+// snapshots (Retain) waits on the chain queue in timestamp order, so GC
+// behind an idle snapshot costs O(1) a call however many entries and
+// chains wait; the pass that finds them ready runs each drop once, and
+// before it trims the chains, so every drop still sees the chain of the
+// delete that retired its entry.
+func TestRetainedEntriesShareTheChainQueue(t *testing.T) {
+	m := NewManager(wal.New())
+	c, o := m.Versions(), m.Oracle()
+	const entries, calls = 500, 1000
+	reader := o.AcquireSnapshot()
+	drops := make([]int, entries)
+	for i := range drops {
+		tx := m.Begin()
+		rid := uint64(i)
+		write(c, rid, tx, []byte{byte(i)}, true) // locks rid
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		c.Retain(tx.CommitTS(), func() {
+			drops[i]++
+			if !c.HasChain(rid) {
+				t.Errorf("the entry of row %d was dropped after its chain", i)
+			}
+		})
+	}
+	if got, parked := c.Retained(), c.ParkedMarks(); got != entries || parked != 2*entries {
+		t.Fatalf("behind the snapshot %d entries retained, %d marks parked; want %d, %d", got, parked, entries, 2*entries)
+	}
+	before := gcExaminedMarks(c)
+	for i := 0; i < calls-1; i++ {
+		c.GC(o.OldestActive())
+	}
+	if n := slices.Max(drops); n != 0 {
+		t.Fatalf("an entry was dropped %d times under the snapshot that needs it", n)
+	}
+	o.ReleaseSnapshot(reader)
+	c.GC(o.OldestActive())
+	if examined := gcExaminedMarks(c) - before; examined > 2*(entries+calls) {
+		t.Fatalf("%d GC calls over %d entries examined %d marks: GC is rescanning its queue", calls, entries, examined)
+	}
+	if lo, hi := slices.Min(drops), slices.Max(drops); lo != 1 || hi != 1 {
+		t.Fatalf("drops ran between %d and %d times each, want exactly once", lo, hi)
+	}
+	if got, parked, live := c.Retained(), c.ParkedMarks(), c.Stats().VersionChainsLive; got != 0 || parked != 0 || live != 0 {
+		t.Fatalf("after the release %d entries retained, %d marks parked, %d chains; want 0, 0, 0", got, parked, live)
 	}
 }
 

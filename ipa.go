@@ -286,12 +286,6 @@ type DB struct {
 	counts TxnStats
 	mark   atomic.Pointer[reading]
 
-	// MVCC zombie queue: index entries retained for old snapshots,
-	// re-checked and dropped by maybeGC (see mvcc.go).
-	gcMu    sync.Mutex
-	zombies []zombieEntry
-	zombieN atomic.Int64 // len(zombies), stored under gcMu, read without it
-
 	// Fuzzy-checkpoint state. ckptMu serialises checkpoints; catalogPID
 	// holds the durable catalog page identifier plus one (0 = not yet
 	// allocated); checkpointLSN is the LSN of the last checkpoint record;

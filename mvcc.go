@@ -13,8 +13,8 @@ import (
 // This file is the engine half of MVCC snapshot reads (the substrate — the
 // commit-timestamp Oracle and the VersionCache — lives in internal/txn;
 // see docs/DESIGN_MVCC.md). It routes reads through the version cache and
-// garbage-collects the index entries that committed deletes and secondary
-// moves leave behind for older snapshots.
+// parks the index entries that committed deletes and secondary moves leave
+// behind for older snapshots on the cache's GC queue.
 //
 // The heap slot always holds the newest bytes of a record; superseded
 // committed versions live in the version cache keyed by packed RID. A
@@ -26,7 +26,7 @@ import (
 // resolves under the page's shared latch instead: a writer changes a
 // tuple's bytes only under the exclusive latch, after its chain describes
 // the change. The lock order is page latch, then version stripe — writers
-// lock and version a row under the page latch (Tx.UpdateRIDAt, Tx.Insert,
+// lock and version a row under the page latch (Tx.UpdateAt, Tx.Insert,
 // Tx.GetForUpdate), and nothing takes a latch under a stripe mutex. The
 // record lock is the chain's owner (internal/txn); there is no lock table.
 
@@ -96,76 +96,37 @@ func (t *Table) getVisible(key int64, snap, selfTxn uint64) ([]byte, error) {
 	return tuple, nil
 }
 
-// zombieEntry is one index entry a committed delete or secondary-key move
-// left behind because an older snapshot still needed to resolve through
-// it. It is dropped once no snapshot predates ts — after a liveness
-// re-check, since the key or pair may have become live again in the
-// meantime (insert-over-zombie, an A→B→A double move).
-type zombieEntry struct {
-	ts    uint64
-	table *Table          // set: primary-key zombie
-	sec   *SecondaryIndex // set: secondary-pair zombie
-	key   int64
-	rid   uint64 // packed RID the entry pointed at when it was parked
-}
-
-// enqueueZombie parks an index entry for deferred removal.
-func (db *DB) enqueueZombie(z zombieEntry) {
-	db.gcMu.Lock()
-	db.zombies = append(db.zombies, z)
-	db.zombieN.Store(int64(len(db.zombies)))
-	db.gcMu.Unlock()
-}
-
-// zombieCount returns the number of index entries currently retained for
-// old snapshots.
-func (db *DB) zombieCount() int { return int(db.zombieN.Load()) }
-
-// maybeGC advances MVCC garbage collection: parked index entries whose
-// retirement predates every active snapshot are dropped, then version
-// chains superseded before the oldest snapshot are trimmed (entries go
-// first so a retained entry always has its chain to justify it). Pure
-// in-memory work — callable with or without the close gate. Called after
-// snapshot releases; with no zombie and no parked chain it returns before
-// taking a lock (what is queued after the look waits for the next call,
-// or, a chain, is its committer's: Txn.Commit parks before EndCommit).
+// maybeGC runs MVCC garbage collection at the oldest active snapshot: the
+// version cache drops the index entries retained for older snapshots and
+// trims the chains they superseded (entries first, so a retained entry
+// always has its chain to justify it). Pure in-memory work — callable with
+// or without the close gate, never under a table mutex (a drop takes it).
+// Called after snapshot releases; with nothing parked it returns before
+// taking a lock (what is parked after the look is its parker's: Txn.Commit
+// parks before EndCommit, and retain collects after it parks).
 func (db *DB) maybeGC() {
-	if db.closed.Load() || db.zombieN.Load() == 0 && db.txns.Versions().ParkedMarks() == 0 {
+	vc := db.txns.Versions()
+	if db.closed.Load() || vc.ParkedMarks() == 0 {
 		return
 	}
-	oldest := db.txns.Oracle().OldestActive()
+	vc.GC(db.txns.Oracle().OldestActive())
+}
 
-	db.gcMu.Lock()
-	var ready []zombieEntry
-	if len(db.zombies) > 0 {
-		keep := db.zombies[:0]
-		for _, z := range db.zombies {
-			if z.ts <= oldest {
-				ready = append(ready, z)
-			} else {
-				keep = append(keep, z)
-			}
-		}
-		db.zombies = keep
-		db.zombieN.Store(int64(len(keep)))
-	}
-	db.gcMu.Unlock()
-
-	for _, z := range ready {
-		if z.table != nil {
-			z.table.dropPKZombie(z.key, z.rid)
-		} else {
-			z.sec.dropPairZombie(z.key, z.rid, z.ts)
-		}
-		atomic.AddUint64(&db.counts.ZombiesReclaimed, 1)
-	}
-	db.txns.Versions().GC(oldest)
+// retain parks drop, the removal of an index entry a committed delete or
+// secondary-key move left behind for the snapshots older than ts, on the
+// version cache's GC queue, then collects: a snapshot that let go after
+// the caller chose to retain may have run its GC already. The caller holds
+// no table mutex.
+func (db *DB) retain(ts uint64, drop func()) {
+	db.txns.Versions().Retain(ts, drop)
+	db.maybeGC()
 }
 
 // dropPKZombie removes the volatile pk entry of a committed delete, unless
 // the key was re-taken (the entry now points at a different, live RID).
 // The persistent entry was already cleared at commit time.
 func (t *Table) dropPKZombie(key int64, rid uint64) {
+	atomic.AddUint64(&t.db.counts.ZombiesReclaimed, 1)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if v, ok := t.pk.Get(key); ok && v == rid {
@@ -174,12 +135,13 @@ func (t *Table) dropPKZombie(key int64, rid uint64) {
 }
 
 // dropPairZombie removes a retained volatile secondary pair, but only if
-// its stale mark still carries the queuing retirement's timestamp ts: a
+// its stale mark still carries the retiring commit's timestamp ts: a
 // re-add cleared the mark (the pair is live again), a later retirement
-// re-stamped it (a younger queue entry owns the drop). Both checks happen
-// under table.mu, so a drain racing a move-back can never drop a pair
-// that just became current.
+// re-stamped it (a younger retained entry owns the drop). Both checks
+// happen under table.mu, so a drop racing a move-back can never drop a
+// pair that just became current.
 func (s *SecondaryIndex) dropPairZombie(key int64, rid uint64, ts uint64) {
+	atomic.AddUint64(&s.table.db.counts.ZombiesReclaimed, 1)
 	s.table.mu.Lock()
 	if s.stale[secPair{key: key, rid: rid}] == ts {
 		s.dropVolatileLocked(key, rid)
@@ -190,57 +152,63 @@ func (s *SecondaryIndex) dropPairZombie(key int64, rid uint64, ts uint64) {
 // retirePK finishes a committed delete of key: the persistent index entry
 // is cleared (recovery re-applies the deletion from the log anyway), while
 // the volatile B-tree entry is retained for any snapshot older than the
-// delete's commit timestamp and parked for GC. Runs after the commit
-// record is durable and the record locks are released, so the key may
-// already have been re-taken by a new insert — detected by the tuple being
-// live again — in which case there is nothing to retire.
+// delete's commit timestamp. Runs after the commit record is durable and
+// the record locks are released, so the key may already have been
+// re-taken by a new insert — detected by the tuple being live again — in
+// which case there is nothing to retire.
 func (t *Table) retirePK(key int64, ts uint64) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	v, ok := t.pk.Get(key)
 	if !ok {
+		t.mu.Unlock()
 		return
 	}
 	if _, err := t.heap.Get(heap.Unpack(v)); !errors.Is(err, heap.ErrNotFound) {
 		// Live again (insert-over-zombie won the race), or unreadable
 		// after an injected power cut — either way, leave it alone.
+		t.mu.Unlock()
 		return
 	}
 	// An error clearing the persistent entry (only an injected power cut
 	// while tombstoning an entry page) must not fail the commit: the
 	// commit record is durable and recovery re-applies the deletion.
 	_ = t.idx.Delete(key)
-	if t.db.txns.Oracle().NoActiveBefore(ts) {
+	keep := !t.db.txns.Oracle().NoActiveBefore(ts)
+	if !keep {
 		t.pk.Delete(key)
-	} else {
-		t.db.enqueueZombie(zombieEntry{ts: ts, table: t, key: key, rid: v})
+	}
+	t.mu.Unlock()
+	if keep {
+		t.db.retain(ts, func() { t.dropPKZombie(key, v) })
 	}
 }
 
 // retirePair finishes a committed secondary-entry removal (a delete or the
 // old key of an update move): the persistent pair was already removed when
-// the operation ran; the volatile pair is retained for older snapshots and
-// parked for GC unless no such snapshot exists. Like retirePK this runs
-// after lock release, so the pair may describe a live tuple again (A→B→A
-// double move within the transaction, or a later writer) — then it stays.
+// the operation ran; the volatile pair is retained for older snapshots
+// unless no such snapshot exists. Like retirePK this runs after lock
+// release, so the pair may describe a live tuple again (A→B→A double move
+// within the transaction, or a later writer) — then it stays.
 func (s *SecondaryIndex) retirePair(key int64, rid uint64, ts uint64) {
 	t := s.table
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	tuple, err := t.heap.Get(heap.Unpack(rid))
-	if err == nil && s.extract(tuple) == key {
+	keep := false
+	switch {
+	case err == nil && s.extract(tuple) == key:
 		// Live again: an A→B→A double move within the transaction, or a
 		// later writer moved the tuple back. Nothing to retire.
-		return
-	}
-	if err != nil && !errors.Is(err, heap.ErrNotFound) {
-		return // unreadable (power cut): keep the pair, stay conservative
-	}
-	if t.db.txns.Oracle().NoActiveBefore(ts) {
+	case err != nil && !errors.Is(err, heap.ErrNotFound):
+		// Unreadable (power cut): keep the pair, stay conservative.
+	case t.db.txns.Oracle().NoActiveBefore(ts):
 		s.dropVolatileLocked(key, rid)
-	} else {
+	default:
 		s.stale[secPair{key: key, rid: rid}] = ts
-		t.db.enqueueZombie(zombieEntry{ts: ts, sec: s, key: key, rid: rid})
+		keep = true
+	}
+	t.mu.Unlock()
+	if keep {
+		t.db.retain(ts, func() { s.dropPairZombie(key, rid, ts) })
 	}
 }
 

@@ -221,13 +221,6 @@ func Reopen(img *CrashImage) (*DB, error) {
 	if err := db.retireLosers(analysis.Losers); err != nil {
 		return nil, fmt.Errorf("ipa: reopen: %w", err)
 	}
-	// The live-tuple counts follow from the recovered indexes: every live
-	// tuple owns exactly one live index entry.
-	for _, t := range db.snapshotTables() {
-		t.mu.RLock()
-		t.heap.SetCount(uint64(t.pk.Len()))
-		t.mu.RUnlock()
-	}
 	if err := db.pool.FlushAll(); err != nil {
 		return nil, fmt.Errorf("ipa: reopen: %w", err)
 	}

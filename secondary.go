@@ -313,14 +313,12 @@ func (t *Table) SecondaryIndexes() []string {
 }
 
 // secondarySnapshot returns the current secondary indexes without holding
-// the table mutex across any per-index work.
+// the table mutex across any per-index work. The slice needs no copy (see
+// Tx.UpdateAt).
 func (t *Table) secondarySnapshot() []*SecondaryIndex {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if len(t.secondaries) == 0 {
-		return nil
-	}
-	return append([]*SecondaryIndex(nil), t.secondaries...)
+	return t.secondaries
 }
 
 // GetBySecondary returns copies of every tuple whose extracted key equals

@@ -195,7 +195,7 @@ func (db *DB) Stats() Stats {
 	s.Mode, s.Scheme, s.FlashMode = db.cfg.WriteMode, db.cfg.Scheme, db.cfg.FlashMode
 	s.EvictionHistogramBounds = storage.HistogramBucketBounds()
 	s.SecondaryIndexes = db.secondaryCount()
-	s.ZombieEntries = db.zombieCount()
+	s.ZombieEntries = db.txns.Versions().Retained()
 	ora := db.txns.Oracle()
 	s.ActiveSnapshots, s.OldestSnapshotAge = ora.ActiveSnapshots(), ora.SnapshotAge()
 	s.CheckpointLSN = db.checkpointLSN.Load()

@@ -89,8 +89,10 @@ func (t *Table) IndexPages() int { return t.idx.Pages() }
 // TupleSize returns the fixed tuple size in bytes.
 func (t *Table) TupleSize() int { return t.tupleSize }
 
-// Count returns the number of live tuples.
-func (t *Table) Count() uint64 { return t.heap.Count() }
+// Count returns the number of rows: the primary-key entry file's length,
+// which counts committed rows and uncommitted inserts, and a deleted row
+// until its delete commits.
+func (t *Table) Count() uint64 { return uint64(t.idx.Len()) }
 
 // Pages returns the number of heap pages of the table.
 func (t *Table) Pages() int { return len(t.heap.PageIDs()) }

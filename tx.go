@@ -100,17 +100,10 @@ func (db *DB) Begin() *Tx {
 	return &Tx{db: db, inner: db.txns.Begin()}
 }
 
-// check rejects operations on finished transactions and on transactions
-// whose database has been closed (even if it was begun before Close).
-func (tx *Tx) check() error {
-	if tx.done {
-		return txn.ErrFinished
-	}
-	return tx.db.checkOpen()
-}
-
-// enter is check holding the close gate when it passes: the caller
-// releases it (db.release).
+// enter rejects operations on finished transactions and on transactions
+// whose database has been closed (even if it was begun before Close), and
+// holds the close gate when it passes: the caller releases it
+// (db.release).
 func (tx *Tx) enter() error {
 	if tx.done {
 		return txn.ErrFinished
@@ -304,29 +297,27 @@ func (tx *Tx) Delete(t *Table, key int64) error {
 
 // UpdateAt overwrites len(data) bytes of the tuple stored under key in
 // table t, starting at the tuple-relative offset. The before image is
-// logged for rollback and recovery.
+// logged for rollback and recovery. It visits the page once, under its
+// exclusive latch: the record is locked and its pre-image pushed onto the
+// version chain in one stripe trip (readers resolve the chain first, so it
+// moves first), the update is logged, and the bytes change (see mvcc.go
+// for the lock order).
 func (tx *Tx) UpdateAt(t *Table, key int64, offset int, data []byte) error {
-	if err := tx.check(); err != nil {
-		return err
-	}
-	rid, err := t.rid(key)
-	if err != nil {
-		return err
-	}
-	return tx.UpdateRIDAt(t, rid, offset, data)
-}
-
-// UpdateRIDAt is UpdateAt addressing the tuple directly by RID. It visits
-// the page once, under its exclusive latch: the record is locked and its
-// pre-image pushed onto the version chain in one stripe trip (readers
-// resolve the chain first, so it moves first), the update is logged, and
-// the bytes change (see mvcc.go for the lock order).
-func (tx *Tx) UpdateRIDAt(t *Table, rid heap.RID, offset int, data []byte) error {
 	if err := tx.enter(); err != nil {
 		return err
 	}
 	defer tx.db.release()
-	secs := t.secondarySnapshot()
+	// The key's RID and the secondaries in one read-lock trip: the slice
+	// is only ever appended to, under the write lock, so the elements a
+	// captured header covers never change.
+	t.mu.RLock()
+	v, ok := t.pk.Get(key)
+	secs := t.secondaries
+	t.mu.RUnlock()
+	if !ok {
+		return errKeyNotFound(t, key)
+	}
+	rid := heap.Unpack(v)
 	var moves []secondaryMove
 	err := t.heap.UpdateAtWith(rid, offset, data, func(cur []byte) error {
 		if cur == nil || offset < 0 || offset+len(data) > len(cur) {
@@ -510,7 +501,7 @@ func (tx *Tx) Abort() error {
 type applier struct{ db *DB }
 
 // Apply implements wal.Applier.
-func (ap applier) Apply(r *wal.Record, a wal.Action) (err error) {
+func (ap applier) Apply(r *wal.Record, a wal.Action) error {
 	db, redo := ap.db, a == wal.Redo
 	switch r.Type {
 	case wal.RecUpdate, wal.RecInsert, wal.RecDelete:
@@ -542,18 +533,7 @@ func (ap applier) Apply(r *wal.Record, a wal.Action) (err error) {
 	if err != nil {
 		return err
 	}
-	var note func(*heap.File)
-	defer func() {
-		// The live-tuple count is the heap file's, whose mutex comes before
-		// a page latch (heap.File.InsertLogged holds it across its fetch):
-		// it changes only once the page is let go.
-		h.Release()
-		if note != nil && err == nil {
-			if t := db.tableByID(r.ObjectID); t != nil {
-				note(t.heap)
-			}
-		}
-	}()
+	defer h.Release()
 	pg, err := page.Wrap(h.Data())
 	if err != nil {
 		return err
@@ -614,13 +594,13 @@ func (ap applier) Apply(r *wal.Record, a wal.Action) (err error) {
 			if deleted {
 				return nil
 			}
-			err, note = pg.DeleteTuple(slot), (*heap.File).NoteUndoneInsert
+			err = pg.DeleteTuple(slot)
 		default:
 			// A delete rolled back, if it reached the surviving state at all.
 			if !deleted {
 				return nil
 			}
-			err, note = pg.RestoreTuple(slot, r.Old), (*heap.File).NoteRestoredTuple
+			err = pg.RestoreTuple(slot, r.Old)
 		}
 	}
 	if err != nil {
