@@ -14,6 +14,13 @@
 // non-transactional callers), so a packed RID uniquely names one record
 // for the lifetime of the database and can key version chains without ABA
 // hazards.
+//
+// A File holds no lock of its own. Tuple bytes are guarded by the page
+// latches of the buffer pool (View and Scan take a shared latch, writes an
+// exclusive one). The page list is the caller's to serialise: Insert, the
+// Adopt methods, PageIDs and Scan must not run concurrently with an Insert
+// or an Adopt on the same File (the engine holds the owning table's mutex,
+// or runs recovery on one goroutine).
 package heap
 
 import (
@@ -21,7 +28,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"ipa/internal/buffer"
 	"ipa/internal/core"
@@ -50,7 +56,6 @@ var ErrNotFound = errors.New("heap: tuple not found")
 
 // File is one heap file (one table's tuple storage).
 type File struct {
-	mu        sync.Mutex
 	objectID  uint32
 	tupleSize int
 	store     *storage.Manager
@@ -76,8 +81,6 @@ func (f *File) TupleSize() int { return f.tupleSize }
 
 // PageIDs returns the identifiers of all pages of the file.
 func (f *File) PageIDs() []uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	out := make([]uint64, len(f.pages))
 	copy(out, f.pages)
 	return out
@@ -87,16 +90,12 @@ func (f *File) PageIDs() []uint64 {
 // Flash image after a crash. pids must be in ascending order (page
 // identifiers are allocated sequentially, so that is allocation order).
 func (f *File) AdoptPages(pids []uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.pages = append([]uint64(nil), pids...)
 }
 
 // AdoptPage registers a single page recreated during recovery (a page the
 // crash took before its first flush), keeping the list sorted.
 func (f *File) AdoptPage(pid uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	i := sort.Search(len(f.pages), func(i int) bool { return f.pages[i] >= pid })
 	if i < len(f.pages) && f.pages[i] == pid {
 		return
@@ -155,12 +154,9 @@ func (f *File) InsertLogged(tuple []byte, logged func(RID) error) (RID, error) {
 	if len(tuple) != f.tupleSize {
 		return RID{}, fmt.Errorf("heap: tuple size %d, want %d", len(tuple), f.tupleSize)
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-
 	// Try the most recently allocated page first.
 	if n := len(f.pages); n > 0 {
-		rid, ok, err := f.tryInsertLocked(f.pages[n-1], tuple, logged)
+		rid, ok, err := f.tryInsert(f.pages[n-1], tuple, logged)
 		if ok || err != nil {
 			return rid, err
 		}
@@ -200,10 +196,10 @@ func (f *File) InsertLogged(tuple []byte, logged func(RID) error) (RID, error) {
 	return rid, err
 }
 
-// tryInsertLocked attempts to insert into an existing page; ok is false if
+// tryInsert attempts to insert into an existing page; ok is false if
 // the page is full, and true once the tuple is placed, whether or not
 // logging it then succeeded.
-func (f *File) tryInsertLocked(pid uint64, tuple []byte, logged func(RID) error) (RID, bool, error) {
+func (f *File) tryInsert(pid uint64, tuple []byte, logged func(RID) error) (RID, bool, error) {
 	var rid RID
 	var ok bool
 	err := f.withPage(pid, func(h *buffer.Handle, pg page.Page) error {
@@ -338,7 +334,7 @@ func (f *File) Scan(fn func(rid RID, tuple []byte) bool) error {
 // with a nil tuple. Index recovery uses it to rebuild both the live
 // entries and the reusable-slot free list in one pass.
 func (f *File) ScanSlots(fn func(rid RID, tuple []byte, deleted bool) bool) error {
-	for _, pid := range f.PageIDs() {
+	for _, pid := range f.pages {
 		stop := false
 		err := f.withPageShared(pid, func(pg page.Page) error {
 			for s := 0; s < pg.SlotCount(); s++ {

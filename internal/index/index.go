@@ -19,12 +19,16 @@
 // a multi-page structure modification being flushed atomically. After a
 // crash, any subset of flushed entry pages plus the durable write-ahead log
 // reconstructs the exact committed mapping (see ipa.Reopen).
+//
+// An index holds no lock of its own: the caller serialises every call on
+// one File or Secondary (the engine holds the owning table's mutex, or
+// runs recovery on one goroutine). Entry bytes are guarded by the buffer
+// pool's page latches like any heap page's.
 package index
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"ipa/internal/buffer"
 	"ipa/internal/heap"
@@ -65,7 +69,6 @@ func decodeEntry(buf []byte) Entry {
 // recycling is safe here — unlike heap files — because index WAL records
 // are logical (keyed), never slot-addressed.
 type entryFile[K comparable] struct {
-	mu      sync.Mutex
 	entries *heap.File
 	id      func(Entry) K
 	loc     map[K]uint64 // identity -> packed entry-slot location
@@ -84,11 +87,7 @@ func newEntryFile[K comparable](store *storage.Manager, pool *buffer.Pool, objec
 func (f *entryFile[K]) ObjectID() uint32 { return f.entries.ObjectID() }
 
 // Len returns the number of live entries.
-func (f *entryFile[K]) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.loc)
-}
+func (f *entryFile[K]) Len() int { return len(f.loc) }
 
 // Pages returns the number of entry pages of the index.
 func (f *entryFile[K]) Pages() int { return len(f.entries.PageIDs()) }
@@ -98,16 +97,14 @@ func (f *entryFile[K]) PageIDs() []uint64 { return f.entries.PageIDs() }
 
 // contains reports whether the entry identified by k is live.
 func (f *entryFile[K]) contains(k K) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	_, ok := f.loc[k]
 	return ok
 }
 
-// insertLocked stores an entry that is not present yet: it recycles a
+// insert stores an entry that is not present yet: it recycles a
 // tombstoned slot (a 16-byte entry rewrite plus a 2-byte slot revive) or —
-// only when no slot is free — appends a fresh entry. The caller holds mu.
-func (f *entryFile[K]) insertLocked(e Entry) error {
+// only when no slot is free — appends a fresh entry.
+func (f *entryFile[K]) insert(e Entry) error {
 	img := encodeEntry(e.Key, e.Value)
 	if n := len(f.free); n > 0 {
 		packed := f.free[n-1]
@@ -130,8 +127,6 @@ func (f *entryFile[K]) insertLocked(e Entry) error {
 // for the error text) and queues the slot for reuse. Removing an absent
 // entry is a no-op, which recovery relies on for idempotent replay.
 func (f *entryFile[K]) remove(k K, key int64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	packed, ok := f.loc[k]
 	if !ok {
 		return nil
@@ -157,8 +152,6 @@ func (f *entryFile[K]) AdoptPages(pids []uint64) { f.entries.AdoptPages(pids) }
 // the exact committed pair set (Secondary), so the arbitrary choice never
 // becomes visible.
 func (f *entryFile[K]) Load() ([]Entry, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.loc = make(map[K]uint64)
 	f.free = nil
 	var (
@@ -207,8 +200,6 @@ func New(store *storage.Manager, pool *buffer.Pool, objectID uint32) *File {
 // slot. All of these are the small in-place edits the delta-append
 // machinery absorbs.
 func (f *File) Set(key int64, value uint64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if packed, ok := f.loc[key]; ok {
 		var img [8]byte
 		binary.LittleEndian.PutUint64(img[:], value)
@@ -217,7 +208,7 @@ func (f *File) Set(key int64, value uint64) error {
 		}
 		return nil
 	}
-	return f.insertLocked(Entry{Key: key, Value: value})
+	return f.insert(Entry{Key: key, Value: value})
 }
 
 // Delete removes key's entry (tombstoning its slot and queueing it for

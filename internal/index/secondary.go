@@ -31,13 +31,11 @@ func NewSecondary(store *storage.Manager, pool *buffer.Pool, objectID uint32) *S
 // is free and appending a fresh entry otherwise. Adding a pair that is
 // already present is a no-op, which makes WAL redo idempotent.
 func (s *Secondary) Add(key int64, value uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	e := Entry{Key: key, Value: value}
 	if _, ok := s.loc[e]; ok {
 		return nil
 	}
-	return s.insertLocked(e)
+	return s.insert(e)
 }
 
 // Remove deletes the (key, value) pair, tombstoning its slot and queueing

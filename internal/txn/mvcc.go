@@ -272,12 +272,16 @@ func (c *VersionCache) stamp(tx *Txn, ts uint64) {
 	}
 }
 
-// release lets go of every lock tx holds, after its commit at ts (0: none)
-// has been retired. A chain no snapshot at or above the floor oldest needs
-// goes, as trim drops it; one stamped ts is parked for GC instead. It
-// reports whether it parked anything.
-func (c *VersionCache) release(tx *Txn, ts, oldest uint64) bool {
-	park := false
+// release lets go of every lock tx holds, once its outcome is settled (its
+// chains stamped or rolled back). Every chain it unlocks is dropped or
+// parked: a chain no snapshot at or above the floor oldest needs goes, as
+// trim drops it, and any other is parked for GC at its own head timestamp
+// — GC may have consumed the chain's earlier mark while the lock kept it.
+// Only a dead writer's chain stays (see OnWrite). It reports whether it
+// parked anything.
+func (c *VersionCache) release(tx *Txn, oldest uint64) bool {
+	var buf [4]gcMark
+	park := buf[:0]
 	for _, rid := range tx.locks {
 		s := c.stripe(rid)
 		s.mu.Lock()
@@ -287,21 +291,22 @@ func (c *VersionCache) release(tx *Txn, ts, oldest uint64) bool {
 			case ch.writer != 0:
 			case ch.headTS <= oldest:
 				c.drop(s, rid, ch)
-			case ch.headTS == ts:
-				park = true
+			default:
+				park = append(park, gcMark{ts: ch.headTS, rid: rid})
 			}
 		}
 		s.mu.Unlock()
 	}
-	if park { // under gcMu, which comes before a stripe mutex
-		c.gcMu.Lock()
-		for _, rid := range tx.locks {
-			c.parkLocked(gcMark{ts: ts, rid: rid})
-		}
-		c.parked.Store(int64(len(c.gcQueue) - c.gcHead))
-		c.gcMu.Unlock()
+	if len(park) == 0 {
+		return false
 	}
-	return park
+	c.gcMu.Lock() // after the stripes: gcMu comes before a stripe mutex
+	for _, m := range park {
+		c.parkLocked(m)
+	}
+	c.parked.Store(int64(len(c.gcQueue) - c.gcHead))
+	c.gcMu.Unlock()
+	return true
 }
 
 // Retain parks drop, the removal of an index entry kept for the snapshots

@@ -99,13 +99,13 @@ func write(c *VersionCache, rid uint64, tx *Txn, prev []byte, del bool) {
 // chain for GC.
 func commit(c *VersionCache, tx *Txn, ts uint64) {
 	c.stamp(tx, ts)
-	c.release(tx, ts, 0)
+	c.release(tx, 0)
 }
 
 // abort does to tx's chains what Txn.Abort does once the undo has run.
 func abort(c *VersionCache, tx *Txn) {
 	c.rollback(tx)
-	c.release(tx, 0, 0)
+	c.release(tx, 0)
 }
 
 func TestVersionCacheResolveMatrix(t *testing.T) {
@@ -237,6 +237,9 @@ func TestCommitCarriesTimestamp(t *testing.T) {
 	log := wal.New()
 	m := NewManager(log)
 	tx := m.Begin()
+	if _, err := tx.LogInsert(1, 0, 77, []byte{1}); err != nil { // as the engine logs an insert
+		t.Fatal(err)
+	}
 	m.Versions().OnInsert(77, tx)
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("Commit: %v", err)
@@ -275,6 +278,9 @@ func TestGCCostDoesNotGrowBehindAnIdleSnapshot(t *testing.T) {
 		tx := m.Begin()
 		rid := uint64(i % rows)
 		if err := tx.Lock(LockKey{PageID: rid}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.LogUpdate(rid, 0, 0, []byte{byte(i)}, []byte{byte(i + 1)}); err != nil {
 			t.Fatal(err)
 		}
 		write(c, rid, tx, []byte{byte(i)}, false)
@@ -362,6 +368,9 @@ func TestRetainedEntriesShareTheChainQueue(t *testing.T) {
 	for i := range drops {
 		tx := m.Begin()
 		rid := uint64(i)
+		if _, err := tx.LogDelete(1, 0, uint16(i), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
 		write(c, rid, tx, []byte{byte(i)}, true) // locks rid
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
@@ -427,6 +436,9 @@ func TestCommitReturnsOnlyOnceVisible(t *testing.T) {
 
 	tx := m.Begin()
 	if err := tx.Lock(LockKey{PageID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.LogInsert(1, 1, 0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
 	m.Versions().OnInsert(1<<16, tx)
@@ -659,11 +671,44 @@ func TestGCKeepsALockedChain(t *testing.T) {
 	if err := c.Lock(rid, rival); !errors.Is(err, ErrConflict) {
 		t.Fatalf("rival Lock after GC = %v, want ErrConflict", err)
 	}
-	c.release(holder, 0, 1)
+	c.release(holder, 1)
 	if c.HasChain(rid) || c.Stats().VersionChainsLive != 0 {
 		t.Fatalf("the release left the chain: %+v", c.Stats())
 	}
 	if err := c.Lock(rid, rival); err != nil {
 		t.Fatalf("Lock after the release: %v", err)
+	}
+}
+
+// TestReleaseParksAChainItDoesNotDrop: GC keeps a locked chain but spends
+// its mark, so the lock's release must drop the chain or park it again,
+// whatever floor the releaser read. Here a snapshot pins a committed
+// update's mark; a second writer locks the row, the snapshot lets go and
+// its GC spends the mark, and the writer rolls back and releases at the
+// floor it read while the snapshot was still open.
+func TestReleaseParksAChainItDoesNotDrop(t *testing.T) {
+	m := NewManager(wal.New())
+	c, o := m.Versions(), m.Oracle()
+	const rid = 1 << 16
+	snap := o.AcquireSnapshot()
+	w := m.Begin()
+	if _, err := w.LogUpdate(1, 0, 0, []byte{0}, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	write(c, rid, w, []byte{0}, false)
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if c.ParkedMarks() != 1 {
+		t.Fatalf("%d marks parked behind the snapshot, want 1", c.ParkedMarks())
+	}
+	loser := m.Begin()
+	write(c, rid, loser, []byte{1}, false)
+	o.ReleaseSnapshot(snap)
+	c.GC(o.OldestActive()) // the snapshot's GC: spends the mark, keeps the locked chain
+	abort(c, loser)        // releases at floor 0, read before the snapshot let go
+	c.GC(o.OldestActive())
+	if live, parked := c.Stats().VersionChainsLive, c.ParkedMarks(); live != 0 || parked != 0 {
+		t.Fatalf("%d chains live, %d marks parked after every transaction and snapshot ended; want 0, 0", live, parked)
 	}
 }

@@ -272,22 +272,31 @@ func (t *Txn) LogIndexDelete(objectID uint32, key int64, old uint64) (uint64, er
 // chains keep their pending writer forever and readers keep resolving to
 // the last committed version — and the transaction is finished as rolled
 // back; recovery will undo it.
+//
+// A transaction that logged no record (it only read, or took locks) has
+// nothing to make durable: it commits without a commit record, a log flush
+// or a timestamp (CommitTS stays 0), and only lets its locks go.
 func (t *Txn) Commit() error {
 	if t.status != Active {
 		return ErrFinished
+	}
+	if t.firstLSN == 0 {
+		t.status = Committed
+		t.releaseLocks()
+		return nil
 	}
 	ts := t.mgr.oracle.BeginCommit()
 	if err := t.mgr.log.AppendCommit(wal.Record{TxnID: t.id, Type: wal.RecCommit, Key: int64(ts)}); err != nil {
 		t.mgr.oracle.EndCommit(ts)
 		t.status = Aborted
-		t.mgr.cache.release(t, 0, t.mgr.oracle.OldestActive())
+		t.releaseLocks()
 		return fmt.Errorf("txn: commit flush: %w", err)
 	}
 	t.mgr.cache.stamp(t, ts)
 	t.commitTS = ts
 	t.status = Committed
 	visible, oldest := t.mgr.oracle.EndCommit(ts)
-	if t.mgr.cache.release(t, ts, oldest) {
+	if t.mgr.cache.release(t, oldest) {
 		// A chain parked behind a snapshot that has let go since EndCommit
 		// would have nobody left to collect it.
 		oldest = t.mgr.oracle.OldestActive()
@@ -297,6 +306,14 @@ func (t *Txn) Commit() error {
 		t.mgr.oracle.WaitVisible(ts)
 	}
 	return nil
+}
+
+// releaseLocks lets go of t's locks at the current floor and, if that
+// parked a chain, collects at a fresh one, as Commit does.
+func (t *Txn) releaseLocks() {
+	if t.mgr.cache.release(t, t.mgr.oracle.OldestActive()) {
+		t.mgr.cache.GC(t.mgr.oracle.OldestActive())
+	}
 }
 
 // CommitTS returns the commit timestamp of a committed transaction
@@ -327,7 +344,7 @@ func (t *Txn) Abort(ap wal.Applier) error {
 	// keeps the RecAbort, because truncation never splits the undurable
 	// tail), so the transaction no longer pins the truncation cut.
 	t.mgr.Deregister(t.id)
-	t.mgr.cache.release(t, 0, t.mgr.oracle.OldestActive())
+	t.releaseLocks()
 	return nil
 }
 
@@ -343,6 +360,6 @@ func (t *Txn) Detach() error {
 	// The heap keeps the uncommitted bytes, so the version chains must
 	// stay pending: readers keep resolving to the last committed version.
 	t.status = Aborted
-	t.mgr.cache.release(t, 0, t.mgr.oracle.OldestActive())
+	t.releaseLocks()
 	return nil
 }

@@ -3,7 +3,6 @@ package ipa
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -13,24 +12,13 @@ import (
 )
 
 // TestWritersAndReadersOfOnePage runs writers that update, and sometimes
-// roll back, rows of one page against readers of the same rows: first with
-// the optimistic reads as they are, then with every read resolved under
-// the page's shared latch, the path a read takes when seqRetries optimistic
-// rounds saw the chain move (a writer takes the stripe mutex under the
-// exclusive latch, so a read holds the latch first as well). Every image a
-// reader gets must be one a transaction committed, whole; nothing may
-// hang; and no chain may outlive the run.
+// roll back, rows of one page against readers of the same rows. A reader
+// resolves the chain with no latch, then reads the slot under the page's
+// shared latch and resolves again there if the chain moved; a writer takes
+// the stripe mutex under the exclusive latch, so both hold the latch
+// first. Every image a reader gets must be one a transaction committed,
+// whole; nothing may hang; and no chain may outlive the run.
 func TestWritersAndReadersOfOnePage(t *testing.T) {
-	for _, retries := range []int{seqRetries, 0} {
-		t.Run(fmt.Sprintf("seqRetries=%d", retries), func(t *testing.T) {
-			defer func(n int) { seqRetries = n }(seqRetries)
-			seqRetries = retries
-			writersAndReadersOfOnePage(t)
-		})
-	}
-}
-
-func writersAndReadersOfOnePage(t *testing.T) {
 	const rows, writers, readers, ops, reads = 2, 2, 2, 400, 2000
 	db, err := Open(Config{PageSize: 2048, Blocks: 16, PagesPerBlock: 16, BufferPoolPages: 8})
 	if err != nil {
@@ -240,5 +228,90 @@ func TestDeletesAndReinsertsBehindSnapshots(t *testing.T) {
 	}
 	if n := tbl.Count(); n != writers*keysEach {
 		t.Fatalf("Count = %d after every key was reinserted, want %d", n, writers*keysEach)
+	}
+}
+
+// TestTableSizesUnderWriters reads Count, Pages, IndexPages and a secondary
+// index's Pages, each on a goroutine of its own, while transactions insert
+// rows, move their secondary keys and delete every other one, so every
+// page list and slot map grows all the while. Those live in the heap and
+// in the index entry files, which lock nothing of their own: the table
+// mutex guards them, and under -race a reader or a writer of one outside
+// it shows up here.
+func TestTableSizesUnderWriters(t *testing.T) {
+	const writers, keysEach = 2, 300
+	db, err := Open(Config{PageSize: 2048, Blocks: 32, PagesPerBlock: 16, BufferPoolPages: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("t", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec, err := tbl.CreateSecondaryIndex("g", Int64Field(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	commit := func(op func(tx *Tx) error) error {
+		tx := db.Begin()
+		if err := op(tx); err != nil {
+			_ = tx.Abort()
+			return err
+		}
+		return tx.Commit()
+	}
+	var left atomic.Int32 // writers still writing: the readers keep reading meanwhile
+	left.Store(writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer left.Add(-1)
+			row := make([]byte, 64)
+			for i := 0; i < keysEach; i++ {
+				k := int64(w*keysEach + i)
+				var group [8]byte // the secondary key moves from 0 to 1..3
+				binary.LittleEndian.PutUint64(group[:], uint64(k%3+1))
+				steps := []func(tx *Tx) error{
+					func(tx *Tx) error { return tx.Insert(tbl, k, row) },
+					func(tx *Tx) error { return tx.UpdateAt(tbl, k, 0, group[:]) },
+				}
+				if k%2 == 0 {
+					steps = append(steps, func(tx *Tx) error { return tx.Delete(tbl, k) })
+				}
+				for s, step := range steps {
+					if err := commit(step); err != nil {
+						t.Errorf("writer %d, key %d, step %d: %v", w, k, s, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	for name, size := range map[string]func() int{
+		"Count":      func() int { return int(tbl.Count()) },
+		"Pages":      tbl.Pages,
+		"IndexPages": tbl.IndexPages,
+		"secondary":  sec.Pages,
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for first := true; first || left.Load() > 0; first = false {
+				if n := size(); n > writers*keysEach {
+					t.Errorf("%s = %d with %d rows written", name, n, writers*keysEach)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := tbl.Count(); n != writers*keysEach/2 {
+		t.Fatalf("Count = %d, want the %d rows not deleted", n, writers*keysEach/2)
+	}
+	if err := db.VerifyIntegrity(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -18,22 +18,18 @@ import (
 //
 // The heap slot always holds the newest bytes of a record; superseded
 // committed versions live in the version cache keyed by packed RID. A
-// reader therefore resolves the chain first and only touches the heap when
-// the chain says the slot's bytes are the visible version. That heap fetch
-// runs without any cache lock, fenced by a per-stripe sequence number:
-// if the stripe changed while the page was read, the bytes may belong to a
-// different version and the read retries, and after seqRetries rounds it
-// resolves under the page's shared latch instead: a writer changes a
+// reader therefore resolves the chain first, without any page latch, and
+// only touches the heap when the chain says the slot's bytes are the
+// visible version. It reads them under the page's shared latch, and there
+// checks the stripe's sequence number once: if the chain moved since it
+// was resolved, it resolves again under the latch, where the bytes cannot
+// change and the chain already describes them — a writer changes a
 // tuple's bytes only under the exclusive latch, after its chain describes
-// the change. The lock order is page latch, then version stripe — writers
-// lock and version a row under the page latch (Tx.UpdateAt, Tx.Insert,
-// Tx.GetForUpdate), and nothing takes a latch under a stripe mutex. The
-// record lock is the chain's owner (internal/txn); there is no lock table.
-
-// seqRetries is how many optimistic resolve+fetch+validate rounds a read
-// attempts before it resolves under the page latch (a variable, so a test
-// can send every read down that path).
-var seqRetries = 8
+// the change. The lock order is table mutex, then page latch, then version
+// stripe — writers lock and version a row under the page latch
+// (Tx.UpdateAt, Tx.Insert, Tx.GetForUpdate), and nothing takes a latch
+// under a stripe mutex. The record lock is the chain's owner
+// (internal/txn); there is no lock table.
 
 // readVersion returns the tuple of rid visible at snapshot snap (selfTxn
 // is the reading transaction's id, 0 for table-level reads — a transaction
@@ -42,39 +38,25 @@ var seqRetries = 8
 func (t *Table) readVersion(rid heap.RID, snap, selfTxn uint64) (tuple []byte, ok bool, err error) {
 	vc := t.db.txns.Versions()
 	packed := rid.Pack()
-	for i := 0; i < seqRetries; i++ {
-		res, seq := vc.Resolve(packed, snap, selfTxn)
-		switch res.Kind {
-		case txn.ResAbsent:
-			return nil, false, nil
-		case txn.ResData:
-			return append([]byte(nil), res.Data...), true, nil
-		}
-		b, err := t.heap.Get(rid)
-		if err != nil && !errors.Is(err, heap.ErrNotFound) {
-			return nil, false, err
-		}
-		if vc.Validate(packed, seq) {
-			// The chain did not move while the page was read. A slot gone
-			// with nothing in the cache saying otherwise is a committed
-			// delete whose chain GC already trimmed (this snapshot
-			// postdates it), reached through an index entry the caller
-			// captured before its zombie was dropped.
-			return b, err == nil, nil
-		}
+	res, seq := vc.Resolve(packed, snap, selfTxn)
+	if res.Kind != txn.ResHeap {
+		return bytes.Clone(res.Data), res.Kind == txn.ResData, nil
 	}
-	// Still moving: resolve under the page's shared latch, where the heap
-	// bytes cannot change and the chain already describes them.
 	err = t.heap.View(rid, func(cur []byte) error {
-		switch res, _ := vc.Resolve(packed, snap, selfTxn); {
-		case res.Kind == txn.ResData:
-			tuple, ok = bytes.Clone(res.Data), true
-		case res.Kind == txn.ResHeap && cur != nil:
-			tuple, ok = bytes.Clone(cur), true
+		if !vc.Validate(packed, seq) {
+			res, _ = vc.Resolve(packed, snap, selfTxn)
 		}
+		if res.Kind == txn.ResHeap {
+			// A slot gone (cur nil) with nothing in the cache saying
+			// otherwise is a committed delete whose chain GC already
+			// trimmed (this snapshot postdates it), reached through an
+			// index entry the caller captured before its entry was dropped.
+			res.Data = cur
+		}
+		tuple = bytes.Clone(res.Data) // nil when absent
 		return nil
 	})
-	return tuple, ok, err
+	return tuple, tuple != nil, err
 }
 
 // getVisible is the snapshot read behind Tx.Get and Table.Get: primary-key

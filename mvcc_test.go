@@ -527,3 +527,27 @@ func TestReopenRestartsCommitClock(t *testing.T) {
 		t.Fatalf("final VerifyIntegrity: %v", err)
 	}
 }
+
+// TestReadOnlyCommitWritesNoLog: a transaction that only read logged
+// nothing, so its commit appends no record, flushes nothing and takes no
+// timestamp; the lock its GetForUpdate took still goes.
+func TestReadOnlyCommitWritesNoLog(t *testing.T) {
+	db, tbl := mvccFixture(t, 2, 7)
+	before, watermark := db.Stats(), db.CommitWatermark()
+	tx := db.Begin()
+	if _, err := tx.Get(tbl, 0); err != nil {
+		t.Fatalf("Get: %v", err)
+	}
+	if _, err := tx.GetForUpdate(tbl, 1); err != nil {
+		t.Fatalf("GetForUpdate: %v", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	after := db.Stats()
+	if after.WALBytes != before.WALBytes || after.WALFlushes != before.WALFlushes || db.CommitWatermark() != watermark {
+		t.Fatalf("read-only commit moved WALBytes %d → %d, WALFlushes %d → %d, watermark %d → %d",
+			before.WALBytes, after.WALBytes, before.WALFlushes, after.WALFlushes, watermark, db.CommitWatermark())
+	}
+	commitUpdate(t, db, tbl, 1, 8) // the row GetForUpdate locked is free again
+}

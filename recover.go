@@ -272,29 +272,25 @@ func (db *DB) snapshotTables() []*Table {
 
 // loadIndexes rebuilds every table's entry locations and volatile
 // directories — the primary-key B-tree and each secondary index — from
-// the index entry pages that survived on Flash.
+// the index entry pages that survived on Flash. Recovery runs on one
+// goroutine before the engine is handed out, so no table mutex is taken.
 func (db *DB) loadIndexes() error {
 	for _, t := range db.snapshotTables() {
 		entries, err := t.idx.Load()
 		if err != nil {
 			return fmt.Errorf("index of table %q: %w", t.name, err)
 		}
-		t.mu.Lock()
 		for _, e := range entries {
 			t.pk.Insert(e.Key, e.Value)
 		}
-		secs := append([]*SecondaryIndex(nil), t.secondaries...)
-		t.mu.Unlock()
-		for _, s := range secs {
+		for _, s := range t.secondaries {
 			sentries, err := s.file.Load()
 			if err != nil {
 				return fmt.Errorf("secondary index %q of table %q: %w", s.name, t.name, err)
 			}
-			t.mu.Lock()
 			for _, e := range sentries {
 				s.noteLocked(e.Key, e.Value)
 			}
-			t.mu.Unlock()
 		}
 	}
 	return nil
@@ -425,7 +421,9 @@ func (db *DB) VerifyIntegrity() error {
 // zombie awaiting GC, or an in-flight transactional delete), and such
 // entries must already be absent from the persistent file.
 func (t *Table) verifyIndexAgainstHeap() error {
-	secs := t.secondarySnapshot()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	secs := t.secondaries
 	live := make(map[uint64]bool)
 	wantSec := make([]map[index.Entry]bool, len(secs))
 	for i := range wantSec {
@@ -441,8 +439,6 @@ func (t *Table) verifyIndexAgainstHeap() error {
 	if err != nil {
 		return fmt.Errorf("heap scan: %w", err)
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	vc := t.db.txns.Versions()
 	seen := make(map[uint64]bool, len(live))
 	retained, zombies := 0, 0

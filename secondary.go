@@ -96,7 +96,11 @@ func (s *SecondaryIndex) ID() uint32 { return s.id }
 func (s *SecondaryIndex) Table() *Table { return s.table }
 
 // Pages returns the number of persistent entry pages of the index.
-func (s *SecondaryIndex) Pages() int { return s.file.Pages() }
+func (s *SecondaryIndex) Pages() int {
+	s.table.mu.RLock()
+	defer s.table.mu.RUnlock()
+	return s.file.Pages()
+}
 
 // Len returns the number of live (key, RID) entries.
 func (s *SecondaryIndex) Len() int {
@@ -155,19 +159,6 @@ func (s *SecondaryIndex) removeLocked(key int64, value uint64) error {
 	}
 	s.dropVolatileLocked(key, value)
 	return nil
-}
-
-// removeDeferredLocked removes the (key, value) pair from the persistent
-// entry file only, leaving the volatile pair in place. Transactional
-// deletes and update moves use it: snapshot readers older than the change
-// must keep finding the RID under its old key (the retained pair routes
-// them into the version cache, which resolves the right version), so the
-// volatile pair is retired only at commit (retirePair) or by the zombie
-// GC. Recovery is unaffected — it rebuilds the volatile directory from
-// the entry pages and the log, where the removal is already effective.
-// Caller holds table.mu.
-func (s *SecondaryIndex) removeDeferredLocked(key int64, value uint64) error {
-	return s.file.Remove(key, value)
 }
 
 // dropVolatileLocked removes the (key, value) pair from the volatile
@@ -310,15 +301,6 @@ func (t *Table) SecondaryIndexes() []string {
 		out[i] = s.name
 	}
 	return out
-}
-
-// secondarySnapshot returns the current secondary indexes without holding
-// the table mutex across any per-index work. The slice needs no copy (see
-// Tx.UpdateAt).
-func (t *Table) secondarySnapshot() []*SecondaryIndex {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.secondaries
 }
 
 // GetBySecondary returns copies of every tuple whose extracted key equals

@@ -39,11 +39,13 @@ var ErrDuplicateKey = errors.New("ipa: duplicate key")
 // lookups); every write goes through a Tx, so it is logged, locked and
 // versioned — there is no second, unlogged write path.
 //
-// Tables are safe for concurrent use: pk and the index file are guarded by
-// a per-table read/write mutex, while tuple access synchronises at page
-// granularity inside the sharded buffer pool (readers take shared frame
-// latches, writers exclusive ones), so operations on different pages —
-// and concurrent reads of the same page — proceed in parallel.
+// Tables are safe for concurrent use. The per-table read/write mutex is the
+// table's one lock: it guards pk, the secondary directories, the index
+// entry files and the heap's page list (neither internal/heap nor
+// internal/index locks anything of its own). Tuple bytes synchronise at
+// page granularity inside the sharded buffer pool (readers take shared
+// frame latches, writers exclusive ones), so operations on different pages
+// — and concurrent reads of the same page — proceed in parallel.
 type Table struct {
 	db        *DB
 	name      string
@@ -51,11 +53,10 @@ type Table struct {
 	idxID     uint32 // object identifier of the primary-key index
 	tupleSize int
 
-	heap *heap.File
-
-	mu  sync.RWMutex
-	pk  *btree.Tree
-	idx *index.File
+	mu   sync.RWMutex
+	heap *heap.File // its page list is mu's, its tuples the page latches'
+	pk   *btree.Tree
+	idx  *index.File
 	// secondaries are the table's secondary indexes in creation order;
 	// their volatile directories share t.mu with the pk B-tree.
 	secondaries []*SecondaryIndex
@@ -84,7 +85,11 @@ func (t *Table) ID() uint32 { return t.id }
 func (t *Table) IndexID() uint32 { return t.idxID }
 
 // IndexPages returns the number of persistent index entry pages.
-func (t *Table) IndexPages() int { return t.idx.Pages() }
+func (t *Table) IndexPages() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.idx.Pages()
+}
 
 // TupleSize returns the fixed tuple size in bytes.
 func (t *Table) TupleSize() int { return t.tupleSize }
@@ -92,10 +97,18 @@ func (t *Table) TupleSize() int { return t.tupleSize }
 // Count returns the number of rows: the primary-key entry file's length,
 // which counts committed rows and uncommitted inserts, and a deleted row
 // until its delete commits.
-func (t *Table) Count() uint64 { return uint64(t.idx.Len()) }
+func (t *Table) Count() uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return uint64(t.idx.Len())
+}
 
 // Pages returns the number of heap pages of the table.
-func (t *Table) Pages() int { return len(t.heap.PageIDs()) }
+func (t *Table) Pages() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.heap.PageIDs())
+}
 
 // indexSetLocked maps key to the packed RID in both the volatile B-tree
 // and the persistent index file. Caller holds t.mu.

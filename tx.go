@@ -277,7 +277,7 @@ func (tx *Tx) Delete(t *Table, key int64) error {
 		if _, err := tx.inner.LogIndexDelete(s.id, skey, v); err != nil {
 			return err
 		}
-		if err := s.removeDeferredLocked(skey, v); err != nil {
+		if err := s.file.Remove(skey, v); err != nil {
 			return err
 		}
 		tx.pendingSecDrops = append(tx.pendingSecDrops, pendingSecDrop{sec: s, key: skey, rid: v})
@@ -371,7 +371,7 @@ func (tx *Tx) applyMoves(t *Table, moves []secondaryMove, packed uint64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, mv := range moves {
-		if err := mv.sec.removeDeferredLocked(mv.oldKey, packed); err != nil {
+		if err := mv.sec.file.Remove(mv.oldKey, packed); err != nil {
 			return err
 		}
 		tx.pendingSecDrops = append(tx.pendingSecDrops, pendingSecDrop{sec: mv.sec, key: mv.oldKey, rid: packed})
