@@ -10,22 +10,34 @@
 // both: a single-error-correcting, double-error-detecting (SEC-DED) code
 // over arbitrary byte regions.
 //
-// The code stores, per protected region, the XOR of the bit positions of
-// all 1-bits plus an overall parity bit. A single flipped bit changes the
-// position-XOR by exactly its own index, which identifies and corrects it;
-// a double flip leaves the parity unchanged while disturbing the syndrome,
-// which is reported as uncorrectable.
+// The code is the region's CRC-32C (Castagnoli polynomial) followed by the
+// region's length. The polynomial has an even number of terms, so every
+// error of odd weight leaves a syndrome of odd weight; and over a region of
+// up to 64 KiB the syndromes of single-bit errors are distinct, nonzero and
+// none is a single bit of the CRC itself. That is minimum distance 4
+// (Castagnoli, Bräuer & Herrmann, IEEE Trans. Commun. 1993): a single
+// flipped bit is found by its syndrome and corrected in place, and two are
+// detected.
+//
+// hash/crc32 computes the CRC with the CPU's CRC instruction, but calls it
+// through a function value, so a region passed to it escapes to the heap.
+// Encode, Decode, EncodePage and DecodePage use it, for regions that live on
+// the heap anyway (page images); EncodeSplit and DecodeSplit never let their
+// region escape, for short regions on the caller's stack (mapping tags and
+// delta records), at a cost per byte that only short regions can afford.
 package ecc
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/bits"
 )
 
-// CodeSize is the number of ECC bytes produced per protected region:
-// a 32-bit position XOR, a 16-bit population-count check and a parity byte.
+// CodeSize is the number of ECC bytes produced per protected region: the
+// 32-bit CRC, the low 16 bits of the region's length and a zero byte, so a
+// programmed code never reads as Blank.
 const CodeSize = 7
 
 // Errors reported by Decode.
@@ -37,138 +49,62 @@ var (
 	ErrBadCode = errors.New("ecc: malformed code")
 )
 
+// castagnoli is hash/crc32's table for the polynomial; passing this very
+// table is what selects its CRC-instruction path.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// unshift inverts one zero-byte step c → t[byte(c)] ^ c>>8 of the CRC
+// register: the top byte of the result is the top byte of t[byte(c)], and
+// that byte differs for every index.
+var unshift = func() (inv [256]byte) {
+	for b := range 256 {
+		inv[castagnoli[b]>>24] = byte(b)
+	}
+	return inv
+}()
+
+// pageCRC is the CRC of head‖tail on hash/crc32's fast path.
+func pageCRC(head, tail []byte) uint32 {
+	return crc32.Update(crc32.Update(0, castagnoli, head), castagnoli, tail)
+}
+
+// stackCRC is the CRC of head‖tail, computed a byte at a time here so
+// neither part escapes.
+func stackCRC(head, tail []byte) uint32 {
+	c := ^uint32(0)
+	for _, p := range [2][]byte{head, tail} {
+		for _, b := range p {
+			c = castagnoli[byte(c)^b] ^ c>>8
+		}
+	}
+	return ^c
+}
+
 // Encode computes the ECC for data and returns the CodeSize code bytes.
-// Regions up to 256 MiB are supported, far beyond any Flash page size.
 func Encode(data []byte) []byte {
 	code := make([]byte, CodeSize)
-	EncodeSplit(code, data, nil)
+	EncodePage(code, data, nil)
 	return code
 }
 
-// EncodeSplit computes the ECC of the region head‖tail — two byte ranges
+// EncodePage computes the ECC of the region head‖tail — two byte ranges
 // protected as if they were contiguous, such as the body and the footer on
 // either side of a page's delta-record area — and writes the CodeSize code
-// bytes into dst. Neither part is copied.
+// bytes into dst. Neither part is copied; both escape to the heap.
+func EncodePage(dst, head, tail []byte) {
+	putCode(dst, pageCRC(head, tail), len(head)+len(tail))
+}
+
+// EncodeSplit is EncodePage for short regions that may live on the
+// caller's stack: neither part escapes.
 func EncodeSplit(dst, head, tail []byte) {
-	posXOR, ones := splitSignature(head, tail)
-	binary.LittleEndian.PutUint32(dst[0:4], posXOR)
-	binary.LittleEndian.PutUint16(dst[4:6], uint16(ones))
-	dst[6] = byte(ones & 1)
+	putCode(dst, stackCRC(head, tail), len(head)+len(tail))
 }
 
-// splitSignature is the signature of head‖tail. A bit contributes its
-// absolute position whatever else the region holds, so the signature of a
-// concatenation is the XOR (and sum) of the signatures of its parts, each
-// taken at its own offset.
-func splitSignature(head, tail []byte) (posXOR uint32, ones uint64) {
-	posXOR, ones = signature(head, 0)
-	if len(tail) > 0 {
-		tailXOR, tailOnes := signature(tail, len(head))
-		posXOR ^= tailXOR
-		ones += tailOnes
-	}
-	return posXOR, ones
-}
-
-// idxMasks[k] selects the bit indices 0..63 that have bit k set.
-var idxMasks = [6]uint64{
-	0xAAAAAAAAAAAAAAAA,
-	0xCCCCCCCCCCCCCCCC,
-	0xF0F0F0F0F0F0F0F0,
-	0xFF00FF00FF00FF00,
-	0xFFFF0000FFFF0000,
-	0xFFFFFFFF00000000,
-}
-
-// signature returns the XOR of the 1-based bit positions of all set bits of
-// data, and their number, for data starting off bytes into its region.
-//
-// It reads the region as a stream of little-endian 64-bit words w_j and
-// shifts that stream up by one bit, v_j = w_j<<1 | w_(j-1)>>63, so that bit
-// b of v_j is the bit at 1-based position 64j+b. Then the number of set bits
-// is the sum of the popcounts of the v_j; the position bits from 6 up are
-// the XOR of j over the words of odd popcount; and bit k < 6 is the parity
-// of those bits of x = XOR of all v_j whose index b has bit k set. Bytes in
-// front of the first and behind the last 8-byte boundary of the region are
-// placed in their lanes of an otherwise zero word: zero bits contribute
-// nothing.
-func signature(data []byte, off int) (posXOR uint32, ones uint64) {
-	s := sigState{j: uint64(off) >> 3}
-	if lane := off & 7; lane != 0 && len(data) > 0 {
-		n := min(8-lane, len(data))
-		s.word(partialWord(data[:n]) << (8 * lane))
-		data = data[n:]
-	}
-	data = s.blocks(data)
-	for ; len(data) >= 8; data = data[8:] {
-		s.word(binary.LittleEndian.Uint64(data))
-	}
-	if len(data) > 0 {
-		s.word(partialWord(data))
-	}
-	if s.carry != 0 {
-		// The top bit of the last word: bit 0 of one more shifted word.
-		s.ones++
-		s.hi ^= s.j
-	}
-	var low uint64
-	for k, mask := range idxMasks {
-		low |= uint64(bits.OnesCount64(s.x&mask)&1) << k
-	}
-	return uint32(s.hi<<6 | low), s.ones
-}
-
-// sigState is a signature in the making, fed one word at a time.
-type sigState struct {
-	x     uint64 // XOR of all shifted words
-	hi    uint64 // XOR of the indices of the shifted words of odd popcount
-	ones  uint64 // set bits so far
-	carry uint64 // top bit of the last word: bit 0 of the next shifted word
-	j     uint64 // index of the next word
-}
-
-func (s *sigState) word(w uint64) {
-	v := w<<1 | s.carry
-	s.carry = w >> 63
-	c := uint64(bits.OnesCount64(v))
-	s.x ^= v
-	s.ones += c
-	s.hi ^= s.j & -(c & 1)
-	s.j++
-}
-
-// blocks consumes data four words at a time, branch-free, and returns what
-// is left: the unrolled form of word, 1.7 times as fast as calling it.
-func (s *sigState) blocks(data []byte) []byte {
-	for ; len(data) >= 32; data = data[32:] {
-		w0 := binary.LittleEndian.Uint64(data[0:8])
-		w1 := binary.LittleEndian.Uint64(data[8:16])
-		w2 := binary.LittleEndian.Uint64(data[16:24])
-		w3 := binary.LittleEndian.Uint64(data[24:32])
-		v0 := w0<<1 | s.carry
-		v1 := w1<<1 | w0>>63
-		v2 := w2<<1 | w1>>63
-		v3 := w3<<1 | w2>>63
-		s.carry = w3 >> 63
-		c0 := uint64(bits.OnesCount64(v0))
-		c1 := uint64(bits.OnesCount64(v1))
-		c2 := uint64(bits.OnesCount64(v2))
-		c3 := uint64(bits.OnesCount64(v3))
-		s.x ^= v0 ^ v1 ^ v2 ^ v3
-		s.ones += c0 + c1 + c2 + c3
-		s.hi ^= s.j&-(c0&1) ^ (s.j+1)&-(c1&1) ^ (s.j+2)&-(c2&1) ^ (s.j+3)&-(c3&1)
-		s.j += 4
-	}
-	return data
-}
-
-// partialWord loads up to seven bytes into the low lanes of a word.
-func partialWord(b []byte) uint64 {
-	var w uint64
-	for i, v := range b {
-		w |= uint64(v) << (8 * i)
-	}
-	return w
+func putCode(dst []byte, crc uint32, n int) {
+	binary.LittleEndian.PutUint32(dst[0:4], crc)
+	binary.LittleEndian.PutUint16(dst[4:6], uint16(n))
+	dst[6] = 0
 }
 
 // Result describes the outcome of a Decode call.
@@ -181,50 +117,64 @@ type Result struct {
 // place. It returns the number of corrected bits. Double (or more) bit
 // errors are detected and reported as ErrUncorrectable.
 func Decode(data, code []byte) (Result, error) {
-	return DecodeSplit(data, nil, code)
+	return DecodePage(data, nil, code)
 }
 
-// DecodeSplit is Decode for the region head‖tail encoded by EncodeSplit: a
+// DecodePage is Decode for the region head‖tail encoded by EncodePage: a
 // single bit error is corrected in place in whichever part holds it.
+func DecodePage(head, tail, code []byte) (Result, error) {
+	if len(code) < CodeSize {
+		return Result{}, badCode(code)
+	}
+	return correct(head, tail, code, pageCRC(head, tail))
+}
+
+// DecodeSplit is DecodePage for the short regions EncodeSplit encodes:
+// neither part escapes.
 func DecodeSplit(head, tail, code []byte) (Result, error) {
 	if len(code) < CodeSize {
-		return Result{}, fmt.Errorf("%w: got %d bytes, want %d", ErrBadCode, len(code), CodeSize)
+		return Result{}, badCode(code)
 	}
-	wantXOR := binary.LittleEndian.Uint32(code[0:4])
-	wantOnes := binary.LittleEndian.Uint16(code[4:6])
-	wantParity := code[6] & 1
+	return correct(head, tail, code, stackCRC(head, tail))
+}
 
-	gotXOR, gotOnes := splitSignature(head, tail)
-	if gotXOR == wantXOR && uint16(gotOnes) == wantOnes {
-		return Result{}, nil
+func badCode(code []byte) error {
+	return fmt.Errorf("%w: got %d bytes, want %d", ErrBadCode, len(code), CodeSize)
+}
+
+// correct compares the CRC got of head‖tail with code and repairs the one
+// bit whose flip explains the difference, if there is one.
+func correct(head, tail, code []byte, got uint32) (Result, error) {
+	n := len(head) + len(tail)
+	if binary.LittleEndian.Uint16(code[4:6]) != uint16(n) || code[6] != 0 {
+		return Result{}, fmt.Errorf("%w: code is not of this region", ErrUncorrectable)
 	}
-	parityChanged := byte(gotOnes&1) != wantParity
-	if !parityChanged {
+	s := got ^ binary.LittleEndian.Uint32(code[0:4])
+	switch {
+	case s == 0:
+		return Result{}, nil
+	case bits.OnesCount32(s)&1 == 0:
 		// An even number (>= 2) of bits flipped: detectable, not correctable.
 		return Result{}, fmt.Errorf("%w: even multi-bit error", ErrUncorrectable)
+	case s&(s-1) == 0:
+		return Result{}, fmt.Errorf("%w: stored code damaged", ErrUncorrectable)
 	}
-	// A single flip: the syndrome equals the 1-based position of the bit.
-	syndrome := gotXOR ^ wantXOR
-	if syndrome == 0 || int(syndrome-1) >= (len(head)+len(tail))*8 {
-		return Result{}, fmt.Errorf("%w: syndrome out of range", ErrUncorrectable)
+	// A flip of bit b of byte i leaves the syndrome of byte 1<<b followed
+	// by n-1-i zero bytes. Undo those steps one byte at a time from the end
+	// of the region, looking for that byte.
+	for i := n - 1; i >= 0; i-- {
+		idx := unshift[s>>24]
+		s = (s^castagnoli[idx])<<8 | uint32(idx)
+		if s < 0x100 && s&(s-1) == 0 {
+			part, at := head, i
+			if at >= len(head) {
+				part, at = tail, at-len(head)
+			}
+			part[at] ^= byte(s)
+			return Result{Corrected: 1}, nil
+		}
 	}
-	pos := int(syndrome - 1)
-	part, i := head, pos/8
-	if i >= len(head) {
-		part, i = tail, i-len(head)
-	}
-	mask := byte(1) << uint(pos%8)
-	// Flipping that bit makes the position XOR match by construction; the
-	// population count must then match too, or more than one bit differed.
-	fixedOnes := gotOnes + 1
-	if part[i]&mask != 0 {
-		fixedOnes = gotOnes - 1
-	}
-	if uint16(fixedOnes) != wantOnes {
-		return Result{}, fmt.Errorf("%w: multi-bit error", ErrUncorrectable)
-	}
-	part[i] ^= mask
-	return Result{Corrected: 1}, nil
+	return Result{}, fmt.Errorf("%w: multi-bit error", ErrUncorrectable)
 }
 
 // Blank reports whether code consists only of erased (0xFF) bytes, i.e. no

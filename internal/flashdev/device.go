@@ -409,8 +409,8 @@ func (d *Device) ReadPage(block, page int, buf []byte) error {
 }
 
 // Peek copies the raw data area of a page into buf as nand.Chip.Peek does:
-// no clock, no op hook, no read counted, and no ECC decode (dearer than the
-// copy), so the bytes are exact unless the chips inject program
+// no clock, no op hook, no read counted, and no ECC decode (about the cost
+// of the copy), so the bytes are exact unless the chips inject program
 // interference (InterferenceProb > 0). It is for measurements, not data.
 func (d *Device) Peek(block, page int, buf []byte) error {
 	_, chip, b, err := d.locate(block)
@@ -438,7 +438,7 @@ func (d *Device) decode(buf, oob []byte) (bodyValid bool, records int, err error
 	case coverLen+tailLen > len(buf):
 		return false, 0, errors.New("initial region header out of range")
 	}
-	res, err := ecc.DecodeSplit(buf[:coverLen], buf[len(buf)-tailLen:], code)
+	res, err := ecc.DecodePage(buf[:coverLen], buf[len(buf)-tailLen:], code)
 	if err != nil {
 		return false, 0, fmt.Errorf("initial region: %w", err)
 	}
@@ -530,7 +530,7 @@ func (d *Device) programPage(block, page int, data []byte, eccCover, eccTail int
 		binary.LittleEndian.PutUint16(oob[0:oobCoverLenSize], uint16(eccCover))
 		binary.LittleEndian.PutUint16(oob[oobCoverLenSize:oobInitialOff], uint16(eccTail))
 		// The code of cover‖tail, from the page image where it lies.
-		ecc.EncodeSplit(oob[oobInitialOff:], data[:eccCover], data[len(data)-eccTail:])
+		ecc.EncodePage(oob[oobInitialOff:], data[:eccCover], data[len(data)-eccTail:])
 	}
 	if tag != nil {
 		copy(oob[oobTagOff:], tag)

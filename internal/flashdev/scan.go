@@ -72,7 +72,7 @@ func (d *Device) ScanPage(block, page int, buf []byte) (PageScan, error) {
 	// fields are then read).
 	tag := oob[oobTagOff : oobTagOff+TagSize]
 	if !ecc.Blank(tag) {
-		if _, err := ecc.Decode(tag[:tagBody], tag[tagBody:]); err != nil {
+		if _, err := ecc.DecodeSplit(tag[:tagBody], nil, tag[tagBody:]); err != nil {
 			scan.Torn = true
 		} else {
 			scan.Tagged = true

@@ -146,6 +146,10 @@ type partition struct {
 	firstBlock int // global index of the partition's first block
 	free       []int
 	active     int // global block index, -1 if none
+	// image is the page WriteImage builds under the lock: heap memory the
+	// device computes ECC over at full speed, so no caller needs a
+	// page-sized stack array that the ECC call would move to the heap.
+	image []byte
 
 	gc GCStats // bumped atomically
 }
@@ -270,7 +274,8 @@ func newSkeleton(dev *flashdev.Device, cfg Config) (*FTL, error) {
 		}
 	}
 	for c := 0; c < chips; c++ {
-		f.parts = append(f.parts, &partition{f: f, chip: c, firstBlock: c * blocksPerChip, active: -1})
+		f.parts = append(f.parts, &partition{f: f, chip: c, firstBlock: c * blocksPerChip, active: -1,
+			image: make([]byte, geo.PageSize)})
 	}
 	return f, nil
 }
@@ -447,6 +452,19 @@ func (f *FTL) WritePageOut(lba int, data []byte) error {
 	return err
 }
 
+// WriteImage is WritePage for an image build writes into the page it is
+// handed: the partition's own, under the partition lock, valid until build
+// returns. build must write all of it; it holds the partition's last image.
+func (f *FTL) WriteImage(lba int, build func(image []byte)) (bool, error) {
+	p, err := f.lock(lba)
+	if err != nil {
+		return false, err
+	}
+	defer p.mu.Unlock()
+	build(p.image)
+	return f.writeLocked(p, lba, p.image, f.cfg.InPlaceMerge)
+}
+
 // writePage writes a full logical page, in place when merge is set and the
 // mapped physical page takes the image, out of place otherwise.
 func (f *FTL) writePage(lba int, data []byte, merge bool) (bool, error) {
@@ -458,6 +476,11 @@ func (f *FTL) writePage(lba int, data []byte, merge bool) (bool, error) {
 		return false, err
 	}
 	defer p.mu.Unlock()
+	return f.writeLocked(p, lba, data, merge)
+}
+
+// writeLocked is writePage under p, the locked partition of lba.
+func (f *FTL) writeLocked(p *partition, lba int, data []byte, merge bool) (bool, error) {
 	atomic.AddUint64(&f.stats.HostWrites, 1)
 	atomic.AddUint64(&f.stats.HostBytesWritten, uint64(len(data)))
 

@@ -280,6 +280,41 @@ func TestInPlaceMergeSSDMode(t *testing.T) {
 	}
 }
 
+// TestWriteImageIsWritePage: an image built into the partition's page is
+// merged in place or written out of place as the same bytes handed to
+// WritePage would be, and allocates nothing.
+func TestWriteImageIsWritePage(t *testing.T) {
+	f := testFTL(t, Config{FlashMode: nand.ModePSLC, InPlaceMerge: true, EccCoverBytes: 1024})
+	img := pageWithErasedTail(f.PageSize(), 1024, 7)
+	if _, err := f.WritePage(2, img); err != nil {
+		t.Fatalf("WritePage: %v", err)
+	}
+	build := func(want []byte) func([]byte) {
+		return func(image []byte) { copy(image, want) }
+	}
+	img2 := bytes.Clone(img)
+	img2[1024] = 0x11
+	if inPlace, err := f.WriteImage(2, build(img2)); err != nil || !inPlace {
+		t.Fatalf("append-only image: in place %v, err %v; want a merge", inPlace, err)
+	}
+	img3 := bytes.Clone(img2)
+	img3[0] ^= 0xFF
+	if inPlace, err := f.WriteImage(2, build(img3)); err != nil || inPlace {
+		t.Fatalf("rewritten body: in place %v, err %v; want an out-of-place write", inPlace, err)
+	}
+	got := make([]byte, f.PageSize())
+	if err := f.ReadPage(2, got); err != nil || !bytes.Equal(got, img3) {
+		t.Fatalf("ReadPage after WriteImage: err %v, latest image %v", err, bytes.Equal(got, img3))
+	}
+	var err error
+	n := testing.AllocsPerRun(20, func() {
+		_, err = f.WriteImage(3, func(image []byte) { copy(image, img3) })
+	})
+	if n != 0 || err != nil {
+		t.Fatalf("WriteImage: %v allocations per call (err %v), want 0", n, err)
+	}
+}
+
 func TestGarbageCollectionReclaimsSpace(t *testing.T) {
 	f := testFTL(t, Config{FlashMode: nand.ModeMLCFull})
 	// Use a small hot set and overwrite it many times: far more writes than

@@ -67,8 +67,8 @@ func (m WriteMode) String() string {
 const encodeStackSize = 512
 
 // imageStackSize is the largest page image the eviction path builds on its
-// stack: the ipa-ssd block-device image and the Flash copy changedOnFlash
-// compares with. A sync.Pool would allocate again after every collection.
+// stack: the Flash copy changedOnFlash compares with. A sync.Pool would
+// allocate again after every collection.
 const imageStackSize = 8192
 
 // SmallEvictionThreshold is the "less than 100 bytes of net data" bound the
@@ -572,15 +572,14 @@ func (m *Manager) storeAppend(pid uint64, buf []byte, pg *page.Page, t *core.Tra
 		// they are stored on Flash plus the delta-record area extended
 		// with the new records. Only previously erased bytes change, so
 		// the FTL can program the image onto the existing physical page.
-		var stack [imageStackSize]byte
-		image := slices.Grow(stack[:0], m.pageSize)[:m.pageSize]
-		t.RestoreOriginal(image, buf)
-		if meta := t.OriginalMeta(); len(meta) == page.MetaSize {
-			copy(image[:page.HeaderSize], meta[:page.HeaderSize])
-			copy(image[len(image)-page.FooterSize:], meta[page.HeaderSize:])
-		}
-		copy(image[areaOffset:], encoded)
-		inPlace, err := m.ftl.WritePage(int(pid), image)
+		inPlace, err := m.ftl.WriteImage(int(pid), func(image []byte) {
+			t.RestoreOriginal(image, buf)
+			if meta := t.OriginalMeta(); len(meta) == page.MetaSize {
+				copy(image[:page.HeaderSize], meta[:page.HeaderSize])
+				copy(image[len(image)-page.FooterSize:], meta[page.HeaderSize:])
+			}
+			copy(image[areaOffset:], encoded)
+		})
 		if err != nil {
 			return false, fmt.Errorf("storage: page %d: %w", pid, err)
 		}
