@@ -156,7 +156,7 @@ func TestEveryInternalPackageHasAGodocComment(t *testing.T) {
 // lineBudget is the most lines of non-test Go the tree may hold outside
 // benchmark/ (ROADMAP item 6 wanted it at 20,500 or below). A change that
 // needs more raises it in its own diff, where a reviewer sees the growth.
-const lineBudget = 20331
+const lineBudget = 20388
 
 // TestTreeStaysWithinItsLineBudget counts the lines of every non-test .go
 // file outside benchmark/ (and outside hidden directories, where build

@@ -112,3 +112,12 @@ func FuzzProtoDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseIntMatchesStrconv holds ParseInt to strconv.ParseInt(string(b),
+// 10, 64) on arbitrary bytes: the same value and the same error.
+func FuzzParseIntMatchesStrconv(f *testing.F) {
+	for _, in := range parseIntCases {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(checkParseInt)
+}

@@ -141,6 +141,11 @@ type Reader struct {
 	spans []span
 	args  [][]byte
 
+	// arena, during ReadReplies, is where bulk payloads are carved from;
+	// carved counts the bytes, and sizes the next call's arena.
+	arena  []byte
+	carved int
+
 	// MaxBulk, MaxArity and MaxLine bound the accepted frames; the zero
 	// value of each selects its package default.
 	MaxBulk  int
@@ -281,9 +286,26 @@ func (r *Reader) line() ([]byte, error) {
 	return nil, fmt.Errorf("%w: line exceeds %d bytes", ErrTooLarge, r.maxLine())
 }
 
+// ParseInt is strconv.ParseInt(string(b), 10, 64), with the same value
+// and error for any input, minus the string conversion on the common path:
+// up to 18 plain digits cannot overflow, and are summed in a loop.
+func ParseInt(b []byte) (int64, error) {
+	if len(b) == 0 || len(b) > 18 {
+		return strconv.ParseInt(string(b), 10, 64)
+	}
+	var n int64
+	for _, c := range b {
+		if c-'0' > 9 {
+			return strconv.ParseInt(string(b), 10, 64)
+		}
+		n = n*10 + int64(c-'0')
+	}
+	return n, nil
+}
+
 // parseInt parses a RESP length or integer line.
 func parseInt(b []byte) (int64, error) {
-	n, err := strconv.ParseInt(string(b), 10, 64)
+	n, err := ParseInt(b)
 	if err != nil {
 		return 0, fmt.Errorf("%w: bad integer %q", ErrProto, b)
 	}
@@ -422,12 +444,47 @@ func (r *Reader) materialise() [][]byte {
 
 // ReadReply reads one server reply, including nested arrays. io.EOF is
 // returned only at a clean frame boundary. Nothing in the reply aliases
-// the Reader: the caller owns Bulk.
+// the Reader: the caller owns Bulk, which has an allocation of its own —
+// unless the reply is one of a ReadReplies call, whose replies share one
+// arena.
 func (r *Reader) ReadReply() (Reply, error) {
 	if err := r.begin(); err != nil {
 		return Reply{}, err
 	}
 	return r.readReply(0)
+}
+
+// ReadReplies reads n replies and appends them to dst, as n ReadReply
+// calls do, except that their bulk payloads share one arena: a single
+// allocation, sized from the previous call's payloads, with each Bulk
+// capped at its own length so that appending to one never reaches its
+// neighbour. An arena that runs out is followed by one twice its size.
+// Keeping any Bulk keeps its whole arena alive.
+func (r *Reader) ReadReplies(dst []Reply, n int) ([]Reply, error) {
+	r.arena, r.carved = make([]byte, 0, r.carved), 0
+	defer func() { r.arena = nil }()
+	for ; n > 0; n-- {
+		rep, err := r.ReadReply()
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, rep)
+	}
+	return dst, nil
+}
+
+// carve returns room for an n-byte bulk payload: a piece of the arena
+// during ReadReplies, else an allocation of its own.
+func (r *Reader) carve(n int) []byte {
+	if r.arena == nil {
+		return make([]byte, n)
+	}
+	if cap(r.arena)-len(r.arena) < n {
+		r.arena = make([]byte, 0, max(n, 2*cap(r.arena)))
+	}
+	at := len(r.arena)
+	r.arena, r.carved = r.arena[:at+n], r.carved+n
+	return r.arena[at : at+n : at+n]
 }
 
 // maxReplyDepth bounds nested arrays so hostile input cannot recurse the
@@ -469,7 +526,7 @@ func (r *Reader) readReply(depth int) (Reply, error) {
 		}
 		// What is buffered is copied out; the rest of a larger body is read
 		// straight into its destination.
-		body := make([]byte, n)
+		body := r.carve(int(n))
 		got := copy(body, r.buf[r.r:r.w])
 		r.r += got
 		if got < len(body) {
@@ -565,10 +622,20 @@ func (w *Writer) WriteError(code, msg string) {
 }
 
 // writeNumber writes a type byte, a decimal and CRLF, formatted in the
-// write buffer's own free space.
+// write buffer's own free space: by hand below 1000, which covers the
+// lengths and counts of the common replies.
 func (w *Writer) writeNumber(t byte, n int64) {
 	b := append(w.bw.AvailableBuffer(), t)
-	b = strconv.AppendInt(b, n, 10)
+	switch {
+	case uint64(n) < 10:
+		b = append(b, byte('0'+n))
+	case uint64(n) < 100:
+		b = append(b, byte('0'+n/10), byte('0'+n%10))
+	case uint64(n) < 1000:
+		b = append(b, byte('0'+n/100), byte('0'+n/10%10), byte('0'+n%10))
+	default:
+		b = strconv.AppendInt(b, n, 10)
+	}
 	w.bw.Write(append(b, '\r', '\n'))
 }
 

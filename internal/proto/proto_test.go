@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -411,6 +412,118 @@ func TestCodecAllocations(t *testing.T) {
 
 	discard := NewWriter(io.Discard)
 	check("WriteBulk of 120 bytes", 0, func() { discard.WriteBulk(row) })
+}
+
+// parseIntCases are the inputs on which ParseInt and strconv.ParseInt
+// part ways most easily: signs, leading zeros, 18–20 digits on both sides
+// of int64's range, empty input and bytes that are not digits.
+var parseIntCases = []string{
+	"", "0", "7", "-7", "+7", "-", "+", "--1", "007", "-007", "-0",
+	"000000000000000000", "0000000000000000000", "999999999999999999",
+	"1234567890123456789", "9223372036854775807", "9223372036854775808",
+	"-9223372036854775808", "-9223372036854775809", "+9223372036854775807",
+	"12345678901234567890", "99999999999999999999", "00000000000000000001",
+	"1_000", "12a", "a12", " 12", "12 ", "1\r", "0x1f", "1e3", "/", ":",
+	"\xff1", "\u0661",
+}
+
+// checkParseInt fails unless ParseInt(b) returns what
+// strconv.ParseInt(string(b), 10, 64) does, value and error alike.
+func checkParseInt(t *testing.T, b []byte) {
+	t.Helper()
+	got, err := ParseInt(b)
+	want, werr := strconv.ParseInt(string(b), 10, 64)
+	if got != want || !reflect.DeepEqual(err, werr) {
+		t.Fatalf("ParseInt(%q) = %d, %v; strconv.ParseInt = %d, %v", b, got, err, want, werr)
+	}
+}
+
+func TestParseIntMatchesStrconv(t *testing.T) {
+	for _, in := range parseIntCases {
+		checkParseInt(t, []byte(in))
+	}
+	for n := int64(-1100); n <= 1100; n++ {
+		checkParseInt(t, strconv.AppendInt(nil, n, 10))
+	}
+}
+
+// TestWriteNumberMatchesStrconv holds the hand-formatted decimals below
+// 1000 to strconv on both sides of every digit-count boundary.
+func TestWriteNumberMatchesStrconv(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, n := range []int64{0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, -1, -9, -10, -999, -1000, 1 << 40, -1 << 63} {
+		buf.Reset()
+		w.WriteInt(n)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if want := ":" + strconv.FormatInt(n, 10) + "\r\n"; buf.String() != want {
+			t.Fatalf("WriteInt(%d) = %q, want %q", n, buf.String(), want)
+		}
+	}
+}
+
+// TestReadRepliesShareOneArena reads batches of bulk replies, one of them
+// nested in an array, through ReadReplies: every payload is intact and
+// capped at its length, so appending to one leaves its neighbour alone, an
+// arena that runs out mid-batch is followed by a larger one, and a batch
+// the size of the one before it costs a single allocation.
+func TestReadRepliesShareOneArena(t *testing.T) {
+	const n = 32
+	var stream bytes.Buffer
+	w := NewWriter(&stream)
+	rows := make([][]byte, n)
+	for i := range rows {
+		rows[i] = bytes.Repeat([]byte{byte('a' + i%26)}, 120)
+	}
+	writeBatch := func() {
+		for _, row := range rows[:n-1] {
+			w.WriteBulk(row)
+		}
+		w.WriteArray(2)
+		w.WriteInt(7)
+		w.WriteBulk(rows[n-1])
+	}
+	for i := 0; i < 1003; i++ { // two checks, and AllocsPerRun's warm-up and runs
+		writeBatch()
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(&stream)
+	replies := make([]Reply, 0, n)
+	read := func() {
+		var err error
+		if replies, err = r.ReadReplies(replies[:0], n); err != nil || len(replies) != n {
+			t.Fatalf("ReadReplies: %d replies, %v", len(replies), err)
+		}
+	}
+	verify := func() {
+		t.Helper()
+		bulks := make([][]byte, 0, n)
+		for _, rep := range replies[:n-1] {
+			bulks = append(bulks, rep.Bulk)
+		}
+		bulks = append(bulks, replies[n-1].Elems[1].Bulk)
+		for i, b := range bulks {
+			if cap(b) != len(b) {
+				t.Fatalf("bulk %d: cap %d, len %d", i, cap(b), len(b))
+			}
+			_ = append(b, 'X')
+			if i > 0 && !bytes.Equal(bulks[i-1], rows[i-1]) {
+				t.Fatalf("bulk %d: %q, want %q", i-1, bulks[i-1], rows[i-1])
+			}
+		}
+	}
+	read() // the first arena runs out, and is followed by larger ones
+	verify()
+	read()
+	verify()
+	if allocs := testing.AllocsPerRun(1000, read); allocs != 2 {
+		t.Fatalf("a batch of %d bulk replies allocates %.0f times, want 2 (the arena and the array's elements)", n, allocs)
+	}
+	verify()
 }
 
 // BenchmarkReadCommand decodes the benchmark's UPDATE frame.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"ipa"
 	"ipa/internal/buffer"
 	"ipa/internal/ftl"
+	"ipa/internal/proto"
 	"ipa/internal/stat"
 	"ipa/internal/storage"
 	"ipa/internal/txn"
@@ -77,7 +77,7 @@ func errCode(err error) string {
 
 // command is one dispatch-table entry.
 type command struct {
-	name  string
+	id    int    // registration order: the command's latency histogram
 	usage string // "GET table key" — reported on ARGS errors, checked by spec_test
 	min   int    // minimum argument count (excluding the name)
 	max   int    // maximum argument count, -1 = unbounded
@@ -89,7 +89,7 @@ var commands = map[string]command{}
 var commandNames []string
 
 func register(name, usage string, min, max int, fn func(s *session, args [][]byte)) {
-	commands[name] = command{name: name, usage: usage, min: min, max: max, fn: fn}
+	commands[name] = command{id: len(commands), usage: usage, min: min, max: max, fn: fn}
 	commandNames = append(commandNames, name)
 	sort.Strings(commandNames)
 }
@@ -139,9 +139,10 @@ func (s *session) execute(args [][]byte) {
 		s.writeError(codeArgs, "usage: "+cmd.usage)
 		return
 	}
-	start := time.Now()
 	cmd.fn(s, rest)
-	s.srv.lat.observe(cmd.name, s.shard, time.Since(start))
+	now := s.srv.clock()
+	s.srv.lat.observe(cmd.id, s.shard, now-s.mark)
+	s.mark = now
 }
 
 // engineError maps err onto its wire code and writes the error reply.
@@ -151,16 +152,32 @@ func (s *session) engineError(err error) {
 
 // table resolves a table name argument, writing NOTABLE on failure.
 func (s *session) table(name []byte) (*ipa.Table, bool) {
+	if s.tbl != nil && s.tbl.Name() == string(name) {
+		return s.tbl, true
+	}
 	t, ok := s.srv.db.Table(string(name))
 	if !ok {
 		s.writeError(codeNoTable, fmt.Sprintf("no such table %q", name))
+		return nil, false
 	}
-	return t, ok
+	s.tbl = t
+	return t, true
+}
+
+// keyed resolves a command's table and primary-key arguments, args[0]
+// and args[1], writing the error reply when either is bad.
+func (s *session) keyed(args [][]byte) (*ipa.Table, int64, bool) {
+	t, ok := s.table(args[0])
+	if !ok {
+		return nil, 0, false
+	}
+	key, ok := s.argInt("key", args[1])
+	return t, key, ok
 }
 
 // argInt parses a decimal int64 argument, writing ARGS on failure.
 func (s *session) argInt(what string, b []byte) (int64, bool) {
-	n, err := strconv.ParseInt(string(b), 10, 64)
+	n, err := proto.ParseInt(b)
 	if err != nil {
 		s.writeError(codeArgs, fmt.Sprintf("bad %s %q", what, b))
 		return 0, false
@@ -204,24 +221,6 @@ func (s *session) finishWrite(tx *ipa.Tx, err error) {
 	s.w.WriteSimple("OK")
 }
 
-// scanLimit parses the optional row-count bound of SCAN/SCANBY.
-const defaultScanLimit = 1000
-
-func (s *session) scanLimit(args [][]byte, idx int) (int, bool) {
-	if len(args) <= idx {
-		return defaultScanLimit, true
-	}
-	n, ok := s.argInt("limit", args[idx])
-	if !ok {
-		return 0, false
-	}
-	if n <= 0 {
-		s.writeError(codeArgs, "limit must be positive")
-		return 0, false
-	}
-	return int(n), true
-}
-
 func cmdPing(s *session, _ [][]byte) { s.w.WriteSimple("PONG") }
 
 func cmdEcho(s *session, args [][]byte) { s.w.WriteBulk(args[0]) }
@@ -243,28 +242,24 @@ func cmdCreate(s *session, args [][]byte) {
 	s.w.WriteSimple("OK")
 }
 
-func cmdTables(s *session, _ [][]byte) {
-	names := s.srv.db.Tables()
+// writeNames writes a list of names as an array of bulk strings.
+func (s *session) writeNames(names []string) {
 	s.w.WriteArray(len(names))
 	for _, n := range names {
 		s.w.WriteBulkString(n)
 	}
 }
 
+func cmdTables(s *session, _ [][]byte) { s.writeNames(s.srv.db.Tables()) }
+
 func cmdCount(s *session, args [][]byte) {
-	t, ok := s.table(args[0])
-	if !ok {
-		return
+	if t, ok := s.table(args[0]); ok {
+		s.w.WriteInt(int64(t.Count()))
 	}
-	s.w.WriteInt(int64(t.Count()))
 }
 
 func cmdInsert(s *session, args [][]byte) {
-	t, ok := s.table(args[0])
-	if !ok {
-		return
-	}
-	key, ok := s.argInt("key", args[1])
+	t, key, ok := s.keyed(args)
 	if !ok {
 		return
 	}
@@ -280,28 +275,21 @@ func cmdInsert(s *session, args [][]byte) {
 }
 
 func cmdGet(s *session, args [][]byte) {
-	t, ok := s.table(args[0])
+	t, key, ok := s.keyed(args)
 	if !ok {
 		return
 	}
-	key, ok := s.argInt("key", args[1])
-	if !ok {
-		return
-	}
-	var (
-		tuple []byte
-		err   error
-	)
+	var err error
 	if s.tx != nil {
-		tuple, err = s.tx.Get(t, key) // repeatable read at the txn snapshot
+		s.row, err = s.tx.AppendGet(s.row[:0], t, key) // repeatable read at the txn snapshot
 	} else {
-		tuple, err = t.Get(key) // fresh statement snapshot
+		s.row, err = t.AppendGet(s.row[:0], key) // fresh statement snapshot
 	}
 	if err != nil {
 		s.engineError(err)
 		return
 	}
-	s.w.WriteBulk(tuple)
+	s.w.WriteBulk(s.row)
 }
 
 // cmdGetFU is GET under the transaction's record lock: the returned
@@ -314,11 +302,7 @@ func cmdGetFU(s *session, args [][]byte) {
 		s.writeError(codeNoTxn, "GETFU requires an open transaction")
 		return
 	}
-	t, ok := s.table(args[0])
-	if !ok {
-		return
-	}
-	key, ok := s.argInt("key", args[1])
+	t, key, ok := s.keyed(args)
 	if !ok {
 		return
 	}
@@ -331,11 +315,7 @@ func cmdGetFU(s *session, args [][]byte) {
 }
 
 func cmdUpdate(s *session, args [][]byte) {
-	t, ok := s.table(args[0])
-	if !ok {
-		return
-	}
-	key, ok := s.argInt("key", args[1])
+	t, key, ok := s.keyed(args)
 	if !ok {
 		return
 	}
@@ -351,11 +331,7 @@ func cmdUpdate(s *session, args [][]byte) {
 }
 
 func cmdDel(s *session, args [][]byte) {
-	t, ok := s.table(args[0])
-	if !ok {
-		return
-	}
-	key, ok := s.argInt("key", args[1])
+	t, key, ok := s.keyed(args)
 	if !ok {
 		return
 	}
@@ -372,27 +348,34 @@ type scanRow struct {
 	tuple []byte
 }
 
-func cmdScan(s *session, args [][]byte) {
-	t, ok := s.table(args[0])
+// defaultScanLimit bounds SCAN and SCANBY when no limit is given.
+const defaultScanLimit = 1000
+
+// scan answers a range read: from, to and the optional limit are args[i:],
+// and read runs the table's scan with a callback that buffers the rows.
+func (s *session) scan(args [][]byte, i int, read func(from, to int64, fn func(int64, []byte) bool) error) {
+	from, ok := s.argInt("from", args[i])
 	if !ok {
 		return
 	}
-	from, ok := s.argInt("from", args[1])
+	to, ok := s.argInt("to", args[i+1])
 	if !ok {
 		return
 	}
-	to, ok := s.argInt("to", args[2])
-	if !ok {
-		return
-	}
-	limit, ok := s.scanLimit(args, 3)
-	if !ok {
-		return
+	limit := int64(defaultScanLimit)
+	if len(args) > i+2 {
+		if limit, ok = s.argInt("limit", args[i+2]); !ok {
+			return
+		}
+		if limit <= 0 {
+			s.writeError(codeArgs, "limit must be positive")
+			return
+		}
 	}
 	rows := make([]scanRow, 0, 16)
-	err := t.ScanRange(from, to, func(key int64, tuple []byte) bool {
+	err := read(from, to, func(key int64, tuple []byte) bool {
 		rows = append(rows, scanRow{key, tuple})
-		return len(rows) < limit
+		return int64(len(rows)) < limit
 	})
 	if err != nil {
 		s.engineError(err)
@@ -402,6 +385,12 @@ func cmdScan(s *session, args [][]byte) {
 	for _, r := range rows {
 		s.w.WriteInt(r.key)
 		s.w.WriteBulk(r.tuple)
+	}
+}
+
+func cmdScan(s *session, args [][]byte) {
+	if t, ok := s.table(args[0]); ok {
+		s.scan(args, 1, t.ScanRange)
 	}
 }
 
@@ -427,14 +416,8 @@ func cmdCIndex(s *session, args [][]byte) {
 }
 
 func cmdIndexes(s *session, args [][]byte) {
-	t, ok := s.table(args[0])
-	if !ok {
-		return
-	}
-	names := t.SecondaryIndexes()
-	s.w.WriteArray(len(names))
-	for _, n := range names {
-		s.w.WriteBulkString(n)
+	if t, ok := s.table(args[0]); ok {
+		s.writeNames(t.SecondaryIndexes())
 	}
 }
 
@@ -459,35 +442,10 @@ func cmdGetBy(s *session, args [][]byte) {
 }
 
 func cmdScanBy(s *session, args [][]byte) {
-	t, ok := s.table(args[0])
-	if !ok {
-		return
-	}
-	from, ok := s.argInt("from", args[2])
-	if !ok {
-		return
-	}
-	to, ok := s.argInt("to", args[3])
-	if !ok {
-		return
-	}
-	limit, ok := s.scanLimit(args, 4)
-	if !ok {
-		return
-	}
-	rows := make([]scanRow, 0, 16)
-	err := t.ScanSecondary(string(args[1]), from, to, func(key int64, tuple []byte) bool {
-		rows = append(rows, scanRow{key, tuple})
-		return len(rows) < limit
-	})
-	if err != nil {
-		s.engineError(err)
-		return
-	}
-	s.w.WriteArray(2 * len(rows))
-	for _, r := range rows {
-		s.w.WriteInt(r.key)
-		s.w.WriteBulk(r.tuple)
+	if t, ok := s.table(args[0]); ok {
+		s.scan(args, 2, func(from, to int64, fn func(int64, []byte) bool) error {
+			return t.ScanSecondary(string(args[1]), from, to, fn)
+		})
 	}
 }
 

@@ -129,12 +129,12 @@ func (s histSnapshot) mean() time.Duration {
 	return s.Sum / time.Duration(s.Count)
 }
 
-// latencies is the per-command histogram vector. The command set is the
-// static dispatch registry, so the map is built once and read-only — no
-// lock anywhere on the record path.
+// latencies is the per-command histogram vector, indexed by command.id.
+// The command set is the static dispatch registry, so the vector is built
+// once and read-only — no lock anywhere on the record path.
 type latencies struct {
 	shards int
-	cmds   map[string]*cmdHist
+	cmds   []cmdHist
 }
 
 // latencyShards picks the shard count: one per scheduling lane, capped so
@@ -142,27 +142,21 @@ type latencies struct {
 func latencyShards() int { return min(runtime.GOMAXPROCS(0), 16) }
 
 func newLatencies(shards int) *latencies {
-	l := &latencies{shards: shards, cmds: make(map[string]*cmdHist, len(commandNames))}
-	for _, name := range commandNames {
-		l.cmds[name] = &cmdHist{shards: make([]histShard, shards)}
+	l := &latencies{shards: shards, cmds: make([]cmdHist, len(commands))}
+	for i := range l.cmds {
+		l.cmds[i].shards = make([]histShard, shards)
 	}
 	return l
 }
 
-// observe records one handled command. Unknown names (never in the
-// registry) are dropped.
-func (l *latencies) observe(cmd string, shard int, d time.Duration) {
-	if h, ok := l.cmds[cmd]; ok {
-		h.observe(shard, d)
-	}
-}
+// observe records one handled command, given by its id.
+func (l *latencies) observe(cmd, shard int, d time.Duration) { l.cmds[cmd].observe(shard, d) }
 
-// snapshot merges every command's shards; the iteration order is
-// commandNames (sorted), which keeps the exposition stable.
+// snapshot merges every command's shards, by command name.
 func (l *latencies) snapshot() map[string]histSnapshot {
 	out := make(map[string]histSnapshot, len(l.cmds))
-	for name, h := range l.cmds {
-		out[name] = h.snapshot()
+	for name, c := range commands {
+		out[name] = l.cmds[c.id].snapshot()
 	}
 	return out
 }

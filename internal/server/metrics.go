@@ -100,9 +100,9 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 	// Per-command latency histograms: one family, one series set per
 	// command, cumulative buckets ending at +Inf.
-	family(w, "ipa_server_command_seconds", "Wall-clock latency of command handling, by command.", "histogram")
+	family(w, "ipa_server_command_seconds", "Wall-clock latency of a command, by command: from the end of the previous command, or the socket read that delivered it, to the end of its execution.", "histogram")
 	for _, name := range commandNames {
-		s := srv.lat.cmds[name].snapshot()
+		s := srv.lat.cmds[commands[name].id].snapshot()
 		var cum uint64
 		for i := 0; i < histBucketCount; i++ {
 			cum += s.Counts[i]

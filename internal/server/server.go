@@ -52,7 +52,7 @@ type Server struct {
 	ln      net.Listener
 	httpLn  net.Listener
 	httpSrv *http.Server
-	workers chan struct{}
+	lanes   lanes
 
 	mu       sync.Mutex
 	sessions map[*session]struct{}
@@ -93,12 +93,36 @@ func New(db *ipa.DB, cfg Config) *Server {
 	return &Server{
 		db:       db,
 		cfg:      cfg,
-		workers:  make(chan struct{}, cfg.Workers),
+		lanes:    lanes{wake: make(chan struct{}, cfg.Workers)},
 		sessions: make(map[*session]struct{}),
 		started:  time.Now(),
 		lat:      newLatencies(latencyShards()),
 	}
 }
+
+// lanes admits at most cap(wake) commands into the engine at once: n
+// counts the commands inside and waiting, and a command that finds every
+// lane taken waits on wake, where a leaving command hands over its lane.
+// The buffer lets the hand-over complete before its waiter gets there.
+type lanes struct {
+	n    atomic.Int64
+	wake chan struct{}
+}
+
+func (l *lanes) acquire() {
+	if l.n.Add(1) > int64(cap(l.wake)) {
+		<-l.wake
+	}
+}
+
+func (l *lanes) release() {
+	if l.n.Add(-1) >= int64(cap(l.wake)) {
+		l.wake <- struct{}{}
+	}
+}
+
+// clock reads the server's monotonic clock: the time since it started.
+func (srv *Server) clock() time.Duration { return time.Since(srv.started) }
 
 // logf emits one lifecycle log line, if logging is configured.
 func (srv *Server) logf(format string, args ...any) {

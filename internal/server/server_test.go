@@ -7,8 +7,10 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -441,6 +443,47 @@ func TestHealthzAndMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("metrics missing %s:\n%s", want, body)
+		}
+	}
+}
+
+// TestLanesNeverAdmitMoreThanTheirLimit has K goroutines take a lane M
+// times each at limit L: no more than L are ever inside at once, every
+// acquisition gets in (none is lost on a hand-off), and all of them finish.
+func TestLanesNeverAdmitMoreThanTheirLimit(t *testing.T) {
+	const k, m = 16, 2000
+	for _, limit := range []int{1, 3, 8} {
+		l := lanes{wake: make(chan struct{}, limit)}
+		var inside, most, entered atomic.Int64
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < k; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 0; j < m; j++ {
+					l.acquire()
+					n := inside.Add(1)
+					for old := most.Load(); n > old && !most.CompareAndSwap(old, n); old = most.Load() {
+					}
+					entered.Add(1)
+					if j%64 == 0 {
+						runtime.Gosched() // hold the lane across a reschedule now and then
+					}
+					inside.Add(-1)
+					l.release()
+				}
+			}()
+		}
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(time.Minute):
+			t.Fatalf("limit %d: %d of %d acquisitions got in before the deadline", limit, entered.Load(), k*m)
+		}
+		if most.Load() > int64(limit) || entered.Load() != k*m || l.n.Load() != 0 {
+			t.Fatalf("limit %d: %d inside at once, %d of %d acquisitions, count left at %d",
+				limit, most.Load(), entered.Load(), k*m, l.n.Load())
 		}
 	}
 }

@@ -36,6 +36,15 @@ type session struct {
 	// shard is this session's lane in the latency histograms; sessions are
 	// dealt shards round-robin so concurrent recorders rarely collide.
 	shard int
+	// mark is the server clock at the end of the last command or socket
+	// read, where the next command's latency span starts.
+	mark time.Duration
+
+	// tbl is the last table a command named: tables are never dropped, so
+	// it stays valid and a run of commands on one table resolves it once.
+	tbl *ipa.Table
+	// row is GET's reply scratch, reused from command to command.
+	row []byte
 }
 
 func newSession(srv *Server, conn net.Conn) *session {
@@ -54,7 +63,9 @@ func (s *session) Read(p []byte) (int, error) {
 	if err := s.w.Flush(); err != nil {
 		return 0, err
 	}
-	return s.conn.Read(p)
+	n, err := s.conn.Read(p)
+	s.mark = s.srv.clock()
+	return n, err
 }
 
 // serve runs the session to completion.
@@ -72,9 +83,9 @@ func (s *session) serve() {
 			}
 			break
 		}
-		s.srv.workers <- struct{}{} // engine admission: chips × GOMAXPROCS lanes
+		s.srv.lanes.acquire() // engine admission: chips × GOMAXPROCS lanes
 		s.execute(args)
-		<-s.srv.workers
+		s.srv.lanes.release()
 		if s.srv.poisonArgs {
 			for _, a := range args {
 				for i := range a {

@@ -295,8 +295,10 @@ func (o *residentOps) op(i int) [][]byte {
 }
 
 // TestWireAllocations pins the whole process — client, codec, session,
-// engine — over loopback: a PING allocates nothing, a GET the engine's
-// tuple copy and the client's Bulk, an UPDATE the engine's three.
+// engine — over loopback: a PING allocates nothing, a GET the client's
+// Bulk (the session reads the tuple into its own scratch), an UPDATE the
+// engine's two, and a Batch of 32 GETs the reply slice and the one
+// arena their Bulks are carved from.
 func TestWireAllocations(t *testing.T) {
 	_, c := residentServer(t)
 	ops := newResidentOps()
@@ -315,14 +317,35 @@ func TestWireAllocations(t *testing.T) {
 	if _, err := c.DoStrings("CHECKPOINT"); err != nil {
 		t.Fatal(err)
 	}
+	gets := make([]*residentOps, 32)
+	for j := range gets {
+		gets[j] = newResidentOps()
+	}
+	batch := make([][][]byte, len(gets))
+	pipelined := func() {
+		for j := range batch {
+			i++
+			batch[j] = gets[j].get(i)
+		}
+		replies, err := c.Batch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rep := range replies {
+			if len(rep.Bulk) != residentTupleSize {
+				t.Fatalf("GET in a batch: %+v", rep)
+			}
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		f    func()
 		max  float64
 	}{
 		{"PING", func() { do(ping) }, 0},
-		{"GET", func() { do(ops.get(i)) }, 2},
-		{"UPDATE", func() { do(ops.update(i)) }, 3},
+		{"GET", func() { do(ops.get(i)) }, 1},
+		{"UPDATE", func() { do(ops.update(i)) }, 2},
+		{"Batch of 32 GETs", pipelined, 2},
 	} {
 		tc.f()
 		allocs := testing.AllocsPerRun(2000, tc.f)

@@ -139,11 +139,13 @@ const batchWindow = 64 << 10
 
 // Batch pipelines the commands and decodes the replies in order: one call,
 // and one round trip for every batchWindow bytes of commands (a window
-// ends before the command that would overflow it). Error replies appear in
-// the returned slice (Kind KindError), not as the error return — a batch
-// with a NOTFOUND in the middle still yields all replies. The error return
-// is reserved for transport failures, after which the replies decoded so
-// far are returned.
+// ends before the command that would overflow it). The bulk payloads of a
+// window's replies share one arena (proto.Reader.ReadReplies): each Bulk
+// is capped at its own length, but keeping one keeps the arena alive.
+// Error replies appear in the returned slice (Kind KindError), not as the
+// error return — a batch with a NOTFOUND in the middle still yields all
+// replies. The error return is reserved for transport failures, after
+// which the replies decoded so far are returned.
 func (c *Client) Batch(cmds [][][]byte) ([]proto.Reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -171,17 +173,14 @@ func (c *Client) Batch(cmds [][][]byte) ([]proto.Reply, error) {
 }
 
 // collect flushes the commands written so far and appends their replies
-// until n have been read.
+// until n have been read, their bulk payloads carved from one arena.
 func (c *Client) collect(replies []proto.Reply, n int) ([]proto.Reply, error) {
 	if err := c.w.Flush(); err != nil {
 		return replies, c.fail("send", err)
 	}
-	for len(replies) < n {
-		r, err := c.r.ReadReply()
-		if err != nil {
-			return replies, c.fail("read reply", err)
-		}
-		replies = append(replies, r)
+	replies, err := c.r.ReadReplies(replies, n-len(replies))
+	if err != nil {
+		return replies, c.fail("read reply", err)
 	}
 	return replies, nil
 }

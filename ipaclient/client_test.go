@@ -125,6 +125,33 @@ func TestDoAndBatch(t *testing.T) {
 	}
 }
 
+// TestBatchBulksNeverOverlap: the bulk replies of one Batch share an
+// arena, but each is capped at its own length, so appending to one leaves
+// its neighbour as it was.
+func TestBatchBulksNeverOverlap(t *testing.T) {
+	c := scripted(t, answer)
+	var cmds [][][]byte
+	for key := 0; key < 64; key++ {
+		cmds = append(cmds, [][]byte{[]byte("GET"), []byte("t"), []byte(strconv.Itoa(key))})
+	}
+	for round := 0; round < 2; round++ { // the second Batch starts with an arena of the right size
+		replies, err := c.Batch(cmds)
+		if err != nil || len(replies) != len(cmds) {
+			t.Fatalf("Batch: %d replies, %v", len(replies), err)
+		}
+		for i := range replies {
+			b := append(replies[i].Bulk, "-appended"...)
+			b[0] = '!'
+			if want := "row-" + strconv.Itoa(i); string(replies[i].Bulk) != want {
+				t.Fatalf("round %d: reply %d = %q after an append to it, want %q", round, i, replies[i].Bulk, want)
+			}
+			if i+1 < len(replies) && string(replies[i+1].Bulk) != "row-"+strconv.Itoa(i+1) {
+				t.Fatalf("round %d: appending to reply %d made reply %d %q", round, i, i+1, replies[i+1].Bulk)
+			}
+		}
+	}
+}
+
 // TestTransportErrorIsSticky tears every kind of reply at every byte. The
 // call that meets the torn reply fails with a transport error, and so does
 // every call after it — with the same error, never by decoding whatever

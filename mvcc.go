@@ -1,7 +1,6 @@
 package ipa
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -31,17 +30,18 @@ import (
 // under a stripe mutex. The record lock is the chain's owner
 // (internal/txn); there is no lock table.
 
-// readVersion returns the tuple of rid visible at snapshot snap (selfTxn
-// is the reading transaction's id, 0 for table-level reads — a transaction
-// always sees its own writes). ok=false means the record does not exist at
-// the snapshot.
-func (t *Table) readVersion(rid heap.RID, snap, selfTxn uint64) (tuple []byte, ok bool, err error) {
+// readVersion appends the tuple of rid visible at snapshot snap to dst
+// (selfTxn is the reading transaction's id, 0 for table-level reads — a
+// transaction always sees its own writes). ok=false means the record does
+// not exist at the snapshot, and dst comes back as it went in.
+func (t *Table) readVersion(dst []byte, rid heap.RID, snap, selfTxn uint64) (tuple []byte, ok bool, err error) {
 	vc := t.db.txns.Versions()
 	packed := rid.Pack()
 	res, seq := vc.Resolve(packed, snap, selfTxn)
 	if res.Kind != txn.ResHeap {
-		return bytes.Clone(res.Data), res.Kind == txn.ResData, nil
+		return append(dst, res.Data...), res.Kind == txn.ResData, nil
 	}
+	tuple = dst
 	err = t.heap.View(rid, func(cur []byte) error {
 		if !vc.Validate(packed, seq) {
 			res, _ = vc.Resolve(packed, snap, selfTxn)
@@ -53,29 +53,27 @@ func (t *Table) readVersion(rid heap.RID, snap, selfTxn uint64) (tuple []byte, o
 			// index entry the caller captured before its entry was dropped.
 			res.Data = cur
 		}
-		tuple = bytes.Clone(res.Data) // nil when absent
+		ok = res.Data != nil // absent when nil
+		tuple = append(tuple, res.Data...)
 		return nil
 	})
-	return tuple, tuple != nil, err
+	return tuple, ok, err
 }
 
-// getVisible is the snapshot read behind Tx.Get and Table.Get: primary-key
-// lookup (no record lock) followed by version resolution.
-func (t *Table) getVisible(key int64, snap, selfTxn uint64) ([]byte, error) {
+// getVisible is the snapshot read behind Tx.AppendGet and Table.AppendGet:
+// primary-key lookup (no record lock) followed by version resolution.
+func (t *Table) getVisible(dst []byte, key int64, snap, selfTxn uint64) ([]byte, error) {
 	t.mu.RLock()
 	v, ok := t.pk.Get(key)
 	t.mu.RUnlock()
 	if !ok {
-		return nil, errKeyNotFound(t, key)
+		return dst, errKeyNotFound(t, key)
 	}
-	tuple, ok, err := t.readVersion(heap.Unpack(v), snap, selfTxn)
-	if err != nil {
-		return nil, err
+	tuple, ok, err := t.readVersion(dst, heap.Unpack(v), snap, selfTxn)
+	if err == nil && !ok {
+		err = errKeyNotFound(t, key)
 	}
-	if !ok {
-		return nil, errKeyNotFound(t, key)
-	}
-	return tuple, nil
+	return tuple, err
 }
 
 // maybeGC runs MVCC garbage collection at the oldest active snapshot: the

@@ -551,3 +551,50 @@ func TestReadOnlyCommitWritesNoLog(t *testing.T) {
 	}
 	commitUpdate(t, db, tbl, 1, 8) // the row GetForUpdate locked is free again
 }
+
+// TestAppendGet: AppendGet appends the visible tuple after dst's bytes,
+// hands back a copy (writing to it leaves the row alone), leaves dst as
+// it was on a missing key, and inside a transaction reads the snapshot
+// Tx.Get reads — an update committed after the snapshot stays invisible.
+func TestAppendGet(t *testing.T) {
+	db, tbl := mvccFixture(t, 2, 100)
+	prefix := []byte("prefix:")
+	dst := append(make([]byte, 0, 256), prefix...)
+	got, err := tbl.AppendGet(dst, 1)
+	if err != nil {
+		t.Fatalf("AppendGet: %v", err)
+	}
+	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], valRow(100)) {
+		t.Fatalf("AppendGet = %q, want %q then the row", got, prefix)
+	}
+	for i := len(prefix); i < len(got); i++ {
+		got[i] = 0xEE
+	}
+	if row, err := tbl.Get(1); err != nil || !bytes.Equal(row, valRow(100)) {
+		t.Fatalf("the row after writing to AppendGet's result: % x %v", row, err)
+	}
+	if miss, err := tbl.AppendGet(dst, 99); !errors.Is(err, ipa.ErrKeyNotFound) || !bytes.Equal(miss, prefix) {
+		t.Fatalf("AppendGet of a missing key = %q %v, want %q and ErrKeyNotFound", miss, err, prefix)
+	}
+
+	reader := db.Begin()
+	defer reader.Abort()
+	if _, err := reader.Get(tbl, 0); err != nil { // pins the snapshot
+		t.Fatalf("Get: %v", err)
+	}
+	commitUpdate(t, db, tbl, 1, 200)
+	want, err := reader.Get(tbl, 1)
+	if err != nil {
+		t.Fatalf("Tx.Get: %v", err)
+	}
+	got, err = reader.AppendGet(dst, tbl, 1)
+	if err != nil {
+		t.Fatalf("Tx.AppendGet: %v", err)
+	}
+	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) || !bytes.Equal(want, valRow(100)) {
+		t.Fatalf("Tx.AppendGet = % x after Tx.Get read % x, want the snapshot's value 100", got, want)
+	}
+	if row, err := tbl.AppendGet(nil, 1); err != nil || !bytes.Equal(row, valRow(200)) {
+		t.Fatalf("a fresh AppendGet = % x %v, want the committed value 200", row, err)
+	}
+}

@@ -145,18 +145,20 @@ func (t *Table) rid(key int64) (heap.RID, error) {
 // statement snapshot: the latest committed version is returned, a
 // concurrent writer's uncommitted bytes are never visible, and no record
 // lock is taken.
-func (t *Table) Get(key int64) ([]byte, error) {
+func (t *Table) Get(key int64) ([]byte, error) { return t.AppendGet(nil, key) }
+
+// AppendGet is Get appending the tuple to dst, which it returns (dst
+// unchanged on error): a caller that reuses dst reads without allocating.
+func (t *Table) AppendGet(dst []byte, key int64) ([]byte, error) {
 	if err := t.db.acquire(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	defer t.db.release()
-	var tuple []byte
-	err := t.db.snapshotted(func(snap uint64) error {
-		var gerr error
-		tuple, gerr = t.getVisible(key, snap, 0)
+	err := t.db.snapshotted(func(snap uint64) (gerr error) {
+		dst, gerr = t.getVisible(dst, key, snap, 0)
 		return gerr
 	})
-	return tuple, err
+	return dst, err
 }
 
 // secondaryMove is one pending secondary-index entry relocation caused by
@@ -248,7 +250,7 @@ func (t *Table) scanPairs(pairs []scanPair, snap uint64, filter ExtractFunc, fn 
 		if err := t.db.acquire(); err != nil {
 			return err
 		}
-		tuple, ok, err := t.readVersion(p.rid, snap, 0)
+		tuple, ok, err := t.readVersion(nil, p.rid, snap, 0)
 		t.db.release()
 		if err != nil {
 			return err

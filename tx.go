@@ -137,12 +137,16 @@ func (tx *Tx) counted(err error) error {
 // read). Uncommitted writes of other transactions are never visible; the
 // transaction's own writes are. The value is not locked — a transaction
 // whose logic depends on it staying put must use GetForUpdate.
-func (tx *Tx) Get(t *Table, key int64) ([]byte, error) {
+func (tx *Tx) Get(t *Table, key int64) ([]byte, error) { return tx.AppendGet(nil, t, key) }
+
+// AppendGet is Get appending the tuple to dst, which it returns (dst
+// unchanged on error).
+func (tx *Tx) AppendGet(dst []byte, t *Table, key int64) ([]byte, error) {
 	if err := tx.enter(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	defer tx.db.release()
-	return t.getVisible(key, tx.snapshot(), tx.inner.ID())
+	return t.getVisible(dst, key, tx.snapshot(), tx.inner.ID())
 }
 
 // GetForUpdate returns a copy of the tuple stored under key in table t
