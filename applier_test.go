@@ -98,6 +98,12 @@ func openMatrix(t *testing.T) *matrixFixture {
 func thisRID(f *matrixFixture) uint64  { return f.rid.Pack() }
 func otherRID(f *matrixFixture) uint64 { return heap.RID{PageID: f.rid.PageID, Slot: 40}.Pack() }
 
+// secPair identifies one (secondary key, packed RID) index pair.
+type secPair struct {
+	key int64
+	rid uint64
+}
+
 // matrixState is everything a record may change, as the test compares it.
 type matrixState struct {
 	Page, Lost  []byte // images of the row's page and the lost page (nil while it does not exist)

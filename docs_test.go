@@ -153,14 +153,16 @@ func TestEveryInternalPackageHasAGodocComment(t *testing.T) {
 	}
 }
 
-// lineBudget is the most lines of non-test Go the tree may hold outside
-// benchmark/ (ROADMAP item 6 wanted it at 20,500 or below). A change that
-// needs more raises it in its own diff, where a reviewer sees the growth.
-const lineBudget = 20388
+// lineBudget is the number of lines of non-test Go the tree holds outside
+// benchmark/ (ROADMAP item 6 wants 20,000 or below). It is a ratchet: a
+// change that needs more lines raises it in its own diff, where a reviewer
+// sees the growth, and a change that deletes lines lowers it to the new
+// count, so the next change cannot spend them unseen.
+const lineBudget = 20306
 
 // TestTreeStaysWithinItsLineBudget counts the lines of every non-test .go
 // file outside benchmark/ (and outside hidden directories, where build
-// caches and throw-away probes live).
+// caches and throw-away probes live) and requires exactly lineBudget.
 func TestTreeStaysWithinItsLineBudget(t *testing.T) {
 	lines := 0
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
@@ -181,8 +183,11 @@ func TestTreeStaysWithinItsLineBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lines > lineBudget {
+	switch {
+	case lines > lineBudget:
 		t.Errorf("%d lines of non-test Go outside benchmark/, budget %d", lines, lineBudget)
+	case lines < lineBudget:
+		t.Errorf("%d lines of non-test Go outside benchmark/, under the budget of %d: set lineBudget to %d", lines, lineBudget, lines)
 	}
 	t.Logf("%d lines of non-test Go outside benchmark/ (budget %d)", lines, lineBudget)
 }

@@ -1,6 +1,11 @@
 package ipa
 
-import "testing"
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"testing"
+)
 
 // gcFixture opens a small engine with rows committed rows of 64 bytes.
 func gcFixture(t *testing.T, rows int64) (*DB, *Table) {
@@ -131,5 +136,89 @@ func TestZombieNeverOutlivesItsChain(t *testing.T) {
 	commitTx(t, db, func(tx *Tx) error { return tx.Insert(tbl, 1, make([]byte, 64)) })
 	if got, err := tbl.Get(1); err != nil || len(got) != 64 {
 		t.Fatalf("reinserted key 1 reads %d bytes, %v", len(got), err)
+	}
+}
+
+// TestCommitRetiresWhatItsRecordsName: one transaction behind an open
+// snapshot deletes key 1, moves key 2's secondary key A→B, moves key 3's
+// A→B→A and inserts then deletes key 9. The snapshot still reads key 1;
+// a fresh secondary lookup finds row 2 under B and row 3 under A; the
+// retained entries are the pk zombies of keys 1 and 9 and the pairs (A, 1),
+// (A, 2), (B, 3) and (A, 9) — (A, 3) is live again. The snapshot's release
+// reclaims them all, with every version chain.
+func TestCommitRetiresWhatItsRecordsName(t *testing.T) {
+	const a, b = 10, 20
+	db, err := Open(Config{
+		PageSize: 2048, Blocks: 24, PagesPerBlock: 16, BufferPoolPages: 8,
+		WriteMode: IPANativeFlash, Scheme: Scheme{N: 2, M: 4}, FlashMode: PSLC,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	tbl, err := db.CreateTable("t", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tbl.CreateSecondaryIndex("g", Int64Field(8)); err != nil {
+		t.Fatal(err)
+	}
+	row := func(key, group int64) []byte {
+		r := make([]byte, 64)
+		r[0] = byte(key)
+		binary.LittleEndian.PutUint64(r[8:], uint64(group))
+		return r
+	}
+	group := func(g int64) []byte { return binary.LittleEndian.AppendUint64(nil, uint64(g)) }
+	commitTx(t, db, func(tx *Tx) error {
+		for k := int64(1); k <= 3; k++ {
+			if err := tx.Insert(tbl, k, row(k, a)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	reader := pinSnapshot(db)
+	commitTx(t, db, func(tx *Tx) error {
+		return errors.Join(tx.Delete(tbl, 1),
+			tx.UpdateAt(tbl, 2, 8, group(b)),
+			tx.UpdateAt(tbl, 3, 8, group(b)), tx.UpdateAt(tbl, 3, 8, group(a)),
+			tx.Insert(tbl, 9, row(9, a)), tx.Delete(tbl, 9))
+	})
+	lookup := func(g int64) (keys []byte) {
+		rows, err := tbl.GetBySecondary("g", g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			keys = append(keys, r[0])
+		}
+		return keys
+	}
+	check := func(when string) {
+		t.Helper()
+		if got, want := lookup(a), []byte{3}; !bytes.Equal(got, want) {
+			t.Fatalf("%s: group A holds rows %v, want %v", when, got, want)
+		}
+		if got, want := lookup(b), []byte{2}; !bytes.Equal(got, want) {
+			t.Fatalf("%s: group B holds rows %v, want %v", when, got, want)
+		}
+		if err := db.VerifyIntegrity(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	if got, err := reader.Get(tbl, 1); err != nil || !bytes.Equal(got, row(1, a)) {
+		t.Fatalf("the snapshot reads key 1 as %v, %v; want its old row", got, err)
+	}
+	check("behind the snapshot")
+	if z := db.Stats().ZombieEntries; z != 6 {
+		t.Fatalf("behind the snapshot %d retained index entries, want 6", z)
+	}
+	if err := reader.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	check("after the release")
+	if s := db.Stats(); s.ZombieEntries != 0 || s.VersionChainsLive != 0 {
+		t.Fatalf("after the release %d retained entries, %d version chains; want 0, 0", s.ZombieEntries, s.VersionChainsLive)
 	}
 }

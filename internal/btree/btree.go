@@ -140,8 +140,8 @@ func (n *node) splitInternal() (int64, *node) {
 
 // Delete removes key and reports whether it was present. The tree
 // tolerates underflow instead of rebalancing: leaves may empty out and
-// separator keys may go stale, but Get, Ascend, AscendRange, Min and Max
-// all remain correct (scans skip empty leaves via the leaf chain; see the
+// separator keys may go stale, but Get, Ascend and AscendRange all remain
+// correct (scans skip empty leaves via the leaf chain; see the
 // tests in btree_delete_test.go). The trade-off is memory: node count
 // shrinks only when emptied key ranges are reinserted, so the tree's
 // footprint tracks its high-water mark rather than its live size — fine
@@ -199,40 +199,4 @@ func (t *Tree) Ascend(fn func(key int64, value uint64) bool) {
 		}
 		n = n.next
 	}
-}
-
-// Min returns the smallest key, or false if the tree is empty.
-func (t *Tree) Min() (int64, uint64, bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	for n != nil {
-		if len(n.keys) > 0 {
-			return n.keys[0], n.values[0], true
-		}
-		n = n.next
-	}
-	return 0, 0, false
-}
-
-// Max returns the largest key, or false if the tree is empty.
-func (t *Tree) Max() (int64, uint64, bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[len(n.children)-1]
-	}
-	// The rightmost leaf may be empty after deletions; walk leaves from the
-	// left to find the last non-empty one in that rare case.
-	if len(n.keys) > 0 {
-		return n.keys[len(n.keys)-1], n.values[len(n.keys)-1], true
-	}
-	var bestK int64
-	var bestV uint64
-	found := false
-	t.Ascend(func(k int64, v uint64) bool {
-		bestK, bestV, found = k, v, true
-		return true
-	})
-	return bestK, bestV, found
 }

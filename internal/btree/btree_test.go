@@ -15,12 +15,6 @@ func TestEmptyTree(t *testing.T) {
 	if _, ok := tr.Get(1); ok {
 		t.Fatalf("Get on empty tree must miss")
 	}
-	if _, _, ok := tr.Min(); ok {
-		t.Fatalf("Min on empty tree must miss")
-	}
-	if _, _, ok := tr.Max(); ok {
-		t.Fatalf("Max on empty tree must miss")
-	}
 	if tr.Delete(1) {
 		t.Fatalf("Delete on empty tree must miss")
 	}
@@ -111,19 +105,6 @@ func TestAscendRange(t *testing.T) {
 	})
 	if len(got) != 100 || got[0] != 100 || got[99] != 199 {
 		t.Fatalf("AscendRange wrong: %d keys, first %d last %d", len(got), got[0], got[len(got)-1])
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	tr := New()
-	for _, k := range []int64{50, 10, 99, 42} {
-		tr.Insert(k, uint64(k))
-	}
-	if k, v, ok := tr.Min(); !ok || k != 10 || v != 10 {
-		t.Fatalf("Min = %d,%d,%v", k, v, ok)
-	}
-	if k, v, ok := tr.Max(); !ok || k != 99 || v != 99 {
-		t.Fatalf("Max = %d,%d,%v", k, v, ok)
 	}
 }
 

@@ -166,7 +166,7 @@ type Txn struct {
 	// table before its first append and the checkpoint keeps its cut below
 	// every entry's first LSN until the transaction is deregistered —
 	// which Abort does after it has applied the undo, and a commit's
-	// caller after a point where undo is never read again.
+	// caller after it has read them (Logged) for the last time.
 	undo []*wal.Record
 	// The two sets start on these arrays, so a transaction of a few rows
 	// allocates nothing but itself; append moves a set that outgrows its
@@ -319,6 +319,10 @@ func (t *Txn) releaseLocks() {
 // CommitTS returns the commit timestamp of a committed transaction
 // (0 before Commit succeeds).
 func (t *Txn) CommitTS() uint64 { return t.commitTS }
+
+// Logged returns the transaction's records in log order, as the log stores
+// them: valid until the transaction is deregistered.
+func (t *Txn) Logged() []*wal.Record { return t.undo }
 
 // Abort rolls back the transaction: its records are handed to ap in
 // reverse order with wal.Undo — update before images are restored, inserted

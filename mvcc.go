@@ -115,15 +115,15 @@ func (t *Table) dropPKZombie(key int64, rid uint64) {
 }
 
 // dropPairZombie removes a retained volatile secondary pair, but only if
-// its stale mark still carries the retiring commit's timestamp ts: a
-// re-add cleared the mark (the pair is live again), a later retirement
+// the directory still stamps it with the retiring commit's timestamp ts: a
+// re-add set the stamp to 0 (the pair is live again), a later retirement
 // re-stamped it (a younger retained entry owns the drop). Both checks
 // happen under table.mu, so a drop racing a move-back can never drop a
 // pair that just became current.
 func (s *SecondaryIndex) dropPairZombie(key int64, rid uint64, ts uint64) {
 	atomic.AddUint64(&s.table.db.counts.ZombiesReclaimed, 1)
 	s.table.mu.Lock()
-	if s.stale[secPair{key: key, rid: rid}] == ts {
+	if s.rids[key][rid] == ts {
 		s.dropVolatileLocked(key, rid)
 	}
 	s.table.mu.Unlock()
@@ -165,10 +165,11 @@ func (t *Table) retirePK(key int64, ts uint64) {
 
 // retirePair finishes a committed secondary-entry removal (a delete or the
 // old key of an update move): the persistent pair was already removed when
-// the operation ran; the volatile pair is retained for older snapshots
-// unless no such snapshot exists. Like retirePK this runs after lock
-// release, so the pair may describe a live tuple again (A→B→A double move
-// within the transaction, or a later writer) — then it stays.
+// the operation ran; the volatile pair, if the directory holds it, is
+// stamped with ts and retained for older snapshots unless no such snapshot
+// exists. Like retirePK this runs after lock release, so the pair may
+// describe a live tuple again (A→B→A double move within the transaction,
+// or a later writer) — then it stays.
 func (s *SecondaryIndex) retirePair(key int64, rid uint64, ts uint64) {
 	t := s.table
 	t.mu.Lock()
@@ -183,8 +184,9 @@ func (s *SecondaryIndex) retirePair(key int64, rid uint64, ts uint64) {
 	case t.db.txns.Oracle().NoActiveBefore(ts):
 		s.dropVolatileLocked(key, rid)
 	default:
-		s.stale[secPair{key: key, rid: rid}] = ts
-		keep = true
+		if _, held := s.rids[key][rid]; held {
+			s.rids[key][rid], keep = ts, true
+		}
 	}
 	t.mu.Unlock()
 	if keep {

@@ -292,7 +292,7 @@ func TestSnapshotSurvivesCommittedDelete(t *testing.T) {
 }
 
 // TestSecondaryMoveRetainsPairForSnapshots: committing a key move retains
-// the old volatile pair (stale-marked) while a snapshot predates it, and
+// the old volatile pair (stamped retired) while a snapshot predates it, and
 // fresh secondary reads re-extract and skip it.
 func TestSecondaryMoveRetainsPairForSnapshots(t *testing.T) {
 	db, tbl := scanFixture(t)

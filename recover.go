@@ -367,7 +367,7 @@ func (db *DB) loadCatalog() error {
 // a distinct live RID) and every secondary index describes exactly the
 // (extracted key, RID) pairs of the live tuples (no dangling entries, no
 // missing ones). Index entries retained purely for MVCC snapshot readers
-// (zombies of committed deletes, stale secondary pairs of committed moves)
+// (zombies of committed deletes, retained secondary pairs of committed moves)
 // are tolerated only when the version cache can justify them; right after
 // Reopen the cache is empty, so the cross-check degenerates to the exact
 // bijection. The heap scan lives here, as a verification cross-check
@@ -487,14 +487,14 @@ func (t *Table) verifyIndexAgainstHeap() error {
 // verifyAgainstLocked checks the secondary index against the expected
 // (key, RID) pair set derived from the live heap tuples. Volatile pairs
 // outside that set are tolerated only when they are retained for snapshot
-// readers: stale-marked pairs of committed removals (which must already be
+// readers: pairs stamped by a committed removal (which must already be
 // gone from the persistent file) or pairs whose RID still carries an
 // in-flight version chain. Caller holds the table mutex (read).
 func (s *SecondaryIndex) verifyAgainstLocked(want map[index.Entry]bool) error {
 	vc := s.table.db.txns.Versions()
 	matched := 0
 	for key, set := range s.rids {
-		for v := range set {
+		for v, retired := range set {
 			e := index.Entry{Key: key, Value: v}
 			if want[e] {
 				if !s.file.Contains(key, v) {
@@ -503,7 +503,7 @@ func (s *SecondaryIndex) verifyAgainstLocked(want map[index.Entry]bool) error {
 				matched++
 				continue
 			}
-			if _, stale := s.stale[secPair{key: key, rid: v}]; stale {
+			if retired != 0 {
 				if s.file.Contains(key, v) {
 					return fmt.Errorf("snapshot-retained entry (key %d, RID %s) still in the persistent file", key, heap.Unpack(v))
 				}

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ipa/internal/btree"
 	"ipa/internal/core"
@@ -67,23 +67,14 @@ type SecondaryIndex struct {
 	file    *index.Secondary
 
 	// Volatile search structure, guarded by table.mu like the pk B-tree:
-	// keys is the sorted set of live secondary keys (the stored value is
-	// unused), rids the live RID set per key.
+	// keys is the sorted set of the directory's secondary keys (the stored
+	// value is unused), rids the RID set per key. A RID maps to 0 while its
+	// pair is live, and to the retiring commit's timestamp while the pair
+	// is retained only because a snapshot older than that commit may still
+	// resolve through it. A re-add makes the pair live again (0); the
+	// zombie GC drops exactly the pairs that still carry its timestamp.
 	keys *btree.Tree
-	rids map[int64]map[uint64]struct{}
-	// stale marks retained-historical pairs: entries kept in the volatile
-	// directory only because a snapshot older than their removal's commit
-	// timestamp (the stored value) may still resolve through them. A
-	// re-add of the pair clears the mark (it is live again); the zombie
-	// GC drops exactly the pairs whose mark still carries its timestamp.
-	// Guarded by table.mu.
-	stale map[secPair]uint64
-}
-
-// secPair identifies one (secondary key, packed RID) index pair.
-type secPair struct {
-	key int64
-	rid uint64
+	rids map[int64]map[uint64]uint64
 }
 
 // Name returns the index name (unique per table).
@@ -106,7 +97,15 @@ func (s *SecondaryIndex) Pages() int {
 func (s *SecondaryIndex) Len() int {
 	s.table.mu.RLock()
 	defer s.table.mu.RUnlock()
-	return s.lenLocked()
+	n := 0
+	for _, set := range s.rids {
+		for _, retired := range set {
+			if retired == 0 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // Keys returns the number of distinct live secondary keys.
@@ -116,28 +115,18 @@ func (s *SecondaryIndex) Keys() int {
 	return s.keys.Len()
 }
 
-// lenLocked counts live entries. Caller holds table.mu.
-func (s *SecondaryIndex) lenLocked() int {
-	n := 0
-	for _, set := range s.rids {
-		n += len(set)
-	}
-	return n
-}
-
 // noteLocked records the (key, value) pair in the volatile structures
 // only (used when priming from recovered entry pages). Caller holds
 // table.mu. Idempotent. A pair previously retained as historical becomes
-// live again, so its stale mark is cleared.
+// live again.
 func (s *SecondaryIndex) noteLocked(key int64, value uint64) {
 	set := s.rids[key]
 	if set == nil {
-		set = make(map[uint64]struct{})
+		set = make(map[uint64]uint64)
 		s.rids[key] = set
 		s.keys.Insert(key, 0)
 	}
-	set[value] = struct{}{}
-	delete(s.stale, secPair{key: key, rid: value})
+	set[value] = 0
 }
 
 // addLocked inserts the (key, value) pair into the persistent entry file
@@ -172,26 +161,24 @@ func (s *SecondaryIndex) dropVolatileLocked(key int64, value uint64) {
 			s.keys.Delete(key)
 		}
 	}
-	delete(s.stale, secPair{key: key, rid: value})
 }
 
-// pairsLocked appends the (key, rid) scan pairs of every key in
-// [from, to) to out, keys ascending and RIDs ascending within a key.
-// Caller holds table.mu.
-func (s *SecondaryIndex) pairsLocked(from, to int64, out []scanPair) []scanPair {
-	s.keys.AscendRange(from, to, func(k int64, _ uint64) bool {
-		set := s.rids[k]
-		packed := make([]uint64, 0, len(set))
-		for v := range set {
-			packed = append(packed, v)
+// ridsLocked hands add the pairs of key, live and retained, in RID order,
+// until add returns false, and reports whether it did not. Caller holds
+// table.mu.
+func (s *SecondaryIndex) ridsLocked(key int64, add func(key int64, packed uint64) bool) bool {
+	set := s.rids[key]
+	packed := make([]uint64, 0, len(set))
+	for v := range set {
+		packed = append(packed, v)
+	}
+	slices.Sort(packed)
+	for _, v := range packed {
+		if !add(key, v) {
+			return false
 		}
-		sort.Slice(packed, func(i, j int) bool { return packed[i] < packed[j] })
-		for _, v := range packed {
-			out = append(out, scanPair{key: k, rid: heap.Unpack(v)})
-		}
-		return true
-	})
-	return out
+	}
+	return true
 }
 
 // CreateSecondaryIndex builds a transactional, persistent secondary index
@@ -274,8 +261,7 @@ func newSecondaryIndex(t *Table, name string, id uint32, extract ExtractFunc) *S
 		extract: extract,
 		file:    index.NewSecondary(t.db.store, t.db.pool, id),
 		keys:    btree.New(),
-		rids:    make(map[int64]map[uint64]struct{}),
-		stale:   make(map[secPair]uint64),
+		rids:    make(map[int64]map[uint64]uint64),
 	}
 }
 
@@ -311,23 +297,11 @@ func (t *Table) SecondaryIndexes() []string {
 // exactly one side of the move. A key with no entries yields an empty
 // result, not an error.
 func (t *Table) GetBySecondary(indexName string, key int64) ([][]byte, error) {
-	s, ok := t.SecondaryIndex(indexName)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s.%s", ErrIndexNotFound, t.name, indexName)
-	}
-	if err := t.db.checkOpen(); err != nil {
-		return nil, err
-	}
 	var out [][]byte
-	err := t.db.snapshotted(func(snap uint64) error {
-		t.mu.RLock()
-		pairs := s.pairsLocked(key, key+1, nil)
-		t.mu.RUnlock()
-		return t.scanPairs(pairs, snap, s.extract, func(_ int64, tuple []byte) bool {
-			out = append(out, tuple)
-			return true
-		})
-	})
+	err := t.scanSecondary(indexName, func(_ int64, tuple []byte) bool {
+		out = append(out, tuple)
+		return true
+	}, func(s *SecondaryIndex, add func(int64, uint64) bool) { s.ridsLocked(key, add) })
 	return out, err
 }
 
@@ -337,17 +311,18 @@ func (t *Table) GetBySecondary(indexName string, key int64) ([][]byte, error) {
 // (with per-row key re-extraction, see GetBySecondary) and the close gate
 // is never held across fn.
 func (t *Table) ScanSecondary(indexName string, from, to int64, fn func(key int64, tuple []byte) bool) error {
+	return t.scanSecondary(indexName, fn, func(s *SecondaryIndex, add func(int64, uint64) bool) {
+		s.keys.AscendRange(from, to, func(k int64, _ uint64) bool { return s.ridsLocked(k, add) })
+	})
+}
+
+// scanSecondary is scan over the named secondary index: collect hands the
+// index's pairs to add, and every row is re-extracted against its pair's
+// key.
+func (t *Table) scanSecondary(indexName string, fn func(key int64, tuple []byte) bool, collect func(s *SecondaryIndex, add func(int64, uint64) bool)) error {
 	s, ok := t.SecondaryIndex(indexName)
 	if !ok {
 		return fmt.Errorf("%w: %s.%s", ErrIndexNotFound, t.name, indexName)
 	}
-	if err := t.db.checkOpen(); err != nil {
-		return err
-	}
-	return t.db.snapshotted(func(snap uint64) error {
-		t.mu.RLock()
-		pairs := s.pairsLocked(from, to, nil)
-		t.mu.RUnlock()
-		return t.scanPairs(pairs, snap, s.extract, fn)
-	})
+	return t.scan(s.extract, fn, func(add func(int64, uint64) bool) { collect(s, add) })
 }

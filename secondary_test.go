@@ -3,6 +3,7 @@ package ipa_test
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -382,4 +383,37 @@ func int64le(v int64) []byte {
 	b := make([]byte, 8)
 	binary.LittleEndian.PutUint64(b, uint64(v))
 	return b
+}
+
+// TestGetBySecondaryAtTheKeyRangeEdges looks up the extreme int64 keys:
+// MaxInt64 has no successor, so a lookup of one key is not a range scan.
+func TestGetBySecondaryAtTheKeyRangeEdges(t *testing.T) {
+	db, err := ipa.Open(secCfg())
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("events", 64)
+	if err != nil {
+		t.Fatalf("CreateTable: %v", err)
+	}
+	if _, err := tbl.CreateSecondaryIndex("group", ipa.Int64Field(8)); err != nil {
+		t.Fatalf("CreateSecondaryIndex: %v", err)
+	}
+	groups := []int64{math.MaxInt64, math.MinInt64, 5}
+	tx := db.Begin()
+	for k, g := range groups {
+		if err := tx.Insert(tbl, int64(k), secRow(g, byte(k))); err != nil {
+			t.Fatalf("Insert %d: %v", k, err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	for k, g := range groups {
+		rows, err := tbl.GetBySecondary("group", g)
+		if err != nil || len(rows) != 1 || rows[0][0] != byte(k) {
+			t.Errorf("group %d: %d rows, %v; want row %d", g, len(rows), err, k)
+		}
+	}
 }

@@ -197,37 +197,32 @@ func secondaryMoves(secs []*SecondaryIndex, old []byte, offset int, data []byte)
 // close gate is taken per row — never across fn — so the callback may
 // freely call other table or transaction methods.
 func (t *Table) Scan(fn func(key int64, tuple []byte) bool) error {
-	if err := t.db.checkOpen(); err != nil {
-		return err
-	}
-	return t.db.snapshotted(func(snap uint64) error {
-		t.mu.RLock()
-		pairs := make([]scanPair, 0, t.pk.Len())
-		t.pk.Ascend(func(k int64, v uint64) bool {
-			pairs = append(pairs, scanPair{key: k, rid: heap.Unpack(v)})
-			return true
-		})
-		t.mu.RUnlock()
-		return t.scanPairs(pairs, snap, nil, fn)
-	})
+	return t.scan(nil, fn, func(add func(int64, uint64) bool) { t.pk.Ascend(add) })
 }
 
 // ScanRange calls fn for every key in [from, to) until fn returns false.
 // Like Scan, the range is read at one statement snapshot and the close
 // gate is never held across fn.
 func (t *Table) ScanRange(from, to int64, fn func(key int64, tuple []byte) bool) error {
+	return t.scan(nil, fn, func(add func(int64, uint64) bool) { t.pk.AscendRange(from, to, add) })
+}
+
+// scan is the body of the statement-snapshot reads: under one fresh
+// snapshot, collect hands add the index entries to visit while the table
+// is read-locked, and scanPairs resolves them with no lock held.
+func (t *Table) scan(filter ExtractFunc, fn func(key int64, tuple []byte) bool, collect func(add func(key int64, packed uint64) bool)) error {
 	if err := t.db.checkOpen(); err != nil {
 		return err
 	}
 	return t.db.snapshotted(func(snap uint64) error {
-		t.mu.RLock()
 		var pairs []scanPair
-		t.pk.AscendRange(from, to, func(k int64, v uint64) bool {
+		t.mu.RLock()
+		collect(func(k int64, v uint64) bool {
 			pairs = append(pairs, scanPair{key: k, rid: heap.Unpack(v)})
 			return true
 		})
 		t.mu.RUnlock()
-		return t.scanPairs(pairs, snap, nil, fn)
+		return t.scanPairs(pairs, snap, filter, fn)
 	})
 }
 

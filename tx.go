@@ -37,40 +37,10 @@ var ErrConflict = txn.ErrConflict
 type Tx struct {
 	db    *DB
 	inner *txn.Txn
-	done  bool
 	// snap is the transaction's reader snapshot, acquired on first Get
 	// and released (with a GC nudge) when the transaction finishes.
 	snap    uint64
 	hasSnap bool
-	// pendingDeletes are keys this transaction deleted. Their pk entries
-	// stay in place until Commit so the key remains reserved — a
-	// concurrent insert of the same key must fail the duplicate check (or
-	// conflict on the record lock), otherwise an abort of this
-	// transaction could resurrect a tuple whose key was re-taken. Commit
-	// retires the entries (retirePK keeps the volatile half alive while
-	// older snapshots need it); Abort simply drops the list (the undo
-	// pass restores the tuples and the entries were never touched).
-	pendingDeletes []pendingDelete
-	// pendingSecDrops are secondary pairs this transaction removed (a
-	// delete, or the old key of an update move). The persistent entry is
-	// gone already; the volatile pair is retained for snapshot readers
-	// and retired at Commit (retirePair). Abort drops the list — the
-	// logged undo restores the persistent entries, the volatile pairs
-	// were never touched.
-	pendingSecDrops []pendingSecDrop
-}
-
-// pendingDelete is one key deletion awaiting commit.
-type pendingDelete struct {
-	table *Table
-	key   int64
-}
-
-// pendingSecDrop is one secondary-pair removal awaiting commit.
-type pendingSecDrop struct {
-	sec *SecondaryIndex
-	key int64
-	rid uint64
 }
 
 // snapshot returns the transaction's reader snapshot, acquiring it on
@@ -105,7 +75,7 @@ func (db *DB) Begin() *Tx {
 // holds the close gate when it passes: the caller releases it
 // (db.release).
 func (tx *Tx) enter() error {
-	if tx.done {
+	if tx.inner.Status() != txn.Active {
 		return txn.ErrFinished
 	}
 	return tx.db.acquire()
@@ -244,8 +214,10 @@ func (tx *Tx) Insert(t *Table, key int64, tuple []byte) error {
 // The key stays reserved until Commit: the tuple is deleted immediately,
 // but the pk entry is removed only when the transaction commits, so a
 // concurrent Insert of the same key fails with ErrDuplicateKey instead of
-// racing the uncommitted delete — the key-level analogue of strict 2PL.
-// Deleting the same key twice (or reinserting it) within one transaction
+// racing the uncommitted delete — the key-level analogue of strict 2PL: an
+// abort would otherwise resurrect a tuple whose key was re-taken. Commit
+// retires the entry its RecIndexDelete record names (retirePK). Deleting
+// the same key twice (or reinserting it) within one transaction
 // therefore also fails. Snapshot readers keep seeing the tuple's last
 // committed version (through its version chain) until the delete commits
 // and their snapshots move past it.
@@ -284,7 +256,6 @@ func (tx *Tx) Delete(t *Table, key int64) error {
 		if err := s.file.Remove(skey, v); err != nil {
 			return err
 		}
-		tx.pendingSecDrops = append(tx.pendingSecDrops, pendingSecDrop{sec: s, key: skey, rid: v})
 	}
 	// Push the committed pre-image into the version cache before the heap
 	// slot goes away, then delete. Readers resolve the chain first, so
@@ -292,11 +263,7 @@ func (tx *Tx) Delete(t *Table, key int64) error {
 	if err := t.db.txns.Versions().OnWriteOwned(v, tx.inner, old, true); err != nil {
 		return err
 	}
-	if err := t.heap.Delete(rid); err != nil {
-		return err
-	}
-	tx.pendingDeletes = append(tx.pendingDeletes, pendingDelete{table: t, key: key})
-	return nil
+	return t.heap.Delete(rid)
 }
 
 // UpdateAt overwrites len(data) bytes of the tuple stored under key in
@@ -378,7 +345,6 @@ func (tx *Tx) applyMoves(t *Table, moves []secondaryMove, packed uint64) error {
 		if err := mv.sec.file.Remove(mv.oldKey, packed); err != nil {
 			return err
 		}
-		tx.pendingSecDrops = append(tx.pendingSecDrops, pendingSecDrop{sec: mv.sec, key: mv.oldKey, rid: packed})
 		if err := mv.sec.addLocked(mv.newKey, packed); err != nil {
 			return err
 		}
@@ -403,7 +369,7 @@ func (tx *Tx) Commit() error {
 
 // commit is Commit up to the checkpoint, inside the close gate.
 func (tx *Tx) commit() error {
-	if tx.done {
+	if tx.inner.Status() != txn.Active {
 		return txn.ErrFinished
 	}
 	// Commit runs under the close gate so it either completes before a
@@ -412,36 +378,32 @@ func (tx *Tx) commit() error {
 	if err := tx.db.acquire(); err != nil {
 		_ = tx.inner.Detach()
 		tx.releaseSnapshot()
-		tx.done = true
 		atomic.AddUint64(&tx.db.counts.AbortedTxns, 1)
 		return err
 	}
 	defer tx.db.release()
 	if err := tx.inner.Commit(); err != nil {
-		if !errors.Is(err, txn.ErrFinished) {
-			// The commit record never became durable (power cut during the
-			// log flush): the transaction is finished as a loser — recovery
-			// rolls its effects back after the restart.
-			tx.releaseSnapshot()
-			tx.done = true
-			atomic.AddUint64(&tx.db.counts.AbortedTxns, 1)
-		}
+		// The commit record never became durable (power cut during the log
+		// flush): the transaction is finished as a loser — recovery rolls
+		// its effects back after the restart.
+		tx.releaseSnapshot()
+		atomic.AddUint64(&tx.db.counts.AbortedTxns, 1)
 		return err
 	}
-	tx.done = true
 	// The transaction is durable and its version chains are stamped with
 	// the commit timestamp. Release our own snapshot first (so it cannot
-	// keep our own retirements alive), then retire the index entries of
-	// deleted keys and moved secondary pairs: the persistent halves go
-	// now, the volatile halves survive until no snapshot predates the
-	// commit (see retirePK/retirePair in mvcc.go).
+	// keep our own retirements alive), then retire the index entries its
+	// RecIndexDelete records name — deleted keys and removed secondary
+	// pairs: the persistent halves go now, the volatile halves survive
+	// until no snapshot predates the commit (see retirePK/retirePair in
+	// mvcc.go).
 	ts := tx.inner.CommitTS()
 	tx.releaseSnapshot()
-	for _, pd := range tx.pendingDeletes {
-		pd.table.retirePK(pd.key, ts)
-	}
-	for _, sd := range tx.pendingSecDrops {
-		sd.sec.retirePair(sd.key, sd.rid, ts)
+	ap := applier{tx.db}
+	for _, r := range tx.inner.Logged() {
+		if r.Type == wal.RecIndexDelete {
+			ap.retire(r, ts)
+		}
 	}
 	// Only now — with the commit record durable AND the persistent index
 	// entries of deleted keys retired — may the fuzzy checkpoint's
@@ -460,13 +422,12 @@ func (tx *Tx) commit() error {
 // written, and the transaction remains a WAL loser, so Reopen rolls its
 // flushed updates back after a restart.
 func (tx *Tx) Abort() error {
-	if tx.done {
+	if tx.inner.Status() != txn.Active {
 		return txn.ErrFinished
 	}
 	if err := tx.db.acquire(); err != nil {
 		derr := tx.inner.Detach()
 		tx.releaseSnapshot()
-		tx.done = true
 		atomic.AddUint64(&tx.db.counts.AbortedTxns, 1)
 		return derr
 	}
@@ -476,9 +437,8 @@ func (tx *Tx) Abort() error {
 	}
 	// The undo pass restored the tuples and persistent index entries, and
 	// the version chains flipped back to their committed state; the
-	// pending retirement lists are simply dropped.
+	// retained volatile index entries were never touched.
 	tx.releaseSnapshot()
-	tx.done = true
 	atomic.AddUint64(&tx.db.counts.AbortedTxns, 1)
 	return nil
 }
@@ -501,7 +461,8 @@ func (tx *Tx) Abort() error {
 //
 // Every cell is idempotent, and every cell but RecInsert/Redo skips a page
 // that never reached Flash (ftl.ErrUnmapped): there is nothing to repeat
-// or roll back on it.
+// or roll back on it. A commit hands its own RecIndexDelete records to
+// retire, which finishes the deletions once no snapshot needs them.
 type applier struct{ db *DB }
 
 // Apply implements wal.Applier.
@@ -626,10 +587,7 @@ func (ap applier) Apply(r *wal.Record, a wal.Action) error {
 // (key, RID) pairs and heap slots are never reused, so the exact pair gives
 // the same guarantee there with no condition.
 func (ap applier) applyIndex(objectID uint32, key int64, value uint64, put, conditional bool) error {
-	ap.db.mu.Lock()
-	t, s := ap.db.indexesByID[objectID], ap.db.secondaryByID[objectID]
-	ap.db.mu.Unlock()
-	switch {
+	switch t, s := ap.index(objectID); {
 	case t != nil:
 		t.mu.Lock()
 		defer t.mu.Unlock()
@@ -651,6 +609,26 @@ func (ap applier) applyIndex(objectID uint32, key int64, value uint64, put, cond
 		return s.removeLocked(key, value)
 	}
 	return fmt.Errorf("ipa: index record for unknown index object %d", objectID)
+}
+
+// retire finishes the committed index deletion r at the commit timestamp
+// ts: a primary-key entry goes through retirePK, a secondary pair through
+// retirePair, each keeping the volatile half for older snapshots.
+func (ap applier) retire(r *wal.Record, ts uint64) {
+	switch t, s := ap.index(r.ObjectID); {
+	case t != nil:
+		t.retirePK(r.Key, ts)
+	case s != nil:
+		s.retirePair(r.Key, wal.ValueOf(r.Old), ts)
+	}
+}
+
+// index returns the table whose primary key, or the secondary index, that
+// objectID names; both are nil for an unknown object.
+func (ap applier) index(objectID uint32) (*Table, *SecondaryIndex) {
+	ap.db.mu.Lock()
+	defer ap.db.mu.Unlock()
+	return ap.db.indexesByID[objectID], ap.db.secondaryByID[objectID]
 }
 
 // tableByID returns the table owning the given heap object, or nil.
