@@ -174,15 +174,15 @@ func NewWorkload(name string, scale int, seed int64) (workload.Workload, error) 
 	}
 	switch name {
 	case "tpcb":
-		return workload.NewTPCB(workload.TPCBConfig{Branches: scale, Seed: seed}), nil
+		return workload.NewTPCB(workload.TPCBConfig{Branches: scale}), nil
 	case "tpcc":
-		return workload.NewTPCC(workload.TPCCConfig{Warehouses: scale, Seed: seed}), nil
+		return workload.NewTPCC(workload.TPCCConfig{Warehouses: scale}), nil
 	case "tatp", "tatpsec":
 		return workload.NewTATP(workload.TATPConfig{Subscribers: scale * 5000, Seed: seed, SecondaryLookups: name == "tatpsec"}), nil
 	case "linkbench", "linkbenchsec":
 		return workload.NewLinkBench(workload.LinkBenchConfig{Nodes: scale * 5000, Seed: seed, AssocByID2: name == "linkbenchsec"}), nil
 	case "secchurn":
-		return workload.NewSecondaryChurn(workload.SecondaryChurnConfig{Rows: scale * 10000, Seed: seed}), nil
+		return workload.NewSecondaryChurn(workload.SecondaryChurnConfig{Rows: scale * 10000}), nil
 	case "ycsb-a", "ycsb-b", "ycsb-c", "ycsb-d", "ycsb-e", "ycsb-f":
 		return workload.NewYCSB(workload.YCSBConfig{Letter: name[len("ycsb-")], Records: scale * 5000, Seed: seed})
 	default:

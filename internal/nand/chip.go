@@ -498,16 +498,6 @@ func (c *Chip) Erase(b int) error {
 	return nil
 }
 
-// WornOut reports whether block b has exceeded its endurance.
-func (c *Chip) WornOut(b int) (bool, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if b < 0 || b >= len(c.blocks) {
-		return false, ErrOutOfRange
-	}
-	return c.blocks[b].wornOut, nil
-}
-
 // FillErased sets b to the erased state, all 0xFF, by doubling copies.
 func FillErased(b []byte) {
 	if len(b) == 0 {

@@ -61,9 +61,6 @@ func TestGeometryTotals(t *testing.T) {
 	if g.TotalPages() != 32 {
 		t.Errorf("TotalPages = %d, want 32", g.TotalPages())
 	}
-	if g.TotalBytes() != 32*2048 {
-		t.Errorf("TotalBytes = %d, want %d", g.TotalBytes(), 32*2048)
-	}
 }
 
 func TestErasedPageReadsFF(t *testing.T) {
@@ -246,10 +243,6 @@ func TestEnduranceWearOut(t *testing.T) {
 		if err := c.Erase(0); err != nil {
 			t.Fatalf("erase %d: %v", i, err)
 		}
-	}
-	worn, err := c.WornOut(0)
-	if err != nil || !worn {
-		t.Fatalf("block should be worn out: %v %v", worn, err)
 	}
 	if err := c.Erase(0); !errors.Is(err, ErrWornOut) {
 		t.Fatalf("expected ErrWornOut, got %v", err)

@@ -121,11 +121,6 @@ func (g Geometry) Validate() error {
 // TotalPages returns the number of Flash pages on the chip.
 func (g Geometry) TotalPages() int { return g.Blocks * g.PagesPerBlock }
 
-// TotalBytes returns the data capacity of the chip in bytes.
-func (g Geometry) TotalBytes() int64 {
-	return int64(g.TotalPages()) * int64(g.PageSize)
-}
-
 // Config configures a simulated chip.
 type Config struct {
 	Geometry Geometry

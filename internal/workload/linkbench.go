@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"errors"
 	"math/rand"
 
 	"ipa"
@@ -71,9 +70,6 @@ func (w *LinkBench) Name() string {
 	return "linkbench"
 }
 
-// Config returns the effective configuration.
-func (w *LinkBench) Config() LinkBenchConfig { return w.cfg }
-
 // Load implements Workload.
 func (w *LinkBench) Load(db *ipa.DB) error {
 	var err error
@@ -123,65 +119,40 @@ func (w *LinkBench) RunOne(db *ipa.DB, r *rand.Rand) (bool, error) {
 	node := zipfNode(r, int64(w.cfg.Nodes))
 	p := r.Intn(100)
 
-	tx := db.Begin()
-	abort := func(err error) (bool, error) {
-		if abortErr := tx.Abort(); abortErr != nil {
-			return false, abortErr
-		}
-		if errors.Is(err, ipa.ErrConflict) || errors.Is(err, ipa.ErrKeyNotFound) {
-			return false, nil
-		}
-		return false, err
-	}
-
-	switch {
-	case p < 55: // get node
-		if _, err := tx.Get(w.nodes, node); err != nil {
-			return abort(err)
-		}
-	case p < 70: // get link (by id, or reverse-assoc by target in the variant)
-		if w.cfg.AssocByID2 {
-			if _, err := w.links.GetBySecondary("id2", randInt64(r, int64(w.cfg.Nodes))); err != nil {
-				return abort(err)
+	return attempt(db, func(tx *ipa.Tx) error {
+		switch {
+		case p < 55: // get node
+			_, err := tx.Get(w.nodes, node)
+			return err
+		case p < 70: // get link (by id, or reverse-assoc by target in the variant)
+			if w.cfg.AssocByID2 {
+				_, err := w.links.GetBySecondary("id2", randInt64(r, int64(w.cfg.Nodes)))
+				return err
 			}
-			break
+			_, err := tx.Get(w.links, 1+randInt64(r, w.nextLinkID))
+			return err
+		case p < 85: // bump node version + timestamp (16 contiguous bytes)
+			row, err := tx.Get(w.nodes, node)
+			if err != nil {
+				return err
+			}
+			return tx.UpdateAt(w.nodes, node, lbNodeVersionOffset, int64Bytes(getInt64(row, lbNodeVersionOffset)+1))
+		case p < 95: // touch a link timestamp (8 bytes) and visibility (1 byte)
+			link := 1 + randInt64(r, w.nextLinkID)
+			if err := tx.UpdateAt(w.links, link, lbLinkTimeOffset, int64Bytes(int64(p))); err != nil {
+				return err
+			}
+			return tx.UpdateAt(w.links, link, lbLinkVisOffset, []byte{1})
+		default: // insert a new link
+			w.nextLinkID++
+			row := make([]byte, lbLinkSize)
+			fill(row, w.nextLinkID+80000)
+			putInt64(row, 0, node)
+			putInt64(row, 8, randInt64(r, int64(w.cfg.Nodes)))
+			row[lbLinkVisOffset] = 1
+			return tx.Insert(w.links, w.nextLinkID, row)
 		}
-		link := 1 + randInt64(r, w.nextLinkID)
-		if _, err := tx.Get(w.links, link); err != nil {
-			return abort(err)
-		}
-	case p < 85: // bump node version + timestamp (16 contiguous bytes)
-		row, err := tx.Get(w.nodes, node)
-		if err != nil {
-			return abort(err)
-		}
-		version := getInt64(row, lbNodeVersionOffset) + 1
-		if err := tx.UpdateAt(w.nodes, node, lbNodeVersionOffset, int64Bytes(version)); err != nil {
-			return abort(err)
-		}
-	case p < 95: // touch a link timestamp (8 bytes) and visibility (1 byte)
-		link := 1 + randInt64(r, w.nextLinkID)
-		if err := tx.UpdateAt(w.links, link, lbLinkTimeOffset, int64Bytes(int64(p))); err != nil {
-			return abort(err)
-		}
-		if err := tx.UpdateAt(w.links, link, lbLinkVisOffset, []byte{1}); err != nil {
-			return abort(err)
-		}
-	default: // insert a new link
-		w.nextLinkID++
-		row := make([]byte, lbLinkSize)
-		fill(row, w.nextLinkID+80000)
-		putInt64(row, 0, node)
-		putInt64(row, 8, randInt64(r, int64(w.cfg.Nodes)))
-		row[lbLinkVisOffset] = 1
-		if err := tx.Insert(w.links, w.nextLinkID, row); err != nil {
-			return abort(err)
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		return false, err
-	}
-	return true, nil
+	})
 }
 
 // zipfNode draws a node id with a mild skew (hot nodes are touched more

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -22,8 +21,6 @@ type SecondaryChurnConfig struct {
 	// Groups is the number of distinct secondary-key values; Rows/Groups
 	// tuples share each key.
 	Groups int
-	// Seed drives the load-phase generator.
-	Seed int64
 }
 
 func (c SecondaryChurnConfig) withDefaults() SecondaryChurnConfig {
@@ -32,9 +29,6 @@ func (c SecondaryChurnConfig) withDefaults() SecondaryChurnConfig {
 	}
 	if c.Groups <= 0 {
 		c.Groups = 512
-	}
-	if c.Seed == 0 {
-		c.Seed = 23
 	}
 	return c
 }
@@ -58,9 +52,6 @@ func NewSecondaryChurn(cfg SecondaryChurnConfig) *SecondaryChurn {
 
 // Name implements Workload.
 func (w *SecondaryChurn) Name() string { return "secchurn" }
-
-// Config returns the effective configuration.
-func (w *SecondaryChurn) Config() SecondaryChurnConfig { return w.cfg }
 
 // Load implements Workload.
 func (w *SecondaryChurn) Load(db *ipa.DB) error {
@@ -97,18 +88,7 @@ func (w *SecondaryChurn) RunOne(db *ipa.DB, r *rand.Rand) (bool, error) {
 	// Group move: rewrite the indexed attribute of one row, relocating
 	// its secondary entry (logical delete + insert, both logged).
 	key := randInt64(r, int64(w.cfg.Rows))
-	tx := db.Begin()
-	if err := tx.UpdateAt(w.items, key, scGroupOffset, int64Bytes(r.Int63n(groups))); err != nil {
-		if abortErr := tx.Abort(); abortErr != nil {
-			return false, abortErr
-		}
-		if errors.Is(err, ipa.ErrConflict) || errors.Is(err, ipa.ErrKeyNotFound) {
-			return false, nil
-		}
-		return false, err
-	}
-	if err := tx.Commit(); err != nil {
-		return false, err
-	}
-	return true, nil
+	return attempt(db, func(tx *ipa.Tx) error {
+		return tx.UpdateAt(w.items, key, scGroupOffset, int64Bytes(r.Int63n(groups)))
+	})
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -81,9 +80,6 @@ func (w *TATP) Name() string {
 	}
 	return "tatp"
 }
-
-// Config returns the effective configuration.
-func (w *TATP) Config() TATPConfig { return w.cfg }
 
 // accessKey builds the composite key (subscriber, ai_type).
 func accessKey(sub int64, aiType int) int64 { return sub*4 + int64(aiType) }
@@ -172,25 +168,8 @@ func (w *TATP) RunOne(db *ipa.DB, r *rand.Rand) (bool, error) {
 	}
 }
 
-func (w *TATP) readCommit(db *ipa.DB, read func(tx *ipa.Tx) error) (bool, error) {
-	tx := db.Begin()
-	if err := read(tx); err != nil {
-		if abortErr := tx.Abort(); abortErr != nil {
-			return false, abortErr
-		}
-		if errors.Is(err, ipa.ErrKeyNotFound) || errors.Is(err, ipa.ErrConflict) {
-			return false, nil
-		}
-		return false, err
-	}
-	if err := tx.Commit(); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
 func (w *TATP) getSubscriberData(db *ipa.DB, sub int64) (bool, error) {
-	return w.readCommit(db, func(tx *ipa.Tx) error {
+	return attempt(db, func(tx *ipa.Tx) error {
 		if w.cfg.SecondaryLookups {
 			// The TATP spec routes this lookup through sub_nbr, not the
 			// primary key: resolve it via the secondary index.
@@ -209,7 +188,7 @@ func (w *TATP) getSubscriberData(db *ipa.DB, sub int64) (bool, error) {
 }
 
 func (w *TATP) getNewDestination(db *ipa.DB, r *rand.Rand, sub int64) (bool, error) {
-	return w.readCommit(db, func(tx *ipa.Tx) error {
+	return attempt(db, func(tx *ipa.Tx) error {
 		if _, err := tx.Get(w.facilities, facilityKey(sub, r.Intn(4))); err != nil {
 			return err
 		}
@@ -225,14 +204,14 @@ func (w *TATP) getNewDestination(db *ipa.DB, r *rand.Rand, sub int64) (bool, err
 }
 
 func (w *TATP) getAccessData(db *ipa.DB, r *rand.Rand, sub int64) (bool, error) {
-	return w.readCommit(db, func(tx *ipa.Tx) error {
+	return attempt(db, func(tx *ipa.Tx) error {
 		_, err := tx.Get(w.accessInfo, accessKey(sub, r.Intn(4)))
 		return err
 	})
 }
 
 func (w *TATP) updateSubscriberData(db *ipa.DB, r *rand.Rand, sub int64) (bool, error) {
-	return w.readCommit(db, func(tx *ipa.Tx) error {
+	return attempt(db, func(tx *ipa.Tx) error {
 		// bit_1 of the subscriber: a single-byte update.
 		if err := tx.UpdateAt(w.subscribers, sub, tatpBitOffset, []byte{byte(r.Intn(2))}); err != nil {
 			return err
@@ -243,7 +222,7 @@ func (w *TATP) updateSubscriberData(db *ipa.DB, r *rand.Rand, sub int64) (bool, 
 }
 
 func (w *TATP) updateLocation(db *ipa.DB, r *rand.Rand, sub int64) (bool, error) {
-	return w.readCommit(db, func(tx *ipa.Tx) error {
+	return attempt(db, func(tx *ipa.Tx) error {
 		loc := make([]byte, 4)
 		v := uint32(r.Int63())
 		loc[0], loc[1], loc[2], loc[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
@@ -254,7 +233,7 @@ func (w *TATP) updateLocation(db *ipa.DB, r *rand.Rand, sub int64) (bool, error)
 func (w *TATP) insertCallForwarding(db *ipa.DB, r *rand.Rand, sub int64) (bool, error) {
 	w.nextForwardID++
 	key := w.nextForwardID
-	return w.readCommit(db, func(tx *ipa.Tx) error {
+	return attempt(db, func(tx *ipa.Tx) error {
 		row := make([]byte, tatpForwardingSize)
 		fill(row, key)
 		putInt64(row, 0, sub)
@@ -270,7 +249,7 @@ func (w *TATP) deleteCallForwarding(db *ipa.DB) (bool, error) {
 		return true, nil
 	}
 	key := w.nextForwardID
-	deleted, err := w.readCommit(db, func(tx *ipa.Tx) error {
+	deleted, err := attempt(db, func(tx *ipa.Tx) error {
 		return tx.Delete(w.forwarding, key)
 	})
 	if err != nil {

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -38,8 +37,6 @@ type TPCBConfig struct {
 	// AccountsPerBranch defaults to 10000 (scaled down from TPC-B's
 	// 100000 to fit the simulated device).
 	AccountsPerBranch int
-	// Seed drives the load-phase data generator.
-	Seed int64
 }
 
 func (c TPCBConfig) withDefaults() TPCBConfig {
@@ -48,9 +45,6 @@ func (c TPCBConfig) withDefaults() TPCBConfig {
 	}
 	if c.AccountsPerBranch <= 0 {
 		c.AccountsPerBranch = 10000
-	}
-	if c.Seed == 0 {
-		c.Seed = 7
 	}
 	return c
 }
@@ -73,9 +67,6 @@ func NewTPCB(cfg TPCBConfig) *TPCB { return &TPCB{cfg: cfg.withDefaults()} }
 
 // Name implements Workload.
 func (w *TPCB) Name() string { return "tpcb" }
-
-// Config returns the effective configuration.
-func (w *TPCB) Config() TPCBConfig { return w.cfg }
 
 // Load implements Workload: it creates and populates the four TPC-B tables.
 func (w *TPCB) Load(db *ipa.DB) error {
@@ -142,85 +133,39 @@ func (w *TPCB) RunOne(db *ipa.DB, r *rand.Rand) (bool, error) {
 	}
 	delta := int64(r.Intn(1999999) - 999999)
 
-	tx := db.Begin()
-	abort := func(err error) (bool, error) {
-		if abortErr := tx.Abort(); abortErr != nil {
-			return false, abortErr
+	return attempt(db, func(tx *ipa.Tx) error {
+		// Account balance.
+		row, err := tx.Get(w.accounts, account)
+		if err != nil {
+			return err
 		}
-		if err != nil && !errors.Is(err, ipa.ErrConflict) {
-			return false, err
+		newBal := getInt64(row, tpcbBalanceOffset) + delta
+		if err := tx.UpdateAt(w.accounts, account, tpcbBalanceOffset, int64Bytes(newBal)); err != nil {
+			return err
 		}
-		return false, nil
-	}
-
-	// Account balance.
-	row, err := tx.Get(w.accounts, account)
-	if err != nil {
-		return abort(err)
-	}
-	newBal := getInt64(row, tpcbBalanceOffset) + delta
-	if err := tx.UpdateAt(w.accounts, account, tpcbBalanceOffset, int64Bytes(newBal)); err != nil {
-		return abort(err)
-	}
-	// Teller balance.
-	row, err = tx.Get(w.tellers, teller)
-	if err != nil {
-		return abort(err)
-	}
-	if err := tx.UpdateAt(w.tellers, teller, tpcbBalanceOffset, int64Bytes(getInt64(row, tpcbBalanceOffset)+delta)); err != nil {
-		return abort(err)
-	}
-	// Branch balance.
-	row, err = tx.Get(w.branches, branch)
-	if err != nil {
-		return abort(err)
-	}
-	if err := tx.UpdateAt(w.branches, branch, tpcbBalanceOffset, int64Bytes(getInt64(row, tpcbBalanceOffset)+delta)); err != nil {
-		return abort(err)
-	}
-	// History row.
-	w.nextHistoryID++
-	hrow := make([]byte, tpcbHistorySize)
-	fill(hrow, w.nextHistoryID)
-	putInt64(hrow, 0, w.nextHistoryID)
-	putInt64(hrow, 8, account)
-	putInt64(hrow, 16, delta)
-	if err := tx.Insert(w.history, w.nextHistoryID, hrow); err != nil {
-		return abort(err)
-	}
-	if err := tx.Commit(); err != nil {
-		return false, err
-	}
-	return true, nil
+		// Teller balance.
+		row, err = tx.Get(w.tellers, teller)
+		if err != nil {
+			return err
+		}
+		if err := tx.UpdateAt(w.tellers, teller, tpcbBalanceOffset, int64Bytes(getInt64(row, tpcbBalanceOffset)+delta)); err != nil {
+			return err
+		}
+		// Branch balance.
+		row, err = tx.Get(w.branches, branch)
+		if err != nil {
+			return err
+		}
+		if err := tx.UpdateAt(w.branches, branch, tpcbBalanceOffset, int64Bytes(getInt64(row, tpcbBalanceOffset)+delta)); err != nil {
+			return err
+		}
+		// History row.
+		w.nextHistoryID++
+		hrow := make([]byte, tpcbHistorySize)
+		fill(hrow, w.nextHistoryID)
+		putInt64(hrow, 0, w.nextHistoryID)
+		putInt64(hrow, 8, account)
+		putInt64(hrow, 16, delta)
+		return tx.Insert(w.history, w.nextHistoryID, hrow)
+	})
 }
-
-// AccountBalance returns the current balance of an account (for invariant
-// checks in tests).
-func (w *TPCB) AccountBalance(key int64) (int64, error) {
-	row, err := w.accounts.Get(key)
-	if err != nil {
-		return 0, err
-	}
-	return getInt64(row, tpcbBalanceOffset), nil
-}
-
-// BranchBalance returns the current balance of a branch.
-func (w *TPCB) BranchBalance(key int64) (int64, error) {
-	row, err := w.branches.Get(key)
-	if err != nil {
-		return 0, err
-	}
-	return getInt64(row, tpcbBalanceOffset), nil
-}
-
-// TellerBalance returns the current balance of a teller.
-func (w *TPCB) TellerBalance(key int64) (int64, error) {
-	row, err := w.tellers.Get(key)
-	if err != nil {
-		return 0, err
-	}
-	return getInt64(row, tpcbBalanceOffset), nil
-}
-
-// HistoryCount returns the number of history rows inserted so far.
-func (w *TPCB) HistoryCount() uint64 { return w.history.Count() }

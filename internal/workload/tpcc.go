@@ -45,8 +45,6 @@ type TPCCConfig struct {
 	CustomersPerDistrict int
 	// Items defaults to 2000 (scaled down from 100000).
 	Items int
-	// Seed drives the load-phase generator.
-	Seed int64
 }
 
 func (c TPCCConfig) withDefaults() TPCCConfig {
@@ -58,9 +56,6 @@ func (c TPCCConfig) withDefaults() TPCCConfig {
 	}
 	if c.Items <= 0 {
 		c.Items = 2000
-	}
-	if c.Seed == 0 {
-		c.Seed = 13
 	}
 	return c
 }
@@ -89,9 +84,6 @@ func NewTPCC(cfg TPCCConfig) *TPCC { return &TPCC{cfg: cfg.withDefaults()} }
 
 // Name implements Workload.
 func (w *TPCC) Name() string { return "tpcc" }
-
-// Config returns the effective configuration.
-func (w *TPCC) Config() TPCCConfig { return w.cfg }
 
 func (w *TPCC) districtKey(wh, d int64) int64 { return wh*100 + d }
 func (w *TPCC) customerKey(wh, d, c int64) int64 {
@@ -194,23 +186,6 @@ func (w *TPCC) RunOne(db *ipa.DB, r *rand.Rand) (bool, error) {
 	}
 }
 
-func (w *TPCC) run(db *ipa.DB, body func(tx *ipa.Tx) error) (bool, error) {
-	tx := db.Begin()
-	if err := body(tx); err != nil {
-		if abortErr := tx.Abort(); abortErr != nil {
-			return false, abortErr
-		}
-		if errors.Is(err, ipa.ErrConflict) || errors.Is(err, ipa.ErrKeyNotFound) {
-			return false, nil
-		}
-		return false, err
-	}
-	if err := tx.Commit(); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
 // newOrder reads the customer and district, increments the district's next
 // order id, updates the quantity and ytd of 5-15 stock rows and inserts the
 // order and its order lines.
@@ -221,7 +196,7 @@ func (w *TPCC) newOrder(db *ipa.DB, r *rand.Rand) (bool, error) {
 	cust := nonUniform(r, 1023, 0, int64(c.CustomersPerDistrict)-1)
 	nItems := 5 + r.Intn(11)
 
-	return w.run(db, func(tx *ipa.Tx) error {
+	return attempt(db, func(tx *ipa.Tx) error {
 		if _, err := tx.Get(w.customers, w.customerKey(wh, d, cust)); err != nil {
 			return err
 		}
@@ -293,7 +268,7 @@ func (w *TPCC) payment(db *ipa.DB, r *rand.Rand) (bool, error) {
 	cust := nonUniform(r, 1023, 0, int64(c.CustomersPerDistrict)-1)
 	amount := int64(100 + r.Intn(500000))
 
-	return w.run(db, func(tx *ipa.Tx) error {
+	return attempt(db, func(tx *ipa.Tx) error {
 		wrow, err := tx.Get(w.warehouses, wh)
 		if err != nil {
 			return err
@@ -337,7 +312,7 @@ func (w *TPCC) orderStatus(db *ipa.DB, r *rand.Rand) (bool, error) {
 	d := randInt64(r, tpccDistrictsPerWarehouse)
 	cust := nonUniform(r, 1023, 0, int64(c.CustomersPerDistrict)-1)
 
-	return w.run(db, func(tx *ipa.Tx) error {
+	return attempt(db, func(tx *ipa.Tx) error {
 		if _, err := tx.Get(w.customers, w.customerKey(wh, d, cust)); err != nil {
 			return err
 		}

@@ -11,6 +11,7 @@ package workload
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -71,6 +72,27 @@ func Run(db *ipa.DB, w Workload, opts RunOptions) (RunResult, error) {
 	}
 	res.Elapsed = db.Now() - start
 	return res, nil
+}
+
+// attempt runs body as one transaction: it commits when body succeeds and
+// aborts when it fails. A conflict or a missing key is a clean abort —
+// (false, nil), which Run counts and retries with a fresh draw; any other
+// body error, or an abort or commit failure, is the run's error.
+func attempt(db *ipa.DB, body func(tx *ipa.Tx) error) (bool, error) {
+	tx := db.Begin()
+	if err := body(tx); err != nil {
+		if abortErr := tx.Abort(); abortErr != nil {
+			return false, abortErr
+		}
+		if errors.Is(err, ipa.ErrConflict) || errors.Is(err, ipa.ErrKeyNotFound) {
+			return false, nil
+		}
+		return false, err
+	}
+	if err := tx.Commit(); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // randInt64 returns a uniform key in [0, n).

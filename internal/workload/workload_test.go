@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -27,10 +28,50 @@ func testDB(t *testing.T, mode ipa.WriteMode) *ipa.DB {
 	return db
 }
 
+// TestAttemptOutcomes: a body that succeeds commits; a conflict or a missing
+// key is a clean abort; any other error is returned. Each body first inserts
+// key 1, which survives only the commit.
+func TestAttemptOutcomes(t *testing.T) {
+	db := testDB(t, ipa.IPANativeFlash)
+	defer db.Close()
+	row := make([]byte, 16)
+	cases := []struct {
+		name    string
+		then    func(tx *ipa.Tx, tbl *ipa.Table) error
+		ok      bool
+		wantErr error
+	}{
+		{"commit", func(*ipa.Tx, *ipa.Table) error { return nil }, true, nil},
+		{"conflict", func(*ipa.Tx, *ipa.Table) error { return fmt.Errorf("lock: %w", ipa.ErrConflict) }, false, nil},
+		{"missing key", func(tx *ipa.Tx, tbl *ipa.Table) error { _, err := tx.Get(tbl, 2); return err }, false, nil},
+		{"duplicate key", func(tx *ipa.Tx, tbl *ipa.Table) error { return tx.Insert(tbl, 1, row) }, false, ipa.ErrDuplicateKey},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tbl, err := db.CreateTable(fmt.Sprintf("attempt%d", i), len(row))
+			if err != nil {
+				t.Fatalf("CreateTable: %v", err)
+			}
+			ok, err := attempt(db, func(tx *ipa.Tx) error {
+				if err := tx.Insert(tbl, 1, row); err != nil {
+					return err
+				}
+				return tc.then(tx, tbl)
+			})
+			if ok != tc.ok || !errors.Is(err, tc.wantErr) {
+				t.Fatalf("attempt = (%v, %v), want (%v, %v)", ok, err, tc.ok, tc.wantErr)
+			}
+			if _, err := tbl.Get(1); (err == nil) != tc.ok {
+				t.Fatalf("row after attempt: Get err %v, want visible %v", err, tc.ok)
+			}
+		})
+	}
+}
+
 func TestTPCBInvariants(t *testing.T) {
 	db := testDB(t, ipa.IPANativeFlash)
 	defer db.Close()
-	cfg := TPCBConfig{Branches: 2, AccountsPerBranch: 2000, Seed: 3}
+	cfg := TPCBConfig{Branches: 2, AccountsPerBranch: 2000}
 	w := NewTPCB(cfg)
 	if err := w.Load(db); err != nil {
 		t.Fatalf("Load: %v", err)
@@ -42,34 +83,25 @@ func TestTPCBInvariants(t *testing.T) {
 	if res.Committed != 500 {
 		t.Fatalf("committed %d of 500", res.Committed)
 	}
-	if w.HistoryCount() != 500 {
-		t.Fatalf("history rows = %d, want 500", w.HistoryCount())
+	if n := w.history.Count(); n != 500 {
+		t.Fatalf("history rows = %d, want 500", n)
 	}
 	// Money conservation: the sum of all balance changes must be equal
 	// across accounts, tellers and branches.
-	var accounts, tellers, branches int64
-	c := w.Config()
-	for a := int64(0); a < int64(c.Branches*c.AccountsPerBranch); a++ {
-		bal, err := w.AccountBalance(a)
-		if err != nil {
-			t.Fatalf("AccountBalance: %v", err)
+	sum := func(tbl *ipa.Table, rows int) int64 {
+		var total int64
+		for k := int64(0); k < int64(rows); k++ {
+			row, err := tbl.Get(k)
+			if err != nil {
+				t.Fatalf("%s %d: %v", tbl.Name(), k, err)
+			}
+			total += getInt64(row, tpcbBalanceOffset) - tpcbInitialBalance
 		}
-		accounts += bal - tpcbInitialBalance
+		return total
 	}
-	for tl := int64(0); tl < int64(c.Branches*tpcbTellersPerBranch); tl++ {
-		bal, err := w.TellerBalance(tl)
-		if err != nil {
-			t.Fatalf("TellerBalance: %v", err)
-		}
-		tellers += bal - tpcbInitialBalance
-	}
-	for b := int64(0); b < int64(c.Branches); b++ {
-		bal, err := w.BranchBalance(b)
-		if err != nil {
-			t.Fatalf("BranchBalance: %v", err)
-		}
-		branches += bal - tpcbInitialBalance
-	}
+	accounts := sum(w.accounts, cfg.Branches*cfg.AccountsPerBranch)
+	tellers := sum(w.tellers, cfg.Branches*tpcbTellersPerBranch)
+	branches := sum(w.branches, cfg.Branches)
 	if accounts != tellers || tellers != branches {
 		t.Fatalf("money not conserved: accounts=%d tellers=%d branches=%d", accounts, tellers, branches)
 	}
@@ -79,7 +111,7 @@ func TestTPCBDeterministicWithSeed(t *testing.T) {
 	run := func() ipa.Stats {
 		db := testDB(t, ipa.IPANativeFlash)
 		defer db.Close()
-		w := NewTPCB(TPCBConfig{Branches: 1, AccountsPerBranch: 1000, Seed: 9})
+		w := NewTPCB(TPCBConfig{Branches: 1, AccountsPerBranch: 1000})
 		if err := w.Load(db); err != nil {
 			t.Fatalf("Load: %v", err)
 		}
@@ -123,7 +155,7 @@ func TestTATPRuns(t *testing.T) {
 func TestTPCCRuns(t *testing.T) {
 	db := testDB(t, ipa.IPANativeFlash)
 	defer db.Close()
-	w := NewTPCC(TPCCConfig{Warehouses: 1, CustomersPerDistrict: 100, Items: 500, Seed: 5})
+	w := NewTPCC(TPCCConfig{Warehouses: 1, CustomersPerDistrict: 100, Items: 500})
 	if err := w.Load(db); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -202,7 +234,7 @@ func TestTATPSecondaryRuns(t *testing.T) {
 func TestSecondaryChurnRuns(t *testing.T) {
 	db := testDB(t, ipa.IPANativeFlash)
 	defer db.Close()
-	w := NewSecondaryChurn(SecondaryChurnConfig{Rows: 2000, Groups: 64, Seed: 5})
+	w := NewSecondaryChurn(SecondaryChurnConfig{Rows: 2000, Groups: 64})
 	if err := w.Load(db); err != nil {
 		t.Fatalf("Load: %v", err)
 	}

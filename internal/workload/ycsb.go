@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -369,62 +368,36 @@ func (w *YCSB) RunOne(db *ipa.DB, r *rand.Rand) (bool, error) {
 		row := make([]byte, YCSBValueSize)
 		fill(row, key+w.cfg.Seed)
 		putInt64(row, 0, key)
-		tx := db.Begin()
-		if err := tx.Insert(w.table, key, row); err != nil {
-			return w.abort(tx, err)
+		ok, err := attempt(db, func(tx *ipa.Tx) error { return tx.Insert(w.table, key, row) })
+		if ok {
+			w.maxKey = key
 		}
-		if err := tx.Commit(); err != nil {
-			return false, err
-		}
-		w.maxKey = key
-		return true, nil
+		return ok, err
 
 	case YCSBUpdate:
 		key := w.nextKey(r)
 		patch := make([]byte, YCSBUpdateBytes)
 		fill(patch, int64(r.Int63()))
-		tx := db.Begin()
-		if err := tx.UpdateAt(w.table, key, YCSBValueSize-YCSBUpdateBytes, patch); err != nil {
-			return w.abort(tx, err)
-		}
-		if err := tx.Commit(); err != nil {
-			return false, err
-		}
-		return true, nil
+		return attempt(db, func(tx *ipa.Tx) error {
+			return tx.UpdateAt(w.table, key, YCSBValueSize-YCSBUpdateBytes, patch)
+		})
 
 	default: // YCSBRMW
 		key := w.nextKey(r)
-		tx := db.Begin()
-		row, err := tx.Get(w.table, key)
-		if err != nil {
-			return w.abort(tx, err)
-		}
-		// Derive the patch from the read (the "modify" of read-modify-
-		// write): bump a counter in the tail.
-		off := YCSBValueSize - YCSBUpdateBytes
-		patch := make([]byte, YCSBUpdateBytes)
-		copy(patch, row[off:])
-		patch[0]++
-		if err := tx.UpdateAt(w.table, key, off, patch); err != nil {
-			return w.abort(tx, err)
-		}
-		if err := tx.Commit(); err != nil {
-			return false, err
-		}
-		return true, nil
+		return attempt(db, func(tx *ipa.Tx) error {
+			row, err := tx.Get(w.table, key)
+			if err != nil {
+				return err
+			}
+			// Derive the patch from the read (the "modify" of read-modify-
+			// write): bump a counter in the tail.
+			off := YCSBValueSize - YCSBUpdateBytes
+			patch := make([]byte, YCSBUpdateBytes)
+			copy(patch, row[off:])
+			patch[0]++
+			return tx.UpdateAt(w.table, key, off, patch)
+		})
 	}
-}
-
-// abort rolls the transaction back, mapping conflicts to a retryable
-// outcome like every other driver.
-func (w *YCSB) abort(tx *ipa.Tx, err error) (bool, error) {
-	if abortErr := tx.Abort(); abortErr != nil {
-		return false, abortErr
-	}
-	if err != nil && !errors.Is(err, ipa.ErrConflict) {
-		return false, err
-	}
-	return false, nil
 }
 
 // Table returns the YCSB table (for invariant checks in tests).

@@ -170,7 +170,7 @@ func TestBurnIPALowerThanBaseline(t *testing.T) {
 			t.Fatalf("Open(%v): %v", mode, err)
 		}
 		defer db.Close()
-		w := workload.NewSecondaryChurn(workload.SecondaryChurnConfig{Rows: 600, Groups: 64, Seed: 23})
+		w := workload.NewSecondaryChurn(workload.SecondaryChurnConfig{Rows: 600, Groups: 64})
 		if err := w.Load(db); err != nil {
 			t.Fatalf("load(%v): %v", mode, err)
 		}

@@ -95,24 +95,35 @@ func (s *SecondaryIndex) Pages() int {
 
 // Len returns the number of live (key, RID) entries.
 func (s *SecondaryIndex) Len() int {
+	pairs, _ := s.live()
+	return pairs
+}
+
+// Keys returns the number of distinct live secondary keys: the keys that
+// hold a live entry. A key whose only pairs are retained for older
+// snapshots does not count.
+func (s *SecondaryIndex) Keys() int {
+	_, keys := s.live()
+	return keys
+}
+
+// live counts the live pairs and the keys that hold one.
+func (s *SecondaryIndex) live() (pairs, keys int) {
 	s.table.mu.RLock()
 	defer s.table.mu.RUnlock()
-	n := 0
 	for _, set := range s.rids {
+		n := 0
 		for _, retired := range set {
 			if retired == 0 {
 				n++
 			}
 		}
+		pairs += n
+		if n > 0 {
+			keys++
+		}
 	}
-	return n
-}
-
-// Keys returns the number of distinct live secondary keys.
-func (s *SecondaryIndex) Keys() int {
-	s.table.mu.RLock()
-	defer s.table.mu.RUnlock()
-	return s.keys.Len()
+	return pairs, keys
 }
 
 // noteLocked records the (key, value) pair in the volatile structures

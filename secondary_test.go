@@ -324,6 +324,51 @@ func TestSecondaryIndexBackfill(t *testing.T) {
 	}
 }
 
+// TestKeysCountsOnlyLiveKeys: a row moved A→B behind an open snapshot
+// leaves A with a retained pair only, so the index holds one live entry
+// under one live key, before and after the snapshot's release.
+func TestKeysCountsOnlyLiveKeys(t *testing.T) {
+	db, err := ipa.Open(secCfg())
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer db.Close()
+	tbl, err := db.CreateTable("events", 64)
+	if err != nil {
+		t.Fatalf("CreateTable: %v", err)
+	}
+	s, err := tbl.CreateSecondaryIndex("group", ipa.Int64Field(8))
+	if err != nil {
+		t.Fatalf("CreateSecondaryIndex: %v", err)
+	}
+	if err := insertRow(db, tbl, 1, secRow(1, 1)); err != nil {
+		t.Fatalf("Insert: %v", err)
+	}
+	reader := db.Begin()
+	if _, err := reader.Get(tbl, 1); err != nil {
+		t.Fatalf("Get: %v", err)
+	}
+	mover := db.Begin()
+	if err := mover.UpdateAt(tbl, 1, 8, int64le(2)); err != nil {
+		t.Fatalf("UpdateAt: %v", err)
+	}
+	if err := mover.Commit(); err != nil {
+		t.Fatalf("Commit move: %v", err)
+	}
+	if z := db.Stats().ZombieEntries; z != 1 {
+		t.Fatalf("ZombieEntries = %d, want 1 (the pair under group 1 is retained)", z)
+	}
+	if s.Len() != 1 || s.Keys() != 1 {
+		t.Fatalf("behind the snapshot: %d entries / %d keys, want 1 / 1", s.Len(), s.Keys())
+	}
+	if err := reader.Commit(); err != nil {
+		t.Fatalf("Commit reader: %v", err)
+	}
+	if s.Len() != 1 || s.Keys() != 1 {
+		t.Fatalf("after the release: %d entries / %d keys, want 1 / 1", s.Len(), s.Keys())
+	}
+}
+
 // TestSecondaryConcurrentUpdateAt hammers single-statement Tx.UpdateAt
 // transactions on the same keys from several goroutines (retrying lock
 // conflicts): every committed move must relocate its secondary entry, so
