@@ -158,7 +158,7 @@ func TestEveryInternalPackageHasAGodocComment(t *testing.T) {
 // change that needs more lines raises it in its own diff, where a reviewer
 // sees the growth, and a change that deletes lines lowers it to the new
 // count, so the next change cannot spend them unseen.
-const lineBudget = 20147
+const lineBudget = 20143
 
 // TestTreeStaysWithinItsLineBudget counts the lines of every non-test .go
 // file outside benchmark/ (and outside hidden directories, where build

@@ -24,7 +24,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
+	"strings"
 )
 
 // Limits applied by Reader. They bound the memory one peer can make the
@@ -106,29 +108,27 @@ func (r Reply) ErrorCode() string {
 	if r.Kind != KindError {
 		return ""
 	}
-	for i := 0; i < len(r.Str); i++ {
-		if r.Str[i] == ' ' {
-			return r.Str[:i]
-		}
-	}
-	return r.Str
+	code, _, _ := strings.Cut(r.Str, " ")
+	return code
 }
 
 // bufSize is the Reader's resting buffer size. It equals DefaultMaxLine, so
 // the longest permitted line always fits without growing.
 const bufSize = DefaultMaxLine
 
-// Reader decodes RESP frames from a stream. It owns one buffer and parses
-// in place: ReadCommand returns arguments that alias that buffer, ReadReply
-// copies out what it returns. The buffer grows past bufSize only to hold
-// the one command frame in flight — every length is checked against the
-// limits before a byte of room is made for it — and drops back once that
-// frame has been consumed.
+// Reader decodes RESP frames from a stream in one forward pass per frame
+// over its one buffer: where the buffer ends mid-frame it reads on until
+// the element it stopped at is whole and resumes there, so a frame costs O(its
+// bytes) however they arrive. ReadCommand returns arguments that alias the
+// buffer, ReadReply copies out what it returns. The buffer grows past
+// bufSize only to hold the one command frame in flight — every length is
+// checked against the limits first — and drops back once it is consumed.
 type Reader struct {
 	src io.Reader
 	// buf[r:w] holds the bytes read from src and not yet consumed. keep
-	// (≤ r) is the oldest byte a refill must preserve: the start of the
-	// command frame being decoded, whose arguments are offsets from it.
+	// (≤ r) is the start of the frame being decoded: a refill preserves
+	// buf[keep:] and slides it to the front, so the scanner holds every
+	// position inside the frame as an offset from keep.
 	buf        []byte
 	keep, r, w int
 	// err is a source error that arrived together with data, reported by
@@ -148,9 +148,7 @@ type Reader struct {
 
 	// MaxBulk, MaxArity and MaxLine bound the accepted frames; the zero
 	// value of each selects its package default.
-	MaxBulk  int
-	MaxArity int
-	MaxLine  int
+	MaxBulk, MaxArity, MaxLine int
 }
 
 // span locates one argument inside the frame being decoded.
@@ -161,30 +159,17 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{src: r, buf: make([]byte, bufSize)}
 }
 
-func (r *Reader) maxBulk() int {
-	if r.MaxBulk > 0 {
-		return r.MaxBulk
-	}
-	return DefaultMaxBulk
-}
+func (r *Reader) maxBulk() int  { return limit(r.MaxBulk, DefaultMaxBulk) }
+func (r *Reader) maxArity() int { return limit(r.MaxArity, DefaultMaxArity) }
+func (r *Reader) maxLine() int  { return limit(r.MaxLine, DefaultMaxLine) }
 
-func (r *Reader) maxArity() int {
-	if r.MaxArity > 0 {
-		return r.MaxArity
+// limit is a Reader's limit: the one set, if it is positive, else def.
+func limit(set, def int) int {
+	if set > 0 {
+		return set
 	}
-	return DefaultMaxArity
+	return def
 }
-
-func (r *Reader) maxLine() int {
-	if r.MaxLine > 0 {
-		return r.MaxLine
-	}
-	return DefaultMaxLine
-}
-
-// maxEmptyReads is how many consecutive (0, nil) reads fill tolerates
-// before giving up on the source, as bufio does.
-const maxEmptyReads = 100
 
 // begin starts a new frame and makes its first byte available: nothing
 // before r is needed any more, and a buffer that grew for the previous
@@ -203,87 +188,99 @@ func (r *Reader) begin() error {
 	return nil
 }
 
-// fill reads more bytes from the source, at least one, after making room
-// for min of them: the bytes before keep are dropped by sliding the rest to
-// the front (so every offset into the buffer must be relative to keep), and
-// the buffer grows if buf[keep:] still cannot take min more. Callers check
-// min against the frame limits first.
-func (r *Reader) fill(min int) error {
-	if err := r.err; err != nil {
-		r.err = nil
-		return err
-	}
+// fill reads into the buffer's free space until the frame's first off
+// bytes, buf[keep:keep+off], are there. It makes room for them by sliding
+// buf[keep:] to the front, then by growing the buffer; callers check off
+// against the frame limits first.
+func (r *Reader) fill(off int) error {
 	if r.keep > 0 {
-		copy(r.buf, r.buf[r.keep:r.w])
-		r.r -= r.keep
-		r.w -= r.keep
-		r.keep = 0
+		r.w = copy(r.buf, r.buf[r.keep:r.w])
+		r.r, r.keep = r.r-r.keep, 0
 	}
-	if r.w+min > len(r.buf) {
-		buf := make([]byte, max(2*len(r.buf), r.w+min))
+	if off > len(r.buf) {
+		buf := make([]byte, max(2*len(r.buf), off))
 		copy(buf, r.buf[:r.w])
 		r.buf = buf
 	}
-	for i := 0; i < maxEmptyReads; i++ {
+	for empty := 0; r.w < off; {
+		if err := r.err; err != nil {
+			r.err = nil
+			return err
+		}
 		n, err := r.src.Read(r.buf[r.w:])
-		r.w += n
-		if n > 0 {
-			r.err = err
-			return nil
-		}
-		if err != nil {
+		if r.w += n; n > 0 {
+			r.err, empty = err, 0
+		} else if err != nil {
 			return err
-		}
-	}
-	return io.ErrNoProgress
-}
-
-// more is fill inside a frame: the stream ending there is a torn frame.
-func (r *Reader) more(min int) error {
-	err := r.fill(min)
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
-
-// need makes n unconsumed bytes available at buf[r:].
-func (r *Reader) need(n int) error {
-	for r.w-r.r < n {
-		if err := r.more(n - (r.w - r.r)); err != nil {
-			return err
+		} else if empty++; empty == 100 { // consecutive (0, nil) reads: give up, as bufio does
+			return io.ErrNoProgress
 		}
 	}
 	return nil
 }
 
-// line consumes one CRLF-terminated line and returns it without the
-// terminator; the result aliases the buffer. A bare LF is rejected (RESP
-// terminates every line with CRLF); a line longer than MaxLine fails with
-// ErrTooLarge.
-func (r *Reader) line() ([]byte, error) {
-	scanned := 0
-	for {
-		if i := bytes.IndexByte(r.buf[r.r+scanned:r.w], '\n'); i >= 0 {
-			end := r.r + scanned + i
-			if end+1-r.r > r.maxLine() {
-				break
-			}
-			if end == r.r || r.buf[end-1] != '\r' {
-				return nil, fmt.Errorf("%w: line not CRLF-terminated", ErrProto)
-			}
-			line := r.buf[r.r : end-1]
-			r.r = end + 1
-			return line, nil
-		}
-		if scanned = r.w - r.r; scanned >= r.maxLine() {
-			break
-		}
-		if err := r.more(1); err != nil {
-			return nil, err
+// fillTo is fill inside a frame, where the stream ending tears the frame.
+func (r *Reader) fillTo(off int) (err error) {
+	if r.w-r.keep < off {
+		if err = r.fill(off); err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
 	}
-	return nil, fmt.Errorf("%w: line exceeds %d bytes", ErrTooLarge, r.maxLine())
+	return err
+}
+
+// lineEnd returns the offset of the LF that ends the line starting at
+// offset off of the frame, reading until it has arrived without scanning a
+// byte twice. RESP terminates every line with CRLF, so a bare LF is
+// ErrProto; a line longer than MaxLine, terminator included, ErrTooLarge.
+func (r *Reader) lineEnd(off int) (int, error) {
+	for scanned := 0; ; {
+		start := r.keep + off
+		if i := bytes.IndexByte(r.buf[start+scanned:r.w], '\n'); i >= 0 {
+			end := scanned + i
+			if end+1 > r.maxLine() {
+				break
+			}
+			if end == 0 || r.buf[start+end-1] != '\r' {
+				return 0, fmt.Errorf("%w: line not CRLF-terminated", ErrProto)
+			}
+			return off + end, nil
+		}
+		if scanned = r.w - start; scanned >= r.maxLine() {
+			break
+		}
+		if err := r.fillTo(r.w - r.keep + 1); err != nil {
+			return 0, err
+		}
+	}
+	return 0, fmt.Errorf("%w: line exceeds %d bytes", ErrTooLarge, r.maxLine())
+}
+
+// number parses the decimal line at offset off of the frame and returns
+// it with the offset past its CRLF. Up to 18 buffered digits and a CRLF
+// are read in place; anything else (a sign, more digits, a malformed or
+// unfinished line) takes lineEnd and ParseInt, with their errors.
+func (r *Reader) number(off int) (int64, int, error) {
+	b := r.buf[r.keep+off : r.w]
+	var n int64
+	for i, c := range b {
+		if c-'0' <= 9 && i < 18 {
+			n = n*10 + int64(c-'0')
+			continue
+		}
+		if c == '\r' && i > 0 && i+1 < len(b) && b[i+1] == '\n' && i+2 <= r.maxLine() {
+			return n, off + i + 2, nil
+		}
+		break
+	}
+	end, err := r.lineEnd(off)
+	if err == nil {
+		line := r.buf[r.keep+off : r.keep+end-1]
+		if n, err = ParseInt(line); err != nil {
+			err = fmt.Errorf("%w: bad integer %q", ErrProto, line)
+		}
+	}
+	return n, end + 1, err
 }
 
 // ParseInt is strconv.ParseInt(string(b), 10, 64), with the same value
@@ -303,37 +300,13 @@ func ParseInt(b []byte) (int64, error) {
 	return n, nil
 }
 
-// parseInt parses a RESP length or integer line.
-func parseInt(b []byte) (int64, error) {
-	n, err := ParseInt(b)
-	if err != nil {
-		return 0, fmt.Errorf("%w: bad integer %q", ErrProto, b)
-	}
-	return n, nil
-}
-
-// checkBulk checks a declared bulk length against MaxBulk, before any room
-// is made for the body.
-func (r *Reader) checkBulk(n int64) error {
+// bulkError reports a declared bulk length that is negative or over
+// MaxBulk; callers check it before any room is made for the body.
+func (r *Reader) bulkError(n int64) error {
 	if n < 0 {
 		return fmt.Errorf("%w: negative bulk length %d", ErrProto, n)
 	}
-	if n > int64(r.maxBulk()) {
-		return fmt.Errorf("%w: bulk of %d bytes exceeds %d", ErrTooLarge, n, r.maxBulk())
-	}
-	return nil
-}
-
-// bulkEnd consumes the CRLF that closes a bulk body.
-func (r *Reader) bulkEnd() error {
-	if err := r.need(2); err != nil {
-		return err
-	}
-	if r.buf[r.r] != '\r' || r.buf[r.r+1] != '\n' {
-		return fmt.Errorf("%w: bulk not CRLF-terminated", ErrProto)
-	}
-	r.r += 2
-	return nil
+	return fmt.Errorf("%w: bulk of %d bytes exceeds %d", ErrTooLarge, n, r.maxBulk())
 }
 
 // ReadCommand reads one client request: a RESP array of bulk strings, or
@@ -350,66 +323,70 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 		if err := r.begin(); err != nil {
 			return nil, err
 		}
-		if r.buf[r.r] != '*' {
-			line, err := r.line()
-			if err != nil {
-				return nil, err
-			}
-			r.args = splitInline(r.args[:0], line)
-			if len(r.args) == 0 {
-				continue // empty line between commands: ignore
-			}
-			if len(r.args) > r.maxArity() {
-				return nil, fmt.Errorf("%w: %d arguments exceed %d", ErrTooLarge, len(r.args), r.maxArity())
-			}
-			return r.args, nil
+		if r.buf[r.r] == '*' {
+			return r.readArray()
 		}
-		r.r++
-		header, err := r.line()
+		end, err := r.lineEnd(0)
 		if err != nil {
 			return nil, err
 		}
-		n, err := parseInt(header)
-		if err != nil {
-			return nil, err
+		r.args = splitInline(r.args[:0], r.buf[r.keep:r.keep+end-1])
+		r.r = r.keep + end + 1
+		if len(r.args) == 0 {
+			continue // empty line between commands: ignore
 		}
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: request array of %d elements", ErrProto, n)
+		if len(r.args) > r.maxArity() {
+			return nil, fmt.Errorf("%w: %d arguments exceed %d", ErrTooLarge, len(r.args), r.maxArity())
 		}
-		if n > int64(r.maxArity()) {
-			return nil, fmt.Errorf("%w: %d arguments exceed %d", ErrTooLarge, n, r.maxArity())
-		}
-		r.spans = r.spans[:0]
-		for i := int64(0); i < n; i++ {
-			if err := r.need(1); err != nil {
-				return nil, err
-			}
-			if t := r.buf[r.r]; t != '$' {
-				return nil, fmt.Errorf("%w: request element %d is %q, want bulk string", ErrProto, i, t)
-			}
-			r.r++
-			line, err := r.line()
-			if err != nil {
-				return nil, err
-			}
-			ln, err := parseInt(line)
-			if err != nil {
-				return nil, err
-			}
-			if err := r.checkBulk(ln); err != nil {
-				return nil, err
-			}
-			if err := r.need(int(ln) + 2); err != nil {
-				return nil, err
-			}
-			r.spans = append(r.spans, span{r.r - r.keep, int(ln)})
-			r.r += int(ln)
-			if err := r.bulkEnd(); err != nil {
-				return nil, err
-			}
-		}
-		return r.materialise(), nil
+		return r.args, nil
 	}
+}
+
+// readArray scans the request array that starts the frame: its header,
+// then each bulk string's type byte, length line, body and CRLF, recording
+// the bodies as spans until the frame is whole and cannot move any more.
+func (r *Reader) readArray() ([][]byte, error) {
+	n, off, err := r.number(1)
+	if err != nil {
+		return nil, err
+	}
+	if n <= 0 {
+		return nil, fmt.Errorf("%w: request array of %d elements", ErrProto, n)
+	}
+	if n > int64(r.maxArity()) {
+		return nil, fmt.Errorf("%w: %d arguments exceed %d", ErrTooLarge, n, r.maxArity())
+	}
+	r.spans = r.spans[:0]
+	for i := int64(0); i < n; i++ {
+		if err := r.fillTo(off + 1); err != nil {
+			return nil, err
+		}
+		if t := r.buf[r.keep+off]; t != '$' {
+			return nil, fmt.Errorf("%w: request element %d is %q, want bulk string", ErrProto, i, t)
+		}
+		ln, body, err := r.number(off + 1)
+		if err != nil {
+			return nil, err
+		}
+		if uint64(ln) > uint64(r.maxBulk()) {
+			return nil, r.bulkError(ln)
+		}
+		off = body + int(ln) + 2
+		if err := r.fillTo(off); err != nil {
+			return nil, err
+		}
+		if end := r.keep + off; r.buf[end-2] != '\r' || r.buf[end-1] != '\n' {
+			return nil, fmt.Errorf("%w: bulk not CRLF-terminated", ErrProto)
+		}
+		r.spans = append(r.spans, span{body, int(ln)})
+	}
+	r.r = r.keep + off
+	r.args = r.args[:0]
+	for _, s := range r.spans {
+		at := r.keep + s.off
+		r.args = append(r.args, r.buf[at:at+s.n:at+s.n])
+	}
+	return r.args, nil
 }
 
 // splitInline appends the fields of an inline command, split on spaces and
@@ -431,44 +408,38 @@ func splitInline(args [][]byte, line []byte) [][]byte {
 	return args
 }
 
-// materialise turns the recorded spans of a complete frame into slices of
-// the buffer, each capped at its own length.
-func (r *Reader) materialise() [][]byte {
-	r.args = r.args[:0]
-	for _, s := range r.spans {
-		at := r.keep + s.off
-		r.args = append(r.args, r.buf[at:at+s.n:at+s.n])
-	}
-	return r.args
-}
-
 // ReadReply reads one server reply, including nested arrays. io.EOF is
 // returned only at a clean frame boundary. Nothing in the reply aliases
 // the Reader: the caller owns Bulk, which has an allocation of its own —
 // unless the reply is one of a ReadReplies call, whose replies share one
 // arena.
-func (r *Reader) ReadReply() (Reply, error) {
-	if err := r.begin(); err != nil {
-		return Reply{}, err
+func (r *Reader) ReadReply() (rep Reply, err error) {
+	if err = r.begin(); err == nil {
+		if err = r.readReply(0, &rep); err == nil {
+			return rep, nil
+		}
 	}
-	return r.readReply(0)
+	return Reply{}, err
 }
 
-// ReadReplies reads n replies and appends them to dst, as n ReadReply
-// calls do, except that their bulk payloads share one arena: a single
-// allocation, sized from the previous call's payloads, with each Bulk
+// ReadReplies decodes n replies straight into dst's next elements, as n
+// ReadReply calls do, except that their bulk payloads share one arena: a
+// single allocation, sized from the previous call's payloads, each Bulk
 // capped at its own length so that appending to one never reaches its
-// neighbour. An arena that runs out is followed by one twice its size.
-// Keeping any Bulk keeps its whole arena alive.
+// neighbour, and followed by one twice its size if it runs out. Keeping
+// any Bulk keeps its whole arena alive.
 func (r *Reader) ReadReplies(dst []Reply, n int) ([]Reply, error) {
 	r.arena, r.carved = make([]byte, 0, r.carved), 0
 	defer func() { r.arena = nil }()
+	dst = slices.Grow(dst, max(n, 0))
 	for ; n > 0; n-- {
-		rep, err := r.ReadReply()
-		if err != nil {
+		if err := r.begin(); err != nil {
 			return dst, err
 		}
-		dst = append(dst, rep)
+		dst = dst[:len(dst)+1]
+		if err := r.readReply(0, &dst[len(dst)-1]); err != nil {
+			return dst[:len(dst)-1], err
+		}
 	}
 	return dst, nil
 }
@@ -491,38 +462,44 @@ func (r *Reader) carve(n int) []byte {
 // decoder into stack exhaustion.
 const maxReplyDepth = 8
 
-func (r *Reader) readReply(depth int) (Reply, error) {
+// readReply decodes the reply at r into rep: its type byte and line, then
+// a bulk body or, recursing, an array's elements.
+func (r *Reader) readReply(depth int, rep *Reply) error {
 	r.keep = r.r // nothing of the reply so far is referenced from the buffer
-	if err := r.need(1); err != nil {
-		return Reply{}, err
+	if err := r.fillTo(1); err != nil {
+		return err
 	}
 	t := r.buf[r.r]
-	r.r++
-	line, err := r.line()
-	if err != nil {
-		return Reply{}, err
+	if t != ':' && t != '$' && t != '*' {
+		end, err := r.lineEnd(1)
+		if err != nil {
+			return err
+		}
+		line := r.buf[r.keep+1 : r.keep+end-1]
+		r.r = r.keep + end + 1
+		switch t {
+		case '+':
+			*rep = Reply{Kind: KindSimple, Str: status(line)}
+		case '-':
+			*rep = Reply{Kind: KindError, Str: string(line)}
+		default:
+			return fmt.Errorf("%w: unknown type byte %q", ErrProto, t)
+		}
+		return nil
 	}
-	switch t {
-	case '+':
-		return Reply{Kind: KindSimple, Str: status(line)}, nil
-	case '-':
-		return Reply{Kind: KindError, Str: string(line)}, nil
-	case ':':
-		n, err := parseInt(line)
-		if err != nil {
-			return Reply{}, err
-		}
-		return Reply{Kind: KindInt, Int: n}, nil
-	case '$':
-		n, err := parseInt(line)
-		if err != nil {
-			return Reply{}, err
-		}
-		if n == -1 {
-			return Reply{Kind: KindNull}, nil
-		}
-		if err := r.checkBulk(n); err != nil {
-			return Reply{}, err
+	n, off, err := r.number(1)
+	if err != nil {
+		return err
+	}
+	r.r = r.keep + off
+	switch {
+	case t == ':':
+		*rep = Reply{Kind: KindInt, Int: n}
+	case n == -1:
+		*rep = Reply{Kind: KindNull}
+	case t == '$':
+		if uint64(n) > uint64(r.maxBulk()) {
+			return r.bulkError(n)
 		}
 		// What is buffered is copied out; the rest of a larger body is read
 		// straight into its destination.
@@ -538,40 +515,33 @@ func (r *Reader) readReply(depth int) (Reply, error) {
 				err = io.ErrUnexpectedEOF
 			}
 			if err != nil {
-				return Reply{}, err
+				return err
 			}
 		}
 		r.keep = r.r
-		if err := r.bulkEnd(); err != nil {
-			return Reply{}, err
+		if err := r.fillTo(2); err != nil {
+			return err
 		}
-		return Reply{Kind: KindBulk, Bulk: body}, nil
-	case '*':
-		n, err := parseInt(line)
-		if err != nil {
-			return Reply{}, err
+		if r.buf[r.r] != '\r' || r.buf[r.r+1] != '\n' {
+			return fmt.Errorf("%w: bulk not CRLF-terminated", ErrProto)
 		}
-		if n == -1 {
-			return Reply{Kind: KindNull}, nil
-		}
+		r.r += 2
+		*rep = Reply{Kind: KindBulk, Bulk: body}
+	default:
 		if n < 0 || n > int64(r.maxArity()) {
-			return Reply{}, fmt.Errorf("%w: array of %d elements", ErrTooLarge, n)
+			return fmt.Errorf("%w: array of %d elements", ErrTooLarge, n)
 		}
 		if depth >= maxReplyDepth {
-			return Reply{}, fmt.Errorf("%w: arrays nested deeper than %d", ErrProto, maxReplyDepth)
+			return fmt.Errorf("%w: arrays nested deeper than %d", ErrProto, maxReplyDepth)
 		}
-		elems := make([]Reply, 0, n)
-		for i := int64(0); i < n; i++ {
-			e, err := r.readReply(depth + 1)
-			if err != nil {
-				return Reply{}, err
+		*rep = Reply{Kind: KindArray, Elems: make([]Reply, n)}
+		for i := range rep.Elems {
+			if err := r.readReply(depth+1, &rep.Elems[i]); err != nil {
+				return err
 			}
-			elems = append(elems, e)
 		}
-		return Reply{Kind: KindArray, Elems: elems}, nil
-	default:
-		return Reply{}, fmt.Errorf("%w: unknown type byte %q", ErrProto, t)
 	}
+	return nil
 }
 
 // status returns a simple-string reply's text, without allocating for the
@@ -586,87 +556,116 @@ func status(line []byte) string {
 	return string(line)
 }
 
-// Writer encodes RESP frames onto a buffered stream. It is not safe for
-// concurrent use: a server session writes from its one goroutine, the
-// client under its connection mutex.
-type Writer struct {
-	bw *bufio.Writer
-}
+// Writer encodes RESP frames onto a buffered stream, each appended whole
+// to the write buffer's free space and handed to it in one Write. It is not
+// safe for concurrent use: a server session writes from its one goroutine,
+// the client under its connection mutex.
+type Writer struct{ bw *bufio.Writer }
 
 // NewWriter wraps w in a frame encoder.
 func NewWriter(w io.Writer) *Writer {
 	return &Writer{bw: bufio.NewWriter(w)}
 }
 
+// frame returns the write buffer's free space for a frame of at most n
+// bytes, flushed first if the frame does not fit. A frame larger than the
+// whole buffer outgrows it: append copies it once, bufio writes it through.
+func (w *Writer) frame(n int) []byte {
+	if n > w.bw.Available() && w.bw.Buffered() > 0 {
+		w.bw.Flush()
+	}
+	return w.bw.AvailableBuffer()
+}
+
+// digits is the length of n in decimal, sign included.
+func digits(n int64) int {
+	d, u := 1, uint64(n)
+	if n < 0 {
+		d, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		d++
+	}
+	return d
+}
+
+// appendNumber appends a type byte, a decimal and CRLF, by hand below 1000:
+// inline for one digit, the length of most arguments.
+func appendNumber(b []byte, t byte, n int64) []byte {
+	if uint64(n) < 10 {
+		return append(b, t, byte('0'+n), '\r', '\n')
+	}
+	return appendDecimal(b, t, n)
+}
+
+func appendDecimal(b []byte, t byte, n int64) []byte {
+	switch {
+	case uint64(n) < 100:
+		b = append(b, t, byte('0'+n/10), byte('0'+n%10))
+	case uint64(n) < 1000:
+		b = append(b, t, byte('0'+n/100), byte('0'+n/10%10), byte('0'+n%10))
+	default:
+		b = strconv.AppendInt(append(b, t), n, 10)
+	}
+	return append(b, '\r', '\n')
+}
+
+// appendBulk appends a $len bulk string.
+func appendBulk(b, p []byte) []byte {
+	return append(append(appendNumber(b, '$', int64(len(p))), p...), '\r', '\n')
+}
+
+// bulkSize is the encoded length of a bulk string of n bytes.
+func bulkSize(n int) int { return digits(int64(n)) + n + 5 }
+
 // WriteSimple writes a +status reply.
 func (w *Writer) WriteSimple(s string) {
-	w.bw.WriteByte('+')
-	w.bw.WriteString(s)
-	w.bw.WriteString("\r\n")
+	w.bw.Write(append(append(append(w.frame(len(s)+3), '+'), s...), '\r', '\n'))
 }
 
 // WriteError writes a -CODE message reply. The message has CR and LF
-// stripped so it can never break the framing.
+// stripped so it can never break the framing (the frame's size counts them).
 func (w *Writer) WriteError(code, msg string) {
-	w.bw.WriteByte('-')
-	w.bw.WriteString(code)
+	b := append(append(w.frame(len(code)+len(msg)+4), '-'), code...)
 	if msg != "" {
-		w.bw.WriteByte(' ')
+		b = append(b, ' ')
 		for i := 0; i < len(msg); i++ {
 			if c := msg[i]; c != '\r' && c != '\n' {
-				w.bw.WriteByte(c)
+				b = append(b, c)
 			}
 		}
-	}
-	w.bw.WriteString("\r\n")
-}
-
-// writeNumber writes a type byte, a decimal and CRLF, formatted in the
-// write buffer's own free space: by hand below 1000, which covers the
-// lengths and counts of the common replies.
-func (w *Writer) writeNumber(t byte, n int64) {
-	b := append(w.bw.AvailableBuffer(), t)
-	switch {
-	case uint64(n) < 10:
-		b = append(b, byte('0'+n))
-	case uint64(n) < 100:
-		b = append(b, byte('0'+n/10), byte('0'+n%10))
-	case uint64(n) < 1000:
-		b = append(b, byte('0'+n/100), byte('0'+n/10%10), byte('0'+n%10))
-	default:
-		b = strconv.AppendInt(b, n, 10)
 	}
 	w.bw.Write(append(b, '\r', '\n'))
 }
 
 // WriteInt writes a :n integer reply.
-func (w *Writer) WriteInt(n int64) { w.writeNumber(':', n) }
+func (w *Writer) WriteInt(n int64) { w.bw.Write(appendNumber(w.frame(digits(n)+3), ':', n)) }
 
 // WriteBulk writes a $len binary-safe bulk reply.
-func (w *Writer) WriteBulk(b []byte) {
-	w.writeNumber('$', int64(len(b)))
-	w.bw.Write(b)
-	w.bw.WriteString("\r\n")
-}
+func (w *Writer) WriteBulk(p []byte) { w.bw.Write(appendBulk(w.frame(bulkSize(len(p))), p)) }
 
 // WriteBulkString writes a bulk reply from a string.
 func (w *Writer) WriteBulkString(s string) { w.WriteBulk([]byte(s)) }
 
 // WriteNull writes the $-1 null bulk reply.
-func (w *Writer) WriteNull() {
-	w.bw.WriteString("$-1\r\n")
-}
+func (w *Writer) WriteNull() { w.bw.Write(append(w.frame(5), "$-1\r\n"...)) }
 
-// WriteArray writes an *n array header; the caller then writes n nested
-// replies.
-func (w *Writer) WriteArray(n int) { w.writeNumber('*', int64(n)) }
+// WriteArray writes an *n array header; n nested replies follow it.
+func (w *Writer) WriteArray(n int) {
+	w.bw.Write(appendNumber(w.frame(digits(int64(n))+3), '*', int64(n)))
+}
 
 // WriteCommand writes one client request as a RESP array of bulk strings.
 func (w *Writer) WriteCommand(args ...[]byte) {
-	w.WriteArray(len(args))
+	n := digits(int64(len(args))) + 3
 	for _, a := range args {
-		w.WriteBulk(a)
+		n += bulkSize(len(a))
 	}
+	b := appendNumber(w.frame(n), '*', int64(len(args)))
+	for _, a := range args {
+		b = appendBulk(b, a)
+	}
+	w.bw.Write(b)
 }
 
 // Flush pushes buffered frames to the underlying stream.

@@ -573,3 +573,104 @@ func (r *repeatReader) Read(p []byte) (int, error) {
 	}
 	return n, nil
 }
+
+// BenchmarkWriteCommand encodes the benchmark's UPDATE frame.
+func BenchmarkWriteCommand(b *testing.B) {
+	w := NewWriter(io.Discard)
+	args := [][]byte{[]byte("UPDATE"), []byte("t"), []byte("1234"), []byte("112"), make([]byte, 8)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.WriteCommand(args...)
+	}
+}
+
+// BenchmarkReadCommandTrickled decodes a MaxArity-argument frame delivered
+// whole and one byte per Read, in ns per frame byte: one forward pass makes
+// the second a constant factor of the first, whatever the arity.
+func BenchmarkReadCommandTrickled(b *testing.B) {
+	args := make([][]byte, DefaultMaxArity)
+	for i := range args {
+		args[i] = []byte(strconv.Itoa(1_000_000 + i))
+	}
+	var frame bytes.Buffer
+	w := NewWriter(&frame)
+	w.WriteCommand(args...)
+	if err := w.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		src  io.Reader
+	}{
+		{"whole", &repeatReader{frame: frame.Bytes()}},
+		{"one_byte_per_read", &trickleReader{frame: frame.Bytes()}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := NewReader(bc.src)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if args, err := r.ReadCommand(); err != nil || len(args) != DefaultMaxArity {
+					b.Fatalf("ReadCommand: %d args, %v", len(args), err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(frame.Len()), "ns/B")
+		})
+	}
+}
+
+// TestOneAppendPerFrameAllocatesNothing pins the encoder and the command
+// decoder at 0 allocations a frame: each writer appends its frame to the
+// write buffer's free space, and a buffered command frame — or one that
+// arrives one byte per Read — decodes in place.
+func TestOneAppendPerFrameAllocatesNothing(t *testing.T) {
+	w := NewWriter(io.Discard)
+	update := [][]byte{[]byte("UPDATE"), []byte("t"), []byte("1234"), []byte("112"), make([]byte, 8)}
+	for what, f := range map[string]func(){
+		"WriteCommand": func() { w.WriteCommand(update...) },
+		"WriteSimple":  func() { w.WriteSimple("OK") },
+		"WriteError":   func() { w.WriteError("NOTFOUND", "ipa: key not found") },
+		"WriteInt":     func() { w.WriteInt(-1234567) },
+		"WriteBulk":    func() { w.WriteBulk(update[4]) },
+		"WriteNull":    func() { w.WriteNull() },
+		"WriteArray":   func() { w.WriteArray(32) },
+	} {
+		if allocs := testing.AllocsPerRun(1000, f); allocs != 0 {
+			t.Errorf("%s allocates %.0f times a frame, want 0", what, allocs)
+		}
+	}
+
+	var frame bytes.Buffer
+	fw := NewWriter(&frame)
+	fw.WriteCommand(update...)
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]io.Reader{
+		"buffered":          &repeatReader{frame: frame.Bytes()},
+		"one byte per read": &trickleReader{frame: frame.Bytes()},
+	} {
+		r := NewReader(src)
+		if allocs := testing.AllocsPerRun(1000, func() {
+			if args, err := r.ReadCommand(); err != nil || len(args) != 5 {
+				t.Fatalf("ReadCommand: %q %v", args, err)
+			}
+		}); allocs != 0 {
+			t.Errorf("ReadCommand, %s, allocates %.0f times a frame, want 0", name, allocs)
+		}
+	}
+}
+
+// trickleReader is an endless stream of one frame, delivered one byte per
+// Read — the slowest peer the decoder has to resume on.
+type trickleReader struct {
+	frame []byte
+	at    int
+}
+
+func (r *trickleReader) Read(p []byte) (int, error) {
+	p[0] = r.frame[r.at]
+	r.at = (r.at + 1) % len(r.frame)
+	return 1, nil
+}

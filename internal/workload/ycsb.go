@@ -399,6 +399,3 @@ func (w *YCSB) RunOne(db *ipa.DB, r *rand.Rand) (bool, error) {
 		})
 	}
 }
-
-// Table returns the YCSB table (for invariant checks in tests).
-func (w *YCSB) Table() *ipa.Table { return w.table }

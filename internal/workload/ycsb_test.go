@@ -193,7 +193,7 @@ func TestYCSBRunAllLetters(t *testing.T) {
 			if res.Committed != 400 {
 				t.Fatalf("committed %d of 400", res.Committed)
 			}
-			if got := w.Table().Count(); got < uint64(cfg.Records) {
+			if got := w.table.Count(); got < uint64(cfg.Records) {
 				t.Fatalf("table count %d < preload %d", got, cfg.Records)
 			}
 			if err := db.VerifyIntegrity(); err != nil {
