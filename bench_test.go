@@ -244,19 +244,19 @@ func BenchmarkConcurrentUpdates(b *testing.B) {
 	for _, goroutines := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("goroutines=%d", goroutines), func(b *testing.B) {
 			db, err := ipa.Open(ipa.Config{
-				PageSize:            4096,
-				Blocks:              96,
-				PagesPerBlock:       32,
-				BufferPoolPages:     64,
-				WriteMode:           ipa.IPANativeFlash,
-				Scheme:              ipa.Scheme{N: 2, M: 4},
-				FlashMode:           ipa.PSLC,
-				LogFlushWallLatency: 50 * time.Microsecond,
+				PageSize:        4096,
+				Blocks:          96,
+				PagesPerBlock:   32,
+				BufferPoolPages: 64,
+				WriteMode:       ipa.IPANativeFlash,
+				Scheme:          ipa.Scheme{N: 2, M: 4},
+				FlashMode:       ipa.PSLC,
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer db.Close()
+			ipa.DelayLogFlushes(db, 50*time.Microsecond)
 			table, err := db.CreateTable("t", 100)
 			if err != nil {
 				b.Fatal(err)

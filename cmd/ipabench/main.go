@@ -10,7 +10,6 @@
 //	ipabench -exp scenarios    # demo scenarios 1/2/3 side by side
 //	ipabench -exp interference # program-interference ablation (MLC modes)
 //	ipabench -exp sweep        # N×M scheme ablation
-//	ipabench -exp concurrent   # concurrency scaling (sharded pool, group commit)
 //	ipabench -exp readmix      # read-skew ladder: MVCC snapshot reads vs 2PL locked reads
 //	ipabench -exp chips        # chip scaling (per-chip FTL partitions)
 //	ipabench -exp crash        # power-cut torture: crash at every fault point
@@ -58,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Int64Var(&set.Seed, "seed", bench.Base.Seed, "random seed")
 	fs.IntVar(&set.N, "n", bench.Base.N, "IPA scheme parameter N")
 	fs.IntVar(&set.M, "m", bench.Base.M, "IPA scheme parameter M")
-	fs.IntVar(&set.Threads, "threads", 0, "concurrent, readmix and chips: fixed client count (0 = experiment default)")
+	fs.IntVar(&set.Threads, "threads", 0, "readmix and chips: fixed client count (0 = experiment default)")
 	fs.IntVar(&set.Chips, "chips", 0, "chips and crash experiments: fixed chip count (0 = experiment default)")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {

@@ -17,8 +17,8 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/quick.golden")
 
 // quickGolden lists the experiments whose -quick output runs on the virtual
-// device clock alone and so repeats byte for byte; concurrent and crash
-// print wall-clock columns.
+// device clock alone and so repeats byte for byte; crash prints wall-clock
+// columns.
 var quickGolden = []string{"table1", "fig1", "oltp", "ipl", "scenarios",
 	"interference", "sweep", "readmix", "chips", "index", "secondary", "ycsb"}
 
@@ -111,6 +111,47 @@ func TestEveryExperimentDocumented(t *testing.T) {
 		}
 		if !regexp.MustCompile("(?m)^#+ .*`-exp " + name + "`").Match(catalogue) {
 			t.Errorf("EXPERIMENTS.md has no heading for `-exp %s`", name)
+		}
+	}
+}
+
+// TestEveryDocumentedExperimentExists is the converse: every `-exp NAME`
+// in this command's usage comment, in an EXPERIMENTS.md heading and in
+// README.md and docs/*.md names a registered experiment or all (a
+// `-exp a|b` list names each of a and b).
+func TestEveryDocumentedExperimentExists(t *testing.T) {
+	read := func(path string) string {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	usage, _, _ := strings.Cut(read("main.go"), "\npackage main")
+	texts := map[string]string{
+		"the usage comment of main.go": usage,
+		"an EXPERIMENTS.md heading":    strings.Join(regexp.MustCompile(`(?m)^#+ .*$`).FindAllString(read("../../EXPERIMENTS.md"), -1), "\n"),
+		"README.md":                    read("../../README.md"),
+	}
+	docs, err := filepath.Glob("../../docs/*.md")
+	if err != nil || len(docs) == 0 {
+		t.Fatalf("no docs/*.md: %v", err)
+	}
+	for _, path := range docs {
+		texts[strings.TrimPrefix(path, "../../")] = read(path)
+	}
+	known := map[string]bool{"all": true}
+	for _, name := range bench.Names() {
+		known[name] = true
+	}
+	exp := regexp.MustCompile(`-exp[ =]([\w|]+)`)
+	for where, text := range texts {
+		for _, m := range exp.FindAllStringSubmatch(text, -1) {
+			for _, name := range strings.Split(m[1], "|") {
+				if !known[name] {
+					t.Errorf("%s names `-exp %s`, which is no registered experiment", where, name)
+				}
+			}
 		}
 	}
 }

@@ -144,7 +144,7 @@ func TestConcurrentReadersShareAPage(t *testing.T) {
 // TestConcurrentCommitDurability checks the group-commit guarantee under
 // concurrency: when Commit returns, the transaction's commit record is
 // durable (FlushedLSN has passed it), no matter which goroutine led the
-// flush.
+// flush. Every commit is counted, once, on a sharded pool.
 func TestConcurrentCommitDurability(t *testing.T) {
 	cfg := smallConfig(ipa.IPANativeFlash, ipa.Scheme{N: 2, M: 4}, ipa.PSLC)
 	cfg.BufferPoolPages = 64
@@ -215,6 +215,14 @@ func TestConcurrentCommitDurability(t *testing.T) {
 	if s.WALFlushes == 0 || s.WALFlushedCommits != uint64(commits) {
 		t.Fatalf("group-commit accounting wrong: %+v", s)
 	}
+	// The pool holds the whole table, so no write-back forces the log and
+	// every flush carries at least one commit.
+	if s.WALFlushes > s.WALFlushedCommits {
+		t.Fatalf("%d flushes for %d commits: commits/flush %.2f < 1", s.WALFlushes, s.WALFlushedCommits, s.CommitsPerFlush())
+	}
+	if s.BufferShards < 2 {
+		t.Fatalf("a %d-page pool has %d shards, want a sharded pool", cfg.BufferPoolPages, s.BufferShards)
+	}
 }
 
 // TestCrashDuringGroupCommitLeaderFlush kills the log device while a
@@ -240,15 +248,15 @@ func TestCrashDuringGroupCommitLeaderFlush(t *testing.T) {
 		WriteMode:       ipa.IPANativeFlash,
 		Scheme:          ipa.Scheme{N: 2, M: 4},
 		FlashMode:       ipa.PSLC,
-		// A real wall-clock cost per log flush so concurrent commits pile
-		// up behind the leader and ride shared batches.
-		LogFlushWallLatency: 200 * time.Microsecond,
-		Faults:              plan,
+		Faults:          plan,
 	}
 	db, err := ipa.Open(cfg)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
+	// A real wall-clock cost per log flush so concurrent commits pile up
+	// behind the leader and ride shared batches.
+	ipa.DelayLogFlushes(db, 200*time.Microsecond)
 	table, err := db.CreateTable("balances", rowSize)
 	if err != nil {
 		t.Fatalf("create: %v", err)

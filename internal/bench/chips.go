@@ -13,6 +13,15 @@ import (
 // scaling is visible.
 const chipsTxnCPUCost = 5 * time.Microsecond
 
+// ladder is the 1, 2, 4, 8 progression of the chip counts, or the single
+// count a flag fixed.
+func ladder(fixed int) []int {
+	if fixed > 0 {
+		return []int{fixed}
+	}
+	return []int{1, 2, 4, 8}
+}
+
 // ChipsResult bundles the whole chip ladder, one arm per chip count (its
 // Stats.Chips). The device clock is the busiest chip's clock, so parallel
 // chips shorten the arm's Stats.Elapsed for the same work.
@@ -36,7 +45,7 @@ func Chips(o Options) (ChipsResult, error) {
 	for _, chips := range ladder(o.Chips) {
 		cfg := o.native(ipa.PSLC)
 		cfg.Chips, cfg.TxnCPUCost = chips, chipsTxnCPUCost
-		res, _, err := drive("chips", cfg, tuples, o.Threads, o.Ops, o.Seed, false, stridedUpdates(tuples, o.Threads, 1031))
+		res, err := drive("chips", cfg, tuples, o.Threads, o.Ops, o.Seed, stridedUpdates(tuples, o.Threads, 1031))
 		if err != nil {
 			return out, fmt.Errorf("chips=%d: %w", chips, err)
 		}
@@ -56,4 +65,12 @@ func (r ChipsResult) Write(w io.Writer) {
 			s.Chips, s.CommittedTxns, s.Run.Aborted, s.Elapsed.Round(time.Millisecond), s.Throughput(),
 			s.ChipBalance(), speedup(s.Throughput(), r.Rows[0].Throughput()))
 	}
+}
+
+// speedup is v relative to base, 1 when base is 0.
+func speedup(v, base float64) float64 {
+	if base <= 0 {
+		return 1
+	}
+	return v / base
 }

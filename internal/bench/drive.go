@@ -1,17 +1,14 @@
 package bench
 
 import (
-	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"ipa"
 	"ipa/internal/interleave"
 	"ipa/internal/workload"
 )
 
-// tupleSize is the row size of the table the concurrent experiments load.
+// tupleSize is the row size of the table drive loads.
 const tupleSize = 100
 
 // client returns, for client c of a run on tbl, the statements of its i-th
@@ -22,14 +19,11 @@ type client func(tbl *ipa.Table, c int) func(i int) []interleave.Step
 // bytes in one table, its measured phase ops transactions split over
 // clients clients as txn describes them, and Result.Run.Aborted counts the
 // attempts a lock conflict re-ran. The clients run as programs of
-// internal/interleave: stepped from one goroutine in an order drawn from
-// seed, so the run is a function of it — or, with parallel set (-exp
-// concurrent, which measures what needs real goroutines: group-commit
-// batching and latch contention), each on a goroutine of its own. drive
-// also returns the wall-clock time of the measured phase.
-func drive(name string, cfg ipa.Config, tuples, clients, ops int, seed int64, parallel bool, txn client) (Result, time.Duration, error) {
+// internal/interleave, stepped from one goroutine in an order drawn from
+// seed, so the run is a function of it.
+func drive(name string, cfg ipa.Config, tuples, clients, ops int, seed int64, txn client) (Result, error) {
 	if clients <= 0 {
-		return Result{}, 0, fmt.Errorf("bench: %s: invalid client count %d", name, clients)
+		return Result{}, fmt.Errorf("bench: %s: invalid client count %d", name, clients)
 	}
 	var tbl *ipa.Table
 	load := func(db *ipa.DB) (err error) {
@@ -38,8 +32,7 @@ func drive(name string, cfg ipa.Config, tuples, clients, ops int, seed int64, pa
 		}
 		return loadRows(db, tbl, tuples, make([]byte, tupleSize))
 	}
-	var wall time.Duration
-	res, err := measure(name, cfg, load, func(db *ipa.DB) (workload.RunResult, error) {
+	return measure(name, cfg, load, func(db *ipa.DB) (workload.RunResult, error) {
 		progs := make([]interleave.Program, clients)
 		for c := range progs {
 			next, n, i := txn(tbl, c), ops/clients, 0
@@ -54,29 +47,10 @@ func drive(name string, cfg ipa.Config, tuples, clients, ops int, seed int64, pa
 				return next(i - 1)
 			}
 		}
-		virtualStart, start := db.Now(), time.Now()
-		retries, errs := make([]uint64, clients), make([]error, clients)
-		if parallel {
-			var wg sync.WaitGroup
-			for c, p := range progs {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					retries[c], errs[c] = interleave.Run(db, seed, p)
-				}()
-			}
-			wg.Wait()
-		} else {
-			retries[0], errs[0] = interleave.Run(db, seed, progs...)
-		}
-		wall = time.Since(start)
-		ran := workload.RunResult{Committed: ops, Elapsed: db.Now() - virtualStart}
-		for _, n := range retries {
-			ran.Aborted += int(n)
-		}
-		return ran, errors.Join(errs...)
+		start := db.Now()
+		retries, err := interleave.Run(db, seed, progs...)
+		return workload.RunResult{Committed: ops, Aborted: int(retries), Elapsed: db.Now() - start}, err
 	}, nil)
-	return res, wall, err
 }
 
 // commit is the last statement of a transaction that commits.

@@ -14,9 +14,8 @@ import (
 // at each of readMixPcts percent reads, readMixHotOpPct percent of them on
 // the first readMixHotKeys keys. The hot set is where the two read modes
 // diverge — under 2PL even two readers of the same hot key conflict (locks
-// are exclusive), while snapshot readers never do. The log device is fast
-// (vs the concurrency-scaling scenario's 100µs): this ladder is about lock
-// contention, not group commit.
+// are exclusive), while snapshot readers never do. The log device is fast:
+// this ladder is about lock contention, not group commit.
 var readMixPcts = []int{50, 90, 99}
 
 const (
@@ -79,7 +78,7 @@ func runReadMix(o Options, readPct int, locked bool) (ReadMixRow, error) {
 	tuples := readMixTuples(o.Quick)
 	cfg := o.native(ipa.PSLC)
 	cfg.LogFlushLatency = readMixLogFlushLatency
-	res, _, err := drive("readmix", cfg, tuples, o.Threads, o.Ops, o.Seed, false, func(tbl *ipa.Table, c int) func(int) []interleave.Step {
+	res, err := drive("readmix", cfg, tuples, o.Threads, o.Ops, o.Seed, func(tbl *ipa.Table, c int) func(int) []interleave.Step {
 		rnd := rand.New(rand.NewSource(o.Seed + int64(c)*7919))
 		patch := []byte{byte(c), 0, 0}
 		op := func(tx *ipa.Tx) error {

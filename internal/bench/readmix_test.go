@@ -61,3 +61,12 @@ func TestReadMixLadderOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestDriveRejectsBadGoroutineCount pins the driver's input check.
+func TestDriveRejectsBadGoroutineCount(t *testing.T) {
+	o := small(t, "readmix", 10)
+	o.Threads = 0
+	if _, err := ReadMix(o); err == nil {
+		t.Fatal("a run with no clients must be rejected")
+	}
+}

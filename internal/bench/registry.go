@@ -55,8 +55,6 @@ func Specs() []Spec {
 			Full: Options{Scale: 2, Ops: 6000}, Quick: Options{Scale: 1, Ops: 3000}, run: adapt(Interference)},
 		{Name: "sweep", Title: "N×M scheme sweep",
 			Full: Options{Scale: 2, Ops: 6000}, Quick: Options{Ops: 2000}, run: adapt(Sweep)},
-		{Name: "concurrent", Title: "Concurrency scaling: sharded pool + group-commit WAL",
-			Full: Options{Ops: 8000}, Quick: Options{Ops: 6000}, run: adapt(Concurrent)},
 		{Name: "readmix", Title: "Read-skew ladder: MVCC snapshot reads vs 2PL locked reads",
 			Full: Options{Ops: 4000, Threads: 8}, Quick: Options{Ops: 1500}, run: adapt(ReadMix)},
 		{Name: "chips", Title: "Chip scaling: per-chip FTL partitions",

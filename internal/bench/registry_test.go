@@ -17,11 +17,10 @@ func TestSelect(t *testing.T) {
 		return strings.Join(out, " ")
 	}
 	for exp, want := range map[string]string{
-		"table1":     "table1",
-		"oltp":       "oltp",
-		"concurrent": "concurrent",
-		"readmix":    "readmix",
-		"all":        strings.Join(Names(), " "),
+		"table1":  "table1",
+		"oltp":    "oltp",
+		"readmix": "readmix",
+		"all":     strings.Join(Names(), " "),
 	} {
 		sel, err := Select(exp)
 		if err != nil {

@@ -43,9 +43,9 @@ type Options struct {
 	// Ops bounds every measured phase by committed transactions.
 	Ops  int
 	Seed int64
-	// Threads is the client count of the concurrent experiments (goroutines
-	// in -exp concurrent, interleaved programs in readmix and chips) and
-	// Chips the chip count of the device; 0 runs the experiment's ladder.
+	// Threads is the client count of readmix and chips (interleaved
+	// programs on one goroutine) and Chips the chip count of the device;
+	// 0 keeps the experiment's default, for Chips its ladder.
 	Threads int
 	Chips   int
 }

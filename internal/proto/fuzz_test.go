@@ -77,6 +77,9 @@ func FuzzProtoDecode(f *testing.F) {
 	f.Add([]byte("\r\n\r\n*1\r\n$1\r\nX\r\n"))
 	f.Add([]byte("*2\r\n$+3\r\nGET\r\n$0001\r\nk\r\n:-0\r\n$12345678901234567890\r\n"))
 	f.Add([]byte("*1\r\n$3\r\nab\r\r\n+OK\n*-1\r\n*3\r\n$-1\r\n-E\r\r\n:x\r\n"))
+	// Frames longer than the write buffer: the encoder writes their
+	// payloads a bufferful at a time.
+	f.Add(append(append([]byte("$5000\r\n"), bytes.Repeat([]byte("x"), 5000)...), "\r\n"...))
 	f.Add([]byte("*2\r\n$5\r\nHELLO\r\n$123456\r\n+0123456789\r\n:1\r\n\x01"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

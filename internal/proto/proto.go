@@ -556,10 +556,10 @@ func status(line []byte) string {
 	return string(line)
 }
 
-// Writer encodes RESP frames onto a buffered stream, each appended whole
-// to the write buffer's free space and handed to it in one Write. It is not
-// safe for concurrent use: a server session writes from its one goroutine,
-// the client under its connection mutex.
+// Writer encodes RESP frames onto a buffered stream, each that fits appended
+// whole to the write buffer's free space and handed to it in one Write. It
+// is not safe for concurrent use: a server session writes from its one
+// goroutine, the client under its connection mutex.
 type Writer struct{ bw *bufio.Writer }
 
 // NewWriter wraps w in a frame encoder.
@@ -569,7 +569,7 @@ func NewWriter(w io.Writer) *Writer {
 
 // frame returns the write buffer's free space for a frame of at most n
 // bytes, flushed first if the frame does not fit. A frame larger than the
-// whole buffer outgrows it: append copies it once, bufio writes it through.
+// whole buffer makes append allocate; WriteBulk and WriteCommand split one.
 func (w *Writer) frame(n int) []byte {
 	if n > w.bw.Available() && w.bw.Buffered() > 0 {
 		w.bw.Flush()
@@ -641,8 +641,22 @@ func (w *Writer) WriteError(code, msg string) {
 // WriteInt writes a :n integer reply.
 func (w *Writer) WriteInt(n int64) { w.bw.Write(appendNumber(w.frame(digits(n)+3), ':', n)) }
 
-// WriteBulk writes a $len binary-safe bulk reply.
-func (w *Writer) WriteBulk(p []byte) { w.bw.Write(appendBulk(w.frame(bulkSize(len(p))), p)) }
+// WriteBulk writes a $len binary-safe bulk reply. A payload larger than the
+// write buffer fills its free space a bufferful at a time: p never reaches
+// the underlying writer, so it does not escape (WriteBulkString never copies).
+func (w *Writer) WriteBulk(p []byte) {
+	if n := bulkSize(len(p)); n <= w.bw.Size() {
+		w.bw.Write(appendBulk(w.frame(n), p))
+		return
+	}
+	w.bw.Write(appendNumber(w.frame(digits(int64(len(p)))+3), '$', int64(len(p))))
+	for len(p) > 0 && (w.bw.Available() > 0 || w.bw.Flush() == nil) {
+		b := append(w.bw.AvailableBuffer(), p[:min(w.bw.Available(), len(p))]...)
+		w.bw.Write(b)
+		p = p[len(b):]
+	}
+	w.bw.Write(append(w.frame(2), '\r', '\n'))
+}
 
 // WriteBulkString writes a bulk reply from a string.
 func (w *Writer) WriteBulkString(s string) { w.WriteBulk([]byte(s)) }
@@ -660,6 +674,13 @@ func (w *Writer) WriteCommand(args ...[]byte) {
 	n := digits(int64(len(args))) + 3
 	for _, a := range args {
 		n += bulkSize(len(a))
+	}
+	if n > w.bw.Size() {
+		w.WriteArray(len(args))
+		for _, a := range args {
+			w.WriteBulk(a)
+		}
+		return
 	}
 	b := appendNumber(w.frame(n), '*', int64(len(args)))
 	for _, a := range args {

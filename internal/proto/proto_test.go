@@ -622,19 +622,24 @@ func BenchmarkReadCommandTrickled(b *testing.B) {
 
 // TestOneAppendPerFrameAllocatesNothing pins the encoder and the command
 // decoder at 0 allocations a frame: each writer appends its frame to the
-// write buffer's free space, and a buffered command frame — or one that
-// arrives one byte per Read — decodes in place.
+// write buffer's free space (a bulk string longer than the buffer goes
+// through it a bufferful at a time), and a buffered command frame — or one
+// that arrives one byte per Read — decodes in place.
 func TestOneAppendPerFrameAllocatesNothing(t *testing.T) {
 	w := NewWriter(io.Discard)
 	update := [][]byte{[]byte("UPDATE"), []byte("t"), []byte("1234"), []byte("112"), make([]byte, 8)}
+	big := make([]byte, 65536)
 	for what, f := range map[string]func(){
-		"WriteCommand": func() { w.WriteCommand(update...) },
-		"WriteSimple":  func() { w.WriteSimple("OK") },
-		"WriteError":   func() { w.WriteError("NOTFOUND", "ipa: key not found") },
-		"WriteInt":     func() { w.WriteInt(-1234567) },
-		"WriteBulk":    func() { w.WriteBulk(update[4]) },
-		"WriteNull":    func() { w.WriteNull() },
-		"WriteArray":   func() { w.WriteArray(32) },
+		"WriteCommand":                       func() { w.WriteCommand(update...) },
+		"WriteCommand with a 5,000-byte arg": func() { w.WriteCommand(update[0], update[1], big[:5000]) },
+		"WriteBulk of 5,000 bytes":           func() { w.WriteBulk(big[:5000]) },
+		"WriteBulk of 65,536 bytes":          func() { w.WriteBulk(big) },
+		"WriteSimple":                        func() { w.WriteSimple("OK") },
+		"WriteError":                         func() { w.WriteError("NOTFOUND", "ipa: key not found") },
+		"WriteInt":                           func() { w.WriteInt(-1234567) },
+		"WriteBulk":                          func() { w.WriteBulk(update[4]) },
+		"WriteNull":                          func() { w.WriteNull() },
+		"WriteArray":                         func() { w.WriteArray(32) },
 	} {
 		if allocs := testing.AllocsPerRun(1000, f); allocs != 0 {
 			t.Errorf("%s allocates %.0f times a frame, want 0", what, allocs)

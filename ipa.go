@@ -187,12 +187,6 @@ type Config struct {
 	// non-zero latency the group-commit pipeline becomes visible:
 	// concurrent commits share one flush and therefore one latency charge.
 	LogFlushLatency time.Duration
-	// LogFlushWallLatency makes the flush leader really wait this long per
-	// WAL flush batch, modelling the wall-clock cost of a log-device sync
-	// (default 0). While the leader waits, concurrently-arriving commits
-	// queue up and ride the next batch — the classic group-commit
-	// amortisation.
-	LogFlushWallLatency time.Duration
 	// TraceEvictions records the fetch/eviction trace used for the IPL
 	// comparison.
 	TraceEvictions bool
@@ -435,29 +429,6 @@ func assemble(cfg Config, dev *flashdev.Device, f *ftl.FTL, log *wal.Log, txns *
 	// the checkpointer flushes dirty pages oldest-recLSN-first so the
 	// truncation cut advances as far as possible.
 	pool.SetLSNSource(log.NextLSN)
-	if cfg.LogFlushLatency > 0 || cfg.LogFlushWallLatency > 0 || cfg.Faults != nil {
-		// Model the separate log device: every flush batch costs one
-		// device write — of virtual time and, optionally, of real time the
-		// flush leader spends waiting — regardless of how many commits the
-		// batch carries. That per-batch (not per-commit) cost is the
-		// saving group commit is designed to realise. With a fault plan
-		// attached, each flush is also a potential power-cut point: a cut
-		// here loses the whole batch, which recovery must roll back.
-		log.SetFlushHook(func(bytes int) error {
-			if cfg.Faults != nil {
-				if err := cfg.Faults.LogFlushPoint(); err != nil {
-					return err
-				}
-			}
-			if cfg.LogFlushLatency > 0 {
-				dev.AdvanceClock(cfg.LogFlushLatency)
-			}
-			if cfg.LogFlushWallLatency > 0 {
-				time.Sleep(cfg.LogFlushWallLatency)
-			}
-			return nil
-		})
-	}
 	db := &DB{
 		cfg:             cfg,
 		dev:             dev,
@@ -474,9 +445,26 @@ func assemble(cfg Config, dev *flashdev.Device, f *ftl.FTL, log *wal.Log, txns *
 		secondaryByName: make(map[string]*SecondaryIndex),
 		nextObjID:       1,
 	}
+	if cfg.LogFlushLatency > 0 || cfg.Faults != nil {
+		log.SetFlushHook(db.logDevice)
+	}
 	// A fresh handle's Stats window starts at the layers' zero.
 	db.mark.Store(&reading{chips: make([]ftl.ChipStats, f.Chips())})
 	return db, nil
+}
+
+// logDevice is the WAL's flush hook when Open models a separate log device:
+// a flush batch costs LogFlushLatency of virtual time however many commits
+// it carries (the saving group commit realises) and, with a fault plan, is
+// a power-cut point whose cut loses the whole batch for recovery to undo.
+func (db *DB) logDevice(int) error {
+	if db.cfg.Faults != nil {
+		if err := db.cfg.Faults.LogFlushPoint(); err != nil {
+			return err
+		}
+	}
+	db.dev.AdvanceClock(db.cfg.LogFlushLatency)
+	return nil
 }
 
 // Config returns the configuration the database was opened with (defaults
