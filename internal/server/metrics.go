@@ -102,16 +102,17 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// command, cumulative buckets ending at +Inf.
 	family(w, "ipa_server_command_seconds", "Wall-clock latency of a command, by command: from the end of the previous command, or the socket read that delivered it, to the end of its execution.", "histogram")
 	for _, name := range commandNames {
-		s := srv.lat.cmds[commands[name].id].snapshot()
+		s := srv.latency(commands[name].id)
 		var cum uint64
-		for i := 0; i < histBucketCount; i++ {
-			cum += s.Counts[i]
-			le := strconv.FormatFloat(histBounds[i].Seconds(), 'g', -1, 64) // "1e-06", "0.000512", …
+		for i, c := range s.Buckets {
+			cum += c
+			le := "+Inf"
+			if i < stat.WaitBuckets-1 {
+				le = strconv.FormatFloat((time.Microsecond << i).Seconds(), 'g', -1, 64) // "1e-06", "0.000512", …
+			}
 			fmt.Fprintf(w, "ipa_server_command_seconds_bucket{cmd=%q,le=%q} %d\n", name, le, cum)
 		}
-		cum += s.Counts[histBucketCount]
-		fmt.Fprintf(w, "ipa_server_command_seconds_bucket{cmd=%q,le=\"+Inf\"} %d\n", name, cum)
-		fmt.Fprintf(w, "ipa_server_command_seconds_sum{cmd=%q} %v\n", name, s.Sum.Seconds())
-		fmt.Fprintf(w, "ipa_server_command_seconds_count{cmd=%q} %d\n", name, s.Count)
+		fmt.Fprintf(w, "ipa_server_command_seconds_sum{cmd=%q} %v\n", name, time.Duration(s.Nanos).Seconds())
+		fmt.Fprintf(w, "ipa_server_command_seconds_count{cmd=%q} %d\n", name, cum)
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+	"unsafe"
 )
 
 // The conformance suite: every scrape of /metrics must parse under the
@@ -415,6 +417,33 @@ func TestMetricsStableAcrossScrapes(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("series set changed across scrapes: %q vs %q", a[i], b[i])
+		}
+	}
+}
+
+// observeLatency records d as one execution of the named command by a
+// session on the given row of the latency distributions (taken modulo
+// the row count).
+func observeLatency(srv *Server, row int, name string, d time.Duration) {
+	srv.lat[row%len(srv.lat)][commands[name].id].Observe(d)
+}
+
+// TestLatencyRowsShareNoCacheLine pins what keeps recording contention
+// free: two sessions on different rows of the latency distributions must
+// not write to one 64-byte line, so no two rows may share one.
+func TestLatencyRowsShareNoCacheLine(t *testing.T) {
+	srv, _ := newTestServer(t)
+	type span struct{ first, last uintptr } // the rows' first and last cache lines
+	var spans []span
+	for _, row := range srv.lat {
+		start := uintptr(unsafe.Pointer(unsafe.SliceData(row)))
+		end := start + uintptr(len(row))*unsafe.Sizeof(row[0])
+		spans = append(spans, span{start / 64, (end - 1) / 64})
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].first < spans[j].first })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].first <= spans[i-1].last {
+			t.Fatalf("two latency rows share cache line %#x", spans[i].first*64)
 		}
 	}
 }

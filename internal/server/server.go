@@ -1,7 +1,7 @@
 // Package server implements ipaserver's network front end: a TCP listener
 // speaking the RESP-compatible wire protocol of internal/proto, one
 // goroutine per connection decoding, executing and answering its commands
-// in order on an embedded ipa.DB, a worker pool bounding engine
+// in order on an embedded ipa.DB, admission lanes bounding engine
 // concurrency at chips × GOMAXPROCS, and an HTTP sidecar exposing /healthz,
 // Prometheus-style /metrics (with per-command latency histograms), the
 // machine-readable /stats.json ops document, and the embedded live
@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"ipa"
+	"ipa/internal/stat"
 )
 
 // Config configures a Server.
@@ -71,10 +72,12 @@ type Server struct {
 	counts  ServerCounters
 	started time.Time
 
-	// lat holds the per-command latency histograms; nextShard deals a
-	// shard index to each new session so recorders spread across shards.
-	lat       *latencies
-	nextShard atomic.Uint64
+	// lat holds the per-command latency distributions: min(GOMAXPROCS, 16)
+	// rows of one Wait per command (by command.id), each row its own
+	// allocation, so no two share a cache line. nextRow deals the rows to
+	// sessions round-robin, so concurrent recorders rarely share one.
+	lat     [][]stat.Wait
+	nextRow atomic.Uint64
 
 	// poisonArgs is a test hook, set before Start: sessions overwrite a
 	// command's arguments with 0xA5 as soon as execute returns, so anything
@@ -90,14 +93,27 @@ func New(db *ipa.DB, cfg Config) *Server {
 			cfg.Workers = 1
 		}
 	}
-	return &Server{
+	srv := &Server{
 		db:       db,
 		cfg:      cfg,
 		lanes:    lanes{wake: make(chan struct{}, cfg.Workers)},
 		sessions: make(map[*session]struct{}),
 		started:  time.Now(),
-		lat:      newLatencies(latencyShards()),
+		lat:      make([][]stat.Wait, min(runtime.GOMAXPROCS(0), 16)),
 	}
+	for i := range srv.lat {
+		srv.lat[i] = make([]stat.Wait, len(commands))
+	}
+	return srv
+}
+
+// latency merges one command's rows into its latency distribution.
+func (srv *Server) latency(cmd int) stat.Wait {
+	var w stat.Wait
+	for _, row := range srv.lat {
+		w = stat.Add(w, stat.Load(&row[cmd]))
+	}
+	return w
 }
 
 // lanes admits at most cap(wake) commands into the engine at once: n

@@ -8,6 +8,7 @@ import (
 
 	"ipa"
 	"ipa/internal/proto"
+	"ipa/internal/stat"
 )
 
 // session is one client connection, served by one goroutine: decode a
@@ -33,9 +34,8 @@ type session struct {
 	// quit is set by the QUIT command: flush and hang up.
 	quit bool
 
-	// shard is this session's lane in the latency histograms; sessions are
-	// dealt shards round-robin so concurrent recorders rarely collide.
-	shard int
+	// lat is this session's row of the server's latency distributions.
+	lat []stat.Wait
 	// mark is the server clock at the end of the last command or socket
 	// read, where the next command's latency span starts.
 	mark time.Duration
@@ -49,10 +49,10 @@ type session struct {
 
 func newSession(srv *Server, conn net.Conn) *session {
 	s := &session{
-		srv:   srv,
-		conn:  conn,
-		w:     proto.NewWriter(conn),
-		shard: int(srv.nextShard.Add(1)-1) % srv.lat.shards,
+		srv:  srv,
+		conn: conn,
+		w:    proto.NewWriter(conn),
+		lat:  srv.lat[(srv.nextRow.Add(1)-1)%uint64(len(srv.lat))],
 	}
 	s.r = proto.NewReader(s)
 	return s

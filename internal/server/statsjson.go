@@ -71,16 +71,17 @@ func (srv *Server) statsDoc() StatsDoc {
 		Latency:   make(map[string]LatencySummary),
 	}
 	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-	for name, s := range srv.lat.snapshot() {
-		if s.Count == 0 {
+	for name, c := range commands {
+		s := srv.latency(c.id)
+		if s.Count() == 0 {
 			continue // only commands that have actually run
 		}
 		doc.Latency[name] = LatencySummary{
-			Count:  s.Count,
-			MeanUS: us(s.mean()),
-			P50US:  us(s.quantile(0.50)),
-			P95US:  us(s.quantile(0.95)),
-			P99US:  us(s.quantile(0.99)),
+			Count:  s.Count(),
+			MeanUS: us(s.Mean()),
+			P50US:  us(s.Quantile(0.50)),
+			P95US:  us(s.Quantile(0.95)),
+			P99US:  us(s.Quantile(0.99)),
 		}
 	}
 	return doc

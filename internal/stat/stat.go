@@ -12,6 +12,10 @@
 // the fields Each yields; Add and Sub copy any other field from the first
 // operand, and neither takes a struct holding a slice.
 //
+// A Wait is a latency distribution kept the same way: a set of its own,
+// bumped in place by Observe, and copied, merged and windowed by Load, Add
+// and Sub like any other.
+//
 // A live set assumes a 64-bit platform: atomic.AddUint64 on a plain field
 // needs the 8-byte alignment that 32-bit platforms guarantee only for the
 // first word of an allocation.
@@ -19,8 +23,10 @@ package stat
 
 import (
 	"cmp"
+	"math/bits"
 	"reflect"
 	"sync/atomic"
+	"time"
 )
 
 // Load returns a copy of *p whose uint64 fields are read atomically, so it
@@ -111,4 +117,72 @@ func walk(x, y reflect.Value, at Field, f func(at Field, y reflect.Value)) {
 			}
 		}
 	}
+}
+
+// WaitBuckets is the number of buckets of a Wait. Bucket i counts the
+// waits in (2^(i-1), 2^i] µs, bucket 0 every wait up to 1 µs and the last
+// every wait past 2^19 µs ≈ 0.52 s.
+const WaitBuckets = 21
+
+// Wait is a latency distribution: the total of the observed waits and
+// their log2 buckets. Count, Mean and Quantile read a copy, as Load or Add
+// returns it, never the live set.
+type Wait struct {
+	Nanos   uint64 // every observed wait, summed in nanoseconds
+	Buckets [WaitBuckets]uint64
+}
+
+// Observe records one wait in place; a negative wait counts as zero.
+func (w *Wait) Observe(d time.Duration) {
+	ns := uint64(max(d, 0))
+	atomic.AddUint64(&w.Buckets[min(bits.Len64((max(ns, 1)-1)/1000), WaitBuckets-1)], 1)
+	atomic.AddUint64(&w.Nanos, ns)
+}
+
+// Count returns the number of observed waits.
+func (w Wait) Count() uint64 {
+	var n uint64
+	for _, c := range w.Buckets {
+		n += c
+	}
+	return n
+}
+
+// Mean returns the average wait, or 0 if there is none.
+func (w Wait) Mean() time.Duration {
+	if n := w.Count(); n > 0 {
+		return time.Duration(w.Nanos) / time.Duration(n)
+	}
+	return 0
+}
+
+// Quantile estimates the q-quantile (0 < q < 1) by linear interpolation
+// inside the bucket that holds it, as Prometheus's histogram_quantile
+// does. A wait past the last finite bound counts as on it; with no wait
+// the estimate is 0.
+func (w Wait) Quantile(q float64) time.Duration {
+	n := w.Count()
+	if n == 0 {
+		return 0
+	}
+	last := time.Microsecond << (WaitBuckets - 2)
+	rank, cum := q*float64(n), 0.0
+	for i, c := range w.Buckets {
+		prev := cum
+		cum += float64(c)
+		if cum < rank || c == 0 {
+			continue
+		}
+		if i == WaitBuckets-1 {
+			return last
+		}
+		upper := time.Microsecond << i
+		lower := upper / 2
+		if i == 0 {
+			lower = 0
+		}
+		frac := (rank - prev) / float64(c)
+		return lower + time.Duration(frac*float64(upper-lower))
+	}
+	return last
 }

@@ -244,12 +244,12 @@ var ErrTableExists = errors.New("ipa: table already exists")
 //
 // The engine synchronises at page granularity: the buffer pool is sharded
 // and every frame carries its own latch, the WAL batches concurrent
-// commits, and the lock table is striped. DB.mu therefore guards only the
-// catalog (the table maps and the closed flag); it is never held across
-// page access or I/O, so concurrent readers and writers on different pages
-// proceed in parallel.
+// commits, and a record lock is its version chain's owner, so there is no
+// lock table. DB.mu therefore guards only the catalog (the table and index
+// maps); it is never held across page access or I/O, so concurrent readers
+// and writers on different pages proceed in parallel.
 type DB struct {
-	mu  sync.Mutex // catalog only: table and index maps, nextObjID, closed
+	mu  sync.Mutex // catalog only: table and index maps, nextObjID
 	cfg Config
 
 	dev     *flashdev.Device
@@ -268,7 +268,7 @@ type DB struct {
 	nextObjID       uint32
 	// closed is atomic so the hot table and transaction paths can reject
 	// use-after-Close without taking the catalog mutex; gate makes Close
-	// wait for in-flight operations before flushing (see acquire).
+	// and VerifyIntegrity wait for in-flight operations (see acquire).
 	closed    atomic.Bool
 	gate      sync.RWMutex
 	closeOnce sync.Once

@@ -121,8 +121,10 @@ func TestWritersAndReadersOfOnePage(t *testing.T) {
 // so index entries are retained, parked and dropped all the while. A drop
 // takes the table mutex under the GC mutex (gcMu → table mutex → page latch
 // → version stripe): nothing may hang, an insert of a key whose delete
-// committed must never meet the key's old entry, and once everyone has
-// stopped the indexes must match the heap with nothing left retained.
+// committed must never meet the key's old entry, VerifyIntegrity, looping
+// while the writers run, must find the indexes matching the heap at every
+// quiesce, and once everyone has stopped they must match with nothing
+// left retained.
 func TestDeletesAndReinsertsBehindSnapshots(t *testing.T) {
 	const writers, keysEach, readers, rounds = 2, 3, 2, 60
 	db, err := Open(Config{PageSize: 2048, Blocks: 24, PagesPerBlock: 16, BufferPoolPages: 8})
@@ -209,6 +211,18 @@ func TestDeletesAndReinsertsBehindSnapshots(t *testing.T) {
 			}
 		}(r)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		pinned.Wait()
+		for left.Load() > 0 {
+			if err := db.VerifyIntegrity(); err != nil {
+				t.Errorf("VerifyIntegrity while the writers run: %v", err)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
 	finished := make(chan struct{})
 	go func() { wg.Wait(); close(finished) }()
 	select {

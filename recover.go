@@ -373,11 +373,18 @@ func (db *DB) loadCatalog() error {
 // bijection. The heap scan lives here, as a verification cross-check
 // only; the recovery path itself never scans heaps. The crash-torture
 // harness runs this after every recovery.
+//
+// VerifyIntegrity quiesces the engine: it takes the close gate exclusively,
+// as Close does, so it waits for every API call in flight and holds off new
+// ones until it returns. It checks a state no call is half-way through,
+// and may run while other goroutines use the database. Once the database
+// is closed it returns ErrClosed.
 func (db *DB) VerifyIntegrity() error {
-	if err := db.acquire(); err != nil {
+	db.gate.Lock()
+	defer db.gate.Unlock()
+	if err := db.checkOpen(); err != nil {
 		return err
 	}
-	defer db.release()
 	if err := db.ftl.CheckConsistency(); err != nil {
 		return fmt.Errorf("ipa: %w", err)
 	}
